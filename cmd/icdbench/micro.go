@@ -200,8 +200,9 @@ func runMicro(jsonPath string) {
 	})
 
 	// Swarm end-to-end: a whole fetch through the session/orchestrator
-	// engine from an in-process full sender over net.Pipe — the row CI
-	// tracks for engine-level regressions (BENCH_pr3.json).
+	// engine from an in-process full sender over net.Pipe — one fabric
+	// wire with one channel behind a ServerMux, the path every node
+	// uses. The row CI tracks for engine-level regressions.
 	const swarmN = 600
 	fix, err := experiment.BuildSwarmFixture(swarmN, 1400, 5)
 	if err != nil {
@@ -223,7 +224,7 @@ func runMicro(jsonPath string) {
 
 	// Gossip-swarm convergence (PR 4): wall clock for a 4-node swarm
 	// bootstrapped from a single seed address to self-assemble over
-	// protocol-v4 gossip and finish every transfer, with the adaptive
+	// gossip and finish every transfer, with the adaptive
 	// refresh cadence on — the control-plane row CI tracks in
 	// BENCH_pr4.json.
 	row("gossip convergence (4+seed)", 0, func(b *testing.B) {

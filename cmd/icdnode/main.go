@@ -21,7 +21,7 @@
 //	icdnode collab -out big.iso -id 0xF00D -listen 127.0.0.1:9002 \
 //	    -peers 127.0.0.1:9000,127.0.0.1:9003
 //
-// With protocol-v4 gossip, the exhaustive -peers list is no longer
+// With gossip, the exhaustive -peers list is no longer
 // needed: give every node the same single seed address and the swarm
 // self-assembles — each node advertises its own -listen address, the
 // seed relays what it has heard, and discovered peers are admitted up
@@ -162,7 +162,11 @@ func serve(args []string) {
 		fmt.Printf("icdnode: full sender for %q (%d blocks of %dB) on %s\n",
 			*file, info.NumBlocks, *blockSize, *listen)
 	}
-	if err := srv.ListenAndServe(*listen); err != nil {
+	mux := peer.NewServerMux()
+	if err := mux.Register(srv); err != nil {
+		fatal(err)
+	}
+	if err := mux.ListenAndServe(*listen); err != nil {
 		fatal(err)
 	}
 }

@@ -34,7 +34,9 @@
 //
 //	info, content := icd.DescribeContent(0xF00D, data, 1400)
 //	srv, _ := icd.NewFullServer(info, content)
-//	go srv.ListenAndServe("127.0.0.1:9000")
+//	mux := icd.NewServerMux() // the front door: one listener, any number of contents
+//	mux.Register(srv)
+//	go mux.ListenAndServe("127.0.0.1:9000")
 //	res, _ := icd.Fetch([]string{"127.0.0.1:9000"}, info.ID, icd.FetchOptions{})
 //	os.WriteFile("out", res.Data, 0o644)
 //
@@ -169,7 +171,7 @@
 // (RefreshBatches/RefreshGrowth), so senders stop retransmitting what
 // other sessions already delivered.
 //
-// Adaptive refresh (protocol v4). Instead of the fixed RefreshBatches
+// Adaptive refresh. Instead of the fixed RefreshBatches
 // cadence, FetchOptions.AdaptiveRefresh hands the cadence to a
 // RefreshController: each batch's duplicate-symbol rate (received
 // minus useful, over received) is compared against a target budget
@@ -183,7 +185,7 @@
 // fraction, rations the traffic. `icdbench -exp gossip` compares the
 // two policies' duplicate rates and wall clock.
 //
-// Gossip discovery (protocol v4). Sessions announce their node's own
+// Gossip discovery. Sessions announce their node's own
 // dialable address (FetchOptions.AdvertiseAddr) in the HELLO, and both
 // sides may volunteer capped, deduplicated PEERS frames: a session
 // piggybacks them on its handshake and refresh checks, a server relays
@@ -270,20 +272,24 @@
 //
 // # Connection fabric (one wire per peer)
 //
-// internal/peermux multiplexes every content session a node runs
-// against one peer onto a single protocol-v5 connection, collapsing
-// connection count from O(peers × contents) to O(peers).
+// internal/peermux is the one session transport: every content session
+// a node runs against one peer is a subchannel of a single connection,
+// so connection count is O(peers), not O(peers × contents). There is no
+// other path — a lone Fetch builds a private fabric over its dialer (a
+// wire with one channel), and peer.ServerMux, the one serving front
+// door, accepts a MUX_HELLO or answers a clean ERROR and hangs up. A
+// peer.Server is only a symbol source (full, partial or live) that the
+// mux hands channels to.
 //
-// Wire layout: a fabric connection opens with one MUX_HELLO exchange
-// (channel capacity + dialable listen address) instead of a per-content
-// HELLO. Each content transfer then negotiates a subchannel
-// (OPEN_CHANNEL carries the opener's content HELLO; ACCEPT_CHANNEL
-// answers with the content metadata, REJECT_CHANNEL reuses the
-// canonical ERROR vocabulary), and every legacy session frame travels
-// inside a 3-byte MUX envelope — channel id + inner type — under the
-// outer frame's CRC, so the per-channel state machines are exactly the
-// legacy session state machines. PEERS gossip is deduplicated per
-// wire, not per channel.
+// Wire layout: a connection opens with one MUX_HELLO exchange (channel
+// capacity + dialable listen address). Each content transfer then
+// negotiates a subchannel (OPEN_CHANNEL carries the opener's content
+// HELLO; ACCEPT_CHANNEL answers with the content metadata,
+// REJECT_CHANNEL reuses the canonical ERROR vocabulary), and every
+// content frame travels inside a 3-byte MUX envelope — channel id +
+// inner type — under the outer frame's CRC, so the per-channel state
+// machines read and write plain content frames (PEERS gossip among
+// them).
 //
 // Credit model: only symbol-bearing frames spend credits. The receiver
 // grants an initial per-channel window, the sender blocks when the
@@ -292,7 +298,7 @@
 // only its own channel while siblings keep their throughput, and a
 // sender that overruns the window is charged to the penalty box.
 //
-// AIMD request ramp: fabric sessions replace stop-and-wait (one
+// AIMD request ramp: sessions replace stop-and-wait (one
 // request batch in flight, one RTT per batch) with a pipelined ramp —
 // K batches outstanding, K growing additively while batches deliver
 // useful symbols and halving when the duplicate-symbol rate crosses
@@ -301,13 +307,13 @@
 // link the ramp moves >6x stop-and-wait goodput (icdbench -exp
 // fabric).
 //
-// Channel lifecycle and version fallback: a Fabric refcounts wires per
-// address — the first Open dials and shakes hands, later Opens share
-// the wire, the last Close tears it down. v5 nodes interoperate with
-// v4 peers in both directions: servers detect v4-framed clients and
-// answer in v4 framing, and a dialer whose fabric handshake is
-// version-rejected demotes that peer to dedicated legacy connections
-// (node.Options.DisableFabric forces that mode globally).
+// Channel lifecycle and versions: a Fabric refcounts wires per address
+// — the first Open dials and shakes hands, later Opens share the wire,
+// the last Close tears it down. The library speaks exactly one wire
+// version: a frame with any other version byte is protocol.ErrVersion
+// (which is also what makes a corrupted version byte detectable — it
+// sits outside the CRC), the server answers it with a clean ERROR, and
+// the dialing session ends terminally on that first dial, uncharged.
 //
 // Credits as the scheduler's currency: on a latency-bound wire a
 // channel's credit window IS its throughput (≈ window per round trip),
@@ -317,7 +323,7 @@
 // the active fetches by the same marginal-utility policy as slots — a
 // 16-frame floor each, the rest proportional to progress rate, starved
 // and near-complete fetches yielding — and pushes the shares down to
-// the live fabric channels (Channel.SetWindow resizes with frames in
+// the live channels (Channel.SetWindow resizes with frames in
 // flight: grows grant immediately, shrinks drain by withholding
 // replenishment, credits are never revoked). Each wire enforces the
 // budget as an aggregate ceiling (peermux.Config.WireWindow), and every

@@ -25,17 +25,23 @@ func main() {
 	}
 	fmt.Printf("content: %d bytes → %d blocks of %dB\n", info.OrigLen, info.NumBlocks, info.BlockSize)
 
-	// 3. Start a full sender: a stateless digital fountain.
+	// 3. Start a full sender: a stateless digital fountain, registered
+	// on a listener's front door (one ServerMux serves any number of
+	// contents).
 	srv, err := icd.NewFullServer(info, content)
 	if err != nil {
+		log.Fatal(err)
+	}
+	mux := icd.NewServerMux()
+	if err := mux.Register(srv); err != nil {
 		log.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	go srv.Serve(ln)
-	defer srv.Close()
+	go mux.Serve(ln)
+	defer mux.Close()
 
 	// 4. Fetch it back.
 	res, err := icd.Fetch([]string{ln.Addr().String()}, info.ID, icd.FetchOptions{})

@@ -24,12 +24,25 @@ func main() {
 	}
 	fmt.Printf("content: %d bytes, %d blocks of %d\n", info.OrigLen, info.NumBlocks, info.BlockSize)
 
+	// Each sender listens behind its own front door (a ServerMux with one
+	// registered content).
+	var muxes []*icd.ServerMux
+	defer func() {
+		for _, m := range muxes {
+			m.Close()
+		}
+	}()
 	start := func(s *icd.Server) string {
+		mux := icd.NewServerMux()
+		if err := mux.Register(s); err != nil {
+			log.Fatal(err)
+		}
+		muxes = append(muxes, mux)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			log.Fatal(err)
 		}
-		go s.Serve(ln)
+		go mux.Serve(ln)
 		return ln.Addr().String()
 	}
 
@@ -57,9 +70,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fullAddr, addr1, addr2 := start(full), start(p1), start(p2)
-	defer full.Close()
-	defer p1.Close()
-	defer p2.Close()
 
 	// Phase 1: download from the two partial senders only, and prove
 	// they jointly reconstruct the file without any full copy online.
@@ -79,7 +89,11 @@ func main() {
 	// Phase 2: stateless migration. Start a fresh download from one
 	// partial sender, stop it early (it cannot finish alone), then resume
 	// against the full sender passing only the held symbols.
-	res2, err := icd.Fetch([]string{addr1}, info.ID, icd.FetchOptions{Batch: 64, MaxUselessBatches: 2})
+	// (Gossip off: the sender heard the other peers' addresses in phase 1
+	// and would otherwise hand them over, completing the file after all.)
+	res2, err := icd.Fetch([]string{addr1}, info.ID, icd.FetchOptions{
+		Batch: 64, MaxUselessBatches: 2, DisableGossip: true,
+	})
 	if err == nil && res2.Completed {
 		log.Fatal("phase 2: a single partial sender cannot complete the file")
 	}

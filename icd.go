@@ -285,7 +285,9 @@ func NewInformedPeer(cfg PeerConfig) *InformedPeer { return core.NewPeer(cfg) }
 // ContentInfo identifies one piece of shared content.
 type ContentInfo = peer.ContentInfo
 
-// Server serves content over TCP as a full or partial sender.
+// Server is the symbol source for one content — a full, partial or
+// live sender. It owns no listener: Register it on a ServerMux, the one
+// serving front door, and Fetch reaches it over a fabric subchannel.
 type Server = peer.Server
 
 // FetchOptions tune a download.
@@ -345,9 +347,9 @@ func NewLiveServer(info ContentInfo, src WorkingSetSource) (*Server, error) {
 }
 
 // Gossip is a node-wide directory of advertised peer addresses — the
-// protocol-v4 discovery substrate. Share one instance between a node's
-// Orchestrator (FetchOptions.Gossip) and its live Server
-// (Server.SetGossip) so every address heard on either side flows into
+// gossip discovery substrate. Share one instance between a node's
+// Orchestrator (FetchOptions.Gossip) and its front door
+// (ServerMux.SetGossip) so every address heard on either side flows into
 // the same admission path, and a swarm bootstrapped from a single seed
 // address self-assembles the full mesh.
 type Gossip = peer.Gossip
@@ -372,9 +374,10 @@ func NewRefreshController(target float64, initial int) *RefreshController {
 
 // ---- Multi-content node (content store + one listener + scheduler) ----
 
-// ServerMux serves many contents on one listener, routing each inbound
-// HELLO to the registered Server for its content id; unknown ids get
-// the canonical unknown-content ERROR.
+// ServerMux is the serving front door: one listener for any number of
+// contents. It answers each connection's fabric handshake and routes
+// every subchannel to the registered Server for its content id; unknown
+// ids get the canonical unknown-content rejection.
 type ServerMux = peer.ServerMux
 
 // MuxStats exposes a ServerMux's connection counters.

@@ -33,19 +33,22 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 	var addrs []string
 	for _, s := range []*Server{full, part} {
+		mux := NewServerMux()
+		if err := mux.Register(s); err != nil {
+			t.Fatal(err)
+		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		var wg sync.WaitGroup
 		wg.Add(1)
-		srv := s
 		go func() {
 			defer wg.Done()
-			srv.Serve(ln)
+			mux.Serve(ln)
 		}()
 		t.Cleanup(func() {
-			srv.Close()
+			mux.Close()
 			wg.Wait()
 		})
 		addrs = append(addrs, ln.Addr().String())

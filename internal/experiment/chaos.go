@@ -91,8 +91,9 @@ func RunChaosSwarm(cfg ChaosSwarmConfig) (ChaosSwarmResult, error) {
 	if err != nil {
 		return res, err
 	}
-	go seedSrv.Serve(seedLn)
-	defer seedSrv.Close()
+	seedMux := frontDoor(seedSrv)
+	go seedMux.Serve(seedLn)
+	defer seedMux.Close()
 
 	bootstrap := []string{"seed"}
 	if cfg.Hostile {
@@ -111,7 +112,7 @@ func RunChaosSwarm(cfg ChaosSwarmConfig) (ChaosSwarmResult, error) {
 	}
 	outs := make([]outcome, cfg.Nodes)
 	var liveMu sync.Mutex
-	var liveSrvs []*peer.Server
+	var liveSrvs []*peer.ServerMux
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < cfg.Nodes; i++ {
@@ -169,16 +170,17 @@ func RunChaosSwarm(cfg ChaosSwarmConfig) (ChaosSwarmResult, error) {
 			if err != nil {
 				return
 			}
-			live.SetGossip(gossip)
-			live.SetPenalties(o.Penalties())
+			mux := frontDoor(live)
+			mux.SetGossip(gossip)
+			mux.SetPenalties(o.Penalties())
 			ln, err := pn.Listen(addr)
 			if err != nil {
 				return
 			}
 			liveMu.Lock()
-			liveSrvs = append(liveSrvs, live)
+			liveSrvs = append(liveSrvs, mux)
 			liveMu.Unlock()
-			live.Serve(ln)
+			mux.Serve(ln)
 		}()
 	}
 	wg.Wait()

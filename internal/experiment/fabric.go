@@ -22,7 +22,6 @@ import (
 
 	"icd/internal/faultnet"
 	"icd/internal/peer"
-	"icd/internal/peermux"
 )
 
 // fabricSpeedupFloor is the acceptance bar: pipelined goodput over
@@ -87,10 +86,7 @@ func runFabricFetch(fix *SwarmFixture, seed uint64, rtt time.Duration, depth, ba
 	if err != nil {
 		return row, err
 	}
-	mux := peer.NewServerMux()
-	if err := mux.Register(srv); err != nil {
-		return row, err
-	}
+	mux := frontDoor(srv)
 	ln, err := net.Listen("origin")
 	if err != nil {
 		return row, err
@@ -98,16 +94,11 @@ func runFabricFetch(fix *SwarmFixture, seed uint64, rtt time.Duration, depth, ba
 	go mux.Serve(ln)
 	defer mux.Close()
 
-	tr := net.Node("client")
-	fabric := peermux.NewFabric(tr.Dial, peermux.Config{Timeout: 2 * time.Minute})
-	defer fabric.Close()
-
 	start := time.Now()
 	res, err := peer.Fetch([]string{"origin"}, fix.Info.ID, peer.FetchOptions{
 		Batch:         batch,
 		Timeout:       2 * time.Minute,
-		Dial:          tr.Dial,
-		Fabric:        fabric,
+		Dial:          net.Node("client").Dial,
 		PipelineDepth: depth,
 	})
 	elapsed := time.Since(start)

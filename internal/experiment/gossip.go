@@ -1,6 +1,6 @@
 package experiment
 
-// gossip.go measures protocol-v4 gossip peer discovery and the adaptive
+// gossip.go measures gossip peer discovery and the adaptive
 // SUMMARY_REFRESH cadence end to end: an N-node swarm bootstrapped from
 // a single seed address must self-assemble the full mesh (convergence),
 // and the adaptive duplicate-rate controller must beat the fixed

@@ -53,14 +53,14 @@ func (r MultiContentResult) AggregateMBps() float64 {
 // (SwarmFixture carries one content; here every address may serve many).
 type multiNet struct {
 	mu      sync.Mutex
-	servers map[string]ConnServer
+	servers map[string]*peer.ServerMux
 }
 
 func newMultiNet() *multiNet {
-	return &multiNet{servers: make(map[string]ConnServer)}
+	return &multiNet{servers: make(map[string]*peer.ServerMux)}
 }
 
-func (m *multiNet) add(addr string, s ConnServer) {
+func (m *multiNet) add(addr string, s *peer.ServerMux) {
 	m.mu.Lock()
 	m.servers[addr] = s
 	m.mu.Unlock()

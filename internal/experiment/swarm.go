@@ -20,13 +20,6 @@ import (
 	"icd/internal/prng"
 )
 
-// ConnServer is anything that can serve one established connection: a
-// single-content *peer.Server or a multi-content *peer.ServerMux (the
-// front door of a node).
-type ConnServer interface {
-	ServeConn(net.Conn) error
-}
-
 // SwarmFixture is shared in-process swarm material: deterministic
 // content, its metadata, and a pipe "network" of named servers.
 type SwarmFixture struct {
@@ -34,7 +27,7 @@ type SwarmFixture struct {
 	Content []byte
 
 	mu      sync.Mutex
-	servers map[string]ConnServer
+	servers map[string]*peer.ServerMux
 	delay   map[string]time.Duration // per-address read throttle
 }
 
@@ -55,17 +48,28 @@ func BuildSwarmFixture(n, blockSize int, seed uint64) (*SwarmFixture, error) {
 	return &SwarmFixture{
 		Info:    info,
 		Content: content,
-		servers: make(map[string]ConnServer),
+		servers: make(map[string]*peer.ServerMux),
 		delay:   make(map[string]time.Duration),
 	}, nil
 }
 
-// AddServer registers a server under a synthetic address, optionally
+// frontDoor puts one content server behind a ServerMux of its own (a
+// server's gossip directory and penalty box survive registration on a
+// mux that has none).
+func frontDoor(s *peer.Server) *peer.ServerMux {
+	mux := peer.NewServerMux()
+	if err := mux.Register(s); err != nil {
+		panic(err) // a fresh mux cannot hold a duplicate
+	}
+	return mux
+}
+
+// AddServer serves a content server at a synthetic address, optionally
 // throttled (every read on its connections sleeps `delay` first).
-func (f *SwarmFixture) AddServer(addr string, s ConnServer, delay time.Duration) {
+func (f *SwarmFixture) AddServer(addr string, s *peer.Server, delay time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.servers[addr] = s
+	f.servers[addr] = frontDoor(s)
 	f.delay[addr] = delay
 }
 
@@ -79,7 +83,8 @@ func (c *slowPipeConn) Read(p []byte) (int, error) {
 	return c.Conn.Read(p)
 }
 
-// Dial implements peer.FetchOptions.Dial over net.Pipe.
+// Dial implements peer.FetchOptions.Dial over net.Pipe: each dial is one
+// fabric wire served by the address's mux.
 func (f *SwarmFixture) Dial(addr string) (net.Conn, error) {
 	f.mu.Lock()
 	s := f.servers[addr]

@@ -62,7 +62,6 @@ func (s *ShapedNet) SetDeliveryLatency(on bool) {
 // the far end, advancing the direction's delivery horizon.
 func (d *shapedDir) deliveryDue(now time.Time, n int) time.Time {
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	earliest := now.Add(d.latency)
 	due := d.horizon
 	if earliest.After(due) {
@@ -75,14 +74,23 @@ func (d *shapedDir) deliveryDue(now time.Time, n int) time.Time {
 	if d.rate > 0 {
 		due = due.Add(time.Duration(float64(n) / d.rate * float64(time.Second)))
 	}
-	if d.loss > 0 && d.rng.Float64() < d.loss {
+	lost := d.loss > 0 && d.rng.Float64() < d.loss
+	if lost {
 		due = due.Add(d.lossPenalty)
 		d.stats.Losses++
 	}
+	delay := due.Sub(now)
 	d.stats.Bytes += int64(n)
 	d.stats.Chunks++
-	d.stats.ShapedDelay += due.Sub(now)
+	d.stats.ShapedDelay += delay
 	d.horizon = due
+	d.mu.Unlock()
+	// The same three class-wide handles shape feeds in charge-once mode.
+	d.met.bytes.Add(int64(n))
+	if lost {
+		d.met.losses.Add(1)
+	}
+	d.met.delay.Observe(float64(delay) / float64(time.Millisecond))
 	return due
 }
 

@@ -13,9 +13,18 @@ import (
 	"icd/internal/obs"
 )
 
+// TestShapedNetLinkStatsPerDirection runs in both cost models: the
+// charge-once shaper and delivery-latency mode (the one wan_rtt50 and
+// `-exp fabric` links use) must feed the same stats and class metrics.
 func TestShapedNetLinkStatsPerDirection(t *testing.T) {
+	t.Run("charge-once", func(t *testing.T) { testLinkStatsPerDirection(t, false) })
+	t.Run("delivery", func(t *testing.T) { testLinkStatsPerDirection(t, true) })
+}
+
+func testLinkStatsPerDirection(t *testing.T, delivery bool) {
 	sn := NewShapedNet(42)
 	sn.SetClock(&virtualClock{})
+	sn.SetDeliveryLatency(delivery)
 	sn.SetClass("a", LinkClass{Name: "dsl"})
 	sn.SetClass("b", LinkClass{Name: "lan"})
 	r := obs.NewRegistry()

@@ -3,8 +3,7 @@ package node
 // fabric_test.go pins the connection-fabric acceptance criterion: a
 // node fetching several contents from the same peer opens exactly one
 // transport connection — every content rides the shared wire as a
-// subchannel — and the same workload with the fabric disabled falls
-// back to one dedicated connection per content.
+// subchannel.
 
 import (
 	"bytes"
@@ -33,19 +32,20 @@ func (c *countingTransport) Dial(addr string) (net.Conn, error) {
 	return conn, err
 }
 
-// fetchThreeOverCountedDials runs the shared workload: a provider node
-// serving three contents on an in-process pipe network, a consumer
-// fetching all three concurrently through a dial-counting transport.
-// Returns the number of connections the consumer opened.
-func fetchThreeOverCountedDials(t *testing.T, disableFabric bool) int64 {
-	t.Helper()
+// TestNodeFabricOneConnectionPerPeer: a provider node serving three
+// contents on an in-process pipe network, a consumer fetching all three
+// concurrently through a dial-counting transport.
+func TestNodeFabricOneConnectionPerPeer(t *testing.T) {
+	t.Cleanup(testutil.CheckGoroutines(t))
 	pn := faultnet.NewPipeNet()
 
 	provider := New(Options{Listen: "provider", Transport: pn, Tick: 10 * time.Millisecond})
 	infos := make([]peer.ContentInfo, 3)
 	datas := make([][]byte, 3)
 	for i := range infos {
-		infos[i], datas[i] = testContent(t, 0xFAB0+uint64(i), 150, 64)
+		// Big enough that the first fetch is still running when the
+		// third opens its channel: a wire closes with its last channel.
+		infos[i], datas[i] = testContent(t, 0xFAB0+uint64(i), 2000, 64)
 		if err := provider.ServeFull(infos[i], datas[i], true); err != nil {
 			t.Fatal(err)
 		}
@@ -59,11 +59,10 @@ func fetchThreeOverCountedDials(t *testing.T, disableFabric bool) int64 {
 
 	tr := &countingTransport{Transport: pn.Node("consumer")}
 	consumer := New(Options{
-		Listen:        "consumer",
-		Transport:     tr,
-		Tick:          10 * time.Millisecond,
-		DisableFabric: disableFabric,
-		Fetch:         peer.FetchOptions{Batch: 16, Timeout: 10 * time.Second},
+		Listen:    "consumer",
+		Transport: tr,
+		Tick:      10 * time.Millisecond,
+		Fetch:     peer.FetchOptions{Batch: 16, Timeout: 10 * time.Second},
 	})
 	defer consumer.Close()
 
@@ -86,19 +85,7 @@ func fetchThreeOverCountedDials(t *testing.T, disableFabric bool) int64 {
 			t.Fatalf("content %#x not recovered", infos[i].ID)
 		}
 	}
-	return tr.dials.Load()
-}
-
-func TestNodeFabricOneConnectionPerPeer(t *testing.T) {
-	t.Cleanup(testutil.CheckGoroutines(t))
-	if got := fetchThreeOverCountedDials(t, false); got != 1 {
+	if got := tr.dials.Load(); got != 1 {
 		t.Fatalf("fetching 3 contents from one peer used %d connections, want 1 (shared fabric wire)", got)
-	}
-}
-
-func TestNodeDisableFabricDialsPerContent(t *testing.T) {
-	t.Cleanup(testutil.CheckGoroutines(t))
-	if got := fetchThreeOverCountedDials(t, true); got < 3 {
-		t.Fatalf("fabric disabled: 3 contents used %d connections, want >= 3 (one per content)", got)
 	}
 }

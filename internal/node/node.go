@@ -8,13 +8,14 @@
 //   - A content Store: every replica the node serves and every fetch in
 //     flight, registered under one byte budget with pinning and
 //     utility/LRU-ranked whole-replica eviction (store.go).
-//   - A single listener: a peer.ServerMux routes each inbound HELLO's
+//   - A single listener: a peer.ServerMux routes each inbound channel's
 //     content id to the right working-set source — a static full or
 //     partial server, or the live orchestrator of a fetch in progress —
 //     and answers unknown ids with the canonical unknown-content ERROR.
 //   - A fetch scheduler: concurrent per-content orchestrators share the
-//     node-wide gossip directory and divide a global connection budget
-//     (Options.MaxConns) by marginal utility — starved and
+//     node-wide gossip directory and connection fabric (one wire per
+//     peer, one subchannel per session) and divide a global connection
+//     budget (Options.MaxConns) by marginal utility — starved and
 //     near-complete contents yield slots to fast-moving ones (sched.go)
 //     — applied live through Orchestrator.SetMaxPeers on every
 //     housekeeping tick.
@@ -38,7 +39,6 @@ import (
 	"icd/internal/obs"
 	"icd/internal/peer"
 	"icd/internal/peermux"
-	"icd/internal/protocol"
 )
 
 // Options configure a Node.
@@ -78,7 +78,7 @@ type Options struct {
 	// the node's gossip directory (default 2m; negative disables).
 	GossipMaxAge time.Duration
 	// Transport supplies the node's network: its Listen backs
-	// ListenAndServe and its Dial backs every fetch session (unless
+	// ListenAndServe and its Dial backs the fabric's wires (unless
 	// Fetch.Dial overrides it). Nil uses real TCP. Tests and the chaos
 	// experiment inject faultnet transports — in-process pipe networks,
 	// fault-injecting wrappers — here.
@@ -88,13 +88,6 @@ type Options struct {
 	// with a retryable busy ERROR so dialers back off instead of piling
 	// onto a saturated node.
 	MaxInbound int
-	// DisableFabric turns off the node's shared connection fabric:
-	// every fetch session dials its own dedicated connection (the
-	// pre-fabric behavior, O(peers × contents) connections) instead of
-	// riding a subchannel on the node's one wire per peer. Useful
-	// against peers whose listeners predate the fabric handshake,
-	// though the fabric also falls back per-dial on a version reject.
-	DisableFabric bool
 	// Fetch is the per-orchestrator option template. Gossip,
 	// AdvertiseAddr and (under a MaxConns budget) MaxPeers are
 	// overridden per fetch by the node.
@@ -185,39 +178,32 @@ func New(opts Options) *Node {
 	n.mux.SetGossip(n.gossip)
 	n.mux.SetPenalties(n.penalties)
 	n.mux.SetObs(n.obs)
-	if !opts.DisableFabric {
-		// One wire per peer, shared by every fetch: the fabric dials
-		// through the same transport sessions would have used, advertises
-		// the node's listen address in its handshake, and feeds wire-level
-		// misbehavior and gossip into the node-wide planes.
-		dial := opts.Fetch.Dial
-		if dial == nil && opts.Transport != nil {
-			dial = opts.Transport.Dial
-		}
-		if dial == nil {
-			timeout := opts.Fetch.Timeout
-			if timeout <= 0 {
-				timeout = 30 * time.Second
-			}
-			dial = func(addr string) (net.Conn, error) {
-				return net.DialTimeout("tcp", addr, timeout)
-			}
-		}
-		n.fabric = peermux.NewFabric(dial, peermux.Config{
-			Timeout:    opts.Fetch.Timeout,
-			ListenAddr: opts.Listen,
-			WireWindow: opts.WindowBudget,
-			Obs:        n.obs,
-			OnPeers: func(ads []protocol.PeerAd) {
-				for _, ad := range ads {
-					n.gossip.Learn(ad)
-				}
-			},
-		})
-		n.fabric.SetPenalize(func(addr string, weight float64) {
-			n.penalties.Penalize(addr, weight)
-		})
+	// One wire per peer, shared by every fetch: the fabric dials through
+	// the node's transport, advertises the node's listen address in its
+	// handshake, and feeds wire-level misbehavior into the node-wide
+	// penalty box.
+	dial := opts.Fetch.Dial
+	if dial == nil && opts.Transport != nil {
+		dial = opts.Transport.Dial
 	}
+	if dial == nil {
+		timeout := opts.Fetch.Timeout
+		if timeout <= 0 {
+			timeout = 30 * time.Second
+		}
+		dial = func(addr string) (net.Conn, error) {
+			return net.DialTimeout("tcp", addr, timeout)
+		}
+	}
+	n.fabric = peermux.NewFabric(dial, peermux.Config{
+		Timeout:    opts.Fetch.Timeout,
+		ListenAddr: opts.Listen,
+		WireWindow: opts.WindowBudget,
+		Obs:        n.obs,
+	})
+	n.fabric.SetPenalize(func(addr string, weight float64) {
+		n.penalties.Penalize(addr, weight)
+	})
 	if opts.MaxInbound > 0 {
 		n.mux.SetMaxConns(opts.MaxInbound)
 	}
@@ -286,9 +272,7 @@ func (n *Node) Close() error {
 	close(n.stop)
 	n.mu.Unlock()
 	n.ticker.Wait()
-	if n.fabric != nil {
-		n.fabric.Close()
-	}
+	n.fabric.Close()
 	return n.mux.Close()
 }
 
@@ -329,6 +313,12 @@ func (n *Node) addReplica(srv *peer.Server, bytes int64, pin bool) error {
 		// operator's replica behind their back.
 		n.mu.Unlock()
 		return fmt.Errorf("node: content %#x is being fetched (wait or cancel it first)", id)
+	}
+	if _, ok := n.store.Get(id); ok {
+		// A just-finished fetch's live server may not be on the mux yet:
+		// refuse the duplicate here, not by Register's timing.
+		n.mu.Unlock()
+		return fmt.Errorf("node: content %#x already stored (Drop it first)", id)
 	}
 	if err := n.mux.Register(srv); err != nil {
 		n.mu.Unlock()
@@ -439,11 +429,8 @@ func (n *Node) StartFetch(ctx context.Context, contentID uint64, addrs ...string
 	fo.Gossip = n.gossip
 	fo.AdvertiseAddr = n.opts.Listen
 	fo.Penalties = n.penalties
-	fo.Fabric = n.fabric // nil when DisableFabric: dedicated connections
+	fo.Fabric = n.fabric // every session is a subchannel on the node's wires
 	fo.Obs = n.obs       // every fetch reports into the node's registry
-	if fo.Dial == nil && n.opts.Transport != nil {
-		fo.Dial = n.opts.Transport.Dial
-	}
 	if n.opts.MaxConns > 0 {
 		// Start on the guaranteed slot; the rebalance below immediately
 		// assigns the real share.

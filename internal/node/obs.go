@@ -42,10 +42,8 @@ func (n *Node) registerGauges() {
 		defer n.mu.Unlock()
 		return int64(len(n.fetches))
 	})
-	if n.fabric != nil {
-		n.obs.GaugeFunc("node.window_inflight", func() int64 { return int64(n.fabric.TotalWindow()) })
-		n.obs.GaugeFunc("node.wires", func() int64 { return int64(n.fabric.Wires()) })
-	}
+	n.obs.GaugeFunc("node.window_inflight", func() int64 { return int64(n.fabric.TotalWindow()) })
+	n.obs.GaugeFunc("node.wires", func() int64 { return int64(n.fabric.Wires()) })
 }
 
 // traceContent records a store lifecycle event for one content id.

@@ -1,7 +1,8 @@
 package peer
 
 // churn_test.go exercises the §2.1 adaptivity of the swarm engine over
-// in-process net.Pipe transports: peers dying mid-batch and redialing,
+// in-process net.Pipe transports (each dial one fabric wire to a
+// ServerMux): peers dying mid-batch and redialing,
 // peers joining mid-transfer, and utility-ranked eviction at the peer
 // cap. Everything runs under -race in CI.
 
@@ -17,10 +18,23 @@ import (
 	"icd/internal/faultnet"
 )
 
-// connServer is anything that can serve one established connection —
-// a single-content *Server or a multi-content *ServerMux.
+// connServer is anything that can serve one established connection — a
+// *ServerMux, or one of the hostile fakes.
 type connServer interface {
 	ServeConn(net.Conn) error
+}
+
+// front puts content servers behind a ServerMux of their own: the front
+// door every connection enters through. A server's own gossip directory
+// and penalty box survive registration on a mux that has none.
+func front(srvs ...*Server) *ServerMux {
+	mux := NewServerMux()
+	for _, s := range srvs {
+		if err := mux.Register(s); err != nil {
+			panic(err) // registering a duplicate is a harness bug
+		}
+	}
+	return mux
 }
 
 // pipeNet is the peer suite's view of the one in-process pipe transport,
@@ -161,7 +175,7 @@ func TestPeerDiesMidBatchAndReconnects(t *testing.T) {
 		t.Fatal(err)
 	}
 	pn := newPipeNet()
-	addr := pn.add("full-1", srv)
+	addr := pn.add("full-1", front(srv))
 	// First connection dies after ~20 symbol frames, mid-batch; the
 	// session must redial and finish on the second connection.
 	pn.wrapNth(addr, 1, func(c net.Conn) net.Conn {
@@ -201,7 +215,7 @@ func TestPeerDiesWithoutRetriesIsTerminal(t *testing.T) {
 		t.Fatal(err)
 	}
 	pn := newPipeNet()
-	addr := pn.add("full-1", srv)
+	addr := pn.add("full-1", front(srv))
 	pn.wrapNth(addr, 1, func(c net.Conn) net.Conn {
 		return &cutConn{Conn: c, left: 10 * (48 + 32)}
 	})
@@ -265,7 +279,7 @@ func TestMaxPeersEvictsLowestUtility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uselessAddr := h.pn.add("useless", useless)
+	uselessAddr := h.pn.add("useless", front(useless))
 	usefulAddr := h.addPartial("useful", 80, 5)
 	fullAddr := h.addFull("full", 0)
 
@@ -345,7 +359,7 @@ func TestFetchContextCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	pn := newPipeNet()
-	addr := pn.add("stub", stub)
+	addr := pn.add("stub", front(stub))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -389,8 +403,8 @@ func TestFreshReceiverNegotiatesSummaryMidTransfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	pn := newPipeNet()
-	a1 := pn.add("p1", s1)
-	a2 := pn.add("p2", s2)
+	a1 := pn.add("p1", front(s1))
+	a2 := pn.add("p2", front(s2))
 	res, err := Fetch([]string{a1, a2}, info.ID, FetchOptions{
 		Batch:          8,
 		Timeout:        5 * time.Second,
@@ -422,7 +436,7 @@ func TestDuplicateAddressSurfacesInStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	pn := newPipeNet()
-	addr := pn.add("full", srv)
+	addr := pn.add("full", front(srv))
 	res, err := Fetch([]string{addr, addr}, info.ID, FetchOptions{
 		Batch: 16, Timeout: 5 * time.Second, Dial: pn.dial,
 	})

@@ -11,9 +11,7 @@ package peer
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"net"
 	"sync"
 	"testing"
@@ -136,7 +134,7 @@ func TestCollaborativeExchangeBeatsDownloadOnly(t *testing.T) {
 
 	// --- download-only baseline: partners serve static initial sets ---
 	basePN := newPipeNet()
-	baseSource := basePN.add("S", newSource(t))
+	baseSource := basePN.add("S", front(newSource(t)))
 	throttle(basePN, baseSource)
 	staticA, err := NewPartialServer(info, setA)
 	if err != nil {
@@ -146,8 +144,8 @@ func TestCollaborativeExchangeBeatsDownloadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	basePN.add("A", staticA)
-	basePN.add("B", staticB)
+	basePN.add("A", front(staticA))
+	basePN.add("B", front(staticB))
 
 	baseOpts := collabOptions(basePN)
 	optsA := baseOpts
@@ -171,7 +169,7 @@ func TestCollaborativeExchangeBeatsDownloadOnly(t *testing.T) {
 
 	// --- collaborative: partners serve their *live* working sets ---
 	colPN := newPipeNet()
-	colSource := colPN.add("S", newSource(t))
+	colSource := colPN.add("S", front(newSource(t)))
 	throttle(colPN, colSource)
 	colOpts := collabOptions(colPN)
 	colOptsA := colOpts
@@ -188,8 +186,8 @@ func TestCollaborativeExchangeBeatsDownloadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	colPN.add("A", liveA)
-	colPN.add("B", liveB)
+	colPN.add("A", front(liveA))
+	colPN.add("B", front(liveB))
 
 	colStart := time.Now()
 	go runNode(oa, []string{colSource, "B"}, chA)
@@ -227,7 +225,7 @@ func TestSummaryNegotiationEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		pn := newPipeNet()
-		addr := pn.add("p", sender)
+		addr := pn.add("p", front(sender))
 		res, err := Fetch([]string{addr}, info.ID, FetchOptions{
 			Batch: 16, Timeout: 5 * time.Second,
 			Initial: symbolMap(syms[:60]), Dial: pn.dial,
@@ -252,7 +250,7 @@ func TestSummaryNegotiationEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		pn := newPipeNet()
-		addr := pn.add("p", sender)
+		addr := pn.add("p", front(sender))
 		res, err := Fetch([]string{addr}, info.ID, FetchOptions{
 			Batch: 16, Timeout: 5 * time.Second,
 			Initial: symbolMap(syms[:6000]), Dial: pn.dial,
@@ -277,7 +275,7 @@ func TestSummaryNegotiationEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		pn := newPipeNet()
-		addr := pn.add("p", sender)
+		addr := pn.add("p", front(sender))
 		res, err := Fetch([]string{addr}, info.ID, FetchOptions{
 			Batch: 16, Timeout: 5 * time.Second,
 			Initial: symbolMap(syms[1500:]), Dial: pn.dial,
@@ -292,19 +290,6 @@ func TestSummaryNegotiationEndToEnd(t *testing.T) {
 			t.Fatal("transfer incomplete")
 		}
 	})
-}
-
-// frameV2 hand-crafts a version-2 frame (the previous wire version) to
-// simulate an old peer.
-func frameV2(t protocol.Type, payload []byte) []byte {
-	buf := make([]byte, 0, 8+len(payload)+4)
-	buf = append(buf, 0xD0, 0x1C, 2, byte(t),
-		byte(len(payload)), byte(len(payload)>>8), byte(len(payload)>>16), byte(len(payload)>>24))
-	buf = append(buf, payload...)
-	crc := crc32.ChecksumIEEE(buf[3:])
-	var cb [4]byte
-	binary.LittleEndian.PutUint32(cb[:], crc)
-	return append(buf, cb[:]...)
 }
 
 func TestCrossVersionHandshakeFailsCleanly(t *testing.T) {
@@ -323,7 +308,7 @@ func TestCrossVersionHandshakeFailsCleanly(t *testing.T) {
 				if _, err := server.Read(buf); err != nil {
 					return
 				}
-				server.Write(frameV2(protocol.TypeDone, nil))
+				server.Write(frameWithVersion(2, protocol.TypeDone, nil))
 			}()
 			return client, nil
 		}
@@ -350,7 +335,7 @@ func TestCrossVersionHandshakeFailsCleanly(t *testing.T) {
 		var serveErr error
 		go func() {
 			defer wg.Done()
-			serveErr = srv.ServeConn(server)
+			serveErr = front(srv).ServeConn(server)
 			server.Close()
 		}()
 		// A v2 client's 41-byte HELLO, written from a goroutine: the
@@ -358,9 +343,9 @@ func TestCrossVersionHandshakeFailsCleanly(t *testing.T) {
 		// socket buffer) would otherwise deadlock the unread remainder
 		// against the server's ERROR answer.
 		client.SetDeadline(time.Now().Add(5 * time.Second))
-		go client.Write(frameV2(protocol.TypeHello, make([]byte, 41)))
-		// The server answers with a clean (v3-framed) ERROR naming the
-		// version problem, then hangs up.
+		go client.Write(frameWithVersion(2, protocol.TypeHello, make([]byte, 41)))
+		// The server answers with a clean (current-version) ERROR naming
+		// the version problem, then hangs up.
 		f, err := protocol.ReadFrame(client)
 		if err != nil {
 			t.Fatalf("no clean error answer: %v", err)
@@ -389,7 +374,7 @@ func TestNegativeSummaryMaskDisablesSummaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	pn := newPipeNet()
-	addr := pn.add("p", sender)
+	addr := pn.add("p", front(sender))
 	res, err := Fetch([]string{addr}, info.ID, FetchOptions{
 		Batch: 16, Timeout: 5 * time.Second,
 		Initial:     symbolMap(syms[:60]),

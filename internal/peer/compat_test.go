@@ -1,41 +1,37 @@
 package peer
 
-// compat_test.go is the cross-version handshake matrix. The library is
-// v5 and still speaks v4 (VersionLegacy): a v4 client's frames parse
-// here and every reply to one is stamped v4 through a LegacyWriter, so
-// a whole legacy session runs against a current server; a current
-// client demoted by a version reject retries in legacy framing. Peers
-// older than v4 must fail cleanly — ErrVersion surfaced, the server
-// answering a human-readable ERROR, and no goroutine left behind
-// (checked with a hand-rolled leak detector; the engine has no goleak
-// dependency). The fabric handshake (MUX_HELLO) has no legacy form, so
-// a fabric dial against a legacy listener must demote the session to a
-// dedicated legacy connection rather than fail the peer.
+// compat_test.go pins the cross-version handshake: the library speaks
+// exactly one wire version, and a peer speaking any other — older,
+// newer, or the v4 this library once also accepted — must fail cleanly:
+// ErrVersion surfaced, the server answering a human-readable ERROR, the
+// client ending its session terminally on the first dial, and no
+// goroutine left behind (checked with a hand-rolled leak detector; the
+// engine has no goleak dependency).
 
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"icd/internal/peermux"
 	"icd/internal/protocol"
 	"icd/internal/testutil"
 )
 
-// checkGoroutines is the leak check each matrix case defers; the
-// detector itself lives in testutil so the peer and node suites share
-// one implementation.
+// checkGoroutines is the leak check each case defers; the detector
+// itself lives in testutil so the peer and node suites share one
+// implementation.
 func checkGoroutines(t *testing.T) func() { return testutil.CheckGoroutines(t) }
 
 // frameWithVersion replicates the wire framing with an arbitrary
-// version byte — the only way to speak as an older peer now that the
-// library itself is v5.
+// version byte — the only way to speak as a foreign-version peer.
 func frameWithVersion(version uint8, t protocol.Type, payload []byte) []byte {
 	buf := make([]byte, 0, 8+len(payload)+4)
 	buf = append(buf, 0xD0, 0x1C, version, byte(t))
@@ -69,315 +65,152 @@ func readFrameAnyVersion(t *testing.T, r io.Reader) (uint8, protocol.Type, []byt
 	return hdr[2], protocol.Type(hdr[3]), body[:length]
 }
 
-// v3Hello builds the 42-byte v3 HELLO payload (fixed-length: no
-// listen-address field).
-func v3Hello(contentID uint64) []byte {
-	buf := make([]byte, 42)
-	binary.LittleEndian.PutUint64(buf, contentID)
-	buf[41] = protocol.AllSummaryMask
-	return buf
+// foreignVersions are the version bytes the matrix speaks as: the last
+// pre-gossip version, the v4 a two-version reader used to accept, and
+// one from the future.
+var foreignVersions = []uint8{3, 4, protocol.Version + 1}
+
+func TestCrossVersionClientGetsCleanError(t *testing.T) {
+	for _, v := range foreignVersions {
+		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
+			defer checkGoroutines(t)()
+			info, data := testContent(t, 60, 32)
+			srv, err := NewFullServer(info, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mux := front(srv)
+
+			client, server := net.Pipe()
+			defer client.Close()
+			var wg sync.WaitGroup
+			wg.Add(1)
+			var serveErr error
+			go func() {
+				defer wg.Done()
+				serveErr = mux.ServeConn(server)
+				server.Close()
+			}()
+
+			// The foreign client's opening frame, written from a goroutine:
+			// the server bails at the 8-byte header, and net.Pipe (unlike a
+			// TCP socket buffer) would otherwise deadlock the unread
+			// remainder against the server's ERROR answer.
+			client.SetDeadline(time.Now().Add(5 * time.Second))
+			go client.Write(frameWithVersion(v, protocol.TypeHello,
+				protocol.EncodeHello(protocol.Hello{ContentID: info.ID}).Payload))
+
+			// The server answers a clean ERROR naming the version problem,
+			// framed in the one version it speaks — a real foreign reader
+			// rejects that with its own ErrVersion, which is still a clean
+			// handshake failure, not a misparse — so the test reads it
+			// version-agnostically.
+			version, typ, payload := readFrameAnyVersion(t, client)
+			if version != protocol.Version {
+				t.Fatalf("server answered with version %d, speaking %d", version, protocol.Version)
+			}
+			if typ != protocol.TypeError {
+				t.Fatalf("server answered %v, want ERROR", typ)
+			}
+			if !strings.Contains(string(payload), "version") {
+				t.Fatalf("error %q does not name the version problem", payload)
+			}
+			wg.Wait()
+			if serveErr == nil || !errors.Is(serveErr, protocol.ErrVersion) {
+				t.Fatalf("server error = %v, want ErrVersion", serveErr)
+			}
+		})
+	}
 }
 
-func TestCrossVersionMatrixV3ClientV5Server(t *testing.T) {
+func TestCrossVersionServerIsTerminalOnFirstDial(t *testing.T) {
+	for _, v := range foreignVersions {
+		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
+			defer checkGoroutines(t)()
+			info, _ := testContent(t, 60, 32)
+
+			// A simulated foreign-version server: reads whatever handshake
+			// arrives, then answers an ERROR in its own framing — what a
+			// real one does when it sees our version byte. The session must
+			// surface ErrVersion terminally: one dial, no retry in any
+			// other framing, no redial burn.
+			var dials atomic.Int32
+			dial := func(addr string) (net.Conn, error) {
+				dials.Add(1)
+				client, server := net.Pipe()
+				go func() {
+					defer server.Close()
+					server.SetDeadline(time.Now().Add(5 * time.Second))
+					buf := make([]byte, 512)
+					if _, err := server.Read(buf); err != nil {
+						return
+					}
+					server.Write(frameWithVersion(v, protocol.TypeError,
+						[]byte(fmt.Sprintf("unsupported protocol version (speaking %d)", v))))
+				}()
+				return client, nil
+			}
+
+			res, err := Fetch([]string{"foreign-server"}, info.ID, FetchOptions{
+				Timeout:          5 * time.Second,
+				MaxReconnects:    4,
+				ReconnectBackoff: time.Millisecond,
+				Dial:             dial,
+			})
+			if err == nil {
+				t.Fatalf("cross-version fetch succeeded?! completed=%v", res.Completed)
+			}
+			if !errors.Is(err, protocol.ErrVersion) {
+				t.Fatalf("err = %v, want ErrVersion in the chain", err)
+			}
+			if res != nil {
+				for _, p := range res.Peers {
+					if p.Err == nil || !errors.Is(p.Err, protocol.ErrVersion) {
+						t.Fatalf("session error = %v, want ErrVersion", p.Err)
+					}
+				}
+			}
+			if got := dials.Load(); got != 1 {
+				t.Fatalf("dialed %d times, want exactly 1 (terminal, no fallback framing)", got)
+			}
+		})
+	}
+}
+
+// TestLegacyHelloGetsCleanError pins the single front door: a
+// current-version peer that opens with a bare content HELLO (the
+// pre-fabric dedicated-connection handshake) is answered with a clean
+// ERROR and dropped — the mux accepts a MUX_HELLO and nothing else.
+func TestLegacyHelloGetsCleanError(t *testing.T) {
 	defer checkGoroutines(t)()
 	info, data := testContent(t, 60, 32)
 	srv, err := NewFullServer(info, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-
+	mux := front(srv)
 	client, server := net.Pipe()
 	defer client.Close()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var serveErr error
+	served := make(chan error, 1)
 	go func() {
-		defer wg.Done()
-		serveErr = srv.ServeConn(server)
+		served <- mux.ServeConn(server)
 		server.Close()
 	}()
-
-	// The v3 client's HELLO, written from a goroutine: the server bails
-	// at the 8-byte header, and net.Pipe (unlike a TCP socket buffer)
-	// would otherwise deadlock the unread remainder against the
-	// server's ERROR answer.
 	client.SetDeadline(time.Now().Add(5 * time.Second))
-	go client.Write(frameWithVersion(3, protocol.TypeHello, v3Hello(info.ID)))
-
-	// The server answers a clean ERROR naming the version problem. It is
-	// framed as v5 — a real v3 client's reader rejects that with its own
-	// ErrVersion, which is still a clean handshake failure, not a
-	// misparse — so the test reads it version-agnostically.
-	version, typ, payload := readFrameAnyVersion(t, client)
-	if version != protocol.Version {
-		t.Fatalf("server answered with version %d, speaking %d", version, protocol.Version)
-	}
-	if typ != protocol.TypeError {
-		t.Fatalf("server answered %v, want ERROR", typ)
-	}
-	if !strings.Contains(string(payload), "version") {
-		t.Fatalf("error %q does not name the version problem", payload)
-	}
-	wg.Wait()
-	if serveErr == nil || !errors.Is(serveErr, protocol.ErrVersion) {
-		t.Fatalf("server error = %v, want ErrVersion", serveErr)
-	}
-}
-
-func TestCrossVersionMatrixV5ClientV3Server(t *testing.T) {
-	defer checkGoroutines(t)()
-	info, _ := testContent(t, 60, 32)
-
-	// A simulated v3 server: reads whatever handshake arrives, then
-	// answers a v3-framed ERROR — what a real v3 peer does when it sees
-	// our HELLO's version byte. The client retries once in v4 framing
-	// (the legacy fallback), gets the same answer, and must then surface
-	// ErrVersion terminally.
-	dial := func(addr string) (net.Conn, error) {
-		client, server := net.Pipe()
-		go func() {
-			defer server.Close()
-			server.SetDeadline(time.Now().Add(5 * time.Second))
-			buf := make([]byte, 512)
-			if _, err := server.Read(buf); err != nil {
-				return
-			}
-			server.Write(frameWithVersion(3, protocol.TypeError,
-				[]byte("unsupported protocol version (speaking 3)")))
-		}()
-		return client, nil
-	}
-
-	res, err := Fetch([]string{"v3-server"}, info.ID, FetchOptions{
-		Timeout: 5 * time.Second,
-		Dial:    dial,
-	})
-	if err == nil {
-		t.Fatalf("cross-version fetch succeeded?! completed=%v", res.Completed)
-	}
-	if !errors.Is(err, protocol.ErrVersion) {
-		t.Fatalf("err = %v, want ErrVersion in the chain", err)
-	}
-	if res != nil {
-		for _, p := range res.Peers {
-			if p.Err == nil || !errors.Is(p.Err, protocol.ErrVersion) {
-				t.Fatalf("session error = %v, want ErrVersion", p.Err)
-			}
-		}
-	}
-}
-
-// TestLegacyV4ClientFullSession runs a whole v4-framed session against
-// a current server: handshake, a symbol batch, clean shutdown — and
-// every server reply must carry the v4 version byte (the LegacyWriter
-// overlay), because a real v4 reader rejects v5 frames outright.
-func TestLegacyV4ClientFullSession(t *testing.T) {
-	defer checkGoroutines(t)()
-	info, data := testContent(t, 60, 32)
-	srv, err := NewFullServer(info, data)
-	if err != nil {
+	if err := protocol.WriteFrame(client, protocol.EncodeHello(protocol.Hello{ContentID: info.ID})); err != nil {
 		t.Fatal(err)
 	}
-
-	client, server := net.Pipe()
-	defer client.Close()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var serveErr error
-	go func() {
-		defer wg.Done()
-		serveErr = srv.ServeConn(server)
-		server.Close()
-	}()
-	client.SetDeadline(time.Now().Add(10 * time.Second))
-
-	writeV4 := func(f protocol.Frame) {
-		if _, err := client.Write(frameWithVersion(protocol.VersionLegacy, f.Type, f.Payload)); err != nil {
-			t.Errorf("v4 client write: %v", err)
-		}
-	}
-	go writeV4(protocol.EncodeHello(protocol.Hello{
-		ContentID:   info.ID,
-		SummaryMask: protocol.AllSummaryMask,
-	}))
-
-	version, typ, _ := readFrameAnyVersion(t, client)
-	if typ != protocol.TypeError && version != protocol.VersionLegacy {
-		t.Fatalf("server answered %v framed v%d, want v%d", typ, version, protocol.VersionLegacy)
-	}
-	if typ != protocol.TypeHello {
-		t.Fatalf("server answered %v, want HELLO", typ)
-	}
-
-	const batch = 8
-	go writeV4(protocol.EncodeRequest(batch))
-	symbols := 0
-	for {
-		version, typ, _ := readFrameAnyVersion(t, client)
-		if version != protocol.VersionLegacy {
-			t.Fatalf("server sent %v framed v%d, want v%d", typ, version, protocol.VersionLegacy)
-		}
-		if typ == protocol.TypeDone {
-			break
-		}
-		if typ != protocol.TypeSymbol {
-			t.Fatalf("server sent %v, want SYMBOL or DONE", typ)
-		}
-		symbols++
-	}
-	if symbols != batch {
-		t.Fatalf("batch delivered %d symbols, want %d", symbols, batch)
-	}
-
-	go writeV4(protocol.EncodeDone())
-	wg.Wait()
-	if serveErr != nil {
-		t.Fatalf("server session error: %v", serveErr)
-	}
-}
-
-// replayConn re-serves already-consumed bytes ahead of the live stream
-// — how the fallback test hands a peeked HELLO back to the real server.
-type replayConn struct {
-	net.Conn
-	pre []byte
-}
-
-func (c *replayConn) Read(p []byte) (int, error) {
-	if len(c.pre) > 0 {
-		n := copy(p, c.pre)
-		c.pre = c.pre[n:]
-		return n, nil
-	}
-	return c.Conn.Read(p)
-}
-
-// versionSniffConn records the version byte of every frame written
-// through it (the one-frame-per-Write invariant makes this exact).
-type versionSniffConn struct {
-	net.Conn
-	mu       sync.Mutex
-	versions []uint8
-}
-
-func (c *versionSniffConn) Write(p []byte) (int, error) {
-	if len(p) >= 8 && binary.LittleEndian.Uint16(p) == 0x1CD0 {
-		c.mu.Lock()
-		c.versions = append(c.versions, p[2])
-		c.mu.Unlock()
-	}
-	return c.Conn.Write(p)
-}
-
-func (c *versionSniffConn) sent() []uint8 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]uint8(nil), c.versions...)
-}
-
-// TestFabricDialLegacyServerFallsBack: a fetch riding the connection
-// fabric against a listener that predates it (a v4 peer rejects the
-// MUX_HELLO's version byte) must demote the session to a dedicated
-// legacy-framed connection and still complete the transfer — every
-// frame of the retry stamped v4.
-func TestFabricDialLegacyServerFallsBack(t *testing.T) {
-	defer checkGoroutines(t)()
-	info, data := testContent(t, 60, 32)
-	srv, err := NewFullServer(info, data)
+	f, err := protocol.ReadFrame(client)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("no clean answer to a bare HELLO: %v", err)
 	}
-
-	var mu sync.Mutex
-	var dials int
-	var sniffs []*versionSniffConn
-	var wg sync.WaitGroup
-	dial := func(addr string) (net.Conn, error) {
-		client, server := net.Pipe()
-		sn := &versionSniffConn{Conn: client}
-		mu.Lock()
-		dials++
-		sniffs = append(sniffs, sn)
-		mu.Unlock()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer server.Close()
-			server.SetDeadline(time.Now().Add(10 * time.Second))
-			ver, typ, payload := readFrameAnyVersion(t, server)
-			if ver != protocol.VersionLegacy {
-				// The fabric handshake (or anything else framed v5): answer
-				// the canonical version reject the way a real v4 peer does.
-				server.Write(frameWithVersion(protocol.VersionLegacy,
-					protocol.TypeError, []byte("unsupported protocol version (speaking 4)")))
-				return
-			}
-			// A v4-framed HELLO: replay it to the real server, which
-			// detects the legacy client and answers in v4 framing itself.
-			server.SetDeadline(time.Time{})
-			srv.ServeConn(&replayConn{Conn: server, pre: frameWithVersion(ver, typ, payload)})
-		}()
-		return sn, nil
+	if msg, _ := protocol.DecodeError(f); f.Type != protocol.TypeError || !strings.Contains(msg, "MUX_HELLO") {
+		t.Fatalf("answer = %v %q, want an ERROR naming MUX_HELLO", f.Type, msg)
 	}
-
-	fabric := peermux.NewFabric(dial, peermux.Config{Timeout: 5 * time.Second})
-	defer fabric.Close()
-	res, err := Fetch([]string{"legacy-server"}, info.ID, FetchOptions{
-		Timeout: 10 * time.Second,
-		Dial:    dial,
-		Fabric:  fabric,
-	})
-	if err != nil {
-		t.Fatalf("fallback fetch failed: %v", err)
+	if err := <-served; err == nil {
+		t.Fatal("bare-HELLO connection served")
 	}
-	if !res.Completed {
-		t.Fatal("fallback fetch did not complete")
-	}
-	wg.Wait()
-
-	mu.Lock()
-	defer mu.Unlock()
-	if dials != 2 {
-		t.Fatalf("dials = %d, want 2 (fabric attempt + legacy retry)", dials)
-	}
-	// Dial 1 is the fabric handshake (v5 MUX_HELLO); dial 2 is the
-	// demoted session and every frame of it must be stamped v4.
-	for _, v := range sniffs[0].sent() {
-		if v != protocol.Version {
-			t.Fatalf("fabric attempt wrote a v%d frame", v)
-		}
-	}
-	retry := sniffs[1].sent()
-	if len(retry) == 0 {
-		t.Fatal("legacy retry wrote no frames")
-	}
-	for _, v := range retry {
-		if v != protocol.VersionLegacy {
-			t.Fatalf("legacy retry wrote a v%d frame, want all v%d", v, protocol.VersionLegacy)
-		}
-	}
-}
-
-func TestCrossVersionFrameReaderRejects(t *testing.T) {
-	// The frame layer marks foreign versions with ErrVersion for every
-	// version byte but the two it speaks — the invariant the matrix
-	// rests on — and records which of the accepted versions each frame
-	// arrived with, which is what steers the server's reply framing.
-	for _, v := range []uint8{1, 2, 3, 6, 255} {
-		raw := frameWithVersion(v, protocol.TypeDone, nil)
-		_, err := protocol.ReadFrame(strings.NewReader(string(raw)))
-		if !errors.Is(err, protocol.ErrVersion) {
-			t.Fatalf("version %d: err = %v, want ErrVersion", v, err)
-		}
-	}
-	for _, v := range []uint8{protocol.VersionLegacy, protocol.Version} {
-		raw := frameWithVersion(v, protocol.TypeDone, nil)
-		f, err := protocol.ReadFrame(strings.NewReader(string(raw)))
-		if err != nil {
-			t.Fatalf("accepted version %d rejected: %v", v, err)
-		}
-		if f.Version != v {
-			t.Fatalf("frame.Version = %d, want %d", f.Version, v)
-		}
+	if got := srv.Stats().Connections; got != 0 {
+		t.Fatalf("bare HELLO reached the content server (%d sessions)", got)
 	}
 }

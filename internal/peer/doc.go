@@ -3,17 +3,25 @@
 // internal/protocol wire format over TCP (or any net.Conn, including
 // net.Pipe in tests).
 //
-// A Server offers one piece of content, either as a *full* sender — a
-// digital fountain streaming fresh encoded symbols — or as a *partial*
-// sender holding an arbitrary working set of encoded symbols, which it
-// serves as recoded symbols blended over the subset the receiver's Bloom
-// filter reports missing (§5.2 + §5.4.2: reconciled, informed transfers).
+// There is one path between them. A ServerMux is the serving front
+// door: it owns the listener and connection admission, answers each
+// connection's fabric handshake (internal/peermux: one wire per peer
+// pair, one credit-windowed subchannel per content session) and routes
+// every channel to the registered Server for its content id. A Server
+// is only the symbol source for one piece of content, either a *full*
+// sender — a digital fountain streaming fresh encoded symbols — or a
+// *partial* sender holding an arbitrary (static or live, still
+// downloading) working set of encoded symbols, which it serves as
+// recoded symbols blended over the subset the receiver's summary
+// reports missing (§5.2 + §5.4.2: reconciled, informed transfers).
 //
 // A receiver uses Fetch to download from any mix of full and partial
-// senders in parallel; symbols from all connections feed one decoder, so
-// flows are additive (§2.3), connections may drop and resume statelessly,
-// and partially downloaded state can be carried into a later Fetch —
-// the §2.3 "fully stateless connection migrations".
+// senders in parallel; every session is a subchannel on the fabric wire
+// to its peer (a lone Fetch builds a private fabric: a wire with one
+// channel), symbols from all sessions feed one decoder, so flows are
+// additive (§2.3), connections may drop and resume statelessly, and
+// partially downloaded state can be carried into a later Fetch — the
+// §2.3 "fully stateless connection migrations".
 //
 // # Failure model
 //
@@ -45,13 +53,13 @@
 //
 //   - Penalty box. Dial failures, resets, stalls and corrupt frames
 //     charge a decaying per-address score (shared via
-//     FetchOptions.Penalties / Server.SetPenalties); past
+//     FetchOptions.Penalties / ServerMux.SetPenalties); past
 //     DefaultBanScore the address is banned until the score decays.
 //     Gossip admission consults the box, so penalized candidates
 //     re-enter ranked behind fresh ones and banned addresses are not
-//     admitted at all. Servers refuse inbound connections from banned
-//     addresses, cap concurrency (SetMaxConns) with a retryable busy
-//     ERROR, and charge corrupt inbound frames to the remote host —
+//     admitted at all. The mux refuses inbound connections from banned
+//     addresses, caps concurrency (SetMaxConns) with a retryable busy
+//     ERROR, and charges corrupt inbound frames to the remote host —
 //     plus the HELLO's advertised listen address, but only when its
 //     host matches the connection's (an unverified advertisement is
 //     attacker-controlled: charging it would let any client frame an
@@ -59,12 +67,13 @@
 //     ban-checked after the HELLO, so a peer banned under its dialable
 //     address is refused inbound too.
 //
-//   - Explicit refusals. A refused connection is answered with the
-//     canonical "refused" ERROR (protocol.ReasonRefused), which the
-//     refused client classifies as terminal (ErrRefused) without
-//     charging the refuser: a silent refusal reads as a dead peer, and
-//     two nodes that each misattributed one environmental fault would
-//     charge each other into a permanent mutual ban.
+//   - Explicit refusals. A refused connection or channel is answered
+//     with the canonical "refused" reason (protocol.ReasonRefused) —
+//     an ERROR in place of the wire handshake, or a REJECT_CHANNEL —
+//     which the refused client classifies as terminal (ErrRefused)
+//     without charging the refuser: a silent refusal reads as a dead
+//     peer, and two nodes that each misattributed one environmental
+//     fault would charge each other into a permanent mutual ban.
 //
 // The faultnet package injects exactly these failures (latency,
 // bandwidth caps, stalls, mid-frame kills, corruption) beneath the

@@ -11,6 +11,38 @@ import (
 	"icd/internal/protocol"
 )
 
+// fakeHandshake speaks just enough protocol, by hand, to get a client's
+// session going on c: it answers the wire handshake, accepts the first
+// channel the client opens as a full sender of info, and returns once
+// the client's first enveloped frame (its opening REQUEST) has arrived.
+// The hostile fakes below take it from there.
+func fakeHandshake(c net.Conn, info ContentInfo) error {
+	if _, err := protocol.ReadFrame(c); err != nil { // the client's MUX_HELLO
+		return err
+	}
+	if err := protocol.WriteFrame(c, protocol.EncodeMuxHello(protocol.MuxHello{MaxChannels: 4})); err != nil {
+		return err
+	}
+	for {
+		f, err := protocol.ReadFrame(c)
+		if err != nil {
+			return err
+		}
+		switch f.Type {
+		case protocol.TypeOpenChannel:
+			id, _, err := protocol.DecodeOpenChannel(f)
+			if err != nil {
+				return err
+			}
+			if err := protocol.WriteFrame(c, protocol.EncodeAcceptChannel(id, info.hello(true, 0))); err != nil {
+				return err
+			}
+		case protocol.TypeMux:
+			return nil
+		}
+	}
+}
+
 // hostileServer speaks just enough protocol to pass the handshake, then
 // emits a corrupt frame — failure injection for the client's integrity
 // checking.
@@ -32,13 +64,9 @@ func hostileServer(t *testing.T, info ContentInfo) string {
 			go func(c net.Conn) {
 				defer c.Close()
 				c.SetDeadline(time.Now().Add(5 * time.Second))
-				if _, err := protocol.ReadFrame(c); err != nil {
-					return
-				}
-				protocol.WriteFrame(c, protocol.EncodeHello(info.hello(true, 0)))
 				// Await the first request, then send a frame whose CRC is
 				// wrong.
-				if _, err := protocol.ReadFrame(c); err != nil {
+				if fakeHandshake(c, info) != nil {
 					return
 				}
 				var buf bytes.Buffer
@@ -59,7 +87,9 @@ func hostileServer(t *testing.T, info ContentInfo) string {
 }
 
 func TestFetchSurvivesCorruptPeer(t *testing.T) {
-	info, data := testContent(t, 80, 32)
+	// Enough blocks that the healthy peer cannot finish the transfer
+	// before the hostile one has passed its handshake and been caught.
+	info, data := testContent(t, 1200, 32)
 	good, err := NewFullServer(info, data)
 	if err != nil {
 		t.Fatal(err)
@@ -103,9 +133,9 @@ func truncatingServer(t *testing.T, info ContentInfo) string {
 		}
 		defer conn.Close()
 		conn.SetDeadline(time.Now().Add(5 * time.Second))
-		protocol.ReadFrame(conn)
-		protocol.WriteFrame(conn, protocol.EncodeHello(info.hello(true, 0)))
-		protocol.ReadFrame(conn)
+		if fakeHandshake(conn, info) != nil {
+			return
+		}
 		// Announce a 1KB symbol frame but send only the header.
 		var hdr [8]byte
 		binary.LittleEndian.PutUint16(hdr[0:], 0x1CD0)
@@ -142,11 +172,14 @@ func TestFetchSurvivesTruncatingPeer(t *testing.T) {
 func TestFetchInconsistentMetadataRejected(t *testing.T) {
 	// Two servers claiming the same content id but different geometry:
 	// the client must reject the second handshake rather than mix
-	// decoders.
-	infoA, dataA := testContent(t, 80, 32)
+	// decoders. Enough blocks that the first server cannot finish the
+	// transfer before the second one's handshake has been seen (a peer
+	// whose open is still in flight when the transfer ends is walked away
+	// from, and has shown no metadata to reject).
+	infoA, dataA := testContent(t, 1200, 32)
 	infoB := infoA
-	infoB.NumBlocks = 40
-	infoB.OrigLen = 40*32 - 5
+	infoB.NumBlocks = 600
+	infoB.OrigLen = 600*32 - 5
 	dataB := dataA[:infoB.OrigLen]
 
 	s1, err := NewFullServer(infoA, dataA)

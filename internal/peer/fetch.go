@@ -105,14 +105,14 @@ type FetchOptions struct {
 	RefreshDupTarget float64
 	// AdvertiseAddr is this node's own dialable listen address. When
 	// set, sessions announce it in their HELLO so servers and peers can
-	// gossip it onward (protocol v4); it is also the self-address the
+	// gossip it onward; it is also the self-address the
 	// engine refuses to dial back.
 	AdvertiseAddr string
 	// Gossip is the node-wide peer directory shared with a live Server
 	// (a collaborative node passes the same instance to both). Nil
 	// creates a private directory; see DisableGossip to opt out.
 	Gossip *Gossip
-	// DisableGossip turns protocol-v4 peer discovery off: no PEERS
+	// DisableGossip turns gossip peer discovery off: no PEERS
 	// frames are sent and received advertisements are ignored.
 	DisableGossip bool
 	// MaxCandidates caps the discovered-address candidate pool kept
@@ -120,22 +120,22 @@ type FetchOptions struct {
 	// 32). Candidates are ranked by gossip mention count and promoted
 	// as slots free up.
 	MaxCandidates int
-	// Dial overrides the dialer (tests inject net.Pipe); nil uses TCP.
+	// Dial overrides the dialer a private fabric dials wires through
+	// (tests inject net.Pipe); nil uses TCP. Unused when Fabric is set —
+	// a shared fabric was bound to its dialer at construction.
 	Dial func(addr string) (net.Conn, error)
-	// Fabric, when set, carries every session as a subchannel of a
-	// shared per-peer wire (protocol v5) instead of dialing a dedicated
-	// connection: sessions call Fabric.Open(addr, hello) and the fabric
-	// collapses the node's connection count to one wire per peer. Dial
-	// is then only used by the fabric itself (bind it when constructing
-	// the fabric). Nil keeps the one-connection-per-session engine.
+	// Fabric is the connection fabric every session rides: one wire per
+	// peer, one credit-windowed subchannel per session (sessions call
+	// Fabric.OpenWindow(addr, hello, …)). A node shares one fabric across
+	// all its fetches, collapsing its connection count to one wire per
+	// peer. Nil builds a private fabric over Dial for this fetch alone —
+	// a lone fetch is a wire with one channel — closed when Run ends.
 	Fabric *peermux.Fabric
 	// PipelineDepth sets how many request batches a session keeps in
 	// flight: 0 (default) adapts AIMD-style between 1 and
 	// MaxPipelineDepth, 1 forces stop-and-wait, larger values fix the
 	// depth. A fixed depth past MaxPipelineDepth fails the session with
-	// ErrPipelineDepth. Dedicated (non-fabric) connections ride the same
-	// ramp: an asynchronous frame queue drains them while requests are
-	// in flight.
+	// ErrPipelineDepth.
 	PipelineDepth int
 	// MaxPipelineDepth caps the adaptive request ramp (default 16). A
 	// scheduler can bind it tighter, live, via
@@ -145,7 +145,7 @@ type FetchOptions struct {
 	// the adaptive ramp halves (default 0.5).
 	PipelineDupHigh float64
 	// ChannelWindow is the initial per-session credit window, in symbol
-	// frames, that fabric subchannels open with (0 = the wire's default,
+	// frames, that sessions' subchannels open with (0 = the wire's default,
 	// peermux.DefaultWindow; values clamp to the wire's per-channel
 	// maximum). Orchestrator.SetChannelWindow resizes live channels —
 	// together they are how a node scheduler spends one wire's bandwidth
@@ -368,7 +368,7 @@ func (p *fetchPools) release(in incoming) {
 }
 
 // symbolFromFrame converts a SYMBOL frame into an incoming, copying the
-// payload out of the frame reader's buffer into a pool buffer (the frame
+// payload out of the channel queue's buffer into a pool buffer (the frame
 // view dies at the next read; the pool buffer travels to the decode
 // loop). This borrow-copy-deliver step is the per-frame receive hot path
 // and is allocation-free once the pools are warm.

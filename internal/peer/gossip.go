@@ -1,6 +1,6 @@
 package peer
 
-// gossip.go is the node-wide peer directory behind protocol-v4 gossip
+// gossip.go is the node-wide peer directory behind gossip
 // discovery. One Gossip instance is shared by everything running on a
 // node — the Orchestrator's sessions learn advertisements from PEERS
 // frames, a live Server learns the listen addresses of clients that

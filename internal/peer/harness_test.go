@@ -2,8 +2,8 @@ package peer
 
 // harness_test.go is the deterministic in-process swarm harness: N
 // orchestrators (optionally with live servers and shared gossip
-// directories, i.e. full collaborative nodes) wired over net.Pipe
-// through the pipeNet of churn_test.go, with seeded content (prng) and
+// directories, i.e. full collaborative nodes), every server behind a
+// ServerMux, wired over net.Pipe through the pipeNet of churn_test.go, with seeded content (prng) and
 // step/await helpers instead of bare sleeps. The churn, gossip,
 // eviction and redial tests all run on it under -race in CI.
 
@@ -42,7 +42,7 @@ func (h *harness) addFull(addr string, delay time.Duration) string {
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	h.pn.add(addr, srv)
+	h.pn.add(addr, front(srv))
 	if delay > 0 {
 		h.pn.wrapAll(addr, func(c net.Conn) net.Conn { return &slowConn{Conn: c, delay: delay} })
 	}
@@ -56,7 +56,7 @@ func (h *harness) addPartial(addr string, count int, seed uint64) string {
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	h.pn.add(addr, srv)
+	h.pn.add(addr, front(srv))
 	return addr
 }
 
@@ -144,7 +144,7 @@ func (h *harness) startNode(addr string, opts FetchOptions, seeds ...string) *no
 			return
 		}
 		live.SetGossip(n.gossip)
-		h.pn.add(addr, live)
+		h.pn.add(addr, front(live))
 	}()
 	return n
 }
@@ -159,7 +159,7 @@ func (h *harness) verify(res *FetchResult) {
 
 // TestGossipBootstrapFromSingleSeed is the PR 4 acceptance scenario: a
 // five-node swarm bootstrapped with nothing but the seed's address must
-// self-assemble the full mesh over protocol-v4 gossip — every node
+// self-assemble the full mesh over gossip — every node
 // discovers every other node and completes the transfer.
 func TestGossipBootstrapFromSingleSeed(t *testing.T) {
 	const nodes = 5

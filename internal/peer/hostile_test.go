@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"icd/internal/peermux"
 	"icd/internal/protocol"
 )
 
@@ -49,21 +50,35 @@ func peerByAddr(t *testing.T, res *FetchResult, addr string) PeerStats {
 	return PeerStats{}
 }
 
-// muteServer handshakes correctly, then never answers another frame —
-// the silent peer only a stall watchdog can unmask (the connection stays
-// up, so no read error ever surfaces).
+// muteServer handshakes correctly — wire and channel — then never
+// answers another frame: the silent peer only a stall watchdog can
+// unmask (the connection stays up, so no read error ever surfaces).
 type muteServer struct{ info ContentInfo }
 
 func (m muteServer) ServeConn(conn net.Conn) error {
 	fr := protocol.NewFrameReader(conn)
-	if _, _, err := readClientHello(conn, fr, time.Minute); err != nil {
+	f, err := fr.Next()
+	if err != nil {
 		return err
 	}
-	if err := protocol.WriteFrame(conn, protocol.EncodeHello(m.info.hello(true, 0))); err != nil {
+	mh, err := protocol.DecodeMuxHello(f)
+	if err != nil {
 		return err
 	}
-	_, err := io.Copy(io.Discard, conn) // swallow requests forever
-	return err
+	w, err := peermux.Accept(conn, fr, mh, peermux.Config{}, func(ch *peermux.Channel) {
+		if ch.Accept(m.info.hello(true, 0)) != nil {
+			return
+		}
+		for { // swallow requests forever
+			if _, err := ch.Next(); err != nil {
+				return
+			}
+		}
+	})
+	if err != nil {
+		return err
+	}
+	return w.Serve()
 }
 
 func TestStallWatchdogResetsAndEscalatesToBan(t *testing.T) {
@@ -113,6 +128,43 @@ func TestStallWatchdogResetsAndEscalatesToBan(t *testing.T) {
 	}
 	if score := o.Penalties().Score("mute"); score < 0.9*DefaultBanScore {
 		t.Fatalf("stall penalties not accumulated: score %v", score)
+	}
+}
+
+// deafServer swallows the wire handshake and never answers it — what a
+// dial looks like to the client when a fault corrupts the answer's
+// length field and its reader parks waiting for a phantom body.
+type deafServer struct{}
+
+func (deafServer) ServeConn(conn net.Conn) error {
+	_, err := io.Copy(io.Discard, conn)
+	return err
+}
+
+// TestFinishedTransferDoesNotWaitOutStuckOpen pins the interruptible
+// open: the watchdog only guards an established channel, so a session
+// still parked in the wire handshake when the transfer completes must
+// be abandoned, not sat out for the whole Timeout.
+func TestFinishedTransferDoesNotWaitOutStuckOpen(t *testing.T) {
+	defer checkGoroutines(t)()
+	h := newHarness(t, 60, 32)
+	defer h.pn.close() // stop the accept loops before the leak check
+	h.addFull("seed", 0)
+	h.pn.add("deaf", deafServer{})
+
+	o := NewOrchestrator(h.info.ID, FetchOptions{
+		Batch:   8,
+		Timeout: time.Minute, // the stuck handshake's own deadline
+		Dial:    h.pn.dial,
+	})
+	start := time.Now()
+	res := h.runAsync(o, "seed", "deaf").wait(t)
+	h.verify(res)
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Fatalf("Run took %v: the finished transfer waited on the stuck open", elapsed)
+	}
+	if st := peerByAddr(t, res, "deaf"); st.Err != nil || st.DialFailures != 0 {
+		t.Fatalf("an abandoned open is not a failure: %+v", st)
 	}
 }
 
@@ -191,8 +243,8 @@ func TestTerminalErrorsSkipRedialBudget(t *testing.T) {
 		t.Fatal("ordinary reset classified terminal")
 	}
 
-	// End to end: a peer serving a *different* content answers the HELLO
-	// with the canonical unknown-content ERROR; the session must fail on
+	// End to end: a peer serving a *different* content rejects the channel
+	// with the canonical unknown-content reason; the session must fail on
 	// the first dial with no redials despite a generous budget.
 	defer checkGoroutines(t)()
 	h := newHarness(t, 40, 32)
@@ -202,7 +254,7 @@ func TestTerminalErrorsSkipRedialBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.pn.add("wrong", srv)
+	h.pn.add("wrong", front(srv))
 
 	o := NewOrchestrator(h.info.ID, FetchOptions{
 		Batch:            8,
@@ -228,15 +280,19 @@ func TestTerminalErrorsSkipRedialBudget(t *testing.T) {
 }
 
 // TestRefusedPeerTerminalAndUncharged pins the no-retaliation rule: a
-// server that refuses us (our address in its penalty box) answers with
-// the canonical refused ERROR, and the session must end terminally on
-// the first dial — no redial burn, and no penalty charged back at the
-// refuser. Without the explicit signal the refusal reads as a dead peer,
-// and two nodes that each misattributed one environmental fault charge
-// each other into a permanent mutual ban.
+// node that refuses us (our address in its penalty box) answers the
+// wire handshake with the canonical refused ERROR, and the session must
+// end terminally on the first dial — no redial burn, no dial failure
+// counted, and no penalty charged back at the refuser. Without the
+// explicit signal the refusal reads as a dead peer, and two nodes that
+// each misattributed one environmental fault charge each other into a
+// permanent mutual ban.
 func TestRefusedPeerTerminalAndUncharged(t *testing.T) {
 	defer checkGoroutines(t)()
-	h := newHarness(t, 40, 32)
+	// Enough blocks that the seed cannot finish the transfer while the
+	// refusal is still in flight (an open the transfer's end walks away
+	// from has no verdict to record).
+	h := newHarness(t, 1200, 32)
 	defer h.pn.close() // stop the accept loops before the leak check
 	h.addFull("seed", 0)
 	grudge, err := NewFullServer(h.info, h.data)
@@ -245,8 +301,9 @@ func TestRefusedPeerTerminalAndUncharged(t *testing.T) {
 	}
 	grudgeBox := NewPenaltyBox()
 	grudgeBox.Penalize("pipe", 2*DefaultBanScore) // pipeNet dials all carry source identity "pipe"
-	grudge.SetPenalties(grudgeBox)
-	h.pn.add("grudge", grudge)
+	grudgeMux := front(grudge)
+	grudgeMux.SetPenalties(grudgeBox)
+	h.pn.add("grudge", grudgeMux)
 
 	o := NewOrchestrator(h.info.ID, FetchOptions{
 		Batch:            8,
@@ -264,6 +321,12 @@ func TestRefusedPeerTerminalAndUncharged(t *testing.T) {
 	}
 	if st.Reconnects != 0 {
 		t.Fatalf("refused peer consumed %d redials", st.Reconnects)
+	}
+	if st.DialFailures != 0 {
+		t.Fatalf("an explicit refusal counted as %d dial failure(s)", st.DialFailures)
+	}
+	if got := grudgeMux.Stats().Banned; got != 1 {
+		t.Fatalf("grudge mux refused %d connections at admission, want 1", got)
 	}
 	if got := h.pn.dialCount("grudge"); got != 1 {
 		t.Fatalf("refusing peer dialed %d times, want exactly 1", got)
@@ -337,74 +400,6 @@ func TestDialFailedDiscoveryRequeuesAtDecayedRank(t *testing.T) {
 	o.finish() // unwind the two fail-dial session goroutines
 }
 
-func TestServerInboundCapAndBannedRefusal(t *testing.T) {
-	defer checkGoroutines(t)()
-	info, data := testContent(t, 40, 32)
-	srv, err := NewFullServer(info, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetMaxConns(1)
-
-	// First connection occupies the only slot (parked reading its HELLO).
-	c1, s1 := net.Pipe()
-	hold := make(chan error, 1)
-	go func() { hold <- srv.ServeConn(s1) }()
-	awaitActive(t, &srv.active)
-
-	// Second connection must be refused with a retryable busy ERROR.
-	c2, s2 := net.Pipe()
-	busy := make(chan error, 1)
-	go func() { busy <- srv.ServeConn(s2) }()
-	f, err := protocol.NewFrameReader(c2).Next()
-	if err != nil {
-		t.Fatalf("reading busy answer: %v", err)
-	}
-	if f.Type != protocol.TypeError {
-		t.Fatalf("over-cap answer = %v, want ERROR", f.Type)
-	}
-	if msg, _ := protocol.DecodeError(f); msg == "" || !bytes.Contains([]byte(msg), []byte("busy")) {
-		t.Fatalf("busy answer says %q", msg)
-	}
-	if err := <-busy; err == nil {
-		t.Fatal("over-cap ServeConn returned nil")
-	}
-	c2.Close()
-	s2.Close()
-	if got := srv.Stats().Rejected; got != 1 {
-		t.Fatalf("Rejected = %d, want 1", got)
-	}
-
-	// Free the slot, ban the pipe address, and verify refusal at
-	// admission: the HELLO is drained and answered with the canonical
-	// refused ERROR (terminal for the client, no charge back at us).
-	c1.Close()
-	<-hold
-	box := NewPenaltyBox()
-	box.Penalize(remoteKey(s1), 2*DefaultBanScore)
-	srv.SetPenalties(box)
-	c3, s3 := net.Pipe()
-	defer c3.Close()
-	refused := make(chan error, 1)
-	go func() { refused <- srv.ServeConn(s3) }()
-	if err := protocol.WriteFrame(c3, protocol.EncodeHello(protocol.Hello{ContentID: info.ID})); err != nil {
-		t.Fatal(err)
-	}
-	f3, err := protocol.NewFrameReader(c3).Next()
-	if err != nil {
-		t.Fatalf("reading refusal: %v", err)
-	}
-	if msg, _ := protocol.DecodeError(f3); !protocol.IsRefused(msg) {
-		t.Fatalf("banned answer says %q, want canonical refusal", msg)
-	}
-	if err := <-refused; err == nil {
-		t.Fatal("banned client admitted")
-	}
-	if got := srv.Stats().Rejected; got != 2 {
-		t.Fatalf("Rejected = %d, want 2", got)
-	}
-}
-
 func TestMuxMalformedHelloChargedAndBanned(t *testing.T) {
 	defer checkGoroutines(t)()
 	mux := NewServerMux()
@@ -473,13 +468,38 @@ func tcpRemote(host string, port int) net.Addr {
 	return &net.TCPAddr{IP: net.ParseIP(host), Port: port}
 }
 
-// TestMalformedHelloListenAddrSpoofNotCharged pins the attribution rule
+// dialMux brings up one fabric wire to mux over a net.Pipe whose serving
+// end reports remote as its peer address (the listen-addr verification
+// tests need connections with a definite remote host; nil keeps the
+// pipe's own). It returns the
+// dialed wire, the raw client conn under it (for injecting garbage), and
+// the channel mux.ServeConn's result arrives on.
+func dialMux(t *testing.T, mux *ServerMux, remote net.Addr) (*peermux.Wire, net.Conn, <-chan error) {
+	t.Helper()
+	client, server := net.Pipe()
+	var sconn net.Conn = server
+	if remote != nil {
+		sconn = namedConn{Conn: server, remote: remote}
+	}
+	served := make(chan error, 1)
+	go func() {
+		served <- mux.ServeConn(sconn)
+		server.Close()
+	}()
+	w, err := peermux.Dial(client, peermux.Config{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatalf("fabric handshake: %v", err)
+	}
+	return w, client, served
+}
+
+// TestCorruptSessionListenAddrSpoofNotCharged pins the attribution rule
 // for the attacker-controlled HELLO listen address: corruption charges
 // the advertised address only when its host matches the connection's
 // remote host. Without the check, any client could ban an innocent
 // third party node-wide by advertising the victim's address and then
 // corrupting its own stream.
-func TestMalformedHelloListenAddrSpoofNotCharged(t *testing.T) {
+func TestCorruptSessionListenAddrSpoofNotCharged(t *testing.T) {
 	defer checkGoroutines(t)()
 	info, data := testContent(t, 40, 32)
 	srv, err := NewFullServer(info, data)
@@ -487,19 +507,30 @@ func TestMalformedHelloListenAddrSpoofNotCharged(t *testing.T) {
 		t.Fatal(err)
 	}
 	box := NewPenaltyBox()
-	srv.SetPenalties(box)
+	mux := front(srv)
+	mux.SetPenalties(box)
 
 	corruptAs := func(remote net.Addr, listenAddr string) error {
 		t.Helper()
-		client, server := net.Pipe()
-		defer client.Close()
-		served := make(chan error, 1)
-		go func() { served <- srv.ServeConn(namedConn{Conn: server, remote: remote}) }()
-		go io.Copy(io.Discard, client) // drain the server's answering HELLO
-		if err := protocol.WriteFrame(client, protocol.EncodeHello(protocol.Hello{
-			ContentID: info.ID, ListenAddr: listenAddr,
-		})); err != nil {
+		w, client, served := dialMux(t, mux, remote)
+		defer w.Close()
+		ch, err := w.Open(protocol.Hello{ContentID: info.ID, ListenAddr: listenAddr}, 5*time.Second)
+		if err != nil {
+			t.Fatalf("opening the channel: %v", err)
+		}
+		// One whole batch first, so the session is parked reading its next
+		// frame (not still writing its opening grant) when the garbage lands.
+		if err := protocol.WriteFrame(ch, protocol.EncodeRequest(1)); err != nil {
 			t.Fatal(err)
+		}
+		for {
+			f, err := ch.Next()
+			if err != nil {
+				t.Fatalf("reading the batch: %v", err)
+			}
+			if f.Type == protocol.TypeDone {
+				break
+			}
 		}
 		// Exactly one frame header of garbage: the reader rejects it after
 		// those 8 bytes, so a longer write would block on the dead pipe.
@@ -520,14 +551,18 @@ func TestMalformedHelloListenAddrSpoofNotCharged(t *testing.T) {
 	if score := box.Score("10.9.8.7"); score < 0.9*PenaltyCorrupt {
 		t.Fatalf("remote host not charged: score %v", score)
 	}
+	if got := srv.Stats().Malformed; got != 1 {
+		t.Fatalf("content server counted %d malformed sessions, want 1", got)
+	}
 
-	// The same client advertising its own (host-matching) listen address:
-	// that dialable address is charged too — the verified bridge from the
-	// server plane into gossip admission.
-	if err := corruptAs(tcpRemote("10.9.8.7", 40002), "10.9.8.7:9000"); !errors.Is(err, protocol.ErrCorrupt) {
+	// A client advertising its own (host-matching) listen address: that
+	// dialable address is charged too — the verified bridge from the
+	// server plane into gossip admission. (A fresh host, so the charges
+	// above stay clear of the wire's own admission threshold.)
+	if err := corruptAs(tcpRemote("10.9.8.8", 40002), "10.9.8.8:9000"); !errors.Is(err, protocol.ErrCorrupt) {
 		t.Fatalf("corrupt session error = %v, want ErrCorrupt", err)
 	}
-	if score := box.Score("10.9.8.7:9000"); score < 0.9*PenaltyCorrupt {
+	if score := box.Score("10.9.8.8:9000"); score < 0.9*PenaltyCorrupt {
 		t.Fatalf("verified listen address not charged: score %v", score)
 	}
 }
@@ -535,8 +570,8 @@ func TestMalformedHelloListenAddrSpoofNotCharged(t *testing.T) {
 // TestBannedDialableAddressRefusedInbound pins the second admission
 // stage: a peer banned under its dialable address (dial-plane charges
 // use host:port keys, which a bare remote-host check can never match)
-// is refused once its HELLO advertises that address and the host
-// verifies — while an unverified advertisement of the same banned
+// is refused once its channel's HELLO advertises that address and the
+// host verifies — while an unverified advertisement of the same banned
 // address changes nothing.
 func TestBannedDialableAddressRefusedInbound(t *testing.T) {
 	defer checkGoroutines(t)()
@@ -546,44 +581,39 @@ func TestBannedDialableAddressRefusedInbound(t *testing.T) {
 		t.Fatal(err)
 	}
 	box := NewPenaltyBox()
-	srv.SetPenalties(box)
+	mux := front(srv)
+	mux.SetPenalties(box)
 	box.Penalize("10.9.8.7:9000", 2*DefaultBanScore)
+	hello := protocol.Hello{ContentID: info.ID, ListenAddr: "10.9.8.7:9000"}
 
-	// Verified: same host as the connection → refused after the HELLO.
-	client, server := net.Pipe()
-	defer client.Close()
-	served := make(chan error, 1)
-	go func() { served <- srv.ServeConn(namedConn{Conn: server, remote: tcpRemote("10.9.8.7", 40003)}) }()
-	go io.Copy(io.Discard, client)
-	if err := protocol.WriteFrame(client, protocol.EncodeHello(protocol.Hello{
-		ContentID: info.ID, ListenAddr: "10.9.8.7:9000",
-	})); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-served; err == nil {
-		t.Fatal("banned dialable address admitted inbound")
+	// Verified: same host as the connection → the channel is rejected
+	// with the canonical refusal after its HELLO.
+	w, _, served := dialMux(t, mux, tcpRemote("10.9.8.7", 40003))
+	_, err = w.Open(hello, 5*time.Second)
+	var rej *peermux.RejectError
+	if !errors.As(err, &rej) || !protocol.IsRefused(rej.Msg) {
+		t.Fatalf("banned dialable address: open err = %v, want a refused rejection", err)
 	}
 	if got := srv.Stats().Rejected; got != 1 {
 		t.Fatalf("Rejected = %d, want 1", got)
 	}
+	w.Close()
+	<-served
 
 	// Unverified: a different host advertising the banned address must
 	// still be served — anyone can name anyone in a HELLO.
-	client2, server2 := net.Pipe()
-	defer client2.Close()
-	served2 := make(chan error, 1)
-	go func() { served2 <- srv.ServeConn(namedConn{Conn: server2, remote: tcpRemote("192.0.2.1", 40004)}) }()
-	go io.Copy(io.Discard, client2)
-	if err := protocol.WriteFrame(client2, protocol.EncodeHello(protocol.Hello{
-		ContentID: info.ID, ListenAddr: "10.9.8.7:9000",
-	})); err != nil {
-		t.Fatal(err)
-	}
-	if err := protocol.WriteFrame(client2, protocol.EncodeDone()); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-served2; err != nil {
+	w2, _, served2 := dialMux(t, mux, tcpRemote("192.0.2.1", 40004))
+	ch, err := w2.Open(hello, 5*time.Second)
+	if err != nil {
 		t.Fatalf("unverified advertisement refused the session: %v", err)
+	}
+	if err := protocol.WriteFrame(ch, protocol.EncodeDone()); err != nil {
+		t.Fatal(err)
+	}
+	w2.Close()
+	<-served2
+	if got := srv.Stats().Connections; got != 1 {
+		t.Fatalf("served %d sessions, want 1 (the unverified one)", got)
 	}
 }
 

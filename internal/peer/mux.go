@@ -1,17 +1,17 @@
 package peer
 
-// mux.go is the multi-content front door: one listener serving every
-// content a node stores. The pre-node engine ran one Server (and one
-// listener, one port) per content; a ServerMux instead owns the accept
-// loop, reads each inbound HELLO itself, and routes the connection to
-// the registered Server whose content id the client named — unknown ids
-// are answered with the canonical unknown-content ERROR so receivers
-// can write the peer off for that content without retrying. Contents
-// register and unregister live (a node registers a live server as soon
-// as a fetch's first handshake fixes the metadata, and unregisters when
-// the content store evicts a replica); in-flight sessions survive an
-// unregister — they hold their own *Server — only new handshakes see
-// the change.
+// mux.go is the serving front door — the only one: one listener for
+// every content a node stores. A ServerMux owns the accept loop and
+// connection admission (banned remote hosts, the inbound cap), answers
+// each connection's MUX_HELLO to bring up a fabric wire, and routes
+// every subchannel the peer opens to the registered Server whose
+// content id the OPEN named — unknown ids are answered with the
+// canonical unknown-content rejection so receivers can write the peer
+// off for that content without retrying. Contents register and
+// unregister live (a node registers a live server as soon as a fetch's
+// first handshake fixes the metadata, and unregisters when the content
+// store evicts a replica); in-flight sessions survive an unregister —
+// they hold their own *Server — only new channels see the change.
 
 import (
 	"errors"
@@ -28,24 +28,24 @@ import (
 )
 
 // ServerMux serves many contents on one listener, routing each inbound
-// HELLO to the registered Server for its content id. The zero value is
+// channel to the registered Server for its content id. The zero value is
 // not usable; call NewServerMux. All methods are safe for concurrent
 // use.
 type ServerMux struct {
 	timeout time.Duration
 
-	maxConns atomic.Int64 // node-wide inbound connection cap (0 = unlimited)
-	active   atomic.Int64 // inbound connections currently admitted
+	maxConns  atomic.Int64               // node-wide inbound connection cap (0 = unlimited)
+	active    atomic.Int64               // inbound connections currently admitted
+	penalties atomic.Pointer[PenaltyBox] // nil = no penalty plane (a nil box is inert)
 
-	mu        sync.Mutex
-	servers   map[uint64]*Server
-	pending   map[uint64]bool // fetches awaiting their first handshake: retryable, not unknown
-	gossip    *Gossip
-	penalties *PenaltyBox
-	onLookup  func(contentID uint64, found bool)
-	ln        net.Listener
-	closed    bool
-	wg        sync.WaitGroup
+	mu       sync.Mutex
+	servers  map[uint64]*Server
+	pending  map[uint64]bool // fetches awaiting their first handshake: retryable, not unknown
+	gossip   *Gossip
+	onLookup func(contentID uint64, found bool)
+	ln       net.Listener
+	closed   bool
+	wg       sync.WaitGroup
 
 	// stats are the private registry-typed counters behind Stats();
 	// obsm, when set via SetObs, is a second node-registry set the same
@@ -63,13 +63,14 @@ type ServerMux struct {
 
 // MuxStats exposes a ServerMux's connection counters.
 type MuxStats struct {
-	// Connections counts accepted connections; Rejected counts the
-	// subset whose HELLO named an unregistered content id.
+	// Connections counts accepted connections plus the channels opened
+	// on them; Rejected counts the channels whose OPEN named an
+	// unregistered content id.
 	Connections, Rejected int64
 	// Busy counts connections refused over the SetMaxConns cap; Banned
 	// counts connections refused because the remote address sat past the
-	// penalty box's ban threshold; Malformed counts connections whose
-	// opening HELLO was corrupt.
+	// penalty box's ban threshold; Malformed counts corrupt opening
+	// frames and wire-level protocol violations.
 	Busy, Banned, Malformed int64
 }
 
@@ -84,8 +85,8 @@ func NewServerMux() *ServerMux {
 
 // SetPending marks a content id as expected-but-not-yet-servable (a
 // fetch whose first handshake has not fixed the metadata, so no live
-// server exists to register). A HELLO naming a pending id is answered
-// with a *generic* retryable ERROR instead of the canonical
+// server exists to register). An OPEN naming a pending id is rejected
+// with a *generic* retryable reason instead of the canonical
 // unknown-content one: the dialer backs off and redials rather than
 // writing this node off permanently for a content it is about to have.
 // Clear it once the real server registers (or the fetch dies).
@@ -120,27 +121,20 @@ func (m *ServerMux) SetGossip(g *Gossip) {
 func (m *ServerMux) SetMaxConns(n int) { m.maxConns.Store(int64(n)) }
 
 // SetPenalties installs the node-wide misbehavior penalty box: inbound
-// connections from banned addresses are refused before their HELLO is
-// read, and every currently and subsequently registered Server shares
-// the box (like SetGossip) so corrupt-frame clients are charged on any
-// content they touch.
+// connections from banned addresses are refused before the handshake,
+// and every currently and subsequently registered Server shares the box
+// (like SetGossip) so corrupt-frame clients are charged on any content
+// they touch.
 func (m *ServerMux) SetPenalties(p *PenaltyBox) {
 	if p == nil {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.penalties = p
+	m.penalties.Store(p)
 	for _, s := range m.servers {
 		s.SetPenalties(p)
 	}
-}
-
-// penaltyBox returns the installed penalty box (nil-safe to use).
-func (m *ServerMux) penaltyBox() *PenaltyBox {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.penalties
 }
 
 // SetObs attaches the node-wide observability registry: the mux's
@@ -199,7 +193,7 @@ func (m *ServerMux) countMalformed() {
 	}
 }
 
-// SetLookupHook installs fn to run on every routed HELLO with the
+// SetLookupHook installs fn to run on every routed channel OPEN with the
 // requested content id and whether it was found — the signal a content
 // store uses to track per-replica serve demand. Call before Serve.
 func (m *ServerMux) SetLookupHook(fn func(contentID uint64, found bool)) {
@@ -225,9 +219,7 @@ func (m *ServerMux) Register(s *Server) error {
 	if m.gossip != nil {
 		s.SetGossip(m.gossip)
 	}
-	if m.penalties != nil {
-		s.SetPenalties(m.penalties)
-	}
+	s.SetPenalties(m.penalties.Load())
 	if r := m.obs.Load(); r != nil {
 		s.SetObs(r)
 	}
@@ -354,14 +346,15 @@ func (m *ServerMux) Close() error {
 	return nil
 }
 
-// ServeConn routes one established connection: it reads the client's
-// HELLO, looks up the named content, and hands the connection (and its
-// frame reader) to that server's session loop. Exported so tests and
-// in-process networks can serve over net.Pipe.
+// ServeConn serves one established connection: admission, then the
+// fabric handshake, then every subchannel the peer opens until the
+// connection dies. The opening frame must be a MUX_HELLO — anything
+// else is answered with a clean ERROR and the connection closed.
+// Exported so tests and in-process networks can serve over net.Pipe.
 func (m *ServerMux) ServeConn(conn net.Conn) error {
 	m.countConnection()
 	key := remoteKey(conn)
-	if m.penaltyBox().Banned(key) {
+	if m.penalties.Load().Banned(key) {
 		m.countBanned()
 		refuse(conn, m.timeout)
 		return fmt.Errorf("peer: refused banned client %s", key)
@@ -384,48 +377,25 @@ func (m *ServerMux) ServeConn(conn net.Conn) error {
 		conn.SetDeadline(time.Now().Add(m.timeout))
 	}
 	f, err := fr.Next()
+	var mh protocol.MuxHello
+	if err == nil {
+		if mh, err = protocol.DecodeMuxHello(f); err != nil {
+			// A whole frame, but not a MUX_HELLO (a pre-fabric content
+			// HELLO, say): say so, then hang up.
+			writeRefusal(conn, protocol.EncodeError(err.Error()), m.timeout)
+		}
+	}
 	if err != nil {
 		if errors.Is(err, protocol.ErrVersion) {
-			protocol.WriteFrame(conn, protocol.EncodeErrorBadVersion())
+			writeRefusal(conn, protocol.EncodeErrorBadVersion(), m.timeout)
 		}
 		if errors.Is(err, protocol.ErrCorrupt) {
 			m.countMalformed()
-			m.penaltyBox().Penalize(key, PenaltyCorrupt)
+			m.penalties.Load().Penalize(key, PenaltyCorrupt)
 		}
 		return err
 	}
-	// A MUX_HELLO opens a multiplexed wire (the connection fabric): one
-	// connection carrying a subchannel per content, each routed through
-	// the same lookup a dedicated connection's HELLO goes through. A
-	// plain HELLO is a legacy dedicated connection serving exactly one
-	// content.
-	if f.Type == protocol.TypeMuxHello {
-		return m.serveFabric(conn, fr, f, key)
-	}
-	wconn := versionMatched(conn, f)
-	hello, err := protocol.DecodeHello(f)
-	if err != nil {
-		if errors.Is(err, protocol.ErrCorrupt) {
-			m.countMalformed()
-			m.penaltyBox().Penalize(key, PenaltyCorrupt)
-		}
-		return err
-	}
-	s, pending, found := m.route(hello.ContentID)
-	if !found {
-		if pending {
-			// Not servable *yet* — a generic (retryable) failure, so the
-			// dialer's reconnect backoff naturally spans the window
-			// between our fetch starting and its first handshake
-			// registering the live server.
-			writeRefusal(wconn, protocol.EncodeError(pendingMessage(hello.ContentID)), m.timeout)
-			return fmt.Errorf("peer: content %#x pending", hello.ContentID)
-		}
-		m.countRejected()
-		writeRefusal(wconn, protocol.EncodeErrorUnknownContent(hello.ContentID), m.timeout)
-		return fmt.Errorf("peer: no server for content %#x", hello.ContentID)
-	}
-	return s.serveClient(wconn, fr, hello)
+	return m.serveWire(conn, fr, mh, key)
 }
 
 // route looks up the server for a content id, firing the lookup hook.
@@ -447,39 +417,18 @@ func pendingMessage(contentID uint64) string {
 	return fmt.Sprintf("content %#x pending (fetch in progress, not yet servable)", contentID)
 }
 
-// serveFabric runs a multiplexed wire accepted on the shared listener:
-// it answers the fabric handshake, then serves every subchannel the
-// peer opens through the same content routing a dedicated connection
-// gets, until the connection dies. Wire-level misbehavior (corrupt
-// frames, protocol violations) is charged to the remote host through
-// the node's penalty box, and wire-level gossip feeds the shared
-// directory.
-func (m *ServerMux) serveFabric(conn net.Conn, fr *protocol.FrameReader, f protocol.Frame, key string) error {
-	mh, err := protocol.DecodeMuxHello(f)
-	if err != nil {
-		if errors.Is(err, protocol.ErrCorrupt) {
-			m.countMalformed()
-			m.penaltyBox().Penalize(key, PenaltyCorrupt)
-		}
-		return err
-	}
-	m.mu.Lock()
-	g := m.gossip
-	m.mu.Unlock()
+// serveWire answers the fabric handshake and serves every subchannel
+// the peer opens until the connection dies. Wire-level misbehavior
+// (corrupt frames, protocol violations) is charged to the remote host
+// through the node's penalty box.
+func (m *ServerMux) serveWire(conn net.Conn, fr *protocol.FrameReader, mh protocol.MuxHello, key string) error {
 	cfg := peermux.Config{
 		Timeout:    m.timeout,
 		ListenAddr: m.Addr(),
 		Penalize: func(weight float64) {
 			m.countMalformed()
-			m.penaltyBox().Penalize(key, weight)
+			m.penalties.Load().Penalize(key, weight)
 		},
-	}
-	if g != nil {
-		cfg.OnPeers = func(ads []protocol.PeerAd) {
-			for _, ad := range ads {
-				g.Learn(ad)
-			}
-		}
 	}
 	w, err := peermux.Accept(conn, fr, mh, cfg, func(ch *peermux.Channel) {
 		defer ch.Close()
@@ -491,9 +440,9 @@ func (m *ServerMux) serveFabric(conn net.Conn, fr *protocol.FrameReader, f proto
 	return w.Serve()
 }
 
-// serveChannel routes one fabric subchannel by its OPEN's content id —
-// the fabric analog of a dedicated connection's HELLO lookup, answering
-// with the same canonical reject vocabulary.
+// serveChannel routes one fabric subchannel by its OPEN's content id,
+// answering unknown and pending ids with the canonical reject
+// vocabulary.
 func (m *ServerMux) serveChannel(ch *peermux.Channel) {
 	m.countConnection()
 	id := ch.RemoteHello().ContentID
@@ -508,4 +457,44 @@ func (m *ServerMux) serveChannel(ch *peermux.Channel) {
 		return
 	}
 	_ = s.ServeChannel(ch) // per-channel errors end that channel only
+}
+
+// remoteKey is the penalty-box key for an inbound connection: the host
+// portion of the remote address (ports are ephemeral per connection), or
+// the whole string when it does not split as host:port. The remote host
+// is the only identity an unauthenticated inbound connection actually
+// proves, so inbound misbehavior is scored against it.
+func remoteKey(conn net.Conn) string {
+	addr := conn.RemoteAddr()
+	if addr == nil {
+		return ""
+	}
+	return addrHost(addr.String())
+}
+
+// writeRefusal writes an admission-refusal or handshake-failure ERROR
+// under its own write deadline. These writes happen outside the session
+// loop's rolling-deadline discipline, so without one a mute client that
+// never reads (TCP once the socket buffer fills; net.Pipe immediately)
+// would park the serving goroutine forever.
+func writeRefusal(conn net.Conn, f protocol.Frame, timeout time.Duration) {
+	if timeout > 0 {
+		conn.SetWriteDeadline(time.Now().Add(timeout))
+	}
+	protocol.WriteFrame(conn, f)
+}
+
+// refuse answers a connection the penalty box rejects with the canonical
+// refused ERROR — the signal that lets the client end its session
+// terminally instead of charging us for what reads like a dead peer and
+// burning its redial budget. The client's opening frame is drained first
+// (under the deadline, whatever it holds): both ends of an unbuffered
+// in-process pipe would otherwise sit blocked on their opening writes
+// until a timeout.
+func refuse(conn net.Conn, timeout time.Duration) {
+	if timeout > 0 {
+		conn.SetDeadline(time.Now().Add(timeout)) // bounds the read and the answer
+	}
+	protocol.NewFrameReader(conn).Next()
+	protocol.WriteFrame(conn, protocol.EncodeErrorRefused())
 }

@@ -67,10 +67,6 @@ type serveMetrics struct {
 	malformed   *obs.Counter // serve.malformed
 }
 
-// privateServeMetrics builds the standalone counters behind a Server's
-// Stats() accessor.
-func privateServeMetrics() serveMetrics { return newServeMetrics(nil) }
-
 func newServeMetrics(r *obs.Registry) serveMetrics {
 	return serveMetrics{
 		connections: r.Counter("serve.connections"),
@@ -89,10 +85,6 @@ type muxMetrics struct {
 	banned      *obs.Counter // mux.banned
 	malformed   *obs.Counter // mux.malformed
 }
-
-// privateMuxMetrics builds the standalone counters behind a
-// ServerMux's Stats() accessor.
-func privateMuxMetrics() muxMetrics { return newMuxMetrics(nil) }
 
 func newMuxMetrics(r *obs.Registry) muxMetrics {
 	return muxMetrics{

@@ -62,6 +62,10 @@ type Orchestrator struct {
 	// breaker is the per-address dial circuit breaker (nil when the
 	// breaker is disabled; all Breaker methods are nil-safe).
 	breaker *Breaker
+	// fabric carries every session as a subchannel of one wire per peer:
+	// FetchOptions.Fabric when the caller shares one (a node's), else a
+	// private fabric over FetchOptions.Dial that Run closes.
+	fabric *peermux.Fabric
 
 	// obs is the node-wide observability registry (nil when the caller
 	// did not wire one; Trace on nil drops) and met the prebuilt metric
@@ -90,7 +94,7 @@ type Orchestrator struct {
 	// streams never run dry, so emptiness cannot be the signal).
 	progress atomic.Int64
 
-	// chanWin is the per-session receive-window target for fabric
+	// chanWin is the per-session receive-window target for the sessions'
 	// subchannels, in symbol frames (0 = the wire's default). New
 	// channels open at it; SetChannelWindow moves it and resizes every
 	// live channel — the credit-denominated scheduler's bandwidth knob.
@@ -99,10 +103,6 @@ type Orchestrator struct {
 	// ramp (sessions apply it at each batch boundary via
 	// PipelineController.SetMax).
 	pipeCap atomic.Int64
-	// channels tracks each session's live fabric subchannel (guarded by
-	// mu) so SetChannelWindow can reach them mid-transfer.
-	channels map[*session]*peermux.Channel
-
 	scratch struct { // decode-loop batch scratch, reused every iteration
 		ins  []incoming
 		syms []fountain.Symbol
@@ -124,7 +124,6 @@ func NewOrchestrator(contentID uint64, opts FetchOptions) *Orchestrator {
 		rdec:      recode.NewDecoder(true),
 		maxPeers:  opts.MaxPeers,
 		sessions:  make(map[string]*session),
-		channels:  make(map[*session]*peermux.Channel),
 		attempted: make(map[string]bool),
 		dialFails: make(map[string]int),
 	}
@@ -138,6 +137,14 @@ func NewOrchestrator(contentID uint64, opts FetchOptions) *Orchestrator {
 	o.breaker = opts.Breaker
 	if o.breaker == nil && opts.BreakerThreshold > 0 {
 		o.breaker = NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown)
+	}
+	o.fabric = opts.Fabric
+	if o.fabric == nil {
+		o.fabric = peermux.NewFabric(opts.Dial, peermux.Config{
+			Timeout:    opts.Timeout,
+			ListenAddr: opts.AdvertiseAddr,
+			Obs:        opts.Obs,
+		})
 	}
 	if !opts.DisableGossip {
 		o.gossip = opts.Gossip
@@ -463,7 +470,7 @@ func (o *Orchestrator) MaxPeers() int {
 // n symbol frames — the second half of a node scheduler's currency:
 // where SetMaxPeers moves whole sessions between fetches,
 // SetChannelWindow moves wire bandwidth between the subchannels already
-// sharing a wire. New fabric channels open at n; every live channel is
+// sharing a wire. New channels open at n; every live channel is
 // resized immediately via its regrant path (Channel.SetWindow clamps
 // to the wire's limits). n <= 0 restores the wire default for new
 // channels and leaves live ones alone.
@@ -473,9 +480,11 @@ func (o *Orchestrator) SetChannelWindow(n int) {
 		return
 	}
 	o.mu.Lock()
-	chs := make([]*peermux.Channel, 0, len(o.channels))
-	for _, ch := range o.channels {
-		chs = append(chs, ch)
+	chs := make([]*peermux.Channel, 0, len(o.sessions))
+	for _, s := range o.sessions {
+		if s.ch != nil {
+			chs = append(chs, s.ch)
+		}
 	}
 	o.mu.Unlock()
 	for _, ch := range chs {
@@ -495,21 +504,6 @@ func (o *Orchestrator) SetPipelineCap(n int) {
 		n = 0
 	}
 	o.pipeCap.Store(int64(n))
-}
-
-// trackChannel registers a session's live fabric subchannel for
-// SetChannelWindow resizes; untrackChannel removes it when the
-// connection ends.
-func (o *Orchestrator) trackChannel(s *session, ch *peermux.Channel) {
-	o.mu.Lock()
-	o.channels[s] = ch
-	o.mu.Unlock()
-}
-
-func (o *Orchestrator) untrackChannel(s *session) {
-	o.mu.Lock()
-	delete(o.channels, s)
-	o.mu.Unlock()
 }
 
 // Progress returns the count of distinct encoded symbols decoded into
@@ -706,6 +700,9 @@ func (o *Orchestrator) Run(ctx context.Context, addrs ...string) (*FetchResult, 
 	}
 	o.running = true
 	o.mu.Unlock()
+	if o.opts.Fabric == nil {
+		defer o.fabric.Close() // the private one
+	}
 
 	// The hold keeps the feeder barrier open until every initial AddPeer
 	// ran (a fast-failing first session must not wind the engine down

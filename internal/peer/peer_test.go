@@ -30,21 +30,23 @@ func testContent(t testing.TB, nBlocks, blockSize int) (ContentInfo, []byte) {
 	return info, data
 }
 
-// startServer serves on a random localhost port and returns its address.
+// startServer serves s behind a ServerMux on a random localhost port and
+// returns its address.
 func startServer(t testing.TB, s *Server) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	mux := front(s)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s.Serve(ln)
+		mux.Serve(ln)
 	}()
 	t.Cleanup(func() {
-		s.Close()
+		mux.Close()
 		wg.Wait()
 	})
 	return ln.Addr().String()
@@ -101,7 +103,9 @@ func TestFetchFromFullServerTCP(t *testing.T) {
 }
 
 func TestFetchParallelFullServers(t *testing.T) {
-	info, data := testContent(t, 150, 48)
+	// Enough blocks that the transfer outlasts the slower sessions' wire
+	// and channel handshakes — the first session up must not finish alone.
+	info, data := testContent(t, 1200, 48)
 	var addrs []string
 	for i := 0; i < 3; i++ {
 		srv, err := NewFullServer(info, data)
@@ -302,37 +306,28 @@ func TestGarbageClientRejected(t *testing.T) {
 	}
 }
 
-func TestServeConnOverPipe(t *testing.T) {
-	// The session layer is transport-agnostic: run it over net.Pipe.
+func TestServeChannelOverPipe(t *testing.T) {
+	// The serving side is transport-agnostic: drive one session by hand
+	// over a fabric wire on net.Pipe.
 	info, data := testContent(t, 60, 24)
 	srv, err := NewFullServer(info, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, server := net.Pipe()
-	go srv.ServeConn(server)
-	defer client.Close()
-
-	if err := protocol.WriteFrame(client, protocol.EncodeHello(protocol.Hello{ContentID: info.ID})); err != nil {
-		t.Fatal(err)
-	}
-	f, err := protocol.ReadFrame(client)
+	w, _, served := dialMux(t, front(srv), nil)
+	ch, err := w.Open(protocol.Hello{ContentID: info.ID}, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello, err := protocol.DecodeHello(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hello.FullCopy || hello.NumBlocks != 60 {
+	if hello := ch.RemoteHello(); !hello.FullCopy || hello.NumBlocks != 60 {
 		t.Fatalf("hello = %+v", hello)
 	}
-	if err := protocol.WriteFrame(client, protocol.EncodeRequest(5)); err != nil {
+	if err := protocol.WriteFrame(ch, protocol.EncodeRequest(5)); err != nil {
 		t.Fatal(err)
 	}
 	got := 0
 	for {
-		f, err := protocol.ReadFrame(client)
+		f, err := ch.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,7 +342,9 @@ func TestServeConnOverPipe(t *testing.T) {
 	if got != 5 {
 		t.Fatalf("got %d symbols, want 5", got)
 	}
-	protocol.WriteFrame(client, protocol.EncodeDone())
+	protocol.WriteFrame(ch, protocol.EncodeDone())
+	w.Close()
+	<-served
 }
 
 func TestServerValidation(t *testing.T) {

@@ -1,17 +1,16 @@
 package peer
 
 // pipeline.go is the request ramp of the connection fabric: how many
-// symbol batches a session keeps outstanding on its link. The
-// pre-fabric engine was strictly stop-and-wait — write REQUEST, drain
-// to DONE, repeat — which idles the link for a full RTT per batch. A
-// session with an asynchronous reader on its link (a fabric subchannel,
-// or a dedicated conn since those grew a frame queue) can pipeline:
+// symbol batches a session keeps outstanding on its channel.
+// Stop-and-wait — write REQUEST, drain to DONE, repeat — idles the link
+// for a full RTT per batch. A fabric subchannel has an asynchronous
+// reader under it (the wire's demux loop), so a session can pipeline:
 // keep K requests in flight so the server's symbol stream never drains
 // between batches, and adapt K the way AIMD congestion control adapts a
 // window — grow by one while batches deliver useful symbols, halve when
 // the stream turns useless or the duplicate rate says the receiver's
 // summary has gone stale faster than refreshes can catch up. Depth 1
-// degrades to exactly the old stop-and-wait behavior.
+// degrades to exactly stop-and-wait.
 
 import (
 	"errors"

@@ -4,12 +4,20 @@ package peer
 // useful batches, multiplicative back-off on useless, duplicate-heavy,
 // or NaN-rate batches, the [1, max] clamp, fixed-depth (stop-and-wait)
 // mode, the rejection of a fixed depth past the cap, and the live
-// SetMax re-cap a credit scheduler drives.
+// SetMax re-cap a credit scheduler drives. The session-level cases run
+// the ramp end to end over a synchronous net.Pipe — the adversarial
+// transport: a session writing REQUEST k+1 while the server still
+// streams batch k would deadlock the pipe if nothing drained it, which
+// is the wire's demux reader's job.
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
+	"time"
+
+	"icd/internal/testutil"
 )
 
 func mustController(t *testing.T, depth, max int, dupHigh float64) *PipelineController {
@@ -134,5 +142,80 @@ func TestPipelineControllerDefaults(t *testing.T) {
 	c.Observe(0.6, true)
 	if c.Depth() != DefaultMaxPipelineDepth/2 {
 		t.Fatalf("after 0.6 dup rate depth %d, want %d", c.Depth(), DefaultMaxPipelineDepth/2)
+	}
+}
+
+// fetchPipelined fetches a fresh full sender's content over the pipe
+// harness with the given pipeline options. The caller closes the net
+// (before its goroutine-leak check runs).
+func fetchPipelined(t *testing.T, nBlocks int, opts FetchOptions) (*pipeNet, string, []byte, *FetchResult, error) {
+	t.Helper()
+	info, data := testContent(t, nBlocks, 64)
+	srv, err := NewFullServer(info, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pn := newPipeNet()
+	addr := pn.add("full-1", front(srv))
+	opts.Dial = pn.dial
+	res, err := Fetch([]string{addr}, info.ID, opts)
+	return pn, addr, data, res, err
+}
+
+func TestSessionFixedDepthCompletes(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	pn, _, data, res, err := fetchPipelined(t, 160, FetchOptions{
+		Batch:         8,
+		PipelineDepth: 4, // fixed, > 1: every batch boundary has requests in flight
+		Timeout:       5 * time.Second,
+	})
+	defer pn.close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res.Data, data) {
+		t.Fatal("content mismatch over a pipelined session")
+	}
+	if res.Peers[0].Err != nil {
+		t.Fatalf("session error: %v", res.Peers[0].Err)
+	}
+}
+
+func TestSessionAdaptiveRampCompletes(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	// Adaptive ramp (depth 0) with a small batch so the ramp actually
+	// climbs well past stop-and-wait before the transfer completes.
+	pn, _, data, res, err := fetchPipelined(t, 200, FetchOptions{
+		Batch:            4,
+		MaxPipelineDepth: 8,
+		Timeout:          5 * time.Second,
+	})
+	defer pn.close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res.Data, data) {
+		t.Fatal("content mismatch over adaptive ramp")
+	}
+}
+
+func TestSessionFixedDepthOverCapIsTerminal(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	pn, addr, _, _, err := fetchPipelined(t, 40, FetchOptions{
+		Batch:            8,
+		PipelineDepth:    9,
+		MaxPipelineDepth: 8,
+		Timeout:          2 * time.Second,
+		MaxReconnects:    3, // must not burn redials on a config error
+	})
+	defer pn.close()
+	if err == nil {
+		t.Fatal("fixed depth over cap fetched successfully, want ErrPipelineDepth")
+	}
+	if !errors.Is(err, ErrPipelineDepth) {
+		t.Fatalf("err = %v, want ErrPipelineDepth", err)
+	}
+	if got := pn.dialCount(addr); got != 1 {
+		t.Fatalf("config error burned %d dials, want 1 (terminal, no redial)", got)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -53,11 +52,12 @@ func (ci ContentInfo) hello(full bool, symbols int) protocol.Hello {
 type ServerStats struct {
 	Connections int64
 	SymbolsSent int64
-	// Malformed counts connections dropped over a corrupt or malformed
+	// Malformed counts sessions dropped over a corrupt or malformed
 	// frame (the client is charged in the penalty box, if one is set).
 	Malformed int64
-	// Rejected counts connections refused at admission: banned remote
-	// address, or the SetMaxConns inbound cap.
+	// Rejected counts channels refused because the opener's verified
+	// listen address is banned (connection-level admission — remote-host
+	// bans, the inbound cap — is the ServerMux's, see MuxStats).
 	Rejected int64
 }
 
@@ -76,7 +76,12 @@ type WorkingSetSource interface {
 	WorkingSetInfo() (held int, version int64)
 }
 
-// Server serves one content item.
+// Server is the symbol source for one content item: a full sender
+// (fountain encoder over the content), a static partial sender (a fixed
+// working set, served recoded), or a live partial sender (the growing
+// working set of a fetch in progress). It owns no listener — a ServerMux
+// accepts connections, runs the fabric handshake and hands each
+// subchannel whose OPEN names this content to ServeChannel.
 type Server struct {
 	info     ContentInfo
 	code     *fountain.Code
@@ -85,16 +90,9 @@ type Server struct {
 	held     *keyset.Set       // static partial mode: ids held
 	live     WorkingSetSource  // live partial mode (collaborative nodes)
 	timeout  time.Duration
-	gossip   *Gossip // v4 peer directory: learned from clients, relayed in batches
+	gossip   *Gossip // peer directory: learned from clients, relayed in batches
 
-	maxConns atomic.Int64 // inbound connection cap (0 = unlimited)
-	active   atomic.Int64 // inbound connections currently admitted
-
-	mu        sync.Mutex
-	ln        net.Listener
-	closed    bool
-	wg        sync.WaitGroup
-	penalties *PenaltyBox // shared misbehavior box (nil = no penalty plane)
+	penalties atomic.Pointer[PenaltyBox] // shared misbehavior box (nil = no penalty plane)
 
 	streamSeed atomic.Uint64
 	// stats are the private registry-typed counters behind Stats();
@@ -109,9 +107,22 @@ type Server struct {
 	obsm atomic.Pointer[serveMetrics]
 }
 
+// newServer validates info and builds what every mode shares.
+func newServer(info ContentInfo) (*Server, error) {
+	if err := info.validate(); err != nil {
+		return nil, err
+	}
+	code, err := fountain.NewCode(info.NumBlocks, nil, info.CodeSeed)
+	if err != nil {
+		return nil, err
+	}
+	return &Server{info: info, code: code, timeout: 30 * time.Second, gossip: NewGossip("")}, nil
+}
+
 // NewFullServer builds a full sender from the content bytes themselves.
 func NewFullServer(info ContentInfo, content []byte) (*Server, error) {
-	if err := info.validate(); err != nil {
+	s, err := newServer(info)
+	if err != nil {
 		return nil, err
 	}
 	if len(content) != info.OrigLen {
@@ -124,49 +135,30 @@ func NewFullServer(info ContentInfo, content []byte) (*Server, error) {
 	if len(blocks) != info.NumBlocks {
 		return nil, fmt.Errorf("peer: content splits into %d blocks, info says %d", len(blocks), info.NumBlocks)
 	}
-	code, err := fountain.NewCode(info.NumBlocks, nil, info.CodeSeed)
-	if err != nil {
-		return nil, err
-	}
-	return &Server{
-		info:    info,
-		code:    code,
-		blocks:  blocks,
-		timeout: 30 * time.Second,
-		gossip:  NewGossip(""),
-	}, nil
+	s.blocks = blocks
+	return s, nil
 }
 
 // NewPartialServer builds a partial sender from a working set of encoded
 // symbols (id → payload). The payload map is snapshotted.
 func NewPartialServer(info ContentInfo, symbols map[uint64][]byte) (*Server, error) {
-	if err := info.validate(); err != nil {
+	s, err := newServer(info)
+	if err != nil {
 		return nil, err
 	}
 	if len(symbols) == 0 {
 		return nil, errors.New("peer: partial server needs at least one symbol")
 	}
-	code, err := fountain.NewCode(info.NumBlocks, nil, info.CodeSeed)
-	if err != nil {
-		return nil, err
-	}
-	payloads := make(map[uint64][]byte, len(symbols))
-	held := keyset.New(len(symbols))
+	s.payloads = make(map[uint64][]byte, len(symbols))
+	s.held = keyset.New(len(symbols))
 	for id, data := range symbols {
 		if len(data) != info.BlockSize {
 			return nil, fmt.Errorf("peer: symbol %d has %d bytes, want %d", id, len(data), info.BlockSize)
 		}
-		payloads[id] = append([]byte(nil), data...)
-		held.Add(id)
+		s.payloads[id] = append([]byte(nil), data...)
+		s.held.Add(id)
 	}
-	return &Server{
-		info:     info,
-		code:     code,
-		payloads: payloads,
-		held:     held,
-		timeout:  30 * time.Second,
-		gossip:   NewGossip(""),
-	}, nil
+	return s, nil
 }
 
 // NewLiveServer builds a partial sender over a *mutable* working set —
@@ -176,59 +168,44 @@ func NewPartialServer(info ContentInfo, symbols map[uint64][]byte) (*Server, err
 // the set grows or a summary refresh arrives. The source may be empty
 // at start; sessions answer with empty batches until it grows.
 func NewLiveServer(info ContentInfo, src WorkingSetSource) (*Server, error) {
-	if err := info.validate(); err != nil {
+	s, err := newServer(info)
+	if err != nil {
 		return nil, err
 	}
 	if src == nil {
 		return nil, errors.New("peer: live server needs a working-set source")
 	}
-	code, err := fountain.NewCode(info.NumBlocks, nil, info.CodeSeed)
-	if err != nil {
-		return nil, err
-	}
-	return &Server{
-		info:    info,
-		code:    code,
-		live:    src,
-		timeout: 30 * time.Second,
-		gossip:  NewGossip(""),
-	}, nil
+	s.live = src
+	return s, nil
 }
 
 // SetGossip replaces the server's peer directory with a shared one — a
 // collaborative node passes the same Gossip to its Orchestrator
 // (FetchOptions.Gossip) and its live Server, so addresses heard on
-// either side flow into one directory. Call before Serve. Every server
-// starts with a private directory, which is what lets a swarm
-// bootstrapped from one seed address self-assemble: the seed learns
-// each client's advertised listen address from its HELLO and relays the
-// accumulated list in PEERS frames ahead of every symbol batch.
+// either side flow into one directory. Call before the server is
+// registered on a serving mux. Every server starts with a private
+// directory, which is what lets a swarm bootstrapped from one seed
+// address self-assemble: the seed learns each client's advertised listen
+// address from its HELLO and relays the accumulated list in PEERS frames
+// ahead of every symbol batch.
 func (s *Server) SetGossip(g *Gossip) {
 	if g != nil {
 		s.gossip = g
 	}
 }
 
-// SetMaxConns caps concurrently served inbound connections (0 =
-// unlimited). Connections over the cap are answered with a retryable
-// busy ERROR and closed — dialers back off and redial instead of
-// queueing on a saturated sender.
-func (s *Server) SetMaxConns(n int) { s.maxConns.Store(int64(n)) }
-
-// SetPenalties installs the shared misbehavior penalty box: inbound
-// connections from banned addresses are refused at admission, and
-// clients that send corrupt frames are charged — on both their remote
-// address and the listen address their HELLO advertised, so server-plane
-// misbehavior feeds the same verdict gossip admission consults. A
+// SetPenalties installs the shared misbehavior penalty box: channels
+// whose opener advertises a banned (and verified) listen address are
+// refused, and clients that send corrupt frames are charged — on both
+// their remote address and the listen address their HELLO advertised,
+// so server-plane misbehavior feeds the same verdict gossip admission
+// consults. A ServerMux shares its box into every registered server; a
 // collaborative node shares one box between its Orchestrators
-// (FetchOptions.Penalties) and its servers.
+// (FetchOptions.Penalties) and its mux.
 func (s *Server) SetPenalties(p *PenaltyBox) {
-	if p == nil {
-		return
+	if p != nil {
+		s.penalties.Store(p)
 	}
-	s.mu.Lock()
-	s.penalties = p
-	s.mu.Unlock()
 }
 
 // SetObs attaches the node-wide observability registry: the server's
@@ -241,13 +218,6 @@ func (s *Server) SetObs(r *obs.Registry) {
 	}
 	m := newServeMetrics(r)
 	s.obsm.Store(&m)
-}
-
-// penaltyBox returns the installed penalty box (nil-safe to use).
-func (s *Server) penaltyBox() *PenaltyBox {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.penalties
 }
 
 // The count* helpers bump one private counter and, when a registry is
@@ -292,19 +262,6 @@ func addrHost(addr string) string {
 	return addr
 }
 
-// remoteKey is the penalty-box key for an inbound connection: the host
-// portion of the remote address (ports are ephemeral per connection), or
-// the whole string when it does not split as host:port. The remote host
-// is the only identity an unauthenticated inbound connection actually
-// proves, so inbound misbehavior is scored against it.
-func remoteKey(conn net.Conn) string {
-	addr := conn.RemoteAddr()
-	if addr == nil {
-		return ""
-	}
-	return addrHost(addr.String())
-}
-
 // verifiedListenAddr reports whether a HELLO-advertised listen address
 // provably maps to the connection it arrived on: its host must equal
 // the connection's remote host. The advertised address is
@@ -314,31 +271,6 @@ func remoteKey(conn net.Conn) string {
 // frames, repeat until the victim is banned node-wide.
 func verifiedListenAddr(listenAddr, remoteHost string) bool {
 	return listenAddr != "" && remoteHost != "" && addrHost(listenAddr) == remoteHost
-}
-
-// writeRefusal writes an admission-refusal or handshake-failure ERROR
-// under its own write deadline. These writes happen outside the session
-// loop's rolling-deadline discipline, so without one a mute client that
-// never reads (TCP once the socket buffer fills; net.Pipe immediately)
-// would park the serving goroutine forever.
-func writeRefusal(conn net.Conn, f protocol.Frame, timeout time.Duration) {
-	if timeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(timeout))
-	}
-	protocol.WriteFrame(conn, f)
-}
-
-// refuse answers a connection the penalty box rejects with the canonical
-// refused ERROR — the signal that lets the client end its session
-// terminally instead of charging us for what reads like a dead peer and
-// burning its redial budget. The client's pending HELLO is drained first
-// (under the deadline): both ends of an unbuffered in-process pipe would
-// otherwise sit blocked on their opening writes until a timeout. The
-// refusal goes out through the version-matched writer so a legacy
-// client's reader can parse it.
-func refuse(conn net.Conn, timeout time.Duration) {
-	_, wconn, _ := readClientHello(conn, protocol.NewFrameReader(conn), timeout)
-	writeRefusal(wconn, protocol.EncodeErrorRefused(), timeout)
 }
 
 // Full reports whether the server holds the complete content.
@@ -367,141 +299,6 @@ func (s *Server) Stats() ServerStats {
 	}
 }
 
-// ListenAndServe binds addr (e.g. "127.0.0.1:0") and serves until Close.
-// It returns the bound address via Addr once listening.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
-// Serve accepts connections on ln until Close. Each connection is served
-// on its own goroutine.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return errors.New("peer: server closed")
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				s.wg.Wait()
-				return nil
-			}
-			return err
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer conn.Close()
-			s.countConnection()
-			_ = s.ServeConn(conn) // per-connection errors end that session only
-		}()
-	}
-}
-
-// Addr returns the listener address ("" before Serve).
-func (s *Server) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
-// Close stops the listener and waits for in-flight sessions.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	s.wg.Wait()
-	return nil
-}
-
-// legacyConn overlays a version-rewriting writer on a connection whose
-// client spoke VersionLegacy: every reply frame goes out stamped with
-// the version byte that client's reader accepts, while reads, deadlines
-// and addresses pass through to the underlying conn.
-type legacyConn struct {
-	net.Conn
-	w io.Writer
-}
-
-func (c *legacyConn) Write(p []byte) (int, error) { return c.w.Write(p) }
-
-// versionMatched returns the conn all replies to a client's frame must
-// be written through: the conn itself for a current-version client, a
-// LegacyWriter overlay when the frame arrived as VersionLegacy.
-func versionMatched(conn net.Conn, f protocol.Frame) net.Conn {
-	if f.Version == protocol.VersionLegacy {
-		return &legacyConn{Conn: conn, w: protocol.LegacyWriter(conn)}
-	}
-	return conn
-}
-
-// readClientHello applies the handshake deadline, reads the client's
-// opening HELLO through fr, and answers cross-version peers with the
-// canonical version-reject ERROR (best effort — the peer's reader may
-// reject our framing too) instead of silently dropping the connection.
-// It is shared by the single-content Server and the multi-content
-// ServerMux, which must see the HELLO's content id before it can pick
-// the Server to hand the connection to. The returned conn is the one
-// all replies must be written through: when the HELLO arrived from a
-// legacy-version client it wraps conn so reply frames carry the version
-// byte that client's reader accepts.
-func readClientHello(conn net.Conn, fr *protocol.FrameReader, timeout time.Duration) (protocol.Hello, net.Conn, error) {
-	if timeout > 0 {
-		conn.SetDeadline(time.Now().Add(timeout))
-	}
-	f, err := fr.Next()
-	if err != nil {
-		if errors.Is(err, protocol.ErrVersion) {
-			protocol.WriteFrame(conn, protocol.EncodeErrorBadVersion())
-		}
-		return protocol.Hello{}, conn, err
-	}
-	wconn := versionMatched(conn, f)
-	h, err := protocol.DecodeHello(f)
-	return h, wconn, err
-}
-
-// admit applies inbound admission control: connections from banned
-// addresses are answered with the canonical refused ERROR, and
-// connections over the SetMaxConns cap with a retryable busy ERROR. On a
-// nil return the active counter has been incremented; the caller must
-// decrement it when the connection ends.
-func (s *Server) admit(conn net.Conn) error {
-	key := remoteKey(conn)
-	if s.penaltyBox().Banned(key) {
-		s.countRejected()
-		refuse(conn, s.timeout)
-		return fmt.Errorf("peer: refused banned client %s", key)
-	}
-	n := s.active.Add(1)
-	if max := s.maxConns.Load(); max > 0 && n > max {
-		s.active.Add(-1)
-		s.countRejected()
-		writeRefusal(conn, protocol.EncodeError("busy (inbound connection limit reached)"), s.timeout)
-		return errors.New("peer: inbound connection limit reached")
-	}
-	return nil
-}
-
 // noteMalformed charges a client whose connection died over a corrupt or
 // malformed frame: always its remote host, and additionally the dialable
 // listen address its HELLO advertised — but only when that address
@@ -516,107 +313,49 @@ func (s *Server) noteMalformed(remoteHost, listenAddr string, err error) {
 		return
 	}
 	s.countMalformed()
-	box := s.penaltyBox()
+	box := s.penalties.Load()
 	box.Penalize(remoteHost, PenaltyCorrupt)
 	if verifiedListenAddr(listenAddr, remoteHost) && listenAddr != remoteHost {
 		box.Penalize(listenAddr, PenaltyCorrupt)
 	}
 }
 
-// ServeConn runs one session over an established connection (exported so
-// tests and examples can serve over net.Pipe). Frames are read through a
-// per-connection FrameReader, so the request loop allocates nothing per
-// frame (summaries are copied out by their Unmarshal step).
-func (s *Server) ServeConn(conn net.Conn) error {
-	if err := s.admit(conn); err != nil {
-		return err
-	}
-	defer s.active.Add(-1)
-	fr := protocol.NewFrameReader(conn)
-	// 1. Receiver announces itself.
-	clientHello, wconn, err := readClientHello(conn, fr, s.timeout)
-	if err != nil {
-		s.noteMalformed(remoteKey(conn), "", err)
-		return err
-	}
-	if clientHello.ContentID != s.info.ID {
-		protocol.WriteFrame(wconn, protocol.EncodeErrorUnknownContent(clientHello.ContentID))
-		return fmt.Errorf("peer: client wants content %#x, serving %#x", clientHello.ContentID, s.info.ID)
-	}
-	return s.serveClient(wconn, fr, clientHello)
-}
-
-// serveClient serves a handshaken connection whose HELLO already named
-// this server's content (ServeConn checked directly; a ServerMux routed
-// by content id), charging the penalty box when the session dies over a
-// corrupt frame.
-func (s *Server) serveClient(conn net.Conn, fr *protocol.FrameReader, clientHello protocol.Hello) error {
-	key := remoteKey(conn)
-	// Admission, second stage: the pre-HELLO check could only see the
-	// remote host, but the HELLO names the client's dialable listen
-	// address — the key the dial plane and gossip admission ban under.
-	// When that address is verified (same host as this connection) and
-	// banned, refuse the session: a peer banned under its dialable
-	// address must not keep being served just by connecting inbound.
-	if la := clientHello.ListenAddr; verifiedListenAddr(la, key) && s.penaltyBox().Banned(la) {
-		s.countRejected()
-		writeRefusal(conn, protocol.EncodeErrorRefused(), s.timeout)
-		return fmt.Errorf("peer: refused banned client %s", la)
-	}
-	deadline := func() {
-		if s.timeout > 0 {
-			conn.SetDeadline(time.Now().Add(s.timeout))
-		}
-	}
-	accept := func(h protocol.Hello) error {
-		return protocol.WriteFrame(conn, protocol.EncodeHello(h))
-	}
-	err := s.serveFrames(conn, fr.Next, deadline, clientHello, accept)
-	if err != nil {
-		s.noteMalformed(key, clientHello.ListenAddr, err)
-	}
-	return err
-}
-
 // ServeChannel serves one fabric subchannel routed to this server: the
-// same admission and session loop a legacy connection runs, with the
-// channel's credit-gated writer in place of the conn and the OPEN's
-// HELLO (already decoded by the wire) in place of the opening frame.
-// Accepting the channel answers the negotiation; rejections reuse the
-// canonical ERROR vocabulary so dialers classify them identically.
+// channel-level admission check, then the session loop until the
+// receiver is done or the channel dies. A rejection reuses the
+// canonical ERROR vocabulary, so dialers classify it like a wire-level
+// refusal; a session that dies over a corrupt frame charges the client.
 func (s *Server) ServeChannel(ch *peermux.Channel) error {
 	key := ""
 	if a := ch.RemoteAddr(); a != nil {
 		key = addrHost(a.String())
 	}
+	// The wire's admission could only see the remote host, but the OPEN's
+	// HELLO names the client's dialable listen address — the key the dial
+	// plane and gossip admission ban under. When that address is verified
+	// (same host as this connection) and banned, refuse the channel: a
+	// peer banned under its dialable address must not keep being served
+	// just by connecting inbound.
 	clientHello := ch.RemoteHello()
-	if la := clientHello.ListenAddr; verifiedListenAddr(la, key) && s.penaltyBox().Banned(la) {
+	if la := clientHello.ListenAddr; verifiedListenAddr(la, key) && s.penalties.Load().Banned(la) {
 		s.countRejected()
 		ch.Reject(protocol.ReasonRefused + " (address penalized)")
 		return fmt.Errorf("peer: refused banned client %s", la)
 	}
 	s.countConnection()
-	deadline := func() {
-		if s.timeout > 0 {
-			ch.SetDeadline(time.Now().Add(s.timeout))
-		}
-	}
-	err := s.serveFrames(ch, ch.Next, deadline, clientHello, ch.Accept)
+	err := s.serve(ch, clientHello)
 	if err != nil {
 		s.noteMalformed(key, clientHello.ListenAddr, err)
 	}
 	return err
 }
 
-// serveFrames owns the post-handshake session: the answering HELLO
-// (via accept), summary handling, and the batched request loop. It is
-// transport-agnostic — w/next/deadline come either from a dedicated
-// conn and its FrameReader or from a fabric subchannel — the serving
-// half of the split that lets one state machine speak both wire
-// formats.
-func (s *Server) serveFrames(w io.Writer, next func() (protocol.Frame, error), deadline func(),
-	clientHello protocol.Hello, accept func(protocol.Hello) error) error {
-	// Gossip (v4): a client announcing a dialable listen address becomes
+// serve owns one session: the answering HELLO (accepting the channel),
+// summary handling, and the batched request loop. Frame payloads are
+// valid until the next read (summaries are copied out by their
+// Unmarshal step), so the loop allocates nothing per frame.
+func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
+	// Gossip: a client announcing a dialable listen address becomes
 	// an advertisement this server relays to everyone else it serves —
 	// the mechanism that lets a single seed assemble a full mesh.
 	clientAd := protocol.PeerAd{ContentID: clientHello.ContentID, Addr: clientHello.ListenAddr}
@@ -624,20 +363,20 @@ func (s *Server) serveFrames(w io.Writer, next func() (protocol.Frame, error), d
 		s.gossip.Learn(clientAd)
 	}
 	sentAds := map[protocol.PeerAd]bool{clientAd: true} // never echo the client to itself
-	// 2. Sender announces the content parameters and its summary support.
-	// (Count and version only — a live source's full snapshot is paid
-	// for lazily, when a recoding domain is actually built.)
+	// The sender announces the content parameters and its summary
+	// support. (Count and version only — a live source's full snapshot is
+	// paid for lazily, when a recoding domain is actually built.)
 	heldLen, wsVersion := 0, int64(0)
 	if s.live != nil {
 		heldLen, wsVersion = s.live.WorkingSetInfo()
 	} else if s.held != nil {
 		heldLen = s.held.Len()
 	}
-	if err := accept(s.info.hello(s.Full(), heldLen)); err != nil {
+	if err := ch.Accept(s.info.hello(s.Full(), heldLen)); err != nil {
 		return err
 	}
 
-	// 3. Session loop: a summary (setup or refresh) fixes the recoding
+	// Session loop: a summary (setup or refresh) fixes the recoding
 	// domain until the next one — or, on a live server, until the
 	// working set grows — then batched requests stream symbols.
 	var summary *strategy.ReceivedSummary
@@ -651,8 +390,10 @@ func (s *Server) serveFrames(w io.Writer, next func() (protocol.Frame, error), d
 		encoder = enc
 	}
 	for {
-		deadline()
-		f, err := next()
+		if s.timeout > 0 {
+			ch.SetDeadline(time.Now().Add(s.timeout)) // rolling: bounds this read and the batch it triggers
+		}
+		f, err := ch.Next()
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil // receiver hung up: stateless, nothing to clean
@@ -663,41 +404,20 @@ func (s *Server) serveFrames(w io.Writer, next func() (protocol.Frame, error), d
 		case protocol.TypeSummary, protocol.TypeSummaryRefresh:
 			method, blob, err := protocol.DecodeSummaryView(f)
 			if err != nil {
-				protocol.WriteFrame(w, protocol.EncodeError("bad summary"))
+				protocol.WriteFrame(ch, protocol.EncodeError("bad summary"))
 				return err
 			}
 			summary, err = strategy.ParseSummary(method, blob)
 			if err != nil {
-				protocol.WriteFrame(w, protocol.EncodeError("bad summary"))
+				protocol.WriteFrame(ch, protocol.EncodeError("bad summary"))
 				return err
 			}
 			recoders = nil // rebuild the recoding domain lazily
 
-		case protocol.TypeBloom:
-			// Bare-frame variant for same-version raw-protocol callers
-			// (cross-version peers never get this far: readFrame rejects
-			// their version byte at the first frame). Equivalent to a
-			// SUMMARY frame naming the Bloom method.
-			summary, err = strategy.ParseSummary(protocol.SummaryBloom, f.Payload)
-			if err != nil {
-				protocol.WriteFrame(w, protocol.EncodeError("bad bloom filter"))
-				return err
-			}
-			recoders = nil
-
-		case protocol.TypeSketch:
-			// Bare-frame variant: a min-wise sketch steering degrees.
-			summary, err = strategy.ParseSummary(protocol.SummarySketch, f.Payload)
-			if err != nil {
-				protocol.WriteFrame(w, protocol.EncodeError("bad sketch"))
-				return err
-			}
-			recoders = nil
-
 		case protocol.TypePeers:
 			ads, err := protocol.DecodePeers(f)
 			if err != nil {
-				protocol.WriteFrame(w, protocol.EncodeError("bad peers"))
+				protocol.WriteFrame(ch, protocol.EncodeError("bad peers"))
 				return err
 			}
 			for _, ad := range ads {
@@ -716,11 +436,11 @@ func (s *Server) serveFrames(w io.Writer, next func() (protocol.Frame, error), d
 			// Relay any advertisements this connection has not heard yet
 			// ahead of the batch (receive loops handle PEERS between
 			// symbol frames).
-			if err := s.relayGossip(w, sentAds); err != nil {
+			if err := s.relayGossip(ch, sentAds); err != nil {
 				return err
 			}
 			if s.Full() {
-				if err := s.sendFull(w, encoder, int(n)); err != nil {
+				if err := s.sendFull(ch, encoder, int(n)); err != nil {
 					return err
 				}
 				continue
@@ -736,11 +456,11 @@ func (s *Server) serveFrames(w io.Writer, next func() (protocol.Frame, error), d
 			if recoders == nil {
 				recoders, err = s.buildRecoders(summary)
 				if err != nil {
-					protocol.WriteFrame(w, protocol.EncodeDone())
+					protocol.WriteFrame(ch, protocol.EncodeDone())
 					continue // nothing useful to offer; empty batch
 				}
 			}
-			if err := s.sendRecoded(w, recoders, int(n)); err != nil {
+			if err := s.sendRecoded(ch, recoders, int(n)); err != nil {
 				return err
 			}
 
@@ -748,7 +468,7 @@ func (s *Server) serveFrames(w io.Writer, next func() (protocol.Frame, error), d
 			return nil
 
 		default:
-			protocol.WriteFrame(w, protocol.EncodeError("unexpected "+f.Type.String()))
+			protocol.WriteFrame(ch, protocol.EncodeError("unexpected "+f.Type.String()))
 			return fmt.Errorf("peer: unexpected frame %v", f.Type)
 		}
 	}

@@ -1,13 +1,16 @@
 package peer
 
-// server_fuzz_test.go throws arbitrary byte streams at a live Server's
-// connection handler — the robustness counterpart of the protocol
-// package's parser fuzzers. Those prove the parsers never panic; this
-// target proves the *session loop around them* never panics, never
-// hangs past its deadline, and attributes corrupt streams to the
-// penalty plane. Seeds cover the interesting shapes: a fully valid
-// handshake-and-request exchange, corrupt SYMBOL and RECODED frames
-// after a good HELLO, an absurd declared frame length, and raw junk.
+// server_fuzz_test.go throws arbitrary byte streams at a live front
+// door — a ServerMux with one content registered — the robustness
+// counterpart of the protocol package's parser fuzzers. Those prove the
+// parsers never panic; this target proves the *serving stack around
+// them* (admission, fabric handshake, wire demux, the content session
+// loop) never panics, never hangs past its deadline, and attributes
+// corrupt streams to the penalty plane. Seeds speak the fabric
+// handshake first, so mutations land in the session loop and not only
+// on the opening frame: a fully valid open-request-done exchange,
+// corrupt SYMBOL and RECODED envelopes on an open channel, a bare
+// pre-fabric HELLO, an absurd declared frame length, and raw junk.
 
 import (
 	"bytes"
@@ -38,28 +41,34 @@ func corruptLastByte(raw []byte) []byte {
 
 func FuzzServeStream(f *testing.F) {
 	info, data := testContent(f, 40, 32)
-	clientHello := frameBytes(protocol.EncodeHello(protocol.Hello{
-		ContentID: info.ID, SummaryMask: protocol.AllSummaryMask,
-	}))
+	clientHello := protocol.Hello{ContentID: info.ID, SummaryMask: protocol.AllSummaryMask}
+	// Every seed but the raw ones opens a wire and channel 1 on it.
+	opened := bytes.Join([][]byte{
+		frameBytes(protocol.EncodeMuxHello(protocol.MuxHello{MaxChannels: 4})),
+		frameBytes(protocol.EncodeOpenChannel(1, clientHello)),
+	}, nil)
+	onChannel := func(inner protocol.Frame) []byte { return frameBytes(protocol.EncodeMux(1, inner)) }
 
-	// Valid exchange: HELLO, a small batch request, clean DONE.
+	// Valid exchange: handshake, a small batch request, clean DONE.
 	f.Add(bytes.Join([][]byte{
-		clientHello,
-		frameBytes(protocol.EncodeRequest(4)),
-		frameBytes(protocol.EncodeDone()),
+		opened,
+		onChannel(protocol.EncodeRequest(4)),
+		onChannel(protocol.EncodeDone()),
 	}, nil))
-	// Corrupt SYMBOL and RECODED frames behind a good handshake — the
-	// session loop must drop the connection with ErrCorrupt, not parse
-	// garbage into the data plane.
+	// Corrupt SYMBOL and RECODED envelopes behind a good handshake — the
+	// wire must die with ErrCorrupt and take the session with it, not
+	// parse garbage into the data plane.
 	f.Add(bytes.Join([][]byte{
-		clientHello,
-		corruptLastByte(frameBytes(protocol.EncodeSymbol(protocol.Symbol{ID: 7, Data: data[:32]}))),
+		opened,
+		corruptLastByte(onChannel(protocol.EncodeSymbol(protocol.Symbol{ID: 7, Data: data[:32]}))),
 	}, nil))
 	recoded, err := protocol.EncodeRecoded(protocol.Recoded{IDs: []uint64{1, 2, 3}, Data: data[:32]})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(bytes.Join([][]byte{clientHello, corruptLastByte(frameBytes(recoded))}, nil))
+	f.Add(bytes.Join([][]byte{opened, corruptLastByte(onChannel(recoded))}, nil))
+	// A bare content HELLO (the pre-fabric opening): clean ERROR, no session.
+	f.Add(frameBytes(protocol.EncodeHello(clientHello)))
 	// Oversized declared length: magic + version + type, then a 4 GiB
 	// length field. The reader must refuse to allocate it.
 	f.Add([]byte{0xD0, 0x1C, protocol.Version, 1, 0xFF, 0xFF, 0xFF, 0xFF})
@@ -71,16 +80,18 @@ func FuzzServeStream(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv.timeout = 2 * time.Second // bound hostile streams that go quiet
+		mux := front(srv)
+		// Bound hostile streams that go quiet, at every layer.
+		srv.timeout, mux.timeout = 2*time.Second, 2*time.Second
 		box := NewPenaltyBox()
-		srv.SetPenalties(box)
+		mux.SetPenalties(box)
 
 		client, server := net.Pipe()
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
 			defer server.Close()
-			srv.ServeConn(server)
+			mux.ServeConn(server)
 		}()
 		// Drain the server's answers so its synchronous pipe writes never
 		// block, then feed it the fuzzed stream and hang up.
@@ -96,7 +107,7 @@ func FuzzServeStream(f *testing.F) {
 		}
 		// Whatever the stream did, the accounting must stay coherent: a
 		// malformed-frame charge implies a penalty-box entry for the pipe.
-		if srv.Stats().Malformed > 0 && box.Len() == 0 {
+		if (mux.Stats().Malformed > 0 || srv.Stats().Malformed > 0) && box.Len() == 0 {
 			t.Fatal("malformed frame counted but nobody charged")
 		}
 	})

@@ -1,8 +1,10 @@
 package peer
 
-// session.go is one connection's state machine: dial → handshake →
-// summary negotiation → batched request loop, with reconnect-backoff
-// around the whole lifecycle. A session owns nothing shared: it borrows
+// session.go is one peer session's state machine: open a subchannel on
+// the fabric wire to the peer (dialing the wire if none is live; the
+// channel negotiation is the content handshake) → summary negotiation →
+// pipelined batched request loop, with reconnect-backoff around the
+// whole lifecycle. A session owns nothing shared: it borrows
 // receive buffers from the orchestrator's pools and transfers them with
 // each delivered symbol, reads global progress through an atomic, and
 // reports per-peer statistics that the orchestrator's utility ranking
@@ -15,8 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
-	"net"
 	"time"
 
 	"icd/internal/keyset"
@@ -26,17 +26,6 @@ import (
 	"icd/internal/protocol"
 	"icd/internal/strategy"
 )
-
-// link is the transport surface the post-handshake state machines drive
-// on the write side: one serialized frame per Write call, plus the
-// deadline hook the watchdog fires to unblock a stalled machine. Both a
-// net.Conn and a peermux.Channel satisfy it, which is what lets the
-// same session (and server) loops run over a dedicated legacy
-// connection or a fabric subchannel.
-type link interface {
-	io.Writer
-	SetDeadline(t time.Time) error
-}
 
 // ErrUnknownContent marks a session whose peer answered the handshake
 // with the canonical unknown-content ERROR (protocol.ReasonUnknownContent):
@@ -69,14 +58,13 @@ type session struct {
 	// connection — the requeue path only reconsiders addresses that were
 	// never reached at all.
 	connected bool
+	// Guarded by o.mu: the live subchannel while a connection is up, so
+	// the scheduler's SetChannelWindow can resize it mid-transfer.
+	ch *peermux.Channel
 	// Guarded by o.mu: set by the watchdog when it reset the current
 	// connection over a stalled window; runConn consumes it to skip the
 	// generic reset charge (the watchdog already charged PenaltyStall).
 	stalled bool
-	// Session goroutine only: the peer rejected the fabric handshake's
-	// version byte, so this session speaks legacy-framed dedicated
-	// connections instead (set once; redials skip the fabric).
-	legacy bool
 }
 
 func newSession(o *Orchestrator, addr string) *session {
@@ -233,64 +221,20 @@ func (s *session) ended() bool {
 	}
 }
 
-// runConn runs one connection lifecycle: dial (through the circuit
-// breaker), serve, and classify how it ended — misbehavior observed on
-// the wire (corrupt frames, mid-stream resets) charges the peer's
-// penalty-box score on the way out. With a fabric configured the
-// session rides a subchannel on the shared wire; a peer that rejects
-// the fabric handshake's version byte demotes the session permanently
-// to dedicated legacy-framed connections (incremental deployment: a v5
-// node still exchanges symbols with a v4 swarm, minus multiplexing).
+// runConn runs one connection lifecycle: open a subchannel on the shared
+// per-peer wire (through the circuit breaker; the fabric dials the wire
+// only if none is live), serve it, and classify how it ended —
+// misbehavior observed on the wire (corrupt frames, mid-stream resets)
+// charges the peer's penalty-box score on the way out. The channel
+// negotiation doubles as the content handshake: the OPEN carries our
+// HELLO, the ACCEPT carries the peer's.
 func (s *session) runConn() error {
-	if s.o.opts.Fabric != nil && !s.legacy {
-		err := s.runFabricConn()
-		if err == nil || !errors.Is(err, protocol.ErrVersion) {
-			return err
-		}
-		s.legacy = true
-	}
-	err := s.runDedicatedConn()
-	if err != nil && !s.legacy && errors.Is(err, protocol.ErrVersion) {
-		// The peer's reader rejected our current-version frames: retry
-		// once speaking the legacy framing it does accept. A peer older
-		// than that rejects the retry too, which ends the session
-		// terminally (ErrVersion, no penalty — age is not misbehavior).
-		s.legacy = true
-		err = s.runDedicatedConn()
-	}
-	return err
-}
-
-// runDedicatedConn dials and serves one dedicated (non-multiplexed)
-// connection, speaking the legacy framing when the session has been
-// demoted to it.
-func (s *session) runDedicatedConn() error {
-	conn, err := s.dialConn()
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	if s.legacy {
-		// Stamp every frame we send with the legacy version byte the
-		// peer's reader accepts; its legacy frames already parse here.
-		conn = &legacyConn{Conn: conn, w: protocol.LegacyWriter(conn)}
-	}
-	err = s.serveConn(conn)
-	if stalled := s.takeStalled(); err != nil && !stalled && !s.dropped() && !terminalSessionError(err) {
-		s.noteConnError(err)
-	}
-	return err
-}
-
-// runFabricConn is runConn over the connection fabric: instead of
-// dialing a dedicated connection, the session opens a subchannel on the
-// shared per-peer wire (the fabric dials the wire only if none is
-// live). The channel negotiation doubles as the content handshake — the
-// OPEN carries our HELLO, the ACCEPT carries the peer's.
-func (s *session) runFabricConn() error {
 	ch, held, heldVersion, err := s.openChannel()
+	if err == errOpenInterrupted {
+		return nil // abandoned with nothing left to fetch: nobody failed
+	}
 	if err != nil {
-		return err
+		return err // a real answer, even one that lands as the transfer ends
 	}
 	defer ch.Close()
 	err = s.serveChannel(ch, held, heldVersion)
@@ -301,9 +245,10 @@ func (s *session) runFabricConn() error {
 }
 
 // openChannel opens this session's subchannel with circuit-breaker
-// admission and dial accounting (the fabric analog of dialConn), and
-// classifies channel rejections into the same terminal errors the
-// legacy handshake produces from ERROR frames.
+// admission and dial accounting, and classifies the peer's answers —
+// a REJECT_CHANNEL, or an ERROR in place of the wire handshake — into
+// the terminal errors: a verdict from a live peer is not a dial failure,
+// so it neither trips the breaker nor charges the address.
 func (s *session) openChannel() (*peermux.Channel, *keyset.Set, int64, error) {
 	o := s.o
 	if !o.breaker.Allow(s.addr) {
@@ -314,29 +259,35 @@ func (s *session) openChannel() (*peermux.Channel, *keyset.Set, int64, error) {
 		return nil, nil, 0, fmt.Errorf("%w: %s", errDialSuppressed, s.addr)
 	}
 	held, heldVersion := o.heldSnapshot()
-	ch, err := o.opts.Fabric.OpenWindow(s.addr, protocol.Hello{
+	ch, err := s.openInterruptibly(protocol.Hello{
 		ContentID:   o.contentID,
 		Symbols:     uint64(held.Len()),
 		SummaryMask: o.opts.summaryMask(),
 		ListenAddr:  o.opts.AdvertiseAddr,
-	}, int(o.chanWin.Load()), o.opts.Timeout)
+	})
 	if err == nil {
-		o.breaker.Success(s.addr)
-		o.mu.Lock()
-		s.connected = true
-		o.mu.Unlock()
-		o.trace(obs.EvDial, s.addr, "fabric")
+		s.reached()
+		o.trace(obs.EvDial, s.addr, "")
 		return ch, held, heldVersion, nil
 	}
+	if err == errOpenInterrupted {
+		return nil, nil, 0, err // nobody failed: no accounting
+	}
+	// The peer answered: the channel negotiation with a REJECT, or — a
+	// banned dialer never gets that far — the wire handshake itself with
+	// the refused ERROR. The address was reached and the answer may be a
+	// terminal verdict; charging a refusal back as a dead peer is the
+	// mutual-ban loop ErrRefused exists to forbid.
 	var rej *peermux.RejectError
+	var rem *peermux.RemoteError
+	answered, msg := false, ""
 	if errors.As(err, &rej) {
-		// The wire is up and the peer answered the negotiation: not a
-		// dial failure, and possibly a terminal verdict.
-		o.breaker.Success(s.addr)
-		o.mu.Lock()
-		s.connected = true
-		o.mu.Unlock()
-		msg := rej.Msg
+		answered, msg = true, rej.Msg
+	} else if errors.As(err, &rem) && protocol.IsRefused(rem.Msg) {
+		answered, msg = true, rem.Msg
+	}
+	if answered {
+		s.reached()
 		if protocol.IsUnknownContent(msg) {
 			return nil, nil, 0, fmt.Errorf("peer %s: %s: %w", s.addr, msg, ErrUnknownContent)
 		}
@@ -350,6 +301,14 @@ func (s *session) openChannel() (*peermux.Channel, *keyset.Set, int64, error) {
 		// version — terminal, and not the address's fault.
 		return nil, nil, 0, fmt.Errorf("peer %s: incompatible protocol: %w", s.addr, err)
 	}
+	if errors.Is(err, protocol.ErrCorrupt) {
+		// The dial connected and the peer answered the handshake with
+		// garbage: misbehavior on an established connection (the strongest
+		// signal), not an unreachable address.
+		s.reached()
+		s.noteConnError(err)
+		return nil, nil, 0, err
+	}
 	o.breaker.Failure(s.addr)
 	o.penalties.Penalize(s.addr, PenaltyDialFail)
 	o.mu.Lock()
@@ -360,26 +319,59 @@ func (s *session) openChannel() (*peermux.Channel, *keyset.Set, int64, error) {
 	return nil, nil, 0, err
 }
 
-// serveChannel runs the session over an established fabric subchannel:
-// the ACCEPT's hello already carries the content parameters, so the
-// session goes straight to summary negotiation — with the pipelined
-// request ramp enabled (the wire's demux reader absorbs concurrent
-// writes, so depth > 1 cannot deadlock the way it would on a bare
-// synchronous pipe).
-func (s *session) serveChannel(ch *peermux.Channel, held *keyset.Set, heldVersion int64) error {
+// reached records that a dial got through to the address: its circuit
+// closes, and it never requeues as a never-connected discovery.
+func (s *session) reached() {
+	s.o.breaker.Success(s.addr)
+	s.o.mu.Lock()
+	s.connected = true
+	s.o.mu.Unlock()
+}
+
+// errOpenInterrupted marks an open abandoned because the session ended
+// while it was in flight (runConn turns it into a clean end).
+var errOpenInterrupted = errors.New("peer: session ended during channel open")
+
+// openInterruptibly is Fabric.OpenWindow that the transfer ending, or
+// this session being dropped, can walk away from: the watchdog only
+// guards an established channel, and an open can park for the whole
+// Timeout (a corrupted length field in the handshake answer leaves the
+// dial reading a phantom body), which a finished transfer must not sit
+// out. The open is not cancelled (on a shared fabric other sessions may
+// wait on the same dial): it completes in the background and a channel
+// it still gets is closed.
+func (s *session) openInterruptibly(h protocol.Hello) (*peermux.Channel, error) {
 	o := s.o
-	watchStop := make(chan struct{})
-	defer close(watchStop)
-	go s.watch(ch, watchStop)
-	pc, err := NewPipelineController(o.opts.PipelineDepth, o.opts.MaxPipelineDepth, o.opts.PipelineDupHigh)
-	if err != nil {
-		return err
+	type opened struct {
+		ch  *peermux.Channel
+		err error
 	}
-	// Register the live channel so the scheduler's SetChannelWindow can
-	// resize its receive window mid-transfer.
-	o.trackChannel(s, ch)
-	defer o.untrackChannel(s)
-	return s.serveNegotiated(ch, ch.Next, ch.RemoteHello(), held, heldVersion, pc)
+	res := make(chan opened)
+	gone := make(chan struct{})
+	go func() {
+		ch, err := o.fabric.OpenWindow(s.addr, h, int(o.chanWin.Load()), o.opts.Timeout)
+		select {
+		case res <- opened{ch, err}:
+		case <-gone:
+			if ch != nil {
+				ch.Close()
+			}
+		}
+	}()
+	select {
+	case r := <-res:
+		return r.ch, r.err
+	case <-o.done:
+	case <-s.drop:
+	}
+	close(gone)
+	return nil, errOpenInterrupted
+}
+
+func (s *session) setChannel(ch *peermux.Channel) {
+	s.o.mu.Lock()
+	s.ch = ch
+	s.o.mu.Unlock()
 }
 
 // takeStalled consumes the watchdog's stall marker for the connection
@@ -397,38 +389,6 @@ func (s *session) takeStalled() bool {
 // the address has failed enough in a row that probing it again before
 // its cooldown lapses would only burn the slot's time.
 var errDialSuppressed = errors.New("peer: dial suppressed by open circuit breaker")
-
-// dialConn dials the session's address with circuit-breaker admission
-// and failure accounting: a refused/timed-out dial trips the breaker
-// toward open and charges the penalty box; a success resets the
-// address's circuit.
-func (s *session) dialConn() (net.Conn, error) {
-	o := s.o
-	if !o.breaker.Allow(s.addr) {
-		o.mu.Lock()
-		s.stats.DialFailures++
-		o.mu.Unlock()
-		o.met.dialFailures.Inc()
-		return nil, fmt.Errorf("%w: %s", errDialSuppressed, s.addr)
-	}
-	conn, err := o.opts.Dial(s.addr)
-	if err != nil {
-		o.breaker.Failure(s.addr)
-		o.penalties.Penalize(s.addr, PenaltyDialFail)
-		o.mu.Lock()
-		s.stats.DialFailures++
-		o.mu.Unlock()
-		o.met.dialFailures.Inc()
-		o.trace(obs.EvDialFail, s.addr, err.Error())
-		return nil, err
-	}
-	o.breaker.Success(s.addr)
-	o.mu.Lock()
-	s.connected = true
-	o.mu.Unlock()
-	o.trace(obs.EvDial, s.addr, "dedicated")
-	return conn, nil
-}
 
 // noteConnError records how an established connection failed: a corrupt
 // frame (protocol.ErrCorrupt) is the strongest misbehavior signal; any
@@ -460,7 +420,7 @@ func (s *session) noteConnError(err error) {
 // useful symbols, charging the penalty box. The session itself survives
 // to redial: repeated stalls escalate the score to a ban, which is what
 // actually removes a mute peer.
-func (s *session) watch(lk link, stop chan struct{}) {
+func (s *session) watch(ch *peermux.Channel, stop chan struct{}) {
 	o := s.o
 	var tick <-chan time.Time
 	if w := o.opts.StallTimeout; w > 0 {
@@ -510,88 +470,34 @@ func (s *session) watch(lk link, stop chan struct{}) {
 			o.trace(obs.EvStall, s.addr, "")
 			o.penalties.Penalize(s.addr, PenaltyStall)
 		}
-		lk.SetDeadline(time.Now())
+		ch.SetDeadline(time.Now())
 		return
 	}
 }
 
-// serveConn runs one established connection: handshake, negotiated
-// summary, batched request loop with periodic summary refresh. Frames
-// are read through a FrameReader (one reusable buffer per connection)
-// and symbol payloads travel in pool buffers, so the loop allocates
-// nothing per frame except for useful regular symbols, whose buffers
-// live on as the stored working-set payloads (an allocation the content
-// requires).
-func (s *session) serveConn(conn net.Conn) error {
+// serveChannel owns the session on an established subchannel: the
+// ACCEPT's hello already carries the content parameters, so it goes
+// straight to decoder setup, summary negotiation and refresh, gossip,
+// and the pipelined batched request loop (the wire's demux reader
+// absorbs the symbol stream while requests are being written, so depth
+// > 1 cannot deadlock even a synchronous pipe). Frames arrive through
+// the channel's pooled queue and symbol payloads travel in pool buffers,
+// so the loop allocates nothing per frame except for useful regular
+// symbols, whose buffers live on as the stored working-set payloads (an
+// allocation the content requires).
+func (s *session) serveChannel(ch *peermux.Channel, held *keyset.Set, heldVersion int64) error {
 	o := s.o
 	watchStop := make(chan struct{})
 	defer close(watchStop)
-	go s.watch(conn, watchStop)
-	deadline := func() { conn.SetDeadline(time.Now().Add(o.opts.Timeout)) }
-	deadline()
-
-	held, heldVersion := o.heldSnapshot()
-	fr := protocol.NewFrameReader(conn)
-	if err := protocol.WriteFrame(conn, protocol.EncodeHello(protocol.Hello{
-		ContentID:   o.contentID,
-		Symbols:     uint64(held.Len()),
-		SummaryMask: o.opts.summaryMask(),
-		ListenAddr:  o.opts.AdvertiseAddr,
-	})); err != nil {
-		return err
-	}
-	f, err := fr.Next()
-	if err != nil {
-		if errors.Is(err, protocol.ErrVersion) {
-			return fmt.Errorf("peer %s: incompatible protocol: %w", s.addr, err)
-		}
-		return err
-	}
-	if f.Type == protocol.TypeError {
-		msg, _ := protocol.DecodeError(f)
-		if protocol.IsUnknownContent(msg) {
-			return fmt.Errorf("peer %s: %s: %w", s.addr, msg, ErrUnknownContent)
-		}
-		if protocol.IsRefused(msg) {
-			return fmt.Errorf("peer %s: %s: %w", s.addr, msg, ErrRefused)
-		}
-		if protocol.IsVersionReject(msg) {
-			// An older peer whose frame reader rejected our version byte
-			// and answered in its own framing: terminal, like ErrVersion
-			// from our own reader.
-			return fmt.Errorf("peer %s: %s: %w", s.addr, msg, protocol.ErrVersion)
-		}
-		return fmt.Errorf("peer %s: %s", s.addr, msg)
-	}
-	hello, err := protocol.DecodeHello(f)
-	if err != nil {
-		return err
-	}
-	// Dedicated connections ride the same pipelined ramp as fabric
-	// subchannels: the frameQueue's pump goroutine keeps draining the
-	// conn while the session writes, so pipelined REQUESTs against an
-	// in-flight symbol stream no longer deadlock a synchronous pipe.
-	// The queue is sized for the deepest ramp's worth of batches (plus
-	// DONE and gossip frames) so the pump itself never parks against a
-	// server mid-stream.
+	go s.watch(ch, watchStop)
 	pc, err := NewPipelineController(o.opts.PipelineDepth, o.opts.MaxPipelineDepth, o.opts.PipelineDupHigh)
 	if err != nil {
 		return err
 	}
-	q := newFrameQueue(fr, o.opts.MaxPipelineDepth*(o.opts.Batch+2)+8)
-	defer q.Close()
-	return s.serveNegotiated(conn, q.Next, hello, held, heldVersion, pc)
-}
-
-// serveNegotiated owns the handshaken session: decoder setup, summary
-// negotiation and refresh, gossip, and the pipelined batched request
-// loop. It is transport-agnostic — lk/next are either a legacy conn and
-// its FrameReader or a fabric subchannel — which is the split that lets
-// one state machine serve both wire formats.
-func (s *session) serveNegotiated(lk link, next func() (protocol.Frame, error),
-	hello protocol.Hello, held *keyset.Set, heldVersion int64, pc *PipelineController) error {
-	o := s.o
-	deadline := func() { lk.SetDeadline(time.Now().Add(o.opts.Timeout)) }
+	s.setChannel(ch)
+	defer s.setChannel(nil)
+	hello := ch.RemoteHello()
+	deadline := func() { ch.SetDeadline(time.Now().Add(o.opts.Timeout)) }
 	deadline()
 	if err := o.ensureDecoder(ContentInfo{
 		ID:        hello.ContentID,
@@ -623,17 +529,17 @@ func (s *session) serveNegotiated(lk link, next func() (protocol.Frame, error),
 		if err != nil {
 			return err
 		}
-		if err := protocol.WriteFrame(lk, protocol.EncodeSummary(method, blob, false)); err != nil {
+		if err := protocol.WriteFrame(ch, protocol.EncodeSummary(method, blob, false)); err != nil {
 			return err
 		}
 	}
 
-	// Gossip (v4): advertise what this node knows of the swarm right
+	// Gossip: advertise what this node knows of the swarm right
 	// after the handshake, then again piggybacked on every refresh
 	// check; sentAds dedupes per connection so steady state sends no
 	// repeat advertisements.
 	sentAds := make(map[protocol.PeerAd]bool)
-	if err := s.sendGossip(lk, sentAds); err != nil {
+	if err := s.sendGossip(ch, sentAds); err != nil {
 		return err
 	}
 
@@ -657,7 +563,7 @@ func (s *session) serveNegotiated(lk link, next func() (protocol.Frame, error),
 	for {
 		if s.ended() {
 			deadline()
-			protocol.WriteFrame(lk, protocol.EncodeDone())
+			protocol.WriteFrame(ch, protocol.EncodeDone())
 			return nil
 		}
 		// Periodic summary refresh: when the shared working set grew
@@ -670,7 +576,7 @@ func (s *session) serveNegotiated(lk link, next func() (protocol.Frame, error),
 		sinceCheck++
 		if !hello.FullCopy && o.opts.RefreshBatches > 0 && sinceCheck >= cadence {
 			sinceCheck = 0
-			if err := s.sendGossip(lk, sentAds); err != nil {
+			if err := s.sendGossip(ch, sentAds); err != nil {
 				return err
 			}
 			// O(1) staleness test first; the O(n) id snapshot is paid
@@ -697,7 +603,7 @@ func (s *session) serveNegotiated(lk link, next func() (protocol.Frame, error),
 					return err
 				}
 				deadline()
-				if err := protocol.WriteFrame(lk, protocol.EncodeSummary(method, blob, true)); err != nil {
+				if err := protocol.WriteFrame(ch, protocol.EncodeSummary(method, blob, true)); err != nil {
 					return err
 				}
 				heldVersion = version
@@ -722,7 +628,7 @@ func (s *session) serveNegotiated(lk link, next func() (protocol.Frame, error),
 		deadline()
 		progressBefore := o.progress.Load()
 		for inflight < pc.Depth() {
-			if err := protocol.WriteFrame(lk, protocol.EncodeRequest(uint32(o.opts.Batch))); err != nil {
+			if err := protocol.WriteFrame(ch, protocol.EncodeRequest(uint32(o.opts.Batch))); err != nil {
 				// A pipelined REQUEST blocks against a server that is still
 				// streaming the previous batch, so the transfer can complete
 				// (and the watchdog expire the deadline) while this write is
@@ -738,7 +644,7 @@ func (s *session) serveNegotiated(lk link, next func() (protocol.Frame, error),
 		got := 0
 		for {
 			deadline()
-			f, err := next()
+			f, err := ch.Next()
 			if err != nil {
 				if s.ended() {
 					return nil
@@ -812,7 +718,7 @@ func (s *session) serveNegotiated(lk link, next func() (protocol.Frame, error),
 		if uselessBatch {
 			useless++
 			if useless >= o.opts.MaxUselessBatches {
-				protocol.WriteFrame(lk, protocol.EncodeDone())
+				protocol.WriteFrame(ch, protocol.EncodeDone())
 				return nil // this peer has nothing more for us
 			}
 		} else {
@@ -825,7 +731,7 @@ func (s *session) serveNegotiated(lk link, next func() (protocol.Frame, error),
 // on this connection; a no-news call writes nothing. The collected list
 // stops at the frame cap, so an overflow is not falsely marked sent —
 // it goes out on a later call.
-func (s *session) sendGossip(conn io.Writer, sent map[protocol.PeerAd]bool) error {
+func (s *session) sendGossip(ch *peermux.Channel, sent map[protocol.PeerAd]bool) error {
 	ads := s.o.gossipAdverts(s.addr)
 	fresh := ads[:0]
 	for _, ad := range ads {
@@ -840,7 +746,7 @@ func (s *session) sendGossip(conn io.Writer, sent map[protocol.PeerAd]bool) erro
 	if len(fresh) == 0 {
 		return nil
 	}
-	return protocol.WriteFrame(conn, protocol.EncodePeers(fresh))
+	return protocol.WriteFrame(ch, protocol.EncodePeers(fresh))
 }
 
 // summaryConfig maps FetchOptions onto the strategy-layer summary

@@ -2,7 +2,7 @@ package peermux
 
 // channel.go is one content subchannel: a bounded queue of inbound
 // frames (fed by the wire's reader, drained by Next), an io.Writer that
-// re-frames serialized legacy frames into MUX envelopes, and the two
+// re-frames serialized content frames into MUX envelopes, and the two
 // halves of the credit ledger — the sender side that spends and blocks,
 // the receiver side that meters arrivals and replenishes as its
 // consumer drains.
@@ -45,10 +45,10 @@ type inFrame struct {
 
 // Channel is one content subchannel on a Wire. The fetching side reads
 // frames with Next and writes control frames through Write; the serving
-// side does the reverse. It deliberately mirrors the surface a legacy
-// session uses from a net.Conn + FrameReader pair — Next for frames,
-// Write for one serialized frame per call, SetDeadline to bound both —
-// so the peer package's state machines run unchanged on either.
+// side does the reverse. The surface is the one a session would use
+// from a net.Conn + FrameReader pair — Next for frames, Write for one
+// serialized frame per call, SetDeadline to bound both — so the peer
+// package's state machines drive it with the plain protocol writers.
 type Channel struct {
 	w           *Wire
 	id          uint16
@@ -119,9 +119,6 @@ func (c *Channel) RemoteHello() protocol.Hello { return c.remoteHello }
 // RemoteAddr exposes the wire's remote address (penalty attribution,
 // logging).
 func (c *Channel) RemoteAddr() net.Addr { return c.w.conn.RemoteAddr() }
-
-// Wire returns the shared wire, for wire-scoped operations (SendPeers).
-func (c *Channel) Wire() *Wire { return c.w }
 
 // Accept answers a peer-opened channel with our content HELLO and
 // grants the initial credit window (accepting side only).
@@ -409,7 +406,7 @@ func (c *Channel) take(f inFrame) (protocol.Frame, error) {
 	if f.t == protocol.TypeSymbol || f.t == protocol.TypeRecoded {
 		c.noteConsumed()
 	}
-	return protocol.Frame{Type: f.t, Payload: *f.buf, Version: protocol.Version}, nil
+	return protocol.Frame{Type: f.t, Payload: *f.buf}, nil
 }
 
 func (c *Channel) finalErr() error {
@@ -421,7 +418,7 @@ func (c *Channel) finalErr() error {
 	return io.EOF
 }
 
-// Write sends one fully serialized legacy frame (as produced by
+// Write sends one fully serialized content frame (as produced by
 // protocol.WriteFrame, WriteSymbol, WriteRecoded — always one frame per
 // Write call) through the channel as a MUX envelope. Symbol-bearing
 // frames first acquire a credit, blocking while the window is empty.
@@ -494,10 +491,6 @@ func (c *Channel) SetDeadline(t time.Time) error {
 	c.mu.Unlock()
 	return nil
 }
-
-// SendPeers forwards gossip advertisements on the shared wire (per-wire
-// dedup).
-func (c *Channel) SendPeers(ads []protocol.PeerAd) error { return c.w.SendPeers(ads) }
 
 // Close retires the channel: the peer is told (CLOSE_CHANNEL), late
 // frames for the id drain silently, blocked readers and writers wake

@@ -1,13 +1,14 @@
-// Package peermux is the connection fabric: it multiplexes every
-// content session a node runs against one peer onto a single framed
-// connection (protocol v5), collapsing connection count from
-// O(peers × contents) to O(peers).
+// Package peermux is the connection fabric, the only session
+// transport: every content session a node runs against one peer is a
+// subchannel of a single framed connection, so connection count is
+// O(peers), not O(peers × contents). A lone fetch is the degenerate
+// case — a wire with one channel.
 //
 // # Wire layout
 //
-// A fabric connection opens with a MUX_HELLO exchange (each side
-// announces its channel capacity and dialable listen address) instead
-// of a per-content HELLO. After that the stream carries:
+// A connection opens with a MUX_HELLO exchange (each side announces its
+// channel capacity and dialable listen address); content HELLOs travel
+// per channel. After that the stream carries:
 //
 //   - OPEN_CHANNEL / ACCEPT_CHANNEL / REJECT_CHANNEL — subchannel
 //     negotiation. The opener picks an odd channel id and attaches its
@@ -16,16 +17,17 @@
 //     ("unknown content", "refused", "busy").
 //   - MUX — the envelope: channel id (uint16) + inner frame type
 //     (uint8) + inner payload, under the outer frame's single CRC.
-//     Every legacy frame type (SYMBOL, RECODED, SUMMARY, REQUEST,
+//     Every content frame type (SYMBOL, RECODED, SUMMARY, REQUEST,
 //     DONE, ERROR, ...) travels inside envelopes unchanged, so the
-//     per-channel state machines are exactly the legacy session state
-//     machines. Multiplexing costs 3 bytes per frame.
+//     per-channel state machines read and write plain content frames.
+//     Multiplexing costs 3 bytes per frame.
 //   - CREDIT — per-channel flow control (below).
 //   - CLOSE_CHANNEL — either side retires a channel; frames that were
 //     already in flight for a recently closed id are drained silently
 //     (a bounded set of retired ids), not punished.
-//   - PEERS — wire-level gossip, deduplicated per wire; it belongs to
-//     the connection, not to any one channel.
+//
+// Gossip needs no wire-level frame: sessions exchange PEERS inside
+// their channels like any other content frame.
 //
 // # Credit model
 //
@@ -62,15 +64,15 @@
 // Open (dialer picks id, sends OPEN_CHANNEL) → Accept/Reject (acceptor
 // answers; both sides grant initial credits on accept) → established
 // (Channel is a frame source via Next and an io.Writer that re-frames
-// one serialized legacy frame per Write into an envelope) → closed
+// one serialized content frame per Write into an envelope) → closed
 // (either side's CLOSE_CHANNEL, a wire failure, or Channel.Close; the
 // id then drains). A Fabric refcounts channels per wire: the first
 // Open to an address dials and shakes hands, later Opens share the
 // wire, and the last Close tears it down.
 //
 // The pipelined AIMD request ramp that rides on these channels lives in
-// the peer package (see peer.FetchOptions.PipelineDepth): fabric
-// sessions keep K request batches outstanding, growing K additively
+// the peer package (see peer.FetchOptions.PipelineDepth): sessions
+// keep K request batches outstanding, growing K additively
 // while batches deliver useful symbols and halving it when the
 // duplicate rate spikes.
 package peermux

@@ -29,6 +29,7 @@ type Fabric struct {
 type wireRef struct {
 	addr  string
 	ready chan struct{} // closed once wire/err is set
+	conn  net.Conn      // dialed, handshake in flight (guarded by Fabric.mu)
 	wire  *Wire
 	err   error
 	refs  int
@@ -72,20 +73,24 @@ func (f *Fabric) OpenWindow(addr string, h protocol.Hello, window int, timeout t
 		if err != nil {
 			return nil, err
 		}
+		// The open itself holds a reference, so a rejected or timed-out
+		// first open releases the wire it dialed instead of leaving it
+		// idle in the pool.
+		f.mu.Lock()
+		wr.refs++
+		f.mu.Unlock()
 		ch, err := wr.wire.OpenWindow(h, window, timeout)
 		if err != nil {
-			if wr.wire.Err() != nil {
+			dead := wr.wire.Err() != nil
+			f.release(wr)
+			if dead {
 				// The shared wire is dead (stale entry or it died mid
-				// open): drop it and retry once with a fresh dial.
-				f.drop(wr)
+				// open): retry once with a fresh dial.
 				lastErr = err
 				continue
 			}
 			return nil, err
 		}
-		f.mu.Lock()
-		wr.refs++
-		f.mu.Unlock()
 		ch.onClose = func() { f.release(wr) }
 		return ch, nil
 	}
@@ -117,12 +122,18 @@ func (f *Fabric) wireFor(addr string) (*wireRef, error) {
 		cfg := f.cfg
 		cfg.onDead = func() { f.drop(wr) }
 		f.mu.Lock()
-		pen := f.penalize
+		pen, closed := f.penalize, f.closed
+		wr.conn = conn // Close interrupts the handshake through it
 		f.mu.Unlock()
 		if pen != nil {
 			cfg.Penalize = func(weight float64) { pen(addr, weight) }
 		}
-		w, err = Dial(conn, cfg)
+		if closed {
+			conn.Close()
+			err = ErrClosed
+		} else {
+			w, err = Dial(conn, cfg)
+		}
 	}
 	f.mu.Lock()
 	if err != nil {
@@ -216,8 +227,15 @@ func (f *Fabric) Close() error {
 				wr.wire.Close()
 			}
 		default:
-			// Still dialing; the dial path notices f.closed and cleans
-			// up itself.
+			// Still dialing: cut a handshake in flight short (a dial
+			// still connecting sees f.closed when it lands); either way
+			// the dial path cleans up itself.
+			f.mu.Lock()
+			conn := wr.conn
+			f.mu.Unlock()
+			if conn != nil {
+				conn.Close()
+			}
 		}
 	}
 	return nil

@@ -267,7 +267,7 @@ func TestBlockedWriteUnblocked(t *testing.T) {
 	// would regrant), so the third client symbol parks in acquireCredit.
 	accept := func(ch *Channel) {
 		ch.Accept(protocol.Hello{FullCopy: true})
-		<-ch.Wire().Done()
+		<-ch.w.Done()
 	}
 	park := func(t *testing.T, ch *Channel) chan error {
 		t.Helper()

@@ -19,8 +19,8 @@ import (
 
 // Misbehavior weights passed to Config.Penalize — aligned with the peer
 // package's penalty constants (a protocol violation weighs like a
-// connection reset, a corrupt stream like PenaltyCorrupt) so fabric
-// misbehavior accumulates in the same ban ledger as legacy-session
+// connection reset, a corrupt stream like PenaltyCorrupt) so wire-level
+// misbehavior accumulates in the same ban ledger as session-level
 // misbehavior.
 const (
 	// WeightViolation charges a per-frame protocol violation: an
@@ -100,8 +100,6 @@ type Config struct {
 	// The caller binds the address/attribution — the wire only reports
 	// the weight.
 	Penalize func(weight float64)
-	// OnPeers, when non-nil, receives wire-level gossip advertisements.
-	OnPeers func(ads []protocol.PeerAd)
 	// Obs, when non-nil, receives wire metrics (credit occupancy vs the
 	// wire budget, channel population, queue depths) and lifecycle
 	// trace events (channel open/resize/close). Fabric copies it to
@@ -140,8 +138,7 @@ type Wire struct {
 	raddr   string // cached RemoteAddr().String() for trace subjects
 
 	// wmu serializes writes on conn. Never acquired while holding mu.
-	wmu     sync.Mutex
-	sentAds map[protocol.PeerAd]bool
+	wmu sync.Mutex
 
 	// winMu guards winSum, the aggregate of every open channel's local
 	// receive-window target — the wire-level credit ledger a scheduler
@@ -240,18 +237,17 @@ func Accept(conn net.Conn, fr *protocol.FrameReader, client protocol.MuxHello, c
 
 func newWire(conn net.Conn, fr *protocol.FrameReader, cfg Config, dialer bool, remote protocol.MuxHello) *Wire {
 	w := &Wire{
-		conn:    conn,
-		fr:      fr,
-		cfg:     cfg,
-		dialer:  dialer,
-		remote:  remote,
-		met:     newWireMetrics(cfg.Obs),
-		raddr:   conn.RemoteAddr().String(),
-		sentAds: make(map[protocol.PeerAd]bool),
-		chans:   make(map[uint16]*Channel),
-		pend:    make(map[uint16]chan openReply),
-		drain:   make(map[uint16]struct{}),
-		done:    make(chan struct{}),
+		conn:   conn,
+		fr:     fr,
+		cfg:    cfg,
+		dialer: dialer,
+		remote: remote,
+		met:    newWireMetrics(cfg.Obs),
+		raddr:  conn.RemoteAddr().String(),
+		chans:  make(map[uint16]*Channel),
+		pend:   make(map[uint16]chan openReply),
+		drain:  make(map[uint16]struct{}),
+		done:   make(chan struct{}),
 	}
 	if dialer {
 		w.nextID = 1
@@ -416,34 +412,6 @@ func (w *Wire) abortOpen(id uint16) {
 	}
 }
 
-// SendPeers writes a wire-level PEERS frame carrying the
-// advertisements not yet sent on this wire (per-wire dedup mirrors the
-// legacy per-session dedup). A nil or fully duplicate batch is a no-op.
-func (w *Wire) SendPeers(ads []protocol.PeerAd) error {
-	w.wmu.Lock()
-	fresh := ads[:0:0]
-	for _, ad := range ads {
-		if ad.Addr == "" || w.sentAds[ad] {
-			continue
-		}
-		w.sentAds[ad] = true
-		fresh = append(fresh, ad)
-		if len(fresh) == protocol.MaxPeerAds {
-			break
-		}
-	}
-	if len(fresh) == 0 {
-		w.wmu.Unlock()
-		return nil
-	}
-	err := w.writeLocked(protocol.EncodePeers(fresh))
-	w.wmu.Unlock()
-	if err != nil {
-		w.fail(err)
-	}
-	return err
-}
-
 // writeFrame serializes one wire-level frame onto conn.
 func (w *Wire) writeFrame(f protocol.Frame) error {
 	w.wmu.Lock()
@@ -600,21 +568,12 @@ func (w *Wire) readLoop() {
 				continue
 			}
 			w.remoteClose(id)
-		case protocol.TypePeers:
-			ads, err := protocol.DecodePeers(f)
-			if err != nil {
-				w.penalize(WeightViolation)
-				continue
-			}
-			if w.cfg.OnPeers != nil && len(ads) > 0 {
-				w.cfg.OnPeers(ads)
-			}
 		case protocol.TypeError:
 			msg, _ := protocol.DecodeError(f)
 			w.fail(&RemoteError{Msg: msg})
 			return
 		default:
-			// A bare legacy frame on a multiplexed wire: the peer lost
+			// A bare content frame on a multiplexed wire: the peer lost
 			// the plot. Charge it and drop the frame; the wire itself
 			// is still framed correctly, so it survives.
 			w.penalize(WeightViolation)

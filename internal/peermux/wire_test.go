@@ -281,47 +281,6 @@ func TestChannelDeadlineUnblocks(t *testing.T) {
 	ch.Close()
 }
 
-func TestWirePeersDedup(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	var mu sync.Mutex
-	var got []protocol.PeerAd
-	seen := make(chan struct{}, 8)
-	scfg := Config{OnPeers: func(ads []protocol.PeerAd) {
-		mu.Lock()
-		got = append(got, ads...)
-		mu.Unlock()
-		seen <- struct{}{}
-	}}
-	w, shutdown := startPair(t, Config{}, scfg, func(ch *Channel) {
-		ch.Accept(protocol.Hello{})
-		for {
-			if _, err := ch.Next(); err != nil {
-				return
-			}
-		}
-	})
-	defer shutdown()
-
-	ads := []protocol.PeerAd{{ContentID: 1, Addr: "10.0.0.1:9000"}, {ContentID: 2, Addr: "10.0.0.2:9000"}}
-	if err := w.SendPeers(ads); err != nil {
-		t.Fatal(err)
-	}
-	<-seen
-	// A repeat send is fully deduplicated at the wire: nothing arrives.
-	if err := w.SendPeers(ads); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.SendPeers([]protocol.PeerAd{ads[0], {ContentID: 3, Addr: "10.0.0.3:9000"}}); err != nil {
-		t.Fatal(err)
-	}
-	<-seen
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 3 {
-		t.Fatalf("received %d ads, want 3 (dedup failed): %+v", len(got), got)
-	}
-}
-
 func TestUnknownChannelCharged(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	var charges atomic.Int64
@@ -360,9 +319,9 @@ func TestClosedChannelDrainsSilently(t *testing.T) {
 		// channel is gone.
 		<-release
 		for i := 0; i < 4; i++ {
-			ch.Wire().writeMux(ch.ID(), protocol.TypeSymbol, []byte("late-symbol-data"))
+			ch.w.writeMux(ch.ID(), protocol.TypeSymbol, []byte("late-symbol-data"))
 		}
-		ch.Wire().writeMux(ch.ID(), protocol.TypeDone, nil)
+		ch.w.writeMux(ch.ID(), protocol.TypeDone, nil)
 		for {
 			if _, err := ch.Next(); err != nil {
 				return
@@ -390,11 +349,13 @@ func TestClosedChannelDrainsSilently(t *testing.T) {
 	ch2.Close()
 }
 
-func TestFabricSharesOneWire(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	var dials atomic.Int64
+// acceptingDialer is a Fabric dial function whose every connection is
+// accepted as a wire served by handler; dials counts the connections and
+// wait joins the serving goroutines.
+func acceptingDialer(handler func(*Channel)) (dial func(string) (net.Conn, error), dials *atomic.Int64, wait func()) {
+	dials = new(atomic.Int64)
 	var serveWG sync.WaitGroup
-	dial := func(addr string) (net.Conn, error) {
+	dial = func(addr string) (net.Conn, error) {
 		dials.Add(1)
 		cc, sc := net.Pipe()
 		serveWG.Add(1)
@@ -412,7 +373,7 @@ func TestFabricSharesOneWire(t *testing.T) {
 				sc.Close()
 				return
 			}
-			w, err := Accept(sc, fr, mh, Config{}, serveSymbols(100, []byte("y")))
+			w, err := Accept(sc, fr, mh, Config{}, handler)
 			if err != nil {
 				return
 			}
@@ -420,6 +381,12 @@ func TestFabricSharesOneWire(t *testing.T) {
 		}()
 		return cc, nil
 	}
+	return dial, dials, serveWG.Wait
+}
+
+func TestFabricSharesOneWire(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	dial, dials, wait := acceptingDialer(serveSymbols(100, []byte("y")))
 	fab := NewFabric(dial, Config{})
 	defer fab.Close()
 
@@ -470,7 +437,65 @@ func TestFabricSharesOneWire(t *testing.T) {
 	}
 	ch.Close()
 	fab.Close()
-	serveWG.Wait()
+	wait()
+}
+
+// TestFabricRejectedOpenReleasesWire: a first open the peer rejects must
+// not leave the wire it dialed idle in the pool (nobody would ever close
+// it — the acceptor would sit on it until its read deadline).
+func TestFabricRejectedOpenReleasesWire(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	dial, dials, wait := acceptingDialer(func(ch *Channel) { ch.Reject("busy (try later)") })
+	fab := NewFabric(dial, Config{})
+	defer fab.Close()
+	for i := 1; i <= 2; i++ {
+		_, err := fab.Open("peer-a", protocol.Hello{ContentID: 1}, 2*time.Second)
+		var rej *RejectError
+		if !errors.As(err, &rej) {
+			t.Fatalf("open %d: err = %v, want RejectError", i, err)
+		}
+		if n := fab.Wires(); n != 0 {
+			t.Fatalf("fabric holds %d wires after a rejected lone open, want 0", n)
+		}
+		if n := dials.Load(); n != int64(i) {
+			t.Fatalf("open %d: %d dials so far, want %d (no idle wire to reuse)", i, n, i)
+		}
+	}
+	wait() // both wires were closed from our side, so both servers unwind
+}
+
+// TestFabricCloseInterruptsHandshake: a dial whose peer never answers
+// the MUX_HELLO must not outlive the fabric — Close cuts the handshake
+// short instead of leaving the Open parked for the whole Timeout.
+func TestFabricCloseInterruptsHandshake(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	dialed := make(chan net.Conn, 1)
+	dial := func(addr string) (net.Conn, error) {
+		cc, sc := net.Pipe()
+		go io.Copy(io.Discard, sc) // swallow the MUX_HELLO, answer nothing
+		dialed <- sc
+		return cc, nil
+	}
+	fab := NewFabric(dial, Config{Timeout: time.Minute})
+	opened := make(chan error, 1)
+	go func() {
+		_, err := fab.Open("mute", protocol.Hello{ContentID: 1}, time.Minute)
+		opened <- err
+	}()
+	sc := <-dialed
+	defer sc.Close()
+	// Give the handshake a moment to park reading the answer; Close must
+	// cut it either way (a Close that lands first is seen after the dial).
+	time.Sleep(10 * time.Millisecond)
+	fab.Close()
+	select {
+	case err := <-opened:
+		if err == nil {
+			t.Fatal("Open on a closed fabric succeeded")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Open still parked in the handshake after Fabric.Close")
+	}
 }
 
 func TestDialVersionReject(t *testing.T) {

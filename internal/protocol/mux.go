@@ -1,9 +1,9 @@
 package protocol
 
-// mux.go is the v5 connection-fabric wire vocabulary: the MUX_HELLO
+// mux.go is the connection-fabric wire vocabulary: the MUX_HELLO
 // handshake, channel negotiation (OPEN/ACCEPT/REJECT/CLOSE_CHANNEL),
 // CREDIT flow-control grants, and the MUX envelope that carries any
-// legacy frame tagged with a channel id. The envelope nests only the
+// content frame tagged with a channel id. The envelope nests only the
 // inner type and payload — one outer CRC covers the whole frame, so
 // multiplexing costs 3 bytes per frame, not a second checksum.
 
@@ -62,8 +62,8 @@ func DecodeMuxHello(f Frame) (MuxHello, error) {
 }
 
 // EncodeOpenChannel marshals a channel-open request: the id the opener
-// chose plus its content HELLO (the same payload a legacy session sends
-// first — content id, working-set size, summary mask, listen address).
+// chose plus its content HELLO (content id, working-set size, summary
+// mask, listen address).
 func EncodeOpenChannel(ch uint16, h Hello) Frame {
 	buf := make([]byte, 2, 2+helloFixedLen+1+len(h.ListenAddr))
 	binary.LittleEndian.PutUint16(buf, ch)
@@ -205,14 +205,14 @@ func MuxView(f Frame) (ch uint16, inner Frame, err error) {
 		return 0, Frame{}, errors.New("protocol: MUX too short")
 	}
 	return binary.LittleEndian.Uint16(f.Payload),
-		Frame{Type: Type(f.Payload[2]), Payload: f.Payload[3:], Version: f.Version}, nil
+		Frame{Type: Type(f.Payload[2]), Payload: f.Payload[3:]}, nil
 }
 
 // FrameParts splits one fully serialized frame — what any writer in
 // this package emits in a single Write call — into its type and payload
 // (aliasing p), without verifying the CRC: the caller got the bytes
 // from a trusted in-process writer, not a network. It is how a
-// multiplexing layer re-frames a legacy frame into a MUX envelope
+// multiplexing layer re-frames a content frame into a MUX envelope
 // without a decode/re-encode round trip.
 func FrameParts(p []byte) (Type, []byte, error) {
 	if len(p) < headerLen+4 || binary.LittleEndian.Uint16(p) != magic {

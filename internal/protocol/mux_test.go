@@ -1,9 +1,8 @@
 package protocol
 
 // mux_test.go covers the v5 connection-fabric codecs: round trips for
-// every negotiation frame, the MUX envelope's single-CRC nesting, the
-// legacy-version writer's byte-level rewrite, and the version-reject
-// classifier.
+// every negotiation frame, the MUX envelope's single-CRC nesting, and
+// the version-reject classifier.
 
 import (
 	"bytes"
@@ -103,42 +102,6 @@ func TestMuxEnvelope(t *testing.T) {
 	}
 	if _, _, err := MuxView(Frame{Type: TypeMux, Payload: []byte{0, 1}}); err == nil {
 		t.Fatal("truncated MUX accepted")
-	}
-}
-
-func TestLegacyWriterRewritesVersionByte(t *testing.T) {
-	var buf bytes.Buffer
-	lw := LegacyWriter(&buf)
-	if err := WriteSymbol(lw, 7, []byte("abc")); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	if raw[2] != VersionLegacy {
-		t.Fatalf("version byte %d, want %d", raw[2], VersionLegacy)
-	}
-	// The rewritten frame still validates (the CRC excludes the version
-	// byte) and reports the legacy version.
-	f, err := ReadFrame(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("rewritten frame rejected: %v", err)
-	}
-	if f.Version != VersionLegacy || f.Type != TypeSymbol {
-		t.Fatalf("frame = %+v, want legacy SYMBOL", f)
-	}
-	id, data, err := SymbolView(f)
-	if err != nil || id != 7 || string(data) != "abc" {
-		t.Fatalf("legacy symbol view: id=%d data=%q err=%v", id, data, err)
-	}
-}
-
-func TestReadFrameAcceptsLegacyRejectsOthers(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, EncodeDone()); err != nil {
-		t.Fatal(err)
-	}
-	f, err := ReadFrame(bytes.NewReader(buf.Bytes()))
-	if err != nil || f.Version != Version {
-		t.Fatalf("own frame: %+v err=%v", f, err)
 	}
 }
 

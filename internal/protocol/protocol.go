@@ -31,31 +31,21 @@ import (
 	"sync"
 )
 
-// Version is the protocol version spoken by this library. Version 2
-// changed the Bloom summary's probe positions (Lemire fast-range
-// reduction instead of `% m`), so a v1 peer's filter bits are
-// meaningless to a v2 peer; the version check turns that silent
-// reconciliation corruption into a clean handshake failure. Version 3
-// added summary-method negotiation: the HELLO grew a supported-methods
-// mask (its payload is one byte longer), and summaries travel in
-// SUMMARY/SUMMARY_REFRESH frames that name their method explicitly.
-// Version 4 added gossip peer discovery: the HELLO grew a
-// variable-length advertised listen address, and either side may send
-// PEERS frames carrying capped, deduplicated lists of (content id,
-// address) advertisements. Version 5 added the multiplexed connection
-// fabric: a MUX_HELLO handshake, OPEN/ACCEPT/REJECT/CLOSE_CHANNEL
-// negotiation, per-channel CREDIT flow control, and a MUX envelope that
-// carries any v4 frame tagged with a channel id — so one wire serves N
-// content subchannels. Every v4 frame is unchanged in v5, so a v5
-// reader also accepts v4 frames (VersionLegacy) and a v5 server can
-// serve a v4 client a single-channel legacy session.
+// Version is the one protocol version this library speaks, and the only
+// version byte readFrame accepts: any other value is ErrVersion. What the
+// number has accumulated: Lemire fast-range Bloom probe positions (2),
+// summary-method negotiation in the HELLO mask and SUMMARY /
+// SUMMARY_REFRESH frames (3), gossip peer discovery via the HELLO's
+// advertised listen address and PEERS frames (4), and the multiplexed
+// connection fabric (5) — a MUX_HELLO handshake, OPEN/ACCEPT/REJECT/
+// CLOSE_CHANNEL negotiation, per-channel CREDIT flow control, and a MUX
+// envelope carrying any content frame tagged with a channel id, so one
+// wire serves N content subchannels. The fabric is the only session
+// transport: every connection starts with MUX_HELLO, and a content
+// HELLO travels only inside OPEN/ACCEPT_CHANNEL. The version byte sits
+// outside the CRC, so accepting exactly one value is also what makes
+// every corruption of it detectable.
 const Version = 5
-
-// VersionLegacy is the newest prior version whose frames are
-// byte-compatible with ours (v4: every frame type 1–12 is identical in
-// v5). readFrame accepts it so a v5 node can interoperate with v4
-// peers; frames of any other version fail with ErrVersion.
-const VersionLegacy = 4
 
 // ErrVersion marks a frame whose version byte differs from Version. A
 // session layer that sees it should fail the handshake cleanly (report
@@ -82,9 +72,9 @@ type Type uint8
 
 const (
 	TypeHello   Type = 1 // handshake and content metadata
-	TypeSketch  Type = 2 // min-wise sketch (§4)
-	TypeBloom   Type = 3 // Bloom filter summary (§5.2)
-	TypeART     Type = 4 // approximate reconciliation tree summary (§5.3)
+	TypeSketch  Type = 2 // bare min-wise sketch (§4): number reserved, summaries travel in SUMMARY
+	TypeBloom   Type = 3 // bare Bloom filter (§5.2): number reserved
+	TypeART     Type = 4 // bare ART summary (§5.3): number reserved
 	TypeRequest Type = 5 // receiver asks for a batch of symbols
 	TypeSymbol  Type = 6 // one regular encoded symbol
 	TypeRecoded Type = 7 // one recoded symbol (§5.4.2)
@@ -99,19 +89,19 @@ const (
 	// should re-derive its recoding domain.
 	TypeSummaryRefresh Type = 11
 
-	// TypePeers carries gossip peer advertisements (v4): a capped,
+	// TypePeers carries gossip peer advertisements: a capped,
 	// deduplicated list of (content id, dialable address) pairs either
 	// side may volunteer so a swarm bootstrapped from a single seed
 	// address can self-assemble the full mesh.
 	TypePeers Type = 12
 
-	// The v5 connection-fabric frames. A multiplexed wire starts with a
+	// The connection-fabric frames. A multiplexed wire starts with a
 	// MUX_HELLO exchange instead of a content HELLO; after that, content
 	// sessions live on numbered subchannels negotiated with
 	// OPEN/ACCEPT/REJECT_CHANNEL and torn down with CLOSE_CHANNEL, data
 	// frames travel inside MUX envelopes, and receivers meter senders
-	// with CREDIT grants. PEERS and ERROR frames remain untagged: they
-	// belong to the wire, not to any one channel.
+	// with CREDIT grants. A bare ERROR belongs to the wire, not to any one
+	// channel: it answers the handshake, or kills the connection.
 	TypeMuxHello      Type = 13 // wire handshake (replaces HELLO on fabric conns)
 	TypeOpenChannel   Type = 14 // open a subchannel: channel id + content HELLO
 	TypeAcceptChannel Type = 15 // accept: channel id + serving-side HELLO
@@ -167,15 +157,10 @@ func (t Type) String() string {
 	}
 }
 
-// Frame is one wire message. Version records the version byte the frame
-// arrived with — Version (5) or VersionLegacy (4) — so a server can tell
-// a legacy client apart from a current one; frames built by the Encode
-// helpers leave it zero, and the writers always stamp the current
-// Version on the wire (use a LegacyWriter to answer a v4 peer).
+// Frame is one wire message.
 type Frame struct {
 	Type    Type
 	Payload []byte
-	Version uint8
 }
 
 const headerLen = 2 + 1 + 1 + 4
@@ -226,35 +211,6 @@ func WriteFrame(w io.Writer, f Frame) error {
 	return writeFrame2(w, f.Type, f.Payload, nil)
 }
 
-// LegacyWriter wraps w so every frame written through it carries the
-// VersionLegacy version byte — how a v5 server answers a v4 client in
-// frames the client's reader will accept. It relies on two framing
-// invariants: every writer in this package emits exactly one complete
-// frame per Write call, and the version byte sits outside the CRC (the
-// checksum covers type|length|payload only), so rewriting it cannot
-// invalidate the trailer. Writes that are not a whole frame pass
-// through unchanged.
-func LegacyWriter(w io.Writer) io.Writer { return &legacyWriter{w: w} }
-
-type legacyWriter struct {
-	w   io.Writer
-	buf []byte
-}
-
-func (lw *legacyWriter) Write(p []byte) (int, error) {
-	if len(p) < headerLen || binary.LittleEndian.Uint16(p) != magic {
-		return lw.w.Write(p)
-	}
-	// Copy before rewriting: an io.Writer must not mutate its input.
-	lw.buf = append(lw.buf[:0], p...)
-	lw.buf[2] = VersionLegacy
-	n, err := lw.w.Write(lw.buf)
-	if n > len(p) {
-		n = len(p)
-	}
-	return n, err
-}
-
 // readFrame reads and validates one frame from r into scratch storage
 // (grown only if needed), returning the frame and the storage for reuse.
 // The frame's payload aliases the returned scratch slice. hdr is a
@@ -267,7 +223,7 @@ func readFrame(r io.Reader, hdr, scratch []byte) (Frame, []byte, error) {
 	if binary.LittleEndian.Uint16(hdr[0:]) != magic {
 		return Frame{}, scratch, fmt.Errorf("%w: bad magic (stream desynchronized?)", ErrCorrupt)
 	}
-	if hdr[2] != Version && hdr[2] != VersionLegacy {
+	if hdr[2] != Version {
 		return Frame{}, scratch, fmt.Errorf("%w: got %d, speaking %d", ErrVersion, hdr[2], Version)
 	}
 	length := binary.LittleEndian.Uint32(hdr[4:])
@@ -293,7 +249,7 @@ func readFrame(r io.Reader, hdr, scratch []byte) (Frame, []byte, error) {
 	if crc != wantCRC {
 		return Frame{}, scratch, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	return Frame{Type: Type(hdr[3]), Payload: payload, Version: hdr[2]}, scratch, nil
+	return Frame{Type: Type(hdr[3]), Payload: payload}, scratch, nil
 }
 
 // ReadFrame reads and validates one frame from r. The payload is freshly
@@ -346,7 +302,7 @@ type Hello struct {
 	// method.Bit() values. Zero means "no summaries" — a v3 peer that
 	// only streams blindly.
 	SummaryMask uint8
-	// ListenAddr is the announcer's dialable listen address (v4), empty
+	// ListenAddr is the announcer's dialable listen address, empty
 	// when the announcer cannot be dialed back. Peers feed it into
 	// their gossip directories and relay it in PEERS frames.
 	ListenAddr string
@@ -359,7 +315,7 @@ const MaxAddrLen = 255
 const helloFixedLen = 8 + 4 + 4 + 8 + 8 + 1 + 8 + 1
 
 // appendHelloPayload marshals h onto buf — shared by the HELLO frame and
-// the v5 OPEN/ACCEPT_CHANNEL frames, which embed the same layout after a
+// the OPEN/ACCEPT_CHANNEL frames, which embed the same layout after a
 // channel id.
 func appendHelloPayload(buf []byte, h Hello) []byte {
 	addr := h.ListenAddr
@@ -580,19 +536,14 @@ func EncodeError(msg string) Frame {
 	return Frame{Type: TypeError, Payload: []byte(msg)}
 }
 
-// ReasonUnknownContent is the canonical ERROR-message prefix a server
-// answers when a HELLO names a content id it does not hold. Multi-content
-// listeners route every inbound HELLO by content id, so "I don't have
-// that" became a first-class, machine-readable outcome: receivers match
-// it with IsUnknownContent and treat the peer as permanently useless for
-// that content (no redial) instead of a transient failure.
+// ReasonUnknownContent is the canonical rejection prefix a server
+// answers when a channel's HELLO names a content id it does not hold,
+// e.g. "unknown content 0xf00d". Multi-content listeners route every
+// inbound channel by content id, so "I don't have that" became a
+// first-class, machine-readable outcome: receivers match it with
+// IsUnknownContent and treat the peer as permanently useless for that
+// content (no redial) instead of a transient failure.
 const ReasonUnknownContent = "unknown content"
-
-// EncodeErrorUnknownContent builds the canonical ERROR frame for a
-// HELLO naming an unserved content id, e.g. "unknown content 0xf00d".
-func EncodeErrorUnknownContent(id uint64) Frame {
-	return EncodeError(fmt.Sprintf("%s %#x", ReasonUnknownContent, id))
-}
 
 // IsUnknownContent reports whether an ERROR message is the canonical
 // unknown-content answer (with or without the offending id appended).
@@ -644,10 +595,9 @@ func EncodeErrorBadVersion() Frame {
 }
 
 // IsVersionReject reports whether an ERROR message is the canonical
-// version rejection (with or without detail appended). A v5 client
-// needs it because a v4 server's frames parse fine here (VersionLegacy)
-// — the incompatibility arrives as this ERROR text, not as ErrVersion
-// from the frame layer.
+// version rejection (with or without detail appended): the peer's reader
+// refused our version byte and said so in framing ours happened to
+// accept.
 func IsVersionReject(msg string) bool {
 	if !strings.HasPrefix(msg, ReasonBadVersion) {
 		return false
@@ -663,12 +613,6 @@ func DecodeError(f Frame) (string, error) {
 	}
 	return string(f.Payload), nil
 }
-
-// EncodeSketch wraps a marshaled min-wise sketch.
-func EncodeSketch(data []byte) Frame { return Frame{Type: TypeSketch, Payload: data} }
-
-// EncodeBloom wraps a marshaled Bloom filter.
-func EncodeBloom(data []byte) Frame { return Frame{Type: TypeBloom, Payload: data} }
 
 // SummaryMethod names one of the §3 working-set summary techniques a
 // receiver can send a partial sender: a Bloom filter (§5.2), a min-wise
@@ -797,7 +741,7 @@ type PeerAd struct {
 // peer cannot flood the frame.
 const MaxPeerAds = 64
 
-// EncodePeers marshals a PEERS frame (v4). Advertisements are
+// EncodePeers marshals a PEERS frame. Advertisements are
 // deduplicated by (content id, address); empty or oversized addresses
 // are dropped; the list is truncated at MaxPeerAds. The layout is a
 // uint16 count followed by count entries of contentID uint64, addrLen

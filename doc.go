@@ -80,31 +80,46 @@
 //     built permutation-major over a once-folded key slice
 //     (minwise.Build), with incremental Add for mid-transfer updates.
 //
-// # Receive-path model (sharded decoding)
+// # Receive-path model (fold → peel)
 //
-// The receive side mirrors the send side's cost discipline and adds one
-// axis the sender does not have: a downloader can decode on every core
-// it owns (fountain.ShardedDecoder; peer.Fetch uses it by default).
+// The receive side mirrors the send side's cost discipline. peer.Fetch
+// runs one decoder — the plain single-core fountain.Decoder — behind a
+// two-stage pipeline:
 //
-// Sharding strategy. Source block b is owned by shard b mod S
-// (S defaults to GOMAXPROCS). Every XOR that touches b — reducing an
-// incoming symbol by a recovered block, recovering b, propagating b
-// through buffered symbols — runs on b's owner, so payload work
-// distributes uniformly across shards and a block's bytes stay in one
-// core's cache. A symbol whose neighbors all fall in one shard is
-// routed straight there and peels exactly as in the single-core
-// decoder. AddSymbol is safe from any number of feeder goroutines;
-// routing itself does no payload work beyond one copy.
+//   - Fold. The orchestrator's decode loop takes arrivals off the
+//     sessions' channel in batches and folds them into the working set
+//     (recode.Decoder) under the orchestrator lock. For a regular symbol
+//     that is a map insert; only recoded symbols XOR here. The working
+//     set is what reconciliation summaries, the scheduler's Progress and
+//     a co-located live Server read, so its freshness is the paper's
+//     trade: a summary built from a stale set makes senders spend
+//     transmissions on symbols the receiver already holds.
+//   - Peel. Every encoded symbol the fold made newly known is queued for
+//     the peel stage: one goroutine that owns the fountain.Decoder
+//     outright (no shards, no mailboxes, no lock around the XOR work) and
+//     decodes strictly in arrival order.
 //
-// Cross-shard symbols. A symbol spanning shards hops owner to owner
-// (each hop XORs out that owner's recovered blocks), tracked by a
-// visited mask. When it reaches degree 1 its payload is the missing
-// block's value and it goes to that block's owner for recovery; when
-// every involved shard has reduced it, it parks at a coordinator that
-// does only index bookkeeping — on a recovery announcement it
-// re-dispatches waiters to the recovering shard. The coordinator's own
-// recovered-set check closes the announce-then-park race, so no symbol
-// waits on a block that is already known.
+// The invariant between them: the fold never waits behind XOR work. The
+// queue is unbounded (it holds pointers into the working set, so it
+// cannot outgrow it) until the working set reaches n symbols; from there
+// completion is possible, and the loop settles the stage after every
+// batch so the transfer ends at the batch that completes it. The stage
+// stops decoding at the completing symbol, so FetchResult.DecodeOverhead
+// is exactly a bare Decoder's on the same id sequence.
+//
+// The decoder's own bookkeeping is arena-backed: buffered symbols are
+// values in one slice, their unresolved-block lists runs of another,
+// per-block waiter lists chains through a third, payload buffers carved
+// from slabs — a fraction of an allocation per symbol
+// (fountain.TestDecoderSteadyStateAllocs).
+//
+// fountain.ShardedDecoder (blocks owned by shard b mod S, cross-shard
+// symbols hopping owner to owner under a coordinator) is no longer on
+// this path: at k=4096 on two cores it decodes at 0.23× the plain
+// decoder's rate, its coordination was two thirds of a fetch's CPU, and
+// the engine keeps one decoder unless a measurement buys a second. The
+// type survives only as the benchmark's
+// fountain.decode_sharded_ns_per_symbol row.
 //
 // Buffer ownership (who may Release what, when):
 //
@@ -113,11 +128,15 @@
 //     exactly once, after its last use (send loops release right after
 //     the frame write). AddSymbol always copies, so feeding a decoder
 //     never transfers ownership.
-//   - ShardedDecoder buffers: internal. Exactly one component owns each
-//     freelist buffer — the in-flight message, the parked symbol, or the
-//     recovered block. Redundant symbols surrender theirs immediately;
-//     Close reclaims parked ones; recovered blocks keep theirs (they ARE
-//     the output of Blocks).
+//   - Decoder buffers: internal, carved from the decoder's slabs.
+//     Exactly one holder per buffer — the buffered symbol, the peel
+//     queue, or the recovered block. Fully reduced symbols surrender
+//     theirs to the spare list at once; recovered blocks keep theirs
+//     (they ARE the output of Blocks).
+//   - Working-set payloads: the fold hands a useful regular symbol's
+//     pool buffer to recode.Decoder.AddKnown, and from then on nobody
+//     writes it. The peel stage and a live Server's snapshot read it
+//     outside the orchestrator lock on the strength of that alone.
 //   - protocol.FrameReader: its frame payload is a borrowed view, valid
 //     only until the next frame; never Release or retain it. Copy out
 //     via DecodeSymbolInto into a buffer you own (peer.Fetch keeps a
@@ -135,9 +154,9 @@
 // buffer is ownership-transferred into the working set (AddKnown keeps
 // it as the stored payload), so that path costs one buffer per symbol
 // the receiver keeps forever — an allocation the content itself
-// requires, not pipeline overhead. Decode throughput scales with shards
-// until the memory bus saturates (BenchmarkDecoderSharded;
-// `icdbench -exp decode` prints the same comparison).
+// requires, not pipeline overhead. peer.BenchmarkFetchFabricPipe is the
+// whole path as one row (MB/s and allocs/symbol of a fabric fetch over
+// an in-process pipe).
 //
 // # Control plane (sessions, orchestration, negotiation)
 //

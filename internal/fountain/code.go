@@ -3,6 +3,7 @@ package fountain
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"icd/internal/hashing"
 	"icd/internal/prng"
@@ -156,6 +157,13 @@ func (e *Encoder) Release(sym Symbol) {
 // symbols using the substitution rule: each incoming symbol is reduced by
 // the blocks already known; degree-1 residuals recover a block, which is
 // substituted into buffered symbols, cascading (§5.4.1).
+//
+// Bookkeeping lives in arenas that grow by amortized doubling, so the
+// steady-state AddSymbol allocates (almost) nothing per symbol: buffered
+// symbols are values in buf, their unresolved-block lists are runs of
+// unknowns, the per-block waiter lists are chains through waiters headed
+// by waitHead, and payload buffers are carved from slabs of slabBuffers
+// at a time.
 type Decoder struct {
 	code      *Code
 	blockSize int
@@ -164,19 +172,35 @@ type Decoder struct {
 	received  int // total symbols accepted (for overhead accounting)
 	redundant int // symbols contributing nothing new (already-seen id or fully reduced)
 
-	pending map[int][]int // block index -> indices into buf waiting on it
-	buf     []*pendingSymbol
-	seen    map[uint64]bool
+	buf      []bufferedSymbol // symbols buffered with two or more unknown blocks
+	unknowns []int32          // arena of the buffered symbols' unresolved block indices
+	waitHead []int32          // per block: 1 + index into waiters of its first waiter, 0 = none
+	waiters  []waiter
+	seen     map[uint64]bool
 
 	idx   []int // neighbor-expansion scratch
 	queue []peelRec
 	spare [][]byte // payload buffers freed by redundant symbols, reused
+	slab  []byte   // unissued remainder of the newest payload slab
 }
 
-type pendingSymbol struct {
-	data    []byte
-	unknown []int // unresolved block indices
-	dead    bool
+// slabBuffers is how many payload buffers one slab allocation holds. Slabs
+// are carved on demand rather than sized for the whole content up front, so
+// a decoder costs memory only for the symbols it has actually been fed.
+const slabBuffers = 64
+
+// bufferedSymbol is one buffered symbol: its reduced payload and the run
+// unknowns[off:off+n] of blocks it still waits on. n drops to 0 when the
+// symbol leaves the buffer (its payload moves on to the peel queue).
+type bufferedSymbol struct {
+	data   []byte
+	off, n int32
+}
+
+// waiter is one link of a block's waiter chain: the buffered symbol
+// waiting on the block, and the next link (1 + index, 0 = end).
+type waiter struct {
+	sym, next int32
 }
 
 type peelRec struct {
@@ -184,12 +208,14 @@ type peelRec struct {
 	data []byte
 }
 
-func (ps *pendingSymbol) drop(idx int) bool {
-	for i, u := range ps.unknown {
+// drop removes block idx from ps's unresolved run, reporting whether it
+// was there.
+func (d *Decoder) drop(ps *bufferedSymbol, idx int32) bool {
+	run := d.unknowns[ps.off : ps.off+ps.n]
+	for i, u := range run {
 		if u == idx {
-			last := len(ps.unknown) - 1
-			ps.unknown[i] = ps.unknown[last]
-			ps.unknown = ps.unknown[:last]
+			run[i] = run[len(run)-1]
+			ps.n--
 			return true
 		}
 	}
@@ -201,24 +227,33 @@ func NewDecoder(code *Code, blockSize int) (*Decoder, error) {
 	if blockSize < 1 {
 		return nil, errors.New("fountain: non-positive block size")
 	}
+	if code.n > math.MaxInt32 {
+		return nil, fmt.Errorf("fountain: %d source blocks exceed the decoder's index range", code.n)
+	}
 	return &Decoder{
 		code:      code,
 		blockSize: blockSize,
 		blocks:    make([][]byte, code.n),
-		pending:   make(map[int][]int),
-		seen:      make(map[uint64]bool),
+		waitHead:  make([]int32, code.n),
+		seen:      make(map[uint64]bool, code.n), // completion takes at least n symbols
 	}, nil
 }
 
-// getBuf returns a blockSize scratch buffer, reusing buffers surrendered
-// by redundant symbols so a saturated decoder stops allocating.
+// getBuf returns a blockSize scratch buffer: one surrendered by a
+// redundant symbol if any (so a saturated decoder stops allocating), else
+// the next slice of the current slab.
 func (d *Decoder) getBuf() []byte {
 	if n := len(d.spare); n > 0 {
 		b := d.spare[n-1]
 		d.spare = d.spare[:n-1]
 		return b
 	}
-	return make([]byte, d.blockSize)
+	if len(d.slab) < d.blockSize {
+		d.slab = make([]byte, slabBuffers*d.blockSize)
+	}
+	b := d.slab[:d.blockSize:d.blockSize]
+	d.slab = d.slab[d.blockSize:]
+	return b
 }
 
 // AddSymbol ingests one symbol and runs the peeling cascade. It returns
@@ -256,11 +291,12 @@ func (d *Decoder) AddSymbol(sym Symbol) (int, error) {
 	case 1:
 		d.recoverBlock(unknown[0], data)
 	default:
-		ps := &pendingSymbol{data: data, unknown: append([]int(nil), unknown...)}
-		d.buf = append(d.buf, ps)
-		at := len(d.buf) - 1
-		for _, i := range ps.unknown {
-			d.pending[i] = append(d.pending[i], at)
+		at := int32(len(d.buf))
+		d.buf = append(d.buf, bufferedSymbol{data: data, off: int32(len(d.unknowns)), n: int32(len(unknown))})
+		for _, i := range unknown {
+			d.unknowns = append(d.unknowns, int32(i))
+			d.waiters = append(d.waiters, waiter{sym: at, next: d.waitHead[i]})
+			d.waitHead[i] = int32(len(d.waiters))
 		}
 	}
 	return d.recovered - before, nil
@@ -279,21 +315,20 @@ func (d *Decoder) recoverBlock(idx int, data []byte) {
 		}
 		d.blocks[r.idx] = r.data
 		d.recovered++
-		waiters := d.pending[r.idx]
-		delete(d.pending, r.idx)
-		for _, w := range waiters {
-			ps := d.buf[w]
-			if ps.dead || !ps.drop(r.idx) {
+		w := d.waitHead[r.idx]
+		d.waitHead[r.idx] = 0
+		for ; w != 0; w = d.waiters[w-1].next {
+			ps := &d.buf[d.waiters[w-1].sym]
+			if ps.n == 0 || !d.drop(ps, int32(r.idx)) {
 				continue
 			}
 			xorblock.XorInto(ps.data, r.data)
-			switch len(ps.unknown) {
-			case 1:
-				ps.dead = true
-				queue = append(queue, peelRec{ps.unknown[0], ps.data})
-			case 0:
-				ps.dead = true
-				d.spare = append(d.spare, ps.data)
+			if ps.n == 1 {
+				// Down to one unknown: the symbol leaves the buffer and its
+				// payload becomes that block (or a spare, if another path
+				// recovers the block first).
+				queue = append(queue, peelRec{int(d.unknowns[ps.off]), ps.data})
+				ps.data, ps.n = nil, 0
 			}
 		}
 	}

@@ -568,3 +568,51 @@ func TestEncoderNextZeroAlloc(t *testing.T) {
 		t.Fatalf("Encoder.Next steady state allocates %.1f allocs/op, want 0", avg)
 	}
 }
+
+// TestDecoderSteadyStateAllocs pins the alloc-lean decoder: a whole
+// decode — every symbol up to completion, including the buffered ones
+// and the cascades they feed — costs a small fraction of an allocation
+// per symbol (arena doublings, one payload slab per slabBuffers symbols,
+// and the dedup map prng.SampleIntsInto builds for the rare symbol of
+// degree > 64), where a heap record, an unknown list and a map-indexed
+// waiter slice per buffered symbol used to cost about seven.
+func TestDecoderSteadyStateAllocs(t *testing.T) {
+	const n, blockSize = 1024, 64
+	rng := prng.New(11)
+	blocks, _, err := SplitIntoBlocks(makeContent(rng, n*blockSize), blockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := NewCode(n, nil, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := NewEncoder(code, blocks, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream []Symbol
+	probe, _ := NewDecoder(code, blockSize)
+	for !probe.Done() {
+		sym := enc.Next()
+		stream = append(stream, sym)
+		if _, err := probe.AddSymbol(sym); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perRun := testing.AllocsPerRun(10, func() {
+		dec, _ := NewDecoder(code, blockSize)
+		for _, sym := range stream {
+			dec.AddSymbol(sym)
+		}
+		if !dec.Done() {
+			t.Error("decoder did not finish on the probed stream")
+		}
+	})
+	if perSymbol := perRun / float64(len(stream)); perSymbol > 0.25 {
+		t.Errorf("decode allocates %.3f per symbol (%.0f over %d symbols), want ≤ 0.25",
+			perSymbol, perRun, len(stream))
+	} else {
+		t.Logf("%.3f allocs per symbol (%.0f over %d symbols)", perSymbol, perRun, len(stream))
+	}
+}

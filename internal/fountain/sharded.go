@@ -151,15 +151,35 @@ type ShardedDecoder struct {
 }
 
 // decodeShard owns the blocks ≡ id (mod numShards) and all XOR work on
-// them. pending/parked mirror the single-core Decoder's buffered-symbol
-// index, restricted to symbols whose every unknown block is owned here.
+// them. pending/parked index the buffered symbols whose every unknown
+// block is owned here.
 type decodeShard struct {
 	d       *ShardedDecoder
 	id      int
 	box     *mailbox[shardMsg]
-	pending map[int][]int    // owned block -> indices into parked
-	parked  []*pendingSymbol // the single-core Decoder's buffered-symbol record, reused
-	queue   []peelRec        // cascade scratch, reused
+	pending map[int][]int // owned block -> indices into parked
+	parked  []*pendingSymbol
+	queue   []peelRec // cascade scratch, reused
+}
+
+// pendingSymbol is one symbol parked on a shard with two or more of its
+// owned blocks still unknown.
+type pendingSymbol struct {
+	data    []byte
+	unknown []int // unresolved block indices
+	dead    bool
+}
+
+func (ps *pendingSymbol) drop(idx int) bool {
+	for i, u := range ps.unknown {
+		if u == idx {
+			last := len(ps.unknown) - 1
+			ps.unknown[i] = ps.unknown[last]
+			ps.unknown = ps.unknown[:last]
+			return true
+		}
+	}
+	return false
 }
 
 // coordinator parks cross-shard symbols that every involved shard has

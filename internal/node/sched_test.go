@@ -187,8 +187,8 @@ func TestDepthCap(t *testing.T) {
 	}{
 		{window: 256, batch: 64, maxDepth: 16, want: 4},
 		{window: 64, batch: 64, maxDepth: 16, want: 1},
-		{window: 16, batch: 64, maxDepth: 16, want: 1},  // floor: never zero
-		{window: 40, batch: 16, maxDepth: 16, want: 3},  // rounds up: 2 would idle 8 frames
+		{window: 16, batch: 64, maxDepth: 16, want: 1},    // floor: never zero
+		{window: 40, batch: 16, maxDepth: 16, want: 3},    // rounds up: 2 would idle 8 frames
 		{window: 4096, batch: 64, maxDepth: 16, want: 16}, // clamped to max
 		{window: 4096, batch: 64, maxDepth: 0, want: 64},  // no max configured
 		{window: 128, batch: 0, maxDepth: 8, want: 8},     // degenerate batch

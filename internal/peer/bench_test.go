@@ -1,0 +1,61 @@
+package peer
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+
+	"icd/internal/faultnet"
+)
+
+// BenchmarkFetchFabricPipe is the whole fabric fetch as one row: a full
+// sender behind a ServerMux on a faultnet.PipeNet listener, one
+// peer.Fetch per iteration over a private fabric (dial, wire and channel
+// handshakes, request ramp, credits, fold → peel, reassembly), at the
+// benchmark's pipe_full size. MB/s is decoded content; allocs/symbol
+// covers both ends of the pipe, since they share the process.
+func BenchmarkFetchFabricPipe(b *testing.B) {
+	const k, blockSize = 4096, 1400
+	info, data := testContent(b, k, blockSize)
+	srv, err := NewFullServer(info, data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pn := faultnet.NewPipeNet()
+	ln, err := pn.Listen("provider")
+	if err != nil {
+		b.Fatal(err)
+	}
+	mux := front(srv)
+	served := make(chan error, 1)
+	go func() { served <- mux.Serve(ln) }()
+	defer func() {
+		mux.Close()
+		<-served
+	}()
+
+	opts := FetchOptions{Dial: pn.Dial, DisableGossip: true}
+	fetch := func() *FetchResult {
+		res, err := Fetch([]string{"provider"}, info.ID, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !bytes.Equal(res.Data, data) {
+			b.Fatal("content mismatch")
+		}
+		return res
+	}
+	fetch() // warm the frame pools
+
+	var before, after runtime.MemStats
+	symbols := 0
+	b.SetBytes(int64(len(data)))
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		symbols += fetch().Peers[0].SymbolsReceived
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(symbols), "allocs/symbol")
+}

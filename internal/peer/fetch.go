@@ -28,10 +28,6 @@ type FetchOptions struct {
 	// and stateless migration (§2.3): nothing else is needed to continue
 	// where a previous transfer left off.
 	Initial map[uint64][]byte
-	// DecodeShards sets the fountain decoder's shard-worker count
-	// (0 = GOMAXPROCS): incoming symbol batches peel concurrently on
-	// that many cores.
-	DecodeShards int
 	// BloomBitsPerElement/BloomHashes size the filter sent to partial
 	// senders (defaults: the paper's 8 and 5).
 	BloomBitsPerElement float64

@@ -44,6 +44,7 @@ type ServerMux struct {
 	gossip   *Gossip
 	onLookup func(contentID uint64, found bool)
 	ln       net.Listener
+	conns    map[net.Conn]struct{} // accepted by Serve and still being served
 	closed   bool
 	wg       sync.WaitGroup
 
@@ -80,6 +81,7 @@ func NewServerMux() *ServerMux {
 		timeout: 30 * time.Second,
 		servers: make(map[uint64]*Server),
 		pending: make(map[uint64]bool),
+		conns:   make(map[net.Conn]struct{}),
 	}
 }
 
@@ -313,10 +315,16 @@ func (m *ServerMux) Serve(ln net.Listener) error {
 			continue
 		}
 		m.wg.Add(1)
+		m.conns[conn] = struct{}{}
 		m.mu.Unlock()
 		go func() {
 			defer m.wg.Done()
-			defer conn.Close()
+			defer func() {
+				m.mu.Lock()
+				delete(m.conns, conn)
+				m.mu.Unlock()
+				conn.Close()
+			}()
 			_ = m.ServeConn(conn) // per-connection errors end that session only
 		}()
 	}
@@ -332,15 +340,24 @@ func (m *ServerMux) Addr() string {
 	return m.ln.Addr().String()
 }
 
-// Close stops the listener and waits for in-flight sessions. Registered
-// servers are left as-is (they own no listener of their own here).
+// Close stops the listener, closes every connection Serve accepted — a
+// server does not wait out its clients' idle wires to shut down — and
+// waits for their sessions to unwind. Registered servers are left as-is
+// (they own no listener of their own here).
 func (m *ServerMux) Close() error {
 	m.mu.Lock()
 	m.closed = true
 	ln := m.ln
+	conns := make([]net.Conn, 0, len(m.conns))
+	for conn := range m.conns {
+		conns = append(conns, conn)
+	}
 	m.mu.Unlock()
 	if ln != nil {
 		ln.Close()
+	}
+	for _, conn := range conns {
+		conn.Close()
 	}
 	m.wg.Wait()
 	return nil

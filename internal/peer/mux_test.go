@@ -11,7 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"icd/internal/faultnet"
+	"icd/internal/peermux"
 	"icd/internal/prng"
+	"icd/internal/testutil"
 )
 
 // testContentID is testContent with a chosen content id (and an
@@ -238,5 +241,54 @@ func TestMuxPendingContentIsRetryable(t *testing.T) {
 	}
 	if got := mux.Stats().Rejected; got != 0 {
 		t.Fatalf("pending answers counted as rejections: %d", got)
+	}
+}
+
+// TestMuxCloseClosesAcceptedWires: a client that dialed a wire and then
+// went quiet must not hold a closing server up. Close used to close only
+// the listener and then wait for accepted wires to end on their own — up
+// to their 30 s idle read deadline.
+func TestMuxCloseClosesAcceptedWires(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	info, data := testContent(t, 8, 32)
+	srv, err := NewFullServer(info, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pn := faultnet.NewPipeNet()
+	ln, err := pn.Listen("server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := front(srv)
+	served := make(chan error, 1)
+	go func() { served <- mux.Serve(ln) }()
+
+	conn, err := pn.Dial("server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := peermux.Dial(conn, peermux.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wire.Close()
+	// The handshake answer proves the mux accepted the wire; it now idles
+	// in the mux's read loop with no channel open.
+
+	start := time.Now()
+	if err := mux.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Close waited %v for an idle client wire", took)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	select {
+	case <-wire.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the client's wire never saw the server hang up")
 	}
 }

@@ -1,12 +1,21 @@
 package peer
 
 // orchestrator.go is the control plane of a download: the Orchestrator
-// owns the shared working set (a recode.Decoder), the sharded fountain
-// decoder, and the set of live sessions, and it is the only component
-// that mutates any of them. Sessions (session.go) are added and dropped
+// owns the shared working set (a recode.Decoder), the fountain decoder,
+// and the set of live sessions, and it is the only component that
+// mutates any of them. Sessions (session.go) are added and dropped
 // while the transfer runs — the paper's §2.1 adaptivity: peers join
 // late, die mid-batch, get evicted for contributing nothing, and get
 // re-ranked by measured utility when the peer cap is hit.
+//
+// The receive side is a two-stage pipeline, fold → peel. The decode loop
+// folds arrivals into the working set under o.mu (map updates, no XOR
+// for regular symbols) and queues every newly known encoded symbol for
+// the peel stage (peel.go), one goroutine that owns the fountain.Decoder
+// exclusively while the loop runs. The working set is what summaries,
+// Progress and a co-located live Server read, so it must track arrivals:
+// the fold never waits behind the peel stage's XOR work until the
+// working set holds n symbols and completion becomes possible.
 //
 // Buffer ownership across the session/orchestrator boundary: a session
 // borrows payload (and recoded id-list) buffers from the orchestrator's
@@ -16,8 +25,10 @@ package peer
 // set (rdec.AddKnown keeps them, and they finally surface in
 // FetchResult.Held), everything else is returned to the pools. A session
 // that fails to deliver (engine already finished) releases its own
-// borrow. The fountain decoder copies on AddSymbols, so the working set
-// retains ownership of every payload it stores.
+// borrow. A payload the working set has taken is never written again:
+// the peel stage reads it outside o.mu (as a live Server's snapshot
+// does), and the fountain decoder copies it on AddSymbol, so the working
+// set retains ownership of every payload it stores.
 
 import (
 	"context"
@@ -75,7 +86,7 @@ type Orchestrator struct {
 
 	mu            sync.Mutex
 	rdec          *recode.Decoder
-	fdec          *fountain.ShardedDecoder
+	fdec          *fountain.Decoder // owned by the peel stage while decodeLoop runs
 	info          ContentInfo
 	maxPeers      int                 // live session cap (0 = unlimited); opts.MaxPeers is the start value, SetMaxPeers rebudgets
 	sessions      map[string]*session // live sessions by address
@@ -656,7 +667,7 @@ func (o *Orchestrator) ensureDecoder(ci ContentInfo) error {
 		if err != nil {
 			return err
 		}
-		fdec, err := fountain.NewShardedDecoder(code, ci.BlockSize, o.opts.DecodeShards)
+		fdec, err := fountain.NewDecoder(code, ci.BlockSize)
 		if err != nil {
 			return err
 		}
@@ -671,7 +682,7 @@ func (o *Orchestrator) ensureDecoder(ci ContentInfo) error {
 	return nil
 }
 
-func (o *Orchestrator) decoder() *fountain.ShardedDecoder {
+func (o *Orchestrator) decoder() *fountain.Decoder {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.fdec
@@ -758,13 +769,9 @@ func (o *Orchestrator) Run(ctx context.Context, addrs ...string) (*FetchResult, 
 	}
 	close(stopWatch)
 
-	// All sessions have exited (symbolCh closed by the last one); settle
-	// the decoder and stop its workers.
+	// All sessions have exited (symbolCh closed by the last one) and the
+	// peel stage stopped with the decode loop: the decoder is ours.
 	fdec := o.decoder()
-	if fdec != nil {
-		fdec.Drain()
-		fdec.Close() // accessors stay valid after Close
-	}
 	if decodeErr != nil {
 		return nil, decodeErr
 	}
@@ -791,30 +798,43 @@ func (o *Orchestrator) Run(ctx context.Context, addrs ...string) (*FetchResult, 
 	return res, nil
 }
 
-// decodeLoop is the single consumer of symbolCh: it folds incoming
-// symbols into the working set and feeds newly recovered encoded
-// symbols to the sharded fountain decoder in batches (one router-lock
-// pass per batch instead of per symbol).
+// decodeLoop is the single consumer of symbolCh and the first half of
+// the fold → peel receive pipeline: it folds each batch of arrivals into
+// the working set and hands the newly known encoded symbols to the peel
+// stage (peel.go), which owns the fountain decoder on a goroutine of its
+// own for as long as the loop runs.
 func (o *Orchestrator) decodeLoop() error {
-	seeded := false
+	first, ok := <-o.symbolCh
+	if !ok {
+		return nil
+	}
+	// Delivery follows the handshake, so the decoder exists.
+	peel := newPeelStage(o.decoder())
+	go peel.run()
+	defer peel.stop()
+	if err := o.foldLoop(peel, first); err != nil {
+		return err
+	}
+	// Whatever is still queued cannot complete the content (that takes n
+	// symbols, and from n on every push was settled), but a symbol the
+	// decoder rejects must still fail the fetch.
+	_, err := peel.push(nil, true)
+	return err
+}
+
+// foldLoop is decodeLoop from the first arrival on. It does not wait for
+// the XOR work while completion is impossible — the working set holds
+// fewer than n symbols — so the working set (and every summary built
+// from it) tracks arrivals; from n on it settles the stage after every
+// batch, so completion is seen at the batch that brings it and nothing
+// more is pulled off the wire.
+func (o *Orchestrator) foldLoop(peel *peelStage, in incoming) error {
+	n := o.info.NumBlocks // fixed since the handshake
+	// The resumed working set is the stage's first input.
+	peel.push(o.knownSymbols(), false)
 	for {
-		if len(o.symbolCh) == 0 {
-			// The feeders are momentarily behind: settle the shard
-			// workers and make an exact completion check while we would
-			// otherwise just block on the channel.
-			if dec := o.decoder(); dec != nil {
-				dec.Drain()
-				if dec.Done() {
-					return nil
-				}
-			}
-		}
-		in, ok := <-o.symbolCh
-		if !ok {
-			return nil
-		}
 		// Opportunistically drain whatever else is already queued, so
-		// the whole batch crosses the decoder's router lock once.
+		// the whole batch is folded under one lock pass.
 		batch := append(o.scratch.ins[:0], in)
 	drain:
 		for len(batch) < o.opts.Batch {
@@ -828,38 +848,45 @@ func (o *Orchestrator) decodeLoop() error {
 				break drain
 			}
 		}
-		done, err := o.processBatch(batch, &seeded)
 		o.scratch.ins = batch
+		syms, known, err := o.foldBatch(batch)
 		if err != nil {
+			o.finish()
 			return err
 		}
-		if done {
+		complete, err := peel.push(syms, known >= n)
+		if err != nil || complete {
+			o.finish()
+			return err
+		}
+		var ok bool
+		if in, ok = <-o.symbolCh; !ok {
 			return nil
 		}
 	}
 }
 
-// processBatch folds a batch into the working set under one lock pass,
-// then feeds every newly recovered encoded symbol to the fountain
-// decoder with one AddSymbols call. It returns done=true when decoding
-// completed.
-func (o *Orchestrator) processBatch(batch []incoming, seeded *bool) (bool, error) {
+// knownSymbols returns the whole working set as decoder input.
+func (o *Orchestrator) knownSymbols() []fountain.Symbol {
 	o.mu.Lock()
-	dec := o.fdec
-	if dec == nil { // cannot happen: delivery follows the handshake
-		o.mu.Unlock()
-		for _, in := range batch {
-			o.pools.release(in)
+	defer o.mu.Unlock()
+	syms := make([]fountain.Symbol, 0, o.rdec.KnownCount())
+	for _, id := range o.rdec.KnownIDs() {
+		if data := o.rdec.Payload(id); data != nil {
+			syms = append(syms, fountain.Symbol{ID: id, Data: data})
 		}
-		return false, nil
 	}
+	return syms
+}
+
+// foldBatch folds a batch into the working set under one lock pass and
+// returns every encoded symbol it made newly known (valid until the next
+// call), with the working set's size. The payloads those symbols point
+// at belong to the working set and are never written again, which is
+// what lets the peel stage read them outside o.mu.
+func (o *Orchestrator) foldBatch(batch []incoming) (syms []fountain.Symbol, known int, err error) {
+	o.mu.Lock()
 	newIDs := o.scratch.ids[:0]
-	if !*seeded {
-		// Feed the resumed working set into the fountain decoder once.
-		*seeded = true
-		newIDs = append(newIDs, o.rdec.KnownIDs()...)
-	}
-	var decodeErr error
 	var batchRecv, batchUseful int64
 	for i, in := range batch {
 		before := o.rdec.KnownCount()
@@ -873,10 +900,10 @@ func (o *Orchestrator) processBatch(batch []incoming, seeded *bool) (bool, error
 				newIDs = append(newIDs, in.id)
 			}
 		} else {
-			ids, err := o.rdec.Add(recode.Symbol{IDs: in.ids, Data: in.data})
+			ids, addErr := o.rdec.Add(recode.Symbol{IDs: in.ids, Data: in.data})
 			o.pools.release(in) // rdec.Add copies; both buffers come back
-			if err != nil {
-				decodeErr = err
+			if addErr != nil {
+				err = addErr
 				for _, rest := range batch[i+1:] {
 					o.pools.release(rest) // unprocessed tail: keep the borrow/release invariant
 				}
@@ -891,64 +918,27 @@ func (o *Orchestrator) processBatch(batch []incoming, seeded *bool) (bool, error
 			in.stats.UsefulSymbols += o.rdec.KnownCount() - before
 		}
 	}
-	o.progress.Store(int64(o.rdec.KnownCount()))
-	o.version = int64(o.rdec.KnownCount())
-	syms := o.scratch.syms[:0]
+	known = o.rdec.KnownCount()
+	o.progress.Store(int64(known))
+	o.version = int64(known)
+	syms = o.scratch.syms[:0]
 	for _, id := range newIDs {
 		if data := o.rdec.Payload(id); data != nil {
 			syms = append(syms, fountain.Symbol{ID: id, Data: data})
 		}
 	}
-	known := o.rdec.KnownCount()
 	o.mu.Unlock()
-	o.scratch.ids = newIDs[:0]
+	o.scratch.ids, o.scratch.syms = newIDs[:0], syms[:0]
 	// One add per counter per batch: instrumentation stays off the
 	// per-symbol path.
 	o.met.received.Add(batchRecv)
 	o.met.useful.Add(batchUseful)
-
-	if decodeErr != nil {
-		o.finish()
-		return false, decodeErr
-	}
-	// AddSymbols copies payloads into the decoder's freelist buffers, so
-	// the working set keeps ownership of everything it stores. Done lags
-	// in-flight shard work, and completion is impossible before the
-	// working set holds n distinct encoded symbols — so the bulk of the
-	// transfer pipelines whole batches through the shards in one
-	// router-lock pass, and only the tail (working set at ≥ n) feeds
-	// symbol-by-symbol with the workers settled in between, so
-	// completion is detected exactly (no overhead inflation past the
-	// single-core decoder).
-	defer func() { o.scratch.syms = syms[:0] }()
-	if known < len(dec.Blocks()) {
-		if err := dec.AddSymbols(syms); err != nil {
-			o.finish()
-			return false, err
-		}
-		if dec.Done() {
-			o.finish()
-			return true, nil
-		}
-		return false, nil
-	}
-	for _, sym := range syms {
-		if err := dec.AddSymbol(sym); err != nil {
-			o.finish()
-			return false, err
-		}
-		dec.Drain()
-		if dec.Done() {
-			o.finish()
-			return true, nil
-		}
-	}
-	return false, nil
+	return syms, known, err
 }
 
 // collectResult assembles the final FetchResult (all sessions have
 // exited; no concurrent state changes).
-func (o *Orchestrator) collectResult(fdec *fountain.ShardedDecoder) (*FetchResult, error) {
+func (o *Orchestrator) collectResult(fdec *fountain.Decoder) (*FetchResult, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	res := &FetchResult{Info: o.info, Held: make(map[uint64][]byte)}

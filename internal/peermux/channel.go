@@ -54,8 +54,9 @@ type Channel struct {
 	id          uint16
 	remoteHello protocol.Hello
 
-	in   chan inFrame
-	prev *[]byte // buffer handed out by the last Next
+	in    chan inFrame
+	prev  *[]byte     // buffer handed out by the last Next
+	timer *time.Timer // Next's deadline timer, reused across waits (Next's caller only)
 
 	mu       sync.Mutex
 	credits  uint32 // sender side: symbol frames we may still send
@@ -66,7 +67,7 @@ type Channel struct {
 	granted  bool   // the initial window has been opened (grantInitial ran)
 	retired  bool   // window released from the wire's aggregate sum
 	deadline time.Time
-	dnotify  chan struct{} // closed+replaced on deadline change
+	dnotify  chan struct{} // closed+replaced when the deadline moves earlier
 	err      error         // terminal error, set before rclosed closes
 
 	creditc chan struct{} // signals credit arrival to a blocked sender
@@ -373,25 +374,31 @@ func (c *Channel) Next() (protocol.Frame, error) {
 		dn := c.dnotify
 		c.mu.Unlock()
 		var timech <-chan time.Time
-		var timer *time.Timer
 		if !dl.IsZero() {
 			d := time.Until(dl)
 			if d <= 0 {
 				return protocol.Frame{}, ErrDeadline
 			}
-			timer = time.NewTimer(d)
-			timech = timer.C
+			// One timer per channel, not per empty-queue wait. Stop
+			// leaves nothing in C (go 1.23 timers), so a Reset here never
+			// sees an earlier wait's expiry.
+			if c.timer == nil {
+				c.timer = time.NewTimer(d)
+			} else {
+				c.timer.Reset(d)
+			}
+			timech = c.timer.C
 		}
 		select {
 		case f := <-c.in:
-			stopTimer(timer)
+			stopTimer(c.timer)
 			return c.take(f)
 		case <-c.rclosed:
 		case <-c.closed:
 		case <-dn:
 		case <-timech:
 		}
-		stopTimer(timer)
+		stopTimer(c.timer)
 	}
 }
 
@@ -483,11 +490,18 @@ func (c *Channel) acquireCredit() error {
 // SetDeadline bounds every blocked Next and Write (credit wait) on the
 // channel — the hook the session stall watchdog fires to unwedge a
 // stalled channel without touching its siblings. A zero time clears it.
+// Only a deadline that moves earlier wakes the blocked waiters: they
+// sleep until the deadline they last read and then re-read it, so an
+// extension (what a session does before every frame) or a clear needs no
+// wake-up — and costs no notification channel.
 func (c *Channel) SetDeadline(t time.Time) error {
 	c.mu.Lock()
+	earlier := !t.IsZero() && (c.deadline.IsZero() || t.Before(c.deadline))
 	c.deadline = t
-	close(c.dnotify)
-	c.dnotify = make(chan struct{})
+	if earlier {
+		close(c.dnotify)
+		c.dnotify = make(chan struct{})
+	}
 	c.mu.Unlock()
 	return nil
 }

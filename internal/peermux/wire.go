@@ -139,6 +139,9 @@ type Wire struct {
 
 	// wmu serializes writes on conn. Never acquired while holding mu.
 	wmu sync.Mutex
+	// writeArmed (under wmu) and readArmed (the reader's own) are when
+	// the conn's write and read deadlines were last set: see armWrite.
+	writeArmed, readArmed time.Time
 
 	// winMu guards winSum, the aggregate of every open channel's local
 	// receive-window target — the wire-level credit ledger a scheduler
@@ -424,14 +427,41 @@ func (w *Wire) writeFrame(f protocol.Frame) error {
 }
 
 func (w *Wire) writeLocked(f protocol.Frame) error {
-	w.conn.SetWriteDeadline(time.Now().Add(w.cfg.Timeout))
+	w.armWrite()
 	return protocol.WriteFrame(w.conn, f)
+}
+
+// armWrite and armRead bound the conn operation about to start by
+// Config.Timeout without paying for a deadline change (a timer re-armed,
+// over net.Pipe one allocated) on every frame: the deadline is pushed out
+// to a full Timeout only once an eighth of it has passed since the last
+// push, so every operation still fails within Timeout of starting — at
+// most an eighth sooner than if it had armed its own.
+func (w *Wire) armWrite() {
+	if dl, due := dueDeadline(&w.writeArmed, w.cfg.Timeout); due {
+		w.conn.SetWriteDeadline(dl)
+	}
+}
+
+func (w *Wire) armRead() {
+	if dl, due := dueDeadline(&w.readArmed, w.cfg.Timeout); due {
+		w.conn.SetReadDeadline(dl)
+	}
+}
+
+func dueDeadline(armed *time.Time, timeout time.Duration) (time.Time, bool) {
+	now := time.Now()
+	if now.Sub(*armed) < timeout/8 {
+		return time.Time{}, false
+	}
+	*armed = now
+	return now.Add(timeout), true
 }
 
 // writeMux serializes one enveloped frame onto conn.
 func (w *Wire) writeMux(ch uint16, t protocol.Type, payload []byte) error {
 	w.wmu.Lock()
-	w.conn.SetWriteDeadline(time.Now().Add(w.cfg.Timeout))
+	w.armWrite()
 	err := protocol.WriteMux(w.conn, ch, t, payload)
 	w.wmu.Unlock()
 	if err != nil {
@@ -517,7 +547,7 @@ func (w *Wire) release(id uint16, notify bool) {
 // charged and dropped.
 func (w *Wire) readLoop() {
 	for {
-		w.conn.SetReadDeadline(time.Now().Add(w.cfg.Timeout))
+		w.armRead()
 		f, err := w.fr.Next()
 		if err != nil {
 			if errors.Is(err, protocol.ErrCorrupt) {

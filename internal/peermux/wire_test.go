@@ -278,7 +278,75 @@ func TestChannelDeadlineUnblocks(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("SetDeadline(now) did not unblock a pending Next")
 	}
+	// A session's steady state: a blocked Next under a deadline that every
+	// frame pushes out. The extension wakes nobody (and allocates nothing),
+	// yet the wait must not expire at the deadline it replaced — and a
+	// deadline moved earlier must still wake it at once.
+	ch.SetDeadline(time.Now().Add(60 * time.Millisecond))
+	go func() {
+		_, err := ch.Next()
+		unblocked <- err
+	}()
+	ch.SetDeadline(time.Now().Add(time.Hour))
+	select {
+	case err := <-unblocked:
+		t.Fatalf("Next under an extended deadline returned %v", err)
+	case <-time.After(150 * time.Millisecond):
+	}
+	if avg := testing.AllocsPerRun(100, func() { ch.SetDeadline(time.Now().Add(time.Hour)) }); avg != 0 {
+		t.Errorf("extending the deadline allocates %.1f per call, want 0", avg)
+	}
+	ch.SetDeadline(time.Now())
+	select {
+	case err := <-unblocked:
+		if !errors.Is(err, ErrDeadline) {
+			t.Fatalf("unblocked Next = %v, want ErrDeadline", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("an earlier deadline did not unblock a Next waiting on a far one")
+	}
 	ch.Close()
+}
+
+// TestWireDeadlineFollowsTraffic: the conn deadlines are pushed out only
+// every Timeout/8 of traffic, not per frame — which must neither let a
+// busy wire run into a deadline armed long ago, nor let an idle one
+// outlive its Timeout.
+func TestWireDeadlineFollowsTraffic(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	const timeout = 300 * time.Millisecond
+	dead := make(chan struct{})
+	w, shutdown := startPair(t, Config{}, Config{Timeout: timeout}, func(ch *Channel) {
+		defer close(dead)
+		ch.Accept(protocol.Hello{FullCopy: true})
+		for {
+			if _, err := ch.Next(); err != nil {
+				return
+			}
+		}
+	})
+	defer shutdown()
+	ch, err := w.Open(protocol.Hello{ContentID: 1}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three timeouts of steady traffic, frames far closer than Timeout/8.
+	for end := time.Now().Add(3 * timeout); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+		if err := protocol.WriteFrame(ch, protocol.EncodeRequest(1)); err != nil {
+			t.Fatalf("write on a busy wire: %v", err)
+		}
+	}
+	select {
+	case <-dead:
+		t.Fatal("the serving wire timed out under steady traffic")
+	default:
+	}
+	// Then silence: the server's idle limit ends the wire.
+	select {
+	case <-dead:
+	case <-time.After(timeout + 2*time.Second):
+		t.Fatal("an idle wire outlived its timeout")
+	}
 }
 
 func TestUnknownChannelCharged(t *testing.T) {

@@ -141,7 +141,6 @@ func RunPlan(plan *Plan) (*Result, error) {
 				ReconnectBackoff:    5 * time.Millisecond,
 				MaxReconnectBackoff: 250 * time.Millisecond,
 				StallTimeout:        20 * time.Second,
-				DecodeShards:        1, // 1000 concurrent decoders must not each spawn GOMAXPROCS workers
 			},
 		}
 		if np.Role == RoleProvider {

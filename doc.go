@@ -304,11 +304,15 @@
 // capacity + dialable listen address). Each content transfer then
 // negotiates a subchannel (OPEN_CHANNEL carries the opener's content
 // HELLO; ACCEPT_CHANNEL answers with the content metadata,
-// REJECT_CHANNEL reuses the canonical ERROR vocabulary), and every
-// content frame travels inside a 3-byte MUX envelope — channel id +
-// inner type — under the outer frame's CRC, so the per-channel state
-// machines read and write plain content frames (PEERS gossip among
-// them).
+// REJECT_CHANNEL reuses the canonical ERROR vocabulary). The dialer
+// does not take turns over this: its MUX_HELLO, first OPEN_CHANNEL and
+// that channel's initial CREDIT leave in one flight and its demux
+// reader takes the answers, so a session is up one round trip after
+// the dial (until the peer's MUX_HELLO announces its channel limit, one
+// channel may be open on a wire). Every content frame travels inside a
+// 3-byte MUX envelope — channel id + inner type — under the outer
+// frame's CRC, so the per-channel state machines read and write plain
+// content frames (PEERS gossip among them).
 //
 // Credit model: only symbol-bearing frames spend credits. The receiver
 // grants an initial per-channel window, the sender blocks when the
@@ -317,14 +321,18 @@
 // only its own channel while siblings keep their throughput, and a
 // sender that overruns the window is charged to the penalty box.
 //
-// AIMD request ramp: sessions replace stop-and-wait (one
-// request batch in flight, one RTT per batch) with a pipelined ramp —
-// K batches outstanding, K growing additively while batches deliver
-// useful symbols and halving when the duplicate-symbol rate crosses
-// PipelineDupHigh (FetchOptions.PipelineDepth: 0 adaptive up to
-// MaxPipelineDepth, 1 forces stop-and-wait). On a 100ms-RTT shaped
-// link the ramp moves >6x stop-and-wait goodput (icdbench -exp
-// fabric).
+// Request depth: sessions replace stop-and-wait (one request batch in
+// flight, one RTT per batch) with K batches outstanding. K's one cap is
+// what the session's channel window admits (window / Batch, rounded
+// up), re-read at every batch boundary. Against a full sender — fresh
+// fountain symbols cannot be stale — a session runs at the cap from its
+// first REQUEST; against a partial sender K adapts AIMD-style from 1,
+// growing additively while batches deliver useful symbols and halving
+// when the duplicate-symbol rate crosses PipelineDupHigh
+// (FetchOptions.PipelineDepth pins K: 1 forces stop-and-wait). On a
+// 100ms-RTT shaped link pipelining moves >6x stop-and-wait goodput
+// (icdbench -exp fabric); a k=1024 fetch over a latency-bound link is
+// four round trips — one of setup, three 512-frame windows.
 //
 // Channel lifecycle and versions: a Fabric refcounts wires per address
 // — the first Open dials and shakes hands, later Opens share the wire,
@@ -346,9 +354,9 @@
 // flight: grows grant immediately, shrinks drain by withholding
 // replenishment, credits are never revoked). Each wire enforces the
 // budget as an aggregate ceiling (peermux.Config.WireWindow), and every
-// fetch's pipeline depth is capped to the requests its window can
-// admit, so the AIMD ramp never solicits symbols the window would turn
-// into duplicates-in-waiting. icdbench -exp credits measures the
+// session's request depth is capped to the requests its window can
+// admit — the same resize moves both — so a session never solicits
+// symbols the window could not take. icdbench -exp credits measures the
 // policy: contents of unequal utility through one wire, where
 // utility-weighted windows must meet or beat a uniform split's goodput
 // on the useful transfer.

@@ -42,6 +42,11 @@ import (
 // delayChunk bounds a single read-ahead chunk from the inner pipe.
 const delayChunk = 32 << 10
 
+// delayWriteBuf is the smallest buffer a queued write is copied into:
+// large enough for a symbol frame, so the recycled write buffers of a
+// connection fit one another's payloads whatever order they come in.
+const delayWriteBuf = 2 << 10
+
 // delayQueueDepth bounds each direction's in-flight chunk queue — the
 // simulated device queue. A writer that outruns the link by more than
 // this blocks until the pump drains, which is the backpressure a real
@@ -95,11 +100,46 @@ func (d *shapedDir) deliveryDue(now time.Time, n int) time.Time {
 }
 
 // timedChunk is one in-flight unit: data due at a delivery instant, or
-// a terminal read error delivered after all preceding data.
+// a terminal read error delivered after all preceding data. data is a
+// prefix of a buffer the connection recycles (chunkBufs): the chunk owns
+// it while queued, whoever takes the chunk off the queue owns it next.
 type timedChunk struct {
 	data []byte
 	due  time.Time
 	err  error
+}
+
+// chunkBufs is one direction's free list of chunk buffers. A buffer has
+// a single owner at every moment — the producer filling it, the queue,
+// the consumer draining it — and comes back here only once the consumer
+// is done with its last byte, so the producer can refill it without a
+// fresh (and freshly cleared) allocation per chunk. Sized to the queue
+// it feeds, it never blocks: an empty list allocates, a full one drops
+// the buffer to the collector.
+type chunkBufs chan []byte
+
+func newChunkBufs() chunkBufs { return make(chunkBufs, delayQueueDepth+2) }
+
+// get returns a buffer of length n with capacity at least min.
+func (f chunkBufs) get(n, min int) []byte {
+	select {
+	case b := <-f:
+		if cap(b) >= n {
+			return b[:n]
+		}
+	default:
+	}
+	if min < n {
+		min = n
+	}
+	return make([]byte, n, min)
+}
+
+func (f chunkBufs) put(b []byte) {
+	select {
+	case f <- b:
+	default:
+	}
 }
 
 // deadlineVar is a settable deadline observable by blocked waiters: set
@@ -137,10 +177,14 @@ type delayConn struct {
 	wq chan timedChunk
 	rq chan timedChunk
 
-	rmu   sync.Mutex // serializes Read
-	rpend []byte
-	rdue  time.Time
-	rerr  error
+	rmu    sync.Mutex // serializes Read
+	rbuf   []byte     // the chunk buffer rpend is the undrained tail of
+	rpend  []byte
+	rdue   time.Time
+	rerr   error
+	rtimer *time.Timer // Read's one timer, re-armed per wait (under rmu)
+
+	rfree, wfree chunkBufs
 
 	wmu  sync.Mutex
 	werr error
@@ -158,6 +202,8 @@ func newDelayConn(inner net.Conn, up, down *shapedDir) *delayConn {
 		down:  down,
 		wq:    make(chan timedChunk, delayQueueDepth),
 		rq:    make(chan timedChunk, delayQueueDepth),
+		rfree: newChunkBufs(),
+		wfree: newChunkBufs(),
 		rdl:   newDeadlineVar(),
 		wdl:   newDeadlineVar(),
 		done:  make(chan struct{}),
@@ -216,13 +262,14 @@ func (c *delayConn) pumpUp() {
 			c.wmu.Unlock()
 			return
 		}
+		c.wfree.put(ch.data)
 	}
 }
 
 // pumpDown eagerly reads the inner pipe, stamping each chunk's arrival.
 func (c *delayConn) pumpDown() {
 	for {
-		buf := make([]byte, delayChunk)
+		buf := c.rfree.get(delayChunk, delayChunk)
 		n, err := c.inner.Read(buf)
 		if n > 0 {
 			due := c.down.deliveryDue(time.Now(), n)
@@ -259,7 +306,7 @@ func (c *delayConn) Write(p []byte) (int, error) {
 		return 0, net.ErrClosed
 	default:
 	}
-	data := make([]byte, len(p))
+	data := c.wfree.get(len(p), delayWriteBuf)
 	copy(data, p)
 	chunk := timedChunk{data: data, due: c.up.deliveryDue(time.Now(), len(p))}
 	for {
@@ -302,6 +349,10 @@ func (c *delayConn) Read(p []byte) (int, error) {
 			}
 			n := copy(p, c.rpend)
 			c.rpend = c.rpend[n:]
+			if len(c.rpend) == 0 {
+				c.rfree.put(c.rbuf)
+				c.rbuf = nil
+			}
 			return n, nil
 		}
 		if c.rerr != nil {
@@ -315,7 +366,7 @@ func (c *delayConn) Read(p []byte) (int, error) {
 			if d <= 0 {
 				return 0, os.ErrDeadlineExceeded
 			}
-			timer = time.NewTimer(d)
+			timer = c.armReadTimer(d)
 			timech = timer.C
 		}
 		select {
@@ -325,7 +376,7 @@ func (c *delayConn) Read(p []byte) (int, error) {
 				c.rerr = ch.err
 				continue
 			}
-			c.rpend, c.rdue = ch.data, ch.due
+			c.rbuf, c.rpend, c.rdue = ch.data, ch.data, ch.due
 		case <-c.done:
 			stopDelayTimer(timer)
 			return 0, net.ErrClosed
@@ -352,7 +403,7 @@ func (c *delayConn) waitUntil(due time.Time) error {
 		if !dl.IsZero() && dl.Before(due) {
 			wake = dl
 		}
-		t := time.NewTimer(time.Until(wake))
+		t := c.armReadTimer(time.Until(wake))
 		select {
 		case <-t.C:
 		case <-dn:
@@ -362,6 +413,21 @@ func (c *delayConn) waitUntil(due time.Time) error {
 		}
 		t.Stop()
 	}
+}
+
+// armReadTimer arms the read side's timer for d: one timer per
+// connection instead of one per wait — with a read deadline set, that is
+// one per delivered chunk. Only Read and its waitUntil use it, under
+// rmu, and each stops it (or sees it fire) before the next wait; Stop
+// leaves nothing in C (go 1.23 timers), so a Reset never sees an earlier
+// wait's expiry.
+func (c *delayConn) armReadTimer(d time.Duration) *time.Timer {
+	if c.rtimer == nil {
+		c.rtimer = time.NewTimer(d)
+	} else {
+		c.rtimer.Reset(d)
+	}
+	return c.rtimer
 }
 
 func stopDelayTimer(t *time.Timer) {

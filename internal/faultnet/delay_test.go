@@ -242,3 +242,64 @@ func TestDeliveryCloseUnblocks(t *testing.T) {
 		t.Fatal("Close did not wake the blocked read")
 	}
 }
+
+// TestDeliveryChunkBuffersRecycled pins the instrument's own cost: a
+// connection recycles its chunk buffers, so a frame-sized exchange in
+// steady state allocates nothing — not a fresh (and freshly cleared)
+// 32 KiB read-ahead buffer per delivered chunk, a copy per write, and —
+// under the read deadline a wire always sets — a timer per wait for the
+// next chunk. The data still has to come through intact with every
+// chunk counted, and partial reads must hand a buffer back only once its
+// last byte is out.
+func TestDeliveryChunkBuffersRecycled(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	const frame = 1400
+	conn, cleanup := delayPair(t, 0, LinkClass{}, func(c net.Conn) {
+		defer c.Close()
+		buf := make([]byte, frame)
+		for {
+			if _, err := io.ReadFull(c, buf); err != nil {
+				return
+			}
+			if _, err := c.Write(buf); err != nil {
+				return
+			}
+		}
+	})
+	defer cleanup()
+
+	conn.SetReadDeadline(time.Now().Add(time.Minute))
+	out, in := make([]byte, frame), make([]byte, frame)
+	turns := 0
+	turn := func() {
+		turns++
+		for i := range out {
+			out[i] = byte(i + turns)
+		}
+		if _, err := conn.Write(out); err != nil {
+			t.Fatal(err)
+		}
+		// Two reads per chunk: the first leaves a tail pending in the
+		// chunk's buffer, which must not be refilled under it.
+		if _, err := io.ReadFull(conn, in[:100]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, in[100:]); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(in, out) {
+			t.Fatalf("turn %d: echoed frame corrupted", turns)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		turn() // fill the free lists
+	}
+	if avg := testing.AllocsPerRun(200, turn); avg >= 0.5 {
+		t.Errorf("%.2f allocations per exchanged chunk pair, want 0 (buffers recycled)", avg)
+	}
+	dc := conn.(*delayConn)
+	if up, down := dc.UpStats(), dc.DownStats(); up.Chunks != int64(turns) || down.Chunks != int64(turns) ||
+		up.Bytes != int64(turns*frame) || down.Bytes != int64(turns*frame) {
+		t.Errorf("after %d turns: up %+v down %+v, want one chunk of %d bytes per turn each way", turns, up, down, frame)
+	}
+}

@@ -63,9 +63,9 @@ type Options struct {
 	// utility apportionment as MaxConns (0 = disabled: every channel
 	// opens at the fabric's per-channel default). Each fetch's share
 	// sizes its fabric channels' receive windows live
-	// (Orchestrator.SetChannelWindow) and caps its request pipeline to
-	// the depth that window can admit (SetPipelineCap); the budget is
-	// also installed as each wire's aggregate ceiling
+	// (Orchestrator.SetChannelWindow), which also caps its sessions'
+	// request pipelines to the depth that window can admit; the budget
+	// is also installed as each wire's aggregate ceiling
 	// (peermux.Config.WireWindow), so no single wire can oversubscribe
 	// it. Every fetch keeps a small guaranteed window — size the budget
 	// with that floor (16 frames per concurrent fetch) in mind.
@@ -643,14 +643,6 @@ func (n *Node) rebalance() {
 			total += w
 		}
 		n.met.windowAlloc.Set(int64(total))
-		batch := n.opts.Fetch.Batch
-		if batch <= 0 {
-			batch = 64
-		}
-		maxDepth := n.opts.Fetch.MaxPipelineDepth
-		if maxDepth <= 0 {
-			maxDepth = peer.DefaultMaxPipelineDepth
-		}
 		// Shrink-before-grow again: the wires enforce the same budget as
 		// their aggregate ceiling (Config.WireWindow), so a grow applied
 		// before its sibling's shrink would be clamped against window the
@@ -658,13 +650,11 @@ func (n *Node) rebalance() {
 		for i, st := range states {
 			if wins[i] < st.o.ChannelWindow() {
 				st.o.SetChannelWindow(wins[i])
-				st.o.SetPipelineCap(depthCap(wins[i], batch, maxDepth))
 			}
 		}
 		for i, st := range states {
 			if wins[i] > st.o.ChannelWindow() {
 				st.o.SetChannelWindow(wins[i])
-				st.o.SetPipelineCap(depthCap(wins[i], batch, maxDepth))
 			}
 		}
 	}

@@ -49,26 +49,6 @@ func allocateWindows(budget int, sigs []fetchSignal) []int {
 	return apportion(budget, minChannelWindow, sigs)
 }
 
-// depthCap converts a fetch's window share into a pipeline-depth cap:
-// the number of `batch`-sized requests needed to cover the window
-// (rounded up — a truncated cap would leave part of the window
-// permanently idle), clamped to [1, maxDepth]. Requests beyond that
-// would solicit symbols the window cannot admit — duplicates-in-waiting
-// the AIMD ramp would otherwise have to discover by backing off.
-func depthCap(window, batch, maxDepth int) int {
-	if batch < 1 {
-		batch = 1
-	}
-	d := (window + batch - 1) / batch
-	if d < 1 {
-		d = 1
-	}
-	if maxDepth > 0 && d > maxDepth {
-		d = maxDepth
-	}
-	return d
-}
-
 // apportion divides `total` units across the fetches: `floor` units
 // guaranteed each (total is effectively raised to nf·floor when
 // smaller), the rest proportionally to progress rate with

@@ -180,23 +180,3 @@ func TestAllocateWindowsTable(t *testing.T) {
 		})
 	}
 }
-
-func TestDepthCap(t *testing.T) {
-	cases := []struct {
-		window, batch, maxDepth, want int
-	}{
-		{window: 256, batch: 64, maxDepth: 16, want: 4},
-		{window: 64, batch: 64, maxDepth: 16, want: 1},
-		{window: 16, batch: 64, maxDepth: 16, want: 1},    // floor: never zero
-		{window: 40, batch: 16, maxDepth: 16, want: 3},    // rounds up: 2 would idle 8 frames
-		{window: 4096, batch: 64, maxDepth: 16, want: 16}, // clamped to max
-		{window: 4096, batch: 64, maxDepth: 0, want: 64},  // no max configured
-		{window: 128, batch: 0, maxDepth: 8, want: 8},     // degenerate batch
-	}
-	for _, c := range cases {
-		if got := depthCap(c.window, c.batch, c.maxDepth); got != c.want {
-			t.Errorf("depthCap(%d, %d, %d) = %d, want %d",
-				c.window, c.batch, c.maxDepth, got, c.want)
-		}
-	}
-}

@@ -148,6 +148,7 @@ func TestHotPathAllocs(t *testing.T) {
 	c := r.Counter("hot.counter")
 	g := r.Gauge("hot.gauge")
 	h := r.Histogram("hot.hist{kind=pin}", DurationBuckets)
+	lat := r.Histogram("hot.latency_seconds", SecondsBuckets)
 	tr := r.Tracer()
 	if n := testing.AllocsPerRun(1000, func() { c.Add(1) }); n != 0 {
 		t.Fatalf("Counter.Add allocates %v/op", n)
@@ -157,6 +158,12 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(3.5) }); n != 0 {
 		t.Fatalf("Histogram.Observe allocates %v/op", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { lat.Observe(0.103) }); n != 0 {
+		t.Fatalf("Histogram.Observe over SecondsBuckets allocates %v/op", n)
+	}
+	if again := r.Histogram("hot.latency_seconds", SecondsBuckets); again != lat {
+		t.Fatal("a second registration of a latency histogram returned a second histogram")
 	}
 	if n := testing.AllocsPerRun(1000, func() { tr.Trace(EvStall, "p1", "") }); n > 0 {
 		t.Fatalf("Tracer.Trace allocates %v/op", n)

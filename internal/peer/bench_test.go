@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+	"time"
 
 	"icd/internal/faultnet"
 )
@@ -58,4 +59,41 @@ func BenchmarkFetchFabricPipe(b *testing.B) {
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(symbols), "allocs/symbol")
+}
+
+// BenchmarkFetchFabricWAN is the same fetch where round trips are all it
+// costs: a k=1024 full sender behind a 50 ms RTT, unlimited-bandwidth
+// ShapedNet link in delivery mode — the benchmark's wan_rtt50 shape, one
+// client. rtt/fetch is the row to read: session setup is one round trip
+// and 1085 symbols through a 512-frame window are three more; MB/s
+// follows from it.
+func BenchmarkFetchFabricWAN(b *testing.B) {
+	const k, blockSize, rtt = 1024, 1400, 50 * time.Millisecond
+	info, data := testContent(b, k, blockSize)
+	srv, err := NewFullServer(info, data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dial, cleanup := wanPair(b, rtt, srv)
+	defer cleanup()
+
+	opts := FetchOptions{Dial: dial, DisableGossip: true}
+	fetch := func() {
+		res, err := Fetch([]string{"provider"}, info.ID, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !bytes.Equal(res.Data, data) {
+			b.Fatal("content mismatch")
+		}
+	}
+	fetch() // warm the frame pools
+
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fetch()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed())/float64(b.N)/float64(rtt), "rtt/fetch")
 }

@@ -23,6 +23,34 @@
 // partially downloaded state can be carried into a later Fetch — the
 // §2.3 "fully stateless connection migrations".
 //
+// # Session lifecycle
+//
+// The overlay is adaptive — peers are re-selected and connections
+// re-made throughout a transfer (§2.1) — so what a session costs before
+// its first symbol is paid again and again, and is kept to one round
+// trip. Opening the session's channel sends, in one flight, the wire's
+// MUX_HELLO (when the open has to bring the wire up), the OPEN_CHANNEL
+// carrying this receiver's content HELLO, and the channel's initial
+// credit grant; the peer's ACCEPT carries the content metadata, after
+// which the session sends its summary (partial senders only) and its
+// first REQUESTs (peer.handshake_seconds records open → ACCEPT). A peer
+// that turns the first flight down — unknown content, refused, wrong
+// version — ends the session terminally on that first dial, uncharged.
+//
+// From there the session keeps K request batches outstanding and reads
+// symbols until each batch's DONE. K has one cap, read at every batch
+// boundary: the batches its channel's credit window admits
+// (window/Batch, rounded up), so a scheduler that resizes the window
+// (Orchestrator.SetChannelWindow) moves the depth with it. Against a
+// full sender — fresh fountain symbols, nothing that can be stale or a
+// duplicate — the session runs at that cap from its first REQUEST;
+// against a partial sender, whose recoded stream ages with the summary
+// it was built against, K adapts AIMD-style from 1: plus one per useful
+// batch, halved when a batch was useless or mostly duplicates.
+// FetchOptions.PipelineDepth pins K for tests and experiments (1 =
+// stop-and-wait). A k=1024 fetch from a full sender is four round trips:
+// one of setup and three 512-frame windows.
+//
 // # Failure model
 //
 // The engine assumes a hostile network: connections stall, die

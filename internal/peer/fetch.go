@@ -127,16 +127,13 @@ type FetchOptions struct {
 	// peer. Nil builds a private fabric over Dial for this fetch alone —
 	// a lone fetch is a wire with one channel — closed when Run ends.
 	Fabric *peermux.Fabric
-	// PipelineDepth sets how many request batches a session keeps in
-	// flight: 0 (default) adapts AIMD-style between 1 and
-	// MaxPipelineDepth, 1 forces stop-and-wait, larger values fix the
-	// depth. A fixed depth past MaxPipelineDepth fails the session with
-	// ErrPipelineDepth.
+	// PipelineDepth pins how many request batches a session keeps in
+	// flight — the test and experiment knob: 1 forces stop-and-wait,
+	// larger values fix the depth. 0 (default) derives it: capped by what
+	// the session's channel window admits (window/Batch, rounded up), a
+	// full sender runs at that cap from its first REQUEST and a partial
+	// sender adapts AIMD-style from 1 up to it.
 	PipelineDepth int
-	// MaxPipelineDepth caps the adaptive request ramp (default 16). A
-	// scheduler can bind it tighter, live, via
-	// Orchestrator.SetPipelineCap.
-	MaxPipelineDepth int
 	// PipelineDupHigh is the per-batch duplicate-symbol rate past which
 	// the adaptive ramp halves (default 0.5).
 	PipelineDupHigh float64
@@ -145,7 +142,8 @@ type FetchOptions struct {
 	// peermux.DefaultWindow; values clamp to the wire's per-channel
 	// maximum). Orchestrator.SetChannelWindow resizes live channels —
 	// together they are how a node scheduler spends one wire's bandwidth
-	// by marginal utility instead of evenly per channel.
+	// by marginal utility instead of evenly per channel. The window also
+	// caps each session's request depth (see PipelineDepth).
 	ChannelWindow int
 
 	// Obs is the node-wide observability registry the orchestrator and
@@ -194,9 +192,6 @@ func (o FetchOptions) withDefaults() FetchOptions {
 	}
 	if o.MaxCandidates <= 0 {
 		o.MaxCandidates = 32
-	}
-	if o.MaxPipelineDepth <= 0 {
-		o.MaxPipelineDepth = DefaultMaxPipelineDepth
 	}
 	if o.PipelineDupHigh <= 0 {
 		o.PipelineDupHigh = DefaultPipelineDupHigh

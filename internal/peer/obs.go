@@ -28,6 +28,10 @@ type fetchMetrics struct {
 	gossipAdmit   *obs.Counter // peer.gossip{event=admit}
 	gossipDefer   *obs.Counter // peer.gossip{event=defer}
 	gossipPromote *obs.Counter // peer.gossip{event=promote}
+	// handshake is one observation per session that came up: channel
+	// open issued → ACCEPT received, the dial and wire handshake included
+	// when the open had to bring the wire up.
+	handshake *obs.Histogram // peer.handshake_seconds
 }
 
 func newFetchMetrics(r *obs.Registry) fetchMetrics {
@@ -47,6 +51,7 @@ func newFetchMetrics(r *obs.Registry) fetchMetrics {
 		gossipAdmit:   r.Counter("peer.gossip{event=admit}"),
 		gossipDefer:   r.Counter("peer.gossip{event=defer}"),
 		gossipPromote: r.Counter("peer.gossip{event=promote}"),
+		handshake:     r.Histogram("peer.handshake_seconds", obs.SecondsBuckets),
 	}
 }
 

@@ -110,10 +110,6 @@ type Orchestrator struct {
 	// channels open at it; SetChannelWindow moves it and resizes every
 	// live channel — the credit-denominated scheduler's bandwidth knob.
 	chanWin atomic.Int64
-	// pipeCap, when positive, caps every session's adaptive pipeline
-	// ramp (sessions apply it at each batch boundary via
-	// PipelineController.SetMax).
-	pipeCap atomic.Int64
 	scratch struct { // decode-loop batch scratch, reused every iteration
 		ins  []incoming
 		syms []fountain.Symbol
@@ -483,8 +479,10 @@ func (o *Orchestrator) MaxPeers() int {
 // SetChannelWindow moves wire bandwidth between the subchannels already
 // sharing a wire. New channels open at n; every live channel is
 // resized immediately via its regrant path (Channel.SetWindow clamps
-// to the wire's limits). n <= 0 restores the wire default for new
-// channels and leaves live ones alone.
+// to the wire's limits), and each session's request depth follows at its
+// next batch boundary — the window is the depth's only cap. n <= 0
+// restores the wire default for new channels and leaves live ones
+// alone.
 func (o *Orchestrator) SetChannelWindow(n int) {
 	o.chanWin.Store(int64(n))
 	if n <= 0 {
@@ -506,16 +504,6 @@ func (o *Orchestrator) SetChannelWindow(n int) {
 // ChannelWindow returns the current per-session window target (0 = the
 // wire default).
 func (o *Orchestrator) ChannelWindow() int { return int(o.chanWin.Load()) }
-
-// SetPipelineCap bounds every session's adaptive request ramp at n
-// in-flight batches (0 removes the bound; the FetchOptions cap still
-// applies). Sessions pick the new cap up at their next batch boundary.
-func (o *Orchestrator) SetPipelineCap(n int) {
-	if n < 0 {
-		n = 0
-	}
-	o.pipeCap.Store(int64(n))
-}
 
 // Progress returns the count of distinct encoded symbols decoded into
 // the working set so far — the cheap monotone signal a scheduler

@@ -6,102 +6,113 @@ package peer
 // for a full RTT per batch. A fabric subchannel has an asynchronous
 // reader under it (the wire's demux loop), so a session can pipeline:
 // keep K requests in flight so the server's symbol stream never drains
-// between batches, and adapt K the way AIMD congestion control adapts a
-// window — grow by one while batches deliver useful symbols, halve when
-// the stream turns useless or the duplicate rate says the receiver's
-// summary has gone stale faster than refreshes can catch up. Depth 1
-// degrades to exactly stop-and-wait.
+// between batches.
+//
+// K has one cap: what the channel's granted credit window admits
+// (depthCap), read at every batch boundary, so a scheduler that resizes
+// the window (Orchestrator.SetChannelWindow) moves the depth with it and
+// nothing else has to. Below that cap the depth depends on the sender.
+// A full sender streams fresh fountain symbols — nothing it sends can be
+// stale or a duplicate — so there is nothing to probe for and the
+// session runs at the cap from its first REQUEST. A partial sender
+// recodes against a summary that ages while requests are in flight, so
+// its depth adapts the way AIMD congestion control adapts a window: from
+// 1, grow by one while batches deliver useful symbols, halve when the
+// stream turns useless or the duplicate rate says the summary has gone
+// stale faster than refreshes can catch up. A pinned depth
+// (FetchOptions.PipelineDepth; 1 = stop-and-wait) overrides both.
 
-import (
-	"errors"
-	"fmt"
-	"math"
-)
-
-// DefaultMaxPipelineDepth caps the adaptive request ramp.
-const DefaultMaxPipelineDepth = 16
+import "math"
 
 // DefaultPipelineDupHigh is the duplicate-rate threshold past which the
 // ramp backs off multiplicatively.
 const DefaultPipelineDupHigh = 0.5
 
-// ErrPipelineDepth marks a pipeline misconfiguration: a fixed
-// PipelineDepth larger than the MaxPipelineDepth cap. The old behavior
-// silently clamped the fixed depth down, which made the knob lie — a
-// caller pinning depth 99 under cap 16 ran at 16 and never knew.
-// Sessions treat it as terminal (no redial can fix an option).
-var ErrPipelineDepth = errors.New("peer: fixed PipelineDepth exceeds MaxPipelineDepth")
+// depthCap is the pipeline depth a credit window admits: the number of
+// `batch`-sized requests needed to cover `window` symbol frames, rounded
+// up (a truncated cap would leave part of the window permanently idle)
+// and never below 1. Requests beyond it would solicit symbols the window
+// cannot admit — the sender would only park them behind its credit wait.
+func depthCap(window, batch int) int {
+	if batch < 1 {
+		batch = 1
+	}
+	d := (window + batch - 1) / batch
+	if d < 1 {
+		d = 1
+	}
+	return d
+}
 
-// PipelineController adapts a session's in-flight request depth
-// AIMD-style. It is driven from a single session goroutine; no locking.
+// PipelineController holds a session's in-flight request depth. It is
+// driven from a single session goroutine; no locking.
 type PipelineController struct {
 	depth   int
 	max     int
-	fixed   bool
+	pinned  bool // the caller fixed the depth: no cap, no adaptation
+	full    bool // full sender: the depth is the cap
 	dupHigh float64
 }
 
-// NewPipelineController builds a controller. depth >= 1 fixes the ramp
-// at that depth (1 = stop-and-wait); depth <= 0 selects the adaptive
-// ramp, starting at 1 and bounded by max. A fixed depth past max is
-// rejected with ErrPipelineDepth rather than silently clamped.
-func NewPipelineController(depth, max int, dupHigh float64) (*PipelineController, error) {
-	if max <= 0 {
-		max = DefaultMaxPipelineDepth
+// NewPipelineController builds a controller under the cap max (what the
+// channel window admits; SetMax moves it). pin >= 1 fixes the depth at
+// pin whatever the cap (1 = stop-and-wait); otherwise a full sender runs
+// at the cap and a partial one adapts AIMD-style from depth 1.
+func NewPipelineController(pin, max int, full bool, dupHigh float64) *PipelineController {
+	if max < 1 {
+		max = 1
 	}
 	if dupHigh <= 0 {
 		dupHigh = DefaultPipelineDupHigh
 	}
-	if depth > max {
-		return nil, fmt.Errorf("%w: %d > %d", ErrPipelineDepth, depth, max)
+	c := &PipelineController{depth: 1, max: max, full: full, dupHigh: dupHigh}
+	switch {
+	case pin >= 1:
+		c.pinned, c.depth = true, pin
+	case full:
+		c.depth = max
 	}
-	c := &PipelineController{max: max, dupHigh: dupHigh}
-	if depth >= 1 {
-		c.fixed = true
-		c.depth = depth
-	} else {
-		c.depth = 1
-	}
-	return c, nil
+	return c
 }
 
 // Depth returns the current target for in-flight request batches.
 func (c *PipelineController) Depth() int { return c.depth }
 
-// Max returns the ramp's current cap (the fixed depth when pinned).
+// Max returns the current cap (the pinned depth when pinned).
 func (c *PipelineController) Max() int {
-	if c.fixed {
+	if c.pinned {
 		return c.depth
 	}
 	return c.max
 }
 
-// SetMax re-caps the adaptive ramp mid-session — the hook a
-// credit-denominated scheduler uses to bound a session's in-flight
-// batches to the worth of its channel's window. Lowering the cap pulls
-// the current depth down with it; raising it lets the ramp grow again.
-// A fixed controller ignores the cap: the caller pinned the depth
-// explicitly. Like Observe, it must be called from the session
-// goroutine that owns the controller.
+// SetMax re-caps the controller — the session calls it at every batch
+// boundary with what its channel window admits at that moment. A full
+// sender's depth follows the cap both ways; an adaptive depth is pulled
+// down with a lowered cap and may grow again under a raised one. A
+// pinned controller ignores the cap: the caller fixed the depth
+// explicitly. Like Observe, it must be called from the session goroutine
+// that owns the controller.
 func (c *PipelineController) SetMax(max int) {
-	if c.fixed || max < 1 {
+	if c.pinned || max < 1 {
 		return
 	}
 	c.max = max
-	if c.depth > max {
+	if c.full || c.depth > max {
 		c.depth = max
 	}
 }
 
-// Observe feeds one completed batch's outcome into the ramp: additive
-// increase on a useful batch, multiplicative back-off when the batch
-// was useless or its duplicate rate crossed the threshold. A NaN
+// Observe feeds one completed batch's outcome into the adaptive ramp:
+// additive increase on a useful batch, multiplicative back-off when the
+// batch was useless or its duplicate rate crossed the threshold. A NaN
 // duplicate rate (a 0-symbol batch's 0/0) compares false against any
 // threshold, which used to read as "below threshold, grow" — an empty
 // batch is no evidence of a healthy stream, so NaN backs off like a
-// useless batch instead.
+// useless batch instead. Pinned and full-sender controllers do not
+// adapt.
 func (c *PipelineController) Observe(dupRate float64, useful bool) {
-	if c.fixed {
+	if c.pinned || c.full {
 		return
 	}
 	if !useful || math.IsNaN(dupRate) || dupRate > c.dupHigh {

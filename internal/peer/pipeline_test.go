@@ -1,18 +1,18 @@
 package peer
 
-// pipeline_test.go pins the AIMD request ramp: additive increase on
-// useful batches, multiplicative back-off on useless, duplicate-heavy,
-// or NaN-rate batches, the [1, max] clamp, fixed-depth (stop-and-wait)
-// mode, the rejection of a fixed depth past the cap, and the live
-// SetMax re-cap a credit scheduler drives. The session-level cases run
-// the ramp end to end over a synchronous net.Pipe — the adversarial
-// transport: a session writing REQUEST k+1 while the server still
-// streams batch k would deadlock the pipe if nothing drained it, which
-// is the wire's demux reader's job.
+// pipeline_test.go pins the request depth: the window-derived cap
+// (depthCap), the partial-sender AIMD ramp under it — additive increase
+// on useful batches, multiplicative back-off on useless,
+// duplicate-heavy, or NaN-rate batches, the [1, max] clamp — the
+// full-sender depth that sits at the cap and follows it, the pinned
+// (stop-and-wait) mode, and the live SetMax re-cap a window resize
+// drives. The session-level cases run it end to end over a synchronous
+// net.Pipe — the adversarial transport: a session writing REQUEST k+1
+// while the server still streams batch k would deadlock the pipe if
+// nothing drained it, which is the wire's demux reader's job.
 
 import (
 	"bytes"
-	"errors"
 	"math"
 	"testing"
 	"time"
@@ -20,13 +20,58 @@ import (
 	"icd/internal/testutil"
 )
 
+// mustController builds a partial-sender (adaptive unless pinned)
+// controller.
 func mustController(t *testing.T, depth, max int, dupHigh float64) *PipelineController {
 	t.Helper()
-	c, err := NewPipelineController(depth, max, dupHigh)
-	if err != nil {
-		t.Fatalf("NewPipelineController(%d, %d, %g): %v", depth, max, dupHigh, err)
+	return NewPipelineController(depth, max, false, dupHigh)
+}
+
+func TestDepthCap(t *testing.T) {
+	cases := []struct {
+		window, batch, want int
+	}{
+		{window: 512, batch: 64, want: 8}, // the shipped defaults
+		{window: 256, batch: 64, want: 4},
+		{window: 64, batch: 64, want: 1},
+		{window: 16, batch: 64, want: 1}, // floor: never zero
+		{window: 40, batch: 16, want: 3}, // rounds up: 2 would idle 8 frames
+		{window: 4096, batch: 64, want: 64},
+		{window: 0, batch: 64, want: 1},
+		{window: 128, batch: 0, want: 128}, // degenerate batch
 	}
-	return c
+	for _, c := range cases {
+		if got := depthCap(c.window, c.batch); got != c.want {
+			t.Errorf("depthCap(%d, %d) = %d, want %d", c.window, c.batch, got, c.want)
+		}
+	}
+}
+
+// TestPipelineControllerFullSenderRunsAtCap: a full sender has nothing
+// to probe for, so its depth is the cap from the first REQUEST, follows
+// the cap both ways, and no batch outcome moves it.
+func TestPipelineControllerFullSenderRunsAtCap(t *testing.T) {
+	c := NewPipelineController(0, 8, true, 0)
+	if c.Depth() != 8 {
+		t.Fatalf("full sender starts at depth %d, want the cap 8", c.Depth())
+	}
+	c.Observe(1, false)
+	c.Observe(math.NaN(), true)
+	if c.Depth() != 8 {
+		t.Fatalf("a batch outcome moved a full sender's depth to %d", c.Depth())
+	}
+	c.SetMax(2)
+	if c.Depth() != 2 {
+		t.Fatalf("after the window shrank to 2 batches: depth %d", c.Depth())
+	}
+	c.SetMax(6)
+	if c.Depth() != 6 {
+		t.Fatalf("after the window grew to 6 batches: depth %d, want 6 at once", c.Depth())
+	}
+	// A pin overrides the sender type.
+	if p := NewPipelineController(1, 8, true, 0); p.Depth() != 1 {
+		t.Fatalf("pinned stop-and-wait against a full sender runs at %d", p.Depth())
+	}
 }
 
 func TestPipelineControllerAdaptiveRamp(t *testing.T) {
@@ -86,14 +131,10 @@ func TestPipelineControllerFixedDepth(t *testing.T) {
 	if c.Depth() != 1 {
 		t.Fatalf("fixed depth drifted to %d, want 1 (stop-and-wait)", c.Depth())
 	}
-	// A fixed depth above max is a configuration error, not a silent
-	// clamp.
-	if _, err := NewPipelineController(99, 16, 0.5); !errors.Is(err, ErrPipelineDepth) {
-		t.Fatalf("fixed depth 99 over cap 16: err %v, want ErrPipelineDepth", err)
-	}
-	// At the cap is fine.
-	if c := mustController(t, 16, 16, 0.5); c.Depth() != 16 {
-		t.Fatalf("fixed depth at cap: %d, want 16", c.Depth())
+	// The pin is the caller's explicit choice: the window cap does not
+	// bind it (the credit window still bounds what is actually in flight).
+	if c := mustController(t, 99, 16, 0.5); c.Depth() != 99 || c.Max() != 99 {
+		t.Fatalf("pinned depth 99 under cap 16: depth %d max %d, want 99/99", c.Depth(), c.Max())
 	}
 }
 
@@ -131,17 +172,22 @@ func TestPipelineControllerSetMax(t *testing.T) {
 }
 
 func TestPipelineControllerDefaults(t *testing.T) {
+	// A nonsense cap admits one batch: the ramp has nowhere to go.
 	c := mustController(t, 0, 0, 0)
 	for i := 0; i < 100; i++ {
 		c.Observe(0, true)
 	}
-	if c.Depth() != DefaultMaxPipelineDepth {
-		t.Fatalf("default cap %d, want %d", c.Depth(), DefaultMaxPipelineDepth)
+	if c.Depth() != 1 {
+		t.Fatalf("cap 0 let the ramp reach %d, want 1", c.Depth())
 	}
 	// The default threshold backs off a 60% duplicate batch.
+	c = mustController(t, 0, 16, 0)
+	for i := 0; i < 100; i++ {
+		c.Observe(0, true)
+	}
 	c.Observe(0.6, true)
-	if c.Depth() != DefaultMaxPipelineDepth/2 {
-		t.Fatalf("after 0.6 dup rate depth %d, want %d", c.Depth(), DefaultMaxPipelineDepth/2)
+	if c.Depth() != 8 {
+		t.Fatalf("after 0.6 dup rate depth %d, want 8", c.Depth())
 	}
 }
 
@@ -186,9 +232,9 @@ func TestSessionAdaptiveRampCompletes(t *testing.T) {
 	// Adaptive ramp (depth 0) with a small batch so the ramp actually
 	// climbs well past stop-and-wait before the transfer completes.
 	pn, _, data, res, err := fetchPipelined(t, 200, FetchOptions{
-		Batch:            4,
-		MaxPipelineDepth: 8,
-		Timeout:          5 * time.Second,
+		Batch:         4,
+		ChannelWindow: 32, // admits 8 batches
+		Timeout:       5 * time.Second,
 	})
 	defer pn.close()
 	if err != nil {
@@ -196,26 +242,5 @@ func TestSessionAdaptiveRampCompletes(t *testing.T) {
 	}
 	if !bytes.Equal(res.Data, data) {
 		t.Fatal("content mismatch over adaptive ramp")
-	}
-}
-
-func TestSessionFixedDepthOverCapIsTerminal(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	pn, addr, _, _, err := fetchPipelined(t, 40, FetchOptions{
-		Batch:            8,
-		PipelineDepth:    9,
-		MaxPipelineDepth: 8,
-		Timeout:          2 * time.Second,
-		MaxReconnects:    3, // must not burn redials on a config error
-	})
-	defer pn.close()
-	if err == nil {
-		t.Fatal("fixed depth over cap fetched successfully, want ErrPipelineDepth")
-	}
-	if !errors.Is(err, ErrPipelineDepth) {
-		t.Fatalf("err = %v, want ErrPipelineDepth", err)
-	}
-	if got := pn.dialCount(addr); got != 1 {
-		t.Fatalf("config error burned %d dials, want 1 (terminal, no redial)", got)
 	}
 }

@@ -89,7 +89,7 @@ func newSession(o *Orchestrator, addr string) *session {
 // reconnect-backoff budget (and, via runConn, are never charged).
 func terminalSessionError(err error) bool {
 	return errors.Is(err, ErrUnknownContent) || errors.Is(err, ErrRefused) ||
-		errors.Is(err, protocol.ErrVersion) || errors.Is(err, ErrPipelineDepth)
+		errors.Is(err, protocol.ErrVersion)
 }
 
 // dropLocked marks the session evicted and interrupts its connection.
@@ -259,6 +259,7 @@ func (s *session) openChannel() (*peermux.Channel, *keyset.Set, int64, error) {
 		return nil, nil, 0, fmt.Errorf("%w: %s", errDialSuppressed, s.addr)
 	}
 	held, heldVersion := o.heldSnapshot()
+	issued := time.Now()
 	ch, err := s.openInterruptibly(protocol.Hello{
 		ContentID:   o.contentID,
 		Symbols:     uint64(held.Len()),
@@ -266,6 +267,7 @@ func (s *session) openChannel() (*peermux.Channel, *keyset.Set, int64, error) {
 		ListenAddr:  o.opts.AdvertiseAddr,
 	})
 	if err == nil {
+		o.met.handshake.Observe(time.Since(issued).Seconds())
 		s.reached()
 		o.trace(obs.EvDial, s.addr, "")
 		return ch, held, heldVersion, nil
@@ -490,13 +492,13 @@ func (s *session) serveChannel(ch *peermux.Channel, held *keyset.Set, heldVersio
 	watchStop := make(chan struct{})
 	defer close(watchStop)
 	go s.watch(ch, watchStop)
-	pc, err := NewPipelineController(o.opts.PipelineDepth, o.opts.MaxPipelineDepth, o.opts.PipelineDupHigh)
-	if err != nil {
-		return err
-	}
 	s.setChannel(ch)
 	defer s.setChannel(nil)
 	hello := ch.RemoteHello()
+	// The request depth's one cap is what the channel window admits; a
+	// full sender runs at it from the first REQUEST (pipeline.go).
+	windowDepth := func() int { return depthCap(ch.Window(), o.opts.Batch) }
+	pc := NewPipelineController(o.opts.PipelineDepth, windowDepth(), hello.FullCopy, o.opts.PipelineDupHigh)
 	deadline := func() { ch.SetDeadline(time.Now().Add(o.opts.Timeout)) }
 	deadline()
 	if err := o.ensureDecoder(ContentInfo{
@@ -614,17 +616,15 @@ func (s *session) serveChannel(ch *peermux.Channel, held *keyset.Set, heldVersio
 				o.mu.Unlock()
 			}
 		}
-		// Pipelined request ramp: keep pc.Depth() batches outstanding so
-		// the server's symbol stream never drains while a REQUEST is in
+		// Pipelined requests: keep pc.Depth() batches outstanding so the
+		// server's symbol stream never drains while a REQUEST is in
 		// flight. Depth 1 is exactly the old stop-and-wait exchange. Each
 		// iteration of the outer loop retires one batch (one DONE), so
 		// batch-boundary accounting below is unchanged — it just lags the
-		// wire by the pipeline depth. A scheduler's live depth cap
-		// (Orchestrator.SetPipelineCap) binds the adaptive ramp here, at
-		// the batch boundary.
-		if pcap := o.pipeCap.Load(); pcap > 0 {
-			pc.SetMax(int(pcap))
-		}
+		// wire by the pipeline depth. The cap is re-read here, at the
+		// batch boundary, so a live window resize
+		// (Orchestrator.SetChannelWindow) moves the depth with it.
+		pc.SetMax(windowDepth())
 		deadline()
 		progressBefore := o.progress.Load()
 		for inflight < pc.Depth() {

@@ -65,6 +65,7 @@ type Channel struct {
 	window   uint32 // receiver side: current target receive window
 	deficit  uint32 // shrink debt: regrants withheld until paid down
 	granted  bool   // the initial window has been opened (grantInitial ran)
+	live     bool   // both ends agreed on the channel (markOpen ran)
 	retired  bool   // window released from the wire's aggregate sum
 	deadline time.Time
 	dnotify  chan struct{} // closed+replaced when the deadline moves earlier
@@ -127,7 +128,11 @@ func (c *Channel) Accept(h protocol.Hello) error {
 	if err := c.w.writeFrame(protocol.EncodeAcceptChannel(c.id, h)); err != nil {
 		return err
 	}
-	return c.grantInitial()
+	if err := c.grantInitial(); err != nil {
+		return err
+	}
+	c.markOpen()
+	return nil
 }
 
 // Reject declines a peer-opened channel with a canonical reason and
@@ -142,7 +147,10 @@ func (c *Channel) Reject(msg string) {
 // symbol frames before our consumer has drained anything. The grant is
 // registered in the wire's aggregate window sum first, so a wire-level
 // budget (Config.WireWindow) can clamp it — never below one frame, or
-// the channel could not move at all.
+// the channel could not move at all. The opening side grants before it
+// knows the peer's answer (the CREDIT rides behind the OPEN_CHANNEL); a
+// rejected or abandoned open hands the reservation back through
+// retireWindow like any other channel end.
 func (c *Channel) grantInitial() error {
 	c.mu.Lock()
 	want := int(c.window)
@@ -153,8 +161,22 @@ func (c *Channel) grantInitial() error {
 	c.avail += n
 	c.granted = true
 	c.mu.Unlock()
-	c.w.noteChanOpen(c.id, int(n))
 	return c.writeGrant(n)
+}
+
+// markOpen records the point a subchannel becomes live — the acceptor
+// answered ACCEPT — symmetric between the two sides. A channel that
+// already ended (the wire died under the open) was never live.
+func (c *Channel) markOpen() {
+	c.mu.Lock()
+	if c.retired {
+		c.mu.Unlock()
+		return
+	}
+	c.live = true
+	n := int(c.window)
+	c.mu.Unlock()
+	c.w.noteChanOpen(c.id, n)
 }
 
 // writeGrant sends a CREDIT frame carrying n and surfaces a write
@@ -445,9 +467,27 @@ func (c *Channel) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// acquireCredit blocks until the peer's receive window has room, the
-// deadline passes, or the channel dies.
+// acquireCredit takes one credit, blocking while the peer's receive
+// window has no room. Each call that had to wait records how long in
+// peermux.credit_stall_seconds — the sender-side view of a window that
+// is the binding constraint.
 func (c *Channel) acquireCredit() error {
+	c.mu.Lock()
+	if c.credits > 0 {
+		c.credits--
+		c.mu.Unlock()
+		return nil
+	}
+	c.mu.Unlock()
+	start := time.Now()
+	err := c.waitCredit()
+	c.w.met.stall.Observe(time.Since(start).Seconds())
+	return err
+}
+
+// waitCredit blocks until a credit could be taken, the deadline passes,
+// or the channel dies.
+func (c *Channel) waitCredit() error {
 	for {
 		c.mu.Lock()
 		if c.credits > 0 {
@@ -531,10 +571,13 @@ func (c *Channel) retireWindow() {
 		c.retired = true
 		n = int(c.window)
 	}
+	live := c.live
 	c.mu.Unlock()
 	if n > 0 {
 		c.w.reserveWindow(-n, 0)
-		c.w.noteChanClose(c.id, n)
+		if live {
+			c.w.noteChanClose(c.id, n)
+		}
 	}
 }
 

@@ -4,11 +4,40 @@
 // O(peers), not O(peers × contents). A lone fetch is the degenerate
 // case — a wire with one channel.
 //
-// # Wire layout
+// # Handshake
 //
 // A connection opens with a MUX_HELLO exchange (each side announces its
 // channel capacity and dialable listen address); content HELLOs travel
-// per channel. After that the stream carries:
+// per channel. The exchange costs one round trip, not one per layer,
+// because the dialer sends everything that does not depend on the
+// peer's answer in its first flight: Dial writes the MUX_HELLO and
+// returns, and the first Open writes its OPEN_CHANNEL and that
+// channel's initial CREDIT right behind it. The demux reader is already
+// running and takes the answer as its first frames — the peer's
+// MUX_HELLO, then the ACCEPT_CHANNEL and CREDIT — so a lone fetch has
+// its content metadata and a full window granted both ways one round
+// trip after the dial. The acceptor needs nothing new for this: it
+// reads the MUX_HELLO, answers, and finds the OPEN_CHANNEL and CREDIT
+// buffered behind it. The frame vocabulary and the wire version are
+// what they were, so an end that still takes strict turns (hello, then
+// open, then credit) interoperates in either role.
+//
+// What waits for the answer: the peer's channel limit is not known
+// until its MUX_HELLO arrives, so until then exactly one channel may be
+// open on a wire; further opens queue behind the hello and are then
+// bound by the announced MaxChannels as before. A peer that answers the
+// first flight with an ERROR instead (version reject, refused, busy), a
+// corrupt stream, or anything that is not a MUX_HELLO kills the wire,
+// and every pending open returns that verdict with its type intact
+// (protocol.ErrVersion, *RemoteError, protocol.ErrCorrupt) — also when
+// a first-flight write has meanwhile failed on the closed connection:
+// the peer's answer wins. A rejected open hands back the window its
+// early CREDIT reserved, and the acceptor retires a rejected id so that
+// CREDIT drains instead of being charged.
+//
+// # Wire layout
+//
+// After the handshake the stream carries:
 //
 //   - OPEN_CHANNEL / ACCEPT_CHANNEL / REJECT_CHANNEL — subchannel
 //     negotiation. The opener picks an odd channel id and attaches its
@@ -61,8 +90,9 @@
 //
 // # Channel lifecycle
 //
-// Open (dialer picks id, sends OPEN_CHANNEL) → Accept/Reject (acceptor
-// answers; both sides grant initial credits on accept) → established
+// Open (dialer picks id, sends OPEN_CHANNEL and its initial CREDIT) →
+// Accept/Reject (acceptor answers, granting its own initial credits on
+// accept) → established
 // (Channel is a frame source via Next and an io.Writer that re-frames
 // one serialized content frame per Write into an envelope) → closed
 // (either side's CLOSE_CHANNEL, a wire failure, or Channel.Close; the
@@ -70,9 +100,7 @@
 // Open to an address dials and shakes hands, later Opens share the
 // wire, and the last Close tears it down.
 //
-// The pipelined AIMD request ramp that rides on these channels lives in
-// the peer package (see peer.FetchOptions.PipelineDepth): sessions
-// keep K request batches outstanding, growing K additively
-// while batches deliver useful symbols and halving it when the
-// duplicate rate spikes.
+// How many request batches ride on a channel at once is the peer
+// package's business (peer/pipeline.go), but its one cap comes from
+// here: what the channel's granted window admits, Window()/batch.
 package peermux

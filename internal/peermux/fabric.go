@@ -1,9 +1,10 @@
 package peermux
 
 // fabric.go shares wires across contents: the first Open toward an
-// address dials and performs the MUX_HELLO handshake, every later Open
-// toward the same address rides the existing wire as another
-// subchannel, and the last channel Close tears the wire down. This is
+// address dials and sends the MUX_HELLO with its own OPEN_CHANNEL right
+// behind it, every later Open toward the same address rides the existing
+// wire as another subchannel (once the peer's MUX_HELLO has arrived),
+// and the last channel Close tears the wire down. This is
 // what collapses a node's connection count from O(peers × contents) to
 // O(peers).
 
@@ -57,8 +58,10 @@ func (f *Fabric) SetPenalize(fn func(addr string, weight float64)) {
 
 // Open returns a subchannel to addr carrying h, dialing a wire only if
 // none is live. Concurrent Opens toward a fresh address share one dial:
-// the first does the handshake, the rest wait on it. A wire that died
-// between lookup and Open is replaced once.
+// the first rides the handshake's flight, the rest wait for the peer's
+// answer. An established wire that died between lookup and Open is
+// replaced once; a wire whose handshake failed is the peer's answer, not
+// a stale entry, and is returned as it is.
 func (f *Fabric) Open(addr string, h protocol.Hello, timeout time.Duration) (*Channel, error) {
 	return f.OpenWindow(addr, h, 0, timeout)
 }
@@ -81,9 +84,9 @@ func (f *Fabric) OpenWindow(addr string, h protocol.Hello, window int, timeout t
 		f.mu.Unlock()
 		ch, err := wr.wire.OpenWindow(h, window, timeout)
 		if err != nil {
-			dead := wr.wire.Err() != nil
+			stale := wr.wire.Err() != nil && wr.wire.established()
 			f.release(wr)
-			if dead {
+			if stale {
 				// The shared wire is dead (stale entry or it died mid
 				// open): retry once with a fresh dial.
 				lastErr = err
@@ -123,7 +126,7 @@ func (f *Fabric) wireFor(addr string) (*wireRef, error) {
 		cfg.onDead = func() { f.drop(wr) }
 		f.mu.Lock()
 		pen, closed := f.penalize, f.closed
-		wr.conn = conn // Close interrupts the handshake through it
+		wr.conn = conn // Close interrupts a blocked MUX_HELLO write through it
 		f.mu.Unlock()
 		if pen != nil {
 			cfg.Penalize = func(weight float64) { pen(addr, weight) }
@@ -227,9 +230,9 @@ func (f *Fabric) Close() error {
 				wr.wire.Close()
 			}
 		default:
-			// Still dialing: cut a handshake in flight short (a dial
-			// still connecting sees f.closed when it lands); either way
-			// the dial path cleans up itself.
+			// Still dialing: cut a MUX_HELLO write in flight short (a
+			// dial still connecting sees f.closed when it lands); either
+			// way the dial path cleans up itself.
 			f.mu.Lock()
 			conn := wr.conn
 			f.mu.Unlock()

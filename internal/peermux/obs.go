@@ -23,6 +23,9 @@ type wireMetrics struct {
 	windowSum  *obs.Gauge     // peermux.window_inflight
 	ceiling    *obs.Gauge     // peermux.window_ceiling
 	queueDepth *obs.Histogram // peermux.queue_depth
+	// stall is one observation per symbol write that found the peer's
+	// window empty: how long the sender then sat in acquireCredit.
+	stall *obs.Histogram // peermux.credit_stall_seconds
 }
 
 func newWireMetrics(r *obs.Registry) wireMetrics {
@@ -37,12 +40,14 @@ func newWireMetrics(r *obs.Registry) wireMetrics {
 		windowSum:  r.Gauge("peermux.window_inflight"),
 		ceiling:    r.Gauge("peermux.window_ceiling"),
 		queueDepth: r.Histogram("peermux.queue_depth", obs.CountBuckets),
+		stall:      r.Histogram("peermux.credit_stall_seconds", obs.SecondsBuckets),
 	}
 }
 
-// noteChanOpen records a channel whose credit window just opened — the
-// point a subchannel becomes live, symmetric between the dialing side
-// (OpenWindow) and the accepting side (Accept), both via grantInitial.
+// noteChanOpen records a channel both ends agreed on — the point a
+// subchannel becomes live, symmetric between the dialing side
+// (OpenWindow, on the ACCEPT) and the accepting side (Accept), both via
+// markOpen. An open the peer rejects never counts as opened.
 func (w *Wire) noteChanOpen(id uint16, window int) {
 	w.met.opened.Add(1)
 	w.met.chansOpen.Add(1)
@@ -53,7 +58,7 @@ func (w *Wire) noteChanOpen(id uint16, window int) {
 
 // noteChanClose mirrors noteChanOpen when the window retires (local
 // close, remote close, or wire death) — exactly once per live channel,
-// anchored on the same granted/retired flags retireWindow settles.
+// anchored on the same live/retired flags retireWindow settles.
 func (w *Wire) noteChanClose(id uint16, window int) {
 	w.met.closed.Add(1)
 	w.met.chansOpen.Add(-1)

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"icd/internal/obs"
 	"icd/internal/protocol"
 	"icd/internal/testutil"
 )
@@ -289,7 +290,8 @@ func TestBlockedWriteUnblocked(t *testing.T) {
 	}
 
 	t.Run("SetDeadline", func(t *testing.T) {
-		w, shutdown := startPair(t, Config{Window: 2}, Config{Window: 2}, accept)
+		reg := obs.NewRegistry()
+		w, shutdown := startPair(t, Config{Window: 2, Obs: reg}, Config{Window: 2}, accept)
 		defer shutdown()
 		ch, err := w.Open(protocol.Hello{ContentID: 1}, time.Second)
 		if err != nil {
@@ -304,6 +306,17 @@ func TestBlockedWriteUnblocked(t *testing.T) {
 			}
 		case <-time.After(2 * time.Second):
 			t.Fatal("SetDeadline(now) did not unblock a credit-parked Write")
+		}
+		// The wait is on the record, as long as the park (the first write
+		// may have found the peer's opening CREDIT still in flight: a
+		// second, short one), and recording one allocates nothing.
+		stall := reg.Histogram("peermux.credit_stall_seconds", nil)
+		if n := stall.Count(); n < 1 || n > 2 || stall.Sum() < 0.03 {
+			t.Errorf("credit_stall_seconds: %d observations summing to %.3fs, want the park's >= 0.03s",
+				n, stall.Sum())
+		}
+		if avg := testing.AllocsPerRun(100, func() { w.met.stall.Observe(0.03) }); avg != 0 {
+			t.Errorf("recording a credit stall allocates %.1f per call, want 0", avg)
 		}
 		ch.Close()
 	})

@@ -1,6 +1,8 @@
 package peermux
 
-// wire.go owns the shared connection: the MUX_HELLO handshake, the
+// wire.go owns the shared connection: the MUX_HELLO handshake (the
+// dialer's half rides one flight with its first OPEN_CHANNEL and CREDIT;
+// the answer is read by the demux reader like any other frame), the
 // single reader goroutine that demultiplexes envelopes onto channel
 // queues, serialized frame writes, channel open/accept bookkeeping, and
 // the containment rules for misbehaving peers (unknown ids, credit
@@ -132,7 +134,6 @@ type Wire struct {
 	fr      *protocol.FrameReader
 	cfg     Config
 	dialer  bool
-	remote  protocol.MuxHello
 	handler func(*Channel)
 	met     wireMetrics
 	raddr   string // cached RemoteAddr().String() for trace subjects
@@ -149,6 +150,12 @@ type Wire struct {
 	// only across the sum arithmetic, never while taking mu or wmu.
 	winMu  sync.Mutex
 	winSum int
+
+	// remote is the peer's MUX_HELLO, written once before helloc closes:
+	// the acceptor is handed it, the dialer's reader finds it as the
+	// first inbound frame. Read it only after established().
+	remote protocol.MuxHello
+	helloc chan struct{}
 
 	mu       sync.Mutex
 	chans    map[uint16]*Channel
@@ -170,48 +177,26 @@ type openReply struct {
 	ok     bool
 }
 
-// Dial performs the dialer side of the fabric handshake on conn and
-// starts the demultiplexing reader. On a version rejection from the
-// peer the returned error wraps protocol.ErrVersion.
+// Dial starts a wire on conn from the dialing side: it starts the
+// demultiplexing reader, writes our MUX_HELLO and returns without
+// waiting for the peer's — the first Open's OPEN_CHANNEL and CREDIT
+// follow in the same flight, so a lone fetch is up in one round trip.
+// The peer's answer is the reader's first frame: a MUX_HELLO
+// establishes the wire; an ERROR (version reject, refused, busy), a
+// corrupt stream or any other frame kills it, and that verdict is what
+// the first Open (or Err) returns — a version rejection wraps
+// protocol.ErrVersion, any other ERROR is a *RemoteError.
 func Dial(conn net.Conn, cfg Config) (*Wire, error) {
 	cfg = cfg.withDefaults()
-	conn.SetDeadline(time.Now().Add(cfg.Timeout))
+	w := newWire(conn, protocol.NewFrameReader(conn), cfg, true)
+	go w.readLoop()
 	hello := protocol.MuxHello{
 		MaxChannels: uint16(cfg.MaxChannels),
 		ListenAddr:  cfg.ListenAddr,
 	}
-	if err := protocol.WriteFrame(conn, protocol.EncodeMuxHello(hello)); err != nil {
-		conn.Close()
-		return nil, err
+	if w.writeFrame(protocol.EncodeMuxHello(hello)) != nil {
+		return nil, w.Err() // the peer's answer, when it gave one
 	}
-	fr := protocol.NewFrameReader(conn)
-	f, err := fr.Next()
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	switch f.Type {
-	case protocol.TypeMuxHello:
-		// fall through
-	case protocol.TypeError:
-		msg, _ := protocol.DecodeError(f)
-		conn.Close()
-		if protocol.IsVersionReject(msg) {
-			return nil, fmt.Errorf("peermux: %s: %w", msg, protocol.ErrVersion)
-		}
-		return nil, &RemoteError{Msg: msg}
-	default:
-		conn.Close()
-		return nil, fmt.Errorf("peermux: handshake answered with %v, want MUX_HELLO", f.Type)
-	}
-	remote, err := protocol.DecodeMuxHello(f)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	conn.SetDeadline(time.Time{})
-	w := newWire(conn, fr, cfg, true, remote)
-	go w.readLoop()
 	return w, nil
 }
 
@@ -233,23 +218,24 @@ func Accept(conn net.Conn, fr *protocol.FrameReader, client protocol.MuxHello, c
 		conn.Close()
 		return nil, err
 	}
-	w := newWire(conn, fr, cfg, false, client)
+	w := newWire(conn, fr, cfg, false)
 	w.handler = handler
+	w.shake(client)
 	return w, nil
 }
 
-func newWire(conn net.Conn, fr *protocol.FrameReader, cfg Config, dialer bool, remote protocol.MuxHello) *Wire {
+func newWire(conn net.Conn, fr *protocol.FrameReader, cfg Config, dialer bool) *Wire {
 	w := &Wire{
 		conn:   conn,
 		fr:     fr,
 		cfg:    cfg,
 		dialer: dialer,
-		remote: remote,
 		met:    newWireMetrics(cfg.Obs),
 		raddr:  conn.RemoteAddr().String(),
 		chans:  make(map[uint16]*Channel),
 		pend:   make(map[uint16]chan openReply),
 		drain:  make(map[uint16]struct{}),
+		helloc: make(chan struct{}),
 		done:   make(chan struct{}),
 	}
 	if dialer {
@@ -257,6 +243,22 @@ func newWire(conn net.Conn, fr *protocol.FrameReader, cfg Config, dialer bool, r
 	}
 	w.met.ceiling.Add(int64(cfg.WireWindow))
 	return w
+}
+
+// shake records the peer's MUX_HELLO: the wire is established.
+func (w *Wire) shake(remote protocol.MuxHello) {
+	w.remote = remote
+	close(w.helloc)
+}
+
+// established reports whether the peer's MUX_HELLO has been read.
+func (w *Wire) established() bool {
+	select {
+	case <-w.helloc:
+		return true
+	default:
+		return false
+	}
 }
 
 // Serve runs the demultiplexing read loop in the calling goroutine
@@ -277,9 +279,6 @@ func (w *Wire) Err() error {
 
 // Done is closed when the wire dies.
 func (w *Wire) Done() <-chan struct{} { return w.done }
-
-// RemoteHello returns the peer's MUX_HELLO.
-func (w *Wire) RemoteHello() protocol.MuxHello { return w.remote }
 
 // RemoteAddr exposes the underlying connection's remote address for
 // penalty attribution.
@@ -344,91 +343,157 @@ func (w *Wire) Open(h protocol.Hello, timeout time.Duration) (*Channel, error) {
 // [1, Config.Window] and, under a WireWindow budget, to the remaining
 // aggregate headroom). A scheduler that already knows a channel's worth
 // opens it at size instead of granting the default and resizing after.
+//
+// Nothing the opener sends depends on the peer's answer, so the
+// OPEN_CHANNEL and the channel's initial CREDIT go out back to back —
+// on a fresh wire right behind Dial's MUX_HELLO — and only then does
+// the call wait. A wire that dies first fails the open with the wire's
+// terminal error, typed as the reader saw it (protocol.ErrVersion,
+// *RemoteError, protocol.ErrCorrupt).
 func (w *Wire) OpenWindow(h protocol.Hello, window int, timeout time.Duration) (*Channel, error) {
 	if !w.dialer {
 		return nil, errors.New("peermux: only the dialing side opens channels")
-	}
-	reply := make(chan openReply, 1)
-	w.mu.Lock()
-	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return nil, err
-	}
-	if max := int(w.remote.MaxChannels); len(w.chans) >= max {
-		w.mu.Unlock()
-		return nil, fmt.Errorf("peermux: peer channel limit (%d) reached", max)
-	}
-	id := w.nextID
-	w.nextID += 2
-	c := newChannel(w, id, window)
-	w.chans[id] = c
-	w.pend[id] = reply
-	w.mu.Unlock()
-
-	if err := w.writeFrame(protocol.EncodeOpenChannel(id, h)); err != nil {
-		w.abortOpen(id)
-		return nil, err
 	}
 	if timeout <= 0 {
 		timeout = w.cfg.Timeout
 	}
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
+
+	c, reply, err := w.claimChannel(window, timer.C)
+	if err == errOpenExpired {
+		return nil, openTimeout(timeout)
+	}
+	if err != nil {
+		return nil, err
+	}
+	err = w.writeFrame(protocol.EncodeOpenChannel(c.id, h))
+	if err == nil {
+		err = c.grantInitial()
+	}
+	if err != nil {
+		w.abortOpen(c)
+		return nil, w.Err() // a failed write killed the wire; Err is the verdict
+	}
 	select {
 	case r := <-reply:
 		if !r.ok {
-			w.abortOpen(id)
+			w.abortOpen(c)
 			return nil, &RejectError{Msg: r.reject}
 		}
 		c.remoteHello = r.hello
-		if err := c.grantInitial(); err != nil {
-			c.Close()
-			return nil, err
-		}
+		c.markOpen()
 		return c, nil
 	case <-w.done:
-		w.abortOpen(id)
+		w.abortOpen(c)
 		return nil, w.Err()
 	case <-timer.C:
-		w.abortOpen(id)
-		return nil, fmt.Errorf("peermux: channel open timed out after %v", timeout)
+		w.abortOpen(c)
+		return nil, openTimeout(timeout)
 	}
 }
 
-// rejectChannel declines a peer-opened channel id and counts it.
+// errOpenExpired is claimChannel's "the caller's timer fired";
+// OpenWindow reports it, like its own expiry, as openTimeout.
+var errOpenExpired = errors.New("peermux: open expired")
+
+func openTimeout(d time.Duration) error {
+	return fmt.Errorf("peermux: channel open timed out after %v", d)
+}
+
+// claimChannel registers a half-open channel under the next id once the
+// wire may carry one more: the peer's announced MaxChannels binds an
+// established wire, and until its MUX_HELLO arrives — the limit is not
+// known yet — exactly one channel may ride the first flight; further
+// opens wait for the hello (or the wire's death, or expire).
+func (w *Wire) claimChannel(window int, expire <-chan time.Time) (*Channel, chan openReply, error) {
+	for {
+		limit, shook := 1, w.established()
+		if shook {
+			limit = int(w.remote.MaxChannels)
+		}
+		w.mu.Lock()
+		if w.err != nil {
+			err := w.err
+			w.mu.Unlock()
+			return nil, nil, err
+		}
+		if len(w.chans) < limit {
+			id := w.nextID
+			w.nextID += 2
+			c := newChannel(w, id, window)
+			reply := make(chan openReply, 1)
+			w.chans[id] = c
+			w.pend[id] = reply
+			w.mu.Unlock()
+			return c, reply, nil
+		}
+		w.mu.Unlock()
+		if shook {
+			return nil, nil, fmt.Errorf("peermux: peer channel limit (%d) reached", limit)
+		}
+		select {
+		case <-w.helloc:
+		case <-w.done:
+		case <-expire:
+			return nil, nil, errOpenExpired
+		}
+	}
+}
+
+// rejectChannel declines a peer-opened channel id and counts it. The id
+// is retired into the drain set: an honest opener's CREDIT is already in
+// flight behind its OPEN_CHANNEL and must not be charged as a frame for
+// a channel that never existed.
 func (w *Wire) rejectChannel(id uint16, msg string) {
 	w.met.rejected.Add(1)
+	w.mu.Lock()
+	w.retireLocked(id)
+	w.mu.Unlock()
 	w.writeFrame(protocol.EncodeRejectChannel(id, msg))
 }
 
-// abortOpen retires a half-open channel id.
-func (w *Wire) abortOpen(id uint16) {
+// abortOpen retires a half-open channel: its id drains, and the window
+// its early grant reserved goes back to the wire's ledger (the peer's
+// REJECT may be followed by a CLOSE_CHANNEL that already took the id out
+// of the table, so the channel is ended directly, not looked up).
+func (w *Wire) abortOpen(c *Channel) {
 	w.mu.Lock()
-	c := w.chans[id]
-	delete(w.chans, id)
-	delete(w.pend, id)
-	w.retireLocked(id)
+	delete(w.chans, c.id)
+	delete(w.pend, c.id)
+	w.retireLocked(c.id)
 	w.mu.Unlock()
-	if c != nil {
-		c.fail(ErrClosed)
-	}
+	c.fail(ErrClosed)
 }
 
 // writeFrame serializes one wire-level frame onto conn.
 func (w *Wire) writeFrame(f protocol.Frame) error {
 	w.wmu.Lock()
-	err := w.writeLocked(f)
+	w.armWrite()
+	err := protocol.WriteFrame(w.conn, f)
 	w.wmu.Unlock()
 	if err != nil {
-		w.fail(err)
+		w.failWrite(err)
 	}
 	return err
 }
 
-func (w *Wire) writeLocked(f protocol.Frame) error {
-	w.armWrite()
-	return protocol.WriteFrame(w.conn, f)
+// failWrite kills the wire over a failed write. On a dialed wire still
+// in its first flight the write did not fail for a reason of its own:
+// the peer answered the MUX_HELLO with an ERROR (version reject,
+// refused, busy) and hung up, and the write lost the race against the
+// frame the reader is about to deliver. The peer's answer must win, so
+// the reader gets to fail the wire first — it will: it sees the ERROR,
+// or the same dead conn, or its read deadline. A write that timed out
+// says the peer is not reading, which the reader cannot outrun, and is
+// terminal as it stands. (The reader itself writes nothing before the
+// hello, so it never waits here for itself.)
+func (w *Wire) failWrite(err error) {
+	var ne net.Error
+	if w.dialer && !w.established() && !(errors.As(err, &ne) && ne.Timeout()) {
+		<-w.done
+	}
+	w.fail(err)
 }
 
 // armWrite and armRead bound the conn operation about to start by
@@ -465,7 +530,7 @@ func (w *Wire) writeMux(ch uint16, t protocol.Type, payload []byte) error {
 	err := protocol.WriteMux(w.conn, ch, t, payload)
 	w.wmu.Unlock()
 	if err != nil {
-		w.fail(err)
+		w.failWrite(err)
 	}
 	return err
 }
@@ -477,7 +542,8 @@ func (w *Wire) penalize(weight float64) {
 }
 
 // fail kills the wire exactly once: conn closed, channels failed,
-// pending opens aborted, fabric notified.
+// fabric notified. Pending opens wake on done and return Err() — the
+// typed terminal error, not a string copy of it.
 func (w *Wire) fail(err error) {
 	w.deadOnce.Do(func() {
 		w.mu.Lock()
@@ -488,10 +554,6 @@ func (w *Wire) fail(err error) {
 			chans = append(chans, c)
 		}
 		w.chans = make(map[uint16]*Channel)
-		pends := make([]chan openReply, 0, len(w.pend))
-		for _, p := range w.pend {
-			pends = append(pends, p)
-		}
 		w.pend = make(map[uint16]chan openReply)
 		w.mu.Unlock()
 
@@ -499,12 +561,6 @@ func (w *Wire) fail(err error) {
 		w.conn.Close()
 		for _, c := range chans {
 			c.fail(err)
-		}
-		for _, p := range pends {
-			select {
-			case p <- openReply{reject: err.Error()}:
-			default:
-			}
 		}
 		if w.cfg.onDead != nil {
 			w.cfg.onDead()
@@ -545,7 +601,14 @@ func (w *Wire) release(id uint16, notify bool) {
 // answered, or charged here. It never blocks on a channel consumer —
 // queue overflow is a protocol violation (the sender ignored credits),
 // charged and dropped.
+//
+// On a dialed wire the loop also finishes the handshake: the first
+// frame must be the peer's MUX_HELLO, or the ERROR it answered ours
+// with. Anything else — an ACCEPT or a SYMBOL from a peer that never
+// said hello — is charged and kills the wire rather than leaving opens
+// parked behind a hello that is not coming.
 func (w *Wire) readLoop() {
+	shook := w.established()
 	for {
 		w.armRead()
 		f, err := w.fr.Next()
@@ -555,6 +618,13 @@ func (w *Wire) readLoop() {
 			}
 			w.fail(err)
 			return
+		}
+		if !shook {
+			if !w.finishHandshake(f) {
+				return
+			}
+			shook = true
+			continue
 		}
 		switch f.Type {
 		case protocol.TypeMux:
@@ -608,6 +678,34 @@ func (w *Wire) readLoop() {
 			// is still framed correctly, so it survives.
 			w.penalize(WeightViolation)
 		}
+	}
+}
+
+// finishHandshake takes the dialed peer's first frame: its MUX_HELLO
+// establishes the wire; anything else fails it with the error the first
+// Open will return (the return value is whether the wire lives).
+func (w *Wire) finishHandshake(f protocol.Frame) bool {
+	switch f.Type {
+	case protocol.TypeMuxHello:
+		remote, err := protocol.DecodeMuxHello(f)
+		if err != nil {
+			w.fail(err)
+			return false
+		}
+		w.shake(remote)
+		return true
+	case protocol.TypeError:
+		msg, _ := protocol.DecodeError(f)
+		if protocol.IsVersionReject(msg) {
+			w.fail(fmt.Errorf("peermux: %s: %w", msg, protocol.ErrVersion))
+		} else {
+			w.fail(&RemoteError{Msg: msg})
+		}
+		return false
+	default:
+		w.penalize(WeightViolation)
+		w.fail(fmt.Errorf("peermux: handshake answered with %v, want MUX_HELLO", f.Type))
+		return false
 	}
 }
 

@@ -159,6 +159,11 @@ func TestChannelReject(t *testing.T) {
 	if !errors.As(err, &rej) || !protocol.IsUnknownContent(rej.Msg) {
 		t.Fatalf("Open err = %v, want unknown-content RejectError", err)
 	}
+	// The window granted behind the OPEN, before the answer was known,
+	// went back to the wire's ledger.
+	if n := w.WindowSum(); n != 0 {
+		t.Fatalf("WindowSum = %d after a rejected open, want 0", n)
+	}
 	// The wire survives a rejection: a second open toward a served
 	// content must still work.
 	w2, shutdown2 := startPair(t, Config{}, Config{}, serveSymbols(10, []byte("x")))
@@ -583,9 +588,14 @@ func TestDialVersionReject(t *testing.T) {
 		}
 		protocol.WriteFrame(sc, protocol.EncodeErrorBadVersion())
 	}()
-	_, err := Dial(cc, Config{Timeout: 2 * time.Second})
+	// Dial does not wait for the answer; the first Open returns it.
+	w, err := Dial(cc, Config{Timeout: 2 * time.Second})
+	if err == nil {
+		defer w.Close()
+		_, err = w.Open(protocol.Hello{ContentID: 1}, 2*time.Second)
+	}
 	if !errors.Is(err, protocol.ErrVersion) {
-		t.Fatalf("Dial = %v, want ErrVersion in the chain", err)
+		t.Fatalf("Dial+Open = %v, want ErrVersion in the chain", err)
 	}
 	wg.Wait()
 }

@@ -1,18 +1,18 @@
 package icd
 
-// One benchmark per table and figure of the paper's evaluation (see
-// DESIGN.md §3 experiment index). Each bench runs the corresponding
-// experiment at a laptop-sized configuration and reports the figure's
-// headline quantities as custom metrics, so
+// One benchmark per table and figure of the paper's evaluation (the
+// experiment index is `icdbench -list`). Each bench runs the
+// corresponding experiment at a laptop-sized configuration and reports
+// the figure's headline quantities as custom metrics, so
 //
 //	go test -bench=. -benchmem
 //
-// regenerates the whole evaluation. cmd/icdbench prints the full
-// rows/series; EXPERIMENTS.md records paper-vs-measured values.
+// regenerates the whole evaluation; cmd/icdbench prints the full
+// rows/series. These are regression oracles for the paper's shapes, not
+// speed claims — those are rows of `bash bench/run.sh`.
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"testing"
 
@@ -325,42 +325,6 @@ func BenchmarkEncoderNextAllocs(b *testing.B) {
 	}
 }
 
-// BenchmarkDecoderSharded measures decode throughput (MB/s of recovered
-// content) of the single-core decoder against the sharded decoder at
-// 1, 2 and 4 shards on the same pre-encoded symbol stream. On a
-// multi-core box the 4-shard row should run ≥2x the single-core rate;
-// on a single core the sharded rows mostly measure coordination
-// overhead. Blocks are 8 KiB so XOR work (which parallelizes) dominates
-// routing (which does not).
-func BenchmarkDecoderSharded(b *testing.B) {
-	const n, blockSize = 512, 8192
-	// The shared fixture and drive loops keep this benchmark, `icdbench
-	// -micro` and `icdbench -exp decode` measuring the same protocol.
-	code, stream, err := experiment.BuildDecodeFixture(n, blockSize, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	b.Run("single", func(b *testing.B) {
-		b.SetBytes(int64(n * blockSize))
-		for i := 0; i < b.N; i++ {
-			if _, err := experiment.DriveSingleDecode(code, blockSize, stream); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.SetBytes(int64(n * blockSize))
-			for i := 0; i < b.N; i++ {
-				if _, err := experiment.DriveShardedDecode(code, blockSize, shards, stream); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkReceivePathAllocs proves the end-to-end receive hot path —
 // length-prefixed frame read, zero-copy symbol parse, copy into a
 // recycled buffer, AddSymbol on a saturated sharded decoder — is
@@ -454,7 +418,7 @@ func BenchmarkRecoderNextAllocs(b *testing.B) {
 	}
 }
 
-// ---- Ablations (design choices called out in DESIGN.md) ----
+// ---- Ablations (design choices §6.1 of the paper leaves open) ----
 
 // BenchmarkAblationRecodeDomainLimit sweeps §6.1's "restrict the recoding
 // domain to an appropriate small size": whole-pool recoding wins one-shot

@@ -7,15 +7,13 @@
 //
 //	icdbench -list
 //	icdbench -exp fig5a [-n 2000] [-trials 5] [-seed 1]
-//	icdbench -exp credits [-json BENCH_pr9.json]
+//	icdbench -exp lab [-labmax 100]
 //	icdbench -all [-n 2000] [-trials 5]
-//	icdbench -micro
 //
-// Experiment ids follow the paper: fig4a, tab4b, tab4c, fig5a, fig5b,
-// fig6a, fig6b, fig7a, fig7b, fig8a, fig8b, coding, fig1 — plus the
-// systems extensions (multicontent, chaos, lab, fabric, credits). See
-// DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
-// results.
+// Experiment ids follow the paper: fig1, fig4a, tab4b, tab4c, fig5a,
+// fig5b, fig6a, fig6b, fig7a, fig7b, fig8a, fig8b, coding — plus lab,
+// the 100/1000-node scenario lab; -list is the experiment index. Speed
+// is not measured here: the benchmark is `bash bench/run.sh`.
 package main
 
 import (
@@ -31,15 +29,13 @@ func main() {
 	var (
 		list    = flag.Bool("list", false, "list available experiments")
 		all     = flag.Bool("all", false, "run every experiment")
-		micro   = flag.Bool("micro", false, "run data-plane microbenchmarks (XOR kernel, summaries, symbol pipeline, sharded decode)")
-		jsonOut = flag.String("json", "", "with -micro, -exp lab, -exp fabric or -exp credits: also write results as a JSON array to this path")
-		labMax  = flag.Int("labmax", 0, "with -exp lab: cap the scenario node counts (0 = canonical 100 and 1000)")
 		exp     = flag.String("exp", "", "experiment id to run")
 		n       = flag.Int("n", 0, "source blocks for transfer experiments (default 2000)")
 		trials  = flag.Int("trials", 0, "trials per data point (default 5)")
 		setSize = flag.Int("setsize", 0, "set size for reconciliation experiments (default 10000)")
 		diffs   = flag.Int("diffs", 0, "planted differences (default 100)")
 		seed    = flag.Uint64("seed", 0, "experiment seed (default 1)")
+		labMax  = flag.Int("labmax", 0, "with -exp lab: cap the scenario node counts (0 = canonical 100 and 1000)")
 	)
 	flag.Parse()
 
@@ -51,7 +47,7 @@ func main() {
 	}
 
 	opts := experiment.Options{
-		N: *n, Trials: *trials, SetSize: *setSize, Diffs: *diffs, Seed: *seed,
+		N: *n, Trials: *trials, SetSize: *setSize, Diffs: *diffs, Seed: *seed, LabMax: *labMax,
 	}
 
 	run := func(r experiment.Runner) {
@@ -66,60 +62,6 @@ func main() {
 	}
 
 	switch {
-	case *micro:
-		runMicro(*jsonOut)
-	case *exp == "lab":
-		// The lab gets its own path so -labmax can bound the swarm sizes
-		// and -json can write the BENCH artifact rows.
-		start := time.Now()
-		rows, err := experiment.LabResults(opts, *labMax)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "icdbench: lab: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(experiment.LabTable(rows).Render())
-		fmt.Printf("(lab in %v)\n\n", time.Since(start).Round(time.Millisecond))
-		if *jsonOut != "" {
-			if err := experiment.WriteLabJSON(*jsonOut, rows); err != nil {
-				fmt.Fprintf(os.Stderr, "icdbench: writing %s: %v\n", *jsonOut, err)
-				os.Exit(1)
-			}
-		}
-	case *exp == "fabric":
-		// The fabric sweep also gets its own path so -json can write the
-		// BENCH artifact rows (stop-and-wait vs pipelined per RTT).
-		start := time.Now()
-		rows, err := experiment.FabricResults(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "icdbench: fabric: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(experiment.FabricTable(rows).Render())
-		fmt.Printf("(fabric in %v)\n\n", time.Since(start).Round(time.Millisecond))
-		if *jsonOut != "" {
-			if err := experiment.WriteFabricJSON(*jsonOut, rows); err != nil {
-				fmt.Fprintf(os.Stderr, "icdbench: writing %s: %v\n", *jsonOut, err)
-				os.Exit(1)
-			}
-		}
-	case *exp == "credits":
-		// The credit-scheduling comparison also gets its own path so
-		// -json can write the BENCH artifact rows (uniform vs
-		// utility-weighted channel windows).
-		start := time.Now()
-		rows, err := experiment.CreditsResults(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "icdbench: credits: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(experiment.CreditsTable(rows).Render())
-		fmt.Printf("(credits in %v)\n\n", time.Since(start).Round(time.Millisecond))
-		if *jsonOut != "" {
-			if err := experiment.WriteCreditsJSON(*jsonOut, rows); err != nil {
-				fmt.Fprintf(os.Stderr, "icdbench: writing %s: %v\n", *jsonOut, err)
-				os.Exit(1)
-			}
-		}
 	case *all:
 		for _, r := range experiment.Registry() {
 			run(r)

@@ -6,9 +6,9 @@
 // end-systems that exchange digital-fountain-encoded content:
 //
 //   - Coarse working-set estimation (§4): min-wise permutation sketches
-//     (plus random-sample and mod-k baselines) that estimate the overlap
-//     of two peers' working sets from a single 1KB message, support
-//     unions for multi-peer planning, and update incrementally.
+//     that estimate the overlap of two peers' working sets from a single
+//     1KB message, support unions for multi-peer planning, and update
+//     incrementally.
 //
 //   - Fine-grained approximate reconciliation (§5): Bloom filter
 //     summaries and Approximate Reconciliation Trees — a hash-balanced
@@ -49,13 +49,48 @@
 // The runnable programs under examples/ walk through reconciliation,
 // collaborative overlay delivery, and parallel downloading from partial
 // senders; cmd/icdbench regenerates every figure and table of the
-// paper's evaluation (see DESIGN.md and EXPERIMENTS.md).
+// paper's evaluation (`icdbench -list`).
+//
+// # What this package exports
+//
+// The facade exports both halves of the repository — the paper's
+// §-by-§ simulator and the network engine, one section each below — over
+// one shared toolbox (working sets, sketches, Bloom/ART summaries, the
+// fountain codec and recoding). The two share the codec and the
+// summaries, not code paths: a change to the engine cannot move a paper
+// figure, and the figures are kept as regression oracles for the shared
+// toolbox.
+//
+// The §5.1 exact polynomial-reconciliation baseline (setrecon over the gf
+// field) and the §4 random-sample and mod-k estimators (sampling) that
+// earlier versions carried are gone: no figure driver and no engine path
+// ever called them.
+//
+// # Exported: the §-by-§ simulator
+//
+// The paper's evaluation as the paper ran it, on symbol identities and
+// rounds rather than sockets: Strategy, RunTransfer and
+// TwoPeerScenario/MultiPeerScenario (internal/strategy and
+// internal/transfer, Figures 5–8), Overlay (internal/overlay, Figure 1)
+// and InformedPeer (internal/core, the §3/§4 admission and planning
+// loop). The figure drivers of internal/experiment — and through them
+// cmd/icdbench and the root bench_test.go — drive these and nothing
+// else.
+//
+// # Exported: the network engine
+//
+// The same mechanisms on real connections: Server, Fetch, Orchestrator,
+// Gossip and ServerMux (internal/peer over internal/protocol and
+// internal/peermux), Node and ContentStore (internal/node). cmd/icdnode,
+// the scenario lab and the benchmark in bench/ drive these; the sections
+// from "Receive-path model" on describe them.
 //
 // # Data-plane performance model
 //
 // Every delivered byte crosses the XOR-of-blocks data plane, so its cost
 // model is kept explicit and benchmarked (bench_test.go's data-plane
-// microbenchmarks; `icdbench -micro` prints the same rows):
+// microbenchmarks for iterating; the per-layer rows of `bash
+// bench/run.sh` for claims):
 //
 //   - XOR cost is words, not bytes. internal/xorblock XORs 8×8-byte
 //     words per unrolled iteration (~15 GB/s on commodity x86, vs
@@ -194,15 +229,15 @@
 // cadence, FetchOptions.AdaptiveRefresh hands the cadence to a
 // RefreshController: each batch's duplicate-symbol rate (received
 // minus useful, over received) is compared against a target budget
-// (RefreshDupTarget), and the batches-between-refresh-checks interval
+// (DefaultRefreshDupTarget), and the batches-between-refresh-checks interval
 // is scaled by target/observed — bounded to one halving/doubling per
 // observation and clamped to [MinRefreshCadence, MaxRefreshCadence],
 // so the policy can neither oscillate nor starve. Dirty batches mean
 // the sender's picture of the working set is stale and tighten the
 // cadence; clean batches stretch it. In adaptive mode a refresh fires
 // on any growth since the last summary — the cadence, not a growth
-// fraction, rations the traffic. `icdbench -exp gossip` compares the
-// two policies' duplicate rates and wall clock.
+// fraction, rations the traffic. adaptive_test.go pins the controller;
+// peer.TestGossipBootstrapFromSingleSeed runs it in a live swarm.
 //
 // Gossip discovery. Sessions announce their node's own
 // dialable address (FetchOptions.AdvertiseAddr) in the HELLO, and both
@@ -239,8 +274,9 @@
 // uploads the same content (`icdnode collab`), which is the paper's
 // perpendicular-transfer collaboration on the real network:
 // complementary partial peers complete each other while trickling the
-// remainder from a constrained source (`icdbench -exp swarm` measures
-// the source-bandwidth savings).
+// remainder from a constrained source
+// (peer.TestCollaborativeExchangeBeatsDownloadOnly measures the
+// source-bandwidth savings).
 //
 // # Node and content store (multi-content)
 //
@@ -286,8 +322,8 @@
 //     live working sets grow.
 //
 // `icdnode node` runs one: serve and fetch any number of contents from
-// one -listen address; `icdbench -exp multicontent` measures aggregate
-// goodput and per-content completion at 1 vs 3 concurrent contents.
+// one -listen address; the benchmark's multi_small workload measures a
+// node fetching four contents at once over one wire.
 //
 // # Connection fabric (one wire per peer)
 //
@@ -328,11 +364,11 @@
 // fountain symbols cannot be stale — a session runs at the cap from its
 // first REQUEST; against a partial sender K adapts AIMD-style from 1,
 // growing additively while batches deliver useful symbols and halving
-// when the duplicate-symbol rate crosses PipelineDupHigh
-// (FetchOptions.PipelineDepth pins K: 1 forces stop-and-wait). On a
-// 100ms-RTT shaped link pipelining moves >6x stop-and-wait goodput
-// (icdbench -exp fabric); a k=1024 fetch over a latency-bound link is
-// four round trips — one of setup, three 512-frame windows.
+// when the duplicate-symbol rate crosses DefaultPipelineDupHigh
+// (FetchOptions.PipelineDepth pins K: 1 forces stop-and-wait). A k=1024
+// fetch over a latency-bound link is four round trips — one of setup,
+// three 512-frame windows (peer.TestWANFetchRoundTrips pins the count;
+// the benchmark's wan_rtt50 workload measures the goodput).
 //
 // Channel lifecycle and versions: a Fabric refcounts wires per address
 // — the first Open dials and shakes hands, later Opens share the wire,
@@ -356,8 +392,7 @@
 // budget as an aggregate ceiling (peermux.Config.WireWindow), and every
 // session's request depth is capped to the requests its window can
 // admit — the same resize moves both — so a session never solicits
-// symbols the window could not take. icdbench -exp credits measures the
-// policy: contents of unequal utility through one wire, where
-// utility-weighted windows must meet or beat a uniform split's goodput
-// on the useful transfer.
+// symbols the window could not take. node.TestAllocateWindowsTable pins
+// the apportionment, node.TestNodeWindowBudgetRebalance the live resize,
+// and the benchmark's multi_small workload runs under a WindowBudget.
 package icd

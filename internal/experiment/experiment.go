@@ -1,16 +1,19 @@
 // Package experiment regenerates every table and figure of the paper's
-// evaluation (§5.3's Figure 4 and Table 4, §6.3's Figures 5–8) plus the
-// coding-parameter measurements of §6.1. Each experiment returns plain
-// row/series structures that cmd/icdbench renders as text tables and the
-// root bench_test.go reports as benchmark metrics; EXPERIMENTS.md records
-// paper-vs-measured values.
+// evaluation (Figure 1, §5.3's Figure 4 and Table 4, §6.3's Figures 5–8)
+// plus the coding-parameter measurements of §6.1. Each experiment returns
+// plain row/series structures that cmd/icdbench renders as text tables
+// and the root bench_test.go reports as benchmark metrics.
 //
-// All experiments are deterministic given Options.Seed.
+// A driver lives here iff it regenerates a figure or table of the paper;
+// the one exception is lab, the only command-line entry to a 100/1000
+// node swarm. Speed measurements of the engine are not experiments: they
+// are rows of the benchmark in bench/ (`bash bench/run.sh`).
+//
+// The paper experiments are deterministic given Options.Seed.
 package experiment
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -18,8 +21,7 @@ import (
 // a laptop-class machine (minutes for the full suite).
 type Options struct {
 	// N is the number of source blocks in transfer experiments
-	// (default 2000; the paper used 23,968 — shapes are scale-stable,
-	// see EXPERIMENTS.md).
+	// (default 2000; the paper used 23,968 — shapes are scale-stable).
 	N int
 	// Trials per data point (default 5).
 	Trials int
@@ -30,6 +32,9 @@ type Options struct {
 	Diffs int
 	// Seed drives all randomness (default 1).
 	Seed uint64
+	// LabMax caps the lab experiment's node counts (0 = the canonical
+	// 100 and 1000; see LabSizes).
+	LabMax int
 }
 
 func (o Options) withDefaults() Options {
@@ -143,20 +148,20 @@ type stringerTable struct{ Table }
 func (s stringerFigure) String() string { return s.Figure.Render() }
 func (s stringerTable) String() string  { return s.Table.Render() }
 
-// Registry returns all experiment runners keyed by id.
+// Registry returns all experiment runners, sorted by id.
 func Registry() []Runner {
 	return []Runner{
+		{"coding", "sparse-code parameters: mean degree, decode overhead (§6.1)", func(o Options) (fmt.Stringer, error) {
+			t, err := CodingParameters(o)
+			return stringerTable{t}, err
+		}},
+		{"fig1", "tree vs parallel vs collaborative delivery (Figure 1)", func(o Options) (fmt.Stringer, error) {
+			t, err := Fig1(o)
+			return stringerTable{t}, err
+		}},
 		{"fig4a", "ART accuracy vs leaf-filter bit share (Figure 4a)", func(o Options) (fmt.Stringer, error) {
 			f, err := Fig4a(o)
 			return stringerFigure{f}, err
-		}},
-		{"tab4b", "ART accuracy by bits/element and correction (Table 4b)", func(o Options) (fmt.Stringer, error) {
-			t, err := Table4b(o)
-			return stringerTable{t}, err
-		}},
-		{"tab4c", "Bloom filter vs ART structure comparison (Table 4c)", func(o Options) (fmt.Stringer, error) {
-			t, err := Table4c(o)
-			return stringerTable{t}, err
 		}},
 		{"fig5a", "peer-to-peer overhead, compact (Figure 5a)", func(o Options) (fmt.Stringer, error) {
 			f, err := Fig5(o, true)
@@ -190,44 +195,16 @@ func Registry() []Runner {
 			f, err := FigParallel(o, 4, false)
 			return stringerFigure{f}, err
 		}},
-		{"coding", "sparse-code parameters: mean degree, decode overhead (§6.1)", func(o Options) (fmt.Stringer, error) {
-			t, err := CodingParameters(o)
-			return stringerTable{t}, err
-		}},
-		{"decode", "sharded decoder throughput: single core vs S shards (PR 2)", func(o Options) (fmt.Stringer, error) {
-			t, err := DecodeThroughput(o)
-			return stringerTable{t}, err
-		}},
-		{"swarm", "swarm engine end-to-end: fetch throughput + Figure 1(c) collaboration (PR 3)", func(o Options) (fmt.Stringer, error) {
-			t, err := SwarmE2E(o)
-			return stringerTable{t}, err
-		}},
-		{"gossip", "gossip peer discovery from one seed + adaptive refresh cadence (PR 4)", func(o Options) (fmt.Stringer, error) {
-			t, err := GossipSwarm(o)
-			return stringerTable{t}, err
-		}},
-		{"multicontent", "multi-content node: one listener, shared connection budget, 1 vs 3 contents (PR 5)", func(o Options) (fmt.Stringer, error) {
-			t, err := MultiContent(o)
-			return stringerTable{t}, err
-		}},
-		{"fig1", "tree vs parallel vs collaborative delivery (Figure 1)", func(o Options) (fmt.Stringer, error) {
-			t, err := Fig1(o)
-			return stringerTable{t}, err
-		}},
-		{"chaos", "hostile-swarm hardening: connection kills, corrupting paths, penalty box (PR 6)", func(o Options) (fmt.Stringer, error) {
-			t, err := Chaos(o)
-			return stringerTable{t}, err
-		}},
-		{"lab", "thousand-node scenario lab: convergence, fairness, origin offload at 100/1000 nodes (PR 7)", func(o Options) (fmt.Stringer, error) {
+		{"lab", "thousand-node scenario lab: convergence, fairness, origin offload at 100/1000 nodes", func(o Options) (fmt.Stringer, error) {
 			t, err := Lab(o)
 			return stringerTable{t}, err
 		}},
-		{"fabric", "connection fabric: pipelined AIMD ramp vs stop-and-wait over shaped RTTs (PR 8)", func(o Options) (fmt.Stringer, error) {
-			t, err := Fabric(o)
+		{"tab4b", "ART accuracy by bits/element and correction (Table 4b)", func(o Options) (fmt.Stringer, error) {
+			t, err := Table4b(o)
 			return stringerTable{t}, err
 		}},
-		{"credits", "credit scheduling: utility-weighted vs uniform channel windows on one wire (PR 9)", func(o Options) (fmt.Stringer, error) {
-			t, err := Credits(o)
+		{"tab4c", "Bloom filter vs ART structure comparison (Table 4c)", func(o Options) (fmt.Stringer, error) {
+			t, err := Table4c(o)
 			return stringerTable{t}, err
 		}},
 	}
@@ -243,12 +220,11 @@ func Lookup(id string) (Runner, bool) {
 	return Runner{}, false
 }
 
-// IDs returns all experiment ids, sorted.
+// IDs returns all experiment ids, in Registry (sorted) order.
 func IDs() []string {
 	var ids []string
 	for _, r := range Registry() {
 		ids = append(ids, r.ID)
 	}
-	sort.Strings(ids)
 	return ids
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"icd/internal/testutil"
 )
 
 // quick returns options small enough for unit tests.
@@ -206,30 +204,10 @@ func TestFig1Table(t *testing.T) {
 	}
 }
 
-func TestGossipSwarmConverges(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	// A small swarm given only the seed address must self-assemble:
-	// every node completes, and gossip-admitted sessions contribute.
-	res, err := RunGossipSwarm(GossipSwarmConfig{
-		Nodes: 3, N: 80, BlockSize: 48, Seed: 5,
-		Adaptive: true, RefreshBatches: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Discovered == 0 {
-		t.Fatal("no session was admitted through gossip")
-	}
-	if res.MeanPeersPerNode < 2 {
-		t.Fatalf("mean contributing peers per node %.1f; the mesh did not assemble", res.MeanPeersPerNode)
-	}
-}
-
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
-		"chaos", "coding", "credits", "decode", "fabric", "fig1", "fig4a",
-		"fig5a", "fig5b", "fig6a", "fig6b", "fig7a", "fig7b", "fig8a",
-		"fig8b", "gossip", "lab", "multicontent", "swarm", "tab4b", "tab4c",
+		"coding", "fig1", "fig4a", "fig5a", "fig5b", "fig6a", "fig6b",
+		"fig7a", "fig7b", "fig8a", "fig8b", "lab", "tab4b", "tab4c",
 	}
 	got := IDs()
 	if len(got) != len(want) {
@@ -251,25 +229,4 @@ func TestRegistryComplete(t *testing.T) {
 // fmtSscan parses a float cell.
 func fmtSscan(s string, out *float64) (int, error) {
 	return fmt.Sscanf(s, "%f", out)
-}
-
-func TestMultiContentNode(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	res, err := RunMultiContent(MultiContentConfig{
-		Contents: 2, N: 120, BlockSize: 64, Seed: 5, MaxConns: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.PerContent) != 2 {
-		t.Fatalf("per-content times: %v", res.PerContent)
-	}
-	for i, d := range res.PerContent {
-		if d <= 0 || d > res.Elapsed {
-			t.Fatalf("content %d completion %v outside (0, %v]", i, d, res.Elapsed)
-		}
-	}
-	if res.AggregateMBps() <= 0 {
-		t.Fatalf("aggregate rate %.2f", res.AggregateMBps())
-	}
 }

@@ -2,67 +2,17 @@ package experiment
 
 // lab.go is the thousand-node scenario lab (PR 7): the clean, lossy and
 // churn presets of internal/scenario run at swarm scale over the
-// shaped-link transport, reporting the three swarm metrics the roadmap
-// asks for — convergence time, completion fairness (p95/p50 spread) and
-// origin offload — at 100 and 1000 nodes. cmd/icdbench renders the
-// table (`-exp lab`) and writes the rows as the BENCH_pr7.json
-// artifact.
+// shaped-link transport, reporting convergence time, completion
+// fairness (p95/p50 spread) and origin offload at 100 and 1000 nodes.
+// It regenerates no figure of the paper; it stays because it is the
+// only command-line entry to a swarm of that size (`icdbench -exp lab`,
+// CI's at-scale smoke runs it with `-labmax 100`).
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"time"
 
 	"icd/internal/scenario"
 )
-
-// LabRow is one scenario × size measurement — the BENCH_pr7.json
-// artifact schema.
-type LabRow struct {
-	Scenario       string  `json:"scenario"`
-	Nodes          int     `json:"nodes"`
-	Converged      bool    `json:"converged"`
-	ConvergenceMs  float64 `json:"convergence_ms"`
-	P50Ms          float64 `json:"p50_ms"`
-	P95Ms          float64 `json:"p95_ms"`
-	FairnessSpread float64 `json:"fairness_spread"`
-	OriginOffload  float64 `json:"origin_offload"`
-	Completed      int     `json:"completed"`
-	Churned        int     `json:"churned"`
-	Failed         int     `json:"failed"`
-	ElapsedMs      float64 `json:"elapsed_ms"`
-	// Series is the run's swarm time-series, sampled from every live
-	// node's metrics registry — the convergence curve behind the
-	// endpoint scalars above.
-	Series []SeriesPoint `json:"series,omitempty"`
-}
-
-// SeriesPoint is one sampled tick of a lab run's swarm time-series.
-type SeriesPoint struct {
-	OffsetMs        float64 `json:"offset_ms"`
-	UsefulPerSec    float64 `json:"useful_per_sec"`
-	DuplicatePerSec float64 `json:"duplicate_per_sec"`
-	LiveConns       int64   `json:"live_conns"`
-	BannedPeers     int64   `json:"banned_peers"`
-	WindowInFlight  int64   `json:"window_in_flight"`
-}
-
-// seriesPoints converts a run's samples to the artifact schema.
-func seriesPoints(samples []scenario.Sample) []SeriesPoint {
-	pts := make([]SeriesPoint, 0, len(samples))
-	for _, s := range samples {
-		pts = append(pts, SeriesPoint{
-			OffsetMs:        ms(s.Offset),
-			UsefulPerSec:    s.UsefulPerSec,
-			DuplicatePerSec: s.DuplicatePerSec,
-			LiveConns:       s.LiveConns,
-			BannedPeers:     s.BannedPeers,
-			WindowInFlight:  s.WindowInFlight,
-		})
-	}
-	return pts
-}
 
 // LabSizes returns the node counts a lab run measures. maxNodes caps
 // them (0 = no cap): a cap below the smallest canonical size runs one
@@ -85,86 +35,43 @@ func LabSizes(maxNodes int) []int {
 	return sizes
 }
 
-// LabResults runs every preset at every size and returns the rows. A
-// scenario that fails to converge (for its churn survivors) is an
-// error: the lab's acceptance bar is convergence at scale, and a
-// silently non-converged row would poison the tracked artifact.
-func LabResults(o Options, maxNodes int) ([]LabRow, error) {
+// Lab runs every preset at every size LabSizes(o.LabMax) names and
+// renders one row per run. A scenario that fails to converge (for its
+// churn survivors) is an error: the lab's acceptance bar is convergence
+// at scale.
+func Lab(o Options) (Table, error) {
 	o = o.withDefaults()
-	var rows []LabRow
-	for _, nodes := range LabSizes(maxNodes) {
-		for i, name := range scenario.PresetNames() {
-			spec, err := scenario.Preset(name, nodes, o.Seed+uint64(1000*i)+uint64(nodes))
-			if err != nil {
-				return rows, err
-			}
-			res, err := scenario.Run(spec)
-			if err != nil {
-				return rows, err
-			}
-			if !res.Converged {
-				return rows, fmt.Errorf("experiment: lab scenario %q at %d nodes did not converge (%d completed, %d failed, %d churned)",
-					name, nodes, res.Completed, res.Failed, res.Churned)
-			}
-			rows = append(rows, LabRow{
-				Scenario:       name,
-				Nodes:          res.Nodes,
-				Converged:      res.Converged,
-				ConvergenceMs:  ms(res.Convergence),
-				P50Ms:          ms(res.P50),
-				P95Ms:          ms(res.P95),
-				FairnessSpread: res.Spread,
-				OriginOffload:  res.Offload,
-				Completed:      res.Completed,
-				Churned:        res.Churned,
-				Failed:         res.Failed,
-				ElapsedMs:      ms(res.Elapsed),
-				Series:         seriesPoints(res.Series),
-			})
-		}
-	}
-	return rows, nil
-}
-
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// LabTable renders lab rows as an icdbench table.
-func LabTable(rows []LabRow) Table {
 	t := Table{
 		ID:     "lab",
 		Title:  "thousand-node scenario lab: convergence, fairness, origin offload (shaped links)",
 		Header: []string{"scenario", "nodes", "converged", "convergence", "p50", "p95", "spread", "offload", "churned"},
 	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.Scenario,
-			fmt.Sprintf("%d", r.Nodes),
-			fmt.Sprintf("%v", r.Converged),
-			fmt.Sprintf("%.0fms", r.ConvergenceMs),
-			fmt.Sprintf("%.0fms", r.P50Ms),
-			fmt.Sprintf("%.0fms", r.P95Ms),
-			fmt.Sprintf("%.2f", r.FairnessSpread),
-			fmt.Sprintf("%.2f", r.OriginOffload),
-			fmt.Sprintf("%d", r.Churned),
-		})
+	for _, nodes := range LabSizes(o.LabMax) {
+		for i, name := range scenario.PresetNames() {
+			spec, err := scenario.Preset(name, nodes, o.Seed+uint64(1000*i)+uint64(nodes))
+			if err != nil {
+				return t, err
+			}
+			res, err := scenario.Run(spec)
+			if err != nil {
+				return t, err
+			}
+			if !res.Converged {
+				return t, fmt.Errorf("experiment: lab scenario %q at %d nodes did not converge (%d completed, %d failed, %d churned)",
+					name, nodes, res.Completed, res.Failed, res.Churned)
+			}
+			t.Rows = append(t.Rows, []string{
+				name,
+				fmt.Sprintf("%d", res.Nodes),
+				fmt.Sprintf("%v", res.Converged),
+				fmt.Sprintf("%dms", res.Convergence.Milliseconds()),
+				fmt.Sprintf("%dms", res.P50.Milliseconds()),
+				fmt.Sprintf("%dms", res.P95.Milliseconds()),
+				fmt.Sprintf("%.2f", res.Spread),
+				fmt.Sprintf("%.2f", res.Offload),
+				fmt.Sprintf("%d", res.Churned),
+			})
+		}
 	}
-	return t
-}
-
-// WriteLabJSON writes the rows as a JSON array artifact.
-func WriteLabJSON(path string, rows []LabRow) error {
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// Lab is the registry runner: all presets at the canonical sizes.
-func Lab(o Options) (Table, error) {
-	rows, err := LabResults(o, 0)
-	if err != nil {
-		return Table{}, err
-	}
-	return LabTable(rows), nil
+	return t, nil
 }

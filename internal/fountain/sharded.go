@@ -458,8 +458,8 @@ func (d *ShardedDecoder) AddSymbols(syms []Symbol) error {
 // completes or the stream runs out, returning whether decoding
 // completed. Once completion is possible (n symbols in) it settles the
 // pipeline periodically so a tight feeder cannot outrun the workers and
-// overfeed the decoder — the shared drive loop of the benchmarks,
-// icdbench and the decode experiment.
+// overfeed the decoder — the drive loop of the benchmark's
+// fountain.decode_sharded_ns_per_symbol row.
 func (d *ShardedDecoder) AddStream(stream []Symbol) (bool, error) {
 	for i, sym := range stream {
 		if err := d.AddSymbol(sym); err != nil {

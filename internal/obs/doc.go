@@ -35,8 +35,7 @@
 // nil *Registry hands out unregistered but fully functional metrics, so
 // instrumented hot paths never branch on whether observability is wired
 // up. Counter.Add, Gauge.Set and Histogram.Observe are pinned zero-
-// alloc by tests (testing.AllocsPerRun) and benchmarked as icdbench
-// -micro rows.
+// alloc by tests (testing.AllocsPerRun).
 //
 // # Serving
 //

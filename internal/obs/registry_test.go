@@ -141,8 +141,7 @@ func TestConcurrentMetricWrites(t *testing.T) {
 }
 
 // TestHotPathAllocs pins the instrumented hot paths at zero
-// allocations — the invariant the icdbench -micro "obs counter add"
-// and "obs histogram observe" rows benchmark.
+// allocations.
 func TestHotPathAllocs(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("hot.counter")

@@ -35,8 +35,8 @@ const (
 )
 
 // DefaultRefreshDupTarget is the duplicate-rate budget adaptive refresh
-// steers toward when FetchOptions.RefreshDupTarget is unset: up to 15%
-// of a batch may be duplicates before the cadence tightens.
+// (FetchOptions.AdaptiveRefresh) steers toward: up to 15% of a batch
+// may be duplicates before the cadence tightens.
 const DefaultRefreshDupTarget = 0.15
 
 // NewRefreshController creates a controller steering toward the given

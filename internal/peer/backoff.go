@@ -48,9 +48,10 @@ func redialDelay(attempt int, base, max time.Duration, jitter float64) time.Dura
 // consecutive trip (capped at maxCooldown). When the cooldown lapses
 // the circuit goes half-open — probes are allowed through — and one
 // success resets the address entirely. A nil *Breaker is inert (Allow
-// always true), so callers need no nil checks. Share one Breaker
-// node-wide: the point is that *every* slot learns a dead address is
-// dead from the first slot that paid to find out.
+// always true), so callers need no nil checks. An orchestrator owns one
+// for its fetch (FetchOptions.BreakerThreshold): every session slot and
+// candidate promotion of that fetch learns a dead address is dead from
+// the first slot that paid to find out.
 type Breaker struct {
 	mu          sync.Mutex
 	now         func() time.Time // injectable clock (tests advance synthetically)

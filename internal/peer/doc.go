@@ -105,7 +105,7 @@
 //
 // The faultnet package injects exactly these failures (latency,
 // bandwidth caps, stalls, mid-frame kills, corruption) beneath the
-// dialer, and `icdbench -exp chaos` measures the engine surviving
-// them; PeerStats reports the per-session counters (Resets, Stalls,
+// dialer, and chaos_test.go runs a whole swarm surviving them;
+// PeerStats reports the per-session counters (Resets, Stalls,
 // CorruptFrames, DialFailures, Banned) the defenses maintain.
 package peer

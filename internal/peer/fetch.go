@@ -32,8 +32,6 @@ type FetchOptions struct {
 	// senders (defaults: the paper's 8 and 5).
 	BloomBitsPerElement float64
 	BloomHashes         int
-	// BloomSeed must match across peers (any agreed constant).
-	BloomSeed uint64
 	// MaxUselessBatches disconnects a peer after this many consecutive
 	// batches that contributed nothing (default 4).
 	MaxUselessBatches int
@@ -59,16 +57,13 @@ type FetchOptions struct {
 	// a peer that contributes. 0 disables — collaborative swarms whose
 	// peers legitimately start empty should keep it off or generous.
 	StallTimeout time.Duration
-	// Breaker is the per-address dial circuit breaker, shared node-wide
-	// so every orchestrator learns a dead address from the first dial
-	// that paid to find out. Nil with BreakerThreshold 0 disables the
-	// breaker; nil with BreakerThreshold > 0 creates a private one.
-	Breaker *Breaker
-	// BreakerThreshold is the consecutive dial-failure count that opens
-	// a private breaker's circuit (used only when Breaker is nil).
+	// BreakerThreshold arms this fetch's per-address dial circuit
+	// breaker: that many consecutive dial failures open an address's
+	// circuit, so its sessions fail fast instead of paying for the dial
+	// again. 0 disables the breaker.
 	BreakerThreshold int
-	// BreakerCooldown is the private breaker's first open duration
-	// (default 2s; doubles per consecutive trip).
+	// BreakerCooldown is the breaker's first open duration (default 2s;
+	// doubles per consecutive trip).
 	BreakerCooldown time.Duration
 	// Penalties is the shared misbehavior penalty box: corrupt frames,
 	// failed dials, stalls and resets charge the peer's address, and a
@@ -94,11 +89,9 @@ type FetchOptions struct {
 	// AdaptiveRefresh replaces the fixed RefreshBatches cadence with a
 	// RefreshController: sessions measure each batch's duplicate-symbol
 	// rate and tighten or stretch the refresh cadence around
-	// RefreshDupTarget (RefreshBatches remains the starting cadence).
+	// DefaultRefreshDupTarget (RefreshBatches remains the starting
+	// cadence).
 	AdaptiveRefresh bool
-	// RefreshDupTarget is the duplicate-rate budget adaptive refresh
-	// steers toward (default DefaultRefreshDupTarget).
-	RefreshDupTarget float64
 	// AdvertiseAddr is this node's own dialable listen address. When
 	// set, sessions announce it in their HELLO so servers and peers can
 	// gossip it onward; it is also the self-address the
@@ -111,11 +104,6 @@ type FetchOptions struct {
 	// DisableGossip turns gossip peer discovery off: no PEERS
 	// frames are sent and received advertisements are ignored.
 	DisableGossip bool
-	// MaxCandidates caps the discovered-address candidate pool kept
-	// when gossip finds more peers than MaxPeers allows live (default
-	// 32). Candidates are ranked by gossip mention count and promoted
-	// as slots free up.
-	MaxCandidates int
 	// Dial overrides the dialer a private fabric dials wires through
 	// (tests inject net.Pipe); nil uses TCP. Unused when Fabric is set —
 	// a shared fabric was bound to its dialer at construction.
@@ -134,9 +122,6 @@ type FetchOptions struct {
 	// full sender runs at that cap from its first REQUEST and a partial
 	// sender adapts AIMD-style from 1 up to it.
 	PipelineDepth int
-	// PipelineDupHigh is the per-batch duplicate-symbol rate past which
-	// the adaptive ramp halves (default 0.5).
-	PipelineDupHigh float64
 	// ChannelWindow is the initial per-session credit window, in symbol
 	// frames, that sessions' subchannels open with (0 = the wire's default,
 	// peermux.DefaultWindow; values clamp to the wire's per-channel
@@ -186,15 +171,6 @@ func (o FetchOptions) withDefaults() FetchOptions {
 	}
 	if o.RefreshGrowth <= 0 {
 		o.RefreshGrowth = 0.1
-	}
-	if o.RefreshDupTarget <= 0 {
-		o.RefreshDupTarget = DefaultRefreshDupTarget
-	}
-	if o.MaxCandidates <= 0 {
-		o.MaxCandidates = 32
-	}
-	if o.PipelineDupHigh <= 0 {
-		o.PipelineDupHigh = DefaultPipelineDupHigh
 	}
 	if o.Dial == nil {
 		o.Dial = func(addr string) (net.Conn, error) {

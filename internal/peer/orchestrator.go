@@ -141,8 +141,7 @@ func NewOrchestrator(contentID uint64, opts FetchOptions) *Orchestrator {
 	if o.penalties == nil {
 		o.penalties = NewPenaltyBox()
 	}
-	o.breaker = opts.Breaker
-	if o.breaker == nil && opts.BreakerThreshold > 0 {
+	if opts.BreakerThreshold > 0 {
 		o.breaker = NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown)
 	}
 	o.fabric = opts.Fabric
@@ -293,7 +292,7 @@ func (o *Orchestrator) considerDiscovered(ad protocol.PeerAd) bool {
 				return false
 			}
 		}
-		if len(o.candidates) < o.opts.MaxCandidates {
+		if len(o.candidates) < maxCandidates {
 			o.candidates = append(o.candidates, gossipCandidate{ad: ad, seq: o.candidateSeq})
 			o.candidateSeq++
 			o.met.gossipDefer.Inc()
@@ -357,6 +356,11 @@ func (o *Orchestrator) promoteCandidateLocked() {
 	o.startSessionLocked(ad.Addr, true)
 }
 
+// maxCandidates caps the discovered-address candidate pool kept when
+// gossip finds more peers than MaxPeers allows live. Candidates are
+// ranked by gossip mention count and promoted as slots free up.
+const maxCandidates = 32
+
 // maxCandidateRedials bounds how many times a never-reached discovery is
 // requeued into the candidate pool before the address is written off.
 const maxCandidateRedials = 3
@@ -379,7 +383,7 @@ func (o *Orchestrator) maybeRequeueLocked(s *session) {
 		return
 	}
 	n := o.dialFails[s.addr] + 1
-	if n > maxCandidateRedials || len(o.candidates) >= o.opts.MaxCandidates {
+	if n > maxCandidateRedials || len(o.candidates) >= maxCandidates {
 		return
 	}
 	o.dialFails[s.addr] = n

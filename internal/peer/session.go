@@ -68,9 +68,8 @@ type session struct {
 }
 
 func newSession(o *Orchestrator, addr string) *session {
-	// Seed the jitter stream from the address so swarms are reproducible
-	// under a fixed BloomSeed, yet sessions to different peers (and
-	// different nodes dialing the same peer) stay decorrelated.
+	// Seed the jitter stream from the address so swarms are
+	// reproducible, yet sessions to different peers stay decorrelated.
 	h := fnv.New64a()
 	h.Write([]byte(addr))
 	return &session{
@@ -78,7 +77,7 @@ func newSession(o *Orchestrator, addr string) *session {
 		addr:      addr,
 		stats:     &PeerStats{Addr: addr},
 		drop:      make(chan struct{}),
-		rng:       prng.New(h.Sum64() ^ o.opts.BloomSeed),
+		rng:       prng.New(h.Sum64()),
 		startedAt: time.Now(),
 	}
 }
@@ -498,7 +497,7 @@ func (s *session) serveChannel(ch *peermux.Channel, held *keyset.Set, heldVersio
 	// The request depth's one cap is what the channel window admits; a
 	// full sender runs at it from the first REQUEST (pipeline.go).
 	windowDepth := func() int { return depthCap(ch.Window(), o.opts.Batch) }
-	pc := NewPipelineController(o.opts.PipelineDepth, windowDepth(), hello.FullCopy, o.opts.PipelineDupHigh)
+	pc := NewPipelineController(o.opts.PipelineDepth, windowDepth(), hello.FullCopy, DefaultPipelineDupHigh)
 	deadline := func() { ch.SetDeadline(time.Now().Add(o.opts.Timeout)) }
 	deadline()
 	if err := o.ensureDecoder(ContentInfo{
@@ -553,7 +552,7 @@ func (s *session) serveChannel(ch *peermux.Channel, held *keyset.Set, heldVersio
 	var ctrl *RefreshController
 	cadence := o.opts.RefreshBatches
 	if o.opts.AdaptiveRefresh && cadence > 0 {
-		ctrl = NewRefreshController(o.opts.RefreshDupTarget, cadence)
+		ctrl = NewRefreshController(DefaultRefreshDupTarget, cadence)
 		cadence = ctrl.Cadence()
 	}
 	sinceCheck := 0
@@ -756,6 +755,5 @@ func (s *session) summaryConfig() strategy.Config {
 	return strategy.Config{
 		BloomBitsPerElement: s.o.opts.BloomBitsPerElement,
 		BloomHashes:         s.o.opts.BloomHashes,
-		SummarySeed:         s.o.opts.BloomSeed,
 	}
 }

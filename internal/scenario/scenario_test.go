@@ -185,34 +185,45 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-// TestSmallRunConverges is the end-to-end check: a 12-node clean swarm
-// over shaped links runs to convergence in one process and tears down
-// without leaking a goroutine.
+// TestSmallRunConverges is the end-to-end check: every preset, as a
+// 12-node swarm over shaped links, runs to convergence in one process,
+// carries the swarm time-series, and tears down without leaking a
+// goroutine.
 func TestSmallRunConverges(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	spec, err := Preset("clean", 12, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Timeout = Duration(60 * time.Second)
-	res, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("clean 12-node swarm did not converge: %+v", res)
-	}
-	if res.Failed != 0 || res.Churned != 0 {
-		t.Fatalf("clean run reports failures or churn: %+v", res)
-	}
-	if res.Completed == 0 || res.Convergence <= 0 {
-		t.Fatalf("no completions measured: %+v", res)
-	}
-	if res.P95 < res.P50 || res.Spread < 1 {
-		t.Fatalf("percentiles inverted: %+v", res)
-	}
-	if res.Offload < 0 || res.Offload > 1 {
-		t.Fatalf("offload out of range: %+v", res)
+	for _, name := range PresetNames() {
+		t.Run(name, func(t *testing.T) {
+			defer testutil.CheckGoroutines(t)()
+			spec, err := Preset(name, 12, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Timeout = Duration(60 * time.Second)
+			res, err := Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Converged {
+				t.Fatalf("12-node swarm did not converge: %+v", res)
+			}
+			if name == "clean" && (res.Failed != 0 || res.Churned != 0) {
+				t.Fatalf("clean run reports failures or churn: %+v", res)
+			}
+			if res.Completed == 0 || res.Convergence <= 0 {
+				t.Fatalf("no completions measured: %+v", res)
+			}
+			if res.P95 < res.P50 || res.Spread < 1 {
+				t.Fatalf("percentiles inverted: %+v", res)
+			}
+			if res.Offload < 0 || res.Offload > 1 {
+				t.Fatalf("offload out of range: %+v", res)
+			}
+			if len(res.Series) == 0 {
+				t.Fatal("run carries no swarm time-series")
+			}
+			if last := res.Series[len(res.Series)-1]; last.Offset <= 0 {
+				t.Fatalf("series never advanced: %+v", last)
+			}
+		})
 	}
 }
 

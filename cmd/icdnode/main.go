@@ -181,7 +181,6 @@ func fetch(args []string) {
 		batch    = fs.Int("batch", 64, "symbols per request")
 		timeout  = fs.Duration("timeout", 30*time.Second, "per-operation timeout")
 		maxPeers = fs.Int("max-peers", 8, "cap on concurrent sessions; extra discoveries wait in the candidate pool (0 = unlimited)")
-		adaptive = fs.Bool("adaptive-refresh", true, "steer the summary-refresh cadence by observed duplicate rate")
 	)
 	fs.Parse(args)
 	if *out == "" || (*peers == "" && *seed == "") {
@@ -191,10 +190,9 @@ func fetch(args []string) {
 	addrs := bootstrapAddrs(*peers, *seed)
 	start := time.Now()
 	res, err := peer.Fetch(addrs, parseID(*idStr), peer.FetchOptions{
-		Batch:           *batch,
-		Timeout:         *timeout,
-		MaxPeers:        *maxPeers,
-		AdaptiveRefresh: *adaptive,
+		Batch:    *batch,
+		Timeout:  *timeout,
+		MaxPeers: *maxPeers,
 	})
 	if err != nil {
 		fatal(err)
@@ -220,7 +218,6 @@ func collab(args []string) {
 		timeout  = fs.Duration("timeout", 30*time.Second, "per-operation timeout")
 		maxPeers = fs.Int("max-peers", 0, "session cap; lowest-utility peer is dropped when exceeded (0 = unlimited)")
 		retries  = fs.Int("retries", 3, "redials per failed session (exponential backoff)")
-		adaptive = fs.Bool("adaptive-refresh", true, "steer the summary-refresh cadence by observed duplicate rate")
 		linger   = fs.Duration("linger", 10*time.Second, "keep serving after completing (helps late peers finish)")
 	)
 	fs.Parse(args)
@@ -240,11 +237,10 @@ func collab(args []string) {
 	n := node.New(node.Options{
 		Listen: *listen,
 		Fetch: peer.FetchOptions{
-			Batch:           *batch,
-			Timeout:         *timeout,
-			MaxPeers:        *maxPeers,
-			MaxReconnects:   *retries,
-			AdaptiveRefresh: *adaptive,
+			Batch:         *batch,
+			Timeout:       *timeout,
+			MaxPeers:      *maxPeers,
+			MaxReconnects: *retries,
 		},
 	})
 	go func() {
@@ -315,7 +311,6 @@ func runNode(args []string) {
 		maxConns    = fs.Int("max-conns", 8, "global connection budget divided across concurrent fetches (0 = unlimited)")
 		storeBudget = fs.Int64("store-budget", 0, "replica byte budget; coldest unpinned replicas evict past it (0 = unlimited)")
 		retries     = fs.Int("retries", 3, "redials per failed session (exponential backoff)")
-		adaptive    = fs.Bool("adaptive-refresh", true, "steer the summary-refresh cadence by observed duplicate rate")
 		linger      = fs.Duration("linger", 10*time.Second, "keep serving after all fetches complete (ignored with no -fetch: a pure server runs until interrupted)")
 		debugAddr   = fs.String("debug-addr", "", "serve live observability on this address: /metrics (Prometheus), /vars (JSON), /trace, /debug/pprof (empty = off)")
 	)
@@ -338,10 +333,9 @@ func runNode(args []string) {
 		StoreBudget: *storeBudget,
 		MaxConns:    *maxConns,
 		Fetch: peer.FetchOptions{
-			Batch:           *batch,
-			Timeout:         *timeout,
-			MaxReconnects:   *retries,
-			AdaptiveRefresh: *adaptive,
+			Batch:         *batch,
+			Timeout:       *timeout,
+			MaxReconnects: *retries,
 		},
 	})
 	// Served files are pinned: the operator asked for them explicitly,

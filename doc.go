@@ -225,19 +225,14 @@
 // (RefreshBatches/RefreshGrowth), so senders stop retransmitting what
 // other sessions already delivered.
 //
-// Adaptive refresh. Instead of the fixed RefreshBatches
-// cadence, FetchOptions.AdaptiveRefresh hands the cadence to a
-// RefreshController: each batch's duplicate-symbol rate (received
-// minus useful, over received) is compared against a target budget
-// (DefaultRefreshDupTarget), and the batches-between-refresh-checks interval
-// is scaled by target/observed — bounded to one halving/doubling per
-// observation and clamped to [MinRefreshCadence, MaxRefreshCadence],
-// so the policy can neither oscillate nor starve. Dirty batches mean
-// the sender's picture of the working set is stale and tighten the
-// cadence; clean batches stretch it. In adaptive mode a refresh fires
-// on any growth since the last summary — the cadence, not a growth
-// fraction, rations the traffic. adaptive_test.go pins the controller;
-// peer.TestGossipBootstrapFromSingleSeed runs it in a live swarm.
+// One refresh policy. Every RefreshBatches request batches a session
+// checks whether the shared working set grew by RefreshGrowth since the
+// summary it last sent, and re-sends one if so; a negative
+// RefreshBatches never refreshes (§6.1's never-update-the-filter
+// baseline). It is the policy every benchmark workload runs, so the
+// ledger's useful_ratio rows measure what a user's fetch does.
+// peer.TestFreshReceiverNegotiatesSummaryMidTransfer and
+// peer.TestGossipBootstrapFromSingleSeed run it in live swarms.
 //
 // Gossip discovery. Sessions announce their node's own
 // dialable address (FetchOptions.AdvertiseAddr) in the HELLO, and both
@@ -365,7 +360,7 @@
 // first REQUEST; against a partial sender K adapts AIMD-style from 1,
 // growing additively while batches deliver useful symbols and halving
 // when the duplicate-symbol rate crosses DefaultPipelineDupHigh
-// (FetchOptions.PipelineDepth pins K: 1 forces stop-and-wait). A k=1024
+// (a window of at most one batch is stop-and-wait). A k=1024
 // fetch over a latency-bound link is four round trips — one of setup,
 // three 512-frame windows (peer.TestWANFetchRoundTrips pins the count;
 // the benchmark's wan_rtt50 workload measures the goodput).

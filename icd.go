@@ -363,18 +363,6 @@ func NewGossip(self string) *Gossip {
 	return peer.NewGossip(self)
 }
 
-// RefreshController steers the SUMMARY_REFRESH cadence around a target
-// duplicate-symbol budget — the adaptive alternative to a fixed
-// FetchOptions.RefreshBatches cadence (enable it with
-// FetchOptions.AdaptiveRefresh).
-type RefreshController = peer.RefreshController
-
-// NewRefreshController creates a controller steering toward the given
-// duplicate-rate target, starting from the initial cadence.
-func NewRefreshController(target float64, initial int) *RefreshController {
-	return peer.NewRefreshController(target, initial)
-}
-
 // ---- Multi-content node (content store + one listener + scheduler) ----
 
 // ServerMux is the serving front door: one listener for any number of

@@ -2,8 +2,8 @@ package peer
 
 // backoff_test.go pins the redial pacing machinery with a synthetic
 // clock only — no test here ever sleeps. redialDelay is a pure function
-// checked against a table; the Breaker's open/half-open/reset cycle and
-// per-trip cooldown doubling are driven by swapping its `now` hook.
+// checked against a table; the PenaltyBox's decay and ban are driven by
+// swapping its `now` hook.
 
 import (
 	"fmt"
@@ -59,113 +59,13 @@ func TestRedialDelayJitterRange(t *testing.T) {
 	}
 }
 
-// brokenClock drives a Breaker through synthetic time.
+// brokenClock drives a PenaltyBox through synthetic time.
 type brokenClock struct{ t time.Time }
 
 func (c *brokenClock) now() time.Time                   { return c.t }
 func (c *brokenClock) advance(d time.Duration)          { c.t = c.t.Add(d) }
 func newBrokenClock() *brokenClock                      { return &brokenClock{t: time.Unix(1000, 0)} }
-func installClock(b *Breaker, c *brokenClock)           { b.now = c.now }
 func installPenaltyClock(p *PenaltyBox, c *brokenClock) { p.now = c.now }
-
-func TestBreakerOpensAtThreshold(t *testing.T) {
-	clk := newBrokenClock()
-	b := NewBreaker(3, 100*time.Millisecond)
-	installClock(b, clk)
-
-	for i := 0; i < 2; i++ {
-		b.Failure("a")
-		if !b.Allow("a") {
-			t.Fatalf("circuit open after %d failures, threshold 3", i+1)
-		}
-	}
-	b.Failure("a")
-	if b.Allow("a") {
-		t.Fatal("circuit still closed after 3 consecutive failures")
-	}
-	if !b.Open("a") {
-		t.Fatal("Open must report the tripped circuit")
-	}
-	if b.Open("b") || !b.Allow("b") {
-		t.Fatal("unrelated address must be unaffected")
-	}
-}
-
-func TestBreakerHalfOpenAndReset(t *testing.T) {
-	clk := newBrokenClock()
-	b := NewBreaker(2, 100*time.Millisecond)
-	installClock(b, clk)
-
-	b.Failure("a")
-	b.Failure("a")
-	if b.Allow("a") {
-		t.Fatal("circuit should be open")
-	}
-	clk.advance(99 * time.Millisecond)
-	if b.Allow("a") {
-		t.Fatal("cooldown not lapsed yet")
-	}
-	clk.advance(2 * time.Millisecond)
-	if !b.Allow("a") {
-		t.Fatal("lapsed cooldown must allow a half-open probe")
-	}
-	// A successful probe forgets the address entirely.
-	b.Success("a")
-	if b.Open("a") {
-		t.Fatal("success must close the circuit")
-	}
-	b.Failure("a")
-	if !b.Allow("a") {
-		t.Fatal("one failure after reset must not re-open (threshold 2)")
-	}
-}
-
-func TestBreakerCooldownDoublesPerTrip(t *testing.T) {
-	clk := newBrokenClock()
-	b := NewBreaker(1, 100*time.Millisecond)
-	installClock(b, clk)
-
-	// Trip 1: 100ms. A failed half-open probe re-trips at 200ms, then
-	// 400ms — each verified by probing just inside and past the window.
-	for trip, cool := range []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond} {
-		b.Failure("a")
-		if b.Allow("a") {
-			t.Fatalf("trip %d: circuit should be open", trip+1)
-		}
-		clk.advance(cool - time.Millisecond)
-		if b.Allow("a") {
-			t.Fatalf("trip %d: cooldown %v not yet lapsed", trip+1, cool)
-		}
-		clk.advance(2 * time.Millisecond)
-		if !b.Allow("a") {
-			t.Fatalf("trip %d: cooldown %v should have lapsed", trip+1, cool)
-		}
-	}
-}
-
-func TestBreakerCooldownCap(t *testing.T) {
-	clk := newBrokenClock()
-	b := NewBreaker(1, 30*time.Second)
-	installClock(b, clk)
-
-	// 30s doubles to 60s (the cap) and never beyond.
-	for trip := 0; trip < 5; trip++ {
-		b.Failure("a")
-		clk.advance(time.Minute + time.Millisecond)
-		if !b.Allow("a") {
-			t.Fatalf("trip %d: cooldown exceeded the 1min cap", trip+1)
-		}
-	}
-}
-
-func TestBreakerNilIsInert(t *testing.T) {
-	var b *Breaker
-	b.Failure("a")
-	b.Success("a")
-	if !b.Allow("a") || b.Open("a") {
-		t.Fatal("nil breaker must allow everything")
-	}
-}
 
 func TestPenaltyBoxDecayAndBan(t *testing.T) {
 	clk := newBrokenClock()
@@ -210,39 +110,6 @@ func TestPenaltyBoxUnknownAndNil(t *testing.T) {
 	}
 	if p.Penalize("", PenaltyCorrupt) != 0 || p.Len() != 0 {
 		t.Fatal("empty address must be ignored")
-	}
-}
-
-func TestBreakerEntriesBounded(t *testing.T) {
-	clk := newBrokenClock()
-	b := NewBreaker(1, 100*time.Millisecond)
-	installClock(b, clk)
-
-	// A flood of unique never-succeeding addresses — the hostile-gossip
-	// threat model — must not grow the node-wide breaker without bound.
-	for i := 0; i < maxBreakerEntries+100; i++ {
-		b.Failure(fmt.Sprintf("dead-%d", i))
-	}
-	b.mu.Lock()
-	n := len(b.entries)
-	b.mu.Unlock()
-	if n > maxBreakerEntries {
-		t.Fatalf("breaker holds %d entries, cap %d", n, maxBreakerEntries)
-	}
-
-	// Long-lapsed circuits are the preferred victims: after every open
-	// window expires (past maxCooldown), fresh failures recycle their
-	// slots, and a just-tripped circuit stays remembered.
-	clk.advance(2 * time.Minute)
-	b.Failure("fresh")
-	if !b.Open("fresh") {
-		t.Fatal("freshly tripped circuit not open")
-	}
-	for i := 0; i < 50; i++ {
-		b.Failure(fmt.Sprintf("late-%d", i))
-	}
-	if !b.Open("fresh") {
-		t.Fatal("freshly tripped circuit evicted while stale entries remained")
 	}
 }
 

@@ -121,7 +121,7 @@ func runChaosSwarm(t *testing.T, cfg chaosSwarmConfig) chaosSwarmResult {
 		tr := faultnet.Wrap(pn.Node(addr), faults)
 		gossip := NewGossip(addr)
 		// Penalty decay scaled to the run like every other time knob
-		// (2ms backoffs, 20ms breaker cooldowns): at the default 30s
+		// (2ms backoffs): at the default 30s
 		// half-life, every environmental misattribution — an injected
 		// corrupt connection charged to the innocent peer on its far end,
 		// dial failures into a node whose live server hasn't started —
@@ -141,8 +141,6 @@ func runChaosSwarm(t *testing.T, cfg chaosSwarmConfig) chaosSwarmResult {
 			ReconnectBackoff:    2 * time.Millisecond,
 			MaxReconnectBackoff: 100 * time.Millisecond,
 			StallTimeout:        10 * time.Second, // watchdog armed, generous for empty starts
-			BreakerThreshold:    3,
-			BreakerCooldown:     20 * time.Millisecond,
 			AdvertiseAddr:       addr,
 			Gossip:              gossip,
 			Penalties:           penalties,

@@ -46,9 +46,9 @@
 // duplicate — the session runs at that cap from its first REQUEST;
 // against a partial sender, whose recoded stream ages with the summary
 // it was built against, K adapts AIMD-style from 1: plus one per useful
-// batch, halved when a batch was useless or mostly duplicates.
-// FetchOptions.PipelineDepth pins K for tests and experiments (1 =
-// stop-and-wait). A k=1024 fetch from a full sender is four round trips:
+// batch, halved when a batch was useless or mostly duplicates. A window
+// of at most one batch (FetchOptions.ChannelWindow ≤ Batch) is
+// stop-and-wait. A k=1024 fetch from a full sender is four round trips:
 // one of setup and three 512-frame windows.
 //
 // # Failure model
@@ -72,12 +72,10 @@
 //     MaxReconnectBackoff, at most MaxReconnects attempts). Terminal
 //     protocol verdicts — ErrUnknownContent, protocol.ErrVersion — and
 //     a ban verdict short-circuit the budget: no retry can help, so
-//     none is made.
-//
-//   - Circuit breaker. FetchOptions.BreakerThreshold consecutive dial
-//     failures open a per-address circuit for BreakerCooldown
-//     (doubling per trip, capped); while open, dials are refused
-//     locally and only a half-open probe may test the address again.
+//     none is made. That is the whole ledger of a dead address: each
+//     failed dial is returned, counted (PeerStats.DialFailures),
+//     charged PenaltyDialFail and backed off, until the budget or the
+//     ban ends the loop.
 //
 //   - Penalty box. Dial failures, resets, stalls and corrupt frames
 //     charge a decaying per-address score (shared via
@@ -87,7 +85,9 @@
 //     re-enter ranked behind fresh ones and banned addresses are not
 //     admitted at all. The mux refuses inbound connections from banned
 //     addresses, caps concurrency (SetMaxConns) with a retryable busy
-//     ERROR, and charges corrupt inbound frames to the remote host —
+//     ERROR (protocol.ReasonBusy — the dialer redials without charging
+//     it: a saturated honest peer must not drift toward a ban), and
+//     charges corrupt inbound frames to the remote host —
 //     plus the HELLO's advertised listen address, but only when its
 //     host matches the connection's (an unverified advertisement is
 //     attacker-controlled: charging it would let any client frame an

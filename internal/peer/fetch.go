@@ -28,10 +28,6 @@ type FetchOptions struct {
 	// and stateless migration (§2.3): nothing else is needed to continue
 	// where a previous transfer left off.
 	Initial map[uint64][]byte
-	// BloomBitsPerElement/BloomHashes size the filter sent to partial
-	// senders (defaults: the paper's 8 and 5).
-	BloomBitsPerElement float64
-	BloomHashes         int
 	// MaxUselessBatches disconnects a peer after this many consecutive
 	// batches that contributed nothing (default 4).
 	MaxUselessBatches int
@@ -41,7 +37,9 @@ type FetchOptions struct {
 	// re-ranking of §2.1.
 	MaxPeers int
 	// MaxReconnects is how many times a failed session redials before
-	// giving up (default 0: fail fast, the pre-churn behavior).
+	// giving up (default 0: fail fast, the pre-churn behavior). Every
+	// failed dial charges the address's penalty score; an address that
+	// crosses the ban threshold ends the loop early.
 	MaxReconnects int
 	// ReconnectBackoff is the delay before the first redial, doubling
 	// per attempt (default 200ms). Each delay is jittered to ½–1½× so
@@ -57,14 +55,6 @@ type FetchOptions struct {
 	// a peer that contributes. 0 disables — collaborative swarms whose
 	// peers legitimately start empty should keep it off or generous.
 	StallTimeout time.Duration
-	// BreakerThreshold arms this fetch's per-address dial circuit
-	// breaker: that many consecutive dial failures open an address's
-	// circuit, so its sessions fail fast instead of paying for the dial
-	// again. 0 disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is the breaker's first open duration (default 2s;
-	// doubles per consecutive trip).
-	BreakerCooldown time.Duration
 	// Penalties is the shared misbehavior penalty box: corrupt frames,
 	// failed dials, stalls and resets charge the peer's address, and a
 	// banned address is refused by gossip admission and the candidate
@@ -86,12 +76,6 @@ type FetchOptions struct {
 	// RefreshGrowth is the fractional working-set growth that triggers
 	// a refresh (default 0.1).
 	RefreshGrowth float64
-	// AdaptiveRefresh replaces the fixed RefreshBatches cadence with a
-	// RefreshController: sessions measure each batch's duplicate-symbol
-	// rate and tighten or stretch the refresh cadence around
-	// DefaultRefreshDupTarget (RefreshBatches remains the starting
-	// cadence).
-	AdaptiveRefresh bool
 	// AdvertiseAddr is this node's own dialable listen address. When
 	// set, sessions announce it in their HELLO so servers and peers can
 	// gossip it onward; it is also the self-address the
@@ -115,20 +99,16 @@ type FetchOptions struct {
 	// peer. Nil builds a private fabric over Dial for this fetch alone —
 	// a lone fetch is a wire with one channel — closed when Run ends.
 	Fabric *peermux.Fabric
-	// PipelineDepth pins how many request batches a session keeps in
-	// flight — the test and experiment knob: 1 forces stop-and-wait,
-	// larger values fix the depth. 0 (default) derives it: capped by what
-	// the session's channel window admits (window/Batch, rounded up), a
-	// full sender runs at that cap from its first REQUEST and a partial
-	// sender adapts AIMD-style from 1 up to it.
-	PipelineDepth int
 	// ChannelWindow is the initial per-session credit window, in symbol
 	// frames, that sessions' subchannels open with (0 = the wire's default,
 	// peermux.DefaultWindow; values clamp to the wire's per-channel
 	// maximum). Orchestrator.SetChannelWindow resizes live channels —
 	// together they are how a node scheduler spends one wire's bandwidth
 	// by marginal utility instead of evenly per channel. The window also
-	// caps each session's request depth (see PipelineDepth).
+	// caps each session's request depth at ceil(window/Batch): a full
+	// sender runs at that cap from its first REQUEST, a partial sender
+	// adapts AIMD-style from 1 up to it, and a window ≤ Batch is
+	// stop-and-wait.
 	ChannelWindow int
 
 	// Obs is the node-wide observability registry the orchestrator and
@@ -144,12 +124,6 @@ func (o FetchOptions) withDefaults() FetchOptions {
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = 30 * time.Second
-	}
-	if o.BloomBitsPerElement <= 0 {
-		o.BloomBitsPerElement = 8
-	}
-	if o.BloomHashes <= 0 {
-		o.BloomHashes = 5
 	}
 	if o.MaxUselessBatches <= 0 {
 		o.MaxUselessBatches = 4
@@ -214,8 +188,7 @@ type PeerStats struct {
 	// the cost side of the refresh-cadence policy.
 	RefreshesSent int
 	// DialFailures counts dial attempts that never produced a
-	// connection (refused, timed out, or suppressed by an open circuit
-	// breaker).
+	// connection (refused or timed out).
 	DialFailures int
 	// Resets counts established connections that died mid-stream (the
 	// session may have redialed afterwards).

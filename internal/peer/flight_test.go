@@ -131,90 +131,143 @@ func TestWANFetchRoundTrips(t *testing.T) {
 // before it can know the peer will turn it down. Each way of being
 // turned down must still end the session in its own error — terminal
 // ones after a single dial — with neither side's penalty box charged
-// beyond what the verdict itself books (a connection-level busy counts as
-// one failed dial, as it always has), and nothing left running.
+// beyond what the verdict itself books, and nothing left running. An
+// answer from a live peer books nothing, a saturated peer's busy
+// included: only an address that never answers is charged, one
+// PenaltyDialFail per dial, until MaxReconnects or the ban ends the loop.
 func TestFirstFlightRejects(t *testing.T) {
 	info, data := testContentID(t, 0xA, 60, 32)
+	holdOnlySlot := func(mux *ServerMux, _, _ *PenaltyBox) func() {
+		mux.SetMaxConns(1)
+		held, srvEnd := net.Pipe()
+		done := make(chan struct{})
+		go func() { defer close(done); mux.ServeConn(srvEnd) }()
+		awaitActive(t, &mux.active)
+		return func() { held.Close(); srvEnd.Close(); <-done }
+	}
+	errHas := func(sub string) func(error) bool {
+		return func(err error) bool { return err != nil && bytes.Contains([]byte(err.Error()), []byte(sub)) }
+	}
+	isBusy, noListener := errHas("busy (inbound connection limit reached)"), errHas("no listener")
 	cases := []struct {
-		name  string
-		setup func(mux *ServerMux, box *PenaltyBox) (release func())
+		name string
+		// setup prepares the serving mux and either end's penalty box
+		// (the client's is the shared box the fetch charges).
+		setup func(mux *ServerMux, serverBox, clientBox *PenaltyBox) (release func())
+		dead  bool // the address never listens
 		fetch uint64
-		check func(err error) bool
-		// dials is how many a MaxReconnects of 3 may spend; score what
-		// the client's box holds against the address afterwards.
-		dials int
-		score float64
+		// retries is MaxReconnects (0 = 3); dials how many of 1+retries
+		// the session may spend, failed how many of those it books as
+		// dial failures; score what the client's box holds against the
+		// address afterwards, banned the verdict it reports.
+		retries int
+		check   func(err error) bool
+		dials   int
+		failed  int
+		score   float64
+		banned  bool
 	}{
 		{
 			name:  "unknown content",
-			setup: func(*ServerMux, *PenaltyBox) func() { return func() {} },
 			fetch: 0xDEAD,
 			check: func(err error) bool { return errors.Is(err, ErrUnknownContent) },
 			dials: 1,
 		},
 		{
 			name: "pending content",
-			setup: func(mux *ServerMux, _ *PenaltyBox) func() {
+			setup: func(mux *ServerMux, _, _ *PenaltyBox) func() {
 				mux.SetPending(0xBEEF, true)
-				return func() {}
+				return nil
 			},
 			fetch: 0xBEEF,
 			// Retryable: the generic reason, every redial spent, no charge.
-			check: func(err error) bool {
-				return err != nil && !errors.Is(err, ErrUnknownContent) &&
-					bytes.Contains([]byte(err.Error()), []byte("pending"))
-			},
+			check: func(err error) bool { return !errors.Is(err, ErrUnknownContent) && errHas("pending")(err) },
 			dials: 4,
 		},
 		{
 			name: "banned dialer",
-			setup: func(_ *ServerMux, box *PenaltyBox) func() {
-				box.Penalize("pipe", 2*DefaultBanScore) // every pipeNet dial comes from "pipe"
-				return func() {}
+			setup: func(_ *ServerMux, serverBox, _ *PenaltyBox) func() {
+				serverBox.Penalize("pipe", 2*DefaultBanScore) // every pipeNet dial comes from "pipe"
+				return nil
 			},
 			fetch: info.ID,
 			check: func(err error) bool { return errors.Is(err, ErrRefused) },
 			dials: 1,
 		},
 		{
-			name: "busy limit",
-			setup: func(mux *ServerMux, _ *PenaltyBox) func() {
-				mux.SetMaxConns(1)
-				held, srvEnd := net.Pipe()
-				done := make(chan struct{})
-				go func() { defer close(done); mux.ServeConn(srvEnd) }()
-				awaitActive(t, &mux.active)
-				return func() { held.Close(); srvEnd.Close(); <-done }
-			},
+			// Retryable like pending: the peer is alive, just full.
+			name:  "busy limit",
+			setup: holdOnlySlot,
 			fetch: info.ID,
-			check: func(err error) bool {
-				return err != nil && bytes.Contains([]byte(err.Error()), []byte("busy (inbound connection limit reached)"))
-			},
+			check: isBusy,
 			dials: 4,
-			score: 4 * PenaltyDialFail,
+		},
+		{
+			// More busy answers than failed dials would take to ban.
+			name:    "busy past the ban score",
+			setup:   holdOnlySlot,
+			fetch:   info.ID,
+			retries: 2 * DefaultBanScore,
+			check:   isBusy,
+			dials:   1 + 2*DefaultBanScore,
+		},
+		{
+			name:   "dead address",
+			dead:   true,
+			fetch:  info.ID,
+			check:  noListener,
+			dials:  4,
+			failed: 4,
+			score:  4 * PenaltyDialFail,
+		},
+		{
+			// One failure from a ban: the ban, not the budget, ends the loop.
+			name: "dead address near the ban",
+			dead: true,
+			setup: func(_ *ServerMux, _, clientBox *PenaltyBox) func() {
+				clientBox.Penalize("mux", DefaultBanScore-PenaltyDialFail)
+				return nil
+			},
+			fetch:  info.ID,
+			check:  noListener,
+			dials:  1,
+			failed: 1,
+			score:  DefaultBanScore,
+			banned: true,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			defer checkGoroutines(t)()
 			mux := newTestMux(t, []ContentInfo{info}, [][]byte{data})
-			serverBox := NewPenaltyBox()
+			serverBox, clientBox := NewPenaltyBox(), NewPenaltyBox()
+			// A stopped clock: scores are exact sums, nothing decays.
+			installPenaltyClock(clientBox, newBrokenClock())
 			mux.SetPenalties(serverBox)
-			release := tc.setup(mux, serverBox)
-			defer release()
+			if tc.setup != nil {
+				if release := tc.setup(mux, serverBox, clientBox); release != nil {
+					defer release()
+				}
+			}
 			before := serverBox.Score("pipe")
 			pn := newPipeNet()
 			defer pn.close()
-			addr := pn.add("mux", mux)
-
-			clientBox := NewPenaltyBox()
-			_, err := Fetch([]string{addr}, tc.fetch, FetchOptions{
-				Timeout:          5 * time.Second,
-				MaxReconnects:    3,
-				ReconnectBackoff: time.Millisecond,
-				Dial:             pn.dial,
-				Penalties:        clientBox,
-				DisableGossip:    true,
+			addr := "mux"
+			if !tc.dead {
+				pn.add(addr, mux)
+			}
+			retries := 3
+			if tc.retries > 0 {
+				retries = tc.retries
+			}
+			res, err := Fetch([]string{addr}, tc.fetch, FetchOptions{
+				Timeout:             5 * time.Second,
+				MaxReconnects:       retries,
+				ReconnectBackoff:    time.Millisecond,
+				MaxReconnectBackoff: 2 * time.Millisecond,
+				Dial:                pn.dial,
+				Penalties:           clientBox,
+				DisableGossip:       true,
 			})
 			if !tc.check(err) {
 				t.Fatalf("fetch error = %v", err)
@@ -222,7 +275,10 @@ func TestFirstFlightRejects(t *testing.T) {
 			if got := pn.dialCount(addr); got != tc.dials {
 				t.Errorf("dialed %d times, want %d", got, tc.dials)
 			}
-			if got := clientBox.Score(addr); got > tc.score || got < tc.score*0.9 {
+			if st := res.Peers[0]; st.DialFailures != tc.failed || st.Banned != tc.banned || !tc.check(st.Err) {
+				t.Errorf("session booked %d dial failures, banned=%v, err %v; want %d, %v", st.DialFailures, st.Banned, st.Err, tc.failed, tc.banned)
+			}
+			if got := clientBox.Score(addr); got != tc.score {
 				t.Errorf("client charged the peer %v, want %v", got, tc.score)
 			}
 			if got := serverBox.Score("pipe"); got > before {
@@ -404,6 +460,17 @@ func TestFullSenderDepthFollowsWindow(t *testing.T) {
 	p.release(1)
 	if got := p.outstanding(); got != 4 {
 		t.Fatalf("%d REQUESTs at the first boundary under a 5-batch window, want 4 (1 outstanding -> 5)", got)
+	}
+	// A window of one batch is stop-and-wait: nothing goes out until the
+	// last outstanding batch retires, then exactly one REQUEST.
+	o.SetChannelWindow(64)
+	p.release(4)
+	if got := p.outstanding(); got != 0 {
+		t.Fatalf("%d REQUESTs sent with a batch outstanding under a 1-batch window", got)
+	}
+	p.release(1)
+	if got := p.outstanding(); got != 1 {
+		t.Fatalf("%d REQUESTs after the pipe drained under a 1-batch window, want 1", got)
 	}
 }
 

@@ -174,7 +174,6 @@ func TestGossipBootstrapFromSingleSeed(t *testing.T) {
 		MaxUselessBatches: 1 << 20, // peers start empty: patience, not eviction
 		MaxReconnects:     10,      // a discovered node may not be listening yet
 		ReconnectBackoff:  2 * time.Millisecond,
-		AdaptiveRefresh:   true,
 		RefreshBatches:    4,
 	}
 	all := make([]*node, nodes)

@@ -48,18 +48,11 @@ type ServerMux struct {
 	closed   bool
 	wg       sync.WaitGroup
 
-	// stats are the private registry-typed counters behind Stats();
-	// obsm, when set via SetObs, is a second node-registry set the same
-	// paths add into (node-wide mux.* metrics).
-	stats struct {
-		connections obs.Counter
-		rejected    obs.Counter
-		busy        obs.Counter
-		banned      obs.Counter
-		malformed   obs.Counter
-	}
-	obsm atomic.Pointer[muxMetrics]
-	obs  atomic.Pointer[obs.Registry] // shared into registered servers
+	// met are the mux.* counters the admission paths add into and
+	// Stats() reads: private until SetObs resolves them from a node's
+	// registry.
+	met muxMetrics
+	obs atomic.Pointer[obs.Registry] // shared into registered servers
 }
 
 // MuxStats exposes a ServerMux's connection counters.
@@ -82,6 +75,7 @@ func NewServerMux() *ServerMux {
 		servers: make(map[uint64]*Server),
 		pending: make(map[uint64]bool),
 		conns:   make(map[net.Conn]struct{}),
+		met:     newMuxMetrics(nil),
 	}
 }
 
@@ -139,59 +133,21 @@ func (m *ServerMux) SetPenalties(p *PenaltyBox) {
 	}
 }
 
-// SetObs attaches the node-wide observability registry: the mux's
-// counters additionally feed the registry's mux.* metrics, and every
+// SetObs attaches the node-wide observability registry: the mux counts
+// into the registry's mux.* metrics (Stats() reads them), and every
 // currently and subsequently registered Server shares the registry
-// (like SetGossip) so serve-plane counters aggregate node-wide.
+// (like SetGossip) so serve-plane counters aggregate node-wide. Call
+// before Serve.
 func (m *ServerMux) SetObs(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	om := newMuxMetrics(r)
-	m.obsm.Store(&om)
+	m.met = newMuxMetrics(r)
 	m.obs.Store(r)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, s := range m.servers {
 		s.SetObs(r)
-	}
-}
-
-// The count* helpers bump one private counter and, when a registry is
-// attached, its node-wide twin.
-
-func (m *ServerMux) countConnection() {
-	m.stats.connections.Add(1)
-	if om := m.obsm.Load(); om != nil {
-		om.connections.Add(1)
-	}
-}
-
-func (m *ServerMux) countRejected() {
-	m.stats.rejected.Add(1)
-	if om := m.obsm.Load(); om != nil {
-		om.rejected.Add(1)
-	}
-}
-
-func (m *ServerMux) countBusy() {
-	m.stats.busy.Add(1)
-	if om := m.obsm.Load(); om != nil {
-		om.busy.Add(1)
-	}
-}
-
-func (m *ServerMux) countBanned() {
-	m.stats.banned.Add(1)
-	if om := m.obsm.Load(); om != nil {
-		om.banned.Add(1)
-	}
-}
-
-func (m *ServerMux) countMalformed() {
-	m.stats.malformed.Add(1)
-	if om := m.obsm.Load(); om != nil {
-		om.malformed.Add(1)
 	}
 }
 
@@ -265,11 +221,11 @@ func (m *ServerMux) Contents() []uint64 {
 // Stats returns a snapshot of the connection counters.
 func (m *ServerMux) Stats() MuxStats {
 	return MuxStats{
-		Connections: m.stats.connections.Value(),
-		Rejected:    m.stats.rejected.Value(),
-		Busy:        m.stats.busy.Value(),
-		Banned:      m.stats.banned.Value(),
-		Malformed:   m.stats.malformed.Value(),
+		Connections: m.met.connections.Value(),
+		Rejected:    m.met.rejected.Value(),
+		Busy:        m.met.busy.Value(),
+		Banned:      m.met.banned.Value(),
+		Malformed:   m.met.malformed.Value(),
 	}
 }
 
@@ -369,10 +325,10 @@ func (m *ServerMux) Close() error {
 // else is answered with a clean ERROR and the connection closed.
 // Exported so tests and in-process networks can serve over net.Pipe.
 func (m *ServerMux) ServeConn(conn net.Conn) error {
-	m.countConnection()
+	m.met.connections.Inc()
 	key := remoteKey(conn)
 	if m.penalties.Load().Banned(key) {
-		m.countBanned()
+		m.met.banned.Inc()
 		refuse(conn, m.timeout)
 		return fmt.Errorf("peer: refused banned client %s", key)
 	}
@@ -384,8 +340,8 @@ func (m *ServerMux) ServeConn(conn net.Conn) error {
 	n := m.active.Add(1)
 	if max := m.maxConns.Load(); max > 0 && n > max {
 		m.active.Add(-1)
-		m.countBusy()
-		writeRefusal(conn, protocol.EncodeError("busy (inbound connection limit reached)"), m.timeout)
+		m.met.busy.Inc()
+		writeRefusal(conn, protocol.EncodeError(protocol.ReasonBusy+" (inbound connection limit reached)"), m.timeout)
 		return errors.New("peer: inbound connection limit reached")
 	}
 	defer m.active.Add(-1)
@@ -407,7 +363,7 @@ func (m *ServerMux) ServeConn(conn net.Conn) error {
 			writeRefusal(conn, protocol.EncodeErrorBadVersion(), m.timeout)
 		}
 		if errors.Is(err, protocol.ErrCorrupt) {
-			m.countMalformed()
+			m.met.malformed.Inc()
 			m.penalties.Load().Penalize(key, PenaltyCorrupt)
 		}
 		return err
@@ -443,7 +399,7 @@ func (m *ServerMux) serveWire(conn net.Conn, fr *protocol.FrameReader, mh protoc
 		Timeout:    m.timeout,
 		ListenAddr: m.Addr(),
 		Penalize: func(weight float64) {
-			m.countMalformed()
+			m.met.malformed.Inc()
 			m.penalties.Load().Penalize(key, weight)
 		},
 	}
@@ -461,7 +417,7 @@ func (m *ServerMux) serveWire(conn net.Conn, fr *protocol.FrameReader, mh protoc
 // answering unknown and pending ids with the canonical reject
 // vocabulary.
 func (m *ServerMux) serveChannel(ch *peermux.Channel) {
-	m.countConnection()
+	m.met.connections.Inc()
 	id := ch.RemoteHello().ContentID
 	s, pending, found := m.route(id)
 	if !found {
@@ -469,7 +425,7 @@ func (m *ServerMux) serveChannel(ch *peermux.Channel) {
 			ch.Reject(pendingMessage(id))
 			return
 		}
-		m.countRejected()
+		m.met.rejected.Inc()
 		ch.Reject(fmt.Sprintf("%s %#x", protocol.ReasonUnknownContent, id))
 		return
 	}

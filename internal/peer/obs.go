@@ -61,10 +61,10 @@ func (o *Orchestrator) trace(event, subject, detail string) {
 	o.obs.Trace(event, subject, detail)
 }
 
-// serveMetrics are one Server's serving-plane counters. Each Server
-// carries a private set backing its Stats() accessor; SetObs attaches
-// a second, registry-shared set so all servers of a node aggregate
-// into node totals. The zero value (all-nil counters) is a no-op sink.
+// serveMetrics are one Server's serving-plane counters, the one set its
+// hot paths add into and Stats() reads: private handles
+// (newServeMetrics(nil)) until SetObs resolves them from a node's
+// registry, where all servers of the node share them as node totals.
 type serveMetrics struct {
 	connections *obs.Counter // serve.connections
 	symbolsSent *obs.Counter // serve.symbols_sent
@@ -81,8 +81,8 @@ func newServeMetrics(r *obs.Registry) serveMetrics {
 	}
 }
 
-// muxMetrics are the inbound router's counters, same private/shared
-// split as serveMetrics.
+// muxMetrics are the inbound router's counters, private or resolved
+// from a registry the same way as serveMetrics.
 type muxMetrics struct {
 	connections *obs.Counter // mux.connections
 	rejected    *obs.Counter // mux.rejected

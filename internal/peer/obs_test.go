@@ -1,11 +1,11 @@
 package peer
 
-// obs_test.go pins the registry migration of the serve-plane stats
-// (PR 10): the public Stats() accessors keep their per-instance
-// semantics on top of obs counters, every hot-path increment lands in
-// BOTH the private tally and the registry-shared one once SetObs wired
-// a registry, and concurrent Stats() readers against mutating counters
-// are race-clean (run under -race in CI).
+// obs_test.go pins the one source of serve-plane stats: a Server or
+// ServerMux holds one set of counter handles, Stats() reads exactly
+// those, SetObs resolves them from a registry — where they are the
+// registry's own serve.*/mux.* counters, shared by every server of the
+// node — and concurrent Stats() readers against mutating counters are
+// race-clean (run under -race in CI).
 
 import (
 	"sync"
@@ -14,13 +14,15 @@ import (
 	"icd/internal/obs"
 )
 
-// TestServerStatsDualCount hammers the server's count helpers from many
-// goroutines while a reader polls Stats(), then checks the private and
-// registry tallies agree exactly.
-func TestServerStatsDualCount(t *testing.T) {
-	var s Server
+// TestServerStatsReadRegistry hammers two servers' counters from many
+// goroutines while a reader polls Stats(), then checks that under a
+// shared registry both servers' Stats() and the registry report the
+// same node totals.
+func TestServerStatsReadRegistry(t *testing.T) {
+	var s, sibling Server
 	r := obs.NewRegistry()
 	s.SetObs(r)
+	sibling.SetObs(r)
 
 	const workers, per = 8, 500
 	stop := make(chan struct{})
@@ -53,10 +55,10 @@ func TestServerStatsDualCount(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				s.countConnection()
-				s.countSymbolSent()
-				s.countRejected()
-				s.countMalformed()
+				s.met.connections.Inc()
+				sibling.met.symbolsSent.Inc()
+				s.met.rejected.Inc()
+				sibling.met.malformed.Inc()
 			}
 		}()
 	}
@@ -67,7 +69,10 @@ func TestServerStatsDualCount(t *testing.T) {
 	want := int64(workers * per)
 	st := s.Stats()
 	if st.Connections != want || st.SymbolsSent != want || st.Rejected != want || st.Malformed != want {
-		t.Fatalf("private stats lost increments: %+v, want %d each", st, want)
+		t.Fatalf("stats lost increments: %+v, want %d each", st, want)
+	}
+	if sibling.Stats() != st {
+		t.Fatalf("servers sharing a registry disagree: %+v vs %+v", sibling.Stats(), st)
 	}
 	for _, name := range []string{
 		"serve.connections", "serve.symbols_sent", "serve.rejected", "serve.malformed",
@@ -78,10 +83,9 @@ func TestServerStatsDualCount(t *testing.T) {
 	}
 }
 
-// TestMuxStatsDualCount is the same audit for the mux's admission-plane
-// tallies, plus the SetObs propagation rule: a registry installed on
-// the mux reaches servers registered before AND after the call.
-func TestMuxStatsDualCount(t *testing.T) {
+// TestMuxStatsReadRegistry is the same audit for the mux's
+// admission-plane tallies.
+func TestMuxStatsReadRegistry(t *testing.T) {
 	m := NewServerMux()
 	r := obs.NewRegistry()
 	m.SetObs(r)
@@ -93,11 +97,11 @@ func TestMuxStatsDualCount(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				m.countConnection()
-				m.countRejected()
-				m.countBusy()
-				m.countBanned()
-				m.countMalformed()
+				m.met.connections.Inc()
+				m.met.rejected.Inc()
+				m.met.busy.Inc()
+				m.met.banned.Inc()
+				m.met.malformed.Inc()
 			}
 		}()
 	}
@@ -107,7 +111,7 @@ func TestMuxStatsDualCount(t *testing.T) {
 	st := m.Stats()
 	if st.Connections != want || st.Rejected != want || st.Busy != want ||
 		st.Banned != want || st.Malformed != want {
-		t.Fatalf("private mux stats lost increments: %+v, want %d each", st, want)
+		t.Fatalf("mux stats lost increments: %+v, want %d each", st, want)
 	}
 	for _, name := range []string{
 		"mux.connections", "mux.rejected", "mux.busy", "mux.banned", "mux.malformed",
@@ -118,14 +122,22 @@ func TestMuxStatsDualCount(t *testing.T) {
 	}
 }
 
-// TestServerWithoutObsStillCounts pins the unwired path: a zero-value
-// server (no registry) keeps exact private tallies and never panics.
+// TestServerWithoutObsStillCounts pins the unwired path: servers with no
+// registry keep exact tallies of their own, each apart from the other's.
 func TestServerWithoutObsStillCounts(t *testing.T) {
-	var s Server
-	for i := 0; i < 3; i++ {
-		s.countConnection()
+	info, data := testContent(t, 8, 16)
+	s, err := NewFullServer(info, data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := s.Stats().Connections; got != 3 {
-		t.Fatalf("unwired server counted %d connections, want 3", got)
+	other, err := NewFullServer(info, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		s.met.connections.Inc()
+	}
+	if got, apart := s.Stats().Connections, other.Stats().Connections; got != 3 || apart != 0 {
+		t.Fatalf("unwired servers counted %d and %d connections, want 3 and 0", got, apart)
 	}
 }

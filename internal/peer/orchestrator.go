@@ -70,9 +70,6 @@ type Orchestrator struct {
 	// is created when FetchOptions.Penalties is not shared); banned
 	// addresses are refused by every admission path below.
 	penalties *PenaltyBox
-	// breaker is the per-address dial circuit breaker (nil when the
-	// breaker is disabled; all Breaker methods are nil-safe).
-	breaker *Breaker
 	// fabric carries every session as a subchannel of one wire per peer:
 	// FetchOptions.Fabric when the caller shares one (a node's), else a
 	// private fabric over FetchOptions.Dial that Run closes.
@@ -140,9 +137,6 @@ func NewOrchestrator(contentID uint64, opts FetchOptions) *Orchestrator {
 	o.penalties = opts.Penalties
 	if o.penalties == nil {
 		o.penalties = NewPenaltyBox()
-	}
-	if opts.BreakerThreshold > 0 {
-		o.breaker = NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown)
 	}
 	o.fabric = opts.Fabric
 	if o.fabric == nil {

@@ -35,10 +35,9 @@ import (
 // dials, within one decay half-life.
 const (
 	// PenaltyDialFail is charged when a dial attempt never produces a
-	// connection (refused or timed out). Dials suppressed by an open
-	// circuit breaker are NOT charged: the failures that opened the
-	// circuit already were, and re-charging every suppressed probe would
-	// double-count one outage.
+	// connection (refused or timed out). An answer from a live peer —
+	// a refusal, a busy, an unknown content — is not a failed dial and is
+	// not charged.
 	PenaltyDialFail = 1.0
 	// PenaltyReset is charged when an established connection dies
 	// mid-stream — common under churn, so it weighs the least.

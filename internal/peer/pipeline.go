@@ -19,8 +19,8 @@ package peer
 // its depth adapts the way AIMD congestion control adapts a window: from
 // 1, grow by one while batches deliver useful symbols, halve when the
 // stream turns useless or the duplicate rate says the summary has gone
-// stale faster than refreshes can catch up. A pinned depth
-// (FetchOptions.PipelineDepth; 1 = stop-and-wait) overrides both.
+// stale faster than refreshes can catch up. Stop-and-wait is not a mode:
+// it is what a window no larger than one batch admits (depthCap = 1).
 
 import "math"
 
@@ -49,16 +49,14 @@ func depthCap(window, batch int) int {
 type PipelineController struct {
 	depth   int
 	max     int
-	pinned  bool // the caller fixed the depth: no cap, no adaptation
 	full    bool // full sender: the depth is the cap
 	dupHigh float64
 }
 
 // NewPipelineController builds a controller under the cap max (what the
-// channel window admits; SetMax moves it). pin >= 1 fixes the depth at
-// pin whatever the cap (1 = stop-and-wait); otherwise a full sender runs
-// at the cap and a partial one adapts AIMD-style from depth 1.
-func NewPipelineController(pin, max int, full bool, dupHigh float64) *PipelineController {
+// channel window admits; SetMax moves it): a full sender runs at the cap
+// and a partial one adapts AIMD-style from depth 1.
+func NewPipelineController(max int, full bool, dupHigh float64) *PipelineController {
 	if max < 1 {
 		max = 1
 	}
@@ -66,10 +64,7 @@ func NewPipelineController(pin, max int, full bool, dupHigh float64) *PipelineCo
 		dupHigh = DefaultPipelineDupHigh
 	}
 	c := &PipelineController{depth: 1, max: max, full: full, dupHigh: dupHigh}
-	switch {
-	case pin >= 1:
-		c.pinned, c.depth = true, pin
-	case full:
+	if full {
 		c.depth = max
 	}
 	return c
@@ -78,23 +73,17 @@ func NewPipelineController(pin, max int, full bool, dupHigh float64) *PipelineCo
 // Depth returns the current target for in-flight request batches.
 func (c *PipelineController) Depth() int { return c.depth }
 
-// Max returns the current cap (the pinned depth when pinned).
-func (c *PipelineController) Max() int {
-	if c.pinned {
-		return c.depth
-	}
-	return c.max
-}
+// Max returns the current cap.
+func (c *PipelineController) Max() int { return c.max }
 
 // SetMax re-caps the controller — the session calls it at every batch
 // boundary with what its channel window admits at that moment. A full
 // sender's depth follows the cap both ways; an adaptive depth is pulled
-// down with a lowered cap and may grow again under a raised one. A
-// pinned controller ignores the cap: the caller fixed the depth
-// explicitly. Like Observe, it must be called from the session goroutine
-// that owns the controller.
+// down with a lowered cap and may grow again under a raised one. Like
+// Observe, it must be called from the session goroutine that owns the
+// controller.
 func (c *PipelineController) SetMax(max int) {
-	if c.pinned || max < 1 {
+	if max < 1 {
 		return
 	}
 	c.max = max
@@ -109,10 +98,9 @@ func (c *PipelineController) SetMax(max int) {
 // duplicate rate (a 0-symbol batch's 0/0) compares false against any
 // threshold, which used to read as "below threshold, grow" — an empty
 // batch is no evidence of a healthy stream, so NaN backs off like a
-// useless batch instead. Pinned and full-sender controllers do not
-// adapt.
+// useless batch instead. A full-sender controller does not adapt.
 func (c *PipelineController) Observe(dupRate float64, useful bool) {
-	if c.pinned || c.full {
+	if c.full {
 		return
 	}
 	if !useful || math.IsNaN(dupRate) || dupRate > c.dupHigh {

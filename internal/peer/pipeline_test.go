@@ -4,12 +4,13 @@ package peer
 // (depthCap), the partial-sender AIMD ramp under it — additive increase
 // on useful batches, multiplicative back-off on useless,
 // duplicate-heavy, or NaN-rate batches, the [1, max] clamp — the
-// full-sender depth that sits at the cap and follows it, the pinned
-// (stop-and-wait) mode, and the live SetMax re-cap a window resize
-// drives. The session-level cases run it end to end over a synchronous
-// net.Pipe — the adversarial transport: a session writing REQUEST k+1
-// while the server still streams batch k would deadlock the pipe if
-// nothing drained it, which is the wire's demux reader's job.
+// full-sender depth that sits at the cap and follows it, and the live
+// SetMax re-cap a window resize drives. The session-level case runs it
+// end to end — pipelined, and stop-and-wait under a one-batch window —
+// over a synchronous net.Pipe, the adversarial transport: a session
+// writing REQUEST k+1 while the server still streams batch k would
+// deadlock the pipe if nothing drained it, which is the wire's demux
+// reader's job.
 
 import (
 	"bytes"
@@ -20,11 +21,10 @@ import (
 	"icd/internal/testutil"
 )
 
-// mustController builds a partial-sender (adaptive unless pinned)
-// controller.
-func mustController(t *testing.T, depth, max int, dupHigh float64) *PipelineController {
+// mustController builds a partial-sender (adaptive) controller.
+func mustController(t *testing.T, max int, dupHigh float64) *PipelineController {
 	t.Helper()
-	return NewPipelineController(depth, max, false, dupHigh)
+	return NewPipelineController(max, false, dupHigh)
 }
 
 func TestDepthCap(t *testing.T) {
@@ -51,7 +51,7 @@ func TestDepthCap(t *testing.T) {
 // to probe for, so its depth is the cap from the first REQUEST, follows
 // the cap both ways, and no batch outcome moves it.
 func TestPipelineControllerFullSenderRunsAtCap(t *testing.T) {
-	c := NewPipelineController(0, 8, true, 0)
+	c := NewPipelineController(8, true, 0)
 	if c.Depth() != 8 {
 		t.Fatalf("full sender starts at depth %d, want the cap 8", c.Depth())
 	}
@@ -68,14 +68,10 @@ func TestPipelineControllerFullSenderRunsAtCap(t *testing.T) {
 	if c.Depth() != 6 {
 		t.Fatalf("after the window grew to 6 batches: depth %d, want 6 at once", c.Depth())
 	}
-	// A pin overrides the sender type.
-	if p := NewPipelineController(1, 8, true, 0); p.Depth() != 1 {
-		t.Fatalf("pinned stop-and-wait against a full sender runs at %d", p.Depth())
-	}
 }
 
 func TestPipelineControllerAdaptiveRamp(t *testing.T) {
-	c := mustController(t, 0, 8, 0.5)
+	c := mustController(t, 8, 0.5)
 	if c.Depth() != 1 {
 		t.Fatalf("adaptive ramp starts at %d, want 1", c.Depth())
 	}
@@ -106,7 +102,7 @@ func TestPipelineControllerAdaptiveRamp(t *testing.T) {
 }
 
 func TestPipelineControllerNaNBacksOff(t *testing.T) {
-	c := mustController(t, 0, 8, 0.5)
+	c := mustController(t, 8, 0.5)
 	for i := 0; i < 8; i++ {
 		c.Observe(0, true)
 	}
@@ -122,24 +118,8 @@ func TestPipelineControllerNaNBacksOff(t *testing.T) {
 	}
 }
 
-func TestPipelineControllerFixedDepth(t *testing.T) {
-	c := mustController(t, 1, 16, 0.5)
-	for i := 0; i < 10; i++ {
-		c.Observe(0, true)
-		c.Observe(1, false)
-	}
-	if c.Depth() != 1 {
-		t.Fatalf("fixed depth drifted to %d, want 1 (stop-and-wait)", c.Depth())
-	}
-	// The pin is the caller's explicit choice: the window cap does not
-	// bind it (the credit window still bounds what is actually in flight).
-	if c := mustController(t, 99, 16, 0.5); c.Depth() != 99 || c.Max() != 99 {
-		t.Fatalf("pinned depth 99 under cap 16: depth %d max %d, want 99/99", c.Depth(), c.Max())
-	}
-}
-
 func TestPipelineControllerSetMax(t *testing.T) {
-	c := mustController(t, 0, 16, 0.5)
+	c := mustController(t, 16, 0.5)
 	for i := 0; i < 20; i++ {
 		c.Observe(0, true)
 	}
@@ -159,21 +139,16 @@ func TestPipelineControllerSetMax(t *testing.T) {
 	if c.Depth() != 8 {
 		t.Fatalf("after SetMax(8) and growth: depth %d, want 8", c.Depth())
 	}
-	// Nonsense caps are ignored; fixed controllers ignore SetMax.
+	// Nonsense caps are ignored.
 	c.SetMax(0)
 	if c.Max() != 8 {
 		t.Fatalf("SetMax(0) moved the cap to %d, want 8", c.Max())
-	}
-	f := mustController(t, 3, 16, 0.5)
-	f.SetMax(1)
-	if f.Depth() != 3 {
-		t.Fatalf("SetMax on a fixed controller moved depth to %d, want 3", f.Depth())
 	}
 }
 
 func TestPipelineControllerDefaults(t *testing.T) {
 	// A nonsense cap admits one batch: the ramp has nowhere to go.
-	c := mustController(t, 0, 0, 0)
+	c := mustController(t, 0, 0)
 	for i := 0; i < 100; i++ {
 		c.Observe(0, true)
 	}
@@ -181,7 +156,7 @@ func TestPipelineControllerDefaults(t *testing.T) {
 		t.Fatalf("cap 0 let the ramp reach %d, want 1", c.Depth())
 	}
 	// The default threshold backs off a 60% duplicate batch.
-	c = mustController(t, 0, 16, 0)
+	c = mustController(t, 16, 0)
 	for i := 0; i < 100; i++ {
 		c.Observe(0, true)
 	}
@@ -208,39 +183,26 @@ func fetchPipelined(t *testing.T, nBlocks int, opts FetchOptions) (*pipeNet, str
 	return pn, addr, data, res, err
 }
 
-func TestSessionFixedDepthCompletes(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	pn, _, data, res, err := fetchPipelined(t, 160, FetchOptions{
-		Batch:         8,
-		PipelineDepth: 4, // fixed, > 1: every batch boundary has requests in flight
-		Timeout:       5 * time.Second,
-	})
-	defer pn.close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(res.Data, data) {
-		t.Fatal("content mismatch over a pipelined session")
-	}
-	if res.Peers[0].Err != nil {
-		t.Fatalf("session error: %v", res.Peers[0].Err)
-	}
-}
-
 func TestSessionAdaptiveRampCompletes(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	// Adaptive ramp (depth 0) with a small batch so the ramp actually
-	// climbs well past stop-and-wait before the transfer completes.
-	pn, _, data, res, err := fetchPipelined(t, 200, FetchOptions{
-		Batch:         4,
-		ChannelWindow: 32, // admits 8 batches
-		Timeout:       5 * time.Second,
-	})
-	defer pn.close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(res.Data, data) {
-		t.Fatal("content mismatch over adaptive ramp")
+	// A small batch so a window of 8 batches keeps requests in flight at
+	// every batch boundary; a window of one batch is stop-and-wait, the
+	// same loop at depth 1.
+	for _, window := range []int{32, 4} {
+		pn, _, data, res, err := fetchPipelined(t, 200, FetchOptions{
+			Batch:         4,
+			ChannelWindow: window,
+			Timeout:       5 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(res.Data, data) {
+			t.Fatalf("window %d: content mismatch", window)
+		}
+		if res.Peers[0].Err != nil {
+			t.Fatalf("window %d: session error: %v", window, res.Peers[0].Err)
+		}
+		pn.close()
 	}
 }

@@ -1,12 +1,12 @@
 package peer
 
 // scale_test.go pressure-tests the node-wide shared state — the Gossip
-// directory, the PenaltyBox and the Breaker — at thousand-node swarm
-// scale: a node in a 1000-node scenario hears well past a thousand
-// distinct advertisements and observes failures from as many unique
-// addresses, and every one of these structures must hold its memory
-// bound while keeping the entries that matter (heavily-mentioned ads,
-// heavy offenders, freshly-tripped circuits) ranked on top.
+// directory and the PenaltyBox — at thousand-node swarm scale: a node in
+// a 1000-node scenario hears well past a thousand distinct
+// advertisements and observes failures from as many unique addresses,
+// and both structures must hold their memory bound while keeping the
+// entries that matter (heavily-mentioned ads, heavy offenders) ranked on
+// top.
 
 import (
 	"fmt"
@@ -106,47 +106,5 @@ func TestPenaltyBoxThousandAddressFlood(t *testing.T) {
 		if !p.Banned(addr) {
 			t.Fatalf("%s lost its ban to the flood (score %v)", addr, p.Score(addr))
 		}
-	}
-}
-
-func TestBreakerThousandAddressFlood(t *testing.T) {
-	clk := newBrokenClock()
-	b := NewBreaker(1, 100*time.Millisecond)
-	installClock(b, clk)
-
-	// Trip a band of circuits twice (the re-trip doubles their cooldown,
-	// so their open windows outlast any single-trip flood entry's), then
-	// flood with 2000 further unique failing addresses. The map stays
-	// bounded, eviction spends the soonest-to-expire flood circuits, and
-	// the repeat offenders survive.
-	const tripped = 32
-	for i := 0; i < tripped; i++ {
-		b.Failure(fmt.Sprintf("tripped-%d", i))
-	}
-	clk.advance(150 * time.Millisecond)
-	for i := 0; i < tripped; i++ {
-		addr := fmt.Sprintf("tripped-%d", i)
-		if !b.Allow(addr) {
-			t.Fatalf("%s not half-open after its cooldown lapsed", addr)
-		}
-		b.Failure(addr)
-	}
-	for i := 0; i < 2*maxBreakerEntries; i++ {
-		b.Failure(fmt.Sprintf("flood-%d", i))
-	}
-	b.mu.Lock()
-	n := len(b.entries)
-	b.mu.Unlock()
-	if n > maxBreakerEntries {
-		t.Fatalf("breaker holds %d entries, cap %d", n, maxBreakerEntries)
-	}
-	open := 0
-	for i := 0; i < tripped; i++ {
-		if b.Open(fmt.Sprintf("tripped-%d", i)) {
-			open++
-		}
-	}
-	if open != tripped {
-		t.Fatalf("only %d/%d tripped circuits survived the flood", open, tripped)
 	}
 }

@@ -95,16 +95,10 @@ type Server struct {
 	penalties atomic.Pointer[PenaltyBox] // shared misbehavior box (nil = no penalty plane)
 
 	streamSeed atomic.Uint64
-	// stats are the private registry-typed counters behind Stats();
-	// obsm, when set, is a second node-registry set the same hot paths
-	// add into so every server of a node aggregates into node totals.
-	stats struct {
-		connections obs.Counter
-		symbolsSent obs.Counter
-		malformed   obs.Counter
-		rejected    obs.Counter
-	}
-	obsm atomic.Pointer[serveMetrics]
+	// met are the serve.* counters the hot paths add into and Stats()
+	// reads: private to this server until SetObs resolves them from a
+	// node's registry.
+	met serveMetrics
 }
 
 // newServer validates info and builds what every mode shares.
@@ -116,7 +110,7 @@ func newServer(info ContentInfo) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Server{info: info, code: code, timeout: 30 * time.Second, gossip: NewGossip("")}, nil
+	return &Server{info: info, code: code, timeout: 30 * time.Second, gossip: NewGossip(""), met: newServeMetrics(nil)}, nil
 }
 
 // NewFullServer builds a full sender from the content bytes themselves.
@@ -208,47 +202,14 @@ func (s *Server) SetPenalties(p *PenaltyBox) {
 	}
 }
 
-// SetObs attaches the node-wide observability registry: the server's
-// counters additionally feed the registry's shared serve.* metrics, so
-// every server of a node aggregates into node totals. The private
-// counters behind Stats() are unaffected.
+// SetObs attaches the node-wide observability registry: the server
+// counts into the registry's shared serve.* metrics, so every server of
+// a node adds into the same node totals (and Stats() reads those). Call
+// before the server serves — ServerMux.Register does, before the content
+// id becomes routable.
 func (s *Server) SetObs(r *obs.Registry) {
-	if r == nil {
-		return
-	}
-	m := newServeMetrics(r)
-	s.obsm.Store(&m)
-}
-
-// The count* helpers bump one private counter and, when a registry is
-// attached (SetObs), its node-wide twin — one atomic load and branch
-// when unwired, so the serve hot loops stay effectively free.
-
-func (s *Server) countConnection() {
-	s.stats.connections.Add(1)
-	if m := s.obsm.Load(); m != nil {
-		m.connections.Add(1)
-	}
-}
-
-func (s *Server) countRejected() {
-	s.stats.rejected.Add(1)
-	if m := s.obsm.Load(); m != nil {
-		m.rejected.Add(1)
-	}
-}
-
-func (s *Server) countMalformed() {
-	s.stats.malformed.Add(1)
-	if m := s.obsm.Load(); m != nil {
-		m.malformed.Add(1)
-	}
-}
-
-func (s *Server) countSymbolSent() {
-	s.stats.symbolsSent.Add(1)
-	if m := s.obsm.Load(); m != nil {
-		m.symbolsSent.Add(1)
+	if r != nil {
+		s.met = newServeMetrics(r)
 	}
 }
 
@@ -289,13 +250,16 @@ func (s *Server) workingSet() (*keyset.Set, map[uint64][]byte, int64) {
 // Info returns the served content's parameters.
 func (s *Server) Info() ContentInfo { return s.info }
 
-// Stats returns a snapshot of the transfer counters.
+// Stats returns a snapshot of the transfer counters. They are this
+// server's own until a registry is attached; under a shared registry
+// (SetObs, or registration on a mux that has one) they are the
+// registry's serve.* totals — every server of the node together.
 func (s *Server) Stats() ServerStats {
 	return ServerStats{
-		Connections: s.stats.connections.Value(),
-		SymbolsSent: s.stats.symbolsSent.Value(),
-		Malformed:   s.stats.malformed.Value(),
-		Rejected:    s.stats.rejected.Value(),
+		Connections: s.met.connections.Value(),
+		SymbolsSent: s.met.symbolsSent.Value(),
+		Malformed:   s.met.malformed.Value(),
+		Rejected:    s.met.rejected.Value(),
 	}
 }
 
@@ -312,7 +276,7 @@ func (s *Server) noteMalformed(remoteHost, listenAddr string, err error) {
 	if !errors.Is(err, protocol.ErrCorrupt) {
 		return
 	}
-	s.countMalformed()
+	s.met.malformed.Inc()
 	box := s.penalties.Load()
 	box.Penalize(remoteHost, PenaltyCorrupt)
 	if verifiedListenAddr(listenAddr, remoteHost) && listenAddr != remoteHost {
@@ -338,11 +302,11 @@ func (s *Server) ServeChannel(ch *peermux.Channel) error {
 	// just by connecting inbound.
 	clientHello := ch.RemoteHello()
 	if la := clientHello.ListenAddr; verifiedListenAddr(la, key) && s.penalties.Load().Banned(la) {
-		s.countRejected()
+		s.met.rejected.Inc()
 		ch.Reject(protocol.ReasonRefused + " (address penalized)")
 		return fmt.Errorf("peer: refused banned client %s", la)
 	}
-	s.countConnection()
+	s.met.connections.Inc()
 	err := s.serve(ch, clientHello)
 	if err != nil {
 		s.noteMalformed(key, clientHello.ListenAddr, err)
@@ -501,7 +465,7 @@ func (s *Server) sendFull(w io.Writer, enc *fountain.Encoder, n int) error {
 		if err != nil {
 			return err
 		}
-		s.countSymbolSent()
+		s.met.symbolsSent.Inc()
 	}
 	return protocol.WriteFrame(w, protocol.EncodeDone())
 }
@@ -578,7 +542,7 @@ func (s *Server) sendRecoded(w io.Writer, sr *sessionRecoders, n int) error {
 		if err != nil {
 			return err
 		}
-		s.countSymbolSent()
+		s.met.symbolsSent.Inc()
 	}
 	return protocol.WriteFrame(w, protocol.EncodeDone())
 }

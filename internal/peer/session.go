@@ -221,8 +221,8 @@ func (s *session) ended() bool {
 }
 
 // runConn runs one connection lifecycle: open a subchannel on the shared
-// per-peer wire (through the circuit breaker; the fabric dials the wire
-// only if none is live), serve it, and classify how it ended —
+// per-peer wire (the fabric dials the wire only if none is live), serve
+// it, and classify how it ended —
 // misbehavior observed on the wire (corrupt frames, mid-stream resets)
 // charges the peer's penalty-box score on the way out. The channel
 // negotiation doubles as the content handshake: the OPEN carries our
@@ -243,20 +243,12 @@ func (s *session) runConn() error {
 	return err
 }
 
-// openChannel opens this session's subchannel with circuit-breaker
-// admission and dial accounting, and classifies the peer's answers —
-// a REJECT_CHANNEL, or an ERROR in place of the wire handshake — into
-// the terminal errors: a verdict from a live peer is not a dial failure,
-// so it neither trips the breaker nor charges the address.
+// openChannel opens this session's subchannel with dial accounting, and
+// classifies the peer's answers — a REJECT_CHANNEL, or an ERROR in place
+// of the wire handshake — into the terminal errors: a verdict from a live
+// peer is not a dial failure, so it does not charge the address.
 func (s *session) openChannel() (*peermux.Channel, *keyset.Set, int64, error) {
 	o := s.o
-	if !o.breaker.Allow(s.addr) {
-		o.mu.Lock()
-		s.stats.DialFailures++
-		o.mu.Unlock()
-		o.met.dialFailures.Inc()
-		return nil, nil, 0, fmt.Errorf("%w: %s", errDialSuppressed, s.addr)
-	}
 	held, heldVersion := o.heldSnapshot()
 	issued := time.Now()
 	ch, err := s.openInterruptibly(protocol.Hello{
@@ -275,16 +267,19 @@ func (s *session) openChannel() (*peermux.Channel, *keyset.Set, int64, error) {
 		return nil, nil, 0, err // nobody failed: no accounting
 	}
 	// The peer answered: the channel negotiation with a REJECT, or — a
-	// banned dialer never gets that far — the wire handshake itself with
-	// the refused ERROR. The address was reached and the answer may be a
-	// terminal verdict; charging a refusal back as a dead peer is the
-	// mutual-ban loop ErrRefused exists to forbid.
+	// banned dialer, or any dialer past the inbound connection cap, never
+	// gets that far — the wire handshake itself with the refused or busy
+	// ERROR. The address was reached and the answer may be a terminal
+	// verdict; charging a refusal back as a dead peer is the mutual-ban
+	// loop ErrRefused exists to forbid, and charging busy would ban an
+	// honest peer for being saturated (it stays retryable, like a
+	// pending-content reject).
 	var rej *peermux.RejectError
 	var rem *peermux.RemoteError
 	answered, msg := false, ""
 	if errors.As(err, &rej) {
 		answered, msg = true, rej.Msg
-	} else if errors.As(err, &rem) && protocol.IsRefused(rem.Msg) {
+	} else if errors.As(err, &rem) && (protocol.IsRefused(rem.Msg) || protocol.IsBusy(rem.Msg)) {
 		answered, msg = true, rem.Msg
 	}
 	if answered {
@@ -310,7 +305,6 @@ func (s *session) openChannel() (*peermux.Channel, *keyset.Set, int64, error) {
 		s.noteConnError(err)
 		return nil, nil, 0, err
 	}
-	o.breaker.Failure(s.addr)
 	o.penalties.Penalize(s.addr, PenaltyDialFail)
 	o.mu.Lock()
 	s.stats.DialFailures++
@@ -320,10 +314,9 @@ func (s *session) openChannel() (*peermux.Channel, *keyset.Set, int64, error) {
 	return nil, nil, 0, err
 }
 
-// reached records that a dial got through to the address: its circuit
-// closes, and it never requeues as a never-connected discovery.
+// reached records that a dial got through to the address: it never
+// requeues as a never-connected discovery.
 func (s *session) reached() {
-	s.o.breaker.Success(s.addr)
 	s.o.mu.Lock()
 	s.connected = true
 	s.o.mu.Unlock()
@@ -385,11 +378,6 @@ func (s *session) takeStalled() bool {
 	s.stalled = false
 	return stalled
 }
-
-// errDialSuppressed marks a dial the circuit breaker refused outright —
-// the address has failed enough in a row that probing it again before
-// its cooldown lapses would only burn the slot's time.
-var errDialSuppressed = errors.New("peer: dial suppressed by open circuit breaker")
 
 // noteConnError records how an established connection failed: a corrupt
 // frame (protocol.ErrCorrupt) is the strongest misbehavior signal; any
@@ -497,7 +485,7 @@ func (s *session) serveChannel(ch *peermux.Channel, held *keyset.Set, heldVersio
 	// The request depth's one cap is what the channel window admits; a
 	// full sender runs at it from the first REQUEST (pipeline.go).
 	windowDepth := func() int { return depthCap(ch.Window(), o.opts.Batch) }
-	pc := NewPipelineController(o.opts.PipelineDepth, windowDepth(), hello.FullCopy, DefaultPipelineDupHigh)
+	pc := NewPipelineController(windowDepth(), hello.FullCopy, DefaultPipelineDupHigh)
 	deadline := func() { ch.SetDeadline(time.Now().Add(o.opts.Timeout)) }
 	deadline()
 	if err := o.ensureDecoder(ContentInfo{
@@ -526,7 +514,8 @@ func (s *session) serveChannel(ch *peermux.Channel, held *keyset.Set, heldVersio
 	o.mu.Unlock()
 	o.trace(obs.EvHandshake, s.addr, method.String())
 	if method != protocol.SummaryNone {
-		blob, err := strategy.BuildSummary(method, held, s.summaryConfig())
+		// The zero Config is the paper's sizing (strategy.Config.Default).
+		blob, err := strategy.BuildSummary(method, held, strategy.Config{})
 		if err != nil {
 			return err
 		}
@@ -544,17 +533,10 @@ func (s *session) serveChannel(ch *peermux.Channel, held *keyset.Set, heldVersio
 		return err
 	}
 
-	// Refresh cadence: fixed mode checks every RefreshBatches batches;
-	// adaptive mode steers the interval around the duplicate-rate
-	// budget (a dirty batch tightens the cadence, clean ones stretch
-	// it). lastReceived/lastUseful window the per-batch duplicate rate
-	// out of the cumulative session counters.
-	var ctrl *RefreshController
-	cadence := o.opts.RefreshBatches
-	if o.opts.AdaptiveRefresh && cadence > 0 {
-		ctrl = NewRefreshController(DefaultRefreshDupTarget, cadence)
-		cadence = ctrl.Cadence()
-	}
+	// Refresh: every RefreshBatches batches, check whether the working
+	// set grew ≥ RefreshGrowth since the last summary. lastReceived/
+	// lastUseful window the per-batch duplicate rate out of the
+	// cumulative session counters.
 	sinceCheck := 0
 	lastReceived, lastUseful := 0, 0
 	canSummarize := o.opts.summaryMask()&hello.SummaryMask != 0
@@ -575,7 +557,7 @@ func (s *session) serveChannel(ch *peermux.Channel, held *keyset.Set, heldVersio
 		// default): once the set is non-trivial the method is
 		// re-negotiated and a first summary goes out.
 		sinceCheck++
-		if !hello.FullCopy && o.opts.RefreshBatches > 0 && sinceCheck >= cadence {
+		if !hello.FullCopy && o.opts.RefreshBatches > 0 && sinceCheck >= o.opts.RefreshBatches {
 			sinceCheck = 0
 			if err := s.sendGossip(ch, sentAds); err != nil {
 				return err
@@ -584,13 +566,8 @@ func (s *session) serveChannel(ch *peermux.Channel, held *keyset.Set, heldVersio
 			// only when a refresh will actually be built — and never
 			// when no summary method is negotiable (a blind-streaming
 			// mask would otherwise re-snapshot every check forever).
-			// Adaptive mode refreshes on any growth — its cadence, not
-			// a growth fraction, rations the summaries.
 			_, version := o.WorkingSetInfo()
 			grown := float64(version-heldVersion) >= o.opts.RefreshGrowth*float64(heldVersion)
-			if ctrl != nil {
-				grown = version > heldVersion
-			}
 			if grown && version > 0 && canSummarize {
 				var cur *keyset.Set
 				cur, version = o.heldSnapshot()
@@ -599,7 +576,7 @@ func (s *session) serveChannel(ch *peermux.Channel, held *keyset.Set, heldVersio
 				if method == protocol.SummaryNone {
 					continue
 				}
-				blob, err := strategy.BuildSummary(method, cur, s.summaryConfig())
+				blob, err := strategy.BuildSummary(method, cur, strategy.Config{})
 				if err != nil {
 					return err
 				}
@@ -691,17 +668,13 @@ func (s *session) serveChannel(ch *peermux.Channel, held *keyset.Set, heldVersio
 		// Duplicate rate of the symbols processed since the last batch
 		// boundary. The decode loop is asynchronous, so the window lags
 		// in-flight symbols slightly — fine for control signals that are
-		// clamped and step-bounded anyway. It feeds both the refresh
-		// cadence (when adaptive) and the pipeline ramp.
+		// clamped and step-bounded anyway. It feeds the pipeline ramp.
 		dupRate := 0.0
 		o.mu.Lock()
 		received, useful := s.stats.SymbolsReceived, s.stats.UsefulSymbols
 		o.mu.Unlock()
 		if dr, du := received-lastReceived, useful-lastUseful; dr > 0 {
 			dupRate = float64(dr-du) / float64(dr)
-			if ctrl != nil {
-				cadence = ctrl.Observe(dupRate)
-			}
 		}
 		lastReceived, lastUseful = received, useful
 		// A batch is useless when it carried nothing, or when the global
@@ -746,14 +719,4 @@ func (s *session) sendGossip(ch *peermux.Channel, sent map[protocol.PeerAd]bool)
 		return nil
 	}
 	return protocol.WriteFrame(ch, protocol.EncodePeers(fresh))
-}
-
-// summaryConfig maps FetchOptions onto the strategy-layer summary
-// parameters (seeds and sizes both ends must agree on travel inside the
-// marshaled summaries themselves).
-func (s *session) summaryConfig() strategy.Config {
-	return strategy.Config{
-		BloomBitsPerElement: s.o.opts.BloomBitsPerElement,
-		BloomHashes:         s.o.opts.BloomHashes,
-	}
 }

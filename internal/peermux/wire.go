@@ -763,7 +763,7 @@ func (w *Wire) handleOpen(f protocol.Frame) {
 	}
 	if len(w.chans) >= w.cfg.MaxChannels {
 		w.mu.Unlock()
-		w.rejectChannel(id, "busy (channel limit)")
+		w.rejectChannel(id, protocol.ReasonBusy+" (channel limit)")
 		return
 	}
 	c := newChannel(w, id, 0)

@@ -108,7 +108,7 @@ func decodeChannelHello(p []byte) (uint16, Hello, error) {
 
 // EncodeRejectChannel marshals a channel rejection: the refused id plus
 // a human-readable reason. The canonical ERROR-message vocabulary
-// (ReasonUnknownContent, ReasonRefused, ReasonBadVersion, "busy") is
+// (ReasonUnknownContent, ReasonRefused, ReasonBadVersion, ReasonBusy) is
 // reused here so openers classify rejections with the same helpers.
 func EncodeRejectChannel(ch uint16, msg string) Frame {
 	buf := make([]byte, 2+len(msg))

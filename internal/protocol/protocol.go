@@ -547,12 +547,13 @@ const ReasonUnknownContent = "unknown content"
 
 // IsUnknownContent reports whether an ERROR message is the canonical
 // unknown-content answer (with or without the offending id appended).
-func IsUnknownContent(msg string) bool {
-	if !strings.HasPrefix(msg, ReasonUnknownContent) {
-		return false
-	}
-	rest := msg[len(ReasonUnknownContent):]
-	return rest == "" || rest[0] == ' '
+func IsUnknownContent(msg string) bool { return hasReason(msg, ReasonUnknownContent) }
+
+// hasReason reports whether msg is the canonical reason, bare or with
+// detail appended after a space.
+func hasReason(msg, reason string) bool {
+	rest, ok := strings.CutPrefix(msg, reason)
+	return ok && (rest == "" || rest[0] == ' ')
 }
 
 // ReasonRefused is the canonical ERROR-message prefix a server answers
@@ -573,13 +574,18 @@ func EncodeErrorRefused() Frame {
 
 // IsRefused reports whether an ERROR message is the canonical refusal
 // answer (with or without detail appended).
-func IsRefused(msg string) bool {
-	if !strings.HasPrefix(msg, ReasonRefused) {
-		return false
-	}
-	rest := msg[len(ReasonRefused):]
-	return rest == "" || rest[0] == ' '
-}
+func IsRefused(msg string) bool { return hasReason(msg, ReasonRefused) }
+
+// ReasonBusy is the canonical ERROR-message prefix of a live peer that
+// is at a limit — its inbound connection cap, or a wire's channel cap —
+// and turns the dialer away for now. Receivers match it with IsBusy:
+// the address was reached and may be retried, and a saturated honest
+// peer is not charged toward a ban for saying so.
+const ReasonBusy = "busy"
+
+// IsBusy reports whether an ERROR message is the canonical busy answer
+// (with or without detail appended).
+func IsBusy(msg string) bool { return hasReason(msg, ReasonBusy) }
 
 // ReasonBadVersion is the canonical ERROR-message prefix a server
 // answers when a client's frames carry a version byte it cannot speak.
@@ -598,13 +604,7 @@ func EncodeErrorBadVersion() Frame {
 // version rejection (with or without detail appended): the peer's reader
 // refused our version byte and said so in framing ours happened to
 // accept.
-func IsVersionReject(msg string) bool {
-	if !strings.HasPrefix(msg, ReasonBadVersion) {
-		return false
-	}
-	rest := msg[len(ReasonBadVersion):]
-	return rest == "" || rest[0] == ' '
-}
+func IsVersionReject(msg string) bool { return hasReason(msg, ReasonBadVersion) }
 
 // DecodeError extracts the message of an ERROR frame.
 func DecodeError(f Frame) (string, error) {

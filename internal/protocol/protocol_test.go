@@ -634,4 +634,8 @@ func TestRefusedError(t *testing.T) {
 			t.Errorf("IsRefused(%q) = %v, want %v", c.msg, got, c.want)
 		}
 	}
+	// Busy is its own reason: a live peer at a limit, never a refusal.
+	if !IsBusy(ReasonBusy+" (inbound connection limit reached)") || !IsBusy(ReasonBusy) || IsBusy("busybody") || IsBusy(ReasonRefused) {
+		t.Error("IsBusy does not match exactly the canonical busy reason")
+	}
 }

@@ -228,7 +228,7 @@ func BenchmarkFig1CollaborationModes(b *testing.B) {
 
 // ---- Data-plane microbenchmarks (hot-path cost and alloc budget) ----
 //
-// These measure the word-level XOR engine and the allocation-free symbol
+// These measure the XOR engine and the allocation-free symbol
 // pipeline directly: throughput in MB/s for the XOR kernel, ns/op for
 // summary probes, and allocs/op for the steady-state encode/recode
 // loops, which must report 0.

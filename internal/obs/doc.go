@@ -21,7 +21,10 @@
 // Ev* constants are the catalog:
 //
 //   - session plane: EvDial, EvDialFail, EvHandshake, EvRedial,
-//     EvStall, EvBan, EvEvict
+//     EvStall, EvBan, EvEvict. EvStall's detail is the phase the
+//     connection attempt was in when its window passed without a useful
+//     symbol: "open" (the OPEN_CHANNEL was never answered) or "window"
+//     (an established channel went quiet).
 //   - channel plane: EvChanOpen, EvChanResize, EvChanClose
 //   - store plane: EvStoreAdmit, EvStoreEvict
 //   - gossip plane: EvGossipAdmit, EvGossipDefer, EvGossipPromote

@@ -60,12 +60,18 @@
 // from the swarm:
 //
 //   - Deadlines. Every server read and write carries a rolling
-//     deadline; sessions apply FetchOptions.Timeout per exchange. A
-//     connection that goes quiet is dropped, never waited on forever.
+//     deadline; sessions apply FetchOptions.Timeout per exchange, and to
+//     the open that starts one. A connection that goes quiet is
+//     dropped, never waited on forever.
 //
-//   - Stall watchdog. FetchOptions.StallTimeout arms a per-session
-//     watchdog: a connection that stays open but delivers no useful
-//     symbols for the window is reset and charged (PenaltyStall).
+//   - Stall watchdog. FetchOptions.StallTimeout arms a watchdog per
+//     connection attempt: an attempt that delivers no useful symbol for
+//     the window — an open nobody answers, or a channel that stays up
+//     and says nothing useful — is cancelled and charged (PenaltyStall,
+//     PeerStats.Stalls, an EvStall trace naming the phase). The session
+//     keeps its redial budget, and the redial gets a fresh connection:
+//     a cancelled open gives the wedged wire up. Unarmed, a session
+//     costs one goroutine and nothing watches it but Timeout.
 //
 //   - Redial backoff. Dropped sessions redial with bounded, jittered
 //     exponential backoff (FetchOptions.ReconnectBackoff /
@@ -102,6 +108,19 @@
 //     without charging the refuser: a silent refusal reads as a dead
 //     peer, and two nodes that each misattributed one environmental
 //     fault would charge each other into a permanent mutual ban.
+//
+// Everything above ends work the same way, through three nested
+// contexts. The fetch has one, which the context given to Run, the
+// completed decode and a decode error all cancel (Orchestrator.finish).
+// Each session's is a child of it, cancelled on its own by eviction and
+// DropPeer. Each connection attempt's is a child of the session's,
+// cancelled on its own by the stall watchdog. Every blocking step takes
+// the innermost one in scope: the backoff sleep, the wait for the
+// fabric's dial, the open (peermux aborts the half-open and leaves
+// nothing behind), and — through context.AfterFunc expiring the
+// channel's deadline — a read or a credit wait on the established
+// channel. A receiver owes its senders nothing (§2.3), so abandoning
+// any of them at any moment is just a cancel.
 //
 // The faultnet package injects exactly these failures (latency,
 // bandwidth caps, stalls, mid-frame kills, corruption) beneath the

@@ -22,7 +22,8 @@ import (
 type FetchOptions struct {
 	// Batch is the symbols-per-request granularity (default 64).
 	Batch int
-	// Timeout bounds each network operation (default 30s).
+	// Timeout bounds each network operation — a dial, the open of a
+	// session's channel, one exchange on it (default 30s).
 	Timeout time.Duration
 	// Initial carries encoded symbols already held — resumed downloads
 	// and stateless migration (§2.3): nothing else is needed to continue
@@ -49,11 +50,14 @@ type FetchOptions struct {
 	// MaxReconnectBackoff caps the exponential redial delay (default
 	// 5s, and never below ReconnectBackoff).
 	MaxReconnectBackoff time.Duration
-	// StallTimeout arms the per-session stall watchdog: a connected
-	// session that delivers no useful symbols for a whole window is
-	// dropped (utility demoted, address penalized) so the slot goes to
-	// a peer that contributes. 0 disables — collaborative swarms whose
-	// peers legitimately start empty should keep it off or generous.
+	// StallTimeout arms the stall watchdog: a connection attempt that
+	// delivers no useful symbol for a whole window is cancelled and its
+	// address penalized; the session redials on a fresh connection, and
+	// repeated stalls escalate to a ban. The window covers the attempt
+	// from its start, so it also bounds an open the peer never answers
+	// (which otherwise waits out Timeout). 0 disables — collaborative
+	// swarms whose peers legitimately start empty should keep it off or
+	// generous.
 	StallTimeout time.Duration
 	// Penalties is the shared misbehavior penalty box: corrupt frames,
 	// failed dials, stalls and resets charge the peer's address, and a
@@ -94,10 +98,12 @@ type FetchOptions struct {
 	Dial func(addr string) (net.Conn, error)
 	// Fabric is the connection fabric every session rides: one wire per
 	// peer, one credit-windowed subchannel per session (sessions call
-	// Fabric.OpenWindow(addr, hello, …)). A node shares one fabric across
-	// all its fetches, collapsing its connection count to one wire per
-	// peer. Nil builds a private fabric over Dial for this fetch alone —
-	// a lone fetch is a wire with one channel — closed when Run ends.
+	// Fabric.OpenWindow(ctx, addr, hello, window) under their connection
+	// attempt's context). The fabric owns the dial; a node shares one
+	// fabric across all its fetches, collapsing its connection count to
+	// one wire per peer. Nil builds a private fabric over Dial for this
+	// fetch alone — a lone fetch is a wire with one channel — closed
+	// when Run ends.
 	Fabric *peermux.Fabric
 	// ChannelWindow is the initial per-session credit window, in symbol
 	// frames, that sessions' subchannels open with (0 = the wire's default,
@@ -193,8 +199,8 @@ type PeerStats struct {
 	// Resets counts established connections that died mid-stream (the
 	// session may have redialed afterwards).
 	Resets int
-	// Stalls counts stall-watchdog drops: whole StallTimeout windows
-	// with no useful symbols.
+	// Stalls counts stall-watchdog resets: whole StallTimeout windows
+	// with no useful symbols, on an open or an established channel.
 	Stalls int
 	// CorruptFrames counts connections dropped over a corrupt frame
 	// (bad magic or checksum mismatch).
@@ -228,9 +234,10 @@ func Fetch(addrs []string, contentID uint64, opts FetchOptions) (*FetchResult, e
 	return FetchContext(context.Background(), addrs, contentID, opts)
 }
 
-// FetchContext is Fetch with cancellation: when ctx is cancelled the
-// engine unwinds promptly (sessions are unblocked and closed) and the
-// partial state collected so far is returned with ctx's error.
+// FetchContext is Fetch with cancellation: ctx is the fetch's one
+// lifetime, so when it is cancelled every session unwinds promptly
+// (dials, opens and reads included) and the partial state collected so
+// far is returned with ctx's error.
 func FetchContext(ctx context.Context, addrs []string, contentID uint64, opts FetchOptions) (*FetchResult, error) {
 	o := NewOrchestrator(contentID, opts)
 	return o.Run(ctx, addrs...)

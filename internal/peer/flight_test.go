@@ -12,6 +12,8 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -489,5 +491,35 @@ func TestPartialSenderStartsAtDepthOne(t *testing.T) {
 	p.release(1)
 	if got := p.outstanding(); got != 2 {
 		t.Fatalf("after one useful batch: %d new REQUESTs, want 2 (depth 2)", got)
+	}
+}
+
+// TestSessionGoroutineBudget: a session is one goroutine. With the stall
+// watchdog unarmed (StallTimeout 0, what every benchmark workload but
+// the lab runs) an established connection adds none — the fetch's
+// context unblocks the channel through context.AfterFunc, which costs a
+// goroutine only when it fires — and an open is made on the session's
+// own goroutine.
+func TestSessionGoroutineBudget(t *testing.T) {
+	defer checkGoroutines(t)()
+	p := newDepthProbe()
+	_, stop := runProbe(t, p, 1, FetchOptions{})
+	defer stop()
+	select {
+	case <-p.reqs: // the channel is up and the session is requesting on it
+	case <-time.After(5 * time.Second):
+		t.Fatal("no REQUEST reached the probe")
+	}
+	buf := make([]byte, 1<<20)
+	stacks := strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n")
+	var session []string
+	for _, g := range stacks {
+		if strings.Contains(g, "peer.(*session)") {
+			session = append(session, g)
+		}
+	}
+	if len(session) != 1 {
+		t.Fatalf("%d goroutines run session code for one session, want 1:\n%s",
+			len(session), strings.Join(session, "\n\n"))
 	}
 }

@@ -15,10 +15,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"icd/internal/obs"
 	"icd/internal/peermux"
 	"icd/internal/protocol"
 )
@@ -48,6 +50,17 @@ func peerByAddr(t *testing.T, res *FetchResult, addr string) PeerStats {
 	}
 	t.Fatalf("no session stats for %s in %+v", addr, res.Peers)
 	return PeerStats{}
+}
+
+// stallPhases returns the detail of every EvStall event traced for addr.
+func stallPhases(reg *obs.Registry, addr string) []string {
+	var phases []string
+	for _, ev := range reg.Tracer().Events() {
+		if ev.Event == obs.EvStall && ev.Subject == addr {
+			phases = append(phases, ev.Detail)
+		}
+	}
+	return phases
 }
 
 // muteServer handshakes correctly — wire and channel — then never
@@ -93,6 +106,7 @@ func TestStallWatchdogResetsAndEscalatesToBan(t *testing.T) {
 	// again. A genuinely mute peer re-stalls every window and the
 	// accumulated PenaltyStall charges ban it, which is what ends the
 	// session — terminally, with budget to spare.
+	reg := obs.NewRegistry()
 	o := NewOrchestrator(h.info.ID, FetchOptions{
 		Batch:               8,
 		Timeout:             5 * time.Second,
@@ -101,10 +115,14 @@ func TestStallWatchdogResetsAndEscalatesToBan(t *testing.T) {
 		ReconnectBackoff:    time.Millisecond,
 		MaxReconnectBackoff: 4 * time.Millisecond,
 		Dial:                h.pn.dial,
+		Obs:                 reg,
 	})
 	res, err := h.runAsync(o, "mute").waitErr()
 	if err == nil {
 		t.Fatal("fetch from a mute peer succeeded?!")
+	}
+	if phases := stallPhases(reg, "mute"); len(phases) == 0 || slices.Contains(phases, "open") {
+		t.Fatalf("a peer that accepts and goes mute stalls in the window phase, traced %q", phases)
 	}
 	if res == nil {
 		t.Fatal("incomplete fetch must still report peer stats")
@@ -141,10 +159,10 @@ func (deafServer) ServeConn(conn net.Conn) error {
 	return err
 }
 
-// TestFinishedTransferDoesNotWaitOutStuckOpen pins the interruptible
-// open: the watchdog only guards an established channel, so a session
-// still parked in the wire handshake when the transfer completes must
-// be abandoned, not sat out for the whole Timeout.
+// TestFinishedTransferDoesNotWaitOutStuckOpen: a session still parked
+// in the wire handshake when the transfer completes ends with the
+// fetch's context — abandoned, not sat out for the whole Timeout, and
+// not a failure of the peer.
 func TestFinishedTransferDoesNotWaitOutStuckOpen(t *testing.T) {
 	defer checkGoroutines(t)()
 	h := newHarness(t, 60, 32)
@@ -165,6 +183,101 @@ func TestFinishedTransferDoesNotWaitOutStuckOpen(t *testing.T) {
 	}
 	if st := peerByAddr(t, res, "deaf"); st.Err != nil || st.DialFailures != 0 {
 		t.Fatalf("an abandoned open is not a failure: %+v", st)
+	}
+}
+
+// wedgedServer shakes hands on the wire, then answers the OPEN_CHANNEL
+// with an ACCEPT_CHANNEL whose length field promises more bytes than
+// follow, and goes silent: the dialer's reader parks inside the frame
+// body, the ACCEPT never parses, and no read error ever surfaces — the
+// chaos swarm's corrupted-length-field artifact, reproduced on purpose.
+// second closes when the second connection arrives.
+type wedgedServer struct {
+	info   ContentInfo
+	conns  atomic.Int64
+	second chan struct{}
+}
+
+func (w *wedgedServer) ServeConn(conn net.Conn) error {
+	if w.conns.Add(1) == 2 {
+		close(w.second)
+	}
+	fr := protocol.NewFrameReader(conn)
+	if _, err := fr.Next(); err != nil { // MUX_HELLO
+		return err
+	}
+	if err := protocol.WriteFrame(conn, protocol.EncodeMuxHello(protocol.MuxHello{MaxChannels: 4})); err != nil {
+		return err
+	}
+	f, err := fr.Next()
+	if err != nil {
+		return err
+	}
+	id, _, err := protocol.DecodeOpenChannel(f)
+	if err != nil {
+		return err
+	}
+	var accept bytes.Buffer
+	protocol.WriteFrame(&accept, protocol.EncodeAcceptChannel(id, w.info.hello(true, 0)))
+	if _, err := conn.Write(accept.Bytes()[:accept.Len()-11]); err != nil {
+		return err
+	}
+	_, err = io.Copy(io.Discard, conn) // the CREDIT, then nothing until the dialer hangs up
+	return err
+}
+
+// TestUnansweredOpenStallsAndRedials: an open nobody answers sits under
+// the stall watchdog like an established channel does. The honest
+// sender cannot be dialed until the wedged peer has been dialed a second
+// time, so the fetch completes only if the watchdog gave the first open
+// up — after StallTimeout, not after the 30 s Timeout — and the redial
+// went out on a fresh connection instead of the wedged wire.
+func TestUnansweredOpenStallsAndRedials(t *testing.T) {
+	defer checkGoroutines(t)()
+	h := newHarness(t, 60, 32)
+	defer h.pn.close() // stop the accept loops before the leak check
+	h.addFull("seed", 0)
+	wedged := &wedgedServer{info: h.info, second: make(chan struct{})}
+	h.pn.add("wedged", wedged)
+
+	reg := obs.NewRegistry()
+	o := NewOrchestrator(h.info.ID, FetchOptions{
+		Obs:              reg,
+		Batch:            8,
+		Timeout:          30 * time.Second,
+		StallTimeout:     200 * time.Millisecond,
+		MaxReconnects:    20,
+		ReconnectBackoff: time.Millisecond,
+		DisableGossip:    true,
+		Dial: func(addr string) (net.Conn, error) {
+			if addr == "seed" {
+				<-wedged.second
+			}
+			return h.pn.dial(addr)
+		},
+	})
+	start := time.Now()
+	res := h.runAsync(o, "seed", "wedged").wait(t)
+	h.verify(res)
+	if elapsed := time.Since(start); elapsed > 3*time.Second {
+		t.Fatalf("fetch took %v: the unanswered open was sat out, not stalled", elapsed)
+	}
+	st := peerByAddr(t, res, "wedged")
+	if st.Stalls < 1 || st.Reconnects < 1 {
+		t.Fatalf("the unanswered open must stall and redial: %+v", st)
+	}
+	if st.DialFailures != 0 || st.Resets != 0 || st.Evicted || st.Err != nil {
+		t.Fatalf("a stalled open is charged as a stall and nothing else: %+v", st)
+	}
+	charged := float64(st.Stalls) * PenaltyStall // less a few seconds of a 30 s half-life
+	if score := o.Penalties().Score("wedged"); score < 0.9*charged || score > charged {
+		t.Fatalf("score %v after %d stalls, want PenaltyStall each (%v)", score, st.Stalls, charged)
+	}
+	if phases := stallPhases(reg, "wedged"); len(phases) != st.Stalls || slices.Contains(phases, "window") {
+		t.Fatalf("%d stalls traced as %q, want every one in the open phase", st.Stalls, phases)
+	}
+	if n := wedged.conns.Load(); n < 2 {
+		t.Fatalf("wedged peer saw %d connections: the redial reused the wedged wire", n)
 	}
 }
 

@@ -6,7 +6,10 @@ package peer
 // mutates any of them. Sessions (session.go) are added and dropped
 // while the transfer runs — the paper's §2.1 adaptivity: peers join
 // late, die mid-batch, get evicted for contributing nothing, and get
-// re-ranked by measured utility when the peer cap is hit.
+// re-ranked by measured utility when the peer cap is hit. The fetch has
+// one lifetime, a context: sessions hold children of it, so completion,
+// a decode error or the caller's cancel ends them all through one
+// cancel, and eviction ends one through its own.
 //
 // The receive side is a two-stage pipeline, fold → peel. The decode loop
 // folds arrivals into the working set under o.mu (map updates, no XOR
@@ -34,6 +37,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -55,8 +60,11 @@ type Orchestrator struct {
 
 	pools    *fetchPools
 	symbolCh chan incoming
-	done     chan struct{} // closed on completion/cancel: sessions unwind
-	doneOnce sync.Once
+	// ctx is the fetch's one lifetime: every session's context is its
+	// child, and finish — completion, a decode error, or the end of the
+	// context Run was given — cancels it, which is what unwinds them.
+	ctx    context.Context
+	finish context.CancelFunc
 
 	infoReady chan struct{} // closed when the first handshake fixes ContentInfo
 
@@ -123,7 +131,6 @@ func NewOrchestrator(contentID uint64, opts FetchOptions) *Orchestrator {
 		opts:      opts,
 		pools:     &fetchPools{},
 		symbolCh:  make(chan incoming, 4*opts.Batch),
-		done:      make(chan struct{}),
 		infoReady: make(chan struct{}),
 		rdec:      recode.NewDecoder(true),
 		maxPeers:  opts.MaxPeers,
@@ -131,6 +138,8 @@ func NewOrchestrator(contentID uint64, opts FetchOptions) *Orchestrator {
 		attempted: make(map[string]bool),
 		dialFails: make(map[string]int),
 	}
+	// Sessions may start (AddPeer) before Run brings the caller's context.
+	o.ctx, o.finish = context.WithCancel(context.Background())
 	o.chanWin.Store(int64(opts.ChannelWindow))
 	o.obs = opts.Obs
 	o.met = newFetchMetrics(opts.Obs)
@@ -155,8 +164,10 @@ func NewOrchestrator(contentID uint64, opts FetchOptions) *Orchestrator {
 		// co-located live Server — flows into the admission path.
 		o.gossip.subscribe(func(ad protocol.PeerAd) { o.considerDiscovered(ad) })
 	}
-	for id, data := range opts.Initial {
-		o.rdec.AddKnown(id, append([]byte(nil), data...))
+	// In id order, not map order: the working set keeps arrival order
+	// (KnownIDs), which a live Server's recoders sample by position.
+	for _, id := range slices.Sorted(maps.Keys(opts.Initial)) {
+		o.rdec.AddKnown(id, append([]byte(nil), opts.Initial[id]...))
 	}
 	o.progress.Store(int64(o.rdec.KnownCount()))
 	o.version = int64(o.rdec.KnownCount())
@@ -173,9 +184,6 @@ type gossipCandidate struct {
 	seq   int
 	fails int // dial attempts already spent on this address
 }
-
-// finish ends the transfer: sessions unblock and wind down.
-func (o *Orchestrator) finish() { o.doneOnce.Do(func() { close(o.done) }) }
 
 // hold keeps the feeder barrier open while no session is running yet
 // (Run's initial AddPeer burst would otherwise race the first session's
@@ -204,7 +212,7 @@ func (o *Orchestrator) sessionExited(s *session) {
 	if s != nil {
 		o.maybeRequeueLocked(s)
 	}
-	if !o.feedersClosed && !o.finished() {
+	if !o.feedersClosed && o.ctx.Err() == nil {
 		o.promoteCandidateLocked()
 	}
 	if o.active == 0 && !o.feedersClosed {
@@ -213,22 +221,12 @@ func (o *Orchestrator) sessionExited(s *session) {
 	}
 }
 
-// finished reports whether the transfer already ended (done closed).
-func (o *Orchestrator) finished() bool {
-	select {
-	case <-o.done:
-		return true
-	default:
-		return false
-	}
-}
-
 // AddPeer connects a new sender mid-transfer (or before Run). When the
 // session cap (FetchOptions.MaxPeers) is reached, the lowest-utility
 // live session is dropped to make room. AddPeer fails once the engine
 // has finished or every session has already exhausted.
 func (o *Orchestrator) AddPeer(addr string) error {
-	if o.finished() {
+	if o.ctx.Err() != nil {
 		return errors.New("peer: transfer already finished")
 	}
 	o.mu.Lock()
@@ -269,7 +267,7 @@ func (o *Orchestrator) startSessionLocked(addr string, discovered bool) {
 // whether a session was started.
 func (o *Orchestrator) considerDiscovered(ad protocol.PeerAd) bool {
 	if o.gossip == nil || ad.ContentID != o.contentID || ad.Addr == "" ||
-		ad.Addr == o.opts.AdvertiseAddr || o.finished() {
+		ad.Addr == o.opts.AdvertiseAddr || o.ctx.Err() != nil {
 		return false
 	}
 	o.mu.Lock()
@@ -367,7 +365,7 @@ const maxCandidateRedials = 3
 // Terminal errors, drops, bans and established-then-failed sessions are
 // not requeued. Callers hold o.mu.
 func (o *Orchestrator) maybeRequeueLocked(s *session) {
-	if o.feedersClosed || o.finished() {
+	if o.feedersClosed || o.ctx.Err() != nil {
 		return
 	}
 	if !s.stats.Discovered || s.connected || s.stats.Evicted || s.stats.Err == nil {
@@ -453,7 +451,7 @@ func (o *Orchestrator) SetMaxPeers(n int) {
 			}
 		}
 	}
-	if !o.feedersClosed && !o.finished() {
+	if !o.feedersClosed && o.ctx.Err() == nil {
 		for {
 			before := len(o.sessions)
 			o.promoteCandidateLocked()
@@ -525,12 +523,12 @@ func (o *Orchestrator) Info() (ContentInfo, bool) {
 // marked Evicted). It reports whether a live session was found.
 func (o *Orchestrator) DropPeer(addr string) bool {
 	o.mu.Lock()
+	defer o.mu.Unlock()
 	s := o.sessions[addr]
-	o.mu.Unlock()
 	if s == nil {
 		return false
 	}
-	s.dropNow()
+	s.evict()
 	return true
 }
 
@@ -546,7 +544,7 @@ func (o *Orchestrator) evictLowestLocked() {
 		}
 	}
 	if victim != nil {
-		victim.dropLocked()
+		victim.evict()
 		delete(o.sessions, victim.addr) // a replacement may reuse the address slot
 		o.met.evicted.Inc()
 		o.met.live.Set(int64(len(o.sessions)))
@@ -588,8 +586,8 @@ func (o *Orchestrator) WaitInfo(ctx context.Context) (ContentInfo, error) {
 	}
 	select {
 	case <-o.infoReady:
-	case <-o.done:
-		// A fast transfer may close done and infoReady near-simultaneously
+	case <-o.ctx.Done():
+		// A fast transfer may end and close infoReady near-simultaneously
 		// and select picks among ready cases at random — prefer the info.
 		if info, ok := ready(); ok {
 			return info, nil
@@ -681,7 +679,7 @@ func (o *Orchestrator) deliver(in incoming) bool {
 	select {
 	case o.symbolCh <- in:
 		return true
-	case <-o.done:
+	case <-o.ctx.Done():
 		return false
 	}
 }
@@ -729,31 +727,20 @@ func (o *Orchestrator) Run(ctx context.Context, addrs ...string) (*FetchResult, 
 	o.mu.Unlock()
 	o.unhold()
 	if started == 0 {
-		// Every exit of Run must close done: a collaborative caller's
+		// Every exit of Run must end the fetch: a collaborative caller's
 		// concurrent WaitInfo would otherwise block forever.
 		o.finish()
 		return nil, errors.New("peer: no peers given")
 	}
 
-	// Cancellation propagation: ctx ends the transfer like completion
-	// does, and sessions unblock via the shared done channel.
-	stopWatch := make(chan struct{})
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				o.finish()
-			case <-stopWatch:
-			}
-		}()
-	}
+	// The caller's context ends the transfer like completion does.
+	defer context.AfterFunc(ctx, o.finish)()
 
 	decodeErr := o.decodeLoop()
 	o.finish()
 	for in := range o.symbolCh {
 		o.pools.release(in) // drain remaining buffered symbols so sessions unblock
 	}
-	close(stopWatch)
 
 	// All sessions have exited (symbolCh closed by the last one) and the
 	// peel stage stopped with the decode loop: the decoder is ours.

@@ -3,6 +3,7 @@ package peer
 import (
 	"bytes"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -363,6 +364,29 @@ func TestServerValidation(t *testing.T) {
 	}
 	if _, err := Fetch(nil, 1, FetchOptions{}); err == nil {
 		t.Error("no peers accepted")
+	}
+}
+
+// TestPartialServerHeldOrderIsDeterministic: recoders sample the held
+// set by position, so two servers built from one symbol map must hold it
+// in one order — id order, whatever order the map ranges in — or the
+// same seed blends different symbols on different runs.
+func TestPartialServerHeldOrderIsDeterministic(t *testing.T) {
+	info, data := testContent(t, 120, 64)
+	symbols := partialSymbols(t, info, data, 64, 7)
+	a, err := NewPartialServer(info, symbols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewPartialServer(info, symbols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(a.held.Keys(), b.held.Keys()) {
+		t.Fatal("two partial servers over one symbol map hold it in different orders")
+	}
+	if !slices.IsSorted(a.held.Keys()) {
+		t.Fatal("held ids are not in id order")
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -144,14 +146,15 @@ func NewPartialServer(info ContentInfo, symbols map[uint64][]byte) (*Server, err
 		return nil, errors.New("peer: partial server needs at least one symbol")
 	}
 	s.payloads = make(map[uint64][]byte, len(symbols))
-	s.held = keyset.New(len(symbols))
 	for id, data := range symbols {
 		if len(data) != info.BlockSize {
 			return nil, fmt.Errorf("peer: symbol %d has %d bytes, want %d", id, len(data), info.BlockSize)
 		}
 		s.payloads[id] = append([]byte(nil), data...)
-		s.held.Add(id)
 	}
+	// Recoders sample the held set by position: insert in id order, not
+	// map order, so one seed gives one recoded stream.
+	s.held = keyset.FromKeys(slices.Sorted(maps.Keys(symbols)))
 	return s, nil
 }
 

@@ -9,11 +9,16 @@ package peer
 // each delivered symbol, reads global progress through an atomic, and
 // reports per-peer statistics that the orchestrator's utility ranking
 // consumes. Sessions end in exactly one of four ways: the transfer
-// completed (o.done), the peer stopped being useful (MaxUselessBatches),
-// the orchestrator dropped them (eviction/DropPeer), or the connection
-// failed terminally (after MaxReconnects redials).
+// ended (the fetch's context), the peer stopped being useful
+// (MaxUselessBatches), the orchestrator dropped them (eviction/DropPeer
+// cancel the session's context, a child of the fetch's), or the
+// connection failed terminally (after MaxReconnects redials). Each
+// connection attempt runs under a child of the session's context, and
+// every blocking step — the backoff sleep, the dial and the open, a
+// read or a credit wait on the established channel — ends with it.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -47,8 +52,11 @@ type session struct {
 	o     *Orchestrator
 	addr  string
 	stats *PeerStats
-	drop  chan struct{} // closed (under o.mu) to evict this session
-	rng   *prng.Rand    // backoff jitter (session goroutine only)
+	rng   *prng.Rand // backoff jitter (session goroutine only)
+	// ctx is the session's lifetime, a child of the fetch's: the transfer
+	// ending cancels it from above, eviction and DropPeer call cancel.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	// Guarded by o.mu: when the session joined the swarm. Utility is
 	// measured over the whole session life — downtime between redials
@@ -61,10 +69,6 @@ type session struct {
 	// Guarded by o.mu: the live subchannel while a connection is up, so
 	// the scheduler's SetChannelWindow can resize it mid-transfer.
 	ch *peermux.Channel
-	// Guarded by o.mu: set by the watchdog when it reset the current
-	// connection over a stalled window; runConn consumes it to skip the
-	// generic reset charge (the watchdog already charged PenaltyStall).
-	stalled bool
 }
 
 func newSession(o *Orchestrator, addr string) *session {
@@ -72,14 +76,15 @@ func newSession(o *Orchestrator, addr string) *session {
 	// reproducible, yet sessions to different peers stay decorrelated.
 	h := fnv.New64a()
 	h.Write([]byte(addr))
-	return &session{
+	s := &session{
 		o:         o,
 		addr:      addr,
 		stats:     &PeerStats{Addr: addr},
-		drop:      make(chan struct{}),
 		rng:       prng.New(h.Sum64()),
 		startedAt: time.Now(),
 	}
+	s.ctx, s.cancel = context.WithCancel(o.ctx)
+	return s
 }
 
 // terminalSessionError reports errors no redial can fix: the peer is
@@ -91,31 +96,11 @@ func terminalSessionError(err error) bool {
 		errors.Is(err, protocol.ErrVersion)
 }
 
-// dropLocked marks the session evicted and interrupts its connection.
-// Callers hold o.mu (close-under-lock keeps it single-shot).
-func (s *session) dropLocked() {
-	select {
-	case <-s.drop:
-	default:
-		s.stats.Evicted = true
-		close(s.drop)
-	}
-}
-
-// dropNow is dropLocked for callers not holding o.mu.
-func (s *session) dropNow() {
-	s.o.mu.Lock()
-	s.dropLocked()
-	s.o.mu.Unlock()
-}
-
-func (s *session) dropped() bool {
-	select {
-	case <-s.drop:
-		return true
-	default:
-		return false
-	}
+// evict ends the session deliberately: it winds down cleanly, marked
+// Evicted. Callers hold o.mu.
+func (s *session) evict() {
+	s.stats.Evicted = true
+	s.cancel()
 }
 
 // utilityLocked is the ranking score: useful symbols per second of
@@ -133,6 +118,7 @@ func (s *session) utilityLocked() float64 {
 // with jittered, capped exponential backoff between redials.
 func (s *session) run() {
 	defer s.o.sessionExited(s)
+	defer s.cancel()
 	opts := &s.o.opts
 	var terminal error
 	for attempt := 0; ; attempt++ {
@@ -140,17 +126,18 @@ func (s *session) run() {
 		if err == nil {
 			break // clean end: completed, exhausted, or dropped
 		}
-		if s.dropped() {
-			// A deliberate drop unblocks the connection by expiring its
-			// deadline, so the i/o error that unwound runConn is
-			// self-inflicted — not a peer failure worth reporting.
-			break
-		}
 		if terminalSessionError(err) {
 			// The peer is healthy — it just cannot serve us this content
 			// (wrong protocol version, or it does not hold the content).
 			// Redialing cannot change that answer.
 			terminal = err
+			break
+		}
+		if s.ctx.Err() != nil {
+			// The session is over (evicted, or the transfer ended), and its
+			// context unblocked whatever the connection was doing: the error
+			// that unwound runConn is self-inflicted — not a peer failure
+			// worth reporting.
 			break
 		}
 		if s.o.penalties.Banned(s.addr) {
@@ -166,13 +153,7 @@ func (s *session) run() {
 		}
 		delay := redialDelay(attempt, opts.ReconnectBackoff, opts.MaxReconnectBackoff, s.rng.Float64())
 		if !s.sleepBackoff(delay) {
-			// Interrupted mid-backoff. An eviction makes the pending
-			// error self-inflicted noise (same as a drop mid-read);
-			// the transfer ending keeps it, as the last real failure.
-			if !s.dropped() {
-				terminal = err
-			}
-			break
+			break // the session ended mid-backoff: nothing left to redial for
 		}
 		s.o.mu.Lock()
 		s.stats.Reconnects++
@@ -192,52 +173,45 @@ func (s *session) run() {
 	}
 }
 
-// sleepBackoff waits out a redial delay, interruptible by the transfer
-// ending or this session being dropped.
+// sleepBackoff waits out a redial delay; it reports false when the
+// session ended first.
 func (s *session) sleepBackoff(d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
 		return true
-	case <-s.o.done:
-		return false
-	case <-s.drop:
+	case <-s.ctx.Done():
 		return false
 	}
 }
 
-// ended reports whether the session should wind down (transfer done or
-// session dropped).
-func (s *session) ended() bool {
-	select {
-	case <-s.o.done:
-		return true
-	case <-s.drop:
-		return true
-	default:
-		return false
-	}
-}
+// errStalled is the cause the watchdog cancels a connection attempt
+// with: the window passed without a useful symbol.
+var errStalled = errors.New("peer: no useful symbol within StallTimeout")
 
-// runConn runs one connection lifecycle: open a subchannel on the shared
-// per-peer wire (the fabric dials the wire only if none is live), serve
-// it, and classify how it ended —
-// misbehavior observed on the wire (corrupt frames, mid-stream resets)
-// charges the peer's penalty-box score on the way out. The channel
-// negotiation doubles as the content handshake: the OPEN carries our
-// HELLO, the ACCEPT carries the peer's.
+// runConn runs one connection attempt under its own context, a child of
+// the session's: open a subchannel on the shared per-peer wire (the
+// fabric dials the wire only if none is live), serve it, and classify
+// how it ended — misbehavior observed on the wire (corrupt frames,
+// mid-stream resets) charges the peer's penalty-box score on the way
+// out. The channel negotiation doubles as the content handshake: the
+// OPEN carries our HELLO, the ACCEPT carries the peer's.
 func (s *session) runConn() error {
-	ch, held, heldVersion, err := s.openChannel()
-	if err == errOpenInterrupted {
-		return nil // abandoned with nothing left to fetch: nobody failed
+	ctx, cancel := context.WithCancelCause(s.ctx)
+	defer cancel(nil)
+	if s.o.opts.StallTimeout > 0 {
+		go s.watchdog(ctx, cancel)
 	}
+	ch, held, heldVersion, err := s.openChannel(ctx)
 	if err != nil {
-		return err // a real answer, even one that lands as the transfer ends
+		return err
 	}
 	defer ch.Close()
-	err = s.serveChannel(ch, held, heldVersion)
-	if stalled := s.takeStalled(); err != nil && !stalled && !s.dropped() && !terminalSessionError(err) {
+	err = s.serveChannel(ctx, ch, held, heldVersion)
+	// A cancelled attempt unblocked the channel itself, and the watchdog
+	// has already charged PenaltyStall: neither is a reset by the peer.
+	if err != nil && ctx.Err() == nil && !terminalSessionError(err) {
 		s.noteConnError(err)
 	}
 	return err
@@ -247,24 +221,29 @@ func (s *session) runConn() error {
 // classifies the peer's answers — a REJECT_CHANNEL, or an ERROR in place
 // of the wire handshake — into the terminal errors: a verdict from a live
 // peer is not a dial failure, so it does not charge the address.
-func (s *session) openChannel() (*peermux.Channel, *keyset.Set, int64, error) {
+func (s *session) openChannel(ctx context.Context) (*peermux.Channel, *keyset.Set, int64, error) {
 	o := s.o
 	held, heldVersion := o.heldSnapshot()
 	issued := time.Now()
-	ch, err := s.openInterruptibly(protocol.Hello{
+	openCtx, cancel := context.WithTimeout(ctx, o.opts.Timeout)
+	ch, err := o.fabric.OpenWindow(openCtx, s.addr, protocol.Hello{
 		ContentID:   o.contentID,
 		Symbols:     uint64(held.Len()),
 		SummaryMask: o.opts.summaryMask(),
 		ListenAddr:  o.opts.AdvertiseAddr,
-	})
+	}, int(o.chanWin.Load()))
+	cancel()
 	if err == nil {
 		o.met.handshake.Observe(time.Since(issued).Seconds())
 		s.reached()
 		o.trace(obs.EvDial, s.addr, "")
 		return ch, held, heldVersion, nil
 	}
-	if err == errOpenInterrupted {
-		return nil, nil, 0, err // nobody failed: no accounting
+	if ctx.Err() != nil {
+		// The attempt was abandoned — the session ended, or the watchdog
+		// gave up on an open nobody answered (it did the charging): no
+		// dial failed, so there is nothing to account.
+		return nil, nil, 0, context.Cause(ctx)
 	}
 	// The peer answered: the channel negotiation with a REJECT, or — a
 	// banned dialer, or any dialer past the inbound connection cap, never
@@ -322,61 +301,10 @@ func (s *session) reached() {
 	s.o.mu.Unlock()
 }
 
-// errOpenInterrupted marks an open abandoned because the session ended
-// while it was in flight (runConn turns it into a clean end).
-var errOpenInterrupted = errors.New("peer: session ended during channel open")
-
-// openInterruptibly is Fabric.OpenWindow that the transfer ending, or
-// this session being dropped, can walk away from: the watchdog only
-// guards an established channel, and an open can park for the whole
-// Timeout (a corrupted length field in the handshake answer leaves the
-// dial reading a phantom body), which a finished transfer must not sit
-// out. The open is not cancelled (on a shared fabric other sessions may
-// wait on the same dial): it completes in the background and a channel
-// it still gets is closed.
-func (s *session) openInterruptibly(h protocol.Hello) (*peermux.Channel, error) {
-	o := s.o
-	type opened struct {
-		ch  *peermux.Channel
-		err error
-	}
-	res := make(chan opened)
-	gone := make(chan struct{})
-	go func() {
-		ch, err := o.fabric.OpenWindow(s.addr, h, int(o.chanWin.Load()), o.opts.Timeout)
-		select {
-		case res <- opened{ch, err}:
-		case <-gone:
-			if ch != nil {
-				ch.Close()
-			}
-		}
-	}()
-	select {
-	case r := <-res:
-		return r.ch, r.err
-	case <-o.done:
-	case <-s.drop:
-	}
-	close(gone)
-	return nil, errOpenInterrupted
-}
-
 func (s *session) setChannel(ch *peermux.Channel) {
 	s.o.mu.Lock()
 	s.ch = ch
 	s.o.mu.Unlock()
-}
-
-// takeStalled consumes the watchdog's stall marker for the connection
-// that just ended: the watchdog already charged PenaltyStall, so runConn
-// must not also charge the self-inflicted i/o error as a reset.
-func (s *session) takeStalled() bool {
-	s.o.mu.Lock()
-	defer s.o.mu.Unlock()
-	stalled := s.stalled
-	s.stalled = false
-	return stalled
 }
 
 // noteConnError records how an established connection failed: a corrupt
@@ -402,64 +330,53 @@ func (s *session) noteConnError(err error) {
 	o.penalties.Penalize(s.addr, weight)
 }
 
-// watch is the per-connection watchdog goroutine: it unblocks blocked
-// reads/writes (by expiring the deadline) when the download completes or
-// the session is dropped, and — when FetchOptions.StallTimeout arms it —
-// resets the connection after a whole window in which it delivered no
-// useful symbols, charging the penalty box. The session itself survives
-// to redial: repeated stalls escalate the score to a ban, which is what
-// actually removes a mute peer.
-func (s *session) watch(ch *peermux.Channel, stop chan struct{}) {
+// watchdog is the stall watchdog of one connection attempt, started only
+// when FetchOptions.StallTimeout arms it: after a whole window in which
+// the attempt delivered no useful symbol — whether it is still waiting
+// for the answer to its open or sits on an established channel — it
+// charges the address and cancels the attempt's context, which unblocks
+// either. It does NOT evict the session. One silent window can be a
+// transient wire artifact — a frame whose corrupted length field parks
+// the wire's reader waiting for a phantom body is indistinguishable from
+// a mute peer — so the redial budget gets to try again, on a fresh
+// connection (a cancelled open gives the wedged wire up). A genuinely
+// mute peer re-stalls every window and PenaltyStall escalates its score
+// to a ban, which ends the redial loop terminally.
+func (s *session) watchdog(ctx context.Context, cancel context.CancelCauseFunc) {
 	o := s.o
-	var tick <-chan time.Time
-	if w := o.opts.StallTimeout; w > 0 {
-		period := w / 4
-		if period < time.Millisecond {
-			period = time.Millisecond
-		}
-		t := time.NewTicker(period)
-		defer t.Stop()
-		tick = t.C
-	}
+	t := time.NewTicker(max(o.opts.StallTimeout/4, time.Millisecond))
+	defer t.Stop()
 	o.mu.Lock()
 	lastUseful := s.stats.UsefulSymbols
 	o.mu.Unlock()
 	lastProgress := time.Now()
 	for {
 		select {
-		case <-o.done:
-		case <-s.drop:
-		case <-stop:
+		case <-ctx.Done():
 			return
-		case <-tick:
-			o.mu.Lock()
-			useful := s.stats.UsefulSymbols
-			o.mu.Unlock()
-			if useful != lastUseful {
-				lastUseful, lastProgress = useful, time.Now()
-				continue
-			}
-			if time.Since(lastProgress) < o.opts.StallTimeout {
-				continue
-			}
-			// Stalled: reset the connection (deadline expiry below) and
-			// charge the address, but do NOT evict the session. One silent
-			// window can be a transient wire artifact — a frame whose
-			// corrupted length field parks the reader waiting for a phantom
-			// body is indistinguishable from a mute peer until the deadline
-			// fires — so the redial budget gets to try again. A genuinely
-			// mute peer re-stalls every window and PenaltyStall escalates
-			// its score to a ban, which ends the redial loop terminally.
-			// The stalled flag tells runConn the charge is already made.
-			o.mu.Lock()
-			s.stats.Stalls++
-			s.stalled = true
-			o.mu.Unlock()
-			o.met.stalls.Inc()
-			o.trace(obs.EvStall, s.addr, "")
-			o.penalties.Penalize(s.addr, PenaltyStall)
+		case <-t.C:
 		}
-		ch.SetDeadline(time.Now())
+		phase := "open"
+		o.mu.Lock()
+		useful := s.stats.UsefulSymbols
+		if s.ch != nil {
+			phase = "window"
+		}
+		o.mu.Unlock()
+		if useful != lastUseful {
+			lastUseful, lastProgress = useful, time.Now()
+			continue
+		}
+		if time.Since(lastProgress) < o.opts.StallTimeout {
+			continue
+		}
+		o.mu.Lock()
+		s.stats.Stalls++
+		o.mu.Unlock()
+		o.met.stalls.Inc()
+		o.trace(obs.EvStall, s.addr, phase)
+		o.penalties.Penalize(s.addr, PenaltyStall)
+		cancel(errStalled)
 		return
 	}
 }
@@ -474,11 +391,8 @@ func (s *session) watch(ch *peermux.Channel, stop chan struct{}) {
 // so the loop allocates nothing per frame except for useful regular
 // symbols, whose buffers live on as the stored working-set payloads (an
 // allocation the content requires).
-func (s *session) serveChannel(ch *peermux.Channel, held *keyset.Set, heldVersion int64) error {
+func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held *keyset.Set, heldVersion int64) error {
 	o := s.o
-	watchStop := make(chan struct{})
-	defer close(watchStop)
-	go s.watch(ch, watchStop)
 	s.setChannel(ch)
 	defer s.setChannel(nil)
 	hello := ch.RemoteHello()
@@ -486,7 +400,17 @@ func (s *session) serveChannel(ch *peermux.Channel, held *keyset.Set, heldVersio
 	// full sender runs at it from the first REQUEST (pipeline.go).
 	windowDepth := func() int { return depthCap(ch.Window(), o.opts.Batch) }
 	pc := NewPipelineController(windowDepth(), hello.FullCopy, DefaultPipelineDupHigh)
-	deadline := func() { ch.SetDeadline(time.Now().Add(o.opts.Timeout)) }
+	// ctx ending (the transfer, the session, or the watchdog giving up on
+	// this attempt) unblocks a parked read or credit wait by expiring the
+	// channel's deadline; deadline() re-checks after pushing the deadline
+	// out, so an expiry that raced it is not undone.
+	defer context.AfterFunc(ctx, func() { ch.SetDeadline(time.Now()) })()
+	deadline := func() {
+		ch.SetDeadline(time.Now().Add(o.opts.Timeout))
+		if ctx.Err() != nil {
+			ch.SetDeadline(time.Now())
+		}
+	}
 	deadline()
 	if err := o.ensureDecoder(ContentInfo{
 		ID:        hello.ContentID,
@@ -544,8 +468,7 @@ func (s *session) serveChannel(ch *peermux.Channel, held *keyset.Set, heldVersio
 	useless := 0
 	inflight := 0
 	for {
-		if s.ended() {
-			deadline()
+		if s.ctx.Err() != nil {
 			protocol.WriteFrame(ch, protocol.EncodeDone())
 			return nil
 		}
@@ -607,10 +530,10 @@ func (s *session) serveChannel(ch *peermux.Channel, held *keyset.Set, heldVersio
 			if err := protocol.WriteFrame(ch, protocol.EncodeRequest(uint32(o.opts.Batch))); err != nil {
 				// A pipelined REQUEST blocks against a server that is still
 				// streaming the previous batch, so the transfer can complete
-				// (and the watchdog expire the deadline) while this write is
+				// (and its context expire the deadline) while this write is
 				// parked — the same self-inflicted unblock the read path
 				// below classifies as a clean end.
-				if s.ended() {
+				if s.ctx.Err() != nil {
 					return nil
 				}
 				return err
@@ -622,7 +545,7 @@ func (s *session) serveChannel(ch *peermux.Channel, held *keyset.Set, heldVersio
 			deadline()
 			f, err := ch.Next()
 			if err != nil {
-				if s.ended() {
+				if s.ctx.Err() != nil {
 					return nil
 				}
 				return err

@@ -78,7 +78,7 @@
 // down any pending shrink), a shrink accumulates a deficit that is
 // paid by withholding replenishment as frames drain — credits already
 // granted are never revoked, so the sender's view of its window only
-// ever tells the truth. OpenWindow opens a channel at a non-default
+// ever tells the truth. OpenWindow opens a channel at a chosen
 // initial window, and Config.WireWindow imposes a per-wire aggregate
 // ceiling: grants for new channels and grows are clamped to the
 // remaining headroom (Wire.WindowSum reads the ledger), never below a
@@ -96,9 +96,23 @@
 // (Channel is a frame source via Next and an io.Writer that re-frames
 // one serialized content frame per Write into an envelope) → closed
 // (either side's CLOSE_CHANNEL, a wire failure, or Channel.Close; the
-// id then drains). A Fabric refcounts channels per wire: the first
-// Open to an address dials and shakes hands, later Opens share the
-// wire, and the last Close tears it down.
+// id then drains).
+//
+// A Fabric refcounts wires: an open holds a reference from the moment
+// it asks, the channel it gets keeps it until Close, and the last
+// reference given back closes the wire. The fabric owns the dial — one
+// goroutine per wire being brought up, whichever opener asked first —
+// and every opener toward that address waits for it or for its own
+// context, so one opener leaving never fails the rest. An open takes a
+// context.Context and nothing else bounds it: when the context ends
+// before the peer answered, the open returns the context's error, the
+// half-open id drains, the window its early CREDIT reserved goes back
+// to the wire's ledger, and its reference is dropped — so a wire whose
+// only user gave up (a wedged one, whose peer will never answer) is
+// closed and the next open dials afresh, and a dial that lands after
+// its last waiter left is closed on the spot. The peer is not told:
+// if it does answer later, its frames drain, and its side of the
+// channel ends with the wire or on its own timeout.
 //
 // How many request batches ride on a channel at once is the peer
 // package's business (peer/pipeline.go), but its one cap comes from

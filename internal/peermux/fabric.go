@@ -1,17 +1,19 @@
 package peermux
 
-// fabric.go shares wires across contents: the first Open toward an
-// address dials and sends the MUX_HELLO with its own OPEN_CHANNEL right
-// behind it, every later Open toward the same address rides the existing
-// wire as another subchannel (once the peer's MUX_HELLO has arrived),
-// and the last channel Close tears the wire down. This is
-// what collapses a node's connection count from O(peers × contents) to
-// O(peers).
+// fabric.go shares wires across contents: the first open toward an
+// address has the fabric dial — one goroutine per wire being brought
+// up, owned by the fabric, not by that opener — and send the MUX_HELLO,
+// with the opener's OPEN_CHANNEL right behind it; every later open
+// toward the same address rides the existing wire as another subchannel
+// (once the peer's MUX_HELLO has arrived), and the last reference given
+// back — a channel's Close, or an open that failed or was cancelled —
+// tears the wire down. This is what collapses a node's connection count
+// from O(peers × contents) to O(peers).
 
 import (
+	"context"
 	"net"
 	"sync"
-	"time"
 
 	"icd/internal/protocol"
 )
@@ -27,10 +29,13 @@ type Fabric struct {
 	closed   bool
 }
 
+// wireRef is one pooled wire, or the dial that is bringing it up. refs
+// counts the openers waiting on or inside an open plus the channels
+// they got; wire and err are written once, under Fabric.mu, before
+// ready closes.
 type wireRef struct {
 	addr  string
-	ready chan struct{} // closed once wire/err is set
-	conn  net.Conn      // dialed, handshake in flight (guarded by Fabric.mu)
+	ready chan struct{}
 	wire  *Wire
 	err   error
 	refs  int
@@ -49,44 +54,52 @@ func NewFabric(dial func(addr string) (net.Conn, error), cfg Config) *Fabric {
 // SetPenalize installs a misbehavior sink for every wire dialed after
 // the call: the fabric binds each wire's penalty reports to the address
 // it dialed, the attribution a bare Config.Penalize cannot supply
-// because one Config covers every wire. Call before the first Open.
+// because one Config covers every wire. Call before the first open.
 func (f *Fabric) SetPenalize(fn func(addr string, weight float64)) {
 	f.mu.Lock()
 	f.penalize = fn
 	f.mu.Unlock()
 }
 
-// Open returns a subchannel to addr carrying h, dialing a wire only if
-// none is live. Concurrent Opens toward a fresh address share one dial:
-// the first rides the handshake's flight, the rest wait for the peer's
-// answer. An established wire that died between lookup and Open is
-// replaced once; a wire whose handshake failed is the peer's answer, not
-// a stale entry, and is returned as it is.
-func (f *Fabric) Open(addr string, h protocol.Hello, timeout time.Duration) (*Channel, error) {
-	return f.OpenWindow(addr, h, 0, timeout)
-}
-
-// OpenWindow is Open with an explicit initial receive window (see
-// Wire.OpenWindow): the channel starts at the scheduler's size instead
-// of the Config default.
-func (f *Fabric) OpenWindow(addr string, h protocol.Hello, window int, timeout time.Duration) (*Channel, error) {
+// OpenWindow returns a subchannel to addr carrying h, opened at an
+// initial receive window of window symbol frames (see Wire.OpenWindow;
+// 0 is the Config default), dialing a wire only if none is live.
+// Concurrent opens toward a fresh address share one dial: the first
+// rides the handshake's flight, the rest wait for the peer's answer. An
+// established wire that died between lookup and open is replaced once;
+// a wire whose handshake failed is the peer's answer, not a stale
+// entry, and is returned as it is.
+//
+// ctx bounds the whole call, the wait for the dial included. An open
+// that ctx ends returns ctx's error and gives its reference back, so a
+// wire nobody else rides — a wedged one above all — is closed and the
+// next open dials afresh; other openers sharing the dial or the wire
+// are not disturbed.
+func (f *Fabric) OpenWindow(ctx context.Context, addr string, h protocol.Hello, window int) (*Channel, error) {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
-		wr, err := f.wireFor(addr)
+		// The open itself holds a reference, so a rejected, cancelled or
+		// timed-out first open releases the wire it dialed instead of
+		// leaving it idle in the pool.
+		wr, err := f.acquire(addr)
 		if err != nil {
 			return nil, err
 		}
-		// The open itself holds a reference, so a rejected or timed-out
-		// first open releases the wire it dialed instead of leaving it
-		// idle in the pool.
-		f.mu.Lock()
-		wr.refs++
-		f.mu.Unlock()
-		ch, err := wr.wire.OpenWindow(h, window, timeout)
+		select {
+		case <-wr.ready:
+			err = wr.err
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+		if err != nil {
+			f.release(wr)
+			return nil, err
+		}
+		ch, err := wr.wire.OpenWindow(ctx, h, window)
 		if err != nil {
 			stale := wr.wire.Err() != nil && wr.wire.established()
 			f.release(wr)
-			if stale {
+			if stale && ctx.Err() == nil {
 				// The shared wire is dead (stale entry or it died mid
 				// open): retry once with a fresh dial.
 				lastErr = err
@@ -100,38 +113,43 @@ func (f *Fabric) OpenWindow(addr string, h protocol.Hello, window int, timeout t
 	return nil, lastErr
 }
 
-// wireFor returns a live wireRef for addr, dialing if needed.
-func (f *Fabric) wireFor(addr string) (*wireRef, error) {
+// acquire takes a reference on addr's wireRef, starting its dial when
+// the pool has none.
+func (f *Fabric) acquire(addr string) (*wireRef, error) {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.closed {
-		f.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if wr := f.wires[addr]; wr != nil {
-		f.mu.Unlock()
-		<-wr.ready
-		if wr.err != nil {
-			return nil, wr.err
-		}
-		return wr, nil
+	wr := f.wires[addr]
+	if wr == nil {
+		wr = &wireRef{addr: addr, ready: make(chan struct{})}
+		f.wires[addr] = wr
+		go f.dialWire(wr)
 	}
-	wr := &wireRef{addr: addr, ready: make(chan struct{})}
-	f.wires[addr] = wr
-	f.mu.Unlock()
+	wr.refs++
+	return wr, nil
+}
 
-	conn, err := f.dial(addr)
+// dialWire is the one goroutine per wire being brought up: it dials,
+// starts the wire (Dial sends the MUX_HELLO) and publishes the outcome
+// to every opener waiting on ready. The fabric owns it, not the opener
+// that happened to come first, so any opener can give up without
+// failing the rest; a dial that lands after the last one left (release
+// already unpooled the ref), or after Close, is closed on the spot.
+func (f *Fabric) dialWire(wr *wireRef) {
+	conn, err := f.dial(wr.addr)
 	var w *Wire
 	if err == nil {
 		cfg := f.cfg
 		cfg.onDead = func() { f.drop(wr) }
 		f.mu.Lock()
-		pen, closed := f.penalize, f.closed
-		wr.conn = conn // Close interrupts a blocked MUX_HELLO write through it
+		pen, unwanted := f.penalize, f.closed || wr.refs == 0
 		f.mu.Unlock()
 		if pen != nil {
-			cfg.Penalize = func(weight float64) { pen(addr, weight) }
+			cfg.Penalize = func(weight float64) { pen(wr.addr, weight) }
 		}
-		if closed {
+		if unwanted {
 			conn.Close()
 			err = ErrClosed
 		} else {
@@ -139,34 +157,24 @@ func (f *Fabric) wireFor(addr string) (*wireRef, error) {
 		}
 	}
 	f.mu.Lock()
-	if err != nil {
-		wr.err = err
-		if f.wires[addr] == wr {
-			delete(f.wires, addr)
-		}
-	} else {
-		wr.wire = w
-		if f.closed {
-			// Close raced the dial: don't leak the wire.
-			err = ErrClosed
-			wr.err = err
-			wr.wire = nil
-			f.mu.Unlock()
-			close(wr.ready)
-			w.Close()
-			return nil, err
-		}
+	if err == nil && (f.closed || wr.refs == 0) {
+		err = ErrClosed // Close, or the last waiter's leaving, raced the handshake write
 	}
+	if err == nil {
+		wr.wire = w
+	} else if f.wires[wr.addr] == wr {
+		delete(f.wires, wr.addr)
+	}
+	wr.err = err
 	f.mu.Unlock()
 	close(wr.ready)
-	if err != nil {
-		return nil, err
+	if err != nil && w != nil {
+		w.Close()
 	}
-	return wr, nil
 }
 
-// release drops one channel's reference; the last reference closes the
-// wire.
+// release drops one reference; the last one unpools the ref and closes
+// its wire (one still being dialed is closed by dialWire when it lands).
 func (f *Fabric) release(wr *wireRef) {
 	f.mu.Lock()
 	wr.refs--
@@ -174,9 +182,10 @@ func (f *Fabric) release(wr *wireRef) {
 	if last && f.wires[wr.addr] == wr {
 		delete(f.wires, wr.addr)
 	}
+	w := wr.wire
 	f.mu.Unlock()
-	if last && wr.wire != nil {
-		wr.wire.Close()
+	if last && w != nil {
+		w.Close()
 	}
 }
 
@@ -213,33 +222,22 @@ func (f *Fabric) TotalWindow() int {
 	return total
 }
 
-// Close tears down every wire; subsequent Opens fail with ErrClosed.
+// Close tears down every wire; subsequent opens fail with ErrClosed. A
+// dial still in flight finds the fabric closed when it lands and closes
+// what it dialed.
 func (f *Fabric) Close() error {
 	f.mu.Lock()
 	f.closed = true
-	wrs := make([]*wireRef, 0, len(f.wires))
+	var live []*Wire
 	for _, wr := range f.wires {
-		wrs = append(wrs, wr)
+		if wr.wire != nil {
+			live = append(live, wr.wire)
+		}
 	}
 	f.wires = make(map[string]*wireRef)
 	f.mu.Unlock()
-	for _, wr := range wrs {
-		select {
-		case <-wr.ready:
-			if wr.wire != nil {
-				wr.wire.Close()
-			}
-		default:
-			// Still dialing: cut a MUX_HELLO write in flight short (a
-			// dial still connecting sees f.closed when it lands); either
-			// way the dial path cleans up itself.
-			f.mu.Lock()
-			conn := wr.conn
-			f.mu.Unlock()
-			if conn != nil {
-				conn.Close()
-			}
-		}
+	for _, w := range live {
+		w.Close()
 	}
 	return nil
 }

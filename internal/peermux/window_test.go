@@ -136,7 +136,7 @@ func TestSetWindowGrowShrinkLive(t *testing.T) {
 		serveSymbols(100000, []byte("0123456789abcdef")))
 	defer shutdown()
 
-	ch, err := w.OpenWindow(protocol.Hello{ContentID: 1}, 4, time.Second)
+	ch, err := w.OpenWindow(timeoutCtx(t, time.Second), protocol.Hello{ContentID: 1}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestWireWindowBudget(t *testing.T) {
 	defer shutdown()
 
 	open := func(id uint64, window int) *Channel {
-		ch, err := w.OpenWindow(protocol.Hello{ContentID: id}, window, time.Second)
+		ch, err := w.OpenWindow(timeoutCtx(t, time.Second), protocol.Hello{ContentID: id}, window)
 		if err != nil {
 			t.Fatalf("OpenWindow %d: %v", id, err)
 		}
@@ -359,7 +359,7 @@ func TestMultiContentOneWireResizeFairness(t *testing.T) {
 		wg.Add(1)
 		go func(id uint64, win int) {
 			defer wg.Done()
-			ch, err := w.OpenWindow(protocol.Hello{ContentID: id}, win, 2*time.Second)
+			ch, err := w.OpenWindow(timeoutCtx(t, 2*time.Second), protocol.Hello{ContentID: id}, win)
 			if err != nil {
 				errs <- fmt.Errorf("open %d: %w", id, err)
 				return

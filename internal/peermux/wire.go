@@ -9,6 +9,7 @@ package peermux
 // overruns, corrupt frames) — charge and drop, never wedge.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -328,42 +329,38 @@ func (w *Wire) Close() error {
 	return nil
 }
 
-// Open negotiates a new subchannel carrying h (the opener's content
-// HELLO) and blocks until the peer accepts or rejects it, the wire
-// dies, or timeout passes. On accept, the channel's RemoteHello carries
-// the peer's content metadata and an initial credit window has been
-// granted both ways. The local receive window opens at the Config
-// default; use OpenWindow to start it elsewhere.
+// Open is OpenWindow at the Config default window, bounded by timeout
+// instead of a caller's context.
 func (w *Wire) Open(h protocol.Hello, timeout time.Duration) (*Channel, error) {
-	return w.OpenWindow(h, 0, timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	return w.OpenWindow(ctx, h, 0)
 }
 
-// OpenWindow is Open with an explicit initial receive window in symbol
-// frames (0 selects the Config.Window default; values clamp to
-// [1, Config.Window] and, under a WireWindow budget, to the remaining
-// aggregate headroom). A scheduler that already knows a channel's worth
-// opens it at size instead of granting the default and resizing after.
+// OpenWindow negotiates a new subchannel carrying h (the opener's content
+// HELLO) and blocks until the peer accepts or rejects it, the wire dies,
+// or ctx ends. On accept, the channel's RemoteHello carries the peer's
+// content metadata and an initial credit window has been granted both
+// ways. window is the initial receive window in symbol frames (0 selects
+// the Config.Window default; values clamp to [1, Config.Window] and,
+// under a WireWindow budget, to the remaining aggregate headroom): a
+// scheduler that already knows a channel's worth opens it at size
+// instead of granting the default and resizing after.
 //
 // Nothing the opener sends depends on the peer's answer, so the
 // OPEN_CHANNEL and the channel's initial CREDIT go out back to back —
 // on a fresh wire right behind Dial's MUX_HELLO — and only then does
 // the call wait. A wire that dies first fails the open with the wire's
 // terminal error, typed as the reader saw it (protocol.ErrVersion,
-// *RemoteError, protocol.ErrCorrupt).
-func (w *Wire) OpenWindow(h protocol.Hello, window int, timeout time.Duration) (*Channel, error) {
+// *RemoteError, protocol.ErrCorrupt). An open whose ctx ends first
+// returns ctx's error and leaves nothing behind: the half-open id
+// drains and the window its early grant reserved goes back to the
+// wire's ledger (abortOpen).
+func (w *Wire) OpenWindow(ctx context.Context, h protocol.Hello, window int) (*Channel, error) {
 	if !w.dialer {
 		return nil, errors.New("peermux: only the dialing side opens channels")
 	}
-	if timeout <= 0 {
-		timeout = w.cfg.Timeout
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-
-	c, reply, err := w.claimChannel(window, timer.C)
-	if err == errOpenExpired {
-		return nil, openTimeout(timeout)
-	}
+	c, reply, err := w.claimChannel(ctx, window)
 	if err != nil {
 		return nil, err
 	}
@@ -387,26 +384,18 @@ func (w *Wire) OpenWindow(h protocol.Hello, window int, timeout time.Duration) (
 	case <-w.done:
 		w.abortOpen(c)
 		return nil, w.Err()
-	case <-timer.C:
+	case <-ctx.Done():
 		w.abortOpen(c)
-		return nil, openTimeout(timeout)
+		return nil, ctx.Err()
 	}
-}
-
-// errOpenExpired is claimChannel's "the caller's timer fired";
-// OpenWindow reports it, like its own expiry, as openTimeout.
-var errOpenExpired = errors.New("peermux: open expired")
-
-func openTimeout(d time.Duration) error {
-	return fmt.Errorf("peermux: channel open timed out after %v", d)
 }
 
 // claimChannel registers a half-open channel under the next id once the
 // wire may carry one more: the peer's announced MaxChannels binds an
 // established wire, and until its MUX_HELLO arrives — the limit is not
 // known yet — exactly one channel may ride the first flight; further
-// opens wait for the hello (or the wire's death, or expire).
-func (w *Wire) claimChannel(window int, expire <-chan time.Time) (*Channel, chan openReply, error) {
+// opens wait for the hello (or the wire's death, or ctx's end).
+func (w *Wire) claimChannel(ctx context.Context, window int) (*Channel, chan openReply, error) {
 	for {
 		limit, shook := 1, w.established()
 		if shook {
@@ -435,8 +424,8 @@ func (w *Wire) claimChannel(window int, expire <-chan time.Time) (*Channel, chan
 		select {
 		case <-w.helloc:
 		case <-w.done:
-		case <-expire:
-			return nil, nil, errOpenExpired
+		case <-ctx.Done():
+			return nil, nil, ctx.Err()
 		}
 	}
 }

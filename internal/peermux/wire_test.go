@@ -9,6 +9,7 @@ package peermux
 // goroutine-leak gate.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -21,6 +22,14 @@ import (
 	"icd/internal/protocol"
 	"icd/internal/testutil"
 )
+
+// timeoutCtx bounds one open by d, as the timeout parameter it replaces
+// did.
+func timeoutCtx(t testing.TB, d time.Duration) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	t.Cleanup(cancel)
+	return ctx
+}
 
 // startPair wires a dialer and an acceptor over net.Pipe. The acceptor
 // runs the server-mux front half (read MUX_HELLO, Accept, Serve);
@@ -470,7 +479,7 @@ func TestFabricSharesOneWire(t *testing.T) {
 		wg.Add(1)
 		go func(id uint64) {
 			defer wg.Done()
-			ch, err := fab.Open("peer-a", protocol.Hello{ContentID: id}, 2*time.Second)
+			ch, err := fab.OpenWindow(timeoutCtx(t, 2*time.Second), "peer-a", protocol.Hello{ContentID: id}, 0)
 			if err != nil {
 				t.Errorf("Open %d: %v", id, err)
 				return
@@ -501,7 +510,7 @@ func TestFabricSharesOneWire(t *testing.T) {
 	if n := fab.Wires(); n != 0 {
 		t.Fatalf("fabric holds %d wires after last close", n)
 	}
-	ch, err := fab.Open("peer-a", protocol.Hello{ContentID: 9}, 2*time.Second)
+	ch, err := fab.OpenWindow(timeoutCtx(t, 2*time.Second), "peer-a", protocol.Hello{ContentID: 9}, 0)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -522,7 +531,7 @@ func TestFabricRejectedOpenReleasesWire(t *testing.T) {
 	fab := NewFabric(dial, Config{})
 	defer fab.Close()
 	for i := 1; i <= 2; i++ {
-		_, err := fab.Open("peer-a", protocol.Hello{ContentID: 1}, 2*time.Second)
+		_, err := fab.OpenWindow(timeoutCtx(t, 2*time.Second), "peer-a", protocol.Hello{ContentID: 1}, 0)
 		var rej *RejectError
 		if !errors.As(err, &rej) {
 			t.Fatalf("open %d: err = %v, want RejectError", i, err)
@@ -552,7 +561,7 @@ func TestFabricCloseInterruptsHandshake(t *testing.T) {
 	fab := NewFabric(dial, Config{Timeout: time.Minute})
 	opened := make(chan error, 1)
 	go func() {
-		_, err := fab.Open("mute", protocol.Hello{ContentID: 1}, time.Minute)
+		_, err := fab.OpenWindow(timeoutCtx(t, time.Minute), "mute", protocol.Hello{ContentID: 1}, 0)
 		opened <- err
 	}()
 	sc := <-dialed

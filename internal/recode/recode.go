@@ -336,6 +336,7 @@ func (r *Recoder) Release(sym Symbol) {
 // this process and is reproduced in the tests.
 type Decoder struct {
 	known    map[uint64][]byte // encoded id -> payload (nil in identity mode)
+	order    []uint64          // known's ids in the order they became known
 	pending  map[uint64][]int
 	buf      []*pendingRec
 	withData bool
@@ -404,14 +405,11 @@ func (d *Decoder) Knows(id uint64) bool {
 // KnownCount returns the number of encoded symbols held.
 func (d *Decoder) KnownCount() int { return len(d.known) }
 
-// KnownIDs returns the ids of all encoded symbols held, in no particular
-// order.
+// KnownIDs returns the ids of all encoded symbols held, in the order they
+// became known — a function of the arrivals alone, so whatever samples a
+// recoding domain from it by position draws the same stream on every run.
 func (d *Decoder) KnownIDs() []uint64 {
-	ids := make([]uint64, 0, len(d.known))
-	for id := range d.known {
-		ids = append(ids, id)
-	}
-	return ids
+	return append([]uint64(nil), d.order...)
 }
 
 // Payload returns the stored payload for an encoded symbol (nil in
@@ -542,6 +540,7 @@ func (d *Decoder) propagate(id uint64, data []byte, viaRecode bool) []uint64 {
 			continue
 		}
 		d.known[r.id] = r.data
+		d.order = append(d.order, r.id)
 		if viaRecode || !first {
 			d.recovered++
 			out = append(out, r.id)

@@ -3,6 +3,7 @@ package recode
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -253,6 +254,35 @@ func TestAddKnownCascades(t *testing.T) {
 	// Duplicate AddKnown is a no-op.
 	if got := d.AddKnown(7, nil); got != nil {
 		t.Fatalf("duplicate AddKnown returned %v", got)
+	}
+}
+
+// TestKnownIDsFollowArrivalOrder: KnownIDs is the order ids became known
+// — direct adds and cascade recoveries alike — never map order: a
+// partial sender's recoding domain is sampled from it by position, so
+// the same arrivals must give the same stream on every run.
+func TestKnownIDsFollowArrivalOrder(t *testing.T) {
+	d := NewDecoder(false)
+	want := make([]uint64, 0, 67)
+	for i := 0; i < 64; i++ {
+		id := uint64(i) * 0x9E3779B97F4A7C15 // scattered: map order would not be this
+		d.AddKnown(id, nil)
+		want = append(want, id)
+	}
+	// 5⊕8 and 8⊕13 buffer; 5 then recovers 8, which recovers 13.
+	for _, ids := range [][]uint64{{5, 8}, {8, 13}, {5}} {
+		if _, err := d.Add(Symbol{IDs: ids}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want = append(want, 5, 8, 13)
+	got := d.KnownIDs()
+	if !slices.Equal(got, want) {
+		t.Fatalf("KnownIDs = %v, want arrival order %v", got, want)
+	}
+	got[0] = 0 // a copy: the caller may keep or scribble on it
+	if d.KnownIDs()[0] != want[0] {
+		t.Fatal("KnownIDs exposed the decoder's own slice")
 	}
 }
 

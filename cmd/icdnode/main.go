@@ -64,7 +64,7 @@ import (
 	"strings"
 	"time"
 
-	"icd/internal/fountain"
+	"icd"
 	"icd/internal/node"
 	"icd/internal/obs"
 	"icd/internal/peer"
@@ -108,7 +108,7 @@ func serve(args []string) {
 		file      = fs.String("file", "", "file to serve")
 		listen    = fs.String("listen", "127.0.0.1:9000", "listen address")
 		idStr     = fs.String("id", "F00D", "content id (hex)")
-		blockSize = fs.Int("block", fountain.DefaultBlockSize, "block size in bytes")
+		blockSize = fs.Int("block", icd.DefaultBlockSize, "block size in bytes")
 		partial   = fs.Int("partial", 0, "serve as a partial sender holding this many encoded symbols (0 = full)")
 		seed      = fs.Uint64("seed", 42, "encoding stream seed for -partial")
 	)
@@ -121,32 +121,16 @@ func serve(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	blocks, origLen, err := fountain.SplitIntoBlocks(content, *blockSize)
+	info, err := icd.DescribeContent(parseID(*idStr), content, *blockSize)
 	if err != nil {
 		fatal(err)
-	}
-	info := peer.ContentInfo{
-		ID:        parseID(*idStr),
-		NumBlocks: len(blocks),
-		BlockSize: *blockSize,
-		OrigLen:   origLen,
-		CodeSeed:  parseID(*idStr) ^ 0x1CD,
 	}
 
 	var srv *peer.Server
 	if *partial > 0 {
-		code, err := fountain.NewCode(info.NumBlocks, nil, info.CodeSeed)
+		symbols, err := icd.EncodeSymbols(info, content, *partial, *seed)
 		if err != nil {
 			fatal(err)
-		}
-		enc, err := fountain.NewEncoder(code, blocks, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		symbols := make(map[uint64][]byte, *partial)
-		for len(symbols) < *partial {
-			sym := enc.Next()
-			symbols[sym.ID] = sym.Data
 		}
 		srv, err = peer.NewPartialServer(info, symbols)
 		if err != nil {
@@ -305,7 +289,7 @@ func runNode(args []string) {
 		fetchSpec   = fs.String("fetch", "", "contents to fetch: 0xID=outfile[,0xID=outfile...]")
 		peers       = fs.String("peers", "", "comma-separated peer addresses")
 		seed        = fs.String("seed", "", "bootstrap seed address(es); gossip discovers the rest")
-		blockSize   = fs.Int("block", fountain.DefaultBlockSize, "block size for served files")
+		blockSize   = fs.Int("block", icd.DefaultBlockSize, "block size for served files")
 		batch       = fs.Int("batch", 64, "symbols per request")
 		timeout     = fs.Duration("timeout", 30*time.Second, "per-operation timeout")
 		maxConns    = fs.Int("max-conns", 8, "global connection budget divided across concurrent fetches (0 = unlimited)")
@@ -345,21 +329,14 @@ func runNode(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		blocks, origLen, err := fountain.SplitIntoBlocks(content, *blockSize)
+		info, err := icd.DescribeContent(sp.id, content, *blockSize)
 		if err != nil {
 			fatal(err)
-		}
-		info := peer.ContentInfo{
-			ID:        sp.id,
-			NumBlocks: len(blocks),
-			BlockSize: *blockSize,
-			OrigLen:   origLen,
-			CodeSeed:  sp.id ^ 0x1CD,
 		}
 		if err := n.ServeFull(info, content, true); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("icdnode: serving %#x (%q, %d blocks of %dB)\n", sp.id, sp.path, len(blocks), *blockSize)
+		fmt.Printf("icdnode: serving %#x (%q, %d blocks of %dB)\n", sp.id, sp.path, info.NumBlocks, *blockSize)
 	}
 	go func() {
 		if err := n.ListenAndServe(); err != nil {

@@ -254,18 +254,35 @@
 // Buffer ownership across the session/orchestrator boundary. Sessions
 // borrow payload and id-list buffers from the orchestrator's pools and
 // transfer ownership by delivering each parsed symbol on the symbol
-// channel; the decode loop (the single consumer) folds a whole batch
-// into the working set under one lock pass, hands useful regular
-// payloads to recode.Decoder.AddKnown (they become the stored working
-// set and, eventually, FetchResult.Held), returns everything else to
-// the pools, and feeds newly recovered symbols to the fountain decoder
-// with one batched AddSymbols call per drained batch — one router-lock
-// pass per frame batch instead of per symbol.
+// channel. The receive side is a two-stage pipeline, fold → peel: the
+// decode loop (the single consumer) folds a whole batch into the working
+// set under one lock pass, hands useful regular payloads to
+// recode.Decoder.AddKnown (they become the stored working set and,
+// eventually, FetchResult.Held) and returns everything else to the
+// pools; the stretch of the log the batch appended then goes to the peel
+// stage, one goroutine that owns the fountain.Decoder outright and
+// copies each payload on ingest, so the fold never waits behind XOR work
+// until completion is possible.
 //
-// Collaboration (Figure 1(c)). A Server built with NewLiveServer over a
-// WorkingSetSource — an Orchestrator implements it — serves a *growing*
-// working set: per-session recoding domains are re-derived whenever the
-// set's version moves or a refresh arrives. A node that runs an
+// The working set is an append-only log. recode.Decoder keeps what it
+// knows as ids in arrival order with payloads index-aligned beside
+// them, never rewrites an entry, and hands out a prefix of that log
+// (Decoder.Known) in O(1); a prefix taken under the orchestrator's lock
+// stays valid outside it however far the log grows. Everything that
+// reads the working set reads such a view — summary building, the peel
+// stage's input, FetchResult.Held and a serving Server — and the log's
+// length is its only version: Progress reports it, the refresh check
+// compares it, and a sender re-plans when it moved.
+//
+// Collaboration (Figure 1(c)). A partial sender is one thing, a Server
+// recoding over a WorkingSetSource's log: NewPartialServer lays a fixed
+// log out in id order, NewLiveServer takes one that is still growing —
+// an Orchestrator implements the source — and both run the same serve
+// loop. Per-session recoding domains are re-derived whenever the log
+// has grown since the last REQUEST or a refresh arrives: the receiver's
+// summary is planned against the log's ids (strategy.ReceivedSummary.Plan
+// returns the kept positions in log order) and both of the session's
+// recoders index one shared ids/payloads pair. A node that runs an
 // Orchestrator and a live Server simultaneously both downloads and
 // uploads the same content (`icdnode collab`), which is the paper's
 // perpendicular-transfer collaboration on the real network:

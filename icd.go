@@ -338,13 +338,16 @@ func NewOrchestrator(contentID uint64, opts FetchOptions) *Orchestrator {
 	return peer.NewOrchestrator(contentID, opts)
 }
 
-// WorkingSetSource exposes a mutable working set to a live Server (an
-// Orchestrator implements it).
+// WorkingSetSource is the append-only log of encoded symbols a partial
+// sender recodes over: one method, returning the log's current prefix
+// (ids in arrival order, payloads index-aligned), whose length is its
+// version. An Orchestrator implements it.
 type WorkingSetSource = peer.WorkingSetSource
 
-// NewLiveServer builds a partial sender over a mutable working set —
-// pass an Orchestrator to make a node serve what it has learned so far
-// while it is still downloading (Figure 1(c) collaboration).
+// NewLiveServer builds a partial sender over a working-set log that may
+// still be growing — pass an Orchestrator to make a node serve what it
+// has learned so far while it is still downloading (Figure 1(c)
+// collaboration). NewPartialServer is the same sender over a fixed log.
 func NewLiveServer(info ContentInfo, src WorkingSetSource) (*Server, error) {
 	return peer.NewLiveServer(info, src)
 }

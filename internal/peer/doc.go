@@ -10,10 +10,13 @@
 // every channel to the registered Server for its content id. A Server
 // is only the symbol source for one piece of content, either a *full*
 // sender — a digital fountain streaming fresh encoded symbols — or a
-// *partial* sender holding an arbitrary (static or live, still
-// downloading) working set of encoded symbols, which it serves as
-// recoded symbols blended over the subset the receiver's summary
-// reports missing (§5.2 + §5.4.2: reconciled, informed transfers).
+// *partial* sender recoding over a WorkingSetSource: an append-only log
+// of encoded symbols, fixed (NewPartialServer) or still being appended
+// to by a fetch in progress (NewLiveServer over its Orchestrator), read
+// as an O(1) prefix whose length is its version. Either way it serves
+// recoded symbols blended over the subset of that log the receiver's
+// summary reports missing (§5.2 + §5.4.2: reconciled, informed
+// transfers), by one serve loop.
 //
 // A receiver uses Fetch to download from any mix of full and partial
 // senders in parallel; every session is a subchannel on the fabric wire

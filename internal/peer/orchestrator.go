@@ -18,7 +18,10 @@ package peer
 // exclusively while the loop runs. The working set is what summaries,
 // Progress and a co-located live Server read, so it must track arrivals:
 // the fold never waits behind the peel stage's XOR work until the
-// working set holds n symbols and completion becomes possible.
+// working set holds n symbols and completion becomes possible. All of
+// them read it the same way — an O(1) prefix of the decoder's
+// append-only log (WorkingSet), taken under o.mu and read outside it —
+// and its length, which Progress mirrors in an atomic, is its version.
 //
 // Buffer ownership across the session/orchestrator boundary: a session
 // borrows payload (and recoded id-list) buffers from the orchestrator's
@@ -29,9 +32,9 @@ package peer
 // FetchResult.Held), everything else is returned to the pools. A session
 // that fails to deliver (engine already finished) releases its own
 // borrow. A payload the working set has taken is never written again:
-// the peel stage reads it outside o.mu (as a live Server's snapshot
-// does), and the fountain decoder copies it on AddSymbol, so the working
-// set retains ownership of every payload it stores.
+// the peel stage reads it outside o.mu (as a live Server's recoders do),
+// and the fountain decoder copies it on AddSymbol, so the working set
+// retains ownership of every payload it stores.
 
 import (
 	"context"
@@ -43,7 +46,6 @@ import (
 	"sync/atomic"
 
 	"icd/internal/fountain"
-	"icd/internal/keyset"
 	"icd/internal/obs"
 	"icd/internal/peermux"
 	"icd/internal/protocol"
@@ -98,7 +100,6 @@ type Orchestrator struct {
 	stats         []*PeerStats        // every session ever started, result order
 	active        int                 // session goroutines still running (plus holds)
 	feedersClosed bool                // symbolCh closed: no new sessions
-	version       int64               // working-set version: grows with KnownCount
 	running       bool                // Run in progress (one Run per Orchestrator)
 	attempted     map[string]bool     // addresses ever given a session (no gossip re-dials)
 	candidates    []gossipCandidate   // discovered addresses awaiting a free slot
@@ -118,7 +119,6 @@ type Orchestrator struct {
 	scratch struct { // decode-loop batch scratch, reused every iteration
 		ins  []incoming
 		syms []fountain.Symbol
-		ids  []uint64
 	}
 }
 
@@ -170,7 +170,6 @@ func NewOrchestrator(contentID uint64, opts FetchOptions) *Orchestrator {
 		o.rdec.AddKnown(id, append([]byte(nil), opts.Initial[id]...))
 	}
 	o.progress.Store(int64(o.rdec.KnownCount()))
-	o.version = int64(o.rdec.KnownCount())
 	return o
 }
 
@@ -603,38 +602,17 @@ func (o *Orchestrator) WaitInfo(ctx context.Context) (ContentInfo, error) {
 	return info, nil
 }
 
-// SnapshotWorkingSet implements WorkingSetSource: a live Server can
-// serve this orchestrator's growing working set while it downloads —
-// the collaborative, both-directions transfers of Figure 1(c). The
-// payload slices are read-only shares; the version grows with the set.
-func (o *Orchestrator) SnapshotWorkingSet() (*keyset.Set, map[uint64][]byte, int64) {
+// WorkingSet implements WorkingSetSource: a live Server can serve this
+// orchestrator's growing working set while it downloads — the
+// collaborative, both-directions transfers of Figure 1(c). It is the
+// decoder's log view (recode.Decoder.Known), taken under o.mu and read
+// outside it: summaries, the peel stage's first input and the final
+// FetchResult.Held are all built from it, and its length is the number
+// Progress reports.
+func (o *Orchestrator) WorkingSet() (ids []uint64, payloads [][]byte) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	ids := keyset.New(o.rdec.KnownCount())
-	payloads := make(map[uint64][]byte, o.rdec.KnownCount())
-	for _, id := range o.rdec.KnownIDs() {
-		if data := o.rdec.Payload(id); data != nil {
-			ids.Add(id)
-			payloads[id] = data
-		}
-	}
-	return ids, payloads, o.version
-}
-
-// WorkingSetInfo implements WorkingSetSource's cheap count+version
-// check (no snapshot copied).
-func (o *Orchestrator) WorkingSetInfo() (int, int64) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.rdec.KnownCount(), o.version
-}
-
-// heldSnapshot returns the ids currently held (for summary building)
-// plus the working-set version they represent.
-func (o *Orchestrator) heldSnapshot() (*keyset.Set, int64) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return keyset.FromKeys(o.rdec.KnownIDs()), o.version
+	return o.rdec.Known()
 }
 
 // ensureDecoder validates hello metadata against (or initializes) the
@@ -841,26 +819,24 @@ func (o *Orchestrator) foldLoop(peel *peelStage, in incoming) error {
 
 // knownSymbols returns the whole working set as decoder input.
 func (o *Orchestrator) knownSymbols() []fountain.Symbol {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	syms := make([]fountain.Symbol, 0, o.rdec.KnownCount())
-	for _, id := range o.rdec.KnownIDs() {
-		if data := o.rdec.Payload(id); data != nil {
-			syms = append(syms, fountain.Symbol{ID: id, Data: data})
-		}
+	ids, payloads := o.WorkingSet()
+	syms := make([]fountain.Symbol, len(ids))
+	for i, id := range ids {
+		syms[i] = fountain.Symbol{ID: id, Data: payloads[i]}
 	}
 	return syms
 }
 
 // foldBatch folds a batch into the working set under one lock pass and
-// returns every encoded symbol it made newly known (valid until the next
-// call), with the working set's size. The payloads those symbols point
-// at belong to the working set and are never written again, which is
-// what lets the peel stage read them outside o.mu.
+// returns every encoded symbol it made newly known — the stretch of the
+// log the batch appended (valid until the next call) — with the working
+// set's size. The payloads those symbols point at belong to the working
+// set and are never written again, which is what lets the peel stage
+// read them outside o.mu.
 func (o *Orchestrator) foldBatch(batch []incoming) (syms []fountain.Symbol, known int, err error) {
 	o.mu.Lock()
-	newIDs := o.scratch.ids[:0]
-	var batchRecv, batchUseful int64
+	start := o.rdec.KnownCount()
+	var batchRecv int64
 	for i, in := range batch {
 		before := o.rdec.KnownCount()
 		if !in.recoded {
@@ -869,11 +845,10 @@ func (o *Orchestrator) foldBatch(batch []incoming) (syms []fountain.Symbol, know
 			} else {
 				// AddKnown takes ownership of the pool buffer; it lives
 				// on as the stored payload (and, at the end, in Held).
-				newIDs = append(newIDs, o.rdec.AddKnown(in.id, in.data)...)
-				newIDs = append(newIDs, in.id)
+				o.rdec.AddKnown(in.id, in.data)
 			}
 		} else {
-			ids, addErr := o.rdec.Add(recode.Symbol{IDs: in.ids, Data: in.data})
+			_, addErr := o.rdec.Add(recode.Symbol{IDs: in.ids, Data: in.data})
 			o.pools.release(in) // rdec.Add copies; both buffers come back
 			if addErr != nil {
 				err = addErr
@@ -882,30 +857,26 @@ func (o *Orchestrator) foldBatch(batch []incoming) (syms []fountain.Symbol, know
 				}
 				break
 			}
-			newIDs = append(newIDs, ids...)
 		}
 		batchRecv++
-		batchUseful += int64(o.rdec.KnownCount() - before)
 		if in.stats != nil {
 			in.stats.SymbolsReceived++
 			in.stats.UsefulSymbols += o.rdec.KnownCount() - before
 		}
 	}
-	known = o.rdec.KnownCount()
+	ids, payloads := o.rdec.Known()
+	known = len(ids)
 	o.progress.Store(int64(known))
-	o.version = int64(known)
-	syms = o.scratch.syms[:0]
-	for _, id := range newIDs {
-		if data := o.rdec.Payload(id); data != nil {
-			syms = append(syms, fountain.Symbol{ID: id, Data: data})
-		}
-	}
 	o.mu.Unlock()
-	o.scratch.ids, o.scratch.syms = newIDs[:0], syms[:0]
+	syms = o.scratch.syms[:0]
+	for i := start; i < known; i++ {
+		syms = append(syms, fountain.Symbol{ID: ids[i], Data: payloads[i]})
+	}
+	o.scratch.syms = syms[:0]
 	// One add per counter per batch: instrumentation stays off the
 	// per-symbol path.
 	o.met.received.Add(batchRecv)
-	o.met.useful.Add(batchUseful)
+	o.met.useful.Add(int64(known - start))
 	return syms, known, err
 }
 
@@ -914,13 +885,11 @@ func (o *Orchestrator) foldBatch(batch []incoming) (syms []fountain.Symbol, know
 func (o *Orchestrator) collectResult(fdec *fountain.Decoder) (*FetchResult, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	res := &FetchResult{Info: o.info, Held: make(map[uint64][]byte)}
-	for _, id := range o.rdec.KnownIDs() {
-		if data := o.rdec.Payload(id); data != nil {
-			res.Held[id] = data
-		}
+	ids, payloads := o.rdec.Known()
+	res := &FetchResult{Info: o.info, Held: make(map[uint64][]byte, len(ids)), DistinctSymbols: len(ids)}
+	for i, id := range ids {
+		res.Held[id] = payloads[i]
 	}
-	res.DistinctSymbols = len(res.Held)
 	res.Peers = make([]PeerStats, len(o.stats))
 	for i, st := range o.stats {
 		res.Peers[i] = *st

@@ -82,8 +82,8 @@ func TestFoldAdvancesWhilePeelHeld(t *testing.T) {
 	if err := <-folded; err != nil {
 		t.Fatal(err)
 	}
-	if known, version := o.WorkingSetInfo(); known != len(syms) || version != int64(len(syms)) {
-		t.Fatalf("working set at %d symbols (version %d) after %d arrivals", known, version, len(syms))
+	if ids, _ := o.WorkingSet(); len(ids) != len(syms) || o.Progress() != len(syms) {
+		t.Fatalf("working set at %d symbols (progress %d) after %d arrivals", len(ids), o.Progress(), len(syms))
 	}
 	if got := held.dec.Received(); got != 0 {
 		t.Fatalf("held stage decoded %d symbols", got)

@@ -367,10 +367,10 @@ func TestServerValidation(t *testing.T) {
 	}
 }
 
-// TestPartialServerHeldOrderIsDeterministic: recoders sample the held
-// set by position, so two servers built from one symbol map must hold it
-// in one order — id order, whatever order the map ranges in — or the
-// same seed blends different symbols on different runs.
+// TestPartialServerHeldOrderIsDeterministic: recoders sample the log by
+// position, so two servers built from one symbol map must lay it out in
+// one order — id order, whatever order the map ranges in — or the same
+// seed blends different symbols on different runs.
 func TestPartialServerHeldOrderIsDeterministic(t *testing.T) {
 	info, data := testContent(t, 120, 64)
 	symbols := partialSymbols(t, info, data, 64, 7)
@@ -382,11 +382,18 @@ func TestPartialServerHeldOrderIsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(a.held.Keys(), b.held.Keys()) {
+	aIDs, aPayloads := a.src.WorkingSet()
+	bIDs, _ := b.src.WorkingSet()
+	if !slices.Equal(aIDs, bIDs) {
 		t.Fatal("two partial servers over one symbol map hold it in different orders")
 	}
-	if !slices.IsSorted(a.held.Keys()) {
+	if !slices.IsSorted(aIDs) {
 		t.Fatal("held ids are not in id order")
+	}
+	for i, id := range aIDs {
+		if !bytes.Equal(aPayloads[i], symbols[id]) {
+			t.Fatalf("payload %d is not symbol %d's", i, id)
+		}
 	}
 }
 

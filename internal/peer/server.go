@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"icd/internal/fountain"
-	"icd/internal/keyset"
 	"icd/internal/obs"
 	"icd/internal/peermux"
 	"icd/internal/prng"
@@ -63,36 +62,40 @@ type ServerStats struct {
 	Rejected int64
 }
 
-// WorkingSetSource exposes a mutable encoded-symbol working set to a
-// live Server — typically an Orchestrator mid-download, so a
-// collaborating node serves symbols as it learns them (Figure 1(c)).
+// WorkingSetSource is the encoded-symbol working set a partial sender
+// recodes over: an append-only log — an Orchestrator's mid-download, so a
+// collaborating node serves symbols as it learns them (Figure 1(c)), or a
+// fixed one (NewPartialServer).
 type WorkingSetSource interface {
-	// SnapshotWorkingSet returns the ids currently held, their payloads
-	// (read-only shares: the server never mutates them), and a version
-	// number that grows whenever the set does. Sessions rebuild their
-	// recoding domains when the version moves.
-	SnapshotWorkingSet() (*keyset.Set, map[uint64][]byte, int64)
-	// WorkingSetInfo returns just the held-symbol count and version —
-	// the O(1) checks the handshake and serve loop make without paying
-	// for a snapshot.
-	WorkingSetInfo() (held int, version int64)
+	// WorkingSet returns the log as it stands: distinct ids in the order
+	// they became known, payloads index-aligned. The log only ever grows
+	// at its end, so its length is its version and a returned prefix
+	// stays valid and unchanged; the server never writes through it. O(1)
+	// — the handshake and every REQUEST call it.
+	WorkingSet() (ids []uint64, payloads [][]byte)
 }
 
+// fixedLog is the working set of a static partial sender.
+type fixedLog struct {
+	ids      []uint64
+	payloads [][]byte
+}
+
+func (l *fixedLog) WorkingSet() ([]uint64, [][]byte) { return l.ids, l.payloads }
+
 // Server is the symbol source for one content item: a full sender
-// (fountain encoder over the content), a static partial sender (a fixed
-// working set, served recoded), or a live partial sender (the growing
-// working set of a fetch in progress). It owns no listener — a ServerMux
-// accepts connections, runs the fabric handshake and hands each
-// subchannel whose OPEN names this content to ServeChannel.
+// (fountain encoder over the content) or a partial sender (recoding over
+// a working-set log — fixed, or the growing one of a fetch in progress).
+// It owns no listener — a ServerMux accepts connections, runs the fabric
+// handshake and hands each subchannel whose OPEN names this content to
+// ServeChannel.
 type Server struct {
-	info     ContentInfo
-	code     *fountain.Code
-	blocks   [][]byte          // full mode
-	payloads map[uint64][]byte // static partial mode
-	held     *keyset.Set       // static partial mode: ids held
-	live     WorkingSetSource  // live partial mode (collaborative nodes)
-	timeout  time.Duration
-	gossip   *Gossip // peer directory: learned from clients, relayed in batches
+	info    ContentInfo
+	code    *fountain.Code
+	blocks  [][]byte         // full sender
+	src     WorkingSetSource // partial sender
+	timeout time.Duration
+	gossip  *Gossip // peer directory: learned from clients, relayed in batches
 
 	penalties atomic.Pointer[PenaltyBox] // shared misbehavior box (nil = no penalty plane)
 
@@ -136,34 +139,30 @@ func NewFullServer(info ContentInfo, content []byte) (*Server, error) {
 }
 
 // NewPartialServer builds a partial sender from a working set of encoded
-// symbols (id → payload). The payload map is snapshotted.
+// symbols (id → payload), snapshotted into a fixed log.
 func NewPartialServer(info ContentInfo, symbols map[uint64][]byte) (*Server, error) {
-	s, err := newServer(info)
-	if err != nil {
-		return nil, err
-	}
 	if len(symbols) == 0 {
 		return nil, errors.New("peer: partial server needs at least one symbol")
 	}
-	s.payloads = make(map[uint64][]byte, len(symbols))
-	for id, data := range symbols {
+	// Recoders sample the log by position: lay it out in id order, not
+	// map order, so one seed gives one recoded stream.
+	log := &fixedLog{ids: slices.Sorted(maps.Keys(symbols))}
+	for _, id := range log.ids {
+		data := symbols[id]
 		if len(data) != info.BlockSize {
 			return nil, fmt.Errorf("peer: symbol %d has %d bytes, want %d", id, len(data), info.BlockSize)
 		}
-		s.payloads[id] = append([]byte(nil), data...)
+		log.payloads = append(log.payloads, append([]byte(nil), data...))
 	}
-	// Recoders sample the held set by position: insert in id order, not
-	// map order, so one seed gives one recoded stream.
-	s.held = keyset.FromKeys(slices.Sorted(maps.Keys(symbols)))
-	return s, nil
+	return NewLiveServer(info, log)
 }
 
-// NewLiveServer builds a partial sender over a *mutable* working set —
-// the serving half of a collaborative node (Figure 1(c)): while the
-// node's Orchestrator downloads, its live Server offers everything
-// learned so far, re-deriving each session's recoding domain whenever
-// the set grows or a summary refresh arrives. The source may be empty
-// at start; sessions answer with empty batches until it grows.
+// NewLiveServer builds a partial sender over a working-set log that may
+// still be growing — the serving half of a collaborative node (Figure
+// 1(c)): while the node's Orchestrator downloads, its live Server offers
+// everything learned so far, re-deriving each session's recoding domain
+// whenever the log grows or a summary refresh arrives. The log may be
+// empty at start; sessions answer with empty batches until it grows.
 func NewLiveServer(info ContentInfo, src WorkingSetSource) (*Server, error) {
 	s, err := newServer(info)
 	if err != nil {
@@ -172,7 +171,7 @@ func NewLiveServer(info ContentInfo, src WorkingSetSource) (*Server, error) {
 	if src == nil {
 		return nil, errors.New("peer: live server needs a working-set source")
 	}
-	s.live = src
+	s.src = src
 	return s, nil
 }
 
@@ -239,16 +238,6 @@ func verifiedListenAddr(listenAddr, remoteHost string) bool {
 
 // Full reports whether the server holds the complete content.
 func (s *Server) Full() bool { return s.blocks != nil }
-
-// workingSet snapshots the served partial working set (ids, payloads,
-// version). Static partial servers report version 0 forever; live ones
-// delegate to their source.
-func (s *Server) workingSet() (*keyset.Set, map[uint64][]byte, int64) {
-	if s.live != nil {
-		return s.live.SnapshotWorkingSet()
-	}
-	return s.held, s.payloads, 0
-}
 
 // Info returns the served content's parameters.
 func (s *Server) Info() ContentInfo { return s.info }
@@ -331,23 +320,25 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 	}
 	sentAds := map[protocol.PeerAd]bool{clientAd: true} // never echo the client to itself
 	// The sender announces the content parameters and its summary
-	// support. (Count and version only — a live source's full snapshot is
-	// paid for lazily, when a recoding domain is actually built.)
-	heldLen, wsVersion := 0, int64(0)
-	if s.live != nil {
-		heldLen, wsVersion = s.live.WorkingSetInfo()
-	} else if s.held != nil {
-		heldLen = s.held.Len()
+	// support.
+	heldLen := 0
+	if !s.Full() {
+		ids, _ := s.src.WorkingSet()
+		heldLen = len(ids)
 	}
 	if err := ch.Accept(s.info.hello(s.Full(), heldLen)); err != nil {
 		return err
 	}
 
 	// Session loop: a summary (setup or refresh) fixes the recoding
-	// domain until the next one — or, on a live server, until the
-	// working set grows — then batched requests stream symbols.
+	// domain until the next one or until the log grows, then batched
+	// requests stream symbols. planned is the log length recoders was
+	// derived at (−1: no plan stands); a plan with nothing useful in it is
+	// a nil recoders, remembered like any other, so the REQUESTs of a
+	// pipeline do not each re-plan the same empty answer.
 	var summary *strategy.ReceivedSummary
 	var recoders *sessionRecoders
+	planned := -1
 	var encoder *fountain.Encoder
 	if s.Full() {
 		enc, err := fountain.NewEncoder(s.code, s.blocks, s.streamSeed.Add(1)*0x9e3779b97f4a7c15)
@@ -379,7 +370,7 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 				protocol.WriteFrame(ch, protocol.EncodeError("bad summary"))
 				return err
 			}
-			recoders = nil // rebuild the recoding domain lazily
+			planned = -1 // rebuild the recoding domain lazily
 
 		case protocol.TypePeers:
 			ads, err := protocol.DecodePeers(f)
@@ -412,20 +403,14 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 				}
 				continue
 			}
-			// A live working set that grew since the last domain build
-			// has new symbols to offer: re-derive the domain.
-			if s.live != nil {
-				if _, v := s.live.WorkingSetInfo(); v != wsVersion {
-					wsVersion = v
-					recoders = nil
-				}
+			// A log that grew since the last domain build has new symbols
+			// to offer: re-derive the domain.
+			if ids, payloads := s.src.WorkingSet(); len(ids) != planned {
+				recoders, planned = s.buildRecoders(summary, ids, payloads), len(ids)
 			}
 			if recoders == nil {
-				recoders, err = s.buildRecoders(summary)
-				if err != nil {
-					protocol.WriteFrame(ch, protocol.EncodeDone())
-					continue // nothing useful to offer; empty batch
-				}
+				protocol.WriteFrame(ch, protocol.EncodeDone())
+				continue // nothing useful to offer; empty batch
 			}
 			if err := s.sendRecoded(ch, recoders, int(n)); err != nil {
 				return err
@@ -500,38 +485,40 @@ func (sr *sessionRecoders) next() (recode.Symbol, *recode.Recoder) {
 }
 
 // buildRecoders constructs the partial sender's recoding streams from
-// the receiver's negotiated summary over the current working set: the
-// summary's sender plan picks the domain (missing symbols for
-// Bloom/ART, the whole set for sketches) and the informed stream's
-// degree policy. With no summary the whole working set is the domain.
-func (s *Server) buildRecoders(summary *strategy.ReceivedSummary) (*sessionRecoders, error) {
-	held, payloads, _ := s.workingSet()
-	if held == nil || held.Len() == 0 {
-		return nil, errors.New("peer: nothing held yet")
+// the receiver's negotiated summary over the log as it stands: the
+// summary's sender plan picks the domain (missing symbols for Bloom/ART,
+// the whole log for sketches) and the informed stream's degree policy.
+// With no summary the whole log is the domain. Both streams share one
+// domain. It returns nil when there is nothing useful to recode over.
+func (s *Server) buildRecoders(summary *strategy.ReceivedSummary, ids []uint64, payloads [][]byte) *sessionRecoders {
+	if len(ids) == 0 {
+		return nil // nothing held yet
 	}
-	plan := strategy.SenderPlan{Domain: held, Policy: recode.CoverageAdaptive}
+	sr := &sessionRecoders{policy: recode.CoverageAdaptive}
 	if summary != nil {
-		var err error
-		plan, err = summary.Plan(held, strategy.Config{})
+		plan, err := summary.Plan(ids)
 		if err != nil {
-			return nil, err // includes ErrNothingUseful: empty batches
+			return nil // includes ErrNothingUseful
+		}
+		sr.policy, sr.contain = plan.Policy, plan.Containment
+		if len(plan.Keep) < len(ids) {
+			kept, keptPayloads := make([]uint64, len(plan.Keep)), make([][]byte, len(plan.Keep))
+			for i, pos := range plan.Keep {
+				kept[i], keptPayloads[i] = ids[pos], payloads[pos]
+			}
+			ids, payloads = kept, keptPayloads
 		}
 	}
-	opts := recode.Options{Payloads: payloads}
-	informed, err := recode.NewRecoder(prng.New(s.streamSeed.Add(1)^s.info.CodeSeed), plan.Domain, opts)
+	var err error
+	sr.informed, err = recode.NewRecoderOver(prng.New(s.streamSeed.Add(1)^s.info.CodeSeed), ids, payloads, recode.Options{})
 	if err != nil {
-		return nil, err
+		return nil
 	}
-	oblivious, err := recode.NewRecoder(prng.New(s.streamSeed.Add(1)^s.info.CodeSeed), plan.Domain, opts)
+	sr.oblivious, err = recode.NewRecoderOver(prng.New(s.streamSeed.Add(1)^s.info.CodeSeed), ids, payloads, recode.Options{})
 	if err != nil {
-		return nil, err
+		return nil
 	}
-	return &sessionRecoders{
-		informed:  informed,
-		oblivious: oblivious,
-		policy:    plan.Policy,
-		contain:   plan.Containment,
-	}, nil
+	return sr
 }
 
 // sendRecoded streams n recoded symbols followed by DONE. Symbols are

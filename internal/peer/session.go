@@ -24,7 +24,6 @@ import (
 	"hash/fnv"
 	"time"
 
-	"icd/internal/keyset"
 	"icd/internal/obs"
 	"icd/internal/peermux"
 	"icd/internal/prng"
@@ -203,12 +202,12 @@ func (s *session) runConn() error {
 	if s.o.opts.StallTimeout > 0 {
 		go s.watchdog(ctx, cancel)
 	}
-	ch, held, heldVersion, err := s.openChannel(ctx)
+	ch, held, err := s.openChannel(ctx)
 	if err != nil {
 		return err
 	}
 	defer ch.Close()
-	err = s.serveChannel(ctx, ch, held, heldVersion)
+	err = s.serveChannel(ctx, ch, held)
 	// A cancelled attempt unblocked the channel itself, and the watchdog
 	// has already charged PenaltyStall: neither is a reset by the peer.
 	if err != nil && ctx.Err() == nil && !terminalSessionError(err) {
@@ -221,14 +220,14 @@ func (s *session) runConn() error {
 // classifies the peer's answers — a REJECT_CHANNEL, or an ERROR in place
 // of the wire handshake — into the terminal errors: a verdict from a live
 // peer is not a dial failure, so it does not charge the address.
-func (s *session) openChannel(ctx context.Context) (*peermux.Channel, *keyset.Set, int64, error) {
+func (s *session) openChannel(ctx context.Context) (*peermux.Channel, []uint64, error) {
 	o := s.o
-	held, heldVersion := o.heldSnapshot()
+	held, _ := o.WorkingSet()
 	issued := time.Now()
 	openCtx, cancel := context.WithTimeout(ctx, o.opts.Timeout)
 	ch, err := o.fabric.OpenWindow(openCtx, s.addr, protocol.Hello{
 		ContentID:   o.contentID,
-		Symbols:     uint64(held.Len()),
+		Symbols:     uint64(len(held)),
 		SummaryMask: o.opts.summaryMask(),
 		ListenAddr:  o.opts.AdvertiseAddr,
 	}, int(o.chanWin.Load()))
@@ -237,13 +236,13 @@ func (s *session) openChannel(ctx context.Context) (*peermux.Channel, *keyset.Se
 		o.met.handshake.Observe(time.Since(issued).Seconds())
 		s.reached()
 		o.trace(obs.EvDial, s.addr, "")
-		return ch, held, heldVersion, nil
+		return ch, held, nil
 	}
 	if ctx.Err() != nil {
 		// The attempt was abandoned — the session ended, or the watchdog
 		// gave up on an open nobody answered (it did the charging): no
 		// dial failed, so there is nothing to account.
-		return nil, nil, 0, context.Cause(ctx)
+		return nil, nil, context.Cause(ctx)
 	}
 	// The peer answered: the channel negotiation with a REJECT, or — a
 	// banned dialer, or any dialer past the inbound connection cap, never
@@ -264,17 +263,17 @@ func (s *session) openChannel(ctx context.Context) (*peermux.Channel, *keyset.Se
 	if answered {
 		s.reached()
 		if protocol.IsUnknownContent(msg) {
-			return nil, nil, 0, fmt.Errorf("peer %s: %s: %w", s.addr, msg, ErrUnknownContent)
+			return nil, nil, fmt.Errorf("peer %s: %s: %w", s.addr, msg, ErrUnknownContent)
 		}
 		if protocol.IsRefused(msg) {
-			return nil, nil, 0, fmt.Errorf("peer %s: %s: %w", s.addr, msg, ErrRefused)
+			return nil, nil, fmt.Errorf("peer %s: %s: %w", s.addr, msg, ErrRefused)
 		}
-		return nil, nil, 0, fmt.Errorf("peer %s: %s", s.addr, msg)
+		return nil, nil, fmt.Errorf("peer %s: %s", s.addr, msg)
 	}
 	if errors.Is(err, protocol.ErrVersion) {
 		// The dial reached a live peer speaking an incompatible protocol
 		// version — terminal, and not the address's fault.
-		return nil, nil, 0, fmt.Errorf("peer %s: incompatible protocol: %w", s.addr, err)
+		return nil, nil, fmt.Errorf("peer %s: incompatible protocol: %w", s.addr, err)
 	}
 	if errors.Is(err, protocol.ErrCorrupt) {
 		// The dial connected and the peer answered the handshake with
@@ -282,7 +281,7 @@ func (s *session) openChannel(ctx context.Context) (*peermux.Channel, *keyset.Se
 		// signal), not an unreachable address.
 		s.reached()
 		s.noteConnError(err)
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
 	o.penalties.Penalize(s.addr, PenaltyDialFail)
 	o.mu.Lock()
@@ -290,7 +289,7 @@ func (s *session) openChannel(ctx context.Context) (*peermux.Channel, *keyset.Se
 	o.mu.Unlock()
 	o.met.dialFailures.Inc()
 	o.trace(obs.EvDialFail, s.addr, err.Error())
-	return nil, nil, 0, err
+	return nil, nil, err
 }
 
 // reached records that a dial got through to the address: it never
@@ -391,7 +390,7 @@ func (s *session) watchdog(ctx context.Context, cancel context.CancelCauseFunc) 
 // so the loop allocates nothing per frame except for useful regular
 // symbols, whose buffers live on as the stored working-set payloads (an
 // allocation the content requires).
-func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held *keyset.Set, heldVersion int64) error {
+func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []uint64) error {
 	o := s.o
 	s.setChannel(ch)
 	defer s.setChannel(nil)
@@ -428,7 +427,7 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held *k
 	method := protocol.SummaryNone
 	if !hello.FullCopy {
 		method = protocol.ChooseSummaryMethod(
-			o.opts.summaryMask()&hello.SummaryMask, held.Len(), int(hello.Symbols))
+			o.opts.summaryMask()&hello.SummaryMask, len(held), int(hello.Symbols))
 	}
 	o.mu.Lock()
 	s.stats.Full = hello.FullCopy
@@ -438,8 +437,7 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held *k
 	o.mu.Unlock()
 	o.trace(obs.EvHandshake, s.addr, method.String())
 	if method != protocol.SummaryNone {
-		// The zero Config is the paper's sizing (strategy.Config.Default).
-		blob, err := strategy.BuildSummary(method, held, strategy.Config{})
+		blob, err := strategy.BuildSummary(method, held)
 		if err != nil {
 			return err
 		}
@@ -458,9 +456,10 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held *k
 	}
 
 	// Refresh: every RefreshBatches batches, check whether the working
-	// set grew ≥ RefreshGrowth since the last summary. lastReceived/
-	// lastUseful window the per-batch duplicate rate out of the
-	// cumulative session counters.
+	// set grew ≥ RefreshGrowth since the last summary (summarized: how
+	// much of the log that one covered). lastReceived/lastUseful window
+	// the per-batch duplicate rate out of the cumulative session counters.
+	summarized := len(held)
 	sinceCheck := 0
 	lastReceived, lastUseful := 0, 0
 	canSummarize := o.opts.summaryMask()&hello.SummaryMask != 0
@@ -485,21 +484,19 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held *k
 			if err := s.sendGossip(ch, sentAds); err != nil {
 				return err
 			}
-			// O(1) staleness test first; the O(n) id snapshot is paid
-			// only when a refresh will actually be built — and never
-			// when no summary method is negotiable (a blind-streaming
-			// mask would otherwise re-snapshot every check forever).
-			_, version := o.WorkingSetInfo()
-			grown := float64(version-heldVersion) >= o.opts.RefreshGrowth*float64(heldVersion)
-			if grown && version > 0 && canSummarize {
-				var cur *keyset.Set
-				cur, version = o.heldSnapshot()
+			// The staleness test is one atomic load; the O(n) summary is
+			// paid only when a refresh will actually be built — and never
+			// when no summary method is negotiable.
+			known := o.Progress()
+			grown := float64(known-summarized) >= o.opts.RefreshGrowth*float64(summarized)
+			if grown && known > 0 && canSummarize {
+				cur, _ := o.WorkingSet()
 				method = protocol.ChooseSummaryMethod(
-					o.opts.summaryMask()&hello.SummaryMask, cur.Len(), int(hello.Symbols))
+					o.opts.summaryMask()&hello.SummaryMask, len(cur), int(hello.Symbols))
 				if method == protocol.SummaryNone {
 					continue
 				}
-				blob, err := strategy.BuildSummary(method, cur, strategy.Config{})
+				blob, err := strategy.BuildSummary(method, cur)
 				if err != nil {
 					return err
 				}
@@ -507,7 +504,7 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held *k
 				if err := protocol.WriteFrame(ch, protocol.EncodeSummary(method, blob, true)); err != nil {
 					return err
 				}
-				heldVersion = version
+				summarized = len(cur)
 				o.met.refreshes.Inc()
 				o.mu.Lock()
 				s.stats.Summary = method.String()

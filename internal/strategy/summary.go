@@ -28,21 +28,24 @@ const (
 	artCorrection = 1
 )
 
-// BuildSummary marshals the receiver's working set under the negotiated
-// method, ready for protocol.EncodeSummary. The configuration must
-// agree across peers (seeds, sketch size) — the same contract the
-// strategy simulator already imposes.
-func BuildSummary(method protocol.SummaryMethod, held *keyset.Set, cfg Config) ([]byte, error) {
-	cfg = cfg.Default()
+// BuildSummary marshals the receiver's working set — its ids, distinct,
+// in any order — under the negotiated method, ready for
+// protocol.EncodeSummary. Sizing and seeds are the paper's §6.1 settings
+// (Config's defaults), which every peer on the wire shares.
+func BuildSummary(method protocol.SummaryMethod, held []uint64) ([]byte, error) {
+	cfg := Config{}.Default()
 	switch method {
 	case protocol.SummaryBloom:
-		filter := bloom.FromSet(cfg.SummarySeed, held, cfg.BloomBitsPerElement, cfg.BloomHashes)
+		filter := bloom.NewWithBitsPerElement(cfg.SummarySeed, max(len(held), 1), cfg.BloomBitsPerElement, cfg.BloomHashes)
+		for _, id := range held {
+			filter.Add(id)
+		}
 		return filter.MarshalBinary()
 	case protocol.SummarySketch:
-		sketch := minwise.Build(cfg.MinwiseFamilySeed, cfg.MinwiseSize, held)
+		sketch := minwise.Build(cfg.MinwiseFamilySeed, cfg.MinwiseSize, keyset.FromKeys(held))
 		return sketch.MarshalBinary()
 	case protocol.SummaryART:
-		tree := recon.Build(recon.DefaultParams, held)
+		tree := recon.Build(recon.DefaultParams, keyset.FromKeys(held))
 		sum, err := tree.Summarize(recon.SummaryOptions{
 			TotalBitsPerElement: artTotalBits,
 			LeafBitsPerElement:  artLeafBits,
@@ -99,11 +102,11 @@ var ErrNothingUseful = errors.New("strategy: receiver appears to hold everything
 // the domain to recode over, the degree policy of the informed stream,
 // and the containment estimate feeding MinwiseScaled degrees.
 type SenderPlan struct {
-	// Domain is the recoding domain: the sender-held symbols the summary
-	// reports (or estimates) missing at the receiver. For sketch
-	// summaries this is the whole held set — the sketch informs degrees,
-	// not membership.
-	Domain *keyset.Set
+	// Keep is the recoding domain as ascending positions into the held
+	// ids the plan was made against: the symbols the summary reports (or
+	// estimates) missing at the receiver. For sketch summaries this is
+	// every position — the sketch informs degrees, not membership.
+	Keep []int
 	// Policy is the degree policy of the informed recoding stream
 	// (CoverageAdaptive over a membership-filtered domain, MinwiseScaled
 	// when only a containment estimate is available).
@@ -114,46 +117,45 @@ type SenderPlan struct {
 }
 
 // Plan derives the sender's transmit plan from the summary against the
-// sender's currently held working set (§5.2 for Bloom, §5.3 for ART,
-// §4+§5.4.2 for min-wise sketches). It returns ErrNothingUseful when the
-// summary proves (or estimates) the receiver needs nothing from here.
-func (rs *ReceivedSummary) Plan(held *keyset.Set, cfg Config) (SenderPlan, error) {
-	cfg = cfg.Default()
+// sender's currently held working set, given as its distinct ids in log
+// order (§5.2 for Bloom, §5.3 for ART, §4+§5.4.2 for min-wise sketches).
+// It returns ErrNothingUseful when the summary proves (or estimates) the
+// receiver needs nothing from here.
+func (rs *ReceivedSummary) Plan(held []uint64) (SenderPlan, error) {
+	plan := SenderPlan{Policy: recode.CoverageAdaptive}
+	missing := func(id uint64) bool { return true }
 	switch rs.Method {
 	case protocol.SummaryBloom:
-		domain := keyset.New(64)
-		held.Each(func(id uint64) {
-			if !rs.bloom.Contains(id) {
-				domain.Add(id)
-			}
-		})
-		if domain.Len() == 0 {
-			return SenderPlan{}, ErrNothingUseful
-		}
-		return SenderPlan{Domain: domain, Policy: recode.CoverageAdaptive}, nil
+		missing = func(id uint64) bool { return !rs.bloom.Contains(id) }
 
 	case protocol.SummaryART:
-		tree := recon.Build(rs.art.Params, held)
-		missing, _ := tree.FindMissing(rs.art, artCorrection)
-		if len(missing) == 0 {
-			return SenderPlan{}, ErrNothingUseful
-		}
-		return SenderPlan{Domain: keyset.FromKeys(missing), Policy: recode.CoverageAdaptive}, nil
+		tree := recon.Build(rs.art.Params, keyset.FromKeys(held))
+		found, _ := tree.FindMissing(rs.art, artCorrection)
+		missing = keyset.FromKeys(found).Contains
 
 	case protocol.SummarySketch:
-		mine := minwise.Build(rs.sketch.FamilySeed, len(rs.sketch.Minima), held)
+		mine := minwise.Build(rs.sketch.FamilySeed, len(rs.sketch.Minima), keyset.FromKeys(held))
 		c, err := rs.sketch.ContainmentOf(mine)
 		if err != nil {
 			return SenderPlan{}, err
 		}
-		if c >= 1 && rs.sketch.SetSize >= held.Len() {
+		if c >= 1 && rs.sketch.SetSize >= len(held) {
 			// The receiver's set contains ours entirely (as well as the
 			// coarse estimate can tell): nothing to offer.
 			return SenderPlan{}, ErrNothingUseful
 		}
-		return SenderPlan{Domain: held.Clone(), Policy: recode.MinwiseScaled, Containment: c}, nil
+		plan.Policy, plan.Containment = recode.MinwiseScaled, c
 
 	default:
 		return SenderPlan{}, fmt.Errorf("strategy: no plan for summary method %v", rs.Method)
 	}
+	for i, id := range held {
+		if missing(id) {
+			plan.Keep = append(plan.Keep, i)
+		}
+	}
+	if len(plan.Keep) == 0 {
+		return SenderPlan{}, ErrNothingUseful
+	}
+	return plan, nil
 }

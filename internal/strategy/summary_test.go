@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"icd/internal/keyset"
@@ -30,9 +31,9 @@ func twoSets(seed uint64, common, extra int) (receiver, sender *keyset.Set, extr
 	return receiver, sender, extras
 }
 
-func roundTrip(t *testing.T, method protocol.SummaryMethod, held *keyset.Set, cfg Config) *ReceivedSummary {
+func roundTrip(t *testing.T, method protocol.SummaryMethod, held *keyset.Set) *ReceivedSummary {
 	t.Helper()
-	blob, err := BuildSummary(method, held, cfg)
+	blob, err := BuildSummary(method, held.Keys())
 	if err != nil {
 		t.Fatalf("%v build: %v", method, err)
 	}
@@ -48,10 +49,24 @@ func roundTrip(t *testing.T, method protocol.SummaryMethod, held *keyset.Set, cf
 	return rs
 }
 
+// planned resolves a plan's kept positions against the ids it was made
+// over, checking they are positions of it in log order.
+func planned(t *testing.T, plan SenderPlan, held []uint64) []uint64 {
+	t.Helper()
+	if !slices.IsSorted(plan.Keep) {
+		t.Fatalf("kept positions not in log order: %v", plan.Keep)
+	}
+	ids := make([]uint64, len(plan.Keep))
+	for i, pos := range plan.Keep {
+		ids[i] = held[pos]
+	}
+	return ids
+}
+
 func TestBloomSummaryPlan(t *testing.T) {
 	receiver, sender, extras := twoSets(1, 600, 120)
-	rs := roundTrip(t, protocol.SummaryBloom, receiver, Config{})
-	plan, err := rs.Plan(sender, Config{})
+	rs := roundTrip(t, protocol.SummaryBloom, receiver)
+	plan, err := rs.Plan(sender.Keys())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,51 +76,53 @@ func TestBloomSummaryPlan(t *testing.T) {
 	// Soundness: Bloom false positives can only *suppress* missing
 	// symbols, never admit held ones, so every domain element must be
 	// genuinely missing at the receiver.
-	plan.Domain.Each(func(id uint64) {
+	domain := planned(t, plan, sender.Keys())
+	for _, id := range domain {
 		if receiver.Contains(id) {
 			t.Fatalf("domain contains receiver-held symbol %d", id)
 		}
-	})
+	}
 	// Completeness up to the ~2% false-positive rate at 8 bits/element.
-	if plan.Domain.Len() < len(extras)*9/10 {
-		t.Fatalf("domain %d of %d missing symbols", plan.Domain.Len(), len(extras))
+	if len(domain) < len(extras)*9/10 {
+		t.Fatalf("domain %d of %d missing symbols", len(domain), len(extras))
 	}
 }
 
 func TestARTSummaryPlan(t *testing.T) {
 	receiver, sender, extras := twoSets(2, 2000, 60)
-	rs := roundTrip(t, protocol.SummaryART, receiver, Config{})
-	plan, err := rs.Plan(sender, Config{})
+	rs := roundTrip(t, protocol.SummaryART, receiver)
+	plan, err := rs.Plan(sender.Keys())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Policy != recode.CoverageAdaptive {
 		t.Fatalf("policy %v", plan.Policy)
 	}
-	plan.Domain.Each(func(id uint64) {
+	domain := planned(t, plan, sender.Keys())
+	for _, id := range domain {
 		if receiver.Contains(id) {
 			t.Fatalf("domain contains receiver-held symbol %d", id)
 		}
-	})
+	}
 	// ART completeness is approximate (Figure 4): expect most of the
 	// planted difference at 8 bits/element with correction.
-	if plan.Domain.Len() < len(extras)/2 {
-		t.Fatalf("ART found %d of %d missing symbols", plan.Domain.Len(), len(extras))
+	if len(domain) < len(extras)/2 {
+		t.Fatalf("ART found %d of %d missing symbols", len(domain), len(extras))
 	}
 }
 
 func TestSketchSummaryPlan(t *testing.T) {
 	receiver, sender, _ := twoSets(3, 3000, 1000)
-	rs := roundTrip(t, protocol.SummarySketch, receiver, Config{})
-	plan, err := rs.Plan(sender, Config{})
+	rs := roundTrip(t, protocol.SummarySketch, receiver)
+	plan, err := rs.Plan(sender.Keys())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Policy != recode.MinwiseScaled {
 		t.Fatalf("policy %v", plan.Policy)
 	}
-	if plan.Domain.Len() != sender.Len() {
-		t.Fatalf("sketch domain %d, want whole set %d", plan.Domain.Len(), sender.Len())
+	if domain := planned(t, plan, sender.Keys()); !slices.Equal(domain, sender.Keys()) {
+		t.Fatalf("sketch domain %d, want the whole set %d in log order", len(domain), sender.Len())
 	}
 	// True containment |R∩S|/|S| = 3000/4000 = 0.75; the 128-coordinate
 	// estimate should land within ±0.15.
@@ -120,20 +137,19 @@ func TestPlanNothingUseful(t *testing.T) {
 	receiver, _, _ := twoSets(4, 800, 0)
 	sender := receiver.Clone()
 	for _, method := range []protocol.SummaryMethod{protocol.SummaryBloom, protocol.SummaryART} {
-		rs := roundTrip(t, method, receiver, Config{})
-		if _, err := rs.Plan(sender, Config{}); !errors.Is(err, ErrNothingUseful) {
+		rs := roundTrip(t, method, receiver)
+		if _, err := rs.Plan(sender.Keys()); !errors.Is(err, ErrNothingUseful) {
 			t.Fatalf("%v: err = %v, want ErrNothingUseful", method, err)
 		}
 	}
-	rs := roundTrip(t, protocol.SummarySketch, receiver, Config{})
-	if _, err := rs.Plan(sender, Config{}); !errors.Is(err, ErrNothingUseful) {
+	rs := roundTrip(t, protocol.SummarySketch, receiver)
+	if _, err := rs.Plan(sender.Keys()); !errors.Is(err, ErrNothingUseful) {
 		t.Fatalf("sketch: err = %v, want ErrNothingUseful", err)
 	}
 }
 
 func TestSummaryErrors(t *testing.T) {
-	set := keyset.FromKeys([]uint64{1, 2, 3})
-	if _, err := BuildSummary(protocol.SummaryNone, set, Config{}); err == nil {
+	if _, err := BuildSummary(protocol.SummaryNone, []uint64{1, 2, 3}); err == nil {
 		t.Error("built a 'none' summary")
 	}
 	if _, err := ParseSummary(protocol.SummaryBloom, []byte{1, 2}); err == nil {

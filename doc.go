@@ -119,29 +119,37 @@
 // # Receive-path model (fold → peel)
 //
 // The receive side mirrors the send side's cost discipline. peer.Fetch
-// runs one decoder — the plain single-core fountain.Decoder — behind a
-// two-stage pipeline:
+// runs one decoder — the plain single-core fountain.Decoder — behind two
+// steps with one hop between the wire and the working set:
 //
-//   - Fold. The orchestrator's decode loop takes arrivals off the
-//     sessions' channel in batches and folds them into the working set
-//     (recode.Decoder) under the orchestrator lock. For a regular symbol
-//     that is a map insert; only recoded symbols XOR here. The working
-//     set is what reconciliation summaries, the scheduler's Progress and
-//     a co-located live Server read, so its freshness is the paper's
-//     trade: a summary built from a stale set makes senders spend
-//     transmissions on symbols the receiver already holds.
-//   - Peel. Every encoded symbol the fold made newly known is queued for
-//     the peel stage: one goroutine that owns the fountain.Decoder
-//     outright (no shards, no mailboxes, no lock around the XOR work) and
-//     decodes strictly in arrival order.
+//   - Fold. The session that read a SYMBOL or RECODED frame off its
+//     channel folds it into the working set (recode.Decoder) itself, on
+//     its own goroutine, under the orchestrator lock. For a regular
+//     symbol that is a map insert and one payload copy; only recoded
+//     symbols XOR here. The one queue an arrival waits in is its
+//     channel's. The working set is what reconciliation summaries, the
+//     scheduler's Progress and a co-located live Server read, so its
+//     freshness is the paper's trade: a summary built from a stale set
+//     makes senders spend transmissions on symbols the receiver already
+//     holds. Folding per arrival also makes the fold the one place an
+//     arrival is classified — useful or not, against the working set as
+//     it stands — and makes progress exact the moment a batch retires.
+//   - Peel. One goroutine owns the fountain.Decoder outright (no shards,
+//     no mailboxes, no lock around the XOR work) and follows the working
+//     set's log with a cursor, decoding strictly in arrival order. It
+//     holds no symbols of its own: its backlog is the distance between
+//     its cursor and the log's end.
 //
-// The invariant between them: the fold never waits behind XOR work. The
-// queue is unbounded (it holds pointers into the working set, so it
-// cannot outgrow it) until the working set reaches n symbols; from there
-// completion is possible, and the loop settles the stage after every
-// batch so the transfer ends at the batch that completes it. The stage
-// stops decoding at the completing symbol, so FetchResult.DecodeOverhead
-// is exactly a bare Decoder's on the same id sequence.
+// The invariant between them: the fold never waits behind XOR work — it
+// only tells the stage how far the log reaches — until the working set
+// holds n symbols; from there completion is possible, and every fold
+// that grows the log waits for the cursor to catch up, so the transfer
+// ends at the symbol that completes it and the session reads nothing
+// more off the wire (sessions folding at that moment can each put one
+// more symbol into the log, none into the decoder). The stage stops
+// decoding at the completing symbol, so FetchResult.DecodeOverhead is
+// exactly a bare Decoder's on the same id sequence, and it ends the
+// fetch itself.
 //
 // The decoder's own bookkeeping is arena-backed: buffered symbols are
 // values in one slice, their unresolved-block lists runs of another,
@@ -169,30 +177,30 @@
 //     queue, or the recovered block. Fully reduced symbols surrender
 //     theirs to the spare list at once; recovered blocks keep theirs
 //     (they ARE the output of Blocks).
-//   - Working-set payloads: the fold hands a useful regular symbol's
-//     pool buffer to recode.Decoder.AddKnown, and from then on nobody
-//     writes it. The peel stage and a live Server's snapshot read it
-//     outside the orchestrator lock on the strength of that alone.
-//   - protocol.FrameReader: its frame payload is a borrowed view, valid
-//     only until the next frame; never Release or retain it. Copy out
-//     via DecodeSymbolInto into a buffer you own (peer.Fetch keeps a
-//     pool; the borrower that consumes the symbol either hands the
-//     buffer onward — recode.Decoder.AddKnown keeps payloads — or
-//     returns it to the pool, never both).
+//   - Working-set payloads: the fold copies a new regular symbol's
+//     payload into a buffer allocated for it and hands that to
+//     recode.Decoder.AddKnown, and from then on nobody writes it. The
+//     peel stage and a live Server's view read it outside the
+//     orchestrator lock on the strength of that alone.
+//   - protocol.FrameReader and peermux.Channel: a frame payload is a
+//     borrowed view, valid only until the next frame; never Release or
+//     retain it. Parse it in place (SymbolView/RecodedView) and copy out
+//     only what you keep. peer.Fetch keeps no receive pool: a session
+//     folds the view, the fold copies what the working set keeps and
+//     nothing of a duplicate, and there is nothing to give back.
 //
-// With frame reads through FrameReader, parses through
-// SymbolView/RecodedView and payload copies through pooled buffers, the
-// receive loop performs 0 allocs per frame in its steady states — the
-// recoded path (buffers always return to the pool) and the saturated
+// With frame reads through FrameReader (or a channel's pooled queue) and
+// parses through SymbolView/RecodedView, the receive loop performs 0
+// allocs per frame in its steady states — the recoded path (what
+// recode.Decoder.Add buffers comes from its spare list) and the saturated
 // tail of a transfer (duplicates and fully-reduced symbols) — as
 // BenchmarkReceivePathAllocs and the peer/fountain AllocsPerRun tests
-// enforce. A *useful* regular symbol is the exception by design: its
-// buffer is ownership-transferred into the working set (AddKnown keeps
-// it as the stored payload), so that path costs one buffer per symbol
-// the receiver keeps forever — an allocation the content itself
-// requires, not pipeline overhead. peer.BenchmarkFetchFabricPipe is the
-// whole path as one row (MB/s and allocs/symbol of a fabric fetch over
-// an in-process pipe).
+// enforce. A *new* regular symbol is the exception by design: its
+// payload becomes a working-set entry, so that path costs one buffer
+// per symbol the receiver keeps forever — an allocation the content
+// itself requires, not pipeline overhead. peer.BenchmarkFetchFabricPipe
+// is the whole path as one row (MB/s and allocs/symbol of a fabric fetch
+// over an in-process pipe).
 //
 // # Control plane (sessions, orchestration, negotiation)
 //
@@ -251,17 +259,18 @@
 // is never dialed. A swarm bootstrapped from a single seed address
 // (`icdnode collab -seed`) self-assembles the full mesh this way.
 //
-// Buffer ownership across the session/orchestrator boundary. Sessions
-// borrow payload and id-list buffers from the orchestrator's pools and
-// transfer ownership by delivering each parsed symbol on the symbol
-// channel. The receive side is a two-stage pipeline, fold → peel: the
-// decode loop (the single consumer) folds a whole batch into the working
-// set under one lock pass, hands useful regular payloads to
-// recode.Decoder.AddKnown (they become the stored working set and,
-// eventually, FetchResult.Held) and returns everything else to the
-// pools; the stretch of the log the batch appended then goes to the peel
-// stage, one goroutine that owns the fountain.Decoder outright and
-// copies each payload on ingest, so the fold never waits behind XOR work
+// Buffer ownership across the session/orchestrator boundary. There is
+// nothing to own: a session hands each SYMBOL or RECODED frame to
+// Orchestrator.fold as a view into its channel's queue buffer, which
+// dies at the session's next read. The fold, under the orchestrator
+// lock, copies a new regular payload into the buffer the working set
+// keeps (it becomes a log entry and, eventually, part of
+// FetchResult.Held), lets recode.Decoder.Add copy what it buffers of a
+// recoded symbol, and copies nothing of a duplicate; it charges the
+// session's stats and tells the session what the arrival gained and
+// whether the fetch is still on. The peel stage, one goroutine that owns
+// the fountain.Decoder outright and copies each payload on ingest,
+// follows the log with a cursor, so the fold never waits behind XOR work
 // until completion is possible.
 //
 // The working set is an append-only log. recode.Decoder keeps what it
@@ -386,9 +395,12 @@
 // Channel lifecycle and versions: a Fabric refcounts wires per address
 // — the first Open dials and shakes hands, later Opens share the wire,
 // the last Close tears it down. The library speaks exactly one wire
-// version: a frame with any other version byte is protocol.ErrVersion
-// (which is also what makes a corrupted version byte detectable — it
-// sits outside the CRC), the server answers it with a clean ERROR, and
+// version: an intact frame with any other version byte is
+// protocol.ErrVersion (the byte sits under the CRC and is checked after
+// it, so a corrupted one is protocol.ErrCorrupt — charged and redialled
+// like any corruption; a frame checksummed the way versions up to 5 did,
+// without the version byte, reads as ErrVersion under a lower version
+// byte), the server answers it with a clean ERROR, and
 // the dialing session ends terminally on that first dial, uncharged.
 //
 // Credits as the scheduler's currency: on a latency-bound wire a

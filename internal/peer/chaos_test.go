@@ -110,6 +110,7 @@ func runChaosSwarm(t *testing.T, cfg chaosSwarmConfig) chaosSwarmResult {
 	outs := make([]outcome, cfg.Nodes)
 	var liveMu sync.Mutex
 	var liveSrvs []*ServerMux
+	swarmDone := false // guarded by liveMu: the close pass below has run
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Nodes; i++ {
 		addr := fmt.Sprintf("N%d", i+1)
@@ -140,7 +141,7 @@ func runChaosSwarm(t *testing.T, cfg chaosSwarmConfig) chaosSwarmResult {
 			MaxReconnects:       30, // churned conns redial; terminal/banned peers short-circuit
 			ReconnectBackoff:    2 * time.Millisecond,
 			MaxReconnectBackoff: 100 * time.Millisecond,
-			StallTimeout:        10 * time.Second, // watchdog armed, generous for empty starts
+			StallTimeout:        time.Second, // watchdog armed, generous for empty starts at this size
 			AdvertiseAddr:       addr,
 			Gossip:              gossip,
 			Penalties:           penalties,
@@ -172,6 +173,13 @@ func runChaosSwarm(t *testing.T, cfg chaosSwarmConfig) chaosSwarmResult {
 				return
 			}
 			liveMu.Lock()
+			if swarmDone {
+				// The fetches all ended before this server came up: nobody
+				// is left to close it.
+				liveMu.Unlock()
+				ln.Close()
+				return
+			}
 			liveSrvs = append(liveSrvs, mux)
 			liveMu.Unlock()
 			mux.Serve(ln)
@@ -179,6 +187,7 @@ func runChaosSwarm(t *testing.T, cfg chaosSwarmConfig) chaosSwarmResult {
 	}
 	wg.Wait()
 	liveMu.Lock()
+	swarmDone = true
 	for _, srv := range liveSrvs {
 		srv.Close()
 	}
@@ -219,25 +228,48 @@ func TestChaosSwarmCleanBaseline(t *testing.T) {
 	}
 }
 
+// TestChaosSwarmHostileConvergesAndBans runs a table of seeds, not one:
+// which faults land where is the seed's, and a single seed shows one
+// draw (a byte flipped in a frame's version byte used to end a session
+// for good, on four seeds of forty, none of them the one pinned here).
+// Every seed must converge. The ban is asserted over the table: a swarm
+// that converges within milliseconds may never meet the hostile peer the
+// three times a ban takes.
 func TestChaosSwarmHostileConvergesAndBans(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	// Large enough that every node meets the hostile peer often enough to
-	// cross the ban threshold before the transfer completes (a
-	// 4-node/120-block swarm converges too fast to accumulate three
-	// corrupt connections per node).
-	res := runChaosSwarm(t, chaosSwarmConfig{
-		Nodes: 5, N: 150, BlockSize: 64, Seed: 13,
-		Faults:  faultnet.Faults{KillProb: 0.2, KillAfter: 8 << 10, CorruptProb: 0.05},
-		Hostile: true,
+	var mu sync.Mutex
+	var total chaosSwarmResult
+	// The group returns when its parallel seeds have: a seed that sits out
+	// a stall window (a corrupted length field parks a wire's reader until
+	// the watchdog gives the attempt up) overlaps the others.
+	t.Run("seeds", func(t *testing.T) {
+		for seed := uint64(1); seed <= 16; seed++ {
+			t.Run(fmt.Sprint(seed), func(t *testing.T) {
+				t.Parallel()
+				// Large enough that most nodes meet the hostile peer often
+				// enough to cross the ban threshold before the transfer
+				// completes (a 4-node/120-block swarm converges too fast to
+				// accumulate three corrupt connections per node).
+				res := runChaosSwarm(t, chaosSwarmConfig{
+					Nodes: 5, N: 150, BlockSize: 64, Seed: seed,
+					Faults:  faultnet.Faults{KillProb: 0.2, KillAfter: 8 << 10, CorruptProb: 0.05},
+					Hostile: true,
+				})
+				if !res.Converged {
+					t.Errorf("hostile swarm did not converge: %+v", res)
+				}
+				mu.Lock()
+				total.BannedPeers += res.BannedPeers
+				total.CorruptFrames += res.CorruptFrames
+				mu.Unlock()
+			})
+		}
 	})
-	if !res.Converged {
-		t.Fatalf("hostile swarm did not converge: %+v", res)
-	}
-	if res.BannedPeers == 0 {
-		t.Fatalf("hostile peer never banned: %+v", res)
+	if total.BannedPeers == 0 {
+		t.Fatalf("hostile peer never banned: %+v", total)
 	}
 	// Containment leaves a trail: the corrupt frames that earned the ban.
-	if res.CorruptFrames == 0 {
-		t.Fatalf("hostile run banned peers without corrupt frames?! %+v", res)
+	if total.CorruptFrames == 0 {
+		t.Fatalf("hostile runs banned peers without corrupt frames?! %+v", total)
 	}
 }

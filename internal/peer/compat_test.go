@@ -31,7 +31,9 @@ import (
 func checkGoroutines(t *testing.T) func() { return testutil.CheckGoroutines(t) }
 
 // frameWithVersion replicates the wire framing with an arbitrary
-// version byte — the only way to speak as a foreign-version peer.
+// version byte — the only way to speak as a foreign-version peer. The
+// checksum covers what that version's did: from the version byte on
+// since 6, from the type byte on before.
 func frameWithVersion(version uint8, t protocol.Type, payload []byte) []byte {
 	buf := make([]byte, 0, 8+len(payload)+4)
 	buf = append(buf, 0xD0, 0x1C, version, byte(t))
@@ -39,7 +41,11 @@ func frameWithVersion(version uint8, t protocol.Type, payload []byte) []byte {
 	binary.LittleEndian.PutUint32(lenb[:], uint32(len(payload)))
 	buf = append(buf, lenb[:]...)
 	buf = append(buf, payload...)
-	crc := crc32.ChecksumIEEE(buf[3:])
+	covered := buf[2:]
+	if version < 6 {
+		covered = buf[3:]
+	}
+	crc := crc32.ChecksumIEEE(covered)
 	var crcb [4]byte
 	binary.LittleEndian.PutUint32(crcb[:], crc)
 	return append(buf, crcb[:]...)
@@ -66,9 +72,10 @@ func readFrameAnyVersion(t *testing.T, r io.Reader) (uint8, protocol.Type, []byt
 }
 
 // foreignVersions are the version bytes the matrix speaks as: the last
-// pre-gossip version, the v4 a two-version reader used to accept, and
-// one from the future.
-var foreignVersions = []uint8{3, 4, protocol.Version + 1}
+// pre-gossip version, the v4 a two-version reader used to accept, the
+// previous one (5, the last whose checksum left the version byte out),
+// and one from the future.
+var foreignVersions = []uint8{3, 4, protocol.Version - 1, protocol.Version + 1}
 
 func TestCrossVersionClientGetsCleanError(t *testing.T) {
 	for _, v := range foreignVersions {

@@ -24,7 +24,12 @@
 // channel), symbols from all sessions feed one decoder, so flows are
 // additive (§2.3), connections may drop and resume statelessly, and
 // partially downloaded state can be carried into a later Fetch — the
-// §2.3 "fully stateless connection migrations".
+// §2.3 "fully stateless connection migrations". There is one hop from
+// the wire to the working set: each session folds the frames it reads
+// into the shared log itself (Orchestrator.fold, as views of its
+// channel's buffers — the channel's queue is the only one, and there is
+// no receive pool), and the peel stage, the one goroutine that owns the
+// fountain decoder, follows that log with a cursor.
 //
 // # Session lifecycle
 //
@@ -114,7 +119,7 @@
 //
 // Everything above ends work the same way, through three nested
 // contexts. The fetch has one, which the context given to Run, the
-// completed decode and a decode error all cancel (Orchestrator.finish).
+// completed decode and a rejected symbol all cancel (Orchestrator.finish).
 // Each session's is a child of it, cancelled on its own by eviction and
 // DropPeer. Each connection attempt's is a child of the session's,
 // cancelled on its own by the stall watchdog. Every blocking step takes

@@ -2,15 +2,13 @@ package peer
 
 // fetch.go is the thin public entry of the receive side: FetchOptions /
 // FetchResult / PeerStats plus the Fetch and FetchContext wrappers over
-// the Orchestrator (orchestrator.go), and the pooled receive-path
-// plumbing shared by every session (session.go). The one-shot Fetch of
-// earlier versions survives as a convenience: it builds an Orchestrator
-// over the given addresses and runs it to completion.
+// the Orchestrator (orchestrator.go). The one-shot Fetch of earlier
+// versions survives as a convenience: it builds an Orchestrator over the
+// given addresses and runs it to completion.
 
 import (
 	"context"
 	"net"
-	"sync"
 	"time"
 
 	"icd/internal/obs"
@@ -20,7 +18,8 @@ import (
 
 // FetchOptions tune a download.
 type FetchOptions struct {
-	// Batch is the symbols-per-request granularity (default 64).
+	// Batch is the symbols-per-request granularity (default 64) and
+	// nothing else: each arrival is folded on its own as it is read.
 	Batch int
 	// Timeout bounds each network operation — a dial, the open of a
 	// session's channel, one exchange on it (default 30s).
@@ -241,103 +240,4 @@ func Fetch(addrs []string, contentID uint64, opts FetchOptions) (*FetchResult, e
 func FetchContext(ctx context.Context, addrs []string, contentID uint64, opts FetchOptions) (*FetchResult, error) {
 	o := NewOrchestrator(contentID, opts)
 	return o.Run(ctx, addrs...)
-}
-
-// incoming is one symbol crossing from a session's receive loop to the
-// orchestrator's decode loop. Its data (and, for recoded symbols, ids)
-// buffers are borrowed from the fetch-wide freelists; whoever consumes
-// the symbol either hands the buffer on (rdec.AddKnown keeps regular
-// payloads) or returns it via the pools.
-type incoming struct {
-	stats   *PeerStats
-	recoded bool
-	id      uint64   // regular symbols
-	ids     []uint64 // recoded constituent list (pool-owned)
-	data    []byte   // payload (pool-owned)
-}
-
-// fetchPools recycles the receive path's payload and id-list buffers so
-// the steady-state frame→symbol→decoder pipeline allocates nothing.
-// Ownership rule: exactly one party holds a borrowed buffer — the
-// receive loop between borrow and deliver, the channel while queued,
-// then the decode loop, which must either transfer it (AddKnown) or put
-// it back. Buffers are never shared after release.
-type fetchPools struct {
-	mu   sync.Mutex
-	bufs [][]byte
-	ids  [][]uint64
-}
-
-func (p *fetchPools) getBuf() []byte {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.bufs); n > 0 {
-		b := p.bufs[n-1]
-		p.bufs = p.bufs[:n-1]
-		return b
-	}
-	return nil // DecodeSymbolInto/append grow nil slices as needed
-}
-
-func (p *fetchPools) putBuf(b []byte) {
-	if b == nil {
-		return
-	}
-	p.mu.Lock()
-	p.bufs = append(p.bufs, b[:0])
-	p.mu.Unlock()
-}
-
-func (p *fetchPools) getIDs() []uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.ids); n > 0 {
-		s := p.ids[n-1]
-		p.ids = p.ids[:n-1]
-		return s
-	}
-	return nil
-}
-
-func (p *fetchPools) putIDs(s []uint64) {
-	if s == nil {
-		return
-	}
-	p.mu.Lock()
-	p.ids = append(p.ids, s[:0])
-	p.mu.Unlock()
-}
-
-// release returns all of an incoming's borrowed buffers.
-func (p *fetchPools) release(in incoming) {
-	p.putBuf(in.data)
-	p.putIDs(in.ids)
-}
-
-// symbolFromFrame converts a SYMBOL frame into an incoming, copying the
-// payload out of the channel queue's buffer into a pool buffer (the frame
-// view dies at the next read; the pool buffer travels to the decode
-// loop). This borrow-copy-deliver step is the per-frame receive hot path
-// and is allocation-free once the pools are warm.
-func symbolFromFrame(f protocol.Frame, pools *fetchPools, stats *PeerStats) (incoming, error) {
-	buf := pools.getBuf()
-	sym, err := protocol.DecodeSymbolInto(f, buf)
-	if err != nil {
-		pools.putBuf(buf) // keep the borrow/release invariant on malformed frames
-		return incoming{}, err
-	}
-	return incoming{stats: stats, id: sym.ID, data: sym.Data}, nil
-}
-
-// recodedFromFrame is symbolFromFrame for RECODED frames: ids and
-// payload both land in pool buffers.
-func recodedFromFrame(f protocol.Frame, pools *fetchPools, stats *PeerStats) (incoming, error) {
-	idBuf := pools.getIDs()
-	ids, view, err := protocol.RecodedView(f, idBuf)
-	if err != nil {
-		pools.putIDs(idBuf) // keep the borrow/release invariant on malformed frames
-		return incoming{}, err
-	}
-	data := append(pools.getBuf()[:0], view...)
-	return incoming{stats: stats, recoded: true, ids: ids, data: data}, nil
 }

@@ -20,10 +20,11 @@ import (
 // harness bundles deterministic swarm material: seeded content, its
 // metadata, and a pipe network nodes and servers register into.
 type harness struct {
-	t    *testing.T
-	pn   *pipeNet
-	info ContentInfo
-	data []byte
+	t     *testing.T
+	pn    *pipeNet
+	info  ContentInfo
+	data  []byte
+	fulls uint64 // full senders added so far
 }
 
 func newHarness(t *testing.T, nBlocks, blockSize int) *harness {
@@ -35,13 +36,20 @@ func newHarness(t *testing.T, nBlocks, blockSize int) *harness {
 // addFull registers a full sender at addr, optionally throttled: every
 // read on its connections sleeps delay first, so transfers last long
 // enough for control-plane machinery (gossip, eviction, refresh) to
-// engage deterministically.
+// engage deterministically. Every NewFullServer numbers its sessions'
+// stream seeds from 1, so two fresh mirrors of one content send the same
+// first stream; the harness starts each one it adds at a numbering of its
+// own, as mirrors with a history behind them would be. (Twin streams are
+// a defect of their own, ROADMAP 8(i): a receiver that loses the twin in
+// the lead re-reads that lead from the other as useless batches.)
 func (h *harness) addFull(addr string, delay time.Duration) string {
 	h.t.Helper()
 	srv, err := NewFullServer(h.info, h.data)
 	if err != nil {
 		h.t.Fatal(err)
 	}
+	srv.streamSeed.Store(h.fulls << 32)
+	h.fulls++
 	h.pn.add(addr, front(srv))
 	if delay > 0 {
 		h.pn.wrapAll(addr, func(c net.Conn) net.Conn { return &slowConn{Conn: c, delay: delay} })

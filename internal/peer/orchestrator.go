@@ -11,30 +11,32 @@ package peer
 // a decode error or the caller's cancel ends them all through one
 // cancel, and eviction ends one through its own.
 //
-// The receive side is a two-stage pipeline, fold → peel. The decode loop
-// folds arrivals into the working set under o.mu (map updates, no XOR
-// for regular symbols) and queues every newly known encoded symbol for
-// the peel stage (peel.go), one goroutine that owns the fountain.Decoder
-// exclusively while the loop runs. The working set is what summaries,
-// Progress and a co-located live Server read, so it must track arrivals:
-// the fold never waits behind the peel stage's XOR work until the
-// working set holds n symbols and completion becomes possible. All of
-// them read it the same way — an O(1) prefix of the decoder's
-// append-only log (WorkingSet), taken under o.mu and read outside it —
-// and its length, which Progress mirrors in an atomic, is its version.
+// The receive side is fold → peel, and there is one hop from the wire to
+// the working set: the session that read a SYMBOL or RECODED frame off
+// its channel calls fold, which puts the arrival into the working set
+// under o.mu (map updates and one payload copy, no XOR for regular
+// symbols), charges the session and stores Progress — so every arrival is
+// classified as useful or not at the fold, against the working set as it
+// stands, and progress is exact the moment a batch retires. The peel
+// stage (peel.go), one goroutine that owns the fountain.Decoder, follows
+// the log with a cursor. The working set is what summaries, Progress and
+// a co-located live Server read, so it must track arrivals: the fold
+// never waits behind the peel stage's XOR work until the working set
+// holds n symbols and completion becomes possible. All of them read it
+// the same way — an O(1) prefix of the decoder's append-only log
+// (WorkingSet), taken under o.mu and read outside it — and its length,
+// which Progress mirrors in an atomic, is its version.
 //
-// Buffer ownership across the session/orchestrator boundary: a session
-// borrows payload (and recoded id-list) buffers from the orchestrator's
-// fetchPools, fills them from its frame reader, and transfers ownership
-// by delivering the incoming on symbolCh. From then on the decode loop
-// owns the buffers: useful regular payloads are handed to the working
-// set (rdec.AddKnown keeps them, and they finally surface in
-// FetchResult.Held), everything else is returned to the pools. A session
-// that fails to deliver (engine already finished) releases its own
-// borrow. A payload the working set has taken is never written again:
-// the peel stage reads it outside o.mu (as a live Server's recoders do),
-// and the fountain decoder copies it on AddSymbol, so the working set
-// retains ownership of every payload it stores.
+// Buffer ownership: the frame a session folds is a view into its
+// channel's queue buffer, valid until the session reads the next one.
+// The fold copies out of it what the working set keeps — a new regular
+// symbol's payload, into a buffer allocated for it (the one allocation
+// the content requires; it finally surfaces in FetchResult.Held), or
+// whatever recode.Decoder.Add buffers of a recoded one — and nothing of a
+// duplicate. There is no receive pool and nothing to release. A payload
+// the working set holds is never written again: the peel stage reads it
+// outside o.mu (as a live Server's recoders do), and the fountain decoder
+// copies it on AddSymbol.
 
 import (
 	"context"
@@ -60,8 +62,6 @@ type Orchestrator struct {
 	contentID uint64
 	opts      FetchOptions
 
-	pools    *fetchPools
-	symbolCh chan incoming
 	// ctx is the fetch's one lifetime: every session's context is its
 	// child, and finish — completion, a decode error, or the end of the
 	// context Run was given — cancels it, which is what unwinds them.
@@ -69,6 +69,8 @@ type Orchestrator struct {
 	finish context.CancelFunc
 
 	infoReady chan struct{} // closed when the first handshake fixes ContentInfo
+	idle      chan struct{} // closed when the last session exited: nothing folds any more
+	peel      *peelStage    // decodes the working set's log; runs while Run does
 
 	// gossip is the node-wide peer directory (nil when FetchOptions.
 	// DisableGossip): sessions and a co-located live Server feed
@@ -93,13 +95,12 @@ type Orchestrator struct {
 
 	mu            sync.Mutex
 	rdec          *recode.Decoder
-	fdec          *fountain.Decoder // owned by the peel stage while decodeLoop runs
 	info          ContentInfo
 	maxPeers      int                 // live session cap (0 = unlimited); opts.MaxPeers is the start value, SetMaxPeers rebudgets
 	sessions      map[string]*session // live sessions by address
 	stats         []*PeerStats        // every session ever started, result order
 	active        int                 // session goroutines still running (plus holds)
-	feedersClosed bool                // symbolCh closed: no new sessions
+	feedersClosed bool                // idle closed: no new sessions
 	running       bool                // Run in progress (one Run per Orchestrator)
 	attempted     map[string]bool     // addresses ever given a session (no gossip re-dials)
 	candidates    []gossipCandidate   // discovered addresses awaiting a free slot
@@ -116,10 +117,6 @@ type Orchestrator struct {
 	// channels open at it; SetChannelWindow moves it and resizes every
 	// live channel — the credit-denominated scheduler's bandwidth knob.
 	chanWin atomic.Int64
-	scratch struct { // decode-loop batch scratch, reused every iteration
-		ins  []incoming
-		syms []fountain.Symbol
-	}
 }
 
 // NewOrchestrator prepares the engine for one piece of content. Sessions
@@ -129,9 +126,8 @@ func NewOrchestrator(contentID uint64, opts FetchOptions) *Orchestrator {
 	o := &Orchestrator{
 		contentID: contentID,
 		opts:      opts,
-		pools:     &fetchPools{},
-		symbolCh:  make(chan incoming, 4*opts.Batch),
 		infoReady: make(chan struct{}),
+		idle:      make(chan struct{}),
 		rdec:      recode.NewDecoder(true),
 		maxPeers:  opts.MaxPeers,
 		sessions:  make(map[string]*session),
@@ -140,6 +136,7 @@ func NewOrchestrator(contentID uint64, opts FetchOptions) *Orchestrator {
 	}
 	// Sessions may start (AddPeer) before Run brings the caller's context.
 	o.ctx, o.finish = context.WithCancel(context.Background())
+	o.peel = newPeelStage(o.WorkingSet, o.finish)
 	o.chanWin.Store(int64(opts.ChannelWindow))
 	o.obs = opts.Obs
 	o.met = newFetchMetrics(opts.Obs)
@@ -170,6 +167,8 @@ func NewOrchestrator(contentID uint64, opts FetchOptions) *Orchestrator {
 		o.rdec.AddKnown(id, append([]byte(nil), opts.Initial[id]...))
 	}
 	o.progress.Store(int64(o.rdec.KnownCount()))
+	// The resumed working set is the stage's first input.
+	o.peel.announce(o.rdec.KnownCount(), false)
 	return o
 }
 
@@ -186,7 +185,7 @@ type gossipCandidate struct {
 
 // hold keeps the feeder barrier open while no session is running yet
 // (Run's initial AddPeer burst would otherwise race the first session's
-// exit closing symbolCh).
+// exit closing idle).
 func (o *Orchestrator) hold() {
 	o.mu.Lock()
 	o.active++
@@ -198,8 +197,8 @@ func (o *Orchestrator) unhold() { o.sessionExited(nil) }
 
 // sessionExited retires a session goroutine (or a hold, when s is nil).
 // A freed slot promotes the best-ranked discovery candidate, if any;
-// otherwise the last one out closes symbolCh, which lets the decode
-// loop conclude an incomplete transfer ("peers exhausted").
+// otherwise the last one out closes idle, which lets Run conclude the
+// transfer (incomplete: "peers exhausted").
 func (o *Orchestrator) sessionExited(s *session) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -216,14 +215,17 @@ func (o *Orchestrator) sessionExited(s *session) {
 	}
 	if o.active == 0 && !o.feedersClosed {
 		o.feedersClosed = true
-		close(o.symbolCh)
+		close(o.idle)
 	}
 }
 
 // AddPeer connects a new sender mid-transfer (or before Run). When the
 // session cap (FetchOptions.MaxPeers) is reached, the lowest-utility
 // live session is dropped to make room. AddPeer fails once the engine
-// has finished or every session has already exhausted.
+// has finished or every session has already exhausted. A session added
+// before Run folds what it receives into the working set, but nothing is
+// decoded until Run starts the peel stage: such a session reads at most
+// n symbols' worth and then waits for Run.
 func (o *Orchestrator) AddPeer(addr string) error {
 	if o.ctx.Err() != nil {
 		return errors.New("peer: transfer already finished")
@@ -606,8 +608,8 @@ func (o *Orchestrator) WaitInfo(ctx context.Context) (ContentInfo, error) {
 // orchestrator's growing working set while it downloads — the
 // collaborative, both-directions transfers of Figure 1(c). It is the
 // decoder's log view (recode.Decoder.Known), taken under o.mu and read
-// outside it: summaries, the peel stage's first input and the final
-// FetchResult.Held are all built from it, and its length is the number
+// outside it: summaries, what the peel stage's cursor walks and the
+// final FetchResult.Held are all this view, and its length is the number
 // Progress reports.
 func (o *Orchestrator) WorkingSet() (ids []uint64, payloads [][]byte) {
 	o.mu.Lock()
@@ -617,11 +619,11 @@ func (o *Orchestrator) WorkingSet() (ids []uint64, payloads [][]byte) {
 
 // ensureDecoder validates hello metadata against (or initializes) the
 // shared content info and fountain decoder — the first handshake wins,
-// later ones must agree.
+// later ones must agree. The decoder goes straight to the peel stage.
 func (o *Orchestrator) ensureDecoder(ci ContentInfo) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.fdec == nil {
+	if o.info.NumBlocks == 0 { // no handshake yet: validate admits no zero
 		if err := ci.validate(); err != nil {
 			return err
 		}
@@ -633,7 +635,7 @@ func (o *Orchestrator) ensureDecoder(ci ContentInfo) error {
 		if err != nil {
 			return err
 		}
-		o.fdec = fdec
+		o.peel.setDecoder(fdec)
 		o.info = ci
 		close(o.infoReady)
 		return nil
@@ -644,22 +646,50 @@ func (o *Orchestrator) ensureDecoder(ci ContentInfo) error {
 	return nil
 }
 
-func (o *Orchestrator) decoder() *fountain.Decoder {
+// fold puts one arrival into the working set — a regular symbol id, or
+// with ids non-nil a recoded one over them — on the goroutine of the
+// session that read it, and charges it to st, the session's stats. data
+// may be a view that dies with the caller's frame: a new regular payload
+// is copied into the buffer the log keeps, a duplicate is not copied at
+// all, and rdec.Add copies what it buffers. It returns how many encoded
+// symbols the arrival made newly known (a recoded one can cascade to
+// several) and whether the fetch is still on; a fold after it finished
+// counts nothing. Below n symbols the peel stage is only told how far the
+// log reaches. From n on every fold that grew the log settles the stage,
+// so completion is seen at the symbol that brings it and the session
+// reads nothing more off the wire; sessions folding at that moment can
+// each put at most one more symbol into the log, none into the decoder.
+func (o *Orchestrator) fold(st *PeerStats, id uint64, ids []uint64, data []byte) (gained int, on bool) {
 	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.fdec
-}
-
-// deliver hands a session's incoming to the decode loop, transferring
-// buffer ownership. It reports false when the engine already finished
-// (the session should release the buffers and wind down).
-func (o *Orchestrator) deliver(in incoming) bool {
-	select {
-	case o.symbolCh <- in:
-		return true
-	case <-o.ctx.Done():
-		return false
+	if o.ctx.Err() != nil {
+		o.mu.Unlock()
+		return 0, false
 	}
+	before := o.rdec.KnownCount()
+	var err error
+	if ids != nil {
+		_, err = o.rdec.Add(recode.Symbol{IDs: ids, Data: data})
+	} else if !o.rdec.Knows(id) {
+		o.rdec.AddKnown(id, append([]byte(nil), data...))
+	}
+	if err != nil {
+		o.mu.Unlock()
+		o.peel.fail(err) // ends the fetch; Run reports it
+		return 0, false
+	}
+	known := o.rdec.KnownCount()
+	gained = known - before
+	st.SymbolsReceived++
+	st.UsefulSymbols += gained
+	o.progress.Store(int64(known))
+	settle := known >= o.info.NumBlocks
+	o.mu.Unlock()
+	o.met.received.Inc()
+	if gained > 0 {
+		o.met.useful.Add(int64(gained))
+		o.peel.announce(known, settle)
+	}
+	return gained, o.ctx.Err() == nil
 }
 
 // Run connects the given peers and decodes until the content completes,
@@ -714,19 +744,21 @@ func (o *Orchestrator) Run(ctx context.Context, addrs ...string) (*FetchResult, 
 	// The caller's context ends the transfer like completion does.
 	defer context.AfterFunc(ctx, o.finish)()
 
-	decodeErr := o.decodeLoop()
+	// The peel stage ends the fetch on completion or a rejected symbol,
+	// which unwinds the sessions; the last one out closes idle whichever
+	// way the fetch ended. Nothing folds after that, so the log is final:
+	// what the cursor has not reached cannot complete the content (that
+	// takes n symbols, and from n on every growing fold was settled), but
+	// a symbol the decoder rejects must still fail the fetch.
+	go o.peel.run()
+	<-o.idle
 	o.finish()
-	for in := range o.symbolCh {
-		o.pools.release(in) // drain remaining buffered symbols so sessions unblock
-	}
-
-	// All sessions have exited (symbolCh closed by the last one) and the
-	// peel stage stopped with the decode loop: the decoder is ours.
-	fdec := o.decoder()
+	_, decodeErr := o.peel.announce(o.Progress(), true)
+	o.peel.stop() // the decoder is ours
 	if decodeErr != nil {
 		return nil, decodeErr
 	}
-	res, err := o.collectResult(fdec)
+	res, err := o.collectResult(o.peel.dec)
 	if err != nil {
 		return nil, err
 	}
@@ -747,137 +779,6 @@ func (o *Orchestrator) Run(ctx context.Context, addrs ...string) (*FetchResult, 
 		return res, errors.New("peer: download incomplete: peers exhausted")
 	}
 	return res, nil
-}
-
-// decodeLoop is the single consumer of symbolCh and the first half of
-// the fold → peel receive pipeline: it folds each batch of arrivals into
-// the working set and hands the newly known encoded symbols to the peel
-// stage (peel.go), which owns the fountain decoder on a goroutine of its
-// own for as long as the loop runs.
-func (o *Orchestrator) decodeLoop() error {
-	first, ok := <-o.symbolCh
-	if !ok {
-		return nil
-	}
-	// Delivery follows the handshake, so the decoder exists.
-	peel := newPeelStage(o.decoder())
-	go peel.run()
-	defer peel.stop()
-	if err := o.foldLoop(peel, first); err != nil {
-		return err
-	}
-	// Whatever is still queued cannot complete the content (that takes n
-	// symbols, and from n on every push was settled), but a symbol the
-	// decoder rejects must still fail the fetch.
-	_, err := peel.push(nil, true)
-	return err
-}
-
-// foldLoop is decodeLoop from the first arrival on. It does not wait for
-// the XOR work while completion is impossible — the working set holds
-// fewer than n symbols — so the working set (and every summary built
-// from it) tracks arrivals; from n on it settles the stage after every
-// batch, so completion is seen at the batch that brings it and nothing
-// more is pulled off the wire.
-func (o *Orchestrator) foldLoop(peel *peelStage, in incoming) error {
-	n := o.info.NumBlocks // fixed since the handshake
-	// The resumed working set is the stage's first input.
-	peel.push(o.knownSymbols(), false)
-	for {
-		// Opportunistically drain whatever else is already queued, so
-		// the whole batch is folded under one lock pass.
-		batch := append(o.scratch.ins[:0], in)
-	drain:
-		for len(batch) < o.opts.Batch {
-			select {
-			case more, open := <-o.symbolCh:
-				if !open {
-					break drain
-				}
-				batch = append(batch, more)
-			default:
-				break drain
-			}
-		}
-		o.scratch.ins = batch
-		syms, known, err := o.foldBatch(batch)
-		if err != nil {
-			o.finish()
-			return err
-		}
-		complete, err := peel.push(syms, known >= n)
-		if err != nil || complete {
-			o.finish()
-			return err
-		}
-		var ok bool
-		if in, ok = <-o.symbolCh; !ok {
-			return nil
-		}
-	}
-}
-
-// knownSymbols returns the whole working set as decoder input.
-func (o *Orchestrator) knownSymbols() []fountain.Symbol {
-	ids, payloads := o.WorkingSet()
-	syms := make([]fountain.Symbol, len(ids))
-	for i, id := range ids {
-		syms[i] = fountain.Symbol{ID: id, Data: payloads[i]}
-	}
-	return syms
-}
-
-// foldBatch folds a batch into the working set under one lock pass and
-// returns every encoded symbol it made newly known — the stretch of the
-// log the batch appended (valid until the next call) — with the working
-// set's size. The payloads those symbols point at belong to the working
-// set and are never written again, which is what lets the peel stage
-// read them outside o.mu.
-func (o *Orchestrator) foldBatch(batch []incoming) (syms []fountain.Symbol, known int, err error) {
-	o.mu.Lock()
-	start := o.rdec.KnownCount()
-	var batchRecv int64
-	for i, in := range batch {
-		before := o.rdec.KnownCount()
-		if !in.recoded {
-			if o.rdec.Knows(in.id) {
-				o.pools.putBuf(in.data) // duplicate: the buffer comes straight back
-			} else {
-				// AddKnown takes ownership of the pool buffer; it lives
-				// on as the stored payload (and, at the end, in Held).
-				o.rdec.AddKnown(in.id, in.data)
-			}
-		} else {
-			_, addErr := o.rdec.Add(recode.Symbol{IDs: in.ids, Data: in.data})
-			o.pools.release(in) // rdec.Add copies; both buffers come back
-			if addErr != nil {
-				err = addErr
-				for _, rest := range batch[i+1:] {
-					o.pools.release(rest) // unprocessed tail: keep the borrow/release invariant
-				}
-				break
-			}
-		}
-		batchRecv++
-		if in.stats != nil {
-			in.stats.SymbolsReceived++
-			in.stats.UsefulSymbols += o.rdec.KnownCount() - before
-		}
-	}
-	ids, payloads := o.rdec.Known()
-	known = len(ids)
-	o.progress.Store(int64(known))
-	o.mu.Unlock()
-	syms = o.scratch.syms[:0]
-	for i := start; i < known; i++ {
-		syms = append(syms, fountain.Symbol{ID: ids[i], Data: payloads[i]})
-	}
-	o.scratch.syms = syms[:0]
-	// One add per counter per batch: instrumentation stays off the
-	// per-symbol path.
-	o.met.received.Add(batchRecv)
-	o.met.useful.Add(int64(known - start))
-	return syms, known, err
 }
 
 // collectResult assembles the final FetchResult (all sessions have

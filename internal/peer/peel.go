@@ -1,15 +1,17 @@
 package peer
 
-// peel.go is the second half of the receive pipeline. The decode loop
-// (orchestrator.go) does the cheap half — folding arrivals into the
-// working set under o.mu, which is what summaries, progress and the live
-// server read — and queues each newly known encoded symbol here; the
-// peel stage's one goroutine owns the fountain decoder outright and does
-// the XOR work. The queue is unbounded on purpose: the fold must never
-// wait behind XOR work (a stale working set means stale summaries, and
-// senders then spend transmissions on symbols the receiver already
-// holds), and the backlog cannot outgrow the working set, whose payloads
-// the queued symbols merely point at.
+// peel.go is the second half of the receive path. The fold
+// (Orchestrator.fold, on each session's goroutine) does the cheap half —
+// putting an arrival into the working set under o.mu, which is what
+// summaries, progress and the live server read — and announces the log's
+// new length here; the peel stage's one goroutine owns the fountain
+// decoder outright and does the XOR work. The stage is a cursor on the
+// working set's append-only log, like every other reader of it, so it
+// holds no symbols of its own and its backlog is just the distance
+// between its cursor and the log's end. The fold does not wait for it
+// (a stale working set means stale summaries, and senders then spend
+// transmissions on symbols the receiver already holds) until the log
+// holds n symbols and completion becomes possible.
 
 import (
 	"sync"
@@ -17,91 +19,120 @@ import (
 	"icd/internal/fountain"
 )
 
-// peelStage feeds a fountain.Decoder from a FIFO of symbols, on its own
-// goroutine. Symbols are decoded strictly in push order and decoding
+// peelStage feeds a fountain.Decoder from the working set's log, on its
+// own goroutine. Symbols are decoded strictly in log order and decoding
 // stops at the symbol that completes the content, so the decoder's
 // overhead is exactly what the same id sequence costs a bare decoder.
 type peelStage struct {
-	// dec belongs to the run goroutine until exited closes; callers read
-	// it only after stop.
-	dec *fountain.Decoder
+	log func() (ids []uint64, payloads [][]byte) // the log as it stands; called outside mu
+	end func()                                   // called once, when decoding ends itself
 
-	mu       sync.Mutex
-	cond     sync.Cond         // queue filled or stopped (wakes run); queue drained (wakes settling pushers)
-	queue    []fountain.Symbol // pushed, not yet taken by run
-	busy     bool              // run is decoding a batch it took
-	complete bool              // the decoder finished the content
-	err      error             // the decoder rejected a symbol
+	mu   sync.Mutex
+	cond sync.Cond // something to decode, or stopped (wakes run); cursor moved or decoding ended (wakes settlers)
+	// dec is handed over once (setDecoder) and belongs to the run
+	// goroutine until exited closes; callers read it only after stop.
+	dec      *fountain.Decoder
+	next     int   // the cursor: log entries before it have been decoded
+	target   int   // the longest log length announced
+	complete bool  // the decoder finished the content
+	err      error // a symbol was rejected
 	stopped  bool
 	exited   chan struct{}
 }
 
-// ended reports that decoding is over, one way or the other: later pushes
-// are dropped. Callers hold p.mu.
+// ended reports that decoding is over, one way or the other: the cursor
+// moves no further. Callers hold p.mu.
 func (p *peelStage) ended() bool { return p.complete || p.err != nil }
 
-// newPeelStage builds a stage around dec. The caller starts its
-// goroutine (go p.run()) and ends it with stop.
-func newPeelStage(dec *fountain.Decoder) *peelStage {
-	p := &peelStage{dec: dec, exited: make(chan struct{})}
+// newPeelStage builds a stage over the log that log views. It decodes
+// nothing until it has a decoder (setDecoder) and its goroutine runs (go
+// p.run(), ended with stop). end is called once if decoding ends itself:
+// the content completed, or a symbol was rejected.
+func newPeelStage(log func() ([]uint64, [][]byte), end func()) *peelStage {
+	p := &peelStage{log: log, end: end, exited: make(chan struct{})}
 	p.cond.L = &p.mu
 	return p
 }
 
-// push queues syms (copied: the caller may reuse the slice; the payloads
-// they point at must stay immutable) and returns at once, unless settle
-// asks it to wait until everything queued so far has been decoded. It
-// reports whether the content is complete, and the decoder's error if it
-// failed; both are current as of the last settled push. push and stop
-// belong to one goroutine, the stage's feeder.
-func (p *peelStage) push(syms []fountain.Symbol, settle bool) (complete bool, err error) {
+// setDecoder hands the stage its decoder, once.
+func (p *peelStage) setDecoder(dec *fountain.Decoder) {
+	p.mu.Lock()
+	p.dec = dec
+	p.cond.Broadcast()
+	p.mu.Unlock()
+}
+
+// announce tells the stage the log now holds n entries and returns at
+// once, unless settle asks it to wait until the cursor has reached
+// everything announced so far (it does not wait on a stage that cannot
+// decode: no decoder yet, or stopped). It reports whether the content is
+// complete, and the error if a symbol was rejected. Any goroutine may
+// call it, but not under the lock log takes.
+func (p *peelStage) announce(n int, settle bool) (complete bool, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.ended() && len(syms) > 0 {
-		p.queue = append(p.queue, syms...)
+	if n > p.target {
+		p.target = n
 		p.cond.Broadcast()
 	}
-	for settle && !p.ended() && (p.busy || len(p.queue) > 0) {
+	for settle && p.dec != nil && !p.stopped && !p.ended() && p.next < p.target {
 		p.cond.Wait()
 	}
 	return p.complete, p.err
 }
 
-// run is the stage goroutine: take everything queued, decode it outside
-// the lock, repeat.
+// fail ends decoding over a symbol that was rejected before it reached
+// the log.
+func (p *peelStage) fail(err error) {
+	p.mu.Lock()
+	p.endLocked(err)
+	p.mu.Unlock()
+}
+
+// endLocked records how decoding ended (nil: the content completed) and
+// calls the end hook — before it wakes the settlers, so what they do next
+// already sees what the hook did. Callers hold p.mu.
+func (p *peelStage) endLocked(err error) {
+	if p.ended() {
+		return
+	}
+	p.err, p.complete = err, err == nil
+	p.end()
+	p.cond.Broadcast()
+}
+
+// run is the stage goroutine: take the stretch of log between the cursor
+// and the target, decode it outside the lock, repeat.
 func (p *peelStage) run() {
 	defer close(p.exited)
-	var work []fountain.Symbol
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
-		for len(p.queue) == 0 && !p.stopped {
+		for !p.stopped && !p.ended() && (p.dec == nil || p.next >= p.target) {
 			p.cond.Wait()
 		}
-		if p.stopped {
+		if p.stopped || p.ended() {
 			return
 		}
-		work, p.queue = p.queue, work[:0]
-		p.busy = true
+		from, to := p.next, p.target
 		p.mu.Unlock()
-		err := p.decode(work)
+		ids, payloads := p.log()
+		err := p.decode(ids[from:to], payloads[from:to])
 		p.mu.Lock()
-		p.busy = false
-		p.err = err
-		p.complete = err == nil && p.dec.Done()
-		p.cond.Broadcast()
-		if p.ended() {
-			p.queue = nil
+		p.next = to
+		if err != nil || p.dec.Done() {
+			p.endLocked(err)
 			return
 		}
+		p.cond.Broadcast()
 	}
 }
 
-// decode feeds work to the decoder in order, stopping at the symbol that
-// completes the content.
-func (p *peelStage) decode(work []fountain.Symbol) error {
-	for _, sym := range work {
-		if _, err := p.dec.AddSymbol(sym); err != nil {
+// decode feeds a stretch of the log to the decoder in order, stopping at
+// the symbol that completes the content.
+func (p *peelStage) decode(ids []uint64, payloads [][]byte) error {
+	for i, id := range ids {
+		if _, err := p.dec.AddSymbol(fountain.Symbol{ID: id, Data: payloads[i]}); err != nil {
 			return err
 		}
 		if p.dec.Done() {
@@ -111,8 +142,8 @@ func (p *peelStage) decode(work []fountain.Symbol) error {
 	return nil
 }
 
-// stop ends the stage goroutine, dropping whatever is still queued, and
-// returns once it has exited: from then on the caller owns dec.
+// stop ends the stage goroutine, wherever its cursor stands, and returns
+// once it has exited: from then on the caller owns dec.
 func (p *peelStage) stop() {
 	p.mu.Lock()
 	p.stopped = true

@@ -1,11 +1,16 @@
 package peer
 
-// peel_test.go covers the fold → peel receive pipeline: the working-set
-// fold never waits behind the peel stage's XOR work, the hand-off costs
-// no decode overhead, and the stage settles and stops on request.
+// peel_test.go covers the fold → peel receive path: sessions fold their
+// own arrivals into the working set and never wait behind the peel
+// stage's XOR work, the stage follows the log with a cursor at no decode
+// overhead, and it settles, ends the fetch and stops when it should.
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -46,64 +51,72 @@ func within(t *testing.T, what string, done <-chan struct{}) {
 	}
 }
 
+// symbolLog is a fixed log for a bare peel stage to follow.
+func symbolLog(syms []fountain.Symbol) func() ([]uint64, [][]byte) {
+	ids := make([]uint64, len(syms))
+	payloads := make([][]byte, len(syms))
+	for i, sym := range syms {
+		ids[i], payloads[i] = sym.ID, sym.Data
+	}
+	return func() ([]uint64, [][]byte) { return ids, payloads }
+}
+
 // TestFoldAdvancesWhilePeelHeld is the staleness invariant as a unit
 // test: with the peel stage held (its goroutine not running, so nothing
-// pushed at it is ever decoded) the fold loop still consumes every
-// arrival and the working set — what refresh summaries are built from —
-// advances by each of them. A loop that decoded inline, or settled the
-// stage per batch, would hang here instead.
+// announced to it is ever decoded) every fold still returns and the
+// working set — what refresh summaries are built from — advances by each
+// arrival. A fold that decoded inline, or settled the stage below n
+// symbols, would hang here instead.
 func TestFoldAdvancesWhilePeelHeld(t *testing.T) {
-	const nBlocks, blockSize, batch = 256, 32, 16
+	const nBlocks, blockSize = 256, 32
 	info, data := testContent(t, nBlocks, blockSize)
-	o := NewOrchestrator(info.ID, FetchOptions{Batch: batch, DisableGossip: true})
+	o := NewOrchestrator(info.ID, FetchOptions{DisableGossip: true})
 	if err := o.ensureDecoder(info); err != nil {
 		t.Fatal(err)
 	}
-	held := newPeelStage(o.decoder()) // never started: the stage is held
 
 	// Fewer than n symbols: completion is impossible, so nothing may wait.
 	syms := encodedSymbols(t, info, data, nBlocks-1, 1)
-	fed := make(chan struct{})
-	go func() {
-		defer close(fed)
-		for _, sym := range syms[1:] {
-			o.symbolCh <- incoming{id: sym.ID, data: sym.Data}
-		}
-		close(o.symbolCh)
-	}()
-	folded := make(chan error, 1)
+	st := &PeerStats{}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		folded <- o.foldLoop(held, incoming{id: syms[0].ID, data: syms[0].Data})
+		for _, sym := range syms {
+			if gained, on := o.fold(st, sym.ID, nil, sym.Data); gained != 1 || !on {
+				t.Errorf("fold of a fresh symbol: gained=%d on=%v", gained, on)
+			}
+		}
 	}()
-	within(t, "the fold loop consuming every arrival past a held peel stage", done)
-	<-fed
-	if err := <-folded; err != nil {
-		t.Fatal(err)
-	}
+	within(t, "every fold returning past a held peel stage", done)
 	if ids, _ := o.WorkingSet(); len(ids) != len(syms) || o.Progress() != len(syms) {
 		t.Fatalf("working set at %d symbols (progress %d) after %d arrivals", len(ids), o.Progress(), len(syms))
 	}
-	if got := held.dec.Received(); got != 0 {
+	if st.SymbolsReceived != len(syms) || st.UsefulSymbols != len(syms) {
+		t.Fatalf("session charged %d received, %d useful, want %d of each", st.SymbolsReceived, st.UsefulSymbols, len(syms))
+	}
+	if got := o.peel.dec.Received(); got != 0 {
 		t.Fatalf("held stage decoded %d symbols", got)
 	}
 
-	// Released, the stage works its backlog off in push order.
-	go held.run()
-	complete, err := held.push(nil, true)
+	// Released, the stage works its backlog off in log order.
+	go o.peel.run()
+	complete, err := o.peel.announce(len(syms), true)
 	if err != nil || complete {
 		t.Fatalf("settle: complete=%v err=%v, want neither on n-1 symbols", complete, err)
 	}
-	held.stop()
-	if got := held.dec.Received(); got != len(syms) {
+	o.peel.stop()
+	if got := o.peel.dec.Received(); got != len(syms) {
 		t.Fatalf("released stage decoded %d of %d symbols", got, len(syms))
+	}
+	if o.ctx.Err() != nil {
+		t.Fatal("the stage ended a fetch it did not complete")
 	}
 }
 
-// TestPeelStageStopsAtCompletion: the stage decodes in push order and
-// not one symbol past the one that completes the content, however much
-// is queued behind it — so the overhead it reports is a bare decoder's.
+// TestPeelStageStopsAtCompletion: the stage decodes in log order and not
+// one symbol past the one that completes the content, however far the
+// log reaches beyond it — so the overhead it reports is a bare decoder's
+// — and it calls its end hook once, however often it is told more.
 func TestPeelStageStopsAtCompletion(t *testing.T) {
 	const nBlocks, blockSize = 128, 32
 	info, data := testContent(t, nBlocks, blockSize)
@@ -123,14 +136,23 @@ func TestPeelStageStopsAtCompletion(t *testing.T) {
 	}
 
 	dec, _ := fountain.NewDecoder(code, blockSize)
-	p := newPeelStage(dec)
-	p.push(syms, false) // all 3n queued before the stage starts
+	ended := 0
+	p := newPeelStage(symbolLog(syms), func() { ended++ })
+	p.setDecoder(dec)
+	p.announce(len(syms), false) // all 3n in the log before the stage starts
 	go p.run()
-	complete, err := p.push(nil, true)
+	complete, err := p.announce(len(syms), true)
 	if err != nil || !complete {
 		t.Fatalf("settle: complete=%v err=%v", complete, err)
 	}
+	p.fail(errors.New("late")) // decoding is over: no second ending
+	if complete, err := p.announce(len(syms), true); err != nil || !complete {
+		t.Fatalf("after the end: complete=%v err=%v, want the completion kept", complete, err)
+	}
 	p.stop()
+	if ended != 1 {
+		t.Fatalf("end hook called %d times, want once", ended)
+	}
 	if dec.Received() != bare.Received() {
 		t.Fatalf("stage decoded %d symbols, the bare decoder needed %d", dec.Received(), bare.Received())
 	}
@@ -141,21 +163,141 @@ func TestPeelStageStopsAtCompletion(t *testing.T) {
 }
 
 // TestPeelStageReportsDecoderError: a symbol the decoder rejects ends the
-// stage, and the error reaches the next push.
+// stage — one call of the end hook — and the error reaches every later
+// announce.
 func TestPeelStageReportsDecoderError(t *testing.T) {
 	code, err := fountain.NewCode(8, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dec, _ := fountain.NewDecoder(code, 32)
-	p := newPeelStage(dec)
+	ended := 0
+	p := newPeelStage(symbolLog([]fountain.Symbol{
+		{ID: 1, Data: make([]byte, 31)}, {ID: 2, Data: make([]byte, 32)},
+	}), func() { ended++ })
+	p.setDecoder(dec)
 	go p.run()
 	defer p.stop()
-	if _, err := p.push([]fountain.Symbol{{ID: 1, Data: make([]byte, 31)}}, true); err == nil {
+	if _, err := p.announce(1, true); err == nil {
 		t.Fatal("a wrong-size symbol must fail the stage")
 	}
-	if complete, err := p.push([]fountain.Symbol{{ID: 2, Data: make([]byte, 32)}}, true); err == nil || complete {
+	if complete, err := p.announce(2, true); err == nil || complete {
 		t.Fatalf("after a failure: complete=%v err=%v, want the first error kept", complete, err)
+	}
+	if ended != 1 {
+		t.Fatalf("end hook called %d times, want once", ended)
+	}
+}
+
+// TestConcurrentFoldsLeaveTheUnion: two sessions' goroutines fold
+// disjoint halves (and re-fold some of their own) at once. The log must
+// end up holding exactly the union, each symbol charged as useful to the
+// one session that brought it.
+func TestConcurrentFoldsLeaveTheUnion(t *testing.T) {
+	const nBlocks, blockSize, total, dups = 256, 32, 200, 20
+	info, data := testContent(t, nBlocks, blockSize)
+	o := NewOrchestrator(info.ID, FetchOptions{DisableGossip: true})
+	if err := o.ensureDecoder(info); err != nil {
+		t.Fatal(err)
+	}
+	go o.peel.run()
+	defer o.peel.stop()
+
+	syms := encodedSymbols(t, info, data, total, 3) // < n: the fetch stays on
+	halves := [2][]fountain.Symbol{syms[:total/2], syms[total/2:]}
+	var stats [2]PeerStats
+	var wg sync.WaitGroup
+	for i := range halves {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, sym := range slices.Concat(halves[i], halves[i][:dups]) {
+				o.fold(&stats[i], sym.ID, nil, sym.Data)
+			}
+		}()
+	}
+	wg.Wait()
+
+	ids, payloads := o.WorkingSet()
+	if len(ids) != total || o.Progress() != total {
+		t.Fatalf("log holds %d symbols (progress %d), want the union of %d", len(ids), o.Progress(), total)
+	}
+	at := make(map[uint64][]byte, total)
+	for i, id := range ids {
+		at[id] = payloads[i]
+	}
+	for _, sym := range syms {
+		if !bytes.Equal(at[sym.ID], sym.Data) {
+			t.Fatalf("symbol %d missing from the log, or its payload differs", sym.ID)
+		}
+	}
+	for i, st := range stats {
+		if st.SymbolsReceived != total/2+dups || st.UsefulSymbols != total/2 {
+			t.Fatalf("session %d charged %d received, %d useful; want %d and %d",
+				i, st.SymbolsReceived, st.UsefulSymbols, total/2+dups, total/2)
+		}
+	}
+	if _, err := o.peel.announce(total, true); err != nil {
+		t.Fatal(err)
+	}
+	if got := o.peel.dec.Received(); got != total {
+		t.Fatalf("stage decoded %d of %d symbols", got, total)
+	}
+}
+
+// TestSessionBeforeRunFoldsThenDecodes: a session added before Run folds
+// into the log with no Run to consume anything — it parks only where
+// completion becomes possible — and Run, once started, decodes what it
+// finds there.
+func TestSessionBeforeRunFoldsThenDecodes(t *testing.T) {
+	h := newHarness(t, 100, 48)
+	full := h.addFull("full", 0)
+	o := NewOrchestrator(h.info.ID, FetchOptions{Batch: 8, Timeout: 5 * time.Second, Dial: h.pn.dial})
+	if err := o.AddPeer(full); err != nil {
+		t.Fatal(err)
+	}
+	h.await("the session folding n symbols with no Run", 5*time.Second, func() bool {
+		return o.Progress() >= h.info.NumBlocks
+	})
+	if got := o.peel.dec.Received(); got != 0 {
+		t.Fatalf("%d symbols decoded before Run", got)
+	}
+	res, err := o.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.verify(res)
+	if len(res.Peers) != 1 || res.Peers[0].UsefulSymbols != res.DistinctSymbols {
+		t.Fatalf("peers %+v, %d distinct symbols", res.Peers, res.DistinctSymbols)
+	}
+}
+
+// TestAllDuplicateSenderDroppedAfterMaxUselessBatches: progress is exact
+// when a batch retires, so a sender whose every symbol the receiver
+// already holds is given up after exactly MaxUselessBatches batches.
+func TestAllDuplicateSenderDroppedAfterMaxUselessBatches(t *testing.T) {
+	const batch, patience = 8, 3
+	h := newHarness(t, 100, 48)
+	held := partialSymbols(t, h.info, h.data, 40, 5)
+	twin := h.addPartial("twin", 40, 5)
+	res, err := Fetch([]string{twin}, h.info.ID, FetchOptions{
+		Batch:             batch,
+		MaxUselessBatches: patience,
+		Initial:           held,
+		SummaryMask:       -1, // uninformed: the sender recodes over what we hold
+		Timeout:           5 * time.Second,
+		Dial:              h.pn.dial,
+		DisableGossip:     true,
+	})
+	if err == nil || res == nil || res.Completed {
+		t.Fatalf("a fetch from a sender with nothing new: res=%+v err=%v", res, err)
+	}
+	st := res.Peers[0]
+	if st.Err != nil || st.UsefulSymbols != 0 || st.SymbolsReceived != patience*batch {
+		t.Fatalf("session %+v: want a clean exit after %d duplicates", st, patience*batch)
+	}
+	if len(res.Held) != len(held) {
+		t.Fatalf("working set moved from %d to %d symbols", len(held), len(res.Held))
 	}
 }
 

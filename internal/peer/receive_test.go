@@ -9,15 +9,18 @@ import (
 )
 
 // TestReceivePathZeroAlloc proves the per-frame receive hot path —
-// FrameReader read, symbol/recoded parse into pool buffers, release —
-// is allocation-free in the steady state. This is exactly the path
-// fetchFromPeer and the Fetch decode loop run per frame once a transfer
-// is warmed up (a redundant symbol's buffers come straight back to the
-// pools; a useful one's travel onward instead of being reallocated).
+// FrameReader read, symbol/recoded view, fold — is allocation-free and
+// copies nothing into the working set for arrivals it already holds:
+// exactly what a session runs per redundant frame. (A new regular symbol
+// costs the one allocation the content requires: the buffer the log
+// keeps.) It also pins the other half of fold's contract: once the fetch
+// finished, a fold counts nothing.
 func TestReceivePathZeroAlloc(t *testing.T) {
 	payload := bytes.Repeat([]byte{0x5C}, 1400)
+	held := make(map[uint64][]byte)
 	var buf bytes.Buffer
 	for i := 0; i < 4; i++ {
+		held[uint64(i)], held[uint64(i+1)] = payload, payload
 		if err := protocol.WriteSymbol(&buf, uint64(i), payload); err != nil {
 			t.Fatal(err)
 		}
@@ -28,7 +31,9 @@ func TestReceivePathZeroAlloc(t *testing.T) {
 	stream := buf.Bytes()
 	r := bytes.NewReader(stream)
 	fr := protocol.NewFrameReader(r)
-	pools := &fetchPools{}
+	o := NewOrchestrator(1, FetchOptions{Initial: held, DisableGossip: true})
+	s := newSession(o, "sender")
+	_, before := o.WorkingSet()
 
 	run := func() {
 		r.Reset(stream)
@@ -40,42 +45,36 @@ func TestReceivePathZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var in incoming
-			switch f.Type {
-			case protocol.TypeSymbol:
-				in, err = symbolFromFrame(f, pools, nil)
-			case protocol.TypeRecoded:
-				in, err = recodedFromFrame(f, pools, nil)
+			if gained, on, err := s.foldFrame(f); err != nil || gained != 0 || !on {
+				t.Fatalf("fold of a held %v: gained=%d on=%v err=%v", f.Type, gained, on, err)
 			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			pools.release(in) // the redundant-symbol disposition
 		}
 	}
-	run() // warm the frame buffer and the pools
+	run() // warm the frame buffer, the id scratch and the recode decoder's spare
 	if avg := testing.AllocsPerRun(100, run); avg != 0 {
 		t.Errorf("receive path allocates %.2f per loop, want 0", avg)
 	}
-}
+	_, after := o.WorkingSet()
+	if len(after) != len(before) {
+		t.Fatalf("log grew from %d to %d symbols on duplicates", len(before), len(after))
+	}
+	for i := range after {
+		if &after[i][0] != &before[i][0] {
+			t.Fatalf("log entry %d was rewritten", i)
+		}
+	}
+	// The warm-up above, AllocsPerRun's own and its 100 measured runs.
+	const folded = 102 * 8
+	if s.stats.UsefulSymbols != 0 || s.stats.SymbolsReceived != folded {
+		t.Fatalf("session charged %d received, %d useful; want %d and 0", s.stats.SymbolsReceived, s.stats.UsefulSymbols, folded)
+	}
 
-// TestFetchPoolsOwnership checks the pools' borrow/release bookkeeping
-// survives mixed regular/recoded traffic (nil-safety included).
-func TestFetchPoolsOwnership(t *testing.T) {
-	p := &fetchPools{}
-	p.putBuf(nil)
-	p.putIDs(nil)
-	if b := p.getBuf(); b != nil {
-		t.Fatalf("nil put must not enqueue: got %v", b)
+	o.finish()
+	received := s.stats.SymbolsReceived
+	if gained, on := o.fold(s.stats, 99, nil, payload); gained != 0 || on {
+		t.Fatalf("fold after the fetch finished: gained=%d on=%v", gained, on)
 	}
-	b := append(p.getBuf()[:0], 1, 2, 3)
-	p.putBuf(b)
-	if got := p.getBuf(); cap(got) != cap(b) {
-		t.Fatal("buffer not recycled")
-	}
-	ids := append(p.getIDs()[:0], 9, 9, 9)
-	p.putIDs(ids)
-	if got := p.getIDs(); cap(got) != cap(ids) {
-		t.Fatal("id list not recycled")
+	if ids, _ := o.WorkingSet(); len(ids) != len(before) || s.stats.SymbolsReceived != received {
+		t.Fatal("a fold after the fetch finished was counted")
 	}
 }

@@ -4,18 +4,21 @@ package peer
 // the fabric wire to the peer (dialing the wire if none is live; the
 // channel negotiation is the content handshake) → summary negotiation →
 // pipelined batched request loop, with reconnect-backoff around the
-// whole lifecycle. A session owns nothing shared: it borrows
-// receive buffers from the orchestrator's pools and transfers them with
-// each delivered symbol, reads global progress through an atomic, and
-// reports per-peer statistics that the orchestrator's utility ranking
-// consumes. Sessions end in exactly one of four ways: the transfer
-// ended (the fetch's context), the peer stopped being useful
-// (MaxUselessBatches), the orchestrator dropped them (eviction/DropPeer
-// cancel the session's context, a child of the fetch's), or the
-// connection failed terminally (after MaxReconnects redials). Each
-// connection attempt runs under a child of the session's context, and
-// every blocking step — the backoff sleep, the dial and the open, a
-// read or a credit wait on the established channel — ends with it.
+// whole lifecycle. A session owns nothing shared, and it is the fold: it
+// hands each SYMBOL or RECODED frame it reads to Orchestrator.fold as a
+// view, on its own goroutine, and learns from the answer what the arrival
+// gained and whether the fetch is still on — so the one queue between the
+// wire and the working set is its channel's. It reads global progress
+// through an atomic, and its per-peer statistics, charged by the fold,
+// are what the orchestrator's utility ranking consumes. Sessions end in
+// exactly one of four ways: the transfer ended (the fetch's context), the
+// peer stopped being useful (MaxUselessBatches), the orchestrator dropped
+// them (eviction/DropPeer cancel the session's context, a child of the
+// fetch's), or the connection failed terminally (after MaxReconnects
+// redials). Each connection attempt runs under a child of the session's
+// context, and every blocking step — the backoff sleep, the dial and the
+// open, a read or a credit wait on the established channel — ends with
+// it.
 
 import (
 	"context"
@@ -52,6 +55,7 @@ type session struct {
 	addr  string
 	stats *PeerStats
 	rng   *prng.Rand // backoff jitter (session goroutine only)
+	ids   []uint64   // RECODED id-list scratch (session goroutine only)
 	// ctx is the session's lifetime, a child of the fetch's: the transfer
 	// ending cancels it from above, eviction and DropPeer call cancel.
 	ctx    context.Context
@@ -386,10 +390,10 @@ func (s *session) watchdog(ctx context.Context, cancel context.CancelCauseFunc) 
 // and the pipelined batched request loop (the wire's demux reader
 // absorbs the symbol stream while requests are being written, so depth
 // > 1 cannot deadlock even a synchronous pipe). Frames arrive through
-// the channel's pooled queue and symbol payloads travel in pool buffers,
-// so the loop allocates nothing per frame except for useful regular
-// symbols, whose buffers live on as the stored working-set payloads (an
-// allocation the content requires).
+// the channel's pooled queue and are folded as views of its buffers, so
+// the loop allocates nothing per frame except for new regular symbols,
+// whose payloads the fold copies into the buffers the working set keeps
+// (an allocation the content requires).
 func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []uint64) error {
 	o := s.o
 	s.setChannel(ch)
@@ -457,11 +461,9 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 
 	// Refresh: every RefreshBatches batches, check whether the working
 	// set grew ≥ RefreshGrowth since the last summary (summarized: how
-	// much of the log that one covered). lastReceived/lastUseful window
-	// the per-batch duplicate rate out of the cumulative session counters.
+	// much of the log that one covered).
 	summarized := len(held)
 	sinceCheck := 0
-	lastReceived, lastUseful := 0, 0
 	canSummarize := o.opts.summaryMask()&hello.SummaryMask != 0
 
 	useless := 0
@@ -537,7 +539,7 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 			}
 			inflight++
 		}
-		got := 0
+		got, useful := 0, 0
 		for {
 			deadline()
 			f, err := ch.Next()
@@ -552,26 +554,16 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 				break
 			}
 			switch f.Type {
-			case protocol.TypeSymbol:
-				in, err := symbolFromFrame(f, o.pools, s.stats)
+			case protocol.TypeSymbol, protocol.TypeRecoded:
+				gained, on, err := s.foldFrame(f)
 				if err != nil {
 					return err
 				}
-				if !o.deliver(in) {
-					o.pools.release(in)
+				if !on {
 					return nil
 				}
 				got++
-			case protocol.TypeRecoded:
-				in, err := recodedFromFrame(f, o.pools, s.stats)
-				if err != nil {
-					return err
-				}
-				if !o.deliver(in) {
-					o.pools.release(in)
-					return nil
-				}
-				got++
+				useful += gained
 			case protocol.TypePeers:
 				ads, err := protocol.DecodePeers(f)
 				if err != nil {
@@ -585,27 +577,17 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 				return fmt.Errorf("peer %s: unexpected %v", s.addr, f.Type)
 			}
 		}
-		// Duplicate rate of the symbols processed since the last batch
-		// boundary. The decode loop is asynchronous, so the window lags
-		// in-flight symbols slightly — fine for control signals that are
-		// clamped and step-bounded anyway. It feeds the pipeline ramp.
+		// Duplicate rate of the batch just retired, exact: every symbol of
+		// it was folded, and classified, before its DONE was read. It feeds
+		// the pipeline ramp.
 		dupRate := 0.0
-		o.mu.Lock()
-		received, useful := s.stats.SymbolsReceived, s.stats.UsefulSymbols
-		o.mu.Unlock()
-		if dr, du := received-lastReceived, useful-lastUseful; dr > 0 {
-			dupRate = float64(dr-du) / float64(dr)
+		if got > 0 {
+			dupRate = float64(got-useful) / float64(got)
 		}
-		lastReceived, lastUseful = received, useful
-		// A batch is useless when it carried nothing, or when the global
-		// decode made no progress while it was in flight (recoded streams
-		// always fill batches, so volume alone is not a signal). Decoding
-		// is asynchronous, though: symbols still queued on the symbol
-		// channel have not had their chance to move the progress counter,
-		// so a lagging decode loop must not read as an unproductive
-		// sender — only count a no-progress batch when the queue is
-		// drained.
-		uselessBatch := got == 0 || (o.progress.Load() == progressBefore && len(o.symbolCh) == 0)
+		// A batch is useless when it carried nothing, or when the working
+		// set did not grow while it was in flight (recoded streams always
+		// fill batches, so volume alone is not a signal).
+		uselessBatch := got == 0 || o.progress.Load() == progressBefore
 		pc.Observe(dupRate, !uselessBatch)
 		if uselessBatch {
 			useless++
@@ -617,6 +599,28 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 			useless = 0
 		}
 	}
+}
+
+// foldFrame folds a SYMBOL or RECODED frame into the working set as a
+// view: nothing of the frame is copied here (a recoded symbol's ids are
+// parsed into the session's scratch), and what the working set keeps of
+// it Orchestrator.fold copies. It returns fold's answer.
+func (s *session) foldFrame(f protocol.Frame) (gained int, on bool, err error) {
+	if f.Type == protocol.TypeSymbol {
+		id, data, err := protocol.SymbolView(f)
+		if err != nil {
+			return 0, false, err
+		}
+		gained, on = s.o.fold(s.stats, id, nil, data)
+		return gained, on, nil
+	}
+	ids, data, err := protocol.RecodedView(f, s.ids)
+	if err != nil {
+		return 0, false, err
+	}
+	s.ids = ids
+	gained, on = s.o.fold(s.stats, 0, ids, data)
+	return gained, on, nil
 }
 
 // sendGossip writes a PEERS frame with every advertisement not yet sent

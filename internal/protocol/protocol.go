@@ -9,11 +9,11 @@
 // Frame layout (little-endian):
 //
 //	magic   uint16  0x1CD0
-//	version uint8   1
+//	version uint8   Version
 //	type    uint8   message type
 //	length  uint32  payload byte count
 //	payload [length]byte
-//	crc32   uint32  IEEE CRC over type|length|payload
+//	crc32   uint32  IEEE CRC over version|type|length|payload
 //
 // The CRC turns random corruption into a detectable error instead of a
 // misparse; the magic catches stream desynchronization early. Payload
@@ -32,8 +32,8 @@ import (
 )
 
 // Version is the one protocol version this library speaks, and the only
-// version byte readFrame accepts: any other value is ErrVersion. What the
-// number has accumulated: Lemire fast-range Bloom probe positions (2),
+// version byte readFrame accepts: any other value on a frame whose
+// checksum holds is ErrVersion. What the number has accumulated: Lemire fast-range Bloom probe positions (2),
 // summary-method negotiation in the HELLO mask and SUMMARY /
 // SUMMARY_REFRESH frames (3), gossip peer discovery via the HELLO's
 // advertised listen address and PEERS frames (4), and the multiplexed
@@ -42,22 +42,28 @@ import (
 // envelope carrying any content frame tagged with a channel id, so one
 // wire serves N content subchannels. The fabric is the only session
 // transport: every connection starts with MUX_HELLO, and a content
-// HELLO travels only inside OPEN/ACCEPT_CHANNEL. The version byte sits
-// outside the CRC, so accepting exactly one value is also what makes
-// every corruption of it detectable.
-const Version = 5
+// HELLO travels only inside OPEN/ACCEPT_CHANNEL. Since 6 the version
+// byte sits under the CRC and is checked after it, so a corrupted version
+// byte reads as corruption (ErrCorrupt: charged and redialled), never as
+// a peer that speaks something else (ErrVersion: terminal, uncharged).
+// Peers up to 5 checksummed type|length|payload only; readFrame tries
+// that coverage on a mismatch under a lower version byte, so their frames
+// still read as ErrVersion and not as corruption. Such a peer, reading a
+// version-6 frame, checks the version byte first and reports the mismatch
+// itself.
+const Version = 6
 
-// ErrVersion marks a frame whose version byte differs from Version. A
-// session layer that sees it should fail the handshake cleanly (report
+// ErrVersion marks an intact frame whose version byte differs from
+// Version. A session layer that sees it should fail the handshake cleanly (report
 // the mismatch, optionally answer with an ERROR frame, and drop the
 // connection) rather than treat the stream as corrupt.
 var ErrVersion = errors.New("protocol: peer speaks a different version")
 
-// ErrCorrupt marks a frame that failed framing validation — wrong magic
-// or a CRC mismatch. The stream is corrupt or desynchronized and the
-// connection must be dropped; session layers additionally use it to
-// tell a misbehaving (or fault-injected) peer apart from a clean close
-// when charging misbehavior penalties.
+// ErrCorrupt marks a frame that failed framing validation — wrong magic,
+// a length past MaxPayload or a CRC mismatch. The stream is corrupt or
+// desynchronized and the connection must be dropped; session layers
+// additionally use it to tell a misbehaving (or fault-injected) peer
+// apart from a clean close when charging misbehavior penalties.
 var ErrCorrupt = errors.New("protocol: corrupt frame")
 
 const magic = 0x1CD0
@@ -187,7 +193,7 @@ func appendFrame(buf []byte, t Type, p1, p2 []byte) []byte {
 		byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
 	buf = append(buf, p1...)
 	buf = append(buf, p2...)
-	crc := crc32.ChecksumIEEE(buf[len(buf)-n-5:])
+	crc := crc32.ChecksumIEEE(buf[len(buf)-n-6:])
 	return append(buf, byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24))
 }
 
@@ -223,12 +229,9 @@ func readFrame(r io.Reader, hdr, scratch []byte) (Frame, []byte, error) {
 	if binary.LittleEndian.Uint16(hdr[0:]) != magic {
 		return Frame{}, scratch, fmt.Errorf("%w: bad magic (stream desynchronized?)", ErrCorrupt)
 	}
-	if hdr[2] != Version {
-		return Frame{}, scratch, fmt.Errorf("%w: got %d, speaking %d", ErrVersion, hdr[2], Version)
-	}
 	length := binary.LittleEndian.Uint32(hdr[4:])
 	if length > MaxPayload {
-		return Frame{}, scratch, fmt.Errorf("protocol: payload %d exceeds limit", length)
+		return Frame{}, scratch, fmt.Errorf("%w: payload %d exceeds limit", ErrCorrupt, length)
 	}
 	need := int(length) + 4
 	var body []byte
@@ -243,11 +246,22 @@ func readFrame(r io.Reader, hdr, scratch []byte) (Frame, []byte, error) {
 	}
 	payload := body[:length]
 	wantCRC := binary.LittleEndian.Uint32(body[length:])
-	// CRC over type|length|payload, computed incrementally — no scratch
-	// concatenation buffer.
-	crc := crc32.Update(crc32.ChecksumIEEE(hdr[3:]), crc32.IEEETable, payload)
+	// CRC over version|type|length|payload, computed incrementally — no
+	// scratch concatenation buffer.
+	crc := crc32.Update(crc32.ChecksumIEEE(hdr[2:]), crc32.IEEETable, payload)
 	if crc != wantCRC {
+		// Up to version 5 the checksum started after the version byte. A
+		// frame that holds under that coverage and names an older version
+		// is what such a peer wrote, not line noise.
+		if hdr[2] < Version && crc32.Update(crc32.ChecksumIEEE(hdr[3:]), crc32.IEEETable, payload) == wantCRC {
+			return Frame{}, scratch, fmt.Errorf("%w: got %d, speaking %d", ErrVersion, hdr[2], Version)
+		}
 		return Frame{}, scratch, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	// Only now: a version byte the checksum vouches for is what the peer
+	// wrote, so another value is another version, not a flipped bit.
+	if hdr[2] != Version {
+		return Frame{}, scratch, fmt.Errorf("%w: got %d, speaking %d", ErrVersion, hdr[2], Version)
 	}
 	return Frame{Type: Type(hdr[3]), Payload: payload}, scratch, nil
 }

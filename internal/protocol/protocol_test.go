@@ -2,8 +2,10 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"strings"
@@ -67,11 +69,15 @@ func TestTruncationDetected(t *testing.T) {
 	}
 }
 
+// TestVersionMismatch: a frame written at another version — its checksum
+// covers the version byte it carries — is ErrVersion.
 func TestVersionMismatch(t *testing.T) {
 	var buf bytes.Buffer
 	WriteFrame(&buf, Frame{Type: TypeDone})
 	raw := buf.Bytes()
 	raw[2] = 99
+	body := len(raw) - 4
+	binary.LittleEndian.PutUint32(raw[body:], crc32.ChecksumIEEE(raw[2:body]))
 	_, err := ReadFrame(bytes.NewReader(raw))
 	if err == nil {
 		t.Fatal("future version accepted")
@@ -83,12 +89,39 @@ func TestVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestVersionByteFlipDetected pins the hole the two-version reader had:
-// the version byte sits outside the CRC, so it is protected only by
-// readFrame accepting exactly one value. Every one of the 255 wrong
-// values of byte 2 — the 8 single-bit flips by name, 5→4 (the old
-// legacy version) among them — must come back as ErrVersion from both
-// readers, never as a valid frame.
+// TestOlderVersionLayoutIsVersionMismatch: up to version 5 the checksum
+// covered type|length|payload and left the version byte out. A frame as
+// such a peer writes it must read as ErrVersion, the clean terminal
+// verdict — as corruption it would be charged and redialled to a ban —
+// while the same frame with a byte of its payload flipped is corrupt.
+func TestOlderVersionLayoutIsVersionMismatch(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteSymbol(&buf, 42, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	body := len(raw) - 4
+	for v := byte(1); v < Version; v++ {
+		old := append([]byte(nil), raw...)
+		old[2] = v
+		binary.LittleEndian.PutUint32(old[body:], crc32.ChecksumIEEE(old[3:body]))
+		if _, err := ReadFrame(bytes.NewReader(old)); !errors.Is(err, ErrVersion) {
+			t.Fatalf("version-%d frame: err = %v, want ErrVersion", v, err)
+		}
+		old[body-1] ^= 0x5A
+		if _, err := ReadFrame(bytes.NewReader(old)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("corrupted version-%d frame: err = %v, want ErrCorrupt", v, err)
+		}
+	}
+}
+
+// TestVersionByteFlipDetected: the version byte sits under the CRC and is
+// checked after it, so a flip in it is corruption — which a session
+// charges and redials — and never reads as a healthy peer speaking
+// another version, which a session gives up on for good. Every one of
+// the 255 wrong values of byte 2 on an otherwise valid frame — the 8
+// single-bit flips by name — must come back as ErrCorrupt from both
+// readers.
 func TestVersionByteFlipDetected(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteSymbol(&buf, 42, []byte("payload")); err != nil {
@@ -102,11 +135,11 @@ func TestVersionByteFlipDetected(t *testing.T) {
 		t.Helper()
 		mut := append([]byte(nil), raw...)
 		mut[2] = v
-		if _, err := ReadFrame(bytes.NewReader(mut)); !errors.Is(err, ErrVersion) {
-			t.Fatalf("ReadFrame with version byte %d: err = %v, want ErrVersion", v, err)
+		if _, err := ReadFrame(bytes.NewReader(mut)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("ReadFrame with version byte %d: err = %v, want ErrCorrupt", v, err)
 		}
-		if _, err := NewFrameReader(bytes.NewReader(mut)).Next(); !errors.Is(err, ErrVersion) {
-			t.Fatalf("FrameReader with version byte %d: err = %v, want ErrVersion", v, err)
+		if _, err := NewFrameReader(bytes.NewReader(mut)).Next(); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("FrameReader with version byte %d: err = %v, want ErrCorrupt", v, err)
 		}
 	}
 	for bit := 0; bit < 8; bit++ {
@@ -126,8 +159,8 @@ func TestOversizePayloadRejected(t *testing.T) {
 	// A forged header claiming a huge length must be rejected before
 	// allocation.
 	hdr := []byte{0xD0, 0x1C, Version, byte(TypeBloom), 0xFF, 0xFF, 0xFF, 0xFF}
-	if _, err := ReadFrame(bytes.NewReader(hdr)); err == nil {
-		t.Fatal("forged length accepted")
+	if _, err := ReadFrame(bytes.NewReader(hdr)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("forged length: err = %v, want ErrCorrupt", err)
 	}
 }
 

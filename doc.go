@@ -21,6 +21,8 @@
 //     substitution-rule peeling decoder) plus the recoding layer that
 //     lets peers holding only partial content act as useful, additive
 //     senders, with informed degree selection driven by sketch estimates.
+//     (Recoding is the simulator's and the toolbox's: the network engine's
+//     partial senders send what they hold, once — see "Collaboration".)
 //
 //   - Delivery machinery (§6): the five transfer strategies the paper
 //     evaluates (Random, Random/BF, Recode, Recode/BF, Recode/MW), a
@@ -59,7 +61,10 @@
 // fountain codec and recoding). The two share the codec and the
 // summaries, not code paths: a change to the engine cannot move a paper
 // figure, and the figures are kept as regression oracles for the shared
-// toolbox.
+// toolbox. Of internal/strategy the engine uses three entry points —
+// BuildSummary, ParseSummary and the membership plan
+// (ReceivedSummary.Plan: which of these ids is the receiver missing) —
+// and nothing else; of internal/recode, nothing.
 //
 // The §5.1 exact polynomial-reconciliation baseline (setrecon over the gf
 // field) and the §4 random-sample and mod-k estimators (sampling) that
@@ -108,7 +113,7 @@
 //     per-instance scratch for neighbor expansion and sampling;
 //     BenchmarkEncoderNextAllocs and BenchmarkRecoderNextAllocs assert
 //     0 allocs/op. Frame writes go through a sync.Pool of serialization
-//     buffers (protocol.WriteSymbol/WriteRecoded), one Write per frame.
+//     buffers (protocol.WriteSymbol), one Write per frame.
 //
 //   - Summary probes avoid division. Bloom probes use the
 //     Kirsch–Mitzenmacher pair with Lemire multiply-shift range
@@ -122,18 +127,23 @@
 // runs one decoder — the plain single-core fountain.Decoder — behind two
 // steps with one hop between the wire and the working set:
 //
-//   - Fold. The session that read a SYMBOL or RECODED frame off its
-//     channel folds it into the working set (recode.Decoder) itself, on
-//     its own goroutine, under the orchestrator lock. For a regular
-//     symbol that is a map insert and one payload copy; only recoded
-//     symbols XOR here. The one queue an arrival waits in is its
+//   - Fold. The session that read a SYMBOL frame off its channel folds
+//     it into the working set (an append-only log with an id index)
+//     itself, on its own goroutine, under the orchestrator lock: an index
+//     lookup and, for a new id, one payload copy. Nothing XORs here —
+//     SYMBOL is the only symbol-bearing frame, so an arrival is a new id
+//     or a duplicate. The one queue an arrival waits in is its
 //     channel's. The working set is what reconciliation summaries, the
 //     scheduler's Progress and a co-located live Server read, so its
 //     freshness is the paper's trade: a summary built from a stale set
 //     makes senders spend transmissions on symbols the receiver already
 //     holds. Folding per arrival also makes the fold the one place an
-//     arrival is classified — useful or not, against the working set as
-//     it stands — and makes progress exact the moment a batch retires.
+//     arrival is classified — useful or a duplicate, against the working
+//     set as it stands, and a duplicate by cause: the id was in the log
+//     the session's last summary covered (peer.duplicates{cause=
+//     before_summary}) or another sender brought it since
+//     (cause=since_summary) — and makes progress exact the moment a batch
+//     retires.
 //   - Peel. One goroutine owns the fountain.Decoder outright (no shards,
 //     no mailboxes, no lock around the XOR work) and follows the working
 //     set's log with a cursor, decoding strictly in arrival order. It
@@ -169,33 +179,31 @@
 //
 //   - Encoder/Recoder payloads: the caller that received a Symbol from
 //     Next/EncodeID owns its buffers and gives them back with Release
-//     exactly once, after its last use (send loops release right after
-//     the frame write). AddSymbol always copies, so feeding a decoder
-//     never transfers ownership.
+//     exactly once, after its last use (a full sender's send loop
+//     releases right after the frame write). AddSymbol always copies, so
+//     feeding a decoder never transfers ownership.
 //   - Decoder buffers: internal, carved from the decoder's slabs.
 //     Exactly one holder per buffer — the buffered symbol, the peel
 //     queue, or the recovered block. Fully reduced symbols surrender
 //     theirs to the spare list at once; recovered blocks keep theirs
 //     (they ARE the output of Blocks).
-//   - Working-set payloads: the fold copies a new regular symbol's
-//     payload into a buffer allocated for it and hands that to
-//     recode.Decoder.AddKnown, and from then on nobody writes it. The
-//     peel stage and a live Server's view read it outside the
-//     orchestrator lock on the strength of that alone.
+//   - Working-set payloads: the fold copies a new symbol's payload into
+//     a buffer allocated for it and appends that to the log, and from
+//     then on nobody writes it. The peel stage reads it, and a live
+//     Server's sessions frame it onto their wires, outside the
+//     orchestrator lock on the strength of that alone: a partial sender
+//     owns no symbol buffers of its own.
 //   - protocol.FrameReader and peermux.Channel: a frame payload is a
 //     borrowed view, valid only until the next frame; never Release or
-//     retain it. Parse it in place (SymbolView/RecodedView) and copy out
+//     retain it. Parse it in place (SymbolView) and copy out
 //     only what you keep. peer.Fetch keeps no receive pool: a session
 //     folds the view, the fold copies what the working set keeps and
 //     nothing of a duplicate, and there is nothing to give back.
 //
 // With frame reads through FrameReader (or a channel's pooled queue) and
-// parses through SymbolView/RecodedView, the receive loop performs 0
-// allocs per frame in its steady states — the recoded path (what
-// recode.Decoder.Add buffers comes from its spare list) and the saturated
-// tail of a transfer (duplicates and fully-reduced symbols) — as
-// BenchmarkReceivePathAllocs and the peer/fountain AllocsPerRun tests
-// enforce. A *new* regular symbol is the exception by design: its
+// parses through SymbolView, the receive loop performs 0 allocs per
+// duplicate frame, as BenchmarkReceivePathAllocs and the peer/fountain
+// AllocsPerRun tests enforce. A *new* symbol is the exception by design: its
 // payload becomes a working-set entry, so that path costs one buffer
 // per symbol the receiver keeps forever — an allocation the content
 // itself requires, not pipeline overhead. peer.BenchmarkFetchFabricPipe
@@ -225,14 +233,17 @@
 // protocol.ChooseSummaryMethod over the mask intersection — Bloom
 // filter for small receiver sets, ART when both sets are large and
 // similar (the difference is small and worth *searching* for), min-wise
-// sketch when sets are large and dissimilar (constant-size, steers
-// recoded degrees via the containment estimate). The sender derives its
-// transmit plan from whatever arrives (strategy.ParseSummary +
-// Plan): a membership summary restricts the recoding domain, a sketch
-// switches the informed stream to MinwiseScaled degrees. Sessions send
-// SUMMARY_REFRESH frames as the shared set grows
-// (RefreshBatches/RefreshGrowth), so senders stop retransmitting what
-// other sessions already delivered.
+// sketch when sets are large and dissimilar (constant-size, where a
+// filter would cost megabytes). The sender asks whatever arrives which of
+// its symbols the receiver is missing (strategy.ParseSummary + Plan): a
+// membership summary names them, a sketch names nothing and prunes
+// nothing — all it can say is that the receiver's set contains the
+// sender's entirely. Sessions send SUMMARY_REFRESH frames as the shared
+// set grows (RefreshBatches/RefreshGrowth), so senders stop sending what
+// other sessions already delivered; a session that has sent a summary
+// keeps its method for its refreshes (re-choosing as the working set
+// crossed SmallSummaryMax used to trade a Bloom filter for a sketch at
+// the tail of a fetch), and only one that has sent none yet chooses.
 //
 // One refresh policy. Every RefreshBatches request batches a session
 // checks whether the shared working set grew by RefreshGrowth since the
@@ -260,39 +271,55 @@
 // (`icdnode collab -seed`) self-assembles the full mesh this way.
 //
 // Buffer ownership across the session/orchestrator boundary. There is
-// nothing to own: a session hands each SYMBOL or RECODED frame to
+// nothing to own: a session hands each SYMBOL frame to
 // Orchestrator.fold as a view into its channel's queue buffer, which
 // dies at the session's next read. The fold, under the orchestrator
-// lock, copies a new regular payload into the buffer the working set
-// keeps (it becomes a log entry and, eventually, part of
-// FetchResult.Held), lets recode.Decoder.Add copy what it buffers of a
-// recoded symbol, and copies nothing of a duplicate; it charges the
-// session's stats and tells the session what the arrival gained and
-// whether the fetch is still on. The peel stage, one goroutine that owns
+// lock, copies a new payload into the buffer the working set keeps (it
+// becomes a log entry and, eventually, part of FetchResult.Held) and
+// copies nothing of a duplicate; it charges the session's stats and
+// tells the session whether the symbol was new and whether the fetch is
+// still on. The peel stage, one goroutine that owns
 // the fountain.Decoder outright and copies each payload on ingest,
 // follows the log with a cursor, so the fold never waits behind XOR work
 // until completion is possible.
 //
-// The working set is an append-only log. recode.Decoder keeps what it
-// knows as ids in arrival order with payloads index-aligned beside
-// them, never rewrites an entry, and hands out a prefix of that log
-// (Decoder.Known) in O(1); a prefix taken under the orchestrator's lock
+// The working set is an append-only log (internal/peer's symbolLog):
+// ids in arrival order with payloads index-aligned beside them and an
+// index from id to position. It never rewrites an entry and hands out a
+// prefix of itself in O(1); a prefix taken under the orchestrator's lock
 // stays valid outside it however far the log grows. Everything that
 // reads the working set reads such a view — summary building, the peel
 // stage's input, FetchResult.Held and a serving Server — and the log's
 // length is its only version: Progress reports it, the refresh check
-// compares it, and a sender re-plans when it moved.
+// compares it, and a serving session takes in what it gained.
 //
-// Collaboration (Figure 1(c)). A partial sender is one thing, a Server
-// recoding over a WorkingSetSource's log: NewPartialServer lays a fixed
-// log out in id order, NewLiveServer takes one that is still growing —
-// an Orchestrator implements the source — and both run the same serve
-// loop. Per-session recoding domains are re-derived whenever the log
-// has grown since the last REQUEST or a refresh arrives: the receiver's
-// summary is planned against the log's ids (strategy.ReceivedSummary.Plan
-// returns the kept positions in log order) and both of the session's
-// recoders index one shared ids/payloads pair. A node that runs an
-// Orchestrator and a live Server simultaneously both downloads and
+// Collaboration (Figure 1(c)): a partial sender sends what it holds,
+// once. A partial sender is one thing, a Server over a
+// WorkingSetSource's log: NewPartialServer lays a fixed log out in id
+// order, NewLiveServer takes one that is still growing — an Orchestrator
+// implements the source — and both run the same serve loop. A serving
+// session is a cursor on that log: per session a sent-bit per log
+// position and a list of pending positions in send order. On a REQUEST
+// it tests only the ids appended since the last one against the
+// receiver's summary (everything is missing when there is none), queues
+// the survivors behind what is pending in a per-session seeded order —
+// the seed salted with the server's own address, so neither two sessions
+// nor two fresh mirrors walk overlapping logs in step — and writes up to
+// the requested count as plain SYMBOL frames straight from the log's
+// payload buffers, then DONE; a dry cursor answers the DONE alone, the
+// empty batch a receiver counts toward MaxUselessBatches. On a SUMMARY
+// or SUMMARY_REFRESH it re-tests every unsent position against the new
+// summary, which keeps one filter's false positive from being permanent.
+// A position once sent is never sent again on that session: the channel
+// is reliable, and all a refresh has to prune is what other senders
+// delivered. This is §6.1 taken at its word — with a membership summary
+// "a partial sender can find symbols of guaranteed utility ... recoding
+// is not generally necessary" — and it is why nearly every symbol a
+// receiver is sent is useful (peer.TestPartialSwarmUsefulRatio, and the
+// benchmark's useful_ratio on partial_swarm and collab_swarm). The
+// recoding of §5.4.2 lives on in the simulator and the toolbox. A node
+// that runs an Orchestrator and a live Server simultaneously both
+// downloads and
 // uploads the same content (`icdnode collab`), which is the paper's
 // perpendicular-transfer collaboration on the real network:
 // complementary partial peers complete each other while trickling the
@@ -372,7 +399,7 @@
 // frame's CRC, so the per-channel state machines read and write plain
 // content frames (PEERS gossip among them).
 //
-// Credit model: only symbol-bearing frames spend credits. The receiver
+// Credit model: only SYMBOL frames spend credits. The receiver
 // grants an initial per-channel window, the sender blocks when the
 // window is spent, and credits replenish as the consumer actually
 // drains symbols off the channel queue — so a slow decode throttles
@@ -386,7 +413,8 @@
 // fountain symbols cannot be stale — a session runs at the cap from its
 // first REQUEST; against a partial sender K adapts AIMD-style from 1,
 // growing additively while batches deliver useful symbols and halving
-// when the duplicate-symbol rate crosses DefaultPipelineDupHigh
+// when a batch was useless — empty, from a cursor run dry — or its
+// duplicate-symbol rate crosses DefaultPipelineDupHigh
 // (a window of at most one batch is stop-and-wait). A k=1024
 // fetch over a latency-bound link is four round trips — one of setup,
 // three 512-frame windows (peer.TestWANFetchRoundTrips pins the count;
@@ -399,9 +427,13 @@
 // protocol.ErrVersion (the byte sits under the CRC and is checked after
 // it, so a corrupted one is protocol.ErrCorrupt — charged and redialled
 // like any corruption; a frame checksummed the way versions up to 5 did,
-// without the version byte, reads as ErrVersion under a lower version
+// without the version byte, reads as ErrVersion under such a version
 // byte), the server answers it with a clean ERROR, and
-// the dialing session ends terminally on that first dial, uncharged.
+// the dialing session ends terminally on that first dial, uncharged. The
+// version is 7: it retired the RECODED frame (type 7, now an unexpected
+// frame like any other), so a version-6 partial sender — which would
+// answer a REQUEST with frames this library must refuse mid-session — is
+// turned away at the handshake instead.
 //
 // Credits as the scheduler's currency: on a latency-bound wire a
 // channel's credit window IS its throughput (≈ window per round trip),

@@ -339,7 +339,7 @@ func NewOrchestrator(contentID uint64, opts FetchOptions) *Orchestrator {
 }
 
 // WorkingSetSource is the append-only log of encoded symbols a partial
-// sender recodes over: one method, returning the log's current prefix
+// sender serves: one method, returning the log's current prefix
 // (ids in arrival order, payloads index-aligned), whose length is its
 // version. An Orchestrator implements it.
 type WorkingSetSource = peer.WorkingSetSource

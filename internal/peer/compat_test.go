@@ -72,10 +72,11 @@ func readFrameAnyVersion(t *testing.T, r io.Reader) (uint8, protocol.Type, []byt
 }
 
 // foreignVersions are the version bytes the matrix speaks as: the last
-// pre-gossip version, the v4 a two-version reader used to accept, the
-// previous one (5, the last whose checksum left the version byte out),
-// and one from the future.
-var foreignVersions = []uint8{3, 4, protocol.Version - 1, protocol.Version + 1}
+// pre-gossip version, the v4 a two-version reader used to accept, 5 (the
+// last whose checksum left the version byte out), the previous one (6,
+// whose partial senders answered REQUESTs with RECODED frames), and one
+// from the future.
+var foreignVersions = []uint8{3, 4, 5, protocol.Version - 1, protocol.Version + 1}
 
 func TestCrossVersionClientGetsCleanError(t *testing.T) {
 	for _, v := range foreignVersions {

@@ -10,13 +10,17 @@
 // every channel to the registered Server for its content id. A Server
 // is only the symbol source for one piece of content, either a *full*
 // sender — a digital fountain streaming fresh encoded symbols — or a
-// *partial* sender recoding over a WorkingSetSource: an append-only log
-// of encoded symbols, fixed (NewPartialServer) or still being appended
-// to by a fetch in progress (NewLiveServer over its Orchestrator), read
-// as an O(1) prefix whose length is its version. Either way it serves
-// recoded symbols blended over the subset of that log the receiver's
-// summary reports missing (§5.2 + §5.4.2: reconciled, informed
-// transfers), by one serve loop.
+// *partial* sender over a WorkingSetSource: an append-only log of
+// encoded symbols, fixed (NewPartialServer) or still being appended to
+// by a fetch in progress (NewLiveServer over its Orchestrator), read as
+// an O(1) prefix whose length is its version. Either way a partial
+// sender sends what it holds, once: each serving session is a cursor on
+// the log that sends, as plain SYMBOL frames and each log position at
+// most once, the symbols the receiver's summary reports missing (§5.2,
+// and §6.1's "a partial sender can find symbols of guaranteed utility
+// ... recoding is not generally necessary": reconciled, informed
+// transfers), by one serve loop. Recoding (§5.4.2) is the simulator's
+// and the toolbox's; this package does not import it.
 //
 // A receiver uses Fetch to download from any mix of full and partial
 // senders in parallel; every session is a subchannel on the fabric wire
@@ -52,9 +56,10 @@
 // (Orchestrator.SetChannelWindow) moves the depth with it. Against a
 // full sender — fresh fountain symbols, nothing that can be stale or a
 // duplicate — the session runs at that cap from its first REQUEST;
-// against a partial sender, whose recoded stream ages with the summary
-// it was built against, K adapts AIMD-style from 1: plus one per useful
-// batch, halved when a batch was useless or mostly duplicates. A window
+// against a partial sender, whose cursor was aimed by a summary that
+// ages while other senders deliver, K adapts AIMD-style from 1: plus one
+// per useful batch, halved when a batch was useless (empty, from a
+// cursor run dry, or all duplicates) or mostly duplicates. A window
 // of at most one batch (FetchOptions.ChannelWindow ≤ Batch) is
 // stop-and-wait. A k=1024 fetch from a full sender is four round trips:
 // one of setup and three 512-frame windows.

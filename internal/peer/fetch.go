@@ -66,9 +66,10 @@ type FetchOptions struct {
 	// SummaryMask restricts which summary methods this receiver offers
 	// in its HELLO: 0 selects all (Bloom, min-wise sketch, ART),
 	// positive values are a protocol.SummaryMethod bit mask, and a
-	// negative value disables summaries entirely (the blind-streaming
-	// baseline). The session picks per peer via
-	// protocol.ChooseSummaryMethod.
+	// negative value disables summaries entirely (the uninformed
+	// baseline: a partial sender then sends its whole log, once). The
+	// session picks per peer via protocol.ChooseSummaryMethod, once: the
+	// method of its first summary is the method of its refreshes.
 	SummaryMask int
 	// RefreshBatches is how many request batches pass between checks
 	// for a mid-session summary refresh; a refresh is sent when the
@@ -111,9 +112,10 @@ type FetchOptions struct {
 	// together they are how a node scheduler spends one wire's bandwidth
 	// by marginal utility instead of evenly per channel. The window also
 	// caps each session's request depth at ceil(window/Batch): a full
-	// sender runs at that cap from its first REQUEST, a partial sender
+	// sender runs at that cap from its first REQUEST, a partial sender —
+	// whose cursor can run dry, or meet another sender's deliveries —
 	// adapts AIMD-style from 1 up to it, and a window ≤ Batch is
-	// stop-and-wait.
+	// stop-and-wait. Only SYMBOL frames spend the window.
 	ChannelWindow int
 
 	// Obs is the node-wide observability registry the orchestrator and

@@ -28,6 +28,15 @@ type fetchMetrics struct {
 	gossipAdmit   *obs.Counter // peer.gossip{event=admit}
 	gossipDefer   *obs.Counter // peer.gossip{event=defer}
 	gossipPromote *obs.Counter // peer.gossip{event=promote}
+	// The two ways an arrival can be a duplicate, in symbols; together
+	// they are received − useful. before_summary: the id sat in the stretch
+	// of the log the session's last summary covered (what the fetch held
+	// when the session began, until a refresh), so the sender sent against
+	// a summary older than the arrival, ignored it, or was sent none.
+	// since_summary: another session brought the id after that — a
+	// cross-sender collision no summary could have prevented.
+	dupBefore *obs.Counter // peer.duplicates{cause=before_summary}
+	dupSince  *obs.Counter // peer.duplicates{cause=since_summary}
 	// handshake is one observation per session that came up: channel
 	// open issued → ACCEPT received, the dial and wire handshake included
 	// when the open had to bring the wire up.
@@ -51,6 +60,8 @@ func newFetchMetrics(r *obs.Registry) fetchMetrics {
 		gossipAdmit:   r.Counter("peer.gossip{event=admit}"),
 		gossipDefer:   r.Counter("peer.gossip{event=defer}"),
 		gossipPromote: r.Counter("peer.gossip{event=promote}"),
+		dupBefore:     r.Counter("peer.duplicates{cause=before_summary}"),
+		dupSince:      r.Counter("peer.duplicates{cause=since_summary}"),
 		handshake:     r.Histogram("peer.handshake_seconds", obs.SecondsBuckets),
 	}
 }
@@ -70,6 +81,10 @@ type serveMetrics struct {
 	symbolsSent *obs.Counter // serve.symbols_sent
 	rejected    *obs.Counter // serve.rejected
 	malformed   *obs.Counter // serve.malformed
+	// dryBatches counts the REQUESTs a partial sender's cursor answered
+	// with a bare DONE: nothing unsent that the receiver's summary leaves
+	// missing.
+	dryBatches *obs.Counter // serve.batches{kind=dry}
 }
 
 func newServeMetrics(r *obs.Registry) serveMetrics {
@@ -78,6 +93,7 @@ func newServeMetrics(r *obs.Registry) serveMetrics {
 		symbolsSent: r.Counter("serve.symbols_sent"),
 		rejected:    r.Counter("serve.rejected"),
 		malformed:   r.Counter("serve.malformed"),
+		dryBatches:  r.Counter("serve.batches{kind=dry}"),
 	}
 }
 

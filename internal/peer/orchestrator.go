@@ -1,42 +1,41 @@
 package peer
 
 // orchestrator.go is the control plane of a download: the Orchestrator
-// owns the shared working set (a recode.Decoder), the fountain decoder,
-// and the set of live sessions, and it is the only component that
-// mutates any of them. Sessions (session.go) are added and dropped
-// while the transfer runs — the paper's §2.1 adaptivity: peers join
-// late, die mid-batch, get evicted for contributing nothing, and get
-// re-ranked by measured utility when the peer cap is hit. The fetch has
-// one lifetime, a context: sessions hold children of it, so completion,
-// a decode error or the caller's cancel ends them all through one
-// cancel, and eviction ends one through its own.
+// owns the shared working set (a symbolLog), the fountain decoder, and
+// the set of live sessions, and it is the only component that mutates
+// any of them. Sessions (session.go) are added and dropped while the
+// transfer runs — the paper's §2.1 adaptivity: peers join late, die
+// mid-batch, get evicted for contributing nothing, and get re-ranked by
+// measured utility when the peer cap is hit. The fetch has one lifetime,
+// a context: sessions hold children of it, so completion, a decode error
+// or the caller's cancel ends them all through one cancel, and eviction
+// ends one through its own.
 //
 // The receive side is fold → peel, and there is one hop from the wire to
-// the working set: the session that read a SYMBOL or RECODED frame off
-// its channel calls fold, which puts the arrival into the working set
-// under o.mu (map updates and one payload copy, no XOR for regular
-// symbols), charges the session and stores Progress — so every arrival is
-// classified as useful or not at the fold, against the working set as it
-// stands, and progress is exact the moment a batch retires. The peel
-// stage (peel.go), one goroutine that owns the fountain.Decoder, follows
-// the log with a cursor. The working set is what summaries, Progress and
-// a co-located live Server read, so it must track arrivals: the fold
-// never waits behind the peel stage's XOR work until the working set
-// holds n symbols and completion becomes possible. All of them read it
-// the same way — an O(1) prefix of the decoder's append-only log
-// (WorkingSet), taken under o.mu and read outside it — and its length,
-// which Progress mirrors in an atomic, is its version.
+// the working set: the session that read a SYMBOL frame off its channel
+// calls fold, which puts the arrival into the working set under o.mu (an
+// index lookup and, for a new id, one payload copy — no XOR), charges the
+// session and stores Progress — so every arrival is classified as useful
+// or a duplicate at the fold, against the working set as it stands, and
+// progress is exact the moment a batch retires. The peel stage (peel.go),
+// one goroutine that owns the fountain.Decoder, follows the log with a
+// cursor. The working set is what summaries, Progress and a co-located
+// live Server read, so it must track arrivals: the fold never waits
+// behind the peel stage's XOR work until the working set holds n symbols
+// and completion becomes possible. All of them read it the same way — an
+// O(1) prefix of the append-only log (WorkingSet), taken under o.mu and
+// read outside it — and its length, which Progress mirrors in an atomic,
+// is its version.
 //
 // Buffer ownership: the frame a session folds is a view into its
 // channel's queue buffer, valid until the session reads the next one.
-// The fold copies out of it what the working set keeps — a new regular
-// symbol's payload, into a buffer allocated for it (the one allocation
-// the content requires; it finally surfaces in FetchResult.Held), or
-// whatever recode.Decoder.Add buffers of a recoded one — and nothing of a
-// duplicate. There is no receive pool and nothing to release. A payload
-// the working set holds is never written again: the peel stage reads it
-// outside o.mu (as a live Server's recoders do), and the fountain decoder
-// copies it on AddSymbol.
+// The fold copies a new symbol's payload out of it into a buffer
+// allocated for it (the one allocation the content requires; it finally
+// surfaces in FetchResult.Held), and nothing of a duplicate. There is no
+// receive pool and nothing to release. A payload the working set holds is
+// never written again: the peel stage reads it outside o.mu, a live
+// Server's sessions frame it onto their wires from there, and the
+// fountain decoder copies it on AddSymbol.
 
 import (
 	"context"
@@ -51,7 +50,6 @@ import (
 	"icd/internal/obs"
 	"icd/internal/peermux"
 	"icd/internal/protocol"
-	"icd/internal/recode"
 )
 
 // Orchestrator runs one adaptive download: it owns the shared decoders
@@ -94,7 +92,7 @@ type Orchestrator struct {
 	met fetchMetrics
 
 	mu            sync.Mutex
-	rdec          *recode.Decoder
+	log           symbolLog // the working set
 	info          ContentInfo
 	maxPeers      int                 // live session cap (0 = unlimited); opts.MaxPeers is the start value, SetMaxPeers rebudgets
 	sessions      map[string]*session // live sessions by address
@@ -107,9 +105,9 @@ type Orchestrator struct {
 	candidateSeq  int                 // discovery-order stamp for candidate tie-breaks
 	dialFails     map[string]int      // requeue budget spent per never-reached discovery
 
-	// progress counts distinct encoded symbols decoded so far; sessions
-	// use it to notice that their batches stopped helping (recoded
-	// streams never run dry, so emptiness cannot be the signal).
+	// progress counts the distinct encoded symbols in the working set;
+	// sessions use it to notice that their batches stopped helping (a batch
+	// of duplicates is as useless as an empty one).
 	progress atomic.Int64
 
 	// chanWin is the per-session receive-window target for the sessions'
@@ -128,7 +126,6 @@ func NewOrchestrator(contentID uint64, opts FetchOptions) *Orchestrator {
 		opts:      opts,
 		infoReady: make(chan struct{}),
 		idle:      make(chan struct{}),
-		rdec:      recode.NewDecoder(true),
 		maxPeers:  opts.MaxPeers,
 		sessions:  make(map[string]*session),
 		attempted: make(map[string]bool),
@@ -161,14 +158,14 @@ func NewOrchestrator(contentID uint64, opts FetchOptions) *Orchestrator {
 		// co-located live Server — flows into the admission path.
 		o.gossip.subscribe(func(ad protocol.PeerAd) { o.considerDiscovered(ad) })
 	}
-	// In id order, not map order: the working set keeps arrival order
-	// (KnownIDs), which a live Server's recoders sample by position.
+	// In id order, not map order: the log keeps arrival order, which a live
+	// Server's sessions walk by position.
 	for _, id := range slices.Sorted(maps.Keys(opts.Initial)) {
-		o.rdec.AddKnown(id, append([]byte(nil), opts.Initial[id]...))
+		o.log.add(id, append([]byte(nil), opts.Initial[id]...))
 	}
-	o.progress.Store(int64(o.rdec.KnownCount()))
+	o.progress.Store(int64(len(o.log.ids)))
 	// The resumed working set is the stage's first input.
-	o.peel.announce(o.rdec.KnownCount(), false)
+	o.peel.announce(len(o.log.ids), false)
 	return o
 }
 
@@ -607,14 +604,14 @@ func (o *Orchestrator) WaitInfo(ctx context.Context) (ContentInfo, error) {
 // WorkingSet implements WorkingSetSource: a live Server can serve this
 // orchestrator's growing working set while it downloads — the
 // collaborative, both-directions transfers of Figure 1(c). It is the
-// decoder's log view (recode.Decoder.Known), taken under o.mu and read
-// outside it: summaries, what the peel stage's cursor walks and the
-// final FetchResult.Held are all this view, and its length is the number
+// log's view (symbolLog.WorkingSet), taken under o.mu and read outside
+// it: summaries, what the peel stage's cursor walks and the final
+// FetchResult.Held are all this view, and its length is the number
 // Progress reports.
 func (o *Orchestrator) WorkingSet() (ids []uint64, payloads [][]byte) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.rdec.Known()
+	return o.log.WorkingSet()
 }
 
 // ensureDecoder validates hello metadata against (or initializes) the
@@ -646,50 +643,46 @@ func (o *Orchestrator) ensureDecoder(ci ContentInfo) error {
 	return nil
 }
 
-// fold puts one arrival into the working set — a regular symbol id, or
-// with ids non-nil a recoded one over them — on the goroutine of the
+// fold puts one arrival into the working set, on the goroutine of the
 // session that read it, and charges it to st, the session's stats. data
-// may be a view that dies with the caller's frame: a new regular payload
+// may be a view that dies with the caller's frame: a new symbol's payload
 // is copied into the buffer the log keeps, a duplicate is not copied at
-// all, and rdec.Add copies what it buffers. It returns how many encoded
-// symbols the arrival made newly known (a recoded one can cascade to
-// several) and whether the fetch is still on; a fold after it finished
+// all. summarized is how much of the log the session's last summary
+// covered, which is what tells the two ways an arrival can be a duplicate
+// apart (fetchMetrics.dupBefore, dupSince). It reports whether the symbol
+// was new and whether the fetch is still on; a fold after it finished
 // counts nothing. Below n symbols the peel stage is only told how far the
 // log reaches. From n on every fold that grew the log settles the stage,
 // so completion is seen at the symbol that brings it and the session
 // reads nothing more off the wire; sessions folding at that moment can
 // each put at most one more symbol into the log, none into the decoder.
-func (o *Orchestrator) fold(st *PeerStats, id uint64, ids []uint64, data []byte) (gained int, on bool) {
+func (o *Orchestrator) fold(st *PeerStats, summarized int, id uint64, data []byte) (useful, on bool) {
 	o.mu.Lock()
 	if o.ctx.Err() != nil {
 		o.mu.Unlock()
-		return 0, false
+		return false, false
 	}
-	before := o.rdec.KnownCount()
-	var err error
-	if ids != nil {
-		_, err = o.rdec.Add(recode.Symbol{IDs: ids, Data: data})
-	} else if !o.rdec.Knows(id) {
-		o.rdec.AddKnown(id, append([]byte(nil), data...))
+	pos, held := o.log.position(id)
+	if !held {
+		o.log.add(id, append([]byte(nil), data...))
+		st.UsefulSymbols++
 	}
-	if err != nil {
-		o.mu.Unlock()
-		o.peel.fail(err) // ends the fetch; Run reports it
-		return 0, false
-	}
-	known := o.rdec.KnownCount()
-	gained = known - before
 	st.SymbolsReceived++
-	st.UsefulSymbols += gained
+	known := len(o.log.ids)
 	o.progress.Store(int64(known))
 	settle := known >= o.info.NumBlocks
 	o.mu.Unlock()
 	o.met.received.Inc()
-	if gained > 0 {
-		o.met.useful.Add(int64(gained))
+	switch {
+	case !held:
+		o.met.useful.Inc()
 		o.peel.announce(known, settle)
+	case pos < summarized:
+		o.met.dupBefore.Inc()
+	default:
+		o.met.dupSince.Inc()
 	}
-	return gained, o.ctx.Err() == nil
+	return !held, o.ctx.Err() == nil
 }
 
 // Run connects the given peers and decodes until the content completes,
@@ -786,7 +779,7 @@ func (o *Orchestrator) Run(ctx context.Context, addrs ...string) (*FetchResult, 
 func (o *Orchestrator) collectResult(fdec *fountain.Decoder) (*FetchResult, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	ids, payloads := o.rdec.Known()
+	ids, payloads := o.log.WorkingSet()
 	res := &FetchResult{Info: o.info, Held: make(map[uint64][]byte, len(ids)), DistinctSymbols: len(ids)}
 	for i, id := range ids {
 		res.Held[id] = payloads[i]

@@ -81,21 +81,10 @@ func (p *peelStage) announce(n int, settle bool) (complete bool, err error) {
 	return p.complete, p.err
 }
 
-// fail ends decoding over a symbol that was rejected before it reached
-// the log.
-func (p *peelStage) fail(err error) {
-	p.mu.Lock()
-	p.endLocked(err)
-	p.mu.Unlock()
-}
-
 // endLocked records how decoding ended (nil: the content completed) and
 // calls the end hook — before it wakes the settlers, so what they do next
 // already sees what the hook did. Callers hold p.mu.
 func (p *peelStage) endLocked(err error) {
-	if p.ended() {
-		return
-	}
 	p.err, p.complete = err, err == nil
 	p.end()
 	p.cond.Broadcast()

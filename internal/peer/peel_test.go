@@ -8,7 +8,6 @@ package peer
 import (
 	"bytes"
 	"context"
-	"errors"
 	"slices"
 	"sync"
 	"testing"
@@ -51,14 +50,13 @@ func within(t *testing.T, what string, done <-chan struct{}) {
 	}
 }
 
-// symbolLog is a fixed log for a bare peel stage to follow.
-func symbolLog(syms []fountain.Symbol) func() ([]uint64, [][]byte) {
-	ids := make([]uint64, len(syms))
-	payloads := make([][]byte, len(syms))
-	for i, sym := range syms {
-		ids[i], payloads[i] = sym.ID, sym.Data
+// logOf is a fixed log for a bare peel stage to follow.
+func logOf(syms []fountain.Symbol) func() ([]uint64, [][]byte) {
+	log := new(symbolLog)
+	for _, sym := range syms {
+		log.add(sym.ID, sym.Data)
 	}
-	return func() ([]uint64, [][]byte) { return ids, payloads }
+	return log.WorkingSet
 }
 
 // TestFoldAdvancesWhilePeelHeld is the staleness invariant as a unit
@@ -82,8 +80,8 @@ func TestFoldAdvancesWhilePeelHeld(t *testing.T) {
 	go func() {
 		defer close(done)
 		for _, sym := range syms {
-			if gained, on := o.fold(st, sym.ID, nil, sym.Data); gained != 1 || !on {
-				t.Errorf("fold of a fresh symbol: gained=%d on=%v", gained, on)
+			if useful, on := o.fold(st, 0, sym.ID, sym.Data); !useful || !on {
+				t.Errorf("fold of a fresh symbol: useful=%v on=%v", useful, on)
 			}
 		}
 	}()
@@ -137,7 +135,7 @@ func TestPeelStageStopsAtCompletion(t *testing.T) {
 
 	dec, _ := fountain.NewDecoder(code, blockSize)
 	ended := 0
-	p := newPeelStage(symbolLog(syms), func() { ended++ })
+	p := newPeelStage(logOf(syms), func() { ended++ })
 	p.setDecoder(dec)
 	p.announce(len(syms), false) // all 3n in the log before the stage starts
 	go p.run()
@@ -145,7 +143,6 @@ func TestPeelStageStopsAtCompletion(t *testing.T) {
 	if err != nil || !complete {
 		t.Fatalf("settle: complete=%v err=%v", complete, err)
 	}
-	p.fail(errors.New("late")) // decoding is over: no second ending
 	if complete, err := p.announce(len(syms), true); err != nil || !complete {
 		t.Fatalf("after the end: complete=%v err=%v, want the completion kept", complete, err)
 	}
@@ -172,7 +169,7 @@ func TestPeelStageReportsDecoderError(t *testing.T) {
 	}
 	dec, _ := fountain.NewDecoder(code, 32)
 	ended := 0
-	p := newPeelStage(symbolLog([]fountain.Symbol{
+	p := newPeelStage(logOf([]fountain.Symbol{
 		{ID: 1, Data: make([]byte, 31)}, {ID: 2, Data: make([]byte, 32)},
 	}), func() { ended++ })
 	p.setDecoder(dec)
@@ -212,7 +209,7 @@ func TestConcurrentFoldsLeaveTheUnion(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, sym := range slices.Concat(halves[i], halves[i][:dups]) {
-				o.fold(&stats[i], sym.ID, nil, sym.Data)
+				o.fold(&stats[i], 0, sym.ID, sym.Data)
 			}
 		}()
 	}

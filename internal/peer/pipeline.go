@@ -15,7 +15,8 @@ package peer
 // A full sender streams fresh fountain symbols — nothing it sends can be
 // stale or a duplicate — so there is nothing to probe for and the
 // session runs at the cap from its first REQUEST. A partial sender
-// recodes against a summary that ages while requests are in flight, so
+// sends what a summary left missing, and the summary ages while requests
+// are in flight (other senders deliver meanwhile), so
 // its depth adapts the way AIMD congestion control adapts a window: from
 // 1, grow by one while batches deliver useful symbols, halve when the
 // stream turns useless or the duplicate rate says the summary has gone

@@ -5,26 +5,50 @@ import (
 	"io"
 	"testing"
 
+	"icd/internal/obs"
 	"icd/internal/protocol"
 )
 
+// foldStream folds every SYMBOL frame of stream the way a session does:
+// read, view, fold. It reports how many were new.
+func foldStream(t *testing.T, o *Orchestrator, st *PeerStats, summarized int, fr *protocol.FrameReader) (useful int) {
+	t.Helper()
+	for {
+		f, err := fr.Next()
+		if err == io.EOF {
+			return useful
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, data, err := protocol.SymbolView(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, on := o.fold(st, summarized, id, data)
+		if !on {
+			t.Fatalf("fold of symbol %d: the fetch is not on", id)
+		}
+		if fresh {
+			useful++
+		}
+	}
+}
+
 // TestReceivePathZeroAlloc proves the per-frame receive hot path —
-// FrameReader read, symbol/recoded view, fold — is allocation-free and
-// copies nothing into the working set for arrivals it already holds:
-// exactly what a session runs per redundant frame. (A new regular symbol
-// costs the one allocation the content requires: the buffer the log
-// keeps.) It also pins the other half of fold's contract: once the fetch
-// finished, a fold counts nothing.
+// FrameReader read, symbol view, fold — is allocation-free and copies
+// nothing into the working set for arrivals it already holds: exactly
+// what a session runs per duplicate frame. (A new symbol costs the one
+// allocation the content requires: the buffer the log keeps.) It also
+// pins the other half of fold's contract: once the fetch finished, a fold
+// counts nothing.
 func TestReceivePathZeroAlloc(t *testing.T) {
 	payload := bytes.Repeat([]byte{0x5C}, 1400)
 	held := make(map[uint64][]byte)
 	var buf bytes.Buffer
-	for i := 0; i < 4; i++ {
-		held[uint64(i)], held[uint64(i+1)] = payload, payload
+	for i := 0; i < 8; i++ {
+		held[uint64(i)] = payload
 		if err := protocol.WriteSymbol(&buf, uint64(i), payload); err != nil {
-			t.Fatal(err)
-		}
-		if err := protocol.WriteRecoded(&buf, []uint64{uint64(i), uint64(i + 1)}, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -37,20 +61,11 @@ func TestReceivePathZeroAlloc(t *testing.T) {
 
 	run := func() {
 		r.Reset(stream)
-		for {
-			f, err := fr.Next()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gained, on, err := s.foldFrame(f); err != nil || gained != 0 || !on {
-				t.Fatalf("fold of a held %v: gained=%d on=%v err=%v", f.Type, gained, on, err)
-			}
+		if useful := foldStream(t, o, s.stats, len(held), fr); useful != 0 {
+			t.Fatalf("%d held symbols folded as new", useful)
 		}
 	}
-	run() // warm the frame buffer, the id scratch and the recode decoder's spare
+	run() // warm the frame buffer
 	if avg := testing.AllocsPerRun(100, run); avg != 0 {
 		t.Errorf("receive path allocates %.2f per loop, want 0", avg)
 	}
@@ -71,10 +86,64 @@ func TestReceivePathZeroAlloc(t *testing.T) {
 
 	o.finish()
 	received := s.stats.SymbolsReceived
-	if gained, on := o.fold(s.stats, 99, nil, payload); gained != 0 || on {
-		t.Fatalf("fold after the fetch finished: gained=%d on=%v", gained, on)
+	if useful, on := o.fold(s.stats, len(held), 99, payload); useful || on {
+		t.Fatalf("fold after the fetch finished: useful=%v on=%v", useful, on)
 	}
 	if ids, _ := o.WorkingSet(); len(ids) != len(before) || s.stats.SymbolsReceived != received {
 		t.Fatal("a fold after the fetch finished was counted")
+	}
+}
+
+// TestDuplicateCauses: a duplicate is charged to the one of two causes the
+// session's last summary tells apart. An id sent twice on one session was
+// in the log that session's summary covered by its second arrival — the
+// sender ignored the summary, or sent against an older one: before_summary.
+// An id two senders both deliver reaches the second session after its
+// summary was built, from the other sender: since_summary, the collision
+// no summary could have prevented.
+func TestDuplicateCauses(t *testing.T) {
+	payload := bytes.Repeat([]byte{0x3A}, 64)
+	stream := func(ids ...uint64) *protocol.FrameReader {
+		var buf bytes.Buffer
+		for _, id := range ids {
+			if err := protocol.WriteSymbol(&buf, id, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return protocol.NewFrameReader(&buf)
+	}
+	reg := obs.NewRegistry()
+	o := NewOrchestrator(1, FetchOptions{DisableGossip: true, Obs: reg})
+	a, b := newSession(o, "a"), newSession(o, "b")
+	counts := func() (before, since int64) {
+		return o.met.dupBefore.Value(), o.met.dupSince.Value()
+	}
+
+	// Both sessions summarized an empty working set. a delivers 1..4.
+	if useful := foldStream(t, o, a.stats, 0, stream(1, 2, 3, 4)); useful != 4 {
+		t.Fatalf("a's first batch: %d useful, want 4", useful)
+	}
+	// b overlaps a on 3 and 4: learned from a since b's summary.
+	if useful := foldStream(t, o, b.stats, 0, stream(3, 4, 5)); useful != 1 {
+		t.Fatalf("b's batch: %d useful, want 1", useful)
+	}
+	if before, since := counts(); before != 0 || since != 2 {
+		t.Fatalf("after two senders' overlap: before_summary=%d since_summary=%d, want 0 and 2", before, since)
+	}
+	// a refreshes its summary over all five, and is sent 2 again anyway.
+	ids, _ := o.WorkingSet()
+	if useful := foldStream(t, o, a.stats, len(ids), stream(2, 6)); useful != 1 {
+		t.Fatalf("a's second batch: %d useful, want 1", useful)
+	}
+	if before, since := counts(); before != 1 || since != 2 {
+		t.Fatalf("after a twice-sent id: before_summary=%d since_summary=%d, want 1 and 2", before, since)
+	}
+	if got, want := o.met.received.Value()-o.met.useful.Value(), int64(3); got != want {
+		t.Fatalf("received − useful = %d, want the %d duplicates counted by cause", got, want)
+	}
+	for _, name := range []string{"peer.duplicates{cause=before_summary}", "peer.duplicates{cause=since_summary}"} {
+		if reg.Counter(name).Value() == 0 {
+			t.Fatalf("%s is not registered under that name", name)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package peer
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"maps"
 	"net"
@@ -15,7 +16,6 @@ import (
 	"icd/internal/peermux"
 	"icd/internal/prng"
 	"icd/internal/protocol"
-	"icd/internal/recode"
 	"icd/internal/strategy"
 )
 
@@ -63,7 +63,7 @@ type ServerStats struct {
 }
 
 // WorkingSetSource is the encoded-symbol working set a partial sender
-// recodes over: an append-only log — an Orchestrator's mid-download, so a
+// serves: an append-only log — an Orchestrator's mid-download, so a
 // collaborating node serves symbols as it learns them (Figure 1(c)), or a
 // fixed one (NewPartialServer).
 type WorkingSetSource interface {
@@ -75,17 +75,10 @@ type WorkingSetSource interface {
 	WorkingSet() (ids []uint64, payloads [][]byte)
 }
 
-// fixedLog is the working set of a static partial sender.
-type fixedLog struct {
-	ids      []uint64
-	payloads [][]byte
-}
-
-func (l *fixedLog) WorkingSet() ([]uint64, [][]byte) { return l.ids, l.payloads }
-
 // Server is the symbol source for one content item: a full sender
-// (fountain encoder over the content) or a partial sender (recoding over
-// a working-set log — fixed, or the growing one of a fetch in progress).
+// (fountain encoder over the content) or a partial sender (which sends
+// the symbols of a working-set log — fixed, or the growing one of a fetch
+// in progress — as they are, each session walking the log with a cursor).
 // It owns no listener — a ServerMux accepts connections, runs the fabric
 // handshake and hands each subchannel whose OPEN names this content to
 // ServeChannel.
@@ -144,15 +137,15 @@ func NewPartialServer(info ContentInfo, symbols map[uint64][]byte) (*Server, err
 	if len(symbols) == 0 {
 		return nil, errors.New("peer: partial server needs at least one symbol")
 	}
-	// Recoders sample the log by position: lay it out in id order, not
-	// map order, so one seed gives one recoded stream.
-	log := &fixedLog{ids: slices.Sorted(maps.Keys(symbols))}
-	for _, id := range log.ids {
+	// Sessions walk the log by position: lay it out in id order, not map
+	// order, so one seed gives one stream.
+	log := new(symbolLog)
+	for _, id := range slices.Sorted(maps.Keys(symbols)) {
 		data := symbols[id]
 		if len(data) != info.BlockSize {
 			return nil, fmt.Errorf("peer: symbol %d has %d bytes, want %d", id, len(data), info.BlockSize)
 		}
-		log.payloads = append(log.payloads, append([]byte(nil), data...))
+		log.add(id, append([]byte(nil), data...))
 	}
 	return NewLiveServer(info, log)
 }
@@ -160,9 +153,9 @@ func NewPartialServer(info ContentInfo, symbols map[uint64][]byte) (*Server, err
 // NewLiveServer builds a partial sender over a working-set log that may
 // still be growing — the serving half of a collaborative node (Figure
 // 1(c)): while the node's Orchestrator downloads, its live Server offers
-// everything learned so far, re-deriving each session's recoding domain
-// whenever the log grows or a summary refresh arrives. The log may be
-// empty at start; sessions answer with empty batches until it grows.
+// everything learned so far, each session's cursor taking in what the
+// log gained at its next REQUEST. The log may be empty at start; sessions
+// answer with empty batches until it grows.
 func NewLiveServer(info ContentInfo, src WorkingSetSource) (*Server, error) {
 	s, err := newServer(info)
 	if err != nil {
@@ -330,22 +323,20 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 		return err
 	}
 
-	// Session loop: a summary (setup or refresh) fixes the recoding
-	// domain until the next one or until the log grows, then batched
-	// requests stream symbols. planned is the log length recoders was
-	// derived at (−1: no plan stands); a plan with nothing useful in it is
-	// a nil recoders, remembered like any other, so the REQUESTs of a
-	// pipeline do not each re-plan the same empty answer.
-	var summary *strategy.ReceivedSummary
-	var recoders *sessionRecoders
-	planned := -1
+	// Session loop: batched requests stream symbols — a full sender's from
+	// an encoder of its own, a partial sender's off the log through the
+	// session's cursor, which a summary (setup or refresh) re-aims.
+	seed := s.streamSeed.Add(1)
+	var cur *cursor
 	var encoder *fountain.Encoder
 	if s.Full() {
-		enc, err := fountain.NewEncoder(s.code, s.blocks, s.streamSeed.Add(1)*0x9e3779b97f4a7c15)
+		enc, err := fountain.NewEncoder(s.code, s.blocks, seed*0x9e3779b97f4a7c15)
 		if err != nil {
 			return err
 		}
 		encoder = enc
+	} else {
+		cur = newCursor(seed ^ s.info.CodeSeed ^ addrSalt(ch.LocalAddr()))
 	}
 	for {
 		if s.timeout > 0 {
@@ -365,12 +356,15 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 				protocol.WriteFrame(ch, protocol.EncodeError("bad summary"))
 				return err
 			}
-			summary, err = strategy.ParseSummary(method, blob)
+			summary, err := strategy.ParseSummary(method, blob)
 			if err != nil {
 				protocol.WriteFrame(ch, protocol.EncodeError("bad summary"))
 				return err
 			}
-			planned = -1 // rebuild the recoding domain lazily
+			if cur != nil { // a full sender's symbols are fresh: nothing to prune
+				ids, _ := s.src.WorkingSet()
+				cur.aim(summary.Plan, ids)
+			}
 
 		case protocol.TypePeers:
 			ads, err := protocol.DecodePeers(f)
@@ -403,16 +397,9 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 				}
 				continue
 			}
-			// A log that grew since the last domain build has new symbols
-			// to offer: re-derive the domain.
-			if ids, payloads := s.src.WorkingSet(); len(ids) != planned {
-				recoders, planned = s.buildRecoders(summary, ids, payloads), len(ids)
-			}
-			if recoders == nil {
-				protocol.WriteFrame(ch, protocol.EncodeDone())
-				continue // nothing useful to offer; empty batch
-			}
-			if err := s.sendRecoded(ch, recoders, int(n)); err != nil {
+			ids, payloads := s.src.WorkingSet()
+			cur.extend(ids)
+			if err := s.sendHeld(ch, cur, ids, payloads, int(n)); err != nil {
 				return err
 			}
 
@@ -458,81 +445,116 @@ func (s *Server) sendFull(w io.Writer, enc *fountain.Encoder, n int) error {
 	return protocol.WriteFrame(w, protocol.EncodeDone())
 }
 
-// sessionRecoders pair two recoding streams over the same domain: an
-// *informed* stream driven by the receiver's summary — coverage-adaptive
-// degrees when the summary names the missing symbols (Bloom/ART, so
-// early transmissions are degree-1 and immediately useful, §5.4.2's
-// dynamic degree rule), min-wise-scaled degrees when only a containment
-// estimate is available (§4) — and an oblivious soliton stream which
-// alone guarantees the receiver can eventually decode the *entire*
-// domain (complete LT recovery at a small constant overhead).
-// Interleaving gives linear early progress without a stalled tail, with
-// no per-packet feedback from the receiver.
-type sessionRecoders struct {
-	informed  *recode.Recoder
-	oblivious *recode.Recoder
-	policy    recode.DegreePolicy // of the informed stream
-	contain   float64             // MinwiseScaled containment estimate
-	turn      int
+// cursor is a partial sender's serving session: where it stands on the
+// append-only log. Every log position it has considered is sent (written
+// on this session, and never again: the channel is reliable, so all a
+// refresh has to prune is what other senders delivered), pending, or
+// withheld because the receiver's summary held its id when it was tested.
+// A REQUEST tests only what the log gained since the last one (extend); a
+// SUMMARY or SUMMARY_REFRESH re-tests everything unsent (aim), which keeps
+// one filter's false positive from being permanent. This is §6.1's
+// "a partial sender can find symbols of guaranteed utility ... recoding is
+// not generally necessary" taken at its word.
+type cursor struct {
+	// plan is the receiver's last summary (strategy.ReceivedSummary.Plan):
+	// the positions in held of the ids it leaves missing. nil: no summary,
+	// everything is missing.
+	plan    func(held []uint64) ([]int, error)
+	order   *prng.Rand // the session's send order
+	sent    []bool     // per log position considered: written on this session
+	pending []int      // unsent positions the summary leaves missing, in send order
 }
 
-func (sr *sessionRecoders) next() (recode.Symbol, *recode.Recoder) {
-	sr.turn++
-	if sr.turn%2 == 0 {
-		return sr.informed.Next(sr.policy, sr.contain), sr.informed
-	}
-	return sr.oblivious.Next(recode.Oblivious, 0), sr.oblivious
+// newCursor starts a cursor whose send order follows seed, so that two
+// sessions, or two senders, do not walk overlapping logs in step.
+func newCursor(seed uint64) *cursor { return &cursor{order: prng.New(seed)} }
+
+// addrSeed hashes an address into a PRNG seed: deterministic, so swarms
+// are reproducible, yet distinct per address.
+func addrSeed(addr string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(addr))
+	return h.Sum64()
 }
 
-// buildRecoders constructs the partial sender's recoding streams from
-// the receiver's negotiated summary over the log as it stands: the
-// summary's sender plan picks the domain (missing symbols for Bloom/ART,
-// the whole log for sketches) and the informed stream's degree policy.
-// With no summary the whole log is the domain. Both streams share one
-// domain. It returns nil when there is nothing useful to recode over.
-func (s *Server) buildRecoders(summary *strategy.ReceivedSummary, ids []uint64, payloads [][]byte) *sessionRecoders {
-	if len(ids) == 0 {
-		return nil // nothing held yet
+// addrSalt is the server's own address, as one connection sees it, for
+// its sessions' order seeds: every Server numbers its sessions from 1,
+// and two fresh mirrors of one log would otherwise hand a receiver the
+// same order — every second arrival a duplicate until the first refresh.
+// The same seed, address and session number still give the same schedule.
+func addrSalt(a net.Addr) uint64 {
+	if a == nil {
+		return 0
 	}
-	sr := &sessionRecoders{policy: recode.CoverageAdaptive}
-	if summary != nil {
-		plan, err := summary.Plan(ids)
-		if err != nil {
-			return nil // includes ErrNothingUseful
+	return addrSeed(a.String())
+}
+
+// offer tests the ids at the given log positions, ascending, against the
+// summary and queues the ones it leaves missing behind what is pending,
+// in the session's order; a plan's error — strategy.ErrNothingUseful
+// included — leaves none.
+func (c *cursor) offer(ids []uint64, positions []int) {
+	if c.plan != nil {
+		held := make([]uint64, len(positions))
+		for i, pos := range positions {
+			held[i] = ids[pos]
 		}
-		sr.policy, sr.contain = plan.Policy, plan.Containment
-		if len(plan.Keep) < len(ids) {
-			kept, keptPayloads := make([]uint64, len(plan.Keep)), make([][]byte, len(plan.Keep))
-			for i, pos := range plan.Keep {
-				kept[i], keptPayloads[i] = ids[pos], payloads[pos]
-			}
-			ids, payloads = kept, keptPayloads
+		keep, _ := c.plan(held)
+		for i, k := range keep { // ascending, so in place: i ≤ k
+			positions[i] = positions[k]
 		}
+		positions = positions[:len(keep)]
 	}
-	var err error
-	sr.informed, err = recode.NewRecoderOver(prng.New(s.streamSeed.Add(1)^s.info.CodeSeed), ids, payloads, recode.Options{})
-	if err != nil {
-		return nil
-	}
-	sr.oblivious, err = recode.NewRecoderOver(prng.New(s.streamSeed.Add(1)^s.info.CodeSeed), ids, payloads, recode.Options{})
-	if err != nil {
-		return nil
-	}
-	return sr
+	c.order.ShuffleInts(positions)
+	c.pending = append(c.pending, positions...)
 }
 
-// sendRecoded streams n recoded symbols followed by DONE. Symbols are
-// framed straight from the recoder's pooled buffers and released after
-// the write, so the steady-state loop is allocation-free.
-func (s *Server) sendRecoded(w io.Writer, sr *sessionRecoders, n int) error {
-	for i := 0; i < n; i++ {
-		sym, owner := sr.next()
-		err := protocol.WriteRecoded(w, sym.IDs, sym.Data)
-		owner.Release(sym)
-		if err != nil {
+// extend takes in what the log gained since the cursor last saw it: only
+// the appended ids are tested. O(1) on a log that did not grow.
+func (c *cursor) extend(ids []uint64) {
+	seen := len(c.sent)
+	if len(ids) == seen {
+		return
+	}
+	c.sent = append(c.sent, make([]bool, len(ids)-seen)...)
+	fresh := make([]int, len(ids)-seen)
+	for i := range fresh {
+		fresh[i] = seen + i
+	}
+	c.offer(ids, fresh)
+}
+
+// aim installs a new summary and re-derives pending from every unsent
+// position of the log against it.
+func (c *cursor) aim(plan func(held []uint64) ([]int, error), ids []uint64) {
+	c.plan = plan
+	c.sent = append(c.sent, make([]bool, len(ids)-len(c.sent))...)
+	var unsent []int
+	for pos, sent := range c.sent {
+		if !sent {
+			unsent = append(unsent, pos)
+		}
+	}
+	c.pending = c.pending[:0]
+	c.offer(ids, unsent)
+}
+
+// sendHeld answers one REQUEST from the cursor: up to n pending symbols
+// as plain SYMBOL frames, framed straight from the log's own payload
+// buffers (no copy, no XOR, allocation-free like sendFull), then DONE. A
+// dry cursor answers the DONE alone — the empty batch.
+func (s *Server) sendHeld(w io.Writer, c *cursor, ids []uint64, payloads [][]byte, n int) error {
+	n = min(n, len(c.pending))
+	if n == 0 {
+		s.met.dryBatches.Inc()
+	}
+	for _, pos := range c.pending[:n] {
+		if err := protocol.WriteSymbol(w, ids[pos], payloads[pos]); err != nil {
 			return err
 		}
+		c.sent[pos] = true
 		s.met.symbolsSent.Inc()
 	}
+	c.pending = c.pending[n:]
 	return protocol.WriteFrame(w, protocol.EncodeDone())
 }

@@ -8,9 +8,10 @@ package peer
 // loop) never panics, never hangs past its deadline, and attributes
 // corrupt streams to the penalty plane. Seeds speak the fabric
 // handshake first, so mutations land in the session loop and not only
-// on the opening frame: a fully valid open-request-done exchange,
-// corrupt SYMBOL and RECODED envelopes on an open channel, a bare
-// pre-fabric HELLO, an absurd declared frame length, and raw junk.
+// on the opening frame: a fully valid open-request-done exchange, a
+// corrupt SYMBOL envelope and a frame of the retired type 7 (RECODED
+// until version 7) on an open channel, a bare pre-fabric HELLO, an absurd
+// declared frame length, and raw junk.
 
 import (
 	"bytes"
@@ -55,18 +56,16 @@ func FuzzServeStream(f *testing.F) {
 		onChannel(protocol.EncodeRequest(4)),
 		onChannel(protocol.EncodeDone()),
 	}, nil))
-	// Corrupt SYMBOL and RECODED envelopes behind a good handshake — the
-	// wire must die with ErrCorrupt and take the session with it, not
-	// parse garbage into the data plane.
+	// A corrupt SYMBOL envelope behind a good handshake — the wire must
+	// die with ErrCorrupt and take the session with it, not parse garbage
+	// into the data plane.
 	f.Add(bytes.Join([][]byte{
 		opened,
 		corruptLastByte(onChannel(protocol.EncodeSymbol(protocol.Symbol{ID: 7, Data: data[:32]}))),
 	}, nil))
-	recoded, err := protocol.EncodeRecoded(protocol.Recoded{IDs: []uint64{1, 2, 3}, Data: data[:32]})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(bytes.Join([][]byte{opened, corruptLastByte(onChannel(recoded))}, nil))
+	// An intact frame of type 7, RECODED until version 7: an unexpected
+	// frame like any other, which ends the session with an ERROR.
+	f.Add(bytes.Join([][]byte{opened, onChannel(protocol.Frame{Type: 7, Payload: data[:32]})}, nil))
 	// A bare content HELLO (the pre-fabric opening): clean ERROR, no session.
 	f.Add(frameBytes(protocol.EncodeHello(clientHello)))
 	// Oversized declared length: magic + version + type, then a 4 GiB

@@ -5,10 +5,10 @@ package peer
 // channel negotiation is the content handshake) → summary negotiation →
 // pipelined batched request loop, with reconnect-backoff around the
 // whole lifecycle. A session owns nothing shared, and it is the fold: it
-// hands each SYMBOL or RECODED frame it reads to Orchestrator.fold as a
-// view, on its own goroutine, and learns from the answer what the arrival
-// gained and whether the fetch is still on — so the one queue between the
-// wire and the working set is its channel's. It reads global progress
+// hands each SYMBOL frame it reads to Orchestrator.fold as a view, on its
+// own goroutine, and learns from the answer whether the symbol was new
+// and whether the fetch is still on — so the one queue between the wire
+// and the working set is its channel's. It reads global progress
 // through an atomic, and its per-peer statistics, charged by the fold,
 // are what the orchestrator's utility ranking consumes. Sessions end in
 // exactly one of four ways: the transfer ended (the fetch's context), the
@@ -24,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"icd/internal/obs"
@@ -55,7 +54,6 @@ type session struct {
 	addr  string
 	stats *PeerStats
 	rng   *prng.Rand // backoff jitter (session goroutine only)
-	ids   []uint64   // RECODED id-list scratch (session goroutine only)
 	// ctx is the session's lifetime, a child of the fetch's: the transfer
 	// ending cancels it from above, eviction and DropPeer call cancel.
 	ctx    context.Context
@@ -77,13 +75,11 @@ type session struct {
 func newSession(o *Orchestrator, addr string) *session {
 	// Seed the jitter stream from the address so swarms are
 	// reproducible, yet sessions to different peers stay decorrelated.
-	h := fnv.New64a()
-	h.Write([]byte(addr))
 	s := &session{
 		o:         o,
 		addr:      addr,
 		stats:     &PeerStats{Addr: addr},
-		rng:       prng.New(h.Sum64()),
+		rng:       prng.New(addrSeed(addr)),
 		startedAt: time.Now(),
 	}
 	s.ctx, s.cancel = context.WithCancel(o.ctx)
@@ -391,9 +387,9 @@ func (s *session) watchdog(ctx context.Context, cancel context.CancelCauseFunc) 
 // absorbs the symbol stream while requests are being written, so depth
 // > 1 cannot deadlock even a synchronous pipe). Frames arrive through
 // the channel's pooled queue and are folded as views of its buffers, so
-// the loop allocates nothing per frame except for new regular symbols,
-// whose payloads the fold copies into the buffers the working set keeps
-// (an allocation the content requires).
+// the loop allocates nothing per frame except for new symbols, whose
+// payloads the fold copies into the buffers the working set keeps (an
+// allocation the content requires).
 func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []uint64) error {
 	o := s.o
 	s.setChannel(ch)
@@ -493,8 +489,14 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 			grown := float64(known-summarized) >= o.opts.RefreshGrowth*float64(summarized)
 			if grown && known > 0 && canSummarize {
 				cur, _ := o.WorkingSet()
-				method = protocol.ChooseSummaryMethod(
-					o.opts.summaryMask()&hello.SummaryMask, len(cur), int(hello.Symbols))
+				// A session that has sent a summary keeps its method: re-choosing
+				// as the working set crosses SmallSummaryMax would trade a Bloom
+				// filter for a sketch, which names nothing the sender can prune.
+				// Only a session that has sent none yet chooses.
+				if method == protocol.SummaryNone {
+					method = protocol.ChooseSummaryMethod(
+						o.opts.summaryMask()&hello.SummaryMask, len(cur), int(hello.Symbols))
+				}
 				if method == protocol.SummaryNone {
 					continue
 				}
@@ -554,16 +556,21 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 				break
 			}
 			switch f.Type {
-			case protocol.TypeSymbol, protocol.TypeRecoded:
-				gained, on, err := s.foldFrame(f)
+			case protocol.TypeSymbol:
+				// Folded as a view: nothing of the frame is copied here, and
+				// what the working set keeps of it the fold copies.
+				id, data, err := protocol.SymbolView(f)
 				if err != nil {
 					return err
 				}
+				fresh, on := o.fold(s.stats, summarized, id, data)
 				if !on {
 					return nil
 				}
 				got++
-				useful += gained
+				if fresh {
+					useful++
+				}
 			case protocol.TypePeers:
 				ads, err := protocol.DecodePeers(f)
 				if err != nil {
@@ -584,9 +591,9 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 		if got > 0 {
 			dupRate = float64(got-useful) / float64(got)
 		}
-		// A batch is useless when it carried nothing, or when the working
-		// set did not grow while it was in flight (recoded streams always
-		// fill batches, so volume alone is not a signal).
+		// A batch is useless when it carried nothing — a partial sender with
+		// nothing left to offer answers a bare DONE — or when the working
+		// set did not grow while it was in flight.
 		uselessBatch := got == 0 || o.progress.Load() == progressBefore
 		pc.Observe(dupRate, !uselessBatch)
 		if uselessBatch {
@@ -599,28 +606,6 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 			useless = 0
 		}
 	}
-}
-
-// foldFrame folds a SYMBOL or RECODED frame into the working set as a
-// view: nothing of the frame is copied here (a recoded symbol's ids are
-// parsed into the session's scratch), and what the working set keeps of
-// it Orchestrator.fold copies. It returns fold's answer.
-func (s *session) foldFrame(f protocol.Frame) (gained int, on bool, err error) {
-	if f.Type == protocol.TypeSymbol {
-		id, data, err := protocol.SymbolView(f)
-		if err != nil {
-			return 0, false, err
-		}
-		gained, on = s.o.fold(s.stats, id, nil, data)
-		return gained, on, nil
-	}
-	ids, data, err := protocol.RecodedView(f, s.ids)
-	if err != nil {
-		return 0, false, err
-	}
-	s.ids = ids
-	gained, on = s.o.fold(s.stats, 0, ids, data)
-	return gained, on, nil
 }
 
 // sendGossip writes a PEERS frame with every advertisement not yet sent

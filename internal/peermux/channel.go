@@ -122,6 +122,10 @@ func (c *Channel) RemoteHello() protocol.Hello { return c.remoteHello }
 // logging).
 func (c *Channel) RemoteAddr() net.Addr { return c.w.conn.RemoteAddr() }
 
+// LocalAddr exposes the wire's local address: this end as the connection
+// sees it.
+func (c *Channel) LocalAddr() net.Addr { return c.w.conn.LocalAddr() }
+
 // Accept answers a peer-opened channel with our content HELLO and
 // grants the initial credit window (accepting side only).
 func (c *Channel) Accept(h protocol.Hello) error {
@@ -277,7 +281,7 @@ func (c *Channel) SetWindow(n int) error {
 // past the queue bound, is the sender ignoring flow control: charge it,
 // drop the frame, keep the wire.
 func (c *Channel) deliver(inner protocol.Frame) {
-	if inner.Type == protocol.TypeSymbol || inner.Type == protocol.TypeRecoded {
+	if inner.Type == protocol.TypeSymbol {
 		c.mu.Lock()
 		if c.avail == 0 {
 			c.mu.Unlock()
@@ -432,7 +436,7 @@ func stopTimer(t *time.Timer) {
 
 func (c *Channel) take(f inFrame) (protocol.Frame, error) {
 	c.prev = f.buf
-	if f.t == protocol.TypeSymbol || f.t == protocol.TypeRecoded {
+	if f.t == protocol.TypeSymbol {
 		c.noteConsumed()
 	}
 	return protocol.Frame{Type: f.t, Payload: *f.buf}, nil
@@ -448,15 +452,15 @@ func (c *Channel) finalErr() error {
 }
 
 // Write sends one fully serialized content frame (as produced by
-// protocol.WriteFrame, WriteSymbol, WriteRecoded — always one frame per
-// Write call) through the channel as a MUX envelope. Symbol-bearing
-// frames first acquire a credit, blocking while the window is empty.
+// protocol.WriteFrame or WriteSymbol — always one frame per Write call)
+// through the channel as a MUX envelope. A SYMBOL frame first acquires a
+// credit, blocking while the window is empty.
 func (c *Channel) Write(p []byte) (int, error) {
 	t, payload, err := protocol.FrameParts(p)
 	if err != nil {
 		return 0, err
 	}
-	if t == protocol.TypeSymbol || t == protocol.TypeRecoded {
+	if t == protocol.TypeSymbol {
 		if err := c.acquireCredit(); err != nil {
 			return 0, err
 		}

@@ -46,8 +46,8 @@
 //     ("unknown content", "refused", "busy").
 //   - MUX — the envelope: channel id (uint16) + inner frame type
 //     (uint8) + inner payload, under the outer frame's single CRC.
-//     Every content frame type (SYMBOL, RECODED, SUMMARY, REQUEST,
-//     DONE, ERROR, ...) travels inside envelopes unchanged, so the
+//     Every content frame type (SYMBOL, SUMMARY, REQUEST, DONE, ERROR,
+//     ...) travels inside envelopes unchanged, so the
 //     per-channel state machines read and write plain content frames.
 //     Multiplexing costs 3 bytes per frame.
 //   - CREDIT — per-channel flow control (below).
@@ -60,8 +60,8 @@
 //
 // # Credit model
 //
-// Only symbol-bearing frames (SYMBOL, RECODED) consume credits;
-// control traffic always flows. The receiving side of a channel grants
+// Only SYMBOL frames — the one frame type that bears a symbol — consume
+// credits; control traffic always flows. The receiving side of a channel grants
 // an initial window of credits at channel establishment, the sender
 // spends one credit per symbol frame and blocks when the window is
 // exhausted, and the receiver replenishes (CREDIT frames carrying the

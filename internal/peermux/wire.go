@@ -83,7 +83,7 @@ type Config struct {
 	// peer's announcement.
 	MaxChannels int
 	// Window is the per-channel credit-window maximum in symbol frames
-	// (default 512): how many SYMBOL/RECODED frames the remote sender
+	// (default 512): how many SYMBOL frames the remote sender
 	// may have in flight before the local consumer drains them. It is
 	// both the default initial grant and the hard ceiling any
 	// Channel.SetWindow resize is clamped to (the inbound queues are

@@ -2,9 +2,11 @@
 // implementation (§6): a length-prefixed, checksummed binary framing over
 // any reliable byte stream, carrying the handshake, the reconciliation
 // summaries of §4–§5 (min-wise sketches, Bloom filters, approximate
-// reconciliation trees) and the §5.4 content symbols (regular encoded
-// symbols, identified by a 64-bit seed, and recoded symbols carrying
-// their constituent lists).
+// reconciliation trees) and the §5.4 content symbols: encoded symbols,
+// each identified by a 64-bit seed, from full and partial senders alike
+// (§6.1: a partial sender informed by a summary "can find symbols of
+// guaranteed utility", so what it holds travels as it is; recoding is the
+// simulator's and the toolbox's, internal/recode).
 //
 // Frame layout (little-endian):
 //
@@ -49,9 +51,16 @@ import (
 // Peers up to 5 checksummed type|length|payload only; readFrame tries
 // that coverage on a mismatch under a lower version byte, so their frames
 // still read as ErrVersion and not as corruption. Such a peer, reading a
-// version-6 frame, checks the version byte first and reports the mismatch
-// itself.
-const Version = 6
+// frame written since, checks the version byte first and reports the
+// mismatch itself. 7 retired the RECODED frame (type 7): SYMBOL is the only
+// symbol-bearing frame, and a version-6 partial sender, which would answer
+// a REQUEST with frames this reader must refuse mid-session, is turned
+// away at the handshake instead.
+const Version = 7
+
+// versionUnderCRC is the first version whose checksum covers the version
+// byte.
+const versionUnderCRC = 6
 
 // ErrVersion marks an intact frame whose version byte differs from
 // Version. A session layer that sees it should fail the handshake cleanly (report
@@ -83,16 +92,17 @@ const (
 	TypeART     Type = 4 // bare ART summary (§5.3): number reserved
 	TypeRequest Type = 5 // receiver asks for a batch of symbols
 	TypeSymbol  Type = 6 // one regular encoded symbol
-	TypeRecoded Type = 7 // one recoded symbol (§5.4.2)
-	TypeDone    Type = 8 // sender has satisfied the request / receiver is finished
-	TypeError   Type = 9 // fatal error, human-readable
+	// 7 was RECODED, a recoded symbol with its constituent list (§5.4.2),
+	// until version 7: a partial sender sends what it holds as SYMBOLs.
+	TypeDone  Type = 8 // sender has satisfied the request / receiver is finished
+	TypeError Type = 9 // fatal error, human-readable
 
 	// TypeSummary carries the working-set summary chosen by the v3
 	// negotiation (method byte + marshaled summary).
 	TypeSummary Type = 10
 	// TypeSummaryRefresh is a TypeSummary payload sent mid-session when
 	// the receiver's working set has grown enough that the sender
-	// should re-derive its recoding domain.
+	// should re-derive what is still missing.
 	TypeSummaryRefresh Type = 11
 
 	// TypePeers carries gossip peer advertisements: a capped,
@@ -132,8 +142,6 @@ func (t Type) String() string {
 		return "REQUEST"
 	case TypeSymbol:
 		return "SYMBOL"
-	case TypeRecoded:
-		return "RECODED"
 	case TypeDone:
 		return "DONE"
 	case TypeError:
@@ -250,10 +258,10 @@ func readFrame(r io.Reader, hdr, scratch []byte) (Frame, []byte, error) {
 	// scratch concatenation buffer.
 	crc := crc32.Update(crc32.ChecksumIEEE(hdr[2:]), crc32.IEEETable, payload)
 	if crc != wantCRC {
-		// Up to version 5 the checksum started after the version byte. A
-		// frame that holds under that coverage and names an older version
-		// is what such a peer wrote, not line noise.
-		if hdr[2] < Version && crc32.Update(crc32.ChecksumIEEE(hdr[3:]), crc32.IEEETable, payload) == wantCRC {
+		// Before versionUnderCRC the checksum started after the version
+		// byte. A frame that holds under that coverage and names such a
+		// version is what such a peer wrote, not line noise.
+		if hdr[2] < versionUnderCRC && crc32.Update(crc32.ChecksumIEEE(hdr[3:]), crc32.IEEETable, payload) == wantCRC {
 			return Frame{}, scratch, fmt.Errorf("%w: got %d, speaking %d", ErrVersion, hdr[2], Version)
 		}
 		return Frame{}, scratch, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
@@ -280,7 +288,7 @@ func ReadFrame(r io.Reader) (Frame, error) {
 // returned Frame's Payload aliases that buffer and is valid only until
 // the next call to Next; a caller that needs the bytes longer must copy
 // them out (DecodeSymbolInto copies into a buffer the caller owns, and
-// SymbolView/RecodedView parse without copying for same-iteration use).
+// SymbolView parses without copying for same-iteration use).
 // Not safe for concurrent use; use one FrameReader per connection.
 type FrameReader struct {
 	r    io.Reader
@@ -445,85 +453,6 @@ func DecodeSymbolInto(f Frame, buf []byte) (Symbol, error) {
 	return Symbol{ID: id, Data: append(buf[:0], view...)}, nil
 }
 
-// Recoded is a recoded symbol on the wire: the §5.4.2 constituent list
-// plus XOR payload.
-type Recoded struct {
-	IDs  []uint64
-	Data []byte
-}
-
-// MaxRecodedIDs bounds the constituent list (the paper's degree limit is
-// 50; leave headroom for experimentation).
-const MaxRecodedIDs = 1024
-
-// EncodeRecoded marshals r.
-func EncodeRecoded(r Recoded) (Frame, error) {
-	if len(r.IDs) == 0 || len(r.IDs) > MaxRecodedIDs {
-		return Frame{}, fmt.Errorf("protocol: recoded degree %d outside [1,%d]", len(r.IDs), MaxRecodedIDs)
-	}
-	buf := make([]byte, 2+8*len(r.IDs)+len(r.Data))
-	binary.LittleEndian.PutUint16(buf, uint16(len(r.IDs)))
-	for i, id := range r.IDs {
-		binary.LittleEndian.PutUint64(buf[2+8*i:], id)
-	}
-	copy(buf[2+8*len(r.IDs):], r.Data)
-	return Frame{Type: TypeRecoded, Payload: buf}, nil
-}
-
-// WriteRecoded frames and writes a recoded symbol in one Write, the
-// allocation-free counterpart of WriteFrame(EncodeRecoded(...)).
-func WriteRecoded(w io.Writer, ids []uint64, data []byte) error {
-	if len(ids) == 0 || len(ids) > MaxRecodedIDs {
-		return fmt.Errorf("protocol: recoded degree %d outside [1,%d]", len(ids), MaxRecodedIDs)
-	}
-	bp := frameBufs.Get().(*[]byte)
-	pre := append((*bp)[:0], byte(len(ids)), byte(len(ids)>>8))
-	for _, id := range ids {
-		pre = append(pre,
-			byte(id), byte(id>>8), byte(id>>16), byte(id>>24),
-			byte(id>>32), byte(id>>40), byte(id>>48), byte(id>>56))
-	}
-	err := writeFrame2(w, TypeRecoded, pre, data)
-	*bp = pre[:0]
-	frameBufs.Put(bp)
-	return err
-}
-
-// RecodedView parses a RECODED frame with minimal copying: the
-// constituent ids are appended into ids' storage (re-sliced from 0,
-// grown only if needed) and data aliases f.Payload — so for frames from
-// a FrameReader, data is valid only until the next frame is read.
-func RecodedView(f Frame, ids []uint64) (_ []uint64, data []byte, err error) {
-	if f.Type != TypeRecoded {
-		return nil, nil, fmt.Errorf("protocol: %v is not RECODED", f.Type)
-	}
-	if len(f.Payload) < 2 {
-		return nil, nil, errors.New("protocol: RECODED too short")
-	}
-	n := int(binary.LittleEndian.Uint16(f.Payload))
-	if n == 0 || n > MaxRecodedIDs {
-		return nil, nil, fmt.Errorf("protocol: recoded degree %d outside [1,%d]", n, MaxRecodedIDs)
-	}
-	if len(f.Payload) < 2+8*n {
-		return nil, nil, errors.New("protocol: RECODED id list truncated")
-	}
-	ids = ids[:0]
-	for i := 0; i < n; i++ {
-		ids = append(ids, binary.LittleEndian.Uint64(f.Payload[2+8*i:]))
-	}
-	return ids, f.Payload[2+8*n:], nil
-}
-
-// DecodeRecoded unmarshals a RECODED frame into freshly allocated
-// storage.
-func DecodeRecoded(f Frame) (Recoded, error) {
-	ids, view, err := RecodedView(f, nil)
-	if err != nil {
-		return Recoded{}, err
-	}
-	return Recoded{IDs: ids, Data: append([]byte(nil), view...)}, nil
-}
-
 // EncodeRequest marshals a batch request for count symbols.
 func EncodeRequest(count uint32) Frame {
 	buf := make([]byte, 4)
@@ -634,7 +563,7 @@ func DecodeError(f Frame) (string, error) {
 type SummaryMethod uint8
 
 // The negotiable summary methods. Zero means "no summary": the sender
-// recodes blindly over its whole working set.
+// takes its whole working set for missing.
 const (
 	SummaryNone   SummaryMethod = 0
 	SummaryBloom  SummaryMethod = 1
@@ -697,8 +626,9 @@ const (
 //     and the tree summary lets the sender *search* for exactly the
 //     symbols the receiver lacks at a fixed bit budget.
 //   - Large, dissimilar sets → min-wise sketch: a constant ~1KB calling
-//     card whose containment estimate steers recoded degrees, where a
-//     Bloom filter would cost megabytes.
+//     card where a Bloom filter would cost megabytes. It names no symbol,
+//     so it prunes nothing: all it can tell the sender is that the
+//     receiver's set contains the sender's entirely.
 func ChooseSummaryMethod(mask uint8, receiverHeld, senderHeld int) SummaryMethod {
 	if receiverHeld <= 0 || mask == 0 {
 		return SummaryNone

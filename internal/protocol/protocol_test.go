@@ -70,22 +70,21 @@ func TestTruncationDetected(t *testing.T) {
 }
 
 // TestVersionMismatch: a frame written at another version — its checksum
-// covers the version byte it carries — is ErrVersion.
+// covers the version byte it carries — is ErrVersion: a future one, and
+// version 6, whose partial senders answered REQUESTs with RECODED frames.
 func TestVersionMismatch(t *testing.T) {
-	var buf bytes.Buffer
-	WriteFrame(&buf, Frame{Type: TypeDone})
-	raw := buf.Bytes()
-	raw[2] = 99
-	body := len(raw) - 4
-	binary.LittleEndian.PutUint32(raw[body:], crc32.ChecksumIEEE(raw[2:body]))
-	_, err := ReadFrame(bytes.NewReader(raw))
-	if err == nil {
-		t.Fatal("future version accepted")
-	}
-	// The mismatch must be distinguishable from corruption so the
-	// session layer can answer with a clean handshake failure.
-	if !errors.Is(err, ErrVersion) {
-		t.Fatalf("version mismatch not marked ErrVersion: %v", err)
+	for _, v := range []byte{99, versionUnderCRC, Version - 1} {
+		var buf bytes.Buffer
+		WriteFrame(&buf, Frame{Type: TypeDone})
+		raw := buf.Bytes()
+		raw[2] = v
+		body := len(raw) - 4
+		binary.LittleEndian.PutUint32(raw[body:], crc32.ChecksumIEEE(raw[2:body]))
+		// The mismatch must be distinguishable from corruption so the
+		// session layer can answer with a clean handshake failure.
+		if _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrVersion) {
+			t.Fatalf("version-%d frame: err = %v, want ErrVersion", v, err)
+		}
 	}
 }
 
@@ -101,7 +100,7 @@ func TestOlderVersionLayoutIsVersionMismatch(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	body := len(raw) - 4
-	for v := byte(1); v < Version; v++ {
+	for v := byte(1); v < versionUnderCRC; v++ {
 		old := append([]byte(nil), raw...)
 		old[2] = v
 		binary.LittleEndian.PutUint32(old[body:], crc32.ChecksumIEEE(old[3:body]))
@@ -275,32 +274,6 @@ func TestSymbolRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRecodedRoundTrip(t *testing.T) {
-	want := Recoded{IDs: []uint64{5, 8, 13}, Data: []byte{0x1E}}
-	f, err := EncodeRecoded(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeRecoded(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.IDs) != 3 || got.IDs[0] != 5 || got.IDs[2] != 13 || !bytes.Equal(got.Data, want.Data) {
-		t.Fatalf("recoded mismatch: %+v", got)
-	}
-	if _, err := EncodeRecoded(Recoded{}); err == nil {
-		t.Fatal("empty recoded accepted")
-	}
-	if _, err := EncodeRecoded(Recoded{IDs: make([]uint64, MaxRecodedIDs+1)}); err == nil {
-		t.Fatal("oversize recoded accepted")
-	}
-	// Forged degree larger than the payload.
-	bad := Frame{Type: TypeRecoded, Payload: []byte{0xFF, 0x00, 1, 2, 3}}
-	if _, err := DecodeRecoded(bad); err == nil {
-		t.Fatal("truncated id list accepted")
-	}
-}
-
 func TestRequestDoneError(t *testing.T) {
 	n, err := DecodeRequest(EncodeRequest(512))
 	if err != nil || n != 512 {
@@ -319,7 +292,8 @@ func TestTypeStrings(t *testing.T) {
 	for ty, want := range map[Type]string{
 		TypeHello: "HELLO", TypeSketch: "SKETCH", TypeBloom: "BLOOM",
 		TypeART: "ART", TypeRequest: "REQUEST", TypeSymbol: "SYMBOL",
-		TypeRecoded: "RECODED", TypeDone: "DONE", TypeError: "ERROR",
+		TypeDone: "DONE", TypeError: "ERROR",
+		Type(7):   "Type(7)", // RECODED until version 7: no longer a frame this library names
 		Type(200): "Type(200)",
 	} {
 		if ty.String() != want {
@@ -396,7 +370,7 @@ func TestFrameReaderStream(t *testing.T) {
 	if err := WriteSymbol(&buf, 42, []byte("payload-one")); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteRecoded(&buf, []uint64{7, 9}, []byte("payload-two")); err != nil {
+	if err := WriteSymbol(&buf, 43, []byte("payload-two")); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteFrame(&buf, EncodeDone()); err != nil {
@@ -417,9 +391,9 @@ func TestFrameReaderStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, data, err := RecodedView(f, nil)
-	if err != nil || len(ids) != 2 || ids[0] != 7 || ids[1] != 9 || string(data) != "payload-two" {
-		t.Fatalf("recoded view: ids=%v data=%q err=%v", ids, data, err)
+	id, data, err = SymbolView(f)
+	if err != nil || id != 43 || string(data) != "payload-two" {
+		t.Fatalf("second symbol view: id=%d data=%q err=%v", id, data, err)
 	}
 
 	f, err = fr.Next()
@@ -517,44 +491,6 @@ func TestFrameReaderZeroAlloc(t *testing.T) {
 	run() // warm the internal buffer
 	if avg := testing.AllocsPerRun(100, run); avg != 0 {
 		t.Errorf("frame read loop allocates %.2f/op, want 0", avg)
-	}
-}
-
-// TestRecodedViewMatchesDecode cross-checks the zero-copy parser against
-// DecodeRecoded.
-func TestRecodedViewMatchesDecode(t *testing.T) {
-	f, err := EncodeRecoded(Recoded{IDs: []uint64{1, 2, 3}, Data: []byte("xyz")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := DecodeRecoded(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, data, err := RecodedView(f, make([]uint64, 0, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != len(want.IDs) || !bytes.Equal(data, want.Data) {
-		t.Fatalf("view %v/%q vs decode %v/%q", ids, data, want.IDs, want.Data)
-	}
-	for i := range ids {
-		if ids[i] != want.IDs[i] {
-			t.Fatalf("id %d: %d vs %d", i, ids[i], want.IDs[i])
-		}
-	}
-	// Error paths shared with DecodeRecoded.
-	if _, _, err := RecodedView(Frame{Type: TypeDone}, nil); err == nil {
-		t.Error("wrong type accepted")
-	}
-	if _, _, err := RecodedView(Frame{Type: TypeRecoded, Payload: []byte{1}}, nil); err == nil {
-		t.Error("short payload accepted")
-	}
-	if _, _, err := RecodedView(Frame{Type: TypeRecoded, Payload: []byte{0, 0}}, nil); err == nil {
-		t.Error("zero degree accepted")
-	}
-	if _, _, err := RecodedView(Frame{Type: TypeRecoded, Payload: []byte{2, 0, 1}}, nil); err == nil {
-		t.Error("truncated id list accepted")
 	}
 }
 

@@ -35,13 +35,11 @@
 // strategy of §6.2 instead rescales an oblivious draw d to ⌊d/(1−c)⌋.
 // Both policies are provided.
 //
-// Both halves are laid out for a working set that only grows. The
-// Decoder keeps what it knows as an append-only log — ids in arrival
-// order, payloads index-aligned — and hands out prefixes of it in O(1)
-// (Known). A Recoder's domain is the same shape, ids plus index-aligned
-// payloads (NewRecoderOver), so a prefix of the log, or the positions a
-// summary picked out of it, is a domain as it stands: Next indexes, with
-// no lookup per blended symbol.
+// The fetch engine (internal/peer) runs none of this: a partial sender
+// there sends the symbols it holds as they are, once each, pruned by the
+// receiver's summary — §6.1's "recoding is not generally necessary". The
+// package serves the Fig 5–8 simulator (strategy, transfer, experiment)
+// and the icd facade's toolbox.
 package recode
 
 import (
@@ -174,8 +172,7 @@ func (p DegreePolicy) String() string {
 // Symbol buffers (constituent lists and payloads) are drawn from
 // internal freelists; a caller that returns finished symbols via Release
 // makes the steady-state Next path allocation-free. Callers that retain
-// symbols simply never release them. Not safe for concurrent use; the
-// domain slices are only read, so recoders may share them.
+// symbols simply never release them. Not safe for concurrent use.
 type Recoder struct {
 	domain   []uint64 // blendable encoded-symbol ids
 	payloads [][]byte // index-aligned with domain; nil at identity level
@@ -205,34 +202,12 @@ type Options struct {
 }
 
 // NewRecoder snapshots the domain and prepares a generator. The payload
-// map, if any, is resolved into the slice form once, here.
+// map, if any, is resolved into a slice aligned with the domain once,
+// here, so Next indexes instead of looking each blended symbol up.
 func NewRecoder(rng *prng.Rand, domain *keyset.Set, opt Options) (*Recoder, error) {
 	ids := domain.Keys()
-	var payloads [][]byte
-	if opt.Payloads != nil {
-		payloads = make([][]byte, len(ids))
-		for i, id := range ids {
-			p, ok := opt.Payloads[id]
-			if !ok {
-				return nil, fmt.Errorf("recode: no payload for domain symbol %d", id)
-			}
-			payloads[i] = p
-		}
-	}
-	return NewRecoderOver(rng, ids, payloads, opt)
-}
-
-// NewRecoderOver prepares a generator over a domain given as ids plus an
-// index-aligned payload slice (nil payloads: identity level, nil Data;
-// opt.Payloads is not consulted). The recoder keeps both slices and never
-// writes them, so several recoders — a session's two streams — may share
-// one pair, and a prefix of a working-set log can be passed as it is.
-func NewRecoderOver(rng *prng.Rand, ids []uint64, payloads [][]byte, opt Options) (*Recoder, error) {
 	if len(ids) == 0 {
 		return nil, errors.New("recode: empty domain")
-	}
-	if payloads != nil && len(payloads) != len(ids) {
-		return nil, fmt.Errorf("recode: %d payloads for %d domain symbols", len(payloads), len(ids))
 	}
 	maxDeg := opt.MaxDegree
 	if maxDeg <= 0 {
@@ -249,13 +224,21 @@ func NewRecoderOver(rng *prng.Rand, ids []uint64, payloads [][]byte, opt Options
 		return nil, fmt.Errorf("recode: distribution max degree %d exceeds domain %d",
 			dist.MaxDegree(), len(ids))
 	}
-	r := &Recoder{domain: ids, payloads: payloads, dist: dist, maxDeg: maxDeg, rng: rng}
-	for i, p := range payloads {
-		if i == 0 {
-			r.payloadLen = len(p)
-		} else if len(p) != r.payloadLen {
-			return nil, fmt.Errorf("recode: payload for symbol %d is %d bytes, want %d",
-				ids[i], len(p), r.payloadLen)
+	r := &Recoder{domain: ids, dist: dist, maxDeg: maxDeg, rng: rng}
+	if opt.Payloads != nil {
+		r.payloads = make([][]byte, len(ids))
+		for i, id := range ids {
+			p, ok := opt.Payloads[id]
+			if !ok {
+				return nil, fmt.Errorf("recode: no payload for domain symbol %d", id)
+			}
+			if i == 0 {
+				r.payloadLen = len(p)
+			} else if len(p) != r.payloadLen {
+				return nil, fmt.Errorf("recode: payload for symbol %d is %d bytes, want %d",
+					id, len(p), r.payloadLen)
+			}
+			r.payloads[i] = p
 		}
 	}
 	return r, nil
@@ -356,15 +339,8 @@ func (r *Recoder) Release(sym Symbol) {
 // cascades through the buffer. The §5.4.2 worked example (z1 = y13,
 // z2 = y5⊕y8, z3 = y5⊕y13 recovering y13, then y5, then y8) is exactly
 // this process and is reproduced in the tests.
-//
-// What the decoder knows is an append-only log: ids in the order they
-// became known, payloads index-aligned beside them, and an entry once
-// written is never written again. That is what makes a prefix of the log
-// (Known) a stable view, readable while the decoder keeps growing.
 type Decoder struct {
-	known    map[uint64]int // encoded id -> position in the log
-	order    []uint64       // the log's ids, in the order they became known
-	payloads [][]byte       // the log's payloads (nil entries in identity mode)
+	known    map[uint64][]byte // encoded id -> payload (nil in identity mode)
 	pending  map[uint64][]int
 	buf      []*pendingRec
 	withData bool
@@ -406,7 +382,7 @@ func (pr *pendingRec) drop(id uint64) bool {
 // identity-level users (the transfer simulator) pass false.
 func NewDecoder(withData bool) *Decoder {
 	return &Decoder{
-		known:    make(map[uint64]int),
+		known:    make(map[uint64][]byte),
 		pending:  make(map[uint64][]int),
 		withData: withData,
 	}
@@ -433,27 +409,9 @@ func (d *Decoder) Knows(id uint64) bool {
 // KnownCount returns the number of encoded symbols held.
 func (d *Decoder) KnownCount() int { return len(d.known) }
 
-// Known returns the log as it stands: the ids of all encoded symbols held,
-// in the order they became known — a function of the arrivals alone, so
-// whatever samples a recoding domain from it by position draws the same
-// stream on every run — and their payloads, index-aligned. O(1): both
-// slices share the decoder's storage, clipped to their length, and stay
-// valid and unchanged however far the decoder grows afterwards; the
-// caller must not write through them. A view taken under the caller's
-// lock may be read outside it.
-func (d *Decoder) Known() (ids []uint64, payloads [][]byte) {
-	n := len(d.order)
-	return d.order[:n:n], d.payloads[:n:n]
-}
-
 // Payload returns the stored payload for an encoded symbol (nil in
 // identity mode or if unknown).
-func (d *Decoder) Payload(id uint64) []byte {
-	if i, ok := d.known[id]; ok {
-		return d.payloads[i]
-	}
-	return nil
-}
+func (d *Decoder) Payload(id uint64) []byte { return d.known[id] }
 
 // Received returns the number of recoded symbols ingested.
 func (d *Decoder) Received() int { return d.received }
@@ -498,9 +456,8 @@ func (d *Decoder) Add(sym Symbol) ([]uint64, error) {
 	}
 	unknown := d.unknowns[:0]
 	for _, id := range sym.IDs {
-		if i, ok := d.known[id]; ok {
+		if payload, ok := d.known[id]; ok {
 			if d.withData {
-				payload := d.payloads[i]
 				if len(payload) != len(data) {
 					d.spare = append(d.spare, data)
 					return nil, fmt.Errorf("recode: payload size mismatch for %d", id)
@@ -579,9 +536,7 @@ func (d *Decoder) propagate(id uint64, data []byte, viaRecode bool) []uint64 {
 			}
 			continue
 		}
-		d.known[r.id] = len(d.order)
-		d.order = append(d.order, r.id)
-		d.payloads = append(d.payloads, r.data)
+		d.known[r.id] = r.data
 		if viaRecode || !first {
 			d.recovered++
 			out = append(out, r.id)

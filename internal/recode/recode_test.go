@@ -2,16 +2,13 @@ package recode
 
 import (
 	"bytes"
-	"fmt"
 	"math"
-	"slices"
 	"testing"
 	"testing/quick"
 
 	"icd/internal/fountain"
 	"icd/internal/keyset"
 	"icd/internal/prng"
-	"icd/internal/xorblock"
 )
 
 func TestOptimalImmediateDegree(t *testing.T) {
@@ -158,25 +155,17 @@ func TestRecoderValidation(t *testing.T) {
 	if _, err := NewRecoder(rng, domain, Options{Payloads: map[uint64][]byte{}}); err == nil {
 		t.Fatal("incomplete payload map accepted")
 	}
-	// The slice form: payloads index-aligned with ids, all of one size.
-	ids := domain.Keys()
-	if _, err := NewRecoderOver(rng, nil, nil, Options{}); err == nil {
-		t.Fatal("empty id slice accepted")
+	// Payloads must all be one size.
+	payloads := make(map[uint64][]byte)
+	for _, id := range domain.Keys() {
+		payloads[id] = make([]byte, 8)
 	}
-	if _, err := NewRecoderOver(rng, ids, make([][]byte, len(ids)-1), Options{}); err == nil {
-		t.Fatal("fewer payloads than ids accepted")
+	if _, err := NewRecoder(rng, domain, Options{Payloads: payloads}); err != nil {
+		t.Fatalf("even payloads rejected: %v", err)
 	}
-	ragged := make([][]byte, len(ids))
-	for i := range ragged {
-		ragged[i] = make([]byte, 8)
-	}
-	ragged[len(ragged)-1] = make([]byte, 7)
-	if _, err := NewRecoderOver(rng, ids, ragged, Options{}); err == nil {
+	payloads[domain.Keys()[domain.Len()-1]] = make([]byte, 7)
+	if _, err := NewRecoder(rng, domain, Options{Payloads: payloads}); err == nil {
 		t.Fatal("ragged payload sizes accepted")
-	}
-	ragged[len(ragged)-1] = make([]byte, 8)
-	if _, err := NewRecoderOver(rng, ids, ragged, Options{}); err != nil {
-		t.Fatalf("aligned, even payloads rejected: %v", err)
 	}
 }
 
@@ -276,98 +265,6 @@ func TestAddKnownCascades(t *testing.T) {
 	// Duplicate AddKnown is a no-op.
 	if got := d.AddKnown(7, nil); got != nil {
 		t.Fatalf("duplicate AddKnown returned %v", got)
-	}
-}
-
-// TestKnownIDsFollowArrivalOrder: the log is the order ids became known
-// — direct adds and cascade recoveries alike — never map order: a
-// partial sender's recoding domain is sampled from it by position, so
-// the same arrivals must give the same stream on every run.
-func TestKnownIDsFollowArrivalOrder(t *testing.T) {
-	d := NewDecoder(false)
-	want := make([]uint64, 0, 67)
-	for i := 0; i < 64; i++ {
-		id := uint64(i) * 0x9E3779B97F4A7C15 // scattered: map order would not be this
-		d.AddKnown(id, nil)
-		want = append(want, id)
-	}
-	// 5⊕8 and 8⊕13 buffer; 5 then recovers 8, which recovers 13.
-	for _, ids := range [][]uint64{{5, 8}, {8, 13}, {5}} {
-		if _, err := d.Add(Symbol{IDs: ids}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want = append(want, 5, 8, 13)
-	got, payloads := d.Known()
-	if !slices.Equal(got, want) {
-		t.Fatalf("Known ids = %v, want arrival order %v", got, want)
-	}
-	if len(payloads) != len(got) {
-		t.Fatalf("%d payloads beside %d ids", len(payloads), len(got))
-	}
-	// Clipped to its length: appending to a view must not reach the log
-	// entry the decoder wrote after it.
-	d.AddKnown(99, nil)
-	_ = append(got, 0xBAD)
-	if ids, _ := d.Known(); ids[len(ids)-1] != 99 {
-		t.Fatalf("an append to a view overwrote the log: last id %d", ids[len(ids)-1])
-	}
-}
-
-// TestKnownViewIsStableWhileTheLogGrows: a view taken at n symbols is a
-// prefix of an append-only log — the same ids and the very same payload
-// buffers after the decoder has grown far enough to reallocate its
-// storage several times — and reading it needs no lock against the
-// growth (the second goroutine; run under -race).
-func TestKnownViewIsStableWhileTheLogGrows(t *testing.T) {
-	const n, more = 8, 4096
-	d := NewDecoder(true)
-	payload := func(id uint64) []byte { return []byte{byte(id), byte(id >> 8)} }
-	for id := uint64(0); id < n; id++ {
-		d.AddKnown(id, payload(id))
-	}
-	ids, payloads := d.Known()
-	wantIDs := slices.Clone(ids)
-	wantPayloads := slices.Clone(payloads)
-
-	read := make(chan error, 1)
-	go func() {
-		for i := 0; i < 200; i++ {
-			for j, id := range ids {
-				if id != wantIDs[j] || &payloads[j][0] != &wantPayloads[j][0] || !bytes.Equal(payloads[j], payload(id)) {
-					read <- fmt.Errorf("view entry %d changed under growth: id %d", j, id)
-					return
-				}
-			}
-		}
-		read <- nil
-	}()
-	// Grow by direct adds and by recoded recoveries alike.
-	for id := uint64(n); id < n+more; id += 2 {
-		d.AddKnown(id, payload(id))
-		next := payload(id + 1)
-		xorblock.XorInto(next, payload(id))
-		if _, err := d.Add(Symbol{IDs: []uint64{id, id + 1}, Data: next}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := <-read; err != nil {
-		t.Fatal(err)
-	}
-	if d.KnownCount() != n+more {
-		t.Fatalf("log holds %d symbols, want %d", d.KnownCount(), n+more)
-	}
-	if len(ids) != n || !slices.Equal(ids, wantIDs) {
-		t.Fatalf("view ids = %v, want %v", ids, wantIDs)
-	}
-	for j := range payloads {
-		if &payloads[j][0] != &wantPayloads[j][0] {
-			t.Fatalf("view payload %d is no longer the buffer it was", j)
-		}
-	}
-	all, _ := d.Known()
-	if !slices.Equal(all[:n], wantIDs) {
-		t.Fatal("the grown log does not start with the view")
 	}
 }
 

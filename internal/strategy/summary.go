@@ -1,11 +1,11 @@
 package strategy
 
-// summary.go is the sender-side hookup of the protocol's v3 summary
-// negotiation: building the receiver's working-set summary for the
-// negotiated method, parsing a received one, and deriving the sender's
-// transmit plan (recoding domain, degree policy, containment estimate)
-// from it — the §3 accuracy/size trade-off made operational on the real
-// wire instead of only in the transfer simulator.
+// summary.go is the fetch engine's hookup of the protocol's v3 summary
+// negotiation, and all of this package the engine uses: building the
+// receiver's working-set summary for the negotiated method, parsing a
+// received one, and asking it which of the sender's symbols the receiver
+// is missing — the §3 accuracy/size trade-off made operational on the
+// real wire instead of only in the transfer simulator.
 
 import (
 	"errors"
@@ -15,7 +15,6 @@ import (
 	"icd/internal/keyset"
 	"icd/internal/minwise"
 	"icd/internal/protocol"
-	"icd/internal/recode"
 	"icd/internal/recon"
 )
 
@@ -98,31 +97,14 @@ func ParseSummary(method protocol.SummaryMethod, blob []byte) (*ReceivedSummary,
 // answer requests with empty batches rather than waste transmissions.
 var ErrNothingUseful = errors.New("strategy: receiver appears to hold everything we have")
 
-// SenderPlan is what a partial sender derives from a receiver summary:
-// the domain to recode over, the degree policy of the informed stream,
-// and the containment estimate feeding MinwiseScaled degrees.
-type SenderPlan struct {
-	// Keep is the recoding domain as ascending positions into the held
-	// ids the plan was made against: the symbols the summary reports (or
-	// estimates) missing at the receiver. For sketch summaries this is
-	// every position — the sketch informs degrees, not membership.
-	Keep []int
-	// Policy is the degree policy of the informed recoding stream
-	// (CoverageAdaptive over a membership-filtered domain, MinwiseScaled
-	// when only a containment estimate is available).
-	Policy recode.DegreePolicy
-	// Containment is the §4 estimate c = |R∩S|/|S| driving MinwiseScaled
-	// (zero for membership-based methods).
-	Containment float64
-}
-
-// Plan derives the sender's transmit plan from the summary against the
-// sender's currently held working set, given as its distinct ids in log
-// order (§5.2 for Bloom, §5.3 for ART, §4+§5.4.2 for min-wise sketches).
-// It returns ErrNothingUseful when the summary proves (or estimates) the
-// receiver needs nothing from here.
-func (rs *ReceivedSummary) Plan(held []uint64) (SenderPlan, error) {
-	plan := SenderPlan{Policy: recode.CoverageAdaptive}
+// Plan tests held — distinct ids of the sender's working set, any stretch
+// of it — against the summary and returns, ascending, the positions in
+// held of the symbols it reports missing at the receiver (§5.2 for Bloom,
+// §5.3 for ART). A min-wise sketch (§4) names no symbol and so keeps every
+// position, unless it estimates that the receiver's set contains held
+// entirely. Plan returns ErrNothingUseful when the summary proves (or
+// estimates) the receiver needs none of held.
+func (rs *ReceivedSummary) Plan(held []uint64) ([]int, error) {
 	missing := func(id uint64) bool { return true }
 	switch rs.Method {
 	case protocol.SummaryBloom:
@@ -137,25 +119,25 @@ func (rs *ReceivedSummary) Plan(held []uint64) (SenderPlan, error) {
 		mine := minwise.Build(rs.sketch.FamilySeed, len(rs.sketch.Minima), keyset.FromKeys(held))
 		c, err := rs.sketch.ContainmentOf(mine)
 		if err != nil {
-			return SenderPlan{}, err
+			return nil, err
 		}
 		if c >= 1 && rs.sketch.SetSize >= len(held) {
 			// The receiver's set contains ours entirely (as well as the
 			// coarse estimate can tell): nothing to offer.
-			return SenderPlan{}, ErrNothingUseful
+			return nil, ErrNothingUseful
 		}
-		plan.Policy, plan.Containment = recode.MinwiseScaled, c
 
 	default:
-		return SenderPlan{}, fmt.Errorf("strategy: no plan for summary method %v", rs.Method)
+		return nil, fmt.Errorf("strategy: no plan for summary method %v", rs.Method)
 	}
+	var keep []int
 	for i, id := range held {
 		if missing(id) {
-			plan.Keep = append(plan.Keep, i)
+			keep = append(keep, i)
 		}
 	}
-	if len(plan.Keep) == 0 {
-		return SenderPlan{}, ErrNothingUseful
+	if len(keep) == 0 {
+		return nil, ErrNothingUseful
 	}
-	return plan, nil
+	return keep, nil
 }

@@ -8,7 +8,6 @@ import (
 	"icd/internal/keyset"
 	"icd/internal/prng"
 	"icd/internal/protocol"
-	"icd/internal/recode"
 )
 
 // twoSets builds a sender set containing the receiver set plus extras,
@@ -51,13 +50,13 @@ func roundTrip(t *testing.T, method protocol.SummaryMethod, held *keyset.Set) *R
 
 // planned resolves a plan's kept positions against the ids it was made
 // over, checking they are positions of it in log order.
-func planned(t *testing.T, plan SenderPlan, held []uint64) []uint64 {
+func planned(t *testing.T, keep []int, held []uint64) []uint64 {
 	t.Helper()
-	if !slices.IsSorted(plan.Keep) {
-		t.Fatalf("kept positions not in log order: %v", plan.Keep)
+	if !slices.IsSorted(keep) {
+		t.Fatalf("kept positions not in log order: %v", keep)
 	}
-	ids := make([]uint64, len(plan.Keep))
-	for i, pos := range plan.Keep {
+	ids := make([]uint64, len(keep))
+	for i, pos := range keep {
 		ids[i] = held[pos]
 	}
 	return ids
@@ -69,9 +68,6 @@ func TestBloomSummaryPlan(t *testing.T) {
 	plan, err := rs.Plan(sender.Keys())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if plan.Policy != recode.CoverageAdaptive {
-		t.Fatalf("policy %v", plan.Policy)
 	}
 	// Soundness: Bloom false positives can only *suppress* missing
 	// symbols, never admit held ones, so every domain element must be
@@ -95,9 +91,6 @@ func TestARTSummaryPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Policy != recode.CoverageAdaptive {
-		t.Fatalf("policy %v", plan.Policy)
-	}
 	domain := planned(t, plan, sender.Keys())
 	for _, id := range domain {
 		if receiver.Contains(id) {
@@ -118,16 +111,8 @@ func TestSketchSummaryPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Policy != recode.MinwiseScaled {
-		t.Fatalf("policy %v", plan.Policy)
-	}
 	if domain := planned(t, plan, sender.Keys()); !slices.Equal(domain, sender.Keys()) {
 		t.Fatalf("sketch domain %d, want the whole set %d in log order", len(domain), sender.Len())
-	}
-	// True containment |R∩S|/|S| = 3000/4000 = 0.75; the 128-coordinate
-	// estimate should land within ±0.15.
-	if plan.Containment < 0.60 || plan.Containment > 0.90 {
-		t.Fatalf("containment estimate %.3f, want ≈0.75", plan.Containment)
 	}
 }
 

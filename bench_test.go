@@ -201,10 +201,9 @@ func BenchmarkFountainDecodeOverhead(b *testing.B) {
 			if j > 3*n {
 				b.Fatal("stalled")
 			}
-			sym := enc.Next()
-			_, err := dec.AddSymbol(sym)
-			enc.Release(sym) // AddSymbol copies; keep the encode loop alloc-free
-			if err != nil {
+			// AddSymbol may keep the payload until decoding ends, so it is
+			// not handed back to the encoder.
+			if _, err := dec.AddSymbol(enc.Next()); err != nil {
 				b.Fatal(err)
 			}
 		}

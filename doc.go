@@ -103,14 +103,18 @@
 //     with no unsafe and no assembly here. Encoding a symbol of degree d
 //     over b-byte blocks costs d block-XORs, so with mean degree d̄ the
 //     fountain encode rate is memory-bound at roughly bus-bandwidth/d̄;
-//     decode touches each block the same way once plus once per buffered
-//     symbol it reduces.
+//     decode costs the same d block-XORs once per recovered block (the
+//     symbol that resolves it, against its other neighbors), and nothing
+//     for a symbol that arrives fully reduced or is resolved by another.
 //
 //   - Steady-state symbol paths are zero-alloc. Encoder.Next/EncodeID,
-//     Recoder.Next and the redundant-symbol paths of both decoders
-//     recycle payload buffers (encoder/recoder freelists fed by Release,
-//     decoder spare lists fed by fully-reduced symbols) and reuse
-//     per-instance scratch for neighbor expansion and sampling;
+//     Recoder.Next and the redundant-symbol paths of the decoders
+//     recycle payload buffers or never take one (encoder/recoder
+//     freelists fed by Release, the recode and sharded decoders' spare
+//     lists fed by fully-reduced symbols; the fountain.Decoder copies no
+//     payload) and reuse per-instance scratch for neighbor expansion and
+//     sampling — prng.SampleIntsInto keeps even its dedup table for
+//     degrees above 64 in the caller's buffer;
 //     BenchmarkEncoderNextAllocs and BenchmarkRecoderNextAllocs assert
 //     0 allocs/op. Frame writes go through a sync.Pool of serialization
 //     buffers (protocol.WriteSymbol), one Write per frame.
@@ -161,10 +165,16 @@
 // exactly a bare Decoder's on the same id sequence, and it ends the
 // fetch itself.
 //
-// The decoder's own bookkeeping is arena-backed: buffered symbols are
-// values in one slice, their unresolved-block lists runs of another,
-// per-block waiter lists chains through a third, payload buffers carved
-// from slabs — a fraction of an allocation per symbol
+// The decoder peels on ids and reads each payload once. A buffered
+// symbol keeps a reference to its payload, its neighbor list, and the
+// count and XOR of the neighbors still unknown, so a recovery costs each
+// waiting symbol O(1) and a symbol down to one unknown names it; the
+// symbol that resolves a block writes payload ⊕ its other neighbors'
+// blocks straight into that block's slot of one n×blockSize content
+// buffer, and Decoder.Content hands the content out without a final
+// join. Its bookkeeping is arena-backed (buffered symbols values in one
+// slice, neighbor lists runs of another, per-block waiter lists chains
+// through a third) — a small fraction of an allocation per symbol
 // (fountain.TestDecoderSteadyStateAllocs).
 //
 // fountain.ShardedDecoder (blocks owned by shard b mod S, cross-shard
@@ -180,19 +190,22 @@
 //   - Encoder/Recoder payloads: the caller that received a Symbol from
 //     Next/EncodeID owns its buffers and gives them back with Release
 //     exactly once, after its last use (a full sender's send loop
-//     releases right after the frame write). AddSymbol always copies, so
-//     feeding a decoder never transfers ownership.
-//   - Decoder buffers: internal, carved from the decoder's slabs.
-//     Exactly one holder per buffer — the buffered symbol, the peel
-//     queue, or the recovered block. Fully reduced symbols surrender
-//     theirs to the spare list at once; recovered blocks keep theirs
-//     (they ARE the output of Blocks).
+//     releases right after the frame write). The ShardedDecoder's
+//     AddSymbol copies, so feeding it never transfers ownership; the
+//     fountain.Decoder's does not (next point).
+//   - fountain.Decoder: AddSymbol never writes sym.Data but keeps it by
+//     reference until that symbol resolves a block or decoding ends, so
+//     the caller leaves it unchanged until Done (a payload fed to it is
+//     not Released to an encoder). Its one buffer of its own is the
+//     content, n×blockSize: recovered blocks are slots of it (they ARE
+//     the output of Blocks and Content).
 //   - Working-set payloads: the fold copies a new symbol's payload into
 //     a buffer allocated for it and appends that to the log, and from
-//     then on nobody writes it. The peel stage reads it, and a live
-//     Server's sessions frame it onto their wires, outside the
-//     orchestrator lock on the strength of that alone: a partial sender
-//     owns no symbol buffers of its own.
+//     then on nobody writes it. The peel stage hands it to the decoder,
+//     and a live Server's sessions frame it onto their wires, outside
+//     the orchestrator lock on the strength of that alone: a partial
+//     sender owns no symbol buffers of its own, and the decoder copies
+//     none.
 //   - protocol.FrameReader and peermux.Channel: a frame payload is a
 //     borrowed view, valid only until the next frame; never Release or
 //     retain it. Parse it in place (SymbolView) and copy out
@@ -279,9 +292,11 @@
 // copies nothing of a duplicate; it charges the session's stats and
 // tells the session whether the symbol was new and whether the fetch is
 // still on. The peel stage, one goroutine that owns
-// the fountain.Decoder outright and copies each payload on ingest,
-// follows the log with a cursor, so the fold never waits behind XOR work
-// until completion is possible.
+// the fountain.Decoder outright, follows the log with a cursor and feeds
+// the decoder the log's own payloads, which it reads in place and never
+// copies, so the fold never waits behind XOR work until completion is
+// possible, and the decoded content is the decoder's buffer itself
+// (FetchResult.Data; nothing joins blocks at the end).
 //
 // The working set is an append-only log (internal/peer's symbolLog):
 // ids in arrival order with payloads index-aligned beside them and an

@@ -80,6 +80,27 @@ func ExampleOptimalRecodeDegree() {
 	// containment 0.98 → degree 50
 }
 
+// Decoding with the peeling decoder (§5.4.1) and taking the content
+// without a final copy: the decoder writes each recovered block straight
+// into one content buffer, and Content returns it.
+func ExampleDecoder_Content() {
+	content := []byte("informed content delivery across adaptive overlay networks")
+	blocks, origLen, _ := icd.SplitIntoBlocks(content, 8)
+	code, _ := icd.NewCode(len(blocks), nil, 0xC0DE)
+	enc, _ := icd.NewEncoder(code, blocks, 1)
+
+	dec, _ := icd.NewDecoder(code, 8)
+	for !dec.Done() {
+		// The decoder reads the payload in place and may keep it until
+		// decoding ends, so it is not handed back to the encoder.
+		dec.AddSymbol(enc.Next())
+	}
+	got, _ := dec.Content(origLen)
+	fmt.Println(string(got))
+	// Output:
+	// informed content delivery across adaptive overlay networks
+}
+
 // Decoding on multiple cores with the sharded decoder (§5.4.1 peeling,
 // parallelized): encode content, feed the symbol stream, drain, and
 // reassemble. AddSymbol is safe from any number of feeder goroutines.

@@ -235,10 +235,9 @@ func CodingParameters(o Options) (Table, error) {
 				if i > 3*n {
 					return Table{}, fmt.Errorf("decoder stalled at n=%d", n)
 				}
-				sym := enc.Next()
-				_, err := dec.AddSymbol(sym)
-				enc.Release(sym) // AddSymbol copies; keep the encode loop alloc-free
-				if err != nil {
+				// AddSymbol may keep the payload until decoding ends, so it
+				// is not handed back to the encoder.
+				if _, err := dec.AddSymbol(enc.Next()); err != nil {
 					return Table{}, err
 				}
 			}

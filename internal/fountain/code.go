@@ -154,72 +154,54 @@ func (e *Encoder) Release(sym Symbol) {
 }
 
 // Decoder recovers the source blocks from any sufficiently large set of
-// symbols using the substitution rule: each incoming symbol is reduced by
-// the blocks already known; degree-1 residuals recover a block, which is
-// substituted into buffered symbols, cascading (§5.4.1).
+// symbols with the substitution rule (§5.4.1): a symbol whose neighbors
+// are all known but one recovers that one, which can leave buffered
+// symbols with a single unknown in turn, cascading.
 //
-// Bookkeeping lives in arenas that grow by amortized doubling, so the
-// steady-state AddSymbol allocates (almost) nothing per symbol: buffered
-// symbols are values in buf, their unresolved-block lists are runs of
-// unknowns, the per-block waiter lists are chains through waiters headed
-// by waitHead, and payload buffers are carved from slabs of slabBuffers
-// at a time.
+// The peel runs on ids: a buffered symbol keeps the count and the XOR of
+// its neighbors not yet recovered, so a recovery costs each waiting
+// symbol O(1) and a symbol down to one unknown names it. A payload is
+// read once, by the symbol that resolves a block, whose slot in one
+// contiguous content buffer becomes the payload XOR every other
+// neighbor's block; a symbol that arrives fully reduced, or whose last
+// unknown another symbol recovers first, costs no XOR and no copy.
+// Bookkeeping lives in arenas that grow by amortized doubling (buffered
+// symbols in buf, their neighbor lists in nbrs, per-block waiter chains
+// in waiters headed by waitHead), so AddSymbol allocates (almost) nothing
+// per symbol.
 type Decoder struct {
 	code      *Code
 	blockSize int
-	blocks    [][]byte // recovered source blocks (nil = unknown)
+	content   []byte   // n×blockSize, made at the first recovery: block i's slot starts at i·blockSize
+	blocks    [][]byte // views of the recovered slots (nil = unknown)
 	recovered int
 	received  int // total symbols accepted (for overhead accounting)
 	redundant int // symbols contributing nothing new (already-seen id or fully reduced)
 
-	buf      []bufferedSymbol // symbols buffered with two or more unknown blocks
-	unknowns []int32          // arena of the buffered symbols' unresolved block indices
+	buf      []bufferedSymbol // symbols that arrived with two or more unknown blocks
+	nbrs     []int32          // arena of the buffered symbols' neighbor lists
 	waitHead []int32          // per block: 1 + index into waiters of its first waiter, 0 = none
 	waiters  []waiter
 	seen     map[uint64]bool
 
-	idx   []int // neighbor-expansion scratch
-	queue []peelRec
-	spare [][]byte // payload buffers freed by redundant symbols, reused
-	slab  []byte   // unissued remainder of the newest payload slab
+	idx   []int   // neighbor-expansion scratch
+	queue []int32 // cascade scratch: recovered blocks whose waiters are still to be told
 }
 
-// slabBuffers is how many payload buffers one slab allocation holds. Slabs
-// are carved on demand rather than sized for the whole content up front, so
-// a decoder costs memory only for the symbols it has actually been fed.
-const slabBuffers = 64
-
-// bufferedSymbol is one buffered symbol: its reduced payload and the run
-// unknowns[off:off+n] of blocks it still waits on. n drops to 0 when the
-// symbol leaves the buffer (its payload moves on to the peel queue).
+// bufferedSymbol is one buffered symbol: the caller's payload, its
+// neighbor list nbrs[off:off+deg], and left and xr, the count and the XOR
+// of the neighbors whose recovery it has not been told of yet. Once left
+// is 1, xr is the last unknown; data is dropped when the symbol has
+// resolved it or found it resolved.
 type bufferedSymbol struct {
-	data   []byte
-	off, n int32
+	data               []byte
+	off, deg, left, xr int32
 }
 
 // waiter is one link of a block's waiter chain: the buffered symbol
 // waiting on the block, and the next link (1 + index, 0 = end).
 type waiter struct {
 	sym, next int32
-}
-
-type peelRec struct {
-	idx  int
-	data []byte
-}
-
-// drop removes block idx from ps's unresolved run, reporting whether it
-// was there.
-func (d *Decoder) drop(ps *bufferedSymbol, idx int32) bool {
-	run := d.unknowns[ps.off : ps.off+ps.n]
-	for i, u := range run {
-		if u == idx {
-			run[i] = run[len(run)-1]
-			ps.n--
-			return true
-		}
-	}
-	return false
 }
 
 // NewDecoder prepares a decoder for the given code and block size.
@@ -239,27 +221,12 @@ func NewDecoder(code *Code, blockSize int) (*Decoder, error) {
 	}, nil
 }
 
-// getBuf returns a blockSize scratch buffer: one surrendered by a
-// redundant symbol if any (so a saturated decoder stops allocating), else
-// the next slice of the current slab.
-func (d *Decoder) getBuf() []byte {
-	if n := len(d.spare); n > 0 {
-		b := d.spare[n-1]
-		d.spare = d.spare[:n-1]
-		return b
-	}
-	if len(d.slab) < d.blockSize {
-		d.slab = make([]byte, slabBuffers*d.blockSize)
-	}
-	b := d.slab[:d.blockSize:d.blockSize]
-	d.slab = d.slab[d.blockSize:]
-	return b
-}
-
 // AddSymbol ingests one symbol and runs the peeling cascade. It returns
 // the number of source blocks newly recovered by this symbol (possibly
-// zero — the symbol may be buffered for later, or redundant). The
-// decoder copies sym.Data; the caller keeps ownership of it.
+// zero — the symbol may be buffered for later, or redundant). The decoder
+// never writes sym.Data, nor copies it: a symbol buffered with two or more
+// unknown blocks is kept by reference, so the caller must leave sym.Data
+// unchanged until Done (or until it drops the decoder).
 func (d *Decoder) AddSymbol(sym Symbol) (int, error) {
 	if len(sym.Data) != d.blockSize {
 		return 0, fmt.Errorf("fountain: symbol size %d, want %d", len(sym.Data), d.blockSize)
@@ -271,68 +238,90 @@ func (d *Decoder) AddSymbol(sym Symbol) (int, error) {
 	d.seen[sym.ID] = true
 	d.received++
 
-	// Reduce by known blocks.
-	data := d.getBuf()
-	copy(data, sym.Data)
+	// Count the unknown neighbors and XOR their indices. The neighbor list
+	// goes on the arena, where it stays only if the symbol is buffered.
 	d.idx = d.code.AppendNeighbors(sym.ID, d.idx)
-	unknown := d.idx[:0] // compact unknowns in place; idx is consumed left to right
+	off := len(d.nbrs)
+	var left, xr int32
 	for _, i := range d.idx {
-		if d.blocks[i] != nil {
-			xorblock.XorInto(data, d.blocks[i])
-		} else {
-			unknown = append(unknown, i)
+		d.nbrs = append(d.nbrs, int32(i))
+		if d.blocks[i] == nil {
+			left++
+			xr ^= int32(i)
 		}
 	}
 	before := d.recovered
-	switch len(unknown) {
+	switch left {
 	case 0:
 		d.redundant++ // fully reduced: nothing new
-		d.spare = append(d.spare, data)
 	case 1:
-		d.recoverBlock(unknown[0], data)
+		d.resolve(xr, sym.Data, d.nbrs[off:])
 	default:
 		at := int32(len(d.buf))
-		d.buf = append(d.buf, bufferedSymbol{data: data, off: int32(len(d.unknowns)), n: int32(len(unknown))})
-		for _, i := range unknown {
-			d.unknowns = append(d.unknowns, int32(i))
-			d.waiters = append(d.waiters, waiter{sym: at, next: d.waitHead[i]})
-			d.waitHead[i] = int32(len(d.waiters))
+		d.buf = append(d.buf, bufferedSymbol{data: sym.Data, off: int32(off), deg: int32(len(d.idx)), left: left, xr: xr})
+		for _, i := range d.idx {
+			if d.blocks[i] == nil {
+				d.waiters = append(d.waiters, waiter{sym: at, next: d.waitHead[i]})
+				d.waitHead[i] = int32(len(d.waiters))
+			}
 		}
+		return 0, nil
 	}
+	d.nbrs = d.nbrs[:off]
 	return d.recovered - before, nil
 }
 
-// recoverBlock records a newly known block and propagates it through the
-// buffered symbols (the substitution rule), iteratively to avoid deep
-// recursion.
-func (d *Decoder) recoverBlock(idx int, data []byte) {
-	queue := append(d.queue[:0], peelRec{idx, data})
+// resolve recovers block u from data, the payload of a symbol whose other
+// neighbors (in nbrs) are all known, then runs the cascade, iteratively to
+// avoid deep recursion: every symbol waiting on a recovered block is told
+// of it, and one left with a single unknown resolves that block in turn.
+func (d *Decoder) resolve(u int32, data []byte, nbrs []int32) {
+	d.write(u, data, nbrs)
+	queue := append(d.queue[:0], u)
 	for head := 0; head < len(queue); head++ {
-		r := queue[head]
-		if d.blocks[r.idx] != nil {
-			d.spare = append(d.spare, r.data)
-			continue
-		}
-		d.blocks[r.idx] = r.data
-		d.recovered++
-		w := d.waitHead[r.idx]
-		d.waitHead[r.idx] = 0
+		b := queue[head]
+		w := d.waitHead[b]
+		d.waitHead[b] = 0
 		for ; w != 0; w = d.waiters[w-1].next {
 			ps := &d.buf[d.waiters[w-1].sym]
-			if ps.n == 0 || !d.drop(ps, int32(r.idx)) {
+			ps.left--
+			ps.xr ^= b
+			if ps.left != 1 {
 				continue
 			}
-			xorblock.XorInto(ps.data, r.data)
-			if ps.n == 1 {
-				// Down to one unknown: the symbol leaves the buffer and its
-				// payload becomes that block (or a spare, if another path
-				// recovers the block first).
-				queue = append(queue, peelRec{int(d.unknowns[ps.off]), ps.data})
-				ps.data, ps.n = nil, 0
+			// Down to one unknown: resolve it, unless another symbol has (it
+			// is still queued then, and telling this symbol of it takes left to 0).
+			if v := ps.xr; d.blocks[v] == nil {
+				d.write(v, ps.data, d.nbrs[ps.off:ps.off+ps.deg])
+				queue = append(queue, v)
 			}
+			ps.data = nil
 		}
 	}
 	d.queue = queue[:0] // retain capacity for the next cascade
+}
+
+// write fills block u's slot with data XOR the blocks of every neighbor in
+// nbrs other than u, all of them known, and records u recovered. The
+// first XOR reads data itself, so the payload is never copied on its own.
+func (d *Decoder) write(u int32, data []byte, nbrs []int32) {
+	if d.content == nil { // made here, not in NewDecoder: off the caller's set-up path
+		d.content = make([]byte, d.code.n*d.blockSize)
+	}
+	lo := int(u) * d.blockSize
+	slot := d.content[lo : lo+d.blockSize : lo+d.blockSize]
+	src := data
+	for _, v := range nbrs {
+		if v != u {
+			xorblock.XorBytes(slot, src, d.blocks[v])
+			src = slot
+		}
+	}
+	if len(nbrs) == 1 {
+		copy(slot, data)
+	}
+	d.blocks[u] = slot
+	d.recovered++
 }
 
 // Done reports whether every source block has been recovered.
@@ -354,6 +343,18 @@ func (d *Decoder) Overhead() float64 {
 	return float64(d.received)/float64(d.code.n) - 1
 }
 
-// Blocks returns the recovered source blocks; entries are nil until
-// recovered. The caller must not mutate them.
+// Blocks returns the recovered source blocks, views into the content
+// buffer; entries are nil until recovered. The caller must not mutate them.
 func (d *Decoder) Blocks() [][]byte { return d.blocks }
+
+// Content returns the decoded content's first origLen bytes without a
+// copy, sharing memory with Blocks. It is an error before Done.
+func (d *Decoder) Content(origLen int) ([]byte, error) {
+	if !d.Done() {
+		return nil, fmt.Errorf("fountain: %d of %d blocks recovered", d.recovered, d.code.n)
+	}
+	if origLen < 1 || origLen > len(d.content) {
+		return nil, fmt.Errorf("fountain: original length %d outside (0, %d]", origLen, len(d.content))
+	}
+	return d.content[:origLen:origLen], nil
+}

@@ -151,7 +151,8 @@ func RobustSoliton(n int, c, delta float64) *Distribution {
 
 // DefaultEncoding returns the library's tuned encoding distribution for n
 // source blocks: a robust soliton with c = 0.03, δ = 0.5, the best
-// all-scale point of our calibration sweep (see EXPERIMENTS.md E11):
+// all-scale point of our calibration sweep (`go run ./cmd/icdbench -exp
+// coding` re-measures it):
 // measured decoding overhead ≈ 18% at n=300, 13% at n=1000, 4.3% at
 // n=10000 and ≈ 3.2% at the paper's n = 23,968 with mean degree ≈ 16
 // (the paper's proprietary heuristic: degree 11, overhead 6.8%; the paper

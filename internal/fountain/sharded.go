@@ -199,6 +199,13 @@ type crossSym struct {
 	dead bool
 }
 
+// peelRec is one entry of a shard's cascade queue: a block and the
+// payload that recovers it.
+type peelRec struct {
+	idx  int
+	data []byte
+}
+
 // NewShardedDecoder prepares a decoder that peels on `shards` worker
 // goroutines (shards ≤ 0 selects GOMAXPROCS; the count is clamped to
 // [1, min(MaxShards, n)]). A ShardedDecoder must be Closed when done to

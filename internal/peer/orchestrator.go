@@ -30,12 +30,14 @@ package peer
 // Buffer ownership: the frame a session folds is a view into its
 // channel's queue buffer, valid until the session reads the next one.
 // The fold copies a new symbol's payload out of it into a buffer
-// allocated for it (the one allocation the content requires; it finally
-// surfaces in FetchResult.Held), and nothing of a duplicate. There is no
-// receive pool and nothing to release. A payload the working set holds is
-// never written again: the peel stage reads it outside o.mu, a live
-// Server's sessions frame it onto their wires from there, and the
-// fountain decoder copies it on AddSymbol.
+// allocated for it (it finally surfaces in FetchResult.Held), and nothing
+// of a duplicate. There is no receive pool and nothing to release. A
+// payload the working set holds is never written again: the peel stage
+// reads it outside o.mu, a live Server's sessions frame it onto their
+// wires from there, and the fountain decoder keeps it by reference —
+// it copies no payload, and reads one only to write the block it
+// resolves into its content buffer, which becomes FetchResult.Data
+// without a final join (Decoder.Content).
 
 import (
 	"context"
@@ -797,7 +799,7 @@ func (o *Orchestrator) collectResult(fdec *fountain.Decoder) (*FetchResult, erro
 		res.Completed = fdec.Done()
 		res.DecodeOverhead = fdec.Overhead()
 		if res.Completed {
-			data, err := fountain.JoinBlocks(fdec.Blocks(), o.info.OrigLen)
+			data, err := fdec.Content(o.info.OrigLen)
 			if err != nil {
 				return nil, err
 			}

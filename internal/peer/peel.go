@@ -8,7 +8,11 @@ package peer
 // decoder outright and does the XOR work. The stage is a cursor on the
 // working set's append-only log, like every other reader of it, so it
 // holds no symbols of its own and its backlog is just the distance
-// between its cursor and the log's end. The fold does not wait for it
+// between its cursor and the log's end. It hands the decoder the log's
+// own payloads: the decoder keeps the ones it buffers by reference and
+// never writes them, which the log allows because it never rewrites an
+// entry, so a payload is copied once on the whole receive path (by the
+// fold) and read at most once more, into the block it resolves. The fold does not wait for it
 // (a stale working set means stale summaries, and senders then spend
 // transmissions on symbols the receiver already holds) until the log
 // holds n symbols and completion becomes possible.

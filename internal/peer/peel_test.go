@@ -153,7 +153,7 @@ func TestPeelStageStopsAtCompletion(t *testing.T) {
 	if dec.Received() != bare.Received() {
 		t.Fatalf("stage decoded %d symbols, the bare decoder needed %d", dec.Received(), bare.Received())
 	}
-	got, err := fountain.JoinBlocks(dec.Blocks(), info.OrigLen)
+	got, err := dec.Content(info.OrigLen)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("decoded content differs (err=%v)", err)
 	}

@@ -131,8 +131,10 @@ func (r *Rand) SampleInts(n, k int) []int {
 // otherwise it Fisher–Yates shuffles a dense range in buf. Floyd
 // duplicate detection is a linear scan while k is small (the common
 // hot-path regime: recoding degrees are capped at 50 and soliton
-// degrees are overwhelmingly small) and switches to a map above that,
-// keeping large uncapped degrees O(k) instead of O(k²).
+// degrees are overwhelmingly small) and switches to an open-addressing
+// table above that, keeping large uncapped degrees O(k) instead of
+// O(k²). The table lives in buf's spare capacity, which the first large
+// k grows once, so it allocates nothing either.
 func (r *Rand) SampleIntsInto(n, k int, buf []int) []int {
 	if k < 0 || k > n {
 		panic("prng: SampleInts k out of range")
@@ -153,17 +155,22 @@ func (r *Rand) SampleIntsInto(n, k int, buf []int) []int {
 	// Both dedup structures see the same candidate stream, so the draws
 	// and results are identical regardless of which is used.
 	const scanLimit = 64
-	var chosen map[int]struct{}
+	var table []int // v+1 per chosen v, 0 = empty; a power of two ≥ 2k slots
 	if k > scanLimit {
-		chosen = make(map[int]struct{}, k)
+		size := 1 << bits.Len(uint(2*k-1))
+		if cap(out) < k+size {
+			out = make([]int, 0, k+size)
+		}
+		table = out[k : k+size]
+		clear(table)
 	}
 	for j := n - k; j < n; j++ {
 		v := r.Intn(j + 1)
-		if chosen != nil {
-			if _, dup := chosen[v]; dup {
+		if table != nil {
+			if !insert(table, v) {
 				v = j
+				insert(table, v)
 			}
-			chosen[v] = struct{}{}
 		} else {
 			for _, c := range out {
 				if c == v {
@@ -175,4 +182,19 @@ func (r *Rand) SampleIntsInto(n, k int, buf []int) []int {
 		out = append(out, v)
 	}
 	return out
+}
+
+// insert adds v to an open-addressing table of SampleIntsInto (linear
+// probing from a Fibonacci hash), reporting false if it was already there.
+func insert(table []int, v int) bool {
+	mask := uint64(len(table) - 1)
+	for h := uint64(v) * 0x9e3779b97f4a7c15 >> bits.LeadingZeros64(mask); ; h = (h + 1) & mask {
+		switch table[h] {
+		case 0:
+			table[h] = v + 1
+			return true
+		case v + 1:
+			return false
+		}
+	}
 }

@@ -2,6 +2,7 @@ package prng
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -244,5 +245,69 @@ func TestSampleIntsIntoMatchesSampleInts(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// sampleIntsMap is SampleIntsInto as it was before its open-addressing
+// table: Floyd's algorithm with a map for k > 64. The table must draw the
+// same candidates and keep the same values.
+func sampleIntsMap(r *Rand, n, k int) []int {
+	var out []int
+	if k == 0 {
+		return out
+	}
+	if k*4 >= n {
+		for i := 0; i < n; i++ {
+			out = append(out, i)
+		}
+		r.ShuffleInts(out)
+		return out[:k]
+	}
+	chosen := make(map[int]struct{}, k)
+	for j := n - k; j < n; j++ {
+		v := r.Intn(j + 1)
+		if _, dup := chosen[v]; dup {
+			v = j
+		}
+		chosen[v] = struct{}{}
+		out = append(out, v)
+	}
+	return out
+}
+
+// TestSampleIntsIntoMatchesMapReference: over thousands of (n, k, seed)
+// triples — most of them sparse with k above the scan limit, plus both
+// sides of the k*4 >= n dense boundary — SampleIntsInto returns exactly
+// the map-based reference's values and leaves the generator where the
+// reference does, while one buffer (and its stale table) is reused
+// throughout.
+func TestSampleIntsIntoMatchesMapReference(t *testing.T) {
+	var buf []int
+	triples := 0
+	check := func(n, k int, seed uint64) {
+		t.Helper()
+		ref, got := New(seed), New(seed)
+		want := sampleIntsMap(ref, n, k)
+		buf = got.SampleIntsInto(n, k, buf)
+		if !slices.Equal(buf, want) {
+			t.Fatalf("n=%d k=%d seed=%d: %v, want %v", n, k, seed, buf, want)
+		}
+		if got.Uint64() != ref.Uint64() {
+			t.Fatalf("n=%d k=%d seed=%d: the generator moved differently", n, k, seed)
+		}
+		triples++
+	}
+	meta := New(1)
+	for seed := uint64(0); seed < 3000; seed++ {
+		n := 1 + meta.Intn(20000)
+		check(n, meta.Intn(min(n, 600)+1), seed)
+	}
+	for _, n := range []int{257, 258, 259, 260, 1000, 4096, 23968} {
+		for _, k := range []int{64, 65, (n - 1) / 4, (n + 3) / 4, n / 2} {
+			check(n, k, uint64(n*k))
+		}
+	}
+	if triples < 3000 {
+		t.Fatalf("checked %d triples", triples)
 	}
 }

@@ -114,8 +114,8 @@ func (c Config) Default() Config {
 	}
 	if c.RecodeChunkBudget == 0 {
 		// Measured full-decode cost of the capped robust soliton is
-		// ≈1.25× for chunk-sized domains (see EXPERIMENTS.md, E11); the
-		// margin keeps the probability of an undecodable chunk — whose
+		// ≈1.25× for chunk-sized domains (`go run ./cmd/icdbench -exp
+		// coding` measures the code's overhead); the margin keeps the probability of an undecodable chunk — whose
 		// gaps would wait a full rotation — small.
 		c.RecodeChunkBudget = 1.35
 	}

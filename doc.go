@@ -117,7 +117,13 @@
 //     degrees above 64 in the caller's buffer;
 //     BenchmarkEncoderNextAllocs and BenchmarkRecoderNextAllocs assert
 //     0 allocs/op. Frame writes go through a sync.Pool of serialization
-//     buffers (protocol.WriteSymbol), one Write per frame.
+//     buffers (protocol.WriteSymbol), one Write per frame — which a
+//     fabric channel turns into an envelope in its pending batch
+//     (protocol.AppendMux into a pooled buffer), so the symbols of one
+//     REQUEST and the DONE behind them leave in one conn write, and the
+//     wire's FrameReader reads ahead, so they arrive in one conn read:
+//     per batch, not per frame (a sender out of credit writes its batch
+//     before it waits, and no batch passes 64 KiB).
 //
 //   - Summary probes avoid division. Bloom probes use the
 //     Kirsch–Mitzenmacher pair with Lemire multiply-shift range
@@ -207,11 +213,15 @@
 //     sender owns no symbol buffers of its own, and the decoder copies
 //     none.
 //   - protocol.FrameReader and peermux.Channel: a frame payload is a
-//     borrowed view, valid only until the next frame; never Release or
-//     retain it. Parse it in place (SymbolView) and copy out
-//     only what you keep. peer.Fetch keeps no receive pool: a session
+//     borrowed view — into the reader's read-ahead buffer, or the
+//     channel's pooled queue buffer — valid only until the next frame;
+//     never Release or retain it. Parse it in place (SymbolView) and copy
+//     out only what you keep. peer.Fetch keeps no receive pool: a session
 //     folds the view, the fold copies what the working set keeps and
 //     nothing of a duplicate, and there is nothing to give back.
+//   - peermux.Channel.Write copies the frame into the channel's pending
+//     batch, so the caller's buffer — an encoder payload, a log entry —
+//     is free again when Write returns, whenever the batch is written.
 //
 // With frame reads through FrameReader (or a channel's pooled queue) and
 // parses through SymbolView, the receive loop performs 0 allocs per

@@ -173,7 +173,7 @@ func TestWrapCorruptionFlipsBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	payload := bytes.Repeat([]byte{0xAA}, 1024)
+	payload := bytes.Repeat([]byte{0xAA}, 4*corruptSpan) // past the first flip, wherever it falls
 	go func() {
 		for {
 			conn, err := ln.Accept()

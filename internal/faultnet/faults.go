@@ -50,13 +50,21 @@ type Faults struct {
 	// [1, 2·KillAfter), so kills land mid-frame at any batch position.
 	KillAfter int
 	// CorruptProb is the per-connection chance a dialed conn corrupts
-	// the data it delivers: a corrupting connection flips one byte in
-	// every read, surfacing upstream as frame-CRC failures until the
-	// reader gives up on it. Connection-level (rather than per-read)
-	// corruption models a bad path or a hostile peer — the cases a
-	// penalty box must attribute to an address.
+	// the data it delivers: a corrupting connection flips about one byte
+	// in every corruptSpan it delivers, surfacing upstream as frame-CRC
+	// failures until the reader gives up on it. Connection-level (rather
+	// than per-read) corruption models a bad path or a hostile peer — the
+	// cases a penalty box must attribute to an address.
 	CorruptProb float64
 }
+
+// corruptSpan is the mean distance, in delivered bytes, between the bytes
+// a corrupting connection flips (the gaps are uniform in
+// [1, 2·corruptSpan]). Corruption is a property of the byte stream, not of
+// how the reader sizes its reads: one that takes in a whole batch of
+// frames per read sees the same bytes flipped as one that reads a frame
+// header at a time.
+const corruptSpan = 1 << 10
 
 // Wrap decorates inner with fault injection. The returned transport
 // shares one seeded PRNG across connections (guarded by a mutex), and
@@ -101,6 +109,9 @@ func (t *faultTransport) Dial(addr string) (net.Conn, error) {
 		fc.killAt = int64(1 + connRng.Intn(2*t.f.KillAfter))
 	}
 	fc.corrupt = t.f.CorruptProb > 0 && connRng.Float64() < t.f.CorruptProb
+	if fc.corrupt {
+		fc.flipAt = int64(connRng.Intn(2 * corruptSpan))
+	}
 	return fc, nil
 }
 
@@ -117,12 +128,15 @@ type faultConn struct {
 	net.Conn
 	f       Faults
 	killAt  int64
-	corrupt bool // this conn flips one byte per read
+	corrupt bool // this conn flips a byte in every corruptSpan or so it delivers
 
 	mu          sync.Mutex
 	rng         *prng.Rand
 	transferred int64
 	dead        bool
+	// delivered counts the bytes reads have returned; flipAt is the
+	// delivered-stream offset of the next byte a corrupting conn flips.
+	delivered, flipAt int64
 }
 
 // roll draws one uniform float under the conn lock (reads and writes
@@ -157,7 +171,10 @@ func (c *faultConn) Read(p []byte) (int, error) {
 	if n > 0 {
 		if c.corrupt {
 			c.mu.Lock()
-			p[c.rng.Intn(n)] ^= 0x5A
+			for ; c.flipAt < c.delivered+int64(n); c.flipAt += 1 + int64(c.rng.Intn(2*corruptSpan)) {
+				p[c.flipAt-c.delivered] ^= 0x5A
+			}
+			c.delivered += int64(n)
 			c.mu.Unlock()
 		}
 		if c.f.Bandwidth > 0 {

@@ -140,8 +140,6 @@ type transferState struct {
 	res  *peer.FetchResult
 	err  error
 
-	failed bool // set under Node.mu: late live-server registration must not land
-
 	// Scheduler sampling state, touched only under schedMu.
 	lastProgress int
 	lastSample   time.Time
@@ -460,14 +458,21 @@ func (n *Node) StartFetch(ctx context.Context, contentID uint64, addrs ...string
 	n.mux.SetPending(contentID, true)
 	n.rebalance()
 
+	registered := make(chan struct{})
 	go func() {
 		res, err := st.o.Run(ctx, addrs...)
+		// The live server is in, or will never be, before the fetch
+		// settles: a finished replica is served from the moment Wait
+		// returns, and a failed one is never registered after its removal.
+		<-registered
 		n.finishFetch(st, res, err)
 		close(st.done)
 	}()
 	go func() {
+		defer close(registered)
 		// Serve while fetching: registration waits only for the first
-		// handshake (content metadata), not for completion.
+		// handshake (content metadata), not for completion. WaitInfo
+		// returns when the fetch ends, whether or not it got that far.
 		info, err := st.o.WaitInfo(ctx)
 		if err != nil {
 			return
@@ -476,16 +481,11 @@ func (n *Node) StartFetch(ctx context.Context, contentID uint64, addrs ...string
 		if err != nil {
 			return
 		}
+		// The fetch has not settled, so its store entry is still there:
+		// active, it can be neither evicted nor Dropped.
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		if st.failed || n.closed {
-			return // the fetch already unwound: do not resurrect the replica
-		}
-		if _, ok := n.store.Get(st.id); !ok {
-			// The store entry is already gone — a fast fetch finished and
-			// its replica was budget-evicted (or Dropped) before this
-			// goroutine ran. Registering now would serve a zombie the
-			// store no longer accounts for.
+		if n.closed {
 			return
 		}
 		if n.mux.Register(live) == nil {
@@ -516,9 +516,6 @@ func (n *Node) finishFetch(st *transferState, res *peer.FetchResult, err error) 
 			n.order = append(n.order[:i], n.order[i+1:]...)
 			break
 		}
-	}
-	if err != nil {
-		st.failed = true
 	}
 	n.mu.Unlock()
 

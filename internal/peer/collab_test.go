@@ -63,15 +63,21 @@ func symbolMap(syms []idSym) map[uint64][]byte {
 	return m
 }
 
-// slowConn throttles reads — the rate-limited origin link of Figure 1.
+// slowConn throttles reads — the rate-limited origin link of Figure 1:
+// slowChunk bytes per delay, however much the reader asks for at once.
 type slowConn struct {
 	net.Conn
 	delay time.Duration
 }
 
+// slowChunk is what one slowConn read takes in: about half a small-block
+// symbol frame, so a link throttled at 1 ms runs at about 500 such frames
+// per second.
+const slowChunk = 48
+
 func (c *slowConn) Read(p []byte) (int, error) {
 	time.Sleep(c.delay)
-	return c.Conn.Read(p)
+	return c.Conn.Read(p[:min(len(p), slowChunk)])
 }
 
 // collabNode runs one collaborating peer: an orchestrator seeded with

@@ -172,10 +172,10 @@ func TestFetchSurvivesTruncatingPeer(t *testing.T) {
 func TestFetchInconsistentMetadataRejected(t *testing.T) {
 	// Two servers claiming the same content id but different geometry:
 	// the client must reject the second handshake rather than mix
-	// decoders. Enough blocks that the first server cannot finish the
-	// transfer before the second one's handshake has been seen (a peer
-	// whose open is still in flight when the transfer ends is walked away
-	// from, and has shown no metadata to reject).
+	// decoders. Neither server sends a symbol before the client has either
+	// requested from the other or hung up on it: a peer whose open is
+	// still in flight when the transfer ends is walked away from, and has
+	// shown no metadata to reject.
 	infoA, dataA := testContent(t, 1200, 32)
 	infoB := infoA
 	infoB.NumBlocks = 600
@@ -190,10 +190,7 @@ func TestFetchInconsistentMetadataRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr1 := startServer(t, s1)
-	addr2 := startServer(t, s2)
-
-	res, err := Fetch([]string{addr1, addr2}, infoA.ID, FetchOptions{
+	res, err := Fetch(startGatedServers(t, s1, s2), infoA.ID, FetchOptions{
 		Batch: 8, Timeout: 5 * time.Second,
 	})
 	if err != nil {

@@ -345,7 +345,7 @@ func (m *ServerMux) ServeConn(conn net.Conn) error {
 		return errors.New("peer: inbound connection limit reached")
 	}
 	defer m.active.Add(-1)
-	fr := protocol.NewFrameReader(conn)
+	fr := protocol.NewFrameReader(conn) // reads ahead: the wire reads on through it
 	if m.timeout > 0 {
 		conn.SetDeadline(time.Now().Add(m.timeout))
 	}
@@ -468,6 +468,6 @@ func refuse(conn net.Conn, timeout time.Duration) {
 	if timeout > 0 {
 		conn.SetDeadline(time.Now().Add(timeout)) // bounds the read and the answer
 	}
-	protocol.NewFrameReader(conn).Next()
+	protocol.ReadFrame(conn)
 	protocol.WriteFrame(conn, protocol.EncodeErrorRefused())
 }

@@ -39,6 +39,91 @@ func startServer(t testing.TB, s *Server) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveOn(t, ln, s)
+}
+
+// startGatedServers serves each of srvs as startServer does, behind one
+// startGate: no server sends its first batch until every one of them has
+// a client session either requesting (its first batch is ready) or gone
+// (its handshake was rejected). A fetch from all of them then has every
+// session decided before any transfer starts, however fast the first one
+// up would finish alone.
+func startGatedServers(t testing.TB, srvs ...*Server) []string {
+	t.Helper()
+	g := &startGate{n: len(srvs), open: make(chan struct{})}
+	addrs := make([]string, len(srvs))
+	for i, s := range srvs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = serveOn(t, gatedListener{ln, g}, s)
+	}
+	return addrs
+}
+
+// startGate opens once n server connections have arrived at it.
+type startGate struct {
+	mu   sync.Mutex
+	n    int
+	open chan struct{}
+}
+
+func (g *startGate) arrive() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.n--; g.n == 0 {
+		close(g.open)
+	}
+}
+
+// gatedConn is a server connection behind a startGate. It arrives at its
+// first MUX envelope write — the fabric writes whole frames or batches of
+// them, so a write's first frame header names what it carries — or when
+// its client hangs up, whichever comes first, and every envelope write
+// waits for the gate (bounded, so that a gate that never opens fails the
+// fetch instead of hanging the server).
+type gatedConn struct {
+	net.Conn
+	g       *startGate
+	arrived sync.Once
+}
+
+func (c *gatedConn) Write(p []byte) (int, error) {
+	if len(p) > 3 && protocol.Type(p[3]) == protocol.TypeMux {
+		c.arrived.Do(c.g.arrive)
+		select {
+		case <-c.g.open:
+		case <-time.After(10 * time.Second):
+		}
+	}
+	return c.Conn.Write(p)
+}
+
+func (c *gatedConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if err != nil {
+		c.arrived.Do(c.g.arrive)
+	}
+	return n, err
+}
+
+type gatedListener struct {
+	net.Listener
+	g *startGate
+}
+
+func (l gatedListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &gatedConn{Conn: c, g: l.g}, nil
+}
+
+// serveOn serves s behind a ServerMux on ln until the test ends and
+// returns ln's address.
+func serveOn(t testing.TB, ln net.Listener, s *Server) string {
 	mux := front(s)
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -104,32 +189,36 @@ func TestFetchFromFullServerTCP(t *testing.T) {
 }
 
 func TestFetchParallelFullServers(t *testing.T) {
-	// Enough blocks that the transfer outlasts the slower sessions' wire
-	// and channel handshakes — the first session up must not finish alone.
+	// The servers start sending together, once all three sessions are
+	// requesting — the content (57 KB) fits in one session's default
+	// window, so the first session up could otherwise finish it alone —
+	// and a one-batch window keeps each no more than a batch ahead of its
+	// consumer, so none can finish it while another's first batch waits
+	// to be read.
 	info, data := testContent(t, 1200, 48)
-	var addrs []string
+	var srvs []*Server
 	for i := 0; i < 3; i++ {
 		srv, err := NewFullServer(info, data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		addrs = append(addrs, startServer(t, srv))
+		srvs = append(srvs, srv)
 	}
-	res, err := Fetch(addrs, info.ID, FetchOptions{Batch: 16, Timeout: 10 * time.Second})
+	res, err := Fetch(startGatedServers(t, srvs...), info.ID, FetchOptions{Batch: 16, ChannelWindow: 16, Timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(res.Data, data) {
 		t.Fatal("content mismatch")
 	}
-	// Additivity (§2.3): every peer should have contributed.
+	// Additivity (§2.3): every peer contributed.
 	contributed := 0
 	for _, p := range res.Peers {
 		if p.SymbolsReceived > 0 {
 			contributed++
 		}
 	}
-	if contributed < 2 {
+	if contributed != 3 {
 		t.Fatalf("only %d/3 peers contributed", contributed)
 	}
 }

@@ -2,10 +2,11 @@ package peermux
 
 // channel.go is one content subchannel: a bounded queue of inbound
 // frames (fed by the wire's reader, drained by Next), an io.Writer that
-// re-frames serialized content frames into MUX envelopes, and the two
-// halves of the credit ledger — the sender side that spends and blocks,
-// the receiver side that meters arrivals and replenishes as its
-// consumer drains.
+// re-frames serialized content frames into MUX envelopes and gathers
+// them into batches that leave in one conn write, and the two halves of
+// the credit ledger — the sender side that spends and blocks, the
+// receiver side that meters arrivals and replenishes as its consumer
+// drains.
 
 import (
 	"io"
@@ -17,9 +18,9 @@ import (
 )
 
 // chanBufs recycles inbound frame payload buffers: the reader copies an
-// envelope's inner payload out of the FrameReader's scratch (which the
-// next frame overwrites) into a pooled buffer that Next hands out and
-// reclaims on the following call — the same valid-until-next-call
+// envelope's inner payload out of the FrameReader's read-ahead buffer
+// (which a later frame overwrites) into a pooled buffer that Next hands
+// out and reclaims on the following call — the same valid-until-next-call
 // contract as protocol.FrameReader.
 var chanBufs = sync.Pool{New: func() any { return new([]byte) }}
 
@@ -43,20 +44,46 @@ type inFrame struct {
 	buf *[]byte
 }
 
+// batchBytes bounds one batched conn write. Write gathers a channel's
+// envelopes into a pending batch and writes it whole when a frame other
+// than SYMBOL ends it (a REQUEST's answer ends in DONE), when a SYMBOL
+// finds no credit, or when the next envelope would take it past this
+// size — so no write is larger, unless one frame alone is.
+const batchBytes = 64 << 10
+
+// batchBufs recycles batch buffers: a channel holds one only while a
+// batch is open.
+var batchBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, batchBytes)
+	return &b
+}}
+
 // Channel is one content subchannel on a Wire. The fetching side reads
 // frames with Next and writes control frames through Write; the serving
 // side does the reverse. The surface is the one a session would use
 // from a net.Conn + FrameReader pair — Next for frames, Write for one
 // serialized frame per call, SetDeadline to bound both — so the peer
 // package's state machines drive it with the plain protocol writers.
+//
+// Next has one caller at a time (the channel's reader), and so do Writes
+// of SYMBOL frames (the channel's symbol writer): each owns a deadline
+// timer it reuses across waits. Other frames may be written from any
+// goroutine.
 type Channel struct {
 	w           *Wire
 	id          uint16
 	remoteHello protocol.Hello
 
-	in    chan inFrame
-	prev  *[]byte     // buffer handed out by the last Next
-	timer *time.Timer // Next's deadline timer, reused across waits (Next's caller only)
+	in     chan inFrame
+	prev   *[]byte     // buffer handed out by the last Next
+	timer  *time.Timer // Next's deadline timer (the reader's)
+	wtimer *time.Timer // the credit wait's deadline timer (the symbol writer's)
+
+	// bmu guards batch, the envelopes written but not yet on the conn (a
+	// pooled buffer, nil while no batch is open). Never held across a
+	// credit wait.
+	bmu   sync.Mutex
+	batch *[]byte
 
 	mu       sync.Mutex
 	credits  uint32 // sender side: symbol frames we may still send
@@ -399,21 +426,9 @@ func (c *Channel) Next() (protocol.Frame, error) {
 		dl := c.deadline
 		dn := c.dnotify
 		c.mu.Unlock()
-		var timech <-chan time.Time
-		if !dl.IsZero() {
-			d := time.Until(dl)
-			if d <= 0 {
-				return protocol.Frame{}, ErrDeadline
-			}
-			// One timer per channel, not per empty-queue wait. Stop
-			// leaves nothing in C (go 1.23 timers), so a Reset here never
-			// sees an earlier wait's expiry.
-			if c.timer == nil {
-				c.timer = time.NewTimer(d)
-			} else {
-				c.timer.Reset(d)
-			}
-			timech = c.timer.C
+		timech, ok := armTimer(&c.timer, dl)
+		if !ok {
+			return protocol.Frame{}, ErrDeadline
 		}
 		select {
 		case f := <-c.in:
@@ -426,6 +441,26 @@ func (c *Channel) Next() (protocol.Frame, error) {
 		}
 		stopTimer(c.timer)
 	}
+}
+
+// armTimer sets *t, made at its first use and reused by every wait after,
+// to fire at deadline dl and returns its channel: nil for no deadline,
+// and ok false for one already past. Stop leaves nothing in C (go 1.23
+// timers), so a Reset never sees an earlier wait's expiry.
+func armTimer(t **time.Timer, dl time.Time) (<-chan time.Time, bool) {
+	if dl.IsZero() {
+		return nil, true
+	}
+	d := time.Until(dl)
+	if d <= 0 {
+		return nil, false
+	}
+	if *t == nil {
+		*t = time.NewTimer(d)
+	} else {
+		(*t).Reset(d)
+	}
+	return (*t).C, true
 }
 
 func stopTimer(t *time.Timer) {
@@ -454,7 +489,11 @@ func (c *Channel) finalErr() error {
 // Write sends one fully serialized content frame (as produced by
 // protocol.WriteFrame or WriteSymbol — always one frame per Write call)
 // through the channel as a MUX envelope. A SYMBOL frame first acquires a
-// credit, blocking while the window is empty.
+// credit, blocking while the window is empty. The envelope joins the
+// channel's pending batch (batchBytes), which leaves in one conn write,
+// in order, with the next frame that is not a SYMBOL — a REQUEST's
+// symbols with the DONE that ends them — or when a SYMBOL must wait for
+// credit, or when the batch is full, or at Close.
 func (c *Channel) Write(p []byte) (int, error) {
 	t, payload, err := protocol.FrameParts(p)
 	if err != nil {
@@ -465,16 +504,62 @@ func (c *Channel) Write(p []byte) (int, error) {
 			return 0, err
 		}
 	}
-	if err := c.w.writeMux(c.id, t, payload); err != nil {
+	c.bmu.Lock()
+	defer c.bmu.Unlock()
+	select {
+	case <-c.closed: // Close flushed the last batch
+		return 0, ErrClosed
+	default:
+	}
+	if c.batch != nil && len(*c.batch)+len(p)+3 > batchBytes { // the envelope adds 3 bytes to p
+		if err := c.flushLocked(); err != nil {
+			return 0, err
+		}
+	}
+	if c.batch == nil {
+		c.batch = batchBufs.Get().(*[]byte)
+	}
+	if *c.batch, err = protocol.AppendMux(*c.batch, c.id, t, payload); err != nil {
 		return 0, err
+	}
+	if t != protocol.TypeSymbol {
+		if err := c.flushLocked(); err != nil {
+			return 0, err
+		}
 	}
 	return len(p), nil
 }
 
+// flushLocked writes the pending batch in one conn write and gives its
+// buffer back, unless one oversize frame grew it. Caller holds bmu.
+func (c *Channel) flushLocked() error {
+	bp := c.batch
+	if bp == nil {
+		return nil
+	}
+	c.batch = nil
+	var err error
+	if len(*bp) > 0 {
+		err = c.w.write(*bp)
+	}
+	if cap(*bp) <= batchBytes {
+		*bp = (*bp)[:0]
+		batchBufs.Put(bp)
+	}
+	return err
+}
+
+func (c *Channel) flush() error {
+	c.bmu.Lock()
+	defer c.bmu.Unlock()
+	return c.flushLocked()
+}
+
 // acquireCredit takes one credit, blocking while the peer's receive
-// window has no room. Each call that had to wait records how long in
-// peermux.credit_stall_seconds — the sender-side view of a window that
-// is the binding constraint.
+// window has no room. The peer grants credit for frames it has read, so
+// the pending batch goes out before the wait. Each call that had to wait
+// records how long in peermux.credit_stall_seconds — the sender-side
+// view of a window that is the binding constraint.
 func (c *Channel) acquireCredit() error {
 	c.mu.Lock()
 	if c.credits > 0 {
@@ -483,6 +568,9 @@ func (c *Channel) acquireCredit() error {
 		return nil
 	}
 	c.mu.Unlock()
+	if err := c.flush(); err != nil {
+		return err
+	}
 	start := time.Now()
 	err := c.waitCredit()
 	c.w.met.stall.Observe(time.Since(start).Seconds())
@@ -510,15 +598,9 @@ func (c *Channel) waitCredit() error {
 			return c.finalErr()
 		default:
 		}
-		var timech <-chan time.Time
-		var timer *time.Timer
-		if !dl.IsZero() {
-			d := time.Until(dl)
-			if d <= 0 {
-				return ErrDeadline
-			}
-			timer = time.NewTimer(d)
-			timech = timer.C
+		timech, ok := armTimer(&c.wtimer, dl)
+		if !ok {
+			return ErrDeadline
 		}
 		select {
 		case <-c.creditc:
@@ -527,7 +609,7 @@ func (c *Channel) waitCredit() error {
 		case <-dn:
 		case <-timech:
 		}
-		stopTimer(timer)
+		stopTimer(c.wtimer)
 	}
 }
 
@@ -550,12 +632,14 @@ func (c *Channel) SetDeadline(t time.Time) error {
 	return nil
 }
 
-// Close retires the channel: the peer is told (CLOSE_CHANNEL), late
-// frames for the id drain silently, blocked readers and writers wake
-// with ErrClosed, and the fabric refcount drops. Idempotent.
+// Close retires the channel: the pending batch goes out and the peer is
+// told (CLOSE_CHANNEL), late frames for the id drain silently, blocked
+// readers and writers wake with ErrClosed, and the fabric refcount
+// drops. Idempotent.
 func (c *Channel) Close() error {
 	c.clOnce.Do(func() {
 		close(c.closed)
+		c.flush()
 		c.retireWindow()
 		c.w.release(c.id, true)
 		c.drainQueued()

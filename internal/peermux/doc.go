@@ -117,4 +117,20 @@
 // How many request batches ride on a channel at once is the peer
 // package's business (peer/pipeline.go), but its one cap comes from
 // here: what the channel's granted window admits, Window()/batch.
+//
+// # Batches
+//
+// A channel's envelopes do not go to the conn one by one. Write appends
+// each to the channel's pending batch (a pooled buffer, held only while a
+// batch is open) and writes the batch in one conn write, in order, when a
+// frame other than SYMBOL ends it — DONE ends every answer to a REQUEST,
+// so one REQUEST is one write — when a SYMBOL finds no credit (the peer
+// grants credit only for frames it has read, so the batch goes out
+// before the wait), when the next envelope would take it past 64 KiB, or
+// at Close, ahead of the CLOSE_CHANNEL. The wire's reader reads ahead in
+// the same unit: one conn read takes in everything that has arrived, up
+// to 64 KiB, and the frames in it are routed without another read, so a
+// session finds its queue holding the batch and drains it without
+// parking. A wire that dies routes nothing of what its reader still
+// holds, and charges nothing for it.
 package peermux

@@ -39,42 +39,6 @@ func (c *flakyWriteConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// startPairConn is startPair with a client-conn wrapper, for fault
-// injection between the wire and its pipe.
-func startPairConn(t *testing.T, ccfg, scfg Config, wrap func(net.Conn) net.Conn, handler func(*Channel)) (*Wire, func()) {
-	t.Helper()
-	cc, sc := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		fr := protocol.NewFrameReader(sc)
-		sc.SetReadDeadline(time.Now().Add(5 * time.Second))
-		f, err := fr.Next()
-		if err != nil {
-			sc.Close()
-			return
-		}
-		mh, err := protocol.DecodeMuxHello(f)
-		if err != nil {
-			sc.Close()
-			return
-		}
-		w, err := Accept(sc, fr, mh, scfg, handler)
-		if err != nil {
-			return
-		}
-		w.Serve()
-	}()
-	w, err := Dial(wrap(cc), ccfg)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	return w, func() {
-		w.Close()
-		<-done
-	}
-}
-
 // waitQueued polls until the channel's inbound queue holds want frames
 // (the observable landing spot of the peer's credit-limited stream).
 func waitQueued(t *testing.T, ch *Channel, want int) {
@@ -97,7 +61,7 @@ func TestCreditGrantFailureSurfaces(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	fc := &flakyWriteConn{}
 	w, shutdown := startPairConn(t, Config{Window: 8}, Config{Window: 8},
-		func(c net.Conn) net.Conn { fc.Conn = c; return fc },
+		func(c net.Conn) net.Conn { fc.Conn = c; return fc }, nil,
 		serveSymbols(1000, []byte("0123456789abcdef")))
 	defer shutdown()
 

@@ -4,9 +4,11 @@ package peermux
 // dialer's half rides one flight with its first OPEN_CHANNEL and CREDIT;
 // the answer is read by the demux reader like any other frame), the
 // single reader goroutine that demultiplexes envelopes onto channel
-// queues, serialized frame writes, channel open/accept bookkeeping, and
-// the containment rules for misbehaving peers (unknown ids, credit
-// overruns, corrupt frames) — charge and drop, never wedge.
+// queues (reading ahead: one conn read takes in every frame that has
+// arrived), serialized conn writes (a wire-level frame, or a channel's
+// batch of envelopes), channel open/accept bookkeeping, and the
+// containment rules for misbehaving peers (unknown ids, credit overruns,
+// corrupt frames) — charge and drop, never wedge.
 
 import (
 	"context"
@@ -512,11 +514,12 @@ func dueDeadline(armed *time.Time, timeout time.Duration) (time.Time, bool) {
 	return now.Add(timeout), true
 }
 
-// writeMux serializes one enveloped frame onto conn.
-func (w *Wire) writeMux(ch uint16, t protocol.Type, payload []byte) error {
+// write puts serialized frames — a channel's batch — onto conn in one
+// conn write.
+func (w *Wire) write(p []byte) error {
 	w.wmu.Lock()
 	w.armWrite()
-	err := protocol.WriteMux(w.conn, ch, t, payload)
+	_, err := w.conn.Write(p)
 	w.wmu.Unlock()
 	if err != nil {
 		w.failWrite(err)
@@ -524,8 +527,14 @@ func (w *Wire) writeMux(ch uint16, t protocol.Type, payload []byte) error {
 	return err
 }
 
+// penalize charges the peer, unless the wire is dead: fail emptied the
+// channel table, so a frame the reader still held could only look like
+// one for a channel that never existed.
 func (w *Wire) penalize(weight float64) {
-	if w.cfg.Penalize != nil {
+	w.mu.Lock()
+	dead := w.dead
+	w.mu.Unlock()
+	if w.cfg.Penalize != nil && !dead {
 		w.cfg.Penalize(weight)
 	}
 }
@@ -599,6 +608,13 @@ func (w *Wire) release(id uint16, notify bool) {
 func (w *Wire) readLoop() {
 	shook := w.established()
 	for {
+		// A dead wire routes nothing: the frames still read ahead when it
+		// failed were sent to channels fail has since retired.
+		select {
+		case <-w.done:
+			return
+		default:
+		}
 		w.armRead()
 		f, err := w.fr.Next()
 		if err != nil {

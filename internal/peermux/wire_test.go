@@ -37,7 +37,21 @@ func timeoutCtx(t testing.TB, d time.Duration) context.Context {
 // wire and waits for the serve goroutine.
 func startPair(t *testing.T, ccfg, scfg Config, handler func(*Channel)) (*Wire, func()) {
 	t.Helper()
+	return startPairConn(t, ccfg, scfg, nil, nil, handler)
+}
+
+// startPairConn is startPair with conn wrappers between the client and
+// server wires and their pipe ends (nil: none), for fault injection and
+// write accounting.
+func startPairConn(t *testing.T, ccfg, scfg Config, wrapC, wrapS func(net.Conn) net.Conn, handler func(*Channel)) (*Wire, func()) {
+	t.Helper()
 	cc, sc := net.Pipe()
+	if wrapC != nil {
+		cc = wrapC(cc)
+	}
+	if wrapS != nil {
+		sc = wrapS(sc)
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -372,7 +386,11 @@ func TestUnknownChannelCharged(t *testing.T) {
 
 	// An envelope for a channel that never existed: charged, dropped,
 	// wire survives.
-	if err := w.writeMux(4242, protocol.TypeSymbol, []byte("bogus-symbol-pay")); err != nil {
+	env, err := protocol.AppendMux(nil, 4242, protocol.TypeSymbol, []byte("bogus-symbol-pay"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.write(env); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -400,10 +418,12 @@ func TestClosedChannelDrainsSilently(t *testing.T) {
 		// bypass the local credit ledger, which already knows the
 		// channel is gone.
 		<-release
+		var late []byte
 		for i := 0; i < 4; i++ {
-			ch.w.writeMux(ch.ID(), protocol.TypeSymbol, []byte("late-symbol-data"))
+			late, _ = protocol.AppendMux(late, ch.ID(), protocol.TypeSymbol, []byte("late-symbol-data"))
 		}
-		ch.w.writeMux(ch.ID(), protocol.TypeDone, nil)
+		late, _ = protocol.AppendMux(late, ch.ID(), protocol.TypeDone, nil)
+		ch.w.write(late)
 		for {
 			if _, err := ch.Next(); err != nil {
 				return

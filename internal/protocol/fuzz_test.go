@@ -110,26 +110,28 @@ func FuzzFrameReader(f *testing.F) {
 	var good bytes.Buffer
 	WriteFrame(&good, EncodeHello(Hello{ContentID: 1}))
 	WriteFrame(&good, EncodeDone())
-	f.Add(good.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte{0xD0, 0x1C, Version, byte(TypeDone), 0, 0, 0, 0})
-	f.Add(bytes.Repeat([]byte{0xD0}, 64))
+	f.Add(good.Bytes(), uint64(0))
+	f.Add([]byte{}, uint64(1))
+	f.Add([]byte{0xD0, 0x1C, Version, byte(TypeDone), 0, 0, 0, 0}, uint64(2))
+	f.Add(bytes.Repeat([]byte{0xD0}, 64), uint64(3))
 	// Hostile-peer shapes (PR 6): an absurd declared length the reader
 	// must refuse to allocate, and a valid frame whose CRC trailer was
 	// flipped in flight — both must desynchronize cleanly, never panic.
-	f.Add([]byte{0xD0, 0x1C, Version, byte(TypeSymbol), 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{0xD0, 0x1C, Version, byte(TypeSymbol), 0xFF, 0xFF, 0xFF, 0xFF}, uint64(4))
 	flipped := append([]byte(nil), good.Bytes()...)
 	flipped[len(flipped)-1] ^= 0x5A
-	f.Add(flipped)
-	f.Fuzz(func(t *testing.T, stream []byte) {
-		// Arbitrary bytes must never panic the reader, and every frame it
-		// does accept must survive re-serialization byte-for-byte.
-		fr := NewFrameReader(bytes.NewReader(stream))
-		for i := 0; i < 64; i++ {
-			frame, err := fr.Next()
-			if err != nil {
-				return // desynchronized or exhausted: the contract is "drop the conn"
-			}
+	f.Add(flipped, uint64(5))
+	f.Fuzz(func(t *testing.T, stream []byte, splits uint64) {
+		// Arbitrary bytes must never panic the reader; read in chunks
+		// split where the fuzzer says, they must read as a ReadFrame loop
+		// reads them whole — the same frames, then the same class of
+		// error; and every frame it accepts must survive re-serialization
+		// byte-for-byte.
+		const limit = 64
+		r := bytes.NewReader(stream)
+		want := readAll(func() (Frame, error) { return ReadFrame(r) }, limit)
+		sameRead(t, "chunked", readAll(NewFrameReader(&chunkReader{data: stream, seed: splits}).Next, limit), want)
+		for _, frame := range want.frames {
 			var out bytes.Buffer
 			if err := WriteFrame(&out, frame); err != nil {
 				t.Fatalf("accepted frame cannot re-serialize: %v", err)

@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 )
 
 // MuxHello is the wire-level handshake of a multiplexed connection:
@@ -225,13 +224,19 @@ func FrameParts(p []byte) (Type, []byte, error) {
 	return Type(p[3]), p[headerLen : headerLen+n], nil
 }
 
-// WriteMux frames and writes (innerType, payload) as a MUX envelope for
-// channel ch in one Write call, using the same pooled-buffer fast path
-// as WriteSymbol — the allocation-free way a multiplexed sender moves
-// symbols.
-func WriteMux(w io.Writer, ch uint16, innerType Type, payload []byte) error {
+// AppendMux serializes (innerType, payload) as one MUX envelope frame for
+// channel ch — header, envelope, payload, CRC — onto buf and returns the
+// extended slice: the bytes WriteFrame(EncodeMux(...)) would write, with
+// no buffer of its own, so a multiplexed sender can gather many frames
+// into one conn write. payload is copied; its storage is free for reuse
+// once AppendMux returns. An envelope past MaxPayload is an error and buf
+// comes back unchanged.
+func AppendMux(buf []byte, ch uint16, innerType Type, payload []byte) ([]byte, error) {
+	if 3+len(payload) > MaxPayload {
+		return buf, fmt.Errorf("protocol: payload %d exceeds limit", 3+len(payload))
+	}
 	var pre [3]byte
 	binary.LittleEndian.PutUint16(pre[:], ch)
 	pre[2] = byte(innerType)
-	return writeFrame2(w, TypeMux, pre[:], payload)
+	return appendFrame(buf, TypeMux, pre[:], payload), nil
 }

@@ -88,17 +88,26 @@ func TestMuxEnvelope(t *testing.T) {
 		t.Fatalf("inner SYMBOL view through envelope: id=%d data=%q err=%v", id, data, err)
 	}
 
-	// WriteMux's fast path must produce the exact bytes of
-	// WriteFrame(EncodeMux(...)).
-	var fast, slow bytes.Buffer
-	if err := WriteMux(&fast, 12, TypeSymbol, inner.Payload); err != nil {
-		t.Fatal(err)
-	}
+	// AppendMux must produce the exact bytes of WriteFrame(EncodeMux(...)),
+	// behind whatever the buffer already holds.
+	var slow bytes.Buffer
 	if err := WriteFrame(&slow, EncodeMux(12, inner)); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(fast.Bytes(), slow.Bytes()) {
-		t.Fatalf("WriteMux bytes differ from WriteFrame(EncodeMux):\n%x\n%x", fast.Bytes(), slow.Bytes())
+	fast, err := AppendMux([]byte("prefix"), 12, TypeSymbol, inner.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(fast[:6]) != "prefix" || !bytes.Equal(fast[6:], slow.Bytes()) {
+		t.Fatalf("AppendMux bytes differ from WriteFrame(EncodeMux):\n%x\n%x", fast, slow.Bytes())
+	}
+	if out, err := AppendMux(fast, 12, TypeSymbol, make([]byte, MaxPayload-2)); err == nil || len(out) != len(fast) {
+		t.Fatalf("oversize envelope: err = %v, buf %d -> %d bytes", err, len(fast), len(out))
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		fast, _ = AppendMux(fast[:0], 12, TypeSymbol, inner.Payload)
+	}); avg != 0 {
+		t.Errorf("AppendMux into a buffer with room allocates %.1f per call, want 0", avg)
 	}
 	if _, _, err := MuxView(Frame{Type: TypeMux, Payload: []byte{0, 1}}); err == nil {
 		t.Fatal("truncated MUX accepted")

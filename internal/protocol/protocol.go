@@ -225,33 +225,24 @@ func WriteFrame(w io.Writer, f Frame) error {
 	return writeFrame2(w, f.Type, f.Payload, nil)
 }
 
-// readFrame reads and validates one frame from r into scratch storage
-// (grown only if needed), returning the frame and the storage for reuse.
-// The frame's payload aliases the returned scratch slice. hdr is a
-// headerLen-byte caller-provided buffer (callers that loop keep it in a
-// long-lived struct so it does not escape to the heap per call).
-func readFrame(r io.Reader, hdr, scratch []byte) (Frame, []byte, error) {
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return Frame{}, scratch, err
-	}
+// frameLen validates a frame header and returns the byte count of the
+// body behind it: payload and CRC trailer.
+func frameLen(hdr []byte) (int, error) {
 	if binary.LittleEndian.Uint16(hdr[0:]) != magic {
-		return Frame{}, scratch, fmt.Errorf("%w: bad magic (stream desynchronized?)", ErrCorrupt)
+		return 0, fmt.Errorf("%w: bad magic (stream desynchronized?)", ErrCorrupt)
 	}
 	length := binary.LittleEndian.Uint32(hdr[4:])
 	if length > MaxPayload {
-		return Frame{}, scratch, fmt.Errorf("%w: payload %d exceeds limit", ErrCorrupt, length)
+		return 0, fmt.Errorf("%w: payload %d exceeds limit", ErrCorrupt, length)
 	}
-	need := int(length) + 4
-	var body []byte
-	if cap(scratch) >= need {
-		body = scratch[:need]
-	} else {
-		body = make([]byte, need)
-		scratch = body
-	}
-	if _, err := io.ReadFull(r, body); err != nil {
-		return Frame{}, scratch, fmt.Errorf("protocol: short frame body: %w", err)
-	}
+	return int(length) + 4, nil
+}
+
+// checkFrame validates body (payload, then CRC trailer) against the
+// header frameLen accepted, and returns the frame; its payload aliases
+// body.
+func checkFrame(hdr, body []byte) (Frame, error) {
+	length := len(body) - 4
 	payload := body[:length]
 	wantCRC := binary.LittleEndian.Uint32(body[length:])
 	// CRC over version|type|length|payload, computed incrementally — no
@@ -262,49 +253,121 @@ func readFrame(r io.Reader, hdr, scratch []byte) (Frame, []byte, error) {
 		// byte. A frame that holds under that coverage and names such a
 		// version is what such a peer wrote, not line noise.
 		if hdr[2] < versionUnderCRC && crc32.Update(crc32.ChecksumIEEE(hdr[3:]), crc32.IEEETable, payload) == wantCRC {
-			return Frame{}, scratch, fmt.Errorf("%w: got %d, speaking %d", ErrVersion, hdr[2], Version)
+			return Frame{}, fmt.Errorf("%w: got %d, speaking %d", ErrVersion, hdr[2], Version)
 		}
-		return Frame{}, scratch, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+		return Frame{}, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	// Only now: a version byte the checksum vouches for is what the peer
 	// wrote, so another value is another version, not a flipped bit.
 	if hdr[2] != Version {
-		return Frame{}, scratch, fmt.Errorf("%w: got %d, speaking %d", ErrVersion, hdr[2], Version)
+		return Frame{}, fmt.Errorf("%w: got %d, speaking %d", ErrVersion, hdr[2], Version)
 	}
-	return Frame{Type: Type(hdr[3]), Payload: payload}, scratch, nil
+	return Frame{Type: Type(hdr[3]), Payload: payload}, nil
 }
 
-// ReadFrame reads and validates one frame from r. The payload is freshly
-// allocated and owned by the caller; receive loops that want an
-// allocation-free steady state should use a FrameReader instead.
+// shortBody reports a stream that ended inside a frame's body: the header
+// was read, so even an EOF before the first body byte is mid-frame.
+func shortBody(err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("protocol: short frame body: %w", err)
+}
+
+// ReadFrame reads and validates exactly one frame from r, reading no byte
+// past it. The payload is freshly allocated and owned by the caller;
+// receive loops should use a FrameReader instead.
 func ReadFrame(r io.Reader) (Frame, error) {
 	var hdr [headerLen]byte
-	f, _, err := readFrame(r, hdr[:], nil)
-	return f, err
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return Frame{}, err
+	}
+	n, err := frameLen(hdr[:])
+	if err != nil {
+		return Frame{}, err
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return Frame{}, shortBody(err)
+	}
+	return checkFrame(hdr[:], body)
 }
 
-// FrameReader reads frames from one stream into a reusable internal
-// buffer, making the steady-state receive path allocation-free. The
-// returned Frame's Payload aliases that buffer and is valid only until
-// the next call to Next; a caller that needs the bytes longer must copy
-// them out (DecodeSymbolInto copies into a buffer the caller owns, and
-// SymbolView parses without copying for same-iteration use).
+// readAhead is a FrameReader's buffer size: one conn read takes in up to
+// this many bytes, however many frames they hold.
+const readAhead = 64 << 10
+
+// FrameReader reads frames from one stream through a read-ahead buffer:
+// one read of the underlying stream takes in as many bytes as are there,
+// up to readAhead, and Next hands the frames in them out one at a time
+// without reading again — a batch of small frames costs one read, not two
+// per frame. The buffer grows only for a frame larger than it (bounded by
+// MaxPayload). The returned Frame's Payload is a view into that buffer,
+// valid only until the next call to Next; a caller that needs the bytes
+// longer must copy them out (DecodeSymbolInto copies into a buffer the
+// caller owns, and SymbolView parses without copying for same-iteration
+// use). Because it reads ahead, a FrameReader owns its stream: whoever
+// reads on after it must read through it (ReadFrame reads exactly one
+// frame and nothing more). Errors are ReadFrame's: io.EOF at a frame
+// boundary, io.ErrUnexpectedEOF inside a frame (wrapped once its header
+// is read), ErrCorrupt and ErrVersion from the one validator both share.
 // Not safe for concurrent use; use one FrameReader per connection.
 type FrameReader struct {
-	r    io.Reader
-	hdr  [headerLen]byte
-	body []byte
+	r        io.Reader
+	buf      []byte
+	off, end int // buf[off:end] is read from r and not yet handed out
 }
 
-// NewFrameReader wraps r.
+// NewFrameReader wraps r. The buffer is allocated at the first Next.
 func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
 
 // Next reads and validates the next frame. On error the stream should be
 // considered desynchronized and the connection dropped.
 func (fr *FrameReader) Next() (Frame, error) {
-	f, body, err := readFrame(fr.r, fr.hdr[:], fr.body)
-	fr.body = body
-	return f, err
+	if err := fr.fill(headerLen); err != nil {
+		return Frame{}, err
+	}
+	n, err := frameLen(fr.buf[fr.off : fr.off+headerLen])
+	if err != nil {
+		return Frame{}, err
+	}
+	if err := fr.fill(headerLen + n); err != nil {
+		return Frame{}, shortBody(err)
+	}
+	hdr := fr.buf[fr.off : fr.off+headerLen]
+	fr.off += headerLen + n
+	return checkFrame(hdr, fr.buf[fr.off-n:fr.off])
+}
+
+// fill reads until at least need bytes are buffered past off. When they
+// would not fit behind off, what is buffered moves to the front first —
+// into a larger buffer if need exceeds the current one. A stream that
+// ends before need is io.EOF if nothing of the frame was read and
+// io.ErrUnexpectedEOF otherwise, as io.ReadFull has it.
+func (fr *FrameReader) fill(need int) error {
+	if fr.end-fr.off >= need {
+		return nil
+	}
+	if len(fr.buf)-fr.off < need {
+		buf := fr.buf
+		if len(buf) < need {
+			buf = make([]byte, max(need, readAhead))
+		}
+		fr.end = copy(buf, fr.buf[fr.off:fr.end])
+		fr.off = 0
+		fr.buf = buf
+	}
+	for fr.end-fr.off < need {
+		n, err := fr.r.Read(fr.buf[fr.end:])
+		fr.end += n
+		if err != nil && fr.end-fr.off < need {
+			if err == io.EOF && fr.end > fr.off {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
 }
 
 // Hello is the handshake: both sides announce identity and the sender

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -406,15 +407,22 @@ func TestFrameReaderStream(t *testing.T) {
 }
 
 // TestFrameReaderViewInvalidation documents the aliasing contract: a
-// view from frame k is overwritten by frame k+1, and DecodeSymbolInto
-// is the escape hatch that copies into caller-owned storage.
+// payload view lives in the reader's buffer and is the caller's only
+// until the next Next — reading ahead, the reader rewrites that buffer
+// when it refills it, not at every frame, so whether a view outlives the
+// next frame is nobody's to count on — and DecodeSymbolInto is the escape
+// hatch that copies into caller-owned storage, which survives every
+// frame read after it.
 func TestFrameReaderViewInvalidation(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteSymbol(&buf, 1, []byte("aaaaaaaa")); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSymbol(&buf, 2, []byte("bbbbbbbb")); err != nil {
-		t.Fatal(err)
+	// Twice the read-ahead buffer behind it, so it is refilled.
+	for i := 0; buf.Len() < 2*readAhead; i++ {
+		if err := WriteSymbol(&buf, uint64(2+i), bytes.Repeat([]byte{'b'}, 1400)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	fr := NewFrameReader(bytes.NewReader(buf.Bytes()))
 	f1, err := fr.Next()
@@ -429,14 +437,139 @@ func TestFrameReaderViewInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fr.Next(); err != nil {
-		t.Fatal(err)
+	for {
+		if _, err := fr.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
 	}
 	if string(view) == "aaaaaaaa" {
-		t.Fatal("view survived the next frame: buffer not reused")
+		t.Fatal("view survived two refills of the read-ahead buffer: buffer not reused")
 	}
 	if string(sym.Data) != "aaaaaaaa" {
 		t.Fatalf("DecodeSymbolInto copy clobbered: %q", sym.Data)
+	}
+}
+
+// chunkReader hands data out in chunks whose sizes seed draws, 1 to 2048
+// bytes: reads whose boundaries fall anywhere in a frame — inside a
+// header, a payload or a CRC — wherever the seed puts them.
+type chunkReader struct {
+	data []byte
+	seed uint64
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	r.seed = r.seed*6364136223846793005 + 1442695040888963407
+	n := copy(p, r.data[:min(len(r.data), 1+int(r.seed>>33)%2048)])
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// readResult is what reading a stream to its first error gives: the
+// frames (payloads copied out) and that error's class.
+type readResult struct {
+	frames []Frame
+	err    string
+}
+
+// readAll reads frames with next until it fails or max frames have been
+// read (max < 0: no limit).
+func readAll(next func() (Frame, error), max int) readResult {
+	var out readResult
+	for max < 0 || len(out.frames) < max {
+		f, err := next()
+		if err != nil {
+			out.err = errClass(err)
+			break
+		}
+		out.frames = append(out.frames, Frame{Type: f.Type, Payload: append([]byte(nil), f.Payload...)})
+	}
+	return out
+}
+
+// errClass is the part of a read error its callers act on.
+func errClass(err error) string {
+	switch {
+	case err == io.EOF:
+		return "EOF at a frame boundary"
+	case errors.Is(err, io.ErrUnexpectedEOF):
+		return "EOF inside a frame"
+	case errors.Is(err, ErrCorrupt):
+		return "corrupt"
+	case errors.Is(err, ErrVersion):
+		return "version"
+	default:
+		return "other: " + err.Error()
+	}
+}
+
+// sameRead fails t unless got read what want did.
+func sameRead(t *testing.T, how string, got, want readResult) {
+	t.Helper()
+	if got.err != want.err || len(got.frames) != len(want.frames) {
+		t.Fatalf("%s: %d frames then %q, ReadFrame read %d then %q",
+			how, len(got.frames), got.err, len(want.frames), want.err)
+	}
+	for i := range want.frames {
+		if got.frames[i].Type != want.frames[i].Type || !bytes.Equal(got.frames[i].Payload, want.frames[i].Payload) {
+			t.Fatalf("%s: frame %d differs from ReadFrame's", how, i)
+		}
+	}
+}
+
+// TestFrameReaderMatchesReadFrame: a FrameReader reads every stream —
+// whole, truncated anywhere, with a CRC, version, length or magic byte
+// flipped, holding frames larger than its buffer — exactly as a loop of
+// ReadFrame does: the same frames, then the same class of error, however
+// the underlying reads split the bytes.
+func TestFrameReaderMatchesReadFrame(t *testing.T) {
+	var buf bytes.Buffer
+	var starts []int // where each frame begins
+	add := func(f Frame) {
+		starts = append(starts, buf.Len())
+		if err := WriteFrame(&buf, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add(EncodeMuxHello(MuxHello{MaxChannels: 4}))
+	for i := 0; i < 60; i++ {
+		add(EncodeSymbol(Symbol{ID: uint64(i), Data: bytes.Repeat([]byte{byte(i)}, 1400)}))
+	}
+	add(Frame{Type: TypeSummary, Payload: bytes.Repeat([]byte{0xB1}, readAhead+readAhead/2)})
+	add(EncodeDone())
+	add(Frame{Type: TypeBloom, Payload: bytes.Repeat([]byte{0xB2}, 3*readAhead)})
+	add(EncodeSymbol(Symbol{ID: 99, Data: []byte("tail")}))
+	valid := buf.Bytes()
+
+	streams := map[string][]byte{"valid": valid, "empty": nil}
+	mid := starts[len(starts)/3]
+	for _, cut := range []int{1, headerLen - 1, headerLen, headerLen + 1, mid - 1, mid, mid + 3, mid + headerLen, starts[61] + readAhead, len(valid) - 4, len(valid) - 1} {
+		streams[fmt.Sprintf("cut at %d", cut)] = valid[:cut]
+	}
+	for name, off := range map[string]int{"magic": 0, "version": 2, "length lo": 4, "length mid": 6, "length hi": 7, "crc": headerLen + 8 + 1400 + 1} {
+		mut := append([]byte(nil), valid...)
+		mut[mid+off] ^= 0x5A
+		streams["flipped "+name] = mut
+	}
+
+	for name, stream := range streams {
+		r := bytes.NewReader(stream)
+		want := readAll(func() (Frame, error) { return ReadFrame(r) }, -1)
+		for how, src := range map[string]func() io.Reader{
+			"whole":      func() io.Reader { return bytes.NewReader(stream) },
+			"one byte":   func() io.Reader { return iotest.OneByteReader(bytes.NewReader(stream)) },
+			"half reads": func() io.Reader { return iotest.HalfReader(bytes.NewReader(stream)) },
+			"chunks 1":   func() io.Reader { return &chunkReader{data: stream, seed: 1} },
+			"chunks 2":   func() io.Reader { return &chunkReader{data: stream, seed: 2} },
+			"data+EOF":   func() io.Reader { return iotest.DataErrReader(bytes.NewReader(stream)) },
+		} {
+			sameRead(t, name+", "+how, readAll(NewFrameReader(src()).Next, -1), want)
+		}
 	}
 }
 

@@ -180,8 +180,9 @@
 // buffer, and Decoder.Content hands the content out without a final
 // join. Its bookkeeping is arena-backed (buffered symbols values in one
 // slice, neighbor lists runs of another, per-block waiter lists chains
-// through a third) — a small fraction of an allocation per symbol
-// (fountain.TestDecoderSteadyStateAllocs).
+// through a third), and NewDecoder sizes the arenas once, from n and the
+// distribution's mean degree, so a decode allocates nothing in AddSymbol
+// but the content buffer (fountain.TestDecoderSteadyStateAllocs).
 //
 // fountain.ShardedDecoder (blocks owned by shard b mod S, cross-shard
 // symbols hopping owner to owner under a coordinator) is no longer on
@@ -205,13 +206,18 @@
 //     not Released to an encoder). Its one buffer of its own is the
 //     content, n×blockSize: recovered blocks are slots of it (they ARE
 //     the output of Blocks and Content).
-//   - Working-set payloads: the fold copies a new symbol's payload into
-//     a buffer allocated for it and appends that to the log, and from
-//     then on nobody writes it. The peel stage hands it to the decoder,
-//     and a live Server's sessions frame it onto their wires, outside
-//     the orchestrator lock on the strength of that alone: a partial
-//     sender owns no symbol buffers of its own, and the decoder copies
-//     none.
+//   - Working-set payloads: the log owns them. Its add (the fold,
+//     FetchOptions.Initial, NewPartialServer) copies a new symbol's
+//     payload into the free tail of the log's current 64 KiB slab and
+//     appends a view of it clipped to its own length, so an append to
+//     one payload cannot write its neighbour; from then on nobody writes
+//     it. The peel stage hands it to the decoder, and a live Server's
+//     sessions frame it onto their wires, outside the orchestrator lock
+//     on the strength of that alone: a partial sender owns no symbol
+//     buffers of its own, and the decoder copies none. A slab lives as
+//     long as any payload in it: a caller that keeps one
+//     FetchResult.Held payload keeps its whole 64 KiB slab alive, so one
+//     that keeps a few past the rest of the result should copy them.
 //   - protocol.FrameReader and peermux.Channel: a frame payload is a
 //     borrowed view — into the reader's read-ahead buffer, or the
 //     channel's pooled queue buffer — valid only until the next frame;
@@ -226,10 +232,15 @@
 // With frame reads through FrameReader (or a channel's pooled queue) and
 // parses through SymbolView, the receive loop performs 0 allocs per
 // duplicate frame, as BenchmarkReceivePathAllocs and the peer/fountain
-// AllocsPerRun tests enforce. A *new* symbol is the exception by design: its
-// payload becomes a working-set entry, so that path costs one buffer
-// per symbol the receiver keeps forever — an allocation the content
-// itself requires, not pipeline overhead. peer.BenchmarkFetchFabricPipe
+// AllocsPerRun tests enforce. A *new* symbol's payload becomes a
+// working-set entry: the content needs its bytes, not a heap object of
+// its own, so the path allocates per slab — one per 46 symbols of
+// 1400 B — once the first handshake has reserved the log's ids, payloads
+// and index for n + n/8 entries (peer.TestReceivePathZeroAlloc). Serving
+// is held to the same standard: a REQUEST to a warm full sender, or to a
+// partial sender whose log did not grow, allocates nothing while the
+// gossip directory has nothing new to relay
+// (peer.TestRequestWithNoNewsZeroAlloc). peer.BenchmarkFetchFabricPipe
 // is the whole path as one row (MB/s and allocs/symbol of a fabric fetch
 // over an in-process pipe).
 //

@@ -9,7 +9,9 @@ import (
 // the final block. It returns the blocks and the original length, which
 // JoinBlocks needs to strip the padding. The paper's content pipeline
 // (§6.1) used 1400-byte blocks so each encoded symbol fits a single
-// Ethernet-safe packet.
+// Ethernet-safe packet. The blocks are views of one n×blockSize copy of
+// data, each clipped to its own length, so an append to one cannot write
+// the next.
 func SplitIntoBlocks(data []byte, blockSize int) ([][]byte, int, error) {
 	if blockSize < 1 {
 		return nil, 0, errors.New("fountain: non-positive block size")
@@ -18,16 +20,12 @@ func SplitIntoBlocks(data []byte, blockSize int) ([][]byte, int, error) {
 		return nil, 0, errors.New("fountain: empty content")
 	}
 	n := (len(data) + blockSize - 1) / blockSize
+	buf := make([]byte, n*blockSize)
+	copy(buf, data)
 	blocks := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		b := make([]byte, blockSize)
+	for i := range blocks {
 		lo := i * blockSize
-		hi := lo + blockSize
-		if hi > len(data) {
-			hi = len(data)
-		}
-		copy(b, data[lo:hi])
-		blocks[i] = b
+		blocks[i] = buf[lo : lo+blockSize : lo+blockSize]
 	}
 	return blocks, len(data), nil
 }

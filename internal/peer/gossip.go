@@ -14,6 +14,7 @@ package peer
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"icd/internal/protocol"
@@ -46,6 +47,10 @@ type Gossip struct {
 	next int
 	subs []func(protocol.PeerAd)
 	now  func() time.Time // injectable clock (tests age entries synthetically)
+
+	// gen counts, under mu, the changes a Snapshot can show: an entry
+	// added or dropped, a mention count bumped.
+	gen atomic.Uint64
 }
 
 // NewGossip creates an empty directory. self is this node's own
@@ -78,6 +83,7 @@ func (g *Gossip) Learn(ad protocol.PeerAd) bool {
 	if e, ok := g.ads[ad]; ok {
 		e.hits++
 		e.lastHeard = g.now() // a re-mention is evidence of life
+		g.gen.Add(1)          // and may change the ranking
 		g.mu.Unlock()
 		return false
 	}
@@ -87,6 +93,7 @@ func (g *Gossip) Learn(ad protocol.PeerAd) bool {
 	}
 	g.ads[ad] = &gossipEntry{ad: ad, hits: 1, seq: g.next, lastHeard: g.now()}
 	g.next++
+	g.gen.Add(1)
 	subs := append([]func(protocol.PeerAd){}, g.subs...)
 	g.mu.Unlock()
 	for _, fn := range subs {
@@ -164,8 +171,16 @@ func (g *Gossip) Expire(maxAge time.Duration) int {
 			dropped++
 		}
 	}
+	if dropped > 0 {
+		g.gen.Add(1)
+	}
 	return dropped
 }
+
+// generation reports gen. Read before a Snapshot, it tells a caller
+// when to ask again: while it reads the same, a new Snapshot returns what
+// that one did.
+func (g *Gossip) generation() uint64 { return g.gen.Load() }
 
 // hits returns the mention count of ad (0 when unknown) — candidate
 // ranking reads it when an admission decision is made.

@@ -7,6 +7,7 @@ package peer
 // promotion of the best candidate when a freed slot appears.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -351,4 +352,121 @@ func TestGossipExpiredAddressRediscovers(t *testing.T) {
 	if announced != 2 {
 		t.Fatalf("subscriber heard %d announcements, want 2", announced)
 	}
+}
+
+// TestGossipGenerationMovesWithSnapshots: the generation moves with every
+// change a Snapshot can show — a new ad, a re-mention (the ranking may
+// change), an Expire that drops something — and with nothing else.
+func TestGossipGenerationMovesWithSnapshots(t *testing.T) {
+	g := NewGossip("me:1")
+	now := time.Unix(1000, 0)
+	g.now = func() time.Time { return now }
+	for _, step := range []struct {
+		name  string
+		do    func()
+		moves bool
+	}{
+		{"new ad", func() { g.Learn(ad(7, "a:1")) }, true},
+		{"re-mention", func() { g.Learn(ad(7, "a:1")) }, true},
+		{"own address", func() { g.Learn(ad(7, "me:1")) }, false},
+		{"empty address", func() { g.Learn(ad(7, "")) }, false},
+		{"expire, nothing stale", func() { g.Expire(time.Minute) }, false},
+		{"expire, one stale", func() { now = now.Add(time.Hour); g.Expire(time.Minute) }, true},
+		{"snapshot", func() { g.Snapshot(0, 0) }, false},
+	} {
+		before := g.generation()
+		step.do()
+		if moved := g.generation() != before; moved != step.moves {
+			t.Fatalf("%s: generation moved = %v, want %v", step.name, moved, step.moves)
+		}
+	}
+	for i := 0; len(g.ads) < MaxGossipAds; i++ {
+		g.Learn(ad(7, fmt.Sprintf("fill:%d", i)))
+	}
+	before := g.generation()
+	if g.Learn(ad(7, "over-cap:1")); g.generation() != before {
+		t.Fatal("an ad dropped at the cap moved the generation")
+	}
+}
+
+// TestServerRelaysOnlyNews: the PEERS frames a serving session sends are
+// exactly "every entry of the directory's snapshot this connection has not
+// been sent", ahead of the REQUEST's batch — whether the news is a new ad,
+// a re-mention that lifts an ad into the snapshot's top MaxPeerAds, or an
+// expiry that makes room there — and a REQUEST with no news gets none.
+func TestServerRelaysOnlyNews(t *testing.T) {
+	info, data := testContent(t, 40, 32)
+	srv, err := NewFullServer(info, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := srv.gossip
+	now := time.Unix(1000, 0)
+	g.now = func() time.Time { return now }
+	addr := func(i int) string { return fmt.Sprintf("p%d:1", i) }
+	for i := 0; i < protocol.MaxPeerAds+6; i++ {
+		if i == 10 {
+			now = now.Add(time.Hour) // p0…p9 are an hour older than the rest
+		}
+		g.Learn(ad(info.ID, addr(i)))
+	}
+	ch := openSession(t, srv)
+	ch.SetDeadline(time.Now().Add(time.Minute))
+	sent := map[protocol.PeerAd]bool{}
+	// request sends one REQUEST and checks its PEERS frames against the
+	// snapshot; news says whether the step should bring any.
+	request := func(step string, news bool) {
+		t.Helper()
+		var want []protocol.PeerAd
+		for _, a := range g.Snapshot(info.ID, protocol.MaxPeerAds) {
+			if !sent[a] {
+				sent[a] = true
+				want = append(want, a)
+			}
+		}
+		if (len(want) > 0) != news {
+			t.Fatalf("%s: the snapshot holds %d unsent ads; the step is wrong", step, len(want))
+		}
+		if err := protocol.WriteFrame(ch, protocol.EncodeRequest(1)); err != nil {
+			t.Fatal(err)
+		}
+		var got [][]byte
+		for done := false; !done; {
+			f, err := ch.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch f.Type {
+			case protocol.TypePeers:
+				got = append(got, bytes.Clone(f.Payload))
+			case protocol.TypeDone:
+				done = true
+			}
+		}
+		switch {
+		case !news && len(got) != 0:
+			t.Fatalf("%s: %d PEERS frames for no news", step, len(got))
+		case news && (len(got) != 1 || !bytes.Equal(got[0], protocol.EncodePeers(want).Payload)):
+			t.Fatalf("%s: PEERS frames %x, want one carrying %v", step, got, want)
+		}
+	}
+	request("the first REQUEST: p0…p63", true)
+	request("no news", false)
+	g.Learn(ad(info.ID, addr(protocol.MaxPeerAds+5)))
+	g.Learn(ad(info.ID, addr(protocol.MaxPeerAds+5)))
+	request("a re-mention lifts p69 into the top 64", true)
+	g.Learn(ad(info.ID, addr(0)))
+	request("a re-mention of an ad already sent", false)
+	now = now.Add(30 * time.Minute)
+	if dropped := g.Expire(time.Hour); dropped != 9 {
+		t.Fatalf("Expire dropped %d, want p1…p9", dropped)
+	}
+	request("an expiry makes room for p64…p68", true)
+	g.Learn(ad(info.ID, "new:1"))
+	request("a new ad", true)
+	request("no news again", false)
+	if len(sent) != protocol.MaxPeerAds+7 {
+		t.Fatalf("%d ads relayed in all, want every one of %d", len(sent), protocol.MaxPeerAds+7)
+	}
+	protocol.WriteFrame(ch, protocol.EncodeDone())
 }

@@ -1,5 +1,15 @@
 package peer
 
+import (
+	"maps"
+	"slices"
+)
+
+// slabSize is the chunk a symbolLog copies payloads into: a fetch's
+// working set costs one allocation per slab, not one per symbol (46
+// payloads of the paper's 1400 B blocks, 256 of 256 B).
+const slabSize = 64 << 10
+
 // symbolLog is a working set of encoded symbols as an append-only log:
 // distinct ids in the order they became known, payloads index-aligned,
 // and an index from id to position. An entry once written is never
@@ -8,30 +18,52 @@ package peer
 // growing, and its length its version. A fixed one is a static partial
 // sender's working set (NewPartialServer); an Orchestrator's grows under
 // its lock as sessions fold arrivals in. Not safe for concurrent use.
+//
+// The log owns its payloads: add copies each into the free tail of the
+// current slab, and a payload is a view of its slab clipped to its own
+// length, so an append to one cannot write the next. A slab lives as long
+// as any payload in it does.
 type symbolLog struct {
 	index    map[uint64]int // id -> position
 	ids      []uint64
 	payloads [][]byte
+	slab     []byte // the current slab: payloads so far, then free capacity
 }
 
-// add appends a symbol and keeps payload, which the caller must not write
-// again; an id the log already holds is left as it is.
-func (l *symbolLog) add(id uint64, payload []byte) {
-	if _, held := l.index[id]; held {
-		return
+// add appends a copy of payload under id and reports where the log holds
+// id and whether it already did; an id the log already holds is left as
+// it is, and nothing is copied.
+func (l *symbolLog) add(id uint64, payload []byte) (pos int, held bool) {
+	if pos, held = l.index[id]; held {
+		return pos, true
 	}
 	if l.index == nil {
 		l.index = make(map[uint64]int)
 	}
-	l.index[id] = len(l.ids)
+	n := len(payload)
+	if cap(l.slab)-len(l.slab) < n {
+		l.slab = make([]byte, 0, max(slabSize, n))
+	}
+	at := len(l.slab)
+	l.slab = append(l.slab, payload...)
+	pos = len(l.ids)
+	l.index[id] = pos
 	l.ids = append(l.ids, id)
-	l.payloads = append(l.payloads, payload)
+	l.payloads = append(l.payloads, l.slab[at:at+n:at+n])
+	return pos, false
 }
 
-// position reports where the log holds id, if it does.
-func (l *symbolLog) position(id uint64) (pos int, held bool) {
-	pos, held = l.index[id]
-	return pos, held
+// reserve makes room for n entries in all, so the log does not regrow or
+// rehash on its way there. Views already taken keep the storage they have.
+func (l *symbolLog) reserve(n int) {
+	if n <= cap(l.ids) {
+		return
+	}
+	l.ids = slices.Grow(l.ids, n-len(l.ids))
+	l.payloads = slices.Grow(l.payloads, n-len(l.payloads))
+	index := make(map[uint64]int, n)
+	maps.Copy(index, l.index)
+	l.index = index
 }
 
 // WorkingSet implements WorkingSetSource: the log as it stands. O(1): both

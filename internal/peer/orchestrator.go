@@ -14,7 +14,8 @@ package peer
 // The receive side is fold → peel, and there is one hop from the wire to
 // the working set: the session that read a SYMBOL frame off its channel
 // calls fold, which puts the arrival into the working set under o.mu (an
-// index lookup and, for a new id, one payload copy — no XOR), charges the
+// index lookup and, for a new id, one payload copy into the log's current
+// slab — no XOR, and no allocation but a new slab's), charges the
 // session and stores Progress — so every arrival is classified as useful
 // or a duplicate at the fold, against the working set as it stands, and
 // progress is exact the moment a batch retires. The peel stage (peel.go),
@@ -29,9 +30,10 @@ package peer
 //
 // Buffer ownership: the frame a session folds is a view into its
 // channel's queue buffer, valid until the session reads the next one.
-// The fold copies a new symbol's payload out of it into a buffer
-// allocated for it (it finally surfaces in FetchResult.Held), and nothing
-// of a duplicate. There is no receive pool and nothing to release. A
+// The fold copies a new symbol's payload out of it into the log's
+// current 64 KiB slab (the payload, a view of the slab clipped to its own
+// length, finally surfaces in FetchResult.Held), and nothing of a
+// duplicate. There is no receive pool and nothing to release. A
 // payload the working set holds is never written again: the peel stage
 // reads it outside o.mu, a live Server's sessions frame it onto their
 // wires from there, and the fountain decoder keeps it by reference —
@@ -162,8 +164,9 @@ func NewOrchestrator(contentID uint64, opts FetchOptions) *Orchestrator {
 	}
 	// In id order, not map order: the log keeps arrival order, which a live
 	// Server's sessions walk by position.
+	o.log.reserve(len(opts.Initial))
 	for _, id := range slices.Sorted(maps.Keys(opts.Initial)) {
-		o.log.add(id, append([]byte(nil), opts.Initial[id]...))
+		o.log.add(id, opts.Initial[id])
 	}
 	o.progress.Store(int64(len(o.log.ids)))
 	// The resumed working set is the stage's first input.
@@ -636,6 +639,9 @@ func (o *Orchestrator) ensureDecoder(ci ContentInfo) error {
 		}
 		o.peel.setDecoder(fdec)
 		o.info = ci
+		// A fetch decodes from about n(1+ε) symbols: room for them up front,
+		// so the fold never regrows the log or rehashes its index.
+		o.log.reserve(ci.NumBlocks + ci.NumBlocks/8)
 		close(o.infoReady)
 		return nil
 	}
@@ -648,7 +654,7 @@ func (o *Orchestrator) ensureDecoder(ci ContentInfo) error {
 // fold puts one arrival into the working set, on the goroutine of the
 // session that read it, and charges it to st, the session's stats. data
 // may be a view that dies with the caller's frame: a new symbol's payload
-// is copied into the buffer the log keeps, a duplicate is not copied at
+// is copied into the log's current slab, a duplicate is not copied at
 // all. summarized is how much of the log the session's last summary
 // covered, which is what tells the two ways an arrival can be a duplicate
 // apart (fetchMetrics.dupBefore, dupSince). It reports whether the symbol
@@ -664,9 +670,8 @@ func (o *Orchestrator) fold(st *PeerStats, summarized int, id uint64, data []byt
 		o.mu.Unlock()
 		return false, false
 	}
-	pos, held := o.log.position(id)
+	pos, held := o.log.add(id, data)
 	if !held {
-		o.log.add(id, append([]byte(nil), data...))
 		st.UsefulSymbols++
 	}
 	st.SymbolsReceived++

@@ -38,10 +38,10 @@ func foldStream(t *testing.T, o *Orchestrator, st *PeerStats, summarized int, fr
 // TestReceivePathZeroAlloc proves the per-frame receive hot path —
 // FrameReader read, symbol view, fold — is allocation-free and copies
 // nothing into the working set for arrivals it already holds: exactly
-// what a session runs per duplicate frame. (A new symbol costs the one
-// allocation the content requires: the buffer the log keeps.) It also
-// pins the other half of fold's contract: once the fetch finished, a fold
-// counts nothing.
+// what a session runs per duplicate frame. New symbols cost the slabs
+// their copies go into and nothing per symbol, once the first handshake
+// has reserved the log for the fetch. It also pins the other half of
+// fold's contract: once the fetch finished, a fold counts nothing.
 func TestReceivePathZeroAlloc(t *testing.T) {
 	payload := bytes.Repeat([]byte{0x5C}, 1400)
 	held := make(map[uint64][]byte)
@@ -84,12 +84,44 @@ func TestReceivePathZeroAlloc(t *testing.T) {
 		t.Fatalf("session charged %d received, %d useful; want %d and 0", s.stats.SymbolsReceived, s.stats.UsefulSymbols, folded)
 	}
 
+	// New symbols, 1024 a run (AllocsPerRun folds two), into a log the
+	// handshake reserved: a 64 KiB slab holds 46 of them.
+	const batch = 1024
+	if err := o.ensureDecoder(ContentInfo{ID: 1, NumBlocks: 4096, BlockSize: len(payload), OrigLen: 4096 * len(payload), CodeSeed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var streams [2][]byte
+	for run := range streams {
+		var buf bytes.Buffer
+		for i := 0; i < batch; i++ {
+			if err := protocol.WriteSymbol(&buf, uint64(1000+run*batch+i), payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		streams[run] = buf.Bytes()
+	}
+	runs := 0
+	fresh := func() {
+		r.Reset(streams[runs])
+		runs++
+		if useful := foldStream(t, o, s.stats, len(held), fr); useful != batch {
+			t.Fatalf("%d of %d new symbols folded as new", useful, batch)
+		}
+	}
+	if avg := testing.AllocsPerRun(1, fresh); avg > batch/32 {
+		t.Errorf("folding %d new symbols allocates %.0f times, want at most %d: slabs only", batch, avg, batch/32)
+	}
+	ids, grown := o.WorkingSet()
+	if len(ids) != len(held)+2*batch || !bytes.Equal(grown[len(grown)-1], payload) {
+		t.Fatalf("the log holds %d symbols after two runs of %d new ones, want %d", len(ids), batch, len(held)+2*batch)
+	}
+
 	o.finish()
 	received := s.stats.SymbolsReceived
 	if useful, on := o.fold(s.stats, len(held), 99, payload); useful || on {
 		t.Fatalf("fold after the fetch finished: useful=%v on=%v", useful, on)
 	}
-	if ids, _ := o.WorkingSet(); len(ids) != len(before) || s.stats.SymbolsReceived != received {
+	if after, _ := o.WorkingSet(); len(after) != len(ids) || s.stats.SymbolsReceived != received {
 		t.Fatal("a fold after the fetch finished was counted")
 	}
 }

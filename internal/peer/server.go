@@ -140,12 +140,13 @@ func NewPartialServer(info ContentInfo, symbols map[uint64][]byte) (*Server, err
 	// Sessions walk the log by position: lay it out in id order, not map
 	// order, so one seed gives one stream.
 	log := new(symbolLog)
+	log.reserve(len(symbols))
 	for _, id := range slices.Sorted(maps.Keys(symbols)) {
 		data := symbols[id]
 		if len(data) != info.BlockSize {
 			return nil, fmt.Errorf("peer: symbol %d has %d bytes, want %d", id, len(data), info.BlockSize)
 		}
-		log.add(id, append([]byte(nil), data...))
+		log.add(id, data)
 	}
 	return NewLiveServer(info, log)
 }
@@ -312,6 +313,7 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 		s.gossip.Learn(clientAd)
 	}
 	sentAds := map[protocol.PeerAd]bool{clientAd: true} // never echo the client to itself
+	var relayed uint64                                  // the directory's generation at the last relay
 	// The sender announces the content parameters and its summary
 	// support.
 	heldLen := 0
@@ -387,9 +389,13 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 			}
 			// Relay any advertisements this connection has not heard yet
 			// ahead of the batch (receive loops handle PEERS between
-			// symbol frames).
-			if err := s.relayGossip(ch, sentAds); err != nil {
-				return err
+			// symbol frames). A directory that has not changed since the
+			// last relay has nothing new to say, so it is not asked.
+			if gen := s.gossip.generation(); gen != relayed {
+				relayed = gen
+				if err := s.relayGossip(ch, sentAds); err != nil {
+					return err
+				}
 			}
 			if s.Full() {
 				if err := s.sendFull(ch, encoder, int(n)); err != nil {
@@ -463,6 +469,10 @@ type cursor struct {
 	order   *prng.Rand // the session's send order
 	sent    []bool     // per log position considered: written on this session
 	pending []int      // unsent positions the summary leaves missing, in send order
+
+	// Scratch reused across REQUESTs: the positions to test, and their ids.
+	fresh []int
+	held  []uint64
 }
 
 // newCursor starts a cursor whose send order follows seed, so that two
@@ -495,11 +505,11 @@ func addrSalt(a net.Addr) uint64 {
 // included — leaves none.
 func (c *cursor) offer(ids []uint64, positions []int) {
 	if c.plan != nil {
-		held := make([]uint64, len(positions))
-		for i, pos := range positions {
-			held[i] = ids[pos]
+		c.held = c.held[:0]
+		for _, pos := range positions {
+			c.held = append(c.held, ids[pos])
 		}
-		keep, _ := c.plan(held)
+		keep, _ := c.plan(c.held)
 		for i, k := range keep { // ascending, so in place: i ≤ k
 			positions[i] = positions[k]
 		}
@@ -517,11 +527,11 @@ func (c *cursor) extend(ids []uint64) {
 		return
 	}
 	c.sent = append(c.sent, make([]bool, len(ids)-seen)...)
-	fresh := make([]int, len(ids)-seen)
-	for i := range fresh {
-		fresh[i] = seen + i
+	c.fresh = c.fresh[:0]
+	for pos := seen; pos < len(ids); pos++ {
+		c.fresh = append(c.fresh, pos)
 	}
-	c.offer(ids, fresh)
+	c.offer(ids, c.fresh)
 }
 
 // aim installs a new summary and re-derives pending from every unsent
@@ -529,14 +539,14 @@ func (c *cursor) extend(ids []uint64) {
 func (c *cursor) aim(plan func(held []uint64) ([]int, error), ids []uint64) {
 	c.plan = plan
 	c.sent = append(c.sent, make([]bool, len(ids)-len(c.sent))...)
-	var unsent []int
+	c.fresh = c.fresh[:0]
 	for pos, sent := range c.sent {
 		if !sent {
-			unsent = append(unsent, pos)
+			c.fresh = append(c.fresh, pos)
 		}
 	}
 	c.pending = c.pending[:0]
-	c.offer(ids, unsent)
+	c.offer(ids, c.fresh)
 }
 
 // sendHeld answers one REQUEST from the cursor: up to n pending symbols

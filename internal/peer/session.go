@@ -387,9 +387,9 @@ func (s *session) watchdog(ctx context.Context, cancel context.CancelCauseFunc) 
 // absorbs the symbol stream while requests are being written, so depth
 // > 1 cannot deadlock even a synchronous pipe). Frames arrive through
 // the channel's pooled queue and are folded as views of its buffers, so
-// the loop allocates nothing per frame except for new symbols, whose
-// payloads the fold copies into the buffers the working set keeps (an
-// allocation the content requires).
+// the loop allocates nothing per frame: a new symbol's payload is copied
+// into the working set's current slab, which costs an allocation only
+// when a slab fills.
 func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []uint64) error {
 	o := s.o
 	s.setChannel(ch)

@@ -11,10 +11,12 @@ package peer
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"icd/internal/peermux"
 	"icd/internal/protocol"
@@ -140,10 +142,10 @@ func TestSymbolLogFollowsArrivalOrder(t *testing.T) {
 	if len(payloads) != len(got) || payloads[7][0] != 7 {
 		t.Fatalf("%d payloads beside %d ids, entry 7 = %v", len(payloads), len(got), payloads[7])
 	}
-	if pos, held := log.position(want[40]); !held || pos != 40 {
-		t.Fatalf("position of entry 40 = %d, %v", pos, held)
+	if pos, held := log.add(want[40], nil); !held || pos != 40 {
+		t.Fatalf("adding entry 40 again = %d, %v; want its position, held", pos, held)
 	}
-	if _, held := log.position(12345); held {
+	if _, held := log.index[12345]; held {
 		t.Fatal("the log claims an id it was never given")
 	}
 	// Clipped to its length: appending to a view must not reach the log
@@ -158,18 +160,36 @@ func TestSymbolLogFollowsArrivalOrder(t *testing.T) {
 // TestLogViewIsStableWhileTheLogGrows: a view taken at n symbols is a
 // prefix of an append-only log — the same ids and the very same payload
 // buffers after the log has grown far enough to reallocate its storage
-// several times — and reading it needs no lock against the growth (the
-// second goroutine; run under -race).
+// several times and to fill slabs — and reading it needs no lock against
+// the growth (the second goroutine; run under -race). The log keeps its
+// own copies, neighbours in a slab, and an append to one cannot write the
+// next.
 func TestLogViewIsStableWhileTheLogGrows(t *testing.T) {
 	const n, more = 8, 4096
 	log := new(symbolLog)
-	payload := func(id uint64) []byte { return []byte{byte(id), byte(id >> 8)} }
-	for id := uint64(0); id < n; id++ {
+	payload := func(id uint64) []byte { return []byte{byte(id), byte(id >> 8), 0xA5, byte(id >> 4)} }
+	given := payload(0)
+	log.add(0, given)
+	for id := uint64(1); id < n; id++ {
 		log.add(id, payload(id))
 	}
 	ids, payloads := log.WorkingSet()
 	wantIDs := slices.Clone(ids)
 	wantPayloads := slices.Clone(payloads)
+	if &payloads[0][0] == &given[0] {
+		t.Fatal("the log keeps the caller's buffer, not a copy")
+	}
+	given[0] = 0xFF
+	if payloads[0][0] != 0 {
+		t.Fatal("a write to the caller's buffer reached the log")
+	}
+	if unsafe.Add(unsafe.Pointer(&payloads[0][0]), len(payloads[0])) != unsafe.Pointer(&payloads[1][0]) {
+		t.Fatal("entries 0 and 1 are not neighbours in one slab")
+	}
+	grown := append(payloads[0], 0xEE)
+	if !bytes.Equal(payloads[1], payload(1)) || &grown[0] == &payloads[0][0] {
+		t.Fatalf("an append to entry 0 wrote entry 1 in place: %v", payloads[1])
+	}
 
 	read := make(chan error, 1)
 	go func() {
@@ -634,5 +654,74 @@ func TestPartialSwarmUsefulRatio(t *testing.T) {
 	t.Logf("useful ratio %.3f (%d of %d received)", ratio, useful, received)
 	if ratio < 0.80 {
 		t.Fatalf("useful ratio %.3f, want ≥ 0.80", ratio)
+	}
+}
+
+// TestRequestWithNoNewsZeroAlloc: a REQUEST that brings no news — to a
+// warm full sender, or to a partial sender whose log did not grow, while
+// the gossip directory did not change since the last relay — allocates
+// nothing on either end of the channel: not to relay, not to pick
+// symbols, not to frame, move or read them.
+func TestRequestWithNoNewsZeroAlloc(t *testing.T) {
+	// The standard is bare frame writes: buffer pools shed under the race
+	// detector, and then nothing pooled can be pinned.
+	payload := make([]byte, 1400)
+	if base := testing.AllocsPerRun(50, func() {
+		for i := 0; i < 4; i++ {
+			protocol.WriteSymbol(io.Discard, 1, payload)
+		}
+	}); base != 0 {
+		t.Skipf("bare frame writes allocate %.2f per 4 here", base)
+	}
+	info, data := testContent(t, 120, 1400)
+	full, err := NewFullServer(info, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial, err := NewPartialServer(info, symbolMap(orderedSymbols(t, info, data, 512, 3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4
+	req := protocol.EncodeRequest(n)
+	for _, tc := range []struct {
+		name string
+		srv  *Server
+	}{{"full", full}, {"partial", partial}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.srv.gossip.Learn(protocol.PeerAd{ContentID: info.ID, Addr: "elsewhere:1"})
+			ch := openSession(t, tc.srv)
+			ch.SetDeadline(time.Now().Add(time.Minute))
+			request := func() {
+				if err := protocol.WriteFrame(ch, req); err != nil {
+					t.Fatal(err)
+				}
+				for got := 0; ; {
+					f, err := ch.Next()
+					if err != nil {
+						t.Fatal(err)
+					}
+					switch f.Type {
+					case protocol.TypeSymbol:
+						got++
+					case protocol.TypePeers:
+					case protocol.TypeDone:
+						if got != n {
+							t.Fatalf("a REQUEST for %d answered %d symbols", n, got)
+						}
+						return
+					default:
+						t.Fatalf("unexpected %v", f.Type)
+					}
+				}
+			}
+			for i := 0; i < 8; i++ { // the first relays the directory
+				request()
+			}
+			if avg := testing.AllocsPerRun(50, request); avg != 0 {
+				t.Errorf("a REQUEST with no news allocates %.2f, want 0", avg)
+			}
+			protocol.WriteFrame(ch, protocol.EncodeDone())
+		})
 	}
 }

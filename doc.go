@@ -430,7 +430,10 @@
 // that channel's initial CREDIT leave in one flight and its demux
 // reader takes the answers, so a session is up one round trip after
 // the dial (until the peer's MUX_HELLO announces its channel limit, one
-// channel may be open on a wire). Every content frame travels inside a
+// channel may be open on a wire). The OPEN's hello also carries the
+// session's first round of requests (Hello.Batch, Hello.Depth), and a
+// full sender answers it right behind its ACCEPT: a full sender's first
+// window arrives in that same round trip. Every content frame travels inside a
 // 3-byte MUX envelope — channel id + inner type — under the outer
 // frame's CRC, so the per-channel state machines read and write plain
 // content frames (PEERS gossip among them).
@@ -447,14 +450,17 @@
 // what the session's channel window admits (window / Batch, rounded
 // up), re-read at every batch boundary. Against a full sender — fresh
 // fountain symbols cannot be stale — a session runs at the cap from its
-// first REQUEST; against a partial sender K adapts AIMD-style from 1,
+// OPEN, whose round the sender answers behind its ACCEPT; against a
+// partial sender, which ignores that round (its answer waits for the
+// session's summary), K adapts AIMD-style from 1,
 // growing additively while batches deliver useful symbols and halving
 // when a batch was useless — empty, from a cursor run dry — or its
 // duplicate-symbol rate crosses DefaultPipelineDupHigh
 // (a window of at most one batch is stop-and-wait). A k=1024
-// fetch over a latency-bound link is four round trips — one of setup,
-// three 512-frame windows (peer.TestWANFetchRoundTrips pins the count;
-// the benchmark's wan_rtt50 workload measures the goodput).
+// fetch over a latency-bound link is three round trips — three
+// 512-frame windows, the first of which also sets the session up
+// (peer.TestWANFetchRoundTrips pins the count; the benchmark's wan_rtt50
+// workload measures the goodput).
 //
 // Channel lifecycle and versions: a Fabric refcounts wires per address
 // — the first Open dials and shakes hands, later Opens share the wire,
@@ -466,7 +472,9 @@
 // without the version byte, reads as ErrVersion under such a version
 // byte), the server answers it with a clean ERROR, and
 // the dialing session ends terminally on that first dial, uncharged. The
-// version is 7: it retired the RECODED frame (type 7, now an unexpected
+// version is 8: the channel hello grew the opener's first round of
+// requests (6 bytes ahead of the listen address), which an older reader
+// would misparse. 7 retired the RECODED frame (type 7, now an unexpected
 // frame like any other), so a version-6 partial sender — which would
 // answer a REQUEST with frames this library must refuse mid-session — is
 // turned away at the handshake instead.

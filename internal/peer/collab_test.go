@@ -344,12 +344,12 @@ func TestCrossVersionHandshakeFailsCleanly(t *testing.T) {
 			serveErr = front(srv).ServeConn(server)
 			server.Close()
 		}()
-		// A v2 client's 41-byte HELLO, written from a goroutine: the
+		// A v2 client's opening frame, written from a goroutine: the
 		// server bails at the 8-byte header, and net.Pipe (unlike a TCP
 		// socket buffer) would otherwise deadlock the unread remainder
 		// against the server's ERROR answer.
 		client.SetDeadline(time.Now().Add(5 * time.Second))
-		go client.Write(frameWithVersion(2, protocol.TypeHello, make([]byte, 41)))
+		go client.Write(frameWithVersion(2, protocol.TypeMuxHello, make([]byte, 41)))
 		// The server answers with a clean (current-version) ERROR naming
 		// the version problem, then hangs up.
 		f, err := protocol.ReadFrame(client)

@@ -73,10 +73,11 @@ func readFrameAnyVersion(t *testing.T, r io.Reader) (uint8, protocol.Type, []byt
 
 // foreignVersions are the version bytes the matrix speaks as: the last
 // pre-gossip version, the v4 a two-version reader used to accept, 5 (the
-// last whose checksum left the version byte out), the previous one (6,
-// whose partial senders answered REQUESTs with RECODED frames), and one
-// from the future.
-var foreignVersions = []uint8{3, 4, 5, protocol.Version - 1, protocol.Version + 1}
+// last whose checksum left the version byte out), 6 (whose partial
+// senders answered REQUESTs with RECODED frames), the previous one (7,
+// whose hello carried no first round of requests), and one from the
+// future.
+var foreignVersions = []uint8{3, 4, 5, 6, protocol.Version - 1, protocol.Version + 1}
 
 func TestCrossVersionClientGetsCleanError(t *testing.T) {
 	for _, v := range foreignVersions {
@@ -100,13 +101,13 @@ func TestCrossVersionClientGetsCleanError(t *testing.T) {
 				server.Close()
 			}()
 
-			// The foreign client's opening frame, written from a goroutine:
-			// the server bails at the 8-byte header, and net.Pipe (unlike a
-			// TCP socket buffer) would otherwise deadlock the unread
-			// remainder against the server's ERROR answer.
+			// The foreign client's opening frame, its MUX_HELLO, written from
+			// a goroutine: the server bails at the 8-byte header, and
+			// net.Pipe (unlike a TCP socket buffer) would otherwise deadlock
+			// the unread remainder against the server's ERROR answer.
 			client.SetDeadline(time.Now().Add(5 * time.Second))
-			go client.Write(frameWithVersion(v, protocol.TypeHello,
-				protocol.EncodeHello(protocol.Hello{ContentID: info.ID}).Payload))
+			go client.Write(frameWithVersion(v, protocol.TypeMuxHello,
+				protocol.EncodeMuxHello(protocol.MuxHello{MaxChannels: 4}).Payload))
 
 			// The server answers a clean ERROR naming the version problem,
 			// framed in the one version it speaks — a real foreign reader
@@ -186,9 +187,10 @@ func TestCrossVersionServerIsTerminalOnFirstDial(t *testing.T) {
 }
 
 // TestLegacyHelloGetsCleanError pins the single front door: a
-// current-version peer that opens with a bare content HELLO (the
-// pre-fabric dedicated-connection handshake) is answered with a clean
-// ERROR and dropped — the mux accepts a MUX_HELLO and nothing else.
+// current-version peer that opens with its content hello bare — an
+// OPEN_CHANNEL with no MUX_HELLO ahead of it, all the pre-fabric
+// dedicated-connection handshake amounted to — is answered with a clean
+// ERROR and dropped: the mux accepts a MUX_HELLO and nothing else.
 func TestLegacyHelloGetsCleanError(t *testing.T) {
 	defer checkGoroutines(t)()
 	info, data := testContent(t, 60, 32)
@@ -205,20 +207,20 @@ func TestLegacyHelloGetsCleanError(t *testing.T) {
 		server.Close()
 	}()
 	client.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := protocol.WriteFrame(client, protocol.EncodeHello(protocol.Hello{ContentID: info.ID})); err != nil {
+	if err := protocol.WriteFrame(client, protocol.EncodeOpenChannel(1, protocol.Hello{ContentID: info.ID, Batch: 64, Depth: 8})); err != nil {
 		t.Fatal(err)
 	}
 	f, err := protocol.ReadFrame(client)
 	if err != nil {
-		t.Fatalf("no clean answer to a bare HELLO: %v", err)
+		t.Fatalf("no clean answer to a bare hello: %v", err)
 	}
 	if msg, _ := protocol.DecodeError(f); f.Type != protocol.TypeError || !strings.Contains(msg, "MUX_HELLO") {
 		t.Fatalf("answer = %v %q, want an ERROR naming MUX_HELLO", f.Type, msg)
 	}
 	if err := <-served; err == nil {
-		t.Fatal("bare-HELLO connection served")
+		t.Fatal("bare-hello connection served")
 	}
 	if got := srv.Stats().Connections; got != 0 {
-		t.Fatalf("bare HELLO reached the content server (%d sessions)", got)
+		t.Fatalf("bare hello reached the content server (%d sessions)", got)
 	}
 }

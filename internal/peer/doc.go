@@ -42,12 +42,17 @@
 // its first symbol is paid again and again, and is kept to one round
 // trip. Opening the session's channel sends, in one flight, the wire's
 // MUX_HELLO (when the open has to bring the wire up), the OPEN_CHANNEL
-// carrying this receiver's content HELLO, and the channel's initial
-// credit grant; the peer's ACCEPT carries the content metadata, after
-// which the session sends its summary (partial senders only) and its
-// first REQUESTs (peer.handshake_seconds records open → ACCEPT). A peer
-// that turns the first flight down — unknown content, refused, wrong
-// version — ends the session terminally on that first dial, uncharged.
+// carrying this receiver's content hello, and the channel's initial
+// credit grant. The hello asks for the session's first round of
+// requests: the batches its window admits (Hello.Batch, Hello.Depth).
+// The peer's ACCEPT carries the content metadata. A full sender answers
+// the round right behind it, so its first symbols arrive in the same
+// round trip; a partial sender ignores the round — what it sends depends
+// on the summary the session sends once it has the ACCEPT, with its first
+// REQUEST (peer.handshake_seconds records open → ACCEPT,
+// peer.first_symbol_seconds open → first symbol folded). A peer that
+// turns the first flight down — unknown content, refused, wrong version —
+// ends the session terminally on that first dial, uncharged.
 //
 // From there the session keeps K request batches outstanding and reads
 // symbols until each batch's DONE. K has one cap, read at every batch
@@ -55,14 +60,14 @@
 // (window/Batch, rounded up), so a scheduler that resizes the window
 // (Orchestrator.SetChannelWindow) moves the depth with it. Against a
 // full sender — fresh fountain symbols, nothing that can be stale or a
-// duplicate — the session runs at that cap from its first REQUEST;
+// duplicate — the session runs at that cap from its OPEN;
 // against a partial sender, whose cursor was aimed by a summary that
 // ages while other senders deliver, K adapts AIMD-style from 1: plus one
 // per useful batch, halved when a batch was useless (empty, from a
 // cursor run dry, or all duplicates) or mostly duplicates. A window
 // of at most one batch (FetchOptions.ChannelWindow ≤ Batch) is
-// stop-and-wait. A k=1024 fetch from a full sender is four round trips:
-// one of setup and three 512-frame windows.
+// stop-and-wait. A k=1024 fetch from a full sender is three round trips:
+// three 512-frame windows, the first of which also sets the session up.
 //
 // # Failure model
 //

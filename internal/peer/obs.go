@@ -41,6 +41,11 @@ type fetchMetrics struct {
 	// open issued → ACCEPT received, the dial and wire handshake included
 	// when the open had to bring the wire up.
 	handshake *obs.Histogram // peer.handshake_seconds
+	// firstSymbol is one observation per connection attempt that folded a
+	// symbol: channel open issued → its first SYMBOL folded. Against a full
+	// sender, which answers the OPEN's requests behind its ACCEPT, it is
+	// about one round trip, the handshake's own.
+	firstSymbol *obs.Histogram // peer.first_symbol_seconds
 }
 
 func newFetchMetrics(r *obs.Registry) fetchMetrics {
@@ -63,6 +68,7 @@ func newFetchMetrics(r *obs.Registry) fetchMetrics {
 		dupBefore:     r.Counter("peer.duplicates{cause=before_summary}"),
 		dupSince:      r.Counter("peer.duplicates{cause=since_summary}"),
 		handshake:     r.Histogram("peer.handshake_seconds", obs.SecondsBuckets),
+		firstSymbol:   r.Histogram("peer.first_symbol_seconds", obs.SecondsBuckets),
 	}
 }
 

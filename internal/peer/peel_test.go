@@ -310,17 +310,7 @@ func TestFetchOverheadMatchesPlainDecoder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A server's first session streams from this seed (Server.serve).
-	const firstStreamSeed = 1 * 0x9e3779b97f4a7c15
-	bare, _ := fountain.NewDecoder(srv.code, blockSize)
-	for _, sym := range encodedSymbols(t, info, data, 3*nBlocks, firstStreamSeed) {
-		if bare.AddSymbol(sym); bare.Done() {
-			break
-		}
-	}
-	if !bare.Done() {
-		t.Fatal("3n symbols did not complete the bare decoder")
-	}
+	want := firstStreamOverhead(t, srv, data, "full")
 
 	pn := newPipeNet()
 	defer pn.close()
@@ -332,8 +322,25 @@ func TestFetchOverheadMatchesPlainDecoder(t *testing.T) {
 	if !bytes.Equal(res.Data, data) {
 		t.Fatal("content mismatch")
 	}
-	if res.DecodeOverhead != bare.Overhead() {
-		t.Fatalf("fetch decode overhead %v, bare decoder on the same stream %v",
-			res.DecodeOverhead, bare.Overhead())
+	if res.DecodeOverhead != want {
+		t.Fatalf("fetch decode overhead %v, bare decoder on the same stream %v", res.DecodeOverhead, want)
 	}
+}
+
+// firstStreamOverhead is the overhead a bare fountain.Decoder reports on
+// the stream of srv's first session when the server's end of the
+// connection reports addr as its own: the session number salted with
+// that address (Server.serve) — a pipeNet listener's name, or a TCP
+// listener's host:port.
+func firstStreamOverhead(t *testing.T, srv *Server, data []byte, addr string) float64 {
+	t.Helper()
+	info := srv.Info()
+	bare, _ := fountain.NewDecoder(srv.code, info.BlockSize)
+	for _, sym := range encodedSymbols(t, info, data, 10*info.NumBlocks, (1^addrSeed(addr))*0x9e3779b97f4a7c15) {
+		if bare.AddSymbol(sym); bare.Done() {
+			return bare.Overhead()
+		}
+	}
+	t.Fatal("10n symbols did not complete the bare decoder")
+	return 0
 }

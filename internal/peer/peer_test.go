@@ -180,8 +180,12 @@ func TestFetchFromFullServerTCP(t *testing.T) {
 	if !bytes.Equal(res.Data, data) {
 		t.Fatal("content mismatch")
 	}
-	if res.DecodeOverhead > 0.6 {
-		t.Fatalf("decode overhead %.3f too high for n=120", res.DecodeOverhead)
+	// The stream is the server's first, salted with its TCP address, so it
+	// differs from run to run (at n=120 one stream in ten needs more than
+	// 60% extra): the fetch must need exactly what a bare decoder needs on
+	// that same stream, no symbol more.
+	if want := firstStreamOverhead(t, srv, data, addr); res.DecodeOverhead != want {
+		t.Fatalf("decode overhead %.3f, a bare decoder on the same stream %.3f", res.DecodeOverhead, want)
 	}
 	if srv.Stats().Connections != 1 {
 		t.Fatalf("connections = %d", srv.Stats().Connections)

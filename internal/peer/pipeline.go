@@ -14,7 +14,8 @@ package peer
 // nothing else has to. Below that cap the depth depends on the sender.
 // A full sender streams fresh fountain symbols — nothing it sends can be
 // stale or a duplicate — so there is nothing to probe for and the
-// session runs at the cap from its first REQUEST. A partial sender
+// session runs at the cap from its OPEN, which asks for the first round
+// (a full sender answers it behind its ACCEPT). A partial sender
 // sends what a summary left missing, and the summary ages while requests
 // are in flight (other senders deliver meanwhile), so
 // its depth adapts the way AIMD congestion control adapts a window: from

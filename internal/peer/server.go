@@ -300,10 +300,11 @@ func (s *Server) ServeChannel(ch *peermux.Channel) error {
 	return err
 }
 
-// serve owns one session: the answering HELLO (accepting the channel),
-// summary handling, and the batched request loop. Frame payloads are
-// valid until the next read (summaries are copied out by their
-// Unmarshal step), so the loop allocates nothing per frame.
+// serve owns one session: the answering hello (accepting the channel)
+// and, from a full sender, the answer to the first round of requests the
+// OPEN carried; then summary handling and the batched request loop.
+// Frame payloads are valid until the next read (summaries are copied out
+// by their Unmarshal step), so the loop allocates nothing per frame.
 func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 	// Gossip: a client announcing a dialable listen address becomes
 	// an advertisement this server relays to everyone else it serves —
@@ -314,6 +315,17 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 	}
 	sentAds := map[protocol.PeerAd]bool{clientAd: true} // never echo the client to itself
 	var relayed uint64                                  // the directory's generation at the last relay
+	// relay writes, ahead of a batch, any advertisements this connection
+	// has not heard yet (receive loops handle PEERS between symbol frames).
+	// A directory that has not changed since the last relay has nothing new
+	// to say, so it is not asked.
+	relay := func() error {
+		if gen := s.gossip.generation(); gen != relayed {
+			relayed = gen
+			return s.relayGossip(ch, sentAds)
+		}
+		return nil
+	}
 	// The sender announces the content parameters and its summary
 	// support.
 	heldLen := 0
@@ -327,18 +339,44 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 
 	// Session loop: batched requests stream symbols — a full sender's from
 	// an encoder of its own, a partial sender's off the log through the
-	// session's cursor, which a summary (setup or refresh) re-aims.
+	// session's cursor, which a summary (setup or refresh) re-aims. Both
+	// seeds are salted with this server's own address, so two fresh
+	// mirrors, which number their sessions alike, send a receiver
+	// different streams.
+	const maxBatch = 1 << 16
 	seed := s.streamSeed.Add(1)
+	salt := addrSalt(ch.LocalAddr())
 	var cur *cursor
 	var encoder *fountain.Encoder
 	if s.Full() {
-		enc, err := fountain.NewEncoder(s.code, s.blocks, seed*0x9e3779b97f4a7c15)
+		enc, err := fountain.NewEncoder(s.code, s.blocks, (seed^salt)*0x9e3779b97f4a7c15)
 		if err != nil {
 			return err
 		}
 		encoder = enc
+		// The OPEN carried the receiver's first round of requests. Nothing
+		// a full sender streams can be stale, so it answers the round now,
+		// behind its ACCEPT, exactly as it answers REQUEST frames: Depth
+		// batches of Batch, each ending in its DONE, the total clamped to
+		// one channel window (the receiver could not take more in flight).
+		// A partial sender's answer waits for the summary: it ignores the
+		// round.
+		if s.timeout > 0 {
+			ch.SetDeadline(time.Now().Add(s.timeout))
+		}
+		n := min(int(clientHello.Batch), maxBatch)
+		if total := min(n*int(clientHello.Depth), ch.Window()); total > 0 {
+			if err := relay(); err != nil {
+				return err
+			}
+			for ; total > 0; total -= n {
+				if err := s.sendFull(ch, encoder, min(n, total)); err != nil {
+					return err
+				}
+			}
+		}
 	} else {
-		cur = newCursor(seed ^ s.info.CodeSeed ^ addrSalt(ch.LocalAddr()))
+		cur = newCursor(seed ^ s.info.CodeSeed ^ salt)
 	}
 	for {
 		if s.timeout > 0 {
@@ -383,29 +421,18 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 			if err != nil {
 				return err
 			}
-			const maxBatch = 1 << 16
-			if n > maxBatch {
-				n = maxBatch
-			}
-			// Relay any advertisements this connection has not heard yet
-			// ahead of the batch (receive loops handle PEERS between
-			// symbol frames). A directory that has not changed since the
-			// last relay has nothing new to say, so it is not asked.
-			if gen := s.gossip.generation(); gen != relayed {
-				relayed = gen
-				if err := s.relayGossip(ch, sentAds); err != nil {
-					return err
-				}
+			if err := relay(); err != nil {
+				return err
 			}
 			if s.Full() {
-				if err := s.sendFull(ch, encoder, int(n)); err != nil {
+				if err := s.sendFull(ch, encoder, int(min(n, maxBatch))); err != nil {
 					return err
 				}
 				continue
 			}
 			ids, payloads := s.src.WorkingSet()
 			cur.extend(ids)
-			if err := s.sendHeld(ch, cur, ids, payloads, int(n)); err != nil {
+			if err := s.sendHeld(ch, cur, ids, payloads, int(min(n, maxBatch))); err != nil {
 				return err
 			}
 
@@ -488,10 +515,12 @@ func addrSeed(addr string) uint64 {
 }
 
 // addrSalt is the server's own address, as one connection sees it, for
-// its sessions' order seeds: every Server numbers its sessions from 1,
-// and two fresh mirrors of one log would otherwise hand a receiver the
-// same order — every second arrival a duplicate until the first refresh.
-// The same seed, address and session number still give the same schedule.
+// its sessions' seeds — a partial sender's send order, a full sender's
+// fountain stream: every Server numbers its sessions from 1, and two
+// fresh mirrors would otherwise hand a receiver the same symbols, every
+// second arrival a duplicate (until the first refresh, for a partial
+// sender; for good, for a full one). The same seed, address and session
+// number still give the same schedule.
 func addrSalt(a net.Addr) uint64 {
 	if a == nil {
 		return 0

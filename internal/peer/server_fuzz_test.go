@@ -10,8 +10,8 @@ package peer
 // handshake first, so mutations land in the session loop and not only
 // on the opening frame: a fully valid open-request-done exchange, a
 // corrupt SYMBOL envelope and a frame of the retired type 7 (RECODED
-// until version 7) on an open channel, a bare pre-fabric HELLO, an absurd
-// declared frame length, and raw junk.
+// until version 7) on an open channel, a bare OPEN_CHANNEL with no wire
+// handshake ahead of it, an absurd declared frame length, and raw junk.
 
 import (
 	"bytes"
@@ -66,8 +66,11 @@ func FuzzServeStream(f *testing.F) {
 	// An intact frame of type 7, RECODED until version 7: an unexpected
 	// frame like any other, which ends the session with an ERROR.
 	f.Add(bytes.Join([][]byte{opened, onChannel(protocol.Frame{Type: 7, Payload: data[:32]})}, nil))
-	// A bare content HELLO (the pre-fabric opening): clean ERROR, no session.
-	f.Add(frameBytes(protocol.EncodeHello(clientHello)))
+	// A bare OPEN_CHANNEL, its hello asking for a first round, with no
+	// MUX_HELLO ahead of it: clean ERROR, no session.
+	asking := clientHello
+	asking.Batch, asking.Depth = 4, 2
+	f.Add(frameBytes(protocol.EncodeOpenChannel(1, asking)))
 	// Oversized declared length: magic + version + type, then a 4 GiB
 	// length field. The reader must refuse to allocate it.
 	f.Add([]byte{0xD0, 0x1C, protocol.Version, 1, 0xFF, 0xFF, 0xFF, 0xFF})

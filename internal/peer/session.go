@@ -195,19 +195,23 @@ var errStalled = errors.New("peer: no useful symbol within StallTimeout")
 // how it ended — misbehavior observed on the wire (corrupt frames,
 // mid-stream resets) charges the peer's penalty-box score on the way
 // out. The channel negotiation doubles as the content handshake: the
-// OPEN carries our HELLO, the ACCEPT carries the peer's.
+// OPEN carries our hello, the ACCEPT carries the peer's. The OPEN also
+// carries the first round of requests — the batches the window the
+// channel opens at admits (depthCap) — which a full sender answers behind
+// its ACCEPT, so the first symbols arrive one round trip after the open.
 func (s *session) runConn() error {
 	ctx, cancel := context.WithCancelCause(s.ctx)
 	defer cancel(nil)
 	if s.o.opts.StallTimeout > 0 {
 		go s.watchdog(ctx, cancel)
 	}
-	ch, held, err := s.openChannel(ctx)
+	issued := time.Now()
+	ch, held, depth, err := s.openChannel(ctx, issued)
 	if err != nil {
 		return err
 	}
 	defer ch.Close()
-	err = s.serveChannel(ctx, ch, held)
+	err = s.serveChannel(ctx, ch, held, issued, depth)
 	// A cancelled attempt unblocked the channel itself, and the watchdog
 	// has already charged PenaltyStall: neither is a reset by the peer.
 	if err != nil && ctx.Err() == nil && !terminalSessionError(err) {
@@ -216,33 +220,45 @@ func (s *session) runConn() error {
 	return err
 }
 
-// openChannel opens this session's subchannel with dial accounting, and
-// classifies the peer's answers — a REJECT_CHANNEL, or an ERROR in place
-// of the wire handshake — into the terminal errors: a verdict from a live
-// peer is not a dial failure, so it does not charge the address.
-func (s *session) openChannel(ctx context.Context) (*peermux.Channel, []uint64, error) {
+// openChannel opens this session's subchannel, issued at the given time,
+// with dial accounting, and returns it with the working set and the
+// number of batches its OPEN asked for. It classifies the peer's answers
+// — a REJECT_CHANNEL, or an ERROR in place of the wire handshake — into
+// the terminal errors: a verdict from a live peer is not a dial failure,
+// so it does not charge the address.
+func (s *session) openChannel(ctx context.Context, issued time.Time) (*peermux.Channel, []uint64, int, error) {
 	o := s.o
 	held, _ := o.WorkingSet()
-	issued := time.Now()
+	// The batches the window the channel opens at admits, as the fabric
+	// clamps it (0 opens at the wire's default, the largest any channel
+	// gets).
+	win := int(o.chanWin.Load())
+	opensAt := peermux.DefaultWindow
+	if win > 0 {
+		opensAt = min(win, opensAt)
+	}
+	depth := depthCap(opensAt, o.opts.Batch)
 	openCtx, cancel := context.WithTimeout(ctx, o.opts.Timeout)
 	ch, err := o.fabric.OpenWindow(openCtx, s.addr, protocol.Hello{
 		ContentID:   o.contentID,
 		Symbols:     uint64(len(held)),
 		SummaryMask: o.opts.summaryMask(),
+		Batch:       uint32(o.opts.Batch),
+		Depth:       uint16(depth),
 		ListenAddr:  o.opts.AdvertiseAddr,
-	}, int(o.chanWin.Load()))
+	}, win)
 	cancel()
 	if err == nil {
 		o.met.handshake.Observe(time.Since(issued).Seconds())
 		s.reached()
 		o.trace(obs.EvDial, s.addr, "")
-		return ch, held, nil
+		return ch, held, depth, nil
 	}
 	if ctx.Err() != nil {
 		// The attempt was abandoned — the session ended, or the watchdog
 		// gave up on an open nobody answered (it did the charging): no
 		// dial failed, so there is nothing to account.
-		return nil, nil, context.Cause(ctx)
+		return nil, nil, 0, context.Cause(ctx)
 	}
 	// The peer answered: the channel negotiation with a REJECT, or — a
 	// banned dialer, or any dialer past the inbound connection cap, never
@@ -263,17 +279,17 @@ func (s *session) openChannel(ctx context.Context) (*peermux.Channel, []uint64, 
 	if answered {
 		s.reached()
 		if protocol.IsUnknownContent(msg) {
-			return nil, nil, fmt.Errorf("peer %s: %s: %w", s.addr, msg, ErrUnknownContent)
+			return nil, nil, 0, fmt.Errorf("peer %s: %s: %w", s.addr, msg, ErrUnknownContent)
 		}
 		if protocol.IsRefused(msg) {
-			return nil, nil, fmt.Errorf("peer %s: %s: %w", s.addr, msg, ErrRefused)
+			return nil, nil, 0, fmt.Errorf("peer %s: %s: %w", s.addr, msg, ErrRefused)
 		}
-		return nil, nil, fmt.Errorf("peer %s: %s", s.addr, msg)
+		return nil, nil, 0, fmt.Errorf("peer %s: %s", s.addr, msg)
 	}
 	if errors.Is(err, protocol.ErrVersion) {
 		// The dial reached a live peer speaking an incompatible protocol
 		// version — terminal, and not the address's fault.
-		return nil, nil, fmt.Errorf("peer %s: incompatible protocol: %w", s.addr, err)
+		return nil, nil, 0, fmt.Errorf("peer %s: incompatible protocol: %w", s.addr, err)
 	}
 	if errors.Is(err, protocol.ErrCorrupt) {
 		// The dial connected and the peer answered the handshake with
@@ -281,7 +297,7 @@ func (s *session) openChannel(ctx context.Context) (*peermux.Channel, []uint64, 
 		// signal), not an unreachable address.
 		s.reached()
 		s.noteConnError(err)
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	o.penalties.Penalize(s.addr, PenaltyDialFail)
 	o.mu.Lock()
@@ -289,7 +305,7 @@ func (s *session) openChannel(ctx context.Context) (*peermux.Channel, []uint64, 
 	o.mu.Unlock()
 	o.met.dialFailures.Inc()
 	o.trace(obs.EvDialFail, s.addr, err.Error())
-	return nil, nil, err
+	return nil, nil, 0, err
 }
 
 // reached records that a dial got through to the address: it never
@@ -380,23 +396,24 @@ func (s *session) watchdog(ctx context.Context, cancel context.CancelCauseFunc) 
 	}
 }
 
-// serveChannel owns the session on an established subchannel: the
-// ACCEPT's hello already carries the content parameters, so it goes
-// straight to decoder setup, summary negotiation and refresh, gossip,
-// and the pipelined batched request loop (the wire's demux reader
-// absorbs the symbol stream while requests are being written, so depth
-// > 1 cannot deadlock even a synchronous pipe). Frames arrive through
+// serveChannel owns the session on an established subchannel, opened at
+// issued with a first round of depth batches requested: the ACCEPT's
+// hello already carries the content parameters, so it goes straight to
+// decoder setup, summary negotiation and refresh, gossip, and the
+// pipelined batched request loop (the wire's demux reader absorbs the
+// symbol stream while requests are being written, so depth > 1 cannot
+// deadlock even a synchronous pipe). Frames arrive through
 // the channel's pooled queue and are folded as views of its buffers, so
 // the loop allocates nothing per frame: a new symbol's payload is copied
 // into the working set's current slab, which costs an allocation only
 // when a slab fills.
-func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []uint64) error {
+func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []uint64, issued time.Time, depth int) error {
 	o := s.o
 	s.setChannel(ch)
 	defer s.setChannel(nil)
 	hello := ch.RemoteHello()
 	// The request depth's one cap is what the channel window admits; a
-	// full sender runs at it from the first REQUEST (pipeline.go).
+	// full sender runs at it from the OPEN's round (pipeline.go).
 	windowDepth := func() int { return depthCap(ch.Window(), o.opts.Batch) }
 	pc := NewPipelineController(windowDepth(), hello.FullCopy, DefaultPipelineDupHigh)
 	// ctx ending (the transfer, the session, or the watchdog giving up on
@@ -464,6 +481,9 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 
 	useless := 0
 	inflight := 0
+	if hello.FullCopy {
+		inflight = depth // the OPEN's round, answered behind the ACCEPT
+	}
 	for {
 		if s.ctx.Err() != nil {
 			protocol.WriteFrame(ch, protocol.EncodeDone())
@@ -564,6 +584,10 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 					return err
 				}
 				fresh, on := o.fold(s.stats, summarized, id, data)
+				if !issued.IsZero() { // the attempt's first symbol
+					o.met.firstSymbol.Observe(time.Since(issued).Seconds())
+					issued = time.Time{}
+				}
 				if !on {
 					return nil
 				}

@@ -85,6 +85,13 @@ func requestBatch(t *testing.T, ch *peermux.Channel, n int) []idSym {
 	if err := protocol.WriteFrame(ch, protocol.EncodeRequest(uint32(n))); err != nil {
 		t.Fatal(err)
 	}
+	return readBatch(t, ch)
+}
+
+// readBatch returns the symbols read before the next DONE; anything but
+// a SYMBOL or the DONE fails the test.
+func readBatch(t *testing.T, ch *peermux.Channel) []idSym {
+	t.Helper()
 	var got []idSym
 	for {
 		f, err := ch.Next()

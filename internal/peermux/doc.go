@@ -16,10 +16,14 @@
 // running and takes the answer as its first frames — the peer's
 // MUX_HELLO, then the ACCEPT_CHANNEL and CREDIT — so a lone fetch has
 // its content metadata and a full window granted both ways one round
-// trip after the dial. The acceptor needs nothing new for this: it
-// reads the MUX_HELLO, answers, and finds the OPEN_CHANNEL and CREDIT
-// buffered behind it. The frame vocabulary and the wire version are
-// what they were, so an end that still takes strict turns (hello, then
+// trip after the dial. A full sender's data arrives in that same round
+// trip: the OPEN's content hello asks for the first round of requests,
+// the sender writes it right behind its ACCEPT, and the opener has
+// registered the half-open channel and granted its window before any of
+// it can arrive, so it routes like any later frame. The acceptor needs
+// nothing new for this: it reads the MUX_HELLO, answers, and finds the
+// OPEN_CHANNEL and CREDIT buffered behind it. The frame vocabulary is
+// what it was, so an end that still takes strict turns (hello, then
 // open, then credit) interoperates in either role.
 //
 // What waits for the answer: the peer's channel limit is not known
@@ -41,9 +45,10 @@
 //
 //   - OPEN_CHANNEL / ACCEPT_CHANNEL / REJECT_CHANNEL — subchannel
 //     negotiation. The opener picks an odd channel id and attaches its
-//     content HELLO; the acceptor answers with its own HELLO (content
-//     metadata) or a rejection reusing the canonical ERROR vocabulary
-//     ("unknown content", "refused", "busy").
+//     content hello (its first round of requests included); the
+//     acceptor answers with its own hello (content metadata) or a
+//     rejection reusing the canonical ERROR vocabulary ("unknown
+//     content", "refused", "busy").
 //   - MUX — the envelope: channel id (uint16) + inner frame type
 //     (uint8) + inner payload, under the outer frame's single CRC.
 //     Every content frame type (SYMBOL, SUMMARY, REQUEST, DONE, ERROR,

@@ -309,6 +309,77 @@ func TestStrictOrderDialerIsServed(t *testing.T) {
 	}
 }
 
+// TestAnswerBehindAcceptRoutes: a full sender answers the first round of
+// requests an OPEN carries right behind its ACCEPT, in the same flight —
+// here the whole answer is written before the dialer has read any of it.
+// The half-open channel is registered (claimChannel) and its window
+// granted (grantInitial) before the OPEN could be answered, so the
+// symbols route to it and spend that window, uncharged, and Next hands
+// them out in order once the open returns.
+func TestAnswerBehindAcceptRoutes(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	var charges atomic.Int64
+	const symbols = 3
+	conn, join := script(func(e *rawEnd) error {
+		for _, want := range []protocol.Type{protocol.TypeMuxHello, protocol.TypeOpenChannel, protocol.TypeCredit} {
+			if _, err := e.expect(want); err != nil {
+				return err
+			}
+		}
+		answer := []protocol.Frame{
+			protocol.EncodeMuxHello(protocol.MuxHello{MaxChannels: 4}),
+			protocol.EncodeAcceptChannel(1, protocol.Hello{ContentID: 1, FullCopy: true}),
+			protocol.EncodeCredit(1, 8),
+		}
+		for i := 0; i < symbols; i++ {
+			answer = append(answer, protocol.EncodeMux(1, protocol.EncodeSymbol(protocol.Symbol{ID: uint64(i), Data: scriptSymbol})))
+		}
+		if err := e.send(append(answer, protocol.EncodeMux(1, protocol.EncodeDone()))...); err != nil {
+			return err
+		}
+		for { // the dialer regrants what it drains, then closes
+			f, err := e.fr.Next()
+			if err != nil || f.Type == protocol.TypeCloseChannel {
+				return err
+			}
+			if f.Type != protocol.TypeCredit {
+				return fmt.Errorf("script: got %v, want CREDIT or CLOSE_CHANNEL", f.Type)
+			}
+		}
+	})
+	w, err := Dial(conn, Config{Timeout: 5 * time.Second, Window: symbols, Penalize: func(float64) { charges.Add(1) }})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer w.Close()
+	ch, err := w.Open(protocol.Hello{ContentID: 1, Batch: symbols, Depth: 1}, 5*time.Second)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	for i := 0; ; i++ {
+		f, err := ch.Next()
+		if err != nil {
+			t.Fatalf("Next: %v", err)
+		}
+		if f.Type == protocol.TypeDone {
+			if i != symbols {
+				t.Fatalf("DONE after %d symbols, want %d", i, symbols)
+			}
+			break
+		}
+		if id, _, err := protocol.SymbolView(f); err != nil || id != uint64(i) {
+			t.Fatalf("frame %d = %v (id %d, %v), want symbol %d", i, f.Type, id, err, i)
+		}
+	}
+	ch.Close()
+	if err := join(); err != nil {
+		t.Fatal(err)
+	}
+	if n := charges.Load(); n != 0 {
+		t.Fatalf("an answer behind the ACCEPT was charged %d violations", n)
+	}
+}
+
 // TestAnswerBeforeHelloFailsWire: a peer that answers the first flight
 // with an ACCEPT or a SYMBOL, and never a MUX_HELLO, is charged and the
 // wire dies — the open must not sit parked behind a hello that is not

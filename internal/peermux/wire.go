@@ -183,7 +183,9 @@ type openReply struct {
 // Dial starts a wire on conn from the dialing side: it starts the
 // demultiplexing reader, writes our MUX_HELLO and returns without
 // waiting for the peer's — the first Open's OPEN_CHANNEL and CREDIT
-// follow in the same flight, so a lone fetch is up in one round trip.
+// follow in the same flight, so a lone fetch is up in one round trip,
+// and a full sender's data, which it writes right behind its ACCEPT
+// (the OPEN's hello asks for it), arrives in that same round trip.
 // The peer's answer is the reader's first frame: a MUX_HELLO
 // establishes the wire; an ERROR (version reject, refused, busy), a
 // corrupt stream or any other frame kills it, and that verdict is what
@@ -352,9 +354,13 @@ func (w *Wire) Open(h protocol.Hello, timeout time.Duration) (*Channel, error) {
 // Nothing the opener sends depends on the peer's answer, so the
 // OPEN_CHANNEL and the channel's initial CREDIT go out back to back —
 // on a fresh wire right behind Dial's MUX_HELLO — and only then does
-// the call wait. A wire that dies first fails the open with the wire's
-// terminal error, typed as the reader saw it (protocol.ErrVersion,
-// *RemoteError, protocol.ErrCorrupt). An open whose ctx ends first
+// the call wait. The channel is registered and its window granted
+// before the peer can answer, so frames the peer writes behind its
+// ACCEPT (a full sender's answer to the requests the OPEN's hello
+// carried) route to it and spend that window like any later ones. A
+// wire that dies first fails the open with the wire's terminal error,
+// typed as the reader saw it (protocol.ErrVersion, *RemoteError,
+// protocol.ErrCorrupt). An open whose ctx ends first
 // returns ctx's error and leaves nothing behind: the half-open id
 // drains and the window its early grant reserved goes back to the
 // wire's ledger (abortOpen).

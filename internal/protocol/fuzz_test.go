@@ -1,8 +1,8 @@
 package protocol
 
-// fuzz_test.go fuzzes every payload parser of the wire format — HELLO,
-// SYMBOL, SUMMARY/SUMMARY_REFRESH, PEERS — plus the frame
-// reader itself. Each target asserts two things: no input panics the
+// fuzz_test.go fuzzes every payload parser of the wire format — SYMBOL,
+// SUMMARY/SUMMARY_REFRESH, PEERS, the fabric's frames with the content
+// hello inside OPEN/ACCEPT_CHANNEL — plus the frame reader itself. Each target asserts two things: no input panics the
 // parser, and anything the parser accepts survives a re-encode/re-parse
 // round trip unchanged (stability: the wire form is a fixpoint). Seed
 // corpora live in testdata/fuzz/ and double as regression inputs; CI
@@ -13,30 +13,6 @@ import (
 	"io"
 	"testing"
 )
-
-func FuzzDecodeHello(f *testing.F) {
-	f.Add(EncodeHello(Hello{}).Payload)
-	f.Add(EncodeHello(Hello{
-		ContentID: 0xF00D, NumBlocks: 23968, BlockSize: 1400, OrigLen: 32 << 20,
-		CodeSeed: 42, FullCopy: true, Symbols: 9, SummaryMask: AllSummaryMask,
-		ListenAddr: "203.0.113.9:9002",
-	}).Payload)
-	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0xFF}, 43))
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		h, err := DecodeHello(Frame{Type: TypeHello, Payload: payload})
-		if err != nil {
-			return
-		}
-		h2, err := DecodeHello(EncodeHello(h))
-		if err != nil {
-			t.Fatalf("re-encode of accepted hello rejected: %v (%+v)", err, h)
-		}
-		if h2 != h {
-			t.Fatalf("hello round trip unstable: %+v vs %+v", h2, h)
-		}
-	})
-}
 
 func FuzzSymbolView(f *testing.F) {
 	f.Add(EncodeSymbol(Symbol{ID: 7, Data: []byte("payload")}).Payload)
@@ -108,7 +84,7 @@ func FuzzDecodePeers(f *testing.F) {
 
 func FuzzFrameReader(f *testing.F) {
 	var good bytes.Buffer
-	WriteFrame(&good, EncodeHello(Hello{ContentID: 1}))
+	WriteFrame(&good, EncodeOpenChannel(1, Hello{ContentID: 1, Batch: 64, Depth: 8}))
 	WriteFrame(&good, EncodeDone())
 	f.Add(good.Bytes(), uint64(0))
 	f.Add([]byte{}, uint64(1))
@@ -145,13 +121,22 @@ func FuzzFrameReader(f *testing.F) {
 }
 
 // FuzzMuxDecoders fuzzes every v5 connection-fabric parser — MUX_HELLO,
-// OPEN/ACCEPT/REJECT/CLOSE_CHANNEL, CREDIT and the MUX envelope — with
-// one shared corpus: each parser either rejects the payload or what it
-// accepts survives a re-encode round trip.
+// OPEN/ACCEPT/REJECT/CLOSE_CHANNEL (and with them the content hello),
+// CREDIT and the MUX envelope — with one shared corpus: each parser
+// either rejects the payload or what it accepts survives a re-encode
+// round trip.
 func FuzzMuxDecoders(f *testing.F) {
 	f.Add(EncodeMuxHello(MuxHello{MaxChannels: 64, ListenAddr: "10.0.0.1:9000"}).Payload)
 	f.Add(EncodeOpenChannel(1, Hello{ContentID: 0xF00D, SummaryMask: AllSummaryMask}).Payload)
-	f.Add(EncodeAcceptChannel(1, Hello{ContentID: 0xF00D, FullCopy: true}).Payload)
+	// An OPEN carrying the opener's first round of requests.
+	f.Add(EncodeOpenChannel(1, Hello{
+		ContentID: 0xF00D, Symbols: 9, SummaryMask: AllSummaryMask,
+		Batch: 64, Depth: 8, ListenAddr: "203.0.113.9:9002",
+	}).Payload)
+	f.Add(EncodeAcceptChannel(1, Hello{
+		ContentID: 0xF00D, NumBlocks: 23968, BlockSize: 1400, OrigLen: 32 << 20,
+		CodeSeed: 42, FullCopy: true, SummaryMask: AllSummaryMask,
+	}).Payload)
 	f.Add(EncodeRejectChannel(3, ReasonRefused).Payload)
 	f.Add(EncodeCloseChannel(7).Payload)
 	f.Add(EncodeCredit(5, 256).Payload)

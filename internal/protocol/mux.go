@@ -13,11 +13,11 @@ import (
 	"fmt"
 )
 
-// MuxHello is the wire-level handshake of a multiplexed connection:
-// instead of a content HELLO, the dialer announces how many concurrent
-// subchannels it is prepared to serve and (optionally) its dialable
-// listen address for gossip attribution; the acceptor answers with its
-// own. Content metadata travels per-channel in OPEN/ACCEPT_CHANNEL.
+// MuxHello is the wire-level handshake of a multiplexed connection: the
+// dialer announces how many concurrent subchannels it is prepared to
+// serve and (optionally) its dialable listen address for gossip
+// attribution; the acceptor answers with its own. Content metadata
+// travels per-channel in OPEN/ACCEPT_CHANNEL.
 type MuxHello struct {
 	// MaxChannels is the largest number of concurrently open channels
 	// the announcer will accept from its peer (0 means "none": a wire
@@ -29,7 +29,7 @@ type MuxHello struct {
 }
 
 // EncodeMuxHello marshals h. Oversized listen addresses degrade to
-// empty, as in EncodeHello.
+// empty, as in a channel hello.
 func EncodeMuxHello(h MuxHello) Frame {
 	addr := h.ListenAddr
 	if len(addr) > MaxAddrLen {
@@ -61,8 +61,8 @@ func DecodeMuxHello(f Frame) (MuxHello, error) {
 }
 
 // EncodeOpenChannel marshals a channel-open request: the id the opener
-// chose plus its content HELLO (content id, working-set size, summary
-// mask, listen address).
+// chose plus its content hello (content id, working-set size, summary
+// mask, first round of requests, listen address).
 func EncodeOpenChannel(ch uint16, h Hello) Frame {
 	buf := make([]byte, 2, 2+helloFixedLen+1+len(h.ListenAddr))
 	binary.LittleEndian.PutUint16(buf, ch)
@@ -78,7 +78,7 @@ func DecodeOpenChannel(f Frame) (uint16, Hello, error) {
 }
 
 // EncodeAcceptChannel marshals a channel accept: the id being accepted
-// plus the serving side's content HELLO (metadata the fetching side
+// plus the serving side's content hello (metadata the fetching side
 // needs to construct its decoder).
 func EncodeAcceptChannel(ch uint16, h Hello) Frame {
 	buf := make([]byte, 2, 2+helloFixedLen+1+len(h.ListenAddr))

@@ -36,15 +36,15 @@ import (
 // Version is the one protocol version this library speaks, and the only
 // version byte readFrame accepts: any other value on a frame whose
 // checksum holds is ErrVersion. What the number has accumulated: Lemire fast-range Bloom probe positions (2),
-// summary-method negotiation in the HELLO mask and SUMMARY /
-// SUMMARY_REFRESH frames (3), gossip peer discovery via the HELLO's
+// summary-method negotiation in the hello mask and SUMMARY /
+// SUMMARY_REFRESH frames (3), gossip peer discovery via the hello's
 // advertised listen address and PEERS frames (4), and the multiplexed
 // connection fabric (5) — a MUX_HELLO handshake, OPEN/ACCEPT/REJECT/
 // CLOSE_CHANNEL negotiation, per-channel CREDIT flow control, and a MUX
 // envelope carrying any content frame tagged with a channel id, so one
 // wire serves N content subchannels. The fabric is the only session
 // transport: every connection starts with MUX_HELLO, and a content
-// HELLO travels only inside OPEN/ACCEPT_CHANNEL. Since 6 the version
+// hello travels only inside OPEN/ACCEPT_CHANNEL. Since 6 the version
 // byte sits under the CRC and is checked after it, so a corrupted version
 // byte reads as corruption (ErrCorrupt: charged and redialled), never as
 // a peer that speaks something else (ErrVersion: terminal, uncharged).
@@ -55,8 +55,11 @@ import (
 // mismatch itself. 7 retired the RECODED frame (type 7): SYMBOL is the only
 // symbol-bearing frame, and a version-6 partial sender, which would answer
 // a REQUEST with frames this reader must refuse mid-session, is turned
-// away at the handshake instead.
-const Version = 7
+// away at the handshake instead. 8 puts the opener's first round of
+// requests in the hello (Hello.Batch and Hello.Depth, 6 bytes ahead of the
+// listen address), so a full sender answers it behind its ACCEPT_CHANNEL
+// and a fetch saves the round trip its first REQUEST used to wait for.
+const Version = 8
 
 // versionUnderCRC is the first version whose checksum covers the version
 // byte.
@@ -86,7 +89,7 @@ const MaxPayload = 16 << 20
 type Type uint8
 
 const (
-	TypeHello   Type = 1 // handshake and content metadata
+	TypeHello   Type = 1 // content hello: number reserved, the hello travels in OPEN/ACCEPT_CHANNEL
 	TypeSketch  Type = 2 // bare min-wise sketch (§4): number reserved, summaries travel in SUMMARY
 	TypeBloom   Type = 3 // bare Bloom filter (§5.2): number reserved
 	TypeART     Type = 4 // bare ART summary (§5.3): number reserved
@@ -119,8 +122,8 @@ const (
 	// with CREDIT grants. A bare ERROR belongs to the wire, not to any one
 	// channel: it answers the handshake, or kills the connection.
 	TypeMuxHello      Type = 13 // wire handshake (replaces HELLO on fabric conns)
-	TypeOpenChannel   Type = 14 // open a subchannel: channel id + content HELLO
-	TypeAcceptChannel Type = 15 // accept: channel id + serving-side HELLO
+	TypeOpenChannel   Type = 14 // open a subchannel: channel id + content hello, first requests included
+	TypeAcceptChannel Type = 15 // accept: channel id + serving-side hello
 	TypeRejectChannel Type = 16 // reject: channel id + human-readable reason
 	TypeCloseChannel  Type = 17 // either side retires a channel id
 	TypeCredit        Type = 18 // receiver grants the sender symbol credits
@@ -370,10 +373,12 @@ func (fr *FrameReader) fill(need int) error {
 	return nil
 }
 
-// Hello is the handshake: both sides announce identity and the sender
-// side carries the content metadata a fresh receiver needs to construct
-// its decoder. A receiver's Hello uses zero metadata fields but carries
-// its working-set size and summary mask, which the v3 negotiation reads.
+// Hello is the content handshake, carried by OPEN_CHANNEL (the opener's)
+// and ACCEPT_CHANNEL (the acceptor's): both sides announce identity and
+// the sender side carries the content metadata a fresh receiver needs to
+// construct its decoder. A receiver's Hello uses zero metadata fields but
+// carries its working-set size and summary mask, which the v3 negotiation
+// reads, and its first round of requests.
 type Hello struct {
 	ContentID uint64 // identifies the file (e.g. hash of its name)
 	NumBlocks uint32 // ` source blocks
@@ -387,21 +392,29 @@ type Hello struct {
 	// method.Bit() values. Zero means "no summaries" — a v3 peer that
 	// only streams blindly.
 	SummaryMask uint8
+	// Batch and Depth are the opener's first round of requests: Depth
+	// batches of Batch symbols, what Depth REQUEST frames of Batch would
+	// ask for. A full sender answers the round right behind its ACCEPT;
+	// a partial sender, whose answer waits for the receiver's summary,
+	// ignores it. Zero asks for nothing, and both are zero in an ACCEPT.
+	Batch uint32
+	Depth uint16
 	// ListenAddr is the announcer's dialable listen address, empty
 	// when the announcer cannot be dialed back. Peers feed it into
 	// their gossip directories and relay it in PEERS frames.
 	ListenAddr string
 }
 
-// MaxAddrLen bounds an advertised address (HELLO and PEERS frames): a
+// MaxAddrLen bounds an advertised address (hello and PEERS frames): a
 // host:port string comfortably fits one length byte.
 const MaxAddrLen = 255
 
-const helloFixedLen = 8 + 4 + 4 + 8 + 8 + 1 + 8 + 1
+const helloFixedLen = 8 + 4 + 4 + 8 + 8 + 1 + 8 + 1 + 4 + 2
 
-// appendHelloPayload marshals h onto buf — shared by the HELLO frame and
-// the OPEN/ACCEPT_CHANNEL frames, which embed the same layout after a
-// channel id.
+// appendHelloPayload marshals h onto buf, the layout the OPEN/
+// ACCEPT_CHANNEL frames embed after their channel id. A ListenAddr longer
+// than MaxAddrLen is truncated to empty (an undialable advert, not a
+// malformed frame).
 func appendHelloPayload(buf []byte, h Hello) []byte {
 	addr := h.ListenAddr
 	if len(addr) > MaxAddrLen {
@@ -420,20 +433,22 @@ func appendHelloPayload(buf []byte, h Hello) []byte {
 	}
 	binary.LittleEndian.PutUint64(p[33:], h.Symbols)
 	p[41] = h.SummaryMask
-	p[42] = byte(len(addr))
-	copy(p[43:], addr)
+	binary.LittleEndian.PutUint32(p[42:], h.Batch)
+	binary.LittleEndian.PutUint16(p[46:], h.Depth)
+	p[48] = byte(len(addr))
+	copy(p[49:], addr)
 	return buf
 }
 
-// decodeHelloPayload unmarshals the HELLO layout from p (a whole frame
-// payload or the tail of an OPEN/ACCEPT_CHANNEL payload).
+// decodeHelloPayload unmarshals the hello layout from the tail of an
+// OPEN/ACCEPT_CHANNEL payload.
 func decodeHelloPayload(p []byte) (Hello, error) {
 	if len(p) < helloFixedLen+1 {
-		return Hello{}, fmt.Errorf("protocol: HELLO payload %d bytes, want ≥ %d", len(p), helloFixedLen+1)
+		return Hello{}, fmt.Errorf("protocol: hello payload %d bytes, want ≥ %d", len(p), helloFixedLen+1)
 	}
-	addrLen := int(p[42])
+	addrLen := int(p[48])
 	if len(p) != helloFixedLen+1+addrLen {
-		return Hello{}, fmt.Errorf("protocol: HELLO payload %d bytes, want %d", len(p), helloFixedLen+1+addrLen)
+		return Hello{}, fmt.Errorf("protocol: hello payload %d bytes, want %d", len(p), helloFixedLen+1+addrLen)
 	}
 	return Hello{
 		ContentID:   binary.LittleEndian.Uint64(p[0:]),
@@ -444,22 +459,10 @@ func decodeHelloPayload(p []byte) (Hello, error) {
 		FullCopy:    p[32] == 1,
 		Symbols:     binary.LittleEndian.Uint64(p[33:]),
 		SummaryMask: p[41],
-		ListenAddr:  string(p[43 : 43+addrLen]),
+		Batch:       binary.LittleEndian.Uint32(p[42:]),
+		Depth:       binary.LittleEndian.Uint16(p[46:]),
+		ListenAddr:  string(p[49 : 49+addrLen]),
 	}, nil
-}
-
-// EncodeHello marshals h. A ListenAddr longer than MaxAddrLen is
-// truncated to empty (an undialable advert, not a malformed frame).
-func EncodeHello(h Hello) Frame {
-	return Frame{Type: TypeHello, Payload: appendHelloPayload(nil, h)}
-}
-
-// DecodeHello unmarshals a HELLO frame.
-func DecodeHello(f Frame) (Hello, error) {
-	if f.Type != TypeHello {
-		return Hello{}, fmt.Errorf("protocol: %v is not HELLO", f.Type)
-	}
-	return decodeHelloPayload(f.Payload)
 }
 
 // Symbol is a regular encoded symbol on the wire.

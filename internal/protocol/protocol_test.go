@@ -16,7 +16,7 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
-		{Type: TypeHello, Payload: []byte{1, 2, 3}},
+		{Type: TypeRequest, Payload: []byte{1, 2, 3, 4}},
 		{Type: TypeDone},
 		{Type: TypeSymbol, Payload: bytes.Repeat([]byte{0xAB}, 1400)},
 	}
@@ -164,6 +164,9 @@ func TestOversizePayloadRejected(t *testing.T) {
 	}
 }
 
+// TestHelloRoundTrip: the content hello travels in the channel
+// negotiation frames, the opener's first round of requests included, and
+// decodes to what was encoded from either.
 func TestHelloRoundTrip(t *testing.T) {
 	want := Hello{
 		ContentID:   0xDEADBEEF,
@@ -174,30 +177,39 @@ func TestHelloRoundTrip(t *testing.T) {
 		FullCopy:    true,
 		Symbols:     12345,
 		SummaryMask: AllSummaryMask,
+		Batch:       64,
+		Depth:       8,
 		ListenAddr:  "203.0.113.9:9002",
 	}
-	got, err := DecodeHello(EncodeHello(want))
-	if err != nil {
-		t.Fatal(err)
+	roundTrip := func(h Hello) {
+		t.Helper()
+		if ch, got, err := DecodeOpenChannel(EncodeOpenChannel(3, h)); err != nil || ch != 3 || got != h {
+			t.Fatalf("OPEN_CHANNEL hello: ch=%d %+v vs %+v (%v)", ch, got, h, err)
+		}
+		if ch, got, err := DecodeAcceptChannel(EncodeAcceptChannel(5, h)); err != nil || ch != 5 || got != h {
+			t.Fatalf("ACCEPT_CHANNEL hello: ch=%d %+v vs %+v (%v)", ch, got, h, err)
+		}
 	}
-	if got != want {
-		t.Fatalf("hello mismatch: %+v vs %+v", got, want)
-	}
+	roundTrip(want)
 	want.ListenAddr = "" // undialable announcers stay representable
-	if got, err = DecodeHello(EncodeHello(want)); err != nil || got != want {
-		t.Fatalf("empty-addr hello mismatch: %+v vs %+v (%v)", got, want, err)
+	roundTrip(want)
+	want.Batch, want.Depth = 1<<32-1, 1<<16-1 // the widest request the fields hold
+	roundTrip(want)
+	if got := len(EncodeOpenChannel(1, Hello{}).Payload); got != 2+49 {
+		t.Fatalf("empty OPEN_CHANNEL payload is %d bytes, want 51 (channel id, 48-byte hello, address length)", got)
 	}
-	if _, err := DecodeHello(Frame{Type: TypeDone}); err == nil {
-		t.Fatal("wrong type accepted")
-	}
-	if _, err := DecodeHello(Frame{Type: TypeHello, Payload: []byte{1}}); err == nil {
+	if _, _, err := DecodeOpenChannel(Frame{Type: TypeOpenChannel, Payload: []byte{1, 0, 1}}); err == nil {
 		t.Fatal("short hello accepted")
 	}
-	// A declared address length past the payload end must not read OOB.
-	f := EncodeHello(want)
-	f.Payload[42] = 200
-	if _, err := DecodeHello(f); err == nil {
+	// A declared address length past the payload end must not read OOB:
+	// the length byte follows the channel id and the 48 fixed bytes.
+	f := EncodeOpenChannel(1, want)
+	f.Payload[2+48] = 200
+	if _, _, err := DecodeOpenChannel(f); err == nil {
 		t.Fatal("truncated address accepted")
+	}
+	if _, _, err := DecodeAcceptChannel(Frame{Type: TypeAcceptChannel, Payload: f.Payload}); err == nil {
+		t.Fatal("truncated address accepted in an ACCEPT")
 	}
 }
 

@@ -432,8 +432,11 @@
 // the dial (until the peer's MUX_HELLO announces its channel limit, one
 // channel may be open on a wire). The OPEN's hello also carries the
 // session's first round of requests (Hello.Batch, Hello.Depth), and a
-// full sender answers it right behind its ACCEPT: a full sender's first
-// window arrives in that same round trip. Every content frame travels inside a
+// full sender answers it right behind its ACCEPT, clamped to what the
+// session's decode still needs, with the ACCEPT's Depth saying how many
+// batches that is: the first flight arrives in that same round trip.
+// The receive side queues each channel's inbound frames back to back in
+// pooled 64 KiB slabs. Every content frame travels inside a
 // 3-byte MUX envelope — channel id + inner type — under the outer
 // frame's CRC, so the per-channel state machines read and write plain
 // content frames (PEERS gossip among them).
@@ -445,22 +448,28 @@
 // only its own channel while siblings keep their throughput, and a
 // sender that overruns the window is charged to the penalty box.
 //
-// Request depth: sessions replace stop-and-wait (one request batch in
-// flight, one RTT per batch) with K batches outstanding. K's one cap is
-// what the session's channel window admits (window / Batch, rounded
-// up), re-read at every batch boundary. Against a full sender — fresh
-// fountain symbols cannot be stale — a session runs at the cap from its
-// OPEN, whose round the sender answers behind its ACCEPT; against a
-// partial sender, which ignores that round (its answer waits for the
-// session's summary), K adapts AIMD-style from 1,
-// growing additively while batches deliver useful symbols and halving
-// when a batch was useless — empty, from a cursor run dry — or its
-// duplicate-symbol rate crosses DefaultPipelineDupHigh
-// (a window of at most one batch is stop-and-wait). A k=1024
-// fetch over a latency-bound link is three round trips — three
-// 512-frame windows, the first of which also sets the session up
-// (peer.TestWANFetchRoundTrips pins the count; the benchmark's wan_rtt50
-// workload measures the goodput).
+// Request depth: a decode of k blocks takes about k + ⌈4√k⌉ symbols
+// from any mix of senders, so what a fetch has requested and not yet
+// received, summed over its sessions, stays within what its decode
+// still needs (at least one batch per session, and growing with the
+// overshoot past k, so an unlucky stream takes two rounds, not many).
+// Below that bound, sessions replace stop-and-wait (one request batch
+// in flight, one RTT per batch) with K batches outstanding. K's one cap
+// is what the session's channel window admits (window / Batch, rounded
+// up), re-read at every batch boundary; the default window, 4096
+// frames, is a ceiling the need rather than the window shapes a flight
+// under. Against a full sender — fresh fountain symbols cannot be stale
+// — a session asks up to the cap from its OPEN, whose round the sender
+// answers behind its ACCEPT; against a partial sender, which ignores
+// that round (its answer waits for the session's summary), K adapts
+// AIMD-style from 1, growing additively while batches deliver useful
+// symbols and halving when a batch was useless — empty, from a cursor
+// run dry — or its duplicate-symbol rate crosses DefaultPipelineDupHigh
+// (a window of at most one batch is stop-and-wait). A k=1024 fetch over
+// a latency-bound link takes one round trip, which sets the session up
+// and carries what the decode needs, and a second for a stream that
+// needs more (peer.TestWANFetchRoundTrips pins the count; the
+// benchmark's wan_rtt50 workload measures the goodput).
 //
 // Channel lifecycle and versions: a Fabric refcounts wires per address
 // — the first Open dials and shakes hands, later Opens share the wire,
@@ -472,9 +481,10 @@
 // without the version byte, reads as ErrVersion under such a version
 // byte), the server answers it with a clean ERROR, and
 // the dialing session ends terminally on that first dial, uncharged. The
-// version is 8: the channel hello grew the opener's first round of
-// requests (6 bytes ahead of the listen address), which an older reader
-// would misparse. 7 retired the RECODED frame (type 7, now an unexpected
+// version is 9: a full sender's ACCEPT says how many batches of the
+// opener's first round it answers, which a version-8 opener would not
+// read. 8 grew the channel hello by that round (6 bytes ahead of the
+// listen address), which an older reader would misparse. 7 retired the RECODED frame (type 7, now an unexpected
 // frame like any other), so a version-6 partial sender — which would
 // answer a REQUEST with frames this library must refuse mid-session — is
 // turned away at the handshake instead.

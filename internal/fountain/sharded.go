@@ -261,8 +261,8 @@ func (d *ShardedDecoder) owner(block int) int { return block % d.numShards }
 
 // ---- freelists ----
 
-// getBuf borrows a blockSize payload buffer from the freelist.
-func (d *ShardedDecoder) getBuf() []byte {
+// borrowBuf borrows a blockSize payload buffer from the freelist.
+func (d *ShardedDecoder) borrowBuf() []byte {
 	d.bufMu.Lock()
 	var b []byte
 	if n := len(d.freeBufs); n > 0 {
@@ -277,8 +277,8 @@ func (d *ShardedDecoder) getBuf() []byte {
 	return b
 }
 
-// putBuf returns a payload buffer; the caller must not use it afterwards.
-func (d *ShardedDecoder) putBuf(b []byte) {
+// returnBuf returns a payload buffer; the caller must not use it afterwards.
+func (d *ShardedDecoder) returnBuf(b []byte) {
 	d.bufMu.Lock()
 	d.freeBufs = append(d.freeBufs, b)
 	d.bufsOut--
@@ -386,7 +386,7 @@ func (d *ShardedDecoder) AddSymbol(sym Symbol) error {
 // check.
 func (d *ShardedDecoder) route(sym Symbol) {
 	u := d.code.AppendNeighbors(sym.ID, d.getInts())
-	data := d.getBuf()
+	data := d.borrowBuf()
 	copy(data, sym.Data)
 
 	// Footprint routing: start at the shard owning the most neighbors, so
@@ -515,7 +515,7 @@ func (d *ShardedDecoder) Close() error {
 		for _, ps := range s.parked {
 			if !ps.dead {
 				ps.dead = true
-				d.putBuf(ps.data)
+				d.returnBuf(ps.data)
 				d.putInts(ps.unknown)
 			}
 		}
@@ -524,7 +524,7 @@ func (d *ShardedDecoder) Close() error {
 	for _, cs := range d.coord.parked {
 		if !cs.dead {
 			cs.dead = true
-			d.putBuf(cs.sym.data)
+			d.returnBuf(cs.sym.data)
 			d.putInts(cs.sym.unknown)
 		}
 	}
@@ -613,7 +613,7 @@ func (s *decodeShard) process(m shardMsg) {
 			d.mu.Unlock()
 		}
 		d.putInts(m.unknown)
-		d.putBuf(m.data)
+		d.returnBuf(m.data)
 
 	case len(u) == 1:
 		// Degree one: the payload IS the missing block's value. Recover
@@ -671,7 +671,7 @@ func (s *decodeShard) recover(block int, data []byte) {
 	for head := 0; head < len(queue); head++ {
 		r := queue[head]
 		if d.blocks[r.idx] != nil {
-			d.putBuf(r.data) // another cascade path got here first
+			d.returnBuf(r.data) // another cascade path got here first
 			continue
 		}
 		d.blocks[r.idx] = r.data
@@ -694,7 +694,7 @@ func (s *decodeShard) recover(block int, data []byte) {
 			case 0:
 				ps.dead = true
 				d.putInts(ps.unknown)
-				d.putBuf(ps.data)
+				d.returnBuf(ps.data)
 			}
 		}
 	}

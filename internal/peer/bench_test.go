@@ -64,10 +64,10 @@ func BenchmarkFetchFabricPipe(b *testing.B) {
 // BenchmarkFetchFabricWAN is the same fetch where round trips are all it
 // costs: a k=1024 full sender behind a 50 ms RTT, unlimited-bandwidth
 // ShapedNet link in delivery mode — the benchmark's wan_rtt50 shape, one
-// client. rtt/fetch is the row to read: 1085 symbols through a
-// 512-frame window are three round trips, and the first of them also
-// sets the session up (the OPEN asks for the first window); MB/s follows
-// from it.
+// client. rtt/fetch is the row to read: one round trip sets the session
+// up and carries what the decode needs (the OPEN asks for a window, the
+// sender answers decodeNeed(1024) = 1152 symbols), and a stream that
+// needs more takes a second; MB/s follows from it.
 func BenchmarkFetchFabricWAN(b *testing.B) {
 	const k, blockSize, rtt = 1024, 1400, 50 * time.Millisecond
 	info, data := testContent(b, k, blockSize)

@@ -74,10 +74,11 @@ func readFrameAnyVersion(t *testing.T, r io.Reader) (uint8, protocol.Type, []byt
 // foreignVersions are the version bytes the matrix speaks as: the last
 // pre-gossip version, the v4 a two-version reader used to accept, 5 (the
 // last whose checksum left the version byte out), 6 (whose partial
-// senders answered REQUESTs with RECODED frames), the previous one (7,
-// whose hello carried no first round of requests), and one from the
-// future.
-var foreignVersions = []uint8{3, 4, 5, 6, protocol.Version - 1, protocol.Version + 1}
+// senders answered REQUESTs with RECODED frames), 7 (whose hello carried
+// no first round of requests), the previous one (8, whose full senders
+// answered the whole round and said nothing of it in their ACCEPT), and
+// one from the future.
+var foreignVersions = []uint8{3, 4, 5, 6, 7, protocol.Version - 1, protocol.Version + 1}
 
 func TestCrossVersionClientGetsCleanError(t *testing.T) {
 	for _, v := range foreignVersions {

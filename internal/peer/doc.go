@@ -44,30 +44,40 @@
 // MUX_HELLO (when the open has to bring the wire up), the OPEN_CHANNEL
 // carrying this receiver's content hello, and the channel's initial
 // credit grant. The hello asks for the session's first round of
-// requests: the batches its window admits (Hello.Batch, Hello.Depth).
-// The peer's ACCEPT carries the content metadata. A full sender answers
-// the round right behind it, so its first symbols arrive in the same
-// round trip; a partial sender ignores the round — what it sends depends
+// requests (Hello.Batch, Hello.Depth): the batches its window admits when
+// the fetch does not know k yet (the first OPEN; OPENs alongside it ask
+// for nothing), what the fetch's budget leaves after. The peer's ACCEPT
+// carries the content metadata. A full sender answers the round right
+// behind it, clamped to what the decode still needs, and its ACCEPT's
+// Depth says how many batches that is, so the first symbols arrive in
+// the same round trip; a partial sender ignores the round — what it sends depends
 // on the summary the session sends once it has the ACCEPT, with its first
 // REQUEST (peer.handshake_seconds records open → ACCEPT,
 // peer.first_symbol_seconds open → first symbol folded). A peer that
 // turns the first flight down — unknown content, refused, wrong version —
 // ends the session terminally on that first dial, uncharged.
 //
-// From there the session keeps K request batches outstanding and reads
-// symbols until each batch's DONE. K has one cap, read at every batch
+// From there the session keeps up to K request batches outstanding and
+// reads symbols until each batch's DONE. What it may ask is bounded first
+// by the fetch: a decode of k blocks takes about k + ⌈4√k⌉ symbols from
+// any mix of senders, and the symbols the fetch has requested and not
+// yet received, over all its sessions, stay within what its decode still
+// needs — a session asks for more only while it has nothing in flight or
+// the budget has a batch left. K has one cap, read at every batch
 // boundary: the batches its channel's credit window admits
 // (window/Batch, rounded up), so a scheduler that resizes the window
 // (Orchestrator.SetChannelWindow) moves the depth with it. Against a
 // full sender — fresh fountain symbols, nothing that can be stale or a
-// duplicate — the session runs at that cap from its OPEN;
+// duplicate — the session asks up to that cap from its OPEN;
 // against a partial sender, whose cursor was aimed by a summary that
 // ages while other senders deliver, K adapts AIMD-style from 1: plus one
 // per useful batch, halved when a batch was useless (empty, from a
 // cursor run dry, or all duplicates) or mostly duplicates. A window
 // of at most one batch (FetchOptions.ChannelWindow ≤ Batch) is
-// stop-and-wait. A k=1024 fetch from a full sender is three round trips:
-// three 512-frame windows, the first of which also sets the session up.
+// stop-and-wait. A k=1024 fetch from a full sender takes one round trip,
+// which sets the session up and carries what the decode needs (the
+// 4096-frame default window holds it), and a second for a stream that
+// needs more.
 //
 // # Failure model
 //

@@ -111,12 +111,13 @@ type FetchOptions struct {
 	// maximum). Orchestrator.SetChannelWindow resizes live channels —
 	// together they are how a node scheduler spends one wire's bandwidth
 	// by marginal utility instead of evenly per channel. The window also
-	// caps each session's request depth at ceil(window/Batch): a full
-	// sender runs at that cap from the OPEN, which asks for the first
-	// round; a partial sender — whose cursor can run dry, or meet another
-	// sender's deliveries — adapts AIMD-style from 1 up to it; and a
-	// window ≤ Batch is stop-and-wait. Only SYMBOL frames spend the
-	// window.
+	// caps each session's request depth at ceil(window/Batch), below the
+	// bound that matters first: the fetch never has more requested and
+	// not yet received than its decode still needs. A full sender is
+	// asked up to the cap from the OPEN, which carries the first round; a
+	// partial sender — whose cursor can run dry, or meet another sender's
+	// deliveries — adapts AIMD-style from 1 up to it; and a window ≤
+	// Batch is stop-and-wait. Only SYMBOL frames spend the window.
 	ChannelWindow int
 
 	// Obs is the node-wide observability registry the orchestrator and

@@ -1,18 +1,21 @@
 package peer
 
 // flight_test.go pins what the one-flight session setup and the
-// window-derived request depth are for, at the session level: how many
+// need-bounded request depth are for, at the session level: how many
 // round trips a latency-bound fetch costs, that every way a peer can
 // turn the first flight down still ends in its own terminal error with
 // nobody charged, which senders run at the window's depth and which
-// still probe their way up, and who answers the first round of requests
-// the OPEN carries — a full sender, behind its ACCEPT; a partial one
-// never, before the session's summary and REQUEST.
+// still probe their way up, that a fetch never asks for more than its
+// decode still needs however many senders it asks, and who answers the
+// first round of requests the OPEN carries — a full sender, behind its
+// ACCEPT and clamped to the need; a partial one never, before the
+// session's summary and REQUEST.
 
 import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"slices"
@@ -21,6 +24,7 @@ import (
 	"time"
 
 	"icd/internal/faultnet"
+	"icd/internal/fountain"
 	"icd/internal/obs"
 	"icd/internal/peermux"
 	"icd/internal/protocol"
@@ -48,14 +52,16 @@ func wanPair(t testing.TB, rtt time.Duration, srv *Server) (dial func(string) (n
 }
 
 // TestWANFetchRoundTrips counts a fetch in round trips where round trips
-// are all it costs: k=1024 from a full sender, empty receiver. Three
-// move 1085 symbols through a 512-frame window at the window's own
-// depth, and the first of them also brings the session up: MUX_HELLO,
-// OPEN (asking for the first window) and CREDIT out; MUX_HELLO, ACCEPT,
-// CREDIT and that window back. That is 3 in all, where a first REQUEST
-// that waited for the ACCEPT took 4, and taking turns on both handshakes
-// and ramping from depth 1 took 7.5; the content metadata and the first
-// symbol are known after the first.
+// are all it costs: k=1024 from a full sender, empty receiver. One
+// round trip brings the session up and carries what the decode needs:
+// MUX_HELLO, OPEN (asking for a whole 4096-frame window) and CREDIT out;
+// MUX_HELLO, ACCEPT, CREDIT and the answer back, which the sender clamps
+// to decodeNeed(1024) = 1152 symbols. A stream that needs more than that
+// takes a second round trip for the rest. That is 1 and a fraction on
+// average, where three 512-frame windows took 3, a first REQUEST that
+// waited for the ACCEPT 4, and taking turns on both handshakes and
+// ramping from depth 1 7.5; the content metadata and the first symbol
+// are known after the first.
 //
 // The RTT is 20 ms unless this host needs more than a quarter of that
 // in CPU to push the symbols through both ends (the race detector
@@ -110,7 +116,7 @@ func TestWANFetchRoundTrips(t *testing.T) {
 	defer cleanup()
 
 	var whole, meta, sym time.Duration
-	within := func() bool { return whole <= rtt*7/2 && meta <= rtt*3/2 && sym <= rtt*3/2 }
+	within := func() bool { return whole <= rtt*5/2 && meta <= rtt*3/2 && sym <= rtt*3/2 }
 	for attempt := 0; attempt < 3; attempt++ {
 		before := first.Sum()
 		whole, meta = fetch(dial)
@@ -122,7 +128,7 @@ func TestWANFetchRoundTrips(t *testing.T) {
 		}
 	}
 	if !within() {
-		t.Errorf("fetch took %.2f RTT (want <= 3.5), WaitInfo %.2f RTT (want <= 1.5), first symbol %.2f RTT (want <= 1.5)",
+		t.Errorf("fetch took %.2f RTT (want <= 2.5), WaitInfo %.2f RTT (want <= 1.5), first symbol %.2f RTT (want <= 1.5)",
 			float64(whole)/float64(rtt), float64(meta)/float64(rtt), float64(sym)/float64(rtt))
 	}
 	// The node records the same turn itself: one handshake per fetch, the
@@ -310,25 +316,44 @@ func TestFirstFlightRejects(t *testing.T) {
 	}
 }
 
-// depthProbe serves content id 1 by hand, over a real accepted wire:
-// hello as its ACCEPT, then the first round of requests its OPEN carried
-// (the OPEN's hello is reported on opens) and every REQUEST it reads
-// (reported on reqs) are answered with that many symbols and a DONE —
-// but only once the test allows it (one token on serve per batch), so
-// the number of batches outstanding at any moment is exactly the
-// session's depth. Like a real partial sender, it ignores the OPEN's
-// round for any other content.
+// depthProbe serves content id 1 by hand, over a real accepted wire, as
+// a full copy of blocks blocks: hello as its ACCEPT, then the first round
+// of requests its OPEN carried (the OPEN's hello is reported on opens;
+// the probe answers what round says, and its ACCEPT says so) and every
+// REQUEST it reads (reported on reqs) are answered with that many
+// symbols and a DONE — but only once the test allows it (one token on
+// serve per batch), so the number of batches outstanding at any moment
+// is exactly the session's depth. Like a real partial sender, it ignores
+// the OPEN's round for any other content.
 type depthProbe struct {
-	opens chan protocol.Hello
-	reqs  chan uint32
-	serve chan struct{}
+	blocks int
+	code   *fountain.Code
+	opens  chan protocol.Hello
+	reqs   chan uint32
+	serve  chan struct{}
 }
 
-func newDepthProbe() *depthProbe {
+func newDepthProbe(blocks int) *depthProbe {
+	code, err := fountain.NewCode(blocks, nil, 0)
+	if err != nil {
+		panic(err)
+	}
 	// opens holds the few OPENs a test's one session makes (a redial adds
 	// one); reqs and serve, more REQUESTs and releases than any window has
 	// batches.
-	return &depthProbe{opens: make(chan protocol.Hello, 8), reqs: make(chan uint32, 64), serve: make(chan struct{}, 64)}
+	return &depthProbe{blocks: blocks, code: code,
+		opens: make(chan protocol.Hello, 8), reqs: make(chan uint32, 128), serve: make(chan struct{}, 128)}
+}
+
+// round is how many batches of an OPEN's round the probe answers: what a
+// full sender answers — what was asked, but no more than cover what the
+// opener's decode still needs, and at least one.
+func (p *depthProbe) round(open protocol.Hello) int {
+	if open.ContentID != 1 || open.Batch == 0 {
+		return 0
+	}
+	n := int(open.Batch)
+	return min(int(open.Depth), max(1, (decodeNeed(p.blocks)-int(open.Symbols)+n-1)/n))
 }
 
 func (p *depthProbe) ServeConn(conn net.Conn) error {
@@ -348,8 +373,10 @@ func (p *depthProbe) ServeConn(conn net.Conn) error {
 	return w.Serve()
 }
 
-// The probe's content is too large for its few batches ever to decode:
-// the payloads are never looked at.
+// probeBlocks is the probe's content size unless a test needs the need
+// to bind: far more than its few batches carry. No probe's content ever
+// decodes, whatever its size, since it sends no symbol of degree 1; the
+// payloads are never looked at.
 const probeBlocks = 1 << 14
 
 var probeBlock = make([]byte, 16)
@@ -360,15 +387,16 @@ func (p *depthProbe) serveChannel(ch *peermux.Channel) {
 	open := ch.RemoteHello()
 	id := open.ContentID
 	p.opens <- open
+	round := p.round(open)
 	err := ch.Accept(protocol.Hello{
-		ContentID: id, FullCopy: id == 1, Symbols: probeBlocks,
-		NumBlocks: probeBlocks, BlockSize: uint32(len(probeBlock)), OrigLen: uint64(len(probeBlock)) * probeBlocks,
+		ContentID: id, FullCopy: id == 1, Symbols: uint64(p.blocks), Depth: uint16(round),
+		NumBlocks: uint32(p.blocks), BlockSize: uint32(len(probeBlock)), OrigLen: uint64(len(probeBlock) * p.blocks),
 		SummaryMask: protocol.AllSummaryMask,
 	})
 	if err != nil {
 		return
 	}
-	pending := make(chan uint32, 64)
+	pending := make(chan uint32, 128)
 	gone := make(chan struct{})
 	defer close(gone)
 	go func() { // answers, in order, as the test releases them
@@ -386,6 +414,9 @@ func (p *depthProbe) serveChannel(ch *peermux.Channel) {
 				return
 			}
 			for i := uint32(0); i < n; i++ {
+				for p.code.Degree(next) == 1 {
+					next++
+				}
 				if protocol.WriteSymbol(ch, next, probeBlock) != nil {
 					return
 				}
@@ -396,10 +427,8 @@ func (p *depthProbe) serveChannel(ch *peermux.Channel) {
 			}
 		}
 	}()
-	if id == 1 { // a full copy answers the OPEN's round
-		for i := 0; i < int(open.Depth); i++ {
-			pending <- open.Batch
-		}
+	for i := 0; i < round; i++ { // a full copy answers the OPEN's round
+		pending <- open.Batch
 	}
 	for {
 		f, err := ch.Next()
@@ -452,12 +481,16 @@ func (p *depthProbe) opened(t *testing.T) protocol.Hello {
 	}
 }
 
-// runProbe starts a fetch of contentID against the probe and returns the
-// orchestrator plus a stop that cancels it and waits for the unwind.
-func runProbe(t *testing.T, p *depthProbe, contentID uint64, opts FetchOptions) (*Orchestrator, func()) {
+// runProbe starts a fetch of contentID against the probes, all at once,
+// and returns the orchestrator plus a stop that cancels it and waits for
+// the unwind.
+func runProbe(t *testing.T, contentID uint64, opts FetchOptions, probes ...*depthProbe) (*Orchestrator, func()) {
 	t.Helper()
 	pn := newPipeNet()
-	addr := pn.add("probe", p)
+	var addrs []string
+	for i, p := range probes {
+		addrs = append(addrs, pn.add(fmt.Sprintf("probe%d", i), p))
+	}
 	opts.Dial = pn.dial
 	opts.DisableGossip = true
 	opts.Timeout = 10 * time.Second
@@ -466,7 +499,7 @@ func runProbe(t *testing.T, p *depthProbe, contentID uint64, opts FetchOptions) 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		o.Run(ctx, addr)
+		o.Run(ctx, addrs...)
 	}()
 	return o, func() {
 		cancel()
@@ -476,19 +509,20 @@ func runProbe(t *testing.T, p *depthProbe, contentID uint64, opts FetchOptions) 
 }
 
 // TestFullSenderDepthFollowsWindow: against a full sender the session
-// has nothing to probe for. It opens at the depth its channel window
-// admits — its OPEN asks for 8 batches of 64 under the default
-// 512-frame window, and no REQUEST goes out before the first of them is
-// answered — and a live SetChannelWindow moves that depth both ways at
-// the next batch boundary, with no second knob.
+// has nothing to probe for. Where the decode needs more than a window
+// (k = 16384 here), it opens at the depth its channel window admits —
+// its OPEN asks for 64 batches of 64 under the default 4096-frame
+// window, and no REQUEST goes out before the first of them is answered —
+// and a live SetChannelWindow moves that depth both ways at the next
+// batch boundary, with no second knob.
 func TestFullSenderDepthFollowsWindow(t *testing.T) {
 	defer checkGoroutines(t)()
-	p := newDepthProbe()
-	o, stop := runProbe(t, p, 1, FetchOptions{})
+	p := newDepthProbe(probeBlocks)
+	o, stop := runProbe(t, 1, FetchOptions{}, p)
 	defer stop()
 
-	if h := p.opened(t); h.Batch != 64 || h.Depth != 8 {
-		t.Fatalf("OPEN asked for %d batches of %d, want 8 of 64 (512-frame window / batch 64)", h.Depth, h.Batch)
+	if h := p.opened(t); h.Batch != 64 || h.Depth != 64 {
+		t.Fatalf("OPEN asked for %d batches of %d, want 64 of 64 (4096-frame window / batch 64)", h.Depth, h.Batch)
 	}
 	if got := p.outstanding(); got != 0 {
 		t.Fatalf("%d REQUESTs sent before the OPEN's first batch was answered, want 0", got)
@@ -496,9 +530,9 @@ func TestFullSenderDepthFollowsWindow(t *testing.T) {
 	// Shrink to two batches' worth: as batches retire, nothing is
 	// requested until fewer than two are outstanding.
 	o.SetChannelWindow(128)
-	p.release(6)
+	p.release(62)
 	if got := p.outstanding(); got != 0 {
-		t.Fatalf("%d REQUESTs sent while 2..7 were outstanding under a 2-batch window", got)
+		t.Fatalf("%d REQUESTs sent while 2..63 were outstanding under a 2-batch window", got)
 	}
 	p.release(1) // 1 outstanding: back up to 2
 	if got := p.outstanding(); got != 1 {
@@ -529,8 +563,8 @@ func TestFullSenderDepthFollowsWindow(t *testing.T) {
 // adds one per useful batch.
 func TestPartialSenderStartsAtDepthOne(t *testing.T) {
 	defer checkGoroutines(t)()
-	p := newDepthProbe()
-	_, stop := runProbe(t, p, 2, FetchOptions{})
+	p := newDepthProbe(probeBlocks)
+	_, stop := runProbe(t, 2, FetchOptions{}, p)
 	defer stop()
 
 	if got := p.outstanding(); got != 1 {
@@ -550,8 +584,8 @@ func TestPartialSenderStartsAtDepthOne(t *testing.T) {
 // own goroutine.
 func TestSessionGoroutineBudget(t *testing.T) {
 	defer checkGoroutines(t)()
-	p := newDepthProbe()
-	_, stop := runProbe(t, p, 1, FetchOptions{})
+	p := newDepthProbe(probeBlocks)
+	_, stop := runProbe(t, 1, FetchOptions{}, p)
 	defer stop()
 	p.opened(t)
 	p.release(1) // the OPEN's first batch: the session tops its round up
@@ -575,10 +609,11 @@ func TestSessionGoroutineBudget(t *testing.T) {
 }
 
 // openAsking opens one hand-driven channel on srv whose OPEN asks for
-// depth batches of batch symbols, with a penalty box on each end — the
-// serving mux's, and the one the dialing wire charges — and returns them
-// with a hangUp that tears both ends down.
-func openAsking(t *testing.T, srv *Server, batch uint32, depth uint16) (ch *peermux.Channel, serverBox, clientBox *PenaltyBox, hangUp func()) {
+// the round in ask (its Batch, Depth and the Symbols the opener holds),
+// with a penalty box on each end — the serving mux's, and the one the
+// dialing wire charges — and returns them with a hangUp that tears both
+// ends down.
+func openAsking(t *testing.T, srv *Server, ask protocol.Hello) (ch *peermux.Channel, serverBox, clientBox *PenaltyBox, hangUp func()) {
 	t.Helper()
 	serverBox, clientBox = NewPenaltyBox(), NewPenaltyBox()
 	mux := front(srv)
@@ -597,9 +632,8 @@ func openAsking(t *testing.T, srv *Server, batch uint32, depth uint16) (ch *peer
 		t.Fatalf("fabric handshake: %v", err)
 	}
 	hangUp = func() { w.Close(); <-served }
-	ch, err = w.Open(protocol.Hello{
-		ContentID: srv.Info().ID, SummaryMask: protocol.AllSummaryMask, Batch: batch, Depth: depth,
-	}, 5*time.Second)
+	ask.ContentID, ask.SummaryMask = srv.Info().ID, protocol.AllSummaryMask
+	ch, err = w.Open(ask, 5*time.Second)
 	if err != nil {
 		hangUp()
 		t.Fatal(err)
@@ -622,23 +656,28 @@ func quiet(t *testing.T, ch *peermux.Channel) bool {
 
 // TestFullSenderAnswersTheOpen: a full sender answers the round the OPEN
 // carried right behind its ACCEPT, exactly as it answers REQUEST frames —
-// depth batches of batch symbols, each ending in its DONE — with no
-// REQUEST written and no penalty box charged on either end. Within a
-// window, the round is what was asked; an OPEN asking for more — deeper,
-// or in larger batches — is clamped to one window, uncharged.
+// batches of the asked size, each ending in its DONE, as many as its
+// ACCEPT's Depth says — with no REQUEST written and no penalty box
+// charged on either end. The round is what was asked, clamped to what
+// the opener's decode still needs (decodeNeed(600) = 698 symbols, less
+// what it holds, rounded up to whole batches and never below one) and in
+// total to one channel window, uncharged.
 func TestFullSenderAnswersTheOpen(t *testing.T) {
 	info, data := testContent(t, 600, 32)
 	for _, tc := range []struct {
 		name    string
 		batch   uint32
 		depth   uint16
-		batches []int // the DONE-ended batches the sender answers with
+		symbols uint64 // what the opener holds
+		batches []int  // the DONE-ended batches the sender answers with
 	}{
-		{"within the window", 16, 4, []int{16, 16, 16, 16}},
-		{"one window exactly", 64, 8, []int{64, 64, 64, 64, 64, 64, 64, 64}},
-		{"deeper than a window", 64, 1000, []int{64, 64, 64, 64, 64, 64, 64, 64}},
-		{"batch larger than a window", 1 << 20, 3, []int{peermux.DefaultWindow}},
-		{"the widest ask", 1<<32 - 1, 1<<16 - 1, []int{peermux.DefaultWindow}},
+		{"within the window", 16, 4, 0, []int{16, 16, 16, 16}},
+		{"one window exactly", 64, 64, 0, slices.Repeat([]int{64}, 11)},
+		{"deeper than a window", 64, 1000, 0, slices.Repeat([]int{64}, 11)},
+		{"batch larger than a window", 1 << 20, 3, 0, []int{peermux.DefaultWindow}},
+		{"the widest ask", 1<<32 - 1, 1<<16 - 1, 0, []int{peermux.DefaultWindow}},
+		{"an opener holding most of it", 16, 8, 650, []int{16, 16, 16}},
+		{"an opener holding all of it", 16, 8, 5000, []int{16}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer checkGoroutines(t)()
@@ -646,8 +685,11 @@ func TestFullSenderAnswersTheOpen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ch, serverBox, clientBox, hangUp := openAsking(t, srv, tc.batch, tc.depth)
+			ch, serverBox, clientBox, hangUp := openAsking(t, srv, protocol.Hello{Batch: tc.batch, Depth: tc.depth, Symbols: tc.symbols})
 			defer hangUp()
+			if got := int(ch.RemoteHello().Depth); got != len(tc.batches) {
+				t.Fatalf("ACCEPT says %d batches, want %d", got, len(tc.batches))
+			}
 			seen := make(map[uint64]bool)
 			for i, want := range tc.batches {
 				got := readBatch(t, ch)
@@ -692,8 +734,11 @@ func TestPartialSenderIgnoresTheOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, serverBox, clientBox, hangUp := openAsking(t, srv, 16, 8)
+	ch, serverBox, clientBox, hangUp := openAsking(t, srv, protocol.Hello{Batch: 16, Depth: 8})
 	defer hangUp()
+	if got := ch.RemoteHello().Depth; got != 0 {
+		t.Fatalf("partial sender's ACCEPT says %d batches, want 0", got)
+	}
 	if !quiet(t, ch) {
 		t.Fatal("partial sender wrote before the session's SUMMARY and REQUEST")
 	}
@@ -716,5 +761,113 @@ func TestPartialSenderIgnoresTheOpen(t *testing.T) {
 	}
 	if serverBox.Len() != 0 || clientBox.Len() != 0 {
 		t.Errorf("charged someone: server box %d, client box %d", serverBox.Len(), clientBox.Len())
+	}
+}
+
+// TestPartialSenderWaitsForTheSummaryAtTheCeiling: the OPEN a fetch sends
+// first, before any ACCEPT has told it k, asks for a whole window — 64
+// batches of 64 at the 4096-frame ceiling. A partial sender still
+// answers none of it: its ACCEPT says 0 batches, and it writes nothing
+// before the session's SUMMARY, nor after it until a REQUEST.
+func TestPartialSenderWaitsForTheSummaryAtTheCeiling(t *testing.T) {
+	defer checkGoroutines(t)()
+	info, data := testContent(t, 100, 32)
+	syms := orderedSymbols(t, info, data, 120, 5)
+	srv, err := NewPartialServer(info, symbolMap(syms))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, _, _, hangUp := openAsking(t, srv, protocol.Hello{Batch: 64, Depth: uint16(depthCap(peermux.DefaultWindow, 64)), Symbols: 60})
+	defer hangUp()
+	if got := ch.RemoteHello().Depth; got != 0 {
+		t.Fatalf("partial sender's ACCEPT says %d batches, want 0", got)
+	}
+	if !quiet(t, ch) {
+		t.Fatal("partial sender wrote before the session's SUMMARY")
+	}
+	sendSummary(t, ch, protocol.SummaryBloom, idsOf(syms[:60]), false)
+	if !quiet(t, ch) {
+		t.Fatal("partial sender wrote after a SUMMARY, before any REQUEST")
+	}
+	if got := requestBatch(t, ch, 64); len(got) == 0 {
+		t.Fatal("REQUEST after the SUMMARY answered nothing")
+	}
+}
+
+// budget reads the fetch's request budget in use and its working set's
+// length, together.
+func budget(o *Orchestrator) (asked, have int) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.asked, len(o.log.ids)
+}
+
+// TestFetchAskedWithinNeed: what a fetch has requested and not yet
+// received never exceeds what its decode still needs — need(progress), at
+// least a batch per session. One full sender of k = 256 (decodeNeed 320,
+// five batches of 64): the blind first OPEN asks for a whole window, the
+// sender answers five batches, and nothing more is asked while they
+// arrive; past 320 symbols the session asks one batch, then rounds that
+// grow with the overshoot (need = p - k). At every quiet point the
+// fetch's budget equals what the probe owes and stays within the bound.
+func TestFetchAskedWithinNeed(t *testing.T) {
+	defer checkGoroutines(t)()
+	const k, batch = 256, 64
+	p := newDepthProbe(k)
+	o, stop := runProbe(t, 1, FetchOptions{}, p)
+	defer stop()
+
+	open := p.opened(t)
+	if want := depthCap(peermux.DefaultWindow, batch); int(open.Depth) != want {
+		t.Fatalf("blind OPEN asked for %d batches, want a window's %d", open.Depth, want)
+	}
+	owed := p.round(open)
+	if owed != 5 {
+		t.Fatalf("probe answers %d batches of the OPEN's round, want 5", owed)
+	}
+	// The REQUESTs each batch boundary brings: none while the round
+	// covers the need, one at 320 symbols (the session's own batch), then
+	// 2 at 384 (need 128) and 2 more at 448 (need 192, one outstanding).
+	wantReqs := []int{0, 0, 0, 0, 0, 1, 2, 2}
+	for step, want := range wantReqs {
+		got := p.outstanding()
+		owed += got
+		asked, have := budget(o)
+		if got != want {
+			t.Errorf("step %d: %d REQUESTs at %d symbols held, want %d", step, got, have, want)
+		}
+		if asked != owed*batch {
+			t.Fatalf("step %d: the fetch counts %d symbols asked, the probe owes %d", step, asked, owed*batch)
+		}
+		if bound := max(batch, need(k, have, batch)); asked > bound {
+			t.Fatalf("step %d: %d symbols asked at %d held, past the need %d", step, asked, have, bound)
+		}
+		p.release(1)
+		owed--
+	}
+}
+
+// TestTwoFullSendersOneNeed: two full senders opened at fetch start share
+// one budget. Before the first ACCEPT tells the fetch k, one OPEN asks
+// blind (its sender clamps the answer to the need) and the other asks for
+// nothing; once k is known the budget is spent, so the second session
+// asks only its own one batch. Together they are asked for at most one
+// need plus one batch before any of the first round is answered.
+func TestTwoFullSendersOneNeed(t *testing.T) {
+	defer checkGoroutines(t)()
+	const k, batch = 256, 64
+	a, b := newDepthProbe(k), newDepthProbe(k)
+	o, stop := runProbe(t, 1, FetchOptions{}, a, b)
+	defer stop()
+	batches := 0
+	for _, p := range []*depthProbe{a, b} {
+		batches += p.round(p.opened(t))
+	}
+	batches += a.outstanding() + b.outstanding()
+	if got, bound := batches*batch, decodeNeed(k)+batch; got > bound {
+		t.Fatalf("two full senders were asked for %d symbols before any was answered, want <= %d (one need, one batch)", got, bound)
+	}
+	if asked, _ := budget(o); asked != batches*batch {
+		t.Fatalf("the fetch counts %d symbols asked, the probes owe %d", asked, batches*batch)
 	}
 }

@@ -109,6 +109,20 @@ type Orchestrator struct {
 	candidateSeq  int                 // discovery-order stamp for candidate tie-breaks
 	dialFails     map[string]int      // requeue budget spent per never-reached discovery
 
+	// asked is the fetch's request budget in use: the symbols its sessions
+	// requested and have not yet retired, summed over every session. A
+	// batch retires at its DONE, and whatever a connection still owed
+	// when it ends retires with it (session.owed). A session asks for
+	// more only while asked stays within need (claim), so the fetch as a
+	// whole asks for about what its decode still needs, however many
+	// senders it spreads that over.
+	asked int
+	// blind is the session whose OPEN asked for a round before any ACCEPT
+	// told the fetch k: OPENs concurrent with it ask for nothing, and the
+	// first handshake, which tells the fetch k, claims for it what its
+	// sender would answer until its own ACCEPT settles what it will.
+	blind *session
+
 	// progress counts the distinct encoded symbols in the working set;
 	// sessions use it to notice that their batches stopped helping (a batch
 	// of duplicates is as useless as an empty one).
@@ -642,6 +656,15 @@ func (o *Orchestrator) ensureDecoder(ci ContentInfo) error {
 		// A fetch decodes from about n(1+ε) symbols: room for them up front,
 		// so the fold never regrows the log or rehashes its index.
 		o.log.reserve(ci.NumBlocks + ci.NumBlocks/8)
+		// The blind OPEN's sender answers at most the need, in whole
+		// batches: claimed now, so no session spends it twice before that
+		// OPEN's ACCEPT settles what it will be.
+		if b := o.blind; b != nil {
+			n := (o.needLocked() + o.opts.Batch - 1) / o.opts.Batch * o.opts.Batch
+			o.asked += n
+			b.owed += n
+			o.blind = nil
+		}
 		close(o.infoReady)
 		return nil
 	}
@@ -649,6 +672,77 @@ func (o *Orchestrator) ensureDecoder(ci ContentInfo) error {
 		return fmt.Errorf("peer: inconsistent content metadata: %+v vs %+v", o.info, ci)
 	}
 	return nil
+}
+
+// needLocked is what the fetch may have requested and not yet received
+// (need, at the working set's length). Callers hold o.mu and know k.
+func (o *Orchestrator) needLocked() int {
+	return need(o.info.NumBlocks, len(o.log.ids), o.opts.Batch)
+}
+
+// openRound returns how many batches s's OPEN asks for, at most max (what
+// the channel's window admits), and claims them. Before any ACCEPT has
+// told the fetch k, the first OPEN asks for max — the sender clamps it to
+// the need, which is what the first handshake claims for it, and its
+// ACCEPT says how much it will answer (settleOpen) — and OPENs concurrent
+// with it ask for nothing; after, an OPEN asks for what the budget
+// leaves.
+func (o *Orchestrator) openRound(s *session, max int) int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.info.NumBlocks == 0 {
+		if o.blind != nil {
+			return 0
+		}
+		o.blind = s
+		return max
+	}
+	d := min(max, (o.needLocked()-o.asked)/o.opts.Batch)
+	if d <= 0 {
+		return 0
+	}
+	o.asked += d * o.opts.Batch
+	s.owed += d * o.opts.Batch
+	return d
+}
+
+// settleOpen replaces what s's OPEN claimed by the round its ACCEPT says
+// the sender will answer, in batches. It follows ensureDecoder.
+func (o *Orchestrator) settleOpen(s *session, batches int) {
+	o.mu.Lock()
+	n := batches * o.opts.Batch
+	o.asked += n - s.owed
+	s.owed = n
+	o.mu.Unlock()
+}
+
+// claim reserves one more batch of the budget for s: always when s has
+// nothing in flight (every session keeps one batch), otherwise only while
+// asked stays within need.
+func (o *Orchestrator) claim(s *session, idle bool) bool {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if !idle && o.asked+o.opts.Batch > o.needLocked() {
+		return false
+	}
+	o.asked += o.opts.Batch
+	s.owed += o.opts.Batch
+	return true
+}
+
+// retire gives back up to n of the symbols s still owes: a batch's at its
+// DONE, and at the end of a connection everything it owed. A blind OPEN
+// that ended before any ACCEPT told the fetch k leaves the next OPEN
+// free to ask blind again.
+func (o *Orchestrator) retire(s *session, n int) {
+	o.mu.Lock()
+	n = min(n, s.owed)
+	o.asked -= n
+	s.owed -= n
+	if o.blind == s {
+		o.blind = nil
+	}
+	o.mu.Unlock()
 }
 
 // fold puts one arrival into the working set, on the goroutine of the

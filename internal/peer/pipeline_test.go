@@ -10,16 +10,66 @@ package peer
 // over a synchronous net.Pipe, the adversarial transport: a session
 // writing REQUEST k+1 while the server still streams batch k would
 // deadlock the pipe if nothing drained it, which is the wire's demux
-// reader's job.
+// reader's job. Above the depth sits the fetch's need: decodeNeed is
+// calibrated against what decodes of the default code actually take.
 
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
+	"icd/internal/fountain"
 	"icd/internal/testutil"
 )
+
+// TestDecodeNeedCalibration pins the 4 in decodeNeed(k) = k + ⌈4√k⌉: over
+// k = 256 … 16384, with 40 streams of the default code each, decodeNeed
+// lies between the p25 and the p90 of the symbol counts the decodes took.
+// Below the p25 nearly every fetch would take a second round trip; above
+// the p90 nearly every fetch would be sent symbols it no longer needs.
+func TestDecodeNeedCalibration(t *testing.T) {
+	t.Parallel() // two seconds of decoding, beside the package's waits
+	const streams = 40
+	for _, k := range []int{256, 1024, 4096, 16384} {
+		code, err := fountain.NewCode(k, nil, uint64(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := make([][]byte, k)
+		for i := range blocks {
+			blocks[i] = []byte{byte(i)}
+		}
+		took := make([]int, 0, streams)
+		for stream := range streams {
+			enc, err := fountain.NewEncoder(code, blocks, uint64(stream)+1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := fountain.NewDecoder(code, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for ; !dec.Done(); n++ {
+				if _, err := dec.AddSymbol(enc.Next()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			took = append(took, n)
+		}
+		slices.Sort(took)
+		p25, p50, p90 := took[streams/4], took[streams/2], took[streams*9/10]
+		need := decodeNeed(k)
+		t.Logf("k=%d: decodeNeed %d (+%.3f), decodes took p25 %d (+%.3f), p50 %d (+%.3f), p90 %d (+%.3f)", k,
+			need, float64(need-k)/float64(k), p25, float64(p25-k)/float64(k),
+			p50, float64(p50-k)/float64(k), p90, float64(p90-k)/float64(k))
+		if need < p25 || need > p90 {
+			t.Errorf("k=%d: decodeNeed %d outside the p25..p90 of decodes, %d..%d", k, need, p25, p90)
+		}
+	}
+}
 
 // mustController builds a partial-sender (adaptive) controller.
 func mustController(t *testing.T, max int, dupHigh float64) *PipelineController {

@@ -327,13 +327,30 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 		return nil
 	}
 	// The sender announces the content parameters and its summary
-	// support.
-	heldLen := 0
+	// support. The OPEN carried the receiver's first round of requests.
+	// Nothing a full sender streams can be stale, so it answers the round
+	// behind its ACCEPT, exactly as it answers REQUEST frames: batches of
+	// Batch, each ending in its DONE — as many as the OPEN asked for, but
+	// no more than cover what the receiver's decode still needs (rounded
+	// up to whole batches, at least one) and in total no more than one
+	// channel window. Its ACCEPT's Depth says how many batches that is,
+	// which is what the receiver counts as in flight. A partial sender's
+	// answer waits for the summary: it ignores the round and says 0.
+	const maxBatch = 1 << 16
+	hello := s.info.hello(s.Full(), 0)
+	n, total := min(int(clientHello.Batch), maxBatch), 0
+	if s.Full() && n > 0 && clientHello.Depth > 0 {
+		need := decodeNeed(s.info.NumBlocks)
+		need -= int(min(clientHello.Symbols, uint64(need)))
+		batches := min(int(clientHello.Depth), max(1, (need+n-1)/n))
+		total = min(batches*n, ch.Window())
+		hello.Depth = uint16((total + n - 1) / n)
+	}
 	if !s.Full() {
 		ids, _ := s.src.WorkingSet()
-		heldLen = len(ids)
+		hello.Symbols = uint64(len(ids))
 	}
-	if err := ch.Accept(s.info.hello(s.Full(), heldLen)); err != nil {
+	if err := ch.Accept(hello); err != nil {
 		return err
 	}
 
@@ -343,7 +360,6 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 	// seeds are salted with this server's own address, so two fresh
 	// mirrors, which number their sessions alike, send a receiver
 	// different streams.
-	const maxBatch = 1 << 16
 	seed := s.streamSeed.Add(1)
 	salt := addrSalt(ch.LocalAddr())
 	var cur *cursor
@@ -354,18 +370,10 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 			return err
 		}
 		encoder = enc
-		// The OPEN carried the receiver's first round of requests. Nothing
-		// a full sender streams can be stale, so it answers the round now,
-		// behind its ACCEPT, exactly as it answers REQUEST frames: Depth
-		// batches of Batch, each ending in its DONE, the total clamped to
-		// one channel window (the receiver could not take more in flight).
-		// A partial sender's answer waits for the summary: it ignores the
-		// round.
 		if s.timeout > 0 {
 			ch.SetDeadline(time.Now().Add(s.timeout))
 		}
-		n := min(int(clientHello.Batch), maxBatch)
-		if total := min(n*int(clientHello.Depth), ch.Window()); total > 0 {
+		if total > 0 { // the OPEN's round, as the ACCEPT announced it
 			if err := relay(); err != nil {
 				return err
 			}

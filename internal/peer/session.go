@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"icd/internal/obs"
@@ -70,6 +71,9 @@ type session struct {
 	// Guarded by o.mu: the live subchannel while a connection is up, so
 	// the scheduler's SetChannelWindow can resize it mid-transfer.
 	ch *peermux.Channel
+	// Guarded by o.mu: the symbols this connection attempt requested and
+	// has not retired — its share of o.asked.
+	owed int
 }
 
 func newSession(o *Orchestrator, addr string) *session {
@@ -196,12 +200,15 @@ var errStalled = errors.New("peer: no useful symbol within StallTimeout")
 // mid-stream resets) charges the peer's penalty-box score on the way
 // out. The channel negotiation doubles as the content handshake: the
 // OPEN carries our hello, the ACCEPT carries the peer's. The OPEN also
-// carries the first round of requests — the batches the window the
-// channel opens at admits (depthCap) — which a full sender answers behind
-// its ACCEPT, so the first symbols arrive one round trip after the open.
+// carries the first round of requests — what the fetch's budget leaves,
+// up to the batches the window the channel opens at admits (depthCap) —
+// which a full sender answers behind its ACCEPT, so the first symbols
+// arrive one round trip after the open. Whatever the attempt still owed
+// when it ends goes back to the fetch's budget.
 func (s *session) runConn() error {
 	ctx, cancel := context.WithCancelCause(s.ctx)
 	defer cancel(nil)
+	defer s.o.retire(s, math.MaxInt)
 	if s.o.opts.StallTimeout > 0 {
 		go s.watchdog(ctx, cancel)
 	}
@@ -222,22 +229,22 @@ func (s *session) runConn() error {
 
 // openChannel opens this session's subchannel, issued at the given time,
 // with dial accounting, and returns it with the working set and the
-// number of batches its OPEN asked for. It classifies the peer's answers
-// — a REJECT_CHANNEL, or an ERROR in place of the wire handshake — into
-// the terminal errors: a verdict from a live peer is not a dial failure,
-// so it does not charge the address.
+// number of batches its OPEN asked for (Orchestrator.openRound). It
+// classifies the peer's answers — a REJECT_CHANNEL, or an ERROR in place
+// of the wire handshake — into the terminal errors: a verdict from a live
+// peer is not a dial failure, so it does not charge the address.
 func (s *session) openChannel(ctx context.Context, issued time.Time) (*peermux.Channel, []uint64, int, error) {
 	o := s.o
 	held, _ := o.WorkingSet()
-	// The batches the window the channel opens at admits, as the fabric
-	// clamps it (0 opens at the wire's default, the largest any channel
-	// gets).
+	// At most the batches the window the channel opens at admits, as the
+	// fabric clamps it (0 opens at the wire's default, the largest any
+	// channel gets).
 	win := int(o.chanWin.Load())
 	opensAt := peermux.DefaultWindow
 	if win > 0 {
 		opensAt = min(win, opensAt)
 	}
-	depth := depthCap(opensAt, o.opts.Batch)
+	depth := o.openRound(s, depthCap(opensAt, o.opts.Batch))
 	openCtx, cancel := context.WithTimeout(ctx, o.opts.Timeout)
 	ch, err := o.fabric.OpenWindow(openCtx, s.addr, protocol.Hello{
 		ContentID:   o.contentID,
@@ -397,8 +404,9 @@ func (s *session) watchdog(ctx context.Context, cancel context.CancelCauseFunc) 
 }
 
 // serveChannel owns the session on an established subchannel, opened at
-// issued with a first round of depth batches requested: the ACCEPT's
-// hello already carries the content parameters, so it goes straight to
+// issued with a first round of depth batches requested, of which a full
+// sender's ACCEPT says how many it answers: the ACCEPT's hello also
+// carries the content parameters, so the session goes straight to
 // decoder setup, summary negotiation and refresh, gossip, and the
 // pipelined batched request loop (the wire's demux reader absorbs the
 // symbol stream while requests are being written, so depth > 1 cannot
@@ -412,8 +420,9 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 	s.setChannel(ch)
 	defer s.setChannel(nil)
 	hello := ch.RemoteHello()
-	// The request depth's one cap is what the channel window admits; a
-	// full sender runs at it from the OPEN's round (pipeline.go).
+	// Below the fetch's need, the request depth's one cap is what the
+	// channel window admits; a full sender asks up to it from the OPEN's
+	// round (pipeline.go).
 	windowDepth := func() int { return depthCap(ch.Window(), o.opts.Batch) }
 	pc := NewPipelineController(windowDepth(), hello.FullCopy, DefaultPipelineDupHigh)
 	// ctx ending (the transfer, the session, or the watchdog giving up on
@@ -437,6 +446,14 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 	}); err != nil {
 		return err
 	}
+	// The OPEN's round counts as in flight for what the ACCEPT says will
+	// be answered (a partial sender answers none of it), and the fetch's
+	// budget keeps that much.
+	inflight := 0
+	if hello.FullCopy {
+		inflight = min(int(hello.Depth), depth)
+	}
+	o.settleOpen(s, inflight)
 
 	// Summary negotiation (§3): pick the method whose accuracy/size
 	// trade-off fits both working-set sizes, over the methods both ends
@@ -480,10 +497,6 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 	canSummarize := o.opts.summaryMask()&hello.SummaryMask != 0
 
 	useless := 0
-	inflight := 0
-	if hello.FullCopy {
-		inflight = depth // the OPEN's round, answered behind the ACCEPT
-	}
 	for {
 		if s.ctx.Err() != nil {
 			protocol.WriteFrame(ch, protocol.EncodeDone())
@@ -536,18 +549,20 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 				o.mu.Unlock()
 			}
 		}
-		// Pipelined requests: keep pc.Depth() batches outstanding so the
-		// server's symbol stream never drains while a REQUEST is in
-		// flight. Depth 1 is exactly the old stop-and-wait exchange. Each
-		// iteration of the outer loop retires one batch (one DONE), so
-		// batch-boundary accounting below is unchanged — it just lags the
-		// wire by the pipeline depth. The cap is re-read here, at the
-		// batch boundary, so a live window resize
-		// (Orchestrator.SetChannelWindow) moves the depth with it.
+		// Pipelined requests: keep up to pc.Depth() batches outstanding so
+		// the server's symbol stream never drains while a REQUEST is in
+		// flight, as far as the fetch's budget allows (claim: a session
+		// with nothing in flight always gets one). Depth 1 is exactly the
+		// old stop-and-wait exchange. Each iteration of the outer loop
+		// retires one batch (one DONE), so batch-boundary accounting
+		// below is unchanged — it just lags the wire by the pipeline
+		// depth. The cap is re-read here, at the batch boundary, so a
+		// live window resize (Orchestrator.SetChannelWindow) moves the
+		// depth with it.
 		pc.SetMax(windowDepth())
 		deadline()
 		progressBefore := o.progress.Load()
-		for inflight < pc.Depth() {
+		for inflight < pc.Depth() && o.claim(s, inflight == 0) {
 			if err := protocol.WriteFrame(ch, protocol.EncodeRequest(uint32(o.opts.Batch))); err != nil {
 				// A pipelined REQUEST blocks against a server that is still
 				// streaming the previous batch, so the transfer can complete
@@ -573,6 +588,7 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 			}
 			if f.Type == protocol.TypeDone {
 				inflight--
+				o.retire(s, o.opts.Batch)
 				break
 			}
 			switch f.Type {

@@ -17,31 +17,45 @@ import (
 	"icd/internal/protocol"
 )
 
-// chanBufs recycles inbound frame payload buffers: the reader copies an
-// envelope's inner payload out of the FrameReader's read-ahead buffer
-// (which a later frame overwrites) into a pooled buffer that Next hands
-// out and reclaims on the following call — the same valid-until-next-call
-// contract as protocol.FrameReader.
-var chanBufs = sync.Pool{New: func() any { return new([]byte) }}
+// slabSize is the size of a receive slab. The wire's reader copies a
+// channel's inbound frames back to back into the free tail of the
+// channel's current slab (a frame that does not fit the tail starts a
+// fresh one), so a deep queue costs an allocation per slab, not per
+// frame. Frames are consumed in order: once Next hands out a frame from a
+// later slab, nothing reads or writes the earlier one any more, and it
+// goes back to the pool. A frame larger than a slab gets a buffer of its
+// own.
+const slabSize = 64 << 10
 
-func getBuf(n int) *[]byte {
-	bp := chanBufs.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, n)
-	}
-	*bp = (*bp)[:n]
-	return bp
+// slab is one receive buffer: b grows at its tail as the reader copies
+// frames in, and every queued frame is a view of it.
+type slab struct {
+	b      []byte
+	pooled bool // released into slabs: owned by nobody
 }
 
-func putBuf(bp *[]byte) {
-	if cap(*bp) <= 1<<16 { // don't let one huge frame pin a large buffer
-		chanBufs.Put(bp)
+var slabs = sync.Pool{New: func() any { return &slab{b: make([]byte, 0, slabSize)} }}
+
+func getSlab() *slab {
+	s := slabs.Get().(*slab)
+	s.b, s.pooled = s.b[:0], false
+	return s
+}
+
+// release gives s back to the pool. A slab has one owner at a time, so a
+// second release is a bug that would hand one buffer to two channels.
+func (s *slab) release() {
+	if s.pooled {
+		panic("peermux: receive slab released twice")
 	}
+	s.pooled = true
+	slabs.Put(s)
 }
 
 type inFrame struct {
-	t   protocol.Type
-	buf *[]byte
+	t protocol.Type
+	p []byte // the payload: a view of s, or a buffer of its own when s is nil
+	s *slab
 }
 
 // batchBytes bounds one batched conn write. Write gathers a channel's
@@ -75,7 +89,6 @@ type Channel struct {
 	remoteHello protocol.Hello
 
 	in     chan inFrame
-	prev   *[]byte     // buffer handed out by the last Next
 	timer  *time.Timer // Next's deadline timer (the reader's)
 	wtimer *time.Timer // the credit wait's deadline timer (the symbol writer's)
 
@@ -86,6 +99,9 @@ type Channel struct {
 	batch *[]byte
 
 	mu       sync.Mutex
+	rslab    *slab  // the slab the wire's reader copies inbound frames into
+	held     *slab  // the slab of the frame Next handed out last
+	drained  bool   // Close emptied the queue: nothing more is copied in or handed out
 	credits  uint32 // sender side: symbol frames we may still send
 	avail    uint32 // receiver side: grant the remote may still spend
 	consumed uint32 // drained since the last replenishing CREDIT
@@ -304,29 +320,54 @@ func (c *Channel) SetWindow(n int) error {
 }
 
 // deliver queues one inbound frame (called by the wire's reader; must
-// never block). A data frame beyond the granted window, or any frame
-// past the queue bound, is the sender ignoring flow control: charge it,
-// drop the frame, keep the wire.
+// never block), its payload copied into the channel's receive slab. A
+// data frame beyond the granted window, or any frame past the queue
+// bound, is the sender ignoring flow control: charge it, drop the frame,
+// keep the wire.
 func (c *Channel) deliver(inner protocol.Frame) {
+	c.mu.Lock()
 	if inner.Type == protocol.TypeSymbol {
-		c.mu.Lock()
 		if c.avail == 0 {
 			c.mu.Unlock()
 			c.w.penalize(WeightViolation)
 			return
 		}
 		c.avail--
-		c.mu.Unlock()
 	}
-	bp := getBuf(len(inner.Payload))
-	copy(*bp, inner.Payload)
+	if c.drained {
+		c.mu.Unlock()
+		return
+	}
+	f := c.copyInLocked(inner)
+	c.mu.Unlock()
 	select {
-	case c.in <- inFrame{t: inner.Type, buf: bp}:
+	case c.in <- f:
 		c.w.met.queueDepth.Observe(float64(len(c.in)))
 	default:
-		putBuf(bp)
 		c.w.penalize(WeightViolation)
 	}
+}
+
+// copyInLocked copies a frame's payload to the free tail of the reader's
+// slab, or to the start of a fresh one when the tail is too short.
+// Caller holds mu.
+func (c *Channel) copyInLocked(inner protocol.Frame) inFrame {
+	n := len(inner.Payload)
+	switch {
+	case n == 0:
+		return inFrame{t: inner.Type}
+	case n > slabSize:
+		p := make([]byte, n)
+		copy(p, inner.Payload)
+		return inFrame{t: inner.Type, p: p}
+	}
+	if c.rslab == nil || cap(c.rslab.b)-len(c.rslab.b) < n {
+		c.rslab = getSlab()
+	}
+	s := c.rslab
+	at := len(s.b)
+	s.b = append(s.b, inner.Payload...)
+	return inFrame{t: inner.Type, p: s.b[at:len(s.b):len(s.b)], s: s}
 }
 
 // addCredits applies a CREDIT grant from the peer (sender side). A
@@ -349,26 +390,21 @@ func (c *Channel) addCredits(n uint32) {
 	}
 }
 
-// noteConsumed replenishes the sender once a quantum of data frames has
-// actually been drained by the consumer — the backpressure edge: a slow
-// consumer stops granting, its sender blocks, siblings keep flowing.
-// A window shrink's deficit is paid down here: drained frames cancel
-// debt before any new grant goes out, which is how the sender's
-// outstanding allowance converges onto the smaller window without ever
-// revoking a credit. A grant that fails to reach the wire is surfaced
-// as the channel's terminal error (writeGrant), not dropped — the
-// remote sender is stranded at zero credits either way, and the local
-// consumer must find out on its next read.
-func (c *Channel) noteConsumed() {
-	c.mu.Lock()
+// consumedLocked counts one drained data frame and returns the grant that
+// replenishes the sender once a quantum of them has actually been drained
+// by the consumer — the backpressure edge: a slow consumer stops granting,
+// its sender blocks, siblings keep flowing. A window shrink's deficit is
+// paid down here: drained frames cancel debt before any new grant goes
+// out, which is how the sender's outstanding allowance converges onto the
+// smaller window without ever revoking a credit. Caller holds mu.
+func (c *Channel) consumedLocked() uint32 {
 	c.consumed++
 	quantum := c.window / 4
 	if quantum == 0 {
 		quantum = 1
 	}
 	if c.consumed < quantum {
-		c.mu.Unlock()
-		return
+		return 0
 	}
 	n := c.consumed
 	c.consumed = 0
@@ -381,24 +417,14 @@ func (c *Channel) noteConsumed() {
 		n -= pay
 	}
 	c.avail += n
-	c.mu.Unlock()
-	select {
-	case <-c.closed:
-		return
-	default:
-	}
-	c.writeGrant(n)
+	return n
 }
 
 // Next returns the next inbound frame. The frame's payload is valid
-// only until the following Next call (same contract as
+// only until the following Next call or Close (the contract of
 // protocol.FrameReader.Next). After a remote close the queue drains,
 // then Next returns io.EOF (or the wire's terminal error).
 func (c *Channel) Next() (protocol.Frame, error) {
-	if c.prev != nil {
-		putBuf(c.prev)
-		c.prev = nil
-	}
 	for {
 		select {
 		case <-c.closed:
@@ -469,12 +495,38 @@ func stopTimer(t *time.Timer) {
 	}
 }
 
+// take hands f out. The slab of the frame handed out before goes back to
+// the pool when f lies in a later one. A drained data frame may complete a
+// quantum, whose replenishing grant is surfaced as the channel's terminal
+// error if it cannot reach the wire (writeGrant), not dropped — the remote
+// sender is stranded at zero credits either way, and the consumer must
+// find out on its next read.
 func (c *Channel) take(f inFrame) (protocol.Frame, error) {
-	c.prev = f.buf
-	if f.t == protocol.TypeSymbol {
-		c.noteConsumed()
+	c.mu.Lock()
+	if c.drained { // Close won a race with this Next
+		c.mu.Unlock()
+		return protocol.Frame{}, ErrClosed
 	}
-	return protocol.Frame{Type: f.t, Payload: *f.buf}, nil
+	var done *slab
+	if f.s != nil && f.s != c.held {
+		done, c.held = c.held, f.s
+	}
+	var grant uint32
+	if f.t == protocol.TypeSymbol {
+		grant = c.consumedLocked()
+	}
+	c.mu.Unlock()
+	if done != nil {
+		done.release()
+	}
+	if grant > 0 {
+		select {
+		case <-c.closed:
+		default:
+			c.writeGrant(grant)
+		}
+	}
+	return protocol.Frame{Type: f.t, Payload: f.p}, nil
 }
 
 func (c *Channel) finalErr() error {
@@ -686,16 +738,35 @@ func (c *Channel) fail(err error) {
 	c.rcOnce.Do(func() { close(c.rclosed) })
 }
 
-// drainQueued returns queued buffers to the pool on close. The wire's
-// reader no longer routes to this channel (release retired the id), so
-// the queue only shrinks.
+// drainQueued gives the channel's receive slabs back on close, each
+// once: the one Next handed out last, those of the frames still queued,
+// and the reader's, in that order (the order the reader filled them in).
+// The wire's reader no longer routes to this channel (release retired the
+// id), and drained stops a deliver or a Next that raced the retirement.
 func (c *Channel) drainQueued() {
-	for {
+	c.mu.Lock()
+	c.drained = true
+	last, reader := c.held, c.rslab
+	c.held, c.rslab = nil, nil
+	c.mu.Unlock()
+	next := func(s *slab) {
+		if s != nil && s != last {
+			if last != nil {
+				last.release()
+			}
+			last = s
+		}
+	}
+	for empty := false; !empty; {
 		select {
 		case f := <-c.in:
-			putBuf(f.buf)
+			next(f.s)
 		default:
-			return
+			empty = true
 		}
+	}
+	next(reader)
+	if last != nil {
+		last.release()
 	}
 }

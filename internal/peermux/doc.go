@@ -120,8 +120,11 @@
 // channel ends with the wire or on its own timeout.
 //
 // How many request batches ride on a channel at once is the peer
-// package's business (peer/pipeline.go), but its one cap comes from
-// here: what the channel's granted window admits, Window()/batch.
+// package's business (peer/pipeline.go): bounded first by what the
+// fetch's decode still needs, and capped by what comes from here, the
+// batches the channel's granted window admits, Window()/batch. The
+// default window (DefaultWindow, 4096 frames) is large enough that the
+// need, not the window, sizes a typical fetch's first flight.
 //
 // # Batches
 //
@@ -136,6 +139,10 @@
 // the same unit: one conn read takes in everything that has arrived, up
 // to 64 KiB, and the frames in it are routed without another read, so a
 // session finds its queue holding the batch and drains it without
-// parking. A wire that dies routes nothing of what its reader still
+// parking. What it routes it copies into the channel's receive slab: a
+// channel's inbound frames lie back to back in pooled 64 KiB slabs, and a
+// slab goes back to the pool once Next has moved past it (or at Close),
+// so a queue a whole 4096-frame window deep costs an allocation per slab,
+// not per frame. A wire that dies routes nothing of what its reader still
 // holds, and charges nothing for it.
 package peermux

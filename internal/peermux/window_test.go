@@ -54,7 +54,7 @@ func waitQueued(t *testing.T, ch *Channel, want int) {
 
 // TestCreditGrantFailureSurfaces is the satellite-1 regression: a
 // replenishing CREDIT that fails to reach the wire must become the
-// channel's terminal error. Before the fix, noteConsumed dropped the
+// channel's terminal error. Before the fix, the replenish path dropped the
 // write error and the consumer blocked forever against a sender
 // stranded at zero credits.
 func TestCreditGrantFailureSurfaces(t *testing.T) {
@@ -308,7 +308,7 @@ func TestBlockedWriteUnblocked(t *testing.T) {
 // wire with unequal windows and live resizes mid-transfer (the credit
 // scheduler's actual access pattern), asserting every stream completes
 // intact and the aggregate ledger settles to zero. Run under -race this
-// is the concurrency gate on SetWindow vs deliver vs noteConsumed.
+// is the concurrency gate on SetWindow vs deliver vs take.
 func TestMultiContentOneWireResizeFairness(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	const total = 600

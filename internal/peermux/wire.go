@@ -41,7 +41,7 @@ const (
 const (
 	DefaultTimeout     = 30 * time.Second
 	DefaultMaxChannels = 64
-	DefaultWindow      = 512
+	DefaultWindow      = 4096
 	// drainedIDs bounds the set of recently retired channel ids whose
 	// in-flight frames are drained silently instead of punished.
 	drainedIDs = 64
@@ -85,11 +85,14 @@ type Config struct {
 	// peer's announcement.
 	MaxChannels int
 	// Window is the per-channel credit-window maximum in symbol frames
-	// (default 512): how many SYMBOL frames the remote sender
-	// may have in flight before the local consumer drains them. It is
-	// both the default initial grant and the hard ceiling any
-	// Channel.SetWindow resize is clamped to (the inbound queues are
-	// sized for it).
+	// (default 4096): how many SYMBOL frames the remote sender may have
+	// in flight before the local consumer drains them. It is both the
+	// default initial grant and the hard ceiling any Channel.SetWindow
+	// resize is clamped to (the inbound queues are sized for it). It is a
+	// ceiling, not a target: a fetching session asks for no more than its
+	// decode still needs, so the window shapes a flight only when the
+	// need is larger, and the queued frames cost receive slabs, not
+	// buffers per frame.
 	Window int
 	// WireWindow, when positive, caps the aggregate of all local
 	// receive windows on one wire: window grows (and initial grants
@@ -382,20 +385,34 @@ func (w *Wire) OpenWindow(ctx context.Context, h protocol.Hello, window int) (*C
 	}
 	select {
 	case r := <-reply:
-		if !r.ok {
-			w.abortOpen(c)
-			return nil, &RejectError{Msg: r.reject}
-		}
-		c.remoteHello = r.hello
-		c.markOpen()
-		return c, nil
+		return w.answered(c, r)
 	case <-w.done:
+		// An answer the reader took before the wire died still stands: the
+		// open succeeded, and what the peer wrote behind it is queued for
+		// the channel ahead of the wire's error.
+		select {
+		case r := <-reply:
+			return w.answered(c, r)
+		default:
+		}
 		w.abortOpen(c)
 		return nil, w.Err()
 	case <-ctx.Done():
 		w.abortOpen(c)
 		return nil, ctx.Err()
 	}
+}
+
+// answered completes an open with the peer's answer: an ACCEPT makes the
+// channel live, a REJECT retires it.
+func (w *Wire) answered(c *Channel, r openReply) (*Channel, error) {
+	if !r.ok {
+		w.abortOpen(c)
+		return nil, &RejectError{Msg: r.reject}
+	}
+	c.remoteHello = r.hello
+	c.markOpen()
+	return c, nil
 }
 
 // claimChannel registers a half-open channel under the next id once the

@@ -137,6 +137,11 @@ func FuzzMuxDecoders(f *testing.F) {
 		ContentID: 0xF00D, NumBlocks: 23968, BlockSize: 1400, OrigLen: 32 << 20,
 		CodeSeed: 42, FullCopy: true, SummaryMask: AllSummaryMask,
 	}).Payload)
+	// A full sender's ACCEPT stating how many batches of the round it answers.
+	f.Add(EncodeAcceptChannel(1, Hello{
+		ContentID: 0xF00D, NumBlocks: 1024, BlockSize: 1400, OrigLen: 1400 << 10,
+		CodeSeed: 42, FullCopy: true, SummaryMask: AllSummaryMask, Depth: 18,
+	}).Payload)
 	f.Add(EncodeRejectChannel(3, ReasonRefused).Payload)
 	f.Add(EncodeCloseChannel(7).Payload)
 	f.Add(EncodeCredit(5, 256).Payload)

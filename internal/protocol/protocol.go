@@ -58,8 +58,11 @@ import (
 // away at the handshake instead. 8 puts the opener's first round of
 // requests in the hello (Hello.Batch and Hello.Depth, 6 bytes ahead of the
 // listen address), so a full sender answers it behind its ACCEPT_CHANNEL
-// and a fetch saves the round trip its first REQUEST used to wait for.
-const Version = 8
+// and a fetch saves the round trip its first REQUEST used to wait for. 9
+// gives the ACCEPT_CHANNEL hello's Depth a meaning: the batches of that
+// round a full sender will answer, which it clamps to what the receiver's
+// decode still needs.
+const Version = 9
 
 // versionUnderCRC is the first version whose checksum covers the version
 // byte.
@@ -394,9 +397,12 @@ type Hello struct {
 	SummaryMask uint8
 	// Batch and Depth are the opener's first round of requests: Depth
 	// batches of Batch symbols, what Depth REQUEST frames of Batch would
-	// ask for. A full sender answers the round right behind its ACCEPT;
-	// a partial sender, whose answer waits for the receiver's summary,
-	// ignores it. Zero asks for nothing, and both are zero in an ACCEPT.
+	// ask for. Zero asks for nothing. A full sender answers the round
+	// right behind its ACCEPT, clamped to what the opener's decode still
+	// needs, and its ACCEPT's Depth is how many DONE-ended batches that
+	// answer holds (at least one when the OPEN asked for any); a partial
+	// sender, whose answer waits for the receiver's summary, ignores the
+	// round and accepts with Depth 0. Batch is zero in an ACCEPT.
 	Batch uint32
 	Depth uint16
 	// ListenAddr is the announcer's dialable listen address, empty

@@ -195,6 +195,12 @@ func TestHelloRoundTrip(t *testing.T) {
 	roundTrip(want)
 	want.Batch, want.Depth = 1<<32-1, 1<<16-1 // the widest request the fields hold
 	roundTrip(want)
+	// A full sender's ACCEPT: no request of its own, and the batches of the
+	// opener's round it will answer.
+	accept := Hello{ContentID: 0xDEADBEEF, NumBlocks: 1024, BlockSize: 1400, OrigLen: 1 << 20, FullCopy: true, Depth: 18}
+	if ch, got, err := DecodeAcceptChannel(EncodeAcceptChannel(5, accept)); err != nil || ch != 5 || got != accept || got.Depth != 18 {
+		t.Fatalf("ACCEPT_CHANNEL depth: ch=%d %+v vs %+v (%v)", ch, got, accept, err)
+	}
 	if got := len(EncodeOpenChannel(1, Hello{}).Payload); got != 2+49 {
 		t.Fatalf("empty OPEN_CHANNEL payload is %d bytes, want 51 (channel id, 48-byte hello, address length)", got)
 	}

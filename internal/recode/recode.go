@@ -451,7 +451,7 @@ func (d *Decoder) Add(sym Symbol) ([]uint64, error) {
 
 	var data []byte
 	if d.withData {
-		data = d.getBuf(len(sym.Data))
+		data = d.scratchBuf(len(sym.Data))
 		copy(data, sym.Data)
 	}
 	unknown := d.unknowns[:0]
@@ -506,9 +506,9 @@ func indexOf(s []uint64, v uint64) int {
 	return -1
 }
 
-// getBuf returns an n-byte scratch buffer, reusing buffers surrendered by
+// scratchBuf returns an n-byte scratch buffer, reusing buffers surrendered by
 // redundant symbols so a saturated decoder stops allocating.
-func (d *Decoder) getBuf(n int) []byte {
+func (d *Decoder) scratchBuf(n int) []byte {
 	if m := len(d.spare); m > 0 {
 		b := d.spare[m-1]
 		d.spare = d.spare[:m-1]

@@ -240,7 +240,11 @@
 // is held to the same standard: a REQUEST to a warm full sender, or to a
 // partial sender whose log did not grow, allocates nothing while the
 // gossip directory has nothing new to relay
-// (peer.TestRequestWithNoNewsZeroAlloc). peer.BenchmarkFetchFabricPipe
+// (peer.TestRequestWithNoNewsZeroAlloc), and a summary that re-aims a
+// partial sender's cursor over a log that did not grow allocates nothing
+// either: the cursor sizes its queues and scratch to the log at its first
+// summary, and strategy.ReceivedSummary.Plan fills the buffer it is
+// handed (peer.TestCursorReaimZeroAlloc). peer.BenchmarkFetchFabricPipe
 // is the whole path as one row (MB/s and allocs/symbol of a fabric fetch
 // over an in-process pipe).
 //
@@ -278,6 +282,20 @@
 // keeps its method for its refreshes (re-choosing as the working set
 // crossed SmallSummaryMax used to trade a Bloom filter for a sketch at
 // the tail of a fetch), and only one that has sent none yet chooses.
+//
+// Send once across senders (protocol v10). A summary keeps one sender
+// from sending what the receiver holds, but two partial senders can still
+// spend the same transmission on the same missing id. So every SUMMARY
+// also names a slice of the id space (protocol.InSlice: a splitmix64 hash
+// of the id, mod the slice count): a fetch's live partial sessions, in
+// the order they joined, hand their senders slices 0 … s−1 of s. A
+// sender sends what the summary leaves missing in its own slice first,
+// then the rest, so s senders start on disjoint ids and none of them
+// learns what another holds. When a partial session joins or leaves, the
+// slices close ranks and every other informed session sends one refresh
+// with its new slice at its next batch boundary, whatever the cadence
+// says; full senders, and sessions that have sent no summary yet, take no
+// part. On partial_swarm this takes useful_ratio from 0.92 to 0.98.
 //
 // One refresh policy. Every RefreshBatches request batches a session
 // checks whether the shared working set grew by RefreshGrowth since the

@@ -75,10 +75,11 @@ func readFrameAnyVersion(t *testing.T, r io.Reader) (uint8, protocol.Type, []byt
 // pre-gossip version, the v4 a two-version reader used to accept, 5 (the
 // last whose checksum left the version byte out), 6 (whose partial
 // senders answered REQUESTs with RECODED frames), 7 (whose hello carried
-// no first round of requests), the previous one (8, whose full senders
-// answered the whole round and said nothing of it in their ACCEPT), and
-// one from the future.
-var foreignVersions = []uint8{3, 4, 5, 6, 7, protocol.Version - 1, protocol.Version + 1}
+// no first round of requests), 8 (whose full senders answered the whole
+// round and said nothing of it in their ACCEPT), the previous one (9,
+// whose SUMMARY named no slice of the id space), and one from the
+// future.
+var foreignVersions = []uint8{3, 4, 5, 6, 7, 8, protocol.Version - 1, protocol.Version + 1}
 
 func TestCrossVersionClientGetsCleanError(t *testing.T) {
 	for _, v := range foreignVersions {

@@ -22,6 +22,16 @@
 // transfers), by one serve loop. Recoding (§5.4.2) is the simulator's
 // and the toolbox's; this package does not import it.
 //
+// Partial senders also split the work without talking to each other.
+// The receiver hands each of its live partial sessions, in join order, a
+// slice of the id space in its summaries: slice i of s, where an id falls
+// in slice splitmix64(id) mod s (protocol.InSlice). A sender's cursor
+// queues what the summary leaves missing in two lists, its own slice and
+// the rest, and sends its own slice first, so s senders spend their first
+// transmissions on disjoint ids. A session joining or leaving moves the
+// others' slices, and each of them sends one refresh carrying its new
+// slice at its next batch boundary.
+//
 // A receiver uses Fetch to download from any mix of full and partial
 // senders in parallel; every session is a subchannel on the fabric wire
 // to its peer (a lone Fetch builds a private fabric: a wire with one

@@ -326,11 +326,18 @@ func TestFirstFlightRejects(t *testing.T) {
 // is exactly the session's depth. Like a real partial sender, it ignores
 // the OPEN's round for any other content.
 type depthProbe struct {
-	blocks int
-	code   *fountain.Code
-	opens  chan protocol.Hello
-	reqs   chan uint32
-	serve  chan struct{}
+	blocks    int
+	code      *fountain.Code
+	opens     chan protocol.Hello
+	reqs      chan uint32
+	serve     chan struct{}
+	summaries chan summarySeen // what each SUMMARY said, while there is room
+}
+
+// summarySeen is what a probe read of one SUMMARY or SUMMARY_REFRESH.
+type summarySeen struct {
+	refresh       bool
+	slice, slices uint16
 }
 
 func newDepthProbe(blocks int) *depthProbe {
@@ -340,9 +347,11 @@ func newDepthProbe(blocks int) *depthProbe {
 	}
 	// opens holds the few OPENs a test's one session makes (a redial adds
 	// one); reqs and serve, more REQUESTs and releases than any window has
-	// batches.
+	// batches; summaries, more than a test reads (the rest are dropped,
+	// so a test that reads none never blocks the probe).
 	return &depthProbe{blocks: blocks, code: code,
-		opens: make(chan protocol.Hello, 8), reqs: make(chan uint32, 128), serve: make(chan struct{}, 128)}
+		opens: make(chan protocol.Hello, 8), reqs: make(chan uint32, 128), serve: make(chan struct{}, 128),
+		summaries: make(chan summarySeen, 16)}
 }
 
 // round is how many batches of an OPEN's round the probe answers: what a
@@ -434,6 +443,14 @@ func (p *depthProbe) serveChannel(ch *peermux.Channel) {
 		f, err := ch.Next()
 		if err != nil {
 			return
+		}
+		if f.Type == protocol.TypeSummary || f.Type == protocol.TypeSummaryRefresh {
+			if _, slice, slices, _, err := protocol.DecodeSummaryView(f); err == nil {
+				select {
+				case p.summaries <- summarySeen{f.Type == protocol.TypeSummaryRefresh, slice, slices}:
+				default:
+				}
+			}
 		}
 		if f.Type != protocol.TypeRequest {
 			continue // summaries, gossip, the final DONE

@@ -23,6 +23,7 @@ import (
 	"icd/internal/obs"
 	"icd/internal/peermux"
 	"icd/internal/protocol"
+	"icd/internal/strategy"
 )
 
 // awaitActive blocks until the given admission counter shows at least
@@ -801,5 +802,72 @@ func TestMuxInboundCapBusyError(t *testing.T) {
 	<-hold
 	if st := mux.Stats(); st.Busy != 1 {
 		t.Fatalf("Busy = %d, want 1", st.Busy)
+	}
+}
+
+// TestMalformedSummarySliceRefused: a SUMMARY naming slice 2 of 2 — a
+// slice the id space does not have — is refused like any bad summary:
+// the sender answers an ERROR and ends the session with an error.
+func TestMalformedSummarySliceRefused(t *testing.T) {
+	defer checkGoroutines(t)()
+	info, data := testContent(t, 60, 32)
+	srv, err := NewPartialServer(info, partialSymbols(t, info, data, 40, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, server := net.Pipe()
+	defer client.Close()
+	served := make(chan error, 1)
+	go func() {
+		defer server.Close()
+		fr := protocol.NewFrameReader(server)
+		f, err := fr.Next()
+		if err != nil {
+			served <- err
+			return
+		}
+		mh, err := protocol.DecodeMuxHello(f)
+		if err != nil {
+			served <- err
+			return
+		}
+		w, err := peermux.Accept(server, fr, mh, peermux.Config{}, func(ch *peermux.Channel) { served <- srv.ServeChannel(ch) })
+		if err != nil {
+			served <- err
+			return
+		}
+		w.Serve()
+	}()
+	w, err := peermux.Dial(client, peermux.Config{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	ch, err := w.Open(protocol.Hello{ContentID: info.ID}, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := strategy.BuildSummary(protocol.SummaryBloom, []uint64{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := protocol.WriteFrame(ch, protocol.EncodeSummary(protocol.SummaryBloom, 2, 2, blob, false)); err != nil {
+		t.Fatal(err)
+	}
+	ch.SetDeadline(time.Now().Add(5 * time.Second))
+	f, err := ch.Next()
+	if err != nil {
+		t.Fatalf("reading the answer: %v", err)
+	}
+	if msg, _ := protocol.DecodeError(f); f.Type != protocol.TypeError || msg != "bad summary" {
+		t.Fatalf("answer to slice 2 of 2 = %v %q, want the bad summary ERROR", f.Type, msg)
+	}
+	select {
+	case err := <-served:
+		if err == nil {
+			t.Fatal("the session served on after a malformed summary")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the session did not end")
 	}
 }

@@ -46,6 +46,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -108,6 +109,11 @@ type Orchestrator struct {
 	candidates    []gossipCandidate   // discovered addresses awaiting a free slot
 	candidateSeq  int                 // discovery-order stamp for candidate tie-breaks
 	dialFails     map[string]int      // requeue budget spent per never-reached discovery
+	// partials are the live sessions to partial senders, in join order:
+	// the i-th of them hands its sender slice i of len(partials) of the id
+	// space (sliceOf), so the senders spend their first transmissions on
+	// disjoint ids.
+	partials []*session
 
 	// asked is the fetch's request budget in use: the symbols its sessions
 	// requested and have not yet retired, summed over every session. A
@@ -672,6 +678,39 @@ func (o *Orchestrator) ensureDecoder(ci ContentInfo) error {
 		return fmt.Errorf("peer: inconsistent content metadata: %+v vs %+v", o.info, ci)
 	}
 	return nil
+}
+
+// joinPartials puts s, whose ACCEPT says it serves a partial sender, last
+// among the live partial sessions: every other one keeps its slice index
+// or shifts down, and all of them learn the new count at their next batch
+// boundary.
+func (o *Orchestrator) joinPartials(s *session) {
+	o.mu.Lock()
+	o.partials = append(o.partials, s)
+	o.mu.Unlock()
+}
+
+// leavePartials takes s out of the live partial sessions when its channel
+// is done; the slices close ranks behind it.
+func (o *Orchestrator) leavePartials(s *session) {
+	o.mu.Lock()
+	if i := slices.Index(o.partials, s); i >= 0 {
+		o.partials = slices.Delete(o.partials, i, i+1)
+	}
+	o.mu.Unlock()
+}
+
+// sliceOf is the slice of the id space s's summaries hand its sender: its
+// place among the live partial sessions, of their count (0 of 0, the whole
+// space, for a session not among them or past what the wire can number).
+func (o *Orchestrator) sliceOf(s *session) (slice, of uint16) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	i, n := slices.Index(o.partials, s), len(o.partials)
+	if i < 0 || n > math.MaxUint16 {
+		return 0, 0
+	}
+	return uint16(i), uint16(n)
 }
 
 // needLocked is what the fetch may have requested and not yet received

@@ -399,7 +399,7 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 		}
 		switch f.Type {
 		case protocol.TypeSummary, protocol.TypeSummaryRefresh:
-			method, blob, err := protocol.DecodeSummaryView(f)
+			method, slice, of, blob, err := protocol.DecodeSummaryView(f)
 			if err != nil {
 				protocol.WriteFrame(ch, protocol.EncodeError("bad summary"))
 				return err
@@ -411,7 +411,7 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 			}
 			if cur != nil { // a full sender's symbols are fresh: nothing to prune
 				ids, _ := s.src.WorkingSet()
-				cur.aim(summary.Plan, ids)
+				cur.aim(summary.Plan, slice, of, ids)
 			}
 
 		case protocol.TypePeers:
@@ -489,26 +489,60 @@ func (s *Server) sendFull(w io.Writer, enc *fountain.Encoder, n int) error {
 // cursor is a partial sender's serving session: where it stands on the
 // append-only log. Every log position it has considered is sent (written
 // on this session, and never again: the channel is reliable, so all a
-// refresh has to prune is what other senders delivered), pending, or
+// refresh has to prune is what other senders delivered), queued, or
 // withheld because the receiver's summary held its id when it was tested.
 // A REQUEST tests only what the log gained since the last one (extend); a
 // SUMMARY or SUMMARY_REFRESH re-tests everything unsent (aim), which keeps
 // one filter's false positive from being permanent. This is §6.1's
 // "a partial sender can find symbols of guaranteed utility ... recoding is
 // not generally necessary" taken at its word.
+//
+// The summary also names this sender's slice of the id space
+// (protocol.InSlice): what it leaves missing queues in pending when its
+// id is in the slice and in rest when not, and the cursor sends pending
+// first. A receiver fetching from s partial senders hands each its own
+// slice, so their first transmissions go to disjoint ids.
 type cursor struct {
 	// plan is the receiver's last summary (strategy.ReceivedSummary.Plan):
-	// the positions in held of the ids it leaves missing. nil: no summary,
-	// everything is missing.
-	plan    func(held []uint64) ([]int, error)
-	order   *prng.Rand // the session's send order
-	sent    []bool     // per log position considered: written on this session
-	pending []int      // unsent positions the summary leaves missing, in send order
+	// the positions in held of the ids it leaves missing, into keep. nil:
+	// no summary, everything is missing.
+	plan          func(held []uint64, keep []int) ([]int, error)
+	slice, slices uint16     // the summary's slice of the id space
+	order         *prng.Rand // the session's send order
+	sent          []bool     // per log position considered: written on this session
+	pending       queue      // unsent positions the summary leaves missing, in slice, in send order
+	rest          queue      // the same, out of slice: sent once pending is empty
 
-	// Scratch reused across REQUESTs: the positions to test, and their ids.
+	// Scratch reused across REQUESTs and summaries: the positions to test,
+	// their ids, and the plan's answer. aim sizes it to the log.
 	fresh []int
 	held  []uint64
+	keep  []int
 }
+
+// queue is a FIFO of log positions over one array: taking advances head,
+// so reset refills the same array — a re-aim allocates nothing.
+type queue struct {
+	pos  []int
+	head int
+}
+
+// len is how many positions are queued.
+func (q *queue) len() int { return len(q.pos) - q.head }
+
+// push enqueues one position.
+func (q *queue) push(pos int) { q.pos = append(q.pos, pos) }
+
+// take dequeues up to n positions; they stay valid until the next push.
+func (q *queue) take(n int) []int {
+	n = min(n, q.len())
+	out := q.pos[q.head : q.head+n]
+	q.head += n
+	return out
+}
+
+// reset empties the queue, keeping room for n positions.
+func (q *queue) reset(n int) { q.pos, q.head = slices.Grow(q.pos[:0], n), 0 }
 
 // newCursor starts a cursor whose send order follows seed, so that two
 // sessions, or two senders, do not walk overlapping logs in step.
@@ -537,23 +571,32 @@ func addrSalt(a net.Addr) uint64 {
 }
 
 // offer tests the ids at the given log positions, ascending, against the
-// summary and queues the ones it leaves missing behind what is pending,
-// in the session's order; a plan's error — strategy.ErrNothingUseful
-// included — leaves none.
+// summary and queues the ones it leaves missing behind what is queued, in
+// the session's order, in pending or rest by the slice; a plan's error —
+// strategy.ErrNothingUseful included — queues none.
 func (c *cursor) offer(ids []uint64, positions []int) {
 	if c.plan != nil {
 		c.held = c.held[:0]
 		for _, pos := range positions {
 			c.held = append(c.held, ids[pos])
 		}
-		keep, _ := c.plan(c.held)
+		keep, _ := c.plan(c.held, c.keep)
 		for i, k := range keep { // ascending, so in place: i ≤ k
 			positions[i] = positions[k]
 		}
 		positions = positions[:len(keep)]
+		if cap(keep) > cap(c.keep) {
+			c.keep = keep
+		}
 	}
 	c.order.ShuffleInts(positions)
-	c.pending = append(c.pending, positions...)
+	for _, pos := range positions {
+		if protocol.InSlice(ids[pos], c.slice, c.slices) {
+			c.pending.push(pos)
+		} else {
+			c.rest.push(pos)
+		}
+	}
 }
 
 // extend takes in what the log gained since the cursor last saw it: only
@@ -571,37 +614,47 @@ func (c *cursor) extend(ids []uint64) {
 	c.offer(ids, c.fresh)
 }
 
-// aim installs a new summary and re-derives pending from every unsent
-// position of the log against it.
-func (c *cursor) aim(plan func(held []uint64) ([]int, error), ids []uint64) {
-	c.plan = plan
-	c.sent = append(c.sent, make([]bool, len(ids)-len(c.sent))...)
-	c.fresh = c.fresh[:0]
+// aim installs a new summary and the slice of the id space it names, and
+// re-derives pending and rest from every unsent position of the log
+// against them.
+// The scratch and the queues are sized to the log here, so a re-aim over
+// a log that did not grow allocates nothing.
+func (c *cursor) aim(plan func(held []uint64, keep []int) ([]int, error), slice, of uint16, ids []uint64) {
+	c.plan, c.slice, c.slices = plan, slice, of
+	n := len(ids)
+	c.sent = append(c.sent, make([]bool, n-len(c.sent))...)
+	c.fresh, c.held = c.fresh[:0], c.held[:0]
+	if cap(c.fresh) < n {
+		c.fresh, c.held, c.keep = make([]int, 0, n), make([]uint64, 0, n), make([]int, 0, n)
+	}
+	c.pending.reset(n)
+	c.rest.reset(n)
 	for pos, sent := range c.sent {
 		if !sent {
 			c.fresh = append(c.fresh, pos)
 		}
 	}
-	c.pending = c.pending[:0]
 	c.offer(ids, c.fresh)
 }
 
-// sendHeld answers one REQUEST from the cursor: up to n pending symbols
-// as plain SYMBOL frames, framed straight from the log's own payload
-// buffers (no copy, no XOR, allocation-free like sendFull), then DONE. A
-// dry cursor answers the DONE alone — the empty batch.
+// sendHeld answers one REQUEST from the cursor: up to n queued symbols,
+// pending before rest, as plain SYMBOL frames, framed straight from the
+// log's own payload buffers (no copy, no XOR, allocation-free like
+// sendFull), then DONE. A dry cursor answers the DONE alone — the empty
+// batch.
 func (s *Server) sendHeld(w io.Writer, c *cursor, ids []uint64, payloads [][]byte, n int) error {
-	n = min(n, len(c.pending))
-	if n == 0 {
+	if min(n, c.pending.len()+c.rest.len()) == 0 {
 		s.met.dryBatches.Inc()
 	}
-	for _, pos := range c.pending[:n] {
-		if err := protocol.WriteSymbol(w, ids[pos], payloads[pos]); err != nil {
-			return err
+	for _, q := range [...]*queue{&c.pending, &c.rest} {
+		for _, pos := range q.take(n) {
+			if err := protocol.WriteSymbol(w, ids[pos], payloads[pos]); err != nil {
+				return err
+			}
+			c.sent[pos] = true
+			s.met.symbolsSent.Inc()
+			n--
 		}
-		c.sent[pos] = true
-		s.met.symbolsSent.Inc()
 	}
-	c.pending = c.pending[n:]
 	return protocol.WriteFrame(w, protocol.EncodeDone())
 }

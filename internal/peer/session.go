@@ -470,12 +470,21 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 	}
 	o.mu.Unlock()
 	o.trace(obs.EvHandshake, s.addr, method.String())
+	// A partial sender gets a slice of the id space to serve first, its
+	// place among the fetch's live partial sessions; every summary carries
+	// the slice it was sent under.
+	if !hello.FullCopy {
+		o.joinPartials(s)
+		defer o.leavePartials(s)
+	}
+	var slice, slices uint16
 	if method != protocol.SummaryNone {
+		slice, slices = o.sliceOf(s)
 		blob, err := strategy.BuildSummary(method, held)
 		if err != nil {
 			return err
 		}
-		if err := protocol.WriteFrame(ch, protocol.EncodeSummary(method, blob, false)); err != nil {
+		if err := protocol.WriteFrame(ch, protocol.EncodeSummary(method, slice, slices, blob, false)); err != nil {
 			return err
 		}
 	}
@@ -510,6 +519,7 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 		// default): once the set is non-trivial the method is
 		// re-negotiated and a first summary goes out.
 		sinceCheck++
+		refresh := false
 		if !hello.FullCopy && o.opts.RefreshBatches > 0 && sinceCheck >= o.opts.RefreshBatches {
 			sinceCheck = 0
 			if err := s.sendGossip(ch, sentAds); err != nil {
@@ -520,34 +530,43 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 			// when no summary method is negotiable.
 			known := o.Progress()
 			grown := float64(known-summarized) >= o.opts.RefreshGrowth*float64(summarized)
-			if grown && known > 0 && canSummarize {
-				cur, _ := o.WorkingSet()
-				// A session that has sent a summary keeps its method: re-choosing
-				// as the working set crosses SmallSummaryMax would trade a Bloom
-				// filter for a sketch, which names nothing the sender can prune.
-				// Only a session that has sent none yet chooses.
-				if method == protocol.SummaryNone {
-					method = protocol.ChooseSummaryMethod(
-						o.opts.summaryMask()&hello.SummaryMask, len(cur), int(hello.Symbols))
-				}
-				if method == protocol.SummaryNone {
-					continue
-				}
-				blob, err := strategy.BuildSummary(method, cur)
-				if err != nil {
-					return err
-				}
-				deadline()
-				if err := protocol.WriteFrame(ch, protocol.EncodeSummary(method, blob, true)); err != nil {
-					return err
-				}
-				summarized = len(cur)
-				o.met.refreshes.Inc()
-				o.mu.Lock()
-				s.stats.Summary = method.String()
-				s.stats.RefreshesSent++
-				o.mu.Unlock()
+			refresh = grown && known > 0 && canSummarize
+		}
+		// A partial session joined or left since the last summary: the
+		// slices moved, and the sender learns its new one now, whatever
+		// the cadence says. A session that has sent no summary has no
+		// slice to move, and one that never refreshes (RefreshBatches < 0)
+		// keeps the slice its summary named.
+		if !refresh && method != protocol.SummaryNone && o.opts.RefreshBatches > 0 {
+			i, n := o.sliceOf(s)
+			refresh = i != slice || n != slices
+		}
+		if refresh {
+			cur, _ := o.WorkingSet()
+			// A session that has sent a summary keeps its method: re-choosing
+			// as the working set crosses SmallSummaryMax would trade a Bloom
+			// filter for a sketch, which names nothing the sender can prune.
+			// Only a session that has sent none yet chooses, over a mask and
+			// a working set that are both non-empty, so it gets one.
+			if method == protocol.SummaryNone {
+				method = protocol.ChooseSummaryMethod(
+					o.opts.summaryMask()&hello.SummaryMask, len(cur), int(hello.Symbols))
 			}
+			slice, slices = o.sliceOf(s)
+			blob, err := strategy.BuildSummary(method, cur)
+			if err != nil {
+				return err
+			}
+			deadline()
+			if err := protocol.WriteFrame(ch, protocol.EncodeSummary(method, slice, slices, blob, true)); err != nil {
+				return err
+			}
+			summarized = len(cur)
+			o.met.refreshes.Inc()
+			o.mu.Lock()
+			s.stats.Summary = method.String()
+			s.stats.RefreshesSent++
+			o.mu.Unlock()
 		}
 		// Pipelined requests: keep up to pc.Depth() batches outstanding so
 		// the server's symbol stream never drains while a REQUEST is in

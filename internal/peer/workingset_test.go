@@ -10,6 +10,7 @@ package peer
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -19,6 +20,7 @@ import (
 	"unsafe"
 
 	"icd/internal/peermux"
+	"icd/internal/prng"
 	"icd/internal/protocol"
 	"icd/internal/strategy"
 )
@@ -69,11 +71,18 @@ func openSession(t *testing.T, srv *Server) *peermux.Channel {
 // sendSummary informs the sender that the receiver holds held.
 func sendSummary(t *testing.T, ch *peermux.Channel, method protocol.SummaryMethod, held []uint64, refresh bool) {
 	t.Helper()
+	sendSlicedSummary(t, ch, method, held, 0, 0, refresh)
+}
+
+// sendSlicedSummary informs the sender that the receiver holds held and
+// which slice of the id space it serves first.
+func sendSlicedSummary(t *testing.T, ch *peermux.Channel, method protocol.SummaryMethod, held []uint64, slice, of uint16, refresh bool) {
+	t.Helper()
 	blob, err := strategy.BuildSummary(method, held)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := protocol.WriteFrame(ch, protocol.EncodeSummary(method, blob, refresh)); err != nil {
+	if err := protocol.WriteFrame(ch, protocol.EncodeSummary(method, slice, of, blob, refresh)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -370,26 +379,26 @@ func TestCursorTestsOnlyAppendedIDs(t *testing.T) {
 		ids[i] = uint64(i) + 1000
 	}
 	var asked []uint64
-	evens := func(held []uint64) ([]int, error) { // the receiver holds the odd ids
+	evens := func(held []uint64, keep []int) ([]int, error) { // the receiver holds the odd ids
 		asked = append(asked, held...)
-		var keep []int
+		keep = keep[:0]
 		for i, id := range held {
 			if id%2 == 0 {
 				keep = append(keep, i)
 			}
 		}
-		if keep == nil {
-			return nil, strategy.ErrNothingUseful
+		if len(keep) == 0 {
+			return keep, strategy.ErrNothingUseful
 		}
 		return keep, nil
 	}
 	c := newCursor(1)
-	c.aim(evens, ids[:100])
+	c.aim(evens, 0, 0, ids[:100])
 	if !slices.Equal(asked, ids[:100]) {
 		t.Fatalf("the first summary was asked about %d ids, want the log's 100", len(asked))
 	}
-	if len(c.pending) != 50 {
-		t.Fatalf("%d pending of 100 held, want the 50 even ids", len(c.pending))
+	if c.pending.len() != 50 || c.rest.len() != 0 {
+		t.Fatalf("%d pending (%d rest) of 100 held, want the 50 even ids", c.pending.len(), c.rest.len())
 	}
 	asked = nil
 	c.extend(ids[:100])
@@ -400,26 +409,23 @@ func TestCursorTestsOnlyAppendedIDs(t *testing.T) {
 	if !slices.Equal(asked, ids[100:130]) {
 		t.Fatalf("growth by 30 tested %d ids, want exactly the appended 30", len(asked))
 	}
-	if len(c.pending) != 65 {
-		t.Fatalf("%d pending, want 65", len(c.pending))
+	if c.pending.len() != 65 {
+		t.Fatalf("%d pending, want 65", c.pending.len())
 	}
 	// The appended survivors queue behind what was pending.
-	for _, pos := range c.pending[:50] {
+	for _, pos := range c.pending.pos[:50] {
 		if pos >= 100 {
 			t.Fatalf("appended position %d jumped the queue", pos)
 		}
 	}
-	// Mark 20 sent, as sendHeld does; a refresh asks about the other 110.
-	for _, pos := range c.pending[:20] {
-		c.sent[pos] = true
-	}
+	// Send 20, as sendHeld does; a refresh asks about the other 110.
 	sentIDs := make(map[uint64]bool)
-	for _, pos := range c.pending[:20] {
+	for _, pos := range c.pending.take(20) {
+		c.sent[pos] = true
 		sentIDs[ids[pos]] = true
 	}
-	c.pending = c.pending[20:]
 	asked = nil
-	c.aim(evens, ids[:130])
+	c.aim(evens, 0, 0, ids[:130])
 	if len(asked) != 110 {
 		t.Fatalf("a refresh tested %d ids, want the 110 unsent", len(asked))
 	}
@@ -428,15 +434,318 @@ func TestCursorTestsOnlyAppendedIDs(t *testing.T) {
 			t.Fatalf("a refresh re-tested id %d, already sent", id)
 		}
 	}
-	if len(c.pending) != 45 {
-		t.Fatalf("%d pending after the refresh, want 45", len(c.pending))
+	if c.pending.len() != 45 {
+		t.Fatalf("%d pending after the refresh, want 45", c.pending.len())
 	}
 	// A stretch the summary holds entirely (ErrNothingUseful) adds nothing.
 	asked = nil
 	c.extend(append(slices.Clone(ids[:130]), 5001, 5003))
-	if len(asked) != 2 || len(c.pending) != 45 {
-		t.Fatalf("two held ids appended: asked %d, pending %d", len(asked), len(c.pending))
+	if len(asked) != 2 || c.pending.len() != 45 {
+		t.Fatalf("two held ids appended: asked %d, pending %d", len(asked), c.pending.len())
 	}
+}
+
+// TestCursorServesItsSliceFirst: a sender told it is slice 1 of 3 sends
+// every id the summary leaves missing that falls in that slice before
+// any that does not, then the rest, each once — and nothing else.
+func TestCursorServesItsSliceFirst(t *testing.T) {
+	info, data := testContent(t, 400, 48)
+	syms := orderedSymbols(t, info, data, 600, 21)
+	srv, err := NewPartialServer(info, symbolMap(syms))
+	if err != nil {
+		t.Fatal(err)
+	}
+	receiver := idsOf(syms[:200])
+	blob, err := strategy.BuildSummary(protocol.SummaryBloom, receiver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := strategy.ParseSummary(protocol.SummaryBloom, blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := idsOf(syms)
+	keep, _ := rs.Plan(ids, nil)
+	missing, inSlice := make(map[uint64]bool), 0
+	for _, i := range keep {
+		missing[ids[i]] = true
+		if protocol.InSlice(ids[i], 1, 3) {
+			inSlice++
+		}
+	}
+	if inSlice == 0 || inSlice == len(missing) {
+		t.Fatalf("%d of %d missing ids in slice 1 of 3: nothing to order", inSlice, len(missing))
+	}
+
+	ch := openSession(t, srv)
+	sendSlicedSummary(t, ch, protocol.SummaryBloom, receiver, 1, 3, false)
+	var got []uint64
+	for {
+		batch := requestBatch(t, ch, 50)
+		if len(batch) == 0 {
+			break
+		}
+		got = append(got, idsOf(batch)...)
+	}
+	protocol.WriteFrame(ch, protocol.EncodeDone())
+	seen := make(map[uint64]bool)
+	for i, id := range got {
+		if seen[id] {
+			t.Fatalf("symbol %d sent twice", id)
+		}
+		seen[id] = true
+		if !missing[id] {
+			t.Fatalf("symbol %d sent, which the summary holds", id)
+		}
+		if protocol.InSlice(id, 1, 3) != (i < inSlice) {
+			t.Fatalf("symbol %d (in slice: %v) sent %dth, with %d in slice", id, !(i < inSlice), i, inSlice)
+		}
+	}
+	if len(got) != len(missing) {
+		t.Fatalf("sent %d of the %d missing ids", len(got), len(missing))
+	}
+}
+
+// keepAll is a summary that leaves everything missing.
+func keepAll(held []uint64, keep []int) ([]int, error) {
+	keep = keep[:0]
+	for i := range held {
+		keep = append(keep, i)
+	}
+	return keep, nil
+}
+
+// queued returns the ids at the positions q still holds, in send order.
+func queued(q *queue, ids []uint64) []uint64 {
+	var out []uint64
+	for _, pos := range q.pos[q.head:] {
+		out = append(out, ids[pos])
+	}
+	return out
+}
+
+// TestCursorSlicesAreDisjoint: two senders over overlapping logs, told
+// they are slices 0 and 1 of 2, put disjoint ids first — each exactly
+// what its log holds of its own slice — so the first transmissions of
+// the two are never the same symbol.
+func TestCursorSlicesAreDisjoint(t *testing.T) {
+	rng := prng.New(5)
+	pool := make([]uint64, 900)
+	for i := range pool {
+		pool[i] = rng.Uint64()
+	}
+	logs := [2][]uint64{pool[:600], pool[300:]}
+	var first [2]map[uint64]bool
+	for i, ids := range logs {
+		c := newCursor(uint64(i) + 1)
+		c.aim(keepAll, uint16(i), 2, ids)
+		first[i] = make(map[uint64]bool)
+		for _, id := range queued(&c.pending, ids) {
+			first[i][id] = true
+		}
+		want := 0
+		for _, id := range ids {
+			if protocol.InSlice(id, uint16(i), 2) {
+				want++
+				if !first[i][id] {
+					t.Fatalf("cursor %d: id %d of its slice not queued first", i, id)
+				}
+			}
+		}
+		if len(first[i]) != want || c.rest.len() != len(ids)-want {
+			t.Fatalf("cursor %d: %d first and %d after, want %d and %d", i, len(first[i]), c.rest.len(), want, len(ids)-want)
+		}
+	}
+	for id := range first[0] {
+		if first[1][id] {
+			t.Fatalf("id %d is first on both cursors", id)
+		}
+	}
+}
+
+// TestCursorReaimReslices: a summary naming a new slice reorders what is
+// left to send — the new slice's unsent ids first, the old one's after —
+// and a slice of one puts everything unsent first again; what was sent
+// stays sent.
+func TestCursorReaimReslices(t *testing.T) {
+	rng := prng.New(6)
+	ids := make([]uint64, 400)
+	for i := range ids {
+		ids[i] = rng.Uint64()
+	}
+	c := newCursor(1)
+	c.aim(keepAll, 0, 2, ids)
+	sent := make(map[uint64]bool)
+	for _, pos := range c.pending.take(50) {
+		c.sent[pos] = true
+		sent[ids[pos]] = true
+	}
+	check := func(slice, of uint16) {
+		t.Helper()
+		c.aim(keepAll, slice, of, ids)
+		first, after := queued(&c.pending, ids), queued(&c.rest, ids)
+		if len(first)+len(after) != len(ids)-len(sent) {
+			t.Fatalf("slice %d of %d: %d + %d queued, want the %d unsent", slice, of, len(first), len(after), len(ids)-len(sent))
+		}
+		for _, id := range first {
+			if sent[id] || !protocol.InSlice(id, slice, of) {
+				t.Fatalf("slice %d of %d: id %d first (sent: %v)", slice, of, id, sent[id])
+			}
+		}
+		for _, id := range after {
+			if sent[id] || protocol.InSlice(id, slice, of) {
+				t.Fatalf("slice %d of %d: id %d after (sent: %v)", slice, of, id, sent[id])
+			}
+		}
+	}
+	check(1, 2)
+	check(0, 1)
+	if c.rest.len() != 0 {
+		t.Fatalf("%d ids behind a slice of one", c.rest.len())
+	}
+}
+
+// TestCursorReaimZeroAlloc: a cursor sizes its scratch and queues to the
+// log at its first summary, so a refresh over a log that did not grow —
+// a new filter, a new slice — allocates nothing.
+func TestCursorReaimZeroAlloc(t *testing.T) {
+	rng := prng.New(7)
+	ids := make([]uint64, 2048)
+	for i := range ids {
+		ids[i] = rng.Uint64()
+	}
+	blob, err := strategy.BuildSummary(protocol.SummaryBloom, ids[:1024])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := strategy.ParseSummary(protocol.SummaryBloom, blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := rs.Plan
+	c := newCursor(1)
+	c.aim(plan, 0, 2, ids)
+	for _, pos := range c.pending.take(100) {
+		c.sent[pos] = true
+	}
+	slice := uint16(0)
+	if avg := testing.AllocsPerRun(20, func() {
+		slice ^= 1
+		c.aim(plan, slice, 2, ids)
+	}); avg != 0 {
+		t.Errorf("re-aiming over an unchanged log of %d allocates %.1f, want 0", len(ids), avg)
+	}
+}
+
+// TestPartialSlicesStayContiguous: a fetch's live partial sessions hold
+// slices 0..s-1 of s in join order, however they join and leave; a
+// session that is not among them is handed the whole space.
+func TestPartialSlicesStayContiguous(t *testing.T) {
+	o := NewOrchestrator(1, FetchOptions{DisableGossip: true})
+	defer o.finish()
+	ss := make([]*session, 5)
+	for i := range ss {
+		ss[i] = newSession(o, fmt.Sprint("partial", i))
+	}
+	check := func(live ...int) {
+		t.Helper()
+		for i, n := range live {
+			if slice, of := o.sliceOf(ss[n]); int(slice) != i || int(of) != len(live) {
+				t.Fatalf("session %d holds slice %d of %d, want %d of %d", n, slice, of, i, len(live))
+			}
+		}
+	}
+	o.joinPartials(ss[0])
+	check(0)
+	o.joinPartials(ss[1])
+	o.joinPartials(ss[2])
+	check(0, 1, 2)
+	o.leavePartials(ss[1])
+	check(0, 2)
+	o.joinPartials(ss[3])
+	check(0, 2, 3)
+	o.leavePartials(ss[0])
+	check(2, 3)
+	o.joinPartials(ss[4])
+	o.leavePartials(ss[3])
+	check(2, 4)
+	if slice, of := o.sliceOf(ss[1]); slice != 0 || of != 0 {
+		t.Fatalf("a session that left holds slice %d of %d, want the whole space", slice, of)
+	}
+}
+
+// TestResliceCostsOneRefreshPerSession: a partial session joining or
+// leaving moves every other one's slice, and each of them tells its
+// sender with exactly one SUMMARY_REFRESH at its next batch boundary —
+// with the growth test, which would refresh on its own, never firing.
+func TestResliceCostsOneRefreshPerSession(t *testing.T) {
+	defer checkGoroutines(t)()
+	pn := newPipeNet()
+	p0, p1 := newDepthProbe(probeBlocks), newDepthProbe(probeBlocks)
+	a0, a1 := pn.add("probe0", p0), pn.add("probe1", p1)
+	initial := make(map[uint64][]byte)
+	for i := range 32 {
+		initial[1<<40+uint64(i)] = probeBlock
+	}
+	o := NewOrchestrator(2, FetchOptions{
+		Dial: pn.dial, DisableGossip: true, Timeout: 10 * time.Second,
+		Initial: initial, RefreshBatches: 1, RefreshGrowth: 1e9,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		o.Run(ctx, a0)
+	}()
+	defer func() {
+		cancel()
+		<-done
+		pn.close()
+	}()
+	expect := func(p *depthProbe, want summarySeen) {
+		t.Helper()
+		select {
+		case got := <-p.summaries:
+			if got != want {
+				t.Fatalf("sender read %+v, want %+v", got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no summary reached the sender, want %+v", want)
+		}
+	}
+	none := func(p *depthProbe) {
+		t.Helper()
+		select {
+		case got := <-p.summaries:
+			t.Fatalf("sender read %+v, want no summary", got)
+		case <-time.After(150 * time.Millisecond):
+		}
+	}
+
+	expect(p0, summarySeen{slice: 0, slices: 1})
+	if err := o.AddPeer(a1); err != nil {
+		t.Fatal(err)
+	}
+	expect(p1, summarySeen{slice: 1, slices: 2})
+	none(p0) // the slice moved, but p0's session is mid-batch
+	p0.release(1)
+	expect(p0, summarySeen{refresh: true, slice: 0, slices: 2})
+	p0.release(1)
+	none(p0) // one refresh per re-slice, not one per boundary
+	o.DropPeer(a1)
+	for {
+		o.mu.Lock()
+		n := len(o.partials)
+		o.mu.Unlock()
+		if n == 1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	p0.release(2)
+	expect(p0, summarySeen{refresh: true, slice: 0, slices: 1})
+	none(p0)
+	none(p1)
 }
 
 // TestStaticAndLiveSendersEmitIdenticalStreams: NewPartialServer is
@@ -600,12 +909,12 @@ func TestSendHeldZeroAlloc(t *testing.T) {
 	ids, payloads := srv.src.WorkingSet()
 	c := newCursor(1)
 	c.extend(ids)
-	order, pending := slices.Clone(c.pending), c.pending
+	n := c.pending.len()
 	var sink bytes.Buffer
 	run := func() {
 		sink.Reset()
-		c.pending = pending[:copy(pending, order)]
-		if err := srv.sendHeld(&sink, c, ids, payloads, len(order)); err != nil {
+		c.pending.head = 0
+		if err := srv.sendHeld(&sink, c, ids, payloads, n); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -614,26 +923,30 @@ func TestSendHeldZeroAlloc(t *testing.T) {
 	// pool sheds under the race detector, and then nothing can be pinned.
 	if base := testing.AllocsPerRun(50, func() {
 		sink.Reset()
-		for i := range order {
+		for i := range n {
 			protocol.WriteSymbol(&sink, ids[i], payloads[i])
 		}
 	}); base != 0 {
 		t.Skipf("bare frame writes allocate %.2f per batch here", base)
 	}
 	if avg := testing.AllocsPerRun(50, run); avg != 0 {
-		t.Errorf("sendHeld allocates %.2f per batch of %d symbols, want 0", avg, len(order))
+		t.Errorf("sendHeld allocates %.2f per batch of %d symbols, want 0", avg, n)
 	}
 }
 
 // TestPartialSwarmUsefulRatio is the tier-1 oracle for the paper's
 // headline number — with a summary, nearly every received symbol is
-// useful — on the benchmark's partial_swarm shape at k=512: no full
+// useful — on the benchmark's partial_swarm shape at k=1024: no full
 // sender; the client holds ids[0:k/2], sender A ids[k/4:k], sender B
-// ids[3k/4:3k/2], so both overlap the client and each other.
+// ids[3k/4:3k/2], so both overlap the client and each other. Each sender
+// serves its own slice of the id space first, so the two spend their
+// first transmissions on disjoint ids. Twenty seeds, every one of which
+// must decode: fewer cannot tell a sender that sends once across the
+// swarm (about 0.94) from one that sends once per session (about 0.89).
 func TestPartialSwarmUsefulRatio(t *testing.T) {
-	const k, blockSize = 512, 64
+	const k, blockSize = 1024, 64
 	received, useful := 0, 0
-	for seed := uint64(1); seed <= 3; seed++ {
+	for seed := uint64(1); seed <= 20; seed++ {
 		h := newHarness(t, k, blockSize)
 		pool := orderedSymbols(t, h.info, h.data, 3*k/2, seed)
 		for addr, held := range map[string][]idSym{"A": pool[k/4 : k], "B": pool[3*k/4:]} {
@@ -659,8 +972,8 @@ func TestPartialSwarmUsefulRatio(t *testing.T) {
 	}
 	ratio := float64(useful) / float64(received)
 	t.Logf("useful ratio %.3f (%d of %d received)", ratio, useful, received)
-	if ratio < 0.80 {
-		t.Fatalf("useful ratio %.3f, want ≥ 0.80", ratio)
+	if ratio < 0.92 {
+		t.Fatalf("useful ratio %.3f, want ≥ 0.92", ratio)
 	}
 }
 

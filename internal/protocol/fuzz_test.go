@@ -31,18 +31,23 @@ func FuzzSymbolView(f *testing.F) {
 }
 
 func FuzzDecodeSummaryView(f *testing.F) {
-	f.Add(EncodeSummary(SummaryBloom, []byte("bloom-bits"), false).Payload)
-	f.Add(EncodeSummary(SummarySketch, nil, true).Payload)
+	f.Add(EncodeSummary(SummaryBloom, 0, 0, []byte("bloom-bits"), false).Payload)
+	f.Add(EncodeSummary(SummarySketch, 0, 1, nil, true).Payload)
+	f.Add(EncodeSummary(SummaryBloom, 1, 2, []byte("bloom-bits"), true).Payload)
+	f.Add(EncodeSummary(SummaryBloom, 2, 2, []byte("bloom-bits"), false).Payload) // slice == slices
 	f.Add([]byte{})
 	f.Add([]byte{9, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		method, blob, err := DecodeSummaryView(Frame{Type: TypeSummary, Payload: payload})
+		method, slice, slices, blob, err := DecodeSummaryView(Frame{Type: TypeSummary, Payload: payload})
 		if err != nil {
 			return
 		}
+		if slices > 1 && slice >= slices {
+			t.Fatalf("accepted slice %d of %d", slice, slices)
+		}
 		for _, refresh := range []bool{false, true} {
-			m2, b2, err := DecodeSummaryView(EncodeSummary(method, blob, refresh))
-			if err != nil || m2 != method || !bytes.Equal(b2, blob) {
+			m2, s2, n2, b2, err := DecodeSummaryView(EncodeSummary(method, slice, slices, blob, refresh))
+			if err != nil || m2 != method || s2 != slice || n2 != slices || !bytes.Equal(b2, blob) {
 				t.Fatalf("summary round trip unstable (refresh=%v): %v", refresh, err)
 			}
 		}

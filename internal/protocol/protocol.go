@@ -61,8 +61,10 @@ import (
 // and a fetch saves the round trip its first REQUEST used to wait for. 9
 // gives the ACCEPT_CHANNEL hello's Depth a meaning: the batches of that
 // round a full sender will answer, which it clamps to what the receiver's
-// decode still needs.
-const Version = 9
+// decode still needs. 10 gives the SUMMARY its slice: the receiver tells
+// each partial sender which hash slice of the id space to serve first
+// (TypeSummary, InSlice).
+const Version = 10
 
 // versionUnderCRC is the first version whose checksum covers the version
 // byte.
@@ -104,7 +106,25 @@ const (
 	TypeError Type = 9 // fatal error, human-readable
 
 	// TypeSummary carries the working-set summary chosen by the v3
-	// negotiation (method byte + marshaled summary).
+	// negotiation and the sender's slice of the id space:
+	//
+	//	method uint8   SummaryMethod
+	//	slice  uint16  this sender's slice, < slices
+	//	slices uint16  how many the id space is cut into (≤ 1: one, the whole)
+	//	blob   [...]byte  marshaled summary
+	//
+	// A receiver fetching from s partial senders at once hands sender i
+	// slice i of s. The sender sends the ids the summary leaves missing
+	// that fall in its slice first, then the rest, so s senders spend
+	// their first transmissions on disjoint ids without learning what
+	// another holds. An id falls in slice i of s when
+	// splitmix64(id) mod s = i, with splitmix64's finalizer
+	//
+	//	z = (id ^ id>>30) * 0xbf58476d1ce4e5b9
+	//	z = (z ^ z>>27) * 0x94d049bb133111eb
+	//	z ^= z >> 31
+	//
+	// (InSlice), which every sender must compute identically.
 	TypeSummary Type = 10
 	// TypeSummaryRefresh is a TypeSummary payload sent mid-session when
 	// the receiver's working set has grown enough that the sender
@@ -731,18 +751,37 @@ func ChooseSummaryMethod(mask uint8, receiverHeld, senderHeld int) SummaryMethod
 	return SummaryNone
 }
 
-// EncodeSummary wraps a negotiated summary (method byte + marshaled
-// summary) in a SUMMARY frame; refresh selects SUMMARY_REFRESH, the
-// mid-session update variant.
-func EncodeSummary(method SummaryMethod, blob []byte, refresh bool) Frame {
+// summaryHeader is a SUMMARY payload's method byte and slice fields.
+const summaryHeader = 1 + 2 + 2
+
+// EncodeSummary wraps a negotiated summary (method byte, the sender's
+// slice of the id space, marshaled summary) in a SUMMARY frame; refresh
+// selects SUMMARY_REFRESH, the mid-session update variant. slices ≤ 1 is
+// the whole id space.
+func EncodeSummary(method SummaryMethod, slice, slices uint16, blob []byte, refresh bool) Frame {
 	t := TypeSummary
 	if refresh {
 		t = TypeSummaryRefresh
 	}
-	payload := make([]byte, 1+len(blob))
+	payload := make([]byte, summaryHeader+len(blob))
 	payload[0] = byte(method)
-	copy(payload[1:], blob)
+	binary.LittleEndian.PutUint16(payload[1:], slice)
+	binary.LittleEndian.PutUint16(payload[3:], slices)
+	copy(payload[summaryHeader:], blob)
 	return Frame{Type: t, Payload: payload}
+}
+
+// InSlice reports whether id falls in slice slice of slices of the id
+// space: splitmix64's finalizer of id, mod slices (TypeSummary). Every id
+// is in the one slice of slices ≤ 1.
+func InSlice(id uint64, slice, slices uint16) bool {
+	if slices <= 1 {
+		return true
+	}
+	z := (id ^ id>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return z%uint64(slices) == uint64(slice)
 }
 
 // PeerAd is one gossip advertisement: a peer's dialable address and the
@@ -831,19 +870,26 @@ func DecodePeers(f Frame) ([]PeerAd, error) {
 	return ads, nil
 }
 
-// DecodeSummaryView parses a SUMMARY or SUMMARY_REFRESH frame. The blob
-// aliases f.Payload: frames read through a FrameReader are valid only
-// until the next frame, so consumers must unmarshal before reading on.
-func DecodeSummaryView(f Frame) (SummaryMethod, []byte, error) {
+// DecodeSummaryView parses a SUMMARY or SUMMARY_REFRESH frame into its
+// method, the sender's slice of the id space and the marshaled summary;
+// slice ≥ slices > 1 is malformed. The blob aliases f.Payload:
+// frames read through a FrameReader are valid only until the next frame,
+// so consumers must unmarshal before reading on.
+func DecodeSummaryView(f Frame) (method SummaryMethod, slice, slices uint16, blob []byte, err error) {
 	if f.Type != TypeSummary && f.Type != TypeSummaryRefresh {
-		return SummaryNone, nil, fmt.Errorf("protocol: %v is not SUMMARY/SUMMARY_REFRESH", f.Type)
+		return SummaryNone, 0, 0, nil, fmt.Errorf("protocol: %v is not SUMMARY/SUMMARY_REFRESH", f.Type)
 	}
-	if len(f.Payload) < 1 {
-		return SummaryNone, nil, errors.New("protocol: SUMMARY too short")
+	if len(f.Payload) < summaryHeader {
+		return SummaryNone, 0, 0, nil, errors.New("protocol: SUMMARY too short")
 	}
 	m := SummaryMethod(f.Payload[0])
 	if m != SummaryBloom && m != SummarySketch && m != SummaryART {
-		return SummaryNone, nil, fmt.Errorf("protocol: unknown summary method %d", f.Payload[0])
+		return SummaryNone, 0, 0, nil, fmt.Errorf("protocol: unknown summary method %d", f.Payload[0])
 	}
-	return m, f.Payload[1:], nil
+	slice = binary.LittleEndian.Uint16(f.Payload[1:])
+	slices = binary.LittleEndian.Uint16(f.Payload[3:])
+	if slices > 1 && slice >= slices {
+		return SummaryNone, 0, 0, nil, fmt.Errorf("protocol: SUMMARY slice %d of %d", slice, slices)
+	}
+	return m, slice, slices, f.Payload[summaryHeader:], nil
 }

@@ -648,30 +648,78 @@ func TestFrameReaderZeroAlloc(t *testing.T) {
 func TestSummaryRoundTrip(t *testing.T) {
 	blob := []byte("marshaled-summary-bytes")
 	for _, refresh := range []bool{false, true} {
-		f := EncodeSummary(SummarySketch, blob, refresh)
-		wantType := TypeSummary
-		if refresh {
-			wantType = TypeSummaryRefresh
-		}
-		if f.Type != wantType {
-			t.Fatalf("refresh=%v framed as %v", refresh, f.Type)
-		}
-		m, got, err := DecodeSummaryView(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m != SummarySketch || !bytes.Equal(got, blob) {
-			t.Fatalf("round trip: method %v blob %q", m, got)
+		for _, sl := range [][2]uint16{{0, 0}, {0, 1}, {1, 2}, {6, 7}, {65534, 65535}} {
+			f := EncodeSummary(SummarySketch, sl[0], sl[1], blob, refresh)
+			wantType := TypeSummary
+			if refresh {
+				wantType = TypeSummaryRefresh
+			}
+			if f.Type != wantType {
+				t.Fatalf("refresh=%v framed as %v", refresh, f.Type)
+			}
+			m, slice, slices, got, err := DecodeSummaryView(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m != SummarySketch || slice != sl[0] || slices != sl[1] || !bytes.Equal(got, blob) {
+				t.Fatalf("round trip: method %v slice %d of %d blob %q", m, slice, slices, got)
+			}
 		}
 	}
-	if _, _, err := DecodeSummaryView(Frame{Type: TypeDone}); err == nil {
+	if _, _, _, _, err := DecodeSummaryView(Frame{Type: TypeDone}); err == nil {
 		t.Error("wrong type accepted")
 	}
-	if _, _, err := DecodeSummaryView(Frame{Type: TypeSummary}); err == nil {
+	if _, _, _, _, err := DecodeSummaryView(Frame{Type: TypeSummary}); err == nil {
 		t.Error("empty summary accepted")
 	}
-	if _, _, err := DecodeSummaryView(Frame{Type: TypeSummary, Payload: []byte{99}}); err == nil {
+	if _, _, _, _, err := DecodeSummaryView(Frame{Type: TypeSummary, Payload: []byte{byte(SummaryBloom), 0, 0}}); err == nil {
+		t.Error("truncated slice fields accepted")
+	}
+	if _, _, _, _, err := DecodeSummaryView(EncodeSummary(99, 0, 0, nil, false)); err == nil {
 		t.Error("unknown method accepted")
+	}
+	for _, sl := range [][2]uint16{{2, 2}, {3, 2}, {65535, 7}} {
+		if _, _, _, _, err := DecodeSummaryView(EncodeSummary(SummaryBloom, sl[0], sl[1], blob, false)); err == nil {
+			t.Errorf("slice %d of %d accepted", sl[0], sl[1])
+		}
+	}
+}
+
+// TestInSlice: every id falls in exactly one slice of s, the slices are
+// about even, one slice (or none) is the whole space, and the formula is
+// the one TypeSummary documents — the values below are its wire contract.
+func TestInSlice(t *testing.T) {
+	for _, s := range []uint16{0, 1} {
+		for id := uint64(0); id < 100; id++ {
+			if !InSlice(id, 0, s) || !InSlice(id, 5, s) {
+				t.Fatalf("id %d outside the one slice of %d", id, s)
+			}
+		}
+	}
+	for _, s := range []uint16{2, 3, 7} {
+		count := make([]int, s)
+		for id := uint64(1); id <= 7000; id++ {
+			in := 0
+			for i := uint16(0); i < s; i++ {
+				if InSlice(id*0x9e3779b97f4a7c15, i, s) {
+					in++
+					count[i]++
+				}
+			}
+			if in != 1 {
+				t.Fatalf("id %d in %d slices of %d", id, in, s)
+			}
+		}
+		for i, c := range count {
+			if want := 7000 / int(s); c < want*9/10 || c > want*11/10 {
+				t.Errorf("slice %d of %d holds %d of 7000 ids", i, s, c)
+			}
+		}
+	}
+	// splitmix64's finalizer of 1 is 0x5692161d100b05e5 (33439 mod
+	// 65535), of 2 0xdbd238973a2b148a (25375 mod 65535).
+	if !InSlice(1, 1, 2) || !InSlice(2, 0, 2) || !InSlice(1, 33439, 65535) || !InSlice(2, 25375, 65535) {
+		t.Error("InSlice departs from the documented splitmix64 finalizer")
 	}
 }
 

@@ -103,8 +103,11 @@ var ErrNothingUseful = errors.New("strategy: receiver appears to hold everything
 // §5.3 for ART). A min-wise sketch (§4) names no symbol and so keeps every
 // position, unless it estimates that the receiver's set contains held
 // entirely. Plan returns ErrNothingUseful when the summary proves (or
-// estimates) the receiver needs none of held.
-func (rs *ReceivedSummary) Plan(held []uint64) ([]int, error) {
+// estimates) the receiver needs none of held. The positions are appended
+// to keep[:0]; a keep with room for fewer than len(held) is replaced by
+// one buffer of that size, so a caller that passes the last result back
+// allocates nothing once it has one that fits.
+func (rs *ReceivedSummary) Plan(held []uint64, keep []int) ([]int, error) {
 	missing := func(id uint64) bool { return true }
 	switch rs.Method {
 	case protocol.SummaryBloom:
@@ -124,20 +127,23 @@ func (rs *ReceivedSummary) Plan(held []uint64) ([]int, error) {
 		if c >= 1 && rs.sketch.SetSize >= len(held) {
 			// The receiver's set contains ours entirely (as well as the
 			// coarse estimate can tell): nothing to offer.
-			return nil, ErrNothingUseful
+			return keep[:0], ErrNothingUseful
 		}
 
 	default:
 		return nil, fmt.Errorf("strategy: no plan for summary method %v", rs.Method)
 	}
-	var keep []int
+	if cap(keep) < len(held) {
+		keep = make([]int, 0, len(held))
+	}
+	keep = keep[:0]
 	for i, id := range held {
 		if missing(id) {
 			keep = append(keep, i)
 		}
 	}
 	if len(keep) == 0 {
-		return nil, ErrNothingUseful
+		return keep, ErrNothingUseful
 	}
 	return keep, nil
 }

@@ -37,7 +37,7 @@ func roundTrip(t *testing.T, method protocol.SummaryMethod, held *keyset.Set) *R
 		t.Fatalf("%v build: %v", method, err)
 	}
 	// Through the wire framing, as a session would send it.
-	m, view, err := protocol.DecodeSummaryView(protocol.EncodeSummary(method, blob, false))
+	m, _, _, view, err := protocol.DecodeSummaryView(protocol.EncodeSummary(method, 0, 0, blob, false))
 	if err != nil || m != method {
 		t.Fatalf("%v frame round trip: method %v err %v", method, m, err)
 	}
@@ -65,7 +65,7 @@ func planned(t *testing.T, keep []int, held []uint64) []uint64 {
 func TestBloomSummaryPlan(t *testing.T) {
 	receiver, sender, extras := twoSets(1, 600, 120)
 	rs := roundTrip(t, protocol.SummaryBloom, receiver)
-	plan, err := rs.Plan(sender.Keys())
+	plan, err := rs.Plan(sender.Keys(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestBloomSummaryPlan(t *testing.T) {
 func TestARTSummaryPlan(t *testing.T) {
 	receiver, sender, extras := twoSets(2, 2000, 60)
 	rs := roundTrip(t, protocol.SummaryART, receiver)
-	plan, err := rs.Plan(sender.Keys())
+	plan, err := rs.Plan(sender.Keys(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestARTSummaryPlan(t *testing.T) {
 func TestSketchSummaryPlan(t *testing.T) {
 	receiver, sender, _ := twoSets(3, 3000, 1000)
 	rs := roundTrip(t, protocol.SummarySketch, receiver)
-	plan, err := rs.Plan(sender.Keys())
+	plan, err := rs.Plan(sender.Keys(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +123,12 @@ func TestPlanNothingUseful(t *testing.T) {
 	sender := receiver.Clone()
 	for _, method := range []protocol.SummaryMethod{protocol.SummaryBloom, protocol.SummaryART} {
 		rs := roundTrip(t, method, receiver)
-		if _, err := rs.Plan(sender.Keys()); !errors.Is(err, ErrNothingUseful) {
+		if _, err := rs.Plan(sender.Keys(), nil); !errors.Is(err, ErrNothingUseful) {
 			t.Fatalf("%v: err = %v, want ErrNothingUseful", method, err)
 		}
 	}
 	rs := roundTrip(t, protocol.SummarySketch, receiver)
-	if _, err := rs.Plan(sender.Keys()); !errors.Is(err, ErrNothingUseful) {
+	if _, err := rs.Plan(sender.Keys(), nil); !errors.Is(err, ErrNothingUseful) {
 		t.Fatalf("sketch: err = %v, want ErrNothingUseful", err)
 	}
 }
@@ -148,5 +148,21 @@ func TestSummaryErrors(t *testing.T) {
 	}
 	if _, err := ParseSummary(protocol.SummaryNone, nil); err == nil {
 		t.Error("parsed 'none' summary")
+	}
+}
+
+// TestBloomPlanAllocs: a Bloom plan over 4096 ids allocates at most its
+// one result buffer, and nothing once it is handed the last one back —
+// what lets a partial sender re-aim its cursor without allocating.
+func TestBloomPlanAllocs(t *testing.T) {
+	receiver, sender, _ := twoSets(5, 2048, 2048)
+	rs := roundTrip(t, protocol.SummaryBloom, receiver)
+	held := sender.Keys()
+	if avg := testing.AllocsPerRun(20, func() { rs.Plan(held, nil) }); avg > 1 {
+		t.Errorf("a Bloom plan over %d ids allocates %.1f, want ≤ 1", len(held), avg)
+	}
+	keep, _ := rs.Plan(held, nil)
+	if avg := testing.AllocsPerRun(20, func() { keep, _ = rs.Plan(held, keep) }); avg != 0 {
+		t.Errorf("a Bloom plan into its last buffer allocates %.1f, want 0", avg)
 	}
 }

@@ -61,10 +61,9 @@
 // fountain codec and recoding). The two share the codec and the
 // summaries, not code paths: a change to the engine cannot move a paper
 // figure, and the figures are kept as regression oracles for the shared
-// toolbox. Of internal/strategy the engine uses three entry points —
-// BuildSummary, ParseSummary and the membership plan
-// (ReceivedSummary.Plan: which of these ids is the receiver missing) —
-// and nothing else; of internal/recode, nothing.
+// toolbox. The engine's one summary is internal/bloom's filter; it uses
+// nothing of internal/strategy, internal/recon, internal/minwise or
+// internal/recode.
 //
 // The §5.1 exact polynomial-reconciliation baseline (setrecon over the gf
 // field) and the §4 random-sample and mod-k estimators (sampling) that
@@ -243,19 +242,18 @@
 // (peer.TestRequestWithNoNewsZeroAlloc), and a summary that re-aims a
 // partial sender's cursor over a log that did not grow allocates nothing
 // either: the cursor sizes its queues and scratch to the log at its first
-// summary, and strategy.ReceivedSummary.Plan fills the buffer it is
-// handed (peer.TestCursorReaimZeroAlloc). peer.BenchmarkFetchFabricPipe
+// summary and filters them in place (peer.TestCursorReaimZeroAlloc). peer.BenchmarkFetchFabricPipe
 // is the whole path as one row (MB/s and allocs/symbol of a fabric fetch
 // over an in-process pipe).
 //
-// # Control plane (sessions, orchestration, negotiation)
+// # Control plane (sessions, orchestration, summaries)
 //
 // Above the data plane sits the adaptive swarm engine of internal/peer
 // (Fetch is now a thin wrapper over it): an Orchestrator owning one
 // download's shared state, and one session per connection.
 //
-// Session lifecycle. A session runs dial → HELLO exchange → summary
-// negotiation → batched request loop, wrapped in a redial-with-backoff
+// Session lifecycle. A session runs dial → HELLO exchange → Bloom
+// summary → batched request loop, wrapped in a redial-with-backoff
 // loop (FetchOptions.MaxReconnects/ReconnectBackoff). It ends in one of
 // four ways: the transfer completed; the peer stopped contributing
 // (MaxUselessBatches of no global progress); the orchestrator dropped
@@ -266,22 +264,12 @@
 // state automatically, since summaries are built from the shared set at
 // handshake time.
 //
-// Negotiation rules (protocol v3). Both HELLOs carry a working-set size
-// and a summary-method mask; the receiver picks the method with
-// protocol.ChooseSummaryMethod over the mask intersection — Bloom
-// filter for small receiver sets, ART when both sets are large and
-// similar (the difference is small and worth *searching* for), min-wise
-// sketch when sets are large and dissimilar (constant-size, where a
-// filter would cost megabytes). The sender asks whatever arrives which of
-// its symbols the receiver is missing (strategy.ParseSummary + Plan): a
-// membership summary names them, a sketch names nothing and prunes
-// nothing — all it can say is that the receiver's set contains the
-// sender's entirely. Sessions send SUMMARY_REFRESH frames as the shared
-// set grows (RefreshBatches/RefreshGrowth), so senders stop sending what
-// other sessions already delivered; a session that has sent a summary
-// keeps its method for its refreshes (re-choosing as the working set
-// crossed SmallSummaryMax used to trade a Bloom filter for a sketch at
-// the tail of a fetch), and only one that has sent none yet chooses.
+// Summaries (protocol v11). An informed session sends a partial sender
+// that reads summaries (its ACCEPT's mask bit) a Bloom filter over the
+// working set, 8 bits and 5 hashes per element (§5.2), once it has one,
+// and SUMMARY_REFRESH frames as the shared set grows
+// (RefreshBatches/RefreshGrowth), so the sender stops sending what other
+// sessions already delivered.
 //
 // Send once across senders (protocol v10). A summary keeps one sender
 // from sending what the receiver holds, but two partial senders can still

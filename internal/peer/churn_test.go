@@ -390,9 +390,8 @@ func TestFetchContextCancel(t *testing.T) {
 func TestFreshReceiverNegotiatesSummaryMidTransfer(t *testing.T) {
 	// A receiver that connects empty-handed cannot summarize at
 	// handshake (nothing to subtract), but once other sessions fill the
-	// working set the refresh path must negotiate and send a first
-	// summary — otherwise partial senders blindly recode over
-	// everything forever.
+	// working set the refresh path must send a first summary —
+	// otherwise partial senders blindly send everything they hold.
 	info, data := testContent(t, 100, 32)
 	s1, err := NewPartialServer(info, partialSymbols(t, info, data, 80, 11))
 	if err != nil {

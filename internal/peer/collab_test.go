@@ -4,9 +4,9 @@ package peer
 // engine: two partial peers with complementary working sets exchange
 // content in both directions while trickle-downloading the remainder
 // from a rate-limited source, completing with measurably fewer source
-// transmissions than download-only sessions. It also pins the v3
-// summary negotiation end-to-end (different methods for small vs large
-// working sets) and the clean cross-version handshake failure.
+// transmissions than download-only sessions. It also pins the summary
+// end-to-end (a Bloom filter for small and large working sets alike) and
+// the clean cross-version handshake failure.
 
 import (
 	"bytes"
@@ -221,20 +221,25 @@ func TestCollaborativeExchangeBeatsDownloadOnly(t *testing.T) {
 	}
 }
 
+// TestSummaryNegotiationEndToEnd: an informed fetch from a partial
+// sender that reads summaries sends it a Bloom filter, whatever the two
+// working-set sizes. Before wire version 11 a receiver holding more than
+// 4096 symbols picked an ART for sets within 25% of each other and a
+// min-wise sketch otherwise; the sketch prunes nothing, so the sender
+// re-sent every id the two sets share. With a Bloom filter, which has no
+// false negatives, one sender sends nothing the receiver holds.
 func TestSummaryNegotiationEndToEnd(t *testing.T) {
-	// Small working sets negotiate a Bloom filter.
-	t.Run("small=bloom", func(t *testing.T) {
-		info, data := testContent(t, 100, 32)
-		syms := orderedSymbols(t, info, data, 140, 5)
-		sender, err := NewPartialServer(info, symbolMap(syms))
+	fetch := func(t *testing.T, info ContentInfo, data []byte, receiver, sender []idSym) *FetchResult {
+		t.Helper()
+		srv, err := NewPartialServer(info, symbolMap(sender))
 		if err != nil {
 			t.Fatal(err)
 		}
 		pn := newPipeNet()
-		addr := pn.add("p", front(sender))
+		addr := pn.add("p", front(srv))
 		res, err := Fetch([]string{addr}, info.ID, FetchOptions{
-			Batch: 16, Timeout: 5 * time.Second,
-			Initial: symbolMap(syms[:60]), Dial: pn.dial,
+			Batch: 64, Timeout: 5 * time.Second,
+			Initial: symbolMap(receiver), Dial: pn.dial, DisableGossip: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -242,60 +247,40 @@ func TestSummaryNegotiationEndToEnd(t *testing.T) {
 		if !bytes.Equal(res.Data, data) {
 			t.Fatal("content mismatch")
 		}
-		if res.Peers[0].Summary != "bloom" {
-			t.Fatalf("negotiated %q, want bloom", res.Peers[0].Summary)
+		if got := res.Peers[0].Summary; got != "bloom" {
+			t.Fatalf("summary %q, want bloom", got)
 		}
+		return res
+	}
+
+	// Small working sets.
+	t.Run("small=bloom", func(t *testing.T) {
+		info, data := testContent(t, 100, 32)
+		syms := orderedSymbols(t, info, data, 140, 5)
+		fetch(t, info, data, syms[:60], syms)
 	})
 
-	// Large, similar working sets negotiate an ART.
-	t.Run("large-similar=art", func(t *testing.T) {
-		info, data := testContent(t, 64, 8)
-		syms := orderedSymbols(t, info, data, 6400, 6)
-		sender, err := NewPartialServer(info, symbolMap(syms))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pn := newPipeNet()
-		addr := pn.add("p", front(sender))
-		res, err := Fetch([]string{addr}, info.ID, FetchOptions{
-			Batch: 16, Timeout: 5 * time.Second,
-			Initial: symbolMap(syms[:6000]), Dial: pn.dial,
+	// Large sets: the receiver holds 5000 symbols of k = 6000 at its
+	// first summary. The sender holds 5000, 3000 of them the receiver's
+	// (sets within 25% of each other: an ART before version 11), or 7000,
+	// all the receiver's among them (a sketch).
+	info, data := testContent(t, 6000, 16)
+	syms := orderedSymbols(t, info, data, 9000, 6)
+	for _, tc := range []struct {
+		name   string
+		sender []idSym
+	}{
+		{"large-similar=bloom", syms[2000:7000]},
+		{"large-dissimilar=bloom", syms[0:7000]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := fetch(t, info, data, syms[:5000], tc.sender)
+			if p := res.Peers[0]; p.SymbolsReceived != p.UsefulSymbols {
+				t.Fatalf("the sender sent %d symbols the receiver held (%d received, %d useful)",
+					p.SymbolsReceived-p.UsefulSymbols, p.SymbolsReceived, p.UsefulSymbols)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Peers[0].Summary != "art" {
-			t.Fatalf("negotiated %q, want art", res.Peers[0].Summary)
-		}
-		if !res.Completed {
-			t.Fatal("transfer incomplete")
-		}
-	})
-
-	// Large, dissimilar working sets negotiate a min-wise sketch.
-	t.Run("large-dissimilar=sketch", func(t *testing.T) {
-		info, data := testContent(t, 64, 8)
-		syms := orderedSymbols(t, info, data, 7500, 7)
-		sender, err := NewPartialServer(info, symbolMap(syms[:1500]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pn := newPipeNet()
-		addr := pn.add("p", front(sender))
-		res, err := Fetch([]string{addr}, info.ID, FetchOptions{
-			Batch: 16, Timeout: 5 * time.Second,
-			Initial: symbolMap(syms[1500:]), Dial: pn.dial,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Peers[0].Summary != "sketch" {
-			t.Fatalf("negotiated %q, want sketch", res.Peers[0].Summary)
-		}
-		if !res.Completed {
-			t.Fatal("transfer incomplete")
-		}
-	})
+	}
 }
 
 func TestCrossVersionHandshakeFailsCleanly(t *testing.T) {
@@ -371,8 +356,9 @@ func TestCrossVersionHandshakeFailsCleanly(t *testing.T) {
 }
 
 func TestNegativeSummaryMaskDisablesSummaries(t *testing.T) {
-	// The blind-streaming baseline: a negative mask means "never send a
-	// summary", even though the receiver holds symbols it could report.
+	// The blind-streaming baseline (a negative SummaryMask before wire
+	// version 11): an uninformed fetch never sends a summary, even though
+	// the receiver holds symbols it could report.
 	info, data := testContent(t, 100, 32)
 	syms := orderedSymbols(t, info, data, 140, 8)
 	sender, err := NewPartialServer(info, symbolMap(syms))
@@ -383,9 +369,9 @@ func TestNegativeSummaryMaskDisablesSummaries(t *testing.T) {
 	addr := pn.add("p", front(sender))
 	res, err := Fetch([]string{addr}, info.ID, FetchOptions{
 		Batch: 16, Timeout: 5 * time.Second,
-		Initial:     symbolMap(syms[:60]),
-		SummaryMask: -1,
-		Dial:        pn.dial,
+		Initial:    symbolMap(syms[:60]),
+		Uninformed: true,
+		Dial:       pn.dial,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -394,6 +380,6 @@ func TestNegativeSummaryMaskDisablesSummaries(t *testing.T) {
 		t.Fatal("content mismatch")
 	}
 	if res.Peers[0].Summary != "" {
-		t.Fatalf("summary %q sent despite a negative mask", res.Peers[0].Summary)
+		t.Fatalf("summary %q sent by an uninformed fetch", res.Peers[0].Summary)
 	}
 }

@@ -76,10 +76,10 @@ func readFrameAnyVersion(t *testing.T, r io.Reader) (uint8, protocol.Type, []byt
 // last whose checksum left the version byte out), 6 (whose partial
 // senders answered REQUESTs with RECODED frames), 7 (whose hello carried
 // no first round of requests), 8 (whose full senders answered the whole
-// round and said nothing of it in their ACCEPT), the previous one (9,
-// whose SUMMARY named no slice of the id space), and one from the
-// future.
-var foreignVersions = []uint8{3, 4, 5, 6, 7, 8, protocol.Version - 1, protocol.Version + 1}
+// round and said nothing of it in their ACCEPT), 9 (whose SUMMARY named
+// no slice of the id space), the previous one (10, whose SUMMARY led with
+// a method byte), and one from the future.
+var foreignVersions = []uint8{3, 4, 5, 6, 7, 8, 9, protocol.Version - 1, protocol.Version + 1}
 
 func TestCrossVersionClientGetsCleanError(t *testing.T) {
 	for _, v := range foreignVersions {

@@ -16,11 +16,13 @@
 // an O(1) prefix whose length is its version. Either way a partial
 // sender sends what it holds, once: each serving session is a cursor on
 // the log that sends, as plain SYMBOL frames and each log position at
-// most once, the symbols the receiver's summary reports missing (§5.2,
-// and §6.1's "a partial sender can find symbols of guaranteed utility
-// ... recoding is not generally necessary": reconciled, informed
-// transfers), by one serve loop. Recoding (§5.4.2) is the simulator's
-// and the toolbox's; this package does not import it.
+// most once, the symbols the receiver's Bloom filter reports missing
+// (§5.2, and §6.1's "a partial sender can find symbols of guaranteed
+// utility ... recoding is not generally necessary": reconciled, informed
+// transfers), by one serve loop. Recoding (§5.4.2) and the other
+// summaries are the simulator's and the toolbox's; this package imports
+// none of internal/recode, internal/strategy, internal/recon or
+// internal/minwise.
 //
 // Partial senders also split the work without talking to each other.
 // The receiver hands each of its live partial sessions, in join order, a

@@ -63,14 +63,10 @@ type FetchOptions struct {
 	// banned address is refused by gossip admission and the candidate
 	// pool. Nil creates a private box (scoring is always on).
 	Penalties *PenaltyBox
-	// SummaryMask restricts which summary methods this receiver offers
-	// in its HELLO: 0 selects all (Bloom, min-wise sketch, ART),
-	// positive values are a protocol.SummaryMethod bit mask, and a
-	// negative value disables summaries entirely (the uninformed
-	// baseline: a partial sender then sends its whole log, once). The
-	// session picks per peer via protocol.ChooseSummaryMethod, once: the
-	// method of its first summary is the method of its refreshes.
-	SummaryMask int
+	// Uninformed disables summaries: the fetch sends partial senders no
+	// Bloom filter, so each sends its whole log, once (the uninformed
+	// baseline).
+	Uninformed bool
 	// RefreshBatches is how many request batches pass between checks
 	// for a mid-session summary refresh; a refresh is sent when the
 	// working set grew ≥ RefreshGrowth since the last summary.
@@ -137,9 +133,6 @@ func (o FetchOptions) withDefaults() FetchOptions {
 	if o.MaxUselessBatches <= 0 {
 		o.MaxUselessBatches = 4
 	}
-	if o.SummaryMask == 0 {
-		o.SummaryMask = int(protocol.AllSummaryMask)
-	}
 	if o.ReconnectBackoff <= 0 {
 		o.ReconnectBackoff = 200 * time.Millisecond
 	}
@@ -163,13 +156,13 @@ func (o FetchOptions) withDefaults() FetchOptions {
 	return o
 }
 
-// summaryMask resolves the SummaryMask option to the wire-format mask
-// (negative = none; withDefaults already turned 0 into all methods).
+// summaryMask is the mask this receiver's OPEN announces: Bloom
+// summaries, unless the fetch is uninformed.
 func (o FetchOptions) summaryMask() uint8 {
-	if o.SummaryMask < 0 {
+	if o.Uninformed {
 		return 0
 	}
-	return uint8(o.SummaryMask)
+	return protocol.AllSummaryMask
 }
 
 // PeerStats summarizes one session's contribution.
@@ -178,8 +171,8 @@ type PeerStats struct {
 	Full            bool
 	SymbolsReceived int
 	UsefulSymbols   int
-	// Summary is the negotiated summary method sent to this peer
-	// ("bloom", "sketch", "art", or "" when none was needed).
+	// Summary is "bloom" when this session sent the peer a summary, a
+	// Bloom filter (the only one there is), and "" when it sent none.
 	Summary string
 	// Utility is the session's score at snapshot time: useful symbols
 	// per second of connected life — the ranking AddPeer eviction uses.

@@ -445,7 +445,7 @@ func (p *depthProbe) serveChannel(ch *peermux.Channel) {
 			return
 		}
 		if f.Type == protocol.TypeSummary || f.Type == protocol.TypeSummaryRefresh {
-			if _, slice, slices, _, err := protocol.DecodeSummaryView(f); err == nil {
+			if slice, slices, _, err := protocol.DecodeSummaryView(f); err == nil {
 				select {
 				case p.summaries <- summarySeen{f.Type == protocol.TypeSummaryRefresh, slice, slices}:
 				default:
@@ -760,7 +760,7 @@ func TestPartialSenderIgnoresTheOpen(t *testing.T) {
 		t.Fatal("partial sender wrote before the session's SUMMARY and REQUEST")
 	}
 	held := idsOf(syms[:60])
-	sendSummary(t, ch, protocol.SummaryBloom, held, false)
+	sendSummary(t, ch, held, false)
 	if !quiet(t, ch) {
 		t.Fatal("partial sender wrote after a SUMMARY, before any REQUEST")
 	}
@@ -802,7 +802,7 @@ func TestPartialSenderWaitsForTheSummaryAtTheCeiling(t *testing.T) {
 	if !quiet(t, ch) {
 		t.Fatal("partial sender wrote before the session's SUMMARY")
 	}
-	sendSummary(t, ch, protocol.SummaryBloom, idsOf(syms[:60]), false)
+	sendSummary(t, ch, idsOf(syms[:60]), false)
 	if !quiet(t, ch) {
 		t.Fatal("partial sender wrote after a SUMMARY, before any REQUEST")
 	}

@@ -20,10 +20,11 @@ import (
 	"testing"
 	"time"
 
+	"icd/internal/keyset"
 	"icd/internal/obs"
 	"icd/internal/peermux"
 	"icd/internal/protocol"
-	"icd/internal/strategy"
+	"icd/internal/recon"
 )
 
 // awaitActive blocks until the given admission counter shows at least
@@ -806,9 +807,43 @@ func TestMuxInboundCapBusyError(t *testing.T) {
 }
 
 // TestMalformedSummarySliceRefused: a SUMMARY naming slice 2 of 2 — a
-// slice the id space does not have — is refused like any bad summary:
-// the sender answers an ERROR and ends the session with an error.
+// slice the id space does not have — is refused like any bad summary, and
+// so is one whose blob is not a Bloom filter (here an ART summary, a
+// method this wire no longer has): the sender answers an ERROR and ends
+// the session with an error.
 func TestMalformedSummarySliceRefused(t *testing.T) {
+	filter, err := bloomSummary([]uint64{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := recon.Build(recon.DefaultParams, keyset.FromKeys([]uint64{1, 2, 3})).Summarize(recon.SummaryOptions{
+		TotalBitsPerElement: 8, LeafBitsPerElement: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	notAFilter, err := art.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name          string
+		slice, slices uint16
+		blob          []byte
+	}{
+		{"slice 2 of 2", 2, 2, filter},
+		{"not a Bloom filter", 0, 0, notAFilter},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			refuseSummary(t, protocol.EncodeSummary(tc.slice, tc.slices, tc.blob, false))
+		})
+	}
+}
+
+// refuseSummary sends a partial sender's fresh session the summary frame
+// f and checks that the sender answers the bad summary ERROR and ends the
+// session with an error.
+func refuseSummary(t *testing.T, f protocol.Frame) {
 	defer checkGoroutines(t)()
 	info, data := testContent(t, 60, 32)
 	srv, err := NewPartialServer(info, partialSymbols(t, info, data, 40, 1))
@@ -847,20 +882,16 @@ func TestMalformedSummarySliceRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := strategy.BuildSummary(protocol.SummaryBloom, []uint64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := protocol.WriteFrame(ch, protocol.EncodeSummary(protocol.SummaryBloom, 2, 2, blob, false)); err != nil {
+	if err := protocol.WriteFrame(ch, f); err != nil {
 		t.Fatal(err)
 	}
 	ch.SetDeadline(time.Now().Add(5 * time.Second))
-	f, err := ch.Next()
+	answer, err := ch.Next()
 	if err != nil {
 		t.Fatalf("reading the answer: %v", err)
 	}
-	if msg, _ := protocol.DecodeError(f); f.Type != protocol.TypeError || msg != "bad summary" {
-		t.Fatalf("answer to slice 2 of 2 = %v %q, want the bad summary ERROR", f.Type, msg)
+	if msg, _ := protocol.DecodeError(answer); answer.Type != protocol.TypeError || msg != "bad summary" {
+		t.Fatalf("answer = %v %q, want the bad summary ERROR", answer.Type, msg)
 	}
 	select {
 	case err := <-served:

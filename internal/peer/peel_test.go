@@ -281,7 +281,7 @@ func TestAllDuplicateSenderDroppedAfterMaxUselessBatches(t *testing.T) {
 		Batch:             batch,
 		MaxUselessBatches: patience,
 		Initial:           held,
-		SummaryMask:       -1, // uninformed: the sender recodes over what we hold
+		Uninformed:        true, // the sender sends what it holds, which is what we hold
 		Timeout:           5 * time.Second,
 		Dial:              h.pn.dial,
 		DisableGossip:     true,

@@ -353,8 +353,8 @@ func TestBloomSuppressesDuplicates(t *testing.T) {
 	if !bytes.Equal(res.Data, data) {
 		t.Fatal("content mismatch")
 	}
-	// With the filter, the sender recodes over only the ~40 unknown
-	// symbols; completing the decode should take far fewer transmissions
+	// With the filter, the sender sends only the ~40 unknown symbols;
+	// completing the decode should take far fewer transmissions
 	// than blindly resending a 140-symbol working set.
 	if got := res.Peers[0].SymbolsReceived; got > 100 {
 		t.Fatalf("received %d symbols; Bloom-informed transfer should need far fewer", got)

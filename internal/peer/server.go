@@ -11,12 +11,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"icd/internal/bloom"
 	"icd/internal/fountain"
 	"icd/internal/obs"
 	"icd/internal/peermux"
 	"icd/internal/prng"
 	"icd/internal/protocol"
-	"icd/internal/strategy"
 )
 
 // ContentInfo identifies and parameterizes one piece of shared content.
@@ -399,19 +399,18 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 		}
 		switch f.Type {
 		case protocol.TypeSummary, protocol.TypeSummaryRefresh:
-			method, slice, of, blob, err := protocol.DecodeSummaryView(f)
-			if err != nil {
-				protocol.WriteFrame(ch, protocol.EncodeError("bad summary"))
-				return err
+			slice, of, blob, err := protocol.DecodeSummaryView(f)
+			filter := new(bloom.Filter)
+			if err == nil {
+				err = filter.UnmarshalBinary(blob)
 			}
-			summary, err := strategy.ParseSummary(method, blob)
 			if err != nil {
 				protocol.WriteFrame(ch, protocol.EncodeError("bad summary"))
 				return err
 			}
 			if cur != nil { // a full sender's symbols are fresh: nothing to prune
 				ids, _ := s.src.WorkingSet()
-				cur.aim(summary.Plan, slice, of, ids)
+				cur.aim(func(id uint64) bool { return !filter.Contains(id) }, slice, of, ids)
 			}
 
 		case protocol.TypePeers:
@@ -503,21 +502,18 @@ func (s *Server) sendFull(w io.Writer, enc *fountain.Encoder, n int) error {
 // first. A receiver fetching from s partial senders hands each its own
 // slice, so their first transmissions go to disjoint ids.
 type cursor struct {
-	// plan is the receiver's last summary (strategy.ReceivedSummary.Plan):
-	// the positions in held of the ids it leaves missing, into keep. nil:
-	// no summary, everything is missing.
-	plan          func(held []uint64, keep []int) ([]int, error)
+	// missing is the receiver's last summary: whether its Bloom filter
+	// leaves id missing. nil: no summary, everything is missing.
+	missing       func(id uint64) bool
 	slice, slices uint16     // the summary's slice of the id space
 	order         *prng.Rand // the session's send order
 	sent          []bool     // per log position considered: written on this session
 	pending       queue      // unsent positions the summary leaves missing, in slice, in send order
 	rest          queue      // the same, out of slice: sent once pending is empty
 
-	// Scratch reused across REQUESTs and summaries: the positions to test,
-	// their ids, and the plan's answer. aim sizes it to the log.
+	// fresh is the positions to test, scratch reused across REQUESTs and
+	// summaries; aim sizes it to the log.
 	fresh []int
-	held  []uint64
-	keep  []int
 }
 
 // queue is a FIFO of log positions over one array: taking advances head,
@@ -570,24 +566,19 @@ func addrSalt(a net.Addr) uint64 {
 	return addrSeed(a.String())
 }
 
-// offer tests the ids at the given log positions, ascending, against the
-// summary and queues the ones it leaves missing behind what is queued, in
-// the session's order, in pending or rest by the slice; a plan's error —
-// strategy.ErrNothingUseful included — queues none.
+// offer tests the ids at the given log positions against the summary
+// and queues the ones it leaves missing behind what is queued, in the
+// session's order, in pending or rest by the slice. It filters positions
+// in place.
 func (c *cursor) offer(ids []uint64, positions []int) {
-	if c.plan != nil {
-		c.held = c.held[:0]
+	if c.missing != nil {
+		kept := positions[:0]
 		for _, pos := range positions {
-			c.held = append(c.held, ids[pos])
+			if c.missing(ids[pos]) {
+				kept = append(kept, pos)
+			}
 		}
-		keep, _ := c.plan(c.held, c.keep)
-		for i, k := range keep { // ascending, so in place: i ≤ k
-			positions[i] = positions[k]
-		}
-		positions = positions[:len(keep)]
-		if cap(keep) > cap(c.keep) {
-			c.keep = keep
-		}
+		positions = kept
 	}
 	c.order.ShuffleInts(positions)
 	for _, pos := range positions {
@@ -619,14 +610,11 @@ func (c *cursor) extend(ids []uint64) {
 // against them.
 // The scratch and the queues are sized to the log here, so a re-aim over
 // a log that did not grow allocates nothing.
-func (c *cursor) aim(plan func(held []uint64, keep []int) ([]int, error), slice, of uint16, ids []uint64) {
-	c.plan, c.slice, c.slices = plan, slice, of
+func (c *cursor) aim(missing func(id uint64) bool, slice, of uint16, ids []uint64) {
+	c.missing, c.slice, c.slices = missing, slice, of
 	n := len(ids)
 	c.sent = append(c.sent, make([]bool, n-len(c.sent))...)
-	c.fresh, c.held = c.fresh[:0], c.held[:0]
-	if cap(c.fresh) < n {
-		c.fresh, c.held, c.keep = make([]int, 0, n), make([]uint64, 0, n), make([]int, 0, n)
-	}
+	c.fresh = slices.Grow(c.fresh[:0], n)
 	c.pending.reset(n)
 	c.rest.reset(n)
 	for pos, sent := range c.sent {

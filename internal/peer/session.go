@@ -2,7 +2,7 @@ package peer
 
 // session.go is one peer session's state machine: open a subchannel on
 // the fabric wire to the peer (dialing the wire if none is live; the
-// channel negotiation is the content handshake) → summary negotiation →
+// channel negotiation is the content handshake) → Bloom summary →
 // pipelined batched request loop, with reconnect-backoff around the
 // whole lifecycle. A session owns nothing shared, and it is the fold: it
 // hands each SYMBOL frame it reads to Orchestrator.fold as a view, on its
@@ -27,11 +27,11 @@ import (
 	"math"
 	"time"
 
+	"icd/internal/bloom"
 	"icd/internal/obs"
 	"icd/internal/peermux"
 	"icd/internal/prng"
 	"icd/internal/protocol"
-	"icd/internal/strategy"
 )
 
 // ErrUnknownContent marks a session whose peer answered the handshake
@@ -407,7 +407,7 @@ func (s *session) watchdog(ctx context.Context, cancel context.CancelCauseFunc) 
 // issued with a first round of depth batches requested, of which a full
 // sender's ACCEPT says how many it answers: the ACCEPT's hello also
 // carries the content parameters, so the session goes straight to
-// decoder setup, summary negotiation and refresh, gossip, and the
+// decoder setup, the Bloom summary and its refreshes, gossip, and the
 // pipelined batched request loop (the wire's demux reader absorbs the
 // symbol stream while requests are being written, so depth > 1 cannot
 // deadlock even a synchronous pipe). Frames arrive through
@@ -455,21 +455,18 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 	}
 	o.settleOpen(s, inflight)
 
-	// Summary negotiation (§3): pick the method whose accuracy/size
-	// trade-off fits both working-set sizes, over the methods both ends
-	// support. Full senders stream fresh symbols — nothing to reconcile.
-	method := protocol.SummaryNone
-	if !hello.FullCopy {
-		method = protocol.ChooseSummaryMethod(
-			o.opts.summaryMask()&hello.SummaryMask, len(held), int(hello.Symbols))
-	}
+	// The summary (§5.2): a partial sender that reads Bloom summaries gets
+	// one from an informed fetch, as soon as there is a working set to
+	// summarize. Full senders stream fresh symbols — nothing to reconcile.
+	informed := !hello.FullCopy && !o.opts.Uninformed && hello.SummaryMask&protocol.AllSummaryMask != 0
+	sentSummary := informed && len(held) > 0
 	o.mu.Lock()
 	s.stats.Full = hello.FullCopy
-	if method != protocol.SummaryNone {
-		s.stats.Summary = method.String()
+	if sentSummary {
+		s.stats.Summary = "bloom"
 	}
 	o.mu.Unlock()
-	o.trace(obs.EvHandshake, s.addr, method.String())
+	o.trace(obs.EvHandshake, s.addr, s.stats.Summary)
 	// A partial sender gets a slice of the id space to serve first, its
 	// place among the fetch's live partial sessions; every summary carries
 	// the slice it was sent under.
@@ -478,13 +475,13 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 		defer o.leavePartials(s)
 	}
 	var slice, slices uint16
-	if method != protocol.SummaryNone {
+	if sentSummary {
 		slice, slices = o.sliceOf(s)
-		blob, err := strategy.BuildSummary(method, held)
+		blob, err := bloomSummary(held)
 		if err != nil {
 			return err
 		}
-		if err := protocol.WriteFrame(ch, protocol.EncodeSummary(method, slice, slices, blob, false)); err != nil {
+		if err := protocol.WriteFrame(ch, protocol.EncodeSummary(slice, slices, blob, false)); err != nil {
 			return err
 		}
 	}
@@ -503,7 +500,6 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 	// much of the log that one covered).
 	summarized := len(held)
 	sinceCheck := 0
-	canSummarize := o.opts.summaryMask()&hello.SummaryMask != 0
 
 	useless := 0
 	for {
@@ -515,9 +511,9 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 		// enough since the last summary, re-inform the sender so it
 		// stops spending transmissions on symbols other sessions
 		// delivered meanwhile. This also covers sessions that started
-		// empty-handed (method None at handshake, the fresh-receiver
-		// default): once the set is non-trivial the method is
-		// re-negotiated and a first summary goes out.
+		// empty-handed (no summary at handshake, the fresh-receiver
+		// default): the first check that finds a working set sends the
+		// first summary.
 		sinceCheck++
 		refresh := false
 		if !hello.FullCopy && o.opts.RefreshBatches > 0 && sinceCheck >= o.opts.RefreshBatches {
@@ -527,44 +523,35 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 			}
 			// The staleness test is one atomic load; the O(n) summary is
 			// paid only when a refresh will actually be built — and never
-			// when no summary method is negotiable.
+			// by an uninformed session.
 			known := o.Progress()
 			grown := float64(known-summarized) >= o.opts.RefreshGrowth*float64(summarized)
-			refresh = grown && known > 0 && canSummarize
+			refresh = grown && known > 0 && informed
 		}
 		// A partial session joined or left since the last summary: the
 		// slices moved, and the sender learns its new one now, whatever
 		// the cadence says. A session that has sent no summary has no
 		// slice to move, and one that never refreshes (RefreshBatches < 0)
 		// keeps the slice its summary named.
-		if !refresh && method != protocol.SummaryNone && o.opts.RefreshBatches > 0 {
+		if !refresh && sentSummary && o.opts.RefreshBatches > 0 {
 			i, n := o.sliceOf(s)
 			refresh = i != slice || n != slices
 		}
 		if refresh {
 			cur, _ := o.WorkingSet()
-			// A session that has sent a summary keeps its method: re-choosing
-			// as the working set crosses SmallSummaryMax would trade a Bloom
-			// filter for a sketch, which names nothing the sender can prune.
-			// Only a session that has sent none yet chooses, over a mask and
-			// a working set that are both non-empty, so it gets one.
-			if method == protocol.SummaryNone {
-				method = protocol.ChooseSummaryMethod(
-					o.opts.summaryMask()&hello.SummaryMask, len(cur), int(hello.Symbols))
-			}
 			slice, slices = o.sliceOf(s)
-			blob, err := strategy.BuildSummary(method, cur)
+			blob, err := bloomSummary(cur)
 			if err != nil {
 				return err
 			}
 			deadline()
-			if err := protocol.WriteFrame(ch, protocol.EncodeSummary(method, slice, slices, blob, true)); err != nil {
+			if err := protocol.WriteFrame(ch, protocol.EncodeSummary(slice, slices, blob, true)); err != nil {
 				return err
 			}
-			summarized = len(cur)
+			sentSummary, summarized = true, len(cur)
 			o.met.refreshes.Inc()
 			o.mu.Lock()
-			s.stats.Summary = method.String()
+			s.stats.Summary = "bloom"
 			s.stats.RefreshesSent++
 			o.mu.Unlock()
 		}
@@ -687,4 +674,16 @@ func (s *session) sendGossip(ch *peermux.Channel, sent map[protocol.PeerAd]bool)
 		return nil
 	}
 	return protocol.WriteFrame(ch, protocol.EncodePeers(fresh))
+}
+
+// bloomSummary marshals a Bloom filter over the receiver's working set —
+// its ids, distinct, in any order — ready for protocol.EncodeSummary: the
+// paper's §5.2 low false-positive operating point, 8 bits per element and
+// 5 hashes, under seed 0, which every peer on the wire shares.
+func bloomSummary(held []uint64) ([]byte, error) {
+	filter := bloom.NewWithBitsPerElement(0, max(len(held), 1), 8, 5)
+	for _, id := range held {
+		filter.Add(id)
+	}
+	return filter.MarshalBinary()
 }

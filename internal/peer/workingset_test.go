@@ -19,10 +19,10 @@ import (
 	"time"
 	"unsafe"
 
+	"icd/internal/bloom"
 	"icd/internal/peermux"
 	"icd/internal/prng"
 	"icd/internal/protocol"
-	"icd/internal/strategy"
 )
 
 // pipeAddr names one end of a test pipe.
@@ -69,22 +69,37 @@ func openSession(t *testing.T, srv *Server) *peermux.Channel {
 }
 
 // sendSummary informs the sender that the receiver holds held.
-func sendSummary(t *testing.T, ch *peermux.Channel, method protocol.SummaryMethod, held []uint64, refresh bool) {
+func sendSummary(t *testing.T, ch *peermux.Channel, held []uint64, refresh bool) {
 	t.Helper()
-	sendSlicedSummary(t, ch, method, held, 0, 0, refresh)
+	sendSlicedSummary(t, ch, held, 0, 0, refresh)
 }
 
 // sendSlicedSummary informs the sender that the receiver holds held and
 // which slice of the id space it serves first.
-func sendSlicedSummary(t *testing.T, ch *peermux.Channel, method protocol.SummaryMethod, held []uint64, slice, of uint16, refresh bool) {
+func sendSlicedSummary(t *testing.T, ch *peermux.Channel, held []uint64, slice, of uint16, refresh bool) {
 	t.Helper()
-	blob, err := strategy.BuildSummary(method, held)
+	blob, err := bloomSummary(held)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := protocol.WriteFrame(ch, protocol.EncodeSummary(method, slice, of, blob, refresh)); err != nil {
+	if err := protocol.WriteFrame(ch, protocol.EncodeSummary(slice, of, blob, refresh)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// receiverFilter is the Bloom filter a receiver holding held sends, as
+// the sender reads it.
+func receiverFilter(t *testing.T, held []uint64) *bloom.Filter {
+	t.Helper()
+	blob, err := bloomSummary(held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filter := new(bloom.Filter)
+	if err := filter.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	return filter
 }
 
 // requestBatch sends one REQUEST for n symbols and returns the symbols
@@ -240,8 +255,8 @@ func TestLogViewIsStableWhileTheLogGrows(t *testing.T) {
 }
 
 // TestCursorNeverWritesAPositionTwice: across growth, Bloom refreshes and
-// a sketch in between — which prunes nothing, so everything unsent is
-// offered — no log position is written twice on one session, every
+// an empty filter in between — which prunes nothing, so everything unsent
+// is offered — no log position is written twice on one session, every
 // payload goes out as the log holds it, and a session that was never told
 // anything is sent the whole log exactly once.
 func TestCursorNeverWritesAPositionTwice(t *testing.T) {
@@ -275,14 +290,14 @@ func TestCursorNeverWritesAPositionTwice(t *testing.T) {
 	// The session goroutine is parked in its next read while the test
 	// grows the log: each growth is ordered before the REQUEST behind it.
 	take("no summary", requestBatch(t, ch, 25))
-	sendSummary(t, ch, protocol.SummaryBloom, idsOf(syms[:10]), false)
+	sendSummary(t, ch, idsOf(syms[:10]), false)
 	take("after a bloom", requestBatch(t, ch, 25))
 	grow(60, 100)
 	take("after growth", requestBatch(t, ch, 30))
-	sendSummary(t, ch, protocol.SummarySketch, idsOf(syms[:30]), true)
-	take("after a sketch", requestBatch(t, ch, 30))
+	sendSummary(t, ch, nil, true)
+	take("after an empty filter", requestBatch(t, ch, 30))
 	grow(100, 160)
-	sendSummary(t, ch, protocol.SummaryBloom, idsOf(syms[150:]), true)
+	sendSummary(t, ch, idsOf(syms[150:]), true)
 	for i := 0; i < 4; i++ {
 		take("draining", requestBatch(t, ch, 40))
 	}
@@ -327,7 +342,7 @@ func TestCursorSendsOnlyWhatTheSummaryLeavesMissing(t *testing.T) {
 	}
 	ch := openSession(t, srv)
 	held, withheld, missing := syms[:40], syms[40:48], syms[48:]
-	sendSummary(t, ch, protocol.SummaryBloom, idsOf(syms[:48]), false)
+	sendSummary(t, ch, idsOf(syms[:48]), false)
 	receiver := make(map[uint64]bool)
 	for _, s := range syms[:48] {
 		receiver[s.id] = true
@@ -343,7 +358,7 @@ func TestCursorSendsOnlyWhatTheSummaryLeavesMissing(t *testing.T) {
 	}
 	// The refresh names held only: what the first filter withheld beyond
 	// it is missing after all, and joins what is still pending.
-	sendSummary(t, ch, protocol.SummaryBloom, idsOf(held), true)
+	sendSummary(t, ch, idsOf(held), true)
 	rest := append(requestBatch(t, ch, 64), requestBatch(t, ch, 64)...)
 	sent := make(map[uint64]bool)
 	for _, s := range slices.Concat(first, rest) {
@@ -379,18 +394,9 @@ func TestCursorTestsOnlyAppendedIDs(t *testing.T) {
 		ids[i] = uint64(i) + 1000
 	}
 	var asked []uint64
-	evens := func(held []uint64, keep []int) ([]int, error) { // the receiver holds the odd ids
-		asked = append(asked, held...)
-		keep = keep[:0]
-		for i, id := range held {
-			if id%2 == 0 {
-				keep = append(keep, i)
-			}
-		}
-		if len(keep) == 0 {
-			return keep, strategy.ErrNothingUseful
-		}
-		return keep, nil
+	evens := func(id uint64) bool { // the receiver holds the odd ids
+		asked = append(asked, id)
+		return id%2 == 0
 	}
 	c := newCursor(1)
 	c.aim(evens, 0, 0, ids[:100])
@@ -437,7 +443,7 @@ func TestCursorTestsOnlyAppendedIDs(t *testing.T) {
 	if c.pending.len() != 45 {
 		t.Fatalf("%d pending after the refresh, want 45", c.pending.len())
 	}
-	// A stretch the summary holds entirely (ErrNothingUseful) adds nothing.
+	// A stretch the summary holds entirely adds nothing.
 	asked = nil
 	c.extend(append(slices.Clone(ids[:130]), 5001, 5003))
 	if len(asked) != 2 || c.pending.len() != 45 {
@@ -456,20 +462,14 @@ func TestCursorServesItsSliceFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	receiver := idsOf(syms[:200])
-	blob, err := strategy.BuildSummary(protocol.SummaryBloom, receiver)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := strategy.ParseSummary(protocol.SummaryBloom, blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := idsOf(syms)
-	keep, _ := rs.Plan(ids, nil)
+	filter := receiverFilter(t, receiver)
 	missing, inSlice := make(map[uint64]bool), 0
-	for _, i := range keep {
-		missing[ids[i]] = true
-		if protocol.InSlice(ids[i], 1, 3) {
+	for _, id := range idsOf(syms) {
+		if filter.Contains(id) {
+			continue
+		}
+		missing[id] = true
+		if protocol.InSlice(id, 1, 3) {
 			inSlice++
 		}
 	}
@@ -478,7 +478,7 @@ func TestCursorServesItsSliceFirst(t *testing.T) {
 	}
 
 	ch := openSession(t, srv)
-	sendSlicedSummary(t, ch, protocol.SummaryBloom, receiver, 1, 3, false)
+	sendSlicedSummary(t, ch, receiver, 1, 3, false)
 	var got []uint64
 	for {
 		batch := requestBatch(t, ch, 50)
@@ -507,13 +507,7 @@ func TestCursorServesItsSliceFirst(t *testing.T) {
 }
 
 // keepAll is a summary that leaves everything missing.
-func keepAll(held []uint64, keep []int) ([]int, error) {
-	keep = keep[:0]
-	for i := range held {
-		keep = append(keep, i)
-	}
-	return keep, nil
-}
+func keepAll(uint64) bool { return true }
 
 // queued returns the ids at the positions q still holds, in send order.
 func queued(q *queue, ids []uint64) []uint64 {
@@ -614,24 +608,17 @@ func TestCursorReaimZeroAlloc(t *testing.T) {
 	for i := range ids {
 		ids[i] = rng.Uint64()
 	}
-	blob, err := strategy.BuildSummary(protocol.SummaryBloom, ids[:1024])
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := strategy.ParseSummary(protocol.SummaryBloom, blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := rs.Plan
+	filter := receiverFilter(t, ids[:1024])
+	missing := func(id uint64) bool { return !filter.Contains(id) }
 	c := newCursor(1)
-	c.aim(plan, 0, 2, ids)
+	c.aim(missing, 0, 2, ids)
 	for _, pos := range c.pending.take(100) {
 		c.sent[pos] = true
 	}
 	slice := uint16(0)
 	if avg := testing.AllocsPerRun(20, func() {
 		slice ^= 1
-		c.aim(plan, slice, 2, ids)
+		c.aim(missing, slice, 2, ids)
 	}); avg != 0 {
 		t.Errorf("re-aiming over an unchanged log of %d allocates %.1f, want 0", len(ids), avg)
 	}
@@ -781,7 +768,7 @@ func TestStaticAndLiveSendersEmitIdenticalStreams(t *testing.T) {
 		if got := ch.RemoteHello(); got.FullCopy || got.Symbols != uint64(len(syms)) {
 			t.Fatalf("hello = %+v, want a partial sender holding %d", got, len(syms))
 		}
-		sendSummary(t, ch, protocol.SummaryBloom, receiver, false)
+		sendSummary(t, ch, receiver, false)
 		streams[i] = append(requestBatch(t, ch, 20), requestBatch(t, ch, 20)...)
 		protocol.WriteFrame(ch, protocol.EncodeDone())
 	}
@@ -869,7 +856,7 @@ func TestDrySenderIsDroppedAndLiveOneResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch := openSession(t, live)
-	sendSummary(t, ch, protocol.SummaryBloom, idsOf(syms[:64]), false)
+	sendSummary(t, ch, idsOf(syms[:64]), false)
 	for i := 0; i < 2; i++ {
 		if got := requestBatch(t, ch, 16); len(got) != 0 {
 			t.Fatalf("a sender holding only what the receiver holds sent %d symbols", len(got))

@@ -1,12 +1,11 @@
 // Package protocol defines the wire format of the prototype
 // implementation (§6): a length-prefixed, checksummed binary framing over
-// any reliable byte stream, carrying the handshake, the reconciliation
-// summaries of §4–§5 (min-wise sketches, Bloom filters, approximate
-// reconciliation trees) and the §5.4 content symbols: encoded symbols,
-// each identified by a 64-bit seed, from full and partial senders alike
-// (§6.1: a partial sender informed by a summary "can find symbols of
-// guaranteed utility", so what it holds travels as it is; recoding is the
-// simulator's and the toolbox's, internal/recode).
+// any reliable byte stream, carrying the handshake, the receiver's
+// working-set summary (a Bloom filter, §5.2) and the §5.4 content
+// symbols: encoded symbols, each identified by a 64-bit seed, from full
+// and partial senders alike (§6.1: a partial sender informed by a summary
+// "can find symbols of guaranteed utility", so what it holds travels as it
+// is; recoding is the simulator's and the toolbox's, internal/recode).
 //
 // Frame layout (little-endian):
 //
@@ -63,8 +62,9 @@ import (
 // round a full sender will answer, which it clamps to what the receiver's
 // decode still needs. 10 gives the SUMMARY its slice: the receiver tells
 // each partial sender which hash slice of the id space to serve first
-// (TypeSummary, InSlice).
-const Version = 10
+// (TypeSummary, InSlice). 11 dropped the SUMMARY's method byte: a Bloom
+// filter is the only summary.
+const Version = 11
 
 // versionUnderCRC is the first version whose checksum covers the version
 // byte.
@@ -94,10 +94,9 @@ const MaxPayload = 16 << 20
 type Type uint8
 
 const (
-	TypeHello   Type = 1 // content hello: number reserved, the hello travels in OPEN/ACCEPT_CHANNEL
-	TypeSketch  Type = 2 // bare min-wise sketch (§4): number reserved, summaries travel in SUMMARY
-	TypeBloom   Type = 3 // bare Bloom filter (§5.2): number reserved
-	TypeART     Type = 4 // bare ART summary (§5.3): number reserved
+	// 1–4 were HELLO, SKETCH, BLOOM and ART, a bare content hello and
+	// bare summaries, until version 5: the hello travels in
+	// OPEN/ACCEPT_CHANNEL and the summary in SUMMARY.
 	TypeRequest Type = 5 // receiver asks for a batch of symbols
 	TypeSymbol  Type = 6 // one regular encoded symbol
 	// 7 was RECODED, a recoded symbol with its constituent list (§5.4.2),
@@ -105,13 +104,12 @@ const (
 	TypeDone  Type = 8 // sender has satisfied the request / receiver is finished
 	TypeError Type = 9 // fatal error, human-readable
 
-	// TypeSummary carries the working-set summary chosen by the v3
-	// negotiation and the sender's slice of the id space:
+	// TypeSummary carries the receiver's working-set summary, a Bloom
+	// filter (§5.2), and the sender's slice of the id space:
 	//
-	//	method uint8   SummaryMethod
 	//	slice  uint16  this sender's slice, < slices
 	//	slices uint16  how many the id space is cut into (≤ 1: one, the whole)
-	//	blob   [...]byte  marshaled summary
+	//	blob   [...]byte  marshaled bloom.Filter
 	//
 	// A receiver fetching from s partial senders at once hands sender i
 	// slice i of s. The sender sends the ids the summary leaves missing
@@ -156,14 +154,6 @@ const (
 // String names the message type for logs and errors.
 func (t Type) String() string {
 	switch t {
-	case TypeHello:
-		return "HELLO"
-	case TypeSketch:
-		return "SKETCH"
-	case TypeBloom:
-		return "BLOOM"
-	case TypeART:
-		return "ART"
 	case TypeRequest:
 		return "REQUEST"
 	case TypeSymbol:
@@ -400,8 +390,8 @@ func (fr *FrameReader) fill(need int) error {
 // and ACCEPT_CHANNEL (the acceptor's): both sides announce identity and
 // the sender side carries the content metadata a fresh receiver needs to
 // construct its decoder. A receiver's Hello uses zero metadata fields but
-// carries its working-set size and summary mask, which the v3 negotiation
-// reads, and its first round of requests.
+// carries its working-set size, its summary mask and its first round of
+// requests.
 type Hello struct {
 	ContentID uint64 // identifies the file (e.g. hash of its name)
 	NumBlocks uint32 // ` source blocks
@@ -410,10 +400,10 @@ type Hello struct {
 	CodeSeed  uint64 // neighbor-expansion seed of the shared code
 	FullCopy  bool   // sender holds the complete content
 	Symbols   uint64 // announcer's working set size (partial senders and receivers)
-	// SummaryMask is the set of SummaryMethods the announcer can build
-	// (receiver side) or consume (sender side), as a bitmask of
-	// method.Bit() values. Zero means "no summaries" — a v3 peer that
-	// only streams blindly.
+	// SummaryMask says whether the announcer sends (receiver side) or
+	// reads (sender side) Bloom summaries: AllSummaryMask, its one
+	// defined bit, if it does. Without the bit on either side, the
+	// session sends no summary.
 	SummaryMask uint8
 	// Batch and Depth are the opener's first round of requests: Depth
 	// batches of Batch symbols, what Depth REQUEST frames of Batch would
@@ -649,124 +639,25 @@ func DecodeError(f Frame) (string, error) {
 	return string(f.Payload), nil
 }
 
-// SummaryMethod names one of the §3 working-set summary techniques a
-// receiver can send a partial sender: a Bloom filter (§5.2), a min-wise
-// sketch (§4), or an approximate reconciliation tree summary (§5.3).
-type SummaryMethod uint8
+// AllSummaryMask is the Hello.SummaryMask of a peer that reads and
+// sends Bloom summaries (§5.2), the only summary a SUMMARY carries. It is
+// the mask's one defined bit; a mask without it means "no summaries".
+const AllSummaryMask uint8 = 1
 
-// The negotiable summary methods. Zero means "no summary": the sender
-// takes its whole working set for missing.
-const (
-	SummaryNone   SummaryMethod = 0
-	SummaryBloom  SummaryMethod = 1
-	SummarySketch SummaryMethod = 2
-	SummaryART    SummaryMethod = 3
-)
+// summaryHeader is a SUMMARY payload's slice fields.
+const summaryHeader = 2 + 2
 
-// AllSummaryMask is the Hello.SummaryMask of a peer supporting every
-// method this library implements.
-const AllSummaryMask = uint8(1<<(SummaryBloom-1) | 1<<(SummarySketch-1) | 1<<(SummaryART-1))
-
-// Bit returns the method's position in a Hello.SummaryMask.
-func (m SummaryMethod) Bit() uint8 {
-	if m == SummaryNone {
-		return 0
-	}
-	return 1 << (m - 1)
-}
-
-// String names the method for stats and logs.
-func (m SummaryMethod) String() string {
-	switch m {
-	case SummaryNone:
-		return "none"
-	case SummaryBloom:
-		return "bloom"
-	case SummarySketch:
-		return "sketch"
-	case SummaryART:
-		return "art"
-	default:
-		return fmt.Sprintf("SummaryMethod(%d)", uint8(m))
-	}
-}
-
-// Negotiation thresholds of ChooseSummaryMethod (§3's accuracy/size
-// trade-off, quantized into a deterministic rule both ends can verify).
-const (
-	// SmallSummaryMax is the largest receiver working set for which a
-	// Bloom filter (≈1 byte/element at the paper's 8 bits) is still a
-	// trivially cheap, near-exact summary.
-	SmallSummaryMax = 4096
-	// SimilarSetsNum/Den: sets within 25% of each other count as
-	// "similar", where the symmetric difference is expected small and an
-	// ART's searchable fine-grained summary earns its constant factors.
-	SimilarSetsNum = 1
-	SimilarSetsDen = 4
-)
-
-// ChooseSummaryMethod is the v3 negotiation rule, evaluated by the
-// receiver over the intersection of both peers' Hello.SummaryMask values
-// (so both ends can reproduce the decision): pick the §3 summary whose
-// accuracy/size trade-off fits the working-set sizes.
-//
-//   - Nothing held yet, or no common method → SummaryNone (nothing to
-//     subtract; the sender serves its whole working set).
-//   - Small receiver set → Bloom filter: ~1 byte/element is negligible
-//     and membership is near-exact.
-//   - Large and similar sets → ART: the difference is expected small,
-//     and the tree summary lets the sender *search* for exactly the
-//     symbols the receiver lacks at a fixed bit budget.
-//   - Large, dissimilar sets → min-wise sketch: a constant ~1KB calling
-//     card where a Bloom filter would cost megabytes. It names no symbol,
-//     so it prunes nothing: all it can tell the sender is that the
-//     receiver's set contains the sender's entirely.
-func ChooseSummaryMethod(mask uint8, receiverHeld, senderHeld int) SummaryMethod {
-	if receiverHeld <= 0 || mask == 0 {
-		return SummaryNone
-	}
-	diff := receiverHeld - senderHeld
-	if diff < 0 {
-		diff = -diff
-	}
-	larger := receiverHeld
-	if senderHeld > larger {
-		larger = senderHeld
-	}
-	similar := diff*SimilarSetsDen <= larger*SimilarSetsNum
-	prefs := []SummaryMethod{SummaryBloom, SummaryART, SummarySketch}
-	switch {
-	case receiverHeld <= SmallSummaryMax:
-		// prefs already lead with Bloom.
-	case similar:
-		prefs = []SummaryMethod{SummaryART, SummarySketch, SummaryBloom}
-	default:
-		prefs = []SummaryMethod{SummarySketch, SummaryART, SummaryBloom}
-	}
-	for _, m := range prefs {
-		if mask&m.Bit() != 0 {
-			return m
-		}
-	}
-	return SummaryNone
-}
-
-// summaryHeader is a SUMMARY payload's method byte and slice fields.
-const summaryHeader = 1 + 2 + 2
-
-// EncodeSummary wraps a negotiated summary (method byte, the sender's
-// slice of the id space, marshaled summary) in a SUMMARY frame; refresh
-// selects SUMMARY_REFRESH, the mid-session update variant. slices ≤ 1 is
-// the whole id space.
-func EncodeSummary(method SummaryMethod, slice, slices uint16, blob []byte, refresh bool) Frame {
+// EncodeSummary wraps the sender's slice of the id space and a marshaled
+// Bloom filter in a SUMMARY frame; refresh selects SUMMARY_REFRESH, the
+// mid-session update variant. slices ≤ 1 is the whole id space.
+func EncodeSummary(slice, slices uint16, blob []byte, refresh bool) Frame {
 	t := TypeSummary
 	if refresh {
 		t = TypeSummaryRefresh
 	}
 	payload := make([]byte, summaryHeader+len(blob))
-	payload[0] = byte(method)
-	binary.LittleEndian.PutUint16(payload[1:], slice)
-	binary.LittleEndian.PutUint16(payload[3:], slices)
+	binary.LittleEndian.PutUint16(payload[0:], slice)
+	binary.LittleEndian.PutUint16(payload[2:], slices)
 	copy(payload[summaryHeader:], blob)
 	return Frame{Type: t, Payload: payload}
 }
@@ -870,26 +761,22 @@ func DecodePeers(f Frame) ([]PeerAd, error) {
 	return ads, nil
 }
 
-// DecodeSummaryView parses a SUMMARY or SUMMARY_REFRESH frame into its
-// method, the sender's slice of the id space and the marshaled summary;
+// DecodeSummaryView parses a SUMMARY or SUMMARY_REFRESH frame into the
+// sender's slice of the id space and the marshaled Bloom filter;
 // slice ≥ slices > 1 is malformed. The blob aliases f.Payload:
 // frames read through a FrameReader are valid only until the next frame,
 // so consumers must unmarshal before reading on.
-func DecodeSummaryView(f Frame) (method SummaryMethod, slice, slices uint16, blob []byte, err error) {
+func DecodeSummaryView(f Frame) (slice, slices uint16, blob []byte, err error) {
 	if f.Type != TypeSummary && f.Type != TypeSummaryRefresh {
-		return SummaryNone, 0, 0, nil, fmt.Errorf("protocol: %v is not SUMMARY/SUMMARY_REFRESH", f.Type)
+		return 0, 0, nil, fmt.Errorf("protocol: %v is not SUMMARY/SUMMARY_REFRESH", f.Type)
 	}
 	if len(f.Payload) < summaryHeader {
-		return SummaryNone, 0, 0, nil, errors.New("protocol: SUMMARY too short")
+		return 0, 0, nil, errors.New("protocol: SUMMARY too short")
 	}
-	m := SummaryMethod(f.Payload[0])
-	if m != SummaryBloom && m != SummarySketch && m != SummaryART {
-		return SummaryNone, 0, 0, nil, fmt.Errorf("protocol: unknown summary method %d", f.Payload[0])
-	}
-	slice = binary.LittleEndian.Uint16(f.Payload[1:])
-	slices = binary.LittleEndian.Uint16(f.Payload[3:])
+	slice = binary.LittleEndian.Uint16(f.Payload[0:])
+	slices = binary.LittleEndian.Uint16(f.Payload[2:])
 	if slices > 1 && slice >= slices {
-		return SummaryNone, 0, 0, nil, fmt.Errorf("protocol: SUMMARY slice %d of %d", slice, slices)
+		return 0, 0, nil, fmt.Errorf("protocol: SUMMARY slice %d of %d", slice, slices)
 	}
-	return m, slice, slices, f.Payload[summaryHeader:], nil
+	return slice, slices, f.Payload[summaryHeader:], nil
 }

@@ -61,7 +61,7 @@ func TestDesyncDetected(t *testing.T) {
 
 func TestTruncationDetected(t *testing.T) {
 	var buf bytes.Buffer
-	WriteFrame(&buf, Frame{Type: TypeBloom, Payload: bytes.Repeat([]byte{7}, 100)})
+	WriteFrame(&buf, Frame{Type: TypePeers, Payload: bytes.Repeat([]byte{7}, 100)})
 	raw := buf.Bytes()
 	for _, cut := range []int{1, headerLen - 1, headerLen + 10, len(raw) - 1} {
 		if _, err := ReadFrame(bytes.NewReader(raw[:cut])); err == nil {
@@ -153,12 +153,12 @@ func TestVersionByteFlipDetected(t *testing.T) {
 }
 
 func TestOversizePayloadRejected(t *testing.T) {
-	if err := WriteFrame(io.Discard, Frame{Type: TypeBloom, Payload: make([]byte, MaxPayload+1)}); err == nil {
+	if err := WriteFrame(io.Discard, Frame{Type: TypePeers, Payload: make([]byte, MaxPayload+1)}); err == nil {
 		t.Fatal("oversize write accepted")
 	}
 	// A forged header claiming a huge length must be rejected before
 	// allocation.
-	hdr := []byte{0xD0, 0x1C, Version, byte(TypeBloom), 0xFF, 0xFF, 0xFF, 0xFF}
+	hdr := []byte{0xD0, 0x1C, Version, byte(TypePeers), 0xFF, 0xFF, 0xFF, 0xFF}
 	if _, err := ReadFrame(bytes.NewReader(hdr)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("forged length: err = %v, want ErrCorrupt", err)
 	}
@@ -309,10 +309,10 @@ func TestRequestDoneError(t *testing.T) {
 
 func TestTypeStrings(t *testing.T) {
 	for ty, want := range map[Type]string{
-		TypeHello: "HELLO", TypeSketch: "SKETCH", TypeBloom: "BLOOM",
-		TypeART: "ART", TypeRequest: "REQUEST", TypeSymbol: "SYMBOL",
-		TypeDone: "DONE", TypeError: "ERROR",
-		Type(7):   "Type(7)", // RECODED until version 7: no longer a frame this library names
+		TypeRequest: "REQUEST", TypeSymbol: "SYMBOL", TypeDone: "DONE",
+		TypeError: "ERROR", TypePeers: "PEERS",
+		Type(3):   "Type(3)", // BLOOM until version 5: no longer a frame this library names
+		Type(7):   "Type(7)", // RECODED until version 7
 		Type(200): "Type(200)",
 	} {
 		if ty.String() != want {
@@ -560,7 +560,7 @@ func TestFrameReaderMatchesReadFrame(t *testing.T) {
 	}
 	add(Frame{Type: TypeSummary, Payload: bytes.Repeat([]byte{0xB1}, readAhead+readAhead/2)})
 	add(EncodeDone())
-	add(Frame{Type: TypeBloom, Payload: bytes.Repeat([]byte{0xB2}, 3*readAhead)})
+	add(Frame{Type: TypePeers, Payload: bytes.Repeat([]byte{0xB2}, 3*readAhead)})
 	add(EncodeSymbol(Symbol{ID: 99, Data: []byte("tail")}))
 	valid := buf.Bytes()
 
@@ -649,7 +649,7 @@ func TestSummaryRoundTrip(t *testing.T) {
 	blob := []byte("marshaled-summary-bytes")
 	for _, refresh := range []bool{false, true} {
 		for _, sl := range [][2]uint16{{0, 0}, {0, 1}, {1, 2}, {6, 7}, {65534, 65535}} {
-			f := EncodeSummary(SummarySketch, sl[0], sl[1], blob, refresh)
+			f := EncodeSummary(sl[0], sl[1], blob, refresh)
 			wantType := TypeSummary
 			if refresh {
 				wantType = TypeSummaryRefresh
@@ -657,29 +657,26 @@ func TestSummaryRoundTrip(t *testing.T) {
 			if f.Type != wantType {
 				t.Fatalf("refresh=%v framed as %v", refresh, f.Type)
 			}
-			m, slice, slices, got, err := DecodeSummaryView(f)
+			slice, slices, got, err := DecodeSummaryView(f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m != SummarySketch || slice != sl[0] || slices != sl[1] || !bytes.Equal(got, blob) {
-				t.Fatalf("round trip: method %v slice %d of %d blob %q", m, slice, slices, got)
+			if slice != sl[0] || slices != sl[1] || !bytes.Equal(got, blob) {
+				t.Fatalf("round trip: slice %d of %d blob %q", slice, slices, got)
 			}
 		}
 	}
-	if _, _, _, _, err := DecodeSummaryView(Frame{Type: TypeDone}); err == nil {
+	if _, _, _, err := DecodeSummaryView(Frame{Type: TypeDone}); err == nil {
 		t.Error("wrong type accepted")
 	}
-	if _, _, _, _, err := DecodeSummaryView(Frame{Type: TypeSummary}); err == nil {
+	if _, _, _, err := DecodeSummaryView(Frame{Type: TypeSummary}); err == nil {
 		t.Error("empty summary accepted")
 	}
-	if _, _, _, _, err := DecodeSummaryView(Frame{Type: TypeSummary, Payload: []byte{byte(SummaryBloom), 0, 0}}); err == nil {
+	if _, _, _, err := DecodeSummaryView(Frame{Type: TypeSummary, Payload: []byte{0, 0, 0}}); err == nil {
 		t.Error("truncated slice fields accepted")
 	}
-	if _, _, _, _, err := DecodeSummaryView(EncodeSummary(99, 0, 0, nil, false)); err == nil {
-		t.Error("unknown method accepted")
-	}
 	for _, sl := range [][2]uint16{{2, 2}, {3, 2}, {65535, 7}} {
-		if _, _, _, _, err := DecodeSummaryView(EncodeSummary(SummaryBloom, sl[0], sl[1], blob, false)); err == nil {
+		if _, _, _, err := DecodeSummaryView(EncodeSummary(sl[0], sl[1], blob, false)); err == nil {
 			t.Errorf("slice %d of %d accepted", sl[0], sl[1])
 		}
 	}
@@ -720,42 +717,6 @@ func TestInSlice(t *testing.T) {
 	// 65535), of 2 0xdbd238973a2b148a (25375 mod 65535).
 	if !InSlice(1, 1, 2) || !InSlice(2, 0, 2) || !InSlice(1, 33439, 65535) || !InSlice(2, 25375, 65535) {
 		t.Error("InSlice departs from the documented splitmix64 finalizer")
-	}
-}
-
-func TestChooseSummaryMethod(t *testing.T) {
-	all := AllSummaryMask
-	cases := []struct {
-		name string
-		mask uint8
-		recv int
-		send int
-		want SummaryMethod
-	}{
-		{"empty receiver", all, 0, 500, SummaryNone},
-		{"no common method", 0, 100, 100, SummaryNone},
-		{"small set prefers bloom", all, 100, 140, SummaryBloom},
-		{"small set boundary", all, SmallSummaryMax, SmallSummaryMax * 10, SummaryBloom},
-		{"large similar sets prefer art", all, 50000, 55000, SummaryART},
-		{"large dissimilar sets prefer sketch", all, 50000, 8000, SummarySketch},
-		{"large receiver, tiny sender, sketch", all, 50000, 100, SummarySketch},
-		{"art unavailable falls back", SummaryBloom.Bit() | SummarySketch.Bit(), 50000, 55000, SummarySketch},
-		{"only bloom supported", SummaryBloom.Bit(), 50000, 8000, SummaryBloom},
-	}
-	for _, c := range cases {
-		if got := ChooseSummaryMethod(c.mask, c.recv, c.send); got != c.want {
-			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
-		}
-	}
-	// Determinism: both ends evaluating the same inputs must agree.
-	for r := 1; r < 100000; r += 7919 {
-		for s := 1; s < 100000; s += 9973 {
-			a := ChooseSummaryMethod(all, r, s)
-			b := ChooseSummaryMethod(all, r, s)
-			if a != b {
-				t.Fatalf("nondeterministic at r=%d s=%d", r, s)
-			}
-		}
 	}
 }
 

@@ -460,22 +460,25 @@
 // still needs (at least one batch per session, and growing with the
 // overshoot past k, so an unlucky stream takes two rounds, not many).
 // Below that bound, sessions replace stop-and-wait (one request batch
-// in flight, one RTT per batch) with K batches outstanding. K's one cap
-// is what the session's channel window admits (window / Batch, rounded
+// in flight, one RTT per batch) with K batches outstanding. K's cap is
+// what the session's channel window admits (window / Batch, rounded
 // up), re-read at every batch boundary; the default window, 4096
 // frames, is a ceiling the need rather than the window shapes a flight
-// under. Against a full sender — fresh fountain symbols cannot be stale
-// — a session asks up to the cap from its OPEN, whose round the sender
-// answers behind its ACCEPT; against a partial sender, which ignores
-// that round (its answer waits for the session's summary), K adapts
-// AIMD-style from 1, growing additively while batches deliver useful
-// symbols and halving when a batch was useless — empty, from a cursor
-// run dry — or its duplicate-symbol rate crosses DefaultPipelineDupHigh
-// (a window of at most one batch is stop-and-wait). A k=1024 fetch over
-// a latency-bound link takes one round trip, which sets the session up
-// and carries what the decode needs, and a second for a stream that
-// needs more (peer.TestWANFetchRoundTrips pins the count; the
-// benchmark's wan_rtt50 workload measures the goodput).
+// under. The OPEN carries the first round, which a full sender answers
+// behind its ACCEPT and a partial sender ignores (its answer waits for
+// the session's summary). Under the cap K is measured, the same way for
+// every sender: from 1, and on each batch asked for over an idle
+// channel that came back full, 1 + ⌈rtt/service⌉ — the round trip to
+// its first symbol over the time from there to its DONE, the batches
+// one round trip holds at the rate a batch arrives. Deeper buys nothing
+// and costs a partial sender freshness, since every batch in flight was
+// aimed by an older summary (a window of at most one batch is
+// stop-and-wait). A k=1024 fetch over a latency-bound link takes one
+// round trip from a full sender, which sets the session up and carries
+// what the decode needs, and a second for a stream that needs more
+// (peer.TestWANFetchRoundTrips pins the count; the benchmark's
+// wan_rtt50 workload measures the goodput); from a partial sender it
+// takes about four (peer.TestPartialSenderWANRoundTrips).
 //
 // Channel lifecycle and versions: a Fabric refcounts wires per address
 // — the first Open dials and shakes hands, later Opens share the wire,

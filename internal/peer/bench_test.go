@@ -12,7 +12,7 @@ import (
 // BenchmarkFetchFabricPipe is the whole fabric fetch as one row: a full
 // sender behind a ServerMux on a faultnet.PipeNet listener, one
 // peer.Fetch per iteration over a private fabric (dial, wire and channel
-// handshakes, request ramp, credits, fold → peel, reassembly), at the
+// handshakes, request pipeline, credits, fold → peel, reassembly), at the
 // benchmark's pipe_full size. MB/s is decoded content; allocs/symbol
 // covers both ends of the pipe, since they share the process.
 func BenchmarkFetchFabricPipe(b *testing.B) {
@@ -80,6 +80,46 @@ func BenchmarkFetchFabricWAN(b *testing.B) {
 
 	opts := FetchOptions{Dial: dial, DisableGossip: true}
 	fetch := func() {
+		res, err := Fetch([]string{"provider"}, info.ID, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !bytes.Equal(res.Data, data) {
+			b.Fatal("content mismatch")
+		}
+	}
+	fetch() // warm the frame pools
+
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fetch()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed())/float64(b.N)/float64(rtt), "rtt/fetch")
+}
+
+// BenchmarkFetchFabricWANPartial is BenchmarkFetchFabricWAN's link with a
+// partial sender at the other end: k=1024, the sender holding 2048
+// symbols and the receiver 256 of them, so the session sends a summary
+// and its requests are aimed against it. rtt/fetch is the row to read:
+// one round trip sets the session up (a partial sender answers none of
+// the OPEN's round), the first REQUEST's batch takes a second and times
+// the path, and the rest of the need follows in a third; a stream that
+// needs more takes a fourth.
+func BenchmarkFetchFabricWANPartial(b *testing.B) {
+	const k, blockSize, rtt = 1024, 1400, 50 * time.Millisecond
+	info, data := testContent(b, k, blockSize)
+	syms := orderedSymbols(b, info, data, 2*k, 5)
+	srv, err := NewPartialServer(info, symbolMap(syms))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dial, cleanup := wanPair(b, rtt, srv)
+	defer cleanup()
+
+	fetch := func() {
+		opts := FetchOptions{Dial: dial, DisableGossip: true, Initial: symbolMap(syms[:k/4])}
 		res, err := Fetch([]string{"provider"}, info.ID, opts)
 		if err != nil {
 			b.Fatal(err)

@@ -75,21 +75,23 @@
 // any mix of senders, and the symbols the fetch has requested and not
 // yet received, over all its sessions, stay within what its decode still
 // needs — a session asks for more only while it has nothing in flight or
-// the budget has a batch left. K has one cap, read at every batch
+// the budget has a batch left. K has a cap, read at every batch
 // boundary: the batches its channel's credit window admits
 // (window/Batch, rounded up), so a scheduler that resizes the window
-// (Orchestrator.SetChannelWindow) moves the depth with it. Against a
-// full sender — fresh fountain symbols, nothing that can be stale or a
-// duplicate — the session asks up to that cap from its OPEN;
-// against a partial sender, whose cursor was aimed by a summary that
-// ages while other senders deliver, K adapts AIMD-style from 1: plus one
-// per useful batch, halved when a batch was useless (empty, from a
-// cursor run dry, or all duplicates) or mostly duplicates. A window
-// of at most one batch (FetchOptions.ChannelWindow ≤ Batch) is
-// stop-and-wait. A k=1024 fetch from a full sender takes one round trip,
-// which sets the session up and carries what the decode needs (the
-// 4096-frame default window holds it), and a second for a stream that
-// needs more.
+// (Orchestrator.SetChannelWindow) moves the depth with it. Under the cap
+// K is measured, one rule for every sender (pipeline.go): it starts at
+// 1, and each batch asked for over an idle channel — a REQUEST with
+// nothing in flight, or the OPEN's round — that comes back full sets it
+// to 1 + ⌈rtt/service⌉, its round trip to the first symbol over the time
+// from there to its DONE. That is what one round trip holds at the rate
+// a batch arrives; more would buy nothing, and would cost a partial
+// sender freshness, since its cursor aims every batch in flight from a
+// summary that ages while other senders deliver. A window of at most
+// one batch (FetchOptions.ChannelWindow ≤ Batch) is stop-and-wait. A
+// k=1024 fetch from a full sender takes one round trip, which sets the
+// session up and carries what the decode needs (the 4096-frame default
+// window holds it), and a second for a stream that needs more; from a
+// partial sender, about four.
 //
 // # Failure model
 //

@@ -109,11 +109,11 @@ type FetchOptions struct {
 	// by marginal utility instead of evenly per channel. The window also
 	// caps each session's request depth at ceil(window/Batch), below the
 	// bound that matters first: the fetch never has more requested and
-	// not yet received than its decode still needs. A full sender is
-	// asked up to the cap from the OPEN, which carries the first round; a
-	// partial sender — whose cursor can run dry, or meet another sender's
-	// deliveries — adapts AIMD-style from 1 up to it; and a window ≤
-	// Batch is stop-and-wait. Only SYMBOL frames spend the window.
+	// not yet received than its decode still needs. Under the cap every
+	// session keeps what one round trip holds at the rate a batch
+	// arrives, measured on a batch asked for over an idle channel (from
+	// 1 until one is); a window ≤ Batch is stop-and-wait. Only SYMBOL
+	// frames spend the window.
 	ChannelWindow int
 
 	// Obs is the node-wide observability registry the orchestrator and

@@ -4,12 +4,12 @@ package peer
 // need-bounded request depth are for, at the session level: how many
 // round trips a latency-bound fetch costs, that every way a peer can
 // turn the first flight down still ends in its own terminal error with
-// nobody charged, which senders run at the window's depth and which
-// still probe their way up, that a fetch never asks for more than its
-// decode still needs however many senders it asks, and who answers the
-// first round of requests the OPEN carries — a full sender, behind its
-// ACCEPT and clamped to the need; a partial one never, before the
-// session's summary and REQUEST.
+// nobody charged, that every sender runs at the depth one measured round
+// trip holds under the window's cap, that a fetch never asks for more
+// than its decode still needs however many senders it asks, and who
+// answers the first round of requests the OPEN carries — a full sender,
+// behind its ACCEPT and clamped to the need; a partial one never, before
+// the session's summary and REQUEST.
 
 import (
 	"bytes"
@@ -65,11 +65,10 @@ func wanPair(t testing.TB, rtt time.Duration, srv *Server) (dial func(string) (n
 //
 // The RTT is 20 ms unless this host needs more than a quarter of that
 // in CPU to push the symbols through both ends (the race detector
-// multiplies it tenfold): the cost is measured first, on the same link
-// with no latency, and the RTT stretched to four times it, so the half
-// round trip of slack is never spent on arithmetic. The first of three
-// attempts to come in under the bound passes; a fifth round trip is
-// paid by every attempt.
+// multiplies it tenfold): the cost is measured first (wanRTT), and the
+// RTT stretched to four times it, so the half round trip of slack is
+// never spent on arithmetic. The first of three attempts to come in
+// under the bound passes; a fifth round trip is paid by every attempt.
 func TestWANFetchRoundTrips(t *testing.T) {
 	defer checkGoroutines(t)()
 	info, data := testContent(t, 1024, 64)
@@ -104,15 +103,11 @@ func TestWANFetchRoundTrips(t *testing.T) {
 		return whole, <-infoAt
 	}
 
-	dial, cleanup := wanPair(t, 0, srv)
-	fetch(dial) // warm the pools
-	cpu, _ := fetch(dial)
-	cleanup()
-	rtt := 20 * time.Millisecond
-	if 4*cpu > rtt {
-		rtt = 4 * cpu
-	}
-	dial, cleanup = wanPair(t, rtt, srv)
+	rtt, cpu := wanRTT(t, srv, func(dial func(string) (net.Conn, error)) time.Duration {
+		whole, _ := fetch(dial)
+		return whole
+	})
+	dial, cleanup := wanPair(t, rtt, srv)
 	defer cleanup()
 
 	var whole, meta, sym time.Duration
@@ -150,6 +145,68 @@ func TestWANFetchRoundTrips(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, func() { first.Observe(rtt.Seconds()) }); avg != 0 {
 		t.Errorf("recording a first symbol allocates %.1f per call, want 0", avg)
 	}
+}
+
+// wanRTT is the round-trip time a latency-bound test of srv runs at:
+// 20 ms, unless this host needs more than a quarter of that in CPU to
+// push one fetch through both ends — measured by fetch on the same link
+// with no latency, after a fetch that warms the pools — in which case
+// four times that CPU cost.
+func wanRTT(t *testing.T, srv *Server, fetch func(dial func(string) (net.Conn, error)) time.Duration) (rtt, cpu time.Duration) {
+	t.Helper()
+	dial, cleanup := wanPair(t, 0, srv)
+	defer cleanup()
+	fetch(dial)
+	cpu = fetch(dial)
+	return max(20*time.Millisecond, 4*cpu), cpu
+}
+
+// TestPartialSenderWANRoundTrips counts a fetch from a partial sender in
+// round trips: k=1024, the sender holding 2048 symbols, the receiver 256
+// of them. One round trip brings the session up (a partial sender
+// answers none of the OPEN's round); the summary and the first REQUEST
+// take a second, and that batch — answered in a burst a round trip after
+// it was asked for — says the path holds a window of batches, so the
+// session asks for the rest of the need at once and it arrives in the
+// third. A stream that needs more takes one more. Ramping from depth 1,
+// one more batch per useful batch, took 5.2–6.4. The RTT is stretched by
+// the CPU the fetch costs, as in TestWANFetchRoundTrips, and the first
+// of three attempts to come in under 4.75 round trips passes.
+func TestPartialSenderWANRoundTrips(t *testing.T) {
+	defer checkGoroutines(t)()
+	info, data := testContent(t, 1024, 64)
+	syms := orderedSymbols(t, info, data, 2048, 5)
+	srv, err := NewPartialServer(info, symbolMap(syms))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetch := func(dial func(string) (net.Conn, error)) time.Duration {
+		start := time.Now()
+		res, err := Fetch([]string{"provider"}, info.ID, FetchOptions{
+			Dial: dial, DisableGossip: true, Timeout: 10 * time.Second,
+			Initial: symbolMap(syms[:256]),
+		})
+		whole := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(res.Data, data) {
+			t.Fatal("content mismatch")
+		}
+		return whole
+	}
+	rtt, cpu := wanRTT(t, srv, fetch)
+	dial, cleanup := wanPair(t, rtt, srv)
+	defer cleanup()
+	var whole time.Duration
+	for attempt := 0; attempt < 3; attempt++ {
+		whole = fetch(dial)
+		t.Logf("rtt %v (cpu %v): fetch %.2f RTT", rtt, cpu, float64(whole)/float64(rtt))
+		if whole <= rtt*19/4 {
+			return
+		}
+	}
+	t.Errorf("fetch from a partial sender took %.2f RTT, want <= 4.75", float64(whole)/float64(rtt))
 }
 
 // TestFirstFlightRejects: the dialer's OPEN and CREDIT are on the wire
@@ -324,9 +381,11 @@ func TestFirstFlightRejects(t *testing.T) {
 // symbols and a DONE — but only once the test allows it (one token on
 // serve per batch), so the number of batches outstanding at any moment
 // is exactly the session's depth. Like a real partial sender, it ignores
-// the OPEN's round for any other content.
+// the OPEN's round for any other content. A probe with a linger sends
+// each batch's first symbol at once and the rest that much later.
 type depthProbe struct {
 	blocks    int
+	linger    time.Duration
 	code      *fountain.Code
 	opens     chan protocol.Hello
 	reqs      chan uint32
@@ -430,6 +489,19 @@ func (p *depthProbe) serveChannel(ch *peermux.Channel) {
 					return
 				}
 				next++
+				if i == 0 && p.linger > 0 {
+					// An empty PEERS frame pushes the first symbol out
+					// ahead of the rest: a channel batches SYMBOLs until
+					// any other frame.
+					if protocol.WriteFrame(ch, protocol.EncodePeers(nil)) != nil {
+						return
+					}
+					select {
+					case <-time.After(p.linger):
+					case <-gone:
+						return
+					}
+				}
 			}
 			if protocol.WriteFrame(ch, protocol.EncodeDone()) != nil {
 				return
@@ -525,13 +597,14 @@ func runProbe(t *testing.T, contentID uint64, opts FetchOptions, probes ...*dept
 	}
 }
 
-// TestFullSenderDepthFollowsWindow: against a full sender the session
-// has nothing to probe for. Where the decode needs more than a window
-// (k = 16384 here), it opens at the depth its channel window admits —
-// its OPEN asks for 64 batches of 64 under the default 4096-frame
-// window, and no REQUEST goes out before the first of them is answered —
-// and a live SetChannelWindow moves that depth both ways at the next
-// batch boundary, with no second knob.
+// TestFullSenderDepthFollowsWindow: where the decode needs more than a
+// window (k = 16384 here), a session opens at the depth its channel
+// window admits — its OPEN asks for 64 batches of 64 under the default
+// 4096-frame window, and no REQUEST goes out before the first of them
+// is answered. That first batch, answered long after the OPEN, measures
+// a round trip that holds more batches than any window here, so the
+// window is the depth's cap: a live SetChannelWindow moves it both ways
+// at the next batch boundary, with no second knob.
 func TestFullSenderDepthFollowsWindow(t *testing.T) {
 	defer checkGoroutines(t)()
 	p := newDepthProbe(probeBlocks)
@@ -574,23 +647,48 @@ func TestFullSenderDepthFollowsWindow(t *testing.T) {
 	}
 }
 
-// TestPartialSenderStartsAtDepthOne: a partial sender sends against a
-// summary that ages while requests are in flight, so it ignores the
-// OPEN's round, and the session starts at one outstanding REQUEST and
-// adds one per useful batch.
-func TestPartialSenderStartsAtDepthOne(t *testing.T) {
+// TestRequestDepthIsMeasured: every session keeps in flight what one
+// round trip holds at the rate a batch arrives, measured on a batch it
+// asked for over an idle channel. A partial sender ignores the OPEN's
+// round, so the first flight is one REQUEST, and its batch is timed.
+// Answered in a burst long after it was asked for, it says the round
+// trip holds many batches: the next boundary fills the window (8
+// batches here). Answered at once but trickling in far slower than it
+// took to ask for, it says one batch in flight already keeps the sender
+// busy: the session keeps two, one arriving and one on its way.
+func TestRequestDepthIsMeasured(t *testing.T) {
 	defer checkGoroutines(t)()
-	p := newDepthProbe(probeBlocks)
-	_, stop := runProbe(t, 2, FetchOptions{}, p)
-	defer stop()
-
-	if got := p.outstanding(); got != 1 {
-		t.Fatalf("first flight of REQUESTs to a partial sender = %d, want 1", got)
-	}
-	p.release(1)
-	if got := p.outstanding(); got != 2 {
-		t.Fatalf("after one useful batch: %d new REQUESTs, want 2 (depth 2)", got)
-	}
+	t.Run("round trip past service", func(t *testing.T) {
+		p := newDepthProbe(probeBlocks)
+		_, stop := runProbe(t, 2, FetchOptions{ChannelWindow: 8 * 64}, p)
+		defer stop()
+		if got := p.outstanding(); got != 1 {
+			t.Fatalf("first flight of REQUESTs to a partial sender = %d, want 1", got)
+		}
+		p.release(1)
+		if got := p.outstanding(); got != 8 {
+			t.Fatalf("after a batch answered a round trip late: %d new REQUESTs, want the window's 8", got)
+		}
+	})
+	t.Run("service past round trip", func(t *testing.T) {
+		p := newDepthProbe(probeBlocks)
+		p.linger = 60 * time.Millisecond
+		// The first two batches are answered as soon as they are asked
+		// for: the first from an idle channel, and the first at the
+		// boundary it retires at, the channel idle again.
+		p.release(2)
+		_, stop := runProbe(t, 2, FetchOptions{ChannelWindow: 8 * 64}, p)
+		defer stop()
+		// One REQUEST, then two at each of the next two boundaries' idle
+		// slots: 1, then 2 (inflight 0 -> 2), then 1 (1 -> 2).
+		if got := p.outstanding(); got != 4 {
+			t.Fatalf("%d REQUESTs over two lingering batches, want 4 (depth 2)", got)
+		}
+		p.release(1)
+		if got := p.outstanding(); got != 1 {
+			t.Fatalf("%d REQUESTs after one of two outstanding batches retired, want 1 (depth 2)", got)
+		}
+	})
 }
 
 // TestSessionGoroutineBudget: a session is one goroutine. With the stall
@@ -602,10 +700,12 @@ func TestPartialSenderStartsAtDepthOne(t *testing.T) {
 func TestSessionGoroutineBudget(t *testing.T) {
 	defer checkGoroutines(t)()
 	p := newDepthProbe(probeBlocks)
-	_, stop := runProbe(t, 1, FetchOptions{}, p)
+	// A one-batch window: the OPEN asks for one batch, and once it is
+	// answered the session has nothing in flight and asks for the next.
+	_, stop := runProbe(t, 1, FetchOptions{ChannelWindow: 64}, p)
 	defer stop()
 	p.opened(t)
-	p.release(1) // the OPEN's first batch: the session tops its round up
+	p.release(1)
 	select {
 	case <-p.reqs: // the channel is up and the session is requesting on it
 	case <-time.After(5 * time.Second):

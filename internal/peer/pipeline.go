@@ -1,6 +1,6 @@
 package peer
 
-// pipeline.go is the request ramp of the connection fabric: how many
+// pipeline.go is the request depth of the connection fabric: how many
 // symbol batches a session keeps outstanding on its channel.
 // Stop-and-wait — write REQUEST, drain to DONE, repeat — idles the link
 // for a full RTT per batch. A fabric subchannel has an asynchronous
@@ -14,29 +14,31 @@ package peer
 // over all its sessions (Orchestrator.asked), stay within need: a
 // session writes a REQUEST only while it has nothing in flight (every
 // session keeps a batch) or while the fetch's budget has a batch left.
-// Below that bound K has one cap: what the channel's granted credit
-// window admits (depthCap), read at every batch boundary, so a scheduler
-// that resizes the window (Orchestrator.SetChannelWindow) moves the depth
-// with it and nothing else has to. The window is a ceiling: large enough
-// that the need, not the window, sizes a fetch's first flight. Below the
-// cap the depth depends on the sender. A full sender streams fresh
-// fountain symbols — nothing it sends can be stale or a duplicate — so
-// there is nothing to probe for and the session asks up to the cap from
-// its OPEN, which carries the first round (a full sender answers it
-// behind its ACCEPT, clamped to the need). A partial sender sends what a
-// summary left missing, and the summary ages while requests are in
-// flight (other senders deliver meanwhile), so its depth adapts the way
-// AIMD congestion control adapts a window: from 1, grow by one while
-// batches deliver useful symbols, halve when the stream turns useless or
-// the duplicate rate says the summary has gone stale faster than
-// refreshes can catch up. Stop-and-wait is not a mode: it is what a
-// window no larger than one batch admits (depthCap = 1).
+// Below that bound K has a cap: what the channel's granted credit window
+// admits (depthCap), read at every batch boundary, so a scheduler that
+// resizes the window (Orchestrator.SetChannelWindow) moves the depth
+// with it. The window is a ceiling: large enough that the need, not the
+// window, sizes a fetch's first flight; the OPEN carries that first
+// round, which a full sender answers behind its ACCEPT (clamped to the
+// need) and a partial one ignores.
+//
+// Below the cap K is measured, the same way for every sender: the
+// batches one round trip holds at the rate a batch arrives
+// (requestDepth), from 1 until a batch has been timed. Deeper buys
+// nothing, and costs a partial sender freshness: every batch in flight
+// is aimed from an older summary (other senders deliver meanwhile). A
+// batch is timed only when it was asked for over an idle channel — a
+// REQUEST written with nothing in flight, or the OPEN's round, timed
+// from the OPEN's issue — so nothing queued ahead of it stretches its
+// round trip, and only when it came back full: a sender running dry
+// answers short batches fast, which says nothing of the path.
+// Stop-and-wait is not a mode: it is what a window no larger than one
+// batch admits (depthCap = 1).
 
-import "math"
-
-// DefaultPipelineDupHigh is the duplicate-rate threshold past which the
-// ramp backs off multiplicatively.
-const DefaultPipelineDupHigh = 0.5
+import (
+	"math"
+	"time"
+)
 
 // decodeNeed is about how many symbols a decode of k blocks takes, from
 // any mix of senders: k + ⌈4√k⌉. For the default code that sits near the
@@ -74,74 +76,16 @@ func depthCap(window, batch int) int {
 	return d
 }
 
-// PipelineController holds a session's in-flight request depth. It is
-// driven from a single session goroutine; no locking.
-type PipelineController struct {
-	depth   int
-	max     int
-	full    bool // full sender: the depth is the cap
-	dupHigh float64
-}
-
-// NewPipelineController builds a controller under the cap max (what the
-// channel window admits; SetMax moves it): a full sender's depth is the
-// cap (the fetch's need bounds what it actually asks) and a partial one
-// adapts AIMD-style from depth 1.
-func NewPipelineController(max int, full bool, dupHigh float64) *PipelineController {
-	if max < 1 {
-		max = 1
+// requestDepth is the depth target after a timed batch of got symbols,
+// asked for as a batch of batch: 1 + ⌈rtt/service⌉, where rtt ran from
+// the request to the batch's first symbol and service from there to its
+// DONE (floored at 1 µs) — the batches one round trip holds at the rate
+// a batch arrives, plus the one arriving. A short batch is a sender
+// running dry, not a measure of the path: it leaves target as it was.
+func requestDepth(target, got, batch int, rtt, service time.Duration) int {
+	if got < batch {
+		return target
 	}
-	if dupHigh <= 0 {
-		dupHigh = DefaultPipelineDupHigh
-	}
-	c := &PipelineController{depth: 1, max: max, full: full, dupHigh: dupHigh}
-	if full {
-		c.depth = max
-	}
-	return c
-}
-
-// Depth returns the current target for in-flight request batches.
-func (c *PipelineController) Depth() int { return c.depth }
-
-// Max returns the current cap.
-func (c *PipelineController) Max() int { return c.max }
-
-// SetMax re-caps the controller — the session calls it at every batch
-// boundary with what its channel window admits at that moment. A full
-// sender's depth follows the cap both ways; an adaptive depth is pulled
-// down with a lowered cap and may grow again under a raised one. Like
-// Observe, it must be called from the session goroutine that owns the
-// controller.
-func (c *PipelineController) SetMax(max int) {
-	if max < 1 {
-		return
-	}
-	c.max = max
-	if c.full || c.depth > max {
-		c.depth = max
-	}
-}
-
-// Observe feeds one completed batch's outcome into the adaptive ramp:
-// additive increase on a useful batch, multiplicative back-off when the
-// batch was useless or its duplicate rate crossed the threshold. A NaN
-// duplicate rate (a 0-symbol batch's 0/0) compares false against any
-// threshold, which used to read as "below threshold, grow" — an empty
-// batch is no evidence of a healthy stream, so NaN backs off like a
-// useless batch instead. A full-sender controller does not adapt.
-func (c *PipelineController) Observe(dupRate float64, useful bool) {
-	if c.full {
-		return
-	}
-	if !useful || math.IsNaN(dupRate) || dupRate > c.dupHigh {
-		c.depth /= 2
-		if c.depth < 1 {
-			c.depth = 1
-		}
-		return
-	}
-	if c.depth < c.max {
-		c.depth++
-	}
+	service = max(service, time.Microsecond)
+	return 1 + int((rtt+service-1)/service)
 }

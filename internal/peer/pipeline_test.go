@@ -1,21 +1,19 @@
 package peer
 
 // pipeline_test.go pins the request depth: the window-derived cap
-// (depthCap), the partial-sender AIMD ramp under it — additive increase
-// on useful batches, multiplicative back-off on useless,
-// duplicate-heavy, or NaN-rate batches, the [1, max] clamp — the
-// full-sender depth that sits at the cap and follows it, and the live
-// SetMax re-cap a window resize drives. The session-level case runs it
-// end to end — pipelined, and stop-and-wait under a one-batch window —
-// over a synchronous net.Pipe, the adversarial transport: a session
-// writing REQUEST k+1 while the server still streams batch k would
-// deadlock the pipe if nothing drained it, which is the wire's demux
-// reader's job. Above the depth sits the fetch's need: decodeNeed is
-// calibrated against what decodes of the default code actually take.
+// (depthCap) and the measured target under it (requestDepth) — one
+// round trip's worth of batches at the rate a batch arrives, its 1 µs
+// service floor, and the guard that a short batch measures nothing. The
+// session-level case runs the pipeline end to end — pipelined, and
+// stop-and-wait under a one-batch window — over a synchronous net.Pipe,
+// the adversarial transport: a session writing REQUEST k+1 while the
+// server still streams batch k would deadlock the pipe if nothing
+// drained it, which is the wire's demux reader's job. Above the depth
+// sits the fetch's need: decodeNeed is calibrated against what decodes
+// of the default code actually take.
 
 import (
 	"bytes"
-	"math"
 	"slices"
 	"testing"
 	"time"
@@ -71,22 +69,16 @@ func TestDecodeNeedCalibration(t *testing.T) {
 	}
 }
 
-// mustController builds a partial-sender (adaptive) controller.
-func mustController(t *testing.T, max int, dupHigh float64) *PipelineController {
-	t.Helper()
-	return NewPipelineController(max, false, dupHigh)
-}
-
 func TestDepthCap(t *testing.T) {
 	cases := []struct {
 		window, batch, want int
 	}{
-		{window: 512, batch: 64, want: 8}, // the shipped defaults
+		{window: 512, batch: 64, want: 8},
 		{window: 256, batch: 64, want: 4},
 		{window: 64, batch: 64, want: 1},
-		{window: 16, batch: 64, want: 1}, // floor: never zero
-		{window: 40, batch: 16, want: 3}, // rounds up: 2 would idle 8 frames
-		{window: 4096, batch: 64, want: 64},
+		{window: 16, batch: 64, want: 1},    // floor: never zero
+		{window: 40, batch: 16, want: 3},    // rounds up: 2 would idle 8 frames
+		{window: 4096, batch: 64, want: 64}, // the shipped defaults
 		{window: 0, batch: 64, want: 1},
 		{window: 128, batch: 0, want: 128}, // degenerate batch
 	}
@@ -97,122 +89,31 @@ func TestDepthCap(t *testing.T) {
 	}
 }
 
-// TestPipelineControllerFullSenderRunsAtCap: a full sender has nothing
-// to probe for, so its depth is the cap from the first REQUEST, follows
-// the cap both ways, and no batch outcome moves it.
-func TestPipelineControllerFullSenderRunsAtCap(t *testing.T) {
-	c := NewPipelineController(8, true, 0)
-	if c.Depth() != 8 {
-		t.Fatalf("full sender starts at depth %d, want the cap 8", c.Depth())
+// TestRequestDepth pins the measured depth target: one round trip's
+// worth of batches at the rate a batch arrives, plus the one arriving,
+// rounded up; a batch that came back short leaves the target as it was.
+func TestRequestDepth(t *testing.T) {
+	const ms, us = time.Millisecond, time.Microsecond
+	cases := []struct {
+		name         string
+		target, got  int
+		rtt, service time.Duration
+		want         int
+	}{
+		{name: "wan: a batch arrives in a fraction of the round trip", target: 1, got: 64, rtt: 20 * ms, service: 2 * ms, want: 11},
+		{name: "rounds up", target: 1, got: 64, rtt: 21 * ms, service: 2 * ms, want: 12},
+		{name: "a batch that takes as long as its round trip", target: 1, got: 64, rtt: 5 * ms, service: 5 * ms, want: 2},
+		{name: "service past the round trip keeps two", target: 9, got: 64, rtt: 1 * ms, service: 100 * ms, want: 2},
+		{name: "no round trip at all", target: 5, got: 64, rtt: 0, service: ms, want: 1},
+		{name: "service floored at 1us", target: 1, got: 64, rtt: 3 * us, service: 0, want: 4},
+		{name: "service just under the floor", target: 1, got: 64, rtt: 3 * us, service: 10, want: 4},
+		{name: "short batch: a sender running dry", target: 3, got: 63, rtt: 20 * ms, service: us, want: 3},
+		{name: "empty batch", target: 7, got: 0, rtt: 20 * ms, service: 0, want: 7},
 	}
-	c.Observe(1, false)
-	c.Observe(math.NaN(), true)
-	if c.Depth() != 8 {
-		t.Fatalf("a batch outcome moved a full sender's depth to %d", c.Depth())
-	}
-	c.SetMax(2)
-	if c.Depth() != 2 {
-		t.Fatalf("after the window shrank to 2 batches: depth %d", c.Depth())
-	}
-	c.SetMax(6)
-	if c.Depth() != 6 {
-		t.Fatalf("after the window grew to 6 batches: depth %d, want 6 at once", c.Depth())
-	}
-}
-
-func TestPipelineControllerAdaptiveRamp(t *testing.T) {
-	c := mustController(t, 8, 0.5)
-	if c.Depth() != 1 {
-		t.Fatalf("adaptive ramp starts at %d, want 1", c.Depth())
-	}
-	// Additive increase: one per useful batch, capped at max.
-	for i := 0; i < 20; i++ {
-		c.Observe(0, true)
-	}
-	if c.Depth() != 8 {
-		t.Fatalf("after 20 useful batches depth %d, want cap 8", c.Depth())
-	}
-	// Multiplicative back-off on a duplicate spike past the threshold.
-	c.Observe(0.9, true)
-	if c.Depth() != 4 {
-		t.Fatalf("after dup spike depth %d, want 4", c.Depth())
-	}
-	// A dup rate at (not past) the threshold does not back off.
-	c.Observe(0.5, true)
-	if c.Depth() != 5 {
-		t.Fatalf("at-threshold batch should grow: depth %d, want 5", c.Depth())
-	}
-	// Useless batches halve down to the floor of 1, never below.
-	for i := 0; i < 5; i++ {
-		c.Observe(0, false)
-	}
-	if c.Depth() != 1 {
-		t.Fatalf("after useless run depth %d, want floor 1", c.Depth())
-	}
-}
-
-func TestPipelineControllerNaNBacksOff(t *testing.T) {
-	c := mustController(t, 8, 0.5)
-	for i := 0; i < 8; i++ {
-		c.Observe(0, true)
-	}
-	if c.Depth() != 8 {
-		t.Fatalf("setup: depth %d, want 8", c.Depth())
-	}
-	// A 0-symbol batch's 0/0 duplicate rate is NaN; every comparison
-	// against the threshold is false, which used to read as "healthy,
-	// grow". It must back off like a useless batch instead.
-	c.Observe(math.NaN(), true)
-	if c.Depth() != 4 {
-		t.Fatalf("NaN dup rate grew the ramp: depth %d, want 4", c.Depth())
-	}
-}
-
-func TestPipelineControllerSetMax(t *testing.T) {
-	c := mustController(t, 16, 0.5)
-	for i := 0; i < 20; i++ {
-		c.Observe(0, true)
-	}
-	if c.Depth() != 16 {
-		t.Fatalf("setup: depth %d, want 16", c.Depth())
-	}
-	// Lowering the cap pulls the current depth down with it.
-	c.SetMax(4)
-	if c.Depth() != 4 || c.Max() != 4 {
-		t.Fatalf("after SetMax(4): depth %d max %d, want 4/4", c.Depth(), c.Max())
-	}
-	// Raising it lets the ramp grow again.
-	c.SetMax(8)
-	for i := 0; i < 10; i++ {
-		c.Observe(0, true)
-	}
-	if c.Depth() != 8 {
-		t.Fatalf("after SetMax(8) and growth: depth %d, want 8", c.Depth())
-	}
-	// Nonsense caps are ignored.
-	c.SetMax(0)
-	if c.Max() != 8 {
-		t.Fatalf("SetMax(0) moved the cap to %d, want 8", c.Max())
-	}
-}
-
-func TestPipelineControllerDefaults(t *testing.T) {
-	// A nonsense cap admits one batch: the ramp has nowhere to go.
-	c := mustController(t, 0, 0)
-	for i := 0; i < 100; i++ {
-		c.Observe(0, true)
-	}
-	if c.Depth() != 1 {
-		t.Fatalf("cap 0 let the ramp reach %d, want 1", c.Depth())
-	}
-	// The default threshold backs off a 60% duplicate batch.
-	c = mustController(t, 16, 0)
-	for i := 0; i < 100; i++ {
-		c.Observe(0, true)
-	}
-	c.Observe(0.6, true)
-	if c.Depth() != 8 {
-		t.Fatalf("after 0.6 dup rate depth %d, want 8", c.Depth())
+	for _, c := range cases {
+		if got := requestDepth(c.target, c.got, 64, c.rtt, c.service); got != c.want {
+			t.Errorf("%s: requestDepth(%d, %d, 64, %v, %v) = %d, want %d", c.name, c.target, c.got, c.rtt, c.service, got, c.want)
+		}
 	}
 }
 
@@ -233,7 +134,7 @@ func fetchPipelined(t *testing.T, nBlocks int, opts FetchOptions) (*pipeNet, str
 	return pn, addr, data, res, err
 }
 
-func TestSessionAdaptiveRampCompletes(t *testing.T) {
+func TestSessionPipelineCompletesOverPipe(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	// A small batch so a window of 8 batches keeps requests in flight at
 	// every batch boundary; a window of one batch is stop-and-wait, the

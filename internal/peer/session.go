@@ -404,8 +404,8 @@ func (s *session) watchdog(ctx context.Context, cancel context.CancelCauseFunc) 
 }
 
 // serveChannel owns the session on an established subchannel, opened at
-// issued with a first round of depth batches requested, of which a full
-// sender's ACCEPT says how many it answers: the ACCEPT's hello also
+// issued with a first round of depth batches requested, of which the
+// ACCEPT says how many the sender answers: the ACCEPT's hello also
 // carries the content parameters, so the session goes straight to
 // decoder setup, the Bloom summary and its refreshes, gossip, and the
 // pipelined batched request loop (the wire's demux reader absorbs the
@@ -420,11 +420,6 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 	s.setChannel(ch)
 	defer s.setChannel(nil)
 	hello := ch.RemoteHello()
-	// Below the fetch's need, the request depth's one cap is what the
-	// channel window admits; a full sender asks up to it from the OPEN's
-	// round (pipeline.go).
-	windowDepth := func() int { return depthCap(ch.Window(), o.opts.Batch) }
-	pc := NewPipelineController(windowDepth(), hello.FullCopy, DefaultPipelineDupHigh)
 	// ctx ending (the transfer, the session, or the watchdog giving up on
 	// this attempt) unblocks a parked read or credit wait by expiring the
 	// channel's deadline; deadline() re-checks after pushing the deadline
@@ -447,13 +442,19 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 		return err
 	}
 	// The OPEN's round counts as in flight for what the ACCEPT says will
-	// be answered (a partial sender answers none of it), and the fetch's
-	// budget keeps that much.
-	inflight := 0
-	if hello.FullCopy {
-		inflight = min(int(hello.Depth), depth)
-	}
+	// be answered (a partial sender says 0), and the fetch's budget keeps
+	// that much.
+	inflight := min(int(hello.Depth), depth)
 	o.settleOpen(s, inflight)
+	// The request depth (pipeline.go): target batches in flight, from 1
+	// until a batch asked for over an idle channel has been timed — asked
+	// is when it was asked for (zero: no batch is being timed), first when
+	// its first symbol arrived. The OPEN's round is the first such batch.
+	target := 1
+	var asked, first time.Time
+	if inflight > 0 {
+		asked = issued
+	}
 
 	// The summary (§5.2): a partial sender that reads Bloom summaries gets
 	// one from an informed fetch, as soon as there is a working set to
@@ -555,20 +556,21 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 			s.stats.RefreshesSent++
 			o.mu.Unlock()
 		}
-		// Pipelined requests: keep up to pc.Depth() batches outstanding so
-		// the server's symbol stream never drains while a REQUEST is in
-		// flight, as far as the fetch's budget allows (claim: a session
-		// with nothing in flight always gets one). Depth 1 is exactly the
-		// old stop-and-wait exchange. Each iteration of the outer loop
-		// retires one batch (one DONE), so batch-boundary accounting
-		// below is unchanged — it just lags the wire by the pipeline
-		// depth. The cap is re-read here, at the batch boundary, so a
-		// live window resize (Orchestrator.SetChannelWindow) moves the
-		// depth with it.
-		pc.SetMax(windowDepth())
+		// Pipelined requests: keep up to the measured target outstanding
+		// so the server's symbol stream never drains while a REQUEST is
+		// in flight, as far as the window and the fetch's budget allow
+		// (claim: a session with nothing in flight always gets one). Each
+		// iteration of the outer loop retires one batch (one DONE), so
+		// batch-boundary accounting below lags the wire by the pipeline
+		// depth. The window's cap is re-read here, at the batch boundary,
+		// so a live window resize (Orchestrator.SetChannelWindow) moves
+		// the depth with it.
 		deadline()
 		progressBefore := o.progress.Load()
-		for inflight < pc.Depth() && o.claim(s, inflight == 0) {
+		for inflight < min(target, depthCap(ch.Window(), o.opts.Batch)) && o.claim(s, inflight == 0) {
+			if inflight == 0 {
+				asked = time.Now()
+			}
 			if err := protocol.WriteFrame(ch, protocol.EncodeRequest(uint32(o.opts.Batch))); err != nil {
 				// A pipelined REQUEST blocks against a server that is still
 				// streaming the previous batch, so the transfer can complete
@@ -582,7 +584,7 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 			}
 			inflight++
 		}
-		got, useful := 0, 0
+		got := 0
 		for {
 			deadline()
 			f, err := ch.Next()
@@ -595,6 +597,10 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 			if f.Type == protocol.TypeDone {
 				inflight--
 				o.retire(s, o.opts.Batch)
+				if !asked.IsZero() {
+					target = requestDepth(target, got, o.opts.Batch, first.Sub(asked), time.Since(first))
+					asked = time.Time{}
+				}
 				break
 			}
 			switch f.Type {
@@ -605,7 +611,10 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 				if err != nil {
 					return err
 				}
-				fresh, on := o.fold(s.stats, summarized, id, data)
+				if got == 0 && !asked.IsZero() {
+					first = time.Now()
+				}
+				_, on := o.fold(s.stats, summarized, id, data)
 				if !issued.IsZero() { // the attempt's first symbol
 					o.met.firstSymbol.Observe(time.Since(issued).Seconds())
 					issued = time.Time{}
@@ -614,9 +623,6 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 					return nil
 				}
 				got++
-				if fresh {
-					useful++
-				}
 			case protocol.TypePeers:
 				ads, err := protocol.DecodePeers(f)
 				if err != nil {
@@ -630,18 +636,10 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 				return fmt.Errorf("peer %s: unexpected %v", s.addr, f.Type)
 			}
 		}
-		// Duplicate rate of the batch just retired, exact: every symbol of
-		// it was folded, and classified, before its DONE was read. It feeds
-		// the pipeline ramp.
-		dupRate := 0.0
-		if got > 0 {
-			dupRate = float64(got-useful) / float64(got)
-		}
 		// A batch is useless when it carried nothing — a partial sender with
 		// nothing left to offer answers a bare DONE — or when the working
 		// set did not grow while it was in flight.
 		uselessBatch := got == 0 || o.progress.Load() == progressBefore
-		pc.Observe(dupRate, !uselessBatch)
 		if uselessBatch {
 			useless++
 			if useless >= o.opts.MaxUselessBatches {

@@ -252,9 +252,9 @@
 // (Fetch is now a thin wrapper over it): an Orchestrator owning one
 // download's shared state, and one session per connection.
 //
-// Session lifecycle. A session runs dial → HELLO exchange → Bloom
-// summary → batched request loop, wrapped in a redial-with-backoff
-// loop (FetchOptions.MaxReconnects/ReconnectBackoff). It ends in one of
+// Session lifecycle. A session runs dial → HELLO exchange, the OPEN
+// carrying the Bloom summary → batched request loop, in a redial loop
+// (FetchOptions.MaxReconnects/ReconnectBackoff). It ends in one of
 // four ways: the transfer completed; the peer stopped contributing
 // (MaxUselessBatches of no global progress); the orchestrator dropped
 // it (DropPeer, or lowest-utility eviction when AddPeer exceeds
@@ -264,20 +264,24 @@
 // state automatically, since summaries are built from the shared set at
 // handshake time.
 //
-// Summaries (protocol v11). An informed session sends a partial sender
-// that reads summaries (its ACCEPT's mask bit) a Bloom filter over the
-// working set, 8 bits and 5 hashes per element (§5.2), once it has one,
-// and SUMMARY_REFRESH frames as the shared set grows
-// (RefreshBatches/RefreshGrowth), so the sender stops sending what other
-// sessions already delivered.
+// Summaries (protocol v12). An informed session that holds symbols puts a
+// Bloom filter over the working set, 8 bits and 5 hashes per element
+// (§5.2), in its OPEN (Hello.Summary), so a partial sender answers one
+// batch of the OPEN's round behind its ACCEPT, aimed by it, and its
+// first symbol arrives one round trip after the open (a full sender
+// ignores it). A partial sender that reads summaries (its ACCEPT's mask
+// bit) then gets SUMMARY frames as refreshes when the shared set grows,
+// so it stops sending what other sessions already delivered; a session
+// that opened empty-handed sends its first summary the same way.
 //
 // Send once across senders (protocol v10). A summary keeps one sender
 // from sending what the receiver holds, but two partial senders can still
-// spend the same transmission on the same missing id. So every SUMMARY
+// spend the same transmission on the same missing id. So every summary
 // also names a slice of the id space (protocol.InSlice: a splitmix64 hash
 // of the id, mod the slice count): a fetch's live partial sessions, in
-// the order they joined, hand their senders slices 0 … s−1 of s. A
-// sender sends what the summary leaves missing in its own slice first,
+// the order they joined (a session whose OPEN will carry a summary
+// joins as it starts), hand their senders slices 0 … s−1 of s. A sender
+// sends what the summary leaves missing in its own slice first,
 // then the rest, so s senders start on disjoint ids and none of them
 // learns what another holds. When a partial session joins or leaves, the
 // slices close ranks and every other informed session sends one refresh
@@ -285,12 +289,11 @@
 // says; full senders, and sessions that have sent no summary yet, take no
 // part. On partial_swarm this takes useful_ratio from 0.92 to 0.98.
 //
-// One refresh policy. Every RefreshBatches request batches a session
-// checks whether the shared working set grew by RefreshGrowth since the
-// summary it last sent, and re-sends one if so; a negative
-// RefreshBatches never refreshes (§6.1's never-update-the-filter
-// baseline). It is the policy every benchmark workload runs, so the
-// ledger's useful_ratio rows measure what a user's fetch does.
+// One refresh policy. Every 8 request batches a session checks whether
+// the shared working set grew by a tenth since the summary it last sent,
+// and re-sends one if so. No option tunes it: it is the policy every
+// benchmark workload and every user's fetch runs, so the ledger's
+// useful_ratio rows measure what a user's fetch does.
 // peer.TestFreshReceiverNegotiatesSummaryMidTransfer and
 // peer.TestGossipBootstrapFromSingleSeed run it in live swarms.
 //
@@ -349,9 +352,9 @@
 // nor two fresh mirrors walk overlapping logs in step — and writes up to
 // the requested count as plain SYMBOL frames straight from the log's
 // payload buffers, then DONE; a dry cursor answers the DONE alone, the
-// empty batch a receiver counts toward MaxUselessBatches. On a SUMMARY
-// or SUMMARY_REFRESH it re-tests every unsent position against the new
-// summary, which keeps one filter's false positive from being permanent.
+// empty batch a receiver counts toward MaxUselessBatches. On a summary,
+// the OPEN's or a refresh, it re-tests every unsent position, which
+// keeps one filter's false positive from being permanent.
 // A position once sent is never sent again on that session: the channel
 // is reliable, and all a refresh has to prune is what other senders
 // delivered. This is §6.1 taken at its word — with a membership summary

@@ -405,11 +405,9 @@ func TestFreshReceiverNegotiatesSummaryMidTransfer(t *testing.T) {
 	a1 := pn.add("p1", front(s1))
 	a2 := pn.add("p2", front(s2))
 	res, err := Fetch([]string{a1, a2}, info.ID, FetchOptions{
-		Batch:          8,
-		Timeout:        5 * time.Second,
-		RefreshBatches: 1,
-		RefreshGrowth:  0.01,
-		Dial:           pn.dial,
+		Batch:   8,
+		Timeout: 5 * time.Second,
+		Dial:    pn.dial,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -109,8 +109,6 @@ func collabOptions(pn *pipeNet) FetchOptions {
 		Batch:             8,
 		Timeout:           10 * time.Second,
 		MaxUselessBatches: 1 << 20, // partners poll while the source trickles
-		RefreshBatches:    2,       // re-inform partners aggressively
-		RefreshGrowth:     0.02,
 		Dial:              pn.dial,
 	}
 }

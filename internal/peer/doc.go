@@ -26,8 +26,8 @@
 //
 // Partial senders also split the work without talking to each other.
 // The receiver hands each of its live partial sessions, in join order, a
-// slice of the id space in its summaries: slice i of s, where an id falls
-// in slice splitmix64(id) mod s (protocol.InSlice). A sender's cursor
+// slice of the id space in its summaries (the OPEN's first): slice i of
+// s, where an id falls in slice splitmix64(id) mod s (protocol.InSlice). A sender's cursor
 // queues what the summary leaves missing in two lists, its own slice and
 // the rest, and sends its own slice first, so s senders spend their first
 // transmissions on disjoint ids. A session joining or leaving moves the
@@ -62,9 +62,11 @@
 // carries the content metadata. A full sender answers the round right
 // behind it, clamped to what the decode still needs, and its ACCEPT's
 // Depth says how many batches that is, so the first symbols arrive in
-// the same round trip; a partial sender ignores the round — what it sends depends
-// on the summary the session sends once it has the ACCEPT, with its first
-// REQUEST (peer.handshake_seconds records open → ACCEPT,
+// the same round trip. A partial sender answers one batch, aimed by the
+// Bloom summary the OPEN carries (Hello.Summary) when the fetch holds
+// symbols: every batch more would be aimed from a summary that goes
+// stale as other senders deliver, and the measured depth takes over from
+// there (peer.handshake_seconds records open → ACCEPT,
 // peer.first_symbol_seconds open → first symbol folded). A peer that
 // turns the first flight down — unknown content, refused, wrong version —
 // ends the session terminally on that first dial, uncharged.
@@ -91,7 +93,8 @@
 // k=1024 fetch from a full sender takes one round trip, which sets the
 // session up and carries what the decode needs (the 4096-frame default
 // window holds it), and a second for a stream that needs more; from a
-// partial sender, about four.
+// partial sender, about three: the OPEN's one batch, which times the
+// path, then the rest of the need, and a stream that needs more.
 //
 // # Failure model
 //

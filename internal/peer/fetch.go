@@ -13,7 +13,6 @@ import (
 
 	"icd/internal/obs"
 	"icd/internal/peermux"
-	"icd/internal/protocol"
 )
 
 // FetchOptions tune a download.
@@ -67,15 +66,6 @@ type FetchOptions struct {
 	// Bloom filter, so each sends its whole log, once (the uninformed
 	// baseline).
 	Uninformed bool
-	// RefreshBatches is how many request batches pass between checks
-	// for a mid-session summary refresh; a refresh is sent when the
-	// working set grew ≥ RefreshGrowth since the last summary.
-	// 0 defaults to 8; negative disables refreshes (§6.1's
-	// never-update-the-filter baseline).
-	RefreshBatches int
-	// RefreshGrowth is the fractional working-set growth that triggers
-	// a refresh (default 0.1).
-	RefreshGrowth float64
 	// AdvertiseAddr is this node's own dialable listen address. When
 	// set, sessions announce it in their HELLO so servers and peers can
 	// gossip it onward; it is also the self-address the
@@ -142,12 +132,6 @@ func (o FetchOptions) withDefaults() FetchOptions {
 	if o.MaxReconnectBackoff < o.ReconnectBackoff {
 		o.MaxReconnectBackoff = o.ReconnectBackoff
 	}
-	if o.RefreshBatches == 0 {
-		o.RefreshBatches = 8
-	}
-	if o.RefreshGrowth <= 0 {
-		o.RefreshGrowth = 0.1
-	}
 	if o.Dial == nil {
 		o.Dial = func(addr string) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, o.Timeout)
@@ -156,23 +140,14 @@ func (o FetchOptions) withDefaults() FetchOptions {
 	return o
 }
 
-// summaryMask is the mask this receiver's OPEN announces: Bloom
-// summaries, unless the fetch is uninformed.
-func (o FetchOptions) summaryMask() uint8 {
-	if o.Uninformed {
-		return 0
-	}
-	return protocol.AllSummaryMask
-}
-
 // PeerStats summarizes one session's contribution.
 type PeerStats struct {
 	Addr            string
 	Full            bool
 	SymbolsReceived int
 	UsefulSymbols   int
-	// Summary is "bloom" when this session sent the peer a summary, a
-	// Bloom filter (the only one there is), and "" when it sent none.
+	// Summary is "bloom" when this session sent its partial sender a
+	// Bloom filter (the only summary), in the OPEN or later, else "".
 	Summary string
 	// Utility is the session's score at snapshot time: useful symbols
 	// per second of connected life — the ranking AddPeer eviction uses.
@@ -186,8 +161,8 @@ type PeerStats struct {
 	// Discovered reports the session was admitted through gossip
 	// (considerDiscovered) rather than given by the caller.
 	Discovered bool
-	// RefreshesSent counts SUMMARY_REFRESH frames this session sent —
-	// the cost side of the refresh-cadence policy.
+	// RefreshesSent counts the SUMMARY frames this session sent, each a
+	// refresh — the cost side of the refresh policy.
 	RefreshesSent int
 	// DialFailures counts dial attempts that never produced a
 	// connection (refused or timed out).

@@ -175,7 +175,6 @@ func TestGossipBootstrapFromSingleSeed(t *testing.T) {
 		MaxUselessBatches: 1 << 20, // peers start empty: patience, not eviction
 		MaxReconnects:     10,      // a discovered node may not be listening yet
 		ReconnectBackoff:  2 * time.Millisecond,
-		RefreshBatches:    4,
 	}
 	all := make([]*node, nodes)
 	for i := range all {

@@ -806,11 +806,13 @@ func TestMuxInboundCapBusyError(t *testing.T) {
 	}
 }
 
-// TestMalformedSummarySliceRefused: a SUMMARY naming slice 2 of 2 — a
+// TestMalformedSummarySliceRefused: a summary naming slice 2 of 2 — a
 // slice the id space does not have — is refused like any bad summary, and
 // so is one whose blob is not a Bloom filter (here an ART summary, a
-// method this wire no longer has): the sender answers an ERROR and ends
-// the session with an error.
+// method this wire no longer has) and one too short for the slice fields.
+// In a SUMMARY frame the sender answers an ERROR; in the OPEN it rejects
+// the channel, a verdict the opener's session retries. Either way it
+// sends no symbol and ends the session with an error.
 func TestMalformedSummarySliceRefused(t *testing.T) {
 	filter, err := bloomSummary([]uint64{1, 2, 3})
 	if err != nil {
@@ -827,23 +829,26 @@ func TestMalformedSummarySliceRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name          string
-		slice, slices uint16
-		blob          []byte
+		name    string
+		payload []byte
 	}{
-		{"slice 2 of 2", 2, 2, filter},
-		{"not a Bloom filter", 0, 0, notAFilter},
+		{"slice 2 of 2", protocol.EncodeSummary(2, 2, filter).Payload},
+		{"not a Bloom filter", protocol.EncodeSummary(0, 0, notAFilter).Payload},
+		{"shorter than the slice fields", []byte{0, 0, 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			refuseSummary(t, protocol.EncodeSummary(tc.slice, tc.slices, tc.blob, false))
+			t.Run("frame", func(t *testing.T) { refuseSummary(t, tc.payload, false) })
+			t.Run("open", func(t *testing.T) { refuseSummary(t, tc.payload, true) })
 		})
 	}
 }
 
-// refuseSummary sends a partial sender's fresh session the summary frame
-// f and checks that the sender answers the bad summary ERROR and ends the
-// session with an error.
-func refuseSummary(t *testing.T, f protocol.Frame) {
+// refuseSummary sends a partial sender's fresh session the summary
+// payload — in the OPEN, which also asks for a round, or in a SUMMARY
+// frame behind it — and checks that the sender refuses it: a REJECT_CHANNEL
+// "bad summary" that the opener's session would retry, or the bad summary
+// ERROR, with no symbol sent and the session ended with an error.
+func refuseSummary(t *testing.T, payload []byte, inOpen bool) {
 	defer checkGoroutines(t)()
 	info, data := testContent(t, 60, 32)
 	srv, err := NewPartialServer(info, partialSymbols(t, info, data, 40, 1))
@@ -878,20 +883,34 @@ func refuseSummary(t *testing.T, f protocol.Frame) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	ch, err := w.Open(protocol.Hello{ContentID: info.ID}, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := protocol.WriteFrame(ch, f); err != nil {
-		t.Fatal(err)
-	}
-	ch.SetDeadline(time.Now().Add(5 * time.Second))
-	answer, err := ch.Next()
-	if err != nil {
-		t.Fatalf("reading the answer: %v", err)
-	}
-	if msg, _ := protocol.DecodeError(answer); answer.Type != protocol.TypeError || msg != "bad summary" {
-		t.Fatalf("answer = %v %q, want the bad summary ERROR", answer.Type, msg)
+	if inOpen {
+		_, err := w.Open(protocol.Hello{ContentID: info.ID, Batch: 16, Depth: 4, Summary: payload}, 5*time.Second)
+		var rej *peermux.RejectError
+		if !errors.As(err, &rej) || rej.Msg != "bad summary" {
+			t.Fatalf("open = %v, want the bad summary REJECT_CHANNEL", err)
+		}
+		if protocol.IsUnknownContent(rej.Msg) || protocol.IsRefused(rej.Msg) {
+			t.Fatalf("%q reads as a terminal verdict, want a retryable one", rej.Msg)
+		}
+		if got := srv.Stats().SymbolsSent; got != 0 {
+			t.Fatalf("the sender sent %d symbols against a malformed summary", got)
+		}
+	} else {
+		ch, err := w.Open(protocol.Hello{ContentID: info.ID}, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := protocol.WriteFrame(ch, protocol.Frame{Type: protocol.TypeSummary, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+		ch.SetDeadline(time.Now().Add(5 * time.Second))
+		answer, err := ch.Next()
+		if err != nil {
+			t.Fatalf("reading the answer: %v", err)
+		}
+		if msg, _ := protocol.DecodeError(answer); answer.Type != protocol.TypeError || msg != "bad summary" {
+			t.Fatalf("answer = %v %q, want the bad summary ERROR", answer.Type, msg)
+		}
 	}
 	select {
 	case err := <-served:
@@ -900,5 +919,46 @@ func refuseSummary(t *testing.T, f protocol.Frame) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("the session did not end")
+	}
+}
+
+// TestRetiredRefreshFrameRefused: type 11 was SUMMARY's refresh variant
+// until wire version 12, when the first summary moved into the OPEN and
+// every SUMMARY became a refresh. A frame of that type reaching a sender,
+// full or partial, is refused as unexpected: an ERROR, and the session
+// ends.
+func TestRetiredRefreshFrameRefused(t *testing.T) {
+	info, data := testContent(t, 60, 32)
+	full, err := NewFullServer(info, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial, err := NewPartialServer(info, partialSymbols(t, info, data, 40, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := bloomSummary([]uint64{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, srv := range []*Server{full, partial} {
+		t.Run(fmt.Sprintf("full=%v", srv.Full()), func(t *testing.T) {
+			ch := openSession(t, srv)
+			refresh := protocol.Frame{Type: protocol.Type(11), Payload: protocol.EncodeSummary(0, 0, blob).Payload}
+			if err := protocol.WriteFrame(ch, refresh); err != nil {
+				t.Fatal(err)
+			}
+			ch.SetDeadline(time.Now().Add(5 * time.Second))
+			answer, err := ch.Next()
+			if err != nil {
+				t.Fatalf("reading the answer: %v", err)
+			}
+			if msg, _ := protocol.DecodeError(answer); answer.Type != protocol.TypeError || msg != "unexpected Type(11)" {
+				t.Fatalf("answer = %v %q, want the unexpected-frame ERROR", answer.Type, msg)
+			}
+			if f, err := ch.Next(); err == nil {
+				t.Fatalf("the session went on after the ERROR: read %v", f.Type)
+			}
+		})
 	}
 }

@@ -109,10 +109,12 @@ type Orchestrator struct {
 	candidates    []gossipCandidate   // discovered addresses awaiting a free slot
 	candidateSeq  int                 // discovery-order stamp for candidate tie-breaks
 	dialFails     map[string]int      // requeue budget spent per never-reached discovery
-	// partials are the live sessions to partial senders, in join order:
-	// the i-th of them hands its sender slice i of len(partials) of the id
-	// space (sliceOf), so the senders spend their first transmissions on
-	// disjoint ids.
+	// partials are the live sessions to partial senders, and those whose
+	// OPEN carries a summary until an ACCEPT says full, in join order: the
+	// i-th hands its sender slice i of len(partials) of the id space
+	// (sliceOf), so the senders start on disjoint ids. One started while
+	// the fetch holds symbols joins at its start, so sessions started
+	// together name disjoint slices in their first OPENs.
 	partials []*session
 
 	// asked is the fetch's request budget in use: the symbols its sessions
@@ -276,6 +278,9 @@ func (o *Orchestrator) startSessionLocked(addr string, discovered bool) {
 	o.attempted[addr] = true
 	o.sessions[addr] = s
 	o.stats = append(o.stats, s.stats)
+	if !o.opts.Uninformed && len(o.log.ids) > 0 { // its OPEN will carry a summary
+		o.partials = append(o.partials, s)
+	}
 	o.active++
 	o.met.started.Inc()
 	o.met.live.Set(int64(len(o.sessions)))
@@ -680,18 +685,20 @@ func (o *Orchestrator) ensureDecoder(ci ContentInfo) error {
 	return nil
 }
 
-// joinPartials puts s, whose ACCEPT says it serves a partial sender, last
-// among the live partial sessions: every other one keeps its slice index
-// or shifts down, and all of them learn the new count at their next batch
-// boundary.
+// joinPartials puts s last among the live partial sessions, unless it is
+// there already: when its OPEN carries a summary (which names its slice)
+// and when its ACCEPT says it serves a partial sender. The others keep
+// their slice index and learn the new count at their next batch boundary.
 func (o *Orchestrator) joinPartials(s *session) {
 	o.mu.Lock()
-	o.partials = append(o.partials, s)
+	if !slices.Contains(o.partials, s) {
+		o.partials = append(o.partials, s)
+	}
 	o.mu.Unlock()
 }
 
-// leavePartials takes s out of the live partial sessions when its channel
-// is done; the slices close ranks behind it.
+// leavePartials takes s out of the live partial sessions when its ACCEPT
+// says full or its connection attempt ends; the slices close ranks.
 func (o *Orchestrator) leavePartials(s *session) {
 	o.mu.Lock()
 	if i := slices.Index(o.partials, s); i >= 0 {

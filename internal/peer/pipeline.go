@@ -20,7 +20,7 @@ package peer
 // with it. The window is a ceiling: large enough that the need, not the
 // window, sizes a fetch's first flight; the OPEN carries that first
 // round, which a full sender answers behind its ACCEPT (clamped to the
-// need) and a partial one ignores.
+// need) and a partial one answers one batch of.
 //
 // Below the cap K is measured, the same way for every sender: the
 // batches one round trip holds at the rate a batch arrives

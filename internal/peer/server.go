@@ -300,11 +300,11 @@ func (s *Server) ServeChannel(ch *peermux.Channel) error {
 	return err
 }
 
-// serve owns one session: the answering hello (accepting the channel)
-// and, from a full sender, the answer to the first round of requests the
-// OPEN carried; then summary handling and the batched request loop.
-// Frame payloads are valid until the next read (summaries are copied out
-// by their Unmarshal step), so the loop allocates nothing per frame.
+// serve owns one session: the answering hello (accepting the channel),
+// the answer to the first round of requests the OPEN carried, then
+// summary refreshes and the batched request loop. Frame payloads are
+// valid until the next read (summaries are copied out by their Unmarshal
+// step), so the loop allocates nothing per frame.
 func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 	// Gossip: a client announcing a dialable listen address becomes
 	// an advertisement this server relays to everyone else it serves —
@@ -327,39 +327,50 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 		return nil
 	}
 	// The sender announces the content parameters and its summary
-	// support. The OPEN carried the receiver's first round of requests.
-	// Nothing a full sender streams can be stale, so it answers the round
-	// behind its ACCEPT, exactly as it answers REQUEST frames: batches of
-	// Batch, each ending in its DONE — as many as the OPEN asked for, but
-	// no more than cover what the receiver's decode still needs (rounded
-	// up to whole batches, at least one) and in total no more than one
-	// channel window. Its ACCEPT's Depth says how many batches that is,
-	// which is what the receiver counts as in flight. A partial sender's
-	// answer waits for the summary: it ignores the round and says 0.
+	// support; a partial one also its log's length, having read the
+	// OPEN's summary, if any, to aim its cursor by (a malformed one
+	// refuses the channel). It answers the OPEN's round behind its ACCEPT exactly as
+	// it answers REQUEST frames: batches of Batch, each ending in its DONE,
+	// in total no more than one channel window. A full sender, whose
+	// symbols cannot be stale, answers as many as the OPEN asked for but
+	// no more than cover what the receiver's decode still needs (whole
+	// batches, at least one); a partial sender answers one, as a batch more
+	// would be aimed by a summary gone stale. Its ACCEPT's Depth says how
+	// many batches that is, which the receiver counts as in flight.
 	const maxBatch = 1 << 16
 	hello := s.info.hello(s.Full(), 0)
-	n, total := min(int(clientHello.Batch), maxBatch), 0
-	if s.Full() && n > 0 && clientHello.Depth > 0 {
-		need := decodeNeed(s.info.NumBlocks)
-		need -= int(min(clientHello.Symbols, uint64(need)))
-		batches := min(int(clientHello.Depth), max(1, (need+n-1)/n))
-		total = min(batches*n, ch.Window())
-		hello.Depth = uint16((total + n - 1) / n)
-	}
+	var missing func(id uint64) bool
+	var slice, of uint16
 	if !s.Full() {
 		ids, _ := s.src.WorkingSet()
 		hello.Symbols = uint64(len(ids))
+		if len(clientHello.Summary) > 0 {
+			var err error
+			if missing, slice, of, err = readSummary(clientHello.Summary); err != nil {
+				ch.Reject("bad summary")
+				return err
+			}
+		}
+	}
+	n, total := min(int(clientHello.Batch), maxBatch), 0
+	if n > 0 && clientHello.Depth > 0 {
+		batches := 1
+		if s.Full() {
+			need := decodeNeed(s.info.NumBlocks)
+			need -= int(min(clientHello.Symbols, uint64(need)))
+			batches = min(int(clientHello.Depth), max(1, (need+n-1)/n))
+		}
+		total = min(batches*n, ch.Window())
+		hello.Depth = uint16((total + n - 1) / n)
 	}
 	if err := ch.Accept(hello); err != nil {
 		return err
 	}
 
-	// Session loop: batched requests stream symbols — a full sender's from
-	// an encoder of its own, a partial sender's off the log through the
-	// session's cursor, which a summary (setup or refresh) re-aims. Both
-	// seeds are salted with this server's own address, so two fresh
-	// mirrors, which number their sessions alike, send a receiver
-	// different streams.
+	// One send step answers the OPEN's round and every REQUEST, from a
+	// full sender's encoder or a partial sender's cursor. Both seeds are
+	// salted with this server's own address, so two fresh mirrors, which
+	// number their sessions alike, send a receiver different streams.
 	seed := s.streamSeed.Add(1)
 	salt := addrSalt(ch.LocalAddr())
 	var cur *cursor
@@ -370,21 +381,23 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 			return err
 		}
 		encoder = enc
+	} else {
+		cur = newCursor(seed ^ s.info.CodeSeed ^ salt)
+		ids, _ := s.src.WorkingSet()
+		cur.aim(missing, slice, of, ids) // no summary: everything is missing
+	}
+	if total > 0 { // the OPEN's round, as the ACCEPT announced it
 		if s.timeout > 0 {
 			ch.SetDeadline(time.Now().Add(s.timeout))
 		}
-		if total > 0 { // the OPEN's round, as the ACCEPT announced it
-			if err := relay(); err != nil {
+		if err := relay(); err != nil {
+			return err
+		}
+		for ; total > 0; total -= n {
+			if err := s.send(ch, encoder, cur, min(n, total)); err != nil {
 				return err
 			}
-			for ; total > 0; total -= n {
-				if err := s.sendFull(ch, encoder, min(n, total)); err != nil {
-					return err
-				}
-			}
 		}
-	} else {
-		cur = newCursor(seed ^ s.info.CodeSeed ^ salt)
 	}
 	for {
 		if s.timeout > 0 {
@@ -398,19 +411,15 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 			return err
 		}
 		switch f.Type {
-		case protocol.TypeSummary, protocol.TypeSummaryRefresh:
-			slice, of, blob, err := protocol.DecodeSummaryView(f)
-			filter := new(bloom.Filter)
-			if err == nil {
-				err = filter.UnmarshalBinary(blob)
-			}
+		case protocol.TypeSummary:
+			missing, slice, of, err := readSummary(f.Payload)
 			if err != nil {
 				protocol.WriteFrame(ch, protocol.EncodeError("bad summary"))
 				return err
 			}
 			if cur != nil { // a full sender's symbols are fresh: nothing to prune
 				ids, _ := s.src.WorkingSet()
-				cur.aim(func(id uint64) bool { return !filter.Contains(id) }, slice, of, ids)
+				cur.aim(missing, slice, of, ids)
 			}
 
 		case protocol.TypePeers:
@@ -431,15 +440,7 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 			if err := relay(); err != nil {
 				return err
 			}
-			if s.Full() {
-				if err := s.sendFull(ch, encoder, int(min(n, maxBatch))); err != nil {
-					return err
-				}
-				continue
-			}
-			ids, payloads := s.src.WorkingSet()
-			cur.extend(ids)
-			if err := s.sendHeld(ch, cur, ids, payloads, int(min(n, maxBatch))); err != nil {
+			if err := s.send(ch, encoder, cur, int(min(n, maxBatch))); err != nil {
 				return err
 			}
 
@@ -451,6 +452,17 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 			return fmt.Errorf("peer: unexpected frame %v", f.Type)
 		}
 	}
+}
+
+// readSummary parses a SUMMARY payload (the OPEN's or a refresh's) into
+// what its Bloom filter leaves missing and its slice; it copies p.
+func readSummary(p []byte) (missing func(id uint64) bool, slice, of uint16, err error) {
+	slice, of, blob, err := protocol.DecodeSummaryView(p)
+	filter := new(bloom.Filter)
+	if err == nil {
+		err = filter.UnmarshalBinary(blob)
+	}
+	return func(id uint64) bool { return !filter.Contains(id) }, slice, of, err
 }
 
 // relayGossip writes one PEERS frame carrying every directory entry not
@@ -467,6 +479,17 @@ func (s *Server) relayGossip(conn io.Writer, sent map[protocol.PeerAd]bool) erro
 		return nil
 	}
 	return protocol.WriteFrame(conn, protocol.EncodePeers(fresh))
+}
+
+// send answers one batch of n: a full sender's from its encoder, a
+// partial sender's off the log through the session's cursor.
+func (s *Server) send(w io.Writer, enc *fountain.Encoder, cur *cursor, n int) error {
+	if enc != nil {
+		return s.sendFull(w, enc, n)
+	}
+	ids, payloads := s.src.WorkingSet()
+	cur.extend(ids)
+	return s.sendHeld(w, cur, ids, payloads, n)
 }
 
 // sendFull streams n fresh encoded symbols followed by DONE. Symbols are
@@ -491,10 +514,10 @@ func (s *Server) sendFull(w io.Writer, enc *fountain.Encoder, n int) error {
 // refresh has to prune is what other senders delivered), queued, or
 // withheld because the receiver's summary held its id when it was tested.
 // A REQUEST tests only what the log gained since the last one (extend); a
-// SUMMARY or SUMMARY_REFRESH re-tests everything unsent (aim), which keeps
-// one filter's false positive from being permanent. This is §6.1's
-// "a partial sender can find symbols of guaranteed utility ... recoding is
-// not generally necessary" taken at its word.
+// summary (the OPEN's, or a refresh) re-tests everything unsent (aim),
+// which keeps one filter's false positive from being permanent. This is
+// §6.1's "a partial sender can find symbols of guaranteed utility ...
+// recoding is not generally necessary" taken at its word.
 //
 // The summary also names this sender's slice of the id space
 // (protocol.InSlice): what it leaves missing queues in pending when its

@@ -202,23 +202,24 @@ var errStalled = errors.New("peer: no useful symbol within StallTimeout")
 // OPEN carries our hello, the ACCEPT carries the peer's. The OPEN also
 // carries the first round of requests — what the fetch's budget leaves,
 // up to the batches the window the channel opens at admits (depthCap) —
-// which a full sender answers behind its ACCEPT, so the first symbols
-// arrive one round trip after the open. Whatever the attempt still owed
-// when it ends goes back to the fetch's budget.
+// and the first summary, which every sender answers behind its ACCEPT,
+// so the first symbols arrive one round trip after the open. When the
+// attempt ends, what it still owed goes back to the fetch's budget.
 func (s *session) runConn() error {
 	ctx, cancel := context.WithCancelCause(s.ctx)
 	defer cancel(nil)
 	defer s.o.retire(s, math.MaxInt)
+	defer s.o.leavePartials(s)
 	if s.o.opts.StallTimeout > 0 {
 		go s.watchdog(ctx, cancel)
 	}
 	issued := time.Now()
-	ch, held, depth, err := s.openChannel(ctx, issued)
+	ch, open, err := s.openChannel(ctx, issued)
 	if err != nil {
 		return err
 	}
 	defer ch.Close()
-	err = s.serveChannel(ctx, ch, held, issued, depth)
+	err = s.serveChannel(ctx, ch, open, issued)
 	// A cancelled attempt unblocked the channel itself, and the watchdog
 	// has already charged PenaltyStall: neither is a reset by the peer.
 	if err != nil && ctx.Err() == nil && !terminalSessionError(err) {
@@ -228,12 +229,15 @@ func (s *session) runConn() error {
 }
 
 // openChannel opens this session's subchannel, issued at the given time,
-// with dial accounting, and returns it with the working set and the
-// number of batches its OPEN asked for (Orchestrator.openRound). It
-// classifies the peer's answers — a REJECT_CHANNEL, or an ERROR in place
-// of the wire handshake — into the terminal errors: a verdict from a live
-// peer is not a dial failure, so it does not charge the address.
-func (s *session) openChannel(ctx context.Context, issued time.Time) (*peermux.Channel, []uint64, int, error) {
+// with dial accounting, and returns it with its OPEN's hello: a round of
+// batches (Orchestrator.openRound) and, from an informed session that
+// holds symbols, their Bloom summary, naming the slice the session takes
+// among the fetch's partial sessions (a full sender ignores it, and the
+// session leaves them at the ACCEPT). It classifies the peer's answers —
+// a REJECT_CHANNEL, or an ERROR in place of the wire handshake — into the
+// terminal errors: a verdict from a live peer is not a dial failure, so
+// it does not charge the address.
+func (s *session) openChannel(ctx context.Context, issued time.Time) (*peermux.Channel, protocol.Hello, error) {
 	o := s.o
 	held, _ := o.WorkingSet()
 	// At most the batches the window the channel opens at admits, as the
@@ -244,28 +248,36 @@ func (s *session) openChannel(ctx context.Context, issued time.Time) (*peermux.C
 	if win > 0 {
 		opensAt = min(win, opensAt)
 	}
-	depth := o.openRound(s, depthCap(opensAt, o.opts.Batch))
+	open := protocol.Hello{
+		ContentID:  o.contentID,
+		Symbols:    uint64(len(held)),
+		Batch:      uint32(o.opts.Batch),
+		Depth:      uint16(o.openRound(s, depthCap(opensAt, o.opts.Batch))),
+		ListenAddr: o.opts.AdvertiseAddr,
+	}
+	if !o.opts.Uninformed && len(held) > 0 {
+		o.joinPartials(s)
+		slice, of := o.sliceOf(s)
+		blob, err := bloomSummary(held)
+		if err != nil {
+			return nil, protocol.Hello{}, err
+		}
+		open.Summary = protocol.EncodeSummary(slice, of, blob).Payload
+	}
 	openCtx, cancel := context.WithTimeout(ctx, o.opts.Timeout)
-	ch, err := o.fabric.OpenWindow(openCtx, s.addr, protocol.Hello{
-		ContentID:   o.contentID,
-		Symbols:     uint64(len(held)),
-		SummaryMask: o.opts.summaryMask(),
-		Batch:       uint32(o.opts.Batch),
-		Depth:       uint16(depth),
-		ListenAddr:  o.opts.AdvertiseAddr,
-	}, win)
+	ch, err := o.fabric.OpenWindow(openCtx, s.addr, open, win)
 	cancel()
 	if err == nil {
 		o.met.handshake.Observe(time.Since(issued).Seconds())
 		s.reached()
 		o.trace(obs.EvDial, s.addr, "")
-		return ch, held, depth, nil
+		return ch, open, nil
 	}
 	if ctx.Err() != nil {
 		// The attempt was abandoned — the session ended, or the watchdog
 		// gave up on an open nobody answered (it did the charging): no
 		// dial failed, so there is nothing to account.
-		return nil, nil, 0, context.Cause(ctx)
+		return nil, protocol.Hello{}, context.Cause(ctx)
 	}
 	// The peer answered: the channel negotiation with a REJECT, or — a
 	// banned dialer, or any dialer past the inbound connection cap, never
@@ -286,17 +298,17 @@ func (s *session) openChannel(ctx context.Context, issued time.Time) (*peermux.C
 	if answered {
 		s.reached()
 		if protocol.IsUnknownContent(msg) {
-			return nil, nil, 0, fmt.Errorf("peer %s: %s: %w", s.addr, msg, ErrUnknownContent)
+			return nil, protocol.Hello{}, fmt.Errorf("peer %s: %s: %w", s.addr, msg, ErrUnknownContent)
 		}
 		if protocol.IsRefused(msg) {
-			return nil, nil, 0, fmt.Errorf("peer %s: %s: %w", s.addr, msg, ErrRefused)
+			return nil, protocol.Hello{}, fmt.Errorf("peer %s: %s: %w", s.addr, msg, ErrRefused)
 		}
-		return nil, nil, 0, fmt.Errorf("peer %s: %s", s.addr, msg)
+		return nil, protocol.Hello{}, fmt.Errorf("peer %s: %s", s.addr, msg)
 	}
 	if errors.Is(err, protocol.ErrVersion) {
 		// The dial reached a live peer speaking an incompatible protocol
 		// version — terminal, and not the address's fault.
-		return nil, nil, 0, fmt.Errorf("peer %s: incompatible protocol: %w", s.addr, err)
+		return nil, protocol.Hello{}, fmt.Errorf("peer %s: incompatible protocol: %w", s.addr, err)
 	}
 	if errors.Is(err, protocol.ErrCorrupt) {
 		// The dial connected and the peer answered the handshake with
@@ -304,7 +316,7 @@ func (s *session) openChannel(ctx context.Context, issued time.Time) (*peermux.C
 		// signal), not an unreachable address.
 		s.reached()
 		s.noteConnError(err)
-		return nil, nil, 0, err
+		return nil, protocol.Hello{}, err
 	}
 	o.penalties.Penalize(s.addr, PenaltyDialFail)
 	o.mu.Lock()
@@ -312,7 +324,7 @@ func (s *session) openChannel(ctx context.Context, issued time.Time) (*peermux.C
 	o.mu.Unlock()
 	o.met.dialFailures.Inc()
 	o.trace(obs.EvDialFail, s.addr, err.Error())
-	return nil, nil, 0, err
+	return nil, protocol.Hello{}, err
 }
 
 // reached records that a dial got through to the address: it never
@@ -404,10 +416,10 @@ func (s *session) watchdog(ctx context.Context, cancel context.CancelCauseFunc) 
 }
 
 // serveChannel owns the session on an established subchannel, opened at
-// issued with a first round of depth batches requested, of which the
-// ACCEPT says how many the sender answers: the ACCEPT's hello also
-// carries the content parameters, so the session goes straight to
-// decoder setup, the Bloom summary and its refreshes, gossip, and the
+// issued by open, of whose round the ACCEPT says how many batches the
+// sender answers: the ACCEPT's hello also carries the content
+// parameters, so the session goes straight to decoder setup, summary
+// refreshes, gossip, and the
 // pipelined batched request loop (the wire's demux reader absorbs the
 // symbol stream while requests are being written, so depth > 1 cannot
 // deadlock even a synchronous pipe). Frames arrive through
@@ -415,7 +427,7 @@ func (s *session) watchdog(ctx context.Context, cancel context.CancelCauseFunc) 
 // the loop allocates nothing per frame: a new symbol's payload is copied
 // into the working set's current slab, which costs an allocation only
 // when a slab fills.
-func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []uint64, issued time.Time, depth int) error {
+func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open protocol.Hello, issued time.Time) error {
 	o := s.o
 	s.setChannel(ch)
 	defer s.setChannel(nil)
@@ -442,9 +454,9 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 		return err
 	}
 	// The OPEN's round counts as in flight for what the ACCEPT says will
-	// be answered (a partial sender says 0), and the fetch's budget keeps
+	// be answered (a partial sender says 1), and the fetch's budget keeps
 	// that much.
-	inflight := min(int(hello.Depth), depth)
+	inflight := min(int(hello.Depth), int(open.Depth))
 	o.settleOpen(s, inflight)
 	// The request depth (pipeline.go): target batches in flight, from 1
 	// until a batch asked for over an idle channel has been timed — asked
@@ -456,11 +468,11 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 		asked = issued
 	}
 
-	// The summary (§5.2): a partial sender that reads Bloom summaries gets
-	// one from an informed fetch, as soon as there is a working set to
-	// summarize. Full senders stream fresh symbols — nothing to reconcile.
+	// The summary (§5.2): a partial sender that reads Bloom summaries got
+	// one in the OPEN if there was a working set, and gets refreshes. Full
+	// senders stream fresh symbols — nothing to reconcile.
 	informed := !hello.FullCopy && !o.opts.Uninformed && hello.SummaryMask&protocol.AllSummaryMask != 0
-	sentSummary := informed && len(held) > 0
+	sentSummary := informed && len(open.Summary) > 0
 	o.mu.Lock()
 	s.stats.Full = hello.FullCopy
 	if sentSummary {
@@ -469,23 +481,14 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 	o.mu.Unlock()
 	o.trace(obs.EvHandshake, s.addr, s.stats.Summary)
 	// A partial sender gets a slice of the id space to serve first, its
-	// place among the fetch's live partial sessions; every summary carries
-	// the slice it was sent under.
-	if !hello.FullCopy {
+	// place among the fetch's live partial sessions (the OPEN's summary
+	// named it); every summary carries the slice it was sent under.
+	if hello.FullCopy {
+		o.leavePartials(s)
+	} else {
 		o.joinPartials(s)
-		defer o.leavePartials(s)
 	}
-	var slice, slices uint16
-	if sentSummary {
-		slice, slices = o.sliceOf(s)
-		blob, err := bloomSummary(held)
-		if err != nil {
-			return err
-		}
-		if err := protocol.WriteFrame(ch, protocol.EncodeSummary(slice, slices, blob, false)); err != nil {
-			return err
-		}
-	}
+	slice, slices, _, _ := protocol.DecodeSummaryView(open.Summary) // 0 of 0 without one
 
 	// Gossip: advertise what this node knows of the swarm right
 	// after the handshake, then again piggybacked on every refresh
@@ -496,10 +499,10 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 		return err
 	}
 
-	// Refresh: every RefreshBatches batches, check whether the working
-	// set grew ≥ RefreshGrowth since the last summary (summarized: how
+	// Refresh: every refreshBatches batches, check whether the working
+	// set grew ≥ refreshGrowth since the last summary (summarized: how
 	// much of the log that one covered).
-	summarized := len(held)
+	summarized := int(open.Symbols)
 	sinceCheck := 0
 
 	useless := 0
@@ -512,12 +515,12 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 		// enough since the last summary, re-inform the sender so it
 		// stops spending transmissions on symbols other sessions
 		// delivered meanwhile. This also covers sessions that started
-		// empty-handed (no summary at handshake, the fresh-receiver
+		// empty-handed (no summary in the OPEN, the fresh-receiver
 		// default): the first check that finds a working set sends the
 		// first summary.
 		sinceCheck++
 		refresh := false
-		if !hello.FullCopy && o.opts.RefreshBatches > 0 && sinceCheck >= o.opts.RefreshBatches {
+		if !hello.FullCopy && sinceCheck >= refreshBatches {
 			sinceCheck = 0
 			if err := s.sendGossip(ch, sentAds); err != nil {
 				return err
@@ -526,15 +529,14 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 			// paid only when a refresh will actually be built — and never
 			// by an uninformed session.
 			known := o.Progress()
-			grown := float64(known-summarized) >= o.opts.RefreshGrowth*float64(summarized)
+			grown := float64(known-summarized) >= refreshGrowth*float64(summarized)
 			refresh = grown && known > 0 && informed
 		}
 		// A partial session joined or left since the last summary: the
 		// slices moved, and the sender learns its new one now, whatever
 		// the cadence says. A session that has sent no summary has no
-		// slice to move, and one that never refreshes (RefreshBatches < 0)
-		// keeps the slice its summary named.
-		if !refresh && sentSummary && o.opts.RefreshBatches > 0 {
+		// slice to move.
+		if !refresh && sentSummary {
 			i, n := o.sliceOf(s)
 			refresh = i != slice || n != slices
 		}
@@ -546,7 +548,7 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, held []
 				return err
 			}
 			deadline()
-			if err := protocol.WriteFrame(ch, protocol.EncodeSummary(slice, slices, blob, true)); err != nil {
+			if err := protocol.WriteFrame(ch, protocol.EncodeSummary(slice, slices, blob)); err != nil {
 				return err
 			}
 			sentSummary, summarized = true, len(cur)
@@ -673,6 +675,13 @@ func (s *session) sendGossip(ch *peermux.Channel, sent map[protocol.PeerAd]bool)
 	}
 	return protocol.WriteFrame(ch, protocol.EncodePeers(fresh))
 }
+
+// refreshBatches and refreshGrowth are the one refresh policy: every
+// refreshBatches batches, a summary if the set grew by refreshGrowth.
+const (
+	refreshBatches = 8
+	refreshGrowth  = 0.1
+)
 
 // bloomSummary marshals a Bloom filter over the receiver's working set —
 // its ids, distinct, in any order — ready for protocol.EncodeSummary: the

@@ -69,20 +69,20 @@ func openSession(t *testing.T, srv *Server) *peermux.Channel {
 }
 
 // sendSummary informs the sender that the receiver holds held.
-func sendSummary(t *testing.T, ch *peermux.Channel, held []uint64, refresh bool) {
+func sendSummary(t *testing.T, ch *peermux.Channel, held []uint64) {
 	t.Helper()
-	sendSlicedSummary(t, ch, held, 0, 0, refresh)
+	sendSlicedSummary(t, ch, held, 0, 0)
 }
 
 // sendSlicedSummary informs the sender that the receiver holds held and
 // which slice of the id space it serves first.
-func sendSlicedSummary(t *testing.T, ch *peermux.Channel, held []uint64, slice, of uint16, refresh bool) {
+func sendSlicedSummary(t *testing.T, ch *peermux.Channel, held []uint64, slice, of uint16) {
 	t.Helper()
 	blob, err := bloomSummary(held)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := protocol.WriteFrame(ch, protocol.EncodeSummary(slice, of, blob, refresh)); err != nil {
+	if err := protocol.WriteFrame(ch, protocol.EncodeSummary(slice, of, blob)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -290,14 +290,14 @@ func TestCursorNeverWritesAPositionTwice(t *testing.T) {
 	// The session goroutine is parked in its next read while the test
 	// grows the log: each growth is ordered before the REQUEST behind it.
 	take("no summary", requestBatch(t, ch, 25))
-	sendSummary(t, ch, idsOf(syms[:10]), false)
+	sendSummary(t, ch, idsOf(syms[:10]))
 	take("after a bloom", requestBatch(t, ch, 25))
 	grow(60, 100)
 	take("after growth", requestBatch(t, ch, 30))
-	sendSummary(t, ch, nil, true)
+	sendSummary(t, ch, nil)
 	take("after an empty filter", requestBatch(t, ch, 30))
 	grow(100, 160)
-	sendSummary(t, ch, idsOf(syms[150:]), true)
+	sendSummary(t, ch, idsOf(syms[150:]))
 	for i := 0; i < 4; i++ {
 		take("draining", requestBatch(t, ch, 40))
 	}
@@ -342,7 +342,7 @@ func TestCursorSendsOnlyWhatTheSummaryLeavesMissing(t *testing.T) {
 	}
 	ch := openSession(t, srv)
 	held, withheld, missing := syms[:40], syms[40:48], syms[48:]
-	sendSummary(t, ch, idsOf(syms[:48]), false)
+	sendSummary(t, ch, idsOf(syms[:48]))
 	receiver := make(map[uint64]bool)
 	for _, s := range syms[:48] {
 		receiver[s.id] = true
@@ -358,7 +358,7 @@ func TestCursorSendsOnlyWhatTheSummaryLeavesMissing(t *testing.T) {
 	}
 	// The refresh names held only: what the first filter withheld beyond
 	// it is missing after all, and joins what is still pending.
-	sendSummary(t, ch, idsOf(held), true)
+	sendSummary(t, ch, idsOf(held))
 	rest := append(requestBatch(t, ch, 64), requestBatch(t, ch, 64)...)
 	sent := make(map[uint64]bool)
 	for _, s := range slices.Concat(first, rest) {
@@ -478,7 +478,7 @@ func TestCursorServesItsSliceFirst(t *testing.T) {
 	}
 
 	ch := openSession(t, srv)
-	sendSlicedSummary(t, ch, receiver, 1, 3, false)
+	sendSlicedSummary(t, ch, receiver, 1, 3)
 	var got []uint64
 	for {
 		batch := requestBatch(t, ch, 50)
@@ -661,10 +661,12 @@ func TestPartialSlicesStayContiguous(t *testing.T) {
 	}
 }
 
-// TestResliceCostsOneRefreshPerSession: a partial session joining or
+// TestResliceCostsOneRefreshPerSession: each session's OPEN carries its
+// first summary, which names its slice; a partial session joining or
 // leaving moves every other one's slice, and each of them tells its
-// sender with exactly one SUMMARY_REFRESH at its next batch boundary —
-// with the growth test, which would refresh on its own, never firing.
+// sender with exactly one SUMMARY at its next batch boundary. The growth
+// test, which would refresh on its own, never fires: the test passes
+// fewer batch boundaries than refreshBatches.
 func TestResliceCostsOneRefreshPerSession(t *testing.T) {
 	defer checkGoroutines(t)()
 	pn := newPipeNet()
@@ -676,7 +678,7 @@ func TestResliceCostsOneRefreshPerSession(t *testing.T) {
 	}
 	o := NewOrchestrator(2, FetchOptions{
 		Dial: pn.dial, DisableGossip: true, Timeout: 10 * time.Second,
-		Initial: initial, RefreshBatches: 1, RefreshGrowth: 1e9,
+		Initial: initial,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -689,6 +691,13 @@ func TestResliceCostsOneRefreshPerSession(t *testing.T) {
 		<-done
 		pn.close()
 	}()
+	opened := func(p *depthProbe, want summarySeen) {
+		t.Helper()
+		slice, slices, _, err := protocol.DecodeSummaryView(p.opened(t).Summary)
+		if got := (summarySeen{slice, slices}); err != nil || got != want {
+			t.Fatalf("sender's OPEN carried a summary of %+v (%v), want %+v", got, err, want)
+		}
+	}
 	expect := func(p *depthProbe, want summarySeen) {
 		t.Helper()
 		select {
@@ -709,14 +718,23 @@ func TestResliceCostsOneRefreshPerSession(t *testing.T) {
 		}
 	}
 
-	expect(p0, summarySeen{slice: 0, slices: 1})
+	opened(p0, summarySeen{slice: 0, slices: 1})
+	// Answer the OPEN's round and wait for p0's session to ask on: it is
+	// past a batch boundary, and mid-batch until the next release.
+	p0.release(1)
+	select {
+	case <-p0.reqs:
+	case <-time.After(5 * time.Second):
+		t.Fatal("p0's session asked for nothing after the OPEN's round")
+	}
 	if err := o.AddPeer(a1); err != nil {
 		t.Fatal(err)
 	}
-	expect(p1, summarySeen{slice: 1, slices: 2})
+	opened(p1, summarySeen{slice: 1, slices: 2})
+	none(p1)
 	none(p0) // the slice moved, but p0's session is mid-batch
 	p0.release(1)
-	expect(p0, summarySeen{refresh: true, slice: 0, slices: 2})
+	expect(p0, summarySeen{slice: 0, slices: 2})
 	p0.release(1)
 	none(p0) // one refresh per re-slice, not one per boundary
 	o.DropPeer(a1)
@@ -730,7 +748,7 @@ func TestResliceCostsOneRefreshPerSession(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	p0.release(2)
-	expect(p0, summarySeen{refresh: true, slice: 0, slices: 1})
+	expect(p0, summarySeen{slice: 0, slices: 1})
 	none(p0)
 	none(p1)
 }
@@ -768,7 +786,7 @@ func TestStaticAndLiveSendersEmitIdenticalStreams(t *testing.T) {
 		if got := ch.RemoteHello(); got.FullCopy || got.Symbols != uint64(len(syms)) {
 			t.Fatalf("hello = %+v, want a partial sender holding %d", got, len(syms))
 		}
-		sendSummary(t, ch, receiver, false)
+		sendSummary(t, ch, receiver)
 		streams[i] = append(requestBatch(t, ch, 20), requestBatch(t, ch, 20)...)
 		protocol.WriteFrame(ch, protocol.EncodeDone())
 	}
@@ -856,7 +874,7 @@ func TestDrySenderIsDroppedAndLiveOneResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch := openSession(t, live)
-	sendSummary(t, ch, idsOf(syms[:64]), false)
+	sendSummary(t, ch, idsOf(syms[:64]))
 	for i := 0; i < 2; i++ {
 		if got := requestBatch(t, ch, 16); len(got) != 0 {
 			t.Fatalf("a sender holding only what the receiver holds sent %d symbols", len(got))

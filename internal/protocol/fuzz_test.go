@@ -1,7 +1,7 @@
 package protocol
 
 // fuzz_test.go fuzzes every payload parser of the wire format — SYMBOL,
-// SUMMARY/SUMMARY_REFRESH, PEERS, the fabric's frames with the content
+// SUMMARY, PEERS, the fabric's frames with the content
 // hello inside OPEN/ACCEPT_CHANNEL — plus the frame reader itself. Each target asserts two things: no input panics the
 // parser, and anything the parser accepts survives a re-encode/re-parse
 // round trip unchanged (stability: the wire form is a fixpoint). Seed
@@ -31,25 +31,23 @@ func FuzzSymbolView(f *testing.F) {
 }
 
 func FuzzDecodeSummaryView(f *testing.F) {
-	f.Add(EncodeSummary(0, 0, []byte("bloom-bits"), false).Payload)
-	f.Add(EncodeSummary(0, 1, nil, true).Payload)
-	f.Add(EncodeSummary(1, 2, []byte("bloom-bits"), true).Payload)
-	f.Add(EncodeSummary(2, 2, []byte("bloom-bits"), false).Payload) // slice == slices
+	f.Add(EncodeSummary(0, 0, []byte("bloom-bits")).Payload)
+	f.Add(EncodeSummary(0, 1, nil).Payload)
+	f.Add(EncodeSummary(1, 2, []byte("bloom-bits")).Payload)
+	f.Add(EncodeSummary(2, 2, []byte("bloom-bits")).Payload) // slice == slices
 	f.Add([]byte{})
 	f.Add([]byte{9, 1, 2})
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		slice, slices, blob, err := DecodeSummaryView(Frame{Type: TypeSummary, Payload: payload})
+		slice, slices, blob, err := DecodeSummaryView(payload)
 		if err != nil {
 			return
 		}
 		if slices > 1 && slice >= slices {
 			t.Fatalf("accepted slice %d of %d", slice, slices)
 		}
-		for _, refresh := range []bool{false, true} {
-			s2, n2, b2, err := DecodeSummaryView(EncodeSummary(slice, slices, blob, refresh))
-			if err != nil || s2 != slice || n2 != slices || !bytes.Equal(b2, blob) {
-				t.Fatalf("summary round trip unstable (refresh=%v): %v", refresh, err)
-			}
+		s2, n2, b2, err := DecodeSummaryView(EncodeSummary(slice, slices, blob).Payload)
+		if err != nil || s2 != slice || n2 != slices || !bytes.Equal(b2, blob) {
+			t.Fatalf("summary round trip unstable: %v", err)
 		}
 	})
 }
@@ -138,6 +136,11 @@ func FuzzMuxDecoders(f *testing.F) {
 		ContentID: 0xF00D, Symbols: 9, SummaryMask: AllSummaryMask,
 		Batch: 64, Depth: 8, ListenAddr: "203.0.113.9:9002",
 	}).Payload)
+	// An OPEN carrying the opener's first summary as the hello's tail.
+	f.Add(EncodeOpenChannel(1, Hello{
+		ContentID: 0xF00D, Symbols: 9, Batch: 64, Depth: 8, ListenAddr: "203.0.113.9:9002",
+		Summary: EncodeSummary(1, 2, []byte("bloom-bits")).Payload,
+	}).Payload)
 	f.Add(EncodeAcceptChannel(1, Hello{
 		ContentID: 0xF00D, NumBlocks: 23968, BlockSize: 1400, OrigLen: 32 << 20,
 		CodeSeed: 42, FullCopy: true, SummaryMask: AllSummaryMask,
@@ -160,12 +163,12 @@ func FuzzMuxDecoders(f *testing.F) {
 			}
 		}
 		if ch, h, err := DecodeOpenChannel(Frame{Type: TypeOpenChannel, Payload: payload}); err == nil {
-			if ch2, h2, err := DecodeOpenChannel(EncodeOpenChannel(ch, h)); err != nil || ch2 != ch || h2 != h {
+			if ch2, h2, err := DecodeOpenChannel(EncodeOpenChannel(ch, h)); err != nil || ch2 != ch || !sameHello(h2, h) {
 				t.Fatalf("OPEN_CHANNEL round trip unstable: %v", err)
 			}
 		}
 		if ch, h, err := DecodeAcceptChannel(Frame{Type: TypeAcceptChannel, Payload: payload}); err == nil {
-			if ch2, h2, err := DecodeAcceptChannel(EncodeAcceptChannel(ch, h)); err != nil || ch2 != ch || h2 != h {
+			if ch2, h2, err := DecodeAcceptChannel(EncodeAcceptChannel(ch, h)); err != nil || ch2 != ch || !sameHello(h2, h) {
 				t.Fatalf("ACCEPT_CHANNEL round trip unstable: %v", err)
 			}
 		}

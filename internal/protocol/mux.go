@@ -61,12 +61,10 @@ func DecodeMuxHello(f Frame) (MuxHello, error) {
 }
 
 // EncodeOpenChannel marshals a channel-open request: the id the opener
-// chose plus its content hello (content id, working-set size, summary
-// mask, first round of requests, listen address).
+// chose plus its content hello (content id, working-set size, first round
+// of requests, listen address, first summary).
 func EncodeOpenChannel(ch uint16, h Hello) Frame {
-	buf := make([]byte, 2, 2+helloFixedLen+1+len(h.ListenAddr))
-	binary.LittleEndian.PutUint16(buf, ch)
-	return Frame{Type: TypeOpenChannel, Payload: appendHelloPayload(buf, h)}
+	return encodeChannelHello(TypeOpenChannel, ch, h)
 }
 
 // DecodeOpenChannel unmarshals an OPEN_CHANNEL frame.
@@ -81,9 +79,7 @@ func DecodeOpenChannel(f Frame) (uint16, Hello, error) {
 // plus the serving side's content hello (metadata the fetching side
 // needs to construct its decoder).
 func EncodeAcceptChannel(ch uint16, h Hello) Frame {
-	buf := make([]byte, 2, 2+helloFixedLen+1+len(h.ListenAddr))
-	binary.LittleEndian.PutUint16(buf, ch)
-	return Frame{Type: TypeAcceptChannel, Payload: appendHelloPayload(buf, h)}
+	return encodeChannelHello(TypeAcceptChannel, ch, h)
 }
 
 // DecodeAcceptChannel unmarshals an ACCEPT_CHANNEL frame.

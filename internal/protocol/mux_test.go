@@ -38,11 +38,11 @@ func TestChannelNegotiationRoundTrip(t *testing.T) {
 		ListenAddr: "10.0.0.7:9000",
 	}
 	ch, got, err := DecodeOpenChannel(EncodeOpenChannel(7, h))
-	if err != nil || ch != 7 || got != h {
+	if err != nil || ch != 7 || !sameHello(got, h) {
 		t.Fatalf("OPEN_CHANNEL round trip: ch=%d h=%+v err=%v", ch, got, err)
 	}
 	ch, got, err = DecodeAcceptChannel(EncodeAcceptChannel(9, h))
-	if err != nil || ch != 9 || got != h {
+	if err != nil || ch != 9 || !sameHello(got, h) {
 		t.Fatalf("ACCEPT_CHANNEL round trip: ch=%d h=%+v err=%v", ch, got, err)
 	}
 	ch, msg, err := DecodeRejectChannel(EncodeRejectChannel(3, ReasonRefused+" (address penalized)"))

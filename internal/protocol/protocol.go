@@ -35,8 +35,8 @@ import (
 // Version is the one protocol version this library speaks, and the only
 // version byte readFrame accepts: any other value on a frame whose
 // checksum holds is ErrVersion. What the number has accumulated: Lemire fast-range Bloom probe positions (2),
-// summary-method negotiation in the hello mask and SUMMARY /
-// SUMMARY_REFRESH frames (3), gossip peer discovery via the hello's
+// summary-method negotiation in the hello mask and SUMMARY frames, with
+// a refresh variant of its own (3), gossip peer discovery via the hello's
 // advertised listen address and PEERS frames (4), and the multiplexed
 // connection fabric (5) — a MUX_HELLO handshake, OPEN/ACCEPT/REJECT/
 // CLOSE_CHANNEL negotiation, per-channel CREDIT flow control, and a MUX
@@ -63,8 +63,10 @@ import (
 // decode still needs. 10 gives the SUMMARY its slice: the receiver tells
 // each partial sender which hash slice of the id space to serve first
 // (TypeSummary, InSlice). 11 dropped the SUMMARY's method byte: a Bloom
-// filter is the only summary.
-const Version = 11
+// filter is the only summary. 12 puts the opener's first summary in the
+// OPEN (Hello.Summary), by which a partial sender answers one batch of
+// the round, and retires type 11, SUMMARY's refresh variant.
+const Version = 12
 
 // versionUnderCRC is the first version whose checksum covers the version
 // byte.
@@ -104,8 +106,10 @@ const (
 	TypeDone  Type = 8 // sender has satisfied the request / receiver is finished
 	TypeError Type = 9 // fatal error, human-readable
 
-	// TypeSummary carries the receiver's working-set summary, a Bloom
-	// filter (§5.2), and the sender's slice of the id space:
+	// TypeSummary carries a refresh of the receiver's working-set summary,
+	// a Bloom filter (§5.2), sent when its working set has grown or its
+	// slice moved, and the sender's slice of the id space — the first
+	// summary rides the OPEN (Hello.Summary) in the same layout:
 	//
 	//	slice  uint16  this sender's slice, < slices
 	//	slices uint16  how many the id space is cut into (≤ 1: one, the whole)
@@ -124,10 +128,8 @@ const (
 	//
 	// (InSlice), which every sender must compute identically.
 	TypeSummary Type = 10
-	// TypeSummaryRefresh is a TypeSummary payload sent mid-session when
-	// the receiver's working set has grown enough that the sender
-	// should re-derive what is still missing.
-	TypeSummaryRefresh Type = 11
+	// 11 was SUMMARY's refresh variant, the same payload, until version
+	// 12: the first summary rides the OPEN, so every SUMMARY is a refresh.
 
 	// TypePeers carries gossip peer advertisements: a capped,
 	// deduplicated list of (content id, dialable address) pairs either
@@ -164,8 +166,6 @@ func (t Type) String() string {
 		return "ERROR"
 	case TypeSummary:
 		return "SUMMARY"
-	case TypeSummaryRefresh:
-		return "SUMMARY_REFRESH"
 	case TypePeers:
 		return "PEERS"
 	case TypeMuxHello:
@@ -390,8 +390,8 @@ func (fr *FrameReader) fill(need int) error {
 // and ACCEPT_CHANNEL (the acceptor's): both sides announce identity and
 // the sender side carries the content metadata a fresh receiver needs to
 // construct its decoder. A receiver's Hello uses zero metadata fields but
-// carries its working-set size, its summary mask and its first round of
-// requests.
+// carries its working-set size, its first round of requests and its first
+// summary.
 type Hello struct {
 	ContentID uint64 // identifies the file (e.g. hash of its name)
 	NumBlocks uint32 // ` source blocks
@@ -400,25 +400,32 @@ type Hello struct {
 	CodeSeed  uint64 // neighbor-expansion seed of the shared code
 	FullCopy  bool   // sender holds the complete content
 	Symbols   uint64 // announcer's working set size (partial senders and receivers)
-	// SummaryMask says whether the announcer sends (receiver side) or
-	// reads (sender side) Bloom summaries: AllSummaryMask, its one
-	// defined bit, if it does. Without the bit on either side, the
-	// session sends no summary.
+	// SummaryMask says whether a sender reads Bloom summaries:
+	// AllSummaryMask, its one defined bit, if it does. Only the sender's
+	// ACCEPT means anything by it; without the bit, the session sends no
+	// refresh.
 	SummaryMask uint8
 	// Batch and Depth are the opener's first round of requests: Depth
 	// batches of Batch symbols, what Depth REQUEST frames of Batch would
-	// ask for. Zero asks for nothing. A full sender answers the round
-	// right behind its ACCEPT, clamped to what the opener's decode still
-	// needs, and its ACCEPT's Depth is how many DONE-ended batches that
-	// answer holds (at least one when the OPEN asked for any); a partial
-	// sender, whose answer waits for the receiver's summary, ignores the
-	// round and accepts with Depth 0. Batch is zero in an ACCEPT.
+	// ask for. Zero asks for nothing. A sender answers the round right
+	// behind its ACCEPT, and its ACCEPT's Depth is how many DONE-ended
+	// batches that answer holds: a full sender's, what was asked clamped
+	// to what the opener's decode still needs (at least one when the OPEN
+	// asked for any); a partial sender's, one, aimed by Summary (a batch
+	// more would be aimed by a summary gone stale). Batch is zero in an
+	// ACCEPT.
 	Batch uint32
 	Depth uint16
 	// ListenAddr is the announcer's dialable listen address, empty
 	// when the announcer cannot be dialed back. Peers feed it into
 	// their gossip directories and relay it in PEERS frames.
 	ListenAddr string
+	// Summary is the opener's first summary, a TypeSummary payload, as
+	// the hello's tail; empty when it holds nothing or sends no
+	// summaries. A partial sender aims its first batch by it and refuses
+	// the channel ("bad summary") when it is malformed; a full sender
+	// ignores it.
+	Summary []byte
 }
 
 // MaxAddrLen bounds an advertised address (hello and PEERS frames): a
@@ -427,18 +434,18 @@ const MaxAddrLen = 255
 
 const helloFixedLen = 8 + 4 + 4 + 8 + 8 + 1 + 8 + 1 + 4 + 2
 
-// appendHelloPayload marshals h onto buf, the layout the OPEN/
-// ACCEPT_CHANNEL frames embed after their channel id. A ListenAddr longer
-// than MaxAddrLen is truncated to empty (an undialable advert, not a
-// malformed frame).
-func appendHelloPayload(buf []byte, h Hello) []byte {
+// encodeChannelHello marshals an OPEN/ACCEPT_CHANNEL frame in one
+// allocation: the channel id, then h in the hello layout. A ListenAddr
+// longer than MaxAddrLen is truncated to empty (an undialable advert, not
+// a malformed frame).
+func encodeChannelHello(t Type, ch uint16, h Hello) Frame {
 	addr := h.ListenAddr
 	if len(addr) > MaxAddrLen {
 		addr = ""
 	}
-	off := len(buf)
-	buf = append(buf, make([]byte, helloFixedLen+1+len(addr))...)
-	p := buf[off:]
+	buf := make([]byte, 2+helloFixedLen+1+len(addr)+len(h.Summary))
+	binary.LittleEndian.PutUint16(buf, ch)
+	p := buf[2:]
 	binary.LittleEndian.PutUint64(p[0:], h.ContentID)
 	binary.LittleEndian.PutUint32(p[8:], h.NumBlocks)
 	binary.LittleEndian.PutUint32(p[12:], h.BlockSize)
@@ -452,19 +459,24 @@ func appendHelloPayload(buf []byte, h Hello) []byte {
 	binary.LittleEndian.PutUint32(p[42:], h.Batch)
 	binary.LittleEndian.PutUint16(p[46:], h.Depth)
 	p[48] = byte(len(addr))
-	copy(p[49:], addr)
-	return buf
+	copy(p[49+copy(p[49:], addr):], h.Summary)
+	return Frame{Type: t, Payload: buf}
 }
 
 // decodeHelloPayload unmarshals the hello layout from the tail of an
-// OPEN/ACCEPT_CHANNEL payload.
+// OPEN/ACCEPT_CHANNEL payload; the summary is copied out of p.
 func decodeHelloPayload(p []byte) (Hello, error) {
 	if len(p) < helloFixedLen+1 {
 		return Hello{}, fmt.Errorf("protocol: hello payload %d bytes, want ≥ %d", len(p), helloFixedLen+1)
 	}
 	addrLen := int(p[48])
-	if len(p) != helloFixedLen+1+addrLen {
-		return Hello{}, fmt.Errorf("protocol: hello payload %d bytes, want %d", len(p), helloFixedLen+1+addrLen)
+	if len(p) < helloFixedLen+1+addrLen {
+		return Hello{}, fmt.Errorf("protocol: hello payload %d bytes, want ≥ %d", len(p), helloFixedLen+1+addrLen)
+	}
+	var summary []byte
+	if tail := p[49+addrLen:]; len(tail) > 0 {
+		summary = make([]byte, len(tail))
+		copy(summary, tail)
 	}
 	return Hello{
 		ContentID:   binary.LittleEndian.Uint64(p[0:]),
@@ -478,6 +490,7 @@ func decodeHelloPayload(p []byte) (Hello, error) {
 		Batch:       binary.LittleEndian.Uint32(p[42:]),
 		Depth:       binary.LittleEndian.Uint16(p[46:]),
 		ListenAddr:  string(p[49 : 49+addrLen]),
+		Summary:     summary,
 	}, nil
 }
 
@@ -639,27 +652,23 @@ func DecodeError(f Frame) (string, error) {
 	return string(f.Payload), nil
 }
 
-// AllSummaryMask is the Hello.SummaryMask of a peer that reads and
-// sends Bloom summaries (§5.2), the only summary a SUMMARY carries. It is
-// the mask's one defined bit; a mask without it means "no summaries".
+// AllSummaryMask is the ACCEPT's Hello.SummaryMask of a sender that
+// reads Bloom summaries (§5.2), the only summary there is. It is the
+// mask's one defined bit; a mask without it means "no summaries".
 const AllSummaryMask uint8 = 1
 
 // summaryHeader is a SUMMARY payload's slice fields.
 const summaryHeader = 2 + 2
 
 // EncodeSummary wraps the sender's slice of the id space and a marshaled
-// Bloom filter in a SUMMARY frame; refresh selects SUMMARY_REFRESH, the
-// mid-session update variant. slices ≤ 1 is the whole id space.
-func EncodeSummary(slice, slices uint16, blob []byte, refresh bool) Frame {
-	t := TypeSummary
-	if refresh {
-		t = TypeSummaryRefresh
-	}
+// Bloom filter in a SUMMARY frame, whose payload is also what
+// Hello.Summary holds. slices ≤ 1 is the whole id space.
+func EncodeSummary(slice, slices uint16, blob []byte) Frame {
 	payload := make([]byte, summaryHeader+len(blob))
 	binary.LittleEndian.PutUint16(payload[0:], slice)
 	binary.LittleEndian.PutUint16(payload[2:], slices)
 	copy(payload[summaryHeader:], blob)
-	return Frame{Type: t, Payload: payload}
+	return Frame{Type: TypeSummary, Payload: payload}
 }
 
 // InSlice reports whether id falls in slice slice of slices of the id
@@ -761,22 +770,19 @@ func DecodePeers(f Frame) ([]PeerAd, error) {
 	return ads, nil
 }
 
-// DecodeSummaryView parses a SUMMARY or SUMMARY_REFRESH frame into the
-// sender's slice of the id space and the marshaled Bloom filter;
-// slice ≥ slices > 1 is malformed. The blob aliases f.Payload:
-// frames read through a FrameReader are valid only until the next frame,
-// so consumers must unmarshal before reading on.
-func DecodeSummaryView(f Frame) (slice, slices uint16, blob []byte, err error) {
-	if f.Type != TypeSummary && f.Type != TypeSummaryRefresh {
-		return 0, 0, nil, fmt.Errorf("protocol: %v is not SUMMARY/SUMMARY_REFRESH", f.Type)
-	}
-	if len(f.Payload) < summaryHeader {
+// DecodeSummaryView parses a SUMMARY payload — a SUMMARY frame's, or
+// Hello.Summary — into the sender's slice of the id space and the
+// marshaled Bloom filter; slice ≥ slices > 1 is malformed. The blob
+// aliases p: a frame read through a FrameReader is valid only until the
+// next frame, so consumers must unmarshal before reading on.
+func DecodeSummaryView(p []byte) (slice, slices uint16, blob []byte, err error) {
+	if len(p) < summaryHeader {
 		return 0, 0, nil, errors.New("protocol: SUMMARY too short")
 	}
-	slice = binary.LittleEndian.Uint16(f.Payload[0:])
-	slices = binary.LittleEndian.Uint16(f.Payload[2:])
+	slice = binary.LittleEndian.Uint16(p[0:])
+	slices = binary.LittleEndian.Uint16(p[2:])
 	if slices > 1 && slice >= slices {
 		return 0, 0, nil, fmt.Errorf("protocol: SUMMARY slice %d of %d", slice, slices)
 	}
-	return slice, slices, f.Payload[summaryHeader:], nil
+	return slice, slices, p[summaryHeader:], nil
 }

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -128,8 +129,8 @@ func TestVersionByteFlipDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	if raw[2] != Version {
-		t.Fatalf("byte 2 = %d, want the version byte %d", raw[2], Version)
+	if raw[2] != 12 {
+		t.Fatalf("byte 2 = %d, want the version byte 12", raw[2])
 	}
 	check := func(t *testing.T, v byte) {
 		t.Helper()
@@ -164,9 +165,19 @@ func TestOversizePayloadRejected(t *testing.T) {
 	}
 }
 
+// sameHello reports whether two hellos agree in every field, Summary
+// included (nil and empty alike: both mean no summary).
+func sameHello(a, b Hello) bool {
+	if !bytes.Equal(a.Summary, b.Summary) {
+		return false
+	}
+	a.Summary, b.Summary = nil, nil
+	return reflect.DeepEqual(a, b)
+}
+
 // TestHelloRoundTrip: the content hello travels in the channel
-// negotiation frames, the opener's first round of requests included, and
-// decodes to what was encoded from either.
+// negotiation frames, the opener's first round of requests and its first
+// summary included, and decodes to what was encoded from either.
 func TestHelloRoundTrip(t *testing.T) {
 	want := Hello{
 		ContentID:   0xDEADBEEF,
@@ -183,10 +194,10 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 	roundTrip := func(h Hello) {
 		t.Helper()
-		if ch, got, err := DecodeOpenChannel(EncodeOpenChannel(3, h)); err != nil || ch != 3 || got != h {
+		if ch, got, err := DecodeOpenChannel(EncodeOpenChannel(3, h)); err != nil || ch != 3 || !sameHello(got, h) {
 			t.Fatalf("OPEN_CHANNEL hello: ch=%d %+v vs %+v (%v)", ch, got, h, err)
 		}
-		if ch, got, err := DecodeAcceptChannel(EncodeAcceptChannel(5, h)); err != nil || ch != 5 || got != h {
+		if ch, got, err := DecodeAcceptChannel(EncodeAcceptChannel(5, h)); err != nil || ch != 5 || !sameHello(got, h) {
 			t.Fatalf("ACCEPT_CHANNEL hello: ch=%d %+v vs %+v (%v)", ch, got, h, err)
 		}
 	}
@@ -195,10 +206,24 @@ func TestHelloRoundTrip(t *testing.T) {
 	roundTrip(want)
 	want.Batch, want.Depth = 1<<32-1, 1<<16-1 // the widest request the fields hold
 	roundTrip(want)
+	// The opener's first summary is the hello's tail, behind the address.
+	want.Summary = EncodeSummary(1, 3, []byte("bloom-bits")).Payload
+	roundTrip(want)
+	want.ListenAddr = "203.0.113.9:9002"
+	roundTrip(want)
+	f := EncodeOpenChannel(3, want)
+	if got, tail := len(f.Payload), 2+49+len(want.ListenAddr)+len(want.Summary); got != tail {
+		t.Fatalf("OPEN_CHANNEL with a summary is %d bytes, want %d (channel id, hello, address, summary)", got, tail)
+	}
+	_, got, _ := DecodeOpenChannel(f)
+	f.Payload[len(f.Payload)-1] ^= 0xFF
+	if slice, of, blob, err := DecodeSummaryView(got.Summary); err != nil || slice != 1 || of != 3 || string(blob) != "bloom-bits" {
+		t.Fatalf("the decoded summary aliases the frame or misparses: slice %d of %d, %q (%v)", slice, of, blob, err)
+	}
 	// A full sender's ACCEPT: no request of its own, and the batches of the
 	// opener's round it will answer.
 	accept := Hello{ContentID: 0xDEADBEEF, NumBlocks: 1024, BlockSize: 1400, OrigLen: 1 << 20, FullCopy: true, Depth: 18}
-	if ch, got, err := DecodeAcceptChannel(EncodeAcceptChannel(5, accept)); err != nil || ch != 5 || got != accept || got.Depth != 18 {
+	if ch, got, err := DecodeAcceptChannel(EncodeAcceptChannel(5, accept)); err != nil || ch != 5 || !sameHello(got, accept) || got.Depth != 18 || got.Summary != nil {
 		t.Fatalf("ACCEPT_CHANNEL depth: ch=%d %+v vs %+v (%v)", ch, got, accept, err)
 	}
 	if got := len(EncodeOpenChannel(1, Hello{}).Payload); got != 2+49 {
@@ -209,7 +234,8 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 	// A declared address length past the payload end must not read OOB:
 	// the length byte follows the channel id and the 48 fixed bytes.
-	f := EncodeOpenChannel(1, want)
+	want.Summary = nil
+	f = EncodeOpenChannel(1, want)
 	f.Payload[2+48] = 200
 	if _, _, err := DecodeOpenChannel(f); err == nil {
 		t.Fatal("truncated address accepted")
@@ -310,9 +336,10 @@ func TestRequestDoneError(t *testing.T) {
 func TestTypeStrings(t *testing.T) {
 	for ty, want := range map[Type]string{
 		TypeRequest: "REQUEST", TypeSymbol: "SYMBOL", TypeDone: "DONE",
-		TypeError: "ERROR", TypePeers: "PEERS",
-		Type(3):   "Type(3)", // BLOOM until version 5: no longer a frame this library names
-		Type(7):   "Type(7)", // RECODED until version 7
+		TypeError: "ERROR", TypeSummary: "SUMMARY", TypePeers: "PEERS",
+		Type(3):   "Type(3)",  // BLOOM until version 5: no longer a frame this library names
+		Type(7):   "Type(7)",  // RECODED until version 7
+		Type(11):  "Type(11)", // SUMMARY's refresh variant until version 12
 		Type(200): "Type(200)",
 	} {
 		if ty.String() != want {
@@ -647,36 +674,27 @@ func TestFrameReaderZeroAlloc(t *testing.T) {
 
 func TestSummaryRoundTrip(t *testing.T) {
 	blob := []byte("marshaled-summary-bytes")
-	for _, refresh := range []bool{false, true} {
-		for _, sl := range [][2]uint16{{0, 0}, {0, 1}, {1, 2}, {6, 7}, {65534, 65535}} {
-			f := EncodeSummary(sl[0], sl[1], blob, refresh)
-			wantType := TypeSummary
-			if refresh {
-				wantType = TypeSummaryRefresh
-			}
-			if f.Type != wantType {
-				t.Fatalf("refresh=%v framed as %v", refresh, f.Type)
-			}
-			slice, slices, got, err := DecodeSummaryView(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if slice != sl[0] || slices != sl[1] || !bytes.Equal(got, blob) {
-				t.Fatalf("round trip: slice %d of %d blob %q", slice, slices, got)
-			}
+	for _, sl := range [][2]uint16{{0, 0}, {0, 1}, {1, 2}, {6, 7}, {65534, 65535}} {
+		f := EncodeSummary(sl[0], sl[1], blob)
+		if f.Type != TypeSummary {
+			t.Fatalf("summary framed as %v", f.Type)
+		}
+		slice, slices, got, err := DecodeSummaryView(f.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slice != sl[0] || slices != sl[1] || !bytes.Equal(got, blob) {
+			t.Fatalf("round trip: slice %d of %d blob %q", slice, slices, got)
 		}
 	}
-	if _, _, _, err := DecodeSummaryView(Frame{Type: TypeDone}); err == nil {
-		t.Error("wrong type accepted")
-	}
-	if _, _, _, err := DecodeSummaryView(Frame{Type: TypeSummary}); err == nil {
+	if _, _, _, err := DecodeSummaryView(nil); err == nil {
 		t.Error("empty summary accepted")
 	}
-	if _, _, _, err := DecodeSummaryView(Frame{Type: TypeSummary, Payload: []byte{0, 0, 0}}); err == nil {
+	if _, _, _, err := DecodeSummaryView([]byte{0, 0, 0}); err == nil {
 		t.Error("truncated slice fields accepted")
 	}
 	for _, sl := range [][2]uint16{{2, 2}, {3, 2}, {65535, 7}} {
-		if _, _, _, err := DecodeSummaryView(EncodeSummary(sl[0], sl[1], blob, false)); err == nil {
+		if _, _, _, err := DecodeSummaryView(EncodeSummary(sl[0], sl[1], blob).Payload); err == nil {
 			t.Errorf("slice %d of %d accepted", sl[0], sl[1])
 		}
 	}

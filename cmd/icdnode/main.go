@@ -33,9 +33,9 @@
 // Run a full multi-content node (PR 5): serve and fetch any number of
 // contents from one process and ONE listener — every inbound HELLO is
 // routed by content id, fetched working sets are served live as they
-// grow, the -max-conns connection budget is divided across concurrent
-// fetches by marginal utility, and -store-budget bounds the bytes kept
-// (pinned replicas never evict):
+// grow, the -max-conns connection budget is split evenly among
+// concurrent fetches, and -store-budget bounds the bytes kept (pinned
+// replicas never evict):
 //
 //	icdnode node -listen 127.0.0.1:9000 \
 //	    -serve 0xF00D=big.iso,0xBEEF=other.iso \

@@ -401,19 +401,16 @@
 //     live: a fetch's working set is served as soon as its first
 //     handshake fixes the metadata.
 //
-//   - Cross-content scheduler (connection budget). Concurrent fetches
-//     share the node-wide gossip directory and divide one global
-//     connection budget (Options.MaxConns). Each housekeeping tick
-//     samples per-fetch progress rates and re-apportions slots by
-//     marginal utility — proportional to rate, with starved fetches (no
-//     progress: more sessions to the same peers buy nothing) and
-//     near-complete fetches (the decode tail needs few fresh symbols)
-//     yielding their share — applied live via Orchestrator.SetMaxPeers,
+//   - Budgets (one even share). Concurrent fetches share the node-wide
+//     gossip directory and split one connection budget
+//     (Options.MaxConns) evenly: fetch i of n, in start order, gets n's
+//     share of the total, the remainder one apiece to the earliest, and
+//     at least one slot. The split is recomputed only when a fetch
+//     starts or ends and applied live via Orchestrator.SetMaxPeers,
 //     shrinking before growing so the combined live-session count never
-//     overshoots. Every fetch keeps one guaranteed slot. The tick also
-//     ages stale gossip entries out (Gossip.Expire: an address nobody
-//     re-mentions is probably dead) and re-enforces the store budget as
-//     live working sets grow.
+//     overshoots. A housekeeping tick ages stale gossip entries out
+//     (Gossip.Expire: an address nobody re-mentions is probably dead)
+//     and re-enforces the store budget as live working sets grow.
 //
 // `icdnode node` runs one: serve and fetch any number of contents from
 // one -listen address; the benchmark's multi_small workload measures a
@@ -501,21 +498,18 @@
 // answer a REQUEST with frames this library must refuse mid-session — is
 // turned away at the handshake instead.
 //
-// Credits as the scheduler's currency: on a latency-bound wire a
-// channel's credit window IS its throughput (≈ window per round trip),
-// so the multi-content node treats window frames as a schedulable
-// budget alongside connection slots. node.Options.WindowBudget names a
-// node-wide frame budget; each housekeeping tick apportions it across
-// the active fetches by the same marginal-utility policy as slots — a
-// 16-frame floor each, the rest proportional to progress rate, starved
-// and near-complete fetches yielding — and pushes the shares down to
-// the live channels (Channel.SetWindow resizes with frames in
-// flight: grows grant immediately, shrinks drain by withholding
-// replenishment, credits are never revoked). Each wire enforces the
+// Credit windows are the node's second budget: on a latency-bound wire
+// a channel's credit window IS its throughput (about one window per
+// round trip). node.Options.WindowBudget names a node-wide frame budget,
+// split among the fetches in flight by the same even share as slots, at
+// least one frame each, when a fetch starts or ends. The shares reach
+// the live channels through Channel.SetWindow, which resizes with frames
+// in flight: grows grant immediately, shrinks drain by withholding
+// replenishment, and credits are never revoked. Each wire enforces the
 // budget as an aggregate ceiling (peermux.Config.WireWindow), and every
 // session's request depth is capped to the requests its window can
-// admit — the same resize moves both — so a session never solicits
-// symbols the window could not take. node.TestAllocateWindowsTable pins
-// the apportionment, node.TestNodeWindowBudgetRebalance the live resize,
-// and the benchmark's multi_small workload runs under a WindowBudget.
+// admit, so a session never solicits symbols the window could not take.
+// node.TestShareTable pins the rule, node.TestNodeWindowBudgetRebalance
+// the shares through a real node, and the benchmark's multi_small
+// workload runs under a WindowBudget.
 package icd

@@ -386,10 +386,10 @@ func NewServerMux() *ServerMux { return peer.NewServerMux() }
 var ErrUnknownContent = peer.ErrUnknownContent
 
 // Node is a multi-content overlay peer: a content store under a byte
-// budget, one listener serving every stored content, and a scheduler
-// dividing a global connection budget across concurrent fetches by
-// marginal utility. See internal/node and doc.go's "Node and content
-// store" section.
+// budget, one listener serving every stored content, and a connection
+// budget and a credit-window budget split evenly among concurrent
+// fetches. See internal/node and doc.go's "Node and content store"
+// section.
 type Node = node.Node
 
 // NodeOptions configure a Node (listen address, store byte budget,

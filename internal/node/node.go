@@ -12,19 +12,20 @@
 //     content id to the right working-set source — a static full or
 //     partial server, or the live orchestrator of a fetch in progress —
 //     and answers unknown ids with the canonical unknown-content ERROR.
-//   - A fetch scheduler: concurrent per-content orchestrators share the
+//   - Shared budgets: concurrent per-content orchestrators share the
 //     node-wide gossip directory and connection fabric (one wire per
-//     peer, one subchannel per session) and divide a global connection
-//     budget (Options.MaxConns) by marginal utility — starved and
-//     near-complete contents yield slots to fast-moving ones (sched.go)
-//     — applied live through Orchestrator.SetMaxPeers on every
-//     housekeeping tick.
+//     peer, one subchannel per session) and split a connection budget
+//     (Options.MaxConns) and a credit-window budget
+//     (Options.WindowBudget) evenly among themselves (sched.go). The
+//     split is recomputed when a fetch starts or ends and applied
+//     through Orchestrator.SetMaxPeers and SetChannelWindow; within a
+//     fetch, the orchestrator still ranks its own sessions by utility.
 //
-// The housekeeping tick also ages stale gossip entries out
-// (Gossip.Expire) and re-enforces the store budget as live working sets
-// grow. Everything a fetch learns is served immediately: as soon as its
-// first handshake fixes the content metadata, a live server over the
-// orchestrator's working set is registered on the shared listener.
+// A housekeeping tick ages stale gossip entries out (Gossip.Expire) and
+// re-enforces the store budget as live working sets grow. Everything a
+// fetch learns is served immediately: as soon as its first handshake
+// fixes the content metadata, a live server over the orchestrator's
+// working set is registered on the shared listener.
 package node
 
 import (
@@ -50,29 +51,26 @@ type Options struct {
 	// Exceeding it evicts unpinned, inactive replicas in utility/LRU
 	// order.
 	StoreBudget int64
-	// MaxConns is the global outbound-session budget divided across
-	// concurrent fetches by the scheduler (0 = unlimited: each fetch
-	// uses Fetch.MaxPeers as-is). Every concurrent fetch keeps one
-	// guaranteed session (an orchestrator with zero sessions winds
-	// down, not waits), so the effective floor is the number of fetches
-	// in flight — size MaxConns (or bound concurrent StartFetch calls)
-	// accordingly when the budget maps to a hard resource limit.
+	// MaxConns is the global outbound-session budget, split evenly
+	// among the fetches in flight, the remainder to the earliest
+	// started (0 = unlimited: each fetch uses Fetch.MaxPeers as-is).
+	// Every fetch keeps at least one session (an orchestrator with zero
+	// sessions winds down, not waits), so the sessions in use can reach
+	// the number of fetches in flight when that exceeds MaxConns.
 	MaxConns int
 	// WindowBudget is the node-wide credit-window budget in symbol
-	// frames, divided across concurrent fetches by the same marginal-
-	// utility apportionment as MaxConns (0 = disabled: every channel
-	// opens at the fabric's per-channel default). Each fetch's share
-	// sizes its fabric channels' receive windows live
+	// frames, split among the fetches in flight by the same rule as
+	// MaxConns, at least one frame each (0 = disabled: every channel
+	// opens at the fabric's per-channel default). A fetch's share is the
+	// receive window of each of its fabric channels
 	// (Orchestrator.SetChannelWindow), which also caps its sessions'
-	// request pipelines to the depth that window can admit; the budget
-	// is also installed as each wire's aggregate ceiling
+	// request depth. The budget is also each wire's aggregate ceiling
 	// (peermux.Config.WireWindow), so no single wire can oversubscribe
-	// it. Every fetch keeps a small guaranteed window — size the budget
-	// with that floor (16 frames per concurrent fetch) in mind.
+	// it.
 	WindowBudget int
-	// Tick is the housekeeping cadence — gossip expiry, store budget
-	// enforcement over live working sets, connection and credit-window
-	// rebalancing (default 100ms).
+	// Tick is the housekeeping cadence: gossip expiry and store budget
+	// enforcement over live working sets (default 100ms). The budgets
+	// above are re-split when a fetch starts or ends, not per tick.
 	Tick time.Duration
 	// GossipMaxAge ages directory entries nobody re-mentioned out of
 	// the node's gossip directory (default 2m; negative disables).
@@ -88,9 +86,10 @@ type Options struct {
 	// with a retryable busy ERROR so dialers back off instead of piling
 	// onto a saturated node.
 	MaxInbound int
-	// Fetch is the per-orchestrator option template. Gossip,
-	// AdvertiseAddr and (under a MaxConns budget) MaxPeers are
-	// overridden per fetch by the node.
+	// Fetch is the per-orchestrator option template. The node
+	// overrides Gossip, AdvertiseAddr, Penalties, Fabric and Obs per
+	// fetch, MaxPeers under a MaxConns budget, and ChannelWindow under a
+	// WindowBudget.
 	Fetch peer.FetchOptions
 	// Obs is the node's observability registry. Nil creates a private
 	// one — a node always has a registry, so the mux, the fabric and
@@ -122,11 +121,11 @@ type Node struct {
 	obs       *obs.Registry    // node-wide metrics registry and trace ring
 	met       nodeMetrics
 
-	schedMu sync.Mutex // serializes rebalance passes (tick vs StartFetch)
+	schedMu sync.Mutex // serializes rebalance passes (StartFetch vs finishFetch)
 
 	mu      sync.Mutex
 	fetches map[uint64]*transferState
-	order   []uint64 // fetch start order: deterministic rebalance indexing
+	order   []uint64 // fetch start order: a fetch's index in share
 	closed  bool
 	stop    chan struct{}
 	ticker  sync.WaitGroup
@@ -139,11 +138,6 @@ type transferState struct {
 	done chan struct{}
 	res  *peer.FetchResult
 	err  error
-
-	// Scheduler sampling state, touched only under schedMu.
-	lastProgress int
-	lastSample   time.Time
-	lastSig      fetchSignal // reused when a rebalance fires off-tick (dt too small to judge)
 }
 
 // New creates a node. Call ListenAndServe (or Serve) to make it
@@ -394,14 +388,10 @@ func (t *Transfer) Wait() (*peer.FetchResult, error) {
 // Sessions, Progress — live introspection and steering).
 func (t *Transfer) Orchestrator() *peer.Orchestrator { return t.st.o }
 
-// Slots returns the fetch's current share of the node's connection
-// budget (0 when the node runs without one).
-func (t *Transfer) Slots() int { return t.st.o.MaxPeers() }
-
 // StartFetch begins downloading a content from the given bootstrap
 // addresses (gossip discovers more) and returns immediately with a
 // Transfer handle. The fetch shares the node's gossip directory and its
-// connection budget; as soon as its first handshake fixes the content
+// budgets; as soon as its first handshake fixes the content
 // metadata, the node serves the growing working set on its listener.
 // One fetch per content id at a time; a complete stored replica also
 // refuses a re-fetch (Drop it first).
@@ -429,15 +419,14 @@ func (n *Node) StartFetch(ctx context.Context, contentID uint64, addrs ...string
 	fo.Penalties = n.penalties
 	fo.Fabric = n.fabric // every session is a subchannel on the node's wires
 	fo.Obs = n.obs       // every fetch reports into the node's registry
+	// The new fetch starts last, at its share; the rebalance below
+	// shrinks the others to theirs before its Run opens a session.
+	nf := len(n.order) + 1
 	if n.opts.MaxConns > 0 {
-		// Start on the guaranteed slot; the rebalance below immediately
-		// assigns the real share.
-		fo.MaxPeers = 1
+		fo.MaxPeers = share(n.opts.MaxConns, nf, nf-1)
 	}
 	if n.opts.WindowBudget > 0 {
-		// Likewise for the window budget: open the first channels at the
-		// guaranteed floor and let the rebalance grow the share.
-		fo.ChannelWindow = minChannelWindow
+		fo.ChannelWindow = share(n.opts.WindowBudget, nf, nf-1)
 	}
 	st := &transferState{
 		id:   contentID,
@@ -531,8 +520,7 @@ func (n *Node) finishFetch(st *transferState, res *peer.FetchResult, err error) 
 }
 
 // run is the housekeeping loop: gossip liveness, store accounting and
-// budget enforcement over live working sets, and connection-slot
-// rebalancing, every Options.Tick.
+// budget enforcement over live working sets, every Options.Tick.
 func (n *Node) run() {
 	defer n.ticker.Done()
 	t := time.NewTicker(n.opts.Tick)
@@ -550,109 +538,66 @@ func (n *Node) run() {
 // housekeep is one tick's worth of node hygiene.
 func (n *Node) housekeep() {
 	n.gossip.Expire(n.opts.GossipMaxAge)
-	n.mu.Lock()
-	states := make([]*transferState, 0, len(n.fetches))
-	for _, id := range n.order {
-		states = append(states, n.fetches[id])
-	}
-	n.mu.Unlock()
-	for _, st := range states {
+	for _, st := range n.active() {
 		if info, ok := st.o.Info(); ok {
 			n.dropReplicas(n.store.UpdateBytes(st.id,
 				int64(st.o.Progress())*int64(info.BlockSize)))
 		}
 	}
 	n.dropReplicas(n.store.EnforceBudget())
-	n.rebalance()
 }
 
-// rebalance samples every active fetch's progress rate and re-divides
-// the node's global budgets: connection slots (allocateSlots, under
-// MaxConns) and credit windows (allocateWindows, under WindowBudget) —
-// both applied live, shrinks before grows, so neither the combined
-// session count nor any wire's aggregate window overshoots its budget.
+// active returns the fetches in flight in start order.
+func (n *Node) active() []*transferState {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	states := make([]*transferState, len(n.order))
+	for i, id := range n.order {
+		states[i] = n.fetches[id]
+	}
+	return states
+}
+
+// rebalance splits the node's budgets evenly among the fetches in
+// flight (share): connection slots under MaxConns and credit windows
+// under WindowBudget. It runs only when that set changes, from
+// StartFetch and finishFetch.
 func (n *Node) rebalance() {
 	if n.opts.MaxConns <= 0 && n.opts.WindowBudget <= 0 {
 		return
 	}
 	n.schedMu.Lock()
 	defer n.schedMu.Unlock()
-
-	n.mu.Lock()
-	states := make([]*transferState, 0, len(n.fetches))
-	for _, id := range n.order {
-		states = append(states, n.fetches[id])
-	}
-	n.mu.Unlock()
-	if len(states) == 0 {
+	states := n.active()
+	nf := len(states)
+	if nf == 0 {
 		return
 	}
-
-	// An off-tick rebalance (StartFetch/finishFetch) can land moments
-	// after the last sample; judging "no progress" over a near-zero
-	// window would flag every healthy fetch starved and churn its
-	// sessions. Below half a tick, reuse the previous verdict instead.
-	minDt := n.opts.Tick / 2
-	now := time.Now()
-	sigs := make([]fetchSignal, len(states))
-	for i, st := range states {
-		progress := st.o.Progress()
-		sig := st.lastSig
-		if dt := now.Sub(st.lastSample); st.lastSample.IsZero() || dt >= minDt {
-			sig = fetchSignal{}
-			if !st.lastSample.IsZero() {
-				sig.rate = float64(progress-st.lastProgress) / dt.Seconds()
-				sig.starved = progress == st.lastProgress
-			}
-			st.lastProgress = progress
-			st.lastSample = now
-		}
-		if info, ok := st.o.Info(); ok && progress >= info.NumBlocks {
-			sig.nearComplete = true
-		}
-		st.lastSig = sig
-		sigs[i] = sig
-	}
 	if n.opts.MaxConns > 0 {
-		slots := allocateSlots(n.opts.MaxConns, sigs)
-		total := 0
-		for _, s := range slots {
-			total += s
-		}
-		n.met.slotsAlloc.Set(int64(total))
-		// Shrink first: the freed slots must exist before anyone grows
-		// into them, or the node would transiently exceed its own budget.
-		for i, st := range states {
-			if slots[i] < st.o.MaxPeers() {
-				st.o.SetMaxPeers(slots[i])
-			}
-		}
-		for i, st := range states {
-			if slots[i] > st.o.MaxPeers() {
-				st.o.SetMaxPeers(slots[i])
-			}
-		}
+		n.met.slotsAlloc.Set(int64(max(n.opts.MaxConns, nf)))
+		resize(states, n.opts.MaxConns, (*peer.Orchestrator).MaxPeers, (*peer.Orchestrator).SetMaxPeers)
 	}
 	if n.opts.WindowBudget > 0 {
-		wins := allocateWindows(n.opts.WindowBudget, sigs)
-		total := 0
-		for _, w := range wins {
-			total += w
+		n.met.windowAlloc.Set(int64(max(n.opts.WindowBudget, nf)))
+		resize(states, n.opts.WindowBudget, (*peer.Orchestrator).ChannelWindow, (*peer.Orchestrator).SetChannelWindow)
+	}
+}
+
+// resize applies each fetch's share of total through get and set,
+// shrinks before grows: the freed units must exist before anyone grows
+// into them, or the combined session count would transiently pass the
+// budget, and a grow would be clamped against wire window
+// (Config.WireWindow) that a sibling's shrink is about to free.
+func resize(states []*transferState, total int, get func(*peer.Orchestrator) int, set func(*peer.Orchestrator, int)) {
+	nf := len(states)
+	for i, st := range states {
+		if s := share(total, nf, i); s < get(st.o) {
+			set(st.o, s)
 		}
-		n.met.windowAlloc.Set(int64(total))
-		// Shrink-before-grow again: the wires enforce the same budget as
-		// their aggregate ceiling (Config.WireWindow), so a grow applied
-		// before its sibling's shrink would be clamped against window the
-		// shrink is about to free.
-		for i, st := range states {
-			if wins[i] < st.o.ChannelWindow() {
-				st.o.SetChannelWindow(wins[i])
-			}
-		}
-		for i, st := range states {
-			if wins[i] > st.o.ChannelWindow() {
-				st.o.SetChannelWindow(wins[i])
-			}
+	}
+	for i, st := range states {
+		if s := share(total, nf, i); s > get(st.o) {
+			set(st.o, s)
 		}
 	}
 }

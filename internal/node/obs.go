@@ -1,9 +1,10 @@
 package node
 
 // obs.go binds the node to its observability registry: store occupancy
-// and eviction lifecycle, the scheduler's per-tick slot and window
-// apportionment, and callback gauges over state the node already tracks
-// (banned peers, fabric credit in flight). A node always has a registry
+// and eviction lifecycle, the slots and window frames the fetches in
+// flight hold between them (the sum of their shares, max(budget, nf)),
+// and callback gauges over state the node already tracks (banned peers,
+// fabric credit in flight). A node always has a registry
 // — New creates one when Options.Obs is nil — so every layer below
 // (mux, fabric, each fetch's orchestrator) shares a single snapshot.
 

@@ -95,11 +95,11 @@ type FetchOptions struct {
 	// frames, that sessions' subchannels open with (0 = the wire's default,
 	// peermux.DefaultWindow; values clamp to the wire's per-channel
 	// maximum). Orchestrator.SetChannelWindow resizes live channels —
-	// together they are how a node scheduler spends one wire's bandwidth
-	// by marginal utility instead of evenly per channel. The window also
-	// caps each session's request depth at ceil(window/Batch), below the
-	// bound that matters first: the fetch never has more requested and
-	// not yet received than its decode still needs. Under the cap every
+	// together they are how a node splits a window budget among its
+	// fetches. The window also caps each session's request depth at
+	// ceil(window/Batch), below the bound that matters first: the fetch
+	// never has more requested and not yet received than its decode
+	// still needs. Under the cap every
 	// session keeps what one round trip holds at the rate a batch
 	// arrives, measured on a batch asked for over an idle channel (from
 	// 1 until one is); a window ≤ Batch is stop-and-wait. Only SYMBOL

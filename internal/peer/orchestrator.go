@@ -460,8 +460,8 @@ func (o *Orchestrator) gossipAdverts(excludeAddr string) []protocol.PeerAd {
 }
 
 // SetMaxPeers rebudgets the live session cap mid-transfer (0 =
-// unlimited) — the hook a multi-content scheduler uses to shift
-// connection slots between concurrent downloads by marginal utility.
+// unlimited) — the hook a multi-content node uses to re-split its
+// connection slots when a concurrent download starts or ends.
 // Shrinking below the live session count evicts lowest-utility sessions
 // immediately; growing promotes waiting gossip candidates into the new
 // slots. Shrink before you grow when moving slots between orchestrators
@@ -498,8 +498,8 @@ func (o *Orchestrator) MaxPeers() int {
 }
 
 // SetChannelWindow re-sizes this fetch's per-session credit windows to
-// n symbol frames — the second half of a node scheduler's currency:
-// where SetMaxPeers moves whole sessions between fetches,
+// n symbol frames — a node's second budget: where SetMaxPeers moves
+// whole sessions between fetches,
 // SetChannelWindow moves wire bandwidth between the subchannels already
 // sharing a wire. New channels open at n; every live channel is
 // resized immediately via its regrant path (Channel.SetWindow clamps

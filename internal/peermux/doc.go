@@ -89,9 +89,9 @@
 // remaining headroom (Wire.WindowSum reads the ledger), never below a
 // 1-frame floor, and a channel's outstanding grant is retired back to
 // the ledger exactly once when it closes or fails. The multi-content
-// node uses all three together (node.Options.WindowBudget) to
-// re-divide one frame budget across its fetches by marginal utility
-// every housekeeping tick.
+// node uses all three together (node.Options.WindowBudget) to split
+// one frame budget evenly among its fetches, re-split when a fetch
+// starts or ends.
 //
 // # Channel lifecycle
 //

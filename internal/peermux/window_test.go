@@ -345,8 +345,8 @@ func TestMultiContentOneWireResizeFairness(t *testing.T) {
 					break
 				}
 				got++
-				// Mid-flight resizes, both directions, while frames are in
-				// flight: the scheduler's rebalance cadence compressed.
+				// Resizes in both directions while frames are in flight, as
+				// when a node re-splits its window budget mid-transfer.
 				switch got {
 				case total / 3:
 					ch.SetWindow(win * 2)

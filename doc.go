@@ -207,16 +207,19 @@
 //     the output of Blocks and Content).
 //   - Working-set payloads: the log owns them. Its add (the fold,
 //     FetchOptions.Initial, NewPartialServer) copies a new symbol's
-//     payload into the free tail of the log's current 64 KiB slab and
-//     appends a view of it clipped to its own length, so an append to
-//     one payload cannot write its neighbour; from then on nobody writes
-//     it. The peel stage hands it to the decoder, and a live Server's
+//     payload into the free tail of the log's current slab and appends a
+//     view of it clipped to its own length, so an append to one payload
+//     cannot write its neighbour; from then on nobody writes it. A log's
+//     slabs double, each as large as every earlier one together, from
+//     64 KiB up to 1 MiB (a payload larger than that gets one of its
+//     own). The peel stage hands it to the decoder, and a live Server's
 //     sessions frame it onto their wires, outside the orchestrator lock
 //     on the strength of that alone: a partial sender owns no symbol
 //     buffers of its own, and the decoder copies none. A slab lives as
 //     long as any payload in it: a caller that keeps one
-//     FetchResult.Held payload keeps its whole 64 KiB slab alive, so one
-//     that keeps a few past the rest of the result should copy them.
+//     FetchResult.Held payload keeps its whole slab alive, up to 1 MiB,
+//     so one that keeps a few past the rest of the result should copy
+//     them.
 //   - protocol.FrameReader and peermux.Channel: a frame payload is a
 //     borrowed view — into the reader's read-ahead buffer, or the
 //     channel's pooled queue buffer — valid only until the next frame;
@@ -233,9 +236,10 @@
 // duplicate frame, as BenchmarkReceivePathAllocs and the peer/fountain
 // AllocsPerRun tests enforce. A *new* symbol's payload becomes a
 // working-set entry: the content needs its bytes, not a heap object of
-// its own, so the path allocates per slab — one per 46 symbols of
-// 1400 B — once the first handshake has reserved the log's ids, payloads
-// and index for n + n/8 entries (peer.TestReceivePathZeroAlloc). Serving
+// its own, so the path allocates per slab — slabs that double up to
+// 1 MiB, about ten for a fetch of 4096 symbols of 1400 B — once the first
+// handshake has reserved the log's ids, payloads and index for n + n/8
+// entries (peer.TestReceivePathZeroAlloc, peer.TestSlabsDouble). Serving
 // is held to the same standard: a REQUEST to a warm full sender, or to a
 // partial sender whose log did not grow, allocates nothing while the
 // gossip directory has nothing new to relay

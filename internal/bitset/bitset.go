@@ -126,15 +126,23 @@ func (s *Set) Clone() *Set {
 // MarshalBinary encodes the set as an 8-byte little-endian length header
 // followed by the packed words.
 func (s *Set) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 8+8*len(s.words))
-	binary.LittleEndian.PutUint64(buf, uint64(s.n))
-	for i, w := range s.words {
-		binary.LittleEndian.PutUint64(buf[8+8*i:], w)
-	}
-	return buf, nil
+	return s.AppendBinary(make([]byte, 0, 8+8*len(s.words)))
 }
 
-// UnmarshalBinary decodes data produced by MarshalBinary.
+// AppendBinary implements encoding.BinaryAppender: it appends the
+// MarshalBinary encoding to b, so a caller framing the set behind a header
+// of its own builds one buffer, not two.
+func (s *Set) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.LittleEndian.AppendUint64(b, uint64(s.n))
+	for _, w := range s.words {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return b, nil
+}
+
+// UnmarshalBinary decodes data produced by MarshalBinary. It decodes in
+// place: the set's words are reused when they have the capacity, and every
+// one of them is overwritten, so nothing of an earlier value survives.
 func (s *Set) UnmarshalBinary(data []byte) error {
 	if len(data) < 8 {
 		return errors.New("bitset: short buffer")
@@ -149,7 +157,11 @@ func (s *Set) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("bitset: want %d payload bytes, have %d", 8*nw, len(data)-8)
 	}
 	s.n = int(n)
-	s.words = make([]uint64, nw)
+	if cap(s.words) >= nw {
+		s.words = s.words[:nw]
+	} else {
+		s.words = make([]uint64, nw)
+	}
 	for i := range s.words {
 		s.words[i] = binary.LittleEndian.Uint64(data[8+8*i:])
 	}

@@ -313,3 +313,101 @@ func BenchmarkCount(b *testing.B) {
 		_ = s.Count()
 	}
 }
+
+// TestUnmarshalInPlace: one Set decodes a larger blob, a smaller one and a
+// larger one again, holding exactly each blob's bits every time — no word
+// of an earlier value survives — and reuses its words when they have the
+// room: the smaller and the second larger decode allocate nothing.
+func TestUnmarshalInPlace(t *testing.T) {
+	blob := func(n, step int) ([]byte, *Set) {
+		s := New(n)
+		for i := 0; i < n; i += step {
+			s.Set(i)
+		}
+		data, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data, s
+	}
+	var got Set
+	for _, tc := range []struct{ n, step int }{{1000, 1}, {130, 7}, {1000, 3}, {1000, 5}} {
+		data, want := blob(tc.n, tc.step)
+		if err := got.UnmarshalBinary(data); err != nil {
+			t.Fatalf("n=%d step=%d: %v", tc.n, tc.step, err)
+		}
+		if !got.Equal(want) || got.Count() != want.Count() {
+			t.Fatalf("n=%d step=%d: decoded %v, want %v", tc.n, tc.step, &got, want)
+		}
+	}
+	small, _ := blob(130, 2)
+	large, _ := blob(1000, 2)
+	for _, data := range [][]byte{small, large} {
+		if allocs := testing.AllocsPerRun(20, func() {
+			if err := got.UnmarshalBinary(data); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("decoding %d bytes into a set that had room allocated %.1f times", len(data), allocs)
+		}
+	}
+}
+
+// TestUnmarshalInPlaceRejects: a Set that already holds words still
+// rejects tail garbage and a length mismatch, and decodes the next good
+// blob exactly.
+func TestUnmarshalInPlaceRejects(t *testing.T) {
+	full := New(1000)
+	for i := 0; i < 1000; i++ {
+		full.Set(i)
+	}
+	good, _ := full.MarshalBinary()
+	var got Set
+	if err := got.UnmarshalBinary(good); err != nil {
+		t.Fatal(err)
+	}
+	tail := New(65)
+	tail.Set(64)
+	garbage, _ := tail.MarshalBinary()
+	garbage[16] |= 0x02 // bit 65, beyond length 65
+	if err := got.UnmarshalBinary(garbage); err == nil {
+		t.Error("tail garbage accepted into a reused set")
+	}
+	if err := got.UnmarshalBinary(good[:len(good)-8]); err == nil {
+		t.Error("a blob one word short accepted into a reused set")
+	}
+	if err := got.UnmarshalBinary(append(good[:len(good):len(good)], 0, 0, 0, 0, 0, 0, 0, 0)); err == nil {
+		t.Error("a blob one word long accepted into a reused set")
+	}
+	one := New(65)
+	one.Set(3)
+	data, _ := one.MarshalBinary()
+	if err := got.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(one) || got.Count() != 1 {
+		t.Fatalf("after rejected blobs, decoded %v, want %v", &got, one)
+	}
+}
+
+// TestAppendBinary: AppendBinary appends MarshalBinary's bytes behind
+// what the buffer holds, and into its spare capacity without allocating.
+func TestAppendBinary(t *testing.T) {
+	s := New(200)
+	for i := 0; i < 200; i += 11 {
+		s.Set(i)
+	}
+	want, _ := s.MarshalBinary()
+	buf := make([]byte, 3, 3+len(want))
+	copy(buf, "hdr")
+	got, err := s.AppendBinary(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got[:3]) != "hdr" || string(got[3:]) != string(want) {
+		t.Fatal("AppendBinary did not append MarshalBinary's bytes")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { s.AppendBinary(buf[:3]) }); allocs != 0 {
+		t.Errorf("AppendBinary into a buffer with room allocated %.1f times", allocs)
+	}
+}

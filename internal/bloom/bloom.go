@@ -174,21 +174,20 @@ func (f *Filter) Union(other *Filter) error {
 	return nil
 }
 
-// wire format: seed (8) | k (4) | n (8) | bitset blob.
+// MarshalBinary encodes the filter in one buffer. Wire format: seed (8) |
+// k (4) | n (8) | bitset blob.
 func (f *Filter) MarshalBinary() ([]byte, error) {
-	bb, err := f.bits.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 20+len(bb))
+	buf := make([]byte, 20, 20+8+8*((f.M()+63)/64))
 	binary.LittleEndian.PutUint64(buf[0:], f.Seed)
 	binary.LittleEndian.PutUint32(buf[8:], uint32(f.K))
 	binary.LittleEndian.PutUint64(buf[12:], uint64(f.ninact))
-	copy(buf[20:], bb)
-	return buf, nil
+	return f.bits.AppendBinary(buf)
 }
 
-// UnmarshalBinary decodes data produced by MarshalBinary.
+// UnmarshalBinary decodes data produced by MarshalBinary. It decodes in
+// place, into the filter's bitset when it has one (bitset.Set.
+// UnmarshalBinary), so a receiver decoding one summary after another
+// into one filter allocates only when a summary outgrows every earlier one.
 func (f *Filter) UnmarshalBinary(data []byte) error {
 	if len(data) < 20 {
 		return errors.New("bloom: short buffer")
@@ -200,7 +199,9 @@ func (f *Filter) UnmarshalBinary(data []byte) error {
 	f.Seed = binary.LittleEndian.Uint64(data[0:])
 	f.K = int(k)
 	f.ninact = int(binary.LittleEndian.Uint64(data[12:]))
-	f.bits = new(bitset.Set)
+	if f.bits == nil {
+		f.bits = new(bitset.Set)
+	}
 	if err := f.bits.UnmarshalBinary(data[20:]); err != nil {
 		return err
 	}

@@ -367,3 +367,64 @@ func BenchmarkBloomFalsePositives(b *testing.B) {
 		})
 	}
 }
+
+// TestUnmarshalInPlace: one Filter decodes a larger filter, a smaller one
+// and a larger one again, each time with exact membership — every key of
+// the current filter's set, and on the test keys exactly the current
+// filter's answers, none of an earlier one's — and a same-size decode
+// allocates nothing.
+func TestUnmarshalInPlace(t *testing.T) {
+	rng := prng.New(8)
+	probe := keyset.Random(rng, 4000)
+	var got Filter
+	for i, n := range []int{2000, 100, 2000, 3000} {
+		s := keyset.Random(rng, n)
+		want := FromSet(0, s, 8, 5)
+		data, err := want.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := got.UnmarshalBinary(data); err != nil {
+			t.Fatalf("decode %d: %v", i, err)
+		}
+		if got.M() != want.M() || got.N() != want.N() || got.K != want.K {
+			t.Fatalf("decode %d: header m=%d n=%d k=%d, want %d %d %d", i, got.M(), got.N(), got.K, want.M(), want.N(), want.K)
+		}
+		s.Each(func(k uint64) {
+			if !got.Contains(k) {
+				t.Fatalf("decode %d lost %d", i, k)
+			}
+		})
+		probe.Each(func(k uint64) {
+			if got.Contains(k) != want.Contains(k) {
+				t.Fatalf("decode %d answers %d otherwise than the filter it decoded", i, k)
+			}
+		})
+		again, _ := want.MarshalBinary()
+		if allocs := testing.AllocsPerRun(20, func() {
+			if err := got.UnmarshalBinary(again); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("decode %d: a same-size decode allocated %.1f times", i, allocs)
+		}
+	}
+	// A reused filter still refuses garbage.
+	for i, data := range [][]byte{nil, {1}, make([]byte, 20), make([]byte, 28)} {
+		if err := got.UnmarshalBinary(data); err == nil {
+			t.Errorf("case %d: garbage accepted into a reused filter", i)
+		}
+	}
+}
+
+// TestMarshalOneBuffer: MarshalBinary allocates its one buffer, the
+// bitset's words appended into it.
+func TestMarshalOneBuffer(t *testing.T) {
+	f := NewWithBitsPerElement(0, 4608, 8, 5)
+	for k := uint64(0); k < 2048; k++ {
+		f.Add(k)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { f.MarshalBinary() }); allocs != 1 {
+		t.Errorf("MarshalBinary allocates %.1f times, want 1", allocs)
+	}
+}

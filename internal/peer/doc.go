@@ -121,7 +121,8 @@
 //   - Redial backoff. Dropped sessions redial with bounded, jittered
 //     exponential backoff (FetchOptions.ReconnectBackoff /
 //     MaxReconnectBackoff, at most MaxReconnects attempts). Terminal
-//     protocol verdicts — ErrUnknownContent, protocol.ErrVersion — and
+//     protocol verdicts — ErrUnknownContent, protocol.ErrVersion, an
+//     ACCEPT whose content parameters disagree with the fetch's — and
 //     a ban verdict short-circuit the budget: no retry can help, so
 //     none is made. That is the whole ledger of a dead address: each
 //     failed dial is returned, counted (PeerStats.DialFailures),

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"icd/internal/obs"
 	"icd/internal/protocol"
 )
 
@@ -172,10 +173,11 @@ func TestFetchSurvivesTruncatingPeer(t *testing.T) {
 func TestFetchInconsistentMetadataRejected(t *testing.T) {
 	// Two servers claiming the same content id but different geometry:
 	// the client must reject the second handshake rather than mix
-	// decoders. Neither server sends a symbol before the client has either
-	// requested from the other or hung up on it: a peer whose open is
-	// still in flight when the transfer ends is walked away from, and has
-	// shown no metadata to reject.
+	// decoders. Neither server sends a symbol before the client's sessions
+	// have taken both ACCEPTs: a peer whose open is still in flight when
+	// the transfer ends is walked away from, and has shown no metadata to
+	// reject. A session that has taken its ACCEPT checks it, and reports a
+	// mismatch even if the fetch ended meanwhile.
 	infoA, dataA := testContent(t, 1200, 32)
 	infoB := infoA
 	infoB.NumBlocks = 600
@@ -190,8 +192,9 @@ func TestFetchInconsistentMetadataRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Fetch(startGatedServers(t, s1, s2), infoA.ID, FetchOptions{
-		Batch: 8, Timeout: 5 * time.Second,
+	reg := obs.NewRegistry()
+	res, err := Fetch(startHandshakeGatedServers(t, reg, s1, s2), infoA.ID, FetchOptions{
+		Batch: 8, Timeout: 5 * time.Second, Obs: reg,
 	})
 	if err != nil {
 		// Acceptable: the mismatch surfaced as a fetch error.

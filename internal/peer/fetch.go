@@ -190,8 +190,9 @@ type FetchResult struct {
 	Peers     []PeerStats
 	// Held is the encoded-symbol working set at the end — pass it as
 	// FetchOptions.Initial to resume (stateless migration). Its payloads
-	// are views of the working set's 64 KiB slabs: keeping one keeps its
-	// slab alive, so copy the few you keep past the rest.
+	// are views of the working set's slabs, 64 KiB doubling up to 1 MiB:
+	// keeping one keeps its slab alive, so copy the few you keep past the
+	// rest.
 	Held map[uint64][]byte
 	// DistinctSymbols is len(Held); DecodeOverhead is the §5.4.1 metric.
 	DistinctSymbols int

@@ -860,7 +860,7 @@ func TestPartialSenderAnswersTheOpen(t *testing.T) {
 	info, data := testContent(t, 100, 32)
 	syms := orderedSymbols(t, info, data, 120, 5)
 	held := idsOf(syms[:60])
-	blob, err := bloomSummary(held)
+	blob, err := filterBlob(held)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1043,7 +1043,7 @@ func TestPartialSenderWaitsForTheSummaryAtTheCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	held := idsOf(syms[:40])
-	blob, err := bloomSummary(held)
+	blob, err := filterBlob(held)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -349,6 +349,7 @@ func TestTerminalErrorsSkipRedialBudget(t *testing.T) {
 	for _, err := range []error{
 		fmt.Errorf("peer x: %w", ErrUnknownContent),
 		fmt.Errorf("peer x: incompatible protocol: %w", protocol.ErrVersion),
+		fmt.Errorf("%w: geometry", errInconsistentInfo),
 	} {
 		if !terminalSessionError(err) {
 			t.Fatalf("%v not classified terminal", err)
@@ -814,7 +815,7 @@ func TestMuxInboundCapBusyError(t *testing.T) {
 // the channel, a verdict the opener's session retries. Either way it
 // sends no symbol and ends the session with an error.
 func TestMalformedSummarySliceRefused(t *testing.T) {
-	filter, err := bloomSummary([]uint64{1, 2, 3})
+	filter, err := filterBlob([]uint64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -937,7 +938,7 @@ func TestRetiredRefreshFrameRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := bloomSummary([]uint64{1, 2, 3})
+	blob, err := filterBlob([]uint64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}

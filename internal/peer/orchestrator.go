@@ -15,23 +15,23 @@ package peer
 // the working set: the session that read a SYMBOL frame off its channel
 // calls fold, which puts the arrival into the working set under o.mu (an
 // index lookup and, for a new id, one payload copy into the log's current
-// slab — no XOR, and no allocation but a new slab's), charges the
-// session and stores Progress — so every arrival is classified as useful
-// or a duplicate at the fold, against the working set as it stands, and
-// progress is exact the moment a batch retires. The peel stage (peel.go),
-// one goroutine that owns the fountain.Decoder, follows the log with a
-// cursor. The working set is what summaries, Progress and a co-located
-// live Server read, so it must track arrivals: the fold never waits
-// behind the peel stage's XOR work until the working set holds n symbols
-// and completion becomes possible. All of them read it the same way — an
-// O(1) prefix of the append-only log (WorkingSet), taken under o.mu and
-// read outside it — and its length, which Progress mirrors in an atomic,
-// is its version.
+// slab — no XOR, and no allocation but a new slab's, and slabs double up
+// to 1 MiB), charges the session and stores Progress — so every arrival is
+// classified as useful or a duplicate at the fold, against the working set
+// as it stands, and progress is exact the moment a batch retires. The peel
+// stage (peel.go), one goroutine that owns the fountain.Decoder, follows
+// the log with a cursor. The working set is what summaries, Progress and a
+// co-located live Server read, so it must track arrivals: the fold never
+// waits behind the peel stage's XOR work until the working set holds n
+// symbols and completion becomes possible. All of them read it the same
+// way — an O(1) prefix of the append-only log (WorkingSet), taken under
+// o.mu and read outside it — and its length, which Progress mirrors in an
+// atomic, is its version.
 //
 // Buffer ownership: the frame a session folds is a view into its
 // channel's queue buffer, valid until the session reads the next one.
 // The fold copies a new symbol's payload out of it into the log's
-// current 64 KiB slab (the payload, a view of the slab clipped to its own
+// current slab (the payload, a view of the slab clipped to its own
 // length, finally surfaces in FetchResult.Held), and nothing of a
 // duplicate. There is no receive pool and nothing to release. A
 // payload the working set holds is never written again: the peel stage
@@ -45,12 +45,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
 
+	"icd/internal/bloom"
 	"icd/internal/fountain"
 	"icd/internal/obs"
 	"icd/internal/peermux"
@@ -116,6 +116,12 @@ type Orchestrator struct {
 	// the fetch holds symbols joins at its start, so sessions started
 	// together name disjoint slices in their first OPENs.
 	partials []*session
+	// filter is the fetch's one Bloom filter over the log, built at the
+	// first summary and topped up at each one after (summaryLocked):
+	// log.ids[:filtered] are in it, and it is sized for sizedFor ids.
+	filter   *bloom.Filter
+	filtered int
+	sizedFor int
 
 	// asked is the fetch's request budget in use: the symbols its sessions
 	// requested and have not yet retired, summed over every session. A
@@ -187,7 +193,7 @@ func NewOrchestrator(contentID uint64, opts FetchOptions) *Orchestrator {
 	// In id order, not map order: the log keeps arrival order, which a live
 	// Server's sessions walk by position.
 	o.log.reserve(len(opts.Initial))
-	for _, id := range slices.Sorted(maps.Keys(opts.Initial)) {
+	for _, id := range sortedIDs(opts.Initial) {
 		o.log.add(id, opts.Initial[id])
 	}
 	o.progress.Store(int64(len(o.log.ids)))
@@ -680,7 +686,7 @@ func (o *Orchestrator) ensureDecoder(ci ContentInfo) error {
 		return nil
 	}
 	if o.info != ci {
-		return fmt.Errorf("peer: inconsistent content metadata: %+v vs %+v", o.info, ci)
+		return fmt.Errorf("%w: %+v vs %+v", errInconsistentInfo, o.info, ci)
 	}
 	return nil
 }
@@ -691,10 +697,15 @@ func (o *Orchestrator) ensureDecoder(ci ContentInfo) error {
 // their slice index and learn the new count at their next batch boundary.
 func (o *Orchestrator) joinPartials(s *session) {
 	o.mu.Lock()
+	o.joinPartialsLocked(s)
+	o.mu.Unlock()
+}
+
+// joinPartialsLocked is joinPartials for callers that hold o.mu.
+func (o *Orchestrator) joinPartialsLocked(s *session) {
 	if !slices.Contains(o.partials, s) {
 		o.partials = append(o.partials, s)
 	}
-	o.mu.Unlock()
 }
 
 // leavePartials takes s out of the live partial sessions when its ACCEPT
@@ -713,11 +724,71 @@ func (o *Orchestrator) leavePartials(s *session) {
 func (o *Orchestrator) sliceOf(s *session) (slice, of uint16) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	return o.sliceOfLocked(s)
+}
+
+// sliceOfLocked is sliceOf for callers that hold o.mu.
+func (o *Orchestrator) sliceOfLocked(s *session) (slice, of uint16) {
 	i, n := slices.Index(o.partials, s), len(o.partials)
 	if i < 0 || n > math.MaxUint16 {
 		return 0, 0
 	}
 	return uint16(i), uint16(n)
+}
+
+// summarize returns the SUMMARY frame s sends next, the slice it names
+// and how much of the log it covers, all read under one lock so the three
+// agree. A session whose OPEN carries the summary joins the fetch's
+// partial sessions first (join), so the slice it names is its own. A log
+// that holds nothing has no summary: a frame with no payload, covering 0.
+func (o *Orchestrator) summarize(s *session, join bool) (f protocol.Frame, slice, of uint16, covers int, err error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	covers = len(o.log.ids)
+	if covers == 0 {
+		return protocol.Frame{}, 0, 0, 0, nil
+	}
+	if join {
+		o.joinPartialsLocked(s)
+	}
+	slice, of = o.sliceOfLocked(s)
+	blob, err := o.summaryLocked()
+	if err != nil {
+		return protocol.Frame{}, 0, 0, 0, err
+	}
+	return protocol.EncodeSummary(slice, of, blob), slice, of, covers, nil
+}
+
+// summaryLocked marshals the fetch's Bloom filter over the whole log: the
+// paper's §5.2 low false-positive operating point, 8 bits per element and
+// 5 hashes, under seed 0, which every peer on the wire shares. The filter
+// is kept from one summary to the next and takes in only what the log
+// gained since (log.ids[filtered:]), so a summary costs what changed and
+// a fetch that sends none builds none. It is sized like the log's
+// reserve: for n + n/8 ids once a handshake told the fetch k (more if the
+// log already holds more), for the log and an eighth before; it is rebuilt
+// from the log only when that outgrows it — for the blind OPEN, and once
+// after the first ACCEPT. Until it is rebuilt its false positives stay the
+// ids they are, summary after summary (see cursor); in a stalled endgame
+// the refresh cadence, which needs the log to grow, would not draw new
+// ones either. A refresh still sends the whole filter: between two of
+// them a fetch of k=4096 sets 5 bits for each of about 580 new ids in 576
+// words, so nearly every word changes. Callers hold o.mu.
+func (o *Orchestrator) summaryLocked() ([]byte, error) {
+	n, k := len(o.log.ids), o.info.NumBlocks
+	want := n + n/8
+	if k > 0 {
+		want = max(n, k+k/8)
+	}
+	if o.filter == nil || want > o.sizedFor {
+		o.filter = bloom.NewWithBitsPerElement(0, max(want, 1), 8, 5)
+		o.filtered, o.sizedFor = 0, want
+	}
+	for _, id := range o.log.ids[o.filtered:] {
+		o.filter.Add(id)
+	}
+	o.filtered = n
+	return o.filter.MarshalBinary()
 }
 
 // needLocked is what the fetch may have requested and not yet received

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"icd/internal/fountain"
+	"icd/internal/obs"
 	"icd/internal/prng"
 	"icd/internal/protocol"
 )
@@ -50,7 +51,31 @@ func startServer(t testing.TB, s *Server) string {
 // up would finish alone.
 func startGatedServers(t testing.TB, srvs ...*Server) []string {
 	t.Helper()
-	g := &startGate{n: len(srvs), open: make(chan struct{})}
+	return serveGated(t, &startGate{n: len(srvs), open: make(chan struct{})}, srvs)
+}
+
+// startHandshakeGatedServers is startGatedServers whose gate also waits
+// for the fetch tracing into reg to have taken every server's ACCEPT (one
+// obs.EvDial per server): the ACCEPTs pass the gate, the symbols behind
+// them do not, so every session reads its peer's content parameters
+// before any symbol can complete the fetch.
+func startHandshakeGatedServers(t testing.TB, reg *obs.Registry, srvs ...*Server) []string {
+	t.Helper()
+	ready := func() bool {
+		dials := 0
+		for _, ev := range reg.Tracer().Events() {
+			if ev.Event == obs.EvDial {
+				dials++
+			}
+		}
+		return dials >= len(srvs)
+	}
+	return serveGated(t, &startGate{n: len(srvs), ready: ready, open: make(chan struct{})}, srvs)
+}
+
+// serveGated serves each of srvs behind g and returns their addresses.
+func serveGated(t testing.TB, g *startGate, srvs []*Server) []string {
+	t.Helper()
 	addrs := make([]string, len(srvs))
 	for i, s := range srvs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -62,19 +87,31 @@ func startGatedServers(t testing.TB, srvs ...*Server) []string {
 	return addrs
 }
 
-// startGate opens once n server connections have arrived at it.
+// startGate opens once n server connections have arrived at it and, if
+// ready is set, ready holds (polled, for at most 10 s).
 type startGate struct {
-	mu   sync.Mutex
-	n    int
-	open chan struct{}
+	mu    sync.Mutex
+	n     int
+	ready func() bool
+	open  chan struct{}
 }
 
 func (g *startGate) arrive() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.n--; g.n == 0 {
-		close(g.open)
+	if g.n--; g.n != 0 {
+		return
 	}
+	if g.ready == nil {
+		close(g.open)
+		return
+	}
+	go func() {
+		for end := time.Now().Add(10 * time.Second); !g.ready() && time.Now().Before(end); {
+			time.Sleep(100 * time.Microsecond)
+		}
+		close(g.open)
+	}()
 }
 
 // gatedConn is a server connection behind a startGate. It arrives at its

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"maps"
 	"net"
 	"slices"
 	"sync/atomic"
@@ -141,7 +140,7 @@ func NewPartialServer(info ContentInfo, symbols map[uint64][]byte) (*Server, err
 	// order, so one seed gives one stream.
 	log := new(symbolLog)
 	log.reserve(len(symbols))
-	for _, id := range slices.Sorted(maps.Keys(symbols)) {
+	for _, id := range sortedIDs(symbols) {
 		data := symbols[id]
 		if len(data) != info.BlockSize {
 			return nil, fmt.Errorf("peer: symbol %d has %d bytes, want %d", id, len(data), info.BlockSize)
@@ -339,17 +338,24 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 	// many batches that is, which the receiver counts as in flight.
 	const maxBatch = 1 << 16
 	hello := s.info.hello(s.Full(), 0)
-	var missing func(id uint64) bool
+	// The session decodes the OPEN's summary and every refresh into one
+	// filter, in place (readSummary), which missing reads. The cursor aims
+	// by it once there is one (aimBy), and by nothing before: everything is
+	// missing.
+	var filter bloom.Filter
+	missing := func(id uint64) bool { return !filter.Contains(id) }
+	var aimBy func(id uint64) bool
 	var slice, of uint16
 	if !s.Full() {
 		ids, _ := s.src.WorkingSet()
 		hello.Symbols = uint64(len(ids))
 		if len(clientHello.Summary) > 0 {
 			var err error
-			if missing, slice, of, err = readSummary(clientHello.Summary); err != nil {
+			if slice, of, err = readSummary(clientHello.Summary, &filter); err != nil {
 				ch.Reject("bad summary")
 				return err
 			}
+			aimBy = missing
 		}
 	}
 	n, total := min(int(clientHello.Batch), maxBatch), 0
@@ -384,7 +390,7 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 	} else {
 		cur = newCursor(seed ^ s.info.CodeSeed ^ salt)
 		ids, _ := s.src.WorkingSet()
-		cur.aim(missing, slice, of, ids) // no summary: everything is missing
+		cur.aim(aimBy, slice, of, ids)
 	}
 	if total > 0 { // the OPEN's round, as the ACCEPT announced it
 		if s.timeout > 0 {
@@ -412,7 +418,7 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 		}
 		switch f.Type {
 		case protocol.TypeSummary:
-			missing, slice, of, err := readSummary(f.Payload)
+			slice, of, err := readSummary(f.Payload, &filter)
 			if err != nil {
 				protocol.WriteFrame(ch, protocol.EncodeError("bad summary"))
 				return err
@@ -455,14 +461,16 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 }
 
 // readSummary parses a SUMMARY payload (the OPEN's or a refresh's) into
-// what its Bloom filter leaves missing and its slice; it copies p.
-func readSummary(p []byte) (missing func(id uint64) bool, slice, of uint16, err error) {
+// its slice and, in place, its Bloom filter: filter's words are reused
+// when they have the room, so a same-size refresh allocates nothing. It
+// copies p. A summary that fails to parse leaves filter unusable, and the
+// session ends.
+func readSummary(p []byte, filter *bloom.Filter) (slice, of uint16, err error) {
 	slice, of, blob, err := protocol.DecodeSummaryView(p)
-	filter := new(bloom.Filter)
 	if err == nil {
 		err = filter.UnmarshalBinary(blob)
 	}
-	return func(id uint64) bool { return !filter.Contains(id) }, slice, of, err
+	return slice, of, err
 }
 
 // relayGossip writes one PEERS frame carrying every directory entry not
@@ -514,10 +522,15 @@ func (s *Server) sendFull(w io.Writer, enc *fountain.Encoder, n int) error {
 // refresh has to prune is what other senders delivered), queued, or
 // withheld because the receiver's summary held its id when it was tested.
 // A REQUEST tests only what the log gained since the last one (extend); a
-// summary (the OPEN's, or a refresh) re-tests everything unsent (aim),
-// which keeps one filter's false positive from being permanent. This is
-// §6.1's "a partial sender can find symbols of guaranteed utility ...
-// recoding is not generally necessary" taken at its word.
+// summary (the OPEN's, or a refresh) re-tests everything unsent (aim).
+// The receiver keeps one filter per fetch and tops it up for each summary
+// (Orchestrator.summaryLocked), so an id one summary withheld as a false
+// positive stays withheld until the receiver rebuilds its filter, which
+// it does when its log outgrows the filter's sizing; a cadence that
+// refreshes only on growth would not draw new ones in a stalled endgame
+// either, and a filter sized for the whole fetch has fewer to begin with.
+// This is §6.1's "a partial sender can find symbols of guaranteed utility
+// ... recoding is not generally necessary" taken at its word.
 //
 // The summary also names this sender's slice of the id space
 // (protocol.InSlice): what it leaves missing queues in pending when its

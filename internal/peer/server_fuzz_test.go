@@ -12,11 +12,17 @@ package peer
 // corrupt SYMBOL envelope and a frame of the retired type 7 (RECODED
 // until version 7) on an open channel, a bare OPEN_CHANNEL with no wire
 // handshake ahead of it, an absurd declared frame length, and raw junk.
+// The mux also serves a partial sender, under the next content id, and one
+// seed opens a session on it whose OPEN carries a summary and whose
+// refreshes carry filters larger and then smaller than the one before:
+// the session decodes each into one filter, in place, and its cursor aims
+// by whichever it holds.
 
 import (
 	"bytes"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -49,6 +55,16 @@ func FuzzServeStream(f *testing.F) {
 		frameBytes(protocol.EncodeOpenChannel(1, clientHello)),
 	}, nil)
 	onChannel := func(inner protocol.Frame) []byte { return frameBytes(protocol.EncodeMux(1, inner)) }
+	partialInfo := info
+	partialInfo.ID++
+	held := partialSymbols(f, partialInfo, data, 30, 1)
+	summary := func(n int) protocol.Frame {
+		blob, err := filterBlob(sortedIDs(held)[:n])
+		if err != nil {
+			f.Fatal(err)
+		}
+		return protocol.EncodeSummary(0, 0, blob)
+	}
 
 	// Valid exchange: handshake, a small batch request, clean DONE.
 	f.Add(bytes.Join([][]byte{
@@ -76,15 +92,37 @@ func FuzzServeStream(f *testing.F) {
 	f.Add([]byte{0xD0, 0x1C, protocol.Version, 1, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	// A partial sender's session: the OPEN's summary of 4 ids, then
+	// refreshes of 20 (a filter that outgrows the session's), 2 (one that
+	// fits in it) and 20 again, a batch after each.
+	summarized := clientHello
+	summarized.ContentID, summarized.Batch, summarized.Depth = partialInfo.ID, 4, 1
+	summarized.Summary = summary(4).Payload
+	f.Add(bytes.Join([][]byte{
+		frameBytes(protocol.EncodeMuxHello(protocol.MuxHello{MaxChannels: 4})),
+		frameBytes(protocol.EncodeOpenChannel(1, summarized)),
+		frameBytes(protocol.EncodeCredit(1, 64)),
+		onChannel(summary(20)),
+		onChannel(protocol.EncodeRequest(4)),
+		onChannel(summary(2)),
+		onChannel(protocol.EncodeRequest(4)),
+		onChannel(summary(20)),
+		onChannel(protocol.EncodeRequest(4)),
+		onChannel(protocol.EncodeDone()),
+	}, nil))
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		srv, err := NewFullServer(info, data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mux := front(srv)
+		partial, err := NewPartialServer(partialInfo, held)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mux := front(srv, partial)
 		// Bound hostile streams that go quiet, at every layer.
-		srv.timeout, mux.timeout = 2*time.Second, 2*time.Second
+		srv.timeout, partial.timeout, mux.timeout = 2*time.Second, 2*time.Second, 2*time.Second
 		box := NewPenaltyBox()
 		mux.SetPenalties(box)
 
@@ -96,10 +134,23 @@ func FuzzServeStream(f *testing.F) {
 			mux.ServeConn(server)
 		}()
 		// Drain the server's answers so its synchronous pipe writes never
-		// block, then feed it the fuzzed stream and hang up.
-		go io.Copy(io.Discard, client)
+		// block, then feed it the fuzzed stream, and hang up once the
+		// server has ended or gone quiet for 5 ms (200 ms at most): the
+		// reader reads ahead, so a hang-up right behind the stream would end
+		// the wire before the server wrote its MUX_HELLO, and no session
+		// would ever run.
+		var answered atomic.Int64
+		go io.Copy(countingWriter{&answered}, client)
 		client.SetDeadline(time.Now().Add(2 * time.Second))
 		client.Write(stream) // best effort: the server may drop us mid-write
+		for n, end := int64(-1), time.Now().Add(200*time.Millisecond); n != answered.Load() && time.Now().Before(end); {
+			n = answered.Load()
+			select {
+			case <-done:
+				end = time.Time{}
+			case <-time.After(5 * time.Millisecond):
+			}
+		}
 		client.Close()
 
 		select {
@@ -109,8 +160,16 @@ func FuzzServeStream(f *testing.F) {
 		}
 		// Whatever the stream did, the accounting must stay coherent: a
 		// malformed-frame charge implies a penalty-box entry for the pipe.
-		if (mux.Stats().Malformed > 0 || srv.Stats().Malformed > 0) && box.Len() == 0 {
+		if (mux.Stats().Malformed > 0 || srv.Stats().Malformed > 0 || partial.Stats().Malformed > 0) && box.Len() == 0 {
 			t.Fatal("malformed frame counted but nobody charged")
 		}
 	})
+}
+
+// countingWriter discards what it is written and counts the bytes.
+type countingWriter struct{ n *atomic.Int64 }
+
+func (w countingWriter) Write(p []byte) (int, error) {
+	w.n.Add(int64(len(p)))
+	return len(p), nil
 }

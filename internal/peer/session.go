@@ -27,7 +27,6 @@ import (
 	"math"
 	"time"
 
-	"icd/internal/bloom"
 	"icd/internal/obs"
 	"icd/internal/peermux"
 	"icd/internal/prng"
@@ -90,13 +89,19 @@ func newSession(o *Orchestrator, addr string) *session {
 	return s
 }
 
+// errInconsistentInfo marks a session whose peer's ACCEPT describes the
+// content otherwise than the fetch's first handshake did (ensureDecoder).
+var errInconsistentInfo = errors.New("peer: inconsistent content metadata")
+
 // terminalSessionError reports errors no redial can fix: the peer is
 // healthy but speaks an incompatible protocol version, does not hold
-// this content, or refuses to serve us. All short-circuit the
-// reconnect-backoff budget (and, via runConn, are never charged).
+// this content, serves it under other parameters, or refuses to serve
+// us. All short-circuit the reconnect-backoff budget (and, via runConn,
+// are never charged), and each is the peer's verdict, not an unblocked
+// wait: one found after the fetch ended is still reported.
 func terminalSessionError(err error) bool {
 	return errors.Is(err, ErrUnknownContent) || errors.Is(err, ErrRefused) ||
-		errors.Is(err, protocol.ErrVersion)
+		errors.Is(err, protocol.ErrVersion) || errors.Is(err, errInconsistentInfo)
 }
 
 // evict ends the session deliberately: it winds down cleanly, marked
@@ -239,7 +244,6 @@ func (s *session) runConn() error {
 // it does not charge the address.
 func (s *session) openChannel(ctx context.Context, issued time.Time) (*peermux.Channel, protocol.Hello, error) {
 	o := s.o
-	held, _ := o.WorkingSet()
 	// At most the batches the window the channel opens at admits, as the
 	// fabric clamps it (0 opens at the wire's default, the largest any
 	// channel gets).
@@ -250,19 +254,18 @@ func (s *session) openChannel(ctx context.Context, issued time.Time) (*peermux.C
 	}
 	open := protocol.Hello{
 		ContentID:  o.contentID,
-		Symbols:    uint64(len(held)),
 		Batch:      uint32(o.opts.Batch),
 		Depth:      uint16(o.openRound(s, depthCap(opensAt, o.opts.Batch))),
 		ListenAddr: o.opts.AdvertiseAddr,
 	}
-	if !o.opts.Uninformed && len(held) > 0 {
-		o.joinPartials(s)
-		slice, of := o.sliceOf(s)
-		blob, err := bloomSummary(held)
+	if o.opts.Uninformed {
+		open.Symbols = uint64(o.Progress())
+	} else {
+		summary, _, _, held, err := o.summarize(s, true)
 		if err != nil {
 			return nil, protocol.Hello{}, err
 		}
-		open.Summary = protocol.EncodeSummary(slice, of, blob).Payload
+		open.Symbols, open.Summary = uint64(held), summary.Payload
 	}
 	openCtx, cancel := context.WithTimeout(ctx, o.opts.Timeout)
 	ch, err := o.fabric.OpenWindow(openCtx, s.addr, open, win)
@@ -426,7 +429,8 @@ func (s *session) watchdog(ctx context.Context, cancel context.CancelCauseFunc) 
 // the channel's pooled queue and are folded as views of its buffers, so
 // the loop allocates nothing per frame: a new symbol's payload is copied
 // into the working set's current slab, which costs an allocation only
-// when a slab fills.
+// when a slab fills, and the log's slabs double up to 1 MiB, so that is
+// about ten times a fetch.
 func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open protocol.Hello, issued time.Time) error {
 	o := s.o
 	s.setChannel(ch)
@@ -525,9 +529,11 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open pr
 			if err := s.sendGossip(ch, sentAds); err != nil {
 				return err
 			}
-			// The staleness test is one atomic load; the O(n) summary is
-			// paid only when a refresh will actually be built — and never
-			// by an uninformed session.
+			// The staleness test is one atomic load. A refresh tops the
+			// fetch's one kept filter up with what the log gained since
+			// the last summary of any session, and marshals it
+			// (Orchestrator.summaryLocked): it costs what changed, not the
+			// whole log — and an uninformed session never pays it.
 			known := o.Progress()
 			grown := float64(known-summarized) >= refreshGrowth*float64(summarized)
 			refresh = grown && known > 0 && informed
@@ -541,17 +547,17 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open pr
 			refresh = i != slice || n != slices
 		}
 		if refresh {
-			cur, _ := o.WorkingSet()
-			slice, slices = o.sliceOf(s)
-			blob, err := bloomSummary(cur)
+			var summary protocol.Frame
+			var err error
+			summary, slice, slices, summarized, err = o.summarize(s, false)
 			if err != nil {
 				return err
 			}
 			deadline()
-			if err := protocol.WriteFrame(ch, protocol.EncodeSummary(slice, slices, blob)); err != nil {
+			if err := protocol.WriteFrame(ch, summary); err != nil {
 				return err
 			}
-			sentSummary, summarized = true, len(cur)
+			sentSummary = true
 			o.met.refreshes.Inc()
 			o.mu.Lock()
 			s.stats.Summary = "bloom"
@@ -682,15 +688,3 @@ const (
 	refreshBatches = 8
 	refreshGrowth  = 0.1
 )
-
-// bloomSummary marshals a Bloom filter over the receiver's working set —
-// its ids, distinct, in any order — ready for protocol.EncodeSummary: the
-// paper's §5.2 low false-positive operating point, 8 bits per element and
-// 5 hashes, under seed 0, which every peer on the wire shares.
-func bloomSummary(held []uint64) ([]byte, error) {
-	filter := bloom.NewWithBitsPerElement(0, max(len(held), 1), 8, 5)
-	for _, id := range held {
-		filter.Add(id)
-	}
-	return filter.MarshalBinary()
-}

@@ -68,6 +68,17 @@ func openSession(t *testing.T, srv *Server) *peermux.Channel {
 	return openSessionAt(t, srv, "sender")
 }
 
+// filterBlob marshals a Bloom filter over held at the engine's operating
+// point (8 bits per element, 5 hashes, seed 0), sized for held alone: a
+// summary's blob, as a hand-driven receiver sends it.
+func filterBlob(held []uint64) ([]byte, error) {
+	filter := bloom.NewWithBitsPerElement(0, max(len(held), 1), 8, 5)
+	for _, id := range held {
+		filter.Add(id)
+	}
+	return filter.MarshalBinary()
+}
+
 // sendSummary informs the sender that the receiver holds held.
 func sendSummary(t *testing.T, ch *peermux.Channel, held []uint64) {
 	t.Helper()
@@ -78,7 +89,7 @@ func sendSummary(t *testing.T, ch *peermux.Channel, held []uint64) {
 // which slice of the id space it serves first.
 func sendSlicedSummary(t *testing.T, ch *peermux.Channel, held []uint64, slice, of uint16) {
 	t.Helper()
-	blob, err := bloomSummary(held)
+	blob, err := filterBlob(held)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +102,7 @@ func sendSlicedSummary(t *testing.T, ch *peermux.Channel, held []uint64, slice, 
 // the sender reads it.
 func receiverFilter(t *testing.T, held []uint64) *bloom.Filter {
 	t.Helper()
-	blob, err := bloomSummary(held)
+	blob, err := filterBlob(held)
 	if err != nil {
 		t.Fatal(err)
 	}

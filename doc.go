@@ -34,8 +34,8 @@
 //
 // Serve a file from a full sender and fetch it:
 //
-//	info, content := icd.DescribeContent(0xF00D, data, 1400)
-//	srv, _ := icd.NewFullServer(info, content)
+//	info, _ := icd.DescribeContent(0xF00D, data, 1400)
+//	srv, _ := icd.NewFullServer(info, data) // serves data itself: leave it unmodified while served
 //	mux := icd.NewServerMux() // the front door: one listener, any number of contents
 //	mux.Register(srv)
 //	go mux.ListenAndServe("127.0.0.1:9000")
@@ -243,7 +243,8 @@
 // is held to the same standard: a REQUEST to a warm full sender, or to a
 // partial sender whose log did not grow, allocates nothing while the
 // gossip directory has nothing new to relay
-// (peer.TestRequestWithNoNewsZeroAlloc), and a summary that re-aims a
+// (peer.TestRequestWithNoNewsZeroAlloc) — nor does a relay that has news,
+// once its scratch is warm (peer.TestRelaySendAllocs) — and a summary that re-aims a
 // partial sender's cursor over a log that did not grow allocates nothing
 // either: the cursor sizes its queues and scratch to the log at its first
 // summary and filters them in place (peer.TestCursorReaimZeroAlloc). peer.BenchmarkFetchFabricPipe
@@ -305,7 +306,14 @@
 // dialable address (FetchOptions.AdvertiseAddr) in the HELLO, and both
 // sides may volunteer capped, deduplicated PEERS frames: a session
 // piggybacks them on its handshake and refresh checks, a server relays
-// its accumulated directory ahead of each symbol batch. Every address a
+// its accumulated directory ahead of each symbol batch. Both ends run one
+// relay per connection, gated by generation: the directory's, and on a
+// session also its fetch's session set's. A check when neither moved
+// since the last complete send collects nothing and costs two atomic
+// loads; one that collects appends into the relay's own scratch and
+// writes each advertisement once per connection, at most MaxPeerAds a
+// frame, the overflow on the next check (peer.TestSessionRelaysOnlyNews,
+// peer.TestServerRelaysOnlyNews). Every address a
 // node hears — through a session's PEERS frame or a client dialing its
 // live Server — lands in one node-wide Gossip directory (shared via
 // FetchOptions.Gossip and Server.SetGossip) and flows into the

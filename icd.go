@@ -299,7 +299,9 @@ type FetchOptions = peer.FetchOptions
 // FetchResult is a completed (or resumable partial) download.
 type FetchResult = peer.FetchResult
 
-// NewFullServer builds a full sender from raw content.
+// NewFullServer builds a full sender from raw content. It adopts content
+// instead of copying it (only a zero-padded tail block is copied), so
+// content must not be modified while the server serves it.
 func NewFullServer(info ContentInfo, content []byte) (*Server, error) {
 	return peer.NewFullServer(info, content)
 }
@@ -414,25 +416,27 @@ type ContentStatus = node.ContentStatus
 type NodeTransfer = node.Transfer
 
 // DescribeContent computes the ContentInfo for raw content at the given
-// block size, with the code seed derived from the id.
+// block size, with the code seed derived from the id. It reads only the
+// content's length.
 func DescribeContent(id uint64, content []byte, blockSize int) (ContentInfo, error) {
-	blocks, origLen, err := fountain.SplitIntoBlocks(content, blockSize)
+	n, err := fountain.NumBlocks(len(content), blockSize)
 	if err != nil {
 		return ContentInfo{}, err
 	}
 	return ContentInfo{
 		ID:        id,
-		NumBlocks: len(blocks),
+		NumBlocks: n,
 		BlockSize: blockSize,
-		OrigLen:   origLen,
+		OrigLen:   len(content),
 		CodeSeed:  id ^ 0x1CD,
 	}, nil
 }
 
-// EncodeSymbols produces count encoded symbols of the content — the
-// working set a future partial sender would hold.
+// EncodeSymbols produces count distinct encoded symbols of the content —
+// the working set a future partial sender would hold. Their payloads are
+// views of one count×BlockSize slab, each clipped to its own length.
 func EncodeSymbols(info ContentInfo, content []byte, count int, streamSeed uint64) (map[uint64][]byte, error) {
-	blocks, _, err := fountain.SplitIntoBlocks(content, info.BlockSize)
+	blocks, _, err := fountain.ViewBlocks(content, info.BlockSize)
 	if err != nil {
 		return nil, err
 	}
@@ -440,14 +444,5 @@ func EncodeSymbols(info ContentInfo, content []byte, count int, streamSeed uint6
 	if err != nil {
 		return nil, err
 	}
-	enc, err := fountain.NewEncoder(code, blocks, streamSeed)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[uint64][]byte, count)
-	for len(out) < count {
-		sym := enc.Next()
-		out[sym.ID] = sym.Data
-	}
-	return out, nil
+	return fountain.DistinctSymbols(code, blocks, streamSeed, count)
 }

@@ -176,13 +176,24 @@ func (f *Filter) Union(other *Filter) error {
 
 // MarshalBinary encodes the filter in one buffer. Wire format: seed (8) |
 // k (4) | n (8) | bitset blob.
-func (f *Filter) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 20, 20+8+8*((f.M()+63)/64))
-	binary.LittleEndian.PutUint64(buf[0:], f.Seed)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(f.K))
-	binary.LittleEndian.PutUint64(buf[12:], uint64(f.ninact))
-	return f.bits.AppendBinary(buf)
+func (f *Filter) MarshalBinary() ([]byte, error) { return f.AppendBinary(nil) }
+
+// AppendBinary implements encoding.BinaryAppender: it appends the
+// MarshalBinary encoding to b, growing b at most once, so a caller that
+// frames the filter behind a header of its own builds one buffer, and
+// none when b has BinaryLen bytes to spare.
+func (f *Filter) AppendBinary(b []byte) ([]byte, error) {
+	if n := f.BinaryLen(); cap(b)-len(b) < n {
+		b = append(make([]byte, 0, len(b)+n), b...)
+	}
+	b = binary.LittleEndian.AppendUint64(b, f.Seed)
+	b = binary.LittleEndian.AppendUint32(b, uint32(f.K))
+	b = binary.LittleEndian.AppendUint64(b, uint64(f.ninact))
+	return f.bits.AppendBinary(b)
 }
+
+// BinaryLen is the length of the filter's MarshalBinary encoding.
+func (f *Filter) BinaryLen() int { return 20 + 8 + 8*((f.M()+63)/64) }
 
 // UnmarshalBinary decodes data produced by MarshalBinary. It decodes in
 // place, into the filter's bitset when it has one (bitset.Set.

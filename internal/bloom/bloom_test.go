@@ -428,3 +428,30 @@ func TestMarshalOneBuffer(t *testing.T) {
 		t.Errorf("MarshalBinary allocates %.1f times, want 1", allocs)
 	}
 }
+
+// TestAppendBinary: AppendBinary appends MarshalBinary's bytes, BinaryLen
+// of them, behind what the buffer holds — into its spare room without
+// allocating, and growing a short buffer once.
+func TestAppendBinary(t *testing.T) {
+	f := NewWithBitsPerElement(0, 4608, 8, 5)
+	for k := uint64(0); k < 2048; k++ {
+		f.Add(k)
+	}
+	want, err := f.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != f.BinaryLen() {
+		t.Fatalf("MarshalBinary wrote %d bytes, BinaryLen says %d", len(want), f.BinaryLen())
+	}
+	buf := append(make([]byte, 0, 4+f.BinaryLen()), "head"...)
+	if allocs := testing.AllocsPerRun(20, func() { buf, _ = f.AppendBinary(buf[:4]) }); allocs != 0 {
+		t.Errorf("AppendBinary into a buffer with the room allocates %.1f times", allocs)
+	}
+	if string(buf[:4]) != "head" || string(buf[4:]) != string(want) {
+		t.Fatal("AppendBinary did not append MarshalBinary's bytes behind the prefix")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { f.AppendBinary([]byte("head")) }); allocs != 1 {
+		t.Errorf("AppendBinary into a short buffer allocates %.1f times, want 1", allocs)
+	}
+}

@@ -661,3 +661,124 @@ func TestDecoderSteadyStateAllocs(t *testing.T) {
 			len(stream), perRun)
 	}
 }
+
+// TestNumBlocksMatchesSplit: NumBlocks reckons the count and the errors
+// SplitIntoBlocks gives, from the length alone.
+func TestNumBlocksMatchesSplit(t *testing.T) {
+	for _, tc := range []struct{ n, blockSize int }{{1, 1}, {7, 8}, {8, 8}, {9, 8}, {5*1400 - 6, 1400}, {0, 8}, {8, 0}, {8, -1}} {
+		blocks, _, splitErr := SplitIntoBlocks(make([]byte, tc.n), tc.blockSize)
+		n, err := NumBlocks(tc.n, tc.blockSize)
+		if (err == nil) != (splitErr == nil) || (err != nil && err.Error() != splitErr.Error()) {
+			t.Fatalf("%d bytes in blocks of %d: NumBlocks says %v, SplitIntoBlocks %v", tc.n, tc.blockSize, err, splitErr)
+		}
+		if err == nil && n != len(blocks) {
+			t.Fatalf("%d bytes in blocks of %d: NumBlocks says %d, SplitIntoBlocks made %d", tc.n, tc.blockSize, n, len(blocks))
+		}
+	}
+}
+
+// TestViewBlocksAdoptsContent: ViewBlocks gives SplitIntoBlocks's blocks,
+// but every whole block is the content itself, clipped to its own length
+// so an append to it cannot write the next, and only a padded tail block
+// is a copy.
+func TestViewBlocksAdoptsContent(t *testing.T) {
+	const blockSize = DefaultBlockSize
+	for _, size := range []int{5*blockSize - 6, 5 * blockSize} {
+		content := makeContent(prng.New(4), size)
+		want, _, err := SplitIntoBlocks(content, blockSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks, origLen, err := ViewBlocks(content, blockSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if origLen != size || len(blocks) != len(want) {
+			t.Fatalf("%d bytes: %d blocks, original length %d", size, len(blocks), origLen)
+		}
+		for i, b := range blocks {
+			if !bytes.Equal(b, want[i]) || cap(b) != blockSize {
+				t.Fatalf("%d bytes: block %d differs from SplitIntoBlocks's, or has capacity %d", size, i, cap(b))
+			}
+			padded := (i+1)*blockSize > size
+			if aliases := &b[0] == &content[i*blockSize]; aliases == padded {
+				t.Fatalf("%d bytes: block %d aliases the content = %v, padded = %v", size, i, aliases, padded)
+			}
+		}
+		next := bytes.Clone(blocks[1])
+		_ = append(blocks[0], 0xFF)
+		if !bytes.Equal(blocks[1], next) {
+			t.Fatalf("%d bytes: an append to block 0 wrote block 1", size)
+		}
+	}
+}
+
+// TestDistinctSymbolsOneSlab: DistinctSymbols draws count distinct
+// symbols of the stream, the encoder's own, whose payloads are views of
+// one slab, each clipped to BlockSize, and together they decode the
+// content.
+func TestDistinctSymbolsOneSlab(t *testing.T) {
+	const blockSize = 64
+	content := makeContent(prng.New(5), 300*blockSize-13)
+	blocks, origLen, err := ViewBlocks(content, blockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := NewCode(len(blocks), nil, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const count = 2 * 300
+	symbols, err := DistinctSymbols(code, blocks, 3, count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(symbols) != count {
+		t.Fatalf("%d symbols, want %d", len(symbols), count)
+	}
+	enc, err := NewEncoder(code, blocks, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := uintptr(math.MaxUint64), uintptr(0)
+	starts := make(map[uintptr]bool, count)
+	for id, data := range symbols {
+		if len(data) != blockSize || cap(data) != blockSize {
+			t.Fatalf("symbol %d has length %d and capacity %d, want %d", id, len(data), cap(data), blockSize)
+		}
+		if want := enc.EncodeID(id); !bytes.Equal(data, want.Data) {
+			t.Fatalf("symbol %d is not the encoder's", id)
+		}
+		p := uintptr(unsafe.Pointer(&data[0]))
+		if starts[p] {
+			t.Fatalf("symbol %d shares its payload with another", id)
+		}
+		starts[p] = true
+		lo, hi = min(lo, p), max(hi, p)
+	}
+	if hi-lo != (count-1)*blockSize {
+		t.Fatalf("the payloads span %d bytes, want one slab of %d", hi-lo+blockSize, count*blockSize)
+	}
+	dec, err := NewDecoder(code, blockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, data := range symbols {
+		if dec.Done() {
+			break
+		}
+		if _, err := dec.AddSymbol(Symbol{ID: id, Data: data}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !dec.Done() {
+		t.Fatalf("decoded %d of %d blocks from %d symbols", dec.Recovered(), len(blocks), count)
+	}
+	got, err := JoinBlocks(dec.Blocks(), origLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, content) {
+		t.Fatal("the symbols decode other content")
+	}
+}

@@ -270,7 +270,9 @@ func (n *Node) Close() error {
 
 // ServeFull registers a full replica of the content: it is served on
 // the shared listener and accounted in the store (pin to shield it from
-// budget eviction).
+// budget eviction). The replica adopts content instead of copying it
+// (peer.NewFullServer), so content must not be modified while it is
+// served.
 func (n *Node) ServeFull(info peer.ContentInfo, content []byte, pin bool) error {
 	srv, err := peer.NewFullServer(info, content)
 	if err != nil {

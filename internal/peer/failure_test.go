@@ -88,18 +88,25 @@ func hostileServer(t *testing.T, info ContentInfo) string {
 }
 
 func TestFetchSurvivesCorruptPeer(t *testing.T) {
-	// Enough blocks that the healthy peer cannot finish the transfer
-	// before the hostile one has passed its handshake and been caught.
+	// The healthy server sends no symbol before the fetch's registry shows
+	// the hostile session failed: both sessions started and one is live,
+	// the healthy one, waiting behind the gate. A session exits only after
+	// recording its error. A fetch that completed first would cancel the
+	// hostile session before it read its corrupt frame, and a cancelled
+	// session reports no error.
 	info, data := testContent(t, 1200, 32)
 	good, err := NewFullServer(info, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	goodAddr := startServer(t, good)
+	reg := obs.NewRegistry()
+	started, live := reg.Counter("peer.sessions{event=started}"), reg.Gauge("peer.sessions{state=live}")
+	gate := &startGate{n: 1, ready: func() bool { return started.Value() == 2 && live.Value() == 1 }, open: make(chan struct{})}
+	goodAddr := serveGated(t, gate, []*Server{good})[0]
 	badAddr := hostileServer(t, info)
 
 	res, err := Fetch([]string{badAddr, goodAddr}, info.ID, FetchOptions{
-		Batch: 16, Timeout: 5 * time.Second,
+		Batch: 16, Timeout: 5 * time.Second, Obs: reg,
 	})
 	if err != nil {
 		t.Fatalf("fetch failed despite a healthy peer: %v", err)

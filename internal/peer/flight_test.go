@@ -499,7 +499,7 @@ func (p *depthProbe) serveChannel(ch *peermux.Channel) {
 					// An empty PEERS frame pushes the first symbol out
 					// ahead of the rest: a channel batches SYMBOLs until
 					// any other frame.
-					if protocol.WriteFrame(ch, protocol.EncodePeers(nil)) != nil {
+					if protocol.WriteFrame(ch, protocol.Frame{Type: protocol.TypePeers, Payload: protocol.AppendPeers(nil, nil)}) != nil {
 						return
 					}
 					select {

@@ -1,11 +1,13 @@
 package peer
 
 // gossip.go is the node-wide peer directory behind gossip
-// discovery. One Gossip instance is shared by everything running on a
-// node — the Orchestrator's sessions learn advertisements from PEERS
-// frames, a live Server learns the listen addresses of clients that
-// handshake with it, and both read the directory back when they relay
-// advertisements onward. The Orchestrator subscribes to the directory,
+// discovery, and the one PEERS relay both ends of a connection run. One
+// Gossip instance is shared by everything running on a node — the
+// Orchestrator's sessions learn advertisements from PEERS frames, a live
+// Server learns the listen addresses of clients that handshake with it,
+// and both read the directory back when they relay advertisements onward
+// (relay: per connection, it collects only when what it would collect
+// changed). The Orchestrator subscribes to the directory,
 // so an address learned through *any* path (a session's PEERS frame, a
 // client dialing our live server) flows into the same admission logic
 // (considerDiscovered): admit up to MaxPeers, defer the rest to a
@@ -13,6 +15,8 @@ package peer
 // exit frees a slot.
 
 import (
+	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,22 +44,31 @@ type gossipEntry struct {
 // deduplicated by (content id, address) and capped at MaxGossipAds.
 // It is safe for concurrent use; subscribers are invoked without the
 // directory lock held, so they may call back into the directory.
+//
+// Reading it back costs per change, not per read: gen moves with every
+// change an AppendSnapshot can show, so a relay that saw a generation
+// asks again only once it moved (relay.send), and AppendSnapshot itself
+// ranks through a kept scratch and appends into the caller's buffer, so
+// a read allocates nothing once the buffers are warm.
 type Gossip struct {
 	mu   sync.Mutex
 	self string
 	ads  map[protocol.PeerAd]*gossipEntry
 	next int
+	// subs is replaced, never appended to in place (subscribe), so Learn
+	// can call the slice it read under mu after releasing it.
 	subs []func(protocol.PeerAd)
 	now  func() time.Time // injectable clock (tests age entries synthetically)
+	rank []*gossipEntry   // AppendSnapshot's scratch, under mu
 
-	// gen counts, under mu, the changes a Snapshot can show: an entry
-	// added or dropped, a mention count bumped.
+	// gen counts, under mu, the changes an AppendSnapshot can show: an
+	// entry added or dropped, a mention count bumped.
 	gen atomic.Uint64
 }
 
 // NewGossip creates an empty directory. self is this node's own
 // advertised address (possibly empty); it is never stored and never
-// returned by Snapshot, so a node cannot gossip itself to itself.
+// returned by AppendSnapshot, so a node cannot gossip itself to itself.
 func NewGossip(self string) *Gossip {
 	return &Gossip{self: self, ads: make(map[protocol.PeerAd]*gossipEntry), now: time.Now}
 }
@@ -94,7 +107,7 @@ func (g *Gossip) Learn(ad protocol.PeerAd) bool {
 	g.ads[ad] = &gossipEntry{ad: ad, hits: 1, seq: g.next, lastHeard: g.now()}
 	g.next++
 	g.gen.Add(1)
-	subs := append([]func(protocol.PeerAd){}, g.subs...)
+	subs := g.subs
 	g.mu.Unlock()
 	for _, fn := range subs {
 		fn(ad)
@@ -102,44 +115,34 @@ func (g *Gossip) Learn(ad protocol.PeerAd) bool {
 	return true
 }
 
-// LearnAll feeds every advertisement through Learn and returns how many
-// were new.
-func (g *Gossip) LearnAll(ads []protocol.PeerAd) int {
-	added := 0
-	for _, ad := range ads {
-		if g.Learn(ad) {
-			added++
-		}
-	}
-	return added
-}
-
-// Snapshot returns up to max advertisements for contentID (0 matches
-// every content), ranked by descending mention count with insertion
+// AppendSnapshot appends up to max advertisements for contentID (0
+// matches every content; max <= 0 is no cap) to dst and returns the
+// extended slice, ranked by descending mention count with insertion
 // order as the deterministic tie-break. The node's own address is never
-// included.
-func (g *Gossip) Snapshot(contentID uint64, max int) []protocol.PeerAd {
+// included. It ranks under the lock through the directory's kept scratch,
+// so it allocates only when dst lacks the room.
+func (g *Gossip) AppendSnapshot(dst []protocol.PeerAd, contentID uint64, max int) []protocol.PeerAd {
 	g.mu.Lock()
-	entries := make([]gossipEntry, 0, len(g.ads))
+	defer g.mu.Unlock()
+	rank := g.rank[:0]
 	for _, e := range g.ads {
 		if contentID == 0 || e.ad.ContentID == contentID {
-			entries = append(entries, *e)
+			rank = append(rank, e)
 		}
 	}
-	g.mu.Unlock()
-	for i := 1; i < len(entries); i++ { // insertion sort: the set is small
-		for j := i; j > 0 && better(&entries[j], &entries[j-1]); j-- {
-			entries[j], entries[j-1] = entries[j-1], entries[j]
+	for i := 1; i < len(rank); i++ { // insertion sort: the set is small
+		for j := i; j > 0 && better(rank[j], rank[j-1]); j-- {
+			rank[j], rank[j-1] = rank[j-1], rank[j]
 		}
 	}
-	if max > 0 && len(entries) > max {
-		entries = entries[:max]
+	if max > 0 && len(rank) > max {
+		rank = rank[:max]
 	}
-	ads := make([]protocol.PeerAd, len(entries))
-	for i, e := range entries {
-		ads[i] = e.ad
+	for _, e := range rank {
+		dst = append(dst, e.ad)
 	}
-	return ads
+	g.rank = rank[:0]
+	return dst
 }
 
 // Len returns the number of remembered advertisements.
@@ -177,9 +180,9 @@ func (g *Gossip) Expire(maxAge time.Duration) int {
 	return dropped
 }
 
-// generation reports gen. Read before a Snapshot, it tells a caller
-// when to ask again: while it reads the same, a new Snapshot returns what
-// that one did.
+// generation reports gen. Read before an AppendSnapshot, it tells a
+// caller when to ask again: while it reads the same, a new AppendSnapshot
+// appends what that one did.
 func (g *Gossip) generation() uint64 { return g.gen.Load() }
 
 // hits returns the mention count of ad (0 when unknown) — candidate
@@ -194,10 +197,11 @@ func (g *Gossip) hitCount(ad protocol.PeerAd) int {
 }
 
 // subscribe registers fn to run for every newly learned advertisement.
-// fn is invoked without the directory lock held.
+// fn is invoked without the directory lock held. The list is copied on
+// write: a Learn that read the old one keeps calling it unchanged.
 func (g *Gossip) subscribe(fn func(protocol.PeerAd)) {
 	g.mu.Lock()
-	g.subs = append(g.subs, fn)
+	g.subs = append(slices.Clip(g.subs), fn)
 	g.mu.Unlock()
 }
 
@@ -208,4 +212,89 @@ func better(a, b *gossipEntry) bool {
 		return a.hits > b.hits
 	}
 	return a.seq < b.seq
+}
+
+// adSource is what a relay collects advertisements from: a session (its
+// fetch's view of the swarm) or a Server (the node's directory).
+// adGenerations moves whenever what appendAds would append changes.
+type adSource interface {
+	adGenerations() [2]uint64
+	appendAds(dst []protocol.PeerAd) []protocol.PeerAd
+}
+
+// relay is one connection's PEERS relay, the one both ends run: a
+// fetch's session tells its sender what the fetch knows of the swarm, a
+// serving session tells its client what the node's directory holds, and
+// each hands what the other end tells it to the directory. Sending costs
+// per change, not per call: a send whose source's generations have not
+// moved since the last complete send collects nothing, and one that
+// collects and writes reuses the relay's scratch, so it allocates only
+// when the sent set or a scratch buffer must grow. A relay belongs to one
+// connection's goroutine.
+type relay struct {
+	// sent is every advertisement written on this connection, and, on a
+	// serving session, the client's own, which it is never told about.
+	sent map[protocol.PeerAd]struct{}
+	// gens are the source's generations at the last complete send (valid
+	// once synced): a send that stopped at MaxPeerAds is not complete, so
+	// the overflow goes out on the next call.
+	gens   [2]uint64
+	synced bool
+	ads    []protocol.PeerAd // scratch: what send collected, or receive decoded
+	buf    []byte            // scratch: the PEERS payload send writes
+}
+
+// newRelay returns a relay that has sent the given advertisements.
+func newRelay(sent ...protocol.PeerAd) *relay {
+	r := &relay{sent: make(map[protocol.PeerAd]struct{}, len(sent))}
+	for _, ad := range sent {
+		r.sent[ad] = struct{}{}
+	}
+	return r
+}
+
+// send writes one PEERS frame carrying, in src's order, what src holds
+// that this connection has not been sent, at most MaxPeerAds of them (no
+// news, no frame). The generations are read before collecting: a change
+// racing the collection moves them past what is recorded, and the next
+// call collects again.
+func (r *relay) send(w io.Writer, src adSource) error {
+	gens := src.adGenerations()
+	if r.synced && gens == r.gens {
+		return nil
+	}
+	r.ads = src.appendAds(r.ads[:0])
+	fresh, complete := r.ads[:0], true
+	for _, ad := range r.ads {
+		if len(fresh) == protocol.MaxPeerAds {
+			complete = false
+			break
+		}
+		if _, dup := r.sent[ad]; !dup {
+			r.sent[ad] = struct{}{}
+			fresh = append(fresh, ad)
+		}
+	}
+	if complete {
+		r.gens, r.synced = gens, true
+	}
+	if len(fresh) == 0 {
+		return nil
+	}
+	r.buf = protocol.AppendPeers(r.buf[:0], fresh)
+	return protocol.WriteFrame(w, protocol.Frame{Type: protocol.TypePeers, Payload: r.buf})
+}
+
+// receive decodes a PEERS frame into the relay's scratch and hands each
+// advertisement to g (nil: decoded, not learned).
+func (r *relay) receive(f protocol.Frame, g *Gossip) error {
+	ads, err := protocol.DecodePeers(r.ads[:0], f)
+	r.ads = ads
+	if err != nil || g == nil {
+		return err
+	}
+	for _, ad := range ads {
+		g.Learn(ad)
+	}
+	return nil
 }

@@ -9,7 +9,11 @@ package peer
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
+	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -53,18 +57,28 @@ func TestGossipSnapshotRankingAndFilter(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		g.Learn(ad(7, "thrice:1"))
 	}
-	got := g.Snapshot(7, 0)
+	got := g.AppendSnapshot(nil, 7, 0)
 	if len(got) != 2 {
 		t.Fatalf("snapshot(7) has %d ads: %v", len(got), got)
 	}
 	if got[0].Addr != "thrice:1" || got[1].Addr != "once:1" {
 		t.Fatalf("ranking wrong: %v", got)
 	}
-	if all := g.Snapshot(0, 0); len(all) != 3 {
+	if all := g.AppendSnapshot(nil, 0, 0); len(all) != 3 {
 		t.Fatalf("snapshot(0) has %d ads, want 3", len(all))
 	}
-	if capped := g.Snapshot(7, 1); len(capped) != 1 || capped[0].Addr != "thrice:1" {
+	if capped := g.AppendSnapshot(nil, 7, 1); len(capped) != 1 || capped[0].Addr != "thrice:1" {
 		t.Fatalf("max=1 snapshot wrong: %v", capped)
+	}
+	// Appended behind what dst holds: the prefix stays, the ranking is the
+	// same, and a dst with the room costs nothing.
+	prefix := []protocol.PeerAd{ad(1, "kept:1"), ad(2, "kept:2")}
+	dst := append(make([]protocol.PeerAd, 0, 8), prefix...)
+	if allocs := testing.AllocsPerRun(20, func() { dst = g.AppendSnapshot(dst[:len(prefix)], 7, 0) }); allocs != 0 {
+		t.Fatalf("a snapshot into a dst with the room allocates %.1f times", allocs)
+	}
+	if want := append(prefix, got...); !slices.Equal(dst, want) {
+		t.Fatalf("appended snapshot %v, want %v", dst, want)
 	}
 }
 
@@ -93,9 +107,11 @@ func TestGossipSubscriberRunsWithoutLock(t *testing.T) {
 	g.subscribe(func(a protocol.PeerAd) {
 		calls++
 		g.hitCount(a)
-		g.Snapshot(0, 0)
+		g.AppendSnapshot(nil, 0, 0)
 	})
-	g.LearnAll([]protocol.PeerAd{ad(1, "a:1"), ad(1, "b:1"), ad(1, "a:1")})
+	for _, a := range []protocol.PeerAd{ad(1, "a:1"), ad(1, "b:1"), ad(1, "a:1")} {
+		g.Learn(a)
+	}
 	if calls != 2 {
 		t.Fatalf("subscriber ran %d times, want 2 (one per new ad)", calls)
 	}
@@ -372,7 +388,7 @@ func TestGossipGenerationMovesWithSnapshots(t *testing.T) {
 		{"empty address", func() { g.Learn(ad(7, "")) }, false},
 		{"expire, nothing stale", func() { g.Expire(time.Minute) }, false},
 		{"expire, one stale", func() { now = now.Add(time.Hour); g.Expire(time.Minute) }, true},
-		{"snapshot", func() { g.Snapshot(0, 0) }, false},
+		{"snapshot", func() { g.AppendSnapshot(nil, 0, 0) }, false},
 	} {
 		before := g.generation()
 		step.do()
@@ -418,7 +434,7 @@ func TestServerRelaysOnlyNews(t *testing.T) {
 	request := func(step string, news bool) {
 		t.Helper()
 		var want []protocol.PeerAd
-		for _, a := range g.Snapshot(info.ID, protocol.MaxPeerAds) {
+		for _, a := range g.AppendSnapshot(nil, info.ID, protocol.MaxPeerAds) {
 			if !sent[a] {
 				sent[a] = true
 				want = append(want, a)
@@ -446,7 +462,7 @@ func TestServerRelaysOnlyNews(t *testing.T) {
 		switch {
 		case !news && len(got) != 0:
 			t.Fatalf("%s: %d PEERS frames for no news", step, len(got))
-		case news && (len(got) != 1 || !bytes.Equal(got[0], protocol.EncodePeers(want).Payload)):
+		case news && (len(got) != 1 || !bytes.Equal(got[0], protocol.AppendPeers(nil, want))):
 			t.Fatalf("%s: PEERS frames %x, want one carrying %v", step, got, want)
 		}
 	}
@@ -469,4 +485,295 @@ func TestServerRelaysOnlyNews(t *testing.T) {
 		t.Fatalf("%d ads relayed in all, want every one of %d", len(sent), protocol.MaxPeerAds+7)
 	}
 	protocol.WriteFrame(ch, protocol.EncodeDone())
+}
+
+// relayFrames runs one relay.send and returns the PEERS payloads it
+// wrote.
+func relayFrames(t *testing.T, r *relay, src adSource) [][]byte {
+	t.Helper()
+	var w bytes.Buffer
+	if err := r.send(&w, src); err != nil {
+		t.Fatal(err)
+	}
+	var got [][]byte
+	for w.Len() > 0 {
+		f, err := protocol.ReadFrame(&w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Type != protocol.TypePeers {
+			t.Fatalf("relay wrote %v", f.Type)
+		}
+		got = append(got, bytes.Clone(f.Payload))
+	}
+	return got
+}
+
+// joinSession adds s to o's live sessions as startSessionLocked does,
+// without starting its goroutine.
+func joinSession(o *Orchestrator, s *session) {
+	o.mu.Lock()
+	o.sessions[s.addr] = s
+	o.sessionsGen.Add(1)
+	o.mu.Unlock()
+}
+
+// TestSessionRelaysOnlyNews is TestServerRelaysOnlyNews's mirror on the
+// fetching end: at every check the session's relay writes exactly the
+// frame a stateless relay would — collect gossipAdverts, keep what this
+// connection has not been sent, stop at MaxPeerAds, encode — byte for
+// byte, whether the news is a new ad, a re-mention that lifts an ad into
+// the directory's top 64, a session joining or leaving, or the overflow
+// of a check that stopped at the cap; and no news writes nothing. At most
+// one other session is live at a time, so the collected order, which
+// follows the session map's, is one order.
+func TestSessionRelaysOnlyNews(t *testing.T) {
+	const id = 7
+	addr := func(p string, i int) string { return fmt.Sprintf("%s%d:1", p, i) }
+	g := NewGossip("me:1")
+	for i := 0; i < protocol.MaxPeerAds-2; i++ {
+		g.Learn(ad(id, addr("p", i)))
+	}
+	g.Learn(ad(id+1, "other-content:1"))
+	o := NewOrchestrator(id, FetchOptions{Gossip: g, AdvertiseAddr: "me:1"})
+	o.finish() // admits and promotes nothing: the test moves the session set itself
+	s := newSession(o, "sender:1")
+	joinSession(o, s)
+	// The peer talked to is never advertised to itself, but it takes its
+	// place in the directory's top 64 before it is left out.
+	g.Learn(ad(id, "sender:1"))
+
+	// reference is the stateless relay every check is held to.
+	refSent := map[protocol.PeerAd]bool{}
+	reference := func() []byte {
+		var fresh []protocol.PeerAd
+		for _, a := range o.gossipAdverts(nil, s.addr) {
+			if len(fresh) == protocol.MaxPeerAds {
+				break
+			}
+			if !refSent[a] {
+				refSent[a] = true
+				fresh = append(fresh, a)
+			}
+		}
+		if len(fresh) == 0 {
+			return nil
+		}
+		return protocol.AppendPeers(nil, fresh)
+	}
+	r := newRelay()
+	check := func(step string, ads int) {
+		t.Helper()
+		want := reference()
+		got := relayFrames(t, r, s)
+		switch {
+		case want == nil && len(got) != 0:
+			t.Fatalf("%s: %d PEERS frames for no news", step, len(got))
+		case want != nil && (len(got) != 1 || !bytes.Equal(got[0], want)):
+			t.Fatalf("%s: PEERS frames %x, want one: %x", step, got, want)
+		}
+		if n := 0; want != nil {
+			n = int(want[0]) | int(want[1])<<8
+			if n != ads {
+				t.Fatalf("%s: the frame carries %d ads, the step means %d", step, n, ads)
+			}
+		} else if ads != 0 {
+			t.Fatalf("%s: no frame, the step means %d ads", step, ads)
+		}
+	}
+	check("the first check: me and p0…p61", protocol.MaxPeerAds-1)
+	check("no news", 0)
+	g.Learn(ad(id, addr("p", 62)))
+	check("a new ad", 1)
+	g.Learn(ad(id, addr("p", 63)))
+	check("a new ad below the top 64", 0)
+	g.Learn(ad(id, addr("p", 63)))
+	check("a re-mention lifts p63 into the top 64", 1)
+	other := newSession(o, "b:1")
+	joinSession(o, other)
+	check("a session joins", 1)
+	o.sessionExited(other)
+	check("a session leaves", 0)
+	for i := 0; i < protocol.MaxPeerAds; i++ {
+		g.Learn(ad(id, addr("q", i)))
+		g.Learn(ad(id, addr("q", i))) // above every p
+		g.Learn(ad(id, addr("q", i)))
+	}
+	joinSession(o, newSession(o, "c:1"))
+	check("65 ads of news: the first 64", protocol.MaxPeerAds)
+	check("the overflow goes out on the next check", 1)
+	check("no news again", 0)
+}
+
+// TestSessionsGenerationMoves: the session set's generation moves at each
+// place the set changes — a session started, one evicted, one exited — so
+// a session's relay never reads a stale set as unchanged.
+func TestSessionsGenerationMoves(t *testing.T) {
+	release := make(chan struct{})
+	o := NewOrchestrator(7, FetchOptions{
+		Gossip: NewGossip(""),
+		Dial: func(string) (net.Conn, error) {
+			<-release
+			return nil, errors.New("unreachable")
+		},
+	})
+	defer o.finish()
+	moves := func(step string, do func()) {
+		t.Helper()
+		before := o.sessionsGen.Load()
+		o.mu.Lock()
+		do()
+		o.mu.Unlock()
+		if o.sessionsGen.Load() == before {
+			t.Fatalf("%s: the generation did not move", step)
+		}
+	}
+	moves("start a:1", func() { o.startSessionLocked("a:1", false) })
+	moves("evict a:1", o.evictLowestLocked)
+	moves("start b:1", func() { o.startSessionLocked("b:1", false) })
+	before := o.sessionsGen.Load()
+	close(release) // both dials fail: b:1 exits, a:1 left the set already
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		o.mu.Lock()
+		live := len(o.sessions)
+		o.mu.Unlock()
+		if live == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("b:1 never exited")
+		}
+	}
+	if o.sessionsGen.Load() == before {
+		t.Fatal("b:1 exited and the generation did not move")
+	}
+}
+
+// TestRelaySendAllocs pins the relay's cost at both ends: a check with no
+// news allocates nothing, and neither does a check with news once the
+// first one warmed the scratch — each run here lifts one more ad into the
+// directory's top 64 with a re-mention and writes it in a frame (the sent
+// set grows by that ad, its doubling amortized over the runs). The news
+// pin is held to bare frame writes: buffer pools shed under the race
+// detector, and then nothing that writes can be pinned.
+func TestRelaySendAllocs(t *testing.T) {
+	framesFree := testing.AllocsPerRun(50, func() {
+		protocol.WriteFrame(io.Discard, protocol.Frame{Type: protocol.TypePeers, Payload: []byte{0, 0}})
+	}) == 0
+	const id = 7
+	// fill gives g 64 ads mentioned twice and 150 mentioned once, which
+	// lift re-mentions into the top 64 one at a time.
+	fill := func(g *Gossip) (lift func(i int)) {
+		for i := 0; i < protocol.MaxPeerAds; i++ {
+			g.Learn(ad(id, fmt.Sprintf("top%d:1", i)))
+			g.Learn(ad(id, fmt.Sprintf("top%d:1", i)))
+		}
+		low := make([]protocol.PeerAd, 150)
+		for i := range low {
+			low[i] = ad(id, fmt.Sprintf("low%d:1", i))
+			g.Learn(low[i])
+		}
+		return func(i int) {
+			g.Learn(low[i])
+			g.Learn(low[i])
+		}
+	}
+	info, data := testContent(t, 40, 32)
+	srv, err := NewFullServer(info, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.gossip = NewGossip("")
+	info.ID = id
+	srv.info.ID = id
+	o := NewOrchestrator(id, FetchOptions{Gossip: NewGossip("me:1"), AdvertiseAddr: "me:1"})
+	o.finish()
+	s := newSession(o, "sender:1")
+	joinSession(o, s)
+	for _, end := range []struct {
+		name string
+		src  adSource
+		lift func(i int)
+		r    *relay
+	}{
+		{"session", s, fill(o.gossip), newRelay()},
+		{"server", srv, fill(srv.gossip), newRelay(ad(id, "client:1"))},
+	} {
+		if got := relayFrames(t, end.r, end.src); len(got) != 1 {
+			t.Fatalf("%s: the first send wrote %d frames, want 1", end.name, len(got))
+		}
+		if allocs := testing.AllocsPerRun(100, func() { end.r.send(io.Discard, end.src) }); allocs != 0 {
+			t.Errorf("%s: a send with no news allocates %.1f times, want 0", end.name, allocs)
+		}
+		if !framesFree {
+			continue
+		}
+		i := 0
+		end.lift(i)
+		if got := relayFrames(t, end.r, end.src); len(got) != 1 {
+			t.Fatalf("%s: a lifted ad wrote %d frames, want 1", end.name, len(got))
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			i++
+			end.lift(i)
+			end.r.send(io.Discard, end.src)
+		}); allocs != 0 {
+			t.Errorf("%s: a send with news allocates %.1f times after its first, want 0", end.name, allocs)
+		}
+	}
+}
+
+// fakeAds is an adSource whose generations and ads the test sets, and
+// which counts its collections.
+type fakeAds struct {
+	gens      [2]uint64
+	ads       []protocol.PeerAd
+	collected int
+}
+
+func (f *fakeAds) adGenerations() [2]uint64 { return f.gens }
+
+func (f *fakeAds) appendAds(dst []protocol.PeerAd) []protocol.PeerAd {
+	f.collected++
+	return append(dst, f.ads...)
+}
+
+// TestRelayCollectsPerChange: a relay collects only when either
+// generation moved since its last complete send, and after a send that
+// stopped at MaxPeerAds it collects again whatever the generations say,
+// which is how the overflow goes out.
+func TestRelayCollectsPerChange(t *testing.T) {
+	src := &fakeAds{}
+	for i := 0; i < protocol.MaxPeerAds+3; i++ {
+		src.ads = append(src.ads, ad(7, fmt.Sprintf("p%d:1", i)))
+	}
+	r := newRelay()
+	for _, step := range []struct {
+		name     string
+		do       func()
+		collects bool
+		frameAds int
+	}{
+		{"the first send, 67 ads", func() {}, true, protocol.MaxPeerAds},
+		{"stopped at the cap: the overflow", func() {}, true, 3},
+		{"nothing moved", func() {}, false, 0},
+		{"the directory moved", func() { src.gens[0]++ }, true, 0},
+		{"the session set moved", func() { src.gens[1]++ }, true, 0},
+		{"news", func() { src.gens[0]++; src.ads = append(src.ads, ad(7, "new:1")) }, true, 1},
+		{"nothing moved again", func() {}, false, 0},
+	} {
+		step.do()
+		before := src.collected
+		got := relayFrames(t, r, src)
+		if collected := src.collected > before; collected != step.collects {
+			t.Fatalf("%s: collected = %v, want %v", step.name, collected, step.collects)
+		}
+		n := 0
+		if len(got) == 1 {
+			n = int(got[0][0]) | int(got[0][1])<<8
+		}
+		if len(got) > 1 || n != step.frameAds {
+			t.Fatalf("%s: %d frames carrying %d ads, want %d ads", step.name, len(got), n, step.frameAds)
+		}
+	}
 }

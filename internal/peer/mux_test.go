@@ -195,9 +195,9 @@ func TestMuxSharesGossipAcrossContents(t *testing.T) {
 	if got := g.Len(); got != 2 {
 		t.Fatalf("shared directory has %d entries, want 2 (one per content)", got)
 	}
-	if len(g.Snapshot(infoA.ID, 0)) != 1 || len(g.Snapshot(infoB.ID, 0)) != 1 {
+	if len(g.AppendSnapshot(nil, infoA.ID, 0)) != 1 || len(g.AppendSnapshot(nil, infoB.ID, 0)) != 1 {
 		t.Fatalf("per-content snapshots wrong: %v / %v",
-			g.Snapshot(infoA.ID, 0), g.Snapshot(infoB.ID, 0))
+			g.AppendSnapshot(nil, infoA.ID, 0), g.AppendSnapshot(nil, infoB.ID, 0))
 	}
 }
 

@@ -100,7 +100,7 @@ type Orchestrator struct {
 	log           symbolLog // the working set
 	info          ContentInfo
 	maxPeers      int                 // live session cap (0 = unlimited); opts.MaxPeers is the start value, SetMaxPeers rebudgets
-	sessions      map[string]*session // live sessions by address
+	sessions      map[string]*session // live sessions by address (sessionsGen moves with it)
 	stats         []*PeerStats        // every session ever started, result order
 	active        int                 // session goroutines still running (plus holds)
 	feedersClosed bool                // idle closed: no new sessions
@@ -136,6 +136,11 @@ type Orchestrator struct {
 	// first handshake, which tells the fetch k, claims for it what its
 	// sender would answer until its own ACCEPT settles what it will.
 	blind *session
+
+	// sessionsGen counts, under mu, the changes to sessions: a session's
+	// PEERS relay (gossipAdverts) collects again only once it or the
+	// directory's generation moved.
+	sessionsGen atomic.Uint64
 
 	// progress counts the distinct encoded symbols in the working set;
 	// sessions use it to notice that their batches stopped helping (a batch
@@ -234,6 +239,7 @@ func (o *Orchestrator) sessionExited(s *session) {
 	defer o.mu.Unlock()
 	if s != nil && o.sessions[s.addr] == s {
 		delete(o.sessions, s.addr)
+		o.sessionsGen.Add(1)
 	}
 	o.met.live.Set(int64(len(o.sessions)))
 	o.active--
@@ -283,6 +289,7 @@ func (o *Orchestrator) startSessionLocked(addr string, discovered bool) {
 	s.stats.Discovered = discovered
 	o.attempted[addr] = true
 	o.sessions[addr] = s
+	o.sessionsGen.Add(1)
 	o.stats = append(o.stats, s.stats)
 	if !o.opts.Uninformed && len(o.log.ids) > 0 { // its OPEN will carry a summary
 		o.partials = append(o.partials, s)
@@ -427,42 +434,29 @@ func (o *Orchestrator) maybeRequeueLocked(s *session) {
 // server-plane misbehavior feed one verdict.
 func (o *Orchestrator) Penalties() *PenaltyBox { return o.penalties }
 
-// observeGossip folds a received PEERS advertisement list into the
-// node's directory (new entries trigger considerDiscovered through the
-// subscription). Sessions call it for every PEERS frame.
-func (o *Orchestrator) observeGossip(ads []protocol.PeerAd) {
+// gossipAdverts appends the advertisements a session relays to its
+// sender (relay.send) to dst: this node's own address, the addresses of
+// its other live sessions, and the best of the directory — excluding the
+// peer being talked to. What it appends changes only when the
+// directory's generation or sessionsGen moves (session.adGenerations).
+func (o *Orchestrator) gossipAdverts(dst []protocol.PeerAd, excludeAddr string) []protocol.PeerAd {
 	if o.gossip == nil {
-		return
+		return dst
 	}
-	o.gossip.LearnAll(ads)
-}
-
-// gossipAdverts assembles the advertisement list a session piggybacks
-// on its handshake and summary refreshes: this node's own address, the
-// addresses of its other live sessions, and the best of the directory —
-// excluding the peer being talked to, deduplicated and capped by
-// protocol.EncodePeers.
-func (o *Orchestrator) gossipAdverts(excludeAddr string) []protocol.PeerAd {
-	if o.gossip == nil {
-		return nil
-	}
-	var ads []protocol.PeerAd
 	if self := o.opts.AdvertiseAddr; self != "" {
-		ads = append(ads, protocol.PeerAd{ContentID: o.contentID, Addr: self})
+		dst = append(dst, protocol.PeerAd{ContentID: o.contentID, Addr: self})
 	}
 	o.mu.Lock()
 	for addr := range o.sessions {
 		if addr != excludeAddr {
-			ads = append(ads, protocol.PeerAd{ContentID: o.contentID, Addr: addr})
+			dst = append(dst, protocol.PeerAd{ContentID: o.contentID, Addr: addr})
 		}
 	}
 	o.mu.Unlock()
-	for _, ad := range o.gossip.Snapshot(o.contentID, protocol.MaxPeerAds) {
-		if ad.Addr != excludeAddr {
-			ads = append(ads, ad)
-		}
-	}
-	return ads
+	n := len(dst)
+	dst = o.gossip.AppendSnapshot(dst, o.contentID, protocol.MaxPeerAds)
+	best := slices.DeleteFunc(dst[n:], func(ad protocol.PeerAd) bool { return ad.Addr == excludeAddr })
+	return dst[:n+len(best)]
 }
 
 // SetMaxPeers rebudgets the live session cap mid-transfer (0 =
@@ -580,6 +574,7 @@ func (o *Orchestrator) evictLowestLocked() {
 	if victim != nil {
 		victim.evict()
 		delete(o.sessions, victim.addr) // a replacement may reuse the address slot
+		o.sessionsGen.Add(1)
 		o.met.evicted.Inc()
 		o.met.live.Set(int64(len(o.sessions)))
 		o.trace(obs.EvEvict, victim.addr, "lowest utility")
@@ -752,14 +747,16 @@ func (o *Orchestrator) summarize(s *session, join bool) (f protocol.Frame, slice
 		o.joinPartialsLocked(s)
 	}
 	slice, of = o.sliceOfLocked(s)
-	blob, err := o.summaryLocked()
+	payload, err := o.summaryLocked(slice, of)
 	if err != nil {
 		return protocol.Frame{}, 0, 0, 0, err
 	}
-	return protocol.EncodeSummary(slice, of, blob), slice, of, covers, nil
+	return protocol.Frame{Type: protocol.TypeSummary, Payload: payload}, slice, of, covers, nil
 }
 
-// summaryLocked marshals the fetch's Bloom filter over the whole log: the
+// summaryLocked returns the SUMMARY payload naming slice of of: the
+// fetch's Bloom filter over the whole log, marshaled behind the slice
+// fields into the payload's one buffer. The filter follows the
 // paper's §5.2 low false-positive operating point, 8 bits per element and
 // 5 hashes, under seed 0, which every peer on the wire shares. The filter
 // is kept from one summary to the next and takes in only what the log
@@ -774,7 +771,7 @@ func (o *Orchestrator) summarize(s *session, join bool) (f protocol.Frame, slice
 // ones either. A refresh still sends the whole filter: between two of
 // them a fetch of k=4096 sets 5 bits for each of about 580 new ids in 576
 // words, so nearly every word changes. Callers hold o.mu.
-func (o *Orchestrator) summaryLocked() ([]byte, error) {
+func (o *Orchestrator) summaryLocked(slice, of uint16) ([]byte, error) {
 	n, k := len(o.log.ids), o.info.NumBlocks
 	want := n + n/8
 	if k > 0 {
@@ -788,7 +785,7 @@ func (o *Orchestrator) summaryLocked() ([]byte, error) {
 		o.filter.Add(id)
 	}
 	o.filtered = n
-	return o.filter.MarshalBinary()
+	return protocol.AppendSummary(make([]byte, 0, protocol.SummaryLen(o.filter.BinaryLen())), slice, of, o.filter)
 }
 
 // needLocked is what the fetch may have requested and not yet received
@@ -937,7 +934,7 @@ func (o *Orchestrator) Run(ctx context.Context, addrs ...string) (*FetchResult, 
 	// collaborative node whose Server heard clients before Run) go
 	// through the same admission path as live discoveries.
 	if o.gossip != nil {
-		for _, ad := range o.gossip.Snapshot(o.contentID, 0) {
+		for _, ad := range o.gossip.AppendSnapshot(nil, o.contentID, 0) {
 			o.considerDiscovered(ad)
 		}
 	}

@@ -478,6 +478,34 @@ func TestServeChannelOverPipe(t *testing.T) {
 	<-served
 }
 
+// TestFullServerAdoptsContent: a full sender serves its content's own
+// bytes — every whole block a view of it, clipped to its own length — and
+// copies only the zero-padded tail block; what it serves still decodes to
+// the content.
+func TestFullServerAdoptsContent(t *testing.T) {
+	info, data := testContent(t, 50, 16)
+	srv, err := NewFullServer(info, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range srv.blocks {
+		padded := (i+1)*info.BlockSize > len(data)
+		if aliases := &b[0] == &data[i*info.BlockSize]; aliases == padded {
+			t.Fatalf("block %d aliases the content = %v, padded = %v", i, aliases, padded)
+		}
+		if cap(b) != info.BlockSize {
+			t.Fatalf("block %d has capacity %d, want %d", i, cap(b), info.BlockSize)
+		}
+	}
+	res, err := Fetch([]string{startServer(t, srv)}, info.ID, FetchOptions{Batch: 16, Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res.Data, data) {
+		t.Fatal("the adopted content decodes to other bytes")
+	}
+}
+
 func TestServerValidation(t *testing.T) {
 	info, data := testContent(t, 50, 16)
 	if _, err := NewFullServer(ContentInfo{}, data); err == nil {

@@ -55,7 +55,7 @@ func TestGossipFloodHoldsCapAndRanking(t *testing.T) {
 			}
 		}
 	}
-	top := g.Snapshot(7, len(hot))
+	top := g.AppendSnapshot(nil, 7, len(hot))
 	if len(top) != len(hot) {
 		t.Fatalf("snapshot returned %d ads, want %d", len(top), len(hot))
 	}

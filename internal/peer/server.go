@@ -111,6 +111,10 @@ func newServer(info ContentInfo) (*Server, error) {
 }
 
 // NewFullServer builds a full sender from the content bytes themselves.
+// It adopts content rather than copying it: the source blocks are views
+// of it, and only a final block that needs zero padding is a copy
+// (fountain.ViewBlocks). content must not be modified while the server
+// serves it — the rule a decoder keeps for the symbols it is handed.
 func NewFullServer(info ContentInfo, content []byte) (*Server, error) {
 	s, err := newServer(info)
 	if err != nil {
@@ -119,7 +123,7 @@ func NewFullServer(info ContentInfo, content []byte) (*Server, error) {
 	if len(content) != info.OrigLen {
 		return nil, fmt.Errorf("peer: content is %d bytes, info says %d", len(content), info.OrigLen)
 	}
-	blocks, _, err := fountain.SplitIntoBlocks(content, info.BlockSize)
+	blocks, _, err := fountain.ViewBlocks(content, info.BlockSize)
 	if err != nil {
 		return nil, err
 	}
@@ -312,19 +316,12 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 	if clientAd.Addr != "" {
 		s.gossip.Learn(clientAd)
 	}
-	sentAds := map[protocol.PeerAd]bool{clientAd: true} // never echo the client to itself
-	var relayed uint64                                  // the directory's generation at the last relay
-	// relay writes, ahead of a batch, any advertisements this connection
-	// has not heard yet (receive loops handle PEERS between symbol frames).
-	// A directory that has not changed since the last relay has nothing new
-	// to say, so it is not asked.
-	relay := func() error {
-		if gen := s.gossip.generation(); gen != relayed {
-			relayed = gen
-			return s.relayGossip(ch, sentAds)
-		}
-		return nil
-	}
+	// The relay writes, ahead of a batch, any advertisements this
+	// connection has not heard yet (receive loops handle PEERS between
+	// symbol frames), and never echoes the client to itself. A directory
+	// that has not changed since the last relay has nothing new to say, so
+	// it is not asked.
+	gossip := newRelay(clientAd)
 	// The sender announces the content parameters and its summary
 	// support; a partial one also its log's length, having read the
 	// OPEN's summary, if any, to aim its cursor by (a malformed one
@@ -396,7 +393,7 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 		if s.timeout > 0 {
 			ch.SetDeadline(time.Now().Add(s.timeout))
 		}
-		if err := relay(); err != nil {
+		if err := gossip.send(ch, s); err != nil {
 			return err
 		}
 		for ; total > 0; total -= n {
@@ -429,13 +426,9 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 			}
 
 		case protocol.TypePeers:
-			ads, err := protocol.DecodePeers(f)
-			if err != nil {
+			if err := gossip.receive(f, s.gossip); err != nil {
 				protocol.WriteFrame(ch, protocol.EncodeError("bad peers"))
 				return err
-			}
-			for _, ad := range ads {
-				s.gossip.Learn(ad)
 			}
 
 		case protocol.TypeRequest:
@@ -443,7 +436,7 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 			if err != nil {
 				return err
 			}
-			if err := relay(); err != nil {
+			if err := gossip.send(ch, s); err != nil {
 				return err
 			}
 			if err := s.send(ch, encoder, cur, int(min(n, maxBatch))); err != nil {
@@ -473,20 +466,14 @@ func readSummary(p []byte, filter *bloom.Filter) (slice, of uint16, err error) {
 	return slice, of, err
 }
 
-// relayGossip writes one PEERS frame carrying every directory entry not
-// yet sent on this connection (no news, no frame).
-func (s *Server) relayGossip(conn io.Writer, sent map[protocol.PeerAd]bool) error {
-	var fresh []protocol.PeerAd
-	for _, ad := range s.gossip.Snapshot(s.info.ID, protocol.MaxPeerAds) {
-		if !sent[ad] {
-			sent[ad] = true
-			fresh = append(fresh, ad)
-		}
-	}
-	if len(fresh) == 0 {
-		return nil
-	}
-	return protocol.WriteFrame(conn, protocol.EncodePeers(fresh))
+// adGenerations is the directory's generation, which what appendAds
+// appends moves with (relay.send).
+func (s *Server) adGenerations() [2]uint64 { return [2]uint64{s.gossip.generation()} }
+
+// appendAds appends what a serving session relays to its client: the
+// directory's best for this content.
+func (s *Server) appendAds(dst []protocol.PeerAd) []protocol.PeerAd {
+	return s.gossip.AppendSnapshot(dst, s.info.ID, protocol.MaxPeerAds)
 }
 
 // send answers one batch of n: a full sender's from its encoder, a
@@ -541,11 +528,11 @@ type cursor struct {
 	// missing is the receiver's last summary: whether its Bloom filter
 	// leaves id missing. nil: no summary, everything is missing.
 	missing       func(id uint64) bool
-	slice, slices uint16     // the summary's slice of the id space
-	order         *prng.Rand // the session's send order
-	sent          []bool     // per log position considered: written on this session
-	pending       queue      // unsent positions the summary leaves missing, in slice, in send order
-	rest          queue      // the same, out of slice: sent once pending is empty
+	slice, slices uint16    // the summary's slice of the id space
+	order         prng.Rand // the session's send order
+	sent          []bool    // per log position considered: written on this session
+	pending       queue     // unsent positions the summary leaves missing, in slice, in send order
+	rest          queue     // the same, out of slice: sent once pending is empty
 
 	// fresh is the positions to test, scratch reused across REQUESTs and
 	// summaries; aim sizes it to the log.
@@ -578,7 +565,11 @@ func (q *queue) reset(n int) { q.pos, q.head = slices.Grow(q.pos[:0], n), 0 }
 
 // newCursor starts a cursor whose send order follows seed, so that two
 // sessions, or two senders, do not walk overlapping logs in step.
-func newCursor(seed uint64) *cursor { return &cursor{order: prng.New(seed)} }
+func newCursor(seed uint64) *cursor {
+	c := new(cursor)
+	c.order.Reseed(seed)
+	return c
+}
 
 // addrSeed hashes an address into a PRNG seed: deterministic, so swarms
 // are reproducible, yet distinct per address.

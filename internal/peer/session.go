@@ -53,7 +53,7 @@ type session struct {
 	o     *Orchestrator
 	addr  string
 	stats *PeerStats
-	rng   *prng.Rand // backoff jitter (session goroutine only)
+	rng   prng.Rand // backoff jitter (session goroutine only)
 	// ctx is the session's lifetime, a child of the fetch's: the transfer
 	// ending cancels it from above, eviction and DropPeer call cancel.
 	ctx    context.Context
@@ -82,9 +82,9 @@ func newSession(o *Orchestrator, addr string) *session {
 		o:         o,
 		addr:      addr,
 		stats:     &PeerStats{Addr: addr},
-		rng:       prng.New(addrSeed(addr)),
 		startedAt: time.Now(),
 	}
+	s.rng.Reseed(addrSeed(addr))
 	s.ctx, s.cancel = context.WithCancel(o.ctx)
 	return s
 }
@@ -496,10 +496,11 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open pr
 
 	// Gossip: advertise what this node knows of the swarm right
 	// after the handshake, then again piggybacked on every refresh
-	// check; sentAds dedupes per connection so steady state sends no
-	// repeat advertisements.
-	sentAds := make(map[protocol.PeerAd]bool)
-	if err := s.sendGossip(ch, sentAds); err != nil {
+	// check. The relay sends each advertisement once per connection, and
+	// a check when neither the directory nor the fetch's sessions changed
+	// costs two atomic loads.
+	gossip := newRelay()
+	if err := gossip.send(ch, s); err != nil {
 		return err
 	}
 
@@ -521,12 +522,14 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open pr
 		// delivered meanwhile. This also covers sessions that started
 		// empty-handed (no summary in the OPEN, the fresh-receiver
 		// default): the first check that finds a working set sends the
-		// first summary.
+		// first summary. The check relays gossip first; with neither the
+		// directory nor the fetch's sessions changed since the last
+		// relay, that costs two atomic loads and writes nothing.
 		sinceCheck++
 		refresh := false
 		if !hello.FullCopy && sinceCheck >= refreshBatches {
 			sinceCheck = 0
-			if err := s.sendGossip(ch, sentAds); err != nil {
+			if err := gossip.send(ch, s); err != nil {
 				return err
 			}
 			// The staleness test is one atomic load. A refresh tops the
@@ -632,11 +635,9 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open pr
 				}
 				got++
 			case protocol.TypePeers:
-				ads, err := protocol.DecodePeers(f)
-				if err != nil {
+				if err := gossip.receive(f, o.gossip); err != nil {
 					return err
 				}
-				o.observeGossip(ads)
 			case protocol.TypeError:
 				msg, _ := protocol.DecodeError(f)
 				return fmt.Errorf("peer %s: %s", s.addr, msg)
@@ -660,26 +661,19 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open pr
 	}
 }
 
-// sendGossip writes a PEERS frame with every advertisement not yet sent
-// on this connection; a no-news call writes nothing. The collected list
-// stops at the frame cap, so an overflow is not falsely marked sent —
-// it goes out on a later call.
-func (s *session) sendGossip(ch *peermux.Channel, sent map[protocol.PeerAd]bool) error {
-	ads := s.o.gossipAdverts(s.addr)
-	fresh := ads[:0]
-	for _, ad := range ads {
-		if len(fresh) == protocol.MaxPeerAds {
-			break
-		}
-		if !sent[ad] {
-			sent[ad] = true
-			fresh = append(fresh, ad)
-		}
+// adGenerations are the generations gossipAdverts' answer moves with:
+// the directory's and the fetch's session set's (relay.send).
+func (s *session) adGenerations() [2]uint64 {
+	if s.o.gossip == nil {
+		return [2]uint64{}
 	}
-	if len(fresh) == 0 {
-		return nil
-	}
-	return protocol.WriteFrame(ch, protocol.EncodePeers(fresh))
+	return [2]uint64{s.o.gossip.generation(), s.o.sessionsGen.Load()}
+}
+
+// appendAds appends what this session relays to its sender
+// (Orchestrator.gossipAdverts).
+func (s *session) appendAds(dst []protocol.PeerAd) []protocol.PeerAd {
+	return s.o.gossipAdverts(dst, s.addr)
 }
 
 // refreshBatches and refreshGrowth are the one refresh policy: every

@@ -53,15 +53,15 @@ func FuzzDecodeSummaryView(f *testing.F) {
 }
 
 func FuzzDecodePeers(f *testing.F) {
-	f.Add(EncodePeers([]PeerAd{
+	f.Add(AppendPeers(nil, []PeerAd{
 		{ContentID: 0xF00D, Addr: "10.0.0.1:9000"},
 		{ContentID: 0xF00D, Addr: "10.0.0.2:9000"},
-	}).Payload)
-	f.Add(EncodePeers(nil).Payload)
+	}))
+	f.Add(AppendPeers(nil, nil))
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 3, 'a'}) // truncated addr
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		ads, err := DecodePeers(Frame{Type: TypePeers, Payload: payload})
+		ads, err := DecodePeers(nil, Frame{Type: TypePeers, Payload: payload})
 		if err != nil {
 			return
 		}
@@ -69,8 +69,19 @@ func FuzzDecodePeers(f *testing.F) {
 			t.Fatalf("accepted %d ads past the %d cap", len(ads), MaxPeerAds)
 		}
 		// Decoded ads are already deduplicated and valid, so the
-		// re-encode must preserve them exactly.
-		ads2, err := DecodePeers(EncodePeers(ads))
+		// re-encode must preserve them exactly, and so must a decode that
+		// appends behind what dst holds; the encoding is the one the
+		// map-deduplicating reference writes.
+		enc := AppendPeers(nil, ads)
+		if want := referencePeers(ads); !bytes.Equal(enc, want) {
+			t.Fatalf("AppendPeers = %x, the reference %x", enc, want)
+		}
+		prefix := []PeerAd{{ContentID: 1, Addr: "kept:1"}}
+		ads2, err := DecodePeers(prefix, Frame{Type: TypePeers, Payload: enc})
+		if err == nil && ads2[0] != prefix[0] {
+			t.Fatalf("decode overwrote dst's prefix: %+v", ads2[0])
+		}
+		ads2 = ads2[len(prefix):]
 		if err != nil {
 			t.Fatalf("re-encode of accepted peers rejected: %v", err)
 		}

@@ -23,11 +23,13 @@
 package protocol
 
 import (
+	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -671,6 +673,21 @@ func EncodeSummary(slice, slices uint16, blob []byte) Frame {
 	return Frame{Type: TypeSummary, Payload: payload}
 }
 
+// AppendSummary appends the SUMMARY payload EncodeSummary(slice, slices,
+// blob's encoding) holds to b: the slice fields, then blob marshaled in
+// place behind them. With room in b for SummaryLen(blob's encoded length)
+// bytes it allocates nothing, so a summary is one buffer, not a marshaled
+// filter and a copy of it.
+func AppendSummary(b []byte, slice, slices uint16, blob encoding.BinaryAppender) ([]byte, error) {
+	b = binary.LittleEndian.AppendUint16(b, slice)
+	b = binary.LittleEndian.AppendUint16(b, slices)
+	return blob.AppendBinary(b)
+}
+
+// SummaryLen is the length of a SUMMARY payload whose blob is blobLen
+// bytes.
+func SummaryLen(blobLen int) int { return summaryHeader + blobLen }
+
 // InSlice reports whether id falls in slice slice of slices of the id
 // space: splitmix64's finalizer of id, mod slices (TypeSummary). Every id
 // is in the one slice of slices ≤ 1.
@@ -696,78 +713,77 @@ type PeerAd struct {
 // peer cannot flood the frame.
 const MaxPeerAds = 64
 
-// EncodePeers marshals a PEERS frame. Advertisements are
-// deduplicated by (content id, address); empty or oversized addresses
-// are dropped; the list is truncated at MaxPeerAds. The layout is a
-// uint16 count followed by count entries of contentID uint64, addrLen
-// uint8, addr bytes.
-func EncodePeers(ads []PeerAd) Frame {
-	seen := make(map[PeerAd]bool, len(ads))
-	kept := make([]PeerAd, 0, len(ads))
-	for _, ad := range ads {
-		if ad.Addr == "" || len(ad.Addr) > MaxAddrLen || seen[ad] {
-			continue
-		}
-		seen[ad] = true
-		kept = append(kept, ad)
-		if len(kept) == MaxPeerAds {
+// AppendPeers appends a PEERS payload carrying ads to buf and returns
+// the extended buffer; a PEERS frame is Frame{Type: TypePeers, Payload:
+// AppendPeers(nil, ads)}. Advertisements are deduplicated by (content id,
+// address), first occurrence kept; empty or oversized addresses are
+// dropped; the list is truncated at MaxPeerAds. The layout is a uint16
+// count followed by count entries of contentID uint64, addrLen uint8, addr
+// bytes. It allocates only when buf lacks the room: the deduplication is
+// a scan over the entries kept so far, at most MaxPeerAds of them.
+func AppendPeers(buf []byte, ads []PeerAd) []byte {
+	var kept [MaxPeerAds]int // indices into ads
+	n, size := 0, 2
+	for i, ad := range ads {
+		if n == MaxPeerAds {
 			break
 		}
-	}
-	size := 2
-	for _, ad := range kept {
+		if ad.Addr == "" || len(ad.Addr) > MaxAddrLen || slices.ContainsFunc(kept[:n], func(j int) bool { return ads[j] == ad }) {
+			continue
+		}
+		kept[n] = i
+		n++
 		size += 8 + 1 + len(ad.Addr)
 	}
-	buf := make([]byte, 2, size)
-	binary.LittleEndian.PutUint16(buf, uint16(len(kept)))
-	for _, ad := range kept {
-		var idb [9]byte
-		binary.LittleEndian.PutUint64(idb[:], ad.ContentID)
-		idb[8] = byte(len(ad.Addr))
-		buf = append(buf, idb[:]...)
-		buf = append(buf, ad.Addr...)
+	buf = slices.Grow(buf, size)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(n))
+	for _, i := range kept[:n] {
+		buf = binary.LittleEndian.AppendUint64(buf, ads[i].ContentID)
+		buf = append(buf, byte(len(ads[i].Addr)))
+		buf = append(buf, ads[i].Addr...)
 	}
-	return Frame{Type: TypePeers, Payload: buf}
+	return buf
 }
 
-// DecodePeers unmarshals a PEERS frame, enforcing the MaxPeerAds cap
-// and rejecting truncated entries; duplicate advertisements are
-// dropped, so the result is a set.
-func DecodePeers(f Frame) ([]PeerAd, error) {
+// DecodePeers unmarshals a PEERS frame, appending its advertisements to
+// dst, enforcing the MaxPeerAds cap and rejecting truncated entries or
+// trailing bytes; duplicate advertisements are dropped, so what it
+// appends is a set. It allocates only the address strings of the ads it
+// keeps, and dst's growth when dst lacks the room.
+func DecodePeers(dst []PeerAd, f Frame) ([]PeerAd, error) {
 	if f.Type != TypePeers {
-		return nil, fmt.Errorf("protocol: %v is not PEERS", f.Type)
+		return dst, fmt.Errorf("protocol: %v is not PEERS", f.Type)
 	}
 	if len(f.Payload) < 2 {
-		return nil, errors.New("protocol: PEERS too short")
+		return dst, errors.New("protocol: PEERS too short")
 	}
 	n := int(binary.LittleEndian.Uint16(f.Payload))
 	if n > MaxPeerAds {
-		return nil, fmt.Errorf("protocol: PEERS count %d exceeds %d", n, MaxPeerAds)
+		return dst, fmt.Errorf("protocol: PEERS count %d exceeds %d", n, MaxPeerAds)
 	}
-	ads := make([]PeerAd, 0, n)
-	seen := make(map[PeerAd]bool, n)
+	start := len(dst)
+	dst = slices.Grow(dst, n)
 	rest := f.Payload[2:]
 	for i := 0; i < n; i++ {
 		if len(rest) < 9 {
-			return nil, errors.New("protocol: PEERS entry truncated")
+			return dst[:start], errors.New("protocol: PEERS entry truncated")
 		}
-		ad := PeerAd{ContentID: binary.LittleEndian.Uint64(rest)}
+		id := binary.LittleEndian.Uint64(rest)
 		addrLen := int(rest[8])
 		rest = rest[9:]
 		if addrLen == 0 || len(rest) < addrLen {
-			return nil, errors.New("protocol: PEERS address truncated")
+			return dst[:start], errors.New("protocol: PEERS address truncated")
 		}
-		ad.Addr = string(rest[:addrLen])
+		addr := rest[:addrLen]
 		rest = rest[addrLen:]
-		if !seen[ad] {
-			seen[ad] = true
-			ads = append(ads, ad)
+		if !slices.ContainsFunc(dst[start:], func(ad PeerAd) bool { return ad.ContentID == id && ad.Addr == string(addr) }) {
+			dst = append(dst, PeerAd{ContentID: id, Addr: string(addr)})
 		}
 	}
 	if len(rest) != 0 {
-		return nil, errors.New("protocol: PEERS trailing bytes")
+		return dst[:start], errors.New("protocol: PEERS trailing bytes")
 	}
-	return ads, nil
+	return dst, nil
 }
 
 // DecodeSummaryView parses a SUMMARY payload — a SUMMARY frame's, or

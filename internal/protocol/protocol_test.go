@@ -251,7 +251,7 @@ func TestPeersRoundTrip(t *testing.T) {
 		{ContentID: 0xF00D, Addr: "10.0.0.2:9000"},
 		{ContentID: 0xBEEF, Addr: "10.0.0.1:9000"}, // same addr, other content
 	}
-	ads, err := DecodePeers(EncodePeers(want))
+	ads, err := DecodePeers(nil, Frame{Type: TypePeers, Payload: AppendPeers(nil, want)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestPeersDedupAndCaps(t *testing.T) {
 	for i := 0; i < 2*MaxPeerAds; i++ {
 		ads = append(ads, PeerAd{ContentID: 2, Addr: fmt.Sprintf("peer-%d", i)})
 	}
-	got, err := DecodePeers(EncodePeers(ads))
+	got, err := DecodePeers(nil, Frame{Type: TypePeers, Payload: AppendPeers(nil, ads)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,18 +290,106 @@ func TestPeersDedupAndCaps(t *testing.T) {
 
 	// Decode-side enforcement: a forged count and truncated entries are
 	// rejected rather than over-read.
-	if _, err := DecodePeers(Frame{Type: TypePeers, Payload: []byte{0xFF, 0xFF}}); err == nil {
+	if _, err := DecodePeers(nil, Frame{Type: TypePeers, Payload: []byte{0xFF, 0xFF}}); err == nil {
 		t.Fatal("forged count accepted")
 	}
-	f := EncodePeers([]PeerAd{{ContentID: 9, Addr: "a:1"}})
-	if _, err := DecodePeers(Frame{Type: TypePeers, Payload: f.Payload[:len(f.Payload)-2]}); err == nil {
+	f := Frame{Type: TypePeers, Payload: AppendPeers(nil, []PeerAd{{ContentID: 9, Addr: "a:1"}})}
+	if _, err := DecodePeers(nil, Frame{Type: TypePeers, Payload: f.Payload[:len(f.Payload)-2]}); err == nil {
 		t.Fatal("truncated entry accepted")
 	}
-	if _, err := DecodePeers(Frame{Type: TypePeers, Payload: append(append([]byte(nil), f.Payload...), 0)}); err == nil {
+	if _, err := DecodePeers(nil, Frame{Type: TypePeers, Payload: append(append([]byte(nil), f.Payload...), 0)}); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
-	if _, err := DecodePeers(Frame{Type: TypeDone}); err == nil {
+	if _, err := DecodePeers(nil, Frame{Type: TypeDone}); err == nil {
 		t.Fatal("wrong type accepted")
+	}
+}
+
+// referencePeers is the PEERS payload by the map-deduplicating encoder
+// AppendPeers replaced, kept as the oracle of its bytes.
+func referencePeers(ads []PeerAd) []byte {
+	seen := make(map[PeerAd]bool, len(ads))
+	kept := make([]PeerAd, 0, len(ads))
+	for _, ad := range ads {
+		if ad.Addr == "" || len(ad.Addr) > MaxAddrLen || seen[ad] {
+			continue
+		}
+		seen[ad] = true
+		kept = append(kept, ad)
+		if len(kept) == MaxPeerAds {
+			break
+		}
+	}
+	buf := binary.LittleEndian.AppendUint16(nil, uint16(len(kept)))
+	for _, ad := range kept {
+		buf = binary.LittleEndian.AppendUint64(buf, ad.ContentID)
+		buf = append(buf, byte(len(ad.Addr)))
+		buf = append(buf, ad.Addr...)
+	}
+	return buf
+}
+
+// TestAppendPeersMatchesReference: AppendPeers writes the reference
+// encoder's bytes for every list the PEERS tests use — the round trip's,
+// the dedup-and-caps one, nothing, nothing usable — appends them behind
+// what buf holds, and allocates nothing into a buffer with the room.
+func TestAppendPeersMatchesReference(t *testing.T) {
+	var capped []PeerAd
+	for i := 0; i < 3; i++ {
+		capped = append(capped, PeerAd{ContentID: 1, Addr: "dup:1"})
+	}
+	capped = append(capped, PeerAd{ContentID: 1, Addr: ""}, PeerAd{ContentID: 1, Addr: strings.Repeat("x", MaxAddrLen+1)})
+	for i := 0; i < 2*MaxPeerAds; i++ {
+		capped = append(capped, PeerAd{ContentID: 2, Addr: fmt.Sprintf("peer-%d", i)}, PeerAd{ContentID: 1, Addr: "dup:1"})
+	}
+	for _, tc := range []struct {
+		name string
+		ads  []PeerAd
+	}{
+		{"round trip", []PeerAd{{ContentID: 0xF00D, Addr: "10.0.0.1:9000"}, {ContentID: 0xF00D, Addr: "10.0.0.2:9000"}, {ContentID: 0xBEEF, Addr: "10.0.0.1:9000"}}},
+		{"dedup and caps", capped},
+		{"same address, other content", []PeerAd{{ContentID: 1, Addr: "a:1"}, {ContentID: 2, Addr: "a:1"}, {ContentID: 1, Addr: "a:1"}}},
+		{"nothing", nil},
+		{"nothing usable", []PeerAd{{ContentID: 1}, {ContentID: 1, Addr: strings.Repeat("y", MaxAddrLen+1)}}},
+		{"longest address", []PeerAd{{ContentID: 3, Addr: strings.Repeat("z", MaxAddrLen)}}},
+	} {
+		want := referencePeers(tc.ads)
+		if got := AppendPeers(nil, tc.ads); !bytes.Equal(got, want) {
+			t.Errorf("%s: AppendPeers = %x, want %x", tc.name, got, want)
+		}
+		buf := append(make([]byte, 0, 3+len(want)), "hdr"...)
+		if allocs := testing.AllocsPerRun(20, func() { buf = AppendPeers(buf[:3], tc.ads) }); allocs != 0 {
+			t.Errorf("%s: AppendPeers into a buffer with the room allocates %.1f times", tc.name, allocs)
+		}
+		if string(buf[:3]) != "hdr" || !bytes.Equal(buf[3:], want) {
+			t.Errorf("%s: AppendPeers behind a prefix = %x", tc.name, buf)
+		}
+	}
+}
+
+// TestDecodePeersAllocs: decoding into a dst with the room allocates the
+// address strings of the ads it keeps, one each, and nothing else — a
+// duplicate costs nothing.
+func TestDecodePeersAllocs(t *testing.T) {
+	ads := []PeerAd{{ContentID: 1, Addr: "10.0.0.1:9000"}, {ContentID: 1, Addr: "10.0.0.2:9000"}, {ContentID: 2, Addr: "10.0.0.1:9000"}}
+	// A hand-built payload whose last entry repeats the first: AppendPeers
+	// would drop it, a peer need not.
+	payload := AppendPeers(nil, ads)
+	payload[0]++
+	payload = append(payload, payload[2:2+9+len(ads[0].Addr)]...)
+	f := Frame{Type: TypePeers, Payload: payload}
+	dst := make([]PeerAd, 0, MaxPeerAds)
+	allocs := testing.AllocsPerRun(50, func() {
+		var err error
+		if dst, err = DecodePeers(dst[:0], f); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !reflect.DeepEqual(dst, ads) {
+		t.Fatalf("decoded %+v, want %+v", dst, ads)
+	}
+	if allocs != float64(len(ads)) {
+		t.Fatalf("a decode into a warm dst allocates %.1f times, want %d (the address strings)", allocs, len(ads))
 	}
 }
 

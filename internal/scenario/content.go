@@ -31,9 +31,9 @@ func buildContent(s Spec) (peer.ContentInfo, []byte) {
 
 // encodeSymbols produces count distinct encoded symbols of the content,
 // drawn from the symbol stream the given seed selects — a provider's
-// initial working set.
+// initial working set, in one slab (fountain.DistinctSymbols).
 func encodeSymbols(info peer.ContentInfo, content []byte, count int, seed uint64) (map[uint64][]byte, error) {
-	blocks, _, err := fountain.SplitIntoBlocks(content, info.BlockSize)
+	blocks, _, err := fountain.ViewBlocks(content, info.BlockSize)
 	if err != nil {
 		return nil, err
 	}
@@ -41,17 +41,5 @@ func encodeSymbols(info peer.ContentInfo, content []byte, count int, seed uint64
 	if err != nil {
 		return nil, err
 	}
-	enc, err := fountain.NewEncoder(code, blocks, seed)
-	if err != nil {
-		return nil, err
-	}
-	symbols := make(map[uint64][]byte, count)
-	for len(symbols) < count {
-		sym := enc.Next()
-		if _, dup := symbols[sym.ID]; !dup {
-			symbols[sym.ID] = append([]byte(nil), sym.Data...)
-		}
-		enc.Release(sym)
-	}
-	return symbols, nil
+	return fountain.DistinctSymbols(code, blocks, seed, count)
 }

@@ -121,8 +121,7 @@
 //     (protocol.AppendMux into a pooled buffer), so the symbols of one
 //     REQUEST and the DONE behind them leave in one conn write, and the
 //     wire's FrameReader reads ahead, so they arrive in one conn read:
-//     per batch, not per frame (a sender out of credit writes its batch
-//     before it waits, and no batch passes 64 KiB).
+//     per batch, not per frame (no batch passes 64 KiB).
 //
 //   - Summary probes avoid division. Bloom probes use the
 //     Kirsch–Mitzenmacher pair with Lemire multiply-shift range
@@ -444,9 +443,8 @@
 // negotiates a subchannel (OPEN_CHANNEL carries the opener's content
 // HELLO; ACCEPT_CHANNEL answers with the content metadata,
 // REJECT_CHANNEL reuses the canonical ERROR vocabulary). The dialer
-// does not take turns over this: its MUX_HELLO, first OPEN_CHANNEL and
-// that channel's initial CREDIT leave in one flight and its demux
-// reader takes the answers, so a session is up one round trip after
+// does not take turns over this: its MUX_HELLO and first OPEN_CHANNEL
+// leave in one flight and its demux reader takes the answers, so a session is up one round trip after
 // the dial (until the peer's MUX_HELLO announces its channel limit, one
 // channel may be open on a wire). The OPEN's hello also carries the
 // session's first round of requests (Hello.Batch, Hello.Depth), and a
@@ -459,12 +457,11 @@
 // frame's CRC, so the per-channel state machines read and write plain
 // content frames (PEERS gossip among them).
 //
-// Credit model: only SYMBOL frames spend credits. The receiver
-// grants an initial per-channel window, the sender blocks when the
-// window is spent, and credits replenish as the consumer actually
-// drains symbols off the channel queue — so a slow decode throttles
-// only its own channel while siblings keep their throughput, and a
-// sender that overruns the window is charged to the penalty box.
+// Request model: the receiver's own requests are the only flow control.
+// A SYMBOL is allowed only when a REQUEST, or the OPEN's first round,
+// asked for it; one nothing asked for is charged to the penalty box and
+// dropped, and the wire survives. A slow decode stops asking, so it
+// throttles only its own channel while siblings keep their throughput.
 //
 // Request depth: a decode of k blocks takes about k + ⌈4√k⌉ symbols
 // from any mix of senders, so what a fetch has requested and not yet
@@ -472,13 +469,16 @@
 // still needs (at least one batch per session, and growing with the
 // overshoot past k, so an unlucky stream takes two rounds, not many).
 // Below that bound, sessions replace stop-and-wait (one request batch
-// in flight, one RTT per batch) with K batches outstanding. K's cap is
-// what the session's channel window admits (window / Batch, rounded
-// up), re-read at every batch boundary; the default window, 4096
-// frames, is a ceiling the need rather than the window shapes a flight
-// under. The OPEN carries the first round, which a full sender answers
-// behind its ACCEPT and a partial sender ignores (its answer waits for
-// the session's summary). Under the cap K is measured, the same way for
+// in flight, one RTT per batch) with K batches outstanding. The
+// session's channel window bounds the symbols in flight exactly,
+// re-read at every batch boundary: a request asks for a batch, or for
+// what the window has left when that is less, so a window smaller than
+// a batch, or not a multiple of one, is asked for in smaller requests.
+// The default window, 4096 frames, is a ceiling the need rather than
+// the window shapes a flight under. The OPEN carries the first round,
+// as many whole batches as the window holds, which a full sender
+// answers behind its ACCEPT and a partial sender answers one batch of,
+// aimed by the summary the OPEN carries. Under the cap K is measured, the same way for
 // every sender: from 1, and on each batch asked for over an idle
 // channel that came back full, 1 + ⌈rtt/service⌉ — the round trip to
 // its first symbol over the time from there to its DONE, the batches
@@ -500,27 +500,22 @@
 // it, so a corrupted one is protocol.ErrCorrupt — charged and redialled
 // like any corruption; a frame checksummed the way versions up to 5 did,
 // without the version byte, reads as ErrVersion under such a version
-// byte), the server answers it with a clean ERROR, and
-// the dialing session ends terminally on that first dial, uncharged. The
-// version is 9: a full sender's ACCEPT says how many batches of the
-// opener's first round it answers, which a version-8 opener would not
-// read. 8 grew the channel hello by that round (6 bytes ahead of the
-// listen address), which an older reader would misparse. 7 retired the RECODED frame (type 7, now an unexpected
-// frame like any other), so a version-6 partial sender — which would
-// answer a REQUEST with frames this library must refuse mid-session — is
-// turned away at the handshake instead.
+// byte), the server answers it with a clean ERROR, and the dialing
+// session ends terminally on that first dial, uncharged. The version is
+// 13, which retired the CREDIT frame (type 18, now an unexpected frame
+// like any other): a version-12 sender would wait for grants this
+// library no longer writes. protocol.Version's comment lists what each
+// earlier version added.
 //
-// Credit windows are the node's second budget: on a latency-bound wire
-// a channel's credit window IS its throughput (about one window per
-// round trip). node.Options.WindowBudget names a node-wide frame budget,
-// split among the fetches in flight by the same even share as slots, at
-// least one frame each, when a fetch starts or ends. The shares reach
-// the live channels through Channel.SetWindow, which resizes with frames
-// in flight: grows grant immediately, shrinks drain by withholding
-// replenishment, and credits are never revoked. Each wire enforces the
-// budget as an aggregate ceiling (peermux.Config.WireWindow), and every
-// session's request depth is capped to the requests its window can
-// admit, so a session never solicits symbols the window could not take.
+// Windows are the node's second budget: on a latency-bound wire a
+// channel's window IS its throughput (about one window per round trip).
+// node.Options.WindowBudget names a node-wide frame budget, split among
+// the fetches in flight by the same even share as slots, at least one
+// frame each, when a fetch starts or ends. A fetch's share reaches its
+// sessions only through Orchestrator.SetChannelWindow, which sets each
+// live channel's window (Channel.SetWindow writes nothing to the wire),
+// and each session reads it at its next batch boundary, so it never has
+// more symbols requested and not yet received than its share.
 // node.TestShareTable pins the rule, node.TestNodeWindowBudgetRebalance
 // the shares through a real node, and the benchmark's multi_small
 // workload runs under a WindowBudget.

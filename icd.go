@@ -389,7 +389,7 @@ var ErrUnknownContent = peer.ErrUnknownContent
 
 // Node is a multi-content overlay peer: a content store under a byte
 // budget, one listener serving every stored content, and a connection
-// budget and a credit-window budget split evenly among concurrent
+// budget and a window budget split evenly among concurrent
 // fetches. See internal/node and doc.go's "Node and content store"
 // section.
 type Node = node.Node

@@ -15,7 +15,7 @@
 //   - Shared budgets: concurrent per-content orchestrators share the
 //     node-wide gossip directory and connection fabric (one wire per
 //     peer, one subchannel per session) and split a connection budget
-//     (Options.MaxConns) and a credit-window budget
+//     (Options.MaxConns) and a window budget
 //     (Options.WindowBudget) evenly among themselves (sched.go). The
 //     split is recomputed when a fetch starts or ends and applied
 //     through Orchestrator.SetMaxPeers and SetChannelWindow; within a
@@ -58,15 +58,13 @@ type Options struct {
 	// sessions winds down, not waits), so the sessions in use can reach
 	// the number of fetches in flight when that exceeds MaxConns.
 	MaxConns int
-	// WindowBudget is the node-wide credit-window budget in symbol
-	// frames, split among the fetches in flight by the same rule as
-	// MaxConns, at least one frame each (0 = disabled: every channel
-	// opens at the fabric's per-channel default). A fetch's share is the
-	// receive window of each of its fabric channels
-	// (Orchestrator.SetChannelWindow), which also caps its sessions'
-	// request depth. The budget is also each wire's aggregate ceiling
-	// (peermux.Config.WireWindow), so no single wire can oversubscribe
-	// it.
+	// WindowBudget is the node-wide window budget in symbol frames,
+	// split among the fetches in flight by the same rule as MaxConns, at
+	// least one frame each (0 = disabled: every channel opens at the
+	// fabric's per-channel default). A fetch's share reaches it through
+	// Orchestrator.SetChannelWindow and nothing else: it is the window of
+	// each of its fabric channels, the most symbols each of its sessions
+	// may have asked for and not yet received.
 	WindowBudget int
 	// Tick is the housekeeping cadence: gossip expiry and store budget
 	// enforcement over live working sets (default 100ms). The budgets
@@ -190,7 +188,6 @@ func New(opts Options) *Node {
 	n.fabric = peermux.NewFabric(dial, peermux.Config{
 		Timeout:    opts.Fetch.Timeout,
 		ListenAddr: opts.Listen,
-		WireWindow: opts.WindowBudget,
 		Obs:        n.obs,
 	})
 	n.fabric.SetPenalize(func(addr string, weight float64) {
@@ -561,7 +558,7 @@ func (n *Node) active() []*transferState {
 }
 
 // rebalance splits the node's budgets evenly among the fetches in
-// flight (share): connection slots under MaxConns and credit windows
+// flight (share): connection slots under MaxConns and channel windows
 // under WindowBudget. It runs only when that set changes, from
 // StartFetch and finishFetch.
 func (n *Node) rebalance() {
@@ -587,9 +584,8 @@ func (n *Node) rebalance() {
 
 // resize applies each fetch's share of total through get and set,
 // shrinks before grows: the freed units must exist before anyone grows
-// into them, or the combined session count would transiently pass the
-// budget, and a grow would be clamped against wire window
-// (Config.WireWindow) that a sibling's shrink is about to free.
+// into them, or the combined sessions or windows would transiently pass
+// the budget.
 func resize(states []*transferState, total int, get func(*peer.Orchestrator) int, set func(*peer.Orchestrator, int)) {
 	nf := len(states)
 	for i, st := range states {

@@ -1,7 +1,7 @@
 package node
 
 // sched.go is the node's one budget rule. Connection slots
-// (Options.MaxConns) and credit windows (Options.WindowBudget) are each
+// (Options.MaxConns) and channel windows (Options.WindowBudget) are each
 // split evenly among the fetches in flight, and only when that set
 // changes: rebalance runs from StartFetch and finishFetch, never on the
 // housekeeping tick.

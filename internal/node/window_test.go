@@ -22,7 +22,7 @@ import (
 // blocks of 64 bytes) from a provider over a shaped net whose links
 // each add latency at delivery, and returns a consumer node built from
 // opts, both closed at test cleanup. A delivery-latency link makes the
-// credit window the binding throughput constraint (about one window per
+// channel window the binding throughput constraint (about one window per
 // round trip), so the transfers can be observed mid-flight without
 // being large.
 func budgetSwarm(t *testing.T, latency time.Duration, blocks []int, opts Options) (*Node, []peer.ContentInfo, [][]byte) {

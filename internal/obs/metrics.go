@@ -150,7 +150,7 @@ func (h *Histogram) metric(name string) Metric {
 var DurationBuckets = []float64{0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
 
 // SecondsBuckets are upper bounds, in seconds, for the latencies the
-// system records of itself (session handshake, credit stalls): 100 µs to
+// system records of itself (session handshake, first symbol): 100 µs to
 // 30 s, the default operation timeout.
 var SecondsBuckets = []float64{1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
 

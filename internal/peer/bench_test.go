@@ -12,7 +12,7 @@ import (
 // BenchmarkFetchFabricPipe is the whole fabric fetch as one row: a full
 // sender behind a ServerMux on a faultnet.PipeNet listener, one
 // peer.Fetch per iteration over a private fabric (dial, wire and channel
-// handshakes, request pipeline, credits, fold → peel, reassembly), at the
+// handshakes, request pipeline, fold → peel, reassembly), at the
 // benchmark's pipe_full size. MB/s is decoded content; allocs/symbol
 // covers both ends of the pipe, since they share the process.
 func BenchmarkFetchFabricPipe(b *testing.B) {

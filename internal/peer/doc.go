@@ -6,7 +6,7 @@
 // There is one path between them. A ServerMux is the serving front
 // door: it owns the listener and connection admission, answers each
 // connection's fabric handshake (internal/peermux: one wire per peer
-// pair, one credit-windowed subchannel per content session) and routes
+// pair, one windowed subchannel per content session) and routes
 // every channel to the registered Server for its content id. A Server
 // is only the symbol source for one piece of content, either a *full*
 // sender — a digital fountain streaming fresh encoded symbols — or a
@@ -53,11 +53,10 @@
 // re-made throughout a transfer (§2.1) — so what a session costs before
 // its first symbol is paid again and again, and is kept to one round
 // trip. Opening the session's channel sends, in one flight, the wire's
-// MUX_HELLO (when the open has to bring the wire up), the OPEN_CHANNEL
-// carrying this receiver's content hello, and the channel's initial
-// credit grant. The hello asks for the session's first round of
-// requests (Hello.Batch, Hello.Depth): the batches its window admits when
-// the fetch does not know k yet (the first OPEN; OPENs alongside it ask
+// MUX_HELLO (when the open has to bring the wire up) and the
+// OPEN_CHANNEL carrying this receiver's content hello. The hello asks for
+// the session's first round of requests (Hello.Batch, Hello.Depth): the
+// whole batches its window holds when the fetch does not know k yet (the first OPEN; OPENs alongside it ask
 // for nothing), what the fetch's budget leaves after. The peer's ACCEPT
 // carries the content metadata. A full sender answers the round right
 // behind it, clamped to what the decode still needs, and its ACCEPT's
@@ -77,10 +76,13 @@
 // any mix of senders, and the symbols the fetch has requested and not
 // yet received, over all its sessions, stay within what its decode still
 // needs — a session asks for more only while it has nothing in flight or
-// the budget has a batch left. K has a cap, read at every batch
-// boundary: the batches its channel's credit window admits
-// (window/Batch, rounded up), so a scheduler that resizes the window
-// (Orchestrator.SetChannelWindow) moves the depth with it. Under the cap
+// the budget has room for the request. Its channel's window, read at
+// every batch boundary, bounds exactly what it has in flight: a request
+// asks for a batch, or for what the window has left when that is less,
+// so a scheduler that resizes the window (Orchestrator.SetChannelWindow)
+// moves the depth with it. The requests are the only flow control: a
+// sender sends what it was asked for, and the wire charges a SYMBOL
+// nothing asked for and drops it. Under the window
 // K is measured, one rule for every sender (pipeline.go): it starts at
 // 1, and each batch asked for over an idle channel — a REQUEST with
 // nothing in flight, or the OPEN's round — that comes back full sets it
@@ -164,8 +166,7 @@
 // the innermost one in scope: the backoff sleep, the wait for the
 // fabric's dial, the open (peermux aborts the half-open and leaves
 // nothing behind), and — through context.AfterFunc expiring the
-// channel's deadline — a read or a credit wait on the established
-// channel. A receiver owes its senders nothing (§2.3), so abandoning
+// channel's deadline — a read on the established channel. A receiver owes its senders nothing (§2.3), so abandoning
 // any of them at any moment is just a cancel.
 //
 // The faultnet package injects exactly these failures (latency,

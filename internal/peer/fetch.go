@@ -83,7 +83,7 @@ type FetchOptions struct {
 	// a shared fabric was bound to its dialer at construction.
 	Dial func(addr string) (net.Conn, error)
 	// Fabric is the connection fabric every session rides: one wire per
-	// peer, one credit-windowed subchannel per session (sessions call
+	// peer, one windowed subchannel per session (sessions call
 	// Fabric.OpenWindow(ctx, addr, hello, window) under their connection
 	// attempt's context). The fabric owns the dial; a node shares one
 	// fabric across all its fetches, collapsing its connection count to
@@ -91,19 +91,19 @@ type FetchOptions struct {
 	// fetch alone — a lone fetch is a wire with one channel — closed
 	// when Run ends.
 	Fabric *peermux.Fabric
-	// ChannelWindow is the initial per-session credit window, in symbol
-	// frames, that sessions' subchannels open with (0 = the wire's default,
+	// ChannelWindow is the initial per-session window, in symbol frames,
+	// that sessions' subchannels open with (0 = the wire's default,
 	// peermux.DefaultWindow; values clamp to the wire's per-channel
-	// maximum). Orchestrator.SetChannelWindow resizes live channels —
+	// maximum): the most symbols a session may have requested and not
+	// yet received. Orchestrator.SetChannelWindow resizes live channels —
 	// together they are how a node splits a window budget among its
-	// fetches. The window also caps each session's request depth at
-	// ceil(window/Batch), below the bound that matters first: the fetch
-	// never has more requested and not yet received than its decode
-	// still needs. Under the cap every
-	// session keeps what one round trip holds at the rate a batch
-	// arrives, measured on a batch asked for over an idle channel (from
-	// 1 until one is); a window ≤ Batch is stop-and-wait. Only SYMBOL
-	// frames spend the window.
+	// fetches. A session asks for a batch at a time, or for what its
+	// window has left when that is less, below the bound that matters
+	// first: the fetch never has more requested and not yet received
+	// than its decode still needs. Under the window every session keeps
+	// what one round trip holds at the rate a batch arrives, measured on
+	// a batch asked for over an idle channel (from 1 until one is); a
+	// window ≤ Batch is stop-and-wait.
 	ChannelWindow int
 
 	// Obs is the node-wide observability registry the orchestrator and

@@ -55,8 +55,8 @@ func wanPair(t testing.TB, rtt time.Duration, srv *Server) (dial func(string) (n
 // TestWANFetchRoundTrips counts a fetch in round trips where round trips
 // are all it costs: k=1024 from a full sender, empty receiver. One
 // round trip brings the session up and carries what the decode needs:
-// MUX_HELLO, OPEN (asking for a whole 4096-frame window) and CREDIT out;
-// MUX_HELLO, ACCEPT, CREDIT and the answer back, which the sender clamps
+// MUX_HELLO and OPEN (asking for a whole 4096-frame window) out;
+// MUX_HELLO, ACCEPT and the answer back, which the sender clamps
 // to decodeNeed(1024) = 1152 symbols. A stream that needs more than that
 // takes a second round trip for the rest. That is 1 and a fraction on
 // average, where three 512-frame windows took 3, a first REQUEST that
@@ -212,7 +212,7 @@ func TestPartialSenderWANRoundTrips(t *testing.T) {
 	t.Errorf("fetch from a partial sender took %.2f RTT, want <= 3.75", float64(whole)/float64(rtt))
 }
 
-// TestFirstFlightRejects: the dialer's OPEN and CREDIT are on the wire
+// TestFirstFlightRejects: the dialer's MUX_HELLO and OPEN are on the wire
 // before it can know the peer will turn it down. Each way of being
 // turned down must still end the session in its own error — terminal
 // ones after a single dial — with neither side's penalty box charged
@@ -650,6 +650,57 @@ func TestFullSenderDepthFollowsWindow(t *testing.T) {
 	p.release(1)
 	if got := p.outstanding(); got != 1 {
 		t.Fatalf("%d REQUESTs after the pipe drained under a 1-batch window, want 1", got)
+	}
+}
+
+// TestSessionAsksWithinWindow: a session never has more symbols
+// requested and not yet received than its channel's window, also when
+// the window is smaller than a batch or not a multiple of one — it asks
+// for the remainder in a smaller REQUEST — and it fills the window. The
+// probe answers a request only on release, so what it has read and not
+// answered is what the session has in flight.
+func TestSessionAsksWithinWindow(t *testing.T) {
+	for _, tc := range []struct {
+		window int
+		round  uint16 // the OPEN's round: the whole batches of 4 the window holds
+	}{{6, 1}, {1, 0}} {
+		t.Run(fmt.Sprintf("window %d", tc.window), func(t *testing.T) {
+			defer checkGoroutines(t)()
+			p := newDepthProbe(probeBlocks)
+			_, stop := runProbe(t, 1, FetchOptions{Batch: 4, ChannelWindow: tc.window}, p)
+			defer stop()
+			if h := p.opened(t); h.Batch != 4 || h.Depth != tc.round {
+				t.Fatalf("OPEN asked for %d batches of %d, want %d of 4", h.Depth, h.Batch, tc.round)
+			}
+			var flight []uint32 // asked for and not yet answered, oldest first
+			for range tc.round {
+				flight = append(flight, 4)
+			}
+			for step := 0; step < 6; step++ {
+				if step > 0 || tc.round > 0 {
+					if len(flight) == 0 {
+						t.Fatalf("step %d: nothing in flight to answer", step)
+					}
+					p.release(1)
+					flight = flight[1:]
+				}
+				for more := true; more; {
+					select {
+					case n := <-p.reqs:
+						flight = append(flight, n)
+					case <-time.After(150 * time.Millisecond):
+						more = false
+					}
+				}
+				sum := 0
+				for _, n := range flight {
+					sum += int(n)
+				}
+				if sum != tc.window {
+					t.Fatalf("step %d: %v in flight, %d symbols; want the window's %d", step, flight, sum, tc.window)
+				}
+			}
+		})
 	}
 }
 

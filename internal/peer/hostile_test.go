@@ -224,7 +224,7 @@ func (w *wedgedServer) ServeConn(conn net.Conn) error {
 	if _, err := conn.Write(accept.Bytes()[:accept.Len()-11]); err != nil {
 		return err
 	}
-	_, err = io.Copy(io.Discard, conn) // the CREDIT, then nothing until the dialer hangs up
+	_, err = io.Copy(io.Discard, conn) // nothing until the dialer hangs up
 	return err
 }
 
@@ -635,7 +635,7 @@ func TestCorruptSessionListenAddrSpoofNotCharged(t *testing.T) {
 			t.Fatalf("opening the channel: %v", err)
 		}
 		// One whole batch first, so the session is parked reading its next
-		// frame (not still writing its opening grant) when the garbage lands.
+		// frame (not still writing its ACCEPT) when the garbage lands.
 		if err := protocol.WriteFrame(ch, protocol.EncodeRequest(1)); err != nil {
 			t.Fatal(err)
 		}

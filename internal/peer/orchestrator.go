@@ -147,10 +147,10 @@ type Orchestrator struct {
 	// of duplicates is as useless as an empty one).
 	progress atomic.Int64
 
-	// chanWin is the per-session receive-window target for the sessions'
-	// subchannels, in symbol frames (0 = the wire's default). New
-	// channels open at it; SetChannelWindow moves it and resizes every
-	// live channel — the credit-denominated scheduler's bandwidth knob.
+	// chanWin is the per-session window for the sessions' subchannels,
+	// in symbol frames (0 = the wire's default). New channels open at it;
+	// SetChannelWindow moves it and resizes every live channel — a node's
+	// bandwidth knob.
 	chanWin atomic.Int64
 }
 
@@ -497,16 +497,15 @@ func (o *Orchestrator) MaxPeers() int {
 	return o.maxPeers
 }
 
-// SetChannelWindow re-sizes this fetch's per-session credit windows to
-// n symbol frames — a node's second budget: where SetMaxPeers moves
-// whole sessions between fetches,
-// SetChannelWindow moves wire bandwidth between the subchannels already
-// sharing a wire. New channels open at n; every live channel is
-// resized immediately via its regrant path (Channel.SetWindow clamps
-// to the wire's limits), and each session's request depth follows at its
-// next batch boundary — the window is the depth's only cap. n <= 0
-// restores the wire default for new channels and leaves live ones
-// alone.
+// SetChannelWindow re-sizes this fetch's per-session windows to n symbol
+// frames — a node's second budget: where SetMaxPeers moves whole
+// sessions between fetches, SetChannelWindow moves wire bandwidth
+// between the subchannels already sharing a wire. New channels open at
+// n; every live channel's window is set at once (Channel.SetWindow
+// clamps to the wire's limit and writes nothing), and each session's
+// requests follow at its next batch boundary — the window is the only
+// bound on what it has in flight. n <= 0 restores the wire default for
+// new channels and leaves live ones alone.
 func (o *Orchestrator) SetChannelWindow(n int) {
 	o.chanWin.Store(int64(n))
 	if n <= 0 {
@@ -830,22 +829,22 @@ func (o *Orchestrator) settleOpen(s *session, batches int) {
 	o.mu.Unlock()
 }
 
-// claim reserves one more batch of the budget for s: always when s has
-// nothing in flight (every session keeps one batch), otherwise only while
-// asked stays within need.
-func (o *Orchestrator) claim(s *session, idle bool) bool {
+// claim reserves n more symbols of the budget for s, a request's worth:
+// always when s has nothing in flight (every session keeps a request),
+// otherwise only while asked stays within need.
+func (o *Orchestrator) claim(s *session, n int, idle bool) bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if !idle && o.asked+o.opts.Batch > o.needLocked() {
+	if !idle && o.asked+n > o.needLocked() {
 		return false
 	}
-	o.asked += o.opts.Batch
-	s.owed += o.opts.Batch
+	o.asked += n
+	s.owed += n
 	return true
 }
 
-// retire gives back up to n of the symbols s still owes: a batch's at its
-// DONE, and at the end of a connection everything it owed. A blind OPEN
+// retire gives back up to n of the symbols s still owes: a request's at
+// its DONE, and at the end of a connection everything it owed. A blind OPEN
 // that ended before any ACCEPT told the fetch k leaves the next OPEN
 // free to ask blind again.
 func (o *Orchestrator) retire(s *session, n int) {

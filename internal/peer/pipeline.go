@@ -13,14 +13,20 @@ package peer
 // senders, so the symbols a fetch has requested and not yet received,
 // over all its sessions (Orchestrator.asked), stay within need: a
 // session writes a REQUEST only while it has nothing in flight (every
-// session keeps a batch) or while the fetch's budget has a batch left.
-// Below that bound K has a cap: what the channel's granted credit window
-// admits (depthCap), read at every batch boundary, so a scheduler that
-// resizes the window (Orchestrator.SetChannelWindow) moves the depth
-// with it. The window is a ceiling: large enough that the need, not the
-// window, sizes a fetch's first flight; the OPEN carries that first
-// round, which a full sender answers behind its ACCEPT (clamped to the
-// need) and a partial one answers one batch of.
+// session keeps a request) or while the fetch's budget has room for it.
+// Below that bound the channel's window caps what is in flight, read at
+// every batch boundary, so a scheduler that resizes the window
+// (Orchestrator.SetChannelWindow) moves the depth with it. The window is
+// the only flow control there is: a sender sends what it was asked for
+// and nothing more, so a session never has more than the window's
+// symbols requested and not yet received. A request asks for a batch, or
+// for what the window has left when that is less (asks): a window smaller
+// than a batch, or not a multiple of one, is asked for in smaller
+// requests, and depthCap requests cover it. The window is a ceiling:
+// large enough that the need, not the window, sizes a fetch's first
+// flight; the OPEN carries that first round, as many whole batches as
+// the window holds, which a full sender answers behind its ACCEPT
+// (clamped to the need) and a partial one answers one batch of.
 //
 // Below the cap K is measured, the same way for every sender: the
 // batches one round trip holds at the rate a batch arrives
@@ -60,11 +66,10 @@ func need(k, p, batch int) int {
 	return max(batch, decodeNeed(k)-p, p-k)
 }
 
-// depthCap is the pipeline depth a credit window admits: the number of
-// `batch`-sized requests needed to cover `window` symbol frames, rounded
-// up (a truncated cap would leave part of the window permanently idle)
-// and never below 1. Requests beyond it would solicit symbols the window
-// cannot admit — the sender would only park them behind its credit wait.
+// depthCap is the pipeline depth a window admits: the number of requests
+// needed to cover `window` symbol frames, `batch` each and the last for
+// the remainder, rounded up (a truncated cap would leave part of the
+// window permanently idle) and never below 1.
 func depthCap(window, batch int) int {
 	if batch < 1 {
 		batch = 1
@@ -74,6 +79,33 @@ func depthCap(window, batch int) int {
 		d = 1
 	}
 	return d
+}
+
+// asks holds the sizes of a session's requests in flight, oldest first,
+// and their sum. A sender answers requests in order, each ending in its
+// DONE, so a DONE retires the oldest; the rest shift down, no more than
+// depthCap of them (64 at the defaults). A session sizes it for the
+// window it opens at, so a steady pipeline allocates nothing.
+type asks struct {
+	sizes []int
+	sum   int
+}
+
+func (a *asks) push(size int) {
+	a.sizes = append(a.sizes, size)
+	a.sum += size
+}
+
+// pop retires the oldest request and returns its size: 0 when none is in
+// flight (a DONE nothing asked for retires nothing).
+func (a *asks) pop() int {
+	if len(a.sizes) == 0 {
+		return 0
+	}
+	size := a.sizes[0]
+	a.sizes = append(a.sizes[:0], a.sizes[1:]...)
+	a.sum -= size
+	return size
 }
 
 // requestDepth is the depth target after a timed batch of got symbols,

@@ -138,8 +138,9 @@ func TestSessionPipelineCompletesOverPipe(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	// A small batch so a window of 8 batches keeps requests in flight at
 	// every batch boundary; a window of one batch is stop-and-wait, the
-	// same loop at depth 1.
-	for _, window := range []int{32, 4} {
+	// same loop at depth 1; a window of 6 asks a batch and the remainder,
+	// and a window of one symbol asks a symbol at a time.
+	for _, window := range []int{32, 4, 6, 1} {
 		pn, _, data, res, err := fetchPipelined(t, 200, FetchOptions{
 			Batch:         4,
 			ChannelWindow: window,

@@ -101,7 +101,6 @@ func FuzzServeStream(f *testing.F) {
 	f.Add(bytes.Join([][]byte{
 		frameBytes(protocol.EncodeMuxHello(protocol.MuxHello{MaxChannels: 4})),
 		frameBytes(protocol.EncodeOpenChannel(1, summarized)),
-		frameBytes(protocol.EncodeCredit(1, 64)),
 		onChannel(summary(20)),
 		onChannel(protocol.EncodeRequest(4)),
 		onChannel(summary(2)),

@@ -17,8 +17,7 @@ package peer
 // fetch's), or the connection failed terminally (after MaxReconnects
 // redials). Each connection attempt runs under a child of the session's
 // context, and every blocking step — the backoff sleep, the dial and the
-// open, a read or a credit wait on the established channel — ends with
-// it.
+// open, a read on the established channel — ends with it.
 
 import (
 	"context"
@@ -206,8 +205,8 @@ var errStalled = errors.New("peer: no useful symbol within StallTimeout")
 // out. The channel negotiation doubles as the content handshake: the
 // OPEN carries our hello, the ACCEPT carries the peer's. The OPEN also
 // carries the first round of requests — what the fetch's budget leaves,
-// up to the batches the window the channel opens at admits (depthCap) —
-// and the first summary, which every sender answers behind its ACCEPT,
+// up to the whole batches the window the channel opens at holds — and
+// the first summary, which every sender answers behind its ACCEPT,
 // so the first symbols arrive one round trip after the open. When the
 // attempt ends, what it still owed goes back to the fetch's budget.
 func (s *session) runConn() error {
@@ -244,9 +243,10 @@ func (s *session) runConn() error {
 // it does not charge the address.
 func (s *session) openChannel(ctx context.Context, issued time.Time) (*peermux.Channel, protocol.Hello, error) {
 	o := s.o
-	// At most the batches the window the channel opens at admits, as the
-	// fabric clamps it (0 opens at the wire's default, the largest any
-	// channel gets).
+	// At most the whole batches the window the channel opens at holds, as
+	// the fabric clamps it (0 opens at the wire's default, the largest any
+	// channel gets): the round is asked for before anything of it has
+	// arrived, so all of it is in flight at once.
 	win := int(o.chanWin.Load())
 	opensAt := peermux.DefaultWindow
 	if win > 0 {
@@ -255,7 +255,7 @@ func (s *session) openChannel(ctx context.Context, issued time.Time) (*peermux.C
 	open := protocol.Hello{
 		ContentID:  o.contentID,
 		Batch:      uint32(o.opts.Batch),
-		Depth:      uint16(o.openRound(s, depthCap(opensAt, o.opts.Batch))),
+		Depth:      uint16(o.openRound(s, opensAt/o.opts.Batch)),
 		ListenAddr: o.opts.AdvertiseAddr,
 	}
 	if o.opts.Uninformed {
@@ -437,8 +437,8 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open pr
 	defer s.setChannel(nil)
 	hello := ch.RemoteHello()
 	// ctx ending (the transfer, the session, or the watchdog giving up on
-	// this attempt) unblocks a parked read or credit wait by expiring the
-	// channel's deadline; deadline() re-checks after pushing the deadline
+	// this attempt) unblocks a parked read by expiring the channel's
+	// deadline; deadline() re-checks after pushing the deadline
 	// out, so an expiry that raced it is not undone.
 	defer context.AfterFunc(ctx, func() { ch.SetDeadline(time.Now()) })()
 	deadline := func() {
@@ -460,15 +460,19 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open pr
 	// The OPEN's round counts as in flight for what the ACCEPT says will
 	// be answered (a partial sender says 1), and the fetch's budget keeps
 	// that much.
-	inflight := min(int(hello.Depth), int(open.Depth))
-	o.settleOpen(s, inflight)
+	round := min(int(hello.Depth), int(open.Depth))
+	inflight := asks{sizes: make([]int, 0, depthCap(ch.Window(), o.opts.Batch))}
+	for range round {
+		inflight.push(o.opts.Batch)
+	}
+	o.settleOpen(s, round)
 	// The request depth (pipeline.go): target batches in flight, from 1
 	// until a batch asked for over an idle channel has been timed — asked
 	// is when it was asked for (zero: no batch is being timed), first when
 	// its first symbol arrived. The OPEN's round is the first such batch.
 	target := 1
 	var asked, first time.Time
-	if inflight > 0 {
+	if round > 0 {
 		asked = issued
 	}
 
@@ -570,19 +574,26 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open pr
 		// Pipelined requests: keep up to the measured target outstanding
 		// so the server's symbol stream never drains while a REQUEST is
 		// in flight, as far as the window and the fetch's budget allow
-		// (claim: a session with nothing in flight always gets one). Each
-		// iteration of the outer loop retires one batch (one DONE), so
-		// batch-boundary accounting below lags the wire by the pipeline
-		// depth. The window's cap is re-read here, at the batch boundary,
-		// so a live window resize (Orchestrator.SetChannelWindow) moves
-		// the depth with it.
+		// (claim: a session with nothing in flight always gets one). The
+		// window bounds the symbols in flight exactly: a request asks for
+		// a batch, or for what the window has left when that is less.
+		// Each iteration of the outer loop retires one request (one DONE),
+		// so batch-boundary accounting below lags the wire by the pipeline
+		// depth. The window is re-read here, at the batch boundary, so a
+		// live window resize (Orchestrator.SetChannelWindow) moves the
+		// depth with it.
 		deadline()
 		progressBefore := o.progress.Load()
-		for inflight < min(target, depthCap(ch.Window(), o.opts.Batch)) && o.claim(s, inflight == 0) {
-			if inflight == 0 {
+		win := ch.Window()
+		for len(inflight.sizes) < min(target, depthCap(win, o.opts.Batch)) {
+			n := min(o.opts.Batch, win-inflight.sum)
+			if n <= 0 || !o.claim(s, n, len(inflight.sizes) == 0) {
+				break
+			}
+			if len(inflight.sizes) == 0 {
 				asked = time.Now()
 			}
-			if err := protocol.WriteFrame(ch, protocol.EncodeRequest(uint32(o.opts.Batch))); err != nil {
+			if err := protocol.WriteFrame(ch, protocol.EncodeRequest(uint32(n))); err != nil {
 				// A pipelined REQUEST blocks against a server that is still
 				// streaming the previous batch, so the transfer can complete
 				// (and its context expire the deadline) while this write is
@@ -593,7 +604,7 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open pr
 				}
 				return err
 			}
-			inflight++
+			inflight.push(n)
 		}
 		got := 0
 		for {
@@ -606,8 +617,7 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open pr
 				return err
 			}
 			if f.Type == protocol.TypeDone {
-				inflight--
-				o.retire(s, o.opts.Batch)
+				o.retire(s, inflight.pop())
 				if !asked.IsZero() {
 					target = requestDepth(target, got, o.opts.Batch, first.Sub(asked), time.Since(first))
 					asked = time.Time{}

@@ -2,10 +2,9 @@ package peermux
 
 // batch_test.go pins the batched write path and the read-ahead reader
 // under it: a REQUEST's answer leaves in one conn write, in order; no
-// write is larger than batchBytes; a sender out of credit writes what is
-// pending before it waits (a one-frame window still streams), and waits
-// without allocating; and a wire that dies while its reader still holds
-// frames read ahead charges the peer nothing for them.
+// write is larger than batchBytes; a one-frame window streams, a symbol
+// per REQUEST; and a wire that dies while its reader still holds frames
+// read ahead charges the peer nothing for them.
 
 import (
 	"bytes"
@@ -16,29 +15,36 @@ import (
 	"testing"
 	"time"
 
-	"icd/internal/obs"
 	"icd/internal/protocol"
 	"icd/internal/testutil"
 )
 
-// writeCounter counts a conn's writes that carry MUX envelopes (a
-// write's first frame header names what it carries) and keeps the
-// largest write.
+// writeCounter counts a conn's writes, and apart those that carry MUX
+// envelopes (a write's first frame header names what it carries), and
+// keeps the largest write.
 type writeCounter struct {
 	net.Conn
 	mu      sync.Mutex
+	writes  int
 	muxes   int
 	largest int
 }
 
 func (c *writeCounter) Write(p []byte) (int, error) {
 	c.mu.Lock()
+	c.writes++
 	if len(p) > 3 && protocol.Type(p[3]) == protocol.TypeMux {
 		c.muxes++
 	}
 	c.largest = max(c.largest, len(p))
 	c.mu.Unlock()
 	return c.Conn.Write(p)
+}
+
+func (c *writeCounter) total() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.writes
 }
 
 func (c *writeCounter) counts() (muxes, largest int) {
@@ -104,14 +110,17 @@ func TestRequestAnswerIsOneWrite(t *testing.T) {
 	}
 }
 
-// TestWindowOneStreams: on a one-frame window every symbol after the
-// first finds no credit, and the credit comes only once the receiver has
-// read the symbol before it — which is still in the sender's batch
-// unless the sender writes the batch before it waits.
+// TestWindowOneStreams: on a one-frame window the receiver asks for one
+// symbol at a time, as much as its window holds, so it never has more
+// than one requested and not yet received; the stream completes in order
+// and nobody is charged.
 func TestWindowOneStreams(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	const total = 1000
-	w, shutdown := startPair(t, Config{}, Config{}, serveSymbols(total, []byte("0123456789abcdef")))
+	var charges atomic.Int64
+	penalize := func(float64) { charges.Add(1) }
+	w, shutdown := startPair(t, Config{Penalize: penalize}, Config{Penalize: penalize},
+		serveSymbols(total, []byte("0123456789abcdef")))
 	defer shutdown()
 	ch, err := w.OpenWindow(timeoutCtx(t, time.Second), protocol.Hello{ContentID: 1}, 1)
 	if err != nil {
@@ -119,104 +128,23 @@ func TestWindowOneStreams(t *testing.T) {
 	}
 	defer ch.Close()
 	ch.SetDeadline(time.Now().Add(10 * time.Second))
-	if err := protocol.WriteFrame(ch, protocol.EncodeRequest(total)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i <= total; i++ {
+	for i := 0; i < total; i++ {
+		if err := protocol.WriteFrame(ch, protocol.EncodeRequest(uint32(ch.Window()))); err != nil {
+			t.Fatal(err)
+		}
 		f, err := ch.Next()
 		if err != nil {
 			t.Fatalf("after %d symbols: %v", i, err)
 		}
-		if i == total {
-			if f.Type != protocol.TypeDone {
-				t.Fatalf("frame %d is %v, want DONE", i, f.Type)
-			}
-			break
-		}
 		if id, _, err := protocol.SymbolView(f); err != nil || id != uint64(i) {
-			t.Fatalf("frame %d: id %d, %v", i, id, err)
+			t.Fatalf("frame %d: %v id %d, %v", i, f.Type, id, err)
+		}
+		if f, err := ch.Next(); err != nil || f.Type != protocol.TypeDone {
+			t.Fatalf("after symbol %d: %v %v, want DONE", i, f.Type, err)
 		}
 	}
-}
-
-// TestCreditStarvedWriterZeroAlloc: a symbol writer short of credit
-// allocates nothing per frame — not to write its batch before it waits,
-// not to wait, and not for the deadline timer of the wait. The acceptor
-// grants each channel a one-frame window; it drains content 1, so that
-// writer waits for the regrant before every frame, and never drains
-// content 2, so that writer's every wait arms its timer and runs out.
-func TestCreditStarvedWriterZeroAlloc(t *testing.T) {
-	payload := []byte("payload")
-	// The standard is bare frame writes: buffer pools shed under the race
-	// detector, and then nothing pooled can be pinned.
-	if base := testing.AllocsPerRun(50, func() {
-		for i := 0; i < 8; i++ {
-			protocol.WriteSymbol(io.Discard, 1, payload)
-		}
-	}); base != 0 {
-		t.Skipf("bare frame writes allocate %.2f per 8 here", base)
-	}
-	defer testutil.CheckGoroutines(t)()
-	reg := obs.NewRegistry()
-	w, shutdown := startPair(t, Config{Obs: reg}, Config{Window: 1}, func(ch *Channel) {
-		ch.Accept(protocol.Hello{FullCopy: true})
-		if ch.RemoteHello().ContentID == 2 {
-			<-ch.w.Done()
-			return
-		}
-		for {
-			if _, err := ch.Next(); err != nil {
-				return
-			}
-		}
-	})
-	defer shutdown()
-	var id uint64
-	write := func(ch *Channel) error {
-		id++
-		return protocol.WriteSymbol(ch, id, payload)
-	}
-
-	drained, err := w.Open(protocol.Hello{ContentID: 1}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer drained.Close()
-	drained.SetDeadline(time.Now().Add(time.Minute))
-	stream := func() {
-		if err := write(drained); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 16; i++ { // warm the pools
-		stream()
-	}
-	stall := reg.Histogram("peermux.credit_stall_seconds", nil)
-	waits := stall.Count()
-	if avg := testing.AllocsPerRun(200, stream); avg != 0 {
-		t.Errorf("a symbol write waiting for its regrant allocates %.2f per frame, want 0", avg)
-	}
-	if n := stall.Count() - waits; n < 200 {
-		t.Fatalf("%d of 201 writes went to wait for credit, want every one", n)
-	}
-
-	starved, err := w.Open(protocol.Hello{ContentID: 2}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer starved.Close()
-	if err := write(starved); err != nil { // spends the one credit
-		t.Fatal(err)
-	}
-	timeout := func() {
-		starved.SetDeadline(time.Now().Add(100 * time.Microsecond))
-		if err := write(starved); err != ErrDeadline {
-			t.Fatalf("starved write = %v, want ErrDeadline", err)
-		}
-	}
-	timeout() // makes the timer
-	if avg := testing.AllocsPerRun(100, timeout); avg != 0 {
-		t.Errorf("a credit wait that runs out allocates %.2f per frame, want 0", avg)
+	if n := charges.Load(); n != 0 {
+		t.Fatalf("%d charges on a one-frame window", n)
 	}
 }
 

@@ -43,8 +43,8 @@ func pooled(f *Fabric, addr string) (*wireRef, int) {
 
 // TestCancelledOpenLeavesNothingBehind: the acceptor answers the
 // MUX_HELLO and then never answers the OPEN_CHANNEL. Cancelling the
-// opener's context must return at once with the context's error, hand
-// the early grant's window back, retire the id, and — the opener being
+// opener's context must return at once with the context's error, take
+// the channel's window out of the wire's sum, retire the id, and — the opener being
 // the wire's only user — close the wire and unpool it.
 func TestCancelledOpenLeavesNothingBehind(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
@@ -55,7 +55,7 @@ func TestCancelledOpenLeavesNothingBehind(t *testing.T) {
 		if err := e.send(protocol.EncodeMuxHello(protocol.MuxHello{MaxChannels: 4})); err != nil {
 			return err
 		}
-		e.drain() // reads the OPEN_CHANNEL and CREDIT, answers nothing
+		e.drain() // reads the OPEN_CHANNEL, answers nothing
 		return nil
 	})
 	fab := NewFabric(func(string) (net.Conn, error) { return conn, nil }, Config{Timeout: time.Minute})
@@ -68,9 +68,10 @@ func TestCancelledOpenLeavesNothingBehind(t *testing.T) {
 		_, err := fab.OpenWindow(ctx, "silent", protocol.Hello{ContentID: 1}, 8)
 		opened <- err
 	}()
-	// The open is parked waiting for the ACCEPT once its grant is booked.
+	// The open is parked waiting for the ACCEPT once its window is in the
+	// wire's sum.
 	var w *Wire
-	await(t, "the open's window reservation", func() bool {
+	await(t, "the open's window in the sum", func() bool {
 		if wr, _ := pooled(fab, "silent"); wr != nil {
 			select {
 			case <-wr.ready:

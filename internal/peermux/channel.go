@@ -3,10 +3,9 @@ package peermux
 // channel.go is one content subchannel: a bounded queue of inbound
 // frames (fed by the wire's reader, drained by Next), an io.Writer that
 // re-frames serialized content frames into MUX envelopes and gathers
-// them into batches that leave in one conn write, and the two halves of
-// the credit ledger — the sender side that spends and blocks, the
-// receiver side that meters arrivals and replenishes as its consumer
-// drains.
+// them into batches that leave in one conn write, and the count of
+// symbols this end has asked for and not yet received, which an inbound
+// SYMBOL spends.
 
 import (
 	"io"
@@ -60,9 +59,9 @@ type inFrame struct {
 
 // batchBytes bounds one batched conn write. Write gathers a channel's
 // envelopes into a pending batch and writes it whole when a frame other
-// than SYMBOL ends it (a REQUEST's answer ends in DONE), when a SYMBOL
-// finds no credit, or when the next envelope would take it past this
-// size — so no write is larger, unless one frame alone is.
+// than SYMBOL ends it (a REQUEST's answer ends in DONE), or when the next
+// envelope would take it past this size — so no write is larger, unless
+// one frame alone is.
 const batchBytes = 64 << 10
 
 // batchBufs recycles batch buffers: a channel holds one only while a
@@ -79,22 +78,19 @@ var batchBufs = sync.Pool{New: func() any {
 // serialized frame per call, SetDeadline to bound both — so the peer
 // package's state machines drive it with the plain protocol writers.
 //
-// Next has one caller at a time (the channel's reader), and so do Writes
-// of SYMBOL frames (the channel's symbol writer): each owns a deadline
-// timer it reuses across waits. Other frames may be written from any
+// Next has one caller at a time (the channel's reader), which owns a
+// deadline timer it reuses across waits. Frames may be written from any
 // goroutine.
 type Channel struct {
 	w           *Wire
 	id          uint16
 	remoteHello protocol.Hello
 
-	in     chan inFrame
-	timer  *time.Timer // Next's deadline timer (the reader's)
-	wtimer *time.Timer // the credit wait's deadline timer (the symbol writer's)
+	in    chan inFrame
+	timer *time.Timer // Next's deadline timer (the reader's)
 
 	// bmu guards batch, the envelopes written but not yet on the conn (a
-	// pooled buffer, nil while no batch is open). Never held across a
-	// credit wait.
+	// pooled buffer, nil while no batch is open).
 	bmu   sync.Mutex
 	batch *[]byte
 
@@ -102,19 +98,15 @@ type Channel struct {
 	rslab    *slab  // the slab the wire's reader copies inbound frames into
 	held     *slab  // the slab of the frame Next handed out last
 	drained  bool   // Close emptied the queue: nothing more is copied in or handed out
-	credits  uint32 // sender side: symbol frames we may still send
-	avail    uint32 // receiver side: grant the remote may still spend
-	consumed uint32 // drained since the last replenishing CREDIT
-	window   uint32 // receiver side: current target receive window
-	deficit  uint32 // shrink debt: regrants withheld until paid down
-	granted  bool   // the initial window has been opened (grantInitial ran)
+	avail    uint64 // symbols this end asked for (REQUESTs, the OPEN's round) and has not received
+	window   uint32 // the most symbols this end's own requests may have in flight
+	opened   bool   // the window is in the wire's sum (open ran)
 	live     bool   // both ends agreed on the channel (markOpen ran)
-	retired  bool   // window released from the wire's aggregate sum
+	retired  bool   // the channel ended: its window left the wire's sum
 	deadline time.Time
 	dnotify  chan struct{} // closed+replaced when the deadline moves earlier
 	err      error         // terminal error, set before rclosed closes
 
-	creditc chan struct{} // signals credit arrival to a blocked sender
 	rclosed chan struct{} // no more inbound frames (remote close / wire death)
 	closed  chan struct{} // locally closed
 	rcOnce  sync.Once
@@ -123,13 +115,10 @@ type Channel struct {
 	onClose func() // fabric refcount hook
 }
 
-// newChannel builds a channel whose local receive window opens at
-// window symbol frames (0 selects the Config.Window default; values are
-// clamped to [1, Config.Window] — the inbound queue is sized for the
-// configured maximum, so no window may exceed it). The queue capacity is
-// the invariant bound on in-flight data frames: regrants and SetWindow
-// keep the sender's outstanding allowance (window + deficit) at or
-// below Config.Window at all times.
+// newChannel builds a channel whose window opens at window symbol frames
+// (0 selects the Config.Window default; values are clamped to [1,
+// Config.Window] — the inbound queue is sized for the configured maximum,
+// so no window may exceed it).
 func newChannel(w *Wire, id uint16, window int) *Channel {
 	return &Channel{
 		w:       w,
@@ -137,7 +126,6 @@ func newChannel(w *Wire, id uint16, window int) *Channel {
 		window:  clampWindow(window, w.cfg.Window),
 		in:      make(chan inFrame, w.cfg.Window+queueSlack),
 		dnotify: make(chan struct{}),
-		creditc: make(chan struct{}, 1),
 		rclosed: make(chan struct{}),
 		closed:  make(chan struct{}),
 	}
@@ -169,15 +157,13 @@ func (c *Channel) RemoteAddr() net.Addr { return c.w.conn.RemoteAddr() }
 // sees it.
 func (c *Channel) LocalAddr() net.Addr { return c.w.conn.LocalAddr() }
 
-// Accept answers a peer-opened channel with our content HELLO and
-// grants the initial credit window (accepting side only).
+// Accept answers a peer-opened channel with our content HELLO (accepting
+// side only).
 func (c *Channel) Accept(h protocol.Hello) error {
 	if err := c.w.writeFrame(protocol.EncodeAcceptChannel(c.id, h)); err != nil {
 		return err
 	}
-	if err := c.grantInitial(); err != nil {
-		return err
-	}
+	c.open(0)
 	c.markOpen()
 	return nil
 }
@@ -190,25 +176,17 @@ func (c *Channel) Reject(msg string) {
 	c.Close()
 }
 
-// grantInitial opens the receive window: the peer may send window
-// symbol frames before our consumer has drained anything. The grant is
-// registered in the wire's aggregate window sum first, so a wire-level
-// budget (Config.WireWindow) can clamp it — never below one frame, or
-// the channel could not move at all. The opening side grants before it
-// knows the peer's answer (the CREDIT rides behind the OPEN_CHANNEL); a
-// rejected or abandoned open hands the reservation back through
-// retireWindow like any other channel end.
-func (c *Channel) grantInitial() error {
+// open enters the channel's window in the wire's sum, where it stays
+// until the channel ends, and allows the symbols the OPEN's round
+// asked for. A channel that already ended is not entered.
+func (c *Channel) open(asked uint64) {
 	c.mu.Lock()
-	want := int(c.window)
+	c.avail += asked
+	if !c.retired {
+		c.opened = true
+		c.w.addWindow(int(c.window))
+	}
 	c.mu.Unlock()
-	n := uint32(c.w.reserveWindow(want, 1))
-	c.mu.Lock()
-	c.window = n
-	c.avail += n
-	c.granted = true
-	c.mu.Unlock()
-	return c.writeGrant(n)
 }
 
 // markOpen records the point a subchannel becomes live — the acceptor
@@ -226,104 +204,39 @@ func (c *Channel) markOpen() {
 	c.w.noteChanOpen(c.id, n)
 }
 
-// writeGrant sends a CREDIT frame carrying n and surfaces a write
-// failure as the channel's terminal error: a grant that never reached
-// the wire would strand the remote sender at zero credits, so the local
-// consumer must see the failure on its next read instead of blocking
-// against a silently dead replenish path.
-func (c *Channel) writeGrant(n uint32) error {
-	if n == 0 {
-		return nil
-	}
-	if err := c.w.writeFrame(protocol.EncodeCredit(c.id, n)); err != nil {
-		c.fail(err)
-		return err
-	}
-	return nil
-}
-
-// Window returns the channel's current local receive-window target in
-// symbol frames.
+// Window returns the channel's window in symbol frames: the most symbols
+// this end's own requests may have asked for and not yet received.
 func (c *Channel) Window() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return int(c.window)
 }
 
-// SetWindow resizes the channel's local receive window to n symbol
-// frames, live — the regrant path a credit-denominated scheduler uses
-// to shift one wire's bandwidth between subchannels mid-transfer. n is
-// clamped to [1, Config.Window] (the inbound queue is sized for the
-// configured maximum) and growth further respects the wire's aggregate
-// budget. Growth is granted immediately as an unsolicited CREDIT;
-// credits already granted cannot be revoked, so a shrink is paid down
-// by withholding replenishment grants until the sender's outstanding
-// allowance has drained to the new window. Safe to call from any
-// goroutine, on either side, at any point after the channel opened.
-func (c *Channel) SetWindow(n int) error {
-	target := int(clampWindow(n, c.w.cfg.Window))
+// SetWindow sets the channel's window to n symbol frames, clamped to [1,
+// Config.Window] (the inbound queue is sized for the configured maximum).
+// It writes nothing: the window bounds what this end asks for, and the
+// session reads it at each batch boundary. Safe to call from any
+// goroutine, at any point in the channel's life.
+func (c *Channel) SetWindow(n int) {
+	target := clampWindow(n, c.w.cfg.Window)
 	c.mu.Lock()
-	if !c.granted {
-		// Window not opened yet (pre-Accept): just move the target that
-		// grantInitial will grant.
-		c.window = uint32(target)
-		c.mu.Unlock()
-		return nil
+	moved := target != c.window
+	if c.opened && !c.retired {
+		c.w.addWindow(int(target) - int(c.window))
 	}
-	delta := target - int(c.window)
-	if delta == 0 {
-		c.mu.Unlock()
-		return nil
-	}
-	if delta < 0 {
-		// Shrink: the sender keeps its in-flight allowance; future
-		// regrants are withheld until the debt drains. The aggregate sum
-		// tracks the target, so the freed share is immediately available
-		// to siblings.
-		c.deficit += uint32(-delta)
-		c.window = uint32(target)
-		if !c.retired {
-			defer c.w.reserveWindow(delta, 0)
-		}
-		c.mu.Unlock()
-		c.noteResize(target)
-		return nil
-	}
+	c.window = target
+	trace := moved && c.live && !c.retired
 	c.mu.Unlock()
-	grown := c.w.reserveWindow(delta, 0)
-	if grown <= 0 {
-		return nil // no aggregate headroom: keep the current window
+	if trace {
+		c.noteResize(int(target))
 	}
-	c.mu.Lock()
-	if c.retired {
-		// Lost a race with Close/fail: the retire already settled the
-		// aggregate sum at the old window; hand the reservation back.
-		c.mu.Unlock()
-		c.w.reserveWindow(-grown, 0)
-		return c.finalErr()
-	}
-	c.window += uint32(grown)
-	// Growth first cancels shrink debt (those withheld regrants now fit
-	// the larger window); only the remainder is new allowance to grant.
-	send := uint32(grown)
-	if send <= c.deficit {
-		c.deficit -= send
-		send = 0
-	} else {
-		send -= c.deficit
-		c.deficit = 0
-	}
-	c.avail += send
-	c.mu.Unlock()
-	c.noteResize(int(c.window))
-	return c.writeGrant(send)
 }
 
 // deliver queues one inbound frame (called by the wire's reader; must
 // never block), its payload copied into the channel's receive slab. A
-// data frame beyond the granted window, or any frame past the queue
-// bound, is the sender ignoring flow control: charge it, drop the frame,
-// keep the wire.
+// SYMBOL this end did not ask for, or any frame past the queue bound, is
+// the sender ignoring what it was asked: charge it, drop the frame, keep
+// the wire.
 func (c *Channel) deliver(inner protocol.Frame) {
 	c.mu.Lock()
 	if inner.Type == protocol.TypeSymbol {
@@ -368,56 +281,6 @@ func (c *Channel) copyInLocked(inner protocol.Frame) inFrame {
 	at := len(s.b)
 	s.b = append(s.b, inner.Payload...)
 	return inFrame{t: inner.Type, p: s.b[at:len(s.b):len(s.b)], s: s}
-}
-
-// addCredits applies a CREDIT grant from the peer (sender side). A
-// cumulative balance past MaxCreditGrant is a hostile attempt to
-// disable flow control: charge it and clamp.
-func (c *Channel) addCredits(n uint32) {
-	c.mu.Lock()
-	c.credits += n
-	over := c.credits > protocol.MaxCreditGrant
-	if over {
-		c.credits = protocol.MaxCreditGrant
-	}
-	c.mu.Unlock()
-	if over {
-		c.w.penalize(WeightViolation)
-	}
-	select {
-	case c.creditc <- struct{}{}:
-	default:
-	}
-}
-
-// consumedLocked counts one drained data frame and returns the grant that
-// replenishes the sender once a quantum of them has actually been drained
-// by the consumer — the backpressure edge: a slow consumer stops granting,
-// its sender blocks, siblings keep flowing. A window shrink's deficit is
-// paid down here: drained frames cancel debt before any new grant goes
-// out, which is how the sender's outstanding allowance converges onto the
-// smaller window without ever revoking a credit. Caller holds mu.
-func (c *Channel) consumedLocked() uint32 {
-	c.consumed++
-	quantum := c.window / 4
-	if quantum == 0 {
-		quantum = 1
-	}
-	if c.consumed < quantum {
-		return 0
-	}
-	n := c.consumed
-	c.consumed = 0
-	if c.deficit > 0 {
-		pay := c.deficit
-		if pay > n {
-			pay = n
-		}
-		c.deficit -= pay
-		n -= pay
-	}
-	c.avail += n
-	return n
 }
 
 // Next returns the next inbound frame. The frame's payload is valid
@@ -496,11 +359,7 @@ func stopTimer(t *time.Timer) {
 }
 
 // take hands f out. The slab of the frame handed out before goes back to
-// the pool when f lies in a later one. A drained data frame may complete a
-// quantum, whose replenishing grant is surfaced as the channel's terminal
-// error if it cannot reach the wire (writeGrant), not dropped — the remote
-// sender is stranded at zero credits either way, and the consumer must
-// find out on its next read.
+// the pool when f lies in a later one.
 func (c *Channel) take(f inFrame) (protocol.Frame, error) {
 	c.mu.Lock()
 	if c.drained { // Close won a race with this Next
@@ -511,20 +370,9 @@ func (c *Channel) take(f inFrame) (protocol.Frame, error) {
 	if f.s != nil && f.s != c.held {
 		done, c.held = c.held, f.s
 	}
-	var grant uint32
-	if f.t == protocol.TypeSymbol {
-		grant = c.consumedLocked()
-	}
 	c.mu.Unlock()
 	if done != nil {
 		done.release()
-	}
-	if grant > 0 {
-		select {
-		case <-c.closed:
-		default:
-			c.writeGrant(grant)
-		}
 	}
 	return protocol.Frame{Type: f.t, Payload: f.p}, nil
 }
@@ -540,20 +388,22 @@ func (c *Channel) finalErr() error {
 
 // Write sends one fully serialized content frame (as produced by
 // protocol.WriteFrame or WriteSymbol — always one frame per Write call)
-// through the channel as a MUX envelope. A SYMBOL frame first acquires a
-// credit, blocking while the window is empty. The envelope joins the
-// channel's pending batch (batchBytes), which leaves in one conn write,
-// in order, with the next frame that is not a SYMBOL — a REQUEST's
-// symbols with the DONE that ends them — or when a SYMBOL must wait for
-// credit, or when the batch is full, or at Close.
+// through the channel as a MUX envelope. A REQUEST first allows the
+// symbols it asks for, so its answer finds them allowed however soon it
+// arrives. The envelope joins the channel's pending batch (batchBytes),
+// which leaves in one conn write, in order, with the next frame that is
+// not a SYMBOL — a REQUEST's symbols with the DONE that ends them — or
+// when the batch is full, or at Close.
 func (c *Channel) Write(p []byte) (int, error) {
 	t, payload, err := protocol.FrameParts(p)
 	if err != nil {
 		return 0, err
 	}
-	if t == protocol.TypeSymbol {
-		if err := c.acquireCredit(); err != nil {
-			return 0, err
+	if t == protocol.TypeRequest {
+		if n, err := protocol.DecodeRequest(protocol.Frame{Type: t, Payload: payload}); err == nil {
+			c.mu.Lock()
+			c.avail += uint64(n)
+			c.mu.Unlock()
 		}
 	}
 	c.bmu.Lock()
@@ -607,69 +457,10 @@ func (c *Channel) flush() error {
 	return c.flushLocked()
 }
 
-// acquireCredit takes one credit, blocking while the peer's receive
-// window has no room. The peer grants credit for frames it has read, so
-// the pending batch goes out before the wait. Each call that had to wait
-// records how long in peermux.credit_stall_seconds — the sender-side
-// view of a window that is the binding constraint.
-func (c *Channel) acquireCredit() error {
-	c.mu.Lock()
-	if c.credits > 0 {
-		c.credits--
-		c.mu.Unlock()
-		return nil
-	}
-	c.mu.Unlock()
-	if err := c.flush(); err != nil {
-		return err
-	}
-	start := time.Now()
-	err := c.waitCredit()
-	c.w.met.stall.Observe(time.Since(start).Seconds())
-	return err
-}
-
-// waitCredit blocks until a credit could be taken, the deadline passes,
-// or the channel dies.
-func (c *Channel) waitCredit() error {
-	for {
-		c.mu.Lock()
-		if c.credits > 0 {
-			c.credits--
-			c.mu.Unlock()
-			return nil
-		}
-		dl := c.deadline
-		dn := c.dnotify
-		c.mu.Unlock()
-
-		select {
-		case <-c.closed:
-			return ErrClosed
-		case <-c.rclosed:
-			return c.finalErr()
-		default:
-		}
-		timech, ok := armTimer(&c.wtimer, dl)
-		if !ok {
-			return ErrDeadline
-		}
-		select {
-		case <-c.creditc:
-		case <-c.closed:
-		case <-c.rclosed:
-		case <-dn:
-		case <-timech:
-		}
-		stopTimer(c.wtimer)
-	}
-}
-
-// SetDeadline bounds every blocked Next and Write (credit wait) on the
-// channel — the hook the session stall watchdog fires to unwedge a
+// SetDeadline bounds every blocked Next on the channel — the hook the session stall watchdog fires to unwedge a
 // stalled channel without touching its siblings. A zero time clears it.
-// Only a deadline that moves earlier wakes the blocked waiters: they
-// sleep until the deadline they last read and then re-read it, so an
+// Only a deadline that moves earlier wakes a blocked Next: it sleeps
+// until the deadline it last read and then re-reads it, so an
 // extension (what a session does before every frame) or a clear needs no
 // wake-up — and costs no notification channel.
 func (c *Channel) SetDeadline(t time.Time) error {
@@ -685,9 +476,8 @@ func (c *Channel) SetDeadline(t time.Time) error {
 }
 
 // Close retires the channel: the pending batch goes out and the peer is
-// told (CLOSE_CHANNEL), late frames for the id drain silently, blocked
-// readers and writers wake with ErrClosed, and the fabric refcount
-// drops. Idempotent.
+// told (CLOSE_CHANNEL), late frames for the id drain silently, a blocked
+// Next wakes with ErrClosed, and the fabric refcount drops. Idempotent.
 func (c *Channel) Close() error {
 	c.clOnce.Do(func() {
 		close(c.closed)
@@ -702,22 +492,20 @@ func (c *Channel) Close() error {
 	return nil
 }
 
-// retireWindow releases this channel's share of the wire's aggregate
-// window sum, exactly once, when the channel ends (Close or fail).
+// retireWindow takes this channel's window out of the wire's sum, exactly
+// once, when the channel ends (Close or fail).
 func (c *Channel) retireWindow() {
 	c.mu.Lock()
 	n := 0
-	if c.granted && !c.retired {
-		c.retired = true
+	if c.opened && !c.retired {
 		n = int(c.window)
+		c.w.addWindow(-n)
 	}
+	c.retired = true
 	live := c.live
 	c.mu.Unlock()
-	if n > 0 {
-		c.w.reserveWindow(-n, 0)
-		if live {
-			c.w.noteChanClose(c.id, n)
-		}
+	if n > 0 && live {
+		c.w.noteChanClose(c.id, n)
 	}
 }
 
@@ -727,7 +515,7 @@ func (c *Channel) remoteClosedNow() {
 	c.rcOnce.Do(func() { close(c.rclosed) })
 }
 
-// fail terminates the channel with err (wire death, failed grant).
+// fail terminates the channel with err (wire death, an abandoned open).
 func (c *Channel) fail(err error) {
 	c.mu.Lock()
 	if c.err == nil {

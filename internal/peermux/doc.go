@@ -11,20 +11,18 @@
 // per channel. The exchange costs one round trip, not one per layer,
 // because the dialer sends everything that does not depend on the
 // peer's answer in its first flight: Dial writes the MUX_HELLO and
-// returns, and the first Open writes its OPEN_CHANNEL and that
-// channel's initial CREDIT right behind it. The demux reader is already
-// running and takes the answer as its first frames — the peer's
-// MUX_HELLO, then the ACCEPT_CHANNEL and CREDIT — so a lone fetch has
-// its content metadata and a full window granted both ways one round
-// trip after the dial. A full sender's data arrives in that same round
-// trip: the OPEN's content hello asks for the first round of requests,
-// the sender writes it right behind its ACCEPT, and the opener has
-// registered the half-open channel and granted its window before any of
-// it can arrive, so it routes like any later frame. The acceptor needs
-// nothing new for this: it reads the MUX_HELLO, answers, and finds the
-// OPEN_CHANNEL and CREDIT buffered behind it. The frame vocabulary is
-// what it was, so an end that still takes strict turns (hello, then
-// open, then credit) interoperates in either role.
+// returns, and the first Open writes its OPEN_CHANNEL right behind it.
+// The demux reader is already running and takes the answer as its first
+// frames — the peer's MUX_HELLO, then the ACCEPT_CHANNEL — so a lone
+// fetch has its content metadata one round trip after the dial. A full
+// sender's data arrives in that same round trip: the OPEN's content
+// hello asks for the first round of requests, the sender writes it right
+// behind its ACCEPT, and the opener has registered the half-open channel
+// and allowed the round's symbols before any of it can arrive, so it
+// routes like any later frame. The acceptor needs nothing new for this:
+// it reads the MUX_HELLO, answers, and finds the OPEN_CHANNEL buffered
+// behind it, so an end that takes strict turns (hello, then open)
+// interoperates in either role.
 //
 // What waits for the answer: the peer's channel limit is not known
 // until its MUX_HELLO arrives, so until then exactly one channel may be
@@ -35,9 +33,10 @@
 // and every pending open returns that verdict with its type intact
 // (protocol.ErrVersion, *RemoteError, protocol.ErrCorrupt) — also when
 // a first-flight write has meanwhile failed on the closed connection:
-// the peer's answer wins. A rejected open hands back the window its
-// early CREDIT reserved, and the acceptor retires a rejected id so that
-// CREDIT drains instead of being charged.
+// the peer's answer wins. A rejected open takes its window out of the
+// wire's sum, and the acceptor retires a rejected id so that whatever
+// the opener wrote on it before the REJECT arrived drains instead of
+// being charged.
 //
 // # Wire layout
 //
@@ -55,7 +54,6 @@
 //     ...) travels inside envelopes unchanged, so the
 //     per-channel state machines read and write plain content frames.
 //     Multiplexing costs 3 bytes per frame.
-//   - CREDIT — per-channel flow control (below).
 //   - CLOSE_CHANNEL — either side retires a channel; frames that were
 //     already in flight for a recently closed id are drained silently
 //     (a bounded set of retired ids), not punished.
@@ -63,41 +61,32 @@
 // Gossip needs no wire-level frame: sessions exchange PEERS inside
 // their channels like any other content frame.
 //
-// # Credit model
+// # Request model
 //
-// Only SYMBOL frames — the one frame type that bears a symbol — consume
-// credits; control traffic always flows. The receiving side of a channel grants
-// an initial window of credits at channel establishment, the sender
-// spends one credit per symbol frame and blocks when the window is
-// exhausted, and the receiver replenishes (CREDIT frames carrying the
-// drained count) as its consumer actually drains symbols off the
-// channel queue. A slow consumer therefore self-throttles exactly its
-// own channel — the wire keeps moving and sibling channels keep their
-// throughput — while a sender that overruns its window, or targets an
-// unknown channel id, is charged to the penalty box via Config.Penalize
-// and the offending frame is dropped without wedging the stream.
+// A receiver's own requests are the only flow control. A SYMBOL is
+// allowed only when this end asked for it — a REQUEST it wrote, or the
+// first round its OPEN's hello carried (Hello.Batch × Hello.Depth) — and
+// Channel.Write counts what each outgoing REQUEST asks for before the
+// REQUEST leaves, so its answer is allowed however soon it arrives. A
+// SYMBOL nothing asked for is charged (WeightViolation) and dropped, and
+// the wire survives; so is a frame for an unknown channel id, or of a
+// retired type (CREDIT, 18, until version 13). Control frames always
+// flow, and a sender never waits: it sends what it was asked for.
 //
-// Windows are live-resizable scheduling currency, not a fixed
-// constant. Channel.SetWindow retargets a channel mid-transfer: a grow
-// grants the delta as an unsolicited CREDIT immediately (after paying
-// down any pending shrink), a shrink accumulates a deficit that is
-// paid by withholding replenishment as frames drain — credits already
-// granted are never revoked, so the sender's view of its window only
-// ever tells the truth. OpenWindow opens a channel at a chosen
-// initial window, and Config.WireWindow imposes a per-wire aggregate
-// ceiling: grants for new channels and grows are clamped to the
-// remaining headroom (Wire.WindowSum reads the ledger), never below a
-// 1-frame floor, and a channel's outstanding grant is retired back to
-// the ledger exactly once when it closes or fails. The multi-content
-// node uses all three together (node.Options.WindowBudget) to split
-// one frame budget evenly among its fetches, re-split when a fetch
-// starts or ends.
+// A channel's window (Config.Window by default, OpenWindow's argument,
+// Channel.SetWindow after) is a local number: the most symbols its
+// requests may have asked for and not yet received. The session reads it
+// at each batch boundary and asks for no more (peer/pipeline.go);
+// SetWindow writes nothing to the wire. Wire.WindowSum adds up the
+// windows of a wire's channels, for the node's gauges. The multi-content
+// node splits one frame budget (node.Options.WindowBudget) evenly among
+// its fetches' windows, re-split when a fetch starts or ends.
 //
 // # Channel lifecycle
 //
-// Open (dialer picks id, sends OPEN_CHANNEL and its initial CREDIT) →
-// Accept/Reject (acceptor answers, granting its own initial credits on
-// accept) → established
+// Open (dialer picks id, sends OPEN_CHANNEL, its first round of requests
+// included) → Accept/Reject (acceptor answers, and a full sender writes
+// its answer to the round behind its ACCEPT) → established
 // (Channel is a frame source via Next and an io.Writer that re-frames
 // one serialized content frame per Write into an envelope) → closed
 // (either side's CLOSE_CHANNEL, a wire failure, or Channel.Close; the
@@ -111,18 +100,18 @@
 // context, so one opener leaving never fails the rest. An open takes a
 // context.Context and nothing else bounds it: when the context ends
 // before the peer answered, the open returns the context's error, the
-// half-open id drains, the window its early CREDIT reserved goes back
-// to the wire's ledger, and its reference is dropped — so a wire whose
-// only user gave up (a wedged one, whose peer will never answer) is
-// closed and the next open dials afresh, and a dial that lands after
-// its last waiter left is closed on the spot. The peer is not told:
+// half-open id drains, its window leaves the wire's sum, and its
+// reference is dropped — so a wire whose only user gave up (a wedged
+// one, whose peer will never answer) is closed and the next open dials
+// afresh, and a dial that lands after its last waiter left is closed on
+// the spot. The peer is not told:
 // if it does answer later, its frames drain, and its side of the
 // channel ends with the wire or on its own timeout.
 //
 // How many request batches ride on a channel at once is the peer
 // package's business (peer/pipeline.go): bounded first by what the
 // fetch's decode still needs, and capped by what comes from here, the
-// batches the channel's granted window admits, Window()/batch. The
+// channel's window: the symbols in flight never exceed Window(). The
 // default window (DefaultWindow, 4096 frames) is large enough that the
 // need, not the window, sizes a typical fetch's first flight.
 //
@@ -132,10 +121,8 @@
 // each to the channel's pending batch (a pooled buffer, held only while a
 // batch is open) and writes the batch in one conn write, in order, when a
 // frame other than SYMBOL ends it — DONE ends every answer to a REQUEST,
-// so one REQUEST is one write — when a SYMBOL finds no credit (the peer
-// grants credit only for frames it has read, so the batch goes out
-// before the wait), when the next envelope would take it past 64 KiB, or
-// at Close, ahead of the CLOSE_CHANNEL. The wire's reader reads ahead in
+// so one REQUEST is one write — when the next envelope would take it
+// past 64 KiB, or at Close, ahead of the CLOSE_CHANNEL. The wire's reader reads ahead in
 // the same unit: one conn read takes in everything that has arrived, up
 // to 64 KiB, and the frames in it are routed without another read, so a
 // session finds its queue holding the batch and drains it without

@@ -61,8 +61,8 @@ func (f *Fabric) SetPenalize(fn func(addr string, weight float64)) {
 	f.mu.Unlock()
 }
 
-// OpenWindow returns a subchannel to addr carrying h, opened at an
-// initial receive window of window symbol frames (see Wire.OpenWindow;
+// OpenWindow returns a subchannel to addr carrying h, opened at a
+// window of window symbol frames (see Wire.OpenWindow;
 // 0 is the Config default), dialing a wire only if none is live.
 // Concurrent opens toward a fresh address share one dial: the first
 // rides the handshake's flight, the rest wait for the peer's answer. An
@@ -206,10 +206,9 @@ func (f *Fabric) Wires() int {
 	return len(f.wires)
 }
 
-// TotalWindow sums every live wire's aggregate receive-window exposure
-// in symbol frames — the node's total credit in flight across the
-// fabric, the quantity a node-level gauge reports against the sum of
-// per-wire ceilings.
+// TotalWindow sums every live wire's window sum, in symbol frames: the
+// most symbols the node's channels may have asked for and not yet
+// received across the fabric.
 func (f *Fabric) TotalWindow() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()

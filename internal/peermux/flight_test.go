@@ -1,15 +1,15 @@
 package peermux
 
 // flight_test.go pins the order of the handshake. The dialer sends
-// everything that does not depend on the peer's answer — MUX_HELLO, the
-// first OPEN_CHANNEL, that channel's CREDIT — in one flight, and the
-// demux reader takes the answer; the frame vocabulary did not change, so
-// an end that still takes strict turns (the previous release, either
-// side) must interoperate. The other end of each test is scripted frame
+// everything that does not depend on the peer's answer — MUX_HELLO and
+// the first OPEN_CHANNEL — in one flight, and the demux reader takes the
+// answer; an end that takes strict turns instead (either side) must
+// interoperate. The other end of each test is scripted frame
 // by frame over a synchronous net.Pipe: no clock decides anything, the
 // 5 s pipe deadline only turns a would-be hang into a failure.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -117,12 +117,11 @@ func serveScripted(t *testing.T, conn net.Conn, cfg Config, handler func(*Channe
 }
 
 // scriptedAcceptor is an accepting end written out by hand. With
-// helloFirst it speaks the previous release's strict turn order — read
-// MUX_HELLO, answer it, read OPEN_CHANNEL, answer ACCEPT and CREDIT —
-// and only then finds the dialer's CREDIT. Without, it withholds every
-// answer until it has read the dialer's whole first flight. Either way
-// it then serves one REQUEST and waits for the CLOSE_CHANNEL.
-func scriptedAcceptor(helloFirst bool, window uint32) func(e *rawEnd) error {
+// helloFirst it takes strict turns — read MUX_HELLO, answer it, read
+// OPEN_CHANNEL, answer ACCEPT. Without, it withholds every answer until
+// it has read the dialer's whole first flight. Either way it then serves
+// one REQUEST and waits for the CLOSE_CHANNEL.
+func scriptedAcceptor(helloFirst bool) func(e *rawEnd) error {
 	return func(e *rawEnd) error {
 		hello := protocol.EncodeMuxHello(protocol.MuxHello{MaxChannels: 4})
 		if _, err := e.expect(protocol.TypeMuxHello); err != nil {
@@ -143,32 +142,12 @@ func scriptedAcceptor(helloFirst bool, window uint32) func(e *rawEnd) error {
 		}
 		answer := []protocol.Frame{
 			protocol.EncodeAcceptChannel(id, protocol.Hello{ContentID: opened.ContentID, FullCopy: true, NumBlocks: 2, BlockSize: uint32(len(scriptSymbol))}),
-			protocol.EncodeCredit(id, 8),
 		}
-		credit := func() error {
-			f, err := e.expect(protocol.TypeCredit)
-			if err != nil {
-				return err
-			}
-			if cid, n, err := protocol.DecodeCredit(f); err != nil || cid != id || n != window {
-				return fmt.Errorf("script: first-flight CREDIT = (%d, %d, %v), want (%d, %d)", cid, n, err, id, window)
-			}
-			return nil
+		if !helloFirst {
+			answer = append([]protocol.Frame{hello}, answer...)
 		}
-		if helloFirst {
-			if err := e.send(answer...); err != nil {
-				return err
-			}
-			if err := credit(); err != nil {
-				return err
-			}
-		} else {
-			if err := credit(); err != nil {
-				return err
-			}
-			if err := e.send(append([]protocol.Frame{hello}, answer...)...); err != nil {
-				return err
-			}
+		if err := e.send(answer...); err != nil {
+			return err
 		}
 		req, err := e.expectInner(id, protocol.TypeRequest)
 		if err != nil {
@@ -224,12 +203,11 @@ func pullScripted(t *testing.T, w *Wire) {
 }
 
 // TestFirstFlightRidesAheadOfPeerHello: the acceptor says nothing until
-// it has read the dialer's MUX_HELLO, OPEN_CHANNEL and CREDIT. A dialer
-// that parks on the peer's MUX_HELLO before opening (or on the ACCEPT
-// before granting) never gets there.
+// it has read the dialer's MUX_HELLO and OPEN_CHANNEL. A dialer that
+// parks on the peer's MUX_HELLO before opening never gets there.
 func TestFirstFlightRidesAheadOfPeerHello(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	conn, join := script(scriptedAcceptor(false, DefaultWindow))
+	conn, join := script(scriptedAcceptor(false))
 	w, err := Dial(conn, Config{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
@@ -242,12 +220,12 @@ func TestFirstFlightRidesAheadOfPeerHello(t *testing.T) {
 }
 
 // TestStrictOrderAcceptorServesDialer is the mirror image: an acceptor
-// that takes the previous release's strict turns still serves a dialer
-// whose CREDIT is already in flight behind its OPEN_CHANNEL.
+// that takes strict turns still serves a dialer whose OPEN_CHANNEL is
+// already in flight behind its MUX_HELLO.
 func TestStrictOrderAcceptorServesDialer(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	conn, join := script(scriptedAcceptor(true, 48))
-	w, err := Dial(conn, Config{Timeout: 5 * time.Second, Window: 48})
+	conn, join := script(scriptedAcceptor(true))
+	w, err := Dial(conn, Config{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -258,10 +236,9 @@ func TestStrictOrderAcceptorServesDialer(t *testing.T) {
 	w.Close()
 }
 
-// TestStrictOrderDialerIsServed: a dialer of the previous release —
-// MUX_HELLO, wait for the answer, OPEN_CHANNEL, wait for the ACCEPT and
-// the CREDIT, only then its own CREDIT — is served by this acceptor
-// without a charge.
+// TestStrictOrderDialerIsServed: a dialer that takes strict turns —
+// MUX_HELLO, wait for the answer, OPEN_CHANNEL, wait for the ACCEPT, only
+// then its REQUEST — is served by this acceptor without a charge.
 func TestStrictOrderDialerIsServed(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	var charges atomic.Int64
@@ -282,11 +259,7 @@ func TestStrictOrderDialerIsServed(t *testing.T) {
 		if id, h, err := protocol.DecodeAcceptChannel(f); err != nil || id != 1 || h.ContentID != 7 {
 			return fmt.Errorf("script: ACCEPT = (%d, %+v, %v)", id, h, err)
 		}
-		if _, err := e.expect(protocol.TypeCredit); err != nil {
-			return err
-		}
-		err = e.send(protocol.EncodeCredit(1, 16), protocol.EncodeMux(1, protocol.EncodeRequest(3)))
-		if err != nil {
+		if err := e.send(protocol.EncodeMux(1, protocol.EncodeRequest(3))); err != nil {
 			return err
 		}
 		for i := 0; i < 3; i++ {
@@ -312,16 +285,16 @@ func TestStrictOrderDialerIsServed(t *testing.T) {
 // TestAnswerBehindAcceptRoutes: a full sender answers the first round of
 // requests an OPEN carries right behind its ACCEPT, in the same flight —
 // here the whole answer is written before the dialer has read any of it.
-// The half-open channel is registered (claimChannel) and its window
-// granted (grantInitial) before the OPEN could be answered, so the
-// symbols route to it and spend that window, uncharged, and Next hands
-// them out in order once the open returns.
+// The half-open channel is registered (claimChannel) and the round's
+// symbols allowed (open) before the OPEN could be answered, so the
+// symbols route to it, uncharged, and Next hands them out in order once
+// the open returns.
 func TestAnswerBehindAcceptRoutes(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	var charges atomic.Int64
 	const symbols = 3
 	conn, join := script(func(e *rawEnd) error {
-		for _, want := range []protocol.Type{protocol.TypeMuxHello, protocol.TypeOpenChannel, protocol.TypeCredit} {
+		for _, want := range []protocol.Type{protocol.TypeMuxHello, protocol.TypeOpenChannel} {
 			if _, err := e.expect(want); err != nil {
 				return err
 			}
@@ -329,7 +302,6 @@ func TestAnswerBehindAcceptRoutes(t *testing.T) {
 		answer := []protocol.Frame{
 			protocol.EncodeMuxHello(protocol.MuxHello{MaxChannels: 4}),
 			protocol.EncodeAcceptChannel(1, protocol.Hello{ContentID: 1, FullCopy: true}),
-			protocol.EncodeCredit(1, 8),
 		}
 		for i := 0; i < symbols; i++ {
 			answer = append(answer, protocol.EncodeMux(1, protocol.EncodeSymbol(protocol.Symbol{ID: uint64(i), Data: scriptSymbol})))
@@ -337,15 +309,8 @@ func TestAnswerBehindAcceptRoutes(t *testing.T) {
 		if err := e.send(append(answer, protocol.EncodeMux(1, protocol.EncodeDone()))...); err != nil {
 			return err
 		}
-		for { // the dialer regrants what it drains, then closes
-			f, err := e.fr.Next()
-			if err != nil || f.Type == protocol.TypeCloseChannel {
-				return err
-			}
-			if f.Type != protocol.TypeCredit {
-				return fmt.Errorf("script: got %v, want CREDIT or CLOSE_CHANNEL", f.Type)
-			}
-		}
+		_, err := e.expect(protocol.TypeCloseChannel) // the dialer writes nothing else
+		return err
 	})
 	w, err := Dial(conn, Config{Timeout: 5 * time.Second, Window: symbols, Penalize: func(float64) { charges.Add(1) }})
 	if err != nil {
@@ -381,14 +346,14 @@ func TestAnswerBehindAcceptRoutes(t *testing.T) {
 }
 
 // TestAnswerBeforeHelloFailsWire: a peer that answers the first flight
-// with an ACCEPT or a SYMBOL, and never a MUX_HELLO, is charged and the
-// wire dies — the open must not sit parked behind a hello that is not
-// coming.
+// with an ACCEPT, a SYMBOL or a frame of the retired type 18 (CREDIT,
+// until version 13), and never a MUX_HELLO, is charged and the wire dies
+// — the open must not sit parked behind a hello that is not coming.
 func TestAnswerBeforeHelloFailsWire(t *testing.T) {
 	answers := map[string]protocol.Frame{
 		"ACCEPT": protocol.EncodeAcceptChannel(1, protocol.Hello{ContentID: 1, FullCopy: true}),
 		"SYMBOL": protocol.EncodeMux(1, protocol.EncodeSymbol(protocol.Symbol{ID: 1, Data: scriptSymbol})),
-		"CREDIT": protocol.EncodeCredit(1, 8),
+		"CREDIT": retiredCredit(1, 8),
 	}
 	for name, answer := range answers {
 		t.Run(name, func(t *testing.T) {
@@ -498,15 +463,14 @@ func TestOneChannelBeforeHello(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	flown := make(chan struct{})
 	conn, join := script(func(e *rawEnd) error {
-		for _, want := range []protocol.Type{protocol.TypeMuxHello, protocol.TypeOpenChannel, protocol.TypeCredit} {
+		for _, want := range []protocol.Type{protocol.TypeMuxHello, protocol.TypeOpenChannel} {
 			if _, err := e.expect(want); err != nil {
 				return err
 			}
 		}
 		<-flown // the second open is now waiting (or about to): answer
 		err := e.send(protocol.EncodeMuxHello(protocol.MuxHello{MaxChannels: 1}),
-			protocol.EncodeAcceptChannel(1, protocol.Hello{ContentID: 1, FullCopy: true}),
-			protocol.EncodeCredit(1, 8))
+			protocol.EncodeAcceptChannel(1, protocol.Hello{ContentID: 1, FullCopy: true}))
 		if err != nil {
 			return err
 		}
@@ -548,18 +512,19 @@ func TestOneChannelBeforeHello(t *testing.T) {
 	}
 }
 
-// TestRejectedFirstFlightCreditNotCharged: an honest opener's CREDIT is
-// in flight behind its OPEN_CHANNEL before it can know the open was
-// refused. The acceptor's wire-level rejects (channel limit, bad id
-// parity, duplicate id) retire the id, so that CREDIT drains instead of
-// reading as a frame for a channel that never existed.
+// TestRejectedFirstFlightCreditNotCharged: an opener may write its first
+// REQUEST — the grant its sender spends — behind its OPEN_CHANNEL, before
+// it can know the open was refused. The acceptor's wire-level rejects
+// (channel limit, bad id parity, duplicate id) retire the id, so that
+// REQUEST drains instead of reading as a frame for a channel that never
+// existed.
 func TestRejectedFirstFlightCreditNotCharged(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	var charges atomic.Int64
 	open := func(id uint16) []protocol.Frame {
 		return []protocol.Frame{
 			protocol.EncodeOpenChannel(id, protocol.Hello{ContentID: uint64(id)}),
-			protocol.EncodeCredit(id, 8),
+			protocol.EncodeMux(id, protocol.EncodeRequest(8)),
 		}
 	}
 	conn, join := script(func(e *rawEnd) error {
@@ -575,14 +540,11 @@ func TestRejectedFirstFlightCreditNotCharged(t *testing.T) {
 		if _, err := e.expect(protocol.TypeAcceptChannel); err != nil {
 			return err
 		}
-		if _, err := e.expect(protocol.TypeCredit); err != nil {
-			return err
-		}
 		// Over the limit (honest), wrong parity and a duplicate (one
 		// violation each, for the OPEN): three rejects, and none of the
-		// CREDITs behind them may add a charge.
+		// REQUESTs behind them may add a charge.
 		// (The reader itself writes these rejects, so on a synchronous
-		// pipe the CREDIT has to be written while the REJECT is read.)
+		// pipe the REQUEST has to be written while the REJECT is read.)
 		for _, id := range []uint16{3, 2, 1} {
 			sent := make(chan error, 1)
 			go func() { sent <- e.send(open(id)...) }()
@@ -613,6 +575,15 @@ func TestRejectedFirstFlightCreditNotCharged(t *testing.T) {
 	}
 	<-served // the reader has seen every frame the script sent
 	if n := charges.Load(); n != 2 {
-		t.Fatalf("charged %d violations, want 2 (bad parity, duplicate id; no CREDIT)", n)
+		t.Fatalf("charged %d violations, want 2 (bad parity, duplicate id; no REQUEST)", n)
 	}
+}
+
+// retiredCredit is a frame of type 18 as a version-12 peer wrote its
+// CREDIT grant: channel id and a count. Version 13 retired the type.
+func retiredCredit(id uint16, n uint32) protocol.Frame {
+	p := make([]byte, 6)
+	binary.LittleEndian.PutUint16(p, id)
+	binary.LittleEndian.PutUint32(p[2:], n)
+	return protocol.Frame{Type: 18, Payload: p}
 }

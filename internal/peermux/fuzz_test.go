@@ -4,9 +4,9 @@ package peermux
 // streams: whatever a dialer writes after its MUX_HELLO, the acceptor
 // must survive — no panic, no wedge (Serve returns once the stream
 // ends), and misbehavior lands in the penalty hook instead of taking
-// the wire down with it. The seed corpus encodes the satellite's named
-// attacks: envelopes for unknown channel ids, credit
-// overflow/underflow, and frames interleaved for a closed channel.
+// the wire down with it. The seed corpus encodes the named attacks:
+// envelopes for unknown channel ids, symbols nothing asked for, frames of
+// the retired CREDIT type, and frames interleaved for a closed channel.
 
 import (
 	"bytes"
@@ -41,17 +41,15 @@ func FuzzChannelDemux(f *testing.F) {
 	f.Add(demuxSeed(hello, open, muxFrame(1, protocol.EncodeRequest(4)), muxFrame(1, protocol.EncodeDone())))
 	// Envelopes for a channel id that never existed.
 	f.Add(demuxSeed(hello, muxFrame(4242, symbol), muxFrame(4242, protocol.EncodeDone())))
-	// Credit overflow: grants far past any sane window, repeated.
-	f.Add(demuxSeed(hello, open,
-		protocol.EncodeCredit(1, protocol.MaxCreditGrant),
-		protocol.EncodeCredit(1, protocol.MaxCreditGrant),
-		protocol.EncodeCredit(9, 1024)))
-	// Credit underflow: data frames without any grant to spend — the
-	// opener streams symbols at the acceptor, which never granted.
+	// Frames of the retired CREDIT type (18 until version 13), on an open
+	// channel and on one that never existed.
+	f.Add(demuxSeed(hello, open, retiredCredit(1, 1<<20), retiredCredit(1, 1<<20), retiredCredit(9, 1024)))
+	// Unasked symbols: the opener streams symbols at the acceptor, which
+	// never asked for any.
 	f.Add(demuxSeed(hello, open, muxFrame(1, symbol), muxFrame(1, symbol), muxFrame(1, symbol)))
 	// Interleaved frames for a closed channel: open, close, then keep
 	// talking on the retired id.
-	f.Add(demuxSeed(hello, open, protocol.EncodeCloseChannel(1), muxFrame(1, symbol), protocol.EncodeCredit(1, 4)))
+	f.Add(demuxSeed(hello, open, protocol.EncodeCloseChannel(1), muxFrame(1, symbol), muxFrame(1, protocol.EncodeRequest(4))))
 	// Negotiation garbage: duplicate and even channel ids, malformed
 	// open, bare legacy frame on a mux wire.
 	f.Add(demuxSeed(hello, open, open,
@@ -134,17 +132,14 @@ func TestDemuxHostileSeedsCharged(t *testing.T) {
 
 	cases := []struct {
 		name string
-		// stall leaves the accepted channel undrained, so credit
-		// replenishment never happens and window overruns are
-		// deterministic.
+		// stall leaves the accepted channel undrained, so nothing the
+		// channel queued leaves it.
 		stall  bool
 		stream []byte
 	}{
 		{"unknown channel id", false, demuxSeed(hello, muxFrame(4242, symbol))},
-		// More data frames than the 16-symbol window the accepting
-		// handler granted, against a consumer that never drains: the
-		// overrun must be charged even though the first window's worth
-		// is legal.
+		// SYMBOLs at an accepting end, which asked for none, against a
+		// consumer that never drains: every one is charged and dropped.
 		{"credit underflow", true, func() []byte {
 			frames := []protocol.Frame{hello, open}
 			for i := 0; i < 24; i++ {
@@ -152,7 +147,10 @@ func TestDemuxHostileSeedsCharged(t *testing.T) {
 			}
 			return demuxSeed(frames...)
 		}()},
-		{"credit grant for unopened channel", false, demuxSeed(hello, protocol.EncodeCredit(9, 1024))},
+		// A grant — a REQUEST — for a channel that was never opened.
+		{"credit grant for unopened channel", false, demuxSeed(hello, muxFrame(9, protocol.EncodeRequest(1024)))},
+		// A frame of the retired type 18 is charged like any unexpected frame.
+		{"retired CREDIT frame", false, demuxSeed(hello, open, retiredCredit(1, 8))},
 		{"bare legacy frame", false, demuxSeed(hello, symbol)},
 		{"duplicate open", false, demuxSeed(hello, open, open)},
 	}

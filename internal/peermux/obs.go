@@ -1,8 +1,7 @@
 package peermux
 
-// obs.go binds a wire to the node-wide observability registry: credit
-// occupancy against the wire budget, channel population, inbound queue
-// depths, and the lifecycle trace (channel open/resize/close). A wire
+// obs.go binds a wire to the node-wide observability registry: the sum
+// of the channels' windows, channel population, inbound queue depths, and the lifecycle trace (channel open/resize/close). A wire
 // without a registry pays one nil check per lifecycle event and a
 // nil-receiver no-op per frame — nothing else.
 
@@ -21,11 +20,7 @@ type wireMetrics struct {
 	closed     *obs.Counter   // peermux.channels{event=closed}
 	rejected   *obs.Counter   // peermux.channels{event=rejected}
 	windowSum  *obs.Gauge     // peermux.window_inflight
-	ceiling    *obs.Gauge     // peermux.window_ceiling
 	queueDepth *obs.Histogram // peermux.queue_depth
-	// stall is one observation per symbol write that found the peer's
-	// window empty: how long the sender then sat in acquireCredit.
-	stall *obs.Histogram // peermux.credit_stall_seconds
 }
 
 func newWireMetrics(r *obs.Registry) wireMetrics {
@@ -38,9 +33,7 @@ func newWireMetrics(r *obs.Registry) wireMetrics {
 		closed:     r.Counter("peermux.channels{event=closed}"),
 		rejected:   r.Counter("peermux.channels{event=rejected}"),
 		windowSum:  r.Gauge("peermux.window_inflight"),
-		ceiling:    r.Gauge("peermux.window_ceiling"),
 		queueDepth: r.Histogram("peermux.queue_depth", obs.CountBuckets),
-		stall:      r.Histogram("peermux.credit_stall_seconds", obs.SecondsBuckets),
 	}
 }
 
@@ -67,7 +60,7 @@ func (w *Wire) noteChanClose(id uint16, window int) {
 	}
 }
 
-// noteResize records a live receive-window resize in the trace ring.
+// noteResize records a live window resize in the trace ring.
 func (c *Channel) noteResize(target int) {
 	if r := c.w.cfg.Obs; r != nil {
 		r.Trace(obs.EvChanResize, c.w.raddr, fmt.Sprintf("id=%d window=%d", c.id, target))

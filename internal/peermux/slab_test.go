@@ -21,15 +21,15 @@ import (
 )
 
 // slabChannel is a channel on a wire whose reader is not running: the
-// test plays the reader by calling deliver itself. Whatever the channel
-// writes (its replenishing CREDITs) is read and dropped.
+// test plays the reader by calling deliver itself. Whatever the wire
+// writes is read and dropped.
 func slabChannel(t *testing.T) *Channel {
 	t.Helper()
 	a, b := net.Pipe()
 	go io.Copy(io.Discard, b)
 	t.Cleanup(func() { a.Close(); b.Close() })
 	c := newChannel(newWire(a, nil, Config{}.withDefaults(), true), 1, 0)
-	c.avail = 1 << 30 // the test's sender never runs out of credit
+	c.avail = 1 << 30 // the test's sender sends only what was asked for
 	return c
 }
 
@@ -145,9 +145,9 @@ func TestReceiveSlabsCloseReleasesOnce(t *testing.T) {
 
 // TestReceiveSlabsConcurrent runs the wire's reader and a channel's
 // consumer concurrently over a real wire (under -race in CI): the sender
-// streams numbered 1400 B frames through a 4096-frame window while the
-// consumer pauses now and then, so the reader fills slabs ahead of it,
-// and every frame must read back as sent, in order.
+// streams numbered 1400 B frames, a 4096-frame window per REQUEST, while
+// the consumer pauses now and then, so the reader fills slabs ahead of
+// it, and every frame must read back as sent, in order.
 func TestReceiveSlabsConcurrent(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	const total, size = 20000, 1400
@@ -155,16 +155,19 @@ func TestReceiveSlabsConcurrent(t *testing.T) {
 		if err := ch.Accept(protocol.Hello{ContentID: 1, FullCopy: true}); err != nil {
 			return
 		}
-		if f, err := ch.Next(); err != nil || f.Type != protocol.TypeRequest {
-			return
-		}
-		for i := 0; i < total; i++ {
-			if err := protocol.WriteFrame(ch, numbered(i, size)); err != nil {
-				return
+		for i := 0; ; {
+			f, err := ch.Next()
+			if err != nil || f.Type != protocol.TypeRequest {
+				return // until the receiver hangs up
 			}
+			n, _ := protocol.DecodeRequest(f)
+			for end := i + int(n); i < end; i++ {
+				if err := protocol.WriteFrame(ch, numbered(i, size)); err != nil {
+					return
+				}
+			}
+			protocol.WriteFrame(ch, protocol.EncodeDone())
 		}
-		protocol.WriteFrame(ch, protocol.EncodeDone())
-		ch.Next() // until the receiver hangs up
 	})
 	defer shutdown()
 	ch, err := w.Open(protocol.Hello{ContentID: 1}, 2*time.Second)
@@ -173,25 +176,32 @@ func TestReceiveSlabsConcurrent(t *testing.T) {
 	}
 	defer ch.Close()
 	ch.SetDeadline(time.Now().Add(20 * time.Second))
-	if err := protocol.WriteFrame(ch, protocol.EncodeRequest(total)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; ; i++ {
-		f, err := ch.Next()
-		if err != nil {
-			t.Fatalf("after %d frames: %v", i, err)
-		}
-		if f.Type == protocol.TypeDone {
-			if i != total {
-				t.Fatalf("DONE after %d frames, want %d", i, total)
-			}
-			return
-		}
+	i := 0
+	check := func(f protocol.Frame) {
 		if !bytes.Equal(f.Payload, numbered(i, size).Payload) {
 			t.Fatalf("frame %d read back as frame %d", i, binary.LittleEndian.Uint64(f.Payload))
 		}
+		i++
 		if i%1000 == 0 {
 			time.Sleep(time.Millisecond) // let the reader run ahead
 		}
+	}
+	for i < total {
+		if err := protocol.WriteFrame(ch, protocol.EncodeRequest(uint32(min(ch.Window(), total-i)))); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			f, err := ch.Next()
+			if err != nil {
+				t.Fatalf("after %d frames: %v", i, err)
+			}
+			if f.Type == protocol.TypeDone {
+				break
+			}
+			check(f)
+		}
+	}
+	if i != total {
+		t.Fatalf("%d frames, want %d", i, total)
 	}
 }

@@ -1,14 +1,14 @@
 package peermux
 
 // wire.go owns the shared connection: the MUX_HELLO handshake (the
-// dialer's half rides one flight with its first OPEN_CHANNEL and CREDIT;
+// dialer's half rides one flight with its first OPEN_CHANNEL;
 // the answer is read by the demux reader like any other frame), the
 // single reader goroutine that demultiplexes envelopes onto channel
 // queues (reading ahead: one conn read takes in every frame that has
 // arrived), serialized conn writes (a wire-level frame, or a channel's
 // batch of envelopes), channel open/accept bookkeeping, and the
-// containment rules for misbehaving peers (unknown ids, credit overruns,
-// corrupt frames) — charge and drop, never wedge.
+// containment rules for misbehaving peers (unknown ids, symbols nobody
+// asked for, corrupt frames) — charge and drop, never wedge.
 
 import (
 	"context"
@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"icd/internal/obs"
@@ -29,8 +30,8 @@ import (
 // misbehavior.
 const (
 	// WeightViolation charges a per-frame protocol violation: an
-	// envelope for a channel that never existed, a data frame past the
-	// granted credit window, a malformed negotiation frame.
+	// envelope for a channel that never existed, a SYMBOL the channel
+	// did not ask for, a malformed negotiation frame.
 	WeightViolation = 0.5
 	// WeightCorrupt charges a corrupt frame stream (CRC/magic failure),
 	// which kills the wire.
@@ -46,17 +47,17 @@ const (
 	// in-flight frames are drained silently instead of punished.
 	drainedIDs = 64
 	// queueSlack is headroom on a channel's inbound queue beyond the
-	// credit window, for control frames that don't consume credits.
+	// window, for the control frames that ride beside the symbols.
 	queueSlack = 64
 )
 
 // ErrClosed marks an operation on a closed wire, channel or fabric.
 var ErrClosed = errors.New("peermux: closed")
 
-// ErrDeadline marks a channel read or credit wait that ran past the
-// deadline set with SetDeadline. It satisfies net.Error's Timeout
-// contract via errors.Is on os.ErrDeadlineExceeded at call sites that
-// care; the session layer only needs "this blocked too long".
+// ErrDeadline marks a channel read that ran past the deadline set with
+// SetDeadline. It satisfies net.Error's Timeout contract via errors.Is on
+// os.ErrDeadlineExceeded at call sites that care; the session layer only
+// needs "this blocked too long".
 var ErrDeadline = errors.New("peermux: deadline exceeded")
 
 // RemoteError is a wire-level ERROR frame from the peer — the answer a
@@ -84,23 +85,15 @@ type Config struct {
 	// peer (default 64). Announced in MUX_HELLO; openers respect the
 	// peer's announcement.
 	MaxChannels int
-	// Window is the per-channel credit-window maximum in symbol frames
-	// (default 4096): how many SYMBOL frames the remote sender may have
-	// in flight before the local consumer drains them. It is both the
-	// default initial grant and the hard ceiling any Channel.SetWindow
-	// resize is clamped to (the inbound queues are sized for it). It is a
-	// ceiling, not a target: a fetching session asks for no more than its
-	// decode still needs, so the window shapes a flight only when the
-	// need is larger, and the queued frames cost receive slabs, not
-	// buffers per frame.
+	// Window is the per-channel window maximum in symbol frames (default
+	// 4096): how many SYMBOL frames a channel's own requests may have
+	// asked for and not yet received. It is both the default window and
+	// the ceiling any Channel.SetWindow is clamped to (the inbound queues
+	// are sized for it). It is a ceiling, not a target: a fetching
+	// session asks for no more than its decode still needs, so the window
+	// shapes a flight only when the need is larger, and the queued frames
+	// cost receive slabs, not buffers per frame.
 	Window int
-	// WireWindow, when positive, caps the aggregate of all local
-	// receive windows on one wire: window grows (and initial grants
-	// beyond the first frame) are clamped to the remaining headroom, so
-	// a scheduler handing out per-channel windows cannot oversubscribe
-	// the wire no matter how many channels it opens. 0 leaves the
-	// aggregate unbounded (each channel still clamps to Window).
-	WireWindow int
 	// ListenAddr is advertised in the MUX_HELLO for gossip attribution
 	// (empty: not dialable).
 	ListenAddr string
@@ -108,8 +101,8 @@ type Config struct {
 	// The caller binds the address/attribution — the wire only reports
 	// the weight.
 	Penalize func(weight float64)
-	// Obs, when non-nil, receives wire metrics (credit occupancy vs the
-	// wire budget, channel population, queue depths) and lifecycle
+	// Obs, when non-nil, receives wire metrics (the sum of the channels'
+	// windows, channel population, queue depths) and lifecycle
 	// trace events (channel open/resize/close). Fabric copies it to
 	// every wire it dials.
 	Obs *obs.Registry
@@ -150,12 +143,8 @@ type Wire struct {
 	// the conn's write and read deadlines were last set: see armWrite.
 	writeArmed, readArmed time.Time
 
-	// winMu guards winSum, the aggregate of every open channel's local
-	// receive-window target — the wire-level credit ledger a scheduler
-	// reads (WindowSum) and Config.WireWindow budgets. Leaf lock: held
-	// only across the sum arithmetic, never while taking mu or wmu.
-	winMu  sync.Mutex
-	winSum int
+	// winSum is the sum of every open channel's window (WindowSum).
+	winSum atomic.Int64
 
 	// remote is the peer's MUX_HELLO, written once before helloc closes:
 	// the acceptor is handed it, the dialer's reader finds it as the
@@ -185,8 +174,8 @@ type openReply struct {
 
 // Dial starts a wire on conn from the dialing side: it starts the
 // demultiplexing reader, writes our MUX_HELLO and returns without
-// waiting for the peer's — the first Open's OPEN_CHANNEL and CREDIT
-// follow in the same flight, so a lone fetch is up in one round trip,
+// waiting for the peer's — the first Open's OPEN_CHANNEL follows in the
+// same flight, so a lone fetch is up in one round trip,
 // and a full sender's data, which it writes right behind its ACCEPT
 // (the OPEN's hello asks for it), arrives in that same round trip.
 // The peer's answer is the reader's first frame: a MUX_HELLO
@@ -249,7 +238,6 @@ func newWire(conn net.Conn, fr *protocol.FrameReader, cfg Config, dialer bool) *
 	if dialer {
 		w.nextID = 1
 	}
-	w.met.ceiling.Add(int64(cfg.WireWindow))
 	return w
 }
 
@@ -299,34 +287,15 @@ func (w *Wire) Channels() int {
 	return len(w.chans)
 }
 
-// WindowSum returns the aggregate of every open channel's local
-// receive-window target, in symbol frames — the wire's total credit
-// exposure toward the peer, the quantity Config.WireWindow budgets.
-func (w *Wire) WindowSum() int {
-	w.winMu.Lock()
-	defer w.winMu.Unlock()
-	return w.winSum
-}
+// WindowSum returns the sum of every open channel's window, in symbol
+// frames: the most symbols this end's channels may have asked the peer
+// for and not yet received.
+func (w *Wire) WindowSum() int { return int(w.winSum.Load()) }
 
-// reserveWindow adjusts the aggregate window sum by delta, clamping a
-// positive delta to the WireWindow headroom (when budgeted) but never
-// below min — grantInitial passes min=1 so a new channel can always
-// move at least one frame at a time. It returns the delta actually
-// applied; callers adopt that value as their granted share.
-func (w *Wire) reserveWindow(delta, min int) int {
-	w.winMu.Lock()
-	defer w.winMu.Unlock()
-	if delta > 0 && w.cfg.WireWindow > 0 {
-		if head := w.cfg.WireWindow - w.winSum; delta > head {
-			delta = head
-		}
-		if delta < min {
-			delta = min
-		}
-	}
-	w.winSum += delta
+// addWindow moves the window sum by delta.
+func (w *Wire) addWindow(delta int) {
+	w.winSum.Add(int64(delta))
 	w.met.windowSum.Add(int64(delta))
-	return delta
 }
 
 // Close tears the wire down: the conn is closed, every channel fails
@@ -347,26 +316,22 @@ func (w *Wire) Open(h protocol.Hello, timeout time.Duration) (*Channel, error) {
 // OpenWindow negotiates a new subchannel carrying h (the opener's content
 // HELLO) and blocks until the peer accepts or rejects it, the wire dies,
 // or ctx ends. On accept, the channel's RemoteHello carries the peer's
-// content metadata and an initial credit window has been granted both
-// ways. window is the initial receive window in symbol frames (0 selects
-// the Config.Window default; values clamp to [1, Config.Window] and,
-// under a WireWindow budget, to the remaining aggregate headroom): a
-// scheduler that already knows a channel's worth opens it at size
-// instead of granting the default and resizing after.
+// content metadata. window is the channel's window in symbol frames (0
+// selects the Config.Window default; values clamp to [1, Config.Window]):
+// a scheduler that already knows a channel's worth opens it at size
+// instead of resizing after.
 //
 // Nothing the opener sends depends on the peer's answer, so the
-// OPEN_CHANNEL and the channel's initial CREDIT go out back to back —
-// on a fresh wire right behind Dial's MUX_HELLO — and only then does
-// the call wait. The channel is registered and its window granted
-// before the peer can answer, so frames the peer writes behind its
-// ACCEPT (a full sender's answer to the requests the OPEN's hello
-// carried) route to it and spend that window like any later ones. A
-// wire that dies first fails the open with the wire's terminal error,
-// typed as the reader saw it (protocol.ErrVersion, *RemoteError,
-// protocol.ErrCorrupt). An open whose ctx ends first
-// returns ctx's error and leaves nothing behind: the half-open id
-// drains and the window its early grant reserved goes back to the
-// wire's ledger (abortOpen).
+// OPEN_CHANNEL goes out at once — on a fresh wire right behind Dial's
+// MUX_HELLO — and only then does the call wait. The channel is registered
+// before the peer can answer, and the symbols the OPEN's first round asks
+// for (h.Batch × h.Depth) are allowed before the OPEN is written, so what
+// the peer writes behind its ACCEPT (a full sender's answer to that
+// round) routes to it like any later answer. A wire that dies first
+// fails the open with the wire's terminal error, typed as the reader saw
+// it (protocol.ErrVersion, *RemoteError, protocol.ErrCorrupt). An open
+// whose ctx ends first returns ctx's error and leaves nothing behind: the
+// half-open id drains and its window leaves the wire's sum (abortOpen).
 func (w *Wire) OpenWindow(ctx context.Context, h protocol.Hello, window int) (*Channel, error) {
 	if !w.dialer {
 		return nil, errors.New("peermux: only the dialing side opens channels")
@@ -375,13 +340,10 @@ func (w *Wire) OpenWindow(ctx context.Context, h protocol.Hello, window int) (*C
 	if err != nil {
 		return nil, err
 	}
-	err = w.writeFrame(protocol.EncodeOpenChannel(c.id, h))
-	if err == nil {
-		err = c.grantInitial()
-	}
-	if err != nil {
+	c.open(uint64(h.Batch) * uint64(h.Depth))
+	if err := w.writeFrame(protocol.EncodeOpenChannel(c.id, h)); err != nil {
 		w.abortOpen(c)
-		return nil, w.Err() // a failed write killed the wire; Err is the verdict
+		return nil, err // a failed write killed the wire: the wire's verdict
 	}
 	select {
 	case r := <-reply:
@@ -456,9 +418,9 @@ func (w *Wire) claimChannel(ctx context.Context, window int) (*Channel, chan ope
 }
 
 // rejectChannel declines a peer-opened channel id and counts it. The id
-// is retired into the drain set: an honest opener's CREDIT is already in
-// flight behind its OPEN_CHANNEL and must not be charged as a frame for
-// a channel that never existed.
+// is retired into the drain set: what the opener wrote on it before it
+// read the REJECT must not be charged as a frame for a channel that
+// never existed.
 func (w *Wire) rejectChannel(id uint16, msg string) {
 	w.met.rejected.Add(1)
 	w.mu.Lock()
@@ -467,10 +429,10 @@ func (w *Wire) rejectChannel(id uint16, msg string) {
 	w.writeFrame(protocol.EncodeRejectChannel(id, msg))
 }
 
-// abortOpen retires a half-open channel: its id drains, and the window
-// its early grant reserved goes back to the wire's ledger (the peer's
-// REJECT may be followed by a CLOSE_CHANNEL that already took the id out
-// of the table, so the channel is ended directly, not looked up).
+// abortOpen retires a half-open channel: its id drains, and its window
+// leaves the wire's sum (the peer's REJECT may be followed by a
+// CLOSE_CHANNEL that already took the id out of the table, so the channel
+// is ended directly, not looked up).
 func (w *Wire) abortOpen(c *Channel) {
 	w.mu.Lock()
 	delete(w.chans, c.id)
@@ -487,9 +449,9 @@ func (w *Wire) writeFrame(f protocol.Frame) error {
 	err := protocol.WriteFrame(w.conn, f)
 	w.wmu.Unlock()
 	if err != nil {
-		w.failWrite(err)
+		return w.failWrite(err)
 	}
-	return err
+	return nil
 }
 
 // failWrite kills the wire over a failed write. On a dialed wire still
@@ -501,13 +463,17 @@ func (w *Wire) writeFrame(f protocol.Frame) error {
 // or the same dead conn, or its read deadline. A write that timed out
 // says the peer is not reading, which the reader cannot outrun, and is
 // terminal as it stands. (The reader itself writes nothing before the
-// hello, so it never waits here for itself.)
-func (w *Wire) failWrite(err error) {
+// hello, so it never waits here for itself.) It returns the wire's
+// terminal error: a write on a wire that already failed — the reader
+// found a corrupt frame and closed the conn — reports why it failed, not
+// the closed conn it found.
+func (w *Wire) failWrite(err error) error {
 	var ne net.Error
 	if w.dialer && !w.established() && !(errors.As(err, &ne) && ne.Timeout()) {
 		<-w.done
 	}
 	w.fail(err)
+	return w.Err()
 }
 
 // armWrite and armRead bound the conn operation about to start by
@@ -545,9 +511,9 @@ func (w *Wire) write(p []byte) error {
 	_, err := w.conn.Write(p)
 	w.wmu.Unlock()
 	if err != nil {
-		w.failWrite(err)
+		return w.failWrite(err)
 	}
-	return err
+	return nil
 }
 
 // penalize charges the peer, unless the wire is dead: fail emptied the
@@ -586,7 +552,6 @@ func (w *Wire) fail(err error) {
 		if w.cfg.onDead != nil {
 			w.cfg.onDead()
 		}
-		w.met.ceiling.Add(-int64(w.cfg.WireWindow))
 	})
 }
 
@@ -620,8 +585,8 @@ func (w *Wire) release(id uint16, notify bool) {
 
 // readLoop is the single demultiplexer: every inbound frame is routed,
 // answered, or charged here. It never blocks on a channel consumer —
-// queue overflow is a protocol violation (the sender ignored credits),
-// charged and dropped.
+// queue overflow is a protocol violation (the sender sent what nobody
+// asked for), charged and dropped.
 //
 // On a dialed wire the loop also finishes the handshake: the first
 // frame must be the peer's MUX_HELLO, or the ERROR it answered ours
@@ -662,17 +627,6 @@ func (w *Wire) readLoop() {
 				continue
 			}
 			w.route(id, inner)
-		case protocol.TypeCredit:
-			id, n, err := protocol.DecodeCredit(f)
-			if err != nil {
-				w.penalize(WeightViolation)
-				continue
-			}
-			if c := w.channel(id); c != nil {
-				c.addCredits(n)
-			} else if !w.draining(id) {
-				w.penalize(WeightViolation)
-			}
 		case protocol.TypeOpenChannel:
 			w.handleOpen(f)
 		case protocol.TypeAcceptChannel:
@@ -701,9 +655,10 @@ func (w *Wire) readLoop() {
 			w.fail(&RemoteError{Msg: msg})
 			return
 		default:
-			// A bare content frame on a multiplexed wire: the peer lost
-			// the plot. Charge it and drop the frame; the wire itself
-			// is still framed correctly, so it survives.
+			// A bare content frame on a multiplexed wire, or a retired
+			// type (CREDIT, 18, until version 13): the peer lost the plot.
+			// Charge it and drop the frame; the wire itself is still
+			// framed correctly, so it survives.
 			w.penalize(WeightViolation)
 		}
 	}

@@ -1,11 +1,11 @@
 package peermux
 
 // wire_test.go exercises the fabric end to end over synchronous
-// in-memory pipes: channel negotiation, symbol flow under credits, the
-// credit-starvation fairness guarantee (one slow consumer must not
-// stall its siblings), deadline semantics (the stall watchdog's hook),
-// wire-level gossip dedup, misbehavior charging, and wire sharing
-// through the Fabric. Every swarm-running test defers the shared
+// in-memory pipes: channel negotiation, symbol flow on request, the
+// fairness guarantee (one slow consumer must not stall its siblings),
+// deadline semantics (the stall watchdog's hook), misbehavior charging
+// (symbols nobody asked for, unknown ids, a write after a corrupt frame),
+// and wire sharing through the Fabric. Every swarm-running test defers the shared
 // goroutine-leak gate.
 
 import (
@@ -121,6 +121,35 @@ func serveSymbols(count int, payload []byte) func(*Channel) {
 	}
 }
 
+// pull reads ch until it has received want symbols in all (got of them
+// already), asking as a session does: a REQUEST for what the window
+// holds, never more than it still wants, whenever the one before it has
+// been answered (asked: one is outstanding now). each, when set, runs
+// after every symbol. It returns the symbols received.
+func pull(ch *Channel, got, want int, asked bool, each func(got int)) (int, error) {
+	for got < want || asked {
+		if !asked {
+			if err := protocol.WriteFrame(ch, protocol.EncodeRequest(uint32(min(ch.Window(), want-got)))); err != nil {
+				return got, err
+			}
+			asked = true
+		}
+		f, err := ch.Next()
+		if err != nil {
+			return got, err
+		}
+		if f.Type == protocol.TypeDone {
+			asked = false
+			continue
+		}
+		got++
+		if each != nil {
+			each(got)
+		}
+	}
+	return got, nil
+}
+
 func TestOpenAcceptSymbolFlow(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	w, shutdown := startPair(t, Config{}, Config{}, serveSymbols(1000, []byte("0123456789abcdef")))
@@ -182,8 +211,8 @@ func TestChannelReject(t *testing.T) {
 	if !errors.As(err, &rej) || !protocol.IsUnknownContent(rej.Msg) {
 		t.Fatalf("Open err = %v, want unknown-content RejectError", err)
 	}
-	// The window granted behind the OPEN, before the answer was known,
-	// went back to the wire's ledger.
+	// The window entered in the wire's sum before the answer was known
+	// left it again.
 	if n := w.WindowSum(); n != 0 {
 		t.Fatalf("WindowSum = %d after a rejected open, want 0", n)
 	}
@@ -198,17 +227,20 @@ func TestChannelReject(t *testing.T) {
 	ch.Close()
 }
 
-// TestCreditStarvationFairness is the satellite guarantee: two channels
-// on one wire, one consumer stops draining — the fast channel keeps its
-// throughput (its full stream completes while the slow one is wedged)
-// and the slow channel's sender blocks on credits without deadlocking
-// the wire; when the slow consumer resumes, its stream completes too.
-func TestCreditStarvationFairness(t *testing.T) {
+// TestSlowConsumerDoesNotStallSiblings: two channels on one wire, each
+// asking a window at a time, and one consumer stops draining — the fast
+// channel keeps its throughput (its full stream completes while the slow
+// one is wedged) and the slow channel's sender, which has answered all
+// it was asked, holds nothing up on the wire; when the slow consumer
+// resumes, its stream completes too, and nobody is charged.
+func TestSlowConsumerDoesNotStallSiblings(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	const total = 2000
 	payload := []byte("payload-payload-")
-	// A small window so the slow channel wedges its sender quickly.
-	w, shutdown := startPair(t, Config{Window: 32}, Config{Window: 32}, serveSymbols(total, payload))
+	var charges atomic.Int64
+	// A small window so the slow channel's answer is quickly all queued.
+	w, shutdown := startPair(t, Config{Window: 32, Penalize: func(float64) { charges.Add(1) }}, Config{Window: 32},
+		serveSymbols(total, payload))
 	defer shutdown()
 
 	open := func(id uint64) *Channel {
@@ -220,12 +252,9 @@ func TestCreditStarvationFairness(t *testing.T) {
 		return ch
 	}
 	fast, slow := open(1), open(2)
-	// Both channels request the full stream; the slow consumer reads a
-	// handful of symbols and then stops draining entirely.
-	if err := protocol.WriteFrame(slow, protocol.EncodeRequest(total)); err != nil {
-		t.Fatal(err)
-	}
-	if err := protocol.WriteFrame(fast, protocol.EncodeRequest(total)); err != nil {
+	// The slow consumer asks for a window, reads a handful of symbols
+	// and then stops draining entirely.
+	if err := protocol.WriteFrame(slow, protocol.EncodeRequest(uint32(slow.Window()))); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
@@ -235,37 +264,146 @@ func TestCreditStarvationFairness(t *testing.T) {
 	}
 
 	// The fast channel must receive its entire stream — far more than
-	// any window or queue bound — while the slow channel's sender sits
-	// blocked on credits.
-	drain := func(ch *Channel, want int, name string) {
-		got := 0
-		for {
-			f, err := ch.Next()
-			if err != nil {
-				t.Fatalf("%s after %d symbols: %v", name, got, err)
-			}
-			if f.Type == protocol.TypeDone {
-				break
-			}
-			got++
-		}
-		if got != want {
-			t.Fatalf("%s received %d symbols, want %d", name, got, want)
+	// any window or queue bound — while the slow channel sits undrained.
+	drain := func(ch *Channel, got, want int, asked bool, name string) {
+		n, err := pull(ch, got, got+want, asked, nil)
+		if err != nil {
+			t.Fatalf("%s after %d symbols: %v", name, n-got, err)
 		}
 	}
 	start := time.Now()
-	drain(fast, total, "fast channel")
+	drain(fast, 0, total, false, "fast channel")
 	if time.Since(start) > 8*time.Second {
 		t.Fatalf("fast channel took %v with a stalled sibling", time.Since(start))
 	}
 	// The slow consumer resumes: no deadlock, the remaining symbols
 	// arrive.
-	drain(slow, total-8, "slow channel")
+	drain(slow, 8, total-8, true, "slow channel")
 	if err := w.Err(); err != nil {
 		t.Fatalf("wire died: %v", err)
 	}
+	if n := charges.Load(); n != 0 {
+		t.Fatalf("%d charges: a sender sent past what was asked", n)
+	}
 	fast.Close()
 	slow.Close()
+}
+
+// TestUnaskedSymbolCharged: a SYMBOL beyond what the channel asked for
+// is charged once and dropped, and the channel keeps working — the
+// symbols of a REQUEST and of the OPEN's round written behind the ACCEPT
+// pass uncharged.
+func TestUnaskedSymbolCharged(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	var charges atomic.Int64
+	const round = 3 // the OPEN asks for one batch of 3
+	w, shutdown := startPair(t, Config{Penalize: func(float64) { charges.Add(1) }}, Config{}, func(ch *Channel) {
+		if ch.Accept(protocol.Hello{FullCopy: true}) != nil {
+			return
+		}
+		var id uint64
+		send := func(n int) error {
+			for i := 0; i < n; i++ {
+				if err := protocol.WriteSymbol(ch, id, []byte("symbol")); err != nil {
+					return err
+				}
+				id++
+			}
+			return protocol.WriteFrame(ch, protocol.EncodeDone())
+		}
+		// The OPEN's round behind the ACCEPT, and one symbol past it.
+		if send(round+1) != nil {
+			return
+		}
+		for {
+			f, err := ch.Next()
+			if err != nil || f.Type != protocol.TypeRequest {
+				return
+			}
+			n, _ := protocol.DecodeRequest(f)
+			if send(int(n)) != nil {
+				return
+			}
+		}
+	})
+	defer shutdown()
+	ch, err := w.Open(protocol.Hello{ContentID: 1, Batch: round, Depth: 1}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ch.Close()
+	ch.SetDeadline(time.Now().Add(5 * time.Second))
+	// What arrives is the round, the DONE — and then, after the dropped
+	// symbol, the answer to the REQUEST.
+	ids := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			f, err := ch.Next()
+			if err != nil || f.Type != protocol.TypeSymbol {
+				t.Fatalf("symbol %d of %d: %v %v", i, n, f.Type, err)
+			}
+		}
+		if f, err := ch.Next(); err != nil || f.Type != protocol.TypeDone {
+			t.Fatalf("after %d symbols: %v %v, want DONE", n, f.Type, err)
+		}
+	}
+	ids(round)
+	if err := protocol.WriteFrame(ch, protocol.EncodeRequest(5)); err != nil {
+		t.Fatal(err)
+	}
+	ids(5)
+	if n := charges.Load(); n != 1 {
+		t.Fatalf("%d charges, want 1: the one symbol nothing asked for", n)
+	}
+	if err := w.Err(); err != nil {
+		t.Fatalf("wire died: %v", err)
+	}
+}
+
+// TestWriteAfterCorruptFrameIsCorrupt: once the reader has failed the
+// wire on a corrupt frame and closed the conn, a channel's write reports
+// the corrupt frame, not the closed conn it found — a session whose
+// REQUEST races the reader's verdict is charged for corruption, not a
+// reset.
+func TestWriteAfterCorruptFrameIsCorrupt(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	conn, join := script(func(e *rawEnd) error {
+		for _, want := range []protocol.Type{protocol.TypeMuxHello, protocol.TypeOpenChannel} {
+			if _, err := e.expect(want); err != nil {
+				return err
+			}
+		}
+		if err := e.send(protocol.EncodeMuxHello(protocol.MuxHello{MaxChannels: 4}),
+			protocol.EncodeAcceptChannel(1, protocol.Hello{ContentID: 1, FullCopy: true})); err != nil {
+			return err
+		}
+		// The first REQUEST is answered with garbage.
+		if _, err := e.expectInner(1, protocol.TypeRequest); err != nil {
+			return err
+		}
+		e.conn.Write([]byte("this is not a frame header at all"))
+		e.drain()
+		return nil
+	})
+	w, err := Dial(conn, Config{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	ch, err := w.Open(protocol.Hello{ContentID: 1}, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := protocol.WriteFrame(ch, protocol.EncodeRequest(4)); err != nil {
+		t.Fatal(err)
+	}
+	<-w.Done()
+	if err := protocol.WriteFrame(ch, protocol.EncodeRequest(4)); !errors.Is(err, protocol.ErrCorrupt) {
+		t.Fatalf("REQUEST after a corrupt frame = %v, want protocol.ErrCorrupt", err)
+	}
+	if err := join(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestChannelDeadlineUnblocks(t *testing.T) {
@@ -415,8 +553,7 @@ func TestClosedChannelDrainsSilently(t *testing.T) {
 		ch.Accept(protocol.Hello{FullCopy: true})
 		// Wait for the peer to retire the id, then fire late frames at
 		// it — in-flight traffic for a closed channel. Raw wire writes
-		// bypass the local credit ledger, which already knows the
-		// channel is gone.
+		// bypass the channel, which already knows it is closed.
 		<-release
 		var late []byte
 		for i := 0; i < 4; i++ {
@@ -639,7 +776,8 @@ func TestRemoteCloseDrainsThenEOF(t *testing.T) {
 		ch.Close()
 	})
 	defer shutdown()
-	ch, err := w.Open(protocol.Hello{ContentID: 1}, time.Second)
+	// The OPEN's round asks for the five symbols.
+	ch, err := w.Open(protocol.Hello{ContentID: 1, Batch: 5, Depth: 1}, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

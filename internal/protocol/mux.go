@@ -1,11 +1,11 @@
 package protocol
 
 // mux.go is the connection-fabric wire vocabulary: the MUX_HELLO
-// handshake, channel negotiation (OPEN/ACCEPT/REJECT/CLOSE_CHANNEL),
-// CREDIT flow-control grants, and the MUX envelope that carries any
-// content frame tagged with a channel id. The envelope nests only the
-// inner type and payload — one outer CRC covers the whole frame, so
-// multiplexing costs 3 bytes per frame, not a second checksum.
+// handshake, channel negotiation (OPEN/ACCEPT/REJECT/CLOSE_CHANNEL) and
+// the MUX envelope that carries any content frame tagged with a channel
+// id. The envelope nests only the inner type and payload — one outer CRC
+// covers the whole frame, so multiplexing costs 3 bytes per frame, not a
+// second checksum.
 
 import (
 	"encoding/binary"
@@ -139,42 +139,6 @@ func DecodeCloseChannel(f Frame) (uint16, error) {
 		return 0, errors.New("protocol: CLOSE_CHANNEL malformed")
 	}
 	return binary.LittleEndian.Uint16(f.Payload), nil
-}
-
-// MaxCreditGrant bounds one CREDIT frame's grant: far above any sane
-// window, low enough that a hostile grant cannot overflow a sender's
-// credit counter in one frame.
-const MaxCreditGrant = 1 << 20
-
-// EncodeCredit marshals a flow-control grant: the receiver on channel
-// ch permits the sender n more symbol-bearing frames. Grants are
-// strictly additive — there is no frame that revokes or resets credit,
-// so a receiver that wants a smaller window shrinks it by withholding
-// replenishment until the drained frames have paid the difference, and
-// a window update in the growing direction is just an unsolicited
-// CREDIT for the delta. The sender needs no window-resize protocol at
-// all: it spends whatever it has been granted and blocks at zero.
-func EncodeCredit(ch uint16, n uint32) Frame {
-	buf := make([]byte, 6)
-	binary.LittleEndian.PutUint16(buf, ch)
-	binary.LittleEndian.PutUint32(buf[2:], n)
-	return Frame{Type: TypeCredit, Payload: buf}
-}
-
-// DecodeCredit unmarshals a CREDIT frame, rejecting grants beyond
-// MaxCreditGrant (a hostile peer trying to disable flow control).
-func DecodeCredit(f Frame) (uint16, uint32, error) {
-	if f.Type != TypeCredit {
-		return 0, 0, fmt.Errorf("protocol: %v is not CREDIT", f.Type)
-	}
-	if len(f.Payload) != 6 {
-		return 0, 0, errors.New("protocol: CREDIT malformed")
-	}
-	n := binary.LittleEndian.Uint32(f.Payload[2:])
-	if n == 0 || n > MaxCreditGrant {
-		return 0, 0, fmt.Errorf("protocol: CREDIT grant %d outside [1,%d]", n, MaxCreditGrant)
-	}
-	return binary.LittleEndian.Uint16(f.Payload), n, nil
 }
 
 // EncodeMux wraps an inner frame in a MUX envelope for channel ch. The

@@ -61,22 +61,6 @@ func TestChannelNegotiationRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCreditRoundTripAndBounds(t *testing.T) {
-	ch, n, err := DecodeCredit(EncodeCredit(5, 256))
-	if err != nil || ch != 5 || n != 256 {
-		t.Fatalf("CREDIT round trip: ch=%d n=%d err=%v", ch, n, err)
-	}
-	if _, _, err := DecodeCredit(EncodeCredit(1, 0)); err == nil {
-		t.Fatal("zero CREDIT grant accepted")
-	}
-	if _, _, err := DecodeCredit(EncodeCredit(1, MaxCreditGrant+1)); err == nil {
-		t.Fatal("oversized CREDIT grant accepted")
-	}
-	if _, _, err := DecodeCredit(Frame{Type: TypeCredit, Payload: []byte{1, 2, 3}}); err == nil {
-		t.Fatal("short CREDIT accepted")
-	}
-}
-
 func TestMuxEnvelope(t *testing.T) {
 	inner := EncodeSymbol(Symbol{ID: 99, Data: []byte("payload-bytes")})
 	ch, got, err := MuxView(EncodeMux(12, inner))

@@ -67,8 +67,10 @@ import (
 // (TypeSummary, InSlice). 11 dropped the SUMMARY's method byte: a Bloom
 // filter is the only summary. 12 puts the opener's first summary in the
 // OPEN (Hello.Summary), by which a partial sender answers one batch of
-// the round, and retires type 11, SUMMARY's refresh variant.
-const Version = 12
+// the round, and retires type 11, SUMMARY's refresh variant. 13 retires
+// CREDIT (type 18): a receiver's REQUESTs, and the OPEN's first round,
+// are the only grant, and a SYMBOL nothing asked for is charged.
+const Version = 13
 
 // versionUnderCRC is the first version whose checksum covers the version
 // byte.
@@ -143,15 +145,14 @@ const (
 	// MUX_HELLO exchange instead of a content HELLO; after that, content
 	// sessions live on numbered subchannels negotiated with
 	// OPEN/ACCEPT/REJECT_CHANNEL and torn down with CLOSE_CHANNEL, data
-	// frames travel inside MUX envelopes, and receivers meter senders
-	// with CREDIT grants. A bare ERROR belongs to the wire, not to any one
-	// channel: it answers the handshake, or kills the connection.
+	// frames travel inside MUX envelopes. A receiver's REQUESTs are the
+	// only grant a sender spends. A bare ERROR belongs to the wire, not to
+	// any one channel: it answers the handshake, or kills the connection.
 	TypeMuxHello      Type = 13 // wire handshake (replaces HELLO on fabric conns)
 	TypeOpenChannel   Type = 14 // open a subchannel: channel id + content hello, first requests included
 	TypeAcceptChannel Type = 15 // accept: channel id + serving-side hello
 	TypeRejectChannel Type = 16 // reject: channel id + human-readable reason
 	TypeCloseChannel  Type = 17 // either side retires a channel id
-	TypeCredit        Type = 18 // receiver grants the sender symbol credits
 	TypeMux           Type = 19 // envelope: channel id + inner type + inner payload
 )
 
@@ -180,8 +181,6 @@ func (t Type) String() string {
 		return "REJECT_CHANNEL"
 	case TypeCloseChannel:
 		return "CLOSE_CHANNEL"
-	case TypeCredit:
-		return "CREDIT"
 	case TypeMux:
 		return "MUX"
 	default:

@@ -129,8 +129,8 @@ func TestVersionByteFlipDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	if raw[2] != 12 {
-		t.Fatalf("byte 2 = %d, want the version byte 12", raw[2])
+	if raw[2] != 13 {
+		t.Fatalf("byte 2 = %d, want the version byte 13", raw[2])
 	}
 	check := func(t *testing.T, v byte) {
 		t.Helper()
@@ -428,6 +428,7 @@ func TestTypeStrings(t *testing.T) {
 		Type(3):   "Type(3)",  // BLOOM until version 5: no longer a frame this library names
 		Type(7):   "Type(7)",  // RECODED until version 7
 		Type(11):  "Type(11)", // SUMMARY's refresh variant until version 12
+		Type(18):  "Type(18)", // CREDIT until version 13
 		Type(200): "Type(200)",
 	} {
 		if ty.String() != want {

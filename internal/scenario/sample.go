@@ -4,7 +4,7 @@ package scenario
 // snapshots every live node's observability registry and folds the
 // node-level tallies into one swarm-wide time-series — the convergence
 // *curve* (useful vs duplicate symbol rate, live connections, banned
-// peers, credit in flight) instead of only endpoint scalars.
+// peers, window in flight) instead of only endpoint scalars.
 
 import (
 	"time"
@@ -25,8 +25,8 @@ type Sample struct {
 	LiveConns int64
 	// BannedPeers sums every node's currently-banned address count.
 	BannedPeers int64
-	// WindowInFlight is the swarm's aggregate credit-window exposure
-	// across all fabric wires, in symbol frames.
+	// WindowInFlight is the sum of the swarm's channel windows across
+	// all fabric wires, in symbol frames.
 	WindowInFlight int64
 }
 

@@ -92,10 +92,10 @@ type FetchOptions struct {
 	// when Run ends.
 	Fabric *peermux.Fabric
 	// ChannelWindow is the initial per-session window, in symbol frames,
-	// that sessions' subchannels open with (0 = the wire's default,
-	// peermux.DefaultWindow; values clamp to the wire's per-channel
-	// maximum): the most symbols a session may have requested and not
-	// yet received. Orchestrator.SetChannelWindow resizes live channels —
+	// that sessions' subchannels open with (0 = peermux.DefaultWindow,
+	// which is also the ceiling values clamp to): the most symbols a
+	// session may have requested and not yet received.
+	// Orchestrator.SetChannelWindow resizes live channels —
 	// together they are how a node splits a window budget among its
 	// fetches. A session asks for a batch at a time, or for what its
 	// window has left when that is less, below the bound that matters

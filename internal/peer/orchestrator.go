@@ -148,7 +148,7 @@ type Orchestrator struct {
 	progress atomic.Int64
 
 	// chanWin is the per-session window for the sessions' subchannels,
-	// in symbol frames (0 = the wire's default). New channels open at it;
+	// in symbol frames (0 = peermux.DefaultWindow). New channels open at it;
 	// SetChannelWindow moves it and resizes every live channel — a node's
 	// bandwidth knob.
 	chanWin atomic.Int64

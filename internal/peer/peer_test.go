@@ -145,6 +145,17 @@ func (c *gatedConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// gatedServer serves every connection with its writes behind g, as
+// gatedListener does for a listener it accepts from.
+type gatedServer struct {
+	connServer
+	g *startGate
+}
+
+func (s gatedServer) ServeConn(c net.Conn) error {
+	return s.connServer.ServeConn(&gatedConn{Conn: c, g: s.g})
+}
+
 type gatedListener struct {
 	net.Listener
 	g *startGate

@@ -363,7 +363,7 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 			need -= int(min(clientHello.Symbols, uint64(need)))
 			batches = min(int(clientHello.Depth), max(1, (need+n-1)/n))
 		}
-		total = min(batches*n, ch.Window())
+		total = min(batches*n, peermux.DefaultWindow)
 		hello.Depth = uint16((total + n - 1) / n)
 	}
 	if err := ch.Accept(hello); err != nil {

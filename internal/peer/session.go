@@ -244,7 +244,7 @@ func (s *session) runConn() error {
 func (s *session) openChannel(ctx context.Context, issued time.Time) (*peermux.Channel, protocol.Hello, error) {
 	o := s.o
 	// At most the whole batches the window the channel opens at holds, as
-	// the fabric clamps it (0 opens at the wire's default, the largest any
+	// the fabric clamps it (0 opens at DefaultWindow, the largest any
 	// channel gets): the round is asked for before anything of it has
 	// arrived, so all of it is in flight at once.
 	win := int(o.chanWin.Load())

@@ -169,11 +169,19 @@ func TestRefreshAllocs(t *testing.T) {
 
 // TestFullSendersBuildNoFilter: a fetch that holds nothing when it opens
 // and is served by full senders only sends no summary, so it builds no
-// Bloom filter.
+// Bloom filter. Both senders hold their symbols until each has taken its
+// OPEN: a session that opens once the fetch holds symbols sends a
+// summary, as it must to a peer it does not yet know to be full.
 func TestFullSendersBuildNoFilter(t *testing.T) {
 	h := newHarness(t, 300, 64)
-	h.addFull("F1", 0)
-	h.addFull("F2", 0)
+	g := &startGate{n: 2, open: make(chan struct{})}
+	for _, addr := range []string{"F1", "F2"} {
+		srv, err := NewFullServer(h.info, h.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.pn.add(addr, gatedServer{front(srv), g})
+	}
 	o := NewOrchestrator(h.info.ID, FetchOptions{Dial: h.pn.dial, Timeout: 10 * time.Second, DisableGossip: true})
 	res, err := o.Run(context.Background(), "F1", "F2")
 	if err != nil {

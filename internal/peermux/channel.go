@@ -1,13 +1,15 @@
 package peermux
 
 // channel.go is one content subchannel: a bounded queue of inbound
-// frames (fed by the wire's reader, drained by Next), an io.Writer that
-// re-frames serialized content frames into MUX envelopes and gathers
-// them into batches that leave in one conn write, and the count of
-// symbols this end has asked for and not yet received, which an inbound
-// SYMBOL spends.
+// frames that is its receive slabs (the wire's reader appends each frame
+// to the last, Next reads the first, and a channel with nothing queued
+// holds none), an io.Writer that re-frames serialized content frames
+// into MUX envelopes and gathers them into batches that leave in one
+// conn write, and the count of symbols this end has asked for and not
+// yet received, which an inbound SYMBOL spends.
 
 import (
+	"encoding/binary"
 	"io"
 	"net"
 	"sync"
@@ -16,45 +18,45 @@ import (
 	"icd/internal/protocol"
 )
 
-// slabSize is the size of a receive slab. The wire's reader copies a
-// channel's inbound frames back to back into the free tail of the
-// channel's current slab (a frame that does not fit the tail starts a
-// fresh one), so a deep queue costs an allocation per slab, not per
-// frame. Frames are consumed in order: once Next hands out a frame from a
-// later slab, nothing reads or writes the earlier one any more, and it
-// goes back to the pool. A frame larger than a slab gets a buffer of its
-// own.
+// slabSize is the size of a slab: a channel's receive slabs are its
+// inbound queue, and a batch of envelopes on their way out is a slab too.
 const slabSize = 64 << 10
 
-// slab is one receive buffer: b grows at its tail as the reader copies
-// frames in, and every queued frame is a view of it.
+// frameHeader is a queued frame's header in a receive slab: its type
+// (one byte) and its payload length (four, little-endian).
+const frameHeader = 5
+
+// slab is one pooled buffer: a receive slab, whose b grows at its tail
+// as the wire's reader appends frames, or a batch being gathered.
 type slab struct {
 	b      []byte
-	pooled bool // released into slabs: owned by nobody
+	pooled bool // released: owned by nobody
 }
 
 var slabs = sync.Pool{New: func() any { return &slab{b: make([]byte, 0, slabSize)} }}
 
-func getSlab() *slab {
+// getSlab returns an empty slab that holds at least n bytes: a pooled
+// one, or one of its own for anything larger.
+func getSlab(n int) *slab {
+	if n > slabSize {
+		return &slab{b: make([]byte, 0, n)}
+	}
 	s := slabs.Get().(*slab)
 	s.b, s.pooled = s.b[:0], false
 	return s
 }
 
-// release gives s back to the pool. A slab has one owner at a time, so a
-// second release is a bug that would hand one buffer to two channels.
+// release gives s back to the pool, unless it is larger than a slab. A
+// slab has one owner at a time, so a second release is a bug that would
+// hand one buffer to two owners.
 func (s *slab) release() {
 	if s.pooled {
-		panic("peermux: receive slab released twice")
+		panic("peermux: slab released twice")
 	}
 	s.pooled = true
-	slabs.Put(s)
-}
-
-type inFrame struct {
-	t protocol.Type
-	p []byte // the payload: a view of s, or a buffer of its own when s is nil
-	s *slab
+	if cap(s.b) == slabSize {
+		slabs.Put(s)
+	}
 }
 
 // batchBytes bounds one batched conn write. Write gathers a channel's
@@ -62,14 +64,7 @@ type inFrame struct {
 // than SYMBOL ends it (a REQUEST's answer ends in DONE), or when the next
 // envelope would take it past this size — so no write is larger, unless
 // one frame alone is.
-const batchBytes = 64 << 10
-
-// batchBufs recycles batch buffers: a channel holds one only while a
-// batch is open.
-var batchBufs = sync.Pool{New: func() any {
-	b := make([]byte, 0, batchBytes)
-	return &b
-}}
+const batchBytes = slabSize
 
 // Channel is one content subchannel on a Wire. The fetching side reads
 // frames with Next and writes control frames through Write; the serving
@@ -86,19 +81,25 @@ type Channel struct {
 	id          uint16
 	remoteHello protocol.Hello
 
-	in    chan inFrame
-	timer *time.Timer // Next's deadline timer (the reader's)
+	timer *time.Timer   // Next's deadline timer (the reader's)
+	ready chan struct{} // a frame arrived while Next waited (one token)
 
-	// bmu guards batch, the envelopes written but not yet on the conn (a
-	// pooled buffer, nil while no batch is open).
+	// bmu guards batch, the envelopes written but not yet on the conn (nil
+	// while no batch is open).
 	bmu   sync.Mutex
-	batch *[]byte
+	batch *slab
 
-	mu       sync.Mutex
-	rslab    *slab  // the slab the wire's reader copies inbound frames into
-	held     *slab  // the slab of the frame Next handed out last
+	mu sync.Mutex
+	// q is the inbound queue: receive slabs holding the queued frames back
+	// to back, each behind its header, in order. The wire's reader appends
+	// to the last; Next reads the first at head.
+	q        []*slab
+	head     int
+	queued   int    // frames in q not yet handed out
+	waiting  bool   // Next found q empty and waits on ready
 	drained  bool   // Close emptied the queue: nothing more is copied in or handed out
 	avail    uint64 // symbols this end asked for (REQUESTs, the OPEN's round) and has not received
+	round    uint32 // the OPEN's Batch: the unit of the ACCEPT's Depth
 	window   uint32 // the most symbols this end's own requests may have in flight
 	opened   bool   // the window is in the wire's sum (open ran)
 	live     bool   // both ends agreed on the channel (markOpen ran)
@@ -116,27 +117,26 @@ type Channel struct {
 }
 
 // newChannel builds a channel whose window opens at window symbol frames
-// (0 selects the Config.Window default; values are clamped to [1,
-// Config.Window] — the inbound queue is sized for the configured maximum,
-// so no window may exceed it).
+// (0 selects DefaultWindow; values are clamped to [1, DefaultWindow]).
+// Its inbound queue is empty and holds no slab until a frame arrives.
 func newChannel(w *Wire, id uint16, window int) *Channel {
 	return &Channel{
 		w:       w,
 		id:      id,
-		window:  clampWindow(window, w.cfg.Window),
-		in:      make(chan inFrame, w.cfg.Window+queueSlack),
+		window:  clampWindow(window),
+		ready:   make(chan struct{}, 1),
 		dnotify: make(chan struct{}),
 		rclosed: make(chan struct{}),
 		closed:  make(chan struct{}),
 	}
 }
 
-// clampWindow resolves a requested window against the per-channel
-// maximum: 0 (unset) selects the maximum itself, everything else lands
-// in [1, max].
-func clampWindow(n, max int) uint32 {
-	if n <= 0 || n > max {
-		return uint32(max)
+// clampWindow resolves a requested window against the ceiling: 0
+// (unset) selects DefaultWindow itself, everything else lands in [1,
+// DefaultWindow].
+func clampWindow(n int) uint32 {
+	if n <= 0 || n > DefaultWindow {
+		return DefaultWindow
 	}
 	return uint32(n)
 }
@@ -163,7 +163,7 @@ func (c *Channel) Accept(h protocol.Hello) error {
 	if err := c.w.writeFrame(protocol.EncodeAcceptChannel(c.id, h)); err != nil {
 		return err
 	}
-	c.open(0)
+	c.open(0, 0)
 	c.markOpen()
 	return nil
 }
@@ -178,14 +178,27 @@ func (c *Channel) Reject(msg string) {
 
 // open enters the channel's window in the wire's sum, where it stays
 // until the channel ends, and allows the symbols the OPEN's round
-// asked for. A channel that already ended is not entered.
-func (c *Channel) open(asked uint64) {
+// asked for: depth batches of batch symbols. A channel that already
+// ended is not entered.
+func (c *Channel) open(batch uint32, depth uint16) {
 	c.mu.Lock()
-	c.avail += asked
+	c.round = batch
+	c.avail += uint64(batch) * uint64(depth)
 	if !c.retired {
 		c.opened = true
 		c.w.addWindow(int(c.window))
 	}
+	c.mu.Unlock()
+}
+
+// answerRound lowers what the OPEN's round allows to the depth batches
+// the peer's ACCEPT says it answers (called by the wire's reader, before
+// it routes any frame behind the ACCEPT), so the symbols of the batches
+// it does not answer are not left allowed with nothing counting them in
+// flight.
+func (c *Channel) answerRound(depth uint16) {
+	c.mu.Lock()
+	c.avail = min(c.avail, uint64(c.round)*uint64(depth))
 	c.mu.Unlock()
 }
 
@@ -213,12 +226,11 @@ func (c *Channel) Window() int {
 }
 
 // SetWindow sets the channel's window to n symbol frames, clamped to [1,
-// Config.Window] (the inbound queue is sized for the configured maximum).
-// It writes nothing: the window bounds what this end asks for, and the
-// session reads it at each batch boundary. Safe to call from any
-// goroutine, at any point in the channel's life.
+// DefaultWindow]. It writes nothing: the window bounds what this end asks
+// for, and the session reads it at each batch boundary. Safe to call from
+// any goroutine, at any point in the channel's life.
 func (c *Channel) SetWindow(n int) {
-	target := clampWindow(n, c.w.cfg.Window)
+	target := clampWindow(n)
 	c.mu.Lock()
 	moved := target != c.window
 	if c.opened && !c.retired {
@@ -233,7 +245,8 @@ func (c *Channel) SetWindow(n int) {
 }
 
 // deliver queues one inbound frame (called by the wire's reader; must
-// never block), its payload copied into the channel's receive slab. A
+// never block), copied behind its header to the tail of the channel's
+// last receive slab, or to a fresh one when the tail is too short. A
 // SYMBOL this end did not ask for, or any frame past the queue bound, is
 // the sender ignoring what it was asked: charge it, drop the frame, keep
 // the wire.
@@ -251,36 +264,32 @@ func (c *Channel) deliver(inner protocol.Frame) {
 		c.mu.Unlock()
 		return
 	}
-	f := c.copyInLocked(inner)
-	c.mu.Unlock()
-	select {
-	case c.in <- f:
-		c.w.met.queueDepth.Observe(float64(len(c.in)))
-	default:
+	if c.queued == DefaultWindow+queueSlack {
+		c.mu.Unlock()
 		c.w.penalize(WeightViolation)
+		return
 	}
-}
-
-// copyInLocked copies a frame's payload to the free tail of the reader's
-// slab, or to the start of a fresh one when the tail is too short.
-// Caller holds mu.
-func (c *Channel) copyInLocked(inner protocol.Frame) inFrame {
-	n := len(inner.Payload)
-	switch {
-	case n == 0:
-		return inFrame{t: inner.Type}
-	case n > slabSize:
-		p := make([]byte, n)
-		copy(p, inner.Payload)
-		return inFrame{t: inner.Type, p: p}
+	n := frameHeader + len(inner.Payload)
+	last := len(c.q) - 1
+	if last < 0 || cap(c.q[last].b)-len(c.q[last].b) < n {
+		c.q = append(c.q, getSlab(n))
+		last++
 	}
-	if c.rslab == nil || cap(c.rslab.b)-len(c.rslab.b) < n {
-		c.rslab = getSlab()
-	}
-	s := c.rslab
-	at := len(s.b)
+	s := c.q[last]
+	s.b = append(s.b, byte(inner.Type))
+	s.b = binary.LittleEndian.AppendUint32(s.b, uint32(len(inner.Payload)))
 	s.b = append(s.b, inner.Payload...)
-	return inFrame{t: inner.Type, p: s.b[at:len(s.b):len(s.b)], s: s}
+	c.queued++
+	depth, wake := c.queued, c.waiting
+	c.waiting = false
+	c.mu.Unlock()
+	if wake {
+		select {
+		case c.ready <- struct{}{}:
+		default: // a token is already there
+		}
+	}
+	c.w.met.queueDepth.Observe(float64(depth))
 }
 
 // Next returns the next inbound frame. The frame's payload is valid
@@ -289,40 +298,35 @@ func (c *Channel) copyInLocked(inner protocol.Frame) inFrame {
 // then Next returns io.EOF (or the wire's terminal error).
 func (c *Channel) Next() (protocol.Frame, error) {
 	for {
-		select {
-		case <-c.closed:
-			return protocol.Frame{}, ErrClosed
-		default:
-		}
-		// Drain queued frames even when the remote side is gone.
-		select {
-		case f := <-c.in:
-			return c.take(f)
-		default:
-		}
+		// Read before the queue, so a queue found empty holds every frame
+		// the reader routed before the remote close.
+		remoteDone := false
 		select {
 		case <-c.rclosed:
-			select {
-			case f := <-c.in:
-				return c.take(f)
-			default:
-				return protocol.Frame{}, c.finalErr()
-			}
+			remoteDone = true
 		default:
 		}
-
 		c.mu.Lock()
-		dl := c.deadline
-		dn := c.dnotify
+		if c.drained { // Close ran
+			c.mu.Unlock()
+			return protocol.Frame{}, ErrClosed
+		}
+		f, ok := c.popLocked()
+		c.waiting = !ok
+		dl, dn := c.deadline, c.dnotify
 		c.mu.Unlock()
+		if ok {
+			return f, nil
+		}
+		if remoteDone {
+			return protocol.Frame{}, c.finalErr()
+		}
 		timech, ok := armTimer(&c.timer, dl)
 		if !ok {
 			return protocol.Frame{}, ErrDeadline
 		}
 		select {
-		case f := <-c.in:
-			stopTimer(c.timer)
-			return c.take(f)
+		case <-c.ready:
 		case <-c.rclosed:
 		case <-c.closed:
 		case <-dn:
@@ -330,6 +334,33 @@ func (c *Channel) Next() (protocol.Frame, error) {
 		}
 		stopTimer(c.timer)
 	}
+}
+
+// popLocked hands out the queue's next frame, if it holds one. The frame
+// handed out before is dead by now (the contract of Next), so the first
+// slab goes back to the pool once the reading has moved past it, and
+// when the queue is empty its one slab is reset in place: a consumer
+// that keeps up touches one slab. Caller holds mu.
+func (c *Channel) popLocked() (protocol.Frame, bool) {
+	if c.queued == 0 {
+		if len(c.q) > 0 {
+			c.q[0].b, c.head = c.q[0].b[:0], 0
+		}
+		return protocol.Frame{}, false
+	}
+	if c.head == len(c.q[0].b) {
+		c.q[0].release()
+		// Shift in place: reslicing from the front would leak the
+		// slice's capacity and allocate anew once per slab.
+		n := copy(c.q, c.q[1:])
+		c.q[n] = nil
+		c.q, c.head = c.q[:n], 0
+	}
+	b := c.q[0].b[c.head:]
+	end := frameHeader + int(binary.LittleEndian.Uint32(b[1:frameHeader]))
+	c.head += end
+	c.queued--
+	return protocol.Frame{Type: protocol.Type(b[0]), Payload: b[frameHeader:end:end]}, true
 }
 
 // armTimer sets *t, made at its first use and reused by every wait after,
@@ -356,25 +387,6 @@ func stopTimer(t *time.Timer) {
 	if t != nil {
 		t.Stop()
 	}
-}
-
-// take hands f out. The slab of the frame handed out before goes back to
-// the pool when f lies in a later one.
-func (c *Channel) take(f inFrame) (protocol.Frame, error) {
-	c.mu.Lock()
-	if c.drained { // Close won a race with this Next
-		c.mu.Unlock()
-		return protocol.Frame{}, ErrClosed
-	}
-	var done *slab
-	if f.s != nil && f.s != c.held {
-		done, c.held = c.held, f.s
-	}
-	c.mu.Unlock()
-	if done != nil {
-		done.release()
-	}
-	return protocol.Frame{Type: f.t, Payload: f.p}, nil
 }
 
 func (c *Channel) finalErr() error {
@@ -413,15 +425,15 @@ func (c *Channel) Write(p []byte) (int, error) {
 		return 0, ErrClosed
 	default:
 	}
-	if c.batch != nil && len(*c.batch)+len(p)+3 > batchBytes { // the envelope adds 3 bytes to p
+	if c.batch != nil && len(c.batch.b)+len(p)+3 > batchBytes { // the envelope adds 3 bytes to p
 		if err := c.flushLocked(); err != nil {
 			return 0, err
 		}
 	}
 	if c.batch == nil {
-		c.batch = batchBufs.Get().(*[]byte)
+		c.batch = getSlab(batchBytes)
 	}
-	if *c.batch, err = protocol.AppendMux(*c.batch, c.id, t, payload); err != nil {
+	if c.batch.b, err = protocol.AppendMux(c.batch.b, c.id, t, payload); err != nil {
 		return 0, err
 	}
 	if t != protocol.TypeSymbol {
@@ -433,21 +445,19 @@ func (c *Channel) Write(p []byte) (int, error) {
 }
 
 // flushLocked writes the pending batch in one conn write and gives its
-// buffer back, unless one oversize frame grew it. Caller holds bmu.
+// slab back (release keeps none that one oversize frame grew). Caller
+// holds bmu.
 func (c *Channel) flushLocked() error {
-	bp := c.batch
-	if bp == nil {
+	s := c.batch
+	if s == nil {
 		return nil
 	}
 	c.batch = nil
 	var err error
-	if len(*bp) > 0 {
-		err = c.w.write(*bp)
+	if len(s.b) > 0 {
+		err = c.w.write(s.b)
 	}
-	if cap(*bp) <= batchBytes {
-		*bp = (*bp)[:0]
-		batchBufs.Put(bp)
-	}
+	s.release()
 	return err
 }
 
@@ -475,16 +485,17 @@ func (c *Channel) SetDeadline(t time.Time) error {
 	return nil
 }
 
-// Close retires the channel: the pending batch goes out and the peer is
-// told (CLOSE_CHANNEL), late frames for the id drain silently, a blocked
-// Next wakes with ErrClosed, and the fabric refcount drops. Idempotent.
+// Close retires the channel: a blocked Next wakes with ErrClosed, the
+// queue's slabs go back, the pending batch goes out and the peer is told
+// (CLOSE_CHANNEL), late frames for the id drain silently, and the fabric
+// refcount drops. Idempotent.
 func (c *Channel) Close() error {
 	c.clOnce.Do(func() {
 		close(c.closed)
+		c.drainQueued()
 		c.flush()
 		c.retireWindow()
 		c.w.release(c.id, true)
-		c.drainQueued()
 		if c.onClose != nil {
 			c.onClose()
 		}
@@ -527,34 +538,15 @@ func (c *Channel) fail(err error) {
 }
 
 // drainQueued gives the channel's receive slabs back on close, each
-// once: the one Next handed out last, those of the frames still queued,
-// and the reader's, in that order (the order the reader filled them in).
-// The wire's reader no longer routes to this channel (release retired the
-// id), and drained stops a deliver or a Next that raced the retirement.
+// once; from then on Next returns ErrClosed, and deliver drops what the
+// wire's reader still routes here until release retires the id.
 func (c *Channel) drainQueued() {
 	c.mu.Lock()
 	c.drained = true
-	last, reader := c.held, c.rslab
-	c.held, c.rslab = nil, nil
+	q := c.q
+	c.q, c.head, c.queued = nil, 0, 0
 	c.mu.Unlock()
-	next := func(s *slab) {
-		if s != nil && s != last {
-			if last != nil {
-				last.release()
-			}
-			last = s
-		}
-	}
-	for empty := false; !empty; {
-		select {
-		case f := <-c.in:
-			next(f.s)
-		default:
-			empty = true
-		}
-	}
-	next(reader)
-	if last != nil {
-		last.release()
+	for _, s := range q {
+		s.release()
 	}
 }

@@ -67,15 +67,22 @@
 // allowed only when this end asked for it — a REQUEST it wrote, or the
 // first round its OPEN's hello carried (Hello.Batch × Hello.Depth) — and
 // Channel.Write counts what each outgoing REQUEST asks for before the
-// REQUEST leaves, so its answer is allowed however soon it arrives. A
-// SYMBOL nothing asked for is charged (WeightViolation) and dropped, and
-// the wire survives; so is a frame for an unknown channel id, or of a
-// retired type (CREDIT, 18, until version 13). Control frames always
+// REQUEST leaves, so its answer is allowed however soon it arrives. The
+// peer's ACCEPT says in its Depth how many batches of that round it
+// answers, and the reader lowers the round to those (Hello.Batch × the
+// ACCEPT's Depth) before it routes anything behind the ACCEPT: a partial
+// sender answers one batch and says 1, and the batches it does not answer
+// are not left allowed with nothing counting them in flight. A SYMBOL
+// nothing asked for is charged (WeightViolation) and dropped, and the
+// wire survives; so is a frame for an unknown channel id, or of a retired
+// type (CREDIT, 18, until version 13), or any frame past a channel's
+// queue bound (DefaultWindow + 64 frames unread). Control frames always
 // flow, and a sender never waits: it sends what it was asked for.
 //
-// A channel's window (Config.Window by default, OpenWindow's argument,
-// Channel.SetWindow after) is a local number: the most symbols its
-// requests may have asked for and not yet received. The session reads it
+// A channel's window (DefaultWindow unless OpenWindow's argument or
+// Channel.SetWindow set another; DefaultWindow is also the ceiling every
+// window is clamped to) is a local number: the most symbols its requests
+// may have asked for and not yet received. The session reads it
 // at each batch boundary and asks for no more (peer/pipeline.go);
 // SetWindow writes nothing to the wire. Wire.WindowSum adds up the
 // windows of a wire's channels, for the node's gauges. The multi-content
@@ -118,18 +125,26 @@
 // # Batches
 //
 // A channel's envelopes do not go to the conn one by one. Write appends
-// each to the channel's pending batch (a pooled buffer, held only while a
-// batch is open) and writes the batch in one conn write, in order, when a
-// frame other than SYMBOL ends it — DONE ends every answer to a REQUEST,
-// so one REQUEST is one write — when the next envelope would take it
-// past 64 KiB, or at Close, ahead of the CLOSE_CHANNEL. The wire's reader reads ahead in
-// the same unit: one conn read takes in everything that has arrived, up
-// to 64 KiB, and the frames in it are routed without another read, so a
-// session finds its queue holding the batch and drains it without
-// parking. What it routes it copies into the channel's receive slab: a
-// channel's inbound frames lie back to back in pooled 64 KiB slabs, and a
-// slab goes back to the pool once Next has moved past it (or at Close),
-// so a queue a whole 4096-frame window deep costs an allocation per slab,
-// not per frame. A wire that dies routes nothing of what its reader still
-// holds, and charges nothing for it.
+// each to the channel's pending batch (a pooled 64 KiB slab, held only
+// while a batch is open) and writes the batch in one conn write, in
+// order, when a frame other than SYMBOL ends it — DONE ends every answer
+// to a REQUEST, so one REQUEST is one write — when the next envelope
+// would take it past 64 KiB, or at Close, ahead of the CLOSE_CHANNEL. The
+// wire's reader reads ahead in the same unit: one conn read takes in
+// everything that has arrived, up to 64 KiB, and the frames in it are
+// routed without another read, so a session finds its queue holding the
+// batch and drains it without parking.
+//
+// A channel's inbound queue is its receive slabs, from the same pool: the
+// reader appends each frame it routes to the channel's last slab, behind
+// a 5-byte header (type, length), and starts a fresh slab when the frame
+// does not fit (a frame over 64 KiB gets one of its own). Next reads the
+// first slab from a head offset; a slab goes back to the pool once Next
+// has read past it, and when the queue runs empty its one slab is reset
+// in place, so a consumer that keeps up touches one slab, and a queue a
+// whole 4096-frame window deep costs an allocation per slab, not per
+// frame. A channel holds no slab before its first frame and gives every
+// one back at Close; its queue bound is a count, not an allocation. A
+// wire that dies routes nothing of what its reader still holds, and
+// charges nothing for it.
 package peermux

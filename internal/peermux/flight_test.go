@@ -301,7 +301,8 @@ func TestAnswerBehindAcceptRoutes(t *testing.T) {
 		}
 		answer := []protocol.Frame{
 			protocol.EncodeMuxHello(protocol.MuxHello{MaxChannels: 4}),
-			protocol.EncodeAcceptChannel(1, protocol.Hello{ContentID: 1, FullCopy: true}),
+			// The ACCEPT says it answers the round's one batch.
+			protocol.EncodeAcceptChannel(1, protocol.Hello{ContentID: 1, FullCopy: true, Depth: 1}),
 		}
 		for i := 0; i < symbols; i++ {
 			answer = append(answer, protocol.EncodeMux(1, protocol.EncodeSymbol(protocol.Symbol{ID: uint64(i), Data: scriptSymbol})))
@@ -312,7 +313,7 @@ func TestAnswerBehindAcceptRoutes(t *testing.T) {
 		_, err := e.expect(protocol.TypeCloseChannel) // the dialer writes nothing else
 		return err
 	})
-	w, err := Dial(conn, Config{Timeout: 5 * time.Second, Window: symbols, Penalize: func(float64) { charges.Add(1) }})
+	w, err := Dial(conn, Config{Timeout: 5 * time.Second, Penalize: func(float64) { charges.Add(1) }})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -342,6 +343,66 @@ func TestAnswerBehindAcceptRoutes(t *testing.T) {
 	}
 	if n := charges.Load(); n != 0 {
 		t.Fatalf("an answer behind the ACCEPT was charged %d violations", n)
+	}
+}
+
+// TestAcceptTrimsRound: the ACCEPT's Depth bounds what the OPEN's round
+// allows. The OPEN asks for 8 batches of 16, the ACCEPT says it answers
+// 1, and the peer writes 17 symbols behind it: 16 are delivered, and the
+// one past the batch — which nothing counts in flight — is charged and
+// dropped.
+func TestAcceptTrimsRound(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	var charges atomic.Int64
+	const batch, depth = 16, 8
+	conn, join := script(func(e *rawEnd) error {
+		for _, want := range []protocol.Type{protocol.TypeMuxHello, protocol.TypeOpenChannel} {
+			if _, err := e.expect(want); err != nil {
+				return err
+			}
+		}
+		answer := []protocol.Frame{
+			protocol.EncodeMuxHello(protocol.MuxHello{MaxChannels: 4}),
+			protocol.EncodeAcceptChannel(1, protocol.Hello{ContentID: 1, Depth: 1}),
+		}
+		for i := 0; i < batch+1; i++ {
+			answer = append(answer, protocol.EncodeMux(1, protocol.EncodeSymbol(protocol.Symbol{ID: uint64(i), Data: scriptSymbol})))
+		}
+		if err := e.send(append(answer, protocol.EncodeMux(1, protocol.EncodeDone()))...); err != nil {
+			return err
+		}
+		_, err := e.expect(protocol.TypeCloseChannel)
+		return err
+	})
+	w, err := Dial(conn, Config{Timeout: 5 * time.Second, Penalize: func(float64) { charges.Add(1) }})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer w.Close()
+	ch, err := w.Open(protocol.Hello{ContentID: 1, Batch: batch, Depth: depth}, 5*time.Second)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	got := 0
+	for {
+		f, err := ch.Next()
+		if err != nil {
+			t.Fatalf("after %d symbols: %v", got, err)
+		}
+		if f.Type == protocol.TypeDone {
+			break
+		}
+		got++
+	}
+	ch.Close()
+	if err := join(); err != nil {
+		t.Fatal(err)
+	}
+	if got != batch {
+		t.Fatalf("%d symbols delivered, want %d: the ACCEPT answers one batch", got, batch)
+	}
+	if n := charges.Load(); n != 1 {
+		t.Fatalf("%d charges, want 1: the symbol past the answered batch", n)
 	}
 }
 

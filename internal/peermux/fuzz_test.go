@@ -82,7 +82,6 @@ func FuzzChannelDemux(f *testing.F) {
 			w, err := Accept(sc, fr, mh, Config{
 				Timeout:     2 * time.Second,
 				MaxChannels: 8,
-				Window:      16,
 				Penalize:    func(float64) { charges.Add(1) },
 			}, func(ch *Channel) {
 				// Accept everything and consume until the channel dies.
@@ -175,7 +174,6 @@ func TestDemuxHostileSeedsCharged(t *testing.T) {
 				}
 				w, err := Accept(sc, fr, mh, Config{
 					Timeout:  2 * time.Second,
-					Window:   16,
 					Penalize: func(float64) { charges.Add(1) },
 				}, func(ch *Channel) {
 					if ch.Accept(protocol.Hello{FullCopy: true}) != nil {

@@ -1,11 +1,14 @@
 package peermux
 
-// slab_test.go pins the receive slabs: the wire's reader copies a
-// channel's inbound frames back to back into pooled 64 KiB slabs, so a
-// deep queue costs an allocation per slab, not per frame; a frame's view
-// stays intact until the following Next; every slab goes back to the
-// pool exactly once, on consumption or at Close; and the reader filling
-// a slab's tail while the consumer reads its head is race-free.
+// slab_test.go pins the receive slabs, which are a channel's inbound
+// queue: the wire's reader copies a channel's inbound frames back to back
+// into pooled 64 KiB slabs, so a deep queue costs an allocation per slab,
+// not per frame, and an open channel with nothing queued holds none; a
+// consumer that keeps up stays on one slab; a frame's view stays intact
+// until the following Next; every slab goes back to the pool exactly
+// once, on consumption or at Close; a frame past the queue bound is
+// charged and dropped; and the reader filling a slab's tail while the
+// consumer reads its head is race-free.
 
 import (
 	"bytes"
@@ -13,6 +16,8 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,6 +37,9 @@ func slabChannel(t *testing.T) *Channel {
 	c.avail = 1 << 30 // the test's sender sends only what was asked for
 	return c
 }
+
+// lastSlab is the slab the wire's reader appends to.
+func lastSlab(c *Channel) *slab { return c.q[len(c.q)-1] }
 
 // numbered is a SYMBOL frame of size payload bytes, each holding i's low
 // byte after i itself in the first eight.
@@ -53,7 +61,7 @@ func TestReceiveSlabsAllocatePerSlab(t *testing.T) {
 		seen := make(map[*slab]bool)
 		for i := 0; i < frames; i++ {
 			c.deliver(protocol.Frame{Type: protocol.TypeSymbol, Payload: payload})
-			seen[c.rslab] = true
+			seen[lastSlab(c)] = true
 		}
 		for i := 0; i < frames; i++ {
 			if _, err := c.Next(); err != nil {
@@ -62,7 +70,7 @@ func TestReceiveSlabsAllocatePerSlab(t *testing.T) {
 		}
 		return len(seen)
 	}
-	perSlab := slabSize / size
+	perSlab := slabSize / (frameHeader + size)
 	if got, want := slabsFor(), (frames+perSlab-1)/perSlab; got != want {
 		t.Fatalf("%d frames of %d B took %d slabs, want %d", frames, size, got, want)
 	}
@@ -121,7 +129,7 @@ func TestReceiveSlabsCloseReleasesOnce(t *testing.T) {
 	filled := make(map[*slab]bool)
 	for i := 0; i < frames; i++ {
 		c.deliver(numbered(i, size))
-		filled[c.rslab] = true
+		filled[lastSlab(c)] = true
 	}
 	for i := 0; i < 100; i++ { // the consumer is two slabs in
 		if _, err := c.Next(); err != nil {
@@ -138,7 +146,7 @@ func TestReceiveSlabsCloseReleasesOnce(t *testing.T) {
 		t.Fatalf("Next after Close = %v, want ErrClosed", err)
 	}
 	c.deliver(numbered(frames, size))
-	if c.rslab != nil || len(c.in) != 0 {
+	if len(c.q) != 0 || c.queued != 0 {
 		t.Fatal("a frame delivered after Close was copied in")
 	}
 }
@@ -203,5 +211,154 @@ func TestReceiveSlabsConcurrent(t *testing.T) {
 	}
 	if i != total {
 		t.Fatalf("%d frames, want %d", i, total)
+	}
+}
+
+// TestOpenChannelHoldsNoQueue: an open channel holds no inbound queue
+// before a frame arrives — building one allocates under 4 KiB, where a
+// queue preallocated for the window ceiling cost about 166 KB.
+func TestOpenChannelHoldsNoQueue(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	w := newWire(a, nil, Config{}.withDefaults(), true)
+	chans := make([]*Channel, 64)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range chans {
+		chans[i] = newChannel(w, uint16(2*i+1), 0)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / uint64(len(chans)); per >= 4<<10 {
+		t.Fatalf("opening a channel allocated %d B before any frame arrived, want under 4 KiB", per)
+	}
+	runtime.KeepAlive(chans)
+}
+
+// TestReceiveSlabSteadyState: a consumer that keeps up — its next Next
+// finds the queue empty — stays on one slab, reset in place, and one
+// that lags up to
+// 100 frames behind walks through slabs the pool hands back: 10,000
+// interleaved deliver/Next calls of 1400 B frames allocate at most one
+// slab per 64 KiB filled, plus one — and, where the pool keeps what it
+// is given (off the race detector), next to nothing: the queue's slice
+// of slabs shifts in place as its front is consumed, it does not regrow.
+func TestReceiveSlabSteadyState(t *testing.T) {
+	const frames, size, depth = 10000, 1400, 100
+	c := slabChannel(t)
+	frame := protocol.Frame{Type: protocol.TypeSymbol, Payload: make([]byte, size)}
+	c.deliver(frame)
+	if _, err := c.Next(); err != nil {
+		t.Fatal(err)
+	}
+	one := c.q[0]
+	c.SetDeadline(time.Now()) // a Next that finds the queue empty returns at once
+	for i := 0; i < frames; i++ {
+		c.deliver(frame)
+		if _, err := c.Next(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Next(); !errors.Is(err, ErrDeadline) {
+			t.Fatalf("Next on an empty queue = %v, want ErrDeadline", err)
+		}
+		if len(c.q) != 1 || c.q[0] != one {
+			t.Fatalf("after %d frames a consumer that keeps up holds %d slabs, not its one", i+1, len(c.q))
+		}
+	}
+	lag := func() {
+		for i := 0; i < frames; i++ {
+			c.deliver(frame)
+			if c.queued == depth {
+				if _, err := c.Next(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for c.queued > 0 {
+			if _, err := c.Next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(3, lag)
+	if bound := (frames*(frameHeader+size)+slabSize-1)/slabSize + 1; allocs > float64(bound) {
+		t.Fatalf("%d frames through a queue up to %d deep allocated %.0f times, want <= %d", frames, depth, allocs, bound)
+	}
+	if !raceDetector && allocs > 4 {
+		t.Fatalf("%d frames through a queue up to %d deep allocated %.0f times with the pool warm, want <= 4", frames, depth, allocs)
+	}
+}
+
+// TestQueueBoundCharged: a channel whose consumer reads nothing queues
+// DefaultWindow + queueSlack (4160) frames; frame 4161, though asked
+// for, is charged and dropped, and the wire and the channel survive: the
+// queued frames read back in order, and the next REQUEST is answered.
+func TestQueueBoundCharged(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	const bound = DefaultWindow + queueSlack
+	var charges atomic.Int64
+	w, shutdown := startPair(t, Config{Penalize: func(float64) { charges.Add(1) }}, Config{}, func(ch *Channel) {
+		if ch.Accept(protocol.Hello{FullCopy: true}) != nil {
+			return
+		}
+		var id uint64
+		for {
+			f, err := ch.Next()
+			if err != nil || f.Type != protocol.TypeRequest {
+				return
+			}
+			n, _ := protocol.DecodeRequest(f)
+			for end := id + uint64(n); id < end; id++ {
+				if protocol.WriteSymbol(ch, id, []byte("s")) != nil {
+					return
+				}
+			}
+			if ch.flush() != nil { // no DONE: the answer is symbols only
+				return
+			}
+		}
+	})
+	defer shutdown()
+	ch, err := w.Open(protocol.Hello{ContentID: 1}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ch.Close()
+	if err := protocol.WriteFrame(ch, protocol.EncodeRequest(bound+1)); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for charges.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	if n := charges.Load(); n != 1 {
+		t.Fatalf("%d charges with %d frames asked for and none read, want 1: frame %d", n, bound+1, bound+1)
+	}
+	if got := queuedFrames(ch); got != bound {
+		t.Fatalf("%d frames queued, want %d", got, bound)
+	}
+	ch.SetDeadline(time.Now().Add(5 * time.Second))
+	want := func(id uint64) {
+		t.Helper()
+		f, err := ch.Next()
+		if err != nil {
+			t.Fatalf("symbol %d: %v", id, err)
+		}
+		if got, _, err := protocol.SymbolView(f); err != nil || got != id {
+			t.Fatalf("symbol %d read back as %d (%v)", id, got, err)
+		}
+	}
+	for id := uint64(0); id < bound; id++ {
+		want(id)
+	}
+	if err := protocol.WriteFrame(ch, protocol.EncodeRequest(1)); err != nil {
+		t.Fatal(err)
+	}
+	want(bound + 1) // the dropped frame's id is gone
+	if err := w.Err(); err != nil {
+		t.Fatalf("wire died: %v", err)
+	}
+	if n := charges.Load(); n != 1 {
+		t.Fatalf("%d charges, want 1", n)
 	}
 }

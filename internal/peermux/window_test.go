@@ -17,14 +17,21 @@ import (
 	"icd/internal/testutil"
 )
 
+// queuedFrames reads how many frames the channel's inbound queue holds.
+func queuedFrames(ch *Channel) int {
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	return ch.queued
+}
+
 // waitQueued polls until the channel's inbound queue holds want frames.
 func waitQueued(t *testing.T, ch *Channel, want int) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
-	for len(ch.in) != want && time.Now().Before(deadline) {
+	for queuedFrames(ch) != want && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if got := len(ch.in); got != want {
+	if got := queuedFrames(ch); got != want {
 		t.Fatalf("queued frames = %d, want %d", got, want)
 	}
 }
@@ -36,7 +43,7 @@ func waitQueued(t *testing.T, ch *Channel, want int) {
 func TestSetWindowGrowShrinkLive(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	cc := &writeCounter{}
-	w, shutdown := startPairConn(t, Config{Window: 64}, Config{Window: 64},
+	w, shutdown := startPairConn(t, Config{}, Config{},
 		func(c net.Conn) net.Conn { cc.Conn = c; return cc }, nil,
 		serveSymbols(100000, []byte("0123456789abcdef")))
 	defer shutdown()
@@ -62,7 +69,7 @@ func TestSetWindowGrowShrinkLive(t *testing.T) {
 	writes := cc.total()
 	for _, tc := range []struct {
 		to, want int
-	}{{12, 12}, {6, 6}, {1000, 64}, {0, 64}, {1, 1}} {
+	}{{12, 12}, {6, 6}, {1000, 1000}, {DefaultWindow + 1, DefaultWindow}, {0, DefaultWindow}, {1, 1}} {
 		ch.SetWindow(tc.to)
 		check(fmt.Sprintf("after SetWindow(%d)", tc.to), tc.want)
 	}
@@ -87,7 +94,7 @@ func TestMultiContentOneWireResizeFairness(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	const total = 600
 	var charges atomic.Int64
-	w, shutdown := startPair(t, Config{Window: 64, Penalize: func(float64) { charges.Add(1) }}, Config{Window: 64},
+	w, shutdown := startPair(t, Config{Penalize: func(float64) { charges.Add(1) }}, Config{},
 		serveSymbols(total, []byte("0123456789abcdef")))
 	defer shutdown()
 

@@ -42,12 +42,18 @@ const (
 const (
 	DefaultTimeout     = 30 * time.Second
 	DefaultMaxChannels = 64
-	DefaultWindow      = 4096
+	// DefaultWindow is a channel's window when nothing sets one, and the
+	// ceiling of every window: how many SYMBOL frames a channel's own
+	// requests may have asked for and not yet received. It is a ceiling,
+	// not a target: a fetching session asks for no more than its decode
+	// still needs, so the window shapes a flight only when the need is
+	// larger.
+	DefaultWindow = 4096
 	// drainedIDs bounds the set of recently retired channel ids whose
 	// in-flight frames are drained silently instead of punished.
 	drainedIDs = 64
-	// queueSlack is headroom on a channel's inbound queue beyond the
-	// window, for the control frames that ride beside the symbols.
+	// queueSlack is headroom on a channel's inbound queue bound beyond
+	// the window, for the control frames that ride beside the symbols.
 	queueSlack = 64
 )
 
@@ -85,15 +91,6 @@ type Config struct {
 	// peer (default 64). Announced in MUX_HELLO; openers respect the
 	// peer's announcement.
 	MaxChannels int
-	// Window is the per-channel window maximum in symbol frames (default
-	// 4096): how many SYMBOL frames a channel's own requests may have
-	// asked for and not yet received. It is both the default window and
-	// the ceiling any Channel.SetWindow is clamped to (the inbound queues
-	// are sized for it). It is a ceiling, not a target: a fetching
-	// session asks for no more than its decode still needs, so the window
-	// shapes a flight only when the need is larger, and the queued frames
-	// cost receive slabs, not buffers per frame.
-	Window int
 	// ListenAddr is advertised in the MUX_HELLO for gossip attribution
 	// (empty: not dialable).
 	ListenAddr string
@@ -117,9 +114,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxChannels <= 0 {
 		c.MaxChannels = DefaultMaxChannels
-	}
-	if c.Window <= 0 {
-		c.Window = DefaultWindow
 	}
 	return c
 }
@@ -305,7 +299,7 @@ func (w *Wire) Close() error {
 	return nil
 }
 
-// Open is OpenWindow at the Config default window, bounded by timeout
+// Open is OpenWindow at DefaultWindow, bounded by timeout
 // instead of a caller's context.
 func (w *Wire) Open(h protocol.Hello, timeout time.Duration) (*Channel, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
@@ -317,7 +311,7 @@ func (w *Wire) Open(h protocol.Hello, timeout time.Duration) (*Channel, error) {
 // HELLO) and blocks until the peer accepts or rejects it, the wire dies,
 // or ctx ends. On accept, the channel's RemoteHello carries the peer's
 // content metadata. window is the channel's window in symbol frames (0
-// selects the Config.Window default; values clamp to [1, Config.Window]):
+// selects DefaultWindow; values clamp to [1, DefaultWindow]):
 // a scheduler that already knows a channel's worth opens it at size
 // instead of resizing after.
 //
@@ -326,9 +320,11 @@ func (w *Wire) Open(h protocol.Hello, timeout time.Duration) (*Channel, error) {
 // MUX_HELLO — and only then does the call wait. The channel is registered
 // before the peer can answer, and the symbols the OPEN's first round asks
 // for (h.Batch × h.Depth) are allowed before the OPEN is written, so what
-// the peer writes behind its ACCEPT (a full sender's answer to that
-// round) routes to it like any later answer. A wire that dies first
-// fails the open with the wire's terminal error, typed as the reader saw
+// the peer writes behind its ACCEPT (its answer to that round) routes to
+// it like any later answer. The ACCEPT's Depth says how many of the
+// round's batches the peer answers, and the reader lowers the allowance
+// to those before it routes anything behind the ACCEPT. A wire that dies
+// first fails the open with the wire's terminal error, typed as the reader saw
 // it (protocol.ErrVersion, *RemoteError, protocol.ErrCorrupt). An open
 // whose ctx ends first returns ctx's error and leaves nothing behind: the
 // half-open id drains and its window leaves the wire's sum (abortOpen).
@@ -340,7 +336,7 @@ func (w *Wire) OpenWindow(ctx context.Context, h protocol.Hello, window int) (*C
 	if err != nil {
 		return nil, err
 	}
-	c.open(uint64(h.Batch) * uint64(h.Depth))
+	c.open(h.Batch, h.Depth)
 	if err := w.writeFrame(protocol.EncodeOpenChannel(c.id, h)); err != nil {
 		w.abortOpen(c)
 		return nil, err // a failed write killed the wire: the wire's verdict
@@ -763,22 +759,19 @@ func (w *Wire) handleOpen(f protocol.Frame) {
 
 func (w *Wire) resolveOpen(id uint16, r openReply) {
 	w.mu.Lock()
-	reply := w.pend[id]
+	reply, c := w.pend[id], w.chans[id]
+	_, drained := w.drain[id]
 	delete(w.pend, id)
+	w.mu.Unlock()
 	if reply == nil {
-		known := false
-		if _, ok := w.chans[id]; ok {
-			known = true
-		} else if _, ok := w.drain[id]; ok {
-			known = true
-		}
-		w.mu.Unlock()
-		if !known {
+		if c == nil && !drained {
 			w.penalize(WeightViolation)
 		}
 		return
 	}
-	w.mu.Unlock()
+	if r.ok && c != nil {
+		c.answerRound(r.hello.Depth)
+	}
 	select {
 	case reply <- r:
 	default:

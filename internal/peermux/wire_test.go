@@ -238,13 +238,13 @@ func TestSlowConsumerDoesNotStallSiblings(t *testing.T) {
 	const total = 2000
 	payload := []byte("payload-payload-")
 	var charges atomic.Int64
-	// A small window so the slow channel's answer is quickly all queued.
-	w, shutdown := startPair(t, Config{Window: 32, Penalize: func(float64) { charges.Add(1) }}, Config{Window: 32},
+	w, shutdown := startPair(t, Config{Penalize: func(float64) { charges.Add(1) }}, Config{},
 		serveSymbols(total, payload))
 	defer shutdown()
 
+	// A small window so the slow channel's answer is quickly all queued.
 	open := func(id uint64) *Channel {
-		ch, err := w.Open(protocol.Hello{ContentID: id}, time.Second)
+		ch, err := w.OpenWindow(timeoutCtx(t, time.Second), protocol.Hello{ContentID: id}, 32)
 		if err != nil {
 			t.Fatalf("Open %d: %v", id, err)
 		}
@@ -298,7 +298,7 @@ func TestUnaskedSymbolCharged(t *testing.T) {
 	var charges atomic.Int64
 	const round = 3 // the OPEN asks for one batch of 3
 	w, shutdown := startPair(t, Config{Penalize: func(float64) { charges.Add(1) }}, Config{}, func(ch *Channel) {
-		if ch.Accept(protocol.Hello{FullCopy: true}) != nil {
+		if ch.Accept(protocol.Hello{FullCopy: true, Depth: 1}) != nil {
 			return
 		}
 		var id uint64
@@ -769,7 +769,7 @@ func TestDialVersionReject(t *testing.T) {
 func TestRemoteCloseDrainsThenEOF(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	w, shutdown := startPair(t, Config{}, Config{}, func(ch *Channel) {
-		ch.Accept(protocol.Hello{FullCopy: true})
+		ch.Accept(protocol.Hello{FullCopy: true, Depth: 1})
 		for i := 0; i < 5; i++ {
 			protocol.WriteSymbol(ch, uint64(i), []byte("tail"))
 		}

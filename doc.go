@@ -204,11 +204,15 @@
 //     not Released to an encoder). Its one buffer of its own is the
 //     content, n×blockSize: recovered blocks are slots of it (they ARE
 //     the output of Blocks and Content).
-//   - Working-set payloads: the log owns them. Its add (the fold,
-//     FetchOptions.Initial, NewPartialServer) copies a new symbol's
-//     payload into the free tail of the log's current slab and appends a
-//     view of it clipped to its own length, so an append to one payload
-//     cannot write its neighbour; from then on nobody writes it. A log's
+//   - Working-set payloads: the log owns what arrives. Its add (the
+//     fold) copies a new symbol's payload into the free tail of the log's
+//     current slab and appends a view of it clipped to its own length, so
+//     an append to one payload cannot write its neighbour; from then on
+//     nobody writes it. What a caller hands over up front
+//     (FetchOptions.Initial, NewPartialServer) the log adopts instead:
+//     it keeps the caller's own buffers, each clipped to its length, and
+//     the caller must not modify them while the fetch or the server uses
+//     them — the rule NewFullServer keeps for its content. A log's
 //     slabs double, each as large as every earlier one together, from
 //     64 KiB up to 1 MiB (a payload larger than that gets one of its
 //     own). The peel stage hands it to the decoder, and a live Server's
@@ -274,9 +278,10 @@
 // batch of the OPEN's round behind its ACCEPT, aimed by it, and its
 // first symbol arrives one round trip after the open (a full sender
 // ignores it). A partial sender that reads summaries (its ACCEPT's mask
-// bit) then gets SUMMARY frames as refreshes when the shared set grows,
-// so it stops sending what other sessions already delivered; a session
-// that opened empty-handed sends its first summary the same way.
+// bit) then gets SUMMARY frames as refreshes when what the receiver
+// learned from other senders makes its last one stale, so it stops
+// sending what they already delivered; a session that opened
+// empty-handed sends its first summary the same way.
 //
 // Send once across senders (protocol v10). A summary keeps one sender
 // from sending what the receiver holds, but two partial senders can still
@@ -289,22 +294,36 @@
 // then the rest, so s senders start on disjoint ids and none of them
 // learns what another holds. When a partial session joins or leaves, the
 // slices close ranks and every other informed session sends one refresh
-// with its new slice at its next batch boundary, whatever the cadence
-// says; full senders, and sessions that have sent no summary yet, take no
-// part. On partial_swarm this takes useful_ratio from 0.92 to 0.98.
+// with its new slice at its next batch boundary, however fresh its
+// summary is; full senders, and sessions that have sent no summary yet,
+// take no part. On partial_swarm this takes useful_ratio from 0.92 to 0.98.
 //
-// One refresh policy. Every 8 request batches a session checks whether
-// the shared working set grew by a tenth since the summary it last sent,
-// and re-sends one if so. No option tunes it: it is the policy every
-// benchmark workload and every user's fetch runs, so the ledger's
-// useful_ratio rows measure what a user's fetch does.
+// One refresh rule, on what the receiver learned. At a batch boundary a
+// partial session re-summarizes once the ids other senders delivered
+// since its last summary reach its even share of what the fetch still
+// needs (or what it has in flight and the batch it asks for next, when
+// that is more), or once the duplicates its sender sent that a fresher
+// summary would have spared weigh as much as a summary. Its own sender's
+// deliveries never count: the sender knows what it sent. The share
+// shrinks as the fetch completes, so refreshes come rarely while a
+// sender's queue is mostly news to the receiver and more often toward the
+// end, and the second count prices the filter against the duplicates it
+// spares; neither depends on how the scheduler interleaves batches. A
+// refresh costs what changed at both ends: the fetch's one filter takes in
+// the ids the log gained and is marshaled into a buffer the session
+// keeps, and a sender that reads a summary of the same width and slice
+// keeps its queue, testing each id against the latest filter as it is
+// about to send it. No option tunes it: it is the rule every benchmark
+// workload and every user's fetch runs, so the ledger's useful_ratio rows
+// measure what a user's fetch does.
 // peer.TestFreshReceiverNegotiatesSummaryMidTransfer and
 // peer.TestGossipBootstrapFromSingleSeed run it in live swarms.
 //
 // Gossip discovery. Sessions announce their node's own
 // dialable address (FetchOptions.AdvertiseAddr) in the HELLO, and both
 // sides may volunteer capped, deduplicated PEERS frames: a session
-// piggybacks them on its handshake and refresh checks, a server relays
+// piggybacks them on its handshake and, to a partial sender, on every
+// batch boundary, a server relays
 // its accumulated directory ahead of each symbol batch. Both ends run one
 // relay per connection, gated by generation: the directory's, and on a
 // session also its fetch's session set's. A check when neither moved
@@ -362,10 +381,13 @@
 // the seed salted with the server's own address, so neither two sessions
 // nor two fresh mirrors walk overlapping logs in step — and writes up to
 // the requested count as plain SYMBOL frames straight from the log's
-// payload buffers, then DONE; a dry cursor answers the DONE alone, the
-// empty batch a receiver counts toward MaxUselessBatches. On a summary,
-// the OPEN's or a refresh, it re-tests every unsent position, which
-// keeps one filter's false positive from being permanent.
+// payload buffers, then DONE, dropping unsent any queued id the latest
+// summary holds; a cursor with nothing to send answers the DONE alone,
+// the empty batch a receiver counts toward MaxUselessBatches. The OPEN's
+// summary, a refresh whose filter the receiver rebuilt at another width,
+// or one that moves the slice re-tests every unsent position, which
+// keeps one filter's false positive from being permanent; a refresh of
+// the same width only adds ids, so the send-time test is all it takes.
 // A position once sent is never sent again on that session: the channel
 // is reliable, and all a refresh has to prune is what other senders
 // delivered. This is §6.1 taken at its word — with a membership summary

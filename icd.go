@@ -307,7 +307,8 @@ func NewFullServer(info ContentInfo, content []byte) (*Server, error) {
 }
 
 // NewPartialServer builds a partial sender from a working set of encoded
-// symbols.
+// symbols. It adopts the payloads instead of copying them, so they must
+// not be modified while the server serves them.
 func NewPartialServer(info ContentInfo, symbols map[uint64][]byte) (*Server, error) {
 	return peer.NewPartialServer(info, symbols)
 }

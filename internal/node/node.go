@@ -280,6 +280,8 @@ func (n *Node) ServeFull(info peer.ContentInfo, content []byte, pin bool) error 
 
 // ServePartial registers a partial replica (a working set of encoded
 // symbols) on the shared listener, accounted at len(symbols)·BlockSize.
+// The replica adopts the payloads rather than copying them
+// (peer.NewPartialServer), so they must not be modified while it serves.
 func (n *Node) ServePartial(info peer.ContentInfo, symbols map[uint64][]byte, pin bool) error {
 	srv, err := peer.NewPartialServer(info, symbols)
 	if err != nil {

@@ -34,6 +34,17 @@
 // others' slices, and each of them sends one refresh carrying its new
 // slice at its next batch boundary.
 //
+// Otherwise a session refreshes its summary on what the receiver learned,
+// never on a cadence: at a batch boundary, once the ids other senders
+// delivered since its last summary reach its even share of what the fetch
+// still needs, or once the duplicates its sender sent that a fresher
+// summary would have spared weigh as much as a summary. Its own sender's
+// deliveries never count. A refresh costs what changed: the fetch tops
+// its one filter up and marshals it into a buffer the session keeps, and
+// a sender reading a summary of the same width and slice keeps its queue
+// and drops, when their turn comes, the ids the new filter holds; only a
+// rebuilt filter or a moved slice re-tests everything it has not sent.
+//
 // A receiver uses Fetch to download from any mix of full and partial
 // senders in parallel; every session is a subchannel on the fabric wire
 // to its peer (a lone Fetch builds a private fabric: a wire with one
@@ -76,7 +87,8 @@
 // any mix of senders, and the symbols the fetch has requested and not
 // yet received, over all its sessions, stay within what its decode still
 // needs — a session asks for more only while it has nothing in flight or
-// the budget has room for the request. Its channel's window, read at
+// the budget has room for the request within the session's even share
+// of it. Its channel's window, read at
 // every batch boundary, bounds exactly what it has in flight: a request
 // asks for a batch, or for what the window has left when that is less,
 // so a scheduler that resizes the window (Orchestrator.SetChannelWindow)

@@ -25,7 +25,11 @@ type FetchOptions struct {
 	Timeout time.Duration
 	// Initial carries encoded symbols already held — resumed downloads
 	// and stateless migration (§2.3): nothing else is needed to continue
-	// where a previous transfer left off.
+	// where a previous transfer left off. The fetch adopts the payloads
+	// rather than copying them: its working set keeps each as a view of
+	// the caller's buffer (FetchResult.Held hands them back), so they must
+	// not be modified while the fetch runs or its result is in use — the
+	// rule NewFullServer keeps for its content. The map itself is not kept.
 	Initial map[uint64][]byte
 	// MaxUselessBatches disconnects a peer after this many consecutive
 	// batches that contributed nothing (default 4).

@@ -734,12 +734,21 @@ func TestRequestDepthIsMeasured(t *testing.T) {
 	t.Run("service past round trip", func(t *testing.T) {
 		p := newDepthProbe(probeBlocks)
 		p.linger = 60 * time.Millisecond
+		o, stop := runProbe(t, 2, FetchOptions{ChannelWindow: 8 * 64}, p)
+		defer stop()
 		// The first two batches are answered as soon as they are asked
 		// for: the OPEN's round, and the first REQUEST at the boundary it
-		// retires at, the channel idle again.
+		// retires at, the channel idle again — but only once the session
+		// has built its decoder (WaitInfo). A first symbol written while it
+		// still builds one (tens of milliseconds for this k under the race
+		// detector) waits in the channel's queue, and the session, reading
+		// it late, would time a service far shorter than the linger.
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if _, err := o.WaitInfo(ctx); err != nil {
+			t.Fatal(err)
+		}
 		p.release(2)
-		_, stop := runProbe(t, 2, FetchOptions{ChannelWindow: 8 * 64}, p)
-		defer stop()
 		// The OPEN's round, then REQUESTs to fill each of the next two
 		// boundaries' idle slots: 2 (inflight 0 -> 2), then 1 (1 -> 2).
 		if got := p.outstanding(); got != 3 {

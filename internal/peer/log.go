@@ -1,9 +1,6 @@
 package peer
 
-import (
-	"maps"
-	"slices"
-)
+import "slices"
 
 // slabSize is a symbolLog's first slab, and maxSlab the largest it makes
 // for payloads that fit one: each new slab is as large as every earlier
@@ -27,28 +24,57 @@ const (
 // sender's working set (NewPartialServer); an Orchestrator's grows under
 // its lock as sessions fold arrivals in. Not safe for concurrent use.
 //
-// The log owns its payloads: add copies each into the free tail of the
-// current slab, and a payload is a view of its slab clipped to its own
+// What arrives the log owns: add copies each payload into the free tail of
+// the current slab, and a payload is a view of its slab clipped to its own
 // length, so an append to one cannot write the next. A slab lives as long
 // as any payload in it does, so one kept payload can keep up to 1 MiB
-// alive.
+// alive. What a caller hands over up front (adopt) it keeps as the
+// caller's own, clipped the same way, and copies nothing of.
 type symbolLog struct {
-	index    map[uint64]int // id -> position
+	// index maps id -> position, made for room entries. It is built at the
+	// first add or reserve, and again only by a reserve for more: an
+	// Orchestrator builds it once, at the handshake's reserve, and a log
+	// that only adopts and is read by position never builds one.
+	index    map[uint64]int
+	room     int
 	ids      []uint64
 	payloads [][]byte
 	slab     []byte // the current slab: payloads so far, then free capacity
 	slabbed  int    // the bytes of every slab made so far
 }
 
+// adopt lays an empty log out from a caller's working set, in id order,
+// not map order, so one set gives one log. It copies no payload: each
+// stays the caller's backing array, clipped to its own length, and the
+// caller must not modify it while the log is in use.
+func (l *symbolLog) adopt(symbols map[uint64][]byte) {
+	l.ids = sortedIDs(symbols)
+	l.payloads = make([][]byte, len(l.ids))
+	for pos, id := range l.ids {
+		p := symbols[id]
+		l.payloads[pos] = p[:len(p):len(p)]
+	}
+}
+
+// indexed builds the index for n entries, unless it has the room.
+func (l *symbolLog) indexed(n int) {
+	if l.index != nil && n <= l.room {
+		return
+	}
+	l.room = max(n, len(l.ids))
+	l.index = make(map[uint64]int, l.room)
+	for pos, id := range l.ids {
+		l.index[id] = pos
+	}
+}
+
 // add appends a copy of payload under id and reports where the log holds
 // id and whether it already did; an id the log already holds is left as
 // it is, and nothing is copied.
 func (l *symbolLog) add(id uint64, payload []byte) (pos int, held bool) {
+	l.indexed(0)
 	if pos, held = l.index[id]; held {
 		return pos, true
-	}
-	if l.index == nil {
-		l.index = make(map[uint64]int)
 	}
 	n := len(payload)
 	if cap(l.slab)-len(l.slab) < n {
@@ -77,14 +103,10 @@ func sortedIDs(m map[uint64][]byte) []uint64 {
 // reserve makes room for n entries in all, so the log does not regrow or
 // rehash on its way there. Views already taken keep the storage they have.
 func (l *symbolLog) reserve(n int) {
-	if n <= cap(l.ids) {
-		return
-	}
-	l.ids = slices.Grow(l.ids, n-len(l.ids))
-	l.payloads = slices.Grow(l.payloads, n-len(l.payloads))
-	index := make(map[uint64]int, n)
-	maps.Copy(index, l.index)
-	l.index = index
+	l.indexed(n)
+	n = max(n-len(l.ids), 0)
+	l.ids = slices.Grow(l.ids, n)
+	l.payloads = slices.Grow(l.payloads, n)
 }
 
 // WorkingSet implements WorkingSetSource: the log as it stands. O(1): both

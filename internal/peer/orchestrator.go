@@ -195,12 +195,9 @@ func NewOrchestrator(contentID uint64, opts FetchOptions) *Orchestrator {
 		// co-located live Server — flows into the admission path.
 		o.gossip.subscribe(func(ad protocol.PeerAd) { o.considerDiscovered(ad) })
 	}
-	// In id order, not map order: the log keeps arrival order, which a live
-	// Server's sessions walk by position.
-	o.log.reserve(len(opts.Initial))
-	for _, id := range sortedIDs(opts.Initial) {
-		o.log.add(id, opts.Initial[id])
-	}
+	// The log adopts the resumed working set in id order, not map order: it
+	// keeps arrival order, which a live Server's sessions walk by position.
+	o.log.adopt(opts.Initial)
 	o.progress.Store(int64(len(o.log.ids)))
 	// The resumed working set is the stage's first input.
 	o.peel.announce(len(o.log.ids), false)
@@ -735,6 +732,8 @@ func (o *Orchestrator) sliceOfLocked(s *session) (slice, of uint16) {
 // agree. A session whose OPEN carries the summary joins the fetch's
 // partial sessions first (join), so the slice it names is its own. A log
 // that holds nothing has no summary: a frame with no payload, covering 0.
+// The payload is s's own buffer (session.summary), valid until s's next
+// summary: once it has the room, a summary allocates nothing.
 func (o *Orchestrator) summarize(s *session, join bool) (f protocol.Frame, slice, of uint16, covers int, err error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -746,16 +745,16 @@ func (o *Orchestrator) summarize(s *session, join bool) (f protocol.Frame, slice
 		o.joinPartialsLocked(s)
 	}
 	slice, of = o.sliceOfLocked(s)
-	payload, err := o.summaryLocked(slice, of)
+	s.summary, err = o.summaryLocked(s.summary[:0], slice, of)
 	if err != nil {
 		return protocol.Frame{}, 0, 0, 0, err
 	}
-	return protocol.Frame{Type: protocol.TypeSummary, Payload: payload}, slice, of, covers, nil
+	return protocol.Frame{Type: protocol.TypeSummary, Payload: s.summary}, slice, of, covers, nil
 }
 
-// summaryLocked returns the SUMMARY payload naming slice of of: the
-// fetch's Bloom filter over the whole log, marshaled behind the slice
-// fields into the payload's one buffer. The filter follows the
+// summaryLocked appends to dst the SUMMARY payload naming slice of of:
+// the fetch's Bloom filter over the whole log, marshaled behind the slice
+// fields, growing dst at most once. The filter follows the
 // paper's §5.2 low false-positive operating point, 8 bits per element and
 // 5 hashes, under seed 0, which every peer on the wire shares. The filter
 // is kept from one summary to the next and takes in only what the log
@@ -766,11 +765,11 @@ func (o *Orchestrator) summarize(s *session, join bool) (f protocol.Frame, slice
 // from the log only when that outgrows it — for the blind OPEN, and once
 // after the first ACCEPT. Until it is rebuilt its false positives stay the
 // ids they are, summary after summary (see cursor); in a stalled endgame
-// the refresh cadence, which needs the log to grow, would not draw new
-// ones either. A refresh still sends the whole filter: between two of
-// them a fetch of k=4096 sets 5 bits for each of about 580 new ids in 576
-// words, so nearly every word changes. Callers hold o.mu.
-func (o *Orchestrator) summaryLocked(slice, of uint16) ([]byte, error) {
+// nothing new arrives to refresh on, so a refresh would not draw new ones
+// either. A refresh still sends the whole filter: a fetch of k=4096 sets
+// 5 bits for each new id in 576 words, so a few hundred new ids change
+// nearly every word. Callers hold o.mu.
+func (o *Orchestrator) summaryLocked(dst []byte, slice, of uint16) ([]byte, error) {
 	n, k := len(o.log.ids), o.info.NumBlocks
 	want := n + n/8
 	if k > 0 {
@@ -784,7 +783,7 @@ func (o *Orchestrator) summaryLocked(slice, of uint16) ([]byte, error) {
 		o.filter.Add(id)
 	}
 	o.filtered = n
-	return protocol.AppendSummary(make([]byte, 0, protocol.SummaryLen(o.filter.BinaryLen())), slice, of, o.filter)
+	return protocol.AppendSummary(slices.Grow(dst, protocol.SummaryLen(o.filter.BinaryLen())), slice, of, o.filter)
 }
 
 // needLocked is what the fetch may have requested and not yet received
@@ -829,13 +828,33 @@ func (o *Orchestrator) settleOpen(s *session, batches int) {
 	o.mu.Unlock()
 }
 
+// share is a session's even share of what the fetch still needs among
+// its live sessions, never less than a batch: the most a session owes
+// beyond its one request (claim), and the news since its last summary
+// that makes a partial session re-summarize (serveChannel). It follows
+// ensureDecoder.
+func (o *Orchestrator) share() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.shareLocked()
+}
+
+// shareLocked is share for callers that hold o.mu.
+func (o *Orchestrator) shareLocked() int {
+	return max(o.opts.Batch, o.needLocked()/max(len(o.sessions), 1))
+}
+
 // claim reserves n more symbols of the budget for s, a request's worth:
 // always when s has nothing in flight (every session keeps a request),
-// otherwise only while asked stays within need.
+// otherwise only while asked stays within need and what s owes within its
+// share of it. The share keeps the split from following the scheduler:
+// first come, the session that runs first would claim the whole need, and
+// a partial sender would answer all of it under the summary it has, past
+// its slice into ids the other senders deliver meanwhile.
 func (o *Orchestrator) claim(s *session, n int, idle bool) bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if !idle && o.asked+n > o.needLocked() {
+	if !idle && (o.asked+n > o.needLocked() || s.owed+n > o.shareLocked()) {
 		return false
 	}
 	o.asked += n
@@ -858,24 +877,40 @@ func (o *Orchestrator) retire(s *session, n int) {
 	o.mu.Unlock()
 }
 
+// arrival is what a fold made of one symbol.
+type arrival uint8
+
+const (
+	// arrivedLate: the fetch had ended; nothing was counted.
+	arrivedLate arrival = iota
+	// arrivedNew: the symbol was new to the working set.
+	arrivedNew
+	// arrivedCovered: a duplicate of an id the session's last summary
+	// held — its sender had not read that summary yet when it sent it.
+	arrivedCovered
+	// arrivedStale: a duplicate of an id the fetch learned after the
+	// session's last summary, which a fresher one would have spared.
+	arrivedStale
+)
+
 // fold puts one arrival into the working set, on the goroutine of the
 // session that read it, and charges it to st, the session's stats. data
 // may be a view that dies with the caller's frame: a new symbol's payload
 // is copied into the log's current slab, a duplicate is not copied at
 // all. summarized is how much of the log the session's last summary
 // covered, which is what tells the two ways an arrival can be a duplicate
-// apart (fetchMetrics.dupBefore, dupSince). It reports whether the symbol
-// was new and whether the fetch is still on; a fold after it finished
-// counts nothing. Below n symbols the peel stage is only told how far the
-// log reaches. From n on every fold that grew the log settles the stage,
-// so completion is seen at the symbol that brings it and the session
-// reads nothing more off the wire; sessions folding at that moment can
-// each put at most one more symbol into the log, none into the decoder.
-func (o *Orchestrator) fold(st *PeerStats, summarized int, id uint64, data []byte) (useful, on bool) {
+// apart (fetchMetrics.dupBefore, dupSince). It reports what the symbol
+// was and whether the fetch is still on; a fold after it finished counts
+// nothing. Below n symbols the peel stage is only told how far the log
+// reaches. From n on every fold that grew the log settles the stage, so
+// completion is seen at the symbol that brings it and the session reads
+// nothing more off the wire; sessions folding at that moment can each
+// put at most one more symbol into the log, none into the decoder.
+func (o *Orchestrator) fold(st *PeerStats, summarized int, id uint64, data []byte) (a arrival, on bool) {
 	o.mu.Lock()
 	if o.ctx.Err() != nil {
 		o.mu.Unlock()
-		return false, false
+		return arrivedLate, false
 	}
 	pos, held := o.log.add(id, data)
 	if !held {
@@ -889,14 +924,17 @@ func (o *Orchestrator) fold(st *PeerStats, summarized int, id uint64, data []byt
 	o.met.received.Inc()
 	switch {
 	case !held:
+		a = arrivedNew
 		o.met.useful.Inc()
 		o.peel.announce(known, settle)
 	case pos < summarized:
+		a = arrivedCovered
 		o.met.dupBefore.Inc()
 	default:
+		a = arrivedStale
 		o.met.dupSince.Inc()
 	}
-	return !held, o.ctx.Err() == nil
+	return a, o.ctx.Err() == nil
 }
 
 // Run connects the given peers and decodes until the content completes,

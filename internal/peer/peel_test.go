@@ -80,8 +80,8 @@ func TestFoldAdvancesWhilePeelHeld(t *testing.T) {
 	go func() {
 		defer close(done)
 		for _, sym := range syms {
-			if useful, on := o.fold(st, 0, sym.ID, sym.Data); !useful || !on {
-				t.Errorf("fold of a fresh symbol: useful=%v on=%v", useful, on)
+			if a, on := o.fold(st, 0, sym.ID, sym.Data); a != arrivedNew || !on {
+				t.Errorf("fold of a fresh symbol: %v, on=%v", a, on)
 			}
 		}
 	}()

@@ -44,14 +44,16 @@ func startServer(t testing.TB, s *Server) string {
 }
 
 // startGatedServers serves each of srvs as startServer does, behind one
-// startGate: no server sends its first batch until every one of them has
-// a client session either requesting (its first batch is ready) or gone
-// (its handshake was rejected). A fetch from all of them then has every
-// session decided before any transfer starts, however fast the first one
-// up would finish alone.
+// startGate that lets every server send one batch of symbols and holds
+// its second until every one of them is about to send its second — its
+// client session read the whole first batch and asked again — or its
+// client is gone (its handshake was rejected). A fetch from all of them
+// then has every session holding symbols before any transfer goes on,
+// however fast the first ones up would finish alone and however late the
+// scheduler runs the last server the gate lets go.
 func startGatedServers(t testing.TB, srvs ...*Server) []string {
 	t.Helper()
-	return serveGated(t, &startGate{n: len(srvs), open: make(chan struct{})}, srvs)
+	return serveGated(t, &startGate{n: len(srvs), batches: 1, open: make(chan struct{})}, srvs)
 }
 
 // startHandshakeGatedServers is startGatedServers whose gate also waits
@@ -88,12 +90,14 @@ func serveGated(t testing.TB, g *startGate, srvs []*Server) []string {
 }
 
 // startGate opens once n server connections have arrived at it and, if
-// ready is set, ready holds (polled, for at most 10 s).
+// ready is set, ready holds (polled, for at most 10 s). Each connection
+// first writes batches symbol batches past it.
 type startGate struct {
-	mu    sync.Mutex
-	n     int
-	ready func() bool
-	open  chan struct{}
+	mu      sync.Mutex
+	n       int
+	batches int
+	ready   func() bool
+	open    chan struct{}
 }
 
 func (g *startGate) arrive() {
@@ -114,20 +118,33 @@ func (g *startGate) arrive() {
 	}()
 }
 
-// gatedConn is a server connection behind a startGate. It arrives at its
-// first MUX envelope write — the fabric writes whole frames or batches of
-// them, so a write's first frame header names what it carries — or when
-// its client hangs up, whichever comes first, and every envelope write
-// waits for the gate (bounded, so that a gate that never opens fails the
-// fetch instead of hanging the server).
+// gatedConn is a server connection behind a startGate. Once it has
+// written the gate's batches of symbols, it arrives at its next MUX
+// envelope write — the fabric writes whole frames or batches of them, so
+// a write's first frame header, and its first envelope's inner type, name
+// what it carries — or when its client hangs up, whichever comes first,
+// and every envelope write from then on waits for the gate (bounded, so
+// that a gate that never opens fails the fetch instead of hanging the
+// server). The fabric serializes a wire's writes.
 type gatedConn struct {
 	net.Conn
 	g       *startGate
+	batches int // symbol batches written past the gate
 	arrived sync.Once
 }
 
+// muxInner is the offset of a MUX envelope's inner frame type: behind
+// the frame header (magic, version, type, length) and the channel id.
+const muxInner = 2 + 1 + 1 + 4 + 2
+
 func (c *gatedConn) Write(p []byte) (int, error) {
-	if len(p) > 3 && protocol.Type(p[3]) == protocol.TypeMux {
+	if len(p) > muxInner && protocol.Type(p[3]) == protocol.TypeMux {
+		if c.batches < c.g.batches {
+			if protocol.Type(p[muxInner]) == protocol.TypeSymbol {
+				c.batches++
+			}
+			return c.Conn.Write(p)
+		}
 		c.arrived.Do(c.g.arrive)
 		select {
 		case <-c.g.open:
@@ -241,12 +258,13 @@ func TestFetchFromFullServerTCP(t *testing.T) {
 }
 
 func TestFetchParallelFullServers(t *testing.T) {
-	// The servers start sending together, once all three sessions are
-	// requesting — the content (57 KB) fits in one session's default
-	// window, so the first session up could otherwise finish it alone —
-	// and a one-batch window keeps each no more than a batch ahead of its
-	// consumer, so none can finish it while another's first batch waits
-	// to be read.
+	// Each server sends its first batch as soon as it is asked, and its
+	// second only once all three sessions have read their first and asked
+	// again — the content (57 KB) fits in one session's default window,
+	// and with one-batch windows two sessions finish it in about 84 round
+	// trips, a few milliseconds, so a session whose server the scheduler
+	// let go a little late could otherwise get nothing. A one-batch window
+	// asks for the second batch only once the first was read whole.
 	info, data := testContent(t, 1200, 48)
 	var srvs []*Server
 	for i := 0; i < 3; i++ {

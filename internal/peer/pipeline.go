@@ -13,7 +13,10 @@ package peer
 // senders, so the symbols a fetch has requested and not yet received,
 // over all its sessions (Orchestrator.asked), stay within need: a
 // session writes a REQUEST only while it has nothing in flight (every
-// session keeps a request) or while the fetch's budget has room for it.
+// session keeps a request) or while the fetch's budget has room for it
+// and what the session owes stays within its even share of the need
+// (Orchestrator.share), so how the need splits among senders does not
+// depend on which session the scheduler runs first.
 // Below that bound the channel's window caps what is in flight, read at
 // every batch boundary, so a scheduler that resizes the window
 // (Orchestrator.SetChannelWindow) moves the depth with it. The window is

@@ -26,11 +26,11 @@ func foldStream(t *testing.T, o *Orchestrator, st *PeerStats, summarized int, fr
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, on := o.fold(st, summarized, id, data)
+		a, on := o.fold(st, summarized, id, data)
 		if !on {
 			t.Fatalf("fold of symbol %d: the fetch is not on", id)
 		}
-		if fresh {
+		if a == arrivedNew {
 			useful++
 		}
 	}
@@ -125,8 +125,8 @@ func TestReceivePathZeroAlloc(t *testing.T) {
 
 	o.finish()
 	received := s.stats.SymbolsReceived
-	if useful, on := o.fold(s.stats, len(held), 99, payload); useful || on {
-		t.Fatalf("fold after the fetch finished: useful=%v on=%v", useful, on)
+	if a, on := o.fold(s.stats, len(held), 99, payload); a != arrivedLate || on {
+		t.Fatalf("fold after the fetch finished: %v, on=%v", a, on)
 	}
 	if after, _ := o.WorkingSet(); len(after) != len(ids) || s.stats.SymbolsReceived != received {
 		t.Fatal("a fold after the fetch finished was counted")

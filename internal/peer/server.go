@@ -135,21 +135,23 @@ func NewFullServer(info ContentInfo, content []byte) (*Server, error) {
 }
 
 // NewPartialServer builds a partial sender from a working set of encoded
-// symbols (id → payload), snapshotted into a fixed log.
+// symbols (id → payload), laid out as a fixed log. It adopts the payloads
+// rather than copying them: the log keeps each as a view of the caller's
+// buffer, so they must not be modified while the server serves them —
+// the rule NewFullServer keeps for its content. The map itself is not
+// kept.
 func NewPartialServer(info ContentInfo, symbols map[uint64][]byte) (*Server, error) {
 	if len(symbols) == 0 {
 		return nil, errors.New("peer: partial server needs at least one symbol")
 	}
-	// Sessions walk the log by position: lay it out in id order, not map
-	// order, so one seed gives one stream.
+	// Sessions walk the log by position: adopt lays it out in id order, not
+	// map order, so one seed gives one stream.
 	log := new(symbolLog)
-	log.reserve(len(symbols))
-	for _, id := range sortedIDs(symbols) {
-		data := symbols[id]
+	log.adopt(symbols)
+	for pos, data := range log.payloads {
 		if len(data) != info.BlockSize {
-			return nil, fmt.Errorf("peer: symbol %d has %d bytes, want %d", id, len(data), info.BlockSize)
+			return nil, fmt.Errorf("peer: symbol %d has %d bytes, want %d", log.ids[pos], len(data), info.BlockSize)
 		}
-		log.add(id, data)
 	}
 	return NewLiveServer(info, log)
 }
@@ -336,10 +338,12 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 	const maxBatch = 1 << 16
 	hello := s.info.hello(s.Full(), 0)
 	// The session decodes the OPEN's summary and every refresh into one
-	// filter, in place (readSummary), which missing reads. The cursor aims
+	// filter, in place (readSummary), which missing reads; bits is its
+	// width, which moves only when the receiver rebuilt it. The cursor aims
 	// by it once there is one (aimBy), and by nothing before: everything is
 	// missing.
 	var filter bloom.Filter
+	var bits int
 	missing := func(id uint64) bool { return !filter.Contains(id) }
 	var aimBy func(id uint64) bool
 	var slice, of uint16
@@ -352,7 +356,7 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 				ch.Reject("bad summary")
 				return err
 			}
-			aimBy = missing
+			aimBy, bits = missing, filter.M()
 		}
 	}
 	n, total := min(int(clientHello.Batch), maxBatch), 0
@@ -420,9 +424,11 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 				protocol.WriteFrame(ch, protocol.EncodeError("bad summary"))
 				return err
 			}
+			rebuilt := filter.M() != bits
+			bits = filter.M()
 			if cur != nil { // a full sender's symbols are fresh: nothing to prune
 				ids, _ := s.src.WorkingSet()
-				cur.aim(missing, slice, of, ids)
+				cur.refresh(missing, rebuilt, slice, of, ids)
 			}
 
 		case protocol.TypePeers:
@@ -508,16 +514,21 @@ func (s *Server) sendFull(w io.Writer, enc *fountain.Encoder, n int) error {
 // on this session, and never again: the channel is reliable, so all a
 // refresh has to prune is what other senders delivered), queued, or
 // withheld because the receiver's summary held its id when it was tested.
-// A REQUEST tests only what the log gained since the last one (extend); a
-// summary (the OPEN's, or a refresh) re-tests everything unsent (aim).
-// The receiver keeps one filter per fetch and tops it up for each summary
-// (Orchestrator.summaryLocked), so an id one summary withheld as a false
-// positive stays withheld until the receiver rebuilds its filter, which
-// it does when its log outgrows the filter's sizing; a cadence that
-// refreshes only on growth would not draw new ones in a stalled endgame
-// either, and a filter sized for the whole fetch has fewer to begin with.
-// This is §6.1's "a partial sender can find symbols of guaranteed utility
-// ... recoding is not generally necessary" taken at its word.
+// A REQUEST tests only what the log gained since the last one (extend),
+// and each queued id is tested again against the latest summary as it is
+// about to be sent (sendHeld). The receiver keeps one filter per fetch
+// and tops it up for each summary (Orchestrator.summaryLocked): a refresh
+// of the same width only adds ids, so what it withholds anew is found at
+// that send test, and nothing that was withheld comes back. Only a
+// rebuilt filter or a moved slice re-tests everything unsent (aim). So an
+// id one summary withheld as a false positive stays withheld until the
+// receiver rebuilds its filter, which it does when its log outgrows the
+// filter's sizing; the receiver refreshes only on what other senders
+// delivered and on duplicates a fresher summary would have spared, so a
+// stalled endgame would not draw new ones either, and a filter sized for
+// the whole fetch has fewer to begin with. This is
+// §6.1's "a partial sender can find symbols of guaranteed utility ...
+// recoding is not generally necessary" taken at its word.
 //
 // The summary also names this sender's slice of the id space
 // (protocol.InSlice): what it leaves missing queues in pending when its
@@ -552,12 +563,10 @@ func (q *queue) len() int { return len(q.pos) - q.head }
 // push enqueues one position.
 func (q *queue) push(pos int) { q.pos = append(q.pos, pos) }
 
-// take dequeues up to n positions; they stay valid until the next push.
-func (q *queue) take(n int) []int {
-	n = min(n, q.len())
-	out := q.pos[q.head : q.head+n]
-	q.head += n
-	return out
+// pop dequeues one position; the queue must not be empty.
+func (q *queue) pop() int {
+	q.head++
+	return q.pos[q.head-1]
 }
 
 // reset empties the queue, keeping room for n positions.
@@ -652,24 +661,45 @@ func (c *cursor) aim(missing func(id uint64) bool, slice, of uint16, ids []uint6
 	c.offer(ids, c.fresh)
 }
 
+// refresh installs a summary the session decoded into the filter missing
+// reads, and the slice it names. When the receiver rebuilt its filter
+// (rebuilt: its width moved) or the slice moved, it re-aims in full; a
+// refresh of the same width and slice only adds ids to the filter, so the
+// cursor keeps its queues, takes in what the log gained, and leaves what
+// the summary now holds to sendHeld's test.
+func (c *cursor) refresh(missing func(id uint64) bool, rebuilt bool, slice, of uint16, ids []uint64) {
+	if rebuilt || c.missing == nil || slice != c.slice || of != c.slices {
+		c.aim(missing, slice, of, ids)
+		return
+	}
+	c.missing = missing
+	c.extend(ids)
+}
+
 // sendHeld answers one REQUEST from the cursor: up to n queued symbols,
 // pending before rest, as plain SYMBOL frames, framed straight from the
 // log's own payload buffers (no copy, no XOR, allocation-free like
-// sendFull), then DONE. A dry cursor answers the DONE alone — the empty
-// batch.
+// sendFull), then DONE. A queued id the latest summary holds is dropped
+// unsent. A cursor with nothing to send answers the DONE alone — the
+// empty batch.
 func (s *Server) sendHeld(w io.Writer, c *cursor, ids []uint64, payloads [][]byte, n int) error {
-	if min(n, c.pending.len()+c.rest.len()) == 0 {
-		s.met.dryBatches.Inc()
-	}
+	sent := 0
 	for _, q := range [...]*queue{&c.pending, &c.rest} {
-		for _, pos := range q.take(n) {
+		for sent < n && q.len() > 0 {
+			pos := q.pop()
+			if c.missing != nil && !c.missing(ids[pos]) {
+				continue
+			}
 			if err := protocol.WriteSymbol(w, ids[pos], payloads[pos]); err != nil {
 				return err
 			}
 			c.sent[pos] = true
 			s.met.symbolsSent.Inc()
-			n--
+			sent++
 		}
+	}
+	if sent == 0 {
+		s.met.dryBatches.Inc()
 	}
 	return protocol.WriteFrame(w, protocol.EncodeDone())
 }

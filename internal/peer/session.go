@@ -72,6 +72,9 @@ type session struct {
 	// Guarded by o.mu: the symbols this connection attempt requested and
 	// has not retired — its share of o.asked.
 	owed int
+	// Guarded by o.mu: the buffer this session's summaries are marshaled
+	// into (Orchestrator.summarize), kept from one to the next.
+	summary []byte
 }
 
 func newSession(o *Orchestrator, addr string) *session {
@@ -508,11 +511,13 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open pr
 		return err
 	}
 
-	// Refresh: every refreshBatches batches, check whether the working
-	// set grew ≥ refreshGrowth since the last summary (summarized: how
-	// much of the log that one covered).
-	summarized := int(open.Symbols)
-	sinceCheck := 0
+	// Refresh (§5.2): the last summary goes stale by what other senders
+	// delivered since — ids this sender may still hold queued as missing.
+	// summarized is how much of the log that summary covered, cost its
+	// bytes, mine what this session's own sender added to the log since
+	// (it knows what it sent), and wasted the duplicates it sent since
+	// that the summary could not spare (arrivedStale).
+	summarized, cost, mine, wasted := int(open.Symbols), len(open.Summary), 0, 0
 
 	useless := 0
 	for {
@@ -520,34 +525,37 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open pr
 			protocol.WriteFrame(ch, protocol.EncodeDone())
 			return nil
 		}
-		// Periodic summary refresh: when the shared working set grew
-		// enough since the last summary, re-inform the sender so it
-		// stops spending transmissions on symbols other sessions
-		// delivered meanwhile. This also covers sessions that started
-		// empty-handed (no summary in the OPEN, the fresh-receiver
-		// default): the first check that finds a working set sends the
-		// first summary. The check relays gossip first; with neither the
-		// directory nor the fetch's sessions changed since the last
+		// At a batch boundary a partial session re-summarizes on either of
+		// two counts, neither of them a cadence. Ahead of waste: once the
+		// news since its last summary — the ids other senders delivered —
+		// reaches what its sender may still be asked for, the session's
+		// share of what the fetch still needs (claim), or what it has in
+		// flight and the batch it asks for next when that is more. The share
+		// shrinks as the fetch completes, so refreshes come rarely while
+		// most of what the sender holds is news to the receiver and more
+		// often toward the end, where a sender runs out of its slice and
+		// staleness turns into duplicates. Behind waste: once the
+		// duplicates its sender sent that a fresher summary would have
+		// spared weigh as much as the summary did (at once, before the
+		// first), the stale summary has cost what a fresh one costs. Both
+		// follow what the fetch learned and wasted, not how the scheduler
+		// interleaves batches, and both price the filter: refreshing on
+		// every batch of news spends more uplink on summaries than the
+		// duplicates they spare. The check relays gossip first; with neither
+		// the directory nor the fetch's sessions changed since the last
 		// relay, that costs two atomic loads and writes nothing.
-		sinceCheck++
 		refresh := false
-		if !hello.FullCopy && sinceCheck >= refreshBatches {
-			sinceCheck = 0
+		if !hello.FullCopy {
 			if err := gossip.send(ch, s); err != nil {
 				return err
 			}
-			// The staleness test is one atomic load. A refresh tops the
-			// fetch's one kept filter up with what the log gained since
-			// the last summary of any session, and marshals it
-			// (Orchestrator.summaryLocked): it costs what changed, not the
-			// whole log — and an uninformed session never pays it.
-			known := o.Progress()
-			grown := float64(known-summarized) >= refreshGrowth*float64(summarized)
-			refresh = grown && known > 0 && informed
+			news := o.Progress() - summarized - mine
+			refresh = informed && (news >= max(o.share(), inflight.sum+o.opts.Batch) ||
+				wasted > 0 && wasted*int(hello.BlockSize) >= cost)
 		}
 		// A partial session joined or left since the last summary: the
-		// slices moved, and the sender learns its new one now, whatever
-		// the cadence says. A session that has sent no summary has no
+		// slices moved, and the sender learns its new one now, however
+		// fresh the summary is. A session that has sent no summary has no
 		// slice to move.
 		if !refresh && sentSummary {
 			i, n := o.sliceOf(s)
@@ -560,6 +568,7 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open pr
 			if err != nil {
 				return err
 			}
+			cost, mine, wasted = len(summary.Payload), 0, 0
 			deadline()
 			if err := protocol.WriteFrame(ch, summary); err != nil {
 				return err
@@ -635,7 +644,13 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open pr
 				if got == 0 && !asked.IsZero() {
 					first = time.Now()
 				}
-				_, on := o.fold(s.stats, summarized, id, data)
+				a, on := o.fold(s.stats, summarized, id, data)
+				switch a {
+				case arrivedNew:
+					mine++
+				case arrivedStale:
+					wasted++
+				}
 				if !issued.IsZero() { // the attempt's first symbol
 					o.met.firstSymbol.Observe(time.Since(issued).Seconds())
 					issued = time.Time{}
@@ -685,10 +700,3 @@ func (s *session) adGenerations() [2]uint64 {
 func (s *session) appendAds(dst []protocol.PeerAd) []protocol.PeerAd {
 	return s.o.gossipAdverts(dst, s.addr)
 }
-
-// refreshBatches and refreshGrowth are the one refresh policy: every
-// refreshBatches batches, a summary if the set grew by refreshGrowth.
-const (
-	refreshBatches = 8
-	refreshGrowth  = 0.1
-)

@@ -199,6 +199,70 @@ func TestSymbolLogFollowsArrivalOrder(t *testing.T) {
 	}
 }
 
+// TestWorkingSetIsAdopted: a partial server and a fetch keep the
+// payloads a caller hands them (NewPartialServer's symbols,
+// FetchOptions.Initial) as they are: each held payload is a view of the
+// caller's own backing array, clipped to its length, so an append to one
+// cannot write past it; the log holds them in id order, as it did when it
+// copied them; a payload of the wrong length is still refused; and a
+// fetch's log indexes the adopted ids once the handshake reserves it, so
+// an adopted id folds as held and a new one as new.
+func TestWorkingSetIsAdopted(t *testing.T) {
+	info, data := testContent(t, 120, 48)
+	symbols := make(map[uint64][]byte)
+	for _, s := range orderedSymbols(t, info, data, 64, 17) {
+		p := make([]byte, len(s.data), 2*len(s.data)) // room an append must not reach
+		copy(p, s.data)
+		symbols[s.id] = p
+	}
+	check := func(who string, src WorkingSetSource) {
+		t.Helper()
+		ids, payloads := src.WorkingSet()
+		ids, payloads = ids[:min(len(ids), len(symbols))], payloads[:min(len(ids), len(symbols))]
+		if len(ids) != len(symbols) || !slices.IsSorted(ids) {
+			t.Fatalf("%s holds %d ids (sorted: %v), want the %d given, in id order", who, len(ids), slices.IsSorted(ids), len(symbols))
+		}
+		for pos, id := range ids {
+			p, given := payloads[pos], symbols[id]
+			if &p[0] != &given[0] || len(p) != len(given) || cap(p) != len(given) {
+				t.Fatalf("%s: payload %d is not the caller's, clipped (len %d, cap %d)", who, pos, len(p), cap(p))
+			}
+		}
+	}
+	srv, err := NewPartialServer(info, symbols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("the partial server", srv.src)
+
+	o := NewOrchestrator(info.ID, FetchOptions{Initial: symbols, DisableGossip: true})
+	defer o.finish()
+	check("the fetch", o)
+	if o.log.index != nil {
+		t.Fatal("the fetch indexed its working set before the handshake")
+	}
+	if err := o.ensureDecoder(info); err != nil {
+		t.Fatal(err)
+	}
+	st := new(PeerStats)
+	ids, _ := o.WorkingSet()
+	if a, _ := o.fold(st, len(ids), ids[5], data[:info.BlockSize]); a == arrivedNew {
+		t.Fatalf("adopted id %d folded as new", ids[5])
+	}
+	if a, _ := o.fold(st, len(ids), 1<<63, data[:info.BlockSize]); a != arrivedNew {
+		t.Fatal("an id the fetch never held folded as held")
+	}
+	check("the fetch after a fold", o)
+
+	for id := range symbols {
+		symbols[id] = symbols[id][:info.BlockSize-1]
+		break
+	}
+	if _, err := NewPartialServer(info, symbols); err == nil {
+		t.Fatal("a partial server took a payload of the wrong length")
+	}
+}
+
 // TestLogViewIsStableWhileTheLogGrows: a view taken at n symbols is a
 // prefix of an append-only log — the same ids and the very same payload
 // buffers after the log has grown far enough to reallocate its storage
@@ -437,7 +501,7 @@ func TestCursorTestsOnlyAppendedIDs(t *testing.T) {
 	}
 	// Send 20, as sendHeld does; a refresh asks about the other 110.
 	sentIDs := make(map[uint64]bool)
-	for _, pos := range c.pending.take(20) {
+	for _, pos := range take(&c.pending, 20) {
 		c.sent[pos] = true
 		sentIDs[ids[pos]] = true
 	}
@@ -517,6 +581,15 @@ func TestCursorServesItsSliceFirst(t *testing.T) {
 	}
 }
 
+// take dequeues up to n positions of q.
+func take(q *queue, n int) []int {
+	var out []int
+	for ; n > 0 && q.len() > 0; n-- {
+		out = append(out, q.pop())
+	}
+	return out
+}
+
 // keepAll is a summary that leaves everything missing.
 func keepAll(uint64) bool { return true }
 
@@ -581,7 +654,7 @@ func TestCursorReaimReslices(t *testing.T) {
 	c := newCursor(1)
 	c.aim(keepAll, 0, 2, ids)
 	sent := make(map[uint64]bool)
-	for _, pos := range c.pending.take(50) {
+	for _, pos := range take(&c.pending, 50) {
 		c.sent[pos] = true
 		sent[ids[pos]] = true
 	}
@@ -623,7 +696,7 @@ func TestCursorReaimZeroAlloc(t *testing.T) {
 	missing := func(id uint64) bool { return !filter.Contains(id) }
 	c := newCursor(1)
 	c.aim(missing, 0, 2, ids)
-	for _, pos := range c.pending.take(100) {
+	for _, pos := range take(&c.pending, 100) {
 		c.sent[pos] = true
 	}
 	slice := uint16(0)
@@ -632,6 +705,173 @@ func TestCursorReaimZeroAlloc(t *testing.T) {
 		c.aim(missing, slice, 2, ids)
 	}); avg != 0 {
 		t.Errorf("re-aiming over an unchanged log of %d allocates %.1f, want 0", len(ids), avg)
+	}
+}
+
+// TestSendSkipsHeldIds: a refresh of the same width and slice keeps the
+// cursor's queues as they are — the receiver's filter only took in ids —
+// and an id it now holds is dropped unsent when its turn comes; a rebuilt
+// filter (another width) or a moved slice re-aims everything unsent. The
+// serving session tells the two apart by the filter's width: a summary
+// of the same width re-tests nothing the last one withheld, one of
+// another width brings it back.
+func TestSendSkipsHeldIds(t *testing.T) {
+	rng := prng.New(8)
+	ids := make([]uint64, 600)
+	for i := range ids {
+		ids[i] = rng.Uint64()
+	}
+	var filter bloom.Filter
+	decode := func(held []uint64, n int) {
+		t.Helper()
+		if err := filter.UnmarshalBinary(sizedFilterBlob(t, held, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	missing := func(id uint64) bool { return !filter.Contains(id) }
+	count := func() (n int) {
+		for _, id := range ids {
+			if missing(id) {
+				n++
+			}
+		}
+		return n
+	}
+	decode(ids[:200], 800)
+	c := newCursor(1)
+	c.aim(missing, 0, 1, ids)
+	aimed := c.pending.len()
+	if want := count(); aimed != want {
+		t.Fatalf("%d queued after the first summary, want the %d it leaves missing", aimed, want)
+	}
+
+	decode(ids[:400], 800) // the same width: the receiver's filter grew
+	c.refresh(missing, false, 0, 1, ids)
+	if c.pending.len() != aimed {
+		t.Fatalf("a refresh of the same width and slice re-aimed: %d queued, was %d", c.pending.len(), aimed)
+	}
+	var sink bytes.Buffer
+	payloads := make([][]byte, len(ids))
+	for i := range payloads {
+		payloads[i] = []byte{byte(i)}
+	}
+	srv := &Server{met: newServeMetrics(nil)}
+	if err := srv.sendHeld(&sink, c, ids, payloads, len(ids)); err != nil {
+		t.Fatal(err)
+	}
+	sent := readIDs(t, &sink)
+	if want := count(); len(sent) != want {
+		t.Fatalf("sent %d symbols, want the %d the latest summary leaves missing", len(sent), want)
+	}
+	for _, id := range sent {
+		if !missing(id) {
+			t.Fatalf("sent %d, which the latest summary holds", id)
+		}
+	}
+
+	// Nothing is queued now. A rebuilt filter that holds less than the last
+	// one (its false positives are other ids) re-tests every unsent id.
+	decode(ids[:300], 1600)
+	c.refresh(missing, true, 0, 1, ids)
+	want := 0
+	for pos, id := range ids {
+		if !c.sent[pos] && missing(id) {
+			want++
+		}
+	}
+	if c.pending.len() != want || want == 0 {
+		t.Fatalf("a rebuilt filter queued %d, want the %d unsent ids it leaves missing", c.pending.len(), want)
+	}
+	// A moved slice re-aims too, whatever the width: in-slice ids first.
+	c.refresh(missing, false, 1, 2, ids)
+	if c.pending.len()+c.rest.len() != want || c.rest.len() == 0 {
+		t.Fatalf("a moved slice queued %d first and %d after, want %d in all", c.pending.len(), c.rest.len(), want)
+	}
+	for _, id := range queued(&c.pending, ids) {
+		if !protocol.InSlice(id, 1, 2) {
+			t.Fatalf("id %d queued first outside slice 1 of 2", id)
+		}
+	}
+
+	// The serving session compares widths: what one summary withheld stays
+	// withheld under another of the same width, and comes back under one of
+	// another width.
+	info, data := testContent(t, 120, 48)
+	syms := orderedSymbols(t, info, data, 96, 16)
+	held := idsOf(syms)
+	slices.Sort(held)
+	srv, err := NewPartialServer(info, symbolMap(syms))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		width int  // of the second summary; the first is sized for 200 ids
+		back  bool // whether what the first withheld is sent
+	}{{"same width", 200, false}, {"rebuilt", 400, true}} {
+		ch := openSession(t, srv)
+		writeSummary(t, ch, sizedFilterBlob(t, held[:48], 200))
+		writeSummary(t, ch, sizedFilterBlob(t, held[48:64], tc.width))
+		got := idsOf(requestBatch(t, ch, 96))
+		protocol.WriteFrame(ch, protocol.EncodeDone())
+		first := 0
+		for _, id := range got {
+			if slices.Contains(held[48:64], id) {
+				t.Fatalf("%s: sent %d, which the second summary holds", tc.name, id)
+			}
+			if slices.Contains(held[:48], id) {
+				first++
+			}
+		}
+		// The second filter's false positives may withhold one or two.
+		if back := first >= 46; back != tc.back || (!tc.back && first != 0) {
+			t.Fatalf("%s: %d of the 48 ids the first summary withheld were sent", tc.name, first)
+		}
+	}
+}
+
+// sizedFilterBlob marshals a Bloom filter over held at the engine's
+// operating point, sized for n ids: a summary's blob whose width a test
+// chooses.
+func sizedFilterBlob(t *testing.T, held []uint64, n int) []byte {
+	t.Helper()
+	filter := bloom.NewWithBitsPerElement(0, n, 8, 5)
+	for _, id := range held {
+		filter.Add(id)
+	}
+	blob, err := filter.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// writeSummary sends blob as a SUMMARY of the whole id space.
+func writeSummary(t *testing.T, ch *peermux.Channel, blob []byte) {
+	t.Helper()
+	if err := protocol.WriteFrame(ch, protocol.EncodeSummary(0, 0, blob)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readIDs reads the SYMBOL frames written into b up to its DONE.
+func readIDs(t *testing.T, b *bytes.Buffer) []uint64 {
+	t.Helper()
+	fr := protocol.NewFrameReader(b)
+	var ids []uint64
+	for {
+		f, err := fr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Type == protocol.TypeDone {
+			return ids
+		}
+		id, _, err := protocol.SymbolView(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
 	}
 }
 
@@ -675,9 +915,11 @@ func TestPartialSlicesStayContiguous(t *testing.T) {
 // TestResliceCostsOneRefreshPerSession: each session's OPEN carries its
 // first summary, which names its slice; a partial session joining or
 // leaving moves every other one's slice, and each of them tells its
-// sender with exactly one SUMMARY at its next batch boundary. The growth
-// test, which would refresh on its own, never fires: the test passes
-// fewer batch boundaries than refreshBatches.
+// sender with exactly one SUMMARY at its next batch boundary. The
+// staleness rule, which would refresh on its own, has nothing to refresh
+// on: only p0's batches are ever answered, and a session's own sender's
+// deliveries are no news to it (p1's OPEN round is never released, so no
+// other sender delivers anything).
 func TestResliceCostsOneRefreshPerSession(t *testing.T) {
 	defer checkGoroutines(t)()
 	pn := newPipeNet()

@@ -129,8 +129,11 @@
 //     and says nothing useful — is cancelled and charged (PenaltyStall,
 //     PeerStats.Stalls, an EvStall trace naming the phase). The session
 //     keeps its redial budget, and the redial gets a fresh connection:
-//     a cancelled open gives the wedged wire up. Unarmed, a session
-//     costs one goroutine and nothing watches it but Timeout.
+//     a cancelled open gives the wedged wire up. The watchdog is not a
+//     goroutine: it is the attempt's one timer, which also times out an
+//     open nobody answers, firing every quarter window and re-armed
+//     each time. Unarmed, the timer fires only for an open left
+//     unanswered for Timeout, and a session costs one goroutine.
 //
 //   - Redial backoff. Dropped sessions redial with bounded, jittered
 //     exponential backoff (FetchOptions.ReconnectBackoff /
@@ -169,17 +172,26 @@
 //     peer, and two nodes that each misattributed one environmental
 //     fault would charge each other into a permanent mutual ban.
 //
-// Everything above ends work the same way, through three nested
-// contexts. The fetch has one, which the context given to Run, the
-// completed decode and a rejected symbol all cancel (Orchestrator.finish).
-// Each session's is a child of it, cancelled on its own by eviction and
-// DropPeer. Each connection attempt's is a child of the session's,
-// cancelled on its own by the stall watchdog. Every blocking step takes
-// the innermost one in scope: the backoff sleep, the wait for the
-// fabric's dial, the open (peermux aborts the half-open and leaves
-// nothing behind), and — through context.AfterFunc expiring the
-// channel's deadline — a read on the established channel. A receiver owes its senders nothing (§2.3), so abandoning
-// any of them at any moment is just a cancel.
+// Everything above ends work the same way, through two nested contexts.
+// The fetch has one, which the context given to Run, the completed
+// decode and a rejected symbol all cancel (Orchestrator.finish). Each
+// connection attempt's is a child of it, cancelled on its own by
+// eviction and DropPeer, and by the attempt's one timer: when the stall
+// watchdog gives up, and when the open goes unanswered for Timeout,
+// which counts as a failed dial. A session has none of its own: an
+// eviction cancels its attempt in progress, or ends the backoff sleep
+// between two. Every blocking step takes the innermost one in scope: the
+// backoff sleep, the wait for the fabric's dial, the open (peermux
+// aborts the half-open and leaves nothing behind), and a read on the
+// established channel, which a cancel wakes by expiring the channel's
+// deadline — the attempt's timer and an eviction do that themselves, and
+// the fetch's end does it for every session through one hook per fetch.
+// So a connection attempt costs one context and one timer, and no
+// goroutine beside its session's; TestConnectionAttemptAllocs
+// pins what a fetch over one fresh connection allocates at both ends,
+// the fetch's own orchestrator and decoder included, at 180. A receiver
+// owes its senders nothing (§2.3), so abandoning any of them at any
+// moment is just a cancel.
 //
 // The faultnet package injects exactly these failures (latency,
 // bandwidth caps, stalls, mid-frame kills, corruption) beneath the

@@ -233,8 +233,9 @@ type adSource interface {
 // connection's goroutine.
 type relay struct {
 	// sent is every advertisement written on this connection, and, on a
-	// serving session, the client's own, which it is never told about.
-	sent map[protocol.PeerAd]struct{}
+	// serving session, the client's own, which it is never told about: a
+	// set searched in order.
+	sent []protocol.PeerAd
 	// gens are the source's generations at the last complete send (valid
 	// once synced): a send that stopped at MaxPeerAds is not complete, so
 	// the overflow goes out on the next call.
@@ -244,12 +245,17 @@ type relay struct {
 	buf    []byte            // scratch: the PEERS payload send writes
 }
 
-// newRelay returns a relay that has sent the given advertisements.
+// relayRoom is what a relay is made with room for, in its sent set and in
+// its scratch each: a full PEERS frame, and the client's own ad beside it.
+const relayRoom = protocol.MaxPeerAds + 1
+
+// newRelay returns a relay that has sent the given advertisements. The
+// sent set and the scratch share one allocation, sized when it is made:
+// either grows only past relayRoom.
 func newRelay(sent ...protocol.PeerAd) *relay {
-	r := &relay{sent: make(map[protocol.PeerAd]struct{}, len(sent))}
-	for _, ad := range sent {
-		r.sent[ad] = struct{}{}
-	}
+	room := make([]protocol.PeerAd, 0, 2*relayRoom)
+	r := &relay{sent: room[:0:relayRoom], ads: room[relayRoom:relayRoom]}
+	r.sent = append(r.sent, sent...)
 	return r
 }
 
@@ -270,8 +276,8 @@ func (r *relay) send(w io.Writer, src adSource) error {
 			complete = false
 			break
 		}
-		if _, dup := r.sent[ad]; !dup {
-			r.sent[ad] = struct{}{}
+		if !slices.Contains(r.sent, ad) {
+			r.sent = append(r.sent, ad)
 			fresh = append(fresh, ad)
 		}
 	}

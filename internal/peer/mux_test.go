@@ -292,3 +292,28 @@ func TestMuxCloseClosesAcceptedWires(t *testing.T) {
 		t.Fatal("the client's wire never saw the server hang up")
 	}
 }
+
+// TestAddrHost pins addrHost's answers, and that a pipe endpoint name,
+// which has no port, costs no allocation: net.SplitHostPort would build
+// an error to say so, on every accepted connection and every penalty key.
+func TestAddrHost(t *testing.T) {
+	for _, tc := range []struct{ addr, host string }{
+		{"client-3", "client-3"},
+		{"h:1", "h"},
+		{"10.0.0.7:9710", "10.0.0.7"},
+		{"[::1]:9710", "::1"},
+		{"::1", "::1"},     // too many colons to split: kept whole
+		{":9710", ":9710"}, // no host: kept whole
+		{"host:", "host"},
+		{"", ""},
+	} {
+		if got := addrHost(tc.addr); got != tc.host {
+			t.Errorf("addrHost(%q) = %q, want %q", tc.addr, got, tc.host)
+		}
+	}
+	for _, addr := range []string{"client-3", "h:1"} {
+		if n := testing.AllocsPerRun(100, func() { addrHost(addr) }); n != 0 {
+			t.Errorf("addrHost(%q) allocates %.0f times, want 0", addr, n)
+		}
+	}
+}

@@ -65,9 +65,9 @@ type Orchestrator struct {
 	contentID uint64
 	opts      FetchOptions
 
-	// ctx is the fetch's one lifetime: every session's context is its
-	// child, and finish — completion, a decode error, or the end of the
-	// context Run was given — cancels it, which is what unwinds them.
+	// ctx is the fetch's one lifetime: every connection attempt's context
+	// is its child, and finish — completion, a decode error, or the end of
+	// the context Run was given — cancels it, which is what unwinds them.
 	ctx    context.Context
 	finish context.CancelFunc
 
@@ -170,6 +170,7 @@ func NewOrchestrator(contentID uint64, opts FetchOptions) *Orchestrator {
 	}
 	// Sessions may start (AddPeer) before Run brings the caller's context.
 	o.ctx, o.finish = context.WithCancel(context.Background())
+	context.AfterFunc(o.ctx, o.wakeSessions)
 	o.peel = newPeelStage(o.WorkingSet, o.finish)
 	o.chanWin.Store(int64(opts.ChannelWindow))
 	o.obs = opts.Obs
@@ -213,6 +214,17 @@ type gossipCandidate struct {
 	ad    protocol.PeerAd
 	seq   int
 	fails int // dial attempts already spent on this address
+}
+
+// wakeSessions expires every live session's channel deadline once the
+// fetch ended, so a read parked on a quiet sender returns and its session
+// winds down: one hook per fetch, not one per connection attempt.
+func (o *Orchestrator) wakeSessions() {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for _, s := range o.sessions {
+		s.wake()
+	}
 }
 
 // hold keeps the feeder barrier open while no session is running yet

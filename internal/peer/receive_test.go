@@ -3,6 +3,7 @@ package peer
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -36,6 +37,14 @@ func foldStream(t *testing.T, o *Orchestrator, st *PeerStats, summarized int, fr
 	}
 }
 
+// settle lets every goroutine that is ready to run do so before an
+// allocation count starts. testing.AllocsPerRun counts the whole process,
+// and at GOMAXPROCS=1 a ready goroutine runs only once the test goroutine
+// is descheduled, which can be inside the count: the runtime's cleanup of
+// the unique package's maps (net/netip interns through it), readied at
+// the start of every collection, allocates three objects when it runs.
+func settle() { runtime.Gosched() }
+
 // TestReceivePathZeroAlloc proves the per-frame receive hot path —
 // FrameReader read, symbol view, fold — is allocation-free and copies
 // nothing into the working set for arrivals it already holds: exactly
@@ -67,6 +76,7 @@ func TestReceivePathZeroAlloc(t *testing.T) {
 		}
 	}
 	run() // warm the frame buffer
+	settle()
 	if avg := testing.AllocsPerRun(100, run); avg != 0 {
 		t.Errorf("receive path allocates %.2f per loop, want 0", avg)
 	}
@@ -113,6 +123,7 @@ func TestReceivePathZeroAlloc(t *testing.T) {
 	// The collector is held off while it runs: a cycle the new slabs
 	// trigger allocates for the race detector's runtime, not for the fold.
 	gc := debug.SetGCPercent(-1)
+	settle()
 	avg := testing.AllocsPerRun(1, fresh)
 	debug.SetGCPercent(gc)
 	if avg > 2 {

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"net"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -216,8 +218,13 @@ func (s *Server) SetObs(r *obs.Registry) {
 
 // addrHost returns the host portion of a peer address: "host" for a
 // "host:port" string, the whole string for bare endpoint names (pipe
-// transports address peers by name, with no port).
+// transports address peers by name, with no port). A name without a colon
+// is returned as it is, not handed to net.SplitHostPort, which would
+// build an error to say it has no port.
 func addrHost(addr string) string {
+	if !strings.Contains(addr, ":") {
+		return addr
+	}
 	if host, _, err := net.SplitHostPort(addr); err == nil && host != "" {
 		return host
 	}
@@ -391,6 +398,9 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 	} else {
 		cur = newCursor(seed ^ s.info.CodeSeed ^ salt)
 		ids, _ := s.src.WorkingSet()
+		// A growing log, a fetch's working set, ends near what a decode
+		// needs.
+		cur.bound = max(len(ids), decodeNeed(s.info.NumBlocks))
 		cur.aim(aimBy, slice, of, ids)
 	}
 	if total > 0 { // the OPEN's round, as the ACCEPT announced it
@@ -546,8 +556,11 @@ type cursor struct {
 	rest          queue     // the same, out of slice: sent once pending is empty
 
 	// fresh is the positions to test, scratch reused across REQUESTs and
-	// summaries; aim sizes it to the log.
+	// summaries.
 	fresh []int
+	// bound is the log length aim sizes sent, fresh and the queues for:
+	// a log that grows within it costs no allocation.
+	bound int
 }
 
 // queue is a FIFO of log positions over one array: taking advances head,
@@ -571,6 +584,20 @@ func (q *queue) pop() int {
 
 // reset empties the queue, keeping room for n positions.
 func (q *queue) reset(n int) { q.pos, q.head = slices.Grow(q.pos[:0], n), 0 }
+
+// sliceShare is how many of n log positions a cursor may queue in its
+// slice (in) and out of it (out) under slices: the expected split with
+// four standard deviations of headroom, since InSlice hashes ids, so a
+// log of n fills neither queue past its room.
+func sliceShare(n int, slices uint16) (in, out int) {
+	if slices <= 1 {
+		return n, 0
+	}
+	p := 1 / float64(slices)
+	mean := int(float64(n) * p)
+	slack := int(4*math.Sqrt(float64(n)*p*(1-p))) + 1
+	return min(n, mean+slack), min(n, n-mean+slack)
+}
 
 // newCursor starts a cursor whose send order follows seed, so that two
 // sessions, or two senders, do not walk overlapping logs in step.
@@ -644,15 +671,19 @@ func (c *cursor) extend(ids []uint64) {
 // aim installs a new summary and the slice of the id space it names, and
 // re-derives pending and rest from every unsent position of the log
 // against them.
-// The scratch and the queues are sized to the log here, so a re-aim over
-// a log that did not grow allocates nothing.
+// The scratch and the queues are sized here for the log's bound, each
+// queue for its share under the slice, so neither a re-aim nor extend
+// allocates while the log stays within it.
 func (c *cursor) aim(missing func(id uint64) bool, slice, of uint16, ids []uint64) {
 	c.missing, c.slice, c.slices = missing, slice, of
 	n := len(ids)
+	size := max(n, c.bound)
+	c.sent = slices.Grow(c.sent, size-len(c.sent))
 	c.sent = append(c.sent, make([]bool, n-len(c.sent))...)
-	c.fresh = slices.Grow(c.fresh[:0], n)
-	c.pending.reset(n)
-	c.rest.reset(n)
+	c.fresh = slices.Grow(c.fresh[:0], size)
+	in, out := sliceShare(size, of)
+	c.pending.reset(in)
+	c.rest.reset(out)
 	for pos, sent := range c.sent {
 		if !sent {
 			c.fresh = append(c.fresh, pos)

@@ -13,17 +13,20 @@ package peer
 // are what the orchestrator's utility ranking consumes. Sessions end in
 // exactly one of four ways: the transfer ended (the fetch's context), the
 // peer stopped being useful (MaxUselessBatches), the orchestrator dropped
-// them (eviction/DropPeer cancel the session's context, a child of the
-// fetch's), or the connection failed terminally (after MaxReconnects
-// redials). Each connection attempt runs under a child of the session's
-// context, and every blocking step — the backoff sleep, the dial and the
-// open, a read on the established channel — ends with it.
+// them (eviction/DropPeer cancel the attempt in progress, or end the
+// backoff sleep between two), or the connection failed terminally (after
+// MaxReconnects redials). Each connection attempt is an attempt: one
+// context, a child of the fetch's, that every blocking step — the dial
+// and the open, a read on the established channel — ends with, and one
+// timer that cancels it when the open goes unanswered or the attempt
+// stalls. A session has no context of its own.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"icd/internal/obs"
@@ -53,10 +56,9 @@ type session struct {
 	addr  string
 	stats *PeerStats
 	rng   prng.Rand // backoff jitter (session goroutine only)
-	// ctx is the session's lifetime, a child of the fetch's: the transfer
-	// ending cancels it from above, eviction and DropPeer call cancel.
-	ctx    context.Context
-	cancel context.CancelFunc
+	// stopped is set by an eviction (evict): the session winds down. The
+	// fetch ending stops it too (over).
+	stopped atomic.Bool
 
 	// Guarded by o.mu: when the session joined the swarm. Utility is
 	// measured over the whole session life — downtime between redials
@@ -67,7 +69,8 @@ type session struct {
 	// never reached at all.
 	connected bool
 	// Guarded by o.mu: the live subchannel while a connection is up, so
-	// the scheduler's SetChannelWindow can resize it mid-transfer.
+	// the scheduler's SetChannelWindow can resize it mid-transfer and a
+	// cancel can expire its deadline (wake).
 	ch *peermux.Channel
 	// Guarded by o.mu: the symbols this connection attempt requested and
 	// has not retired — its share of o.asked.
@@ -75,6 +78,11 @@ type session struct {
 	// Guarded by o.mu: the buffer this session's summaries are marshaled
 	// into (Orchestrator.summarize), kept from one to the next.
 	summary []byte
+	// Guarded by o.mu: the connection attempt in progress, nil between
+	// attempts, and the wake-up of a backoff sleep in progress: an
+	// eviction cancels the one and closes the other.
+	att      *attempt
+	sleeping chan struct{}
 }
 
 func newSession(o *Orchestrator, addr string) *session {
@@ -87,7 +95,6 @@ func newSession(o *Orchestrator, addr string) *session {
 		startedAt: time.Now(),
 	}
 	s.rng.Reseed(addrSeed(addr))
-	s.ctx, s.cancel = context.WithCancel(o.ctx)
 	return s
 }
 
@@ -107,10 +114,36 @@ func terminalSessionError(err error) bool {
 }
 
 // evict ends the session deliberately: it winds down cleanly, marked
-// Evicted. Callers hold o.mu.
+// Evicted. It cancels the attempt in progress, or ends the backoff sleep
+// between two. Callers hold o.mu.
 func (s *session) evict() {
 	s.stats.Evicted = true
-	s.cancel()
+	s.stopped.Store(true)
+	if s.att != nil {
+		s.att.cancel(context.Canceled)
+	}
+	if s.sleeping != nil {
+		close(s.sleeping)
+		s.sleeping = nil
+	}
+	s.wake()
+}
+
+// over reports whether the session is over: evicted, or the fetch ended.
+func (s *session) over() bool {
+	return s.stopped.Load() || s.o.ctx.Err() != nil
+}
+
+// wake expires the live channel's deadline, so a read parked on it
+// returns and finds its context done: what every cancel of a session
+// that is serving a channel does (evict, Orchestrator.wakeSessions,
+// attempt.stop). A channel the session is still setting up is covered
+// by serveChannel's deadline, which re-checks the context after each
+// push. Callers hold o.mu.
+func (s *session) wake() {
+	if s.ch != nil {
+		s.ch.SetDeadline(time.Now())
+	}
 }
 
 // utilityLocked is the ranking score: useful symbols per second of
@@ -128,7 +161,6 @@ func (s *session) utilityLocked() float64 {
 // with jittered, capped exponential backoff between redials.
 func (s *session) run() {
 	defer s.o.sessionExited(s)
-	defer s.cancel()
 	opts := &s.o.opts
 	var terminal error
 	for attempt := 0; ; attempt++ {
@@ -143,9 +175,9 @@ func (s *session) run() {
 			terminal = err
 			break
 		}
-		if s.ctx.Err() != nil {
-			// The session is over (evicted, or the transfer ended), and its
-			// context unblocked whatever the connection was doing: the error
+		if s.over() {
+			// The session is over (evicted, or the transfer ended), and the
+			// cancel unblocked whatever the connection was doing: the error
 			// that unwound runConn is self-inflicted — not a peer failure
 			// worth reporting.
 			break
@@ -184,55 +216,225 @@ func (s *session) run() {
 }
 
 // sleepBackoff waits out a redial delay; it reports false when the
-// session ended first.
+// session ended first: the fetch ended, or an eviction closed the sleep's
+// wake-up.
 func (s *session) sleepBackoff(d time.Duration) bool {
+	o := s.o
+	wake := make(chan struct{})
+	o.mu.Lock()
+	stopped := s.stopped.Load()
+	if !stopped {
+		s.sleeping = wake
+	}
+	o.mu.Unlock()
+	if stopped {
+		return false
+	}
+	defer func() {
+		o.mu.Lock()
+		if s.sleeping == wake {
+			s.sleeping = nil
+		}
+		o.mu.Unlock()
+	}()
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
 		return true
-	case <-s.ctx.Done():
+	case <-wake:
+		return false
+	case <-o.ctx.Done():
 		return false
 	}
 }
 
-// errStalled is the cause the watchdog cancels a connection attempt
-// with: the window passed without a useful symbol.
+// errStalled is the cause the attempt's timer cancels it with when the
+// stall window passed without a useful symbol.
 var errStalled = errors.New("peer: no useful symbol within StallTimeout")
 
-// runConn runs one connection attempt under its own context, a child of
-// the session's: open a subchannel on the shared per-peer wire (the
-// fabric dials the wire only if none is live), serve it, and classify
-// how it ended — misbehavior observed on the wire (corrupt frames,
-// mid-stream resets) charges the peer's penalty-box score on the way
-// out. The channel negotiation doubles as the content handshake: the
-// OPEN carries our hello, the ACCEPT carries the peer's. The OPEN also
-// carries the first round of requests — what the fetch's budget leaves,
-// up to the whole batches the window the channel opens at holds — and
-// the first summary, which every sender answers behind its ACCEPT,
-// so the first symbols arrive one round trip after the open. When the
-// attempt ends, what it still owed goes back to the fetch's budget.
+// errOpenTimeout is the cause the attempt's timer cancels it with when
+// the peer left the open unanswered for Timeout.
+var errOpenTimeout = errors.New("peer: open unanswered within Timeout")
+
+// runConn runs one connection attempt: open a subchannel on the shared
+// per-peer wire (the fabric dials the wire only if none is live), serve
+// it, and classify how it ended — misbehavior observed on the wire
+// (corrupt frames, mid-stream resets) charges the peer's penalty-box
+// score on the way out. The channel negotiation doubles as the content
+// handshake: the OPEN carries our hello, the ACCEPT carries the peer's.
+// The OPEN also carries the first round of requests — what the fetch's
+// budget leaves, up to the whole batches the window the channel opens at
+// holds — and the first summary, which every sender answers behind its
+// ACCEPT, so the first symbols arrive one round trip after the open.
+// When the attempt ends, what it still owed goes back to the fetch's
+// budget.
 func (s *session) runConn() error {
-	ctx, cancel := context.WithCancelCause(s.ctx)
-	defer cancel(nil)
+	a := s.startAttempt()
+	defer a.end()
 	defer s.o.retire(s, math.MaxInt)
 	defer s.o.leavePartials(s)
-	if s.o.opts.StallTimeout > 0 {
-		go s.watchdog(ctx, cancel)
-	}
 	issued := time.Now()
-	ch, open, err := s.openChannel(ctx, issued)
+	ch, open, err := s.openChannel(a.ctx, issued)
 	if err != nil {
 		return err
 	}
+	a.answered()
 	defer ch.Close()
-	err = s.serveChannel(ctx, ch, open, issued)
-	// A cancelled attempt unblocked the channel itself, and the watchdog
-	// has already charged PenaltyStall: neither is a reset by the peer.
-	if err != nil && ctx.Err() == nil && !terminalSessionError(err) {
+	err = s.serveChannel(a.ctx, ch, open, issued)
+	// A cancelled attempt unblocked the channel itself, and a stall has
+	// already been charged PenaltyStall: neither is a reset by the peer.
+	if err != nil && a.ctx.Err() == nil && !terminalSessionError(err) {
 		s.noteConnError(err)
 	}
 	return err
+}
+
+// attempt is one connection attempt: its context, a child of the
+// session's, and the one timer that watches it. The timer fires when the
+// open has gone unanswered for Timeout and, when FetchOptions.StallTimeout
+// arms the stall watchdog, every quarter window, re-armed each time; it
+// cancels the attempt with errOpenTimeout or errStalled, and that cancel
+// also expires the channel's deadline (stop).
+//
+// The stall watchdog charges the address after a whole window in which
+// the attempt delivered no useful symbol — whether it is still waiting
+// for the answer to its open or sits on an established channel — and
+// cancels the attempt. It does NOT evict the session. One silent window
+// can be a transient wire artifact — a frame whose corrupted length field
+// parks the wire's reader waiting for a phantom body is indistinguishable
+// from a mute peer — so the redial budget gets to try again, on a fresh
+// connection (a cancelled open gives the wedged wire up). A genuinely
+// mute peer re-stalls every window and PenaltyStall escalates its score
+// to a ban, which ends the redial loop terminally.
+type attempt struct {
+	// sess is the session, cleared when the attempt ends: a stopped timer
+	// can stay in the runtime's timer heap until the time it was last set
+	// for, and what it holds must not keep the fetch alive that long.
+	sess   atomic.Pointer[session]
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+	timer  *time.Timer
+	stall  time.Duration // FetchOptions.StallTimeout: 0 leaves the watchdog unarmed
+	open   atomic.Bool   // the open is still waiting for the peer's answer
+	openBy time.Time     // when an unanswered open times out
+
+	// The stall watchdog's state, the timer's own: the session's useful
+	// symbols when they last moved, and when that was seen.
+	useful   int
+	progress time.Time
+}
+
+// startAttempt starts a connection attempt, under a context of its own,
+// a child of the fetch's, and its timer. An attempt that starts after
+// the session was evicted starts cancelled.
+func (s *session) startAttempt() *attempt {
+	now := time.Now()
+	a := &attempt{stall: s.o.opts.StallTimeout, openBy: now.Add(s.o.opts.Timeout), progress: now}
+	a.sess.Store(s)
+	a.ctx, a.cancel = context.WithCancelCause(s.o.ctx)
+	a.open.Store(true)
+	s.o.mu.Lock()
+	a.useful = s.stats.UsefulSymbols
+	s.att = a
+	if s.stopped.Load() {
+		a.cancel(context.Canceled)
+	}
+	s.o.mu.Unlock()
+	d, _ := a.next(now)
+	// Armed by Reset, not at creation, so that a.timer is set before the
+	// first tick can read it.
+	a.timer = time.AfterFunc(time.Hour, a.tick)
+	a.timer.Reset(d)
+	return a
+}
+
+// answered records that the peer answered the open: the timer watches
+// only for stalls from here on, and without a stall window it stops.
+func (a *attempt) answered() {
+	a.open.Store(false)
+	if a.stall <= 0 {
+		a.timer.Stop()
+	}
+}
+
+// end releases the attempt's context and timer, and lets go of the
+// session.
+func (a *attempt) end() {
+	a.cancel(nil)
+	a.timer.Stop()
+	s := a.sess.Swap(nil)
+	s.o.mu.Lock()
+	if s.att == a {
+		s.att = nil
+	}
+	s.o.mu.Unlock()
+}
+
+// next is how long until the timer has something to check, and whether
+// it has anything left to: the stall window's quarter, and the open's
+// timeout while it is unanswered.
+func (a *attempt) next(now time.Time) (time.Duration, bool) {
+	var d time.Duration
+	ok := false
+	if a.stall > 0 {
+		d, ok = max(a.stall/4, time.Millisecond), true
+	}
+	if a.open.Load() {
+		if until := a.openBy.Sub(now); !ok || until < d {
+			d, ok = until, true
+		}
+	}
+	return d, ok
+}
+
+// tick is the timer's check: an open unanswered past its timeout, or a
+// whole stall window without a useful symbol, cancels the attempt;
+// otherwise the timer is re-armed.
+func (a *attempt) tick() {
+	s := a.sess.Load()
+	if s == nil || a.ctx.Err() != nil {
+		return // the attempt is over
+	}
+	o := s.o
+	now := time.Now()
+	if a.open.Load() && !now.Before(a.openBy) {
+		a.stop(s, errOpenTimeout)
+		return
+	}
+	if a.stall > 0 {
+		phase := "open"
+		o.mu.Lock()
+		useful := s.stats.UsefulSymbols
+		if s.ch != nil {
+			phase = "window"
+		}
+		o.mu.Unlock()
+		if useful != a.useful {
+			a.useful, a.progress = useful, now
+		} else if now.Sub(a.progress) >= a.stall {
+			o.mu.Lock()
+			s.stats.Stalls++
+			o.mu.Unlock()
+			o.met.stalls.Inc()
+			o.trace(obs.EvStall, s.addr, phase)
+			o.penalties.Penalize(s.addr, PenaltyStall)
+			a.stop(s, errStalled)
+			return
+		}
+	}
+	if d, ok := a.next(now); ok {
+		a.timer.Reset(d)
+	}
+}
+
+// stop cancels the attempt with cause and expires its channel's deadline,
+// so that an open or a read it is parked in returns.
+func (a *attempt) stop(s *session, cause error) {
+	a.cancel(cause)
+	s.o.mu.Lock()
+	s.wake()
+	s.o.mu.Unlock()
 }
 
 // openChannel opens this session's subchannel, issued at the given time,
@@ -270,9 +472,7 @@ func (s *session) openChannel(ctx context.Context, issued time.Time) (*peermux.C
 		}
 		open.Symbols, open.Summary = uint64(held), summary.Payload
 	}
-	openCtx, cancel := context.WithTimeout(ctx, o.opts.Timeout)
-	ch, err := o.fabric.OpenWindow(openCtx, s.addr, open, win)
-	cancel()
+	ch, err := o.fabric.OpenWindow(ctx, s.addr, open, win)
 	if err == nil {
 		o.met.handshake.Observe(time.Since(issued).Seconds())
 		s.reached()
@@ -280,10 +480,15 @@ func (s *session) openChannel(ctx context.Context, issued time.Time) (*peermux.C
 		return ch, open, nil
 	}
 	if ctx.Err() != nil {
-		// The attempt was abandoned — the session ended, or the watchdog
-		// gave up on an open nobody answered (it did the charging): no
-		// dial failed, so there is nothing to account.
-		return nil, protocol.Hello{}, context.Cause(ctx)
+		cause := context.Cause(ctx)
+		if cause != errOpenTimeout {
+			// The attempt was abandoned — the session ended, or the stall
+			// watchdog gave up on an open nobody answered (it did the
+			// charging): no dial failed, so there is nothing to account.
+			return nil, protocol.Hello{}, cause
+		}
+		// The open's own timeout: a failed dial, charged below.
+		err = context.DeadlineExceeded
 	}
 	// The peer answered: the channel negotiation with a REJECT, or — a
 	// banned dialer, or any dialer past the inbound connection cap, never
@@ -370,57 +575,6 @@ func (s *session) noteConnError(err error) {
 	o.penalties.Penalize(s.addr, weight)
 }
 
-// watchdog is the stall watchdog of one connection attempt, started only
-// when FetchOptions.StallTimeout arms it: after a whole window in which
-// the attempt delivered no useful symbol — whether it is still waiting
-// for the answer to its open or sits on an established channel — it
-// charges the address and cancels the attempt's context, which unblocks
-// either. It does NOT evict the session. One silent window can be a
-// transient wire artifact — a frame whose corrupted length field parks
-// the wire's reader waiting for a phantom body is indistinguishable from
-// a mute peer — so the redial budget gets to try again, on a fresh
-// connection (a cancelled open gives the wedged wire up). A genuinely
-// mute peer re-stalls every window and PenaltyStall escalates its score
-// to a ban, which ends the redial loop terminally.
-func (s *session) watchdog(ctx context.Context, cancel context.CancelCauseFunc) {
-	o := s.o
-	t := time.NewTicker(max(o.opts.StallTimeout/4, time.Millisecond))
-	defer t.Stop()
-	o.mu.Lock()
-	lastUseful := s.stats.UsefulSymbols
-	o.mu.Unlock()
-	lastProgress := time.Now()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-		phase := "open"
-		o.mu.Lock()
-		useful := s.stats.UsefulSymbols
-		if s.ch != nil {
-			phase = "window"
-		}
-		o.mu.Unlock()
-		if useful != lastUseful {
-			lastUseful, lastProgress = useful, time.Now()
-			continue
-		}
-		if time.Since(lastProgress) < o.opts.StallTimeout {
-			continue
-		}
-		o.mu.Lock()
-		s.stats.Stalls++
-		o.mu.Unlock()
-		o.met.stalls.Inc()
-		o.trace(obs.EvStall, s.addr, phase)
-		o.penalties.Penalize(s.addr, PenaltyStall)
-		cancel(errStalled)
-		return
-	}
-}
-
 // serveChannel owns the session on an established subchannel, opened at
 // issued by open, of whose round the ACCEPT says how many batches the
 // sender answers: the ACCEPT's hello also carries the content
@@ -439,11 +593,10 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open pr
 	s.setChannel(ch)
 	defer s.setChannel(nil)
 	hello := ch.RemoteHello()
-	// ctx ending (the transfer, the session, or the watchdog giving up on
-	// this attempt) unblocks a parked read by expiring the channel's
-	// deadline; deadline() re-checks after pushing the deadline
-	// out, so an expiry that raced it is not undone.
-	defer context.AfterFunc(ctx, func() { ch.SetDeadline(time.Now()) })()
+	// ctx ending (the transfer, the session, or the attempt's timer giving
+	// up on it) unblocks a parked read by expiring the channel's deadline
+	// (wake); deadline() re-checks after pushing the deadline out, so an
+	// expiry that raced it, or came before setChannel, is not undone.
 	deadline := func() {
 		ch.SetDeadline(time.Now().Add(o.opts.Timeout))
 		if ctx.Err() != nil {
@@ -521,7 +674,7 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open pr
 
 	useless := 0
 	for {
-		if s.ctx.Err() != nil {
+		if s.over() {
 			protocol.WriteFrame(ch, protocol.EncodeDone())
 			return nil
 		}
@@ -608,7 +761,7 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open pr
 				// (and its context expire the deadline) while this write is
 				// parked — the same self-inflicted unblock the read path
 				// below classifies as a clean end.
-				if s.ctx.Err() != nil {
+				if s.over() {
 					return nil
 				}
 				return err
@@ -620,7 +773,7 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open pr
 			deadline()
 			f, err := ch.Next()
 			if err != nil {
-				if s.ctx.Err() != nil {
+				if s.over() {
 					return nil
 				}
 				return err

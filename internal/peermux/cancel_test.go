@@ -98,8 +98,11 @@ func TestCancelledOpenLeavesNothingBehind(t *testing.T) {
 	if n := w.WindowSum(); n != 0 {
 		t.Fatalf("WindowSum = %d after the cancelled open, want 0", n)
 	}
-	if !w.draining(1) {
-		t.Fatal("the abandoned channel id is not in the drain set")
+	w.mu.Lock()
+	drains := w.drainingLocked(1)
+	w.mu.Unlock()
+	if !drains {
+		t.Fatal("the abandoned channel id is not in the drain ring")
 	}
 	if n := w.Channels(); n != 0 {
 		t.Fatalf("%d channels still registered", n)

@@ -73,21 +73,30 @@ const batchBytes = slabSize
 // serialized frame per call, SetDeadline to bound both — so the peer
 // package's state machines drive it with the plain protocol writers.
 //
-// Next has one caller at a time (the channel's reader), which owns a
-// deadline timer it reuses across waits. Frames may be written from any
-// goroutine.
+// Next has one caller at a time (the channel's reader). Frames may be
+// written from any goroutine. A channel signals through two channels of
+// its own: ready, a one-token wake-up, and done.
 type Channel struct {
 	w           *Wire
 	id          uint16
 	remoteHello protocol.Hello
 
-	timer *time.Timer   // Next's deadline timer (the reader's)
-	ready chan struct{} // a frame arrived while Next waited (one token)
+	// ready holds one token: a frame arrived or the deadline moved earlier
+	// while Next waited, or the peer answered the open.
+	ready chan struct{}
+	// done is closed when the channel ends: the peer closed it, the wire
+	// died, or Close ran.
+	done chan struct{}
 
 	// bmu guards batch, the envelopes written but not yet on the conn (nil
-	// while no batch is open).
+	// while no batch is open), and shut.
 	bmu   sync.Mutex
 	batch *slab
+	shut  bool // Close flushed the last batch: Write refuses
+
+	// pending (under the wire's mu) marks a channel claimed by OpenWindow
+	// whose open the peer has not answered yet.
+	pending bool
 
 	mu sync.Mutex
 	// q is the inbound queue: receive slabs holding the queued frames back
@@ -98,20 +107,20 @@ type Channel struct {
 	queued   int    // frames in q not yet handed out
 	waiting  bool   // Next found q empty and waits on ready
 	drained  bool   // Close emptied the queue: nothing more is copied in or handed out
+	finished bool   // no more inbound frames (remote close, wire death): Next drains q, then says why
+	ended    bool   // done is closed
 	avail    uint64 // symbols this end asked for (REQUESTs, the OPEN's round) and has not received
 	round    uint32 // the OPEN's Batch: the unit of the ACCEPT's Depth
 	window   uint32 // the most symbols this end's own requests may have in flight
 	opened   bool   // the window is in the wire's sum (open ran)
 	live     bool   // both ends agreed on the channel (markOpen ran)
 	retired  bool   // the channel ended: its window left the wire's sum
+	reply    openReply
+	answered bool // the peer answered the open: reply holds its answer
 	deadline time.Time
-	dnotify  chan struct{} // closed+replaced when the deadline moves earlier
-	err      error         // terminal error, set before rclosed closes
+	err      error // terminal error, set with finished (nil: io.EOF)
 
-	rclosed chan struct{} // no more inbound frames (remote close / wire death)
-	closed  chan struct{} // locally closed
-	rcOnce  sync.Once
-	clOnce  sync.Once
+	clOnce sync.Once
 
 	onClose func() // fabric refcount hook
 }
@@ -121,14 +130,49 @@ type Channel struct {
 // Its inbound queue is empty and holds no slab until a frame arrives.
 func newChannel(w *Wire, id uint16, window int) *Channel {
 	return &Channel{
-		w:       w,
-		id:      id,
-		window:  clampWindow(window),
-		ready:   make(chan struct{}, 1),
-		dnotify: make(chan struct{}),
-		rclosed: make(chan struct{}),
-		closed:  make(chan struct{}),
+		w:      w,
+		id:     id,
+		window: clampWindow(window),
+		ready:  make(chan struct{}, 1),
+		done:   make(chan struct{}),
 	}
+}
+
+// wake puts the token in ready, unless one is there already.
+func (c *Channel) wake() {
+	select {
+	case c.ready <- struct{}{}:
+	default:
+	}
+}
+
+// endLocked closes done, once. Caller holds mu.
+func (c *Channel) endLocked() {
+	if !c.ended {
+		c.ended = true
+		close(c.done)
+	}
+}
+
+// resolve records the peer's answer to the open and wakes the opener
+// (called by the wire's reader). An ACCEPT first lowers the OPEN's round
+// to the batches its Depth says the peer answers, before the reader
+// routes any frame behind it.
+func (c *Channel) resolve(r openReply) {
+	if r.ok {
+		c.answerRound(r.hello.Depth)
+	}
+	c.mu.Lock()
+	c.reply, c.answered = r, true
+	c.mu.Unlock()
+	c.wake()
+}
+
+// answer returns the peer's answer to the open, once there is one.
+func (c *Channel) answer() (openReply, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.reply, c.answered
 }
 
 // clampWindow resolves a requested window against the ceiling: 0
@@ -252,6 +296,10 @@ func (c *Channel) SetWindow(n int) {
 // the wire.
 func (c *Channel) deliver(inner protocol.Frame) {
 	c.mu.Lock()
+	if c.finished { // a half-open channel the peer closed: its id drains
+		c.mu.Unlock()
+		return
+	}
 	if inner.Type == protocol.TypeSymbol {
 		if c.avail == 0 {
 			c.mu.Unlock()
@@ -284,10 +332,7 @@ func (c *Channel) deliver(inner protocol.Frame) {
 	c.waiting = false
 	c.mu.Unlock()
 	if wake {
-		select {
-		case c.ready <- struct{}{}:
-		default: // a token is already there
-		}
+		c.wake()
 	}
 	c.w.met.queueDepth.Observe(float64(depth))
 }
@@ -298,41 +343,42 @@ func (c *Channel) deliver(inner protocol.Frame) {
 // then Next returns io.EOF (or the wire's terminal error).
 func (c *Channel) Next() (protocol.Frame, error) {
 	for {
-		// Read before the queue, so a queue found empty holds every frame
-		// the reader routed before the remote close.
-		remoteDone := false
-		select {
-		case <-c.rclosed:
-			remoteDone = true
-		default:
-		}
 		c.mu.Lock()
 		if c.drained { // Close ran
 			c.mu.Unlock()
 			return protocol.Frame{}, ErrClosed
 		}
 		f, ok := c.popLocked()
-		c.waiting = !ok
-		dl, dn := c.deadline, c.dnotify
+		// finished is set under mu after the reader's last deliver, so a
+		// queue found empty holds every frame routed before the end.
+		c.waiting = !ok && !c.finished
+		if ok || c.finished {
+			err := c.err
+			c.mu.Unlock()
+			if ok {
+				return f, nil
+			}
+			if err == nil {
+				err = io.EOF
+			}
+			return protocol.Frame{}, err
+		}
+		dl := c.deadline
 		c.mu.Unlock()
-		if ok {
-			return f, nil
-		}
-		if remoteDone {
-			return protocol.Frame{}, c.finalErr()
-		}
-		timech, ok := armTimer(&c.timer, dl)
+		t, ok := startTimer(dl)
 		if !ok {
 			return protocol.Frame{}, ErrDeadline
 		}
+		var expired <-chan time.Time
+		if t != nil {
+			expired = t.C
+		}
 		select {
 		case <-c.ready:
-		case <-c.rclosed:
-		case <-c.closed:
-		case <-dn:
-		case <-timech:
+		case <-c.done:
+		case <-expired:
 		}
-		stopTimer(c.timer)
+		stopTimer(t)
 	}
 }
 
@@ -363,11 +409,15 @@ func (c *Channel) popLocked() (protocol.Frame, bool) {
 	return protocol.Frame{Type: protocol.Type(b[0]), Payload: b[frameHeader:end:end]}, true
 }
 
-// armTimer sets *t, made at its first use and reused by every wait after,
-// to fire at deadline dl and returns its channel: nil for no deadline,
-// and ok false for one already past. Stop leaves nothing in C (go 1.23
-// timers), so a Reset never sees an earlier wait's expiry.
-func armTimer(t **time.Timer, dl time.Time) (<-chan time.Time, bool) {
+// timers holds the stopped timers of waits that ended: a blocked Next
+// holds one only while it waits, so a channel owns none and one timer
+// serves every wait in turn.
+var timers sync.Pool
+
+// startTimer returns a timer that fires at deadline dl: nil for no
+// deadline, and ok false for one already past. Stop leaves nothing in C
+// (go 1.23 timers), so a Reset never sees an earlier wait's expiry.
+func startTimer(dl time.Time) (t *time.Timer, ok bool) {
 	if dl.IsZero() {
 		return nil, true
 	}
@@ -375,27 +425,19 @@ func armTimer(t **time.Timer, dl time.Time) (<-chan time.Time, bool) {
 	if d <= 0 {
 		return nil, false
 	}
-	if *t == nil {
-		*t = time.NewTimer(d)
-	} else {
-		(*t).Reset(d)
+	if t, _ := timers.Get().(*time.Timer); t != nil {
+		t.Reset(d)
+		return t, true
 	}
-	return (*t).C, true
+	return time.NewTimer(d), true
 }
 
+// stopTimer stops a wait's timer and gives it back.
 func stopTimer(t *time.Timer) {
 	if t != nil {
 		t.Stop()
+		timers.Put(t)
 	}
-}
-
-func (c *Channel) finalErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return c.err
-	}
-	return io.EOF
 }
 
 // Write sends one fully serialized content frame (as produced by
@@ -420,10 +462,8 @@ func (c *Channel) Write(p []byte) (int, error) {
 	}
 	c.bmu.Lock()
 	defer c.bmu.Unlock()
-	select {
-	case <-c.closed: // Close flushed the last batch
+	if c.shut {
 		return 0, ErrClosed
-	default:
 	}
 	if c.batch != nil && len(c.batch.b)+len(p)+3 > batchBytes { // the envelope adds 3 bytes to p
 		if err := c.flushLocked(); err != nil {
@@ -461,27 +501,30 @@ func (c *Channel) flushLocked() error {
 	return err
 }
 
-func (c *Channel) flush() error {
+// flush writes the pending batch; shut makes it the last, after which
+// Write refuses.
+func (c *Channel) flush(shut bool) error {
 	c.bmu.Lock()
 	defer c.bmu.Unlock()
+	c.shut = c.shut || shut
 	return c.flushLocked()
 }
 
-// SetDeadline bounds every blocked Next on the channel — the hook the session stall watchdog fires to unwedge a
-// stalled channel without touching its siblings. A zero time clears it.
-// Only a deadline that moves earlier wakes a blocked Next: it sleeps
-// until the deadline it last read and then re-reads it, so an
-// extension (what a session does before every frame) or a clear needs no
-// wake-up — and costs no notification channel.
+// SetDeadline bounds every blocked Next on the channel — the hook a
+// session expires to unwedge its channel without touching its siblings.
+// A zero time clears it. Only a deadline that moves earlier wakes a
+// blocked Next, through ready: it sleeps until the deadline it last read
+// and then re-reads it, so an extension (what a session does before every
+// frame) or a clear needs no wake-up.
 func (c *Channel) SetDeadline(t time.Time) error {
 	c.mu.Lock()
 	earlier := !t.IsZero() && (c.deadline.IsZero() || t.Before(c.deadline))
 	c.deadline = t
-	if earlier {
-		close(c.dnotify)
-		c.dnotify = make(chan struct{})
-	}
+	wake := earlier && c.waiting
 	c.mu.Unlock()
+	if wake {
+		c.wake()
+	}
 	return nil
 }
 
@@ -491,9 +534,8 @@ func (c *Channel) SetDeadline(t time.Time) error {
 // refcount drops. Idempotent.
 func (c *Channel) Close() error {
 	c.clOnce.Do(func() {
-		close(c.closed)
 		c.drainQueued()
-		c.flush()
+		c.flush(true)
 		c.retireWindow()
 		c.w.release(c.id, true)
 		if c.onClose != nil {
@@ -523,7 +565,10 @@ func (c *Channel) retireWindow() {
 // remoteClosedNow marks the inbound direction finished: Next drains the
 // queue then reports io.EOF.
 func (c *Channel) remoteClosedNow() {
-	c.rcOnce.Do(func() { close(c.rclosed) })
+	c.mu.Lock()
+	c.finished = true
+	c.endLocked()
+	c.mu.Unlock()
 }
 
 // fail terminates the channel with err (wire death, an abandoned open).
@@ -532,9 +577,10 @@ func (c *Channel) fail(err error) {
 	if c.err == nil {
 		c.err = err
 	}
+	c.finished = true
+	c.endLocked()
 	c.mu.Unlock()
 	c.retireWindow()
-	c.rcOnce.Do(func() { close(c.rclosed) })
 }
 
 // drainQueued gives the channel's receive slabs back on close, each
@@ -543,6 +589,7 @@ func (c *Channel) fail(err error) {
 func (c *Channel) drainQueued() {
 	c.mu.Lock()
 	c.drained = true
+	c.endLocked()
 	q := c.q
 	c.q, c.head, c.queued = nil, 0, 0
 	c.mu.Unlock()

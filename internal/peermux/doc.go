@@ -56,7 +56,7 @@
 //     Multiplexing costs 3 bytes per frame.
 //   - CLOSE_CHANNEL — either side retires a channel; frames that were
 //     already in flight for a recently closed id are drained silently
-//     (a bounded set of retired ids), not punished.
+//     (a ring of the last 64 retired ids), not punished.
 //
 // Gossip needs no wire-level frame: sessions exchange PEERS inside
 // their channels like any other content frame.
@@ -147,4 +147,30 @@
 // one back at Close; its queue bound is a count, not an allocation. A
 // wire that dies routes nothing of what its reader still holds, and
 // charges nothing for it.
+//
+// # What a wire and a channel hold
+//
+// A wire is its conn, its FrameReader, one channel table and two
+// signals: one closed when the peer's MUX_HELLO arrives, one when the
+// wire dies. The table holds every channel from the moment it is
+// claimed, a half-open one waiting for the peer's answer included, and
+// is a slice searched in order (a wire carries a handful of channels)
+// that starts in an array inside the Wire. The ids it retires drain
+// through a fixed ring inside the Wire too, and a wire that dies hands
+// its table over to fail its channels rather than rebuilding it.
+//
+// A channel is its inbound queue (receive slabs, none until a frame
+// arrives), its pending batch, and two signals: ready, a one-token
+// wake-up that a routed frame, a deadline moved earlier or the peer's
+// answer to the open puts there, and done, closed when the channel
+// ends (the peer closed it, the wire died, or Close ran). An open's
+// answer rides its channel: the reader records the ACCEPT or REJECT on
+// it and puts the token in ready, so an open costs no reply channel. A
+// Next that blocks under a deadline takes a stopped timer from a pool
+// for that wait and gives it back, so a channel holds no timer.
+//
+// TestWireLifeAllocs pins a wire's whole life over net.Pipe, both ends
+// counted — Dial and Accept, one channel opened with a round that the
+// acceptor answers behind its ACCEPT, read to its DONE, then the channel
+// and the wire closed — at 50 allocations, the pipe's own among them.
 package peermux

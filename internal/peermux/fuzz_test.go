@@ -180,7 +180,7 @@ func TestDemuxHostileSeedsCharged(t *testing.T) {
 						return
 					}
 					if tc.stall {
-						<-ch.rclosed // never drain; wait out the channel
+						<-ch.done // never drain; wait out the channel
 						return
 					}
 					for {

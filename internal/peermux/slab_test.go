@@ -313,7 +313,7 @@ func TestQueueBoundCharged(t *testing.T) {
 					return
 				}
 			}
-			if ch.flush() != nil { // no DONE: the answer is symbols only
+			if ch.flush(false) != nil { // no DONE: the answer is symbols only
 				return
 			}
 		}

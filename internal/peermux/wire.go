@@ -146,11 +146,17 @@ type Wire struct {
 	remote protocol.MuxHello
 	helloc chan struct{}
 
-	mu       sync.Mutex
-	chans    map[uint16]*Channel
-	pend     map[uint16]chan openReply
-	drain    map[uint16]struct{}
-	drainq   []uint16
+	mu sync.Mutex
+	// chans is the channel table: every channel from the moment it is
+	// claimed — a half-open one waiting for the peer's answer included —
+	// until it is retired. A wire carries a handful of channels, so the
+	// table is a slice searched in order, starting in chanBuf.
+	chans   []*Channel
+	chanBuf [4]*Channel
+	// drained is a ring of the last drainedIDs retired ids, whose
+	// in-flight frames drain silently; retired counts the ids ever put in.
+	drained  [drainedIDs]uint16
+	retired  int
 	nextID   uint16
 	err      error
 	dead     bool
@@ -160,6 +166,8 @@ type Wire struct {
 	hwg  sync.WaitGroup
 }
 
+// openReply is the peer's answer to an open: an ACCEPT's hello, or a
+// REJECT's reason.
 type openReply struct {
 	hello  protocol.Hello
 	reject string
@@ -223,12 +231,10 @@ func newWire(conn net.Conn, fr *protocol.FrameReader, cfg Config, dialer bool) *
 		dialer: dialer,
 		met:    newWireMetrics(cfg.Obs),
 		raddr:  conn.RemoteAddr().String(),
-		chans:  make(map[uint16]*Channel),
-		pend:   make(map[uint16]chan openReply),
-		drain:  make(map[uint16]struct{}),
 		helloc: make(chan struct{}),
 		done:   make(chan struct{}),
 	}
+	w.chans = w.chanBuf[:0]
 	if dialer {
 		w.nextID = 1
 	}
@@ -332,7 +338,7 @@ func (w *Wire) OpenWindow(ctx context.Context, h protocol.Hello, window int) (*C
 	if !w.dialer {
 		return nil, errors.New("peermux: only the dialing side opens channels")
 	}
-	c, reply, err := w.claimChannel(ctx, window)
+	c, err := w.claimChannel(ctx, window)
 	if err != nil {
 		return nil, err
 	}
@@ -341,23 +347,30 @@ func (w *Wire) OpenWindow(ctx context.Context, h protocol.Hello, window int) (*C
 		w.abortOpen(c)
 		return nil, err // a failed write killed the wire: the wire's verdict
 	}
-	select {
-	case r := <-reply:
-		return w.answered(c, r)
-	case <-w.done:
-		// An answer the reader took before the wire died still stands: the
-		// open succeeded, and what the peer wrote behind it is queued for
-		// the channel ahead of the wire's error.
+	// The answer rides the channel: the reader records it there and puts a
+	// token in ready.
+	for {
 		select {
-		case r := <-reply:
+		case <-c.ready:
+		case <-w.done:
+		case <-ctx.Done():
+		}
+		// An answer the reader took before the wire died or ctx ended still
+		// stands: the open succeeded, and what the peer wrote behind it is
+		// queued for the channel ahead of the wire's error.
+		if r, ok := c.answer(); ok {
 			return w.answered(c, r)
+		}
+		select {
+		case <-w.done:
+			w.abortOpen(c)
+			return nil, w.Err()
 		default:
 		}
-		w.abortOpen(c)
-		return nil, w.Err()
-	case <-ctx.Done():
-		w.abortOpen(c)
-		return nil, ctx.Err()
+		if err := ctx.Err(); err != nil {
+			w.abortOpen(c)
+			return nil, err
+		}
 	}
 }
 
@@ -378,7 +391,7 @@ func (w *Wire) answered(c *Channel, r openReply) (*Channel, error) {
 // established wire, and until its MUX_HELLO arrives — the limit is not
 // known yet — exactly one channel may ride the first flight; further
 // opens wait for the hello (or the wire's death, or ctx's end).
-func (w *Wire) claimChannel(ctx context.Context, window int) (*Channel, chan openReply, error) {
+func (w *Wire) claimChannel(ctx context.Context, window int) (*Channel, error) {
 	for {
 		limit, shook := 1, w.established()
 		if shook {
@@ -388,33 +401,32 @@ func (w *Wire) claimChannel(ctx context.Context, window int) (*Channel, chan ope
 		if w.err != nil {
 			err := w.err
 			w.mu.Unlock()
-			return nil, nil, err
+			return nil, err
 		}
 		if len(w.chans) < limit {
 			id := w.nextID
 			w.nextID += 2
 			c := newChannel(w, id, window)
-			reply := make(chan openReply, 1)
-			w.chans[id] = c
-			w.pend[id] = reply
+			c.pending = true
+			w.chans = append(w.chans, c)
 			w.mu.Unlock()
-			return c, reply, nil
+			return c, nil
 		}
 		w.mu.Unlock()
 		if shook {
-			return nil, nil, fmt.Errorf("peermux: peer channel limit (%d) reached", limit)
+			return nil, fmt.Errorf("peermux: peer channel limit (%d) reached", limit)
 		}
 		select {
 		case <-w.helloc:
 		case <-w.done:
 		case <-ctx.Done():
-			return nil, nil, ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 }
 
 // rejectChannel declines a peer-opened channel id and counts it. The id
-// is retired into the drain set: what the opener wrote on it before it
+// is retired into the drain ring: what the opener wrote on it before it
 // read the REJECT must not be charged as a frame for a channel that
 // never existed.
 func (w *Wire) rejectChannel(id uint16, msg string) {
@@ -426,13 +438,11 @@ func (w *Wire) rejectChannel(id uint16, msg string) {
 }
 
 // abortOpen retires a half-open channel: its id drains, and its window
-// leaves the wire's sum (the peer's REJECT may be followed by a
-// CLOSE_CHANNEL that already took the id out of the table, so the channel
-// is ended directly, not looked up).
+// leaves the wire's sum (fail may already have emptied the table, so
+// the channel is ended directly, not looked up).
 func (w *Wire) abortOpen(c *Channel) {
 	w.mu.Lock()
-	delete(w.chans, c.id)
-	delete(w.pend, c.id)
+	w.removeLocked(c.id)
 	w.retireLocked(c.id)
 	w.mu.Unlock()
 	c.fail(ErrClosed)
@@ -526,18 +536,15 @@ func (w *Wire) penalize(weight float64) {
 
 // fail kills the wire exactly once: conn closed, channels failed,
 // fabric notified. Pending opens wake on done and return Err() — the
-// typed terminal error, not a string copy of it.
+// typed terminal error, not a string copy of it. The table is handed
+// over, not rebuilt: a dead wire adds no channel to it.
 func (w *Wire) fail(err error) {
 	w.deadOnce.Do(func() {
 		w.mu.Lock()
 		w.err = err
 		w.dead = true
-		chans := make([]*Channel, 0, len(w.chans))
-		for _, c := range w.chans {
-			chans = append(chans, c)
-		}
-		w.chans = make(map[uint16]*Channel)
-		w.pend = make(map[uint16]chan openReply)
+		chans := w.chans
+		w.chans = nil
 		w.mu.Unlock()
 
 		close(w.done)
@@ -551,26 +558,56 @@ func (w *Wire) fail(err error) {
 	})
 }
 
+// lookupLocked returns the channel id names in the table, nil when none
+// does. Caller holds w.mu.
+func (w *Wire) lookupLocked(id uint16) *Channel {
+	for _, c := range w.chans {
+		if c.id == id {
+			return c
+		}
+	}
+	return nil
+}
+
+// removeLocked takes the channel id names out of the table and reports
+// whether it was there. Caller holds w.mu.
+func (w *Wire) removeLocked(id uint16) bool {
+	for i, c := range w.chans {
+		if c.id == id {
+			last := len(w.chans) - 1
+			w.chans[i], w.chans[last] = w.chans[last], nil
+			w.chans = w.chans[:last]
+			return true
+		}
+	}
+	return false
+}
+
+// drainingLocked reports whether id is among the recently retired ones.
+// Caller holds w.mu.
+func (w *Wire) drainingLocked(id uint16) bool {
+	for _, d := range w.drained[:min(w.retired, drainedIDs)] {
+		if d == id {
+			return true
+		}
+	}
+	return false
+}
+
 // retireLocked records a recently closed id so late frames drain
-// silently. Caller holds w.mu.
+// silently, in place of the oldest one the ring holds. Caller holds w.mu.
 func (w *Wire) retireLocked(id uint16) {
-	if _, ok := w.drain[id]; ok {
+	if w.drainingLocked(id) {
 		return
 	}
-	w.drain[id] = struct{}{}
-	w.drainq = append(w.drainq, id)
-	if len(w.drainq) > drainedIDs {
-		delete(w.drain, w.drainq[0])
-		w.drainq = w.drainq[1:]
-	}
+	w.drained[w.retired%drainedIDs] = id
+	w.retired++
 }
 
 // release retires a channel id on local close and tells the peer.
 func (w *Wire) release(id uint16, notify bool) {
 	w.mu.Lock()
-	_, open := w.chans[id]
-	delete(w.chans, id)
-	delete(w.pend, id)
+	open := w.removeLocked(id)
 	w.retireLocked(id)
 	dead := w.dead
 	w.mu.Unlock()
@@ -688,30 +725,18 @@ func (w *Wire) finishHandshake(f protocol.Frame) bool {
 	}
 }
 
-func (w *Wire) channel(id uint16) *Channel {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.chans[id]
-}
-
-func (w *Wire) draining(id uint16) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	_, ok := w.drain[id]
-	return ok
-}
-
 // route delivers an enveloped frame to its channel's queue.
 func (w *Wire) route(id uint16, inner protocol.Frame) {
-	c := w.channel(id)
-	if c == nil {
-		if !w.draining(id) {
-			// An envelope for a channel that never existed.
-			w.penalize(WeightViolation)
-		}
-		return
+	w.mu.Lock()
+	c := w.lookupLocked(id)
+	stray := c == nil && !w.drainingLocked(id)
+	w.mu.Unlock()
+	if c != nil {
+		c.deliver(inner)
+	} else if stray {
+		// An envelope for a channel that never existed.
+		w.penalize(WeightViolation)
 	}
-	c.deliver(inner)
 }
 
 // handleOpen validates and spawns the handler for a peer-opened channel.
@@ -734,7 +759,11 @@ func (w *Wire) handleOpen(f protocol.Frame) {
 		return
 	}
 	w.mu.Lock()
-	if _, dup := w.chans[id]; dup {
+	if w.dead { // fail handed the table over: a channel added now would never end
+		w.mu.Unlock()
+		return
+	}
+	if w.lookupLocked(id) != nil {
 		w.mu.Unlock()
 		w.penalize(WeightViolation)
 		w.rejectChannel(id, "duplicate channel id")
@@ -747,7 +776,7 @@ func (w *Wire) handleOpen(f protocol.Frame) {
 	}
 	c := newChannel(w, id, 0)
 	c.remoteHello = hello
-	w.chans[id] = c
+	w.chans = append(w.chans, c)
 	w.mu.Unlock()
 	w.hwg.Add(1)
 	go func() {
@@ -757,32 +786,35 @@ func (w *Wire) handleOpen(f protocol.Frame) {
 	}()
 }
 
+// resolveOpen hands the peer's answer to the half-open channel id names:
+// an answer for a channel that is not waiting for one is charged, unless
+// the channel is live or its id drains.
 func (w *Wire) resolveOpen(id uint16, r openReply) {
 	w.mu.Lock()
-	reply, c := w.pend[id], w.chans[id]
-	_, drained := w.drain[id]
-	delete(w.pend, id)
+	c := w.lookupLocked(id)
+	pending := c != nil && c.pending
+	if pending {
+		c.pending = false
+	}
+	stray := c == nil && !w.drainingLocked(id)
 	w.mu.Unlock()
-	if reply == nil {
-		if c == nil && !drained {
-			w.penalize(WeightViolation)
-		}
-		return
-	}
-	if r.ok && c != nil {
-		c.answerRound(r.hello.Depth)
-	}
-	select {
-	case reply <- r:
-	default:
+	if pending {
+		c.resolve(r)
+	} else if stray {
+		w.penalize(WeightViolation)
 	}
 }
 
+// remoteClose ends the inbound direction of the channel id names and
+// retires the id. A half-open channel stays in the table until the
+// peer's answer reaches its opener.
 func (w *Wire) remoteClose(id uint16) {
 	w.mu.Lock()
-	c := w.chans[id]
-	_, wasDraining := w.drain[id]
-	delete(w.chans, id)
+	c := w.lookupLocked(id)
+	wasDraining := w.drainingLocked(id)
+	if c != nil && !c.pending {
+		w.removeLocked(id)
+	}
 	w.retireLocked(id)
 	w.mu.Unlock()
 	if c != nil {

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -799,4 +801,73 @@ func TestRemoteCloseDrainsThenEOF(t *testing.T) {
 		t.Fatalf("drained %d in-flight symbols before EOF, want 5", got)
 	}
 	ch.Close()
+}
+
+// wireLifeAllocs is what TestWireLifeAllocs measures for one wire's life.
+const wireLifeAllocs = 50
+
+// TestWireLifeAllocs pins what one wire costs over its whole life, both
+// ends counted: Dial and Accept over net.Pipe (startPair), one channel
+// opened with a round of 16 symbols that the acceptor answers behind its
+// ACCEPT, read to its DONE, then the channel and the wire closed and the
+// acceptor's side unwound. The pools are warm and the collector is held
+// off, so the count is the wire's own, its net.Pipe included. Skipped
+// under the race detector, which sheds pooled buffers.
+func TestWireLifeAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector sheds pooled buffers")
+	}
+	const batch = 16
+	payload := make([]byte, 64)
+	answer := func(ch *Channel) {
+		h := ch.RemoteHello()
+		if ch.Accept(protocol.Hello{FullCopy: true, Depth: h.Depth}) != nil {
+			return
+		}
+		for id := range uint64(h.Batch) * uint64(h.Depth) {
+			if protocol.WriteSymbol(ch, id, payload) != nil {
+				return
+			}
+		}
+		if protocol.WriteFrame(ch, protocol.EncodeDone()) != nil {
+			return
+		}
+		for {
+			if _, err := ch.Next(); err != nil {
+				return
+			}
+		}
+	}
+	life := func() {
+		w, shutdown := startPair(t, Config{}, Config{}, answer)
+		defer shutdown()
+		ch, err := w.OpenWindow(context.Background(), protocol.Hello{Batch: batch, Depth: 1}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ch.Close()
+		for got := 0; ; got++ {
+			f, err := ch.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.Type == protocol.TypeDone {
+				if got != batch {
+					t.Fatalf("the round brought %d symbols, want %d", got, batch)
+				}
+				return
+			}
+		}
+	}
+	life() // warm the pools
+	gc := debug.SetGCPercent(-1)
+	defer debug.SetGCPercent(gc)
+	// Let what is ready to run — the runtime's own work after a
+	// collection among it — run before the count, which is process-wide.
+	runtime.Gosched()
+	allocs := testing.AllocsPerRun(20, life)
+	t.Logf("a wire's life allocates %.1f times", allocs)
+	if allocs > wireLifeAllocs {
+		t.Errorf("a wire's life allocates %.1f times, want at most %d", allocs, wireLifeAllocs)
+	}
 }

@@ -484,12 +484,13 @@
 // retired, and an open's answer rides its channel; a channel signals
 // through a one-token ready channel and one done channel, and a blocked
 // read borrows a pooled timer for the wait. A connection attempt is one
-// context and one timer — the open's timeout and the stall watchdog —
-// whose cancel also expires the channel's deadline. peermux's
+// context, a child of its session's, and one timer — the open's timeout
+// and the stall watchdog — whose cancel also expires the channel's
+// deadline. peermux's
 // TestWireLifeAllocs pins a wire's whole life over net.Pipe at 50
 // allocations, both ends counted; peer's TestConnectionAttemptAllocs a
 // fetch over one fresh connection, the fetch's own orchestrator and
-// decoder included, at 180.
+// decoder included, at 187.
 //
 // Request model: the receiver's own requests are the only flow control.
 // A SYMBOL is allowed only when a REQUEST, or the OPEN's first round,

@@ -2,15 +2,17 @@ package peer
 
 import (
 	"bytes"
+	"context"
 	"runtime/debug"
 	"testing"
+	"time"
 
 	"icd/internal/faultnet"
 )
 
 // connectionAttemptAllocs is what TestConnectionAttemptAllocs measures
 // for one fetch over one fresh connection, both ends counted.
-const connectionAttemptAllocs = 180
+const connectionAttemptAllocs = 187
 
 // TestConnectionAttemptAllocs pins what one connection attempt costs,
 // both ends counted: a fetch of a 32-block content from a full Server
@@ -67,5 +69,38 @@ func TestConnectionAttemptAllocs(t *testing.T) {
 	t.Logf("one connection attempt allocates %.1f times", allocs)
 	if allocs > connectionAttemptAllocs {
 		t.Errorf("one connection attempt allocates %.1f times, want at most %d", allocs, connectionAttemptAllocs)
+	}
+}
+
+// TestOpenAnswerOrTimeout: the peer's answer to an open and the open's
+// timeout each claim the open, and whichever comes second does nothing.
+// An answer recorded before the timer checks is never cancelled as
+// missing, and an answer that arrives after the timeout fired is not
+// taken.
+func TestOpenAnswerOrTimeout(t *testing.T) {
+	o := NewOrchestrator(7, FetchOptions{Timeout: time.Hour})
+	defer o.finish()
+	s := newSession(o, "sender:1")
+
+	answered := s.startAttempt()
+	defer answered.end()
+	answered.openBy = time.Now()
+	if !answered.answered() {
+		t.Fatal("an answer before the timeout was refused")
+	}
+	answered.tick()
+	if err := context.Cause(answered.ctx); err != nil {
+		t.Fatalf("an answered open was cancelled: %v", err)
+	}
+
+	late := s.startAttempt()
+	defer late.end()
+	late.openBy = time.Now()
+	late.tick()
+	if err := context.Cause(late.ctx); err != errOpenTimeout {
+		t.Fatalf("an open past its timeout ended with %v, want %v", err, errOpenTimeout)
+	}
+	if late.answered() {
+		t.Fatal("an answer after the timeout was taken")
 	}
 }

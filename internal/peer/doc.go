@@ -172,15 +172,14 @@
 //     peer, and two nodes that each misattributed one environmental
 //     fault would charge each other into a permanent mutual ban.
 //
-// Everything above ends work the same way, through two nested contexts.
-// The fetch has one, which the context given to Run, the completed
-// decode and a rejected symbol all cancel (Orchestrator.finish). Each
-// connection attempt's is a child of it, cancelled on its own by
-// eviction and DropPeer, and by the attempt's one timer: when the stall
-// watchdog gives up, and when the open goes unanswered for Timeout,
-// which counts as a failed dial. A session has none of its own: an
-// eviction cancels its attempt in progress, or ends the backoff sleep
-// between two. Every blocking step takes the innermost one in scope: the
+// Everything above ends work the same way, through three nested
+// contexts. The fetch has one, which the context given to Run, the
+// completed decode and a rejected symbol all cancel (Orchestrator.finish).
+// Each session's is a child of it, cancelled on its own by eviction and
+// DropPeer, and each connection attempt's a child of its session's,
+// cancelled by the attempt's one timer: when the stall watchdog gives up,
+// and when the open goes unanswered for Timeout, which counts as a failed
+// dial. Every blocking step takes the innermost one in scope: the
 // backoff sleep, the wait for the fabric's dial, the open (peermux
 // aborts the half-open and leaves nothing behind), and a read on the
 // established channel, which a cancel wakes by expiring the channel's
@@ -189,7 +188,7 @@
 // So a connection attempt costs one context and one timer, and no
 // goroutine beside its session's; TestConnectionAttemptAllocs
 // pins what a fetch over one fresh connection allocates at both ends,
-// the fetch's own orchestrator and decoder included, at 180. A receiver
+// the fetch's own orchestrator and decoder included, at 187. A receiver
 // owes its senders nothing (§2.3), so abandoning any of them at any
 // moment is just a cancel.
 //

@@ -15,8 +15,10 @@ package peer
 // exit frees a slot.
 
 import (
+	"cmp"
 	"io"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -233,8 +235,8 @@ type adSource interface {
 // connection's goroutine.
 type relay struct {
 	// sent is every advertisement written on this connection, and, on a
-	// serving session, the client's own, which it is never told about: a
-	// set searched in order.
+	// serving session, the client's own, which it is never told about:
+	// sorted (comparePeerAds), so a lookup is a binary search.
 	sent []protocol.PeerAd
 	// gens are the source's generations at the last complete send (valid
 	// once synced): a send that stopped at MaxPeerAds is not complete, so
@@ -249,14 +251,33 @@ type relay struct {
 // its scratch each: a full PEERS frame, and the client's own ad beside it.
 const relayRoom = protocol.MaxPeerAds + 1
 
-// newRelay returns a relay that has sent the given advertisements. The
-// sent set and the scratch share one allocation, sized when it is made:
+// newRelay returns a relay that has sent the given advertisements. Its
+// sent set and scratch share one allocation, sized when it is made:
 // either grows only past relayRoom.
 func newRelay(sent ...protocol.PeerAd) *relay {
 	room := make([]protocol.PeerAd, 0, 2*relayRoom)
 	r := &relay{sent: room[:0:relayRoom], ads: room[relayRoom:relayRoom]}
-	r.sent = append(r.sent, sent...)
+	for _, ad := range sent {
+		r.add(ad)
+	}
 	return r
+}
+
+// add puts ad in the sent set, and reports whether it was not there.
+func (r *relay) add(ad protocol.PeerAd) bool {
+	i, dup := slices.BinarySearchFunc(r.sent, ad, comparePeerAds)
+	if !dup {
+		r.sent = slices.Insert(r.sent, i, ad)
+	}
+	return !dup
+}
+
+// comparePeerAds orders advertisements by content, then address.
+func comparePeerAds(a, b protocol.PeerAd) int {
+	if c := cmp.Compare(a.ContentID, b.ContentID); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Addr, b.Addr)
 }
 
 // send writes one PEERS frame carrying, in src's order, what src holds
@@ -276,8 +297,7 @@ func (r *relay) send(w io.Writer, src adSource) error {
 			complete = false
 			break
 		}
-		if !slices.Contains(r.sent, ad) {
-			r.sent = append(r.sent, ad)
+		if r.add(ad) {
 			fresh = append(fresh, ad)
 		}
 	}

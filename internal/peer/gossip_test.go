@@ -777,3 +777,23 @@ func TestRelayCollectsPerChange(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkRelaySend is a send whose source moved but holds nothing new,
+// on a connection that has been sent a full directory (MaxGossipAds
+// ads): a membership test in the sent set for each of the MaxPeerAds ads
+// it collects, and no frame.
+func BenchmarkRelaySend(b *testing.B) {
+	sent := make([]protocol.PeerAd, MaxGossipAds)
+	for i := range sent {
+		sent[i] = ad(7, fmt.Sprintf("p%d:1", i))
+	}
+	src := &fakeAds{ads: sent[len(sent)-protocol.MaxPeerAds:]}
+	r := newRelay(sent...)
+	b.ReportAllocs()
+	for range b.N {
+		src.gens[0]++
+		if err := r.send(io.Discard, src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

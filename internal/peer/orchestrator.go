@@ -65,9 +65,9 @@ type Orchestrator struct {
 	contentID uint64
 	opts      FetchOptions
 
-	// ctx is the fetch's one lifetime: every connection attempt's context
-	// is its child, and finish — completion, a decode error, or the end of
-	// the context Run was given — cancels it, which is what unwinds them.
+	// ctx is the fetch's one lifetime: every session's context is its
+	// child, and finish — completion, a decode error, or the end of the
+	// context Run was given — cancels it, which is what unwinds them.
 	ctx    context.Context
 	finish context.CancelFunc
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"math"
 	"net"
 	"slices"
 	"strings"
@@ -398,9 +397,11 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 	} else {
 		cur = newCursor(seed ^ s.info.CodeSeed ^ salt)
 		ids, _ := s.src.WorkingSet()
-		// A growing log, a fetch's working set, ends near what a decode
-		// needs.
-		cur.bound = max(len(ids), decodeNeed(s.info.NumBlocks))
+		if _, fixed := s.src.(*symbolLog); !fixed {
+			// A growing log, a fetch's working set, ends near what a
+			// decode needs.
+			cur.bound = decodeNeed(s.info.NumBlocks)
+		}
 		cur.aim(aimBy, slice, of, ids)
 	}
 	if total > 0 { // the OPEN's round, as the ACCEPT announced it
@@ -585,20 +586,6 @@ func (q *queue) pop() int {
 // reset empties the queue, keeping room for n positions.
 func (q *queue) reset(n int) { q.pos, q.head = slices.Grow(q.pos[:0], n), 0 }
 
-// sliceShare is how many of n log positions a cursor may queue in its
-// slice (in) and out of it (out) under slices: the expected split with
-// four standard deviations of headroom, since InSlice hashes ids, so a
-// log of n fills neither queue past its room.
-func sliceShare(n int, slices uint16) (in, out int) {
-	if slices <= 1 {
-		return n, 0
-	}
-	p := 1 / float64(slices)
-	mean := int(float64(n) * p)
-	slack := int(4*math.Sqrt(float64(n)*p*(1-p))) + 1
-	return min(n, mean+slack), min(n, n-mean+slack)
-}
-
 // newCursor starts a cursor whose send order follows seed, so that two
 // sessions, or two senders, do not walk overlapping logs in step.
 func newCursor(seed uint64) *cursor {
@@ -671,9 +658,9 @@ func (c *cursor) extend(ids []uint64) {
 // aim installs a new summary and the slice of the id space it names, and
 // re-derives pending and rest from every unsent position of the log
 // against them.
-// The scratch and the queues are sized here for the log's bound, each
-// queue for its share under the slice, so neither a re-aim nor extend
-// allocates while the log stays within it.
+// The scratch and the queues are sized here for the log, or its bound
+// when that is larger, so neither a re-aim nor extend allocates while the
+// log stays within it.
 func (c *cursor) aim(missing func(id uint64) bool, slice, of uint16, ids []uint64) {
 	c.missing, c.slice, c.slices = missing, slice, of
 	n := len(ids)
@@ -681,9 +668,8 @@ func (c *cursor) aim(missing func(id uint64) bool, slice, of uint16, ids []uint6
 	c.sent = slices.Grow(c.sent, size-len(c.sent))
 	c.sent = append(c.sent, make([]bool, n-len(c.sent))...)
 	c.fresh = slices.Grow(c.fresh[:0], size)
-	in, out := sliceShare(size, of)
-	c.pending.reset(in)
-	c.rest.reset(out)
+	c.pending.reset(size)
+	c.rest.reset(size)
 	for pos, sent := range c.sent {
 		if !sent {
 			c.fresh = append(c.fresh, pos)

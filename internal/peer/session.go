@@ -13,13 +13,13 @@ package peer
 // are what the orchestrator's utility ranking consumes. Sessions end in
 // exactly one of four ways: the transfer ended (the fetch's context), the
 // peer stopped being useful (MaxUselessBatches), the orchestrator dropped
-// them (eviction/DropPeer cancel the attempt in progress, or end the
-// backoff sleep between two), or the connection failed terminally (after
-// MaxReconnects redials). Each connection attempt is an attempt: one
-// context, a child of the fetch's, that every blocking step — the dial
-// and the open, a read on the established channel — ends with, and one
-// timer that cancels it when the open goes unanswered or the attempt
-// stalls. A session has no context of its own.
+// them (eviction/DropPeer cancel the session's context, a child of the
+// fetch's), or the connection failed terminally (after MaxReconnects
+// redials). The backoff sleep ends with the session's context. Each
+// connection attempt is an attempt: one context, a child of the
+// session's, that every blocking step — the dial and the open, a read on
+// the established channel — ends with, and one timer that cancels it when
+// the open goes unanswered or the attempt stalls.
 
 import (
 	"context"
@@ -56,9 +56,10 @@ type session struct {
 	addr  string
 	stats *PeerStats
 	rng   prng.Rand // backoff jitter (session goroutine only)
-	// stopped is set by an eviction (evict): the session winds down. The
-	// fetch ending stops it too (over).
-	stopped atomic.Bool
+	// ctx is the session's lifetime, a child of the fetch's: the transfer
+	// ending cancels it from above, eviction and DropPeer call cancel.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	// Guarded by o.mu: when the session joined the swarm. Utility is
 	// measured over the whole session life — downtime between redials
@@ -78,11 +79,6 @@ type session struct {
 	// Guarded by o.mu: the buffer this session's summaries are marshaled
 	// into (Orchestrator.summarize), kept from one to the next.
 	summary []byte
-	// Guarded by o.mu: the connection attempt in progress, nil between
-	// attempts, and the wake-up of a backoff sleep in progress: an
-	// eviction cancels the one and closes the other.
-	att      *attempt
-	sleeping chan struct{}
 }
 
 func newSession(o *Orchestrator, addr string) *session {
@@ -95,6 +91,7 @@ func newSession(o *Orchestrator, addr string) *session {
 		startedAt: time.Now(),
 	}
 	s.rng.Reseed(addrSeed(addr))
+	s.ctx, s.cancel = context.WithCancel(o.ctx)
 	return s
 }
 
@@ -114,24 +111,13 @@ func terminalSessionError(err error) bool {
 }
 
 // evict ends the session deliberately: it winds down cleanly, marked
-// Evicted. It cancels the attempt in progress, or ends the backoff sleep
-// between two. Callers hold o.mu.
+// Evicted. Cancelling its context ends the attempt in progress or the
+// backoff sleep between two, and a read parked on the live channel
+// returns (wake). Callers hold o.mu.
 func (s *session) evict() {
 	s.stats.Evicted = true
-	s.stopped.Store(true)
-	if s.att != nil {
-		s.att.cancel(context.Canceled)
-	}
-	if s.sleeping != nil {
-		close(s.sleeping)
-		s.sleeping = nil
-	}
+	s.cancel()
 	s.wake()
-}
-
-// over reports whether the session is over: evicted, or the fetch ended.
-func (s *session) over() bool {
-	return s.stopped.Load() || s.o.ctx.Err() != nil
 }
 
 // wake expires the live channel's deadline, so a read parked on it
@@ -161,6 +147,7 @@ func (s *session) utilityLocked() float64 {
 // with jittered, capped exponential backoff between redials.
 func (s *session) run() {
 	defer s.o.sessionExited(s)
+	defer s.cancel()
 	opts := &s.o.opts
 	var terminal error
 	for attempt := 0; ; attempt++ {
@@ -175,7 +162,7 @@ func (s *session) run() {
 			terminal = err
 			break
 		}
-		if s.over() {
+		if s.ctx.Err() != nil {
 			// The session is over (evicted, or the transfer ended), and the
 			// cancel unblocked whatever the connection was doing: the error
 			// that unwound runConn is self-inflicted — not a peer failure
@@ -216,35 +203,14 @@ func (s *session) run() {
 }
 
 // sleepBackoff waits out a redial delay; it reports false when the
-// session ended first: the fetch ended, or an eviction closed the sleep's
-// wake-up.
+// session ended first.
 func (s *session) sleepBackoff(d time.Duration) bool {
-	o := s.o
-	wake := make(chan struct{})
-	o.mu.Lock()
-	stopped := s.stopped.Load()
-	if !stopped {
-		s.sleeping = wake
-	}
-	o.mu.Unlock()
-	if stopped {
-		return false
-	}
-	defer func() {
-		o.mu.Lock()
-		if s.sleeping == wake {
-			s.sleeping = nil
-		}
-		o.mu.Unlock()
-	}()
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
 		return true
-	case <-wake:
-		return false
-	case <-o.ctx.Done():
+	case <-s.ctx.Done():
 		return false
 	}
 }
@@ -275,11 +241,10 @@ func (s *session) runConn() error {
 	defer s.o.retire(s, math.MaxInt)
 	defer s.o.leavePartials(s)
 	issued := time.Now()
-	ch, open, err := s.openChannel(a.ctx, issued)
+	ch, open, err := s.openChannel(a, issued)
 	if err != nil {
 		return err
 	}
-	a.answered()
 	defer ch.Close()
 	err = s.serveChannel(a.ctx, ch, open, issued)
 	// A cancelled attempt unblocked the channel itself, and a stall has
@@ -326,20 +291,15 @@ type attempt struct {
 }
 
 // startAttempt starts a connection attempt, under a context of its own,
-// a child of the fetch's, and its timer. An attempt that starts after
-// the session was evicted starts cancelled.
+// a child of the session's, and its timer.
 func (s *session) startAttempt() *attempt {
 	now := time.Now()
 	a := &attempt{stall: s.o.opts.StallTimeout, openBy: now.Add(s.o.opts.Timeout), progress: now}
 	a.sess.Store(s)
-	a.ctx, a.cancel = context.WithCancelCause(s.o.ctx)
+	a.ctx, a.cancel = context.WithCancelCause(s.ctx)
 	a.open.Store(true)
 	s.o.mu.Lock()
 	a.useful = s.stats.UsefulSymbols
-	s.att = a
-	if s.stopped.Load() {
-		a.cancel(context.Canceled)
-	}
 	s.o.mu.Unlock()
 	d, _ := a.next(now)
 	// Armed by Reset, not at creation, so that a.timer is set before the
@@ -350,12 +310,17 @@ func (s *session) startAttempt() *attempt {
 }
 
 // answered records that the peer answered the open: the timer watches
-// only for stalls from here on, and without a stall window it stops.
-func (a *attempt) answered() {
-	a.open.Store(false)
+// only for stalls from here on, and without a stall window it stops. It
+// reports false when the timer timed the open out first: one of the two
+// claims the open, so an answer recorded is never cancelled as missing.
+func (a *attempt) answered() bool {
+	if !a.open.CompareAndSwap(true, false) {
+		return false
+	}
 	if a.stall <= 0 {
 		a.timer.Stop()
 	}
+	return true
 }
 
 // end releases the attempt's context and timer, and lets go of the
@@ -363,12 +328,7 @@ func (a *attempt) answered() {
 func (a *attempt) end() {
 	a.cancel(nil)
 	a.timer.Stop()
-	s := a.sess.Swap(nil)
-	s.o.mu.Lock()
-	if s.att == a {
-		s.att = nil
-	}
-	s.o.mu.Unlock()
+	a.sess.Store(nil)
 }
 
 // next is how long until the timer has something to check, and whether
@@ -398,7 +358,7 @@ func (a *attempt) tick() {
 	}
 	o := s.o
 	now := time.Now()
-	if a.open.Load() && !now.Before(a.openBy) {
+	if !now.Before(a.openBy) && a.open.CompareAndSwap(true, false) {
 		a.stop(s, errOpenTimeout)
 		return
 	}
@@ -446,8 +406,8 @@ func (a *attempt) stop(s *session, cause error) {
 // a REJECT_CHANNEL, or an ERROR in place of the wire handshake — into the
 // terminal errors: a verdict from a live peer is not a dial failure, so
 // it does not charge the address.
-func (s *session) openChannel(ctx context.Context, issued time.Time) (*peermux.Channel, protocol.Hello, error) {
-	o := s.o
+func (s *session) openChannel(a *attempt, issued time.Time) (*peermux.Channel, protocol.Hello, error) {
+	o, ctx := s.o, a.ctx
 	// At most the whole batches the window the channel opens at holds, as
 	// the fabric clamps it (0 opens at DefaultWindow, the largest any
 	// channel gets): the round is asked for before anything of it has
@@ -473,6 +433,12 @@ func (s *session) openChannel(ctx context.Context, issued time.Time) (*peermux.C
 		open.Symbols, open.Summary = uint64(held), summary.Payload
 	}
 	ch, err := o.fabric.OpenWindow(ctx, s.addr, open, win)
+	if err == nil && !a.answered() {
+		// The answer came as the open timed out: the timeout stands, as
+		// it would had the timer fired a moment sooner.
+		ch.Close()
+		ch, err = nil, context.DeadlineExceeded
+	}
 	if err == nil {
 		o.met.handshake.Observe(time.Since(issued).Seconds())
 		s.reached()
@@ -674,7 +640,7 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open pr
 
 	useless := 0
 	for {
-		if s.over() {
+		if s.ctx.Err() != nil {
 			protocol.WriteFrame(ch, protocol.EncodeDone())
 			return nil
 		}
@@ -761,7 +727,7 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open pr
 				// (and its context expire the deadline) while this write is
 				// parked — the same self-inflicted unblock the read path
 				// below classifies as a clean end.
-				if s.over() {
+				if s.ctx.Err() != nil {
 					return nil
 				}
 				return err
@@ -773,7 +739,7 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open pr
 			deadline()
 			f, err := ch.Next()
 			if err != nil {
-				if s.over() {
+				if s.ctx.Err() != nil {
 					return nil
 				}
 				return err

@@ -155,9 +155,13 @@
 // wire dies. The table holds every channel from the moment it is
 // claimed, a half-open one waiting for the peer's answer included, and
 // is a slice searched in order (a wire carries a handful of channels)
-// that starts in an array inside the Wire. The ids it retires drain
-// through a fixed ring inside the Wire too, and a wire that dies hands
-// its table over to fail its channels rather than rebuilding it.
+// that starts in an array inside the Wire; each row holds its channel's
+// id beside it, so a search reads no channel. BenchmarkRoute times a
+// routed frame on a wire carrying one channel and DefaultMaxChannels,
+// the frame going to the one the search reaches last. The ids it
+// retires drain through a fixed ring inside the Wire too, and a wire
+// that dies hands its table over to fail its channels rather than
+// rebuilding it.
 //
 // A channel is its inbound queue (receive slabs, none until a frame
 // arrives), its pending batch, and two signals: ready, a one-token

@@ -150,9 +150,10 @@ type Wire struct {
 	// chans is the channel table: every channel from the moment it is
 	// claimed — a half-open one waiting for the peer's answer included —
 	// until it is retired. A wire carries a handful of channels, so the
-	// table is a slice searched in order, starting in chanBuf.
-	chans   []*Channel
-	chanBuf [4]*Channel
+	// table is a slice searched in order, starting in chanBuf; each row
+	// holds its channel's id, so a search reads the table alone.
+	chans   []chanEntry
+	chanBuf [4]chanEntry
 	// drained is a ring of the last drainedIDs retired ids, whose
 	// in-flight frames drain silently; retired counts the ids ever put in.
 	drained  [drainedIDs]uint16
@@ -408,7 +409,7 @@ func (w *Wire) claimChannel(ctx context.Context, window int) (*Channel, error) {
 			w.nextID += 2
 			c := newChannel(w, id, window)
 			c.pending = true
-			w.chans = append(w.chans, c)
+			w.chans = append(w.chans, chanEntry{id, c})
 			w.mu.Unlock()
 			return c, nil
 		}
@@ -549,8 +550,8 @@ func (w *Wire) fail(err error) {
 
 		close(w.done)
 		w.conn.Close()
-		for _, c := range chans {
-			c.fail(err)
+		for _, e := range chans {
+			e.c.fail(err)
 		}
 		if w.cfg.onDead != nil {
 			w.cfg.onDead()
@@ -558,12 +559,18 @@ func (w *Wire) fail(err error) {
 	})
 }
 
+// chanEntry is one row of the channel table.
+type chanEntry struct {
+	id uint16
+	c  *Channel
+}
+
 // lookupLocked returns the channel id names in the table, nil when none
 // does. Caller holds w.mu.
 func (w *Wire) lookupLocked(id uint16) *Channel {
-	for _, c := range w.chans {
-		if c.id == id {
-			return c
+	for _, e := range w.chans {
+		if e.id == id {
+			return e.c
 		}
 	}
 	return nil
@@ -572,10 +579,10 @@ func (w *Wire) lookupLocked(id uint16) *Channel {
 // removeLocked takes the channel id names out of the table and reports
 // whether it was there. Caller holds w.mu.
 func (w *Wire) removeLocked(id uint16) bool {
-	for i, c := range w.chans {
-		if c.id == id {
+	for i, e := range w.chans {
+		if e.id == id {
 			last := len(w.chans) - 1
-			w.chans[i], w.chans[last] = w.chans[last], nil
+			w.chans[i], w.chans[last] = w.chans[last], chanEntry{}
 			w.chans = w.chans[:last]
 			return true
 		}
@@ -776,7 +783,7 @@ func (w *Wire) handleOpen(f protocol.Frame) {
 	}
 	c := newChannel(w, id, 0)
 	c.remoteHello = hello
-	w.chans = append(w.chans, c)
+	w.chans = append(w.chans, chanEntry{id, c})
 	w.mu.Unlock()
 	w.hwg.Add(1)
 	go func() {

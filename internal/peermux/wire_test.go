@@ -37,7 +37,7 @@ func timeoutCtx(t testing.TB, d time.Duration) context.Context {
 // runs the server-mux front half (read MUX_HELLO, Accept, Serve);
 // handler owns each peer-opened channel. shutdown closes the client
 // wire and waits for the serve goroutine.
-func startPair(t *testing.T, ccfg, scfg Config, handler func(*Channel)) (*Wire, func()) {
+func startPair(t testing.TB, ccfg, scfg Config, handler func(*Channel)) (*Wire, func()) {
 	t.Helper()
 	return startPairConn(t, ccfg, scfg, nil, nil, handler)
 }
@@ -45,7 +45,7 @@ func startPair(t *testing.T, ccfg, scfg Config, handler func(*Channel)) (*Wire, 
 // startPairConn is startPair with conn wrappers between the client and
 // server wires and their pipe ends (nil: none), for fault injection and
 // write accounting.
-func startPairConn(t *testing.T, ccfg, scfg Config, wrapC, wrapS func(net.Conn) net.Conn, handler func(*Channel)) (*Wire, func()) {
+func startPairConn(t testing.TB, ccfg, scfg Config, wrapC, wrapS func(net.Conn) net.Conn, handler func(*Channel)) (*Wire, func()) {
 	t.Helper()
 	cc, sc := net.Pipe()
 	if wrapC != nil {
@@ -869,5 +869,46 @@ func TestWireLifeAllocs(t *testing.T) {
 	t.Logf("a wire's life allocates %.1f times", allocs)
 	if allocs > wireLifeAllocs {
 		t.Errorf("a wire's life allocates %.1f times, want at most %d", allocs, wireLifeAllocs)
+	}
+}
+
+// BenchmarkRoute is what a routed frame costs from the wire's reader to
+// its channel's consumer: finding the channel in the wire's table,
+// queueing the frame and handing it out. The wire carries one channel,
+// or DefaultMaxChannels with every frame going to the one the table
+// holds last, which the lookup reaches after all the others.
+func BenchmarkRoute(b *testing.B) {
+	for _, n := range []int{1, DefaultMaxChannels} {
+		b.Run(fmt.Sprintf("channels=%d", n), func(b *testing.B) {
+			w, shutdown := startPair(b, Config{}, Config{}, func(ch *Channel) {
+				if ch.Accept(protocol.Hello{}) != nil {
+					return
+				}
+				for {
+					if _, err := ch.Next(); err != nil {
+						return
+					}
+				}
+			})
+			defer shutdown()
+			var last *Channel
+			for range n {
+				ch, err := w.OpenWindow(context.Background(), protocol.Hello{}, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer ch.Close()
+				last = ch
+			}
+			f := protocol.EncodeRequest(16)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				w.route(last.id, f)
+				if _, err := last.Next(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -75,9 +75,8 @@
 // The paper's evaluation as the paper ran it, on symbol identities and
 // rounds rather than sockets: Strategy, RunTransfer and
 // TwoPeerScenario/MultiPeerScenario (internal/strategy and
-// internal/transfer, Figures 5–8), Overlay (internal/overlay, Figure 1)
-// and InformedPeer (internal/core, the §3/§4 admission and planning
-// loop). The figure drivers of internal/experiment — and through them
+// internal/transfer, Figures 5–8) and Overlay (internal/overlay, Figure
+// 1). The figure drivers of internal/experiment — and through them
 // cmd/icdbench and the root bench_test.go — drive these and nothing
 // else.
 //
@@ -505,7 +504,8 @@
 // overshoot past k, so an unlucky stream takes two rounds, not many).
 // Below that bound, sessions replace stop-and-wait (one request batch
 // in flight, one RTT per batch) with K batches outstanding. The
-// session's channel window bounds the symbols in flight exactly,
+// session's window, its fetch's and not its channel's, bounds the
+// symbols in flight exactly,
 // re-read at every batch boundary: a request asks for a batch, or for
 // what the window has left when that is less, so a window smaller than
 // a batch, or not a multiple of one, is asked for in smaller requests.
@@ -543,14 +543,14 @@
 // earlier version added.
 //
 // Windows are the node's second budget: on a latency-bound wire a
-// channel's window IS its throughput (about one window per round trip).
+// session's window IS its throughput (about one window per round trip).
 // node.Options.WindowBudget names a node-wide frame budget, split among
 // the fetches in flight by the same even share as slots, at least one
 // frame each, when a fetch starts or ends. A fetch's share reaches its
-// sessions only through Orchestrator.SetChannelWindow, which sets each
-// live channel's window (Channel.SetWindow writes nothing to the wire),
-// and each session reads it at its next batch boundary, so it never has
-// more symbols requested and not yet received than its share.
+// sessions only through Orchestrator.SetChannelWindow, one atomic store
+// that writes nothing to the wire, and each session reads it at its
+// next batch boundary, so it never has more symbols requested and not
+// yet received than its share.
 // node.TestShareTable pins the rule, node.TestNodeWindowBudgetRebalance
 // the shares through a real node, and the benchmark's multi_small
 // workload runs under a WindowBudget.

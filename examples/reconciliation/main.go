@@ -62,14 +62,4 @@ func main() {
 		fmt.Printf("\nART correction=%d: found %d/%d differences visiting %d tree nodes (vs %d bloom probes)\n",
 			corr, len(found), setB.Diff(setA).Len(), stats.NodesVisited, setB.Len())
 	}
-
-	// --- §4's admission control through the orchestration layer ---
-	me := icd.NewInformedPeer(icd.PeerConfig{MinwiseFamilySeed: 7})
-	setA.Each(func(k uint64) { me.AddSymbol(k) })
-	assessment, err := me.EvaluateCandidate(skB)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nadmission control: decision=%v recommended strategy=%v\n",
-		assessment.Decision, assessment.Strategy)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"icd/internal/bloom"
-	"icd/internal/core"
 	"icd/internal/fountain"
 	"icd/internal/keyset"
 	"icd/internal/minwise"
@@ -267,21 +266,6 @@ const (
 // NewOverlay creates an overlay whose nodes complete at target distinct
 // symbols.
 func NewOverlay(target int, seed uint64) *Overlay { return overlay.New(target, seed) }
-
-// ---- Informed-delivery orchestration (§3/§4) ----
-
-// InformedPeer is one end-system's informed-delivery state: working set,
-// incremental sketch, summaries, admission control and sender planning.
-type InformedPeer = core.Peer
-
-// PeerConfig parameterizes an InformedPeer.
-type PeerConfig = core.Config
-
-// Assessment is an admission-control result.
-type Assessment = core.Assessment
-
-// NewInformedPeer creates an empty informed peer.
-func NewInformedPeer(cfg PeerConfig) *InformedPeer { return core.NewPeer(cfg) }
 
 // ---- Prototype network peers (§6) ----
 

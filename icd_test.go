@@ -135,22 +135,6 @@ func TestPublicAPISimulation(t *testing.T) {
 	}
 }
 
-// TestPublicAPIInformedPeer exercises admission control.
-func TestPublicAPIInformedPeer(t *testing.T) {
-	me := NewInformedPeer(PeerConfig{})
-	other := NewInformedPeer(PeerConfig{})
-	ws := RandomWorkingSet(21, 600)
-	ws.Each(func(k uint64) { me.AddSymbol(k) })
-	ws.Each(func(k uint64) { other.AddSymbol(k) })
-	a, err := me.EvaluateCandidate(other.Sketch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Decision.String() != "reject" {
-		t.Fatalf("identical peer not rejected: %+v", a)
-	}
-}
-
 // TestPublicAPICodec round-trips content through the fountain codec.
 func TestPublicAPICodec(t *testing.T) {
 	content := bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7}, 500)

@@ -3,7 +3,8 @@ package node
 // fabric_test.go pins the connection-fabric acceptance criterion: a
 // node fetching several contents from the same peer opens exactly one
 // transport connection — every content rides the shared wire as a
-// subchannel.
+// subchannel — and the inbound side's one guard, MaxInbound: a dial
+// over the cap is refused busy and redialed.
 
 import (
 	"bytes"
@@ -15,6 +16,8 @@ import (
 
 	"icd/internal/faultnet"
 	"icd/internal/peer"
+	"icd/internal/peermux"
+	"icd/internal/protocol"
 	"icd/internal/testutil"
 )
 
@@ -87,5 +90,74 @@ func TestNodeFabricOneConnectionPerPeer(t *testing.T) {
 	}
 	if got := tr.dials.Load(); got != 1 {
 		t.Fatalf("fetching 3 contents from one peer used %d connections, want 1 (shared fabric wire)", got)
+	}
+}
+
+// TestNodeMaxInboundBusyRedial: a node serving under MaxInbound 1 with
+// its one slot taken answers a second node's dial with the busy refusal,
+// charging nobody; the fetch redials with backoff and completes once the
+// slot frees.
+func TestNodeMaxInboundBusyRedial(t *testing.T) {
+	t.Cleanup(testutil.CheckGoroutines(t))
+	info, data := testContent(t, 0xB5B5, 200, 64)
+	pn := faultnet.NewPipeNet()
+	provider := New(Options{Listen: "provider", Transport: pn, MaxInbound: 1, Tick: 10 * time.Millisecond})
+	t.Cleanup(func() { provider.Close() })
+	if err := provider.ServeFull(info, data, true); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := pn.Listen("provider")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go provider.Serve(ln)
+
+	// Take the one slot: a wire whose open the provider answered is
+	// admitted, and holds its slot until it closes.
+	conn, err := pn.Node("holder").Dial("provider")
+	if err != nil {
+		t.Fatal(err)
+	}
+	holder, err := peermux.Dial(conn, peermux.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Close()
+	ch, err := holder.Open(protocol.Hello{ContentID: info.ID}, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	consumer := New(Options{Listen: "consumer", Transport: pn.Node("consumer"), Tick: 10 * time.Millisecond,
+		Fetch: peer.FetchOptions{MaxReconnects: 1000, ReconnectBackoff: 5 * time.Millisecond, MaxReconnectBackoff: 20 * time.Millisecond}})
+	t.Cleanup(func() { consumer.Close() })
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	tx, err := consumer.StartFetch(ctx, info.ID, "provider")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for provider.Mux().Stats().Busy < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if busy := provider.Mux().Stats().Busy; busy < 2 {
+		t.Fatalf("provider refused %d dials over its cap, want the fetch's first dial and a redial", busy)
+	}
+	if done(tx) {
+		t.Fatal("the fetch ended while the provider refused it")
+	}
+	ch.Close()
+	holder.Close()
+
+	res, err := tx.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed || !bytes.Equal(res.Data, data) {
+		t.Fatal("content not recovered after the busy refusals")
+	}
+	if len(res.Peers) != 1 || res.Peers[0].Reconnects == 0 || res.Peers[0].DialFailures != 0 {
+		t.Fatalf("peer rows %+v: want one provider, redialed, no dial charged as failed", res.Peers)
 	}
 }

@@ -42,6 +42,10 @@ import (
 	"icd/internal/peermux"
 )
 
+// gossipMaxAge ages directory entries nobody re-mentioned out of the
+// node's gossip directory, on the housekeeping tick.
+const gossipMaxAge = 2 * time.Minute
+
 // Options configure a Node.
 type Options struct {
 	// Listen is the node's dialable listen address: the mux binds it
@@ -60,19 +64,16 @@ type Options struct {
 	MaxConns int
 	// WindowBudget is the node-wide window budget in symbol frames,
 	// split among the fetches in flight by the same rule as MaxConns, at
-	// least one frame each (0 = disabled: every channel opens at the
-	// fabric's per-channel default). A fetch's share reaches it through
+	// least one frame each (0 = disabled: every session asks within
+	// peermux.DefaultWindow). A fetch's share reaches it through
 	// Orchestrator.SetChannelWindow and nothing else: it is the window of
-	// each of its fabric channels, the most symbols each of its sessions
-	// may have asked for and not yet received.
+	// each of its sessions, the most symbols each may have asked for and
+	// not yet received.
 	WindowBudget int
 	// Tick is the housekeeping cadence: gossip expiry and store budget
 	// enforcement over live working sets (default 100ms). The budgets
 	// above are re-split when a fetch starts or ends, not per tick.
 	Tick time.Duration
-	// GossipMaxAge ages directory entries nobody re-mentioned out of
-	// the node's gossip directory (default 2m; negative disables).
-	GossipMaxAge time.Duration
 	// Transport supplies the node's network: its Listen backs
 	// ListenAndServe and its Dial backs the fabric's wires (unless
 	// Fetch.Dial overrides it). Nil uses real TCP. Tests and the chaos
@@ -98,9 +99,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Tick <= 0 {
 		o.Tick = 100 * time.Millisecond
-	}
-	if o.GossipMaxAge == 0 {
-		o.GossipMaxAge = 2 * time.Minute
 	}
 	return o
 }
@@ -538,7 +536,7 @@ func (n *Node) run() {
 
 // housekeep is one tick's worth of node hygiene.
 func (n *Node) housekeep() {
-	n.gossip.Expire(n.opts.GossipMaxAge)
+	n.gossip.Expire(gossipMaxAge)
 	for _, st := range n.active() {
 		if info, ok := st.o.Info(); ok {
 			n.dropReplicas(n.store.UpdateBytes(st.id,
@@ -560,7 +558,7 @@ func (n *Node) active() []*transferState {
 }
 
 // rebalance splits the node's budgets evenly among the fetches in
-// flight (share): connection slots under MaxConns and channel windows
+// flight (share): connection slots under MaxConns and session windows
 // under WindowBudget. It runs only when that set changes, from
 // StartFetch and finishFetch.
 func (n *Node) rebalance() {

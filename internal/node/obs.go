@@ -4,7 +4,7 @@ package node
 // and eviction lifecycle, the slots and window frames the fetches in
 // flight hold between them (the sum of their shares, max(budget, nf)),
 // and callback gauges over state the node already tracks (banned peers,
-// the fabric's windows). A node always has a registry
+// what the fetches asked for). A node always has a registry
 // — New creates one when Options.Obs is nil — so every layer below
 // (mux, fabric, each fetch's orchestrator) shares a single snapshot.
 
@@ -43,7 +43,15 @@ func (n *Node) registerGauges() {
 		defer n.mu.Unlock()
 		return int64(len(n.fetches))
 	})
-	n.obs.GaugeFunc("node.window_inflight", func() int64 { return int64(n.fabric.TotalWindow()) })
+	// What the node's fetches have requested and not yet received: the
+	// windows' use, not their size.
+	n.obs.GaugeFunc("node.window_inflight", func() int64 {
+		total := 0
+		for _, st := range n.active() {
+			total += st.o.Asked()
+		}
+		return int64(total)
+	})
 	n.obs.GaugeFunc("node.wires", func() int64 { return int64(n.fabric.Wires()) })
 }
 

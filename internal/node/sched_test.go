@@ -2,7 +2,7 @@ package node
 
 // sched_test.go tables the even share both budgets use: its arithmetic,
 // then the split of each currency — connection slots (Options.MaxConns)
-// and channel windows (Options.WindowBudget) — as rebalance applies it.
+// and session windows (Options.WindowBudget) — as rebalance applies it.
 
 import "testing"
 

@@ -3,9 +3,10 @@ package node
 // window_test.go pins the node's budgets end to end: under a
 // WindowBudget and a MaxConns, concurrent fetches over one fabric wire
 // each hold exactly their even share, a share changes only when a fetch
-// starts or ends, and the transfers complete intact. Run under -race
-// this is the concurrency gate on the Orchestrator's window plumbing
-// (SetChannelWindow vs live channels) end to end.
+// starts or ends, and the transfers complete intact; node.window_inflight
+// reads what the fetches asked for. Run under -race this is the
+// concurrency gate on the Orchestrator's window plumbing
+// (SetChannelWindow vs live sessions) end to end.
 
 import (
 	"bytes"
@@ -22,7 +23,7 @@ import (
 // blocks of 64 bytes) from a provider over a shaped net whose links
 // each add latency at delivery, and returns a consumer node built from
 // opts, both closed at test cleanup. A delivery-latency link makes the
-// channel window the binding throughput constraint (about one window per
+// session window the binding throughput constraint (about one window per
 // round trip), so the transfers can be observed mid-flight without
 // being large.
 func budgetSwarm(t *testing.T, latency time.Duration, blocks []int, opts Options) (*Node, []peer.ContentInfo, [][]byte) {
@@ -151,7 +152,7 @@ func TestNodeWindowBudgetRebalance(t *testing.T) {
 }
 
 // TestNodeTinyWindowBudget splits a budget of 6 frames over three
-// fetches: each channel moves two frames per round trip, and every
+// fetches: each session moves two frames per round trip, and every
 // content still arrives intact.
 func TestNodeTinyWindowBudget(t *testing.T) {
 	t.Cleanup(testutil.CheckGoroutines(t))
@@ -188,5 +189,57 @@ func TestNodeFetchOpensAtItsShare(t *testing.T) {
 	cancel()
 	for _, tx := range transfers {
 		tx.Wait() // cancelled mid-transfer: the error is expected
+	}
+}
+
+// TestNodeWindowInFlight: node.window_inflight is what the node's fetches
+// have requested and not yet received, not the size of their windows.
+// Under a window budget it never exceeds the fetches' windows; under the
+// default 4096-frame window it never exceeds what their decodes need
+// (under 2k symbols a fetch here, where a window's size would read 4096
+// a session); it reads more than 0 while they run, and 0 once they end.
+func TestNodeWindowInFlight(t *testing.T) {
+	t.Cleanup(testutil.CheckGoroutines(t))
+	const k = 600
+	for _, tc := range []struct {
+		name   string
+		budget int   // Options.WindowBudget
+		bound  int64 // the most the two fetches may have asked for
+	}{
+		{"budget", 64, 64}, // 32 frames a fetch: two batches of 16
+		{"default window", 0, 2 * 2 * k},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			consumer, infos, datas := budgetSwarm(t, 2*time.Millisecond, []int{k, k},
+				Options{Tick: 5 * time.Millisecond, WindowBudget: tc.budget})
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			transfers := startAll(t, ctx, consumer, infos)
+			inflight := func() int64 {
+				for _, m := range consumer.Obs().Snapshot() {
+					if m.Name == "node.window_inflight" {
+						return m.Value
+					}
+				}
+				t.Fatal("no node.window_inflight gauge")
+				return 0
+			}
+			peak := int64(0)
+			for !done(transfers[0]) || !done(transfers[1]) {
+				n := inflight()
+				if n > tc.bound {
+					t.Fatalf("node.window_inflight = %d, over the %d the fetches may ask for", n, tc.bound)
+				}
+				peak = max(peak, n)
+				time.Sleep(200 * time.Microsecond)
+			}
+			waitIntact(t, transfers, datas)
+			if peak == 0 {
+				t.Fatal("node.window_inflight read 0 throughout the fetches")
+			}
+			if n := inflight(); n != 0 {
+				t.Fatalf("node.window_inflight = %d once the fetches ended, want 0", n)
+			}
+		})
 	}
 }

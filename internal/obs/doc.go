@@ -25,7 +25,7 @@
 //     connection attempt was in when its window passed without a useful
 //     symbol: "open" (the OPEN_CHANNEL was never answered) or "window"
 //     (an established channel went quiet).
-//   - channel plane: EvChanOpen, EvChanResize, EvChanClose
+//   - channel plane: EvChanOpen, EvChanClose
 //   - store plane: EvStoreAdmit, EvStoreEvict
 //   - gossip plane: EvGossipAdmit, EvGossipDefer, EvGossipPromote
 //

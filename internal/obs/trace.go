@@ -26,10 +26,9 @@ const (
 	EvBan       = "session.ban"
 	EvEvict     = "session.evict"
 
-	// EvChanOpen through EvChanClose are fabric subchannel events.
-	EvChanOpen   = "channel.open"
-	EvChanResize = "channel.resize"
-	EvChanClose  = "channel.close"
+	// EvChanOpen and EvChanClose are fabric subchannel events.
+	EvChanOpen  = "channel.open"
+	EvChanClose = "channel.close"
 
 	// EvStoreAdmit and EvStoreEvict are content-store transitions.
 	EvStoreAdmit = "store.admit"

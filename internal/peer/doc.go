@@ -6,7 +6,7 @@
 // There is one path between them. A ServerMux is the serving front
 // door: it owns the listener and connection admission, answers each
 // connection's fabric handshake (internal/peermux: one wire per peer
-// pair, one windowed subchannel per content session) and routes
+// pair, one subchannel per content session) and routes
 // every channel to the registered Server for its content id. A Server
 // is only the symbol source for one piece of content, either a *full*
 // sender — a digital fountain streaming fresh encoded symbols — or a
@@ -88,8 +88,8 @@
 // yet received, over all its sessions, stay within what its decode still
 // needs — a session asks for more only while it has nothing in flight or
 // the budget has room for the request within the session's even share
-// of it. Its channel's window, read at
-// every batch boundary, bounds exactly what it has in flight: a request
+// of it. Its fetch's window (ChannelWindow), read at every batch
+// boundary, bounds exactly what it has in flight: a request
 // asks for a batch, or for what the window has left when that is less,
 // so a scheduler that resizes the window (Orchestrator.SetChannelWindow)
 // moves the depth with it. The requests are the only flow control: a

@@ -87,19 +87,20 @@ type FetchOptions struct {
 	// a shared fabric was bound to its dialer at construction.
 	Dial func(addr string) (net.Conn, error)
 	// Fabric is the connection fabric every session rides: one wire per
-	// peer, one windowed subchannel per session (sessions call
-	// Fabric.OpenWindow(ctx, addr, hello, window) under their connection
-	// attempt's context). The fabric owns the dial; a node shares one
+	// peer, one subchannel per session (sessions call
+	// Fabric.Open(ctx, addr, hello) under their connection attempt's
+	// context). The fabric owns the dial; a node shares one
 	// fabric across all its fetches, collapsing its connection count to
 	// one wire per peer. Nil builds a private fabric over Dial for this
 	// fetch alone — a lone fetch is a wire with one channel — closed
 	// when Run ends.
 	Fabric *peermux.Fabric
-	// ChannelWindow is the initial per-session window, in symbol frames,
-	// that sessions' subchannels open with (0 = peermux.DefaultWindow,
-	// which is also the ceiling values clamp to): the most symbols a
-	// session may have requested and not yet received.
-	// Orchestrator.SetChannelWindow resizes live channels —
+	// ChannelWindow is the initial per-session window, in symbol frames
+	// (0 = peermux.DefaultWindow, which is also the ceiling values clamp
+	// to): the most symbols each session may have requested and not yet
+	// received. It is the receiver's own policy and writes nothing to the
+	// wire; each session reads it when it opens and at every batch
+	// boundary, so Orchestrator.SetChannelWindow moves live sessions too —
 	// together they are how a node splits a window budget among its
 	// fetches. A session asks for a batch at a time, or for what its
 	// window has left when that is less, below the bound that matters

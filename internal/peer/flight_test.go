@@ -848,7 +848,7 @@ func quiet(t *testing.T, ch *peermux.Channel) bool {
 // charged on either end. The round is what was asked, clamped to what
 // the opener's decode still needs (decodeNeed(600) = 698 symbols, less
 // what it holds, rounded up to whole batches and never below one) and in
-// total to one channel window, uncharged.
+// total to DefaultWindow symbols, uncharged.
 func TestFullSenderAnswersTheOpen(t *testing.T) {
 	info, data := testContent(t, 600, 32)
 	for _, tc := range []struct {
@@ -924,7 +924,7 @@ func TestPartialSenderAnswersTheOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ceiling := uint16(depthCap(peermux.DefaultWindow, 64))
+	ceiling := uint16(peermux.DefaultWindow / 64)
 	for _, tc := range []struct {
 		name          string
 		batch         uint32
@@ -1109,7 +1109,7 @@ func TestPartialSenderWaitsForTheSummaryAtTheCeiling(t *testing.T) {
 	}
 	ch, _, _, hangUp := openAsking(t, srv, protocol.Hello{
 		Batch:   64,
-		Depth:   uint16(depthCap(peermux.DefaultWindow, 64)),
+		Depth:   uint16(peermux.DefaultWindow / 64),
 		Symbols: uint64(len(held)),
 		Summary: protocol.EncodeSummary(0, 0, blob).Payload,
 	})
@@ -1169,7 +1169,7 @@ func TestFetchAskedWithinNeed(t *testing.T) {
 	defer stop()
 
 	open := p.opened(t)
-	if want := depthCap(peermux.DefaultWindow, batch); int(open.Depth) != want {
+	if want := peermux.DefaultWindow / batch; int(open.Depth) != want {
 		t.Fatalf("blind OPEN asked for %d batches, want a window's %d", open.Depth, want)
 	}
 	owed := p.round(open)

@@ -122,10 +122,14 @@ func (g *Gossip) Learn(ad protocol.PeerAd) bool {
 // extended slice, ranked by descending mention count with insertion
 // order as the deterministic tie-break. The node's own address is never
 // included. It ranks under the lock through the directory's kept scratch,
-// so it allocates only when dst lacks the room.
+// grown once to the directory's cap, so it allocates only when dst lacks
+// the room.
 func (g *Gossip) AppendSnapshot(dst []protocol.PeerAd, contentID uint64, max int) []protocol.PeerAd {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if g.rank == nil {
+		g.rank = make([]*gossipEntry, 0, MaxGossipAds)
+	}
 	rank := g.rank[:0]
 	for _, e := range g.ads {
 		if contentID == 0 || e.ad.ContentID == contentID {
@@ -230,9 +234,10 @@ type adSource interface {
 // each hands what the other end tells it to the directory. Sending costs
 // per change, not per call: a send whose source's generations have not
 // moved since the last complete send collects nothing, and one that
-// collects and writes reuses the relay's scratch, so it allocates only
-// when the sent set or a scratch buffer must grow. A relay belongs to one
-// connection's goroutine.
+// collects and writes reuses the relay's scratch and the shared payload
+// scratch (peersBufs), so it allocates only when the sent set or a
+// scratch buffer must grow. A relay belongs to one connection's
+// goroutine.
 type relay struct {
 	// sent is every advertisement written on this connection, and, on a
 	// serving session, the client's own, which it is never told about:
@@ -244,8 +249,13 @@ type relay struct {
 	gens   [2]uint64
 	synced bool
 	ads    []protocol.PeerAd // scratch: what send collected, or receive decoded
-	buf    []byte            // scratch: the PEERS payload send writes
 }
+
+// peersBufs holds the scratch a relay's send marshals its PEERS payload
+// into. A send holds one only while it writes (the write copies the
+// frame out), so a relay owns none, and a scratch, grown to the longest
+// payload it carried, serves every connection in turn.
+var peersBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // relayRoom is what a relay is made with room for, in its sent set and in
 // its scratch each: a full PEERS frame, and the client's own ad beside it.
@@ -307,8 +317,11 @@ func (r *relay) send(w io.Writer, src adSource) error {
 	if len(fresh) == 0 {
 		return nil
 	}
-	r.buf = protocol.AppendPeers(r.buf[:0], fresh)
-	return protocol.WriteFrame(w, protocol.Frame{Type: protocol.TypePeers, Payload: r.buf})
+	bp := peersBufs.Get().(*[]byte)
+	*bp = protocol.AppendPeers((*bp)[:0], fresh)
+	err := protocol.WriteFrame(w, protocol.Frame{Type: protocol.TypePeers, Payload: *bp})
+	peersBufs.Put(bp)
+	return err
 }
 
 // receive decodes a PEERS frame into the relay's scratch and hands each

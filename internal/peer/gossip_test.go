@@ -653,8 +653,9 @@ func TestSessionsGenerationMoves(t *testing.T) {
 // news allocates nothing, and neither does a check with news once the
 // first one warmed the scratch — each run here lifts one more ad into the
 // directory's top 64 with a re-mention and writes it in a frame (the sent
-// set grows by that ad, its doubling amortized over the runs). The news
-// pin is held to bare frame writes: buffer pools shed under the race
+// set grows by that ad, its doubling amortized over the runs) — nor a new
+// connection's first send once the shared scratches are warm. The news
+// pins are held to bare frame writes: buffer pools shed under the race
 // detector, and then nothing that writes can be pinned.
 func TestRelaySendAllocs(t *testing.T) {
 	framesFree := testing.AllocsPerRun(50, func() {
@@ -720,6 +721,37 @@ func TestRelaySendAllocs(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("%s: a send with news allocates %.1f times after its first, want 0", end.name, allocs)
 		}
+	}
+	if !framesFree || raceDetector { // pools shed under the race detector
+		return
+	}
+	// New connections: a relay owns no payload scratch and the directory
+	// grows its ranking scratch once, to its cap, so with both warmed on a
+	// one-ad directory, each new connection's first send — a full frame of
+	// news from the directory since filled — allocates nothing, and the
+	// ranking scratch kept its size while the directory filled.
+	fresh, err := NewFullServer(info, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.gossip = NewGossip("")
+	fresh.gossip.Learn(ad(id, "first:1"))
+	relays := make([]*relay, 102)
+	for i := range relays {
+		relays[i] = newRelay(ad(id, "client:1"))
+	}
+	relayFrames(t, relays[0], fresh)
+	ranked := cap(fresh.gossip.rank)
+	fill(fresh.gossip)
+	i := 1
+	if allocs := testing.AllocsPerRun(100, func() {
+		relays[i].send(io.Discard, fresh)
+		i++
+	}); allocs != 0 {
+		t.Errorf("a new connection's first send allocates %.1f times, want 0", allocs)
+	}
+	if got := cap(fresh.gossip.rank); got != ranked {
+		t.Errorf("the ranking scratch grew from %d to %d as the directory filled", ranked, got)
 	}
 }
 

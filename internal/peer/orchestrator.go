@@ -131,11 +131,13 @@ type Orchestrator struct {
 	// whole asks for about what its decode still needs, however many
 	// senders it spreads that over.
 	asked int
-	// blind is the session whose OPEN asked for a round before any ACCEPT
-	// told the fetch k: OPENs concurrent with it ask for nothing, and the
-	// first handshake, which tells the fetch k, claims for it what its
-	// sender would answer until its own ACCEPT settles what it will.
-	blind *session
+	// blind is the session whose OPEN asked for a round of blindRound
+	// batches before any ACCEPT told the fetch k: OPENs concurrent with it
+	// ask for nothing, and the first handshake, which tells the fetch k,
+	// claims for it what its sender would answer until its own ACCEPT
+	// settles what it will.
+	blind      *session
+	blindRound int
 
 	// sessionsGen counts, under mu, the changes to sessions: a session's
 	// PEERS relay (gossipAdverts) collects again only once it or the
@@ -147,10 +149,11 @@ type Orchestrator struct {
 	// of duplicates is as useless as an empty one).
 	progress atomic.Int64
 
-	// chanWin is the per-session window for the sessions' subchannels,
-	// in symbol frames (0 = peermux.DefaultWindow). New channels open at it;
-	// SetChannelWindow moves it and resizes every live channel — a node's
-	// bandwidth knob.
+	// chanWin is the per-session window, in symbol frames (0 =
+	// peermux.DefaultWindow): the most symbols each session may have
+	// requested and not yet received. Sessions read it (window) when they
+	// open and at every batch boundary; SetChannelWindow moves it — a
+	// node's bandwidth knob.
 	chanWin atomic.Int64
 }
 
@@ -509,33 +512,32 @@ func (o *Orchestrator) MaxPeers() int {
 // SetChannelWindow re-sizes this fetch's per-session windows to n symbol
 // frames — a node's second budget: where SetMaxPeers moves whole
 // sessions between fetches, SetChannelWindow moves wire bandwidth
-// between the subchannels already sharing a wire. New channels open at
-// n; every live channel's window is set at once (Channel.SetWindow
-// clamps to the wire's limit and writes nothing), and each session's
-// requests follow at its next batch boundary — the window is the only
-// bound on what it has in flight. n <= 0 restores the wire default for
-// new channels and leaves live ones alone.
-func (o *Orchestrator) SetChannelWindow(n int) {
-	o.chanWin.Store(int64(n))
-	if n <= 0 {
-		return
-	}
-	o.mu.Lock()
-	chs := make([]*peermux.Channel, 0, len(o.sessions))
-	for _, s := range o.sessions {
-		if s.ch != nil {
-			chs = append(chs, s.ch)
-		}
-	}
-	o.mu.Unlock()
-	for _, ch := range chs {
-		ch.SetWindow(n)
-	}
-}
+// between the sessions already sharing a wire. Each session's requests
+// follow at its next batch boundary; nothing is written. n <= 0 restores
+// peermux.DefaultWindow.
+func (o *Orchestrator) SetChannelWindow(n int) { o.chanWin.Store(int64(n)) }
 
 // ChannelWindow returns the current per-session window target (0 = the
-// wire default).
+// default).
 func (o *Orchestrator) ChannelWindow() int { return int(o.chanWin.Load()) }
+
+// window is the per-session window sessions ask within: ChannelWindow
+// clamped to [1, peermux.DefaultWindow], 0 selecting the ceiling.
+func (o *Orchestrator) window() int {
+	n := int(o.chanWin.Load())
+	if n <= 0 || n > peermux.DefaultWindow {
+		return peermux.DefaultWindow
+	}
+	return n
+}
+
+// Asked returns the symbols the fetch's sessions have requested and not
+// yet received or given back (the fetch's request budget in use).
+func (o *Orchestrator) Asked() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.asked
+}
 
 // Progress returns the count of distinct encoded symbols decoded into
 // the working set so far — the cheap monotone signal a scheduler
@@ -677,10 +679,11 @@ func (o *Orchestrator) ensureDecoder(ci ContentInfo) error {
 		// so the fold never regrows the log or rehashes its index.
 		o.log.reserve(ci.NumBlocks + ci.NumBlocks/8)
 		// The blind OPEN's sender answers at most the need, in whole
-		// batches: claimed now, so no session spends it twice before that
-		// OPEN's ACCEPT settles what it will be.
+		// batches, and no more than the OPEN asked for: claimed now, so no
+		// session spends it twice before that OPEN's ACCEPT settles what it
+		// will be.
 		if b := o.blind; b != nil {
-			n := (o.needLocked() + o.opts.Batch - 1) / o.opts.Batch * o.opts.Batch
+			n := min((o.needLocked()+o.opts.Batch-1)/o.opts.Batch, o.blindRound) * o.opts.Batch
 			o.asked += n
 			b.owed += n
 			o.blind = nil
@@ -805,7 +808,7 @@ func (o *Orchestrator) needLocked() int {
 }
 
 // openRound returns how many batches s's OPEN asks for, at most max (what
-// the channel's window admits), and claims them. Before any ACCEPT has
+// the session's window admits), and claims them. Before any ACCEPT has
 // told the fetch k, the first OPEN asks for max — the sender clamps it to
 // the need, which is what the first handshake claims for it, and its
 // ACCEPT says how much it will answer (settleOpen) — and OPENs concurrent
@@ -818,7 +821,7 @@ func (o *Orchestrator) openRound(s *session, max int) int {
 		if o.blind != nil {
 			return 0
 		}
-		o.blind = s
+		o.blind, o.blindRound = s, max
 		return max
 	}
 	d := min(max, (o.needLocked()-o.asked)/o.opts.Batch)

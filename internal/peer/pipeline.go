@@ -17,15 +17,18 @@ package peer
 // and what the session owes stays within its even share of the need
 // (Orchestrator.share), so how the need splits among senders does not
 // depend on which session the scheduler runs first.
-// Below that bound the channel's window caps what is in flight, read at
-// every batch boundary, so a scheduler that resizes the window
-// (Orchestrator.SetChannelWindow) moves the depth with it. The window is
-// the only flow control there is: a sender sends what it was asked for
-// and nothing more, so a session never has more than the window's
-// symbols requested and not yet received. A request asks for a batch, or
-// for what the window has left when that is less (asks): a window smaller
-// than a batch, or not a multiple of one, is asked for in smaller
-// requests, and depthCap requests cover it. The window is a ceiling:
+// Below that bound the session's window (Orchestrator.window, the fetch's
+// ChannelWindow) caps what is in flight, read at every batch boundary, so
+// a scheduler that resizes the window (Orchestrator.SetChannelWindow)
+// moves the depth with it. The window is the receiver's policy and lives
+// here, not in the channel: the channel counts what was asked and charges
+// what was not, and a sender sends what it was asked for and nothing
+// more, so a session never has more than the window's symbols requested
+// and not yet received. A request asks for a batch, or for what the
+// window has left when that is less (asks): a window smaller than a
+// batch, or not a multiple of one, is asked for in smaller requests, and
+// only the last of ⌈window/Batch⌉ of them is short. The window is a
+// ceiling:
 // large enough that the need, not the window, sizes a fetch's first
 // flight; the OPEN carries that first round, as many whole batches as
 // the window holds, which a full sender answers behind its ACCEPT
@@ -42,7 +45,7 @@ package peer
 // round trip, and only when it came back full: a sender running dry
 // answers short batches fast, which says nothing of the path.
 // Stop-and-wait is not a mode: it is what a window no larger than one
-// batch admits (depthCap = 1).
+// batch admits (one request in flight).
 
 import (
 	"math"
@@ -69,26 +72,12 @@ func need(k, p, batch int) int {
 	return max(batch, decodeNeed(k)-p, p-k)
 }
 
-// depthCap is the pipeline depth a window admits: the number of requests
-// needed to cover `window` symbol frames, `batch` each and the last for
-// the remainder, rounded up (a truncated cap would leave part of the
-// window permanently idle) and never below 1.
-func depthCap(window, batch int) int {
-	if batch < 1 {
-		batch = 1
-	}
-	d := (window + batch - 1) / batch
-	if d < 1 {
-		d = 1
-	}
-	return d
-}
-
 // asks holds the sizes of a session's requests in flight, oldest first,
 // and their sum. A sender answers requests in order, each ending in its
 // DONE, so a DONE retires the oldest; the rest shift down, no more than
-// depthCap of them (64 at the defaults). A session sizes it for the
-// window it opens at, so a steady pipeline allocates nothing.
+// ⌈window/Batch⌉ of them (64 at the defaults). A session sizes it for
+// DefaultWindow, the largest window, so a steady pipeline allocates
+// nothing.
 type asks struct {
 	sizes []int
 	sum   int

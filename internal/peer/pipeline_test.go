@@ -1,8 +1,7 @@
 package peer
 
-// pipeline_test.go pins the request depth: the window-derived cap
-// (depthCap) and the measured target under it (requestDepth) — one
-// round trip's worth of batches at the rate a batch arrives, its 1 µs
+// pipeline_test.go pins the request depth: the measured target under the
+// window (requestDepth) — one round trip's worth of batches at the rate a batch arrives, its 1 µs
 // service floor, and the guard that a short batch measures nothing. The
 // session-level case runs the pipeline end to end — pipelined, and
 // stop-and-wait under a one-batch window — over a synchronous net.Pipe,
@@ -65,26 +64,6 @@ func TestDecodeNeedCalibration(t *testing.T) {
 			p50, float64(p50-k)/float64(k), p90, float64(p90-k)/float64(k))
 		if need < p25 || need > p90 {
 			t.Errorf("k=%d: decodeNeed %d outside the p25..p90 of decodes, %d..%d", k, need, p25, p90)
-		}
-	}
-}
-
-func TestDepthCap(t *testing.T) {
-	cases := []struct {
-		window, batch, want int
-	}{
-		{window: 512, batch: 64, want: 8},
-		{window: 256, batch: 64, want: 4},
-		{window: 64, batch: 64, want: 1},
-		{window: 16, batch: 64, want: 1},    // floor: never zero
-		{window: 40, batch: 16, want: 3},    // rounds up: 2 would idle 8 frames
-		{window: 4096, batch: 64, want: 64}, // the shipped defaults
-		{window: 0, batch: 64, want: 1},
-		{window: 128, batch: 0, want: 128}, // degenerate batch
-	}
-	for _, c := range cases {
-		if got := depthCap(c.window, c.batch); got != c.want {
-			t.Errorf("depthCap(%d, %d) = %d, want %d", c.window, c.batch, got, c.want)
 		}
 	}
 }

@@ -335,7 +335,7 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 	// OPEN's summary, if any, to aim its cursor by (a malformed one
 	// refuses the channel). It answers the OPEN's round behind its ACCEPT exactly as
 	// it answers REQUEST frames: batches of Batch, each ending in its DONE,
-	// in total no more than one channel window. A full sender, whose
+	// in total no more than DefaultWindow symbols. A full sender, whose
 	// symbols cannot be stale, answers as many as the OPEN asked for but
 	// no more than cover what the receiver's decode still needs (whole
 	// batches, at least one); a partial sender answers one, as a batch more

@@ -69,8 +69,7 @@ type session struct {
 	// connection — the requeue path only reconsiders addresses that were
 	// never reached at all.
 	connected bool
-	// Guarded by o.mu: the live subchannel while a connection is up, so
-	// the scheduler's SetChannelWindow can resize it mid-transfer and a
+	// Guarded by o.mu: the live subchannel while a connection is up, so a
 	// cancel can expire its deadline (wake).
 	ch *peermux.Channel
 	// Guarded by o.mu: the symbols this connection attempt requested and
@@ -408,19 +407,13 @@ func (a *attempt) stop(s *session, cause error) {
 // it does not charge the address.
 func (s *session) openChannel(a *attempt, issued time.Time) (*peermux.Channel, protocol.Hello, error) {
 	o, ctx := s.o, a.ctx
-	// At most the whole batches the window the channel opens at holds, as
-	// the fabric clamps it (0 opens at DefaultWindow, the largest any
-	// channel gets): the round is asked for before anything of it has
-	// arrived, so all of it is in flight at once.
-	win := int(o.chanWin.Load())
-	opensAt := peermux.DefaultWindow
-	if win > 0 {
-		opensAt = min(win, opensAt)
-	}
+	// At most the whole batches the session's window holds: the round is
+	// asked for before anything of it has arrived, so all of it is in
+	// flight at once.
 	open := protocol.Hello{
 		ContentID:  o.contentID,
 		Batch:      uint32(o.opts.Batch),
-		Depth:      uint16(o.openRound(s, opensAt/o.opts.Batch)),
+		Depth:      uint16(o.openRound(s, o.window()/o.opts.Batch)),
 		ListenAddr: o.opts.AdvertiseAddr,
 	}
 	if o.opts.Uninformed {
@@ -432,7 +425,7 @@ func (s *session) openChannel(a *attempt, issued time.Time) (*peermux.Channel, p
 		}
 		open.Symbols, open.Summary = uint64(held), summary.Payload
 	}
-	ch, err := o.fabric.OpenWindow(ctx, s.addr, open, win)
+	ch, err := o.fabric.Open(ctx, s.addr, open)
 	if err == nil && !a.answered() {
 		// The answer came as the open timed out: the timeout stands, as
 		// it would had the timer fired a moment sooner.
@@ -583,7 +576,7 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open pr
 	// be answered (a partial sender says 1), and the fetch's budget keeps
 	// that much.
 	round := min(int(hello.Depth), int(open.Depth))
-	inflight := asks{sizes: make([]int, 0, depthCap(ch.Window(), o.opts.Batch))}
+	inflight := asks{sizes: make([]int, 0, (peermux.DefaultWindow+o.opts.Batch-1)/o.opts.Batch)}
 	for range round {
 		inflight.push(o.opts.Batch)
 	}
@@ -704,16 +697,17 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open pr
 		// in flight, as far as the window and the fetch's budget allow
 		// (claim: a session with nothing in flight always gets one). The
 		// window bounds the symbols in flight exactly: a request asks for
-		// a batch, or for what the window has left when that is less.
-		// Each iteration of the outer loop retires one request (one DONE),
-		// so batch-boundary accounting below lags the wire by the pipeline
+		// a batch, or for what the window has left when that is less, so
+		// only the last of ⌈window/Batch⌉ requests is short. Each
+		// iteration of the outer loop retires one request (one DONE), so
+		// batch-boundary accounting below lags the wire by the pipeline
 		// depth. The window is re-read here, at the batch boundary, so a
 		// live window resize (Orchestrator.SetChannelWindow) moves the
 		// depth with it.
 		deadline()
 		progressBefore := o.progress.Load()
-		win := ch.Window()
-		for len(inflight.sizes) < min(target, depthCap(win, o.opts.Batch)) {
+		win := o.window()
+		for len(inflight.sizes) < target {
 			n := min(o.opts.Batch, win-inflight.sum)
 			if n <= 0 || !o.claim(s, n, len(inflight.sizes) == 0) {
 				break

@@ -110,10 +110,9 @@ func TestRequestAnswerIsOneWrite(t *testing.T) {
 	}
 }
 
-// TestWindowOneStreams: on a one-frame window the receiver asks for one
-// symbol at a time, as much as its window holds, so it never has more
-// than one requested and not yet received; the stream completes in order
-// and nobody is charged.
+// TestWindowOneStreams: a receiver that asks for one symbol at a time
+// never has more than one requested and not yet received; the stream
+// completes in order and nobody is charged.
 func TestWindowOneStreams(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	const total = 1000
@@ -122,14 +121,14 @@ func TestWindowOneStreams(t *testing.T) {
 	w, shutdown := startPair(t, Config{Penalize: penalize}, Config{Penalize: penalize},
 		serveSymbols(total, []byte("0123456789abcdef")))
 	defer shutdown()
-	ch, err := w.OpenWindow(timeoutCtx(t, time.Second), protocol.Hello{ContentID: 1}, 1)
+	ch, err := w.OpenContext(timeoutCtx(t, time.Second), protocol.Hello{ContentID: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ch.Close()
 	ch.SetDeadline(time.Now().Add(10 * time.Second))
 	for i := 0; i < total; i++ {
-		if err := protocol.WriteFrame(ch, protocol.EncodeRequest(uint32(ch.Window()))); err != nil {
+		if err := protocol.WriteFrame(ch, protocol.EncodeRequest(1)); err != nil {
 			t.Fatal(err)
 		}
 		f, err := ch.Next()

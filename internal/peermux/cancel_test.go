@@ -44,8 +44,8 @@ func pooled(f *Fabric, addr string) (*wireRef, int) {
 // TestCancelledOpenLeavesNothingBehind: the acceptor answers the
 // MUX_HELLO and then never answers the OPEN_CHANNEL. Cancelling the
 // opener's context must return at once with the context's error, take
-// the channel's window out of the wire's sum, retire the id, and — the opener being
-// the wire's only user — close the wire and unpool it.
+// the channel out of the wire's table, retire the id, and — the opener
+// being the wire's only user — close the wire and unpool it.
 func TestCancelledOpenLeavesNothingBehind(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	conn, join := script(func(e *rawEnd) error {
@@ -65,13 +65,13 @@ func TestCancelledOpenLeavesNothingBehind(t *testing.T) {
 	defer cancel()
 	opened := make(chan error, 1)
 	go func() {
-		_, err := fab.OpenWindow(ctx, "silent", protocol.Hello{ContentID: 1}, 8)
+		_, err := fab.Open(ctx, "silent", protocol.Hello{ContentID: 1})
 		opened <- err
 	}()
-	// The open is parked waiting for the ACCEPT once its window is in the
-	// wire's sum.
+	// The open is parked waiting for the ACCEPT once its channel is in the
+	// wire's table.
 	var w *Wire
-	await(t, "the open's window in the sum", func() bool {
+	await(t, "the open's channel in the table", func() bool {
 		if wr, _ := pooled(fab, "silent"); wr != nil {
 			select {
 			case <-wr.ready:
@@ -79,7 +79,7 @@ func TestCancelledOpenLeavesNothingBehind(t *testing.T) {
 			default:
 			}
 		}
-		return w != nil && w.WindowSum() == 8
+		return w != nil && w.Channels() == 1
 	})
 
 	cancelled := time.Now()
@@ -95,8 +95,8 @@ func TestCancelledOpenLeavesNothingBehind(t *testing.T) {
 	if took := time.Since(cancelled); took > 100*time.Millisecond {
 		t.Fatalf("cancelled open took %v to return, want < 100ms", took)
 	}
-	if n := w.WindowSum(); n != 0 {
-		t.Fatalf("WindowSum = %d after the cancelled open, want 0", n)
+	if n := w.Channels(); n != 0 {
+		t.Fatalf("channels = %d after the cancelled open, want 0", n)
 	}
 	w.mu.Lock()
 	drains := w.drainingLocked(1)
@@ -135,7 +135,7 @@ func TestCancelledOpenDoesNotFailSharedDial(t *testing.T) {
 	open := func(ctx context.Context, id uint64) <-chan result {
 		out := make(chan result, 1)
 		go func() {
-			ch, err := fab.OpenWindow(ctx, "peer-a", protocol.Hello{ContentID: id}, 0)
+			ch, err := fab.Open(ctx, "peer-a", protocol.Hello{ContentID: id})
 			out <- result{ch, err}
 		}()
 		return out
@@ -184,7 +184,7 @@ func TestAbandonedDialIsClosed(t *testing.T) {
 	defer cancel()
 	opened := make(chan error, 1)
 	go func() {
-		_, err := fab.OpenWindow(ctx, "late", protocol.Hello{ContentID: 1}, 0)
+		_, err := fab.Open(ctx, "late", protocol.Hello{ContentID: 1})
 		opened <- err
 	}()
 	await(t, "the open waiting on the dial", func() bool {

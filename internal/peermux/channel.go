@@ -94,7 +94,7 @@ type Channel struct {
 	batch *slab
 	shut  bool // Close flushed the last batch: Write refuses
 
-	// pending (under the wire's mu) marks a channel claimed by OpenWindow
+	// pending (under the wire's mu) marks a channel claimed by OpenContext
 	// whose open the peer has not answered yet.
 	pending bool
 
@@ -111,10 +111,8 @@ type Channel struct {
 	ended    bool   // done is closed
 	avail    uint64 // symbols this end asked for (REQUESTs, the OPEN's round) and has not received
 	round    uint32 // the OPEN's Batch: the unit of the ACCEPT's Depth
-	window   uint32 // the most symbols this end's own requests may have in flight
-	opened   bool   // the window is in the wire's sum (open ran)
 	live     bool   // both ends agreed on the channel (markOpen ran)
-	retired  bool   // the channel ended: its window left the wire's sum
+	retired  bool   // the channel ended (Close or fail ran)
 	reply    openReply
 	answered bool // the peer answered the open: reply holds its answer
 	deadline time.Time
@@ -125,16 +123,14 @@ type Channel struct {
 	onClose func() // fabric refcount hook
 }
 
-// newChannel builds a channel whose window opens at window symbol frames
-// (0 selects DefaultWindow; values are clamped to [1, DefaultWindow]).
-// Its inbound queue is empty and holds no slab until a frame arrives.
-func newChannel(w *Wire, id uint16, window int) *Channel {
+// newChannel builds a channel. Its inbound queue is empty and holds no
+// slab until a frame arrives.
+func newChannel(w *Wire, id uint16) *Channel {
 	return &Channel{
-		w:      w,
-		id:     id,
-		window: clampWindow(window),
-		ready:  make(chan struct{}, 1),
-		done:   make(chan struct{}),
+		w:     w,
+		id:    id,
+		ready: make(chan struct{}, 1),
+		done:  make(chan struct{}),
 	}
 }
 
@@ -175,16 +171,6 @@ func (c *Channel) answer() (openReply, bool) {
 	return c.reply, c.answered
 }
 
-// clampWindow resolves a requested window against the ceiling: 0
-// (unset) selects DefaultWindow itself, everything else lands in [1,
-// DefaultWindow].
-func clampWindow(n int) uint32 {
-	if n <= 0 || n > DefaultWindow {
-		return DefaultWindow
-	}
-	return uint32(n)
-}
-
 // ID returns the channel id.
 func (c *Channel) ID() uint16 { return c.id }
 
@@ -220,18 +206,12 @@ func (c *Channel) Reject(msg string) {
 	c.Close()
 }
 
-// open enters the channel's window in the wire's sum, where it stays
-// until the channel ends, and allows the symbols the OPEN's round
-// asked for: depth batches of batch symbols. A channel that already
-// ended is not entered.
+// open allows the symbols the OPEN's round asked for: depth batches of
+// batch symbols.
 func (c *Channel) open(batch uint32, depth uint16) {
 	c.mu.Lock()
 	c.round = batch
 	c.avail += uint64(batch) * uint64(depth)
-	if !c.retired {
-		c.opened = true
-		c.w.addWindow(int(c.window))
-	}
 	c.mu.Unlock()
 }
 
@@ -256,36 +236,8 @@ func (c *Channel) markOpen() {
 		return
 	}
 	c.live = true
-	n := int(c.window)
 	c.mu.Unlock()
-	c.w.noteChanOpen(c.id, n)
-}
-
-// Window returns the channel's window in symbol frames: the most symbols
-// this end's own requests may have asked for and not yet received.
-func (c *Channel) Window() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return int(c.window)
-}
-
-// SetWindow sets the channel's window to n symbol frames, clamped to [1,
-// DefaultWindow]. It writes nothing: the window bounds what this end asks
-// for, and the session reads it at each batch boundary. Safe to call from
-// any goroutine, at any point in the channel's life.
-func (c *Channel) SetWindow(n int) {
-	target := clampWindow(n)
-	c.mu.Lock()
-	moved := target != c.window
-	if c.opened && !c.retired {
-		c.w.addWindow(int(target) - int(c.window))
-	}
-	c.window = target
-	trace := moved && c.live && !c.retired
-	c.mu.Unlock()
-	if trace {
-		c.noteResize(int(target))
-	}
+	c.w.noteChanOpen(c.id)
 }
 
 // deliver queues one inbound frame (called by the wire's reader; must
@@ -536,7 +488,7 @@ func (c *Channel) Close() error {
 	c.clOnce.Do(func() {
 		c.drainQueued()
 		c.flush(true)
-		c.retireWindow()
+		c.retire()
 		c.w.release(c.id, true)
 		if c.onClose != nil {
 			c.onClose()
@@ -545,20 +497,15 @@ func (c *Channel) Close() error {
 	return nil
 }
 
-// retireWindow takes this channel's window out of the wire's sum, exactly
-// once, when the channel ends (Close or fail).
-func (c *Channel) retireWindow() {
+// retire marks the channel ended, exactly once (Close or fail), and
+// counts a live one closed.
+func (c *Channel) retire() {
 	c.mu.Lock()
-	n := 0
-	if c.opened && !c.retired {
-		n = int(c.window)
-		c.w.addWindow(-n)
-	}
+	closed := c.live && !c.retired
 	c.retired = true
-	live := c.live
 	c.mu.Unlock()
-	if n > 0 && live {
-		c.w.noteChanClose(c.id, n)
+	if closed {
+		c.w.noteChanClose(c.id)
 	}
 }
 
@@ -580,7 +527,7 @@ func (c *Channel) fail(err error) {
 	c.finished = true
 	c.endLocked()
 	c.mu.Unlock()
-	c.retireWindow()
+	c.retire()
 }
 
 // drainQueued gives the channel's receive slabs back on close, each

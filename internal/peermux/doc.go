@@ -33,8 +33,8 @@
 // and every pending open returns that verdict with its type intact
 // (protocol.ErrVersion, *RemoteError, protocol.ErrCorrupt) — also when
 // a first-flight write has meanwhile failed on the closed connection:
-// the peer's answer wins. A rejected open takes its window out of the
-// wire's sum, and the acceptor retires a rejected id so that whatever
+// the peer's answer wins. A rejected open leaves the wire's channel
+// table, and the acceptor retires a rejected id so that whatever
 // the opener wrote on it before the REJECT arrived drains instead of
 // being charged.
 //
@@ -79,15 +79,12 @@
 // queue bound (DefaultWindow + 64 frames unread). Control frames always
 // flow, and a sender never waits: it sends what it was asked for.
 //
-// A channel's window (DefaultWindow unless OpenWindow's argument or
-// Channel.SetWindow set another; DefaultWindow is also the ceiling every
-// window is clamped to) is a local number: the most symbols its requests
-// may have asked for and not yet received. The session reads it
-// at each batch boundary and asks for no more (peer/pipeline.go);
-// SetWindow writes nothing to the wire. Wire.WindowSum adds up the
-// windows of a wire's channels, for the node's gauges. The multi-content
-// node splits one frame budget (node.Options.WindowBudget) evenly among
-// its fetches' windows, re-split when a fetch starts or ends.
+// A channel has no window. How much a session may have asked for and not
+// yet received is the receiver's policy, kept by the peer package
+// (peer/pipeline.go), which reads its fetch's window at each batch
+// boundary; the channel only counts what was asked and refuses what was
+// not. DefaultWindow is the ceiling of that policy, and the channel's
+// queue bound and a server's clamp on the OPEN's round are sized from it.
 //
 // # Channel lifecycle
 //
@@ -107,8 +104,7 @@
 // context, so one opener leaving never fails the rest. An open takes a
 // context.Context and nothing else bounds it: when the context ends
 // before the peer answered, the open returns the context's error, the
-// half-open id drains, its window leaves the wire's sum, and its
-// reference is dropped — so a wire whose only user gave up (a wedged
+// half-open id drains, and its reference is dropped — so a wire whose only user gave up (a wedged
 // one, whose peer will never answer) is closed and the next open dials
 // afresh, and a dial that lands after its last waiter left is closed on
 // the spot. The peer is not told:
@@ -117,10 +113,9 @@
 //
 // How many request batches ride on a channel at once is the peer
 // package's business (peer/pipeline.go): bounded first by what the
-// fetch's decode still needs, and capped by what comes from here, the
-// channel's window: the symbols in flight never exceed Window(). The
-// default window (DefaultWindow, 4096 frames) is large enough that the
-// need, not the window, sizes a typical fetch's first flight.
+// fetch's decode still needs, then by the session's window, at most
+// DefaultWindow (4096 frames), which is large enough that the need, not
+// the window, sizes a typical fetch's first flight.
 //
 // # Batches
 //

@@ -61,9 +61,8 @@ func (f *Fabric) SetPenalize(fn func(addr string, weight float64)) {
 	f.mu.Unlock()
 }
 
-// OpenWindow returns a subchannel to addr carrying h, opened at a
-// window of window symbol frames (see Wire.OpenWindow;
-// 0 is the Config default), dialing a wire only if none is live.
+// Open returns a subchannel to addr carrying h (see Wire.OpenContext),
+// dialing a wire only if none is live.
 // Concurrent opens toward a fresh address share one dial: the first
 // rides the handshake's flight, the rest wait for the peer's answer. An
 // established wire that died between lookup and open is replaced once;
@@ -75,7 +74,7 @@ func (f *Fabric) SetPenalize(fn func(addr string, weight float64)) {
 // wire nobody else rides — a wedged one above all — is closed and the
 // next open dials afresh; other openers sharing the dial or the wire
 // are not disturbed.
-func (f *Fabric) OpenWindow(ctx context.Context, addr string, h protocol.Hello, window int) (*Channel, error) {
+func (f *Fabric) Open(ctx context.Context, addr string, h protocol.Hello) (*Channel, error) {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		// The open itself holds a reference, so a rejected, cancelled or
@@ -95,7 +94,7 @@ func (f *Fabric) OpenWindow(ctx context.Context, addr string, h protocol.Hello, 
 			f.release(wr)
 			return nil, err
 		}
-		ch, err := wr.wire.OpenWindow(ctx, h, window)
+		ch, err := wr.wire.OpenContext(ctx, h)
 		if err != nil {
 			stale := wr.wire.Err() != nil && wr.wire.established()
 			f.release(wr)
@@ -204,21 +203,6 @@ func (f *Fabric) Wires() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.wires)
-}
-
-// TotalWindow sums every live wire's window sum, in symbol frames: the
-// most symbols the node's channels may have asked for and not yet
-// received across the fabric.
-func (f *Fabric) TotalWindow() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	total := 0
-	for _, wr := range f.wires {
-		if wr.wire != nil {
-			total += wr.wire.WindowSum()
-		}
-	}
-	return total
 }
 
 // Close tears down every wire; subsequent opens fail with ErrClosed. A

@@ -1,7 +1,8 @@
 package peermux
 
-// obs.go binds a wire to the node-wide observability registry: the sum
-// of the channels' windows, channel population, inbound queue depths, and the lifecycle trace (channel open/resize/close). A wire
+// obs.go binds a wire to the node-wide observability registry: channel
+// population, inbound queue depths, and the lifecycle trace (channel
+// open/close). A wire
 // without a registry pays one nil check per lifecycle event and a
 // nil-receiver no-op per frame — nothing else.
 
@@ -19,7 +20,6 @@ type wireMetrics struct {
 	opened     *obs.Counter   // peermux.channels{event=opened}
 	closed     *obs.Counter   // peermux.channels{event=closed}
 	rejected   *obs.Counter   // peermux.channels{event=rejected}
-	windowSum  *obs.Gauge     // peermux.window_inflight
 	queueDepth *obs.Histogram // peermux.queue_depth
 }
 
@@ -32,37 +32,29 @@ func newWireMetrics(r *obs.Registry) wireMetrics {
 		opened:     r.Counter("peermux.channels{event=opened}"),
 		closed:     r.Counter("peermux.channels{event=closed}"),
 		rejected:   r.Counter("peermux.channels{event=rejected}"),
-		windowSum:  r.Gauge("peermux.window_inflight"),
 		queueDepth: r.Histogram("peermux.queue_depth", obs.CountBuckets),
 	}
 }
 
 // noteChanOpen records a channel both ends agreed on — the point a
 // subchannel becomes live, symmetric between the dialing side
-// (OpenWindow, on the ACCEPT) and the accepting side (Accept), both via
+// (OpenContext, on the ACCEPT) and the accepting side (Accept), both via
 // markOpen. An open the peer rejects never counts as opened.
-func (w *Wire) noteChanOpen(id uint16, window int) {
+func (w *Wire) noteChanOpen(id uint16) {
 	w.met.opened.Add(1)
 	w.met.chansOpen.Add(1)
 	if r := w.cfg.Obs; r != nil {
-		r.Trace(obs.EvChanOpen, w.raddr, fmt.Sprintf("id=%d window=%d", id, window))
+		r.Trace(obs.EvChanOpen, w.raddr, fmt.Sprintf("id=%d", id))
 	}
 }
 
-// noteChanClose mirrors noteChanOpen when the window retires (local
+// noteChanClose mirrors noteChanOpen when the channel retires (local
 // close, remote close, or wire death) — exactly once per live channel,
-// anchored on the same live/retired flags retireWindow settles.
-func (w *Wire) noteChanClose(id uint16, window int) {
+// anchored on the same live/retired flags retire settles.
+func (w *Wire) noteChanClose(id uint16) {
 	w.met.closed.Add(1)
 	w.met.chansOpen.Add(-1)
 	if r := w.cfg.Obs; r != nil {
-		r.Trace(obs.EvChanClose, w.raddr, fmt.Sprintf("id=%d window=%d", id, window))
-	}
-}
-
-// noteResize records a live window resize in the trace ring.
-func (c *Channel) noteResize(target int) {
-	if r := c.w.cfg.Obs; r != nil {
-		r.Trace(obs.EvChanResize, c.w.raddr, fmt.Sprintf("id=%d window=%d", c.id, target))
+		r.Trace(obs.EvChanClose, w.raddr, fmt.Sprintf("id=%d", id))
 	}
 }

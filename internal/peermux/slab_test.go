@@ -33,7 +33,7 @@ func slabChannel(t *testing.T) *Channel {
 	a, b := net.Pipe()
 	go io.Copy(io.Discard, b)
 	t.Cleanup(func() { a.Close(); b.Close() })
-	c := newChannel(newWire(a, nil, Config{}.withDefaults(), true), 1, 0)
+	c := newChannel(newWire(a, nil, Config{}.withDefaults(), true), 1)
 	c.avail = 1 << 30 // the test's sender sends only what was asked for
 	return c
 }
@@ -195,7 +195,7 @@ func TestReceiveSlabsConcurrent(t *testing.T) {
 		}
 	}
 	for i < total {
-		if err := protocol.WriteFrame(ch, protocol.EncodeRequest(uint32(min(ch.Window(), total-i)))); err != nil {
+		if err := protocol.WriteFrame(ch, protocol.EncodeRequest(uint32(min(DefaultWindow, total-i)))); err != nil {
 			t.Fatal(err)
 		}
 		for {
@@ -226,7 +226,7 @@ func TestOpenChannelHoldsNoQueue(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := range chans {
-		chans[i] = newChannel(w, uint16(2*i+1), 0)
+		chans[i] = newChannel(w, uint16(2*i+1))
 	}
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / uint64(len(chans)); per >= 4<<10 {

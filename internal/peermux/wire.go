@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"icd/internal/obs"
@@ -42,18 +41,18 @@ const (
 const (
 	DefaultTimeout     = 30 * time.Second
 	DefaultMaxChannels = 64
-	// DefaultWindow is a channel's window when nothing sets one, and the
-	// ceiling of every window: how many SYMBOL frames a channel's own
-	// requests may have asked for and not yet received. It is a ceiling,
-	// not a target: a fetching session asks for no more than its decode
-	// still needs, so the window shapes a flight only when the need is
-	// larger.
+	// DefaultWindow is the ceiling of a session's window: the most SYMBOL
+	// frames a channel's own requests may have asked for and not yet
+	// received. The wire enforces what was asked, not this number, which
+	// sizes the inbound queue's bound (with queueSlack) and the round an
+	// OPEN may ask a server to answer. It is a ceiling, not a target: a
+	// fetching session asks for no more than its decode still needs.
 	DefaultWindow = 4096
 	// drainedIDs bounds the set of recently retired channel ids whose
 	// in-flight frames are drained silently instead of punished.
 	drainedIDs = 64
 	// queueSlack is headroom on a channel's inbound queue bound beyond
-	// the window, for the control frames that ride beside the symbols.
+	// DefaultWindow, for the control frames that ride beside the symbols.
 	queueSlack = 64
 )
 
@@ -98,10 +97,9 @@ type Config struct {
 	// The caller binds the address/attribution — the wire only reports
 	// the weight.
 	Penalize func(weight float64)
-	// Obs, when non-nil, receives wire metrics (the sum of the channels'
-	// windows, channel population, queue depths) and lifecycle
-	// trace events (channel open/resize/close). Fabric copies it to
-	// every wire it dials.
+	// Obs, when non-nil, receives wire metrics (channel population,
+	// queue depths) and lifecycle trace events (channel open/close).
+	// Fabric copies it to every wire it dials.
 	Obs *obs.Registry
 
 	// onDead is the fabric's teardown hook (set internally).
@@ -136,9 +134,6 @@ type Wire struct {
 	// writeArmed (under wmu) and readArmed (the reader's own) are when
 	// the conn's write and read deadlines were last set: see armWrite.
 	writeArmed, readArmed time.Time
-
-	// winSum is the sum of every open channel's window (WindowSum).
-	winSum atomic.Int64
 
 	// remote is the peer's MUX_HELLO, written once before helloc closes:
 	// the acceptor is handed it, the dialer's reader finds it as the
@@ -288,17 +283,6 @@ func (w *Wire) Channels() int {
 	return len(w.chans)
 }
 
-// WindowSum returns the sum of every open channel's window, in symbol
-// frames: the most symbols this end's channels may have asked the peer
-// for and not yet received.
-func (w *Wire) WindowSum() int { return int(w.winSum.Load()) }
-
-// addWindow moves the window sum by delta.
-func (w *Wire) addWindow(delta int) {
-	w.winSum.Add(int64(delta))
-	w.met.windowSum.Add(int64(delta))
-}
-
 // Close tears the wire down: the conn is closed, every channel fails
 // with ErrClosed, pending opens abort.
 func (w *Wire) Close() error {
@@ -306,21 +290,17 @@ func (w *Wire) Close() error {
 	return nil
 }
 
-// Open is OpenWindow at DefaultWindow, bounded by timeout
-// instead of a caller's context.
+// Open is OpenContext bounded by timeout instead of a caller's context.
 func (w *Wire) Open(h protocol.Hello, timeout time.Duration) (*Channel, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	return w.OpenWindow(ctx, h, 0)
+	return w.OpenContext(ctx, h)
 }
 
-// OpenWindow negotiates a new subchannel carrying h (the opener's content
+// OpenContext negotiates a new subchannel carrying h (the opener's content
 // HELLO) and blocks until the peer accepts or rejects it, the wire dies,
 // or ctx ends. On accept, the channel's RemoteHello carries the peer's
-// content metadata. window is the channel's window in symbol frames (0
-// selects DefaultWindow; values clamp to [1, DefaultWindow]):
-// a scheduler that already knows a channel's worth opens it at size
-// instead of resizing after.
+// content metadata.
 //
 // Nothing the opener sends depends on the peer's answer, so the
 // OPEN_CHANNEL goes out at once — on a fresh wire right behind Dial's
@@ -334,12 +314,12 @@ func (w *Wire) Open(h protocol.Hello, timeout time.Duration) (*Channel, error) {
 // first fails the open with the wire's terminal error, typed as the reader saw
 // it (protocol.ErrVersion, *RemoteError, protocol.ErrCorrupt). An open
 // whose ctx ends first returns ctx's error and leaves nothing behind: the
-// half-open id drains and its window leaves the wire's sum (abortOpen).
-func (w *Wire) OpenWindow(ctx context.Context, h protocol.Hello, window int) (*Channel, error) {
+// half-open id drains (abortOpen).
+func (w *Wire) OpenContext(ctx context.Context, h protocol.Hello) (*Channel, error) {
 	if !w.dialer {
 		return nil, errors.New("peermux: only the dialing side opens channels")
 	}
-	c, err := w.claimChannel(ctx, window)
+	c, err := w.claimChannel(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -392,7 +372,7 @@ func (w *Wire) answered(c *Channel, r openReply) (*Channel, error) {
 // established wire, and until its MUX_HELLO arrives — the limit is not
 // known yet — exactly one channel may ride the first flight; further
 // opens wait for the hello (or the wire's death, or ctx's end).
-func (w *Wire) claimChannel(ctx context.Context, window int) (*Channel, error) {
+func (w *Wire) claimChannel(ctx context.Context) (*Channel, error) {
 	for {
 		limit, shook := 1, w.established()
 		if shook {
@@ -407,7 +387,7 @@ func (w *Wire) claimChannel(ctx context.Context, window int) (*Channel, error) {
 		if len(w.chans) < limit {
 			id := w.nextID
 			w.nextID += 2
-			c := newChannel(w, id, window)
+			c := newChannel(w, id)
 			c.pending = true
 			w.chans = append(w.chans, chanEntry{id, c})
 			w.mu.Unlock()
@@ -438,9 +418,9 @@ func (w *Wire) rejectChannel(id uint16, msg string) {
 	w.writeFrame(protocol.EncodeRejectChannel(id, msg))
 }
 
-// abortOpen retires a half-open channel: its id drains, and its window
-// leaves the wire's sum (fail may already have emptied the table, so
-// the channel is ended directly, not looked up).
+// abortOpen retires a half-open channel: its id drains (fail may already
+// have emptied the table, so the channel is ended directly, not looked
+// up).
 func (w *Wire) abortOpen(c *Channel) {
 	w.mu.Lock()
 	w.removeLocked(c.id)
@@ -781,7 +761,7 @@ func (w *Wire) handleOpen(f protocol.Frame) {
 		w.rejectChannel(id, protocol.ReasonBusy+" (channel limit)")
 		return
 	}
-	c := newChannel(w, id, 0)
+	c := newChannel(w, id)
 	c.remoteHello = hello
 	w.chans = append(w.chans, chanEntry{id, c})
 	w.mu.Unlock()

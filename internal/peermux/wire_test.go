@@ -128,10 +128,10 @@ func serveSymbols(count int, payload []byte) func(*Channel) {
 // holds, never more than it still wants, whenever the one before it has
 // been answered (asked: one is outstanding now). each, when set, runs
 // after every symbol. It returns the symbols received.
-func pull(ch *Channel, got, want int, asked bool, each func(got int)) (int, error) {
+func pull(ch *Channel, got, want int, asked bool, ask func(got int) int) (int, error) {
 	for got < want || asked {
 		if !asked {
-			if err := protocol.WriteFrame(ch, protocol.EncodeRequest(uint32(min(ch.Window(), want-got)))); err != nil {
+			if err := protocol.WriteFrame(ch, protocol.EncodeRequest(uint32(min(ask(got), want-got)))); err != nil {
 				return got, err
 			}
 			asked = true
@@ -145,9 +145,6 @@ func pull(ch *Channel, got, want int, asked bool, each func(got int)) (int, erro
 			continue
 		}
 		got++
-		if each != nil {
-			each(got)
-		}
 	}
 	return got, nil
 }
@@ -213,10 +210,9 @@ func TestChannelReject(t *testing.T) {
 	if !errors.As(err, &rej) || !protocol.IsUnknownContent(rej.Msg) {
 		t.Fatalf("Open err = %v, want unknown-content RejectError", err)
 	}
-	// The window entered in the wire's sum before the answer was known
-	// left it again.
-	if n := w.WindowSum(); n != 0 {
-		t.Fatalf("WindowSum = %d after a rejected open, want 0", n)
+	// The channel claimed before the answer was known left the table.
+	if n := w.Channels(); n != 0 {
+		t.Fatalf("channels = %d after a rejected open, want 0", n)
 	}
 	// The wire survives a rejection: a second open toward a served
 	// content must still work.
@@ -244,9 +240,10 @@ func TestSlowConsumerDoesNotStallSiblings(t *testing.T) {
 		serveSymbols(total, payload))
 	defer shutdown()
 
-	// A small window so the slow channel's answer is quickly all queued.
+	// Small asks, so the slow channel's answer is quickly all queued.
+	const window = 32
 	open := func(id uint64) *Channel {
-		ch, err := w.OpenWindow(timeoutCtx(t, time.Second), protocol.Hello{ContentID: id}, 32)
+		ch, err := w.OpenContext(timeoutCtx(t, time.Second), protocol.Hello{ContentID: id})
 		if err != nil {
 			t.Fatalf("Open %d: %v", id, err)
 		}
@@ -256,7 +253,7 @@ func TestSlowConsumerDoesNotStallSiblings(t *testing.T) {
 	fast, slow := open(1), open(2)
 	// The slow consumer asks for a window, reads a handful of symbols
 	// and then stops draining entirely.
-	if err := protocol.WriteFrame(slow, protocol.EncodeRequest(uint32(slow.Window()))); err != nil {
+	if err := protocol.WriteFrame(slow, protocol.EncodeRequest(window)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
@@ -268,7 +265,7 @@ func TestSlowConsumerDoesNotStallSiblings(t *testing.T) {
 	// The fast channel must receive its entire stream — far more than
 	// any window or queue bound — while the slow channel sits undrained.
 	drain := func(ch *Channel, got, want int, asked bool, name string) {
-		n, err := pull(ch, got, got+want, asked, nil)
+		n, err := pull(ch, got, got+want, asked, func(int) int { return window })
 		if err != nil {
 			t.Fatalf("%s after %d symbols: %v", name, n-got, err)
 		}
@@ -638,7 +635,7 @@ func TestFabricSharesOneWire(t *testing.T) {
 		wg.Add(1)
 		go func(id uint64) {
 			defer wg.Done()
-			ch, err := fab.OpenWindow(timeoutCtx(t, 2*time.Second), "peer-a", protocol.Hello{ContentID: id}, 0)
+			ch, err := fab.Open(timeoutCtx(t, 2*time.Second), "peer-a", protocol.Hello{ContentID: id})
 			if err != nil {
 				t.Errorf("Open %d: %v", id, err)
 				return
@@ -669,7 +666,7 @@ func TestFabricSharesOneWire(t *testing.T) {
 	if n := fab.Wires(); n != 0 {
 		t.Fatalf("fabric holds %d wires after last close", n)
 	}
-	ch, err := fab.OpenWindow(timeoutCtx(t, 2*time.Second), "peer-a", protocol.Hello{ContentID: 9}, 0)
+	ch, err := fab.Open(timeoutCtx(t, 2*time.Second), "peer-a", protocol.Hello{ContentID: 9})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -690,7 +687,7 @@ func TestFabricRejectedOpenReleasesWire(t *testing.T) {
 	fab := NewFabric(dial, Config{})
 	defer fab.Close()
 	for i := 1; i <= 2; i++ {
-		_, err := fab.OpenWindow(timeoutCtx(t, 2*time.Second), "peer-a", protocol.Hello{ContentID: 1}, 0)
+		_, err := fab.Open(timeoutCtx(t, 2*time.Second), "peer-a", protocol.Hello{ContentID: 1})
 		var rej *RejectError
 		if !errors.As(err, &rej) {
 			t.Fatalf("open %d: err = %v, want RejectError", i, err)
@@ -720,7 +717,7 @@ func TestFabricCloseInterruptsHandshake(t *testing.T) {
 	fab := NewFabric(dial, Config{Timeout: time.Minute})
 	opened := make(chan error, 1)
 	go func() {
-		_, err := fab.OpenWindow(timeoutCtx(t, time.Minute), "mute", protocol.Hello{ContentID: 1}, 0)
+		_, err := fab.Open(timeoutCtx(t, time.Minute), "mute", protocol.Hello{ContentID: 1})
 		opened <- err
 	}()
 	sc := <-dialed
@@ -841,7 +838,7 @@ func TestWireLifeAllocs(t *testing.T) {
 	life := func() {
 		w, shutdown := startPair(t, Config{}, Config{}, answer)
 		defer shutdown()
-		ch, err := w.OpenWindow(context.Background(), protocol.Hello{Batch: batch, Depth: 1}, 0)
+		ch, err := w.OpenContext(context.Background(), protocol.Hello{Batch: batch, Depth: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -893,7 +890,7 @@ func BenchmarkRoute(b *testing.B) {
 			defer shutdown()
 			var last *Channel
 			for range n {
-				ch, err := w.OpenWindow(context.Background(), protocol.Hello{}, 0)
+				ch, err := w.OpenContext(context.Background(), protocol.Hello{})
 				if err != nil {
 					b.Fatal(err)
 				}

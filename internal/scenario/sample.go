@@ -25,8 +25,8 @@ type Sample struct {
 	LiveConns int64
 	// BannedPeers sums every node's currently-banned address count.
 	BannedPeers int64
-	// WindowInFlight is the sum of the swarm's channel windows across
-	// all fabric wires, in symbol frames.
+	// WindowInFlight is what the swarm's fetches have requested and not
+	// yet received, summed over every node, in symbol frames.
 	WindowInFlight int64
 }
 

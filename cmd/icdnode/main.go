@@ -14,28 +14,28 @@
 //
 //	icdnode fetch -out big.iso -id 0xF00D -peers 127.0.0.1:9000,127.0.0.1:9001
 //
-// Collaborate (Figure 1(c)): fetch from peers while simultaneously
+// Collaborate (Figure 1(c)): run a node that fetches from peers while
 // serving everything learned so far as a live partial sender, so
 // complementary peers complete each other in both directions:
 //
-//	icdnode collab -out big.iso -id 0xF00D -listen 127.0.0.1:9002 \
+//	icdnode node -fetch 0xF00D=big.iso -listen 127.0.0.1:9002 \
 //	    -peers 127.0.0.1:9000,127.0.0.1:9003
 //
 // With gossip, the exhaustive -peers list is no longer
 // needed: give every node the same single seed address and the swarm
 // self-assembles — each node advertises its own -listen address, the
 // seed relays what it has heard, and discovered peers are admitted up
-// to -max-peers (the rest wait in a ranked candidate pool):
+// to the fetch's share of -max-conns (the rest wait in a ranked
+// candidate pool):
 //
-//	icdnode collab -out big.iso -id 0xF00D -listen 127.0.0.1:9002 \
+//	icdnode node -fetch 0xF00D=big.iso -listen 127.0.0.1:9002 \
 //	    -seed 127.0.0.1:9000
 //
-// Run a full multi-content node (PR 5): serve and fetch any number of
-// contents from one process and ONE listener — every inbound HELLO is
-// routed by content id, fetched working sets are served live as they
-// grow, the -max-conns connection budget is split evenly among
-// concurrent fetches, and -store-budget bounds the bytes kept (pinned
-// replicas never evict):
+// A node serves and fetches any number of contents from one process and
+// ONE listener — every inbound HELLO is routed by content id, fetched
+// working sets are served live as they grow, the -max-conns connection
+// budget is split evenly among concurrent fetches, and -store-budget
+// bounds the bytes kept (pinned replicas never evict):
 //
 //	icdnode node -listen 127.0.0.1:9000 \
 //	    -serve 0xF00D=big.iso,0xBEEF=other.iso \
@@ -79,8 +79,6 @@ func main() {
 		serve(os.Args[2:])
 	case "fetch":
 		fetch(os.Args[2:])
-	case "collab":
-		collab(os.Args[2:])
 	case "node":
 		runNode(os.Args[2:])
 	default:
@@ -89,7 +87,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: icdnode serve|fetch|collab|node [flags] (see -h of each)")
+	fmt.Fprintln(os.Stderr, "usage: icdnode serve|fetch|node [flags] (see -h of each)")
 	os.Exit(2)
 }
 
@@ -188,72 +186,6 @@ func fetch(args []string) {
 	fmt.Printf("icdnode: fetched %d bytes in %v (decode overhead %.1f%%)\n",
 		len(res.Data), elapsed.Round(time.Millisecond), 100*res.DecodeOverhead)
 	printPeerStats(res)
-}
-
-func collab(args []string) {
-	fs := flag.NewFlagSet("collab", flag.ExitOnError)
-	var (
-		out      = fs.String("out", "", "output file")
-		idStr    = fs.String("id", "F00D", "content id (hex)")
-		listen   = fs.String("listen", "127.0.0.1:9002", "address to serve the live working set on")
-		peers    = fs.String("peers", "", "comma-separated peer addresses")
-		seed     = fs.String("seed", "", "bootstrap seed address(es); gossip discovers the rest")
-		batch    = fs.Int("batch", 64, "symbols per request")
-		timeout  = fs.Duration("timeout", 30*time.Second, "per-operation timeout")
-		maxPeers = fs.Int("max-peers", 0, "session cap; lowest-utility peer is dropped when exceeded (0 = unlimited)")
-		retries  = fs.Int("retries", 3, "redials per failed session (exponential backoff)")
-		linger   = fs.Duration("linger", 10*time.Second, "keep serving after completing (helps late peers finish)")
-	)
-	fs.Parse(args)
-	if *out == "" || (*peers == "" && *seed == "") {
-		fmt.Fprintln(os.Stderr, "icdnode collab: -out and one of -peers/-seed are required")
-		os.Exit(2)
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	// collab is the one-content special case of the multi-content node:
-	// one listener, one gossip directory shared between the fetching
-	// engine and the live server, this node's own -listen address
-	// advertised in every HELLO — a single -seed address suffices to
-	// join the swarm, and any further content fetched or served by this
-	// process would share the same listener.
-	n := node.New(node.Options{
-		Listen: *listen,
-		Fetch: peer.FetchOptions{
-			Batch:         *batch,
-			Timeout:       *timeout,
-			MaxPeers:      *maxPeers,
-			MaxReconnects: *retries,
-		},
-	})
-	go func() {
-		if err := n.ListenAndServe(); err != nil {
-			fmt.Fprintln(os.Stderr, "icdnode: listener:", err)
-		}
-	}()
-	addrs := bootstrapAddrs(*peers, *seed)
-	fmt.Printf("icdnode: collaborating — serving everything learned on %s while fetching from %d peer(s)\n",
-		*listen, len(addrs))
-	start := time.Now()
-	res, err := n.Fetch(ctx, parseID(*idStr), addrs...)
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(*out, res.Data, 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("icdnode: fetched %d bytes in %v (decode overhead %.1f%%)\n",
-		len(res.Data), time.Since(start).Round(time.Millisecond), 100*res.DecodeOverhead)
-	printPeerStats(res)
-	if *linger > 0 {
-		fmt.Printf("icdnode: complete; serving for another %v (interrupt to stop)\n", *linger)
-		select {
-		case <-time.After(*linger):
-		case <-ctx.Done():
-		}
-	}
-	n.Close()
 }
 
 // contentSpec is one 0xID=path element of a -serve or -fetch list.

@@ -340,7 +340,7 @@
 // exit frees a slot, the best-ranked candidate is promoted; addresses
 // already attempted are never re-admitted, and the node's own address
 // is never dialed. A swarm bootstrapped from a single seed address
-// (`icdnode collab -seed`) self-assembles the full mesh this way.
+// (`icdnode node -fetch … -seed`) self-assembles the full mesh this way.
 //
 // Buffer ownership across the session/orchestrator boundary. There is
 // nothing to own: a session hands each SYMBOL frame to
@@ -397,7 +397,7 @@
 // recoding of §5.4.2 lives on in the simulator and the toolbox. A node
 // that runs an Orchestrator and a live Server simultaneously both
 // downloads and
-// uploads the same content (`icdnode collab`), which is the paper's
+// uploads the same content (`icdnode node -fetch`), which is the paper's
 // perpendicular-transfer collaboration on the real network:
 // complementary partial peers complete each other while trickling the
 // remainder from a constrained source

@@ -222,12 +222,3 @@ func CappedRobustSoliton(n int, c, delta float64, maxDegree int) *Distribution {
 	return newDistribution(fmt.Sprintf("capped-robust-soliton(n=%d,c=%g,δ=%g,max=%d)",
 		n, c, delta, maxDegree), w)
 }
-
-// DefaultRecoding is the recoding distribution of §6.1: soliton-shaped
-// "with a degree limit of 50". Parameters c = 0.1, δ = 0.5 keep the
-// robust spike below the cap for domains up to a few thousand symbols,
-// the scale of the §6 scenarios reproduced here.
-func DefaultRecoding(n int) *Distribution {
-	const recodeDegreeLimit = 50
-	return CappedRobustSoliton(n, 0.1, 0.5, recodeDegreeLimit)
-}

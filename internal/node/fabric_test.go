@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -95,69 +96,98 @@ func TestNodeFabricOneConnectionPerPeer(t *testing.T) {
 
 // TestNodeMaxInboundBusyRedial: a node serving under MaxInbound 1 with
 // its one slot taken answers a second node's dial with the busy refusal,
-// charging nobody; the fetch redials with backoff and completes once the
-// slot frees.
+// charging nobody. Under a redial budget the fetch redials with backoff
+// and completes once the slot frees; at the default fetch options
+// (MaxReconnects 0) it gives the peer up at the first busy answer.
 func TestNodeMaxInboundBusyRedial(t *testing.T) {
-	t.Cleanup(testutil.CheckGoroutines(t))
-	info, data := testContent(t, 0xB5B5, 200, 64)
-	pn := faultnet.NewPipeNet()
-	provider := New(Options{Listen: "provider", Transport: pn, MaxInbound: 1, Tick: 10 * time.Millisecond})
-	t.Cleanup(func() { provider.Close() })
-	if err := provider.ServeFull(info, data, true); err != nil {
-		t.Fatal(err)
-	}
-	ln, err := pn.Listen("provider")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go provider.Serve(ln)
+	for _, tc := range []struct {
+		name  string
+		fetch peer.FetchOptions
+	}{
+		{"default options", peer.FetchOptions{}},
+		{"redial budget", peer.FetchOptions{MaxReconnects: 1000, ReconnectBackoff: 5 * time.Millisecond, MaxReconnectBackoff: 20 * time.Millisecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Cleanup(testutil.CheckGoroutines(t))
+			info, data := testContent(t, 0xB5B5, 200, 64)
+			pn := faultnet.NewPipeNet()
+			provider := New(Options{Listen: "provider", Transport: pn, MaxInbound: 1, Tick: 10 * time.Millisecond})
+			t.Cleanup(func() { provider.Close() })
+			if err := provider.ServeFull(info, data, true); err != nil {
+				t.Fatal(err)
+			}
+			ln, err := pn.Listen("provider")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go provider.Serve(ln)
 
-	// Take the one slot: a wire whose open the provider answered is
-	// admitted, and holds its slot until it closes.
-	conn, err := pn.Node("holder").Dial("provider")
-	if err != nil {
-		t.Fatal(err)
-	}
-	holder, err := peermux.Dial(conn, peermux.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer holder.Close()
-	ch, err := holder.Open(protocol.Hello{ContentID: info.ID}, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+			// Take the one slot: a wire whose open the provider answered is
+			// admitted, and holds its slot until it closes.
+			conn, err := pn.Node("holder").Dial("provider")
+			if err != nil {
+				t.Fatal(err)
+			}
+			holder, err := peermux.Dial(conn, peermux.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer holder.Close()
+			ch, err := holder.Open(protocol.Hello{ContentID: info.ID}, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	consumer := New(Options{Listen: "consumer", Transport: pn.Node("consumer"), Tick: 10 * time.Millisecond,
-		Fetch: peer.FetchOptions{MaxReconnects: 1000, ReconnectBackoff: 5 * time.Millisecond, MaxReconnectBackoff: 20 * time.Millisecond}})
-	t.Cleanup(func() { consumer.Close() })
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	tx, err := consumer.StartFetch(ctx, info.ID, "provider")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for provider.Mux().Stats().Busy < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if busy := provider.Mux().Stats().Busy; busy < 2 {
-		t.Fatalf("provider refused %d dials over its cap, want the fetch's first dial and a redial", busy)
-	}
-	if done(tx) {
-		t.Fatal("the fetch ended while the provider refused it")
-	}
-	ch.Close()
-	holder.Close()
+			consumer := New(Options{Listen: "consumer", Transport: pn.Node("consumer"), Tick: 10 * time.Millisecond, Fetch: tc.fetch})
+			t.Cleanup(func() { consumer.Close() })
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			tx, err := consumer.StartFetch(ctx, info.ID, "provider")
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	res, err := tx.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed || !bytes.Equal(res.Data, data) {
-		t.Fatal("content not recovered after the busy refusals")
-	}
-	if len(res.Peers) != 1 || res.Peers[0].Reconnects == 0 || res.Peers[0].DialFailures != 0 {
-		t.Fatalf("peer rows %+v: want one provider, redialed, no dial charged as failed", res.Peers)
+			if tc.fetch.MaxReconnects == 0 {
+				res, err := tx.Wait()
+				if err == nil {
+					t.Fatal("the fetch completed from a provider that refused it")
+				}
+				if busy := provider.Mux().Stats().Busy; busy != 1 {
+					t.Fatalf("provider refused %d dials over its cap, want exactly the fetch's one", busy)
+				}
+				if len(res.Peers) != 1 || res.Peers[0].Reconnects != 0 || res.Peers[0].DialFailures != 0 ||
+					res.Peers[0].Err == nil || !strings.Contains(res.Peers[0].Err.Error(), protocol.ReasonBusy) {
+					t.Fatalf("peer rows %+v: want one provider, given up at the busy answer, no redial, no dial failure", res.Peers)
+				}
+				if score := consumer.Penalties().Score("provider"); score != 0 {
+					t.Fatalf("busy answer charged the provider %v", score)
+				}
+				return
+			}
+
+			deadline := time.Now().Add(5 * time.Second)
+			for provider.Mux().Stats().Busy < 2 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if busy := provider.Mux().Stats().Busy; busy < 2 {
+				t.Fatalf("provider refused %d dials over its cap, want the fetch's first dial and a redial", busy)
+			}
+			if done(tx) {
+				t.Fatal("the fetch ended while the provider refused it")
+			}
+			ch.Close()
+			holder.Close()
+
+			res, err := tx.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Completed || !bytes.Equal(res.Data, data) {
+				t.Fatal("content not recovered after the busy refusals")
+			}
+			if len(res.Peers) != 1 || res.Peers[0].Reconnects == 0 || res.Peers[0].DialFailures != 0 {
+				t.Fatalf("peer rows %+v: want one provider, redialed, no dial charged as failed", res.Peers)
+			}
+		})
 	}
 }

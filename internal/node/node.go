@@ -82,8 +82,9 @@ type Options struct {
 	Transport faultnet.Transport
 	// MaxInbound caps concurrently served inbound connections on the
 	// node's listener (0 = unlimited); over-cap connections are answered
-	// with a retryable busy ERROR so dialers back off instead of piling
-	// onto a saturated node.
+	// with a busy ERROR, which is not charged to the dialer's penalty
+	// score. A fetch redials a busy peer only under its
+	// FetchOptions.MaxReconnects (default 0: it gives the peer up).
 	MaxInbound int
 	// Fetch is the per-orchestrator option template. The node
 	// overrides Gossip, AdvertiseAddr, Penalties, Fabric and Obs per

@@ -59,9 +59,6 @@ type Node struct {
 	completedAt int // round the node reached the target (-1 = not yet)
 }
 
-// CompletedAt returns the round at which the node completed, or -1.
-func (n *Node) CompletedAt() int { return n.completedAt }
-
 // Edge is a unicast connection.
 type Edge struct {
 	From, To NodeID

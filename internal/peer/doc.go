@@ -150,12 +150,14 @@
 //     charge a decaying per-address score (shared via
 //     FetchOptions.Penalties / ServerMux.SetPenalties); past
 //     DefaultBanScore the address is banned until the score decays.
-//     Gossip admission consults the box, so penalized candidates
-//     re-enter ranked behind fresh ones and banned addresses are not
-//     admitted at all. The mux refuses inbound connections from banned
-//     addresses, caps concurrency (SetMaxConns) with a retryable busy
-//     ERROR (protocol.ReasonBusy — the dialer redials without charging
-//     it: a saturated honest peer must not drift toward a ban), and
+//     Gossip admission consults the box, so banned addresses are not
+//     admitted at all, and gossip never re-admits an address a session
+//     already tried: a failed address is redialed only by its own
+//     session, under its backoff and MaxReconnects. The mux refuses
+//     inbound connections from banned addresses, caps concurrency
+//     (SetMaxConns) with a busy ERROR (protocol.ReasonBusy — uncharged,
+//     so a saturated honest peer does not drift toward a ban; a fetch
+//     redials it only under FetchOptions.MaxReconnects), and
 //     charges corrupt inbound frames to the remote host —
 //     plus the HELLO's advertised listen address, but only when its
 //     host matches the connection's (an unverified advertisement is

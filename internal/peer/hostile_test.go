@@ -3,8 +3,8 @@ package peer
 // hostile_test.go exercises the PR 6 misbehavior-containment paths end
 // to end over the pipe harness: the stall watchdog dropping a silent
 // peer, a corrupting peer accumulating penalties until it is banned and
-// its redial budget short-circuited, dial-failed discoveries requeuing
-// at decayed rank, terminal protocol errors skipping the backoff
+// its redial budget short-circuited, a dial-failed discovery redialed
+// by its own session alone, terminal protocol errors skipping the backoff
 // budget, and the server/mux inbound admission planes (connection cap,
 // banned refusal, malformed-HELLO accounting). All tests run under
 // -race in CI with the shared goroutine-leak check.
@@ -16,6 +16,7 @@ import (
 	"io"
 	"net"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -452,68 +453,117 @@ func TestRefusedPeerTerminalAndUncharged(t *testing.T) {
 	}
 }
 
-func TestDialFailedDiscoveryRequeuesAtDecayedRank(t *testing.T) {
-	defer checkGoroutines(t)()
-	failDial := func(addr string) (net.Conn, error) {
-		return nil, errors.New("connection refused")
-	}
-	o := NewOrchestrator(0xD1A1, FetchOptions{Dial: failDial})
+// heldServer holds every connection until release closes, then serves
+// it: a sender that keeps a fetch live for as long as a test needs.
+type heldServer struct {
+	inner   connServer
+	release chan struct{}
+}
 
-	// A discovered session that burned its dials without ever reaching
-	// the address requeues with a growing fails count — until the budget.
-	ghost := newSession(o, "ghost")
-	ghost.stats.Discovered = true
-	ghost.stats.Err = errors.New("connection refused")
-	o.mu.Lock()
-	for i := 1; i <= maxCandidateRedials; i++ {
-		o.candidates = o.candidates[:0]
-		o.maybeRequeueLocked(ghost)
-		if len(o.candidates) != 1 || o.candidates[0].fails != i {
-			t.Fatalf("requeue %d: candidates %+v", i, o.candidates)
-		}
-	}
-	o.candidates = o.candidates[:0]
-	o.maybeRequeueLocked(ghost)
-	if len(o.candidates) != 0 {
-		t.Fatalf("requeue past the %d budget: %+v", maxCandidateRedials, o.candidates)
-	}
+func (g heldServer) ServeConn(conn net.Conn) error {
+	<-g.release
+	return g.inner.ServeConn(conn)
+}
 
-	// Sessions that connected, were dropped, or failed terminally never
-	// requeue.
-	for name, tweak := range map[string]func(*session){
-		"reached":  func(s *session) { s.connected = true },
-		"evicted":  func(s *session) { s.stats.Evicted = true },
-		"terminal": func(s *session) { s.stats.Err = fmt.Errorf("x: %w", ErrUnknownContent) },
+// TestDialFailedDiscoveryRedialsOnlyInItsSession pins the one retry
+// path: an address gossip finds that is not listening is dialed by its
+// own session, under that session's redial budget and backoff, and by
+// nothing else. At MaxReconnects 0 it is dialed once (fail fast); at 3
+// it is dialed four times, each redial paced by the backoff, and four
+// failed dials stay well short of a ban. Either way it is one session,
+// so one PeerStats row.
+func TestDialFailedDiscoveryRedialsOnlyInItsSession(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		reconnects int
+		backoff    time.Duration
+		dials      int
+	}{
+		{"fail fast", 0, 0, 1},
+		{"paced budget", 3, 20 * time.Millisecond, 4},
 	} {
-		s := newSession(o, name)
-		s.stats.Discovered = true
-		s.stats.Err = errors.New("reset")
-		tweak(s)
-		o.maybeRequeueLocked(s)
-		if len(o.candidates) != 0 {
-			t.Fatalf("%s session requeued: %+v", name, o.candidates)
-		}
-	}
+		t.Run(tc.name, func(t *testing.T) {
+			defer checkGoroutines(t)()
+			h := newHarness(t, 60, 32)
+			defer h.pn.close() // stop the accept loops before the leak check
+			srv, err := NewFullServer(h.info, h.data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			release := make(chan struct{})
+			h.pn.add("seed", heldServer{inner: front(srv), release: release})
 
-	// Promotion ranks every fresh discovery above every requeued address,
-	// regardless of arrival order.
-	o.candidates = append(o.candidates[:0],
-		gossipCandidate{ad: protocol.PeerAd{ContentID: 0xD1A1, Addr: "ghost"}, seq: 0, fails: 1},
-		gossipCandidate{ad: protocol.PeerAd{ContentID: 0xD1A1, Addr: "fresh"}, seq: 1},
-	)
-	o.promoteCandidateLocked()
-	if n := len(o.stats); n == 0 || o.stats[n-1].Addr != "fresh" {
-		t.Fatalf("fresh discovery not promoted first: %+v", o.stats)
+			var mu sync.Mutex
+			var dialed []time.Time
+			gossip := NewGossip("")
+			o := NewOrchestrator(h.info.ID, FetchOptions{
+				Batch:            8,
+				Timeout:          5 * time.Second,
+				MaxReconnects:    tc.reconnects,
+				ReconnectBackoff: tc.backoff,
+				Gossip:           gossip,
+				Dial: func(addr string) (net.Conn, error) {
+					if addr == "ghost" {
+						mu.Lock()
+						dialed = append(dialed, time.Now())
+						mu.Unlock()
+					}
+					return h.pn.dial(addr)
+				},
+			})
+			run := h.runAsync(o, "seed")
+			// The seed holds the fetch open while the ghost's session runs
+			// its course.
+			h.await("the seed's session", 5*time.Second, func() bool {
+				o.mu.Lock()
+				defer o.mu.Unlock()
+				return o.sessions["seed"] != nil
+			})
+			gossip.Learn(protocol.PeerAd{ContentID: h.info.ID, Addr: "ghost"})
+			h.await("the ghost's session to end", 5*time.Second, func() bool {
+				o.mu.Lock()
+				defer o.mu.Unlock()
+				_, live := o.sessions["ghost"]
+				return o.attempted["ghost"] && !live
+			})
+			close(release)
+			res := run.wait(t)
+			h.verify(res)
+
+			mu.Lock()
+			defer mu.Unlock()
+			if len(dialed) != tc.dials {
+				t.Fatalf("ghost dialed %d times, want %d", len(dialed), tc.dials)
+			}
+			for i := 1; i < len(dialed); i++ {
+				if gap := dialed[i].Sub(dialed[i-1]); gap < tc.backoff/2 {
+					t.Fatalf("redial %d came %v after the dial before it, under the backoff floor %v", i, gap, tc.backoff/2)
+				}
+			}
+			rows := 0
+			for _, p := range res.Peers {
+				if p.Addr == "ghost" {
+					rows++
+					if !p.Discovered || p.Err == nil || p.Banned {
+						t.Fatalf("ghost row %+v: want discovered, failed, not banned", p)
+					}
+					if p.DialFailures != tc.dials {
+						t.Fatalf("ghost row counts %d dial failures, want %d", p.DialFailures, tc.dials)
+					}
+				}
+			}
+			if rows != 1 {
+				t.Fatalf("ghost has %d PeerStats rows, want 1", rows)
+			}
+			score := o.Penalties().Score("ghost")
+			if score > float64(tc.dials)*PenaltyDialFail {
+				t.Fatalf("ghost penalty score %.2f, want at most %d dial failures' worth", score, tc.dials)
+			}
+			if o.Penalties().Banned("ghost") {
+				t.Fatal("ghost banned")
+			}
+		})
 	}
-	if len(o.candidates) != 1 || o.candidates[0].ad.Addr != "ghost" {
-		t.Fatalf("requeued address should still be waiting: %+v", o.candidates)
-	}
-	o.promoteCandidateLocked()
-	if n := len(o.stats); o.stats[n-1].Addr != "ghost" {
-		t.Fatalf("requeued address never promoted: %+v", o.stats)
-	}
-	o.mu.Unlock()
-	o.finish() // unwind the two fail-dial session goroutines
 }
 
 func TestMuxMalformedHelloChargedAndBanned(t *testing.T) {

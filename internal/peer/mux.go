@@ -82,9 +82,11 @@ func NewServerMux() *ServerMux {
 // SetPending marks a content id as expected-but-not-yet-servable (a
 // fetch whose first handshake has not fixed the metadata, so no live
 // server exists to register). An OPEN naming a pending id is rejected
-// with a *generic* retryable reason instead of the canonical
-// unknown-content one: the dialer backs off and redials rather than
-// writing this node off permanently for a content it is about to have.
+// with a *generic* reason instead of the canonical unknown-content one:
+// the answer is not terminal and not charged, so a dialer with
+// FetchOptions.MaxReconnects left backs off and redials rather than
+// writing this node off for a content it is about to have (at the
+// default, 0, its session ends there).
 // Clear it once the real server registers (or the fetch dies).
 func (m *ServerMux) SetPending(contentID uint64, pending bool) {
 	m.mu.Lock()

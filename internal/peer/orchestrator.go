@@ -108,7 +108,6 @@ type Orchestrator struct {
 	attempted     map[string]bool     // addresses ever given a session (no gossip re-dials)
 	candidates    []gossipCandidate   // discovered addresses awaiting a free slot
 	candidateSeq  int                 // discovery-order stamp for candidate tie-breaks
-	dialFails     map[string]int      // requeue budget spent per never-reached discovery
 	// partials are the live sessions to partial senders, and those whose
 	// OPEN carries a summary until an ACCEPT says full, in join order: the
 	// i-th hands its sender slice i of len(partials) of the id space
@@ -169,7 +168,6 @@ func NewOrchestrator(contentID uint64, opts FetchOptions) *Orchestrator {
 		maxPeers:  opts.MaxPeers,
 		sessions:  make(map[string]*session),
 		attempted: make(map[string]bool),
-		dialFails: make(map[string]int),
 	}
 	// Sessions may start (AddPeer) before Run brings the caller's context.
 	o.ctx, o.finish = context.WithCancel(context.Background())
@@ -210,13 +208,12 @@ func NewOrchestrator(contentID uint64, opts FetchOptions) *Orchestrator {
 
 // gossipCandidate is one discovered address the engine could not admit
 // immediately (MaxPeers live already); the pool is ranked at promotion
-// time — fresh discoveries first, then gossip mention count, then
-// discovery order. A non-zero fails marks a requeued address that
-// already burned dial attempts: it ranks below every fresh discovery.
+// time — gossip mention count, then discovery order. Only fresh
+// discoveries wait here: an address a session already tried is redialed
+// by that session alone, under its backoff and budget.
 type gossipCandidate struct {
-	ad    protocol.PeerAd
-	seq   int
-	fails int // dial attempts already spent on this address
+	ad  protocol.PeerAd
+	seq int
 }
 
 // wakeSessions expires every live session's channel deadline once the
@@ -255,9 +252,6 @@ func (o *Orchestrator) sessionExited(s *session) {
 	}
 	o.met.live.Set(int64(len(o.sessions)))
 	o.active--
-	if s != nil {
-		o.maybeRequeueLocked(s)
-	}
 	if !o.feedersClosed && o.ctx.Err() == nil {
 		o.promoteCandidateLocked()
 	}
@@ -352,10 +346,9 @@ func (o *Orchestrator) considerDiscovered(ad protocol.PeerAd) bool {
 }
 
 // promoteCandidateLocked starts a session for the best-ranked candidate
-// when a slot is free: fresh discoveries (no dial failures) rank above
-// every requeued address, then highest gossip mention count, then
-// earliest discovery as tie-break. Banned addresses are skipped.
-// Callers hold o.mu.
+// when a slot is free: highest gossip mention count, then earliest
+// discovery as tie-break. Addresses attempted since they were deferred
+// and banned ones are skipped. Callers hold o.mu.
 func (o *Orchestrator) promoteCandidateLocked() {
 	if len(o.candidates) == 0 ||
 		(o.maxPeers > 0 && len(o.sessions) >= o.maxPeers) {
@@ -363,31 +356,13 @@ func (o *Orchestrator) promoteCandidateLocked() {
 	}
 	best := -1
 	bestHits := -1
-	bestFresh := false
 	for i, c := range o.candidates {
-		// A requeued candidate (fails > 0) is by definition attempted —
-		// the attempted check only bars *fresh* duplicates of addresses
-		// that already had a session at full priority.
-		if _, live := o.sessions[c.ad.Addr]; live ||
-			(c.fails == 0 && o.attempted[c.ad.Addr]) ||
-			o.penalties.Banned(c.ad.Addr) {
+		if o.attempted[c.ad.Addr] || o.penalties.Banned(c.ad.Addr) {
 			continue
 		}
-		fresh := c.fails == 0
 		hits := o.gossip.hitCount(c.ad)
-		better := false
-		switch {
-		case best < 0:
-			better = true
-		case fresh != bestFresh:
-			better = fresh
-		case hits != bestHits:
-			better = hits > bestHits
-		default:
-			better = c.seq < o.candidates[best].seq
-		}
-		if better {
-			best, bestHits, bestFresh = i, hits, fresh
+		if best < 0 || hits > bestHits || (hits == bestHits && c.seq < o.candidates[best].seq) {
+			best, bestHits = i, hits
 		}
 	}
 	if best < 0 {
@@ -405,40 +380,6 @@ func (o *Orchestrator) promoteCandidateLocked() {
 // gossip finds more peers than MaxPeers allows live. Candidates are
 // ranked by gossip mention count and promoted as slots free up.
 const maxCandidates = 32
-
-// maxCandidateRedials bounds how many times a never-reached discovery is
-// requeued into the candidate pool before the address is written off.
-const maxCandidateRedials = 3
-
-// maybeRequeueLocked returns a discovered session that never managed to
-// connect to the candidate pool at decayed rank: the address was
-// advertised, so it may simply not be listening *yet* (gossip races node
-// start-up under churn) — but it re-enters ranked below every fresh
-// discovery and with a bounded budget, never again at full priority.
-// Terminal errors, drops, bans and established-then-failed sessions are
-// not requeued. Callers hold o.mu.
-func (o *Orchestrator) maybeRequeueLocked(s *session) {
-	if o.feedersClosed || o.ctx.Err() != nil {
-		return
-	}
-	if !s.stats.Discovered || s.connected || s.stats.Evicted || s.stats.Err == nil {
-		return
-	}
-	if terminalSessionError(s.stats.Err) || o.penalties.Banned(s.addr) {
-		return
-	}
-	n := o.dialFails[s.addr] + 1
-	if n > maxCandidateRedials || len(o.candidates) >= maxCandidates {
-		return
-	}
-	o.dialFails[s.addr] = n
-	o.candidates = append(o.candidates, gossipCandidate{
-		ad:    protocol.PeerAd{ContentID: o.contentID, Addr: s.addr},
-		seq:   o.candidateSeq,
-		fails: n,
-	})
-	o.candidateSeq++
-}
 
 // Penalties returns the orchestrator's misbehavior penalty box — the
 // shared one from FetchOptions, or the private box created when none was

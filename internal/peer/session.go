@@ -65,10 +65,6 @@ type session struct {
 	// measured over the whole session life — downtime between redials
 	// counts against a flapping peer's ranking, deliberately.
 	startedAt time.Time
-	// Guarded by o.mu: whether any dial of this session ever produced a
-	// connection — the requeue path only reconsiders addresses that were
-	// never reached at all.
-	connected bool
 	// Guarded by o.mu: the live subchannel while a connection is up, so a
 	// cancel can expire its deadline (wake).
 	ch *peermux.Channel
@@ -434,7 +430,6 @@ func (s *session) openChannel(a *attempt, issued time.Time) (*peermux.Channel, p
 	}
 	if err == nil {
 		o.met.handshake.Observe(time.Since(issued).Seconds())
-		s.reached()
 		o.trace(obs.EvDial, s.addr, "")
 		return ch, open, nil
 	}
@@ -466,7 +461,6 @@ func (s *session) openChannel(a *attempt, issued time.Time) (*peermux.Channel, p
 		answered, msg = true, rem.Msg
 	}
 	if answered {
-		s.reached()
 		if protocol.IsUnknownContent(msg) {
 			return nil, protocol.Hello{}, fmt.Errorf("peer %s: %s: %w", s.addr, msg, ErrUnknownContent)
 		}
@@ -484,7 +478,6 @@ func (s *session) openChannel(a *attempt, issued time.Time) (*peermux.Channel, p
 		// The dial connected and the peer answered the handshake with
 		// garbage: misbehavior on an established connection (the strongest
 		// signal), not an unreachable address.
-		s.reached()
 		s.noteConnError(err)
 		return nil, protocol.Hello{}, err
 	}
@@ -495,14 +488,6 @@ func (s *session) openChannel(a *attempt, issued time.Time) (*peermux.Channel, p
 	o.met.dialFailures.Inc()
 	o.trace(obs.EvDialFail, s.addr, err.Error())
 	return nil, protocol.Hello{}, err
-}
-
-// reached records that a dial got through to the address: it never
-// requeues as a never-connected discovery.
-func (s *session) reached() {
-	s.o.mu.Lock()
-	s.connected = true
-	s.o.mu.Unlock()
 }
 
 func (s *session) setChannel(ch *peermux.Channel) {

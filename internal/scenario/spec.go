@@ -6,7 +6,6 @@ package scenario
 // from the spec's seed, so a plan is a pure function of its spec.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -16,9 +15,8 @@ import (
 	"icd/internal/prng"
 )
 
-// Duration is a time.Duration that JSON-decodes from both a
-// human-readable string ("250ms") and a plain nanosecond number, and
-// encodes as the string form — scenario files stay readable.
+// Duration is a time.Duration that JSON-encodes as its human-readable
+// string form ("250ms"), so a plan written into a result stays readable.
 type Duration time.Duration
 
 // D returns the underlying time.Duration.
@@ -27,28 +25,6 @@ func (d Duration) D() time.Duration { return time.Duration(d) }
 // MarshalJSON encodes the duration as its String form.
 func (d Duration) MarshalJSON() ([]byte, error) {
 	return json.Marshal(time.Duration(d).String())
-}
-
-// UnmarshalJSON accepts "250ms"-style strings and nanosecond numbers.
-func (d *Duration) UnmarshalJSON(b []byte) error {
-	var v any
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
-	}
-	switch val := v.(type) {
-	case string:
-		parsed, err := time.ParseDuration(val)
-		if err != nil {
-			return fmt.Errorf("scenario: bad duration %q: %w", val, err)
-		}
-		*d = Duration(parsed)
-		return nil
-	case float64:
-		*d = Duration(time.Duration(val))
-		return nil
-	default:
-		return fmt.Errorf("scenario: duration must be a string or a number, got %T", v)
-	}
 }
 
 // Role classifies a node's part in the scenario.
@@ -414,16 +390,4 @@ func (s Spec) Plan() (*Plan, error) {
 	}
 
 	return &Plan{Spec: s, Nodes: nodes}, nil
-}
-
-// ParseSpec decodes a JSON scenario file (unknown fields rejected, so a
-// typo fails loudly instead of silently running the default).
-func ParseSpec(data []byte) (Spec, error) {
-	var s Spec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return s, fmt.Errorf("scenario: parsing spec: %w", err)
-	}
-	return s, s.Validate()
 }

@@ -491,6 +491,9 @@ func TestDialFailedDiscoveryRedialsOnlyInItsSession(t *testing.T) {
 				t.Fatal(err)
 			}
 			release := make(chan struct{})
+			var releaseOnce sync.Once
+			unhold := func() { releaseOnce.Do(func() { close(release) }) }
+			defer unhold() // a failed await must not leave the seed held
 			h.pn.add("seed", heldServer{inner: front(srv), release: release})
 
 			var mu sync.Mutex
@@ -526,7 +529,7 @@ func TestDialFailedDiscoveryRedialsOnlyInItsSession(t *testing.T) {
 				_, live := o.sessions["ghost"]
 				return o.attempted["ghost"] && !live
 			})
-			close(release)
+			unhold()
 			res := run.wait(t)
 			h.verify(res)
 

@@ -322,9 +322,6 @@ func (o *Orchestrator) considerDiscovered(ad protocol.PeerAd) bool {
 	if o.feedersClosed || o.attempted[ad.Addr] || o.penalties.Banned(ad.Addr) {
 		return false
 	}
-	if _, live := o.sessions[ad.Addr]; live {
-		return false
-	}
 	if o.maxPeers > 0 && len(o.sessions) >= o.maxPeers {
 		for _, c := range o.candidates {
 			if c.ad.Addr == ad.Addr {

@@ -1,7 +1,7 @@
 package scenario
 
 // scenario_test.go pins the lab's reproducibility contract (same seed,
-// same plan, bit for bit), the JSON form of the spec's durations, churn
+// same plan, bit for bit), the JSON round trip of a spec, churn
 // expansion, and — end to end — that a small swarm runs to convergence
 // with a clean goroutine teardown.
 
@@ -129,15 +129,15 @@ func TestPlanChurnExpansion(t *testing.T) {
 }
 
 func TestSpecJSONRoundTrip(t *testing.T) {
-	// Durations marshal as their string form, so a spec written into a
-	// result stays readable.
-	spec := Spec{
-		Name:    "marshal",
-		Clients: 4,
-		Links:   []LinkSpec{{Name: "dsl", Latency: Duration(2 * time.Millisecond), Jitter: Duration(500 * time.Microsecond)}},
-		Churn:   []ChurnEvent{{At: Duration(150 * time.Millisecond), Action: ActionKill, Role: RoleClient, Count: 1}},
-		Timeout: Duration(30 * time.Second),
+	// A spec written into a result reads back unchanged, its durations
+	// in their string form.
+	spec, err := Preset("lossy", 50, 21)
+	if err != nil {
+		t.Fatal(err)
 	}
+	spec.Links = append(spec.Links, LinkSpec{Name: "dsl", Weight: 1, Latency: Duration(2 * time.Millisecond), Jitter: Duration(500 * time.Microsecond)})
+	spec.Churn = []ChurnEvent{{At: Duration(150 * time.Millisecond), Action: ActionKill, Role: RoleClient, Count: 1}}
+	spec.Timeout = Duration(30 * time.Second)
 	data, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -146,6 +146,17 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		if !strings.Contains(string(data), want) {
 			t.Fatalf("marshaled spec lacks %s:\n%s", want, data)
 		}
+	}
+	var back Spec
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(spec, back) {
+		t.Fatalf("round trip changed the spec:\n%+v\nvs\n%+v", spec, back)
+	}
+	var d Duration
+	if err := json.Unmarshal([]byte(`"250 ms"`), &d); err == nil {
+		t.Fatal("bad duration accepted")
 	}
 }
 

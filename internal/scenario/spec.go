@@ -16,7 +16,8 @@ import (
 )
 
 // Duration is a time.Duration that JSON-encodes as its human-readable
-// string form ("250ms"), so a plan written into a result stays readable.
+// string form ("250ms") and decodes from it, so a spec written into a
+// result stays readable and reads back.
 type Duration time.Duration
 
 // D returns the underlying time.Duration.
@@ -25,6 +26,20 @@ func (d Duration) D() time.Duration { return time.Duration(d) }
 // MarshalJSON encodes the duration as its String form.
 func (d Duration) MarshalJSON() ([]byte, error) {
 	return json.Marshal(time.Duration(d).String())
+}
+
+// UnmarshalJSON decodes the String form MarshalJSON writes.
+func (d *Duration) UnmarshalJSON(b []byte) error {
+	var s string
+	if err := json.Unmarshal(b, &s); err != nil {
+		return fmt.Errorf("scenario: duration must be a string: %w", err)
+	}
+	parsed, err := time.ParseDuration(s)
+	if err != nil {
+		return fmt.Errorf("scenario: bad duration %q: %w", s, err)
+	}
+	*d = Duration(parsed)
+	return nil
 }
 
 // Role classifies a node's part in the scenario.

@@ -233,7 +233,9 @@ func BenchmarkFig1CollaborationModes(b *testing.B) {
 // loops, which must report 0.
 
 // BenchmarkXORBlock measures the shared XOR kernel on the paper's
-// 1400-byte packet block and a 1 KiB reference size.
+// 1400-byte packet block and a 1 KiB reference size, and beside them the
+// fused kernel folding a mean-degree (13) symbol's blocks into one
+// 1400-byte payload, its bytes counted per source read.
 func BenchmarkXORBlock(b *testing.B) {
 	for _, size := range []int{1024, 1400} {
 		dst := make([]byte, size)
@@ -250,6 +252,21 @@ func BenchmarkXORBlock(b *testing.B) {
 			}
 		})
 	}
+	const deg = 13
+	table := make([][]byte, deg)
+	idx := make([]int, deg)
+	for i := range table {
+		table[i] = make([]byte, 1400)
+		idx[i] = i
+	}
+	dst := make([]byte, 1400)
+	b.Run("1400B-fused-d13", func(b *testing.B) {
+		b.SetBytes(deg * 1400)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			xorblock.XorGather(dst, table[0], table, idx[1:], -1)
+		}
+	})
 }
 
 // BenchmarkBloomAddContains measures the §5.2 summary hot operations at

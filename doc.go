@@ -95,15 +95,19 @@
 // microbenchmarks for iterating; the per-layer rows of `bash
 // bench/run.sh` for claims):
 //
-//   - XOR cost is vectors, not bytes. internal/xorblock is the standard
-//     library's crypto/subtle.XORBytes (assembly-backed on amd64/arm64:
-//     20–30 GB/s on cached 1400-byte blocks, vs ~3 GB/s for a byte loop),
-//     with no unsafe and no assembly here. Encoding a symbol of degree d
-//     over b-byte blocks costs d block-XORs, so with mean degree d̄ the
-//     fountain encode rate is memory-bound at roughly bus-bandwidth/d̄;
-//     decode costs the same d block-XORs once per recovered block (the
-//     symbol that resolves it, against its other neighbors), and nothing
-//     for a symbol that arrives fully reduced or is resolved by another.
+//   - XOR cost is one pass per symbol. internal/xorblock.XorGather sets
+//     a payload to the XOR of all of a symbol's blocks at once: on amd64
+//     with AVX2, the package's own assembly (32-byte loads, 128 bytes of
+//     the payload a step, every source XORed in registers and the result
+//     stored once); on every other CPU, a chain of crypto/subtle.XORBytes
+//     calls with the same result. Encoding a symbol of degree d over
+//     b-byte blocks reads d·b bytes and writes b, so with mean degree d̄
+//     the fountain encode rate is memory-bound at roughly
+//     bus-bandwidth/d̄; decode costs the same once per recovered block
+//     (the symbol that resolves it, against its other neighbors), and
+//     nothing for a symbol that arrives fully reduced or is resolved by
+//     another. A source shorter than the payload panics, and the payload
+//     may be exactly its first source but must overlap no other.
 //
 //   - Steady-state symbol paths are zero-alloc. Encoder.Next/EncodeID,
 //     Recoder.Next and the redundant-symbol paths of the decoders

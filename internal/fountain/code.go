@@ -126,14 +126,7 @@ func (e *Encoder) EncodeID(id uint64) Symbol {
 	} else {
 		data = make([]byte, len(e.blocks[0]))
 	}
-	if len(e.idx) == 0 {
-		clear(data)
-	} else {
-		copy(data, e.blocks[e.idx[0]])
-		for _, i := range e.idx[1:] {
-			xorblock.XorInto(data, e.blocks[i])
-		}
-	}
+	xorblock.XorGather(data, e.blocks[e.idx[0]], e.blocks, e.idx[1:], -1) // a degree is at least 1
 	return Symbol{ID: id, Data: data}
 }
 
@@ -314,24 +307,15 @@ func (d *Decoder) resolve(u int32, data []byte, nbrs []int32) {
 }
 
 // write fills block u's slot with data XOR the blocks of every neighbor in
-// nbrs other than u, all of them known, and records u recovered. The
-// first XOR reads data itself, so the payload is never copied on its own.
+// nbrs other than u, all of them known, in one pass over the slot, and
+// records u recovered.
 func (d *Decoder) write(u int32, data []byte, nbrs []int32) {
 	if d.content == nil { // made here, not in NewDecoder: off the caller's set-up path
 		d.content = make([]byte, d.code.n*d.blockSize)
 	}
 	lo := int(u) * d.blockSize
 	slot := d.content[lo : lo+d.blockSize : lo+d.blockSize]
-	src := data
-	for _, v := range nbrs {
-		if v != u {
-			xorblock.XorBytes(slot, src, d.blocks[v])
-			src = slot
-		}
-	}
-	if len(nbrs) == 1 {
-		copy(slot, data)
-	}
+	xorblock.XorGather(slot, data, d.blocks, nbrs, u)
 	d.blocks[u] = slot
 	d.recovered++
 }

@@ -12,8 +12,6 @@ package icd
 // speed claims — those are rows of `bash bench/run.sh`.
 
 import (
-	"bytes"
-	"io"
 	"testing"
 
 	"icd/internal/bloom"
@@ -21,7 +19,6 @@ import (
 	"icd/internal/fountain"
 	"icd/internal/minwise"
 	"icd/internal/prng"
-	"icd/internal/protocol"
 	"icd/internal/recode"
 	"icd/internal/strategy"
 	"icd/internal/transfer"
@@ -338,76 +335,6 @@ func BenchmarkEncoderNextAllocs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		enc.Release(enc.Next())
-	}
-}
-
-// BenchmarkReceivePathAllocs proves the end-to-end receive hot path —
-// length-prefixed frame read, zero-copy symbol parse, copy into a
-// recycled buffer, AddSymbol on a saturated sharded decoder — is
-// allocation-free: the PR 2 receive-side counterpart of
-// BenchmarkEncoderNextAllocs.
-func BenchmarkReceivePathAllocs(b *testing.B) {
-	const n, blockSize = 64, 1400
-	code, err := fountain.NewCode(n, nil, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	blocks := make([][]byte, n)
-	for i := range blocks {
-		blocks[i] = make([]byte, blockSize)
-	}
-	enc, err := fountain.NewEncoder(code, blocks, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dec, err := fountain.NewShardedDecoder(code, blockSize, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer dec.Close()
-	var stream bytes.Buffer
-	for i := 0; !dec.Done(); i++ {
-		if i > 8*n {
-			b.Fatal("stalled")
-		}
-		sym := enc.EncodeID(uint64(i))
-		if err := protocol.WriteSymbol(&stream, sym.ID, sym.Data); err != nil {
-			b.Fatal(err)
-		}
-		if err := dec.AddSymbol(sym); err != nil {
-			b.Fatal(err)
-		}
-		enc.Release(sym)
-		if i%32 == 0 {
-			dec.Drain()
-		}
-	}
-	dec.Drain()
-
-	r := bytes.NewReader(stream.Bytes())
-	fr := protocol.NewFrameReader(r)
-	scratch := make([]byte, 0, blockSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Reset(stream.Bytes())
-		for {
-			f, err := fr.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			sym, err := protocol.DecodeSymbolInto(f, scratch)
-			if err != nil {
-				b.Fatal(err)
-			}
-			scratch = sym.Data
-			if err := dec.AddSymbol(fountain.Symbol{ID: sym.ID, Data: sym.Data}); err != nil {
-				b.Fatal(err)
-			}
-		}
 	}
 }
 

@@ -25,8 +25,8 @@
 // needed: give every node the same single seed address and the swarm
 // self-assembles — each node advertises its own -listen address, the
 // seed relays what it has heard, and discovered peers are admitted up
-// to the fetch's share of -max-conns (the rest wait in a ranked
-// candidate pool):
+// to the fetch's share of -max-conns (the rest wait in the node's
+// ranked gossip directory):
 //
 //	icdnode node -fetch 0xF00D=big.iso -listen 127.0.0.1:9002 \
 //	    -seed 127.0.0.1:9000
@@ -162,7 +162,7 @@ func fetch(args []string) {
 		seed     = fs.String("seed", "", "bootstrap seed address(es); gossip discovers the rest")
 		batch    = fs.Int("batch", 64, "symbols per request")
 		timeout  = fs.Duration("timeout", 30*time.Second, "per-operation timeout")
-		maxPeers = fs.Int("max-peers", 8, "cap on concurrent sessions; extra discoveries wait in the candidate pool (0 = unlimited)")
+		maxPeers = fs.Int("max-peers", 8, "cap on concurrent sessions; extra discoveries wait in the gossip directory (0 = unlimited)")
 	)
 	fs.Parse(args)
 	if *out == "" || (*peers == "" && *seed == "") {

@@ -36,7 +36,7 @@
 //
 //	info, _ := icd.DescribeContent(0xF00D, data, 1400)
 //	srv, _ := icd.NewFullServer(info, data) // serves data itself: leave it unmodified while served
-//	mux := icd.NewServerMux() // the front door: one listener, any number of contents
+//	mux := icd.NewServerMux() // the one front door: one listener, any number of contents, the serving plane's directory and counts
 //	mux.Register(srv)
 //	go mux.ListenAndServe("127.0.0.1:9000")
 //	res, _ := icd.Fetch([]string{"127.0.0.1:9000"}, info.ID, icd.FetchOptions{})
@@ -112,9 +112,8 @@
 //   - Steady-state symbol paths are zero-alloc. Encoder.Next/EncodeID,
 //     Recoder.Next and the redundant-symbol paths of the decoders
 //     recycle payload buffers or never take one (encoder/recoder
-//     freelists fed by Release, the recode and sharded decoders' spare
-//     lists fed by fully-reduced symbols; the fountain.Decoder copies no
-//     payload) and reuse per-instance scratch for neighbor expansion and
+//     freelists fed by Release, the recode decoder's spare list fed by
+//     fully-reduced symbols; the fountain.Decoder copies no payload) and reuse per-instance scratch for neighbor expansion and
 //     sampling — prng.SampleIntsInto keeps even its dedup table for
 //     degrees above 64 in the caller's buffer;
 //     BenchmarkEncoderNextAllocs and BenchmarkRecoderNextAllocs assert
@@ -185,12 +184,9 @@
 // distribution's mean degree, so a decode allocates nothing in AddSymbol
 // but the content buffer (fountain.TestDecoderSteadyStateAllocs).
 //
-// fountain.ShardedDecoder (blocks owned by shard b mod S, cross-shard
-// symbols hopping owner to owner under a coordinator) is no longer on
-// this path: at k=4096 on two cores it decodes at 0.23× the plain
-// decoder's rate, its coordination was two thirds of a fetch's CPU, and
-// the engine keeps one decoder unless a measurement buys a second. The
-// type survives only as the benchmark's
+// A fetch decodes on that one decoder, on its one peel goroutine. The
+// internal fountain.ShardedDecoder is not on this path and not part of
+// the public API: it is kept only for the benchmark's
 // fountain.decode_sharded_ns_per_symbol row.
 //
 // Buffer ownership (who may Release what, when):
@@ -198,9 +194,8 @@
 //   - Encoder/Recoder payloads: the caller that received a Symbol from
 //     Next/EncodeID owns its buffers and gives them back with Release
 //     exactly once, after its last use (a full sender's send loop
-//     releases right after the frame write). The ShardedDecoder's
-//     AddSymbol copies, so feeding it never transfers ownership; the
-//     fountain.Decoder's does not (next point).
+//     releases right after the frame write). The fountain.Decoder's
+//     AddSymbol does not copy (next point).
 //   - fountain.Decoder: AddSymbol never writes sym.Data but keeps it by
 //     reference until that symbol resolves a block or decoding ends, so
 //     the caller leaves it unchanged until Done (a payload fed to it is
@@ -239,7 +234,7 @@
 //
 // With frame reads through FrameReader (or a channel's pooled queue) and
 // parses through SymbolView, the receive loop performs 0 allocs per
-// duplicate frame, as BenchmarkReceivePathAllocs and the peer/fountain
+// duplicate frame, as peer.TestReceivePathZeroAlloc and the fountain
 // AllocsPerRun tests enforce. A *new* symbol's payload becomes a
 // working-set entry: the content needs its bytes, not a heap object of
 // its own, so the path allocates per slab — slabs that double up to
@@ -336,14 +331,16 @@
 // frame, the overflow on the next check (peer.TestSessionRelaysOnlyNews,
 // peer.TestServerRelaysOnlyNews). Every address a
 // node hears — through a session's PEERS frame or a client dialing its
-// live Server — lands in one node-wide Gossip directory (shared via
-// FetchOptions.Gossip and Server.SetGossip) and flows into the
-// orchestrator's admission path: admit immediately while MaxPeers has
-// room; otherwise park in a candidate pool ranked by how many
-// independent peers vouched for the address. When eviction or a session
-// exit frees a slot, the best-ranked candidate is promoted; addresses
-// already attempted are never re-admitted, and the node's own address
-// is never dialed. A swarm bootstrapped from a single seed address
+// ServerMux — lands in one node-wide Gossip directory (shared via
+// FetchOptions.Gossip and ServerMux.SetGossip; a bare ServerMux has one
+// of its own) and flows into the orchestrator's admission path: admit
+// immediately while MaxPeers has room; otherwise leave it in the
+// directory, which is the one ranked list of whom to dial — deduplicated,
+// capped, aged out, and ranked by how many independent peers vouched for
+// the address, then first heard. When eviction or a session exit frees
+// a slot, the directory's best entry for the content is promoted;
+// addresses already attempted or banned are never admitted, and the
+// node's own address is never dialed. A swarm bootstrapped from a single seed address
 // (`icdnode node -fetch … -seed`) self-assembles the full mesh this way.
 //
 // Buffer ownership across the session/orchestrator boundary. There is

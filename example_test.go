@@ -101,39 +101,6 @@ func ExampleDecoder_Content() {
 	// informed content delivery across adaptive overlay networks
 }
 
-// Decoding on multiple cores with the sharded decoder (§5.4.1 peeling,
-// parallelized): encode content, feed the symbol stream, drain, and
-// reassemble. AddSymbol is safe from any number of feeder goroutines.
-func ExampleNewShardedDecoder() {
-	content := make([]byte, 8000)
-	for i := range content {
-		content[i] = byte(i * 31)
-	}
-	blocks, origLen, _ := icd.SplitIntoBlocks(content, 100)
-	code, _ := icd.NewCode(len(blocks), nil, 0xC0DE)
-	enc, _ := icd.NewEncoder(code, blocks, 1)
-
-	dec, _ := icd.NewShardedDecoder(code, 100, 4)
-	defer dec.Close()
-	for i := 0; !dec.Done(); i++ {
-		sym := enc.EncodeID(uint64(i))
-		dec.AddSymbol(sym) // copies the payload; we keep ownership
-		enc.Release(sym)
-		if i%32 == 0 {
-			dec.Drain() // settle the shard workers so Done is exact
-		}
-	}
-	dec.Drain()
-	round, _ := icd.JoinBlocks(dec.Blocks(), origLen)
-	fmt.Printf("shards: %d\n", dec.NumShards())
-	fmt.Printf("content recovered: %v\n", bytes.Equal(round, content))
-	fmt.Printf("overhead under 60%%: %v\n", dec.Overhead() < 0.6)
-	// Output:
-	// shards: 4
-	// content recovered: true
-	// overhead under 60%: true
-}
-
 // The §5.4.2 recoding round-trip: a partial sender blends its encoded
 // symbols into recoded symbols; the receiver peels them back into the
 // encoded symbols themselves with the one-level-up substitution rule.

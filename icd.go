@@ -124,19 +124,6 @@ func NewDecoder(code *Code, blockSize int) (*Decoder, error) {
 	return fountain.NewDecoder(code, blockSize)
 }
 
-// ShardedDecoder is a Decoder that peels symbol batches concurrently on
-// multiple cores, safe for concurrent AddSymbol from many feeders. It is
-// no longer on the fetch path: Fetch decodes on the plain Decoder, which
-// measured 4× faster at k=4096 on two cores (the shards' coordination
-// cost more than the XOR work they spread).
-type ShardedDecoder = fountain.ShardedDecoder
-
-// NewShardedDecoder prepares a sharded peeling decoder over `shards`
-// worker goroutines (≤ 0 selects GOMAXPROCS). Close it when done.
-func NewShardedDecoder(code *Code, blockSize, shards int) (*ShardedDecoder, error) {
-	return fountain.NewShardedDecoder(code, blockSize, shards)
-}
-
 // SplitIntoBlocks divides content into fixed-size blocks (zero-padded).
 func SplitIntoBlocks(data []byte, blockSize int) ([][]byte, int, error) {
 	return fountain.SplitIntoBlocks(data, blockSize)
@@ -360,9 +347,6 @@ func NewGossip(self string) *Gossip {
 // every subchannel to the registered Server for its content id; unknown
 // ids get the canonical unknown-content rejection.
 type ServerMux = peer.ServerMux
-
-// MuxStats exposes a ServerMux's connection counters.
-type MuxStats = peer.MuxStats
 
 // NewServerMux creates an empty multi-content listener.
 func NewServerMux() *ServerMux { return peer.NewServerMux() }

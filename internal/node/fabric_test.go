@@ -152,7 +152,7 @@ func TestNodeMaxInboundBusyRedial(t *testing.T) {
 				if err == nil {
 					t.Fatal("the fetch completed from a provider that refused it")
 				}
-				if busy := provider.Mux().Stats().Busy; busy != 1 {
+				if busy := provider.Obs().Counter("mux.busy").Value(); busy != 1 {
 					t.Fatalf("provider refused %d dials over its cap, want exactly the fetch's one", busy)
 				}
 				if len(res.Peers) != 1 || res.Peers[0].Reconnects != 0 || res.Peers[0].DialFailures != 0 ||
@@ -166,10 +166,10 @@ func TestNodeMaxInboundBusyRedial(t *testing.T) {
 			}
 
 			deadline := time.Now().Add(5 * time.Second)
-			for provider.Mux().Stats().Busy < 2 && time.Now().Before(deadline) {
+			for provider.Obs().Counter("mux.busy").Value() < 2 && time.Now().Before(deadline) {
 				time.Sleep(time.Millisecond)
 			}
-			if busy := provider.Mux().Stats().Busy; busy < 2 {
+			if busy := provider.Obs().Counter("mux.busy").Value(); busy < 2 {
 				t.Fatalf("provider refused %d dials over its cap, want the fetch's first dial and a redial", busy)
 			}
 			if done(tx) {

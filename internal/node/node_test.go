@@ -129,7 +129,7 @@ func TestNodeServesAndFetchesTwoContents(t *testing.T) {
 	}
 
 	// Both transfers went through the provider's ONE listener.
-	if got := provider.Mux().Stats().Connections; got < 2 {
+	if got := provider.Obs().Counter("mux.connections").Value(); got < 2 {
 		t.Fatalf("provider listener saw %d connections, want ≥ 2", got)
 	}
 	// The consumer now serves both replicas on its own single listener…

@@ -11,11 +11,14 @@ package node
 import (
 	"bytes"
 	"context"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"icd/internal/faultnet"
 	"icd/internal/peer"
+	"icd/internal/protocol"
 	"icd/internal/testutil"
 )
 
@@ -25,8 +28,10 @@ import (
 // opts, both closed at test cleanup. A delivery-latency link makes the
 // session window the binding throughput constraint (about one window per
 // round trip), so the transfers can be observed mid-flight without
-// being large.
-func budgetSwarm(t *testing.T, latency time.Duration, blocks []int, opts Options) (*Node, []peer.ContentInfo, [][]byte) {
+// being large. A non-nil hold holds every channel frame the provider
+// writes — the symbols, not the wire's handshake or a channel's ACCEPT —
+// until it is closed.
+func budgetSwarm(t *testing.T, latency time.Duration, blocks []int, opts Options, hold <-chan struct{}) (*Node, []peer.ContentInfo, [][]byte) {
 	t.Helper()
 	sn := faultnet.NewShapedNet(1)
 	sn.SetDeliveryLatency(true)
@@ -41,9 +46,13 @@ func budgetSwarm(t *testing.T, latency time.Duration, blocks []int, opts Options
 			t.Fatal(err)
 		}
 	}
+	var ln net.Listener
 	ln, err := sn.Listen("provider")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if hold != nil {
+		ln = heldListener{ln, hold}
 	}
 	go provider.Serve(ln)
 	t.Cleanup(func() { provider.Close() })
@@ -54,6 +63,35 @@ func budgetSwarm(t *testing.T, latency time.Duration, blocks []int, opts Options
 	consumer := New(opts)
 	t.Cleanup(func() { consumer.Close() })
 	return consumer, infos, datas
+}
+
+// heldListener accepts connections whose channel frames wait for hold.
+type heldListener struct {
+	net.Listener
+	hold <-chan struct{}
+}
+
+func (l heldListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return heldConn{c, l.hold}, nil
+}
+
+// heldConn holds a write that starts with a channel frame (a MUX
+// envelope: a batch of symbols, a DONE) until hold is closed. A wire
+// writes whole frames, one or a batch, so a write starts with a frame.
+type heldConn struct {
+	net.Conn
+	hold <-chan struct{}
+}
+
+func (c heldConn) Write(p []byte) (int, error) {
+	if f, err := protocol.ReadFrame(bytes.NewReader(p)); err == nil && f.Type == protocol.TypeMux {
+		<-c.hold
+	}
+	return c.Conn.Write(p)
 }
 
 // startAll starts a fetch of every content from the provider.
@@ -119,7 +157,7 @@ func TestNodeWindowBudgetRebalance(t *testing.T) {
 	// The first content is a third the size of the others, so it ends
 	// well before them and leaves two fetches running.
 	consumer, infos, datas := budgetSwarm(t, 2*time.Millisecond, []int{300, 900, 900},
-		Options{Tick: tick, MaxConns: slots, WindowBudget: budget})
+		Options{Tick: tick, MaxConns: slots, WindowBudget: budget}, nil)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -157,7 +195,7 @@ func TestNodeWindowBudgetRebalance(t *testing.T) {
 func TestNodeTinyWindowBudget(t *testing.T) {
 	t.Cleanup(testutil.CheckGoroutines(t))
 	consumer, infos, datas := budgetSwarm(t, time.Millisecond, []int{200, 200, 200},
-		Options{Tick: 5 * time.Millisecond, WindowBudget: 6})
+		Options{Tick: 5 * time.Millisecond, WindowBudget: 6}, nil)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -178,7 +216,7 @@ func TestNodeFetchOpensAtItsShare(t *testing.T) {
 	t.Cleanup(testutil.CheckGoroutines(t))
 	const slots, budget = 5, 100
 	consumer, infos, _ := budgetSwarm(t, 50*time.Millisecond, []int{300, 300, 300},
-		Options{Tick: 5 * time.Millisecond, MaxConns: slots, WindowBudget: budget})
+		Options{Tick: 5 * time.Millisecond, MaxConns: slots, WindowBudget: budget}, nil)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	transfers := startAll(t, ctx, consumer, infos[:2])
@@ -198,6 +236,8 @@ func TestNodeFetchOpensAtItsShare(t *testing.T) {
 // default 4096-frame window it never exceeds what their decodes need
 // (under 2k symbols a fetch here, where a window's size would read 4096
 // a session); it reads more than 0 while they run, and 0 once they end.
+// The provider holds its symbols until a sample reads more than 0, so a
+// busy host cannot run both fetches to their end between two samples.
 func TestNodeWindowInFlight(t *testing.T) {
 	t.Cleanup(testutil.CheckGoroutines(t))
 	const k = 600
@@ -210,8 +250,12 @@ func TestNodeWindowInFlight(t *testing.T) {
 		{"default window", 0, 2 * 2 * k},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			hold := make(chan struct{})
+			var release sync.Once
 			consumer, infos, datas := budgetSwarm(t, 2*time.Millisecond, []int{k, k},
-				Options{Tick: 5 * time.Millisecond, WindowBudget: tc.budget})
+				Options{Tick: 5 * time.Millisecond, WindowBudget: tc.budget}, hold)
+			// Runs before the nodes close: a failed test leaves no write held.
+			t.Cleanup(func() { release.Do(func() { close(hold) }) })
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			transfers := startAll(t, ctx, consumer, infos)
@@ -229,6 +273,9 @@ func TestNodeWindowInFlight(t *testing.T) {
 				n := inflight()
 				if n > tc.bound {
 					t.Fatalf("node.window_inflight = %d, over the %d the fetches may ask for", n, tc.bound)
+				}
+				if n > 0 {
+					release.Do(func() { close(hold) })
 				}
 				peak = max(peak, n)
 				time.Sleep(200 * time.Microsecond)

@@ -203,6 +203,7 @@ func TestLegacyHelloGetsCleanError(t *testing.T) {
 		t.Fatal(err)
 	}
 	mux := front(srv)
+	reg := observe(mux)
 	client, server := net.Pipe()
 	defer client.Close()
 	served := make(chan error, 1)
@@ -224,7 +225,7 @@ func TestLegacyHelloGetsCleanError(t *testing.T) {
 	if err := <-served; err == nil {
 		t.Fatal("bare-hello connection served")
 	}
-	if got := srv.Stats().Connections; got != 0 {
+	if got := reg.Counter("serve.connections").Value(); got != 0 {
 		t.Fatalf("bare hello reached the content server (%d sessions)", got)
 	}
 }

@@ -4,11 +4,15 @@
 // net.Pipe in tests).
 //
 // There is one path between them. A ServerMux is the serving front
-// door: it owns the listener and connection admission, answers each
-// connection's fabric handshake (internal/peermux: one wire per peer
-// pair, one subchannel per content session) and routes
-// every channel to the registered Server for its content id. A Server
-// is only the symbol source for one piece of content, either a *full*
+// door, the only thing that serves a channel: it owns the listener and
+// admission, answers each connection's fabric handshake
+// (internal/peermux: one wire per peer pair, one subchannel per content
+// session) and serves every channel with the registered Server for its
+// content id, on the planes it owns — the node's gossip directory, its
+// penalty box, the serve.* and mux.* counters and the timeout. The
+// obs.Registry attached with SetObs is the one source of those counts. A
+// Server is only its content: the symbol source for one piece of
+// content, either a *full*
 // sender — a digital fountain streaming fresh encoded symbols — or a
 // *partial* sender over a WorkingSetSource: an append-only log of
 // encoded symbols, fixed (NewPartialServer) or still being appended to

@@ -63,8 +63,9 @@ type FetchOptions struct {
 	StallTimeout time.Duration
 	// Penalties is the shared misbehavior penalty box: corrupt frames,
 	// failed dials, stalls and resets charge the peer's address, and a
-	// banned address is refused by gossip admission and the candidate
-	// pool. Nil creates a private box (scoring is always on).
+	// banned address is refused by gossip admission and never promoted
+	// from the directory. Nil creates a private box (scoring is always
+	// on).
 	Penalties *PenaltyBox
 	// Uninformed disables summaries: the fetch sends partial senders no
 	// Bloom filter, so each sends its whole log, once (the uninformed

@@ -325,6 +325,7 @@ func TestFirstFlightRejects(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			defer checkGoroutines(t)()
 			mux := newTestMux(t, []ContentInfo{info}, [][]byte{data})
+			reg := observe(mux)
 			serverBox, clientBox := NewPenaltyBox(), NewPenaltyBox()
 			// A stopped clock: scores are exact sums, nothing decays.
 			installPenaltyClock(clientBox, newBrokenClock())
@@ -369,7 +370,7 @@ func TestFirstFlightRejects(t *testing.T) {
 			if got := serverBox.Score("pipe"); got > before {
 				t.Errorf("server charged the dialer: score %v -> %v", before, got)
 			}
-			if got := mux.Stats().Malformed; got != 0 {
+			if got := reg.Counter("mux.malformed").Value(); got != 0 {
 				t.Errorf("server counted %d malformed frames from an honest first flight", got)
 			}
 		})
@@ -798,13 +799,14 @@ func TestSessionGoroutineBudget(t *testing.T) {
 // openAsking opens one hand-driven channel on srv whose OPEN asks for
 // the round in ask (its Batch, Depth and the Symbols the opener holds),
 // with a penalty box on each end — the serving mux's, and the one the
-// dialing wire charges — and returns them with a hangUp that tears both
-// ends down.
-func openAsking(t *testing.T, srv *Server, ask protocol.Hello) (ch *peermux.Channel, serverBox, clientBox *PenaltyBox, hangUp func()) {
+// dialing wire charges — and returns them, the registry the mux counts
+// into, and a hangUp that tears both ends down.
+func openAsking(t *testing.T, srv *Server, ask protocol.Hello) (ch *peermux.Channel, serverBox, clientBox *PenaltyBox, reg *obs.Registry, hangUp func()) {
 	t.Helper()
 	serverBox, clientBox = NewPenaltyBox(), NewPenaltyBox()
 	mux := front(srv)
 	mux.SetPenalties(serverBox)
+	reg = observe(mux)
 	client, server := net.Pipe()
 	served := make(chan error, 1)
 	go func() {
@@ -825,7 +827,7 @@ func openAsking(t *testing.T, srv *Server, ask protocol.Hello) (ch *peermux.Chan
 		hangUp()
 		t.Fatal(err)
 	}
-	return ch, serverBox, clientBox, hangUp
+	return ch, serverBox, clientBox, reg, hangUp
 }
 
 // quiet reports whether ch delivers nothing within a while — what a
@@ -872,7 +874,7 @@ func TestFullSenderAnswersTheOpen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ch, serverBox, clientBox, hangUp := openAsking(t, srv, protocol.Hello{Batch: tc.batch, Depth: tc.depth, Symbols: tc.symbols})
+			ch, serverBox, clientBox, reg, hangUp := openAsking(t, srv, protocol.Hello{Batch: tc.batch, Depth: tc.depth, Symbols: tc.symbols})
 			defer hangUp()
 			if got := int(ch.RemoteHello().Depth); got != len(tc.batches) {
 				t.Fatalf("ACCEPT says %d batches, want %d", got, len(tc.batches))
@@ -893,12 +895,12 @@ func TestFullSenderAnswersTheOpen(t *testing.T) {
 			if !quiet(t, ch) {
 				t.Fatalf("sender wrote past the %d batches of its round", len(tc.batches))
 			}
-			if got, want := srv.Stats().SymbolsSent, int64(len(seen)); got != want {
+			if got, want := reg.Counter("serve.symbols_sent").Value(), int64(len(seen)); got != want {
 				t.Errorf("server counted %d symbols sent, the receiver read %d", got, want)
 			}
-			if serverBox.Len() != 0 || clientBox.Len() != 0 || srv.Stats().Malformed != 0 {
+			if serverBox.Len() != 0 || clientBox.Len() != 0 || reg.Counter("serve.malformed").Value() != 0 {
 				t.Errorf("an honest first round charged someone: server box %d, client box %d, malformed %d",
-					serverBox.Len(), clientBox.Len(), srv.Stats().Malformed)
+					serverBox.Len(), clientBox.Len(), reg.Counter("serve.malformed").Value())
 			}
 			// The session goes on as any other: a REQUEST is answered.
 			if got := requestBatch(t, ch, 5); len(got) != 5 {
@@ -951,7 +953,7 @@ func TestPartialSenderAnswersTheOpen(t *testing.T) {
 			if tc.summary {
 				open.Summary = protocol.EncodeSummary(tc.slice, tc.slices, blob).Payload
 			}
-			ch, serverBox, clientBox, hangUp := openAsking(t, srv, open)
+			ch, serverBox, clientBox, reg, hangUp := openAsking(t, srv, open)
 			defer hangUp()
 			if got := ch.RemoteHello().Depth; got != tc.want {
 				t.Fatalf("partial sender's ACCEPT says %d batches, want %d", got, tc.want)
@@ -988,9 +990,9 @@ func TestPartialSenderAnswersTheOpen(t *testing.T) {
 			if !quiet(t, ch) {
 				t.Fatal("partial sender wrote past the OPEN's round")
 			}
-			if serverBox.Len() != 0 || clientBox.Len() != 0 || srv.Stats().Malformed != 0 {
+			if serverBox.Len() != 0 || clientBox.Len() != 0 || reg.Counter("serve.malformed").Value() != 0 {
 				t.Errorf("charged someone: server box %d, client box %d, malformed %d",
-					serverBox.Len(), clientBox.Len(), srv.Stats().Malformed)
+					serverBox.Len(), clientBox.Len(), reg.Counter("serve.malformed").Value())
 			}
 			// The session goes on as any other: a REQUEST is answered.
 			if got, want := len(requestBatch(t, ch, 5)), min(5, left); got != want {
@@ -1054,7 +1056,7 @@ func TestPartialSenderIgnoresTheOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, serverBox, clientBox, hangUp := openAsking(t, srv, protocol.Hello{Batch: 16, Depth: 8})
+	ch, serverBox, clientBox, _, hangUp := openAsking(t, srv, protocol.Hello{Batch: 16, Depth: 8})
 	defer hangUp()
 	if got := ch.RemoteHello().Depth; got != 1 {
 		t.Fatalf("partial sender's ACCEPT says %d batches, want 1", got)
@@ -1107,7 +1109,7 @@ func TestPartialSenderWaitsForTheSummaryAtTheCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, _, _, hangUp := openAsking(t, srv, protocol.Hello{
+	ch, _, _, _, hangUp := openAsking(t, srv, protocol.Hello{
 		Batch:   64,
 		Depth:   uint16(peermux.DefaultWindow / 64),
 		Symbols: uint64(len(held)),

@@ -3,16 +3,18 @@ package peer
 // gossip.go is the node-wide peer directory behind gossip
 // discovery, and the one PEERS relay both ends of a connection run. One
 // Gossip instance is shared by everything running on a node — the
-// Orchestrator's sessions learn advertisements from PEERS frames, a live
-// Server learns the listen addresses of clients that handshake with it,
-// and both read the directory back when they relay advertisements onward
-// (relay: per connection, it collects only when what it would collect
-// changed). The Orchestrator subscribes to the directory,
-// so an address learned through *any* path (a session's PEERS frame, a
-// client dialing our live server) flows into the same admission logic
-// (considerDiscovered): admit up to MaxPeers, defer the rest to a
-// ranked candidate pool, promote candidates when eviction or session
-// exit frees a slot.
+// Orchestrator's sessions learn advertisements from PEERS frames, the
+// ServerMux learns the listen addresses of clients that open channels on
+// it, and both read the directory back when they relay advertisements
+// onward (relay: per connection, it collects only when what it would
+// collect changed). The Orchestrator subscribes to the directory, so an
+// address learned through *any* path (a session's PEERS frame, a client
+// dialing our mux) flows into the same admission logic
+// (considerDiscovered): admit up to MaxPeers and leave the rest where
+// they are. The directory is the one ranked list of whom to dial — it
+// dedups, caps, expires and ranks by mention count, then first heard —
+// so when eviction or a session's exit frees a slot the orchestrator
+// promotes its best entry not yet attempted (nextCandidateLocked).
 
 import (
 	"cmp"
@@ -161,8 +163,8 @@ func (g *Gossip) Len() int {
 // Expire removes every advertisement last heard more than maxAge ago
 // and returns how many were dropped. A directory is a map of who is
 // *probably* alive: an address nobody has re-mentioned for a long time
-// is most likely gone, and keeping it would waste candidate-pool slots
-// and PEERS-frame bytes on dead peers. A node's housekeeping tick calls
+// is most likely gone, and keeping it would waste promotions and
+// PEERS-frame bytes on dead peers. A node's housekeeping tick calls
 // this; an expired address that is still alive re-enters the directory
 // (and re-triggers discovery subscribers) at its next mention.
 // maxAge <= 0 is a no-op.
@@ -191,15 +193,13 @@ func (g *Gossip) Expire(maxAge time.Duration) int {
 // appends what that one did.
 func (g *Gossip) generation() uint64 { return g.gen.Load() }
 
-// hits returns the mention count of ad (0 when unknown) — candidate
-// ranking reads it when an admission decision is made.
-func (g *Gossip) hitCount(ad protocol.PeerAd) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if e, ok := g.ads[ad]; ok {
-		return e.hits
-	}
-	return 0
+// adGenerations and appendAds make the directory a serving session's ad
+// source (relay.send): its best for the content served, which moves with
+// the directory's generation.
+func (g *Gossip) adGenerations() [2]uint64 { return [2]uint64{g.generation()} }
+
+func (g *Gossip) appendAds(dst []protocol.PeerAd, contentID uint64) []protocol.PeerAd {
+	return g.AppendSnapshot(dst, contentID, protocol.MaxPeerAds)
 }
 
 // subscribe registers fn to run for every newly learned advertisement.
@@ -220,12 +220,13 @@ func better(a, b *gossipEntry) bool {
 	return a.seq < b.seq
 }
 
-// adSource is what a relay collects advertisements from: a session (its
-// fetch's view of the swarm) or a Server (the node's directory).
-// adGenerations moves whenever what appendAds would append changes.
+// adSource is what a relay collects advertisements for one content
+// from: a session (its fetch's view of the swarm) or the directory a
+// serving session runs on. adGenerations moves whenever what appendAds
+// would append changes.
 type adSource interface {
 	adGenerations() [2]uint64
-	appendAds(dst []protocol.PeerAd) []protocol.PeerAd
+	appendAds(dst []protocol.PeerAd, contentID uint64) []protocol.PeerAd
 }
 
 // relay is one connection's PEERS relay, the one both ends run: a
@@ -291,16 +292,16 @@ func comparePeerAds(a, b protocol.PeerAd) int {
 }
 
 // send writes one PEERS frame carrying, in src's order, what src holds
-// that this connection has not been sent, at most MaxPeerAds of them (no
-// news, no frame). The generations are read before collecting: a change
-// racing the collection moves them past what is recorded, and the next
-// call collects again.
-func (r *relay) send(w io.Writer, src adSource) error {
+// for contentID that this connection has not been sent, at most
+// MaxPeerAds of them (no news, no frame). The generations are read
+// before collecting: a change racing the collection moves them past what
+// is recorded, and the next call collects again.
+func (r *relay) send(w io.Writer, src adSource, contentID uint64) error {
 	gens := src.adGenerations()
 	if r.synced && gens == r.gens {
 		return nil
 	}
-	r.ads = src.appendAds(r.ads[:0])
+	r.ads = src.appendAds(r.ads[:0], contentID)
 	fresh, complete := r.ads[:0], true
 	for _, ad := range r.ads {
 		if len(fresh) == protocol.MaxPeerAds {

@@ -3,8 +3,8 @@ package peer
 // gossip_test.go covers the gossip building blocks in isolation: the
 // Gossip directory's dedup/cap/rank rules, and the orchestrator's
 // considerDiscovered admission path — immediate admission below
-// MaxPeers, deferral to the ranked candidate pool when full, and
-// promotion of the best candidate when a freed slot appears.
+// MaxPeers, deferral when full, and promotion of the directory's best
+// candidate when a freed slot appears.
 
 import (
 	"bytes"
@@ -14,6 +14,7 @@ import (
 	"io"
 	"net"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,6 +23,16 @@ import (
 
 func ad(id uint64, addr string) protocol.PeerAd {
 	return protocol.PeerAd{ContentID: id, Addr: addr}
+}
+
+// mentions returns the mention count of a in g (0 when unknown).
+func mentions(g *Gossip, a protocol.PeerAd) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if e, ok := g.ads[a]; ok {
+		return e.hits
+	}
+	return 0
 }
 
 func TestGossipDirectoryDedupAndSelf(t *testing.T) {
@@ -41,7 +52,7 @@ func TestGossipDirectoryDedupAndSelf(t *testing.T) {
 	if g.Len() != 1 {
 		t.Fatalf("directory has %d entries, want 1", g.Len())
 	}
-	if got := g.hitCount(ad(7, "a:1")); got != 2 {
+	if got := mentions(g, ad(7, "a:1")); got != 2 {
 		t.Fatalf("hit count %d, want 2", got)
 	}
 	if g.Self() != "me:1" {
@@ -94,19 +105,19 @@ func TestGossipDirectoryCap(t *testing.T) {
 	if g.Learn(ad(1, "peer-0:1")) {
 		t.Fatal("known ad reported as new")
 	}
-	if g.hitCount(ad(1, "peer-0:1")) != 2 {
+	if mentions(g, ad(1, "peer-0:1")) != 2 {
 		t.Fatal("mention not counted at cap")
 	}
 }
 
 func TestGossipSubscriberRunsWithoutLock(t *testing.T) {
 	// A subscriber may call back into the directory (the orchestrator's
-	// admission path reads hit counts); this must not deadlock.
+	// admission path ranks it); this must not deadlock.
 	g := NewGossip("")
 	calls := 0
 	g.subscribe(func(a protocol.PeerAd) {
 		calls++
-		g.hitCount(a)
+		g.Len()
 		g.AppendSnapshot(nil, 0, 0)
 	})
 	for _, a := range []protocol.PeerAd{ad(1, "a:1"), ad(1, "b:1"), ad(1, "a:1")} {
@@ -118,9 +129,10 @@ func TestGossipSubscriberRunsWithoutLock(t *testing.T) {
 }
 
 // TestCandidatePoolDefersAndPromotes is the admission-path scenario:
-// with MaxPeers=1 occupied, discovered addresses park in the candidate
-// pool ranked by mention count, and dropping the live peer promotes the
-// most-vouched-for candidate — which then finishes the transfer.
+// with MaxPeers=1 occupied, discovered addresses are deferred — left in
+// the directory, which ranks them by mention count — and dropping the
+// live peer promotes the most-vouched-for one, which then finishes the
+// transfer; the other is not admitted without a free slot.
 func TestCandidatePoolDefersAndPromotes(t *testing.T) {
 	h := newHarness(t, 100, 48)
 	first := h.addPartial("first", 30, 3) // too little to ever finish
@@ -149,8 +161,14 @@ func TestCandidatePoolDefersAndPromotes(t *testing.T) {
 	h.await("candidates deferred, not admitted", 2*time.Second, func() bool {
 		o.mu.Lock()
 		defer o.mu.Unlock()
-		return len(o.candidates) == 2 && len(o.sessions) == 1
+		return o.met.gossipDefer.Value() == 2 && len(o.sessions) == 1
 	})
+	o.mu.Lock()
+	best, ok := o.nextCandidateLocked()
+	o.mu.Unlock()
+	if !ok || best.Addr != hi {
+		t.Fatalf("the directory's best candidate is %v (%v), want %s", best, ok, hi)
+	}
 
 	if !o.DropPeer(first) {
 		t.Fatal("live peer not found")
@@ -186,9 +204,155 @@ func TestCandidatePoolDefersAndPromotes(t *testing.T) {
 	}
 }
 
+// TestDeferredCandidateAgesOutWithDirectory pins what a deferral keeps:
+// nothing of its own. A discovery deferred under MaxPeers lasts as long
+// as the directory keeps it, so once a node's housekeeping ages it out
+// (Expire at the node's gossipMaxAge, two minutes) a freed slot has no
+// one to promote. A re-mention brings it back through the admission
+// path, deferred again, and the next freed slot promotes it.
+func TestDeferredCandidateAgesOutWithDirectory(t *testing.T) {
+	h := newHarness(t, 100, 48)
+	first := h.addPartial("first", 30, 3) // too little to ever finish
+	cand := h.addFull("cand", 0)
+
+	g := NewGossip("")
+	var clock atomic.Int64
+	clock.Store(time.Unix(1000, 0).UnixNano())
+	g.now = func() time.Time { return time.Unix(0, clock.Load()) }
+	o := NewOrchestrator(h.info.ID, FetchOptions{
+		Batch:             8,
+		Timeout:           5 * time.Second,
+		MaxPeers:          1,
+		MaxUselessBatches: 1 << 20,
+		Gossip:            g,
+		Dial:              h.pn.dial,
+	})
+	run := h.runAsync(o, first)
+	if _, err := o.WaitInfo(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	deferred := func(n int64) func() bool {
+		return func() bool {
+			o.mu.Lock()
+			defer o.mu.Unlock()
+			return o.met.gossipDefer.Value() == n && len(o.sessions) == 1
+		}
+	}
+
+	g.Learn(ad(h.info.ID, cand))
+	h.await("candidate deferred", 2*time.Second, deferred(1))
+	clock.Add(int64(3 * time.Minute))
+	if dropped := g.Expire(2 * time.Minute); dropped != 1 {
+		t.Fatalf("Expire dropped %d entries, want the deferred one", dropped)
+	}
+	o.mu.Lock()
+	_, ok := o.nextCandidateLocked()
+	o.mu.Unlock()
+	if ok {
+		t.Fatal("an aged-out deferral is still promotable")
+	}
+
+	g.Learn(ad(h.info.ID, cand)) // the next mention: new to the directory again
+	h.await("re-mentioned candidate deferred again", 2*time.Second, deferred(2))
+	if !o.DropPeer(first) {
+		t.Fatal("live peer not found")
+	}
+	res := run.wait(t)
+	h.verify(res)
+	if got := o.met.gossipPromote.Value(); got != 1 {
+		t.Fatalf("%d promotions, want 1", got)
+	}
+	if !slices.ContainsFunc(res.Peers, func(p PeerStats) bool { return p.Addr == cand && p.Discovered }) {
+		t.Fatalf("re-mentioned candidate not promoted: %+v", res.Peers)
+	}
+}
+
+// TestFetchAdmitsDirectoryHeldBeforeRun: entries a shared directory held
+// for the content before the fetch existed go through Run's admission
+// like live discoveries. With free slots they are admitted at Run, so no
+// exit promotes anything later; with MaxPeers taken they are deferred,
+// and a freed slot promotes the more-mentioned one. An entry for another
+// content is never dialed.
+func TestFetchAdmitsDirectoryHeldBeforeRun(t *testing.T) {
+	for _, c := range []struct {
+		name                         string
+		maxPeers                     int
+		admits, defers, promotes, lo int64
+	}{
+		{"free slots", 0, 2, 0, 0, 1},
+		{"MaxPeers taken", 1, 0, 2, 1, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h := newHarness(t, 100, 48)
+			first := h.addPartial("first", 30, 3)
+			hi := h.addFull("cand-hi", 0)
+			lo := h.addFull("cand-lo", 0)
+			other := h.addFull("other", 0)
+
+			g := NewGossip("")
+			g.Learn(ad(h.info.ID, hi))
+			g.Learn(ad(h.info.ID, hi))
+			g.Learn(ad(h.info.ID, lo))
+			g.Learn(ad(h.info.ID+1, other))
+			o := NewOrchestrator(h.info.ID, FetchOptions{
+				Batch:             8,
+				Timeout:           5 * time.Second,
+				MaxPeers:          c.maxPeers,
+				MaxUselessBatches: 1 << 20,
+				Gossip:            g,
+				Dial:              h.pn.dial,
+			})
+			run := h.runAsync(o, first)
+			h.await("the directory's entries considered", 2*time.Second, func() bool {
+				return o.met.gossipAdmit.Value() == c.admits && o.met.gossipDefer.Value() == c.defers
+			})
+			if c.promotes > 0 && !o.DropPeer(first) {
+				t.Fatal("live peer not found")
+			}
+			res := run.wait(t)
+			h.verify(res)
+			if got := o.met.gossipPromote.Value(); got != c.promotes {
+				t.Fatalf("%d promotions, want %d", got, c.promotes)
+			}
+			dialed := func(addr string) bool {
+				return slices.ContainsFunc(res.Peers, func(p PeerStats) bool { return p.Addr == addr })
+			}
+			if !dialed(hi) || dialed(lo) != (c.lo == 1) || dialed(other) {
+				t.Fatalf("dialed hi %v, lo %v (want %v), other %v: %+v",
+					dialed(hi), dialed(lo), c.lo == 1, dialed(other), res.Peers)
+			}
+		})
+	}
+}
+
+// TestNextCandidateAllocs: a freed slot's pick, the directory's best
+// entry for the content not yet attempted, allocates nothing once the
+// ranking scratch is warm.
+func TestNextCandidateAllocs(t *testing.T) {
+	const id = 7
+	g := NewGossip("me:1")
+	for i := 0; i < 40; i++ {
+		g.Learn(ad(id, fmt.Sprintf("p%d:1", i)))
+	}
+	g.Learn(ad(id, "p30:1")) // the most mentioned
+	o := NewOrchestrator(id, FetchOptions{Gossip: g, AdvertiseAddr: "me:1"})
+	o.finish()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.attempted["p30:1"] = true
+	o.penalties.Penalize("p0:1", 2*DefaultBanScore)
+	var best protocol.PeerAd
+	if allocs := testing.AllocsPerRun(100, func() { best, _ = o.nextCandidateLocked() }); allocs != 0 {
+		t.Errorf("picking a candidate allocates %.1f times, want 0", allocs)
+	}
+	if best.Addr != "p1:1" {
+		t.Fatalf("picked %q, want p1:1: the first heard of those not attempted or banned", best.Addr)
+	}
+}
+
 // TestDiscoveredPeerAdmittedBelowCap pins immediate admission: while
 // the engine has free MaxPeers slots, a learned advertisement becomes a
-// session without waiting in the pool.
+// session without waiting in the directory.
 func TestDiscoveredPeerAdmittedBelowCap(t *testing.T) {
 	h := newHarness(t, 100, 48)
 	first := h.addPartial("first", 30, 3)
@@ -339,7 +503,7 @@ func TestGossipExpire(t *testing.T) {
 				t.Fatalf("%d entries kept, want %d", g.Len(), len(c.wantKept))
 			}
 			for _, addr := range c.wantKept {
-				if g.hitCount(ad(7, addr)) == 0 {
+				if mentions(g, ad(7, addr)) == 0 {
 					t.Fatalf("kept entry %s missing after sweep", addr)
 				}
 			}
@@ -416,7 +580,8 @@ func TestServerRelaysOnlyNews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := srv.gossip
+	mux := front(srv)
+	g := mux.gossip
 	now := time.Unix(1000, 0)
 	g.now = func() time.Time { return now }
 	addr := func(i int) string { return fmt.Sprintf("p%d:1", i) }
@@ -426,7 +591,7 @@ func TestServerRelaysOnlyNews(t *testing.T) {
 		}
 		g.Learn(ad(info.ID, addr(i)))
 	}
-	ch := openSession(t, srv)
+	ch := openSessionOn(t, mux, info.ID, "sender")
 	ch.SetDeadline(time.Now().Add(time.Minute))
 	sent := map[protocol.PeerAd]bool{}
 	// request sends one REQUEST and checks its PEERS frames against the
@@ -487,12 +652,12 @@ func TestServerRelaysOnlyNews(t *testing.T) {
 	protocol.WriteFrame(ch, protocol.EncodeDone())
 }
 
-// relayFrames runs one relay.send and returns the PEERS payloads it
-// wrote.
-func relayFrames(t *testing.T, r *relay, src adSource) [][]byte {
+// relayFrames runs one relay.send for content id and returns the PEERS
+// payloads it wrote.
+func relayFrames(t *testing.T, r *relay, src adSource, id uint64) [][]byte {
 	t.Helper()
 	var w bytes.Buffer
-	if err := r.send(&w, src); err != nil {
+	if err := r.send(&w, src, id); err != nil {
 		t.Fatal(err)
 	}
 	var got [][]byte
@@ -565,7 +730,7 @@ func TestSessionRelaysOnlyNews(t *testing.T) {
 	check := func(step string, ads int) {
 		t.Helper()
 		want := reference()
-		got := relayFrames(t, r, s)
+		got := relayFrames(t, r, s, id)
 		switch {
 		case want == nil && len(got) != 0:
 			t.Fatalf("%s: %d PEERS frames for no news", step, len(got))
@@ -679,14 +844,7 @@ func TestRelaySendAllocs(t *testing.T) {
 			g.Learn(low[i])
 		}
 	}
-	info, data := testContent(t, 40, 32)
-	srv, err := NewFullServer(info, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.gossip = NewGossip("")
-	info.ID = id
-	srv.info.ID = id
+	dir := NewGossip("")
 	o := NewOrchestrator(id, FetchOptions{Gossip: NewGossip("me:1"), AdvertiseAddr: "me:1"})
 	o.finish()
 	s := newSession(o, "sender:1")
@@ -698,12 +856,12 @@ func TestRelaySendAllocs(t *testing.T) {
 		r    *relay
 	}{
 		{"session", s, fill(o.gossip), newRelay()},
-		{"server", srv, fill(srv.gossip), newRelay(ad(id, "client:1"))},
+		{"server", dir, fill(dir), newRelay(ad(id, "client:1"))},
 	} {
-		if got := relayFrames(t, end.r, end.src); len(got) != 1 {
+		if got := relayFrames(t, end.r, end.src, id); len(got) != 1 {
 			t.Fatalf("%s: the first send wrote %d frames, want 1", end.name, len(got))
 		}
-		if allocs := testing.AllocsPerRun(100, func() { end.r.send(io.Discard, end.src) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(100, func() { end.r.send(io.Discard, end.src, id) }); allocs != 0 {
 			t.Errorf("%s: a send with no news allocates %.1f times, want 0", end.name, allocs)
 		}
 		if !framesFree {
@@ -711,13 +869,13 @@ func TestRelaySendAllocs(t *testing.T) {
 		}
 		i := 0
 		end.lift(i)
-		if got := relayFrames(t, end.r, end.src); len(got) != 1 {
+		if got := relayFrames(t, end.r, end.src, id); len(got) != 1 {
 			t.Fatalf("%s: a lifted ad wrote %d frames, want 1", end.name, len(got))
 		}
 		if allocs := testing.AllocsPerRun(100, func() {
 			i++
 			end.lift(i)
-			end.r.send(io.Discard, end.src)
+			end.r.send(io.Discard, end.src, id)
 		}); allocs != 0 {
 			t.Errorf("%s: a send with news allocates %.1f times after its first, want 0", end.name, allocs)
 		}
@@ -730,27 +888,23 @@ func TestRelaySendAllocs(t *testing.T) {
 	// one-ad directory, each new connection's first send — a full frame of
 	// news from the directory since filled — allocates nothing, and the
 	// ranking scratch kept its size while the directory filled.
-	fresh, err := NewFullServer(info, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh.gossip = NewGossip("")
-	fresh.gossip.Learn(ad(id, "first:1"))
+	fresh := NewGossip("")
+	fresh.Learn(ad(id, "first:1"))
 	relays := make([]*relay, 102)
 	for i := range relays {
 		relays[i] = newRelay(ad(id, "client:1"))
 	}
-	relayFrames(t, relays[0], fresh)
-	ranked := cap(fresh.gossip.rank)
-	fill(fresh.gossip)
+	relayFrames(t, relays[0], fresh, id)
+	ranked := cap(fresh.rank)
+	fill(fresh)
 	i := 1
 	if allocs := testing.AllocsPerRun(100, func() {
-		relays[i].send(io.Discard, fresh)
+		relays[i].send(io.Discard, fresh, id)
 		i++
 	}); allocs != 0 {
 		t.Errorf("a new connection's first send allocates %.1f times, want 0", allocs)
 	}
-	if got := cap(fresh.gossip.rank); got != ranked {
+	if got := cap(fresh.rank); got != ranked {
 		t.Errorf("the ranking scratch grew from %d to %d as the directory filled", ranked, got)
 	}
 }
@@ -765,7 +919,7 @@ type fakeAds struct {
 
 func (f *fakeAds) adGenerations() [2]uint64 { return f.gens }
 
-func (f *fakeAds) appendAds(dst []protocol.PeerAd) []protocol.PeerAd {
+func (f *fakeAds) appendAds(dst []protocol.PeerAd, _ uint64) []protocol.PeerAd {
 	f.collected++
 	return append(dst, f.ads...)
 }
@@ -796,7 +950,7 @@ func TestRelayCollectsPerChange(t *testing.T) {
 	} {
 		step.do()
 		before := src.collected
-		got := relayFrames(t, r, src)
+		got := relayFrames(t, r, src, 7)
 		if collected := src.collected > before; collected != step.collects {
 			t.Fatalf("%s: collected = %v, want %v", step.name, collected, step.collects)
 		}
@@ -824,7 +978,7 @@ func BenchmarkRelaySend(b *testing.B) {
 	b.ReportAllocs()
 	for range b.N {
 		src.gens[0]++
-		if err := r.send(io.Discard, src); err != nil {
+		if err := r.send(io.Discard, src, 7); err != nil {
 			b.Fatal(err)
 		}
 	}

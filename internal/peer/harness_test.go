@@ -114,9 +114,9 @@ func (h *harness) await(what string, timeout time.Duration, cond func() bool) {
 	}
 }
 
-// node is one collaborative swarm member: an orchestrator and a live
-// server sharing a gossip directory, registered at addr once the first
-// handshake fixes the content metadata.
+// node is one collaborative swarm member: an orchestrator and the mux
+// serving its live server sharing a gossip directory, registered at addr
+// once the first handshake fixes the content metadata.
 type node struct {
 	addr   string
 	gossip *Gossip
@@ -144,8 +144,9 @@ func (h *harness) startNode(addr string, opts FetchOptions, seeds ...string) *no
 		if err != nil {
 			return
 		}
-		live.SetGossip(n.gossip)
-		h.pn.add(addr, front(live))
+		mux := front(live)
+		mux.SetGossip(n.gossip)
+		h.pn.add(addr, mux)
 	}()
 	return n
 }

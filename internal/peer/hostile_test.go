@@ -420,6 +420,7 @@ func TestRefusedPeerTerminalAndUncharged(t *testing.T) {
 	grudgeBox.Penalize("pipe", 2*DefaultBanScore) // pipeNet dials all carry source identity "pipe"
 	grudgeMux := front(grudge)
 	grudgeMux.SetPenalties(grudgeBox)
+	grudgeReg := observe(grudgeMux)
 	h.pn.add("grudge", grudgeMux)
 
 	o := NewOrchestrator(h.info.ID, FetchOptions{
@@ -442,7 +443,7 @@ func TestRefusedPeerTerminalAndUncharged(t *testing.T) {
 	if st.DialFailures != 0 {
 		t.Fatalf("an explicit refusal counted as %d dial failure(s)", st.DialFailures)
 	}
-	if got := grudgeMux.Stats().Banned; got != 1 {
+	if got := grudgeReg.Counter("mux.banned").Value(); got != 1 {
 		t.Fatalf("grudge mux refused %d connections at admission, want 1", got)
 	}
 	if got := h.pn.dialCount("grudge"); got != 1 {
@@ -574,6 +575,7 @@ func TestMuxMalformedHelloChargedAndBanned(t *testing.T) {
 	mux := NewServerMux()
 	box := NewPenaltyBox()
 	mux.SetPenalties(box)
+	reg := observe(mux)
 
 	// A HELLO that is pure garbage: the mux must count it, charge the
 	// penalty box, and surface protocol.ErrCorrupt.
@@ -588,8 +590,8 @@ func TestMuxMalformedHelloChargedAndBanned(t *testing.T) {
 	}
 	client.Close()
 	server.Close()
-	if st := mux.Stats(); st.Malformed != 1 {
-		t.Fatalf("Malformed = %d, want 1", st.Malformed)
+	if got := reg.Counter("mux.malformed").Value(); got != 1 {
+		t.Fatalf("mux.malformed = %d, want 1", got)
 	}
 	key := remoteKey(server)
 	// 0.9×: the score decays continuously between the charge and the read.
@@ -618,8 +620,8 @@ func TestMuxMalformedHelloChargedAndBanned(t *testing.T) {
 	if err := <-refused; err == nil {
 		t.Fatal("banned client admitted by mux")
 	}
-	if st := mux.Stats(); st.Banned != 1 {
-		t.Fatalf("Banned = %d, want 1", st.Banned)
+	if got := reg.Counter("mux.banned").Value(); got != 1 {
+		t.Fatalf("mux.banned = %d, want 1", got)
 	}
 }
 
@@ -678,6 +680,7 @@ func TestCorruptSessionListenAddrSpoofNotCharged(t *testing.T) {
 	box := NewPenaltyBox()
 	mux := front(srv)
 	mux.SetPenalties(box)
+	reg := observe(mux)
 
 	corruptAs := func(remote net.Addr, listenAddr string) error {
 		t.Helper()
@@ -720,7 +723,7 @@ func TestCorruptSessionListenAddrSpoofNotCharged(t *testing.T) {
 	if score := box.Score("10.9.8.7"); score < 0.9*PenaltyCorrupt {
 		t.Fatalf("remote host not charged: score %v", score)
 	}
-	if got := srv.Stats().Malformed; got != 1 {
+	if got := reg.Counter("serve.malformed").Value(); got != 1 {
 		t.Fatalf("content server counted %d malformed sessions, want 1", got)
 	}
 
@@ -752,6 +755,7 @@ func TestBannedDialableAddressRefusedInbound(t *testing.T) {
 	box := NewPenaltyBox()
 	mux := front(srv)
 	mux.SetPenalties(box)
+	reg := observe(mux)
 	box.Penalize("10.9.8.7:9000", 2*DefaultBanScore)
 	hello := protocol.Hello{ContentID: info.ID, ListenAddr: "10.9.8.7:9000"}
 
@@ -763,8 +767,8 @@ func TestBannedDialableAddressRefusedInbound(t *testing.T) {
 	if !errors.As(err, &rej) || !protocol.IsRefused(rej.Msg) {
 		t.Fatalf("banned dialable address: open err = %v, want a refused rejection", err)
 	}
-	if got := srv.Stats().Rejected; got != 1 {
-		t.Fatalf("Rejected = %d, want 1", got)
+	if got := reg.Counter("serve.rejected").Value(); got != 1 {
+		t.Fatalf("serve.rejected = %d, want 1", got)
 	}
 	w.Close()
 	<-served
@@ -781,7 +785,7 @@ func TestBannedDialableAddressRefusedInbound(t *testing.T) {
 	}
 	w2.Close()
 	<-served2
-	if got := srv.Stats().Connections; got != 1 {
+	if got := reg.Counter("serve.connections").Value(); got != 1 {
 		t.Fatalf("served %d sessions, want 1 (the unverified one)", got)
 	}
 }
@@ -796,6 +800,7 @@ func TestMuxBusyAnswerDoesNotPoisonAdmission(t *testing.T) {
 	mux := NewServerMux()
 	mux.timeout = 100 * time.Millisecond // bounds the busy write below
 	mux.SetMaxConns(1)
+	reg := observe(mux)
 
 	c1, s1 := net.Pipe()
 	hold := make(chan error, 1)
@@ -823,8 +828,8 @@ func TestMuxBusyAnswerDoesNotPoisonAdmission(t *testing.T) {
 	if got := mux.active.Load(); got != 0 {
 		t.Fatalf("active = %d after both connections ended, want 0", got)
 	}
-	if st := mux.Stats(); st.Busy != 1 {
-		t.Fatalf("Busy = %d, want 1", st.Busy)
+	if got := reg.Counter("mux.busy").Value(); got != 1 {
+		t.Fatalf("mux.busy = %d, want 1", got)
 	}
 }
 
@@ -832,6 +837,7 @@ func TestMuxInboundCapBusyError(t *testing.T) {
 	defer checkGoroutines(t)()
 	mux := NewServerMux()
 	mux.SetMaxConns(1)
+	reg := observe(mux)
 
 	c1, s1 := net.Pipe()
 	hold := make(chan error, 1)
@@ -855,8 +861,8 @@ func TestMuxInboundCapBusyError(t *testing.T) {
 	s2.Close()
 	c1.Close()
 	<-hold
-	if st := mux.Stats(); st.Busy != 1 {
-		t.Fatalf("Busy = %d, want 1", st.Busy)
+	if got := reg.Counter("mux.busy").Value(); got != 1 {
+		t.Fatalf("mux.busy = %d, want 1", got)
 	}
 }
 
@@ -909,6 +915,8 @@ func refuseSummary(t *testing.T, payload []byte, inOpen bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mux := front(srv)
+	reg := observe(mux)
 	client, server := net.Pipe()
 	defer client.Close()
 	served := make(chan error, 1)
@@ -925,7 +933,7 @@ func refuseSummary(t *testing.T, payload []byte, inOpen bool) {
 			served <- err
 			return
 		}
-		w, err := peermux.Accept(server, fr, mh, peermux.Config{}, func(ch *peermux.Channel) { served <- srv.ServeChannel(ch) })
+		w, err := peermux.Accept(server, fr, mh, peermux.Config{}, func(ch *peermux.Channel) { served <- mux.serveChannel(ch) })
 		if err != nil {
 			served <- err
 			return
@@ -946,7 +954,7 @@ func refuseSummary(t *testing.T, payload []byte, inOpen bool) {
 		if protocol.IsUnknownContent(rej.Msg) || protocol.IsRefused(rej.Msg) {
 			t.Fatalf("%q reads as a terminal verdict, want a retryable one", rej.Msg)
 		}
-		if got := srv.Stats().SymbolsSent; got != 0 {
+		if got := reg.Counter("serve.symbols_sent").Value(); got != 0 {
 			t.Fatalf("the sender sent %d symbols against a malformed summary", got)
 		}
 	} else {

@@ -2,12 +2,16 @@ package peer
 
 // mux.go is the serving front door — the only one: one listener for
 // every content a node stores. A ServerMux owns the accept loop and
-// connection admission (banned remote hosts, the inbound cap), answers
-// each connection's MUX_HELLO to bring up a fabric wire, and routes
-// every subchannel the peer opens to the registered Server whose
-// content id the OPEN named — unknown ids are answered with the
-// canonical unknown-content rejection so receivers can write the peer
-// off for that content without retrying. Contents register and
+// admission (banned remote hosts, the inbound cap, banned listen
+// addresses), answers each connection's MUX_HELLO to bring up a fabric
+// wire, and serves every subchannel the peer opens with the registered
+// Server whose content id the OPEN named — unknown ids are answered with
+// the canonical unknown-content rejection so receivers can write the
+// peer off for that content without retrying. It is also the one owner
+// of the serving plane: the peer directory every serving session learns
+// clients into and relays from, the penalty box, the serve.* and mux.*
+// counters (read them from the registry SetObs attaches) and the
+// timeout. A Server is only its content. Contents register and
 // unregister live (a node registers a live server as soon as a fetch's
 // first handshake fixes the metadata, and unregisters when the content
 // store evicts a replica); in-flight sessions survive an unregister —
@@ -18,6 +22,7 @@ import (
 	"fmt"
 	"net"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,6 +37,10 @@ import (
 // not usable; call NewServerMux. All methods are safe for concurrent
 // use.
 type ServerMux struct {
+	// gossip is the peer directory: clients' listen addresses are learned
+	// into it, and its best for the content are relayed to every client.
+	gossip *Gossip
+	// timeout bounds every read of a serving session, and the wire's.
 	timeout time.Duration
 
 	maxConns  atomic.Int64               // node-wide inbound connection cap (0 = unlimited)
@@ -41,41 +50,32 @@ type ServerMux struct {
 	mu       sync.Mutex
 	servers  map[uint64]*Server
 	pending  map[uint64]bool // fetches awaiting their first handshake: retryable, not unknown
-	gossip   *Gossip
 	onLookup func(contentID uint64, found bool)
 	ln       net.Listener
 	conns    map[net.Conn]struct{} // accepted by Serve and still being served
 	closed   bool
 	wg       sync.WaitGroup
 
-	// met are the mux.* counters the admission paths add into and
-	// Stats() reads: private until SetObs resolves them from a node's
-	// registry.
-	met muxMetrics
-	obs atomic.Pointer[obs.Registry] // shared into registered servers
+	// met are the mux.* counters the admission paths add into, and served
+	// the serve.* counters every serving session adds into: private until
+	// SetObs resolves them from a node's registry.
+	met    muxMetrics
+	served serveMetrics
 }
 
-// MuxStats exposes a ServerMux's connection counters.
-type MuxStats struct {
-	// Connections counts accepted connections plus the channels opened
-	// on them; Rejected counts the channels whose OPEN named an
-	// unregistered content id.
-	Connections, Rejected int64
-	// Busy counts connections refused over the SetMaxConns cap; Banned
-	// counts connections refused because the remote address sat past the
-	// penalty box's ban threshold; Malformed counts corrupt opening
-	// frames and wire-level protocol violations.
-	Busy, Banned, Malformed int64
-}
-
-// NewServerMux creates an empty multi-content listener.
+// NewServerMux creates an empty multi-content listener with a peer
+// directory of its own, so even a bare mux relays the client addresses
+// it hears: that is what lets a swarm bootstrapped from one seed address
+// self-assemble.
 func NewServerMux() *ServerMux {
 	return &ServerMux{
+		gossip:  NewGossip(""),
 		timeout: 30 * time.Second,
 		servers: make(map[uint64]*Server),
 		pending: make(map[uint64]bool),
 		conns:   make(map[net.Conn]struct{}),
 		met:     newMuxMetrics(nil),
+		served:  newServeMetrics(nil),
 	}
 }
 
@@ -98,18 +98,13 @@ func (m *ServerMux) SetPending(contentID uint64, pending bool) {
 	m.mu.Unlock()
 }
 
-// SetGossip installs the node-wide peer directory: every currently and
-// subsequently registered Server shares it, so client addresses heard
-// on any content flow into one directory. Call before Serve.
+// SetGossip replaces the mux's own peer directory with the node-wide one
+// a node's fetches share (FetchOptions.Gossip), so client addresses heard
+// on any content flow into the directory its fetches admit from. Call
+// before Serve.
 func (m *ServerMux) SetGossip(g *Gossip) {
-	if g == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.gossip = g
-	for _, s := range m.servers {
-		s.SetGossip(g)
+	if g != nil {
+		m.gossip = g
 	}
 }
 
@@ -120,36 +115,22 @@ func (m *ServerMux) SetMaxConns(n int) { m.maxConns.Store(int64(n)) }
 
 // SetPenalties installs the node-wide misbehavior penalty box: inbound
 // connections from banned addresses are refused before the handshake,
-// and every currently and subsequently registered Server shares the box
-// (like SetGossip) so corrupt-frame clients are charged on any content
-// they touch.
+// channels whose opener advertises a banned (and verified) listen
+// address are refused, and clients that send corrupt frames are charged
+// on any content they touch. A collaborative node shares one box between
+// its fetches (FetchOptions.Penalties) and its mux.
 func (m *ServerMux) SetPenalties(p *PenaltyBox) {
-	if p == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.penalties.Store(p)
-	for _, s := range m.servers {
-		s.SetPenalties(p)
+	if p != nil {
+		m.penalties.Store(p)
 	}
 }
 
-// SetObs attaches the node-wide observability registry: the mux counts
-// into the registry's mux.* metrics (Stats() reads them), and every
-// currently and subsequently registered Server shares the registry
-// (like SetGossip) so serve-plane counters aggregate node-wide. Call
-// before Serve.
+// SetObs attaches the node-wide observability registry, the one source
+// of the mux's counts: admission counts into its mux.* metrics and every
+// session served into its serve.* ones. Call before Serve.
 func (m *ServerMux) SetObs(r *obs.Registry) {
-	if r == nil {
-		return
-	}
-	m.met = newMuxMetrics(r)
-	m.obs.Store(r)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, s := range m.servers {
-		s.SetObs(r)
+	if r != nil {
+		m.met, m.served = newMuxMetrics(r), newServeMetrics(r)
 	}
 }
 
@@ -164,8 +145,7 @@ func (m *ServerMux) SetLookupHook(fn func(contentID uint64, found bool)) {
 
 // Register adds a content server to the mux (its content id becomes
 // routable on the shared listener). Registering a duplicate id is an
-// error; replace by Unregister first. The mux's gossip directory, if
-// set, is shared into the server.
+// error; replace by Unregister first.
 func (m *ServerMux) Register(s *Server) error {
 	if s == nil {
 		return errors.New("peer: nil server")
@@ -175,13 +155,6 @@ func (m *ServerMux) Register(s *Server) error {
 	id := s.Info().ID
 	if _, dup := m.servers[id]; dup {
 		return fmt.Errorf("peer: content %#x already registered", id)
-	}
-	if m.gossip != nil {
-		s.SetGossip(m.gossip)
-	}
-	s.SetPenalties(m.penalties.Load())
-	if r := m.obs.Load(); r != nil {
-		s.SetObs(r)
 	}
 	m.servers[id] = s
 	return nil
@@ -218,17 +191,6 @@ func (m *ServerMux) Contents() []uint64 {
 	m.mu.Unlock()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// Stats returns a snapshot of the connection counters.
-func (m *ServerMux) Stats() MuxStats {
-	return MuxStats{
-		Connections: m.met.connections.Value(),
-		Rejected:    m.met.rejected.Value(),
-		Busy:        m.met.busy.Value(),
-		Banned:      m.met.banned.Value(),
-		Malformed:   m.met.malformed.Value(),
-	}
 }
 
 // ListenAndServe binds addr (e.g. "127.0.0.1:0") and serves until Close.
@@ -407,7 +369,7 @@ func (m *ServerMux) serveWire(conn net.Conn, fr *protocol.FrameReader, mh protoc
 	}
 	w, err := peermux.Accept(conn, fr, mh, cfg, func(ch *peermux.Channel) {
 		defer ch.Close()
-		m.serveChannel(ch)
+		_ = m.serveChannel(ch) // per-channel errors end that channel only
 	})
 	if err != nil {
 		return err
@@ -417,21 +379,93 @@ func (m *ServerMux) serveWire(conn net.Conn, fr *protocol.FrameReader, mh protoc
 
 // serveChannel routes one fabric subchannel by its OPEN's content id,
 // answering unknown and pending ids with the canonical reject
-// vocabulary.
-func (m *ServerMux) serveChannel(ch *peermux.Channel) {
+// vocabulary, admits it, and serves it with the registered Server on the
+// mux's planes. A rejection reuses the canonical ERROR vocabulary, so
+// dialers classify it like a wire-level refusal; a session that dies
+// over a corrupt frame charges the client. It returns why the channel
+// was refused or its session ended (nil: the receiver was done).
+func (m *ServerMux) serveChannel(ch *peermux.Channel) error {
 	m.met.connections.Inc()
-	id := ch.RemoteHello().ContentID
-	s, pending, found := m.route(id)
+	hello := ch.RemoteHello()
+	s, pending, found := m.route(hello.ContentID)
 	if !found {
+		msg := fmt.Sprintf("%s %#x", protocol.ReasonUnknownContent, hello.ContentID)
 		if pending {
-			ch.Reject(pendingMessage(id))
-			return
+			msg = pendingMessage(hello.ContentID)
+		} else {
+			m.met.rejected.Inc()
 		}
-		m.met.rejected.Inc()
-		ch.Reject(fmt.Sprintf("%s %#x", protocol.ReasonUnknownContent, id))
+		ch.Reject(msg)
+		return errors.New("peer: " + msg)
+	}
+	key := ""
+	if a := ch.RemoteAddr(); a != nil {
+		key = addrHost(a.String())
+	}
+	// The wire's admission could only see the remote host, but the OPEN's
+	// HELLO names the client's dialable listen address — the key the dial
+	// plane and gossip admission ban under. When that address is verified
+	// (same host as this connection) and banned, refuse the channel: a
+	// peer banned under its dialable address must not keep being served
+	// just by connecting inbound.
+	if la := hello.ListenAddr; verifiedListenAddr(la, key) && m.penalties.Load().Banned(la) {
+		m.served.rejected.Inc()
+		ch.Reject(protocol.ReasonRefused + " (address penalized)")
+		return fmt.Errorf("peer: refused banned client %s", la)
+	}
+	m.served.connections.Inc()
+	err := s.serve(ch, hello, m)
+	if err != nil {
+		m.noteMalformed(key, hello.ListenAddr, err)
+	}
+	return err
+}
+
+// noteMalformed charges a client whose session died over a corrupt or
+// malformed frame: always its remote host, and additionally the dialable
+// listen address its HELLO advertised — but only when that address
+// verifiably maps to this connection (same host), which is the hook that
+// wires server-plane misbehavior into gossip admission. An unverified
+// listen address is never charged: it is attacker-controlled, and
+// charging it would hand any client an unauthenticated remote ban
+// primitive against whichever peer it names. Non-corruption errors are
+// ignored.
+func (m *ServerMux) noteMalformed(remoteHost, listenAddr string, err error) {
+	if !errors.Is(err, protocol.ErrCorrupt) {
 		return
 	}
-	_ = s.ServeChannel(ch) // per-channel errors end that channel only
+	m.served.malformed.Inc()
+	box := m.penalties.Load()
+	box.Penalize(remoteHost, PenaltyCorrupt)
+	if verifiedListenAddr(listenAddr, remoteHost) && listenAddr != remoteHost {
+		box.Penalize(listenAddr, PenaltyCorrupt)
+	}
+}
+
+// addrHost returns the host portion of a peer address: "host" for a
+// "host:port" string, the whole string for bare endpoint names (pipe
+// transports address peers by name, with no port). A name without a colon
+// is returned as it is, not handed to net.SplitHostPort, which would
+// build an error to say it has no port.
+func addrHost(addr string) string {
+	if !strings.Contains(addr, ":") {
+		return addr
+	}
+	if host, _, err := net.SplitHostPort(addr); err == nil && host != "" {
+		return host
+	}
+	return addr
+}
+
+// verifiedListenAddr reports whether a HELLO-advertised listen address
+// provably maps to the connection it arrived on: its host must equal
+// the connection's remote host. The advertised address is
+// attacker-controlled — charging (or ban-checking) it without this
+// check would let any client frame an innocent third party for its own
+// misbehavior: connect, advertise the victim's address, send corrupt
+// frames, repeat until the victim is banned node-wide.
+func verifiedListenAddr(listenAddr, remoteHost string) bool {
+	return listenAddr != "" && remoteHost != "" && addrHost(listenAddr) == remoteHost
 }
 
 // remoteKey is the penalty-box key for an inbound connection: the host

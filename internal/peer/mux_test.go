@@ -57,6 +57,7 @@ func TestMuxRoutesByContentID(t *testing.T) {
 	infoA, dataA := testContentID(t, 0xA, 80, 48)
 	infoB, dataB := testContentID(t, 0xB, 60, 32)
 	mux := newTestMux(t, []ContentInfo{infoA, infoB}, [][]byte{dataA, dataB})
+	reg := observe(mux)
 	pn := newPipeNet()
 	addr := pn.add("mux", mux)
 
@@ -74,7 +75,7 @@ func TestMuxRoutesByContentID(t *testing.T) {
 			t.Fatalf("content %#x mismatch through mux", want.info.ID)
 		}
 	}
-	if got := mux.Stats().Rejected; got != 0 {
+	if got := reg.Counter("mux.rejected").Value(); got != 0 {
 		t.Fatalf("rejected %d connections, want 0", got)
 	}
 }
@@ -82,6 +83,7 @@ func TestMuxRoutesByContentID(t *testing.T) {
 func TestMuxUnknownContentIsTerminal(t *testing.T) {
 	info, data := testContentID(t, 0xA, 60, 32)
 	mux := newTestMux(t, []ContentInfo{info}, [][]byte{data})
+	reg := observe(mux)
 	pn := newPipeNet()
 	addr := pn.add("mux", mux)
 
@@ -101,7 +103,7 @@ func TestMuxUnknownContentIsTerminal(t *testing.T) {
 	if got := pn.dialCount(addr); got != 1 {
 		t.Fatalf("dialed %d times, want 1 (no redial on unknown content)", got)
 	}
-	if got := mux.Stats().Rejected; got != 1 {
+	if got := reg.Counter("mux.rejected").Value(); got != 1 {
 		t.Fatalf("rejected = %d, want 1", got)
 	}
 }
@@ -213,6 +215,7 @@ func TestMuxPendingContentIsRetryable(t *testing.T) {
 		t.Fatal(err)
 	}
 	mux := NewServerMux()
+	reg := observe(mux)
 	mux.SetPending(info.ID, true)
 	pn := newPipeNet()
 	addr := pn.add("mux", mux)
@@ -239,7 +242,7 @@ func TestMuxPendingContentIsRetryable(t *testing.T) {
 	if got := pn.dialCount(addr); got < 2 {
 		t.Fatalf("dialed %d times, want ≥ 2 (a retry through the pending window)", got)
 	}
-	if got := mux.Stats().Rejected; got != 0 {
+	if got := reg.Counter("mux.rejected").Value(); got != 0 {
 		t.Fatalf("pending answers counted as rejections: %d", got)
 	}
 }

@@ -78,10 +78,10 @@ func (o *Orchestrator) trace(event, subject, detail string) {
 	o.obs.Trace(event, subject, detail)
 }
 
-// serveMetrics are one Server's serving-plane counters, the one set its
-// hot paths add into and Stats() reads: private handles
-// (newServeMetrics(nil)) until SetObs resolves them from a node's
-// registry, where all servers of the node share them as node totals.
+// serveMetrics are a ServerMux's serving-plane counters, the one set the
+// sessions it serves add into: private handles (newServeMetrics(nil))
+// until SetObs resolves them from a node's registry, the one source of
+// the counts, where they are node totals.
 type serveMetrics struct {
 	connections *obs.Counter // serve.connections
 	symbolsSent *obs.Counter // serve.symbols_sent

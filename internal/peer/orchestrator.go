@@ -76,9 +76,10 @@ type Orchestrator struct {
 	peel      *peelStage    // decodes the working set's log; runs while Run does
 
 	// gossip is the node-wide peer directory (nil when FetchOptions.
-	// DisableGossip): sessions and a co-located live Server feed
-	// advertisements into it, and its subscription drives the
-	// considerDiscovered admission path below.
+	// DisableGossip): sessions and a co-located ServerMux feed
+	// advertisements into it, its subscription drives the
+	// considerDiscovered admission path below, and it is the one ranked
+	// list of whom to dial when a slot frees (promoteCandidateLocked).
 	gossip *Gossip
 
 	// penalties is the misbehavior penalty box (never nil: a private box
@@ -106,8 +107,7 @@ type Orchestrator struct {
 	feedersClosed bool                // idle closed: no new sessions
 	running       bool                // Run in progress (one Run per Orchestrator)
 	attempted     map[string]bool     // addresses ever given a session (no gossip re-dials)
-	candidates    []gossipCandidate   // discovered addresses awaiting a free slot
-	candidateSeq  int                 // discovery-order stamp for candidate tie-breaks
+	ranked        []protocol.PeerAd   // promoteCandidateLocked's scratch: the directory's ranking
 	// partials are the live sessions to partial senders, and those whose
 	// OPEN carries a summary until an ACCEPT says full, in join order: the
 	// i-th hands its sender slice i of len(partials) of the id space
@@ -206,16 +206,6 @@ func NewOrchestrator(contentID uint64, opts FetchOptions) *Orchestrator {
 	return o
 }
 
-// gossipCandidate is one discovered address the engine could not admit
-// immediately (MaxPeers live already); the pool is ranked at promotion
-// time — gossip mention count, then discovery order. Only fresh
-// discoveries wait here: an address a session already tried is redialed
-// by that session alone, under its backoff and budget.
-type gossipCandidate struct {
-	ad  protocol.PeerAd
-	seq int
-}
-
 // wakeSessions expires every live session's channel deadline once the
 // fetch ended, so a read parked on a quiet sender returns and its session
 // winds down: one hook per fetch, not one per connection attempt.
@@ -240,7 +230,7 @@ func (o *Orchestrator) hold() {
 func (o *Orchestrator) unhold() { o.sessionExited(nil) }
 
 // sessionExited retires a session goroutine (or a hold, when s is nil).
-// A freed slot promotes the best-ranked discovery candidate, if any;
+// A freed slot promotes the directory's best candidate, if any;
 // otherwise the last one out closes idle, which lets Run conclude the
 // transfer (incomplete: "peers exhausted").
 func (o *Orchestrator) sessionExited(s *session) {
@@ -308,10 +298,11 @@ func (o *Orchestrator) startSessionLocked(addr string, discovered bool) {
 
 // considerDiscovered is the gossip admission path: a freshly learned
 // advertisement is admitted as a live session while slots are free
-// (MaxPeers unreached or unlimited), deferred to the ranked candidate
-// pool when the engine is full, and dropped when it is unusable (wrong
-// content, our own address, already connected or attempted). It reports
-// whether a session was started.
+// (MaxPeers unreached or unlimited), left in the directory when the
+// engine is full (deferred: a freed slot promotes the directory's best),
+// and dropped when it is unusable (wrong content, our own address,
+// already connected or attempted, banned). It reports whether a session
+// was started.
 func (o *Orchestrator) considerDiscovered(ad protocol.PeerAd) bool {
 	if o.gossip == nil || ad.ContentID != o.contentID || ad.Addr == "" ||
 		ad.Addr == o.opts.AdvertiseAddr || o.ctx.Err() != nil {
@@ -323,17 +314,8 @@ func (o *Orchestrator) considerDiscovered(ad protocol.PeerAd) bool {
 		return false
 	}
 	if o.maxPeers > 0 && len(o.sessions) >= o.maxPeers {
-		for _, c := range o.candidates {
-			if c.ad.Addr == ad.Addr {
-				return false
-			}
-		}
-		if len(o.candidates) < maxCandidates {
-			o.candidates = append(o.candidates, gossipCandidate{ad: ad, seq: o.candidateSeq})
-			o.candidateSeq++
-			o.met.gossipDefer.Inc()
-			o.trace(obs.EvGossipDefer, ad.Addr, "")
-		}
+		o.met.gossipDefer.Inc()
+		o.trace(obs.EvGossipDefer, ad.Addr, "")
 		return false
 	}
 	o.met.gossipAdmit.Inc()
@@ -342,46 +324,40 @@ func (o *Orchestrator) considerDiscovered(ad protocol.PeerAd) bool {
 	return true
 }
 
-// promoteCandidateLocked starts a session for the best-ranked candidate
-// when a slot is free: highest gossip mention count, then earliest
-// discovery as tie-break. Addresses attempted since they were deferred
-// and banned ones are skipped. Callers hold o.mu.
+// promoteCandidateLocked starts a session for the directory's best
+// candidate when a slot is free (nextCandidateLocked). Callers hold o.mu.
 func (o *Orchestrator) promoteCandidateLocked() {
-	if len(o.candidates) == 0 ||
-		(o.maxPeers > 0 && len(o.sessions) >= o.maxPeers) {
+	if o.maxPeers > 0 && len(o.sessions) >= o.maxPeers {
 		return
 	}
-	best := -1
-	bestHits := -1
-	for i, c := range o.candidates {
-		if o.attempted[c.ad.Addr] || o.penalties.Banned(c.ad.Addr) {
-			continue
-		}
-		hits := o.gossip.hitCount(c.ad)
-		if best < 0 || hits > bestHits || (hits == bestHits && c.seq < o.candidates[best].seq) {
-			best, bestHits = i, hits
-		}
+	if ad, ok := o.nextCandidateLocked(); ok {
+		o.met.gossipPromote.Inc()
+		o.trace(obs.EvGossipPromote, ad.Addr, "")
+		o.startSessionLocked(ad.Addr, true)
 	}
-	if best < 0 {
-		o.candidates = o.candidates[:0] // nothing usable left
-		return
-	}
-	ad := o.candidates[best].ad
-	o.candidates = append(o.candidates[:best], o.candidates[best+1:]...)
-	o.met.gossipPromote.Inc()
-	o.trace(obs.EvGossipPromote, ad.Addr, "")
-	o.startSessionLocked(ad.Addr, true)
 }
 
-// maxCandidates caps the discovered-address candidate pool kept when
-// gossip finds more peers than MaxPeers allows live. Candidates are
-// ranked by gossip mention count and promoted as slots free up.
-const maxCandidates = 32
+// nextCandidateLocked returns the directory's best entry for the content
+// that is not attempted, not banned and not this node: the directory
+// ranks by mention count, then first heard. It ranks into o.ranked, so
+// it allocates nothing once that has the room. Callers hold o.mu.
+func (o *Orchestrator) nextCandidateLocked() (protocol.PeerAd, bool) {
+	if o.gossip == nil {
+		return protocol.PeerAd{}, false
+	}
+	o.ranked = o.gossip.AppendSnapshot(o.ranked[:0], o.contentID, 0)
+	for _, ad := range o.ranked {
+		if !o.attempted[ad.Addr] && ad.Addr != o.opts.AdvertiseAddr && !o.penalties.Banned(ad.Addr) {
+			return ad, true
+		}
+	}
+	return protocol.PeerAd{}, false
+}
 
 // Penalties returns the orchestrator's misbehavior penalty box — the
 // shared one from FetchOptions, or the private box created when none was
-// given. A co-located Server passes it to SetPenalties so client- and
-// server-plane misbehavior feed one verdict.
+// given. A co-located ServerMux takes it through SetPenalties so client-
+// and server-plane misbehavior feed one verdict.
 func (o *Orchestrator) Penalties() *PenaltyBox { return o.penalties }
 
 // gossipAdverts appends the advertisements a session relays to its
@@ -413,8 +389,8 @@ func (o *Orchestrator) gossipAdverts(dst []protocol.PeerAd, excludeAddr string) 
 // unlimited) — the hook a multi-content node uses to re-split its
 // connection slots when a concurrent download starts or ends.
 // Shrinking below the live session count evicts lowest-utility sessions
-// immediately; growing promotes waiting gossip candidates into the new
-// slots. Shrink before you grow when moving slots between orchestrators
+// immediately; growing promotes the directory's best candidates into the
+// new slots. Shrink before you grow when moving slots between orchestrators
 // sharing one global budget, so the sum never overshoots.
 func (o *Orchestrator) SetMaxPeers(n int) {
 	o.mu.Lock()

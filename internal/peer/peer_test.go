@@ -40,7 +40,7 @@ func startServer(t testing.TB, s *Server) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return serveOn(t, ln, s)
+	return serveOn(t, ln, front(s))
 }
 
 // startGatedServers serves each of srvs as startServer does, behind one
@@ -84,7 +84,7 @@ func serveGated(t testing.TB, g *startGate, srvs []*Server) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		addrs[i] = serveOn(t, gatedListener{ln, g}, s)
+		addrs[i] = serveOn(t, gatedListener{ln, g}, front(s))
 	}
 	return addrs
 }
@@ -186,10 +186,9 @@ func (l gatedListener) Accept() (net.Conn, error) {
 	return &gatedConn{Conn: c, g: l.g}, nil
 }
 
-// serveOn serves s behind a ServerMux on ln until the test ends and
+// serveOn serves mux on ln until the test ends and
 // returns ln's address.
-func serveOn(t testing.TB, ln net.Listener, s *Server) string {
-	mux := front(s)
+func serveOn(t testing.TB, ln net.Listener, mux *ServerMux) string {
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -233,7 +232,13 @@ func TestFetchFromFullServerTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := startServer(t, srv)
+	mux := front(srv)
+	reg := observe(mux)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := serveOn(t, ln, mux)
 
 	res, err := Fetch([]string{addr}, info.ID, FetchOptions{Timeout: 10 * time.Second})
 	if err != nil {
@@ -252,8 +257,8 @@ func TestFetchFromFullServerTCP(t *testing.T) {
 	if want := firstStreamOverhead(t, srv, data, addr); res.DecodeOverhead != want {
 		t.Fatalf("decode overhead %.3f, a bare decoder on the same stream %.3f", res.DecodeOverhead, want)
 	}
-	if srv.Stats().Connections != 1 {
-		t.Fatalf("connections = %d", srv.Stats().Connections)
+	if got := reg.Counter("serve.connections").Value(); got != 1 {
+		t.Fatalf("connections = %d", got)
 	}
 }
 

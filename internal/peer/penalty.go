@@ -7,9 +7,9 @@ package peer
 // corrupt. Scores decay exponentially (a peer that behaved badly an
 // hour ago is not the peer it is now), and an address whose current
 // score crosses the ban threshold is excluded from admission: the
-// orchestrator's considerDiscovered refuses it, the candidate pool
-// skips it, and a server sharing the box rejects its inbound
-// connections at accept. One box is shared node-wide (like the Gossip
+// orchestrator's considerDiscovered refuses it, promotion from the
+// directory skips it, and a ServerMux holding the box rejects its
+// inbound connections at accept. One box is shared node-wide (like the Gossip
 // directory), so misbehavior seen on any plane — client or server —
 // feeds one verdict.
 //

@@ -64,7 +64,7 @@ func TestGossipFloodHoldsCapAndRanking(t *testing.T) {
 			t.Fatalf("snapshot rank %d = %v, want %v", rank, top[rank], scaleAd(i))
 		}
 	}
-	if got := g.hitCount(scaleAd(hot[0])); got != 31 {
+	if got := mentions(g, scaleAd(hot[0])); got != 31 {
 		t.Fatalf("hottest ad has %d hits, want 31", got)
 	}
 

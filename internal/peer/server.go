@@ -7,13 +7,11 @@ import (
 	"io"
 	"net"
 	"slices"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"icd/internal/bloom"
 	"icd/internal/fountain"
-	"icd/internal/obs"
 	"icd/internal/peermux"
 	"icd/internal/prng"
 	"icd/internal/protocol"
@@ -49,19 +47,6 @@ func (ci ContentInfo) hello(full bool, symbols int) protocol.Hello {
 	}
 }
 
-// ServerStats exposes transfer counters.
-type ServerStats struct {
-	Connections int64
-	SymbolsSent int64
-	// Malformed counts sessions dropped over a corrupt or malformed
-	// frame (the client is charged in the penalty box, if one is set).
-	Malformed int64
-	// Rejected counts channels refused because the opener's verified
-	// listen address is banned (connection-level admission — remote-host
-	// bans, the inbound cap — is the ServerMux's, see MuxStats).
-	Rejected int64
-}
-
 // WorkingSetSource is the encoded-symbol working set a partial sender
 // serves: an append-only log — an Orchestrator's mid-download, so a
 // collaborating node serves symbols as it learns them (Figure 1(c)), or a
@@ -79,24 +64,16 @@ type WorkingSetSource interface {
 // (fountain encoder over the content) or a partial sender (which sends
 // the symbols of a working-set log — fixed, or the growing one of a fetch
 // in progress — as they are, each session walking the log with a cursor).
-// It owns no listener — a ServerMux accepts connections, runs the fabric
-// handshake and hands each subchannel whose OPEN names this content to
-// ServeChannel.
+// A Server is only its content: it owns no listener, no peer directory,
+// no penalty box and no counters. A ServerMux accepts connections, runs
+// the fabric handshake and admission, and serves each subchannel whose
+// OPEN names this content with the node's planes (serve).
 type Server struct {
-	info    ContentInfo
-	code    *fountain.Code
-	blocks  [][]byte         // full sender
-	src     WorkingSetSource // partial sender
-	timeout time.Duration
-	gossip  *Gossip // peer directory: learned from clients, relayed in batches
-
-	penalties atomic.Pointer[PenaltyBox] // shared misbehavior box (nil = no penalty plane)
-
+	info       ContentInfo
+	code       *fountain.Code
+	blocks     [][]byte         // full sender
+	src        WorkingSetSource // partial sender
 	streamSeed atomic.Uint64
-	// met are the serve.* counters the hot paths add into and Stats()
-	// reads: private to this server until SetObs resolves them from a
-	// node's registry.
-	met serveMetrics
 }
 
 // newServer validates info and builds what every mode shares.
@@ -108,7 +85,7 @@ func newServer(info ContentInfo) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Server{info: info, code: code, timeout: 30 * time.Second, gossip: NewGossip(""), met: newServeMetrics(nil)}, nil
+	return &Server{info: info, code: code}, nil
 }
 
 // NewFullServer builds a full sender from the content bytes themselves.
@@ -175,154 +152,25 @@ func NewLiveServer(info ContentInfo, src WorkingSetSource) (*Server, error) {
 	return s, nil
 }
 
-// SetGossip replaces the server's peer directory with a shared one — a
-// collaborative node passes the same Gossip to its Orchestrator
-// (FetchOptions.Gossip) and its live Server, so addresses heard on
-// either side flow into one directory. Call before the server is
-// registered on a serving mux. Every server starts with a private
-// directory, which is what lets a swarm bootstrapped from one seed
-// address self-assemble: the seed learns each client's advertised listen
-// address from its HELLO and relays the accumulated list in PEERS frames
-// ahead of every symbol batch.
-func (s *Server) SetGossip(g *Gossip) {
-	if g != nil {
-		s.gossip = g
-	}
-}
-
-// SetPenalties installs the shared misbehavior penalty box: channels
-// whose opener advertises a banned (and verified) listen address are
-// refused, and clients that send corrupt frames are charged — on both
-// their remote address and the listen address their HELLO advertised,
-// so server-plane misbehavior feeds the same verdict gossip admission
-// consults. A ServerMux shares its box into every registered server; a
-// collaborative node shares one box between its Orchestrators
-// (FetchOptions.Penalties) and its mux.
-func (s *Server) SetPenalties(p *PenaltyBox) {
-	if p != nil {
-		s.penalties.Store(p)
-	}
-}
-
-// SetObs attaches the node-wide observability registry: the server
-// counts into the registry's shared serve.* metrics, so every server of
-// a node adds into the same node totals (and Stats() reads those). Call
-// before the server serves — ServerMux.Register does, before the content
-// id becomes routable.
-func (s *Server) SetObs(r *obs.Registry) {
-	if r != nil {
-		s.met = newServeMetrics(r)
-	}
-}
-
-// addrHost returns the host portion of a peer address: "host" for a
-// "host:port" string, the whole string for bare endpoint names (pipe
-// transports address peers by name, with no port). A name without a colon
-// is returned as it is, not handed to net.SplitHostPort, which would
-// build an error to say it has no port.
-func addrHost(addr string) string {
-	if !strings.Contains(addr, ":") {
-		return addr
-	}
-	if host, _, err := net.SplitHostPort(addr); err == nil && host != "" {
-		return host
-	}
-	return addr
-}
-
-// verifiedListenAddr reports whether a HELLO-advertised listen address
-// provably maps to the connection it arrived on: its host must equal
-// the connection's remote host. The advertised address is
-// attacker-controlled — charging (or ban-checking) it without this
-// check would let any client frame an innocent third party for its own
-// misbehavior: connect, advertise the victim's address, send corrupt
-// frames, repeat until the victim is banned node-wide.
-func verifiedListenAddr(listenAddr, remoteHost string) bool {
-	return listenAddr != "" && remoteHost != "" && addrHost(listenAddr) == remoteHost
-}
-
 // Full reports whether the server holds the complete content.
 func (s *Server) Full() bool { return s.blocks != nil }
 
 // Info returns the served content's parameters.
 func (s *Server) Info() ContentInfo { return s.info }
 
-// Stats returns a snapshot of the transfer counters. They are this
-// server's own until a registry is attached; under a shared registry
-// (SetObs, or registration on a mux that has one) they are the
-// registry's serve.* totals — every server of the node together.
-func (s *Server) Stats() ServerStats {
-	return ServerStats{
-		Connections: s.met.connections.Value(),
-		SymbolsSent: s.met.symbolsSent.Value(),
-		Malformed:   s.met.malformed.Value(),
-		Rejected:    s.met.rejected.Value(),
-	}
-}
-
-// noteMalformed charges a client whose connection died over a corrupt or
-// malformed frame: always its remote host, and additionally the dialable
-// listen address its HELLO advertised — but only when that address
-// verifiably maps to this connection (same host), which is the hook that
-// wires server-plane misbehavior into gossip admission. An unverified
-// listen address is never charged: it is attacker-controlled, and
-// charging it would hand any client an unauthenticated remote ban
-// primitive against whichever peer it names. Non-corruption errors are
-// ignored.
-func (s *Server) noteMalformed(remoteHost, listenAddr string, err error) {
-	if !errors.Is(err, protocol.ErrCorrupt) {
-		return
-	}
-	s.met.malformed.Inc()
-	box := s.penalties.Load()
-	box.Penalize(remoteHost, PenaltyCorrupt)
-	if verifiedListenAddr(listenAddr, remoteHost) && listenAddr != remoteHost {
-		box.Penalize(listenAddr, PenaltyCorrupt)
-	}
-}
-
-// ServeChannel serves one fabric subchannel routed to this server: the
-// channel-level admission check, then the session loop until the
-// receiver is done or the channel dies. A rejection reuses the
-// canonical ERROR vocabulary, so dialers classify it like a wire-level
-// refusal; a session that dies over a corrupt frame charges the client.
-func (s *Server) ServeChannel(ch *peermux.Channel) error {
-	key := ""
-	if a := ch.RemoteAddr(); a != nil {
-		key = addrHost(a.String())
-	}
-	// The wire's admission could only see the remote host, but the OPEN's
-	// HELLO names the client's dialable listen address — the key the dial
-	// plane and gossip admission ban under. When that address is verified
-	// (same host as this connection) and banned, refuse the channel: a
-	// peer banned under its dialable address must not keep being served
-	// just by connecting inbound.
-	clientHello := ch.RemoteHello()
-	if la := clientHello.ListenAddr; verifiedListenAddr(la, key) && s.penalties.Load().Banned(la) {
-		s.met.rejected.Inc()
-		ch.Reject(protocol.ReasonRefused + " (address penalized)")
-		return fmt.Errorf("peer: refused banned client %s", la)
-	}
-	s.met.connections.Inc()
-	err := s.serve(ch, clientHello)
-	if err != nil {
-		s.noteMalformed(key, clientHello.ListenAddr, err)
-	}
-	return err
-}
-
 // serve owns one session: the answering hello (accepting the channel),
 // the answer to the first round of requests the OPEN carried, then
-// summary refreshes and the batched request loop. Frame payloads are
-// valid until the next read (summaries are copied out by their Unmarshal
-// step), so the loop allocates nothing per frame.
-func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
+// summary refreshes and the batched request loop, on the planes of the
+// ServerMux that routed the channel. Frame payloads are valid until the
+// next read (summaries are copied out by their Unmarshal step), so the
+// loop allocates nothing per frame.
+func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello, m *ServerMux) error {
 	// Gossip: a client announcing a dialable listen address becomes
-	// an advertisement this server relays to everyone else it serves —
+	// an advertisement the node relays to everyone else it serves —
 	// the mechanism that lets a single seed assemble a full mesh.
 	clientAd := protocol.PeerAd{ContentID: clientHello.ContentID, Addr: clientHello.ListenAddr}
 	if clientAd.Addr != "" {
-		s.gossip.Learn(clientAd)
+		m.gossip.Learn(clientAd)
 	}
 	// The relay writes, ahead of a batch, any advertisements this
 	// connection has not heard yet (receive loops handle PEERS between
@@ -405,21 +253,21 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 		cur.aim(aimBy, slice, of, ids)
 	}
 	if total > 0 { // the OPEN's round, as the ACCEPT announced it
-		if s.timeout > 0 {
-			ch.SetDeadline(time.Now().Add(s.timeout))
+		if m.timeout > 0 {
+			ch.SetDeadline(time.Now().Add(m.timeout))
 		}
-		if err := gossip.send(ch, s); err != nil {
+		if err := gossip.send(ch, m.gossip, s.info.ID); err != nil {
 			return err
 		}
 		for ; total > 0; total -= n {
-			if err := s.send(ch, encoder, cur, min(n, total)); err != nil {
+			if err := s.send(ch, &m.served, encoder, cur, min(n, total)); err != nil {
 				return err
 			}
 		}
 	}
 	for {
-		if s.timeout > 0 {
-			ch.SetDeadline(time.Now().Add(s.timeout)) // rolling: bounds this read and the batch it triggers
+		if m.timeout > 0 {
+			ch.SetDeadline(time.Now().Add(m.timeout)) // rolling: bounds this read and the batch it triggers
 		}
 		f, err := ch.Next()
 		if err != nil {
@@ -443,7 +291,7 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 			}
 
 		case protocol.TypePeers:
-			if err := gossip.receive(f, s.gossip); err != nil {
+			if err := gossip.receive(f, m.gossip); err != nil {
 				protocol.WriteFrame(ch, protocol.EncodeError("bad peers"))
 				return err
 			}
@@ -453,10 +301,10 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello) error {
 			if err != nil {
 				return err
 			}
-			if err := gossip.send(ch, s); err != nil {
+			if err := gossip.send(ch, m.gossip, s.info.ID); err != nil {
 				return err
 			}
-			if err := s.send(ch, encoder, cur, int(min(n, maxBatch))); err != nil {
+			if err := s.send(ch, &m.served, encoder, cur, int(min(n, maxBatch))); err != nil {
 				return err
 			}
 
@@ -483,31 +331,22 @@ func readSummary(p []byte, filter *bloom.Filter) (slice, of uint16, err error) {
 	return slice, of, err
 }
 
-// adGenerations is the directory's generation, which what appendAds
-// appends moves with (relay.send).
-func (s *Server) adGenerations() [2]uint64 { return [2]uint64{s.gossip.generation()} }
-
-// appendAds appends what a serving session relays to its client: the
-// directory's best for this content.
-func (s *Server) appendAds(dst []protocol.PeerAd) []protocol.PeerAd {
-	return s.gossip.AppendSnapshot(dst, s.info.ID, protocol.MaxPeerAds)
-}
-
 // send answers one batch of n: a full sender's from its encoder, a
-// partial sender's off the log through the session's cursor.
-func (s *Server) send(w io.Writer, enc *fountain.Encoder, cur *cursor, n int) error {
+// partial sender's off the log through the session's cursor, counted in
+// met.
+func (s *Server) send(w io.Writer, met *serveMetrics, enc *fountain.Encoder, cur *cursor, n int) error {
 	if enc != nil {
-		return s.sendFull(w, enc, n)
+		return sendFull(w, met, enc, n)
 	}
 	ids, payloads := s.src.WorkingSet()
 	cur.extend(ids)
-	return s.sendHeld(w, cur, ids, payloads, n)
+	return sendHeld(w, met, cur, ids, payloads, n)
 }
 
 // sendFull streams n fresh encoded symbols followed by DONE. Symbols are
 // framed straight from the encoder's pooled payload buffers and released
 // after the write, so the steady-state loop is allocation-free.
-func (s *Server) sendFull(w io.Writer, enc *fountain.Encoder, n int) error {
+func sendFull(w io.Writer, met *serveMetrics, enc *fountain.Encoder, n int) error {
 	for i := 0; i < n; i++ {
 		sym := enc.Next()
 		err := protocol.WriteSymbol(w, sym.ID, sym.Data)
@@ -515,7 +354,7 @@ func (s *Server) sendFull(w io.Writer, enc *fountain.Encoder, n int) error {
 		if err != nil {
 			return err
 		}
-		s.met.symbolsSent.Inc()
+		met.symbolsSent.Inc()
 	}
 	return protocol.WriteFrame(w, protocol.EncodeDone())
 }
@@ -699,7 +538,7 @@ func (c *cursor) refresh(missing func(id uint64) bool, rebuilt bool, slice, of u
 // sendFull), then DONE. A queued id the latest summary holds is dropped
 // unsent. A cursor with nothing to send answers the DONE alone — the
 // empty batch.
-func (s *Server) sendHeld(w io.Writer, c *cursor, ids []uint64, payloads [][]byte, n int) error {
+func sendHeld(w io.Writer, met *serveMetrics, c *cursor, ids []uint64, payloads [][]byte, n int) error {
 	sent := 0
 	for _, q := range [...]*queue{&c.pending, &c.rest} {
 		for sent < n && q.len() > 0 {
@@ -711,12 +550,12 @@ func (s *Server) sendHeld(w io.Writer, c *cursor, ids []uint64, payloads [][]byt
 				return err
 			}
 			c.sent[pos] = true
-			s.met.symbolsSent.Inc()
+			met.symbolsSent.Inc()
 			sent++
 		}
 	}
 	if sent == 0 {
-		s.met.dryBatches.Inc()
+		met.dryBatches.Inc()
 	}
 	return protocol.WriteFrame(w, protocol.EncodeDone())
 }

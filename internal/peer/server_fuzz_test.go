@@ -121,9 +121,10 @@ func FuzzServeStream(f *testing.F) {
 		}
 		mux := front(srv, partial)
 		// Bound hostile streams that go quiet, at every layer.
-		srv.timeout, partial.timeout, mux.timeout = 2*time.Second, 2*time.Second, 2*time.Second
+		mux.timeout = 2 * time.Second
 		box := NewPenaltyBox()
 		mux.SetPenalties(box)
+		reg := observe(mux)
 
 		client, server := net.Pipe()
 		done := make(chan struct{})
@@ -159,7 +160,7 @@ func FuzzServeStream(f *testing.F) {
 		}
 		// Whatever the stream did, the accounting must stay coherent: a
 		// malformed-frame charge implies a penalty-box entry for the pipe.
-		if (mux.Stats().Malformed > 0 || srv.Stats().Malformed > 0 || partial.Stats().Malformed > 0) && box.Len() == 0 {
+		if (reg.Counter("mux.malformed").Value() > 0 || reg.Counter("serve.malformed").Value() > 0) && box.Len() == 0 {
 			t.Fatal("malformed frame counted but nobody charged")
 		}
 	})

@@ -604,7 +604,7 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open pr
 	// a check when neither the directory nor the fetch's sessions changed
 	// costs two atomic loads.
 	gossip := newRelay()
-	if err := gossip.send(ch, s); err != nil {
+	if err := gossip.send(ch, s, s.o.contentID); err != nil {
 		return err
 	}
 
@@ -643,7 +643,7 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open pr
 		// relay, that costs two atomic loads and writes nothing.
 		refresh := false
 		if !hello.FullCopy {
-			if err := gossip.send(ch, s); err != nil {
+			if err := gossip.send(ch, s, s.o.contentID); err != nil {
 				return err
 			}
 			news := o.Progress() - summarized - mine
@@ -794,7 +794,7 @@ func (s *session) adGenerations() [2]uint64 {
 }
 
 // appendAds appends what this session relays to its sender
-// (Orchestrator.gossipAdverts).
-func (s *session) appendAds(dst []protocol.PeerAd) []protocol.PeerAd {
+// (Orchestrator.gossipAdverts), all of it for the fetch's content.
+func (s *session) appendAds(dst []protocol.PeerAd, _ uint64) []protocol.PeerAd {
 	return s.o.gossipAdverts(dst, s.addr)
 }

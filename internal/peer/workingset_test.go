@@ -43,8 +43,14 @@ func (c localConn) LocalAddr() net.Addr { return c.local }
 // connection reports local as its own address.
 func openSessionAt(t *testing.T, srv *Server, local string) *peermux.Channel {
 	t.Helper()
+	return openSessionOn(t, front(srv), srv.Info().ID, local)
+}
+
+// openSessionOn opens one hand-driven session on mux for content id, whose
+// end of the connection reports local as its own address.
+func openSessionOn(t *testing.T, mux *ServerMux, id uint64, local string) *peermux.Channel {
+	t.Helper()
 	client, server := net.Pipe()
-	mux := front(srv)
 	served := make(chan error, 1)
 	go func() {
 		served <- mux.ServeConn(localConn{Conn: server, local: pipeAddr(local)})
@@ -55,7 +61,7 @@ func openSessionAt(t *testing.T, srv *Server, local string) *peermux.Channel {
 		t.Fatalf("fabric handshake: %v", err)
 	}
 	t.Cleanup(func() { w.Close(); <-served })
-	ch, err := w.Open(protocol.Hello{ContentID: srv.Info().ID}, 5*time.Second)
+	ch, err := w.Open(protocol.Hello{ContentID: id}, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -755,8 +761,8 @@ func TestSendSkipsHeldIds(t *testing.T) {
 	for i := range payloads {
 		payloads[i] = []byte{byte(i)}
 	}
-	srv := &Server{met: newServeMetrics(nil)}
-	if err := srv.sendHeld(&sink, c, ids, payloads, len(ids)); err != nil {
+	met := newServeMetrics(nil)
+	if err := sendHeld(&sink, &met, c, ids, payloads, len(ids)); err != nil {
 		t.Fatal(err)
 	}
 	sent := readIDs(t, &sink)
@@ -1102,7 +1108,9 @@ func TestDrySenderIsDroppedAndLiveOneResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.pn.add("dry", front(static))
+	mux := front(static)
+	reg := observe(mux)
+	h.pn.add("dry", mux)
 	const patience = 3
 	res, err := Fetch([]string{"dry"}, h.info.ID, FetchOptions{
 		Dial: h.pn.dial, Batch: 16, Timeout: 10 * time.Second, DisableGossip: true,
@@ -1114,10 +1122,10 @@ func TestDrySenderIsDroppedAndLiveOneResumes(t *testing.T) {
 	if p := res.Peers[0]; p.SymbolsReceived != 0 || p.Err != nil {
 		t.Fatalf("the dry sender's session: received %d, err %v; want a clean end on empty batches", p.SymbolsReceived, p.Err)
 	}
-	if dry := static.met.dryBatches.Value(); dry != patience {
+	if dry := reg.Counter("serve.batches{kind=dry}").Value(); dry != patience {
 		t.Fatalf("the dry sender answered %d empty batches before it was dropped, want MaxUselessBatches = %d", dry, patience)
 	}
-	if sent := static.Stats().SymbolsSent; sent != 0 {
+	if sent := reg.Counter("serve.symbols_sent").Value(); sent != 0 {
 		t.Fatalf("the dry sender sent %d symbols the receiver's filter holds", sent)
 	}
 
@@ -1126,7 +1134,9 @@ func TestDrySenderIsDroppedAndLiveOneResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := openSession(t, live)
+	liveMux := front(live)
+	liveReg := observe(liveMux)
+	ch := openSessionOn(t, liveMux, h.info.ID, "sender")
 	sendSummary(t, ch, idsOf(syms[:64]))
 	for i := 0; i < 2; i++ {
 		if got := requestBatch(t, ch, 16); len(got) != 0 {
@@ -1149,8 +1159,8 @@ func TestDrySenderIsDroppedAndLiveOneResumes(t *testing.T) {
 			t.Fatalf("a grown log answered symbol %d, which the receiver's filter holds", id)
 		}
 	}
-	if live.met.dryBatches.Value() != 2 {
-		t.Fatalf("serve.batches{kind=dry} = %d, want 2", live.met.dryBatches.Value())
+	if dry := liveReg.Counter("serve.batches{kind=dry}").Value(); dry != 2 {
+		t.Fatalf("serve.batches{kind=dry} = %d, want 2", dry)
 	}
 	protocol.WriteFrame(ch, protocol.EncodeDone())
 }
@@ -1169,10 +1179,11 @@ func TestSendHeldZeroAlloc(t *testing.T) {
 	c.extend(ids)
 	n := c.pending.len()
 	var sink bytes.Buffer
+	met := newServeMetrics(nil)
 	run := func() {
 		sink.Reset()
 		c.pending.head = 0
-		if err := srv.sendHeld(&sink, c, ids, payloads, n); err != nil {
+		if err := sendHeld(&sink, &met, c, ids, payloads, n); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -1267,8 +1278,9 @@ func TestRequestWithNoNewsZeroAlloc(t *testing.T) {
 		srv  *Server
 	}{{"full", full}, {"partial", partial}} {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.srv.gossip.Learn(protocol.PeerAd{ContentID: info.ID, Addr: "elsewhere:1"})
-			ch := openSession(t, tc.srv)
+			mux := front(tc.srv)
+			mux.gossip.Learn(protocol.PeerAd{ContentID: info.ID, Addr: "elsewhere:1"})
+			ch := openSessionOn(t, mux, info.ID, "sender")
 			ch.SetDeadline(time.Now().Add(time.Minute))
 			request := func() {
 				if err := protocol.WriteFrame(ch, req); err != nil {

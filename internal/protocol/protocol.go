@@ -321,9 +321,8 @@ const readAhead = 64 << 10
 // per frame. The buffer grows only for a frame larger than it (bounded by
 // MaxPayload). The returned Frame's Payload is a view into that buffer,
 // valid only until the next call to Next; a caller that needs the bytes
-// longer must copy them out (DecodeSymbolInto copies into a buffer the
-// caller owns, and SymbolView parses without copying for same-iteration
-// use). Because it reads ahead, a FrameReader owns its stream: whoever
+// longer must copy them out (SymbolView parses without copying, for
+// same-iteration use). Because it reads ahead, a FrameReader owns its stream: whoever
 // reads on after it must read through it (ReadFrame reads exactly one
 // frame and nothing more). Errors are ReadFrame's: io.EOF at a frame
 // boundary, io.ErrUnexpectedEOF inside a frame (wrapped once its header
@@ -530,23 +529,6 @@ func SymbolView(f Frame) (id uint64, data []byte, err error) {
 		return 0, nil, errors.New("protocol: SYMBOL too short")
 	}
 	return binary.LittleEndian.Uint64(f.Payload), f.Payload[8:], nil
-}
-
-// DecodeSymbol unmarshals a SYMBOL frame into freshly allocated storage.
-func DecodeSymbol(f Frame) (Symbol, error) {
-	return DecodeSymbolInto(f, nil)
-}
-
-// DecodeSymbolInto is DecodeSymbol copying the payload into buf's
-// storage (re-sliced from 0, grown only if needed) instead of a fresh
-// allocation. Feeding buffers from a freelist keeps a receive loop
-// allocation-free; the returned Symbol's Data owns buf's storage.
-func DecodeSymbolInto(f Frame, buf []byte) (Symbol, error) {
-	id, view, err := SymbolView(f)
-	if err != nil {
-		return Symbol{}, err
-	}
-	return Symbol{ID: id, Data: append(buf[:0], view...)}, nil
 }
 
 // EncodeRequest marshals a batch request for count symbols.

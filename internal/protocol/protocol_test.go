@@ -395,14 +395,14 @@ func TestDecodePeersAllocs(t *testing.T) {
 
 func TestSymbolRoundTrip(t *testing.T) {
 	want := Symbol{ID: 987654321, Data: []byte("block-data")}
-	got, err := DecodeSymbol(EncodeSymbol(want))
+	id, data, err := SymbolView(EncodeSymbol(want))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != want.ID || !bytes.Equal(got.Data, want.Data) {
+	if id != want.ID || !bytes.Equal(data, want.Data) {
 		t.Fatalf("symbol mismatch")
 	}
-	if _, err := DecodeSymbol(Frame{Type: TypeSymbol, Payload: []byte{1, 2}}); err == nil {
+	if _, _, err := SymbolView(Frame{Type: TypeSymbol, Payload: []byte{1, 2}}); err == nil {
 		t.Fatal("short symbol accepted")
 	}
 }
@@ -544,9 +544,8 @@ func TestFrameReaderStream(t *testing.T) {
 // payload view lives in the reader's buffer and is the caller's only
 // until the next Next — reading ahead, the reader rewrites that buffer
 // when it refills it, not at every frame, so whether a view outlives the
-// next frame is nobody's to count on — and DecodeSymbolInto is the escape
-// hatch that copies into caller-owned storage, which survives every
-// frame read after it.
+// next frame is nobody's to count on; a caller that keeps the bytes
+// copies them out.
 func TestFrameReaderViewInvalidation(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteSymbol(&buf, 1, []byte("aaaaaaaa")); err != nil {
@@ -567,10 +566,6 @@ func TestFrameReaderViewInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sym, err := DecodeSymbolInto(f1, make([]byte, 0, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
 	for {
 		if _, err := fr.Next(); err == io.EOF {
 			break
@@ -580,9 +575,6 @@ func TestFrameReaderViewInvalidation(t *testing.T) {
 	}
 	if string(view) == "aaaaaaaa" {
 		t.Fatal("view survived two refills of the read-ahead buffer: buffer not reused")
-	}
-	if string(sym.Data) != "aaaaaaaa" {
-		t.Fatalf("DecodeSymbolInto copy clobbered: %q", sym.Data)
 	}
 }
 
@@ -707,25 +699,9 @@ func TestFrameReaderMatchesReadFrame(t *testing.T) {
 	}
 }
 
-// TestDecodeSymbolIntoReuse checks that a recycled buffer is grown only
-// when needed and reused otherwise.
-func TestDecodeSymbolIntoReuse(t *testing.T) {
-	f := EncodeSymbol(Symbol{ID: 5, Data: []byte("hello world")})
-	buf := make([]byte, 0, 64)
-	sym, err := DecodeSymbolInto(f, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &sym.Data[0] != &buf[:1][0] {
-		t.Fatal("payload did not reuse the provided storage")
-	}
-	if string(sym.Data) != "hello world" {
-		t.Fatalf("payload %q", sym.Data)
-	}
-}
-
-// TestFrameReaderZeroAlloc proves the steady-state frame-read path
-// allocates nothing once the internal buffer is warm.
+// TestFrameReaderZeroAlloc proves the steady-state frame-read path — a
+// frame read and a zero-copy symbol parse — allocates nothing once the
+// internal buffer is warm.
 func TestFrameReaderZeroAlloc(t *testing.T) {
 	var buf bytes.Buffer
 	payload := bytes.Repeat([]byte{0xAB}, 1400)
@@ -737,7 +713,6 @@ func TestFrameReaderZeroAlloc(t *testing.T) {
 	stream := buf.Bytes()
 	r := bytes.NewReader(stream)
 	fr := NewFrameReader(r)
-	scratch := make([]byte, 0, 2048)
 	run := func() {
 		r.Reset(stream)
 		for {
@@ -748,11 +723,9 @@ func TestFrameReaderZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sym, err := DecodeSymbolInto(f, scratch)
-			if err != nil {
+			if _, _, err := SymbolView(f); err != nil {
 				t.Fatal(err)
 			}
-			scratch = sym.Data
 		}
 	}
 	run() // warm the internal buffer

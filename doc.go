@@ -109,6 +109,28 @@
 //     another. A source shorter than the payload panics, and the payload
 //     may be exactly its first source but must overlap no other.
 //
+//   - A full sender answers a repeat fetch from memory. Every
+//     peer.Server that holds the content keeps one cached prefix of one
+//     fountain stream (ids and payloads in a slab log, up to 2·k
+//     symbols). The first receiver that opens holding nothing is sent a
+//     fresh stream and nothing is cached, so contents fetched once cost
+//     no copy; the second such session caches what it sends. Later ones
+//     are replayed the prefix, all at once if they come at once, then
+//     continue on fresh streams of their own, when they announce the
+//     listen address it was first sent to, or none if its first receiver
+//     announced none: a relay holding prefix ids would have nothing for a
+//     receiver being replayed them, so receivers that can exchange
+//     symbols never share them. A receiver that holds symbols (a redial,
+//     a fetch from a working set) never gets the prefix, so it is never
+//     sent a repeat. serve.symbols_encoded over serve.symbols_sent is one
+//     minus its hit rate: near 0 for a client that fetches its contents
+//     again and again, 1 for contents fetched once, about 3/4 for four
+//     addressed receivers of one content at a time, of which only the
+//     prefix's first is replayed (peer.BenchmarkFetchFabricPipe,
+//     ...PipeFresh, ...PipeConcurrent). Its price is memory, at most twice
+//     the content per served content, typically about 1.1× (what one
+//     fetch of the stream was sent); a node's store charges the bound.
+//
 //   - Steady-state symbol paths are zero-alloc. Encoder.Next/EncodeID,
 //     Recoder.Next and the redundant-symbol paths of the decoders
 //     recycle payload buffers or never take one (encoder/recoder
@@ -118,9 +140,11 @@
 //     degrees above 64 in the caller's buffer;
 //     BenchmarkEncoderNextAllocs and BenchmarkRecoderNextAllocs assert
 //     0 allocs/op. Frame writes go through a sync.Pool of serialization
-//     buffers (protocol.WriteSymbol), one Write per frame — which a
-//     fabric channel turns into an envelope in its pending batch
-//     (protocol.AppendMux into a pooled buffer), so the symbols of one
+//     buffers, one Write per frame — which a fabric channel turns into an
+//     envelope in its pending batch (protocol.AppendMux into a pooled
+//     buffer); a SYMBOL written to a channel (protocol.WriteSymbol on a
+//     protocol.SymbolWriter) is framed straight into its envelope from
+//     its id and payload, one copy and one CRC, so the symbols of one
 //     REQUEST and the DONE behind them leave in one conn write, and the
 //     wire's FrameReader reads ahead, so they arrive in one conn read:
 //     per batch, not per frame (no batch passes 64 KiB).
@@ -194,7 +218,10 @@
 //   - Encoder/Recoder payloads: the caller that received a Symbol from
 //     Next/EncodeID owns its buffers and gives them back with Release
 //     exactly once, after its last use (a full sender's send loop
-//     releases right after the frame write). The fountain.Decoder's
+//     releases right after the frame write, once the cached prefix it is
+//     extending has copied the payload into its own slab; a cached
+//     payload is never written again and never Released). The
+//     fountain.Decoder's
 //     AddSymbol does not copy (next point).
 //   - fountain.Decoder: AddSymbol never writes sym.Data but keeps it by
 //     reference until that symbol resolves a block or decoding ends, so
@@ -228,9 +255,10 @@
 //     out only what you keep. peer.Fetch keeps no receive pool: a session
 //     folds the view, the fold copies what the working set keeps and
 //     nothing of a duplicate, and there is nothing to give back.
-//   - peermux.Channel.Write copies the frame into the channel's pending
-//     batch, so the caller's buffer — an encoder payload, a log entry —
-//     is free again when Write returns, whenever the batch is written.
+//   - peermux.Channel.Write and WriteSymbol copy the frame into the
+//     channel's pending batch, so the caller's buffer — an encoder
+//     payload, a log entry — is free again when they return, whenever
+//     the batch is written.
 //
 // With frame reads through FrameReader (or a channel's pooled queue) and
 // parses through SymbolView, the receive loop performs 0 allocs per
@@ -523,8 +551,11 @@
 // aimed by an older summary (a window of at most one batch is
 // stop-and-wait). A k=1024 fetch over a latency-bound link takes one
 // round trip from a full sender, which sets the session up and carries
-// what the decode needs, and a second for a stream that needs more
-// (peer.TestWANFetchRoundTrips pins the count; the benchmark's
+// what the decode needs, and a second for a stream that needs more,
+// except on a repeat of content the sender has cached, whose first round
+// carries the cached prefix up to its decode point
+// (peer.TestWANFetchRoundTrips pins the count,
+// peer.TestPrefixRepeatFetchOneRoundTrip the repeat; the benchmark's
 // wan_rtt50 workload measures the goodput); from a partial sender it
 // takes about four (peer.TestPartialSenderWANRoundTrips).
 //

@@ -266,15 +266,17 @@ func (n *Node) Close() error {
 
 // ServeFull registers a full replica of the content: it is served on
 // the shared listener and accounted in the store (pin to shield it from
-// budget eviction). The replica adopts content instead of copying it
-// (peer.NewFullServer), so content must not be modified while it is
-// served.
+// budget eviction) at the content's bytes plus the most its server's
+// cached stream prefix can grow to (peer.Server.CacheBound), so the
+// budget bounds what the replica holds. The replica adopts content
+// instead of copying it (peer.NewFullServer), so content must not be
+// modified while it is served.
 func (n *Node) ServeFull(info peer.ContentInfo, content []byte, pin bool) error {
 	srv, err := peer.NewFullServer(info, content)
 	if err != nil {
 		return err
 	}
-	return n.addReplica(srv, int64(info.OrigLen), pin)
+	return n.addReplica(srv, int64(info.OrigLen)+srv.CacheBound(), pin)
 }
 
 // ServePartial registers a partial replica (a working set of encoded

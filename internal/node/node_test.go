@@ -300,3 +300,29 @@ func TestNodeServeDuringFetchRefused(t *testing.T) {
 		t.Fatal("ServeFull over a stored replica accepted")
 	}
 }
+
+// TestServeFullChargesCachedPrefix: a full replica is charged its content
+// and the most its server's cached stream prefix can grow to — 200
+// payloads for 100 blocks, prefixLimit's twice the content — so a store
+// budget bounds what served replicas hold: two replicas whose contents fit
+// it, but not with both prefixes, do not both stay.
+func TestServeFullChargesCachedPrefix(t *testing.T) {
+	t.Cleanup(testutil.CheckGoroutines(t))
+	const k, blockSize, bound = 100, 64, 2 * 100 * 64
+	infoA, dataA := testContent(t, 0xA, k, blockSize)
+	infoB, dataB := testContent(t, 0xB, k, blockSize)
+	n := New(Options{StoreBudget: int64(infoA.OrigLen+infoB.OrigLen) + bound})
+	defer n.Close()
+	if err := n.ServeFull(infoA, dataA, false); err != nil {
+		t.Fatal(err)
+	}
+	if st, ok := n.Store().Get(infoA.ID); !ok || st.Bytes != int64(infoA.OrigLen)+bound {
+		t.Fatalf("the full replica is charged %d bytes, want its %d and the prefix's %d", st.Bytes, infoA.OrigLen, bound)
+	}
+	if err := n.ServeFull(infoB, dataB, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := n.Store().Get(infoA.ID); ok {
+		t.Fatalf("both replicas stay: %d bytes charged against a budget of %d", n.Store().Usage(), n.Store().Budget())
+	}
+}

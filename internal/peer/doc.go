@@ -12,9 +12,11 @@
 // penalty box, the serve.* and mux.* counters and the timeout. The
 // obs.Registry attached with SetObs is the one source of those counts. A
 // Server is only its content: the symbol source for one piece of
-// content, either a *full*
-// sender — a digital fountain streaming fresh encoded symbols — or a
-// *partial* sender over a WorkingSetSource: an append-only log of
+// content, either a *full* sender — a digital fountain streaming encoded
+// symbols, which, once a content is fetched a second time, encodes the
+// first ones of one stream once and replays them from memory to a
+// receiver that opens holding nothing and can pass none of them on — or
+// a *partial* sender over a WorkingSetSource: an append-only log of
 // encoded symbols, fixed (NewPartialServer) or still being appended to
 // by a fetch in progress (NewLiveServer over its Orchestrator), read as
 // an O(1) prefix whose length is its version. Either way a partial
@@ -55,7 +57,20 @@
 // channel), symbols from all sessions feed one decoder, so flows are
 // additive (§2.3), connections may drop and resume statelessly, and
 // partially downloaded state can be carried into a later Fetch — the
-// §2.3 "fully stateless connection migrations". There is one hop from
+// §2.3 "fully stateless connection migrations". A full sender's cached
+// prefix keeps them stateless: it is replayed only to a session whose
+// OPEN says the receiver holds nothing (Hello.Symbols == 0), which can
+// hold none of it, while a redial or a fetch resumed from a working set
+// says what it holds and is sent a fresh stream of its own. So a
+// receiver that moves never draws a repeat, and what a session is sent
+// follows from its OPEN alone, not from a record of the receiver's past
+// sessions. The OPEN's listen address also decides it: the prefix is
+// replayed only to the address its first symbol was sent to, or, if
+// that receiver announced none, to receivers that announce none, which
+// cannot be dialed and relay nothing. Receivers of one content that
+// exchange symbols thus never share the prefix's ids — a relay holding
+// them would have nothing for a receiver being replayed them
+// (peer.TestPrefixSwarmReceiverGetsNoRelayedIDs). There is one hop from
 // the wire to the working set: each session folds the frames it reads
 // into the shared log itself (Orchestrator.fold, as views of its
 // channel's buffers — the channel's queue is the only one, and there is
@@ -74,7 +89,8 @@
 // whole batches its window holds when the fetch does not know k yet (the first OPEN; OPENs alongside it ask
 // for nothing), what the fetch's budget leaves after. The peer's ACCEPT
 // carries the content metadata. A full sender answers the round right
-// behind it, clamped to what the decode still needs, and its ACCEPT's
+// behind it, clamped to what the decode still needs (or raised to its
+// cached prefix's decode point, when it replays one), and its ACCEPT's
 // Depth says how many batches that is, so the first symbols arrive in
 // the same round trip. A partial sender answers one batch, aimed by the
 // Bloom summary the OPEN carries (Hello.Summary) when the fetch holds
@@ -110,8 +126,9 @@
 // one batch (FetchOptions.ChannelWindow ≤ Batch) is stop-and-wait. A
 // k=1024 fetch from a full sender takes one round trip, which sets the
 // session up and carries what the decode needs (the 4096-frame default
-// window holds it), and a second for a stream that needs more; from a
-// partial sender, about three: the OPEN's one batch, which times the
+// window holds it), and a second for a stream that needs more, which a
+// repeat fetch of the same content, replayed the cached stream, does not
+// take; from a partial sender, about three: the OPEN's one batch, which times the
 // path, then the rest of the need, and a stream that needs more.
 //
 // # Failure model

@@ -76,6 +76,16 @@ func (l *symbolLog) add(id uint64, payload []byte) (pos int, held bool) {
 	if pos, held = l.index[id]; held {
 		return pos, true
 	}
+	pos = l.push(id, payload)
+	l.index[id] = pos
+	return pos, false
+}
+
+// push appends a copy of payload under id at the log's end and returns
+// its position, without the index: a log of ids that cannot repeat (a
+// full sender's cached stream prefix) is read by position only and never
+// builds one. A log with an index keeps it through add.
+func (l *symbolLog) push(id uint64, payload []byte) int {
 	n := len(payload)
 	if cap(l.slab)-len(l.slab) < n {
 		l.slab = make([]byte, 0, max(min(max(l.slabbed, slabSize), maxSlab), n))
@@ -83,11 +93,9 @@ func (l *symbolLog) add(id uint64, payload []byte) (pos int, held bool) {
 	}
 	at := len(l.slab)
 	l.slab = append(l.slab, payload...)
-	pos = len(l.ids)
-	l.index[id] = pos
 	l.ids = append(l.ids, id)
 	l.payloads = append(l.payloads, l.slab[at:at+n:at+n])
-	return pos, false
+	return len(l.ids) - 1
 }
 
 // sortedIDs returns the ids of m in ascending order, in one allocation.

@@ -85,8 +85,11 @@ func (o *Orchestrator) trace(event, subject, detail string) {
 type serveMetrics struct {
 	connections *obs.Counter // serve.connections
 	symbolsSent *obs.Counter // serve.symbols_sent
-	rejected    *obs.Counter // serve.rejected
-	malformed   *obs.Counter // serve.malformed
+	// symbolsEncoded counts the symbols full senders' encoders produced,
+	// cached or not; 1 − encoded/sent is their prefix caches' hit rate.
+	symbolsEncoded *obs.Counter // serve.symbols_encoded
+	rejected       *obs.Counter // serve.rejected
+	malformed      *obs.Counter // serve.malformed
 	// dryBatches counts the REQUESTs a partial sender's cursor answered
 	// with a bare DONE: nothing unsent that the receiver's summary leaves
 	// missing.
@@ -95,11 +98,12 @@ type serveMetrics struct {
 
 func newServeMetrics(r *obs.Registry) serveMetrics {
 	return serveMetrics{
-		connections: r.Counter("serve.connections"),
-		symbolsSent: r.Counter("serve.symbols_sent"),
-		rejected:    r.Counter("serve.rejected"),
-		malformed:   r.Counter("serve.malformed"),
-		dryBatches:  r.Counter("serve.batches{kind=dry}"),
+		connections:    r.Counter("serve.connections"),
+		symbolsSent:    r.Counter("serve.symbols_sent"),
+		symbolsEncoded: r.Counter("serve.symbols_encoded"),
+		rejected:       r.Counter("serve.rejected"),
+		malformed:      r.Counter("serve.malformed"),
+		dryBatches:     r.Counter("serve.batches{kind=dry}"),
 	}
 }
 

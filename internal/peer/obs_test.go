@@ -21,7 +21,7 @@ func TestServerStatsReadRegistry(t *testing.T) {
 	r := obs.NewRegistry()
 	m.SetObs(r)
 	sibling.SetObs(r)
-	names := []string{"serve.connections", "serve.symbols_sent", "serve.rejected", "serve.malformed"}
+	names := []string{"serve.connections", "serve.symbols_sent", "serve.symbols_encoded", "serve.rejected", "serve.malformed"}
 
 	const workers, per = 8, 500
 	stop := make(chan struct{})
@@ -57,6 +57,7 @@ func TestServerStatsReadRegistry(t *testing.T) {
 			for i := 0; i < per; i++ {
 				m.served.connections.Inc()
 				sibling.served.symbolsSent.Inc()
+				m.served.symbolsEncoded.Inc()
 				m.served.rejected.Inc()
 				sibling.served.malformed.Inc()
 			}

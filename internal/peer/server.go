@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -64,16 +65,160 @@ type WorkingSetSource interface {
 // (fountain encoder over the content) or a partial sender (which sends
 // the symbols of a working-set log — fixed, or the growing one of a fetch
 // in progress — as they are, each session walking the log with a cursor).
-// A Server is only its content: it owns no listener, no peer directory,
-// no penalty box and no counters. A ServerMux accepts connections, runs
-// the fabric handshake and admission, and serves each subchannel whose
-// OPEN names this content with the node's planes (serve).
+// A Server is only its content and what it has encoded of it: a full
+// sender keeps one cached prefix of one fountain stream (prefix), which
+// it replays from memory to empty receivers that cannot pass it on to one
+// another. It owns no listener, no peer directory, no penalty box and no
+// counters. A ServerMux accepts connections, runs the fabric handshake
+// and admission, and serves each subchannel whose OPEN names this content
+// with the node's planes (serve).
 type Server struct {
 	info       ContentInfo
 	code       *fountain.Code
 	blocks     [][]byte         // full sender
 	src        WorkingSetSource // partial sender
 	streamSeed atomic.Uint64
+	cache      prefix // full sender
+}
+
+// prefix is a full sender's cached stream prefix: the first symbols of
+// one fountain stream, ids and payloads in the order they were sent,
+// encoded once and replayed from memory. §2.3's full sender is a digital
+// fountain, any of whose streams serves any one receiver; but receivers
+// that exchange symbols need different streams, since a relay that holds
+// prefix ids has nothing to give a receiver being replayed them. So the
+// prefix is replayed only where it went first: to a receiver that opens
+// holding nothing (Hello.Symbols == 0) and announcing the listen address
+// its first symbol was sent to (owner) — that one node fetching again
+// after it dropped the content, or, when the first receiver announced
+// none, any receiver that announces none, which cannot be dialed and so
+// relays nothing. Every other session encodes a fresh stream of its own,
+// as every session did before. The receivers a closed prefix is replayed
+// to pass none of it on to each other, so any number of them read it at
+// once. A receiver that holds symbols — a redial, a fetch that began with
+// a working set — is never replayed it: it could hold prefix ids already,
+// and a fresh stream of its own is what keeps migration stateless.
+//
+// The first receiver of a content that opens empty is sent a fresh
+// stream, and nothing is cached (asked): a content may never be fetched
+// again, and a sender whose contents are each fetched once would get only
+// the copying from a cache. From the second on, one session at a time
+// extends an open prefix (writing); one that finds it being extended
+// encodes a fresh stream. That session appends every symbol it sends, up
+// to prefixLimit; when it ends, a prefix that holds at least
+// decodeNeed(k) symbols closes (its decode point is found when it is
+// first replayed), and a shorter one stays open for the next, which
+// replays it and extends the same stream. A reader of a closed prefix
+// replays it and continues on a fresh stream of its own. Nothing is
+// encoded ahead of a session; a cached payload is never written again,
+// nor handed back to an encoder's freelist. Its price is memory: at most
+// prefixLimit payloads (twice the content, what CacheBound charges),
+// typically what one fetch of the stream was sent, about 1.1× it.
+type prefix struct {
+	// asked is set by the first session whose receiver opens empty.
+	asked atomic.Bool
+	// closed is set once, when the log and owner are final; from then on
+	// they are read by any number of sessions at once.
+	closed atomic.Bool
+	// writing is held by the one session that may extend an open prefix.
+	// The fields below are its until it releases it; each release happens
+	// before the next hold.
+	writing   atomic.Bool
+	symbolLog                   // the prefix: ids and slab payloads, no index
+	owner     string            // the listen address its first symbol was sent to
+	enc       *fountain.Encoder // the stream an open prefix continues; nil before the first symbol and once closed
+	// decoded is how many of a closed prefix's symbols, in order, a decode
+	// of the content takes (all of them, when they do not suffice), found
+	// by its first reader (decodeOnce), so that a content never fetched
+	// twice never pays for it. It sizes a reader's first round: the prefix
+	// also holds what the first session sent past that point, the answers
+	// to requests in flight when its receiver decoded, which a repeat sent
+	// them in its first round would only pay for on the wire behind
+	// requests of its own.
+	decodeOnce sync.Once
+	decoded    int
+}
+
+// take reports whether a session whose OPEN is hello is replayed the
+// prefix, and whether it also extends it, holding writing until
+// Server.release.
+func (p *prefix) take(hello protocol.Hello) (replay, extend bool) {
+	if hello.Symbols != 0 || !p.asked.Swap(true) {
+		return false, false
+	}
+	if p.closed.Load() {
+		return p.owner == hello.ListenAddr, false
+	}
+	if !p.writing.CompareAndSwap(false, true) {
+		return false, false
+	}
+	switch {
+	case p.closed.Load(): // closed between the two loads
+		p.writing.Store(false)
+		return p.owner == hello.ListenAddr, false
+	case len(p.ids) == 0:
+		p.owner = hello.ListenAddr
+	case p.owner != hello.ListenAddr:
+		p.writing.Store(false)
+		return false, false
+	}
+	return true, true
+}
+
+// release ends the session that extends s's open prefix, closing it if
+// it holds what a decode of the content takes.
+func (s *Server) release() {
+	p := &s.cache
+	if len(p.ids) >= decodeNeed(s.info.NumBlocks) {
+		p.enc = nil
+		p.closed.Store(true)
+	}
+	p.writing.Store(false)
+}
+
+// decodesAt is how many of the given ids, in order, a decode of the
+// content takes, or all of them when they do not suffice. Which symbols
+// decode the content is a matter of the code's graph alone — a block is
+// peeled when a symbol's other neighbors are known, whatever the payloads
+// — so it decodes one-byte stand-ins, at a sliver of a real decode's XOR.
+func (s *Server) decodesAt(ids []uint64) int {
+	dec, err := fountain.NewDecoder(s.code, 1)
+	if err != nil {
+		return len(ids)
+	}
+	var standIn [1]byte
+	for i, id := range ids {
+		if _, err := dec.AddSymbol(fountain.Symbol{ID: id, Data: standIn[:]}); err != nil {
+			break
+		}
+		if dec.Done() {
+			return i + 1
+		}
+	}
+	return len(ids)
+}
+
+// decodePoint is the decoded field of s's closed prefix, found on the
+// first call.
+func (s *Server) decodePoint() int {
+	p := &s.cache
+	p.decodeOnce.Do(func() { p.decoded = s.decodesAt(p.ids) })
+	return p.decoded
+}
+
+// prefixLimit is the most symbols a prefix of a k-block content holds:
+// twice the content, and at least what a decode takes.
+func prefixLimit(k int) int { return max(2*k, decodeNeed(k)) }
+
+// CacheBound is the most payload bytes a full sender's cached stream
+// prefix holds, prefixLimit payloads (the slabs that hold them round it
+// up by about one slab), and 0 for a partial sender: what a store charges
+// a full replica beside its content.
+func (s *Server) CacheBound() int64 {
+	if !s.Full() {
+		return 0
+	}
+	return int64(prefixLimit(s.info.NumBlocks)) * int64(s.info.BlockSize)
 }
 
 // newServer validates info and builds what every mode shares.
@@ -186,7 +331,8 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello, m *Serve
 	// in total no more than DefaultWindow symbols. A full sender, whose
 	// symbols cannot be stale, answers as many as the OPEN asked for but
 	// no more than cover what the receiver's decode still needs (whole
-	// batches, at least one); a partial sender answers one, as a batch more
+	// batches, at least one), or its replayed prefix up to its decode
+	// point if that is longer; a partial sender answers one, as a batch more
 	// would be aimed by a summary gone stale. Its ACCEPT's Depth says how
 	// many batches that is, which the receiver counts as in flight.
 	const maxBatch = 1 << 16
@@ -213,12 +359,31 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello, m *Serve
 			aimBy, bits = missing, filter.M()
 		}
 	}
+	// A full sender's session is replayed the cached prefix when its
+	// receiver may be (prefix). A round that carries a closed prefix up to
+	// its decode point decodes in the first round trip however unlucky
+	// that stream was; sized by decodeNeed alone, an unlucky stream would
+	// take two on every repeat.
+	var st *stream
+	if s.Full() {
+		st = &stream{seed: s.streamSeed.Add(1) ^ addrSalt(ch.LocalAddr())}
+		replay, extend := s.cache.take(clientHello)
+		if replay {
+			st.cache, st.extend = &s.cache, extend
+		}
+		if extend {
+			defer s.release()
+		}
+	}
 	n, total := min(int(clientHello.Batch), maxBatch), 0
 	if n > 0 && clientHello.Depth > 0 {
 		batches := 1
 		if s.Full() {
 			need := decodeNeed(s.info.NumBlocks)
 			need -= int(min(clientHello.Symbols, uint64(need)))
+			if st.cache != nil && !st.extend {
+				need = max(need, s.decodePoint())
+			}
 			batches = min(int(clientHello.Depth), max(1, (need+n-1)/n))
 		}
 		total = min(batches*n, peermux.DefaultWindow)
@@ -229,21 +394,12 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello, m *Serve
 	}
 
 	// One send step answers the OPEN's round and every REQUEST, from a
-	// full sender's encoder or a partial sender's cursor. Both seeds are
+	// full sender's stream or a partial sender's cursor. Both seeds are
 	// salted with this server's own address, so two fresh mirrors, which
 	// number their sessions alike, send a receiver different streams.
-	seed := s.streamSeed.Add(1)
-	salt := addrSalt(ch.LocalAddr())
 	var cur *cursor
-	var encoder *fountain.Encoder
-	if s.Full() {
-		enc, err := fountain.NewEncoder(s.code, s.blocks, (seed^salt)*0x9e3779b97f4a7c15)
-		if err != nil {
-			return err
-		}
-		encoder = enc
-	} else {
-		cur = newCursor(seed ^ s.info.CodeSeed ^ salt)
+	if !s.Full() {
+		cur = newCursor(s.streamSeed.Add(1) ^ s.info.CodeSeed ^ addrSalt(ch.LocalAddr()))
 		ids, _ := s.src.WorkingSet()
 		if _, fixed := s.src.(*symbolLog); !fixed {
 			// A growing log, a fetch's working set, ends near what a
@@ -260,7 +416,7 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello, m *Serve
 			return err
 		}
 		for ; total > 0; total -= n {
-			if err := s.send(ch, &m.served, encoder, cur, min(n, total)); err != nil {
+			if err := s.send(ch, &m.served, st, cur, min(n, total)); err != nil {
 				return err
 			}
 		}
@@ -304,7 +460,7 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello, m *Serve
 			if err := gossip.send(ch, m.gossip, s.info.ID); err != nil {
 				return err
 			}
-			if err := s.send(ch, &m.served, encoder, cur, int(min(n, maxBatch))); err != nil {
+			if err := s.send(ch, &m.served, st, cur, int(min(n, maxBatch))); err != nil {
 				return err
 			}
 
@@ -331,25 +487,76 @@ func readSummary(p []byte, filter *bloom.Filter) (slice, of uint16, err error) {
 	return slice, of, err
 }
 
-// send answers one batch of n: a full sender's from its encoder, a
+// send answers one batch of n: a full sender's from its stream, a
 // partial sender's off the log through the session's cursor, counted in
 // met.
-func (s *Server) send(w io.Writer, met *serveMetrics, enc *fountain.Encoder, cur *cursor, n int) error {
-	if enc != nil {
-		return sendFull(w, met, enc, n)
+func (s *Server) send(w io.Writer, met *serveMetrics, st *stream, cur *cursor, n int) error {
+	if st != nil {
+		return s.sendFull(w, met, st, n)
 	}
 	ids, payloads := s.src.WorkingSet()
 	cur.extend(ids)
 	return sendHeld(w, met, cur, ids, payloads, n)
 }
 
-// sendFull streams n fresh encoded symbols followed by DONE. Symbols are
-// framed straight from the encoder's pooled payload buffers and released
-// after the write, so the steady-state loop is allocation-free.
-func sendFull(w io.Writer, met *serveMetrics, enc *fountain.Encoder, n int) error {
+// stream is a full sender's session: the cached prefix it replays, when
+// it is replayed one, then its encoder's symbols.
+type stream struct {
+	seed   uint64            // the session's stream seed, salted with the server's address
+	cache  *prefix           // the replayed prefix, or nil
+	extend bool              // the session extends the open prefix it replays
+	pos    int               // the next prefix position to replay
+	enc    *fountain.Encoder // nil until the prefix is spent
+}
+
+// encoder is what the stream sends once its prefix is spent: an open
+// prefix's own stream, which this session extends (started with this
+// session's seed if it sends the prefix's first symbol), or a fresh one
+// of its own.
+func (s *Server) encoder(st *stream) (*fountain.Encoder, error) {
+	if st.enc == nil && st.extend {
+		st.enc = st.cache.enc
+	}
+	if st.enc == nil {
+		enc, err := fountain.NewEncoder(s.code, s.blocks, st.seed*0x9e3779b97f4a7c15)
+		if err != nil {
+			return nil, err
+		}
+		st.enc = enc
+		if st.extend {
+			st.cache.enc = enc
+		}
+	}
+	return st.enc, nil
+}
+
+// sendFull streams n symbols followed by DONE: the replayed prefix's from
+// memory, then fresh ones from the encoder, each appended to an open
+// prefix while it has room. A fresh symbol is framed straight from the
+// encoder's pooled payload buffer and released after the write (an
+// appended one is copied into the prefix's slab first), so the
+// steady-state loop is allocation-free.
+func (s *Server) sendFull(w io.Writer, met *serveMetrics, st *stream, n int) error {
+	c := st.cache
 	for i := 0; i < n; i++ {
+		if c != nil && st.pos < len(c.ids) {
+			if err := protocol.WriteSymbol(w, c.ids[st.pos], c.payloads[st.pos]); err != nil {
+				return err
+			}
+			st.pos++
+			met.symbolsSent.Inc()
+			continue
+		}
+		enc, err := s.encoder(st)
+		if err != nil {
+			return err
+		}
 		sym := enc.Next()
-		err := protocol.WriteSymbol(w, sym.ID, sym.Data)
+		met.symbolsEncoded.Inc()
+		err = protocol.WriteSymbol(w, sym.ID, sym.Data)
+		if err == nil && st.extend && len(c.ids) < prefixLimit(s.info.NumBlocks) {
+			st.pos = c.push(sym.ID, sym.Data) + 1
+		}
 		enc.Release(sym)
 		if err != nil {
 			return err
@@ -535,7 +742,7 @@ func (c *cursor) refresh(missing func(id uint64) bool, rebuilt bool, slice, of u
 // sendHeld answers one REQUEST from the cursor: up to n queued symbols,
 // pending before rest, as plain SYMBOL frames, framed straight from the
 // log's own payload buffers (no copy, no XOR, allocation-free like
-// sendFull), then DONE. A queued id the latest summary holds is dropped
+// sendFull's), then DONE. A queued id the latest summary holds is dropped
 // unsent. A cursor with nothing to send answers the DONE alone — the
 // empty batch.
 func sendHeld(w io.Writer, met *serveMetrics, c *cursor, ids []uint64, payloads [][]byte, n int) error {

@@ -13,7 +13,9 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
@@ -50,6 +52,13 @@ func openSessionAt(t *testing.T, srv *Server, local string) *peermux.Channel {
 // end of the connection reports local as its own address.
 func openSessionOn(t *testing.T, mux *ServerMux, id uint64, local string) *peermux.Channel {
 	t.Helper()
+	return openHelloOn(t, mux, protocol.Hello{ContentID: id}, local)
+}
+
+// openHelloOn opens one hand-driven session on mux with the given OPEN,
+// whose serving end reports local as its own address.
+func openHelloOn(t *testing.T, mux *ServerMux, hello protocol.Hello, local string) *peermux.Channel {
+	t.Helper()
 	client, server := net.Pipe()
 	served := make(chan error, 1)
 	go func() {
@@ -61,7 +70,7 @@ func openSessionOn(t *testing.T, mux *ServerMux, id uint64, local string) *peerm
 		t.Fatalf("fabric handshake: %v", err)
 	}
 	t.Cleanup(func() { w.Close(); <-served })
-	ch, err := w.Open(protocol.Hello{ContentID: id}, 5*time.Second)
+	ch, err := w.Open(hello, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +138,9 @@ func requestBatch(t *testing.T, ch *peermux.Channel, n int) []idSym {
 	return readBatch(t, ch)
 }
 
-// readBatch returns the symbols read before the next DONE; anything but
-// a SYMBOL or the DONE fails the test.
+// readBatch returns the symbols read before the next DONE, passing over
+// PEERS (the addresses other receivers announced, which a sender relays
+// ahead of a batch); anything else fails the test.
 func readBatch(t *testing.T, ch *peermux.Channel) []idSym {
 	t.Helper()
 	var got []idSym
@@ -142,6 +152,7 @@ func readBatch(t *testing.T, ch *peermux.Channel) []idSym {
 		switch f.Type {
 		case protocol.TypeDone:
 			return got
+		case protocol.TypePeers:
 		case protocol.TypeSymbol:
 			id, data, err := protocol.SymbolView(f)
 			if err != nil {
@@ -1247,10 +1258,14 @@ func TestPartialSwarmUsefulRatio(t *testing.T) {
 }
 
 // TestRequestWithNoNewsZeroAlloc: a REQUEST that brings no news — to a
-// warm full sender, or to a partial sender whose log did not grow, while
-// the gossip directory did not change since the last relay — allocates
+// warm full sender, encoding a fresh stream or replaying its closed
+// stream prefix, or to a partial sender whose log did not grow, while the
+// gossip directory did not change since the last relay — allocates
 // nothing on either end of the channel: not to relay, not to pick
-// symbols, not to frame, move or read them.
+// symbols, not to frame, move or read them. A full sender's session that
+// extends its open prefix, a fresh fetch's first, allocates the prefix's
+// slabs and grows its two slices as it goes: a bounded number of times
+// for the whole session, never once per symbol.
 func TestRequestWithNoNewsZeroAlloc(t *testing.T) {
 	// The standard is bare frame writes: buffer pools shed under the race
 	// detector, and then nothing pooled can be pinned.
@@ -1271,16 +1286,34 @@ func TestRequestWithNoNewsZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 4
+	// The replaying sender's prefix closed at 240 symbols, more than the
+	// 236 a session below asks for, first sent to a receiver that
+	// announced no listen address. One that announces one is sent a fresh
+	// stream.
+	replay, err := NewFullServer(info, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay.cache.asked.Store(true)
+	(&prefixServer{srv: replay, mux: front(replay)}).session(t, 0, 240)
+	full.cache.asked.Store(true) // fetched once: the session below extends its prefix
+	const n, warm, runs = 4, 8, 51
 	req := protocol.EncodeRequest(n)
 	for _, tc := range []struct {
-		name string
-		srv  *Server
-	}{{"full", full}, {"partial", partial}} {
+		name    string
+		srv     *Server
+		self    string // the listen address the OPEN announces
+		extends bool   // the session extends full's open prefix
+	}{
+		{"full", replay, "receiver:1", false},
+		{"full replay", replay, "", false},
+		{"full extending", full, "", true},
+		{"partial", partial, "", false},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mux := front(tc.srv)
 			mux.gossip.Learn(protocol.PeerAd{ContentID: info.ID, Addr: "elsewhere:1"})
-			ch := openSessionOn(t, mux, info.ID, "sender")
+			ch := openHelloOn(t, mux, protocol.Hello{ContentID: info.ID, ListenAddr: tc.self}, "sender")
 			ch.SetDeadline(time.Now().Add(time.Minute))
 			request := func() {
 				if err := protocol.WriteFrame(ch, req); err != nil {
@@ -1305,10 +1338,32 @@ func TestRequestWithNoNewsZeroAlloc(t *testing.T) {
 					}
 				}
 			}
-			for i := 0; i < 8; i++ { // the first relays the directory
+			for i := 0; i < warm; i++ { // the first relays the directory
 				request()
 			}
-			if avg := testing.AllocsPerRun(50, request); avg != 0 {
+			if tc.extends {
+				// Two runs of 25 REQUESTs, the first to warm, the second
+				// measured, and no collection in between: one empties the
+				// frame pools, whose refills are not the session's own.
+				const batch = 25
+				defer debug.SetGCPercent(debug.SetGCPercent(-1))
+				got := testing.AllocsPerRun(1, func() {
+					for range batch {
+						request()
+					}
+				})
+				cached := len(tc.srv.cache.ids)
+				if cached != (warm+2*batch)*n {
+					t.Fatalf("the session cached %d symbols, want the %d it sent", cached, (warm+2*batch)*n)
+				}
+				// A window of b payload bytes starts at most b/slabSize + 1
+				// slabs; the id and payload slices double at most
+				// bits.Len(cached) times each.
+				bound := batch*n*info.BlockSize/slabSize + 1 + 2*bits.Len(uint(cached))
+				if got > float64(bound) {
+					t.Errorf("%d REQUESTs extending the prefix allocate %.0f times, want at most %d: its slabs and slice growth", batch, got, bound)
+				}
+			} else if avg := testing.AllocsPerRun(runs-1, request); avg != 0 {
 				t.Errorf("a REQUEST with no news allocates %.2f, want 0", avg)
 			}
 			protocol.WriteFrame(ch, protocol.EncodeDone())

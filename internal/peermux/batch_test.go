@@ -195,3 +195,83 @@ func TestDeadWireChargesNothingReadAhead(t *testing.T) {
 		t.Fatalf("%d charges, want 1: frames read ahead were routed on a dead wire", n)
 	}
 }
+
+// writeRecorder keeps a copy of every conn write.
+type writeRecorder struct {
+	net.Conn
+	mu     sync.Mutex
+	writes [][]byte
+}
+
+func (c *writeRecorder) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.writes = append(c.writes, bytes.Clone(p))
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// TestWriteSymbolBytesMatchWrite: a SYMBOL framed straight into its
+// envelope (protocol.WriteSymbol on a channel, which hands the pair to
+// Channel.WriteSymbol) puts on the wire exactly the bytes that the
+// serialized frame handed to Write puts there. The handler answers the
+// first REQUEST through Write and the second through WriteSymbol, with
+// the same ids and payloads; each answer is one conn write.
+func TestWriteSymbolBytesMatchWrite(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	payload := bytes.Repeat([]byte{0x5A, 0xC3}, 700)
+	const n = 3
+	rec := &writeRecorder{}
+	w, shutdown := startPairConn(t, Config{}, Config{}, nil,
+		func(c net.Conn) net.Conn { rec.Conn = c; return rec },
+		func(ch *Channel) {
+			if ch.Accept(protocol.Hello{ContentID: 1, FullCopy: true, NumBlocks: 1, BlockSize: uint32(len(payload))}) != nil {
+				return
+			}
+			var frame bytes.Buffer
+			for round := 0; ; round++ {
+				f, err := ch.Next()
+				if err != nil || f.Type != protocol.TypeRequest {
+					return
+				}
+				for id := uint64(0); id < n; id++ {
+					if round == 0 {
+						frame.Reset()
+						protocol.WriteSymbol(&frame, id, payload)
+						_, err = ch.Write(frame.Bytes())
+					} else {
+						err = protocol.WriteSymbol(ch, id, payload)
+					}
+					if err != nil {
+						return
+					}
+				}
+				if protocol.WriteFrame(ch, protocol.EncodeDone()) != nil {
+					return
+				}
+			}
+		})
+	defer shutdown()
+	ch, err := w.Open(protocol.Hello{ContentID: 1}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ch.Close()
+	ch.SetDeadline(time.Now().Add(5 * time.Second))
+	for round := 0; round < 2; round++ {
+		if err := protocol.WriteFrame(ch, protocol.EncodeRequest(n)); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i <= n; i++ {
+			if _, err := ch.Next(); err != nil {
+				t.Fatalf("round %d frame %d: %v", round, i, err)
+			}
+		}
+	}
+	rec.mu.Lock()
+	writes := rec.writes
+	rec.mu.Unlock()
+	old, direct := writes[len(writes)-2], writes[len(writes)-1]
+	if !bytes.Equal(old, direct) {
+		t.Fatalf("WriteSymbol's answer differs from Write's:\n%x\n%x", direct, old)
+	}
+}

@@ -393,8 +393,9 @@ func stopTimer(t *time.Timer) {
 }
 
 // Write sends one fully serialized content frame (as produced by
-// protocol.WriteFrame or WriteSymbol — always one frame per Write call)
-// through the channel as a MUX envelope. A REQUEST first allows the
+// protocol.WriteFrame — always one frame per Write call; a
+// protocol.WriteSymbol comes in through WriteSymbol instead) through the
+// channel as a MUX envelope. A REQUEST first allows the
 // symbols it asks for, so its answer finds them allowed however soon it
 // arrives. The envelope joins the channel's pending batch (batchBytes),
 // which leaves in one conn write, in order, with the next frame that is
@@ -414,16 +415,8 @@ func (c *Channel) Write(p []byte) (int, error) {
 	}
 	c.bmu.Lock()
 	defer c.bmu.Unlock()
-	if c.shut {
-		return 0, ErrClosed
-	}
-	if c.batch != nil && len(c.batch.b)+len(p)+3 > batchBytes { // the envelope adds 3 bytes to p
-		if err := c.flushLocked(); err != nil {
-			return 0, err
-		}
-	}
-	if c.batch == nil {
-		c.batch = getSlab(batchBytes)
+	if err := c.roomLocked(len(p) + 3); err != nil { // the envelope adds 3 bytes to p
+		return 0, err
 	}
 	if c.batch.b, err = protocol.AppendMux(c.batch.b, c.id, t, payload); err != nil {
 		return 0, err
@@ -434,6 +427,40 @@ func (c *Channel) Write(p []byte) (int, error) {
 		}
 	}
 	return len(p), nil
+}
+
+// WriteSymbol sends a SYMBOL frame (protocol.SymbolWriter): the envelope
+// Write would send for WriteSymbol's serialization of it, byte for byte,
+// framed straight from (id, data) into the pending batch — one copy of
+// the payload and one CRC, where a frame handed to Write was copied and
+// checksummed once to serialize it and again to re-frame it.
+func (c *Channel) WriteSymbol(id uint64, data []byte) error {
+	c.bmu.Lock()
+	defer c.bmu.Unlock()
+	if err := c.roomLocked(protocol.MuxSymbolLen(len(data))); err != nil {
+		return err
+	}
+	var err error
+	c.batch.b, err = protocol.AppendMuxSymbol(c.batch.b, c.id, id, data)
+	return err
+}
+
+// roomLocked readies the pending batch for an envelope of n bytes: it
+// refuses once the channel is shut, and flushes a batch the envelope
+// would overfill. Caller holds bmu.
+func (c *Channel) roomLocked(n int) error {
+	if c.shut {
+		return ErrClosed
+	}
+	if c.batch != nil && len(c.batch.b)+n > batchBytes {
+		if err := c.flushLocked(); err != nil {
+			return err
+		}
+	}
+	if c.batch == nil {
+		c.batch = getSlab(batchBytes)
+	}
+	return nil
 }
 
 // flushLocked writes the pending batch in one conn write and gives its

@@ -92,7 +92,9 @@
 // included) → Accept/Reject (acceptor answers, and a full sender writes
 // its answer to the round behind its ACCEPT) → established
 // (Channel is a frame source via Next and an io.Writer that re-frames
-// one serialized content frame per Write into an envelope) → closed
+// one serialized content frame per Write into an envelope, and a
+// protocol.SymbolWriter that frames a SYMBOL's envelope straight from its
+// id and payload) → closed
 // (either side's CLOSE_CHANNEL, a wire failure, or Channel.Close; the
 // id then drains).
 //

@@ -200,3 +200,23 @@ func AppendMux(buf []byte, ch uint16, innerType Type, payload []byte) ([]byte, e
 	pre[2] = byte(innerType)
 	return appendFrame(buf, TypeMux, pre[:], payload), nil
 }
+
+// AppendMuxSymbol serializes a SYMBOL (id, data) for channel ch as one MUX
+// envelope onto buf: the bytes AppendMux(buf, ch, TypeSymbol, id‖data)
+// appends, framed straight from the pair, so data is copied and
+// checksummed once and no SYMBOL payload is assembled first. An envelope
+// past MaxPayload is an error and buf comes back unchanged.
+func AppendMuxSymbol(buf []byte, ch uint16, id uint64, data []byte) ([]byte, error) {
+	if 3+8+len(data) > MaxPayload {
+		return buf, fmt.Errorf("protocol: payload %d exceeds limit", 3+8+len(data))
+	}
+	var pre [3 + 8]byte
+	binary.LittleEndian.PutUint16(pre[:], ch)
+	pre[2] = byte(TypeSymbol)
+	binary.LittleEndian.PutUint64(pre[3:], id)
+	return appendFrame(buf, TypeMux, pre[:], data), nil
+}
+
+// MuxSymbolLen is the length of the MUX envelope AppendMuxSymbol appends
+// for a symbol of size payload bytes.
+func MuxSymbolLen(size int) int { return headerLen + 3 + 8 + size + 4 }

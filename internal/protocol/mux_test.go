@@ -98,6 +98,35 @@ func TestMuxEnvelope(t *testing.T) {
 	}
 }
 
+// TestAppendMuxSymbol pins the one-pass symbol envelope to the bytes
+// AppendMux makes of the serialized SYMBOL payload, its length to
+// MuxSymbolLen, and its cost to no allocation.
+func TestAppendMuxSymbol(t *testing.T) {
+	inner := EncodeSymbol(Symbol{ID: 0x0123456789abcdef, Data: []byte("payload-bytes")})
+	want, err := AppendMux([]byte("prefix"), 12, TypeSymbol, inner.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := AppendMuxSymbol([]byte("prefix"), 12, 0x0123456789abcdef, []byte("payload-bytes"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("AppendMuxSymbol bytes differ from AppendMux:\n%x\n%x", got, want)
+	}
+	if n := MuxSymbolLen(len("payload-bytes")); len(got) != 6+n {
+		t.Fatalf("MuxSymbolLen = %d, envelope is %d bytes", n, len(got)-6)
+	}
+	if out, err := AppendMuxSymbol(got, 12, 1, make([]byte, MaxPayload-10)); err == nil || len(out) != len(got) {
+		t.Fatalf("oversize envelope: err = %v, buf %d -> %d bytes", err, len(got), len(out))
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		got, _ = AppendMuxSymbol(got[:0], 12, 7, inner.Payload)
+	}); avg != 0 {
+		t.Errorf("AppendMuxSymbol into a buffer with room allocates %.1f per call, want 0", avg)
+	}
+}
+
 func TestIsVersionReject(t *testing.T) {
 	msg, err := DecodeError(EncodeErrorBadVersion())
 	if err != nil {

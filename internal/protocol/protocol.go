@@ -508,11 +508,22 @@ func EncodeSymbol(s Symbol) Frame {
 	return Frame{Type: TypeSymbol, Payload: buf}
 }
 
+// SymbolWriter is a writer that frames a SYMBOL itself, from its id and
+// payload: a multiplexed channel, whose envelope is the frame that
+// reaches the wire. WriteSymbol hands such a writer the pair rather than
+// a serialized frame it would only unwrap and frame again.
+type SymbolWriter interface {
+	WriteSymbol(id uint64, data []byte) error
+}
+
 // WriteSymbol frames and writes a regular encoded symbol in one Write,
 // assembling header, id, payload and CRC in a pooled buffer — the
 // allocation-free fast path senders use instead of
-// WriteFrame(EncodeSymbol(...)).
+// WriteFrame(EncodeSymbol(...)). A SymbolWriter frames it itself.
 func WriteSymbol(w io.Writer, id uint64, data []byte) error {
+	if sw, ok := w.(SymbolWriter); ok {
+		return sw.WriteSymbol(id, data)
+	}
 	var idb [8]byte
 	binary.LittleEndian.PutUint64(idb[:], id)
 	return writeFrame2(w, TypeSymbol, idb[:], data)

@@ -114,12 +114,13 @@
 //     fountain stream (ids and payloads in a slab log, up to 2·k
 //     symbols). The first receiver that opens holding nothing is sent a
 //     fresh stream and nothing is cached, so contents fetched once cost
-//     no copy; the second such session caches what it sends. Later ones
-//     are replayed the prefix, all at once if they come at once, then
+//     no copy; the second such session records what it sends, and the
+//     prefix closes as it stands when that session ends. Later ones are
+//     replayed the prefix, all at once if they come at once, then
 //     continue on fresh streams of their own, when they announce the
-//     listen address it was first sent to, or none if its first receiver
-//     announced none: a relay holding prefix ids would have nothing for a
-//     receiver being replayed them, so receivers that can exchange
+//     listen address its recorder's receiver announced, or none if that
+//     one announced none: a relay holding prefix ids would have nothing
+//     for a receiver being replayed them, so receivers that can exchange
 //     symbols never share them. A receiver that holds symbols (a redial,
 //     a fetch from a working set) never gets the prefix, so it is never
 //     sent a repeat. serve.symbols_encoded over serve.symbols_sent is one

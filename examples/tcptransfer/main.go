@@ -88,11 +88,13 @@ func main() {
 
 	// Phase 2: stateless migration. Start a fresh download from one
 	// partial sender, stop it early (it cannot finish alone), then resume
-	// against the full sender passing only the held symbols.
-	// (Gossip off: the sender heard the other peers' addresses in phase 1
-	// and would otherwise hand them over, completing the file after all.)
-	res2, err := icd.Fetch([]string{addr1}, info.ID, icd.FetchOptions{
-		Batch: 64, MaxUselessBatches: 2, DisableGossip: true,
+	// against the full sender passing only the held symbols. The partial
+	// sender is served behind a front door of its own: the first one heard
+	// the other peers' addresses in phase 1 and would gossip them on,
+	// completing the file after all.
+	lone := start(p1)
+	res2, err := icd.Fetch([]string{lone}, info.ID, icd.FetchOptions{
+		Batch: 64, MaxUselessBatches: 2,
 	})
 	if err == nil && res2.Completed {
 		log.Fatal("phase 2: a single partial sender cannot complete the file")

@@ -65,6 +65,18 @@ func budgetSwarm(t *testing.T, latency time.Duration, blocks []int, opts Options
 	return consumer, infos, datas
 }
 
+// gauge reads the gauge name off n's registry.
+func gauge(t *testing.T, n *Node, name string) int64 {
+	t.Helper()
+	for _, m := range n.Obs().Snapshot() {
+		if m.Name == name {
+			return m.Value
+		}
+	}
+	t.Fatalf("no %s gauge", name)
+	return 0
+}
+
 // heldListener accepts connections whose channel frames wait for hold.
 type heldListener struct {
 	net.Listener
@@ -232,12 +244,17 @@ func TestNodeFetchOpensAtItsShare(t *testing.T) {
 
 // TestNodeWindowInFlight: node.window_inflight is what the node's fetches
 // have requested and not yet received, not the size of their windows.
-// Under a window budget it never exceeds the fetches' windows; under the
-// default 4096-frame window it never exceeds what their decodes need
-// (under 2k symbols a fetch here, where a window's size would read 4096
-// a session); it reads more than 0 while they run, and 0 once they end.
-// The provider holds its symbols until a sample reads more than 0, so a
-// busy host cannot run both fetches to their end between two samples.
+// Under a window budget a fetch never asks past the largest share it was
+// given, and once a rebalance leaves it above its share it only retires
+// until it is back within it: the first fetch's OPEN may claim its round
+// at the whole budget before the second fetch starts, and a rebalance
+// takes back nothing already asked, so the sum may exceed the budget, but
+// it returns within it while both run. Under the default 4096-frame
+// window the gauge never exceeds what the decodes need (under 2k symbols
+// a fetch here, where a window's size would read 4096 a session); it
+// reads more than 0 while they run, and 0 once they end. The provider
+// holds its symbols until a sample reads more than 0, so a busy host
+// cannot run both fetches to their end between two samples.
 func TestNodeWindowInFlight(t *testing.T) {
 	t.Cleanup(testutil.CheckGoroutines(t))
 	const k = 600
@@ -246,7 +263,9 @@ func TestNodeWindowInFlight(t *testing.T) {
 		budget int   // Options.WindowBudget
 		bound  int64 // the most the two fetches may have asked for
 	}{
-		{"budget", 64, 64}, // 32 frames a fetch: two batches of 16
+		// 32 frames a fetch, two batches of 16, once both run; the first
+		// may have claimed its solo share, 64, before the second started.
+		{"budget", 64, 64 + 32},
 		{"default window", 0, 2 * 2 * k},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -259,34 +278,71 @@ func TestNodeWindowInFlight(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			transfers := startAll(t, ctx, consumer, infos)
-			inflight := func() int64 {
-				for _, m := range consumer.Obs().Snapshot() {
-					if m.Name == "node.window_inflight" {
-						return m.Value
+			inflight := func() int64 { return gauge(t, consumer, "node.window_inflight") }
+			// gauges fails the test unless each named gauge reads its value.
+			gauges := func(when string, want map[string]int64) {
+				t.Helper()
+				for name, v := range want {
+					if got := gauge(t, consumer, name); got != v {
+						t.Errorf("%s: %s = %d, want %d", when, name, got, v)
 					}
 				}
-				t.Fatal("no node.window_inflight gauge")
-				return 0
 			}
 			peak := int64(0)
+			// Each fetch's last sample. A fetch's first claim, its OPEN's
+			// round, may have read the window before the second fetch
+			// started and land after a sample saw the rebalance; every later
+			// claim reads the share it is made under. Once both have claimed
+			// and sit within their shares (settled), their sum stays within
+			// the budget while both run.
+			prev := []int{0, 0}
+			settled := false
 			for !done(transfers[0]) || !done(transfers[1]) {
 				n := inflight()
 				if n > tc.bound {
 					t.Fatalf("node.window_inflight = %d, over the %d the fetches may ask for", n, tc.bound)
 				}
 				if n > 0 {
-					release.Do(func() { close(hold) })
+					release.Do(func() {
+						gauges("held", map[string]int64{
+							"node.fetches_active": 2, "node.store_contents": 2,
+							"node.wires": 1, "node.banned_peers": 0, // both fetches ride the one wire
+						})
+						close(hold)
+					})
 				}
 				peak = max(peak, n)
+				if tc.budget > 0 && !done(transfers[0]) && !done(transfers[1]) {
+					sum, within := 0, true
+					for i, tx := range transfers {
+						asked, fair := tx.Orchestrator().Asked(), share(tc.budget, len(transfers), i)
+						if prev[i] > 0 && asked > fair && asked > prev[i] {
+							t.Fatalf("fetch %d asked for %d, up from %d, above its share of %d", i, asked, prev[i], fair)
+						}
+						prev[i] = asked
+						sum += asked
+						within = within && asked > 0 && asked <= fair
+					}
+					if settled && sum > tc.budget {
+						t.Fatalf("the fetches asked for %d frames, over the %d-frame budget, after both sat within their shares", sum, tc.budget)
+					}
+					settled = settled || within
+				}
 				time.Sleep(200 * time.Microsecond)
 			}
 			waitIntact(t, transfers, datas)
 			if peak == 0 {
 				t.Fatal("node.window_inflight read 0 throughout the fetches")
 			}
+			if tc.budget > 0 && !settled {
+				t.Fatalf("the fetches' requests never came back within their shares of the %d-frame budget while both ran", tc.budget)
+			}
 			if n := inflight(); n != 0 {
 				t.Fatalf("node.window_inflight = %d once the fetches ended, want 0", n)
 			}
+			gauges("ended", map[string]int64{
+				"node.fetches_active": 0, "node.store_contents": 2, "node.banned_peers": 0,
+			})
 		})
 	}
 }

@@ -50,7 +50,7 @@ func TestConnectionAttemptAllocs(t *testing.T) {
 			served <- mux.ServeConn(conn)
 		}
 	}()
-	opts := FetchOptions{Dial: pn.Dial, DisableGossip: true}
+	opts := FetchOptions{Dial: pn.Dial}
 	attempt := func() {
 		res, err := Fetch([]string{"provider"}, info.ID, opts)
 		if err != nil {

@@ -35,7 +35,7 @@ func BenchmarkFetchFabricPipe(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	opts := FetchOptions{Dial: dial, DisableGossip: true}
+	opts := FetchOptions{Dial: dial}
 	fetch := func() *FetchResult {
 		res, err := Fetch([]string{"provider"}, info.ID, opts)
 		if err != nil {
@@ -64,10 +64,10 @@ func BenchmarkFetchFabricPipe(b *testing.B) {
 // BenchmarkFetchFabricPipeFresh is BenchmarkFetchFabricPipe where every
 // fetch is of a content its sender has not served before (one more
 // content id over the same bytes, registered untimed), so nothing is
-// replayed: each session encodes its stream and copies it into the new
-// server's stream prefix, which is all the cache costs a sender whose
-// contents are never fetched twice. encoded/sent, the share of the sent
-// symbols the sender encoded, reads 1.
+// replayed and nothing recorded: a content's first empty receiver is sent
+// a fresh stream that no prefix copies, so a sender whose contents are
+// never fetched twice pays nothing for the cache. encoded/sent, the share
+// of the sent symbols the sender encoded, reads 1.
 func BenchmarkFetchFabricPipeFresh(b *testing.B) {
 	const k, blockSize = 4096, 1400
 	info, data := testContent(b, k, blockSize)
@@ -81,7 +81,7 @@ func BenchmarkFetchFabricPipeFresh(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		res, err := Fetch([]string{"provider"}, info.ID, FetchOptions{Dial: dial, DisableGossip: true})
+		res, err := Fetch([]string{"provider"}, info.ID, FetchOptions{Dial: dial})
 		b.StopTimer()
 		if err != nil {
 			b.Fatal(err)
@@ -108,8 +108,8 @@ func BenchmarkFetchFabricPipeFresh(b *testing.B) {
 // content from one full sender at once, over and over. Announcing listen
 // addresses of their own (addressed), they are a swarm's receivers, which
 // could relay to each other: the sender's cached stream prefix is
-// replayed only to the one it was first sent to, and encoded/sent reads
-// about 3/4. Announcing none (anonymous), they are plain downloads that
+// replayed only to the one whose session recorded it, and encoded/sent
+// reads about 3/4. Announcing none (anonymous), they are plain downloads that
 // pass nothing on: every one is replayed the prefix, all at once, and
 // encoded/sent reads what the four send past it. MB/s counts every
 // receiver's content.
@@ -130,7 +130,7 @@ func BenchmarkFetchFabricPipeConcurrent(b *testing.B) {
 			round := func() {
 				var wg sync.WaitGroup
 				for r := range receivers {
-					opts := FetchOptions{Dial: dial, DisableGossip: true}
+					opts := FetchOptions{Dial: dial}
 					if addressed {
 						opts.AdvertiseAddr = fmt.Sprintf("receiver-%d", r)
 					}
@@ -198,7 +198,7 @@ func BenchmarkFetchFabricWAN(b *testing.B) {
 	dial, cleanup := wanPair(b, rtt, srv)
 	defer cleanup()
 
-	opts := FetchOptions{Dial: dial, DisableGossip: true}
+	opts := FetchOptions{Dial: dial}
 	fetch := func() {
 		res, err := Fetch([]string{"provider"}, info.ID, opts)
 		if err != nil {
@@ -239,7 +239,7 @@ func BenchmarkFetchFabricWANPartial(b *testing.B) {
 	defer cleanup()
 
 	fetch := func() {
-		opts := FetchOptions{Dial: dial, DisableGossip: true, Initial: symbolMap(syms[:k/4])}
+		opts := FetchOptions{Dial: dial, Initial: symbolMap(syms[:k/4])}
 		res, err := Fetch([]string{"provider"}, info.ID, opts)
 		if err != nil {
 			b.Fatal(err)

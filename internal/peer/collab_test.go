@@ -237,7 +237,7 @@ func TestSummaryNegotiationEndToEnd(t *testing.T) {
 		addr := pn.add("p", front(srv))
 		res, err := Fetch([]string{addr}, info.ID, FetchOptions{
 			Batch: 64, Timeout: 5 * time.Second,
-			Initial: symbolMap(receiver), Dial: pn.dial, DisableGossip: true,
+			Initial: symbolMap(receiver), Dial: pn.dial,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -64,10 +64,13 @@
 // says what it holds and is sent a fresh stream of its own. So a
 // receiver that moves never draws a repeat, and what a session is sent
 // follows from its OPEN alone, not from a record of the receiver's past
-// sessions. The OPEN's listen address also decides it: the prefix is
-// replayed only to the address its first symbol was sent to, or, if
-// that receiver announced none, to receivers that announce none, which
-// cannot be dialed and relay nothing. Receivers of one content that
+// sessions. The prefix has one life: a content's second session whose
+// receiver opens empty records it (the first caches nothing), and it
+// closes as it stands when that session ends, however it ends. The OPEN's
+// listen address also decides it: the prefix is replayed only to the
+// address the recorder's receiver announced, or, if that receiver
+// announced none, to receivers that announce none, which cannot be
+// dialed and relay nothing. Receivers of one content that
 // exchange symbols thus never share the prefix's ids — a relay holding
 // them would have nothing for a receiver being replayed them
 // (peer.TestPrefixSwarmReceiverGetsNoRelayedIDs). There is one hop from

@@ -78,11 +78,8 @@ type FetchOptions struct {
 	AdvertiseAddr string
 	// Gossip is the node-wide peer directory shared with a live Server
 	// (a collaborative node passes the same instance to both). Nil
-	// creates a private directory; see DisableGossip to opt out.
+	// creates a private directory: every fetch gossips.
 	Gossip *Gossip
-	// DisableGossip turns gossip peer discovery off: no PEERS
-	// frames are sent and received advertisements are ignored.
-	DisableGossip bool
 	// Dial overrides the dialer a private fabric dials wires through
 	// (tests inject net.Pipe); nil uses TCP. Unused when Fabric is set —
 	// a shared fabric was bound to its dialer at construction.

@@ -86,7 +86,7 @@ func TestWANFetchRoundTrips(t *testing.T) {
 	// fetch returns how long the whole fetch and its WaitInfo took.
 	fetch := func(dial func(string) (net.Conn, error)) (whole, meta time.Duration) {
 		fetches++
-		o := NewOrchestrator(info.ID, FetchOptions{Dial: dial, DisableGossip: true, Timeout: 10 * time.Second, Obs: reg})
+		o := NewOrchestrator(info.ID, FetchOptions{Dial: dial, Timeout: 10 * time.Second, Obs: reg})
 		infoAt := make(chan time.Duration, 1)
 		start := time.Now()
 		go func() {
@@ -186,7 +186,7 @@ func TestPartialSenderWANRoundTrips(t *testing.T) {
 	fetch := func(dial func(string) (net.Conn, error)) time.Duration {
 		start := time.Now()
 		res, err := Fetch([]string{"provider"}, info.ID, FetchOptions{
-			Dial: dial, DisableGossip: true, Timeout: 10 * time.Second,
+			Dial: dial, Timeout: 10 * time.Second,
 			Initial: symbolMap(syms[:256]),
 		})
 		whole := time.Since(start)
@@ -353,7 +353,6 @@ func TestFirstFlightRejects(t *testing.T) {
 				MaxReconnectBackoff: 2 * time.Millisecond,
 				Dial:                pn.dial,
 				Penalties:           clientBox,
-				DisableGossip:       true,
 			})
 			if !tc.check(err) {
 				t.Fatalf("fetch error = %v", err)
@@ -588,7 +587,6 @@ func runProbe(t *testing.T, contentID uint64, opts FetchOptions, probes ...*dept
 		addrs = append(addrs, pn.add(fmt.Sprintf("probe%d", i), p))
 	}
 	opts.Dial = pn.dial
-	opts.DisableGossip = true
 	opts.Timeout = 10 * time.Second
 	o := NewOrchestrator(contentID, opts)
 	ctx, cancel := context.WithCancel(context.Background())

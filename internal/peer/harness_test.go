@@ -250,39 +250,6 @@ func TestRunWithNoPeersUnblocksWaitInfo(t *testing.T) {
 	}
 }
 
-// TestGossipDisabledIgnoresAdvertisements pins the opt-out: with
-// DisableGossip no PEERS frames are acted on, so a node bootstrapped
-// from the seed alone stays with the seed.
-func TestGossipDisabledIgnoresAdvertisements(t *testing.T) {
-	h := newHarness(t, 100, 48)
-	seed := h.addFull("seed", 0)
-	// Another node advertises itself to the seed first, so the seed has
-	// gossip to relay.
-	advertiser := h.startNode("adv-node", FetchOptions{
-		Batch:             8,
-		Timeout:           5 * time.Second,
-		MaxUselessBatches: 1 << 20,
-	}, seed)
-	h.verify(advertiser.run.wait(t))
-
-	o := NewOrchestrator(h.info.ID, FetchOptions{
-		Batch:         8,
-		Timeout:       5 * time.Second,
-		DisableGossip: true,
-		Dial:          h.pn.dial,
-	})
-	res := h.runAsync(o, seed).wait(t)
-	h.verify(res)
-	for _, p := range res.Peers {
-		if p.Discovered {
-			t.Fatalf("gossip-admitted session %q despite DisableGossip", p.Addr)
-		}
-	}
-	if len(res.Peers) != 1 {
-		t.Fatalf("expected only the seed session, got %+v", res.Peers)
-	}
-}
-
 // TestMultiContentSwarmSharedBudget is the PR 5 peer-layer acceptance
 // scenario: two contents served by the same overlapping peer nodes —
 // each node one ServerMux behind one synthetic listener — fetched by
@@ -323,7 +290,6 @@ func TestMultiContentSwarmSharedBudget(t *testing.T) {
 			Timeout:           10 * time.Second,
 			MaxPeers:          maxPeers,
 			MaxUselessBatches: 1 << 20, // reassignment, not uselessness, drives churn
-			DisableGossip:     true,    // fixed topology: the budget is the subject
 			Dial:              pn.dial,
 		}
 	}

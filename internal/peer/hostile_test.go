@@ -251,7 +251,6 @@ func TestUnansweredOpenStallsAndRedials(t *testing.T) {
 		StallTimeout:     200 * time.Millisecond,
 		MaxReconnects:    20,
 		ReconnectBackoff: time.Millisecond,
-		DisableGossip:    true,
 		Dial: func(addr string) (net.Conn, error) {
 			if addr == "seed" {
 				<-wedged.second

@@ -188,7 +188,6 @@ func TestMuxSharesGossipAcrossContents(t *testing.T) {
 			Batch:         16,
 			Timeout:       5 * time.Second,
 			AdvertiseAddr: []string{"clientA:1", "clientB:1"}[i],
-			DisableGossip: false,
 			Dial:          pn.dial,
 		}); err != nil {
 			t.Fatal(err)

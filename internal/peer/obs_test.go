@@ -4,11 +4,14 @@ package peer
 // holds one set of mux.* and serve.* counter handles, SetObs resolves
 // them from a registry — where they are the registry's own counters,
 // shared by every mux of the node — and concurrent increments are
-// race-clean (run under -race in CI).
+// race-clean (run under -race in CI). On the fetch plane, each peer.*
+// counter that has a PeerStats twin agrees with the sum of it.
 
 import (
+	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"icd/internal/obs"
 )
@@ -128,4 +131,97 @@ func observe(mux *ServerMux) *obs.Registry {
 	r := obs.NewRegistry()
 	mux.SetObs(r)
 	return r
+}
+
+// TestRegistryTwinsAgreeWithPeerStats: after a fetch against faulty peers
+// — an address nothing listens on, a corrupting peer, a mute one, a
+// partial sender whose first connection dies mid-batch, and one dropped
+// mid-transfer — each peer.* counter that has a PeerStats twin equals the
+// sum of that twin over the fetch's sessions. The two partial senders
+// cannot complete the content; the full sender that does joins once the
+// mute peer has stalled.
+func TestRegistryTwinsAgreeWithPeerStats(t *testing.T) {
+	defer checkGoroutines(t)()
+	h := newHarness(t, 200, 48)
+	defer h.pn.close() // stop the accept loops before the leak check
+	h.addFull("seed", 0)
+	h.addPartial("part", 120, 5)
+	h.addPartial("cut", 60, 7)
+	h.pn.wrapNth("cut", 1, func(c net.Conn) net.Conn { return &cutConn{Conn: c, left: 600} })
+	h.pn.add("evil", junkServer{})
+	h.pn.add("mute", muteServer{info: h.info})
+	h.pn.add("dropped", muteServer{info: h.info})
+
+	reg := obs.NewRegistry()
+	o := NewOrchestrator(h.info.ID, FetchOptions{
+		Batch:               8,
+		Timeout:             5 * time.Second,
+		StallTimeout:        50 * time.Millisecond,
+		MaxReconnects:       3,
+		ReconnectBackoff:    time.Millisecond,
+		MaxReconnectBackoff: 4 * time.Millisecond,
+		Dial:                h.pn.dial,
+		Obs:                 reg,
+	})
+	run := h.runAsync(o, "part", "cut", "evil", "mute", "dropped", "nowhere")
+	h.await("the session to drop", 5*time.Second, func() bool {
+		for _, st := range o.Sessions() {
+			if st.Addr == "dropped" {
+				return true
+			}
+		}
+		return false
+	})
+	if !o.DropPeer("dropped") {
+		t.Fatal("DropPeer found no live session")
+	}
+	if o.DropPeer("dropped") {
+		t.Fatal("DropPeer evicted a session twice")
+	}
+	h.await("a stall", 5*time.Second, func() bool { return reg.Counter("peer.stalls").Value() > 0 })
+	if err := o.AddPeer("seed"); err != nil {
+		t.Fatal(err)
+	}
+	res := run.wait(t)
+	h.verify(res)
+
+	for _, c := range []struct {
+		name string
+		twin func(PeerStats) int
+	}{
+		{"peer.redials", func(p PeerStats) int { return p.Reconnects }},
+		{"peer.dial_failures", func(p PeerStats) int { return p.DialFailures }},
+		{"peer.stalls", func(p PeerStats) int { return p.Stalls }},
+		{"peer.resets", func(p PeerStats) int { return p.Resets }},
+		{"peer.corrupt_frames", func(p PeerStats) int { return p.CorruptFrames }},
+		{"peer.refreshes_sent", func(p PeerStats) int { return p.RefreshesSent }},
+		{"peer.sessions{event=evicted}", func(p PeerStats) int {
+			if p.Evicted {
+				return 1
+			}
+			return 0
+		}},
+	} {
+		want := 0
+		for _, p := range res.Peers {
+			want += c.twin(p)
+		}
+		got := reg.Counter(c.name).Value()
+		t.Logf("%s = %d", c.name, got)
+		if got != int64(want) {
+			t.Errorf("%s = %d, but the sessions' PeerStats sum to %d", c.name, got, want)
+		}
+	}
+	if st := peerByAddr(t, res, "nowhere"); st.DialFailures == 0 {
+		t.Fatalf("no dial failure at an address nothing listens on: %+v", st)
+	}
+	if st := peerByAddr(t, res, "evil"); st.CorruptFrames == 0 {
+		t.Fatalf("no corrupt frame from the corrupting peer: %+v", st)
+	}
+	if st := peerByAddr(t, res, "cut"); st.Resets == 0 {
+		t.Fatalf("no reset from the connection that died mid-batch: %+v", st)
+	}
+	if st := peerByAddr(t, res, "dropped"); !st.Evicted {
+		t.Fatalf("the dropped session is not marked evicted: %+v", st)
+	}
 }

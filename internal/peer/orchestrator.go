@@ -75,11 +75,12 @@ type Orchestrator struct {
 	idle      chan struct{} // closed when the last session exited: nothing folds any more
 	peel      *peelStage    // decodes the working set's log; runs while Run does
 
-	// gossip is the node-wide peer directory (nil when FetchOptions.
-	// DisableGossip): sessions and a co-located ServerMux feed
-	// advertisements into it, its subscription drives the
-	// considerDiscovered admission path below, and it is the one ranked
-	// list of whom to dial when a slot frees (promoteCandidateLocked).
+	// gossip is the node-wide peer directory (never nil: a private one is
+	// created when FetchOptions.Gossip is not shared): sessions and a
+	// co-located ServerMux feed advertisements into it, its subscription
+	// drives the considerDiscovered admission path below, and it is the
+	// one ranked list of whom to dial when a slot frees
+	// (promoteCandidateLocked).
 	gossip *Gossip
 
 	// penalties is the misbehavior penalty box (never nil: a private box
@@ -188,15 +189,13 @@ func NewOrchestrator(contentID uint64, opts FetchOptions) *Orchestrator {
 			Obs:        opts.Obs,
 		})
 	}
-	if !opts.DisableGossip {
-		o.gossip = opts.Gossip
-		if o.gossip == nil {
-			o.gossip = NewGossip(opts.AdvertiseAddr)
-		}
-		// Every advertisement the node learns — through any session or a
-		// co-located live Server — flows into the admission path.
-		o.gossip.subscribe(func(ad protocol.PeerAd) { o.considerDiscovered(ad) })
+	o.gossip = opts.Gossip
+	if o.gossip == nil {
+		o.gossip = NewGossip(opts.AdvertiseAddr)
 	}
+	// Every advertisement the node learns — through any session or a
+	// co-located live Server — flows into the admission path.
+	o.gossip.subscribe(func(ad protocol.PeerAd) { o.considerDiscovered(ad) })
 	// The log adopts the resumed working set in id order, not map order: it
 	// keeps arrival order, which a live Server's sessions walk by position.
 	o.log.adopt(opts.Initial)
@@ -304,7 +303,7 @@ func (o *Orchestrator) startSessionLocked(addr string, discovered bool) {
 // already connected or attempted, banned). It reports whether a session
 // was started.
 func (o *Orchestrator) considerDiscovered(ad protocol.PeerAd) bool {
-	if o.gossip == nil || ad.ContentID != o.contentID || ad.Addr == "" ||
+	if ad.ContentID != o.contentID || ad.Addr == "" ||
 		ad.Addr == o.opts.AdvertiseAddr || o.ctx.Err() != nil {
 		return false
 	}
@@ -342,9 +341,6 @@ func (o *Orchestrator) promoteCandidateLocked() {
 // ranks by mention count, then first heard. It ranks into o.ranked, so
 // it allocates nothing once that has the room. Callers hold o.mu.
 func (o *Orchestrator) nextCandidateLocked() (protocol.PeerAd, bool) {
-	if o.gossip == nil {
-		return protocol.PeerAd{}, false
-	}
 	o.ranked = o.gossip.AppendSnapshot(o.ranked[:0], o.contentID, 0)
 	for _, ad := range o.ranked {
 		if !o.attempted[ad.Addr] && ad.Addr != o.opts.AdvertiseAddr && !o.penalties.Banned(ad.Addr) {
@@ -366,9 +362,6 @@ func (o *Orchestrator) Penalties() *PenaltyBox { return o.penalties }
 // peer being talked to. What it appends changes only when the
 // directory's generation or sessionsGen moves (session.adGenerations).
 func (o *Orchestrator) gossipAdverts(dst []protocol.PeerAd, excludeAddr string) []protocol.PeerAd {
-	if o.gossip == nil {
-		return dst
-	}
 	if self := o.opts.AdvertiseAddr; self != "" {
 		dst = append(dst, protocol.PeerAd{ContentID: o.contentID, Addr: self})
 	}
@@ -472,15 +465,24 @@ func (o *Orchestrator) Info() (ContentInfo, bool) {
 }
 
 // DropPeer disconnects addr's session (it winds down cleanly and is
-// marked Evicted). It reports whether a live session was found.
+// marked Evicted). It reports whether a live session, not yet evicted,
+// was found.
 func (o *Orchestrator) DropPeer(addr string) bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	s := o.sessions[addr]
-	if s == nil {
+	return s != nil && o.evictLocked(s, "dropped")
+}
+
+// evictLocked evicts s, counting and tracing it with the reason why, and
+// reports whether it did: a session is evicted once. Callers hold o.mu.
+func (o *Orchestrator) evictLocked(s *session, why string) bool {
+	if s.stats.Evicted {
 		return false
 	}
 	s.evict()
+	o.met.evicted.Inc()
+	o.trace(obs.EvEvict, s.addr, why)
 	return true
 }
 
@@ -496,12 +498,10 @@ func (o *Orchestrator) evictLowestLocked() {
 		}
 	}
 	if victim != nil {
-		victim.evict()
+		o.evictLocked(victim, "lowest utility")
 		delete(o.sessions, victim.addr) // a replacement may reuse the address slot
 		o.sessionsGen.Add(1)
-		o.met.evicted.Inc()
 		o.met.live.Set(int64(len(o.sessions)))
-		o.trace(obs.EvEvict, victim.addr, "lowest utility")
 	}
 }
 
@@ -899,10 +899,8 @@ func (o *Orchestrator) Run(ctx context.Context, addrs ...string) (*FetchResult, 
 	// Addresses already sitting in a shared gossip directory (a
 	// collaborative node whose Server heard clients before Run) go
 	// through the same admission path as live discoveries.
-	if o.gossip != nil {
-		for _, ad := range o.gossip.AppendSnapshot(nil, o.contentID, 0) {
-			o.considerDiscovered(ad)
-		}
+	for _, ad := range o.gossip.AppendSnapshot(nil, o.contentID, 0) {
+		o.considerDiscovered(ad)
 	}
 	o.mu.Lock()
 	started := len(o.stats)

@@ -68,7 +68,7 @@ func logOf(syms []fountain.Symbol) func() ([]uint64, [][]byte) {
 func TestFoldAdvancesWhilePeelHeld(t *testing.T) {
 	const nBlocks, blockSize = 256, 32
 	info, data := testContent(t, nBlocks, blockSize)
-	o := NewOrchestrator(info.ID, FetchOptions{DisableGossip: true})
+	o := NewOrchestrator(info.ID, FetchOptions{})
 	if err := o.ensureDecoder(info); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestPeelStageReportsDecoderError(t *testing.T) {
 func TestConcurrentFoldsLeaveTheUnion(t *testing.T) {
 	const nBlocks, blockSize, total, dups = 256, 32, 200, 20
 	info, data := testContent(t, nBlocks, blockSize)
-	o := NewOrchestrator(info.ID, FetchOptions{DisableGossip: true})
+	o := NewOrchestrator(info.ID, FetchOptions{})
 	if err := o.ensureDecoder(info); err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,6 @@ func TestAllDuplicateSenderDroppedAfterMaxUselessBatches(t *testing.T) {
 		Uninformed:        true, // the sender sends what it holds, which is what we hold
 		Timeout:           5 * time.Second,
 		Dial:              h.pn.dial,
-		DisableGossip:     true,
 	})
 	if err == nil || res == nil || res.Completed {
 		t.Fatalf("a fetch from a sender with nothing new: res=%+v err=%v", res, err)
@@ -315,7 +314,7 @@ func TestFetchOverheadMatchesPlainDecoder(t *testing.T) {
 	pn := newPipeNet()
 	defer pn.close()
 	pn.add("full", front(srv))
-	res, err := Fetch([]string{"full"}, info.ID, FetchOptions{Dial: pn.dial, DisableGossip: true})
+	res, err := Fetch([]string{"full"}, info.ID, FetchOptions{Dial: pn.dial})
 	if err != nil {
 		t.Fatal(err)
 	}

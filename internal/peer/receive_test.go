@@ -65,7 +65,7 @@ func TestReceivePathZeroAlloc(t *testing.T) {
 	stream := buf.Bytes()
 	r := bytes.NewReader(stream)
 	fr := protocol.NewFrameReader(r)
-	o := NewOrchestrator(1, FetchOptions{Initial: held, DisableGossip: true})
+	o := NewOrchestrator(1, FetchOptions{Initial: held})
 	s := newSession(o, "sender")
 	_, before := o.WorkingSet()
 
@@ -163,7 +163,7 @@ func TestDuplicateCauses(t *testing.T) {
 		return protocol.NewFrameReader(&buf)
 	}
 	reg := obs.NewRegistry()
-	o := NewOrchestrator(1, FetchOptions{DisableGossip: true, Obs: reg})
+	o := NewOrchestrator(1, FetchOptions{Obs: reg})
 	a, b := newSession(o, "a"), newSession(o, "b")
 	counts := func() (before, since int64) {
 		return o.met.dupBefore.Value(), o.met.dupSince.Value()

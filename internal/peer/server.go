@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -66,12 +65,12 @@ type WorkingSetSource interface {
 // the symbols of a working-set log — fixed, or the growing one of a fetch
 // in progress — as they are, each session walking the log with a cursor).
 // A Server is only its content and what it has encoded of it: a full
-// sender keeps one cached prefix of one fountain stream (prefix), which
-// it replays from memory to empty receivers that cannot pass it on to one
-// another. It owns no listener, no peer directory, no penalty box and no
-// counters. A ServerMux accepts connections, runs the fabric handshake
-// and admission, and serves each subchannel whose OPEN names this content
-// with the node's planes (serve).
+// sender keeps one cached prefix of one fountain stream, recorded by one
+// session and replayed from memory once that session ends (prefix). It
+// owns no listener, no peer directory, no penalty box and no counters. A
+// ServerMux accepts connections, runs the fabric handshake and admission,
+// and serves each subchannel whose OPEN names this content with the
+// node's planes (serve).
 type Server struct {
 	info       ContentInfo
 	code       *fountain.Code
@@ -83,97 +82,74 @@ type Server struct {
 
 // prefix is a full sender's cached stream prefix: the first symbols of
 // one fountain stream, ids and payloads in the order they were sent,
-// encoded once and replayed from memory. §2.3's full sender is a digital
-// fountain, any of whose streams serves any one receiver; but receivers
-// that exchange symbols need different streams, since a relay that holds
-// prefix ids has nothing to give a receiver being replayed them. So the
-// prefix is replayed only where it went first: to a receiver that opens
-// holding nothing (Hello.Symbols == 0) and announcing the listen address
-// its first symbol was sent to (owner) — that one node fetching again
-// after it dropped the content, or, when the first receiver announced
-// none, any receiver that announces none, which cannot be dialed and so
-// relays nothing. Every other session encodes a fresh stream of its own,
-// as every session did before. The receivers a closed prefix is replayed
-// to pass none of it on to each other, so any number of them read it at
-// once. A receiver that holds symbols — a redial, a fetch that began with
-// a working set — is never replayed it: it could hold prefix ids already,
-// and a fresh stream of its own is what keeps migration stateless.
-//
-// The first receiver of a content that opens empty is sent a fresh
-// stream, and nothing is cached (asked): a content may never be fetched
+// encoded once and replayed from memory. It has one life. A content's
+// first receiver that opens holding nothing (Hello.Symbols == 0) is sent
+// a fresh stream and nothing is cached: a content may never be fetched
 // again, and a sender whose contents are each fetched once would get only
-// the copying from a cache. From the second on, one session at a time
-// extends an open prefix (writing); one that finds it being extended
-// encodes a fresh stream. That session appends every symbol it sends, up
-// to prefixLimit; when it ends, a prefix that holds at least
-// decodeNeed(k) symbols closes (its decode point is found when it is
-// first replayed), and a shorter one stays open for the next, which
-// replays it and extends the same stream. A reader of a closed prefix
-// replays it and continues on a fresh stream of its own. Nothing is
-// encoded ahead of a session; a cached payload is never written again,
-// nor handed back to an encoder's freelist. Its price is memory: at most
-// prefixLimit payloads (twice the content, what CacheBound charges),
-// typically what one fetch of the stream was sent, about 1.1× it.
+// the copying from a cache. The second records: its session sends a
+// fresh stream of its own and appends each symbol it sends, up to
+// prefixLimit. When that session ends, however it ends, the prefix closes
+// as it stands; a cached payload is never written again, nor handed back
+// to an encoder's freelist. §2.3's full sender is a digital fountain, any
+// of whose streams serves any one receiver; but receivers that exchange
+// symbols need different streams, since a relay that holds prefix ids
+// has nothing to give a receiver being replayed them. So a closed prefix
+// is replayed only where it went: to a receiver
+// that opens holding nothing and announces the listen address the
+// recorder's receiver announced (owner) — that one node fetching again
+// after it dropped the content, or, when the recorder's receiver
+// announced none, any receiver that announces none, which cannot be
+// dialed and so relays nothing. Any number of them read it at once, each
+// continuing on a fresh stream of its own past it. Every other session
+// encodes a fresh stream, as every session did before: one that holds
+// symbols (a redial, a fetch that began with a working set), which could
+// hold prefix ids already and whose fresh stream keeps migration
+// stateless, and one served while the prefix is being recorded. Its price
+// is memory: at most prefixLimit payloads (twice the content, what
+// CacheBound charges), typically what one fetch of the stream was sent,
+// about 1.1× it.
 type prefix struct {
-	// asked is set by the first session whose receiver opens empty.
-	asked atomic.Bool
-	// closed is set once, when the log and owner are final; from then on
-	// they are read by any number of sessions at once.
-	closed atomic.Bool
-	// writing is held by the one session that may extend an open prefix.
-	// The fields below are its until it releases it; each release happens
-	// before the next hold.
-	writing   atomic.Bool
-	symbolLog                   // the prefix: ids and slab payloads, no index
-	owner     string            // the listen address its first symbol was sent to
-	enc       *fountain.Encoder // the stream an open prefix continues; nil before the first symbol and once closed
-	// decoded is how many of a closed prefix's symbols, in order, a decode
-	// of the content takes (all of them, when they do not suffice), found
-	// by its first reader (decodeOnce), so that a content never fetched
-	// twice never pays for it. It sizes a reader's first round: the prefix
-	// also holds what the first session sent past that point, the answers
-	// to requests in flight when its receiver decoded, which a repeat sent
-	// them in its first round would only pay for on the wire behind
-	// requests of its own.
-	decodeOnce sync.Once
-	decoded    int
+	// empties counts the sessions whose receiver opened empty; the second
+	// records.
+	empties atomic.Int64
+	// closed is set once, when the recorder's session ends; the fields
+	// below are the recorder's until then, and from then on are read by
+	// any number of sessions at once.
+	closed    atomic.Bool
+	symbolLog        // the prefix: ids and slab payloads, no index
+	owner     string // the listen address the recorder's receiver announced
+	// decoded is how many of the prefix's symbols, in order, a decode of
+	// the content takes (all of them, when they do not suffice), found when
+	// it closes. It sizes a replay's first round: the prefix also holds
+	// what the recorder sent past that point, the answers to requests in
+	// flight when its receiver decoded, which a repeat sent them in its
+	// first round would only pay for on the wire behind requests of its
+	// own.
+	decoded int
 }
 
 // take reports whether a session whose OPEN is hello is replayed the
-// prefix, and whether it also extends it, holding writing until
-// Server.release.
-func (p *prefix) take(hello protocol.Hello) (replay, extend bool) {
-	if hello.Symbols != 0 || !p.asked.Swap(true) {
+// closed prefix, or records it and calls Server.close when it ends.
+func (p *prefix) take(hello protocol.Hello) (replay, record bool) {
+	if hello.Symbols != 0 {
 		return false, false
 	}
-	if p.closed.Load() {
-		return p.owner == hello.ListenAddr, false
-	}
-	if !p.writing.CompareAndSwap(false, true) {
-		return false, false
-	}
-	switch {
-	case p.closed.Load(): // closed between the two loads
-		p.writing.Store(false)
-		return p.owner == hello.ListenAddr, false
-	case len(p.ids) == 0:
+	switch n := p.empties.Add(1); {
+	case n == 2:
 		p.owner = hello.ListenAddr
-	case p.owner != hello.ListenAddr:
-		p.writing.Store(false)
-		return false, false
+		return false, true
+	case n > 2 && p.closed.Load():
+		return p.owner == hello.ListenAddr, false
 	}
-	return true, true
+	return false, false
 }
 
-// release ends the session that extends s's open prefix, closing it if
-// it holds what a decode of the content takes.
-func (s *Server) release() {
+// close ends the session that records s's prefix: the prefix closes as it
+// stands, its decode point found first.
+func (s *Server) close() {
 	p := &s.cache
-	if len(p.ids) >= decodeNeed(s.info.NumBlocks) {
-		p.enc = nil
-		p.closed.Store(true)
-	}
-	p.writing.Store(false)
+	p.decoded = s.decodesAt(p.ids)
+	p.closed.Store(true)
 }
 
 // decodesAt is how many of the given ids, in order, a decode of the
@@ -196,14 +172,6 @@ func (s *Server) decodesAt(ids []uint64) int {
 		}
 	}
 	return len(ids)
-}
-
-// decodePoint is the decoded field of s's closed prefix, found on the
-// first call.
-func (s *Server) decodePoint() int {
-	p := &s.cache
-	p.decodeOnce.Do(func() { p.decoded = s.decodesAt(p.ids) })
-	return p.decoded
 }
 
 // prefixLimit is the most symbols a prefix of a k-block content holds:
@@ -360,19 +328,20 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello, m *Serve
 		}
 	}
 	// A full sender's session is replayed the cached prefix when its
-	// receiver may be (prefix). A round that carries a closed prefix up to
-	// its decode point decodes in the first round trip however unlucky
-	// that stream was; sized by decodeNeed alone, an unlucky stream would
-	// take two on every repeat.
+	// receiver may be, or records it (prefix). A round that carries the
+	// prefix up to its decode point decodes in the first round trip however
+	// unlucky that stream was; sized by decodeNeed alone, an unlucky stream
+	// would take two on every repeat.
 	var st *stream
 	if s.Full() {
 		st = &stream{seed: s.streamSeed.Add(1) ^ addrSalt(ch.LocalAddr())}
-		replay, extend := s.cache.take(clientHello)
+		replay, record := s.cache.take(clientHello)
 		if replay {
-			st.cache, st.extend = &s.cache, extend
+			st.replay = &s.cache
 		}
-		if extend {
-			defer s.release()
+		if record {
+			st.record = &s.cache
+			defer s.close()
 		}
 	}
 	n, total := min(int(clientHello.Batch), maxBatch), 0
@@ -381,8 +350,8 @@ func (s *Server) serve(ch *peermux.Channel, clientHello protocol.Hello, m *Serve
 		if s.Full() {
 			need := decodeNeed(s.info.NumBlocks)
 			need -= int(min(clientHello.Symbols, uint64(need)))
-			if st.cache != nil && !st.extend {
-				need = max(need, s.decodePoint())
+			if st.replay != nil {
+				need = max(need, st.replay.decoded)
 			}
 			batches = min(int(clientHello.Depth), max(1, (need+n-1)/n))
 		}
@@ -499,47 +468,25 @@ func (s *Server) send(w io.Writer, met *serveMetrics, st *stream, cur *cursor, n
 	return sendHeld(w, met, cur, ids, payloads, n)
 }
 
-// stream is a full sender's session: the cached prefix it replays, when
+// stream is a full sender's session: the closed prefix it replays, when
 // it is replayed one, then its encoder's symbols.
 type stream struct {
 	seed   uint64            // the session's stream seed, salted with the server's address
-	cache  *prefix           // the replayed prefix, or nil
-	extend bool              // the session extends the open prefix it replays
+	replay *prefix           // the closed prefix the session replays, or nil
+	record *prefix           // the prefix the session records, or nil
 	pos    int               // the next prefix position to replay
-	enc    *fountain.Encoder // nil until the prefix is spent
-}
-
-// encoder is what the stream sends once its prefix is spent: an open
-// prefix's own stream, which this session extends (started with this
-// session's seed if it sends the prefix's first symbol), or a fresh one
-// of its own.
-func (s *Server) encoder(st *stream) (*fountain.Encoder, error) {
-	if st.enc == nil && st.extend {
-		st.enc = st.cache.enc
-	}
-	if st.enc == nil {
-		enc, err := fountain.NewEncoder(s.code, s.blocks, st.seed*0x9e3779b97f4a7c15)
-		if err != nil {
-			return nil, err
-		}
-		st.enc = enc
-		if st.extend {
-			st.cache.enc = enc
-		}
-	}
-	return st.enc, nil
+	enc    *fountain.Encoder // the session's fresh stream; nil until the first symbol past the prefix
 }
 
 // sendFull streams n symbols followed by DONE: the replayed prefix's from
-// memory, then fresh ones from the encoder, each appended to an open
-// prefix while it has room. A fresh symbol is framed straight from the
-// encoder's pooled payload buffer and released after the write (an
-// appended one is copied into the prefix's slab first), so the
-// steady-state loop is allocation-free.
+// memory, then fresh ones from the session's own encoder, each appended
+// to the prefix it records while that has room. A fresh symbol is framed
+// straight from the encoder's pooled payload buffer and released after
+// the write (an appended one is copied into the prefix's slab first), so
+// the steady-state loop is allocation-free.
 func (s *Server) sendFull(w io.Writer, met *serveMetrics, st *stream, n int) error {
-	c := st.cache
 	for i := 0; i < n; i++ {
-		if c != nil && st.pos < len(c.ids) {
+		if c := st.replay; c != nil && st.pos < len(c.ids) {
 			if err := protocol.WriteSymbol(w, c.ids[st.pos], c.payloads[st.pos]); err != nil {
 				return err
 			}
@@ -547,17 +494,20 @@ func (s *Server) sendFull(w io.Writer, met *serveMetrics, st *stream, n int) err
 			met.symbolsSent.Inc()
 			continue
 		}
-		enc, err := s.encoder(st)
-		if err != nil {
-			return err
+		if st.enc == nil {
+			enc, err := fountain.NewEncoder(s.code, s.blocks, st.seed*0x9e3779b97f4a7c15)
+			if err != nil {
+				return err
+			}
+			st.enc = enc
 		}
-		sym := enc.Next()
+		sym := st.enc.Next()
 		met.symbolsEncoded.Inc()
-		err = protocol.WriteSymbol(w, sym.ID, sym.Data)
-		if err == nil && st.extend && len(c.ids) < prefixLimit(s.info.NumBlocks) {
-			st.pos = c.push(sym.ID, sym.Data) + 1
+		err := protocol.WriteSymbol(w, sym.ID, sym.Data)
+		if c := st.record; err == nil && c != nil && len(c.ids) < prefixLimit(s.info.NumBlocks) {
+			c.push(sym.ID, sym.Data)
 		}
-		enc.Release(sym)
+		st.enc.Release(sym)
 		if err != nil {
 			return err
 		}

@@ -787,9 +787,6 @@ func (s *session) serveChannel(ctx context.Context, ch *peermux.Channel, open pr
 // adGenerations are the generations gossipAdverts' answer moves with:
 // the directory's and the fetch's session set's (relay.send).
 func (s *session) adGenerations() [2]uint64 {
-	if s.o.gossip == nil {
-		return [2]uint64{}
-	}
 	return [2]uint64{s.o.gossip.generation(), s.o.sessionsGen.Load()}
 }
 

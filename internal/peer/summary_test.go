@@ -85,7 +85,7 @@ func checkSummary(t *testing.T, o *Orchestrator, s *session, sizedFor int) {
 // the log). It is rebuilt only at those resizes.
 func TestKeptFilterMatchesRebuild(t *testing.T) {
 	const k = 4096
-	o := NewOrchestrator(1, FetchOptions{Initial: seqIDs(1, k/2), DisableGossip: true})
+	o := NewOrchestrator(1, FetchOptions{Initial: seqIDs(1, k/2)})
 	s := newSession(o, "sender")
 	if o.filter != nil {
 		t.Fatal("a filter was built before any summary")
@@ -128,7 +128,7 @@ func TestKeptFilterMatchesRebuild(t *testing.T) {
 // allocates nothing either.
 func TestRefreshAllocs(t *testing.T) {
 	const k = 4096
-	o := NewOrchestrator(1, FetchOptions{Initial: seqIDs(1, k/2), DisableGossip: true})
+	o := NewOrchestrator(1, FetchOptions{Initial: seqIDs(1, k/2)})
 	s := newSession(o, "sender")
 	if err := o.ensureDecoder(ContentInfo{ID: 1, NumBlocks: k, BlockSize: 8, OrigLen: 8 * k, CodeSeed: 1}); err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestFullSendersBuildNoFilter(t *testing.T) {
 		}
 		h.pn.add(addr, gatedServer{front(srv), g})
 	}
-	o := NewOrchestrator(h.info.ID, FetchOptions{Dial: h.pn.dial, Timeout: 10 * time.Second, DisableGossip: true})
+	o := NewOrchestrator(h.info.ID, FetchOptions{Dial: h.pn.dial, Timeout: 10 * time.Second})
 	res, err := o.Run(context.Background(), "F1", "F2")
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +283,7 @@ func TestPartialSwarmDuplicates(t *testing.T) {
 			defer wg.Done()
 			for range fetches {
 				res, err := Fetch([]string{"A", "B"}, h.info.ID, FetchOptions{
-					Dial: h.pn.dial, Timeout: 10 * time.Second, DisableGossip: true, Initial: initial,
+					Dial: h.pn.dial, Timeout: 10 * time.Second, Initial: initial,
 				})
 				if err != nil {
 					t.Error(err)

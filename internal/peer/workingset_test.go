@@ -252,7 +252,7 @@ func TestWorkingSetIsAdopted(t *testing.T) {
 	}
 	check("the partial server", srv.src)
 
-	o := NewOrchestrator(info.ID, FetchOptions{Initial: symbols, DisableGossip: true})
+	o := NewOrchestrator(info.ID, FetchOptions{Initial: symbols})
 	defer o.finish()
 	check("the fetch", o)
 	if o.log.index != nil {
@@ -896,7 +896,7 @@ func readIDs(t *testing.T, b *bytes.Buffer) []uint64 {
 // slices 0..s-1 of s in join order, however they join and leave; a
 // session that is not among them is handed the whole space.
 func TestPartialSlicesStayContiguous(t *testing.T) {
-	o := NewOrchestrator(1, FetchOptions{DisableGossip: true})
+	o := NewOrchestrator(1, FetchOptions{})
 	defer o.finish()
 	ss := make([]*session, 5)
 	for i := range ss {
@@ -947,7 +947,7 @@ func TestResliceCostsOneRefreshPerSession(t *testing.T) {
 		initial[1<<40+uint64(i)] = probeBlock
 	}
 	o := NewOrchestrator(2, FetchOptions{
-		Dial: pn.dial, DisableGossip: true, Timeout: 10 * time.Second,
+		Dial: pn.dial, Timeout: 10 * time.Second,
 		Initial: initial,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -1124,7 +1124,7 @@ func TestDrySenderIsDroppedAndLiveOneResumes(t *testing.T) {
 	h.pn.add("dry", mux)
 	const patience = 3
 	res, err := Fetch([]string{"dry"}, h.info.ID, FetchOptions{
-		Dial: h.pn.dial, Batch: 16, Timeout: 10 * time.Second, DisableGossip: true,
+		Dial: h.pn.dial, Batch: 16, Timeout: 10 * time.Second,
 		Initial: symbolMap(syms[:64]), MaxUselessBatches: patience,
 	})
 	if err == nil || res == nil || res.Completed {
@@ -1237,7 +1237,7 @@ func TestPartialSwarmUsefulRatio(t *testing.T) {
 			h.pn.add(addr, front(srv))
 		}
 		res, err := Fetch([]string{"A", "B"}, h.info.ID, FetchOptions{
-			Dial: h.pn.dial, Timeout: 10 * time.Second, DisableGossip: true,
+			Dial: h.pn.dial, Timeout: 10 * time.Second,
 			Initial: symbolMap(pool[:k/2]),
 		})
 		if err != nil {
@@ -1263,9 +1263,9 @@ func TestPartialSwarmUsefulRatio(t *testing.T) {
 // gossip directory did not change since the last relay — allocates
 // nothing on either end of the channel: not to relay, not to pick
 // symbols, not to frame, move or read them. A full sender's session that
-// extends its open prefix, a fresh fetch's first, allocates the prefix's
-// slabs and grows its two slices as it goes: a bounded number of times
-// for the whole session, never once per symbol.
+// records its prefix, a content's second empty receiver's, allocates the
+// prefix's slabs and grows its two slices as it goes: a bounded number of
+// times for the whole session, never once per symbol.
 func TestRequestWithNoNewsZeroAlloc(t *testing.T) {
 	// The standard is bare frame writes: buffer pools shed under the race
 	// detector, and then nothing pooled can be pinned.
@@ -1294,16 +1294,16 @@ func TestRequestWithNoNewsZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay.cache.asked.Store(true)
+	replay.cache.empties.Store(1)
 	(&prefixServer{srv: replay, mux: front(replay)}).session(t, 0, 240)
-	full.cache.asked.Store(true) // fetched once: the session below extends its prefix
+	full.cache.empties.Store(1) // fetched once: the session below records its prefix
 	const n, warm, runs = 4, 8, 51
 	req := protocol.EncodeRequest(n)
 	for _, tc := range []struct {
 		name    string
 		srv     *Server
 		self    string // the listen address the OPEN announces
-		extends bool   // the session extends full's open prefix
+		records bool   // the session records full's prefix
 	}{
 		{"full", replay, "receiver:1", false},
 		{"full replay", replay, "", false},
@@ -1341,7 +1341,7 @@ func TestRequestWithNoNewsZeroAlloc(t *testing.T) {
 			for i := 0; i < warm; i++ { // the first relays the directory
 				request()
 			}
-			if tc.extends {
+			if tc.records {
 				// Two runs of 25 REQUESTs, the first to warm, the second
 				// measured, and no collection in between: one empties the
 				// frame pools, whose refills are not the session's own.
@@ -1361,7 +1361,7 @@ func TestRequestWithNoNewsZeroAlloc(t *testing.T) {
 				// bits.Len(cached) times each.
 				bound := batch*n*info.BlockSize/slabSize + 1 + 2*bits.Len(uint(cached))
 				if got > float64(bound) {
-					t.Errorf("%d REQUESTs extending the prefix allocate %.0f times, want at most %d: its slabs and slice growth", batch, got, bound)
+					t.Errorf("%d REQUESTs recording the prefix allocate %.0f times, want at most %d: its slabs and slice growth", batch, got, bound)
 				}
 			} else if avg := testing.AllocsPerRun(runs-1, request); avg != 0 {
 				t.Errorf("a REQUEST with no news allocates %.2f, want 0", avg)

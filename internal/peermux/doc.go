@@ -76,7 +76,7 @@
 // nothing asked for is charged (WeightViolation) and dropped, and the
 // wire survives; so is a frame for an unknown channel id, or of a retired
 // type (CREDIT, 18, until version 13), or any frame past a channel's
-// queue bound (DefaultWindow + 64 frames unread). Control frames always
+// queue bound (DefaultWindow + 128 frames unread). Control frames always
 // flow, and a sender never waits: it sends what it was asked for.
 //
 // A channel has no window. How much a session may have asked for and not

@@ -289,8 +289,71 @@ func TestReceiveSlabSteadyState(t *testing.T) {
 	}
 }
 
+// TestQueueHoldsAFullRound: a whole window asked for in the OPEN's round
+// at the fetch's default batch of 64 — 4096 SYMBOLs, the DONE closing
+// each batch and a PEERS frame ahead of each, as a full sender that
+// relays gossip may answer it — queues whole on a channel whose consumer
+// reads nothing yet: nothing is charged, and every batch's DONE reads
+// back.
+func TestQueueHoldsAFullRound(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	const batch, depth = 64, DefaultWindow / 64
+	var charges atomic.Int64
+	w, shutdown := startPair(t, Config{Penalize: func(float64) { charges.Add(1) }}, Config{}, func(ch *Channel) {
+		if ch.Accept(protocol.Hello{FullCopy: true, Depth: depth}) != nil {
+			return
+		}
+		peers := protocol.Frame{Type: protocol.TypePeers, Payload: protocol.AppendPeers(nil, []protocol.PeerAd{{ContentID: 1, Addr: "elsewhere:1"}})}
+		var id uint64
+		for range depth {
+			if protocol.WriteFrame(ch, peers) != nil {
+				return
+			}
+			for range batch {
+				if protocol.WriteSymbol(ch, id, []byte("s")) != nil {
+					return
+				}
+				id++
+			}
+			if protocol.WriteFrame(ch, protocol.EncodeDone()) != nil {
+				return
+			}
+		}
+		for { // hold the channel until the receiver closes it
+			if _, err := ch.Next(); err != nil {
+				return
+			}
+		}
+	})
+	defer shutdown()
+	ch, err := w.Open(protocol.Hello{ContentID: 1, Batch: batch, Depth: depth}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ch.Close()
+	const frames = DefaultWindow + 2*depth
+	deadline := time.Now().Add(5 * time.Second)
+	for queuedFrames(ch) < frames && charges.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := charges.Load(); n != 0 {
+		t.Fatalf("%d frames of a full round charged, %d queued", n, queuedFrames(ch))
+	}
+	ch.SetDeadline(time.Now().Add(5 * time.Second))
+	dones := 0
+	for dones < depth {
+		f, err := ch.Next()
+		if err != nil {
+			t.Fatalf("after %d of %d DONEs: %v", dones, depth, err)
+		}
+		if f.Type == protocol.TypeDone {
+			dones++
+		}
+	}
+}
+
 // TestQueueBoundCharged: a channel whose consumer reads nothing queues
-// DefaultWindow + queueSlack (4160) frames; frame 4161, though asked
+// DefaultWindow + queueSlack (4224) frames; frame 4225, though asked
 // for, is charged and dropped, and the wire and the channel survive: the
 // queued frames read back in order, and the next REQUEST is answered.
 func TestQueueBoundCharged(t *testing.T) {

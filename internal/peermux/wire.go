@@ -52,8 +52,14 @@ const (
 	// in-flight frames are drained silently instead of punished.
 	drainedIDs = 64
 	// queueSlack is headroom on a channel's inbound queue bound beyond
-	// DefaultWindow, for the control frames that ride beside the symbols.
-	queueSlack = 64
+	// DefaultWindow, for the control frames that ride beside the symbols:
+	// a full window asked for in batches of 64 (the fetch's default) is
+	// answered with a DONE closing each batch and, from a sender relaying
+	// gossip, a PEERS frame ahead of each, 128 frames beside the 4096
+	// symbols. Room for the DONEs alone would drop such a round's last
+	// DONE whenever a PEERS rode in it before the consumer read, and the
+	// session would wait out its timeout for it.
+	queueSlack = 128
 )
 
 // ErrClosed marks an operation on a closed wire, channel or fabric.
